@@ -14,6 +14,8 @@ Each bench times one narrower hot path than the GC-heavy macro:
   installed at 1-in-64 sampling (the reqtrace overhead contract);
 * ``traffic_engine_micro`` — one multi-tenant traffic-engine cell
   (arrival scheduling, admission control, queue dispatch, accounting);
+* ``difs_placement_micro`` — chunk updates + failure polls over ~580
+  minidisk volumes (the diFS metadata path on the columnar volume index);
 * ``remount_micro`` — the OOB-replay rebuild scan (mount latency);
 * ``fleet_step_micro`` — one vectorised fleet-model run (the unit the
   sweep runner parallelises over);
@@ -87,6 +89,17 @@ def test_traffic_engine_micro():
     assert entry["meta"]["errors"] == 0
     # The traffic window actually ran (the bench is not all prefill).
     assert entry["meta"]["window_requests"] > entry["ops"] // 2
+
+
+@pytest.mark.no_obs
+def test_difs_placement_micro():
+    entry = harness.run("difs_placement_micro",
+                        workloads.difs_placement_micro)
+    assert entry["ops"] == workloads.PLACEMENT_OPS
+    assert entry["meta"]["volumes"] >= 500
+    # Fresh flash: the loop timed metadata work, not recovery.
+    assert entry["meta"]["live_volumes"] == entry["meta"]["volumes"]
+    assert entry["meta"]["volume_failures"] == 0
 
 
 @pytest.mark.no_obs

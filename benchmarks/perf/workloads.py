@@ -301,6 +301,55 @@ def traffic_engine_micro() -> dict:
                      "p99_latency_us": cell["window"]["p99_latency_us"]}}
 
 
+# -- diFS placement + failure polling (micro) ---------------------------------
+
+PLACEMENT_NODES = 6
+PLACEMENT_CHUNKS = 120
+PLACEMENT_OPS = 1200
+
+
+def difs_placement_micro() -> dict:
+    """Chunk updates and failure polls over ~580 minidisk volumes.
+
+    Six RegenS devices contribute ~97 minidisk volumes each, so every
+    ``update_chunk`` makes three placements over the whole population
+    and every ``poll_failures`` asks which of them died — the diFS
+    metadata path, with fresh flash so no volume actually fails. The
+    columnar volume index (``repro.difs.placement.VolumeIndex``) answers
+    both per *device*. Chunks are small (4 oPages) so the IO stack stays
+    a minority of the loop: the pre-index per-volume scan ran it at
+    ~500 ops/s, under the enforcement threshold (half the floor), so
+    reintroducing such a scan fails the gate. Ops unit: chunk updates."""
+    from repro.difs.cluster import Cluster, ClusterConfig
+    from repro.salamander.device import SalamanderConfig, SalamanderSSD
+
+    geometry = FlashGeometry(blocks=64, fpages_per_block=32)
+    cluster = Cluster(ClusterConfig(replication=3, chunk_lbas=4,
+                                    opage_bytes=geometry.opage_bytes),
+                      seed=17)
+    for node in range(PLACEMENT_NODES):
+        cluster.add_node(f"n{node}")
+        chip = FlashChip(geometry, seed=node + 1, variation_sigma=0.2)
+        cluster.add_device(f"n{node}", SalamanderSSD(chip, SalamanderConfig(
+            mode="regen", msize_lbas=64, headroom_fraction=0.25,
+            ftl=FTLConfig(overprovision=0.25, buffer_opages=8))))
+    payload = bytes(32)
+    for index in range(PLACEMENT_CHUNKS):
+        cluster.create_chunk(f"c{index}", payload)
+    targets = [f"c{int(t)}" for t in np.random.default_rng(19).integers(
+        0, PLACEMENT_CHUNKS, size=PLACEMENT_OPS)]
+    start = time.perf_counter()
+    for chunk_id in targets:
+        cluster.update_chunk(chunk_id, payload)
+        cluster.poll_failures()
+    wall_s = time.perf_counter() - start
+    return {"ops": PLACEMENT_OPS, "wall_s": wall_s,
+            "meta": {"volumes": len(cluster.volumes),
+                     "live_volumes": cluster.live_volume_count(),
+                     "volume_failures":
+                         cluster.recovery.stats.volume_failures}}
+
+
 # -- analytic fleet step (micro) ---------------------------------------------
 
 FLEET_MICRO_CONFIG = FleetConfig(

@@ -33,7 +33,7 @@ from repro.errors import (
 from repro.obs.instruments import difs_instruments
 from repro.difs.chunk import Chunk, Replica
 from repro.difs.node import StorageNode
-from repro.difs.placement import place_replicas
+from repro.difs.placement import VolumeIndex, place_replicas
 from repro.difs.recovery import RecoveryManager
 from repro.difs.redundancy import make_scheme
 from repro.difs.ticker import ClusterTicker
@@ -160,6 +160,9 @@ class Cluster:
         self.rng = make_rng(seed)
         self.nodes: dict[str, StorageNode] = {}
         self.volumes: dict[str, Volume] = {}
+        # Columnar mirror of ``volumes`` (same order); placement, failure
+        # polling and the volume counts read it instead of every Volume.
+        self._index = VolumeIndex()
         self.namespace: dict[str, Chunk] = {}
         self.recovery = RecoveryManager(self)
         self.time: float = 0.0
@@ -205,6 +208,7 @@ class Cluster:
             raise ConfigError(f"volume {volume.volume_id} already registered")
         node.add_volume(volume)
         self.volumes[volume.volume_id] = volume
+        self._index.add(volume)
         self._chunks_by_volume.setdefault(volume.volume_id, set())
         return volume
 
@@ -441,10 +445,9 @@ class Cluster:
         if self._faults is not None:
             self._faults.note_poll()
         found = 0
-        for volume_id, volume in self.volumes.items():
-            if not volume.is_alive and volume_id not in \
-                    self.recovery._failed_volumes:
-                self.recovery.volume_failed(volume_id)
+        for volume in self._index.drain_newly_dead():
+            if not self.recovery.is_failed(volume.volume_id):
+                self.recovery.volume_failed(volume.volume_id)
                 found += 1
         return found
 
@@ -558,10 +561,10 @@ class Cluster:
         attempts = 5
         while True:
             attempts -= 1
-            avoid = {self.volumes[r.volume_id].node_id
-                     for r in chunk.replicas if r.volume_id in self.volumes}
+            avoid = self._index.nodes_of(
+                replica.volume_id for replica in chunk.replicas)
             volume = place_replicas(
-                self.config.placement, list(self.volumes.values()), 1,
+                self.config.placement, self._index, 1,
                 self.rng, avoid_nodes=avoid)[0]
             slot = volume.allocate_slot()
             if slot is None:
@@ -689,8 +692,7 @@ class Cluster:
                         or slot >= volume.total_slots:
                     degraded = True
                     continue
-                if slot in volume._free_slots:
-                    volume._free_slots.discard(slot)
+                volume.claim_slot(slot)
                 chunk.replicas.append(
                     Replica(volume_id=volume_id, slot=slot, index=index))
                 self._chunks_by_volume.setdefault(
@@ -705,13 +707,8 @@ class Cluster:
 
     def device_queues(self) -> list:
         """Every distinct device submission queue in the cluster."""
-        queues, seen = [], set()
-        for volume in self.volumes.values():
-            queue = volume.queue
-            if queue is not None and id(queue) not in seen:
-                seen.add(id(queue))
-                queues.append(queue)
-        return queues
+        return [volume.queue for volume in self._index.device_heads()
+                if volume.queue is not None]
 
     def flush_io(self) -> None:
         """Dispatch batch-staged chunk writes, then coalesce-staged requests."""
@@ -800,11 +797,19 @@ class Cluster:
     # -- reporting --------------------------------------------------------------------------------
 
     def total_capacity_bytes(self) -> int:
-        return sum(v.capacity_lbas() for v in self.volumes.values()
-                   if v.is_alive) * self.config.opage_bytes
+        return sum(v.capacity_lbas() for v in self._index.live_volumes()
+                   ) * self.config.opage_bytes
 
     def live_volume_count(self) -> int:
-        return sum(1 for v in self.volumes.values() if v.is_alive)
+        return self._index.live_count()
+
+    def _audit_volume_index(self) -> None:
+        """Assert the volume index equals a recomputation from
+        ``volumes`` (docs/PERFORMANCE.md); ``AssertionError`` otherwise.
+        """
+        assert self._index.volumes == list(self.volumes.values()), (
+            "volume index order diverged from the registration order")
+        self._index.audit()
 
     def report(self) -> dict[str, float]:
         return {

@@ -101,6 +101,10 @@ class RecoveryManager:
         self._instr.volume_failures.inc()
         self._set_queue_gauges()
 
+    def is_failed(self, volume_id: str) -> bool:
+        """Whether this failure domain's loss was already enqueued."""
+        return volume_id in self._failed_volumes
+
     def chunk_degraded(self, chunk_id: str) -> None:
         """Enqueue a single under-replicated chunk."""
         self._pending_chunks.append(chunk_id)

@@ -8,6 +8,13 @@ remaining good capacity".
 
 Volumes also own chunk-slot allocation: a volume formatted for
 ``chunk_lbas``-sized chunks exposes ``capacity_lbas // chunk_lbas`` slots.
+The ``Volume`` object is the source of truth for slots and liveness; a
+cluster's :class:`repro.difs.placement.VolumeIndex` mirrors them as
+columns, and every method here that changes ``used_slots``,
+``total_slots`` or ``_failed`` pushes the volume's row to the attached
+index (``allocate_slot``, ``claim_slot``, ``release_slot``,
+``mark_failed``, ``shrink_to``). Device-side deaths are not pushed — the
+index reads them off the device (see that module).
 
 Chunk IO goes through the device's :class:`repro.io.queue.DeviceQueue`
 when the cluster has attached one (``volume.queue``): writes become one
@@ -30,6 +37,9 @@ from repro.salamander.device import SalamanderSSD
 class Volume(ABC):
     """A failure domain with slot-granular space management.
 
+    Adapters set ``self.device`` (the backing device, the unit the
+    volume index polls for liveness) before calling this constructor.
+
     Args:
         volume_id: cluster-unique name.
         node_id: the storage node this volume lives on.
@@ -49,6 +59,8 @@ class Volume(ABC):
         self._failed = False
         self.total_slots = self.capacity_lbas() // chunk_lbas
         self._free_slots = set(range(self.total_slots))
+        self._index = None
+        self._index_row = -1
 
     # -- device plumbing (adapter responsibility) --------------------------------
 
@@ -94,21 +106,40 @@ class Volume(ABC):
             return 1.0
         return self.used_slots / self.total_slots
 
+    def attach_index(self, index, row: int) -> None:
+        """Mirror this volume's slot/failure state into ``index[row]``."""
+        self._index = index
+        self._index_row = row
+
+    def _push_row(self) -> None:
+        if self._index is not None:
+            self._index.update(self._index_row, self.used_slots,
+                               self.total_slots, self._failed)
+
     def allocate_slot(self) -> int | None:
         """Reserve a chunk slot, or None when full/dead."""
         if not self.is_alive or not self._free_slots:
             return None
         slot = min(self._free_slots)
         self._free_slots.discard(slot)
+        self._push_row()
         return slot
+
+    def claim_slot(self, slot: int) -> None:
+        """Reserve one specific slot (namespace restore); idempotent."""
+        self._check_slot(slot)
+        self._free_slots.discard(slot)
+        self._push_row()
 
     def release_slot(self, slot: int) -> None:
         self._check_slot(slot)
         self._free_slots.add(slot)
+        self._push_row()
 
     def mark_failed(self) -> None:
         """Administratively fail the volume (device event or detection)."""
         self._failed = True
+        self._push_row()
 
     # -- chunk I/O ---------------------------------------------------------------------
 
@@ -211,6 +242,7 @@ class MonolithicVolume(Volume):
                    if slot not in self._free_slots]
         self._free_slots = {s for s in self._free_slots if s < new_slots}
         self.total_slots = new_slots
+        self._push_row()
         return evicted
 
 

@@ -282,6 +282,15 @@ class SalamanderSSD(PageMappedFTL):
     def is_alive(self) -> bool:
         return not self._exhausted
 
+    @property
+    def event_seq(self) -> int:
+        """Change counter: incremented *before* every decommission,
+        regeneration and exhaustion, so a host that remembers the value
+        knows the minidisk census is unchanged while it has not moved —
+        even if the matching host event was never delivered.
+        """
+        return self._event_seq
+
     def add_listener(self, listener: Callable[[HostEvent], None]) -> None:
         """Subscribe to host events (decommission/regeneration/exhaustion)."""
         self._listeners.append(listener)

@@ -80,7 +80,8 @@ def _readable(cluster, chunk_id: str) -> bool:
 class TestMixedCluster:
     def test_both_failure_granularities_observed(self, worn_mixed_cluster):
         cluster, _, _, _ = worn_mixed_cluster
-        failed_ids = cluster.recovery._failed_volumes
+        failed_ids = [volume_id for volume_id in cluster.volumes
+                      if cluster.recovery.is_failed(volume_id)]
         mono_failures = [v for v in failed_ids
                          if isinstance(cluster.volumes.get(v),
                                        MonolithicVolume)]
