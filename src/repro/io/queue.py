@@ -26,18 +26,21 @@ does two jobs:
    and queueing delay emerges — that is what the M/D/c claim check
    validates against :func:`repro.models.queueing.mdc_latency_us`.
 
-Completion state is columnar: dispatches append one row to a
-column-array log (submit/start/end/work times, merged counts, plus
-object columns for request/result/error), and the in-flight window and
-done list are deques of *row indices* — completion ordering is index
-ordering. Scalar :class:`~repro.io.request.IOCompletion` objects are
-materialised only at the API boundary (``execute``'s return, ``poll``,
-traced requests), which keeps the per-request object churn off the hot
-path. The batch entry point :meth:`DeviceQueue.execute_vector` goes
-further: it dispatches a whole :class:`~repro.io.vector.IOVector` with
-no per-member request or completion objects at all, routing runs of
-point reads through the device's ``read_batch`` kernel when that
-preserves timing bit-identity (see ``timed_batch_reads``).
+Every entry point runs the same two-step core, on a request's *fields*
+rather than on request objects: ``_serve`` calls the device and
+measures what the call cost the chip, ``_meter`` places that service on
+the virtual clock and does all the accounting (stats, metrics,
+deadlines, SLOs). ``execute`` and ``submit`` unpack an
+:class:`~repro.io.request.IORequest` into it, :meth:`DeviceQueue.
+execute_vector` feeds it the columns of a whole
+:class:`~repro.io.vector.IOVector` (routing runs of point reads through
+the device's ``read_batch`` kernel when that preserves timing
+bit-identity, see ``timed_batch_reads``), and :meth:`DeviceQueue.
+dispatch` exposes it directly for callers — the traffic engine — that
+have no use for per-request objects. Only requests that *stay* in the
+in-flight window leave anything behind: one row tuple each, bridged to
+a scalar :class:`~repro.io.request.IOCompletion` when ``poll`` hands
+it out. Synchronous dispatches allocate nothing but their result.
 
 ``depth`` bounds the in-flight window like a real NCQ: submitting into
 a full queue first retires the oldest in-flight completion and clamps
@@ -58,12 +61,14 @@ min-deadline semantics — set iff at least one member missed).
 from __future__ import annotations
 
 from collections import deque
+from operator import sub
 
 from repro import obs
 from repro.errors import ConfigError, UncorrectableError
 from repro.io.protocols import device_kind_of
 from repro.io.request import IOCompletion, IORequest
 from repro.io.vector import (
+    OP_CODES,
     OP_FLUSH,
     OP_NAMES,
     OP_READ,
@@ -91,81 +96,20 @@ _READ_RUN_MIN = 2
 _MERGEABLE_OPS = ("read_range", "trim_range", "write")
 
 
-class _CompletionLog:
-    """Column store for dispatched completions, addressed by index.
+#: Layout of a window row — what one dispatch measured, plus whatever
+#: the submitter wants back when the row drains (an ``IORequest`` for
+#: ``submit``, the caller's own handle for ``dispatch``).
+_ERROR = 2
+_END = 5
 
-    Rows are appended per dispatch and identified by a monotone index
-    (``base`` + column position); the queue's in-flight window and done
-    list order these indices, and :meth:`materialise` builds the scalar
-    :class:`IOCompletion` lazily (cached, so repeated lookups return
-    the same object). ``clear`` drops all rows once every index has
-    been consumed, keeping the columns sized to the live window.
-    """
 
-    __slots__ = ("base", "next", "request", "result", "error", "submit",
-                 "start", "end", "work", "merged", "made")
-
-    def __init__(self) -> None:
-        self.base = 0
-        self.next = 0
-        self.request: list[IORequest] = []
-        self.result: list[list[bytes] | None] = []
-        self.error: list[Exception | None] = []
-        self.submit: list[float] = []
-        self.start: list[float] = []
-        self.end: list[float] = []
-        self.work: list[float] = []
-        self.merged: list[int] = []
-        self.made: list[IOCompletion | None] = []
-
-    def append(self, request: IORequest, result, error, submit: float,
-               start: float, end: float, work: float,
-               merged: int) -> int:
-        idx = self.next
-        self.next = idx + 1
-        self.request.append(request)
-        self.result.append(result)
-        self.error.append(error)
-        self.submit.append(submit)
-        self.start.append(start)
-        self.end.append(end)
-        self.work.append(work)
-        self.merged.append(merged)
-        self.made.append(None)
-        return idx
-
-    def end_us(self, idx: int) -> float:
-        return self.end[idx - self.base]
-
-    def error_of(self, idx: int) -> Exception | None:
-        return self.error[idx - self.base]
-
-    def materialise(self, idx: int) -> IOCompletion:
-        i = idx - self.base
-        made = self.made[i]
-        if made is None:
-            error = self.error[i]
-            made = IOCompletion(
-                request=self.request[i],
-                status="error" if error is not None else "ok",
-                result=self.result[i], error=error,
-                submit_us=self.submit[i], start_us=self.start[i],
-                end_us=self.end[i], work_us=self.work[i],
-                merged=self.merged[i])
-            self.made[i] = made
-        return made
-
-    def clear(self) -> None:
-        self.base = self.next
-        self.request.clear()
-        self.result.clear()
-        self.error.clear()
-        self.submit.clear()
-        self.start.clear()
-        self.end.clear()
-        self.work.clear()
-        self.merged.clear()
-        self.made.clear()
+def _completion(row: tuple) -> IOCompletion:
+    """Bridge a window row to the scalar :class:`IOCompletion`."""
+    request, result, error, submit, start, end, work, merged = row
+    return IOCompletion(
+        request=request, status="error" if error is not None else "ok",
+        result=result, error=error, submit_us=submit, start_us=start,
+        end_us=end, work_us=work, merged=merged)
 
 
 class DeviceQueue:
@@ -201,18 +145,24 @@ class DeviceQueue:
         #: arrivals, never by service (servers run ahead of the clock).
         self.clock_us = 0.0
         self._channel_free = [0.0] * self.channels
-        self._log = _CompletionLog()
-        self._inflight: deque[int] = deque()
-        self._done: deque[int] = deque()
+        #: The in-flight window and the rows backpressure retired from
+        #: it, both oldest first (see ``_ERROR``/``_END`` for the row).
+        self._inflight: deque[tuple] = deque()
+        self._done: deque[tuple] = deque()
         self._staged: IORequest | None = None
         self._staged_merged = 1
         self._staged_deadlines: list[float | None] | None = None
         self._next_tag = 0
         self.stats = QueueStats()
+        # Instruments bind at construction: with metrics off they are
+        # the null singletons for this queue's whole life, so the hot
+        # path skips them on one flag instead of calling no-ops.
+        self._observed = obs.metrics_enabled()
         self._instr = io_instruments(self.device_kind)
-        self._latency_children: dict[str, object] = {}
-        self._wait_children: dict[str, object] = {}
-        self._request_children: dict[str, object] = {}
+        self._set_inflight = self._instr.inflight.set
+        #: Per op code: (latency.observe, wait.observe, requests.inc),
+        #: bound on the op's first dispatch.
+        self._op_children: list[tuple | None] = [None] * len(OP_NAMES)
         # Request tracing / SLO tracking bind at construction, like
         # fault injection: None unless installed, one identity test on
         # the hot path when off.
@@ -220,7 +170,7 @@ class DeviceQueue:
         self._rt_sampler = (self._reqtrace.sampler_for(self.device_kind)
                             if self._reqtrace is not None else None)
         self._slo = slo.engine()
-        if obs.metrics_enabled():
+        if self._observed:
             obs.metrics().add_collect_hook(self._refresh_deadline_gauge)
 
     def _refresh_deadline_gauge(self) -> None:
@@ -238,11 +188,7 @@ class DeviceQueue:
         device call would; the errored completion is still recorded
         and visible to :meth:`poll`.
         """
-        request.tag = self._next_tag
-        self._next_tag += 1
-        self.stats.submitted += 1
-        if self._rt_sampler is not None:
-            self._maybe_trace(request)
+        self._stamp(request)
         if self.coalesce:
             if self._try_merge(request, at_us):
                 return request
@@ -250,9 +196,10 @@ class DeviceQueue:
             self._staged = request
             self._staged_merged = 1
             self._staged_deadlines = [request.deadline_us]
-            request.submit_us = self._arrival(at_us)
+            request.submit_us = (self.clock_us if at_us is None
+                                 else max(at_us, 0.0))
             return request
-        self._dispatch(request, at_us)
+        self._dispatch_to_window(request, at_us)
         return request
 
     def submit_vector(self, vec: IOVector) -> None:
@@ -271,29 +218,58 @@ class DeviceQueue:
         """Submit synchronously and return the completion now.
 
         Any staged request dispatches first (ordering), then this one;
-        its completion is consumed (it will not appear in ``poll``).
-        Errors re-raise, preserving direct-call semantics.
+        its completion never enters the window (it will not appear in
+        ``poll``). Errors re-raise, preserving direct-call semantics.
         """
-        request.tag = self._next_tag
-        self._next_tag += 1
-        self.stats.submitted += 1
-        if self._rt_sampler is not None:
-            self._maybe_trace(request)
+        self._stamp(request)
         self._flush_staged()
-        idx = self._dispatch_inner(request, at_us)
-        # Consume it: sync callers own the result.
-        if self._inflight and self._inflight[-1] == idx:
-            self._inflight.pop()
-        elif idx in self._done:
-            self._done.remove(idx)
-        completion = self._log.materialise(idx)
-        self._maybe_trim()
-        self._set_inflight_gauge()
-        if completion.error is not None:
-            raise completion.error
-        return completion
+        row = self._dispatch_request(request, at_us)
+        if row[_ERROR] is not None:
+            raise row[_ERROR]
+        return _completion(row)
 
-    def execute_vector(self, vec: IOVector) -> CompletionVector:
+    def dispatch(self, code: int, lba: int = 0, count: int = 1,
+                 payloads: list[bytes] | None = None,
+                 mdisk_id: int | None = None, stream: int = 0,
+                 deadline_us: float | None = None,
+                 at_us: float | None = None, handle=None) -> tuple:
+        """Column-level :meth:`execute` / :meth:`submit`: one request
+        given as its fields (``code`` is an ``OP_*`` op code), with no
+        request or completion object built for it.
+
+        Returns ``(result, error, submit_us, start_us, end_us,
+        work_us)``; a device error is returned, never raised. With
+        ``handle=None`` the request is consumed synchronously like
+        :meth:`execute`. Any other ``handle`` makes it occupy a window
+        slot like :meth:`submit`, and :meth:`drain` hands the handle
+        back in the row's first field. The caller vouches for the
+        ``IORequest`` invariants, as with directly filled
+        :class:`IOVector` columns.
+        """
+        self._flush_staged()
+        if self._rt_sampler is not None:
+            # Sampling decisions and trace contexts ride on requests.
+            request = IORequest(
+                op=OP_NAMES[code], lba=lba, count=count, payloads=payloads,
+                mdisk_id=mdisk_id, deadline_us=deadline_us, stream=stream)
+            self._stamp(request)
+            row = self._dispatch_request(request, at_us)
+            measured = row[1:7]
+        else:
+            self._next_tag += 1
+            self.stats.submitted += 1
+            result, error, service, work = self._serve(
+                code, lba, count, mdisk_id, stream, payloads)
+            arrival, start, end = self._meter(
+                code, stream, deadline_us, at_us, service, work, error)
+            measured = (result, error, arrival, start, end, work)
+        if handle is not None:
+            self._inflight.append((handle,) + measured + (1,))
+            self._set_inflight(len(self._inflight))
+        return measured
+
+    def execute_vector(self, vec: IOVector,
+                       stop_on_error: bool = False) -> CompletionVector:
         """Dispatch a whole :class:`IOVector` synchronously (closed loop).
 
         Semantically a per-member :meth:`execute` loop with each
@@ -301,53 +277,33 @@ class DeviceQueue:
         of aborting the batch — exactly the device state a caller
         looping ``try: execute(...) except`` would leave behind, which
         is how the batched==scalar equivalence tests compare the two
-        paths. The ``at_us`` column is ignored: every member arrives at
-        the device clock, like ``execute(request)``.
+        paths. With ``stop_on_error`` the loop ``break``s there: the
+        first errored member is the last one dispatched and the
+        returned vector is that much shorter. The ``at_us`` column is
+        ignored: every member arrives at the device clock, like
+        ``execute(request)``.
 
-        The fast path dispatches straight from the vector's columns (no
-        per-member request/completion objects) and routes runs of >= 2
-        flat point reads through the device's ``read_batch`` kernel
-        when the device declares ``timed_batch_reads`` and no fault
-        injector is bound. With request-trace sampling installed the
-        whole vector takes the scalar path, so sampling decisions and
-        trace segments stay identical.
+        Members dispatch straight from the vector's columns (no
+        per-member request/completion objects), and runs of >= 2 flat
+        point reads go through the device's ``read_batch`` kernel when
+        the device declares ``timed_batch_reads`` and no fault injector
+        is bound. With request-trace sampling installed every member is
+        bridged to a request first, so sampling decisions and trace
+        segments stay identical.
         """
         n = len(vec)
         self._flush_staged()
         tag0 = self._next_tag
-        if n == 0:
-            return CompletionVector(vec, tag0, [], [], [], [], [], [])
-        if self._rt_sampler is not None:
-            return self._execute_vector_scalar(vec)
-        self._next_tag += n
-        stats = self.stats
-        stats.submitted += n
-        # NCQ backpressure, hoisted: vector members are consumed
-        # synchronously (they never occupy the window), so one drain at
-        # entry leaves the window below ``depth`` for the whole batch —
-        # the per-member loop would find the same state.
-        log = self._log
-        arrival_floor = 0.0
-        while len(self._inflight) >= self.depth:
-            oldest = self._inflight.popleft()
-            arrival_floor = max(arrival_floor, log.end_us(oldest))
-            self._done.append(oldest)
+        traced = self._rt_sampler is not None
         device = self.device
         chip = self._chip
-        chip_stats = chip.stats if chip is not None else None
-        channel_free = self._channel_free
-        free_get = channel_free.__getitem__
-        server_range = range(self.channels)
-        slo_engine = self._slo
-        kind = self.device_kind
-        keep = self.keep_latencies
-        instr = self._instr
         ops = vec.op[:n].tolist()
         lbas = vec.lba[:n].tolist()
         counts = vec.count[:n].tolist()
-        mdisks = vec.mdisk_id[:n].tolist()
+        mdisks = [None if m < 0 else m for m in vec.mdisk_id[:n].tolist()]
         streams = vec.stream[:n].tolist()
-        deadlines = vec.deadline_us[:n].tolist()
+        deadlines = [None if d != d else d
+                     for d in vec.deadline_us[:n].tolist()]
         payload_col = vec.payloads
         submit_col = [0.0] * n
         start_col = [0.0] * n
@@ -356,74 +312,25 @@ class DeviceQueue:
         results: list = [None] * n
         errors: list = [None] * n
         n_lbas = getattr(device, "n_lbas", None)
+        # A batched run has touched the device for every member before
+        # the first error is known, so stopping early rules it out.
         batch_read = (
             getattr(device, "read_batch", None)
-            if (n_lbas is not None
+            if (n_lbas is not None and not traced and not stop_on_error
                 and getattr(device, "timed_batch_reads", False)
                 and getattr(device, "_faults", None) is None
                 and (chip is None
                      or getattr(chip, "_faults", None) is None))
             else None)
-        clock = self.clock_us
-        obs_children: dict[int, tuple] = {}
-
-        def meter(m: int, code: int, service: float, work: float,
-                  error) -> None:
-            # Same arithmetic as the scalar _dispatch_inner/_record
-            # pair, member by member, so every float matches bit for
-            # bit (deadline stats depend on it).
-            nonlocal clock, arrival_floor
-            arrival = clock if clock >= arrival_floor else arrival_floor
-            arrival_floor = 0.0
-            server = min(server_range, key=free_get)
-            start = max(arrival, channel_free[server])
-            end = start + service
-            channel_free[server] = end
-            if end > clock:
-                clock = end
-            submit_col[m] = arrival
-            start_col[m] = start
-            end_col[m] = end
-            work_col[m] = work
-            latency = end - arrival
-            wait = start - arrival
-            stats.total_latency_us += latency
-            stats.total_wait_us += wait
-            stats.total_service_us += end - start
-            stats.total_work_us += work
-            if keep:
-                stats.latencies_us.append(latency)
-            kids = obs_children.get(code)
-            if kids is None:
-                name = OP_NAMES[code]
-                kids = (self._latency_child(name).observe,
-                        self._wait_child(name).observe,
-                        self._request_child(name).inc, name)
-                obs_children[code] = kids
-            kids[0](latency)
-            kids[1](wait)
-            kids[2]()
-            if error is not None:
-                stats.errors += 1
-                instr.errors.inc()
-            deadline = deadlines[m]
-            missed = deadline == deadline and end > deadline
-            if missed:
-                stats.deadline_misses += 1
-                instr.deadline_misses.inc()
-            if slo_engine is not None:
-                slo_engine.observe(
-                    end_us=end, latency_us=latency, op=kids[3],
-                    stream=streams[m], device_kind=kind,
-                    deadline_missed=missed)
-
+        serve = self._serve
+        meter = self._meter
         i = 0
         while i < n:
-            op = ops[i]
-            if (batch_read is not None and op == OP_READ
-                    and mdisks[i] < 0 and 0 <= lbas[i] < n_lbas):
+            code = ops[i]
+            if (batch_read is not None and code == OP_READ
+                    and mdisks[i] is None and 0 <= lbas[i] < n_lbas):
                 j = i + 1
-                while (j < n and ops[j] == OP_READ and mdisks[j] < 0
+                while (j < n and ops[j] == OP_READ and mdisks[j] is None
                        and 0 <= lbas[j] < n_lbas):
                     j += 1
                 if j - i >= _READ_RUN_MIN:
@@ -447,119 +354,58 @@ class DeviceQueue:
                                 errors[m] = res
                             else:
                                 results[m] = [res]
-                            meter(m, OP_READ, svc[k], wrk[k], errors[m])
+                            work_col[m] = wrk[k]
+                            submit_col[m], start_col[m], end_col[m] = meter(
+                                OP_READ, streams[m], deadlines[m], None,
+                                svc[k], wrk[k], errors[m])
                         i = j
                         continue
-            mdisk = mdisks[i]
-            lba = lbas[i]
-            error = None
-            result = None
-            if chip is not None:
-                busy_before = chip_stats.busy_us
-                chan_before = list(chip.channel_busy_us)
-            try:
-                if op == OP_READ:
-                    result = ([device.read(lba)] if mdisk < 0
-                              else [device.read(mdisk, lba)])
-                elif op == OP_WRITE:
-                    payloads = payload_col[i]
-                    stream = streams[i]
-                    if mdisk < 0:
-                        if stream:
-                            for off, data in enumerate(payloads):
-                                device.write(lba + off, data,
-                                             stream=stream)
-                        else:
-                            for off, data in enumerate(payloads):
-                                device.write(lba + off, data)
-                    else:
-                        for off, data in enumerate(payloads):
-                            device.write(mdisk, lba + off, data)
-                elif op == OP_READ_RANGE:
-                    result = (device.read_range(lba, counts[i])
-                              if mdisk < 0
-                              else device.read_range(mdisk, lba,
-                                                     counts[i]))
-                elif op == OP_TRIM:
-                    if mdisk < 0:
-                        device.trim(lba)
-                    else:
-                        device.trim(mdisk, lba)
-                elif op == OP_TRIM_RANGE:
-                    if mdisk < 0:
-                        device.trim_range(lba, counts[i])
-                    else:
-                        for off in range(counts[i]):
-                            device.trim(mdisk, lba + off)
-                elif op == OP_FLUSH:
-                    device.flush()
-                else:  # pragma: no cover - validate() rejects these
-                    raise ConfigError(f"unhandled op code {op!r}")
-            except Exception as exc:  # noqa: BLE001 - recorded per member
-                error = exc
-            if chip is not None:
-                work = chip_stats.busy_us - busy_before
-                chan_after = chip.channel_busy_us
-                service = max(
-                    (chan_after[c] - chan_before[c]
-                     for c in range(len(chan_before))), default=0.0)
+            if traced:
+                request = vec.request(i)
+                request.tag = tag0 + i
+                self._maybe_trace(request)
+                (_, results[i], error, submit_col[i], start_col[i],
+                 end_col[i], work_col[i], _) = self._dispatch_request(
+                     request, None)
             else:
-                work = service = 0.0
-            results[i] = result
+                results[i], error, service, work_col[i] = serve(
+                    code, lbas[i], counts[i], mdisks[i], streams[i],
+                    payload_col[i])
+                submit_col[i], start_col[i], end_col[i] = meter(
+                    code, streams[i], deadlines[i], None, service,
+                    work_col[i], error)
             errors[i] = error
-            meter(i, op, service, work, error)
             i += 1
-        self.clock_us = clock
-        stats.dispatched += n
-        self._set_inflight_gauge()
+            if stop_on_error and error is not None:
+                break
+        self._next_tag = tag0 + i
+        self.stats.submitted += i
+        if i < n:
+            vec = vec[:i]
+            submit_col, start_col = submit_col[:i], start_col[:i]
+            end_col, work_col = end_col[:i], work_col[:i]
+            results, errors = results[:i], errors[:i]
         return CompletionVector(vec, tag0, submit_col, start_col,
                                 end_col, work_col, results, errors)
 
-    def _execute_vector_scalar(self, vec: IOVector) -> CompletionVector:
-        """Reference member-by-member path for :meth:`execute_vector`."""
-        n = len(vec)
-        tag0 = self._next_tag
-        submit_col = [0.0] * n
-        start_col = [0.0] * n
-        end_col = [0.0] * n
-        work_col = [0.0] * n
-        results: list = [None] * n
-        errors: list = [None] * n
-        log = self._log
-        for i in range(n):
-            request = vec.request(i)
-            request.tag = self._next_tag
-            self._next_tag += 1
-            self.stats.submitted += 1
-            if self._rt_sampler is not None:
-                self._maybe_trace(request)
-            idx = self._dispatch_inner(request, None)
-            if self._inflight and self._inflight[-1] == idx:
-                self._inflight.pop()
-            elif idx in self._done:
-                self._done.remove(idx)
-            submit_col[i] = log.submit[idx - log.base]
-            start_col[i] = log.start[idx - log.base]
-            end_col[i] = log.end[idx - log.base]
-            work_col[i] = log.work[idx - log.base]
-            results[i] = log.result[idx - log.base]
-            errors[i] = log.error[idx - log.base]
-        self._maybe_trim()
-        self._set_inflight_gauge()
-        return CompletionVector(vec, tag0, submit_col, start_col,
-                                end_col, work_col, results, errors)
+    def drain(self) -> list[tuple]:
+        """Retire the whole window; returns its rows, oldest first.
+
+        A row is ``(handle, result, error, submit_us, start_us, end_us,
+        work_us, merged)`` where ``handle`` is the submitted
+        ``IORequest`` or the handle given to :meth:`dispatch`.
+        """
+        self._flush_staged()
+        rows = list(self._done)
+        rows.extend(self._inflight)
+        self._done.clear()
+        self._inflight.clear()
+        self._set_inflight(0)
+        return rows
 
     def poll(self) -> list[IOCompletion]:
         """Drain and return every finished completion (oldest first)."""
-        self._flush_staged()
-        log = self._log
-        out = [log.materialise(i) for i in self._done]
-        out.extend(log.materialise(i) for i in self._inflight)
-        self._done.clear()
-        self._inflight.clear()
-        log.clear()
-        self._set_inflight_gauge()
-        return out
+        return [_completion(row) for row in self.drain()]
 
     def flush(self) -> None:
         """Dispatch any staged (coalesced) request."""
@@ -571,14 +417,12 @@ class DeviceQueue:
 
     # -- internals ------------------------------------------------------------
 
-    def _maybe_trim(self) -> None:
-        if not self._inflight and not self._done:
-            self._log.clear()
-
-    def _arrival(self, at_us: float | None) -> float:
-        if at_us is None:
-            return self.clock_us
-        return max(at_us, 0.0)
+    def _stamp(self, request: IORequest) -> None:
+        request.tag = self._next_tag
+        self._next_tag += 1
+        self.stats.submitted += 1
+        if self._rt_sampler is not None:
+            self._maybe_trace(request)
 
     def _maybe_trace(self, request: IORequest) -> None:
         # The sample decision is a pure function of (tracer seed,
@@ -631,192 +475,190 @@ class DeviceQueue:
         member_deadlines = self._staged_deadlines
         self._staged_merged = 1
         self._staged_deadlines = None
-        self._dispatch(staged, staged.submit_us, merged=merged,
+        self._dispatch_to_window(staged, staged.submit_us, merged=merged,
                        member_deadlines=member_deadlines)
 
-    def _dispatch(self, request: IORequest, at_us: float | None,
-                  merged: int = 1,
-                  member_deadlines: list | None = None) -> int:
-        idx = self._dispatch_inner(request, at_us, merged=merged,
-                                   member_deadlines=member_deadlines)
-        error = self._log.error_of(idx)
-        if error is not None:
-            raise error
-        return idx
+    def _dispatch_to_window(self, request: IORequest,
+                            at_us: float | None, merged: int = 1,
+                            member_deadlines: list | None = None) -> None:
+        """Dispatch ``request`` into the window; re-raise its error."""
+        row = self._dispatch_request(request, at_us, merged,
+                                     member_deadlines)
+        self._inflight.append(row)
+        self._set_inflight(len(self._inflight))
+        if row[_ERROR] is not None:
+            raise row[_ERROR]
 
-    def _dispatch_inner(self, request: IORequest, at_us: float | None,
-                        merged: int = 1,
-                        member_deadlines: list | None = None) -> int:
-        closed_loop = at_us is None
-        arrival = self._arrival(at_us)
-        log = self._log
-        # NCQ backpressure: a full window blocks the host until the
-        # oldest in-flight completion frees a slot.
-        while len(self._inflight) >= self.depth:
-            oldest = self._inflight.popleft()
-            arrival = max(arrival, log.end_us(oldest))
-            self._done.append(oldest)
-        server = min(range(self.channels),
-                     key=self._channel_free.__getitem__)
-        start = max(arrival, self._channel_free[server])
-        request.submit_us = arrival
-        chip = self._chip
-        busy_before = 0.0
-        if chip is not None:
-            busy_before = chip.stats.busy_us
-            chan_before = list(chip.channel_busy_us)
+    def _dispatch_request(self, request: IORequest, at_us: float | None,
+                          merged: int = 1,
+                          member_deadlines: list | None = None) -> tuple:
+        """Serve and meter one ``IORequest``; returns its window row.
+
+        The only place trace contexts are honoured: they ride on
+        requests, so every traced dispatch comes through here.
+        """
         rt = self._reqtrace
         ctx = request.trace if rt is not None else None
         if ctx is not None:
+            chip = self._chip
+            busy_before = chip.stats.busy_us if chip is not None else 0.0
             ctx.activate(busy_before)
             rt.active = ctx
-        error: Exception | None = None
-        result: list[bytes] | None = None
-        try:
-            result = self._call_device(request)
-        except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
-            error = exc
+        code = OP_CODES[request.op]
+        result, error, service, work = self._serve(
+            code, request.lba, request.count, request.mdisk_id,
+            request.stream, request.payloads)
         if ctx is not None:
             rt.active = None
+        arrival, start, end = self._meter(
+            code, request.stream, request.deadline_us, at_us, service,
+            work, error, member_deadlines)
+        request.submit_us = arrival
+        row = (request, result, error, arrival, start, end, work, merged)
+        if ctx is not None:
+            request.trace = None  # consumed; records outlive contexts
+            rt.finish(ctx, _completion(row), self.device_kind,
+                      busy_before + work)
+        return row
+
+    def _serve(self, code: int, lba: int, count: int, mdisk: int | None,
+               stream: int, payloads: list[bytes] | None) -> tuple:
+        """Call the device for one request, through exactly the methods
+        a direct caller would use, and measure what it cost the chip.
+
+        Returns ``(result, error, service_us, work_us)``: the error is
+        caught, ``work`` is the chip busy time consumed and ``service``
+        the largest per-channel share of it.
+        """
+        device = self.device
+        chip = self._chip
         if chip is not None:
-            work = chip.stats.busy_us - busy_before
-            chan_after = chip.channel_busy_us
-            service = max(
-                (chan_after[i] - chan_before[i]
-                 for i in range(len(chan_before))), default=0.0)
-        else:
-            work = service = 0.0
+            busy_before = chip.stats.busy_us
+            chan_before = list(chip.channel_busy_us)
+        result = error = None
+        try:
+            if code == OP_READ:
+                result = ([device.read(lba)] if mdisk is None
+                          else [device.read(mdisk, lba)])
+            elif code == OP_WRITE:
+                if mdisk is not None:
+                    for offset, payload in enumerate(payloads):
+                        device.write(mdisk, lba + offset, payload)
+                elif stream:
+                    for offset, payload in enumerate(payloads):
+                        device.write(lba + offset, payload, stream=stream)
+                else:
+                    # Exactly the legacy per-LBA call shape (devices
+                    # like BaselineSSD take no stream argument).
+                    for offset, payload in enumerate(payloads):
+                        device.write(lba + offset, payload)
+            elif code == OP_READ_RANGE:
+                result = (device.read_range(lba, count) if mdisk is None
+                          else device.read_range(mdisk, lba, count))
+            elif code == OP_TRIM:
+                if mdisk is None:
+                    device.trim(lba)
+                else:
+                    device.trim(mdisk, lba)
+            elif code == OP_TRIM_RANGE:
+                if mdisk is None:
+                    device.trim_range(lba, count)
+                else:
+                    for offset in range(count):
+                        device.trim(mdisk, lba + offset)
+            elif code == OP_FLUSH:
+                device.flush()
+            else:  # pragma: no cover - request validation rejects these
+                raise ConfigError(f"unhandled op code {code!r}")
+        except Exception as exc:  # noqa: BLE001 - recorded per request
+            error = exc
+        if chip is None:
+            return result, error, 0.0, 0.0
+        work = chip.stats.busy_us - busy_before
+        service = max(map(sub, chip.channel_busy_us, chan_before),
+                      default=0.0)
+        return result, error, service, work
+
+    def _meter(self, code: int, stream: int, deadline: float | None,
+               at_us: float | None, service: float, work: float,
+               error: Exception | None,
+               member_deadlines: list | None = None) -> tuple:
+        """Place one served request on the virtual clock and account it.
+
+        The queue's whole timing model, in one place: arrival (with
+        NCQ backpressure), earliest-free channel server, clock advance,
+        ``QueueStats``, metrics, deadline and SLO accounting. Returns
+        ``(arrival, start, end)``.
+        """
+        clock = self.clock_us
+        arrival = clock if at_us is None else max(at_us, 0.0)
+        inflight = self._inflight
+        if len(inflight) >= self.depth:
+            # NCQ backpressure: a full window blocks the host until the
+            # oldest in-flight completion frees a slot.
+            while len(inflight) >= self.depth:
+                oldest = inflight.popleft()
+                arrival = max(arrival, oldest[_END])
+                self._done.append(oldest)
+            self._set_inflight(len(inflight))
+        free = self._channel_free
+        earliest = min(free)
+        start = arrival if arrival >= earliest else earliest
         end = start + service
-        self._channel_free[server] = end
+        free[free.index(earliest)] = end
         # Closed-loop callers block on the completion, so the device
         # clock advances with it (hence their next arrival never finds
         # the server busy: waits are zero by construction). Open-loop
         # callers own time via ``at_us``; the clock only tracks the
         # latest arrival so a late stamp cannot run it backwards.
-        self.clock_us = max(self.clock_us, end if closed_loop else arrival)
-        idx = log.append(request, result, error, arrival, start, end,
-                         work, merged)
-        if ctx is not None:
-            request.trace = None  # consumed; records outlive contexts
-            rt.finish(ctx, log.materialise(idx), self.device_kind,
-                      busy_before + work)
-        self._record(request, error, arrival, start, end, work,
-                     member_deadlines)
-        self._inflight.append(idx)
-        self._set_inflight_gauge()
-        return idx
-
-    def _call_device(self, request: IORequest) -> list[bytes] | None:
-        device = self.device
-        op = request.op
-        mdisk = request.mdisk_id
-        if op == "read":
-            if mdisk is None:
-                return [device.read(request.lba)]
-            return [device.read(mdisk, request.lba)]
-        if op == "read_range":
-            if mdisk is None:
-                return device.read_range(request.lba, request.count)
-            return device.read_range(mdisk, request.lba, request.count)
-        if op == "write":
-            base = request.lba
-            if mdisk is None:
-                stream = request.stream
-                if stream:
-                    for offset, payload in enumerate(request.payloads):
-                        device.write(base + offset, payload, stream=stream)
-                else:
-                    # Exactly the legacy per-LBA call shape (devices
-                    # like BaselineSSD take no stream argument).
-                    for offset, payload in enumerate(request.payloads):
-                        device.write(base + offset, payload)
-            else:
-                for offset, payload in enumerate(request.payloads):
-                    device.write(mdisk, base + offset, payload)
-            return None
-        if op == "trim":
-            if mdisk is None:
-                device.trim(request.lba)
-            else:
-                device.trim(mdisk, request.lba)
-            return None
-        if op == "trim_range":
-            if mdisk is None:
-                device.trim_range(request.lba, request.count)
-            else:
-                for offset in range(request.count):
-                    device.trim(mdisk, request.lba + offset)
-            return None
-        if op == "flush":
-            device.flush()
-            return None
-        raise ConfigError(f"unhandled op {op!r}")  # pragma: no cover
-
-    def _record(self, request: IORequest, error: Exception | None,
-                submit: float, start: float, end: float, work: float,
-                member_deadlines: list | None = None) -> None:
+        advance = end if at_us is None else arrival
+        if advance > clock:
+            self.clock_us = advance
         stats = self.stats
         stats.dispatched += 1
-        latency = end - submit
-        wait = start - submit
+        latency = end - arrival
+        wait = start - arrival
         stats.total_latency_us += latency
         stats.total_wait_us += wait
         stats.total_service_us += end - start
         stats.total_work_us += work
         if self.keep_latencies:
             stats.latencies_us.append(latency)
-        op = request.op
-        self._latency_child(op).observe(latency)
-        self._wait_child(op).observe(wait)
-        self._request_child(op).inc()
         if error is not None:
             stats.errors += 1
-            self._instr.errors.inc()
         # Deadline accounting is per *member*: a coalesced dispatch
         # that finishes late counts one miss per absorbed request whose
         # own deadline it blew, not one per dispatch.
         if member_deadlines is None:
-            member_deadlines = (request.deadline_us,)
-        misses = 0
-        for deadline in member_deadlines:
-            if deadline is not None and end > deadline:
-                misses += 1
-        if misses:
-            stats.deadline_misses += misses
-            self._instr.deadline_misses.inc(misses)
+            misses = 1 if deadline is not None and end > deadline else 0
+        else:
+            misses = sum(1 for member in member_deadlines
+                         if member is not None and end > member)
+        stats.deadline_misses += misses
+        if self._observed:
+            children = self._op_children[code] or self._bind_children(code)
+            children[0](latency)
+            children[1](wait)
+            children[2]()
+            if error is not None:
+                self._instr.errors.inc()
+            if misses:
+                self._instr.deadline_misses.inc(misses)
         if self._slo is not None:
             self._slo.observe(
-                end_us=end, latency_us=latency,
-                op=op, stream=request.stream,
-                device_kind=self.device_kind,
+                end_us=end, latency_us=latency, op=OP_NAMES[code],
+                stream=stream, device_kind=self.device_kind,
                 deadline_missed=misses > 0)
+        return arrival, start, end
 
-    def _latency_child(self, op: str):
-        child = self._latency_children.get(op)
-        if child is None:
-            child = self._instr.latency.labels(
-                op=op, device_kind=self.device_kind)
-            self._latency_children[op] = child
-        return child
-
-    def _wait_child(self, op: str):
-        child = self._wait_children.get(op)
-        if child is None:
-            child = self._instr.wait.labels(
-                op=op, device_kind=self.device_kind)
-            self._wait_children[op] = child
-        return child
-
-    def _request_child(self, op: str):
-        child = self._request_children.get(op)
-        if child is None:
-            child = self._instr.requests.labels(
-                op=op, device_kind=self.device_kind)
-            self._request_children[op] = child
-        return child
-
-    def _set_inflight_gauge(self) -> None:
-        self._instr.inflight.set(len(self._inflight))
+    def _bind_children(self, code: int) -> tuple:
+        labels = {"op": OP_NAMES[code], "device_kind": self.device_kind}
+        instr = self._instr
+        children = (instr.latency.labels(**labels).observe,
+                    instr.wait.labels(**labels).observe,
+                    instr.requests.labels(**labels).inc)
+        self._op_children[code] = children
+        return children
 
     # -- introspection --------------------------------------------------------
 

@@ -17,7 +17,7 @@ measured times the queueing model cares about:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -114,7 +114,6 @@ class IOCompletion:
     work_us: float = 0.0
     #: Requests this completion absorbed via coalescing (1 = itself).
     merged: int = 1
-    _extra: dict = field(default_factory=dict, repr=False)
 
     @property
     def ok(self) -> bool:

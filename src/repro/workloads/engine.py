@@ -10,68 +10,63 @@ through the PR 5/8 :class:`repro.io.queue.DeviceQueue` path, and
 records the outcome as a canonical ``repro.workloads.engine/v1``
 artifact.
 
-Architecture
-------------
-
 Tenants shard into **cells**: one device + queue per cell, serving the
 tenants whose id is congruent to the cell index. A cell is a pure
 function of ``(config, cell, seed)`` — the device seed and every
 tenant's RNG derive from :func:`repro.rng.fork_rng` walks keyed on
-stable strings, never on worker layout — so
-:func:`run_traffic` fans cells out over
-:func:`repro.sim.parallel.parallel_map` and the merged artifact is
-byte-identical for any ``--jobs`` value (the determinism suite diffs
-``--jobs {1, 2, 8}``).
+stable strings, never on worker layout — so :func:`run_traffic` fans
+cells out over :func:`repro.sim.parallel.parallel_map` and the merged
+artifact is byte-identical for any ``--jobs`` value.
 
-Inside a cell, a single event heap interleaves every tenant:
+:func:`run_cell` is a pipeline of stages over one ``_Cell`` state
+object: **build** (device, queue, tenants) → **prefill** (one
+``IOVector`` per tenant) → **calibrate** (pilot reads → service scale)
+→ **window** → **report**. The window is one event heap interleaving
+every tenant, each event walking **arrivals → admission → dispatch →
+accounting**:
 
 * **Open-loop** tenants pre-commit to arrival instants drawn from
   their Poisson/MMPP process; a request's latency therefore includes
-  real queueing delay (the M/D/c regime the claim rows check).
+  real queueing delay (the M/D/c regime the claim rows check). Their
+  arrivals pass a per-tenant token bucket and a cell backlog watermark
+  (``admission`` = ``shed`` / ``defer`` / ``none``); whatever is still
+  deferred at the horizon is shed, so **offered == admitted + shed**
+  holds exactly per tenant.
 * **Closed-loop** tenants self-clock: the next request is issued only
   when the previous completion returns (plus ``think_us``). They are
   structurally exempt from admission control — self-throttling *is*
-  their admission policy — which the property tests pin.
+  their admission policy.
 
-Admission control
------------------
-
-Open-loop arrivals pass two gates before submission:
-
-1. **Per-tenant token bucket** — rate ``bucket_rate_factor ×`` the
-   tenant's fair share, burst ``bucket_burst`` tokens. A tenant
-   bursting beyond its budget is shed or deferred without disturbing
-   its neighbours.
-2. **Backlog watermark** — when the device queue's virtual backlog
-   (``queue.makespan_us() - now``) exceeds ``watermark`` estimated
-   service times, the cell is saturated and new arrivals are shed or
-   deferred until it drains.
-
-``admission="shed"`` drops the request (counted, never submitted);
-``"defer"`` postpones it and retries through the same gates;
-``"none"`` disables both gates (NCQ backpressure only). Deferred
-requests still pending at the horizon are shed, so the accounting
-identity **offered == admitted + shed** holds exactly per tenant —
-the artifact validator and the property tests both assert it.
-
-Per-tenant SLOs reuse :mod:`repro.obs.slo` verbatim: the tenant id is
-the objective's ``stream`` filter. Each cell replays its completions
-(sorted by completion time) through a fresh :class:`SLOEngine`, so
-"tenant 7's p99 read latency" is one config line.
+Per-tenant SLOs reuse :mod:`repro.obs.slo` verbatim (the tenant id is
+the objective's ``stream`` filter), replayed per cell in completion
+order. ``docs/WORKLOADS.md`` has the stage diagram, what state crosses
+which stage, and the admission rules in full.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import json
 import math
 import multiprocessing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from pathlib import Path
 
 from repro import obs
 from repro.errors import ConfigError
 from repro.io.probe import _PROBE_ERRORS, BUILD_MODES, build_queue_device
 from repro.io.queue import DeviceQueue
-from repro.io.request import IORequest
+from repro.io.vector import (
+    OP_FLUSH,
+    OP_NAMES,
+    OP_READ,
+    OP_READ_RANGE,
+    OP_TRIM,
+    OP_WRITE,
+    IOVector,
+)
 from repro.obs.analyze import interpolated_percentile
 from repro.obs.slo import SLOEngine, SLOObjective
 from repro.rng import DEFAULT_SEED, fork_rng, make_rng
@@ -86,6 +81,7 @@ from repro.workloads.generators import (
     SequentialGenerator,
     UniformGenerator,
     ZipfianGenerator,
+    draw_block,
 )
 
 #: Version tag of the traffic artifact document.
@@ -98,6 +94,11 @@ TENANT_CLASSES = ("sequential", "uniform", "zipfian", "mixed")
 
 #: Admission policies (CLI ``--admission`` values).
 ADMISSION_POLICIES = ("none", "shed", "defer")
+
+#: Per-tenant request counters: tenant-row keys, summed into the
+#: document's ``totals``.
+_COUNTERS = ("offered", "admitted", "shed", "deferrals", "completed",
+             "errors", "deadline_misses", "reads", "writes", "trims")
 
 #: Pilot reads issued to estimate the read service time (staggered
 #: offsets average over fPage alignment phases of ``read_span`` reads).
@@ -303,86 +304,42 @@ def _make_generator(config: EngineConfig, klass: str, span: int, rng):
     raise ConfigError(f"unknown tenant class {klass!r}")
 
 
-class _TraceCursor:
-    """Cyclic replay of a :class:`~repro.workloads.traces.Trace`.
-
-    Each tenant starts at its own offset so a shared trace does not
-    phase-lock every tenant onto the same LBA at the same instant.
-    """
-
-    def __init__(self, trace, offset: int) -> None:
-        if not len(trace):
-            raise ConfigError("trace has no operations to replay")
-        self._ops = trace.operations
-        self._next = offset % len(trace)
-
-    def next_op(self):
-        op = self._ops[self._next]
-        self._next = (self._next + 1) % len(self._ops)
-        return op
+#: Ops a tenant pulls from its generator per refill (see ``draw_block``):
+#: enough to amortise the generator's numpy draw, small enough that a
+#: tenant's undrawn tail costs no memory to speak of.
+_BLOCK = 64
 
 
+@dataclass(slots=True, eq=False)
 class _Tenant:
     """Per-tenant state inside one cell."""
 
-    __slots__ = (
-        "tenant", "klass", "closed_loop", "base", "span", "source",
-        "mix_rng", "arrivals", "tokens", "token_rate", "token_cap",
-        "last_refill", "pending", "sequence",
-        "offered", "admitted", "shed", "deferrals", "completed",
-        "errors", "deadline_misses", "reads", "writes", "trims",
-        "latencies",
-    )
-
-    def __init__(self, tenant: int, klass: str, closed_loop: bool,
-                 base: int, span: int) -> None:
-        self.tenant = tenant
-        self.klass = klass
-        self.closed_loop = closed_loop
-        self.base = base
-        self.span = span
-        self.source = None
-        self.mix_rng = None
-        self.arrivals = None
-        self.tokens = 0.0
-        self.token_rate = 0.0
-        self.token_cap = 0.0
-        self.last_refill = 0.0
-        self.pending = None
-        self.sequence = 0
-        self.offered = 0
-        self.admitted = 0
-        self.shed = 0
-        self.deferrals = 0
-        self.completed = 0
-        self.errors = 0
-        self.deadline_misses = 0
-        self.reads = 0
-        self.writes = 0
-        self.trims = 0
-        self.latencies: list[float] = []
-
-    def refill(self, now_us: float) -> None:
-        self.tokens = min(self.token_cap,
-                          self.tokens
-                          + (now_us - self.last_refill) * self.token_rate)
-        self.last_refill = now_us
-
-    def next_op(self, config: EngineConfig):
-        """Draw the tenant's next logical operation (one per arrival)."""
-        if isinstance(self.source, _TraceCursor):
-            return self.source.next_op()
-        op = next(self._ops_iter())
-        if (config.read_fraction > 0.0 and self.klass != "mixed"
-                and op.op is OpType.WRITE
-                and float(self.mix_rng.random()) < config.read_fraction):
-            return replace(op, op=OpType.READ, payload=None)
-        return op
-
-    def _ops_iter(self):
-        # One-op pulls keep the generator's scalar RNG stream intact
-        # (the ops_vector bit-identity contract).
-        return self.source.ops(1)
+    tenant: int
+    klass: str
+    closed_loop: bool
+    base: int
+    span: int
+    mdisk: int | None
+    #: The request stream is the FTL multi-stream *lifetime hint*
+    #: (tenants share host_streams lanes round-robin); per-tenant SLO
+    #: attribution uses tenant ids engine-side.
+    stream: int
+    ops: object = None
+    arrivals: object = None
+    tokens: float = 0.0
+    last_refill: float = 0.0
+    pending: tuple | None = None
+    offered: int = 0
+    admitted: int = 0
+    shed: int = 0
+    deferrals: int = 0
+    completed: int = 0
+    errors: int = 0
+    deadline_misses: int = 0
+    reads: int = 0
+    writes: int = 0
+    trims: int = 0
+    latencies: list[float] = field(default_factory=list)
 
 
 def _write_share(config: EngineConfig, trace) -> float:
@@ -394,10 +351,9 @@ def _write_share(config: EngineConfig, trace) -> float:
     total = float(sum(config.mix))
     share = 0.0
     for klass, fraction in zip(TENANT_CLASSES, config.mix):
-        if klass == "mixed":
-            share += fraction / total * (1.0 - config.mixed_read_fraction)
-        else:
-            share += fraction / total * (1.0 - config.read_fraction)
+        reads = (config.mixed_read_fraction if klass == "mixed"
+                 else config.read_fraction)
+        share += fraction / total * (1.0 - reads)
     return share
 
 
@@ -415,6 +371,27 @@ def _percentile(values: list[float], percentile: float) -> float:
     return interpolated_percentile(sorted(values), percentile)
 
 
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+class _Cell:
+    """One cell's state, handed from stage to stage of :func:`run_cell`.
+
+    ``_build`` fills the first group, ``_calibrate`` the second,
+    ``_open_window`` the third; the window stages mutate the third
+    group and the tenants; ``_report`` only reads.
+    """
+
+    __slots__ = (
+        "config", "cell", "seed", "kind", "queue", "tenants", "trace",
+        "read_service_us", "write_service_us", "service_est", "cell_rate",
+        "tenant_rate", "token_rate", "watermark_us", "deadline_us",
+        "horizon", "heap", "push_seq", "offered", "samples",
+        "max_backlog_us", "max_inflight",
+    )
+
+
 def run_cell(config: EngineConfig, cell: int, seed: int = DEFAULT_SEED,
              objectives: list[SLOObjective] | None = None) -> dict:
     """Simulate one cell: its device, queue and tenant subset.
@@ -422,10 +399,24 @@ def run_cell(config: EngineConfig, cell: int, seed: int = DEFAULT_SEED,
     Pure function of the arguments — see the module docstring for the
     determinism contract. Returns the cell's JSON-safe result record.
     """
+    state = _build(config, cell, seed)
+    _prefill(state)
+    _calibrate(state)
+    _open_window(state)
+    _run_window(state)
+    return _report(state, objectives)
+
+
+# -- stage: build ------------------------------------------------------------
+
+def _build(config: EngineConfig, cell: int, seed: int) -> _Cell:
+    """The cell's device, queue and tenants (address spans, op streams)."""
     cell_count = config.cell_count
     if not 0 <= cell < cell_count:
         raise ConfigError(
             f"cell must be in [0, {cell_count}), got {cell!r}")
+    state = _Cell()
+    state.config, state.cell, state.seed = config, cell, seed
     device_seed = int(fork_rng(make_rng(seed), "traffic-device",
                                cell).integers(0, 2**31))
     device = build_queue_device(
@@ -436,29 +427,30 @@ def run_cell(config: EngineConfig, cell: int, seed: int = DEFAULT_SEED,
         headroom_fraction=config.headroom_fraction,
         fill_fraction=config.fill_fraction, level=config.level,
         host_streams=config.host_streams)
-    kind = (config.mode if config.mode != "flat"
-            else f"flat-l{config.level}")
-    queue = DeviceQueue(device, depth=config.queue_depth,
-                        device_kind=kind)
+    state.kind = (config.mode if config.mode != "flat"
+                  else f"flat-l{config.level}")
+    state.queue = DeviceQueue(device, depth=config.queue_depth,
+                              device_kind=state.kind)
 
     # Address space: Salamander devices expose minidisks; flat devices
     # one LBA range. Tenants partition whichever space is live.
-    salamander = config.mode in ("shrink", "regen")
-    if salamander:
+    if config.mode in ("shrink", "regen"):
         spans = [(m.mdisk_id, m.size_lbas)
                  for m in device.active_minidisks()]
     else:
         spans = [(None, int(getattr(device, "capacity_lbas",
                                     device.n_lbas)))]
 
-    trace = None
+    state.trace = None
     if config.trace_text is not None:
         from repro.workloads.traces import Trace
-        trace = Trace.loads(config.trace_text)
+        state.trace = Trace.loads(config.trace_text)
+        if not len(state.trace):
+            raise ConfigError("trace has no operations to replay")
 
     tenant_ids = [t for t in range(config.tenants)
                   if t % cell_count == cell]
-    tenants: dict[int, _Tenant] = {}
+    state.tenants = []
     for index, t in enumerate(tenant_ids):
         mdisk, space = spans[index % len(spans)]
         per_span = max(1, len(tenant_ids) // len(spans))
@@ -467,276 +459,297 @@ def run_cell(config: EngineConfig, cell: int, seed: int = DEFAULT_SEED,
         if base + span > space:
             base = 0
         tenant = _Tenant(t, tenant_class(config, t),
-                         is_closed_loop(config, t), base, span)
+                         is_closed_loop(config, t), base, span, mdisk,
+                         t % config.host_streams)
         rng = fork_rng(make_rng(seed), "traffic-tenant", t)
-        if trace is not None:
-            tenant.source = _TraceCursor(trace, offset=t)
+        if state.trace is not None:
+            # Cyclic replay; each tenant starts at its own offset so a
+            # shared trace does not phase-lock every tenant onto the
+            # same LBA at the same instant.
+            replay = state.trace.operations
+            at = t % len(replay)
+            tenant.ops = itertools.cycle(replay[at:] + replay[:at])
         else:
-            tenant.source = _make_generator(config, tenant.klass, span, rng)
-        tenant.mix_rng = fork_rng(rng, "mix")
-        tenants[t] = tenant
-    mdisk_of = {t: spans[i % len(spans)][0]
-                for i, t in enumerate(tenant_ids)}
+            source = _make_generator(config, tenant.klass, span, rng)
+            flips = config.read_fraction > 0.0 and tenant.klass != "mixed"
+            # Endless: one draw_block call per _BLOCK operations.
+            tenant.ops = itertools.chain.from_iterable(iter(partial(
+                draw_block, source, _BLOCK,
+                fork_rng(rng, "mix") if flips else None,
+                config.read_fraction), None))
+        state.tenants.append(tenant)
+    return state
 
-    # Closed-loop prefill: every tenant's span is written through the
-    # queue so reads hit flash (probe discipline).
-    for i, t in enumerate(tenant_ids):
-        tenant = tenants[t]
-        for lba in range(tenant.span):
-            absolute = tenant.base + lba
-            try:
-                queue.execute(IORequest(
-                    op="write", lba=absolute, mdisk_id=mdisk_of[t],
-                    payloads=[bytes([absolute & 0xFF]) * 16]))
-            except _PROBE_ERRORS:
-                break
-    try:
-        queue.execute(IORequest(op="flush"))
-    except _PROBE_ERRORS:
-        pass
-    queue.poll()
 
-    # Pilot read + prefill write mean: the deterministic service scale
-    # for pacing, token budgets, deadlines and the watermark. The probe
-    # discipline: reads cost one sense, writes amortise drain/GC (the
-    # prefill mean), and the blend weights them by the offered mix —
-    # pacing off the read pilot alone saturates any write-heavy mix.
-    # Several probes at staggered offsets so span reads average over
-    # fPage alignment phases — a single aligned probe undercosts
-    # ``read_span`` reads and the pacing silently saturates the cell.
-    pilot_mdisk = spans[0][0] if spans else None
-    pilot = tenants[tenant_ids[0]]
+# -- stage: prefill ----------------------------------------------------------
+
+def _prefill(state: _Cell) -> None:
+    """Write every tenant's span through the queue so reads hit flash
+    (probe discipline): one vector per tenant, cut short at the
+    tenant's first device error like the scalar loop it replaces."""
+    queue = state.queue
+    for tenant in state.tenants:
+        vector = IOVector(capacity=tenant.span)
+        for lba in range(tenant.base, tenant.base + tenant.span):
+            vector.append(OP_WRITE, lba=lba, mdisk_id=tenant.mdisk,
+                          payloads=[bytes([lba & 0xFF]) * 16])
+        done = queue.execute_vector(vector, stop_on_error=True)
+        _raise_unless_probe_error(done.errors[-1])
+    _raise_unless_probe_error(queue.dispatch(OP_FLUSH)[1])
+
+
+def _raise_unless_probe_error(error: Exception | None) -> None:
+    """A tired device legitimately failing a request is traffic; any
+    other error is a bug and propagates, as it did from ``execute``."""
+    if error is not None and not isinstance(error, _PROBE_ERRORS):
+        raise error
+
+
+# -- stage: calibrate --------------------------------------------------------
+
+def _calibrate(state: _Cell) -> None:
+    """The deterministic service scale for pacing, token budgets,
+    deadlines and the watermark: reads cost one sense (the pilot),
+    writes amortise drain/GC (the prefill mean), blended by the offered
+    mix — pacing off the read pilot alone saturates a write-heavy mix.
+
+    The pilot probes sit at staggered offsets so span reads average
+    over fPage alignment phases; one aligned probe undercosts
+    ``read_span`` reads and the pacing silently saturates the cell.
+    """
+    config, queue = state.config, state.queue
+    pilot = state.tenants[0]
     probe_services: list[float] = []
     for i in range(_PILOT_PROBES):
         offset = (i * (config.read_span + 1)) % max(1, pilot.span)
         lba = pilot.base + offset
         count = min(config.read_span, pilot.base + pilot.span - lba)
-        if count > 1:
-            request = IORequest(op="read_range", lba=lba, count=count,
-                                mdisk_id=pilot_mdisk)
-        else:
-            request = IORequest(op="read", lba=lba, mdisk_id=pilot_mdisk)
-        try:
-            probe_services.append(
-                queue.execute(request, at_us=0.0).service_us)
-        except _PROBE_ERRORS:
+        # Stamped at 0 so the pilot leaves the device clock alone.
+        _result, error, _submit, start, end, _work = queue.dispatch(
+            OP_READ_RANGE if count > 1 else OP_READ, lba, count,
+            mdisk_id=pilot.mdisk, at_us=0.0)
+        if error is not None:
+            _raise_unless_probe_error(error)
             break
-    read_service_us = (sum(probe_services) / len(probe_services)
-                       if probe_services else 0.0)
+        probe_services.append(end - start)
+    read_service_us = _mean(probe_services)
     if read_service_us <= 0.0:
         read_service_us = _FALLBACK_SERVICE_US
-    write_service_us = max(queue.stats.mean_service_us, read_service_us)
-    write_share = _write_share(config, trace)
-    service_est = (write_share * write_service_us
-                   + (1.0 - write_share) * read_service_us)
-    queue.poll()
+    state.read_service_us = read_service_us
+    state.write_service_us = max(queue.stats.mean_service_us,
+                                 read_service_us)
+    write_share = _write_share(config, state.trace)
+    state.service_est = (write_share * state.write_service_us
+                         + (1.0 - write_share) * read_service_us)
+    open_loop = sum(1 for tenant in state.tenants
+                    if not tenant.closed_loop)
+    state.cell_rate = (config.utilisation * config.channels
+                       / state.service_est)
+    state.tenant_rate = state.cell_rate / max(1, open_loop)
+    state.token_rate = state.tenant_rate * config.bucket_rate_factor
+    state.watermark_us = config.watermark * state.service_est
+    state.deadline_us = config.deadline_factor * state.service_est
 
-    open_ids = [t for t in tenant_ids if not tenants[t].closed_loop]
-    cell_rate = config.utilisation * config.channels / service_est
-    tenant_rate = cell_rate / max(1, len(open_ids))
-    watermark_us = config.watermark * service_est
-    deadline_us = config.deadline_factor * service_est
 
-    # Arrival processes and token buckets (open-loop tenants only).
-    t0 = queue.clock_us
-    horizon = t0 + config.duration_us
-    heap: list[tuple[float, int, int]] = []
-    push_seq = 0
-    for t in tenant_ids:
-        tenant = tenants[t]
-        rng = fork_rng(make_rng(seed), "traffic-tenant", t)
+# -- stage: window -----------------------------------------------------------
+
+def _open_window(state: _Cell) -> None:
+    """Arrival processes, token buckets and every tenant's first event."""
+    config = state.config
+    t0 = state.queue.clock_us
+    state.horizon = t0 + config.duration_us
+    state.heap = []
+    # Ties between simultaneous events break on push order, which
+    # makes the order of pushes artifact state.
+    state.push_seq = itertools.count()
+    state.offered = 0
+    state.samples = []
+    state.max_backlog_us = 0.0
+    state.max_inflight = 0
+    for tenant in state.tenants:
+        # A fresh parent, not the one _build forked from: fork_rng
+        # advances its parent, and these streams predate the split.
+        rng = fork_rng(make_rng(state.seed), "traffic-tenant",
+                       tenant.tenant)
         if tenant.closed_loop:
             first = t0 + float(
                 fork_rng(rng, "phase").random()) * config.think_us
-            heapq.heappush(heap, (first, push_seq, t))
-            push_seq += 1
+            heapq.heappush(state.heap, (first, next(state.push_seq), tenant))
             continue
         tenant.arrivals = make_arrivals(
-            config.arrival, tenant_rate, fork_rng(rng, "arrivals"),
+            config.arrival, state.tenant_rate, fork_rng(rng, "arrivals"),
             burstiness=config.burstiness)
-        tenant.token_rate = tenant_rate * config.bucket_rate_factor
-        tenant.token_cap = config.bucket_burst
         tenant.tokens = config.bucket_burst
         tenant.last_refill = t0
         first = tenant.arrivals.next_after(t0)
-        if first < horizon:
-            heapq.heappush(heap, (first, push_seq, t))
-            push_seq += 1
+        if first < state.horizon:
+            heapq.heappush(state.heap, (first, next(state.push_seq), tenant))
 
-    samples: list[tuple[float, float, str, int, bool, float]] = []
-    tag_tenant: dict[int, int] = {}
-    offered_total = 0
-    max_backlog_us = 0.0
-    max_inflight = 0
 
-    def drain() -> None:
-        for completion in queue.poll():
-            owner = tag_tenant.pop(completion.request.tag, None)
-            if owner is None:
-                continue
-            _account(tenants[owner], completion)
+def _run_window(state: _Cell) -> None:
+    """The event loop: one heap interleaving every tenant.
 
-    def _account(tenant: _Tenant, completion) -> None:
-        tenant.completed += 1
-        if completion.error is not None:
-            tenant.errors += 1
-        if completion.deadline_missed:
-            tenant.deadline_misses += 1
-        tenant.latencies.append(completion.latency_us)
-        samples.append((completion.end_us, completion.latency_us,
-                        completion.request.op, tenant.tenant,
-                        completion.deadline_missed, completion.service_us))
-
-    def _build_request(tenant: _Tenant, op, now_us: float) -> IORequest:
-        absolute = tenant.base + (op.lba % tenant.span)
-        # The request stream is the FTL multi-stream *lifetime hint*
-        # (tenants share host_streams lanes round-robin); per-tenant
-        # SLO attribution uses tenant ids engine-side.
-        stream = tenant.tenant % config.host_streams
-        if op.op is OpType.WRITE:
-            tenant.writes += 1
-            return IORequest(op="write", lba=absolute,
-                             mdisk_id=mdisk_of[tenant.tenant],
-                             payloads=[op.payload
-                                       or bytes([absolute & 0xFF]) * 16],
-                             deadline_us=now_us + deadline_us,
-                             stream=stream)
-        if op.op is OpType.READ:
-            tenant.reads += 1
-            count = min(config.read_span,
-                        tenant.base + tenant.span - absolute)
-            if count > 1:
-                return IORequest(op="read_range", lba=absolute, count=count,
-                                 mdisk_id=mdisk_of[tenant.tenant],
-                                 deadline_us=now_us + deadline_us,
-                                 stream=stream)
-            return IORequest(op="read", lba=absolute,
-                             mdisk_id=mdisk_of[tenant.tenant],
-                             deadline_us=now_us + deadline_us,
-                             stream=stream)
-        tenant.trims += 1
-        return IORequest(op="trim", lba=absolute,
-                         mdisk_id=mdisk_of[tenant.tenant],
-                         deadline_us=now_us + deadline_us,
-                         stream=stream)
-
-    def _submit(tenant: _Tenant, op, now_us: float) -> None:
-        nonlocal max_backlog_us, max_inflight
-        request = _build_request(tenant, op, now_us)
-        tenant.admitted += 1
-        try:
-            queue.submit(request, at_us=now_us)
-            tag_tenant[request.tag] = tenant.tenant
-        except _PROBE_ERRORS:
-            # The errored completion is still in the window; poll
-            # will account it (with its error flag) like any other.
-            tag_tenant[request.tag] = tenant.tenant
-        backlog = max(0.0, queue.makespan_us() - now_us)
-        max_backlog_us = max(max_backlog_us, backlog)
-        max_inflight = max(max_inflight, queue.inflight)
-        if queue.inflight >= config.queue_depth:
-            drain()
-
-    def _schedule_next(tenant: _Tenant, now_us: float) -> None:
-        nonlocal push_seq
-        if offered_total >= config.max_requests:
-            return
-        nxt = tenant.arrivals.next_after(now_us)
-        if nxt < horizon:
-            heapq.heappush(heap, (nxt, push_seq, tenant.tenant))
-            push_seq += 1
-
+    Each event walks arrivals → admission → dispatch → accounting.
+    The loop is sequential by construction: admission reads the queue
+    backlog the previous dispatch left behind, and a closed-loop
+    tenant's next event is its previous completion.
+    """
+    heap, seq, horizon = state.heap, state.push_seq, state.horizon
+    pop, push = heapq.heappop, heapq.heappush
+    max_requests = state.config.max_requests
     while heap:
-        now_us, _seq, t = heapq.heappop(heap)
-        tenant = tenants[t]
-
+        now_us, _seq, tenant = pop(heap)
         if tenant.closed_loop:
             # Self-clocked: issue, block on the completion, think.
+            # Structurally exempt from admission.
             if now_us >= horizon:
                 continue
-            op = tenant.next_op(config)
-            tenant.offered += 1
-            offered_total += 1
-            tenant.admitted += 1
-            request = _build_request(tenant, op, now_us)
-            try:
-                completion = queue.execute(request, at_us=now_us)
-            except _PROBE_ERRORS:
-                tenant.completed += 1
-                tenant.errors += 1
-                completion = None
-            if completion is not None:
-                _account(tenant, completion)
-                wake = completion.end_us + config.think_us
-            else:
-                wake = now_us + service_est
-            if wake < horizon and offered_total < config.max_requests:
-                heapq.heappush(heap, (wake, push_seq, t))
-                push_seq += 1
+            wake = _dispatch(state, tenant, _arrive(state, tenant), now_us)
+            if wake < horizon and state.offered < max_requests:
+                push(heap, (wake, next(seq), tenant))
             continue
-
-        deferred_retry = tenant.pending is not None
-        if deferred_retry:
-            op = tenant.pending
-            tenant.pending = None
+        op = tenant.pending
+        fresh = op is None
+        if fresh:
+            if now_us >= horizon:
+                continue
+            op = _arrive(state, tenant)
         else:
-            if now_us >= horizon:
-                continue
-            op = tenant.next_op(config)
-            tenant.offered += 1
-            offered_total += 1
+            tenant.pending = None
+        wake = _admit(state, tenant, now_us)
+        if wake is None:
+            _dispatch(state, tenant, op, now_us)
+        elif wake >= horizon:
+            tenant.shed += 1  # shed now, or deferred past the horizon
+        else:
+            tenant.deferrals += 1
+            tenant.pending = op
+            push(heap, (wake, next(seq), tenant))
+        if fresh and state.offered < max_requests:
+            nxt = tenant.arrivals.next_after(now_us)
+            if nxt < horizon:
+                push(heap, (nxt, next(seq), tenant))
+    _drain(state)
 
-        if config.admission == "none":
-            _submit(tenant, op, now_us)
-            _schedule_next(tenant, now_us)
-            continue
 
-        # Gate 1: the per-tenant token bucket.
-        tenant.refill(now_us)
-        if tenant.tokens < 1.0:
-            if config.admission == "shed":
-                tenant.shed += 1
-                _schedule_next(tenant, now_us)
-                continue
-            wake = now_us + max(1.0, (1.0 - tenant.tokens)
-                                / tenant.token_rate)
-            if wake >= horizon:
-                tenant.shed += 1  # deferred past the horizon: shed
-            else:
-                tenant.deferrals += 1
-                tenant.pending = op
-                heapq.heappush(heap, (wake, push_seq, t))
-                push_seq += 1
-            if not deferred_retry:
-                _schedule_next(tenant, now_us)
-            continue
+def _arrive(state: _Cell, tenant: _Tenant) -> tuple:
+    """Arrivals: the tenant offers its next logical operation."""
+    tenant.offered += 1
+    state.offered += 1
+    return next(tenant.ops)
 
-        # Gate 2: the cell backlog watermark.
-        backlog = max(0.0, queue.makespan_us() - now_us)
-        if backlog > watermark_us:
-            if config.admission == "shed":
-                tenant.shed += 1
-                _schedule_next(tenant, now_us)
-                continue
-            wake = now_us + max(service_est, backlog - watermark_us)
-            if wake >= horizon:
-                tenant.shed += 1
-            else:
-                tenant.deferrals += 1
-                tenant.pending = op
-                heapq.heappush(heap, (wake, push_seq, t))
-                push_seq += 1
-            if not deferred_retry:
-                _schedule_next(tenant, now_us)
-            continue
 
-        tenant.tokens -= 1.0
-        _submit(tenant, op, now_us)
-        if not deferred_retry:
-            _schedule_next(tenant, now_us)
+def _admit(state: _Cell, tenant: _Tenant, now_us: float) -> float | None:
+    """Admission: ``None`` admits the open-loop arrival (and spends a
+    token); otherwise the instant to retry at — ``inf`` under the shed
+    policy, so the caller's horizon test sheds it."""
+    config = state.config
+    policy = config.admission
+    if policy == "none":
+        return None
+    # Gate 1: the per-tenant token bucket (rate bucket_rate_factor x
+    # the fair share, burst bucket_burst).
+    tokens = min(config.bucket_burst,
+                 tenant.tokens
+                 + (now_us - tenant.last_refill) * state.token_rate)
+    tenant.tokens = tokens
+    tenant.last_refill = now_us
+    if tokens < 1.0:
+        if policy == "shed":
+            return math.inf
+        return now_us + max(1.0, (1.0 - tokens) / state.token_rate)
+    # Gate 2: the cell backlog watermark.
+    backlog = max(0.0, state.queue.makespan_us() - now_us)
+    if backlog > state.watermark_us:
+        if policy == "shed":
+            return math.inf
+        return now_us + max(state.service_est,
+                            backlog - state.watermark_us)
+    tenant.tokens = tokens - 1.0
+    return None
 
-    drain()
 
+def _dispatch(state: _Cell, tenant: _Tenant, op: tuple,
+              now_us: float) -> float:
+    """Dispatch: one admitted operation goes to the device queue.
+
+    A closed-loop tenant consumes the completion now: it is accounted
+    and the instant the tenant wakes is returned. An open-loop
+    tenant's stays in the queue's window for :func:`_drain`.
+    """
+    config, queue = state.config, state.queue
+    hold = not tenant.closed_loop
+    kind, lba, payload = op
+    absolute = tenant.base + (lba % tenant.span)
+    count, payloads = 1, None
+    if kind is OpType.WRITE:
+        tenant.writes += 1
+        code = OP_WRITE
+        payloads = [payload or bytes([absolute & 0xFF]) * 16]
+    elif kind is OpType.READ:
+        tenant.reads += 1
+        count = min(config.read_span, tenant.base + tenant.span - absolute)
+        code = OP_READ_RANGE if count > 1 else OP_READ
+    else:
+        tenant.trims += 1
+        code = OP_TRIM
+    tenant.admitted += 1
+    deadline = now_us + state.deadline_us
+    name = OP_NAMES[code]
+    _result, error, submit, start, end, _work = queue.dispatch(
+        code, absolute, count, payloads, tenant.mdisk, tenant.stream,
+        deadline, now_us, (tenant, name, deadline) if hold else None)
+    _raise_unless_probe_error(error)
+    if not hold:
+        if error is not None:
+            # The tenant saw the failure, not a latency: counted, no
+            # sample, and it retries a service time later.
+            tenant.completed += 1
+            tenant.errors += 1
+            return now_us + state.service_est
+        _account(state, tenant, name, deadline, None, submit, start, end)
+        return end + config.think_us
+    backlog = max(0.0, queue.makespan_us() - now_us)
+    state.max_backlog_us = max(state.max_backlog_us, backlog)
+    state.max_inflight = max(state.max_inflight, queue.inflight)
+    if queue.inflight >= config.queue_depth:
+        _drain(state)
+    return end
+
+
+def _drain(state: _Cell) -> None:
+    """Retire the queue's window into the accounts, oldest first."""
+    for row in state.queue.drain():
+        tenant, name, deadline = row[0]
+        _account(state, tenant, name, deadline, *row[2:6])
+
+
+def _account(state: _Cell, tenant: _Tenant, name: str, deadline: float,
+             error: Exception | None, submit: float, start: float,
+             end: float) -> None:
+    """Accounting: one completion lands on its tenant and the window.
+
+    ``samples`` keeps completion-retirement order — it feeds float sums
+    and the SLO replay's tie order, so it is artifact state.
+    """
+    tenant.completed += 1
+    if error is not None:
+        tenant.errors += 1
+    missed = end > deadline
+    if missed:
+        tenant.deadline_misses += 1
+    latency = end - submit
+    tenant.latencies.append(latency)
+    state.samples.append((end, latency, name, tenant.tenant, missed,
+                          end - start))
+
+
+# -- stage: report -----------------------------------------------------------
+
+def _report(state: _Cell,
+            objectives: list[SLOObjective] | None) -> dict:
+    """The cell's JSON-safe result record."""
+    samples = state.samples
     # Offline per-tenant SLO evaluation: replay completions in
     # completion order through a fresh engine (tenant id == stream).
     slo_report = None
@@ -745,7 +758,8 @@ def run_cell(config: EngineConfig, cell: int, seed: int = DEFAULT_SEED,
         for end_us, latency_us, op, tenant_id, missed, _service in sorted(
                 samples, key=lambda s: s[0]):
             slo_engine.observe(end_us=end_us, latency_us=latency_us,
-                               op=op, stream=tenant_id, device_kind=kind,
+                               op=op, stream=tenant_id,
+                               device_kind=state.kind,
                                deadline_missed=missed)
         slo_report = slo_engine.evaluate()
 
@@ -753,57 +767,43 @@ def run_cell(config: EngineConfig, cell: int, seed: int = DEFAULT_SEED,
     # the prefill writes and the pilot read; the claim rows need the
     # measured operating point of the traffic window alone.
     window_lat = sorted(s[1] for s in samples)
-    window_service = [s[5] for s in samples]
     window = {
         "requests": len(samples),
-        "mean_latency_us": _round6(
-            sum(window_lat) / len(window_lat) if window_lat else 0.0),
+        "mean_latency_us": _round6(_mean(window_lat)),
         "p99_latency_us": _round6(_percentile(window_lat, 99.0)),
-        "mean_service_us": _round6(
-            sum(window_service) / len(window_service)
-            if window_service else 0.0),
+        "mean_service_us": _round6(_mean([s[5] for s in samples])),
     }
 
-    stats = queue.stats
     tenant_rows = []
-    for t in tenant_ids:
-        tenant = tenants[t]
+    for tenant in state.tenants:
         assert tenant.offered == tenant.admitted + tenant.shed, (
-            f"tenant {t}: offered {tenant.offered} != admitted "
-            f"{tenant.admitted} + shed {tenant.shed}")
+            f"tenant {tenant.tenant}: offered {tenant.offered} != "
+            f"admitted {tenant.admitted} + shed {tenant.shed}")
         latencies = tenant.latencies
-        tenant_rows.append({
-            "tenant": t,
-            "cell": cell,
+        row = {
+            "tenant": tenant.tenant,
+            "cell": state.cell,
             "class": tenant.klass,
             "loop": "closed" if tenant.closed_loop else "open",
-            "offered": tenant.offered,
-            "admitted": tenant.admitted,
-            "shed": tenant.shed,
-            "deferrals": tenant.deferrals,
-            "completed": tenant.completed,
-            "errors": tenant.errors,
-            "deadline_misses": tenant.deadline_misses,
-            "reads": tenant.reads,
-            "writes": tenant.writes,
-            "trims": tenant.trims,
-            "mean_latency_us": _round6(
-                sum(latencies) / len(latencies) if latencies else 0.0),
+            "mean_latency_us": _round6(_mean(latencies)),
             "p99_latency_us": _round6(_percentile(latencies, 99.0)),
             "max_latency_us": _round6(max(latencies, default=0.0)),
-        })
+        }
+        row.update((key, getattr(tenant, key)) for key in _COUNTERS)
+        tenant_rows.append(row)
 
+    stats = state.queue.stats
     return {
-        "cell": cell,
-        "device_kind": kind,
-        "service_us": _round6(service_est),
-        "read_service_us": _round6(read_service_us),
-        "write_service_us": _round6(write_service_us),
-        "arrival_per_us": _round6(cell_rate),
-        "tenant_rate_per_us": _round6(tenant_rate),
-        "watermark_us": _round6(watermark_us),
-        "max_backlog_us": _round6(max_backlog_us),
-        "max_inflight": max_inflight,
+        "cell": state.cell,
+        "device_kind": state.kind,
+        "service_us": _round6(state.service_est),
+        "read_service_us": _round6(state.read_service_us),
+        "write_service_us": _round6(state.write_service_us),
+        "arrival_per_us": _round6(state.cell_rate),
+        "tenant_rate_per_us": _round6(state.tenant_rate),
+        "watermark_us": _round6(state.watermark_us),
+        "max_backlog_us": _round6(state.max_backlog_us),
+        "max_inflight": state.max_inflight,
         "window": window,
         "queue": {
             "submitted": stats.submitted,
@@ -844,14 +844,8 @@ def run_traffic(config: EngineConfig | None = None,
 
     tenant_rows = [row for cell in cells for row in cell["tenants"]]
     tenant_rows.sort(key=lambda row: row["tenant"])
-    totals = {
-        "offered": 0, "admitted": 0, "shed": 0, "deferrals": 0,
-        "completed": 0, "errors": 0, "deadline_misses": 0,
-        "reads": 0, "writes": 0, "trims": 0,
-    }
-    for row in tenant_rows:
-        for key in totals:
-            totals[key] += row[key]
+    totals = {key: sum(row[key] for row in tenant_rows)
+              for key in _COUNTERS}
     by_class: dict[str, list[float]] = {}
     for row in tenant_rows:
         if row["p99_latency_us"] is not None and row["completed"]:
@@ -895,13 +889,11 @@ def _config_record(config: EngineConfig) -> dict:
 
 # -- artifact I/O ------------------------------------------------------------
 
-def write_engine_artifact(document: dict, path) -> "Path":
+def write_engine_artifact(document: dict, path) -> Path:
     """Write a traffic document as canonical JSON (byte-stable)."""
-    from pathlib import Path
     validate_engine_document(document)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    import json
     path.write_text(json.dumps(document, indent=2, sort_keys=True,
                                allow_nan=False) + "\n")
     return path
@@ -909,8 +901,6 @@ def write_engine_artifact(document: dict, path) -> "Path":
 
 def load_engine_artifact(path) -> dict:
     """Read and validate a ``repro.workloads.engine/v1`` artifact."""
-    from pathlib import Path
-    import json
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"traffic artifact not found: {path}")

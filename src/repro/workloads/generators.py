@@ -12,9 +12,8 @@ tools like fio's verify mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,9 +27,8 @@ class OpType(Enum):
     TRIM = "trim"
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One logical operation.
+class Operation(NamedTuple):
+    """One logical operation (immutable; unpacks as ``op, lba, payload``).
 
     Attributes:
         op: READ/WRITE/TRIM.
@@ -91,6 +89,33 @@ def ops_vector(generator, count: int):
     return vector
 
 
+def draw_block(generator, block: int, flip_rng=None,
+               read_fraction: float = 0.0) -> list[Operation]:
+    """The next ``block`` operations of ``generator``, as a list.
+
+    Pulling one op at a time costs a generator object and a size-1
+    numpy draw per operation. Block pulls leave every RNG stream exactly
+    where one-op pulls would have: a generator's address RNG,
+    :class:`MixedGenerator`'s roll RNG and ``flip_rng`` are independent
+    streams, and numpy consumes a bit stream identically for N draws of
+    one and one draw of N (``tests/workloads/test_statistics.py`` pins
+    it per class).
+
+    With ``flip_rng``, each WRITE becomes a payload-free READ with
+    probability ``read_fraction`` — one ``flip_rng`` draw per WRITE, in
+    op order, as a per-op ``flip_rng.random()`` would draw them.
+    """
+    ops = list(generator.ops(block))
+    if flip_rng is not None:
+        writes = [index for index, op in enumerate(ops)
+                  if op.op is OpType.WRITE]
+        rolls = flip_rng.random(len(writes)).tolist()
+        for index, roll in zip(writes, rolls):
+            if roll < read_fraction:
+                ops[index] = Operation(OpType.READ, ops[index].lba)
+    return ops
+
+
 class _BatchedOpsMixin:
     """Adds the IOVector emission surface shared by every generator."""
 
@@ -111,11 +136,10 @@ class UniformGenerator(_BatchedOpsMixin):
         self._sequence = 0
 
     def ops(self, count: int) -> Iterator[Operation]:
-        lbas = self.rng.integers(0, self.n_lbas, size=count)
-        for lba in lbas:
+        for lba in self.rng.integers(0, self.n_lbas, size=count).tolist():
             self._sequence += 1
-            yield Operation(OpType.WRITE, int(lba),
-                            stamp_payload(int(lba), self._sequence))
+            yield Operation(OpType.WRITE, lba,
+                            stamp_payload(lba, self._sequence))
 
 
 class ZipfianGenerator(_BatchedOpsMixin):
@@ -143,10 +167,8 @@ class ZipfianGenerator(_BatchedOpsMixin):
         self._permutation = make_rng(self.rng).permutation(n_lbas)
 
     def ops(self, count: int) -> Iterator[Operation]:
-        draws = self.rng.random(count)
-        ranks = np.searchsorted(self._cdf, draws)
-        for rank in ranks:
-            lba = int(self._permutation[int(rank)])
+        ranks = np.searchsorted(self._cdf, self.rng.random(count))
+        for lba in self._permutation[ranks].tolist():
             self._sequence += 1
             yield Operation(OpType.WRITE, lba,
                             stamp_payload(lba, self._sequence))

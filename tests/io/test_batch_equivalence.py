@@ -52,8 +52,10 @@ def build_vector(ops, mdisk_id=None):
 
 
 def run_scalar(queue, ops, mdisk_id=None):
-    """Reference loop: one ``execute`` per op, errors swallowed like the
-    vector path records them."""
+    """Reference loop: one closed-loop request per op, errors swallowed
+    like the vector path records them. ``submit`` + ``poll`` rather than
+    ``execute``: an errored completion stays pollable, so every member
+    has a completion to compare."""
     completions = []
     for op, lba, count in ops:
         request = IORequest(
@@ -61,11 +63,11 @@ def run_scalar(queue, ops, mdisk_id=None):
             payloads=([bytes([lba % 7]) * 8] if op == "write" else None),
             mdisk_id=mdisk_id)
         try:
-            queue.execute(request)
-            done = queue.poll()
+            queue.submit(request)
         except Exception:
-            done = queue.poll()
-        completions.append(done[-1] if done else None)
+            pass
+        (completion,) = queue.poll()
+        completions.append(completion)
     return completions
 
 
@@ -81,9 +83,8 @@ def chip_state(chip):
 
 
 def assert_completions_match(scalar, vector_completions, ops):
+    assert len(scalar) == len(vector_completions)
     for member, completion in enumerate(scalar):
-        if completion is None:
-            continue
         batched = vector_completions.completion(member)
         for field in ("submit_us", "start_us", "end_us", "work_us"):
             assert getattr(completion, field) == getattr(batched, field), \

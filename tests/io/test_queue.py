@@ -187,6 +187,134 @@ class TestErrors:
             obs.disable()
 
 
+class TestColumnDispatch:
+    """``dispatch`` and ``execute_vector`` run the same serve+meter core
+    as ``execute``/``submit``; these pin that nothing differs."""
+
+    OPS = [("write", 3, None), ("read", 3, 40.0), ("read_range", 0, 55.0),
+           ("trim", 5, None), ("read", 10 ** 9, 90.0), ("read", 7, 91.0),
+           ("write", 9, 400.0), ("read", 9, None)]
+
+    @staticmethod
+    def _fields(op, lba):
+        count = 4 if op == "read_range" else 1
+        payloads = [bytes([lba & 0xFF]) * 8] if op == "write" else None
+        return count, payloads
+
+    @staticmethod
+    def _state(queue):
+        chip = queue.device.chip
+        return (queue.clock_us, list(queue._channel_free), queue._next_tag,
+                queue.inflight, vars(queue.stats),
+                chip.rng.bit_generator.state, vars(chip.stats),
+                list(chip.channel_busy_us),
+                [queue.device.read(lba) for lba in range(16)])
+
+    def test_dispatch_matches_execute_and_submit(self, make_baseline):
+        from repro.io.vector import OP_CODES
+
+        def build():
+            ssd = make_baseline(seed=3, variation_sigma=0.0,
+                                inject_errors=False)
+            for lba in range(16):
+                ssd.write(lba, bytes([lba]) * 8)
+            ssd.flush()
+            return DeviceQueue(ssd, depth=2, keep_latencies=True)
+
+        by_request, by_columns = build(), build()
+        rows = []
+        for index, (op, lba, at_us) in enumerate(self.OPS):
+            count, payloads = self._fields(op, lba)
+            hold = index % 2 == 1  # alternate execute / submit shapes
+            request = IORequest(op=op, lba=lba, count=count,
+                                payloads=payloads, deadline_us=60.0)
+            try:
+                if hold:
+                    by_request.submit(request, at_us=at_us)
+                else:
+                    rows.append(by_request.execute(request, at_us=at_us))
+            except InvalidLBAError:
+                pass
+            measured = by_columns.dispatch(
+                OP_CODES[op], lba, count, payloads, None, 0, 60.0, at_us,
+                handle=index if hold else None)
+            if not hold and measured[1] is None:
+                done = rows[-1]
+                assert measured == (done.result, None, done.submit_us,
+                                    done.start_us, done.end_us,
+                                    done.work_us)
+            assert self._state(by_request) == self._state(by_columns)
+        polled = by_request.poll()
+        drained = by_columns.drain()
+        assert [row[0] for row in drained] == [1, 3, 5, 7]
+        assert [(c.result, type(c.error), c.submit_us, c.start_us,
+                 c.end_us, c.work_us, c.merged) for c in polled] == [
+            (row[1], type(row[2])) + row[3:] for row in drained]
+        assert by_columns.inflight == 0
+
+    def test_dispatch_is_sampled_and_traced_like_execute(self, device):
+        from repro.io.vector import OP_CODES
+        from repro.obs import reqtrace
+
+        def records(columns: bool):
+            with reqtrace.installed(
+                    reqtrace.ReqTracer(seed=5, every=2)) as tracer:
+                queue = DeviceQueue(device)
+                for lba in range(8):
+                    if columns:
+                        queue.dispatch(OP_CODES["read"], lba,
+                                       deadline_us=1.0, at_us=10.0 * lba)
+                    else:
+                        queue.execute(IORequest(op="read", lba=lba,
+                                                deadline_us=1.0),
+                                      at_us=10.0 * lba)
+            assert tracer.sampled == 4
+            return list(tracer.records)
+
+        by_request = records(columns=False)
+        # Reads leave a deterministic device as they found it, so the
+        # second pass sees the same service times.
+        assert records(columns=True) == by_request
+
+    def test_vector_stops_at_first_error_like_a_break_loop(
+            self, make_baseline):
+        from repro.io.vector import IOVector
+
+        def build():
+            ssd = make_baseline(seed=3, variation_sigma=0.0,
+                                inject_errors=False)
+            for lba in range(16):
+                ssd.write(lba, bytes([lba]) * 8)
+            ssd.flush()
+            return DeviceQueue(ssd, keep_latencies=True)
+
+        scalar, batched = build(), build()
+        vector = IOVector()
+        completions = []
+        for op, lba, _at in self.OPS:
+            count, payloads = self._fields(op, lba)
+            vector.append(op, lba=lba, count=count, payloads=payloads)
+        for op, lba, _at in self.OPS:
+            count, payloads = self._fields(op, lba)
+            try:
+                completions.append(scalar.execute(IORequest(
+                    op=op, lba=lba, count=count, payloads=payloads)))
+            except InvalidLBAError:
+                break
+        done = batched.execute_vector(vector, stop_on_error=True)
+        # Four good members, then the errored one; nothing after it ran.
+        assert len(done) == len(done.vector) == len(completions) + 1 == 5
+        assert isinstance(done.errors[-1], InvalidLBAError)
+        assert done.error_count == 1
+        assert self._state(scalar) == self._state(batched)
+        for index, completion in enumerate(completions):
+            bridged = done.completion(index)
+            assert (bridged.result, bridged.submit_us, bridged.end_us) == (
+                completion.result, completion.submit_us, completion.end_us)
+        # Without the flag every member dispatches, errors recorded.
+        assert len(build().execute_vector(vector)) == len(self.OPS)
+
+
 class TestDeadlines:
     def test_coalescing_keeps_min_deadline(self, device):
         # A merged request must inherit the *tightest* deadline of its

@@ -247,3 +247,91 @@ class TestWindowRecord:
         assert window["mean_latency_us"] >= 0.0
         assert window["p99_latency_us"] >= window["mean_latency_us"] or \
             window["requests"] < 2
+
+
+class TestStages:
+    """``run_cell`` is a sequence of stage calls over one cell state;
+    each stage can be driven and inspected on its own."""
+
+    CONFIG = EngineConfig(tenants=6, duration_us=3000.0, cells=1,
+                          closed_loop_fraction=0.34, think_us=25.0,
+                          read_fraction=0.5)
+
+    @staticmethod
+    def _calibrated(config, seed=SEED):
+        from repro.workloads import engine
+        state = engine._build(config, 0, seed)
+        engine._prefill(state)
+        engine._calibrate(state)
+        engine._open_window(state)
+        return state
+
+    def test_stage_calls_compose_to_run_cell(self):
+        from repro.workloads import engine
+        state = self._calibrated(self.CONFIG)
+        engine._run_window(state)
+        assert (_dumps(engine._report(state, None))
+                == _dumps(run_cell(self.CONFIG, 0, seed=SEED)))
+
+    def test_prefill_and_calibrate_leave_the_window_untouched(self):
+        state = self._calibrated(self.CONFIG)
+        spans = sum(tenant.span for tenant in state.tenants)
+        # Every span LBA, the flush, the pilot probes — nothing held.
+        assert state.queue.stats.dispatched == spans + 1 + 4
+        assert state.queue.inflight == 0
+        assert state.samples == [] and state.offered == 0
+        assert state.service_est > 0.0
+        # One first event per tenant (a 3 ms window outlasts every
+        # first arrival at this rate), closed loop ones included.
+        assert len(state.heap) == len(state.tenants)
+
+    def test_prefill_stops_a_tenant_at_its_first_error(self):
+        from repro.workloads import engine
+        config = EngineConfig(tenants=6, cells=1, mode="shrink", blocks=8,
+                              fpages_per_block=4, msize_lbas=16,
+                              headroom_fraction=0.0)
+        state = engine._build(config, 0, SEED)
+        engine._prefill(state)
+        stats = state.queue.stats
+        spans = sum(tenant.span for tenant in state.tenants)
+        assert stats.errors > 0
+        # Each errored tenant gave up the rest of its span.
+        assert stats.dispatched < spans + 1
+
+    def test_admit_gates(self):
+        from dataclasses import replace
+        from repro.workloads import engine
+        state = self._calibrated(self.CONFIG)  # admission="defer"
+        tenant = next(t for t in state.tenants if not t.closed_loop)
+        now = tenant.last_refill
+
+        # Full bucket, idle queue: admitted, one token spent.
+        before = tenant.tokens
+        assert engine._admit(state, tenant, now) is None
+        assert tenant.tokens == before - 1.0
+
+        # Empty bucket: deferred until a whole token has accrued.
+        tenant.tokens = 0.25
+        wake = engine._admit(state, tenant, now)
+        assert wake == now + max(1.0, 0.75 / state.token_rate)
+        assert tenant.tokens == 0.25  # nothing spent
+
+        # Backlog over the watermark (an instant 50 us before the queue
+        # drains, watermark 40 us): deferred by the excess or one
+        # service time, whichever is longer; no token spent.
+        early = state.queue.makespan_us() - 50.0
+        tenant.tokens, tenant.last_refill = 3.0, early
+        state.watermark_us = 40.0
+        assert engine._admit(state, tenant, early) == early + max(
+            state.service_est, 10.0)
+        assert tenant.tokens == 3.0
+        tenant.last_refill = now
+
+        # The shed policy never names a retry instant; "none" has no
+        # gates at all.
+        tenant.tokens = 0.0
+        state.config = replace(self.CONFIG, admission="shed")
+        assert engine._admit(state, tenant, now) == float("inf")
+        state.config = replace(self.CONFIG, admission="none")
+        assert engine._admit(state, tenant, now) is None
+        assert tenant.tokens == 0.0

@@ -9,9 +9,11 @@ with a goodness-of-fit test at a fixed seed — the draws are
 deterministic, so a pass is a pass forever; a failure means the
 generator (or the RNG discipline) changed.
 
-The bit-identity sweep at the bottom is the other half of the
+The bit-identity sweeps at the bottom are the other half of the
 contract: ``ops_vector`` must consume the *same* RNG stream as
-``ops``, for every generator and any tenant-style fan-out.
+``ops``, for every generator and any tenant-style fan-out, and pulling
+``ops`` in blocks (the traffic engine's ``draw_block``) must leave every
+stream exactly where one-op pulls leave it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.workloads import (
     make_arrivals,
     mmpp_rates,
 )
+from repro.workloads.generators import draw_block
 
 SEED = 20250808
 
@@ -215,3 +218,80 @@ class TestOpsVectorBitIdentity:
             vec = b.ops_vector(chunk)
             vector_lbas.extend(int(vec.lba[i]) for i in range(len(vec)))
         assert [op.lba for op in collected] == vector_lbas
+
+
+class TestBlockDrawEquivalence:
+    """N x ``ops(1)`` == blocks of ``ops(k)``: ops *and* RNG state."""
+
+    COUNT = 300  # not a multiple of 7 or 64: the last block is cut short
+
+    @staticmethod
+    def _generators(seed):
+        rng = make_rng(seed)
+        yield SequentialGenerator(96, start=5)
+        yield UniformGenerator(96, seed=fork_rng(rng, "uniform"))
+        yield ZipfianGenerator(96, theta=0.99, seed=fork_rng(rng, "zipf"))
+        yield ZipfianGenerator(96, theta=0.0, seed=fork_rng(rng, "zipf0"))
+        yield MixedGenerator(
+            UniformGenerator(96, seed=fork_rng(rng, "mixed-base")),
+            read_fraction=0.4, trim_fraction=0.2,
+            seed=fork_rng(rng, "mixed"))
+        yield MixedGenerator(
+            ZipfianGenerator(96, seed=fork_rng(rng, "mixed-zipf")),
+            read_fraction=0.7, seed=fork_rng(rng, "mixed-z"))
+
+    @staticmethod
+    def _rng_states(generator):
+        """Bit-generator state of every stream the generator owns."""
+        owners = [generator, getattr(generator, "base", None)]
+        return [owner.rng.bit_generator.state for owner in owners
+                if hasattr(owner, "rng")]
+
+    def test_blocks_match_one_op_pulls(self):
+        for block in (1, 7, 64):
+            for one, blocked in zip(self._generators(SEED),
+                                    self._generators(SEED)):
+                expected = [op for _ in range(self.COUNT)
+                            for op in one.ops(1)]
+                got = []
+                while len(got) < self.COUNT:
+                    got.extend(blocked.ops(
+                        min(block, self.COUNT - len(got))))
+                name = type(one).__name__
+                assert got == expected, (name, block)
+                assert self._rng_states(blocked) == \
+                    self._rng_states(one), (name, block)
+
+    def test_draw_block_matches_one_op_pulls_with_flips(self):
+        """The engine's stream, read flips included: one flip draw per
+        WRITE in op order, whatever the block size — and the flip RNG
+        ends where per-op draws leave it."""
+        for block in (1, 7, 64):
+            for one, blocked in zip(self._generators(SEED),
+                                    self._generators(SEED)):
+                flip_one, flip_blocked = make_rng(SEED + 1), make_rng(SEED + 1)
+                expected = []
+                for _ in range(self.COUNT):
+                    (op,) = one.ops(1)
+                    if (op.op is OpType.WRITE
+                            and float(flip_one.random()) < 0.35):
+                        expected.append((OpType.READ, op.lba, None))
+                    else:
+                        expected.append(op)
+                got = []
+                while len(got) < self.COUNT:
+                    got.extend(draw_block(
+                        blocked, min(block, self.COUNT - len(got)),
+                        flip_blocked, 0.35))
+                name = type(one).__name__
+                assert got == expected, (name, block)
+                assert (flip_blocked.bit_generator.state
+                        == flip_one.bit_generator.state), (name, block)
+                assert self._rng_states(blocked) == \
+                    self._rng_states(one), (name, block)
+
+    def test_draw_block_without_flip_rng_passes_ops_through(self):
+        a = UniformGenerator(32, seed=SEED)
+        b = UniformGenerator(32, seed=SEED)
+        assert draw_block(a, 40) == [op for _ in range(40)
+                                     for op in b.ops(1)]
