@@ -16,6 +16,9 @@ Each bench times one narrower hot path than the GC-heavy macro:
   (arrival scheduling, admission control, queue dispatch, accounting);
 * ``difs_placement_micro`` — chunk updates + failure polls over ~580
   minidisk volumes (the diFS metadata path on the columnar volume index);
+* ``salamander_lifetime_micro`` — the write-until-death harness on a
+  RegenS device with ~800 minidisks (the minidisk census: per-write cost
+  independent of the minidisk count);
 * ``remount_micro`` — the OOB-replay rebuild scan (mount latency);
 * ``fleet_step_micro`` — one vectorised fleet-model run (the unit the
   sweep runner parallelises over);
@@ -100,6 +103,19 @@ def test_difs_placement_micro():
     # Fresh flash: the loop timed metadata work, not recovery.
     assert entry["meta"]["live_volumes"] == entry["meta"]["volumes"]
     assert entry["meta"]["volume_failures"] == 0
+
+
+@pytest.mark.no_obs
+def test_salamander_lifetime_micro():
+    entry = harness.run("salamander_lifetime_micro",
+                        workloads.salamander_lifetime_micro)
+    assert entry["ops"] == workloads.LIFETIME_MICRO_OPS
+    assert entry["meta"]["minidisks"] >= 800
+    assert entry["meta"]["small_minidisks"] < 30
+    if harness.enforcing():
+        # Census reads are O(1) in the minidisk count: 35x the minidisks
+        # must not cost 2x per write (recounted per write: 12x).
+        assert entry["meta"]["cost_vs_small"] < 2.0
 
 
 @pytest.mark.no_obs

@@ -350,6 +350,62 @@ def difs_placement_micro() -> dict:
                          cluster.recovery.stats.volume_failures}}
 
 
+# -- write-until-death harness on a many-minidisk device (micro) -------------
+
+LIFETIME_MICRO_OPS = 12_000
+#: (blocks of 8 fPages, untimed warm-up writes): at mSize 32 that is 816
+#: and 23 minidisks, each warmed until GC has reached its steady state.
+LIFETIME_MICRO_SHAPE = (1024, 72_000)
+LIFETIME_SMALL_SHAPE = (32, 6_000)
+
+
+def _lifetime_run(blocks: int, warm_writes: int) -> tuple[float, int]:
+    """(wall seconds, minidisks) of ``LIFETIME_MICRO_OPS`` harness writes."""
+    from repro.salamander.device import SalamanderConfig, SalamanderSSD
+    from repro.sim.lifetime import run_write_lifetime
+
+    chip = FlashChip(FlashGeometry(blocks=blocks, fpages_per_block=8),
+                     seed=23, variation_sigma=0.2)
+    device = SalamanderSSD(chip, SalamanderConfig(
+        mode="regen", msize_lbas=32, headroom_fraction=0.25,
+        ftl=FTLConfig(overprovision=0.25, buffer_opages=8)))
+    rng = np.random.default_rng(29)
+    run_write_lifetime(device, utilization=0.6, max_writes=warm_writes,
+                       seed=rng)
+    start = time.perf_counter()
+    result = run_write_lifetime(device, utilization=0.6,
+                                max_writes=LIFETIME_MICRO_OPS, seed=rng)
+    wall_s = time.perf_counter() - start
+    assert result.host_writes == LIFETIME_MICRO_OPS, result.death_cause
+    assert not device.events, "a transition landed in the timed region"
+    return wall_s, len(device.minidisks)
+
+
+def salamander_lifetime_micro() -> dict:
+    """``run_write_lifetime`` on a RegenS device with ~800 minidisks.
+
+    The harness asks the device for its active set and its capacity once
+    per host write, so this is the bench of the minidisk census
+    (``repro.salamander.minidisk.MinidiskTable``): with the census kept,
+    a write costs the same on 816 minidisks as on 23; when both were
+    recounted from the minidisk table on every write the 816-minidisk
+    device ran at ~1.5k writes/s, 12x slower per write than the small
+    one and under the enforcement threshold (half the floor). Both
+    devices are warmed, untimed, until GC is in its steady state; the
+    flash is fresh (default endurance), so no minidisk comes or goes.
+    ``meta["cost_vs_small"]`` is the per-write cost relative to the
+    23-minidisk device, timed right before. Ops unit: host oPage
+    writes."""
+    small_wall, small_minidisks = _lifetime_run(*LIFETIME_SMALL_SHAPE)
+    wall_s, minidisks = _lifetime_run(*LIFETIME_MICRO_SHAPE)
+    return {"ops": LIFETIME_MICRO_OPS, "wall_s": wall_s,
+            "meta": {"minidisks": minidisks,
+                     "small_minidisks": small_minidisks,
+                     "small_ops_per_sec":
+                         round(LIFETIME_MICRO_OPS / small_wall, 1),
+                     "cost_vs_small": round(wall_s / small_wall, 3)}}
+
+
 # -- analytic fleet step (micro) ---------------------------------------------
 
 FLEET_MICRO_CONFIG = FleetConfig(

@@ -13,43 +13,14 @@ the baseline's lifetime.
 import pytest
 
 from benchmarks.fleet_common import fleet_result
-from repro.flash.chip import FlashChip
-from repro.flash.geometry import FlashGeometry
-from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
 from repro.reporting.tables import format_table
-from repro.salamander.device import SalamanderConfig, SalamanderSSD
-from repro.sim.lifetime import run_write_lifetime
-from repro.ssd.cvss import CVSSConfig, CVSSDevice
-from repro.ssd.device import BaselineSSD, SSDConfig
-from repro.ssd.ftl import FTLConfig
-
-GEOMETRY = FlashGeometry(blocks=32, fpages_per_block=8)
-FTL = FTLConfig(overprovision=0.25, buffer_opages=8)
-
-
-def build_devices():
-    policy = TirednessPolicy(geometry=GEOMETRY)
-    model = calibrate_power_law(policy, pec_limit_l0=30)
-
-    def chip():
-        return FlashChip(GEOMETRY, rber_model=model, policy=policy,
-                         seed=1, variation_sigma=0.3)
-
-    salamander = dict(msize_lbas=32, headroom_fraction=0.25, ftl=FTL)
-    return {
-        "baseline": BaselineSSD(chip(), SSDConfig(ftl=FTL)),
-        "cvss": CVSSDevice(chip(), CVSSConfig(ftl=FTL)),
-        "shrinks": SalamanderSSD(chip(), SalamanderConfig(
-            mode="shrink", **salamander)),
-        "regens": SalamanderSSD(chip(), SalamanderConfig(
-            mode="regen", **salamander)),
-    }
+from repro.sim.lifetime import run_write_lifetime, tournament_devices
 
 
 def functional_tournament():
     return {name: run_write_lifetime(device, utilization=0.6,
                                      capacity_floor_fraction=0.3, seed=0)
-            for name, device in build_devices().items()}
+            for name, device in tournament_devices().items()}
 
 
 @pytest.mark.benchmark(group="tab-life")

@@ -315,31 +315,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_tournament(args: argparse.Namespace) -> int:
-    from repro.flash.chip import FlashChip
-    from repro.salamander.device import SalamanderConfig, SalamanderSSD
-    from repro.sim.lifetime import run_write_lifetime
-    from repro.ssd.cvss import CVSSConfig, CVSSDevice
-    from repro.ssd.device import BaselineSSD, SSDConfig
-    from repro.ssd.ftl import FTLConfig
+    from repro.sim.lifetime import run_write_lifetime, tournament_devices
 
-    geometry = FlashGeometry(blocks=args.blocks, fpages_per_block=8)
-    policy = TirednessPolicy(geometry=geometry)
-    model = calibrate_power_law(policy, pec_limit_l0=args.pec_limit)
-    ftl = FTLConfig(overprovision=0.25, buffer_opages=8)
-
-    def chip():
-        return FlashChip(geometry, rber_model=model, policy=policy,
-                         seed=args.seed, variation_sigma=0.3)
-
-    salamander = dict(msize_lbas=32, headroom_fraction=0.25, ftl=ftl)
-    devices = {
-        "baseline": BaselineSSD(chip(), SSDConfig(ftl=ftl)),
-        "cvss": CVSSDevice(chip(), CVSSConfig(ftl=ftl)),
-        "shrinks": SalamanderSSD(chip(), SalamanderConfig(
-            mode="shrink", **salamander)),
-        "regens": SalamanderSSD(chip(), SalamanderConfig(
-            mode="regen", **salamander)),
-    }
+    devices = tournament_devices(blocks=args.blocks,
+                                 pec_limit=args.pec_limit, seed=args.seed)
     rows = []
     base = None
     for name, device in devices.items():

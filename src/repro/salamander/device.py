@@ -50,10 +50,18 @@ from repro.salamander.events import (
     MinidiskRegenerated,
 )
 from repro.salamander.limbo import LimboLedger
-from repro.salamander.minidisk import Minidisk, MinidiskStatus
+from repro.salamander.minidisk import (
+    Minidisk,
+    MinidiskStatus,
+    MinidiskTable,
+)
 from repro.salamander.regen import plan_revival, plan_revival_mixed
-from repro.salamander.shrink import VICTIM_POLICIES, choose_victim
-from repro.ssd.ftl import LOST, UNMAPPED, FTLConfig, PageMappedFTL
+from repro.salamander.shrink import (
+    DATA_AWARE_POLICIES,
+    VICTIM_POLICIES,
+    choose_victim,
+)
+from repro.ssd.ftl import UNMAPPED, FTLConfig, PageMappedFTL
 
 
 class SalamanderMode(Enum):
@@ -164,12 +172,9 @@ class SalamanderSSD(PageMappedFTL):
         self._event_seq = 0
         self.events: list[HostEvent] = []
         self._listeners: list[Callable[[HostEvent], None]] = []
-        self.minidisks: list[Minidisk] = [
-            Minidisk(mdisk_id=i, size_lbas=cfg.msize_lbas, level=0,
-                     created_seq=0)
-            for i in range(initial_count)
-        ]
-        self._draining: list[int] = []  # FIFO of DRAINING mdisk ids
+        # The minidisk table and its census (active set, advertised
+        # capacity, DRAINING FIFO): the one owner of minidisk lifecycle.
+        self._table = MinidiskTable(cfg.msize_lbas, initial_count)
         self._exhausted = False
         self._sal_instr = salamander_instruments(self.obs_name)
         self._obs_limbo_levels: set[int] = set()
@@ -194,12 +199,9 @@ class SalamanderSSD(PageMappedFTL):
         loss.
         """
         return {
-            "minidisks": [
-                (m.mdisk_id, m.size_lbas, m.level, m.created_seq,
-                 m.status.value, m.decommissioned_seq)
-                for m in self.minidisks],
+            "minidisks": self._table.rows(),
             "limbo": dict(self.limbo._level_of),
-            "draining": list(self._draining),
+            "draining": list(self._table.draining),
             "event_seq": self._event_seq,
             "exhausted": self._exhausted,
             "buffer": [(lba, self.buffer.get(lba))
@@ -216,13 +218,10 @@ class SalamanderSSD(PageMappedFTL):
         addressed to decommissioned minidisks are dropped.
         """
         device = cls(chip, config)
-        device.minidisks = [
-            Minidisk(mdisk_id=mdisk_id, size_lbas=size, level=level,
-                     created_seq=created,
-                     status=MinidiskStatus(status),
-                     decommissioned_seq=decommissioned)
-            for (mdisk_id, size, level, created, status, decommissioned)
-            in snapshot["minidisks"]]
+        # The census comes back with the table, before anything below
+        # (the flash replay's wear handling) asks for capacity.
+        device._table = MinidiskTable.restore(
+            config.msize_lbas, snapshot["minidisks"], snapshot["draining"])
         flat = sum(m.size_lbas for m in device.minidisks)
         if flat > device.n_lbas:
             device._grow_flat_space(flat - device.n_lbas)
@@ -230,7 +229,6 @@ class SalamanderSSD(PageMappedFTL):
         device.limbo = LimboLedger(device.policy.dead_level)
         for fpage, level in snapshot["limbo"].items():
             device.limbo.add(int(fpage), int(level))
-        device._draining = list(snapshot["draining"])
         device._event_seq = int(snapshot["event_seq"])
         device._exhausted = bool(snapshot["exhausted"])
         with device._remount_cause():
@@ -252,20 +250,28 @@ class SalamanderSSD(PageMappedFTL):
     def msize_lbas(self) -> int:
         return self.salamander_config.msize_lbas
 
-    def active_minidisks(self) -> list[Minidisk]:
-        return [m for m in self.minidisks if m.is_active]
+    @property
+    def minidisks(self) -> list[Minidisk]:
+        """Every minidisk the device ever had, indexed by ``mdisk_id``
+        (read-only: the table's transition methods do the changing)."""
+        return self._table.minidisks
+
+    def active_minidisks(self) -> tuple[Minidisk, ...]:
+        """The ACTIVE minidisks, in ``mdisk_id`` order."""
+        return self._table.active
 
     def minidisk(self, mdisk_id: int) -> Minidisk:
-        if not 0 <= mdisk_id < len(self.minidisks):
+        minidisks = self._table.minidisks
+        if not 0 <= mdisk_id < len(minidisks):
             raise ConfigError(
                 f"mDisk {mdisk_id} does not exist "
-                f"(device has {len(self.minidisks)})")
-        return self.minidisks[mdisk_id]
+                f"(device has {len(minidisks)})")
+        return minidisks[mdisk_id]
 
     @property
     def advertised_lbas(self) -> int:
         """oPages across all active minidisks (the host-visible capacity)."""
-        return sum(m.size_lbas for m in self.active_minidisks())
+        return self._table.advertised_lbas
 
     @property
     def advertised_bytes(self) -> int:
@@ -276,7 +282,7 @@ class SalamanderSSD(PageMappedFTL):
         """Protocol alias: the host-visible capacity is the active-
         minidisk sum (shrinks on decommission, grows on regeneration).
         """
-        return self.advertised_lbas
+        return self._table.advertised_lbas
 
     @property
     def is_alive(self) -> bool:
@@ -335,6 +341,21 @@ class SalamanderSSD(PageMappedFTL):
                 f"{mdisk.size_lbas}")
         return super().read_range(mdisk.flat_lba(lba), count)
 
+    def write_range(self, mdisk_id: int, lba: int,  # type: ignore[override]
+                    payloads: list[bytes]) -> None:
+        """Write consecutive LBAs within one minidisk, in order.
+
+        Each member goes through :meth:`write`, so a decommission that
+        lands mid-range rejects the members after it.
+        """
+        mdisk = self._active_mdisk(mdisk_id)
+        if not payloads or lba < 0 or lba + len(payloads) > mdisk.size_lbas:
+            raise ConfigError(
+                f"range [{lba}, {lba + len(payloads)}) is empty or exceeds "
+                f"mDisk size {mdisk.size_lbas}")
+        for offset, payload in enumerate(payloads):
+            self.write(mdisk_id, lba + offset, payload)
+
     def trim(self, mdisk_id: int, lba: int) -> None:  # type: ignore[override]
         mdisk = self._active_mdisk(mdisk_id)
         super().trim(mdisk.flat_lba(lba))
@@ -362,11 +383,12 @@ class SalamanderSSD(PageMappedFTL):
         added here — otherwise the grace period would mask real pressure.
         """
         cfg = self.salamander_config
+        table = self._table
         draining_live = 0
-        if self._draining:
+        if table.draining:
             counts = self._live_counts()
-            draining_live = sum(counts.get(m, 0) for m in self._draining)
-        return (math.ceil(self.advertised_lbas
+            draining_live = sum(counts.get(m, 0) for m in table.draining)
+        return (math.ceil(table.advertised_lbas
                           * (1.0 + cfg.headroom_fraction))
                 + self._reserve_slots + draining_live)
 
@@ -416,15 +438,18 @@ class SalamanderSSD(PageMappedFTL):
         rt = self._reqtrace
         ctx = rt.active if rt is not None else None
         led = self._endurance
+        table = self._table
+        policy = self.salamander_config.victim_policy
         while self.capacity_deficit() > 0:
-            if self._draining:
-                self.release_minidisk(self._draining[0])
+            if table.draining:
+                self.release_minidisk(table.draining[0])
                 continue
-            active = self.active_minidisks()
+            active = table.active
             if not active:
                 break
-            victim = choose_victim(self.salamander_config.victim_policy,
-                                   active, self._live_counts())
+            victim = choose_victim(
+                policy, active,
+                self._live_counts() if policy in DATA_AWARE_POLICIES else {})
             if led is None:
                 self._decommission_traced(victim, ctx)
             else:
@@ -432,7 +457,7 @@ class SalamanderSSD(PageMappedFTL):
                 # minidisk is unmapped, not rewritten) is ShrinkS burn.
                 with led.cause("shrink"):
                     self._decommission_traced(victim, ctx)
-        if not self.active_minidisks():
+        if not table.active:
             self._exhaust()
             raise DeviceBrickedError(
                 "device exhausted: all minidisks decommissioned")
@@ -490,17 +515,17 @@ class SalamanderSSD(PageMappedFTL):
             self._obs_limbo_levels.add(level)
         instr.limbo_capacity_opages.set(self.limbo.capacity_opages())
         instr.advertised_bytes.set(self.advertised_bytes)
-        instr.active_minidisks.set(len(self.active_minidisks()))
-        instr.draining_minidisks.set(len(self._draining))
+        instr.active_minidisks.set(len(self._table.active))
+        instr.draining_minidisks.set(len(self._table.draining))
 
     def _decommission(self, mdisk: Minidisk, reason: str) -> None:
         grace = self.salamander_config.grace_decommissions
+        table = self._table
         self._event_seq += 1
         if grace > 0:
             # §4.3 grace period: keep the data readable while the diFS
             # re-replicates; only the logical capacity leaves service now.
-            mdisk.decommission(self._event_seq, draining=True)
-            self._draining.append(mdisk.mdisk_id)
+            table.decommission(mdisk, self._event_seq, draining=True)
             if self._faults is not None:
                 self._faults.crash_if("salamander.decommission",
                                       mdisk=mdisk.mdisk_id, reason=reason)
@@ -511,7 +536,7 @@ class SalamanderSSD(PageMappedFTL):
             # between the two must find the mDisk already DECOMMISSIONED
             # (remount re-runs the invalidation), never an ACTIVE mDisk
             # whose acked data was already discarded.
-            mdisk.decommission(self._event_seq)
+            table.decommission(mdisk, self._event_seq)
             if self._faults is not None:
                 self._faults.crash_if("salamander.decommission",
                                       mdisk=mdisk.mdisk_id, reason=reason)
@@ -522,9 +547,9 @@ class SalamanderSSD(PageMappedFTL):
         self._refresh_obs_gauges()
         self._emit(MinidiskDecommissioned(
             seq=self._event_seq, mdisk_id=mdisk.mdisk_id, reason=reason,
-            remaining_active=len(self.active_minidisks())))
-        while len(self._draining) > grace:
-            self.release_minidisk(self._draining[0])
+            remaining_active=len(table.active)))
+        while len(table.draining) > grace:
+            self.release_minidisk(table.draining[0])
 
     def release_minidisk(self, mdisk_id: int) -> None:
         """End a DRAINING minidisk's grace period and drop its data.
@@ -534,22 +559,19 @@ class SalamanderSSD(PageMappedFTL):
         disks is a caller error (they no longer drain).
         """
         mdisk = self.minidisk(mdisk_id)
-        if mdisk.status is not MinidiskStatus.DRAINING:
-            raise ConfigError(
-                f"mDisk {mdisk_id} is not draining "
-                f"(status: {mdisk.status.value})")
+        self._table.release(mdisk)      # refuses unless DRAINING
         self._invalidate(mdisk)
-        mdisk.status = MinidiskStatus.DECOMMISSIONED
-        self._draining.remove(mdisk_id)
         self._refresh_obs_gauges()
 
     def _invalidate(self, mdisk: Minidisk) -> None:
-        for lba in range(mdisk.size_lbas):
-            flat = mdisk.flat_base + lba
-            self.buffer.discard(flat)
-            if self._l2p[flat] >= 0:
-                self._unmap(flat)
-            self._l2p[flat] = UNMAPPED
+        """Drop every mapping and buffered write inside ``mdisk``."""
+        base = mdisk.flat_base
+        end = base + mdisk.size_lbas
+        for flat in self.buffer.keys():
+            if base <= flat < end:
+                self.buffer.discard(flat)
+                self._note_unbuffered(flat)
+        self.invalidate_batch(np.arange(base, end, dtype=np.int64))
 
     def _regenerate(self) -> None:
         """Mint new mDisks while a single limbo level can back one (§3.4).
@@ -578,10 +600,7 @@ class SalamanderSSD(PageMappedFTL):
             for fpage in plan.fpages:
                 self.limbo.remove(fpage)
             self._event_seq += 1
-            mdisk = Minidisk(
-                mdisk_id=len(self.minidisks), size_lbas=cfg.msize_lbas,
-                level=plan.level, created_seq=self._event_seq)
-            self.minidisks.append(mdisk)
+            mdisk = self._table.mint(plan.level, self._event_seq)
             self._grow_flat_space(cfg.msize_lbas)
             self.stats.regenerated_minidisks += 1
             self._sal_instr.regenerations.labels(
@@ -623,6 +642,16 @@ class SalamanderSSD(PageMappedFTL):
             if self._l2p[key] < 0:
                 counts[key // msize] = counts.get(key // msize, 0) + 1
         return counts
+
+    def _audit_fastpath(self) -> None:
+        """The FTL audit, plus: the minidisk census equals a recount of
+        the table, and the flat LBA space is exactly the table's."""
+        super()._audit_fastpath()
+        self._table.audit()
+        flat = sum(m.size_lbas for m in self._table.minidisks)
+        assert self.n_lbas == flat == len(self._l2p), (
+            f"flat space {self.n_lbas} (map {len(self._l2p)}) != "
+            f"minidisk table {flat}")
 
     # -- reporting ------------------------------------------------------------------------
 
@@ -712,8 +741,8 @@ class SalamanderSSD(PageMappedFTL):
         summary = dict(self.chip.wear_summary())
         summary.update(self.stats.snapshot())
         summary["mode"] = self.mode.value
-        summary["active_minidisks"] = len(self.active_minidisks())
-        summary["total_minidisks"] = len(self.minidisks)
+        summary["active_minidisks"] = len(self._table.active)
+        summary["total_minidisks"] = len(self._table.minidisks)
         summary["advertised_bytes"] = self.advertised_bytes
         summary["limbo_fpages"] = len(self.limbo)
         summary["limbo_capacity_opages"] = self.limbo.capacity_opages()

@@ -43,6 +43,11 @@ VICTIM_POLICIES: dict[str, Callable[..., Minidisk]] = {
     "emptiest": _emptiest,
 }
 
+#: Policies that read ``live_counts``. Counting live data is a pass over
+#: the device's whole map, so callers build it only for these and hand
+#: the others an empty dict.
+DATA_AWARE_POLICIES = frozenset({"emptiest"})
+
 
 def choose_victim(policy: str, active: Sequence[Minidisk],
                   live_counts: dict[int, int]) -> Minidisk:

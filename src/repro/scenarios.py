@@ -111,37 +111,12 @@ def _run_fleet(document: dict, writer: ExperimentWriter) -> None:
 
 
 def _run_tournament(document: dict, writer: ExperimentWriter) -> None:
-    from repro.flash.chip import FlashChip
-    from repro.flash.geometry import FlashGeometry
-    from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
-    from repro.salamander.device import SalamanderConfig, SalamanderSSD
-    from repro.sim.lifetime import run_write_lifetime
-    from repro.ssd.cvss import CVSSConfig, CVSSDevice
-    from repro.ssd.device import BaselineSSD, SSDConfig
-    from repro.ssd.ftl import FTLConfig
+    from repro.sim.lifetime import run_write_lifetime, tournament_devices
 
     params = document.get("params", {})
-    seed = document.get("seed", 1)
-    geometry = FlashGeometry(blocks=params.get("blocks", 32),
-                             fpages_per_block=8)
-    policy = TirednessPolicy(geometry=geometry)
-    model = calibrate_power_law(
-        policy, pec_limit_l0=params.get("pec_limit", 30))
-    ftl = FTLConfig(overprovision=0.25, buffer_opages=8)
-
-    def chip():
-        return FlashChip(geometry, rber_model=model, policy=policy,
-                         seed=seed, variation_sigma=0.3)
-
-    salamander = dict(msize_lbas=32, headroom_fraction=0.25, ftl=ftl)
-    devices = {
-        "baseline": BaselineSSD(chip(), SSDConfig(ftl=ftl)),
-        "cvss": CVSSDevice(chip(), CVSSConfig(ftl=ftl)),
-        "shrinks": SalamanderSSD(chip(), SalamanderConfig(
-            mode="shrink", **salamander)),
-        "regens": SalamanderSSD(chip(), SalamanderConfig(
-            mode="regen", **salamander)),
-    }
+    devices = tournament_devices(blocks=params.get("blocks", 32),
+                                 pec_limit=params.get("pec_limit", 30),
+                                 seed=document.get("seed", 1))
     rows = []
     for name, device in devices.items():
         result = run_write_lifetime(

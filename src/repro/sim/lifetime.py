@@ -16,8 +16,14 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ReproError
+from repro.flash.chip import FlashChip
+from repro.flash.geometry import FlashGeometry
+from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
 from repro.rng import make_rng
-from repro.salamander.device import SalamanderSSD
+from repro.salamander.device import SalamanderConfig, SalamanderSSD
+from repro.ssd.cvss import CVSSConfig, CVSSDevice
+from repro.ssd.device import BaselineSSD, SSDConfig
+from repro.ssd.ftl import FTLConfig
 from repro.workloads.generators import stamp_payload
 
 
@@ -50,27 +56,34 @@ class LifetimeResult:
         return self.final_capacity_lbas / self.initial_capacity_lbas
 
 
-def _capacity_lbas(device) -> int:
-    if isinstance(device, SalamanderSSD):
-        return device.advertised_lbas
-    return getattr(device, "capacity_lbas", device.n_lbas)
+def tournament_devices(*, blocks: int = 32, pec_limit: float = 30,
+                       seed: int = 1) -> dict[str, object]:
+    """The four contenders of the §4 lifetime tournament, fresh.
 
+    Baseline, CVSS, ShrinkS and RegenS over chips of one geometry, one
+    calibrated wear model and — same ``seed`` — one per-page variation
+    draw, so a difference in lifetime is a difference in policy.
+    ``pec_limit`` is the L0 endurance the wear model is calibrated to
+    (tens of cycles: accelerated wear; real TLC is ~3000).
+    """
+    geometry = FlashGeometry(blocks=blocks, fpages_per_block=8)
+    policy = TirednessPolicy(geometry=geometry)
+    model = calibrate_power_law(policy, pec_limit_l0=pec_limit)
+    ftl = FTLConfig(overprovision=0.25, buffer_opages=8)
 
-def _issue_write(device, rng: np.random.Generator, utilization: float,
-                 sequence: int) -> None:
-    """One random overwrite within the utilisation discipline."""
-    if isinstance(device, SalamanderSSD):
-        active = device.active_minidisks()
-        mdisk = active[int(rng.integers(0, len(active)))]
-        hot = max(1, int(utilization * mdisk.size_lbas))
-        lba = int(rng.integers(0, hot))
-        device.write(mdisk.mdisk_id, lba,
-                     stamp_payload(mdisk.flat_base + lba, sequence))
-    else:
-        capacity = _capacity_lbas(device)
-        hot = max(1, int(utilization * capacity))
-        lba = int(rng.integers(0, hot))
-        device.write(lba, stamp_payload(lba, sequence))
+    def chip() -> FlashChip:
+        return FlashChip(geometry, rber_model=model, policy=policy,
+                         seed=seed, variation_sigma=0.3)
+
+    salamander = dict(msize_lbas=32, headroom_fraction=0.25, ftl=ftl)
+    return {
+        "baseline": BaselineSSD(chip(), SSDConfig(ftl=ftl)),
+        "cvss": CVSSDevice(chip(), CVSSConfig(ftl=ftl)),
+        "shrinks": SalamanderSSD(chip(), SalamanderConfig(
+            mode="shrink", **salamander)),
+        "regens": SalamanderSSD(chip(), SalamanderConfig(
+            mode="regen", **salamander)),
+    }
 
 
 def run_write_lifetime(
@@ -96,46 +109,62 @@ def run_write_lifetime(
         sample_every: capacity-curve sampling period, in host writes.
     """
     rng = make_rng(seed)
+    integers = rng.integers
+    write = device.write
+    # The device flavour is resolved once: Salamander is addressed by
+    # (minidisk, LBA) and picks the minidisk first — two draws a write —
+    # everything else by a flat LBA within ``capacity_lbas`` — one draw.
+    # The draw order is part of the harness contract
+    # (tests/sim/test_lifetime_golden.py pins the generator state).
+    by_minidisk = isinstance(device, SalamanderSSD)
     # Bound once; the time axis for lifetime trajectories is *host
     # writes* (the quantity the paper's lifetime claims are over), not
     # simulated seconds — documented in docs/OBSERVABILITY.md.
     sampler = obs.timeseries() if obs.timeseries_enabled() else None
     device_labels = {"device": getattr(device, "obs_name", "device")}
+    record_smart = getattr(device, "record_smart", None)
 
-    def _record_trajectory(writes: int) -> None:
-        if sampler is None:
-            return
-        t = float(writes)
-        sampler.record("repro_lifetime_capacity_lbas", t,
-                       float(_capacity_lbas(device)),
-                       labels=device_labels, unit="lbas")
-        record_smart = getattr(device, "record_smart", None)
-        if record_smart is not None:
-            record_smart(t, sampler)
+    def sample(writes: int) -> int:
+        capacity = device.capacity_lbas
+        if sampler is not None:
+            t = float(writes)
+            sampler.record("repro_lifetime_capacity_lbas", t,
+                           float(capacity), labels=device_labels,
+                           unit="lbas")
+            if record_smart is not None:
+                record_smart(t, sampler)
+        return capacity
 
-    initial = _capacity_lbas(device)
+    initial = sample(0)
     floor = capacity_floor_fraction * initial
     curve: list[tuple[int, int]] = [(0, initial)]
-    _record_trajectory(0)
     writes = 0
     cause = "max-writes"
     while writes < max_writes:
-        capacity = _capacity_lbas(device)
+        capacity = device.capacity_lbas
         if capacity < floor or capacity == 0:
             cause = "capacity-floor"
             break
         try:
-            _issue_write(device, rng, utilization, writes)
+            if by_minidisk:
+                active = device.active_minidisks()
+                mdisk = active[int(integers(0, len(active)))]
+                hot = max(1, int(utilization * mdisk.size_lbas))
+                lba = int(integers(0, hot))
+                write(mdisk.mdisk_id, lba,
+                      stamp_payload(mdisk.flat_base + lba, writes))
+            else:
+                hot = max(1, int(utilization * capacity))
+                lba = int(integers(0, hot))
+                write(lba, stamp_payload(lba, writes))
         except ReproError as error:
             cause = type(error).__name__
             break
         writes += 1
         if writes % sample_every == 0:
-            curve.append((writes, _capacity_lbas(device)))
-            _record_trajectory(writes)
-    final = _capacity_lbas(device)
+            curve.append((writes, sample(writes)))
+    final = sample(writes)
     curve.append((writes, final))
-    _record_trajectory(writes)
     wear = device.chip.wear_summary()
     return LifetimeResult(
         host_writes=writes,

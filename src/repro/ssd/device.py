@@ -169,6 +169,10 @@ class BaselineSSD(PageMappedFTL):
         self._check_writable()
         super().trim(lba)
 
+    def trim_range(self, lba: int, count: int) -> None:
+        self._check_writable()
+        super().trim_range(lba, count)
+
     def flush(self) -> None:
         self._check_writable()
         super().flush()

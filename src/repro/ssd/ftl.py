@@ -636,49 +636,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         for offset, payload in enumerate(payloads):
             self.write(lba + offset, payload)
 
-    def write_batch(self, lbas, payloads, stream: int = 0) -> None:
-        """Buffer many writes; the batched twin of :meth:`write`.
-
-        Bit-identical to calling ``write(lba, data, stream)`` per pair
-        in order — same drains at the same points, same stats and
-        latency samples — with the per-call argument checks hoisted out
-        of the loop. Falls back to the scalar loop when fault injection
-        is installed (its crash sites must fire once per write, in
-        order) or when a member would fail validation (so the error
-        surfaces after exactly the writes that precede it).
-        """
-        n = len(lbas)
-        if n == 0:
-            return
-        opage_bytes = self.geometry.opage_bytes
-        arr = np.asarray(lbas, dtype=np.int64)
-        if (self._faults is not None
-                or not 0 <= stream < self.config.host_streams
-                or bool((arr < 0).any())
-                or bool((arr >= self.n_lbas).any())
-                or any(len(data) > opage_bytes for data in payloads)):
-            write = self.write
-            for lba, data in zip(lbas, payloads):
-                write(int(lba), data, stream)
-            return
-        buffer = self.buffer
-        chip_stats = self.chip.stats
-        stats = self.stats
-        add_latency = stats.write_latency.add
-        note_buffered = self._note_buffered
-        drain = self._drain_one_fpage
-        lba_list = arr.tolist()
-        for i in range(n):
-            target = lba_list[i]
-            busy_before = chip_stats.busy_us
-            if target not in buffer and buffer.is_full:
-                drain()
-            buffer.put(target, bytes(payloads[i]))
-            note_buffered(target, stream)
-            stats.host_writes += 1
-            add_latency(chip_stats.busy_us - busy_before)
-        self._instr.host_writes.inc(n)
-
     def flush(self) -> None:
         """Drain the write buffer completely (fPages may be padded)."""
         while len(self.buffer) > 0:

@@ -5,7 +5,6 @@ import pytest
 from repro.difs.placement import PLACEMENT_POLICIES, place_replicas
 from repro.difs.volume import MinidiskVolume
 from repro.rng import make_rng
-from repro.salamander.minidisk import Minidisk
 
 
 @pytest.fixture
@@ -15,10 +14,7 @@ def tiered_volumes(make_salamander):
     for node in ("n0", "n1", "n2"):
         device = make_salamander(mode="regen")
         # Fabricate a regenerated minidisk on the device.
-        regen = Minidisk(mdisk_id=len(device.minidisks),
-                         size_lbas=device.msize_lbas, level=1,
-                         created_seq=5)
-        device.minidisks.append(regen)
+        regen = device._table.mint(level=1, seq=5)
         device._grow_flat_space(device.msize_lbas)
         pool.append(MinidiskVolume(f"{node}/fresh", node, 4, device, 0))
         pool.append(MinidiskVolume(f"{node}/tired", node, 4, device,

@@ -8,50 +8,22 @@ counterpart of the paper's §4 lifetime analysis.
 
 import pytest
 
-from repro.sim.lifetime import run_write_lifetime
+from repro.sim.lifetime import run_write_lifetime, tournament_devices
 
 
 @pytest.fixture(scope="module")
-def tournament(request):
-    # Build fixtures manually (module-scoped fixture can't use the
-    # function-scoped factories), mirroring tests/conftest.py parameters.
-    from repro.flash.chip import FlashChip
-    from repro.flash.geometry import FlashGeometry
-    from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
-    from repro.salamander.device import SalamanderConfig, SalamanderSSD
-    from repro.ssd.cvss import CVSSConfig, CVSSDevice
-    from repro.ssd.device import BaselineSSD, SSDConfig
-    from repro.ssd.ftl import FTLConfig
-
-    geometry = FlashGeometry(blocks=32, fpages_per_block=8)
-    policy = TirednessPolicy(geometry=geometry)
-    model = calibrate_power_law(policy, pec_limit_l0=30)
-    ftl = FTLConfig(overprovision=0.25, buffer_opages=8)
-
-    def chip():
-        return FlashChip(geometry, rber_model=model, policy=policy,
-                         seed=1, variation_sigma=0.3)
-
-    salamander = dict(msize_lbas=32, headroom_fraction=0.25, ftl=ftl)
-    devices = {
-        "baseline": BaselineSSD(chip(), SSDConfig(ftl=ftl)),
-        "cvss": CVSSDevice(chip(), CVSSConfig(ftl=ftl)),
-        "shrink": SalamanderSSD(chip(), SalamanderConfig(
-            mode="shrink", **salamander)),
-        "regen": SalamanderSSD(chip(), SalamanderConfig(
-            mode="regen", **salamander)),
-    }
+def tournament():
     return {name: run_write_lifetime(device, utilization=0.6,
                                      capacity_floor_fraction=0.3, seed=0)
-            for name, device in devices.items()}
+            for name, device in tournament_devices().items()}
 
 
 class TestTournament:
     def test_paper_ordering(self, tournament):
         writes = {name: r.host_writes for name, r in tournament.items()}
         assert writes["baseline"] < writes["cvss"]
-        assert writes["cvss"] <= writes["shrink"]
-        assert writes["shrink"] < writes["regen"]
+        assert writes["cvss"] <= writes["shrinks"]
+        assert writes["shrinks"] < writes["regens"]
 
     def test_cvss_gain_near_cited_20_percent(self, tournament):
         gain = (tournament["cvss"].host_writes
@@ -60,22 +32,22 @@ class TestTournament:
 
     def test_regen_gain_substantial(self, tournament):
         # The paper claims "up to 1.5x" total lifetime for Salamander.
-        ratio = (tournament["regen"].host_writes
+        ratio = (tournament["regens"].host_writes
                  / tournament["baseline"].host_writes)
         assert ratio > 1.3
 
     def test_wear_extracted_ordering(self, tournament):
         # More lifetime means more PEC actually pulled out of the flash.
         pec = {name: r.mean_pec_at_death for name, r in tournament.items()}
-        assert pec["baseline"] < pec["shrink"] < pec["regen"]
+        assert pec["baseline"] < pec["shrinks"] < pec["regens"]
 
     def test_baseline_dies_at_full_capacity(self, tournament):
         # The baseline never shrinks — it bricks with capacity intact.
         assert tournament["baseline"].capacity_fraction == 1.0
 
     def test_salamander_devices_shrank(self, tournament):
-        assert tournament["shrink"].capacity_fraction < 1.0
-        assert tournament["regen"].capacity_fraction < 1.0
+        assert tournament["shrinks"].capacity_fraction < 1.0
+        assert tournament["regens"].capacity_fraction < 1.0
 
     def test_write_amplification_sane_everywhere(self, tournament):
         for name, result in tournament.items():

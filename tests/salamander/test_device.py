@@ -117,6 +117,95 @@ class TestHostIO:
         with pytest.raises(MinidiskDecommissionedError):
             device.read(0, 0)
 
+    def test_write_range_round_trips_within_a_minidisk(self, make_salamander):
+        # Regression: the inherited flat write_range called the
+        # 3-argument write with 2 and raised TypeError.
+        device = make_salamander()
+        payloads = [bytes([n]) * 8 for n in range(1, 7)]
+        device.write_range(1, 4, payloads)
+        assert device.stats.host_writes == 6
+        assert device.read_range(1, 4, 6) == [
+            payload.ljust(4096, b"\0") for payload in payloads]
+        assert device.read(0, 4) == bytes(4096)
+        device.flush()
+        assert device.read(1, 9) == payloads[5].ljust(4096, b"\0")
+
+    def test_write_range_validation(self, make_salamander):
+        device = make_salamander()
+        with pytest.raises(ConfigError):
+            device.write_range(0, 0, [])
+        with pytest.raises(ConfigError):
+            device.write_range(0, device.msize_lbas - 1, [b"a", b"b"])
+        with pytest.raises(ConfigError):
+            device.write_range(0, -1, [b"a"])
+        with pytest.raises(ConfigError):
+            device.write_range(len(device.minidisks), 0, [b"a"])
+        assert device.stats.host_writes == 0
+
+    def test_no_write_twin_reaches_a_decommissioned_minidisk(
+            self, make_salamander):
+        # Regression: the inherited batch twin wrote flat LBAs straight
+        # into the buffer, past the minidisk check.
+        device = make_salamander()
+        device._decommission(device.minidisks[0], reason="test")
+        with pytest.raises(MinidiskDecommissionedError):
+            device.write(0, 0, b"x")
+        with pytest.raises(MinidiskDecommissionedError):
+            device.write_range(0, 0, [b"x", b"y"])
+        assert not hasattr(device, "write_batch")
+        assert device.stats.host_writes == 0
+        assert len(device.buffer) == 0
+
+    def test_no_write_twin_reaches_an_exhausted_device(self, make_salamander):
+        device = make_salamander()
+        device._exhaust()
+        with pytest.raises(DeviceBrickedError):
+            device.write(1, 0, b"x")
+        with pytest.raises(DeviceBrickedError):
+            device.write_range(1, 0, [b"x", b"y"])
+        assert device.stats.host_writes == 0
+
+
+class TestInvalidate:
+    def test_decommission_with_buffered_writes_keeps_the_counters(
+            self, make_salamander):
+        # Regression: the buffered entries were discarded without their
+        # stream bookkeeping, which _audit_fastpath reports.
+        device = make_salamander()
+        for lba in range(6):
+            device.write(0, lba, b"flushed")
+        device.flush()
+        device.write(0, 0, b"buffered-over-mapped")
+        device.write(0, 20, b"buffered-only")
+        device.write(1, 3, b"neighbour")
+        mapped_before = device._mapped_lbas
+        device._decommission(device.minidisks[0], reason="test")
+        device._audit_fastpath()
+        assert device._mapped_lbas == mapped_before - 6
+        assert device.buffer.keys() == [device.minidisks[1].flat_lba(3)]
+        assert device._live_counts() == {1: 1}
+        assert device.read(1, 3).rstrip(b"\0") == b"neighbour"
+
+    @pytest.mark.parametrize("victim_policy, counted", [
+        ("youngest", False), ("oldest", False), ("emptiest", True)])
+    def test_live_data_is_counted_only_for_the_policy_that_reads_it(
+            self, make_chip, ftl_config, victim_policy, counted):
+        device = SalamanderSSD(make_chip(), SalamanderConfig(
+            msize_lbas=32, headroom_fraction=0.25,
+            victim_policy=victim_policy, ftl=ftl_config))
+        calls = []
+        live_counts = device._live_counts
+        device._live_counts = lambda: calls.append(1) or live_counts()
+        # Take usable space away until Eq. 2 sheds a minidisk.
+        before = len(device.active_minidisks())
+        fpage = 0
+        while len(device.active_minidisks()) == before:
+            device.chip.retire(fpage)
+            fpage += 1
+            device._rebalance_capacity()
+        assert bool(calls) is counted
+        device._audit_fastpath()
+
 
 class TestEvents:
     def test_listener_receives_decommission(self, make_salamander):

@@ -45,9 +45,9 @@ def check_invariants(device: SalamanderSSD) -> None:
     for fpage in list(device.limbo._level_of):
         assert states[fpage] != 1  # not WRITTEN
     # The draining FIFO only holds DRAINING minidisks, within budget.
-    for mdisk_id in device._draining:
+    for mdisk_id in device._table.draining:
         assert device.minidisk(mdisk_id).status is MinidiskStatus.DRAINING
-    assert len(device._draining) <= \
+    assert len(device._table.draining) <= \
         device.salamander_config.grace_decommissions
     # Valid counts are within block capacity.
     per_block = device._valid_per_block

@@ -113,4 +113,4 @@ class TestGraceUnderWear:
             pass
         assert device.stats.decommissioned_minidisks > 0
         # The draining set never exceeds the grace budget.
-        assert len(device._draining) <= 2
+        assert len(device._table.draining) <= 2

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import (
+    ConfigError,
+    DeviceBrickedError,
+    DeviceReadOnlyError,
+)
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 from repro.workloads.generators import stamp_payload
 
@@ -72,3 +76,32 @@ class TestWriteRange:
             ftl.write_range(0, [])
         with pytest.raises(Exception):
             ftl.write_range(ftl.n_lbas - 1, [b"a", b"b"])
+
+
+class TestBaselineLivenessGate:
+    """Every write-side call on a baseline device checks liveness."""
+
+    def test_trim_range_is_gated_like_trim(self, make_baseline):
+        # Regression: trim_range went straight to the FTL while trim
+        # refused on a bricked / read-only device.
+        device = make_baseline()
+        device.write_range(0, [b"a", b"b", b"c"])
+        device._failed = True
+        with pytest.raises(DeviceBrickedError):
+            device.trim(0)
+        with pytest.raises(DeviceBrickedError):
+            device.trim_range(0, 3)
+        with pytest.raises(DeviceBrickedError):
+            device.write_range(0, [b"x"])
+        assert device.stats.trims == 0
+        device._failed, device._read_only = False, True
+        with pytest.raises(DeviceReadOnlyError):
+            device.trim_range(0, 3)
+        assert device.read(1).rstrip(b"\0") == b"b"
+
+    def test_trim_range_on_a_live_device(self, make_baseline):
+        device = make_baseline()
+        device.write_range(0, [b"a", b"b", b"c"])
+        device.trim_range(0, 2)
+        assert device.read(0) == bytes(4096)
+        assert device.read(2).rstrip(b"\0") == b"c"

@@ -5,7 +5,9 @@ The document describes the fast paths by their internal names
 removes one, the prose silently rots; this test turns that into a
 failure. Every back-ticked ``_name`` in the document must be an
 attribute of a live instance of one of the classes the document is
-about; a qualified ``Class._name`` must be an attribute of that class.
+about (the FTL, the chip, a ``SalamanderSSD`` and its minidisk table,
+the cluster and its volume index); a qualified ``Class._name`` must be
+an attribute of that class.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.difs.cluster import Cluster
 from repro.difs.placement import VolumeIndex
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
+from repro.salamander.device import SalamanderConfig, SalamanderSSD
 from repro.ssd.ftl import PageMappedFTL
 
 DOCUMENT = Path(__file__).resolve().parent.parent / "docs" / "PERFORMANCE.md"
@@ -30,9 +33,14 @@ _PRIVATE = re.compile(r"(?:\b([A-Za-z]\w*)\.)?(?<!\w)(_[a-z][a-z0-9_]*)")
 
 @pytest.fixture(scope="module")
 def subjects() -> dict[str, object]:
-    chip = FlashChip(FlashGeometry(blocks=16, fpages_per_block=8), seed=1)
+    geometry = FlashGeometry(blocks=16, fpages_per_block=8)
+    chip = FlashChip(geometry, seed=1)
+    salamander = SalamanderSSD.create(
+        geometry, SalamanderConfig(msize_lbas=32), seed=1)
     return {"PageMappedFTL": PageMappedFTL(chip, n_lbas=64),
             "FlashChip": chip,
+            "SalamanderSSD": salamander,
+            "MinidiskTable": salamander._table,
             "Cluster": Cluster(),
             "VolumeIndex": VolumeIndex()}
 
@@ -51,6 +59,8 @@ def test_document_names_private_attributes():
     assert (None, "_valid_counts") in names
     assert ("PageMappedFTL", "_audit_fastpath") in names
     assert ("Cluster", "_audit_volume_index") in names
+    assert ("SalamanderSSD", "_audit_fastpath") in names
+    assert (None, "_rebalance_capacity") in names
 
 
 def test_every_named_private_attribute_exists(subjects):
