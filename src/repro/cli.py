@@ -258,8 +258,9 @@ def _jobs_arg(value: str):
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.sim.fleet import MODES, FleetConfig, simulate_fleet
+    from repro.sim.fleet import MODES, FleetConfig
     from repro.sim.parallel import resolve_jobs
+    from repro.sim.shard import simulate_fleet_sharded
 
     registry, tracer, sampler = _setup_observability(args)
     config = FleetConfig(
@@ -267,25 +268,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         geometry=FlashGeometry(blocks=args.blocks, fpages_per_block=64),
         dwpd=args.dwpd, afr=args.afr,
         horizon_days=int(args.years * 365), step_days=args.step_days,
-        shards=args.shards if args.shards is not None else 1)
+        shards=args.shards)
     modes = MODES if args.mode == "all" else (args.mode,)
     plan = _load_fault_plan(args)
+    jobs = resolve_jobs(args.jobs)
     # Passing the *plan* (not an injector) gives every mode its own
     # fresh fault counters — the schedule applies per run, not jointly.
-    if args.shards is not None:
-        # Explicit --shards selects the sharded runner (docs/SHARDING.md);
-        # --shards 1 is bit-identical to the serial path for any --jobs.
-        from repro.sim.shard import simulate_fleet_sharded
-
-        jobs = resolve_jobs(args.jobs)
-        results = {mode: simulate_fleet_sharded(config, mode,
-                                                seed=args.seed,
-                                                faults=plan, jobs=jobs)
-                   for mode in modes}
-    else:
-        results = {mode: simulate_fleet(config, mode, seed=args.seed,
-                                        faults=plan)
-                   for mode in modes}
+    results = {mode: simulate_fleet_sharded(config, mode, seed=args.seed,
+                                            faults=plan, jobs=jobs)
+               for mode in modes}
     print(render_series(
         [Series(mode, r.days / 365.0, r.functioning, x_label="years")
          for mode, r in results.items()],
@@ -844,9 +835,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("all", "baseline", "cvss", "shrink", "regen"))
     fleet.add_argument("--seed", type=int, default=2025)
     fleet.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=int, default=1,
         help="failure-domain shards for the process-parallel runner "
-             "(omit = serial path; 1 is bit-identical to it; see "
+             "(1 = the whole fleet walked in this process; see "
              "docs/SHARDING.md)")
     fleet.add_argument(
         "--jobs", type=int, default=1,

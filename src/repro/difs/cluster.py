@@ -84,13 +84,6 @@ class ClusterConfig:
             bit-identical to the direct path while writes succeed; a
             write that fails at flush time surfaces as a volume failure
             plus queued repair instead of a synchronous retry.
-        shards: failure-domain shards the staged-IO dispatcher
-            (:class:`repro.difs.ticker.ClusterTicker`) partitions the
-            staged device queues into. Shards group contiguous queues
-            in staging order and execute shard-major, so dispatch is
-            bit-identical for *any* shard count (see
-            docs/SHARDING.md); the knob only scopes the
-            ``repro_shard_*`` timing instruments to failure domains.
     """
 
     replication: int = 3
@@ -104,12 +97,8 @@ class ClusterConfig:
     queue_depth: int = 8
     io_batch: bool = False
     io_batch_chunks: int = 0
-    shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigError(
-                f"shards must be >= 1, got {self.shards!r}")
         if self.replication < 1:
             raise ConfigError(
                 f"replication must be >= 1, got {self.replication!r}")
@@ -171,8 +160,7 @@ class Cluster:
         self._audit_cursor = 0
         # Batch submission (io_batch_chunks > 0): staging and dispatch
         # mechanics live in the ticker; recovery effects stay here.
-        self._ticker = ClusterTicker(self.config.io_batch_chunks,
-                                     shards=self.config.shards)
+        self._ticker = ClusterTicker(self.config.io_batch_chunks)
         self._faults = faults.injector()
         self._instr = difs_instruments()
         if obs.metrics_enabled():

@@ -1,59 +1,37 @@
-"""Sharded staged-IO dispatch for the cluster data path.
+"""Staged-IO dispatch for the cluster data path.
 
-:class:`ClusterTicker` extracts the batch-submission mechanics that
-used to live inline in :class:`repro.difs.cluster.Cluster`: staging
-chunk writes into one :class:`repro.io.vector.IOVector` per device
-queue, closing the batching window, and dispatching every staged
-vector. What stays on the coordinator (the ``Cluster``) is everything
-that needs the global object graph — placement, recovery
-orchestration, namespace bookkeeping, rebalance, census.
+:class:`ClusterTicker` holds the batch-submission mechanics of
+:class:`repro.difs.cluster.Cluster`: staging chunk writes into one
+:class:`repro.io.vector.IOVector` per device queue, closing the
+batching window, and dispatching every staged vector. What stays on the
+coordinator (the ``Cluster``) is everything that needs the global
+object graph — placement, recovery orchestration, namespace
+bookkeeping, rebalance, census.
 
-The split makes the per-device tick a pure function of *(shard state,
-tick inputs)*: one staged queue's dispatch is
-``queue.execute_vector(vector)`` and touches nothing outside that
-queue's device. The ticker partitions the staged queues — in staging
-order, contiguously — into ``shards`` failure-domain shards with the
-same :func:`repro.sim.shard.partition_devices` layout the fleet
-runner uses, and executes them shard by shard. Because the partition
-is contiguous and traversal is shard-major, the global dispatch order
-is *identical for any shard count*: the cluster contract is
-bit-identity, not the float-ordering caveat the fleet merge carries.
-
-Queues hold live device object graphs (FTL state, flash arrays), so
-cluster shards execute in-process rather than in a fork pool — the
-process-parallel half of the story lives in :mod:`repro.sim.shard`,
-where workers can rebuild state from a seed. The shard boundaries
-still pay off here: per-shard wall time is exported through the
-``repro_shard_*`` instrument family, making dispatch imbalance across
-failure domains observable.
+One staged queue's dispatch is ``queue.execute_vector(vector)`` and
+touches nothing outside that queue's device; queues are dispatched in
+staging order, in-process (they hold live device object graphs — FTL
+state, flash arrays — that no worker could rebuild from a seed).
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING
-
-from repro import obs
-from repro.obs.instruments import shard_instruments
-from repro.sim.shard import partition_devices
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.difs.volume import Volume
 
 
 class ClusterTicker:
-    """Per-queue chunk-write staging with shard-partitioned dispatch.
+    """Per-queue chunk-write staging and in-order dispatch.
 
     The ticker owns no recovery policy: :meth:`dispatch` returns the
     ``(volume_id, slot, error)`` failures in canonical order and the
-    coordinator applies volume-failure and repair effects. ``shards``
-    only groups the staged queues for execution and timing; it never
-    reorders per-queue vectors or the queue traversal itself.
+    coordinator applies volume-failure and repair effects.
     """
 
-    def __init__(self, io_batch_chunks: int, shards: int = 1) -> None:
+    def __init__(self, io_batch_chunks: int) -> None:
         self.io_batch_chunks = io_batch_chunks
-        self.shards = shards
         # Staging order is dict insertion order, keyed by queue
         # identity: one append-only vector per device queue.
         self._stage: dict[int, list] = {}
@@ -97,40 +75,20 @@ class ClusterTicker:
     def dispatch(self) -> list[tuple[str, int, Exception]]:
         """Execute every staged vector; return failures in global order.
 
-        Queues are partitioned contiguously by staging order into
-        ``shards`` groups and executed shard-major, which preserves
-        the exact queue traversal of the unsharded path — dispatch is
-        bit-identical for any shard count. Per-member errors do not
-        raise (the batch keeps going, exactly as independent scalar
+        Queues are dispatched in staging order. Per-member errors do
+        not raise (the batch keeps going, exactly as independent scalar
         submissions would); the caller fails volumes and queues repair.
         """
-        if not self._stage:
-            return []
         stages = list(self._stage.values())
         self._stage.clear()
         self._staged_chunks = 0
-        instr = shard_instruments() if obs.metrics_enabled() else None
-        layout = partition_devices(len(stages), self.shards)
-        results: list[tuple[list, object]] = []
-        for shard_index, (start, stop) in enumerate(layout):
-            shard_start = perf_counter() if instr is not None else 0.0
-            for queue, vector, members in stages[start:stop]:
-                completions = queue.execute_vector(vector)
-                results.append((members, completions))
-            if instr is not None:
-                label = str(shard_index)
-                instr.tick_duration.labels(shard=label).observe(
-                    perf_counter() - shard_start)
-                instr.shard_devices.labels(shard=label).set(stop - start)
-        merge_start = perf_counter() if instr is not None else 0.0
         failed: list[tuple[str, int, Exception]] = []
-        for members, completions in results:
+        for queue, vector, members in stages:
+            completions = queue.execute_vector(vector)
             for index, (volume_id, slot) in enumerate(members):
                 error = completions.errors[index]
                 if error is not None:
                     failed.append((volume_id, slot, error))
-        if instr is not None:
-            instr.merge_duration.observe(perf_counter() - merge_start)
         return failed
 
 

@@ -505,13 +505,13 @@ class EngineInstruments:
 
 @dataclass(frozen=True)
 class ShardInstruments:
-    """Sharded data-path instruments (repro.sim.shard / ClusterTicker).
+    """Sharded fleet instruments (repro.sim.shard).
 
     ``tick_duration`` and ``shard_devices`` are families labelled per
     shard index at publish time; ``merge_duration`` is a plain child.
     Workers never touch these — the coordinator records per-shard wall
-    times from the merged outputs, once per run (or per cluster
-    dispatch), never on the per-device hot path.
+    times from the assembled steps, once per run, never on the
+    per-device hot path.
     """
 
     tick_duration: Any   # family; labels (shard,)
@@ -524,9 +524,8 @@ def shard_instruments() -> ShardInstruments:
     return ShardInstruments(
         tick_duration=m.histogram(
             "repro_shard_tick_seconds",
-            help="Wall-clock cost of one shard's tick batch (a shard "
-                 "worker's whole step loop, or one ClusterTicker "
-                 "dispatch group)",
+            help="Wall-clock cost of one shard's tick batch (a fleet "
+                 "shard's whole step loop)",
             unit="seconds", labelnames=("shard",),
             buckets=STEP_SECONDS_BUCKETS),
         merge_duration=m.histogram(

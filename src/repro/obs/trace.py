@@ -141,9 +141,16 @@ class SimTimeTracer:
 
     # -- clock -------------------------------------------------------------
 
-    def set_clock(self, clock) -> None:
-        """Swap the sim-time source (SimClock, ``.now`` object, callable)."""
+    def set_clock(self, clock) -> Callable[[], float]:
+        """Swap the sim-time source (SimClock, ``.now`` object, callable).
+
+        Returns the clock it replaced, so a run that borrows the tracer
+        can hand it back: ``previous = tracer.set_clock(mine)`` ...
+        ``tracer.set_clock(previous)``.
+        """
+        previous = self._clock
         self._clock = _as_clock(clock)
+        return previous
 
     def now(self) -> float:
         return float(self._clock())

@@ -23,12 +23,20 @@ Wear advances under perfect wear leveling: writing ``bytes`` of host data
 with write amplification ``waf`` onto ``live_raw_bytes`` of in-service
 flash adds ``bytes * waf / live_raw_bytes`` P/E cycles — so shrunken
 devices wear *faster* per host byte, a feedback the curves include.
+
+There is one step loop, :func:`walk_shard` over a contiguous device
+range, and one place that turns its per-step partials into a
+:class:`FleetResult` and telemetry, :func:`assemble_fleet`.
+:func:`simulate_fleet` is the one-shard layout walked in this process;
+:func:`repro.sim.shard.simulate_fleet_sharded` partitions the fleet and
+fans the same walk out over a fork pool (docs/SHARDING.md).
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,9 +84,9 @@ class FleetConfig:
             (:func:`repro.sim.shard.simulate_fleet_sharded`) partitions
             the devices into. Part of the config — and therefore of the
             artifact — because the float merge order is a function of
-            the shard layout (see docs/SHARDING.md). ``1`` reproduces
-            the serial path bit-for-bit; the serial runner itself
-            ignores the knob.
+            the shard layout (see docs/SHARDING.md). ``1`` is the
+            layout :func:`simulate_fleet` always walks, whatever the
+            knob says.
         cvss_rule: when a CVSS block retires — ``"first-page"`` (as soon as
             its weakest page outgrows the ECC; reliability-preserving, the
             conservative reading behind the paper's "ShrinkS is at least as
@@ -199,7 +207,6 @@ class _DeviceState:
         self.sorted_block_mean = np.sort(per_block.mean(axis=1))
         self.wear = 0.0
         self.alive = True
-        self.death_day = np.inf
 
 
 def _count_below(sorted_values: np.ndarray, threshold: float) -> int:
@@ -230,10 +237,6 @@ class FleetRules:
     One instance is a pure function table over ``(config, mode)``: it
     owns the calibrated RBER model, the tiredness policy, and the
     advertised-capacity rules every discipline applies per device-step.
-    Both the serial loop (:func:`simulate_fleet`) and the sharded
-    workers (:mod:`repro.sim.shard`) evaluate devices through the same
-    instance methods, so the two paths cannot drift: bit-identity
-    between them is structural, not coincidental.
     """
 
     def __init__(self, config: FleetConfig, mode: str,
@@ -339,18 +342,15 @@ class FleetRules:
         return self.config.min_capacity_fraction * self.adv0_bytes
 
     def build_devices(self, hardware_rng: np.random.Generator,
-                      start: int = 0, stop: int | None = None,
-                      ) -> list[_DeviceState]:
+                      start: int, stop: int) -> list[_DeviceState]:
         """Walk the canonical hardware fork and build ``[start, stop)``.
 
         The fork walk *must* cover every device index — each
         :func:`~repro.rng.fork_rng` call advances ``hardware_rng`` — so
-        a shard worker replays the full walk (one cheap parent draw per
+        a range replays the full walk (one cheap parent draw per
         device) but only pays the expensive variation draws for its own
-        slice. ``build_devices(rng)`` with defaults is exactly the
-        serial construction.
+        slice.
         """
-        stop = self.config.devices if stop is None else stop
         devices: list[_DeviceState] = []
         for i in range(self.config.devices):
             child = fork_rng(hardware_rng, i)
@@ -372,9 +372,11 @@ def _register_fleet_probes(sampler, mode: str, reuse_ceiling: int,
                            ) -> tuple[dict[str, float], list]:
     """Attach the fleet SMART probes; returns ``(smart_state, handles)``.
 
-    ``smart_state`` is the dict the step loop fills on sampled steps
-    (the probes close over it). Shared by the serial and sharded
-    runners so both export an identical series catalog.
+    ``smart_state`` is the dict :func:`assemble_fleet` fills on sampled
+    steps (the probes close over it) — only on steps the sampler's
+    cadence gate accepts, and the census piggybacks on the searchsorted
+    calls ``advertised_bytes`` makes anyway, so sampling at the default
+    cadence costs a few percent.
     """
     mode_labels = {"mode": mode}
     smart_state: dict[str, float] = {
@@ -439,9 +441,9 @@ def _fill_smart_sample(smart_state: dict[str, float], rules: FleetRules,
                        wears: list[float], burn_total: float) -> None:
     """Commit one sampled step's census/wear material to ``smart_state``.
 
-    ``wears`` must already be sorted ascending (the serial loop sorts
-    its device-order list; the sharded merge sorts the shard-major
-    concatenation — same multiset, same sorted sequence).
+    ``wears`` must already be sorted ascending (the shard-major
+    concatenation is the same multiset for any layout, so the sorted
+    sequence is too).
     """
     config = rules.config
     smart_state["functioning"] = float(alive_count)
@@ -478,12 +480,287 @@ def _record_fleet_summary(sampler, result: "FleetResult") -> None:
                    labels={"mode": result.mode}, unit="bytes")
 
 
+@dataclass(frozen=True)
+class ShardTask:
+    """One device range's work order, picklable for fork-pool dispatch.
+
+    ``pending`` is the timeseries sample schedule (one bool per step):
+    the walk produces census/wear material for exactly those steps and
+    nothing else. ``seed`` may be a live ``Generator`` when the walk
+    runs in the caller's process.
+    """
+
+    config: FleetConfig
+    mode: str
+    seed: int | np.random.Generator | None
+    start: int
+    stop: int
+    pending: tuple[bool, ...]
+
+
+class ShardStep(NamedTuple):
+    """One step of one device range, ready to be summed shard-major.
+
+    ``deaths`` is ``(device_index, cause)`` in discovery order (injected
+    losses first, then AFR/wear by device index); ``sample`` is the
+    ``(census, wears, burn_total)`` triple of a sampled step, else None;
+    ``seconds`` is the wall clock the step took.
+    """
+
+    functioning: int
+    capacity: float
+    deaths: list[tuple[int, str]]
+    sample: tuple[list[int], list[float], float] | None
+    seconds: float
+
+
+def resolve_injector(faults: FaultPlan | FaultInjector | None,
+                     ) -> FaultInjector | None:
+    """A plan gets a fresh injector, an injector is used as given, and
+    ``None`` falls back to the globally installed one (if any)."""
+    if faults is None:
+        return faults_mod.injector()
+    if isinstance(faults, FaultInjector):
+        return faults
+    return FaultInjector(faults)
+
+
+def sample_schedule(rules: FleetRules) -> tuple[bool, ...]:
+    """Which steps the active sampler's cadence gate will accept."""
+    if not obs.timeseries_enabled():
+        return (False,) * rules.steps
+    step_days = rules.config.step_days
+    return tuple(obs.timeseries().schedule(
+        float((step + 1) * step_days) for step in range(rules.steps)))
+
+
+def walk_shard(task: ShardTask, rules: FleetRules | None = None,
+               injector: FaultInjector | None = None,
+               ) -> Iterator[ShardStep]:
+    """Step devices ``[start, stop)`` to the horizon, one yield per step.
+
+    The only step loop of the fleet model. It replays the canonical RNG
+    walk over the *whole* fleet (the hardware fork per device index, the
+    whole-fleet AFR array per step, the whole-fleet load-factor draw)
+    and slices its own range out of it, so the streams a device sees do
+    not depend on the layout. It touches no observability singleton:
+    :func:`assemble_fleet` turns the yielded partials into telemetry.
+
+    ``injector`` schedules ``fleet.step`` device losses, which pick the
+    first N alive devices fleet-wide in index order — deterministic by
+    construction and independent of any RNG stream — so it is only
+    meaningful on the whole-fleet range.
+    """
+    config = task.config
+    mode = task.mode
+    if rules is None:
+        rules = FleetRules(config, mode)
+    if injector is not None and (task.start, task.stop) != (0, config.devices):
+        raise ConfigError(
+            "fleet.step faults pick victims fleet-wide; walk the whole "
+            f"fleet, not [{task.start}, {task.stop})")
+    rng = make_rng(task.seed)
+    hardware_rng = fork_rng(rng, "hardware")
+    afr_rng = fork_rng(rng, "afr", mode)
+    load_rng = fork_rng(rng, "load")
+    devices = rules.build_devices(hardware_rng, task.start, task.stop)
+    load_factors = rules.load_factors(load_rng)
+
+    floor = rules.floor_bytes()
+    step_failure_prob = rules.step_failure_prob
+    original_daily_bytes = rules.original_daily_bytes
+    advertised_bytes = rules.advertised_bytes
+    n_census = rules.reuse_ceiling + 2
+    census_scratch = [0] * n_census
+
+    for step in range(rules.steps):
+        step_start = _time.perf_counter()
+        deaths: list[tuple[int, str]] = []
+        if injector is not None:
+            spec = injector.check("fleet.step", mode=mode, step=step + 1,
+                                  day=float((step + 1) * config.step_days))
+            if spec is not None:
+                to_kill = int(spec.args.get("devices", 1))
+                for index, dev in enumerate(devices):
+                    if to_kill <= 0:
+                        break
+                    if not dev.alive:
+                        continue
+                    dev.alive = False
+                    to_kill -= 1
+                    injector.record_degraded("fleet_device_loss")
+                    deaths.append((index, "injected"))
+        # SMART production (census + wear collection) happens only on
+        # steps the cadence gate will sample.
+        pending = task.pending[step]
+        if pending:
+            census = [0] * n_census
+            wears: list[float] = []
+            burn_total = 0.0
+        afr_draws = afr_rng.random(config.devices)
+        total_capacity = 0.0
+        alive_count = 0
+        for index, dev in enumerate(devices, task.start):
+            if not dev.alive:
+                continue
+            if afr_draws[index] < step_failure_prob:
+                dev.alive = False
+                deaths.append((index, "afr"))
+                continue
+            adv = advertised_bytes(dev, census_scratch if pending else None)
+            if adv <= floor or adv <= 0.0:
+                dev.alive = False
+                deaths.append((index, "wear"))
+                continue
+            if pending:
+                # Commit the surviving device's census and (entry) wear
+                # to this sample.
+                for i in range(n_census):
+                    census[i] += census_scratch[i]
+                wears.append(dev.wear)
+            # Advance wear through this step at the current live
+            # capacity.
+            raw = rules.in_service_raw_bytes(adv)
+            written = (config.step_days * original_daily_bytes
+                       * load_factors[index])
+            burn = written * config.write_amplification / raw
+            dev.wear += burn
+            if pending:
+                burn_total += burn
+            alive_count += 1
+            total_capacity += adv
+        yield ShardStep(alive_count, total_capacity, deaths,
+                        (census, wears, burn_total) if pending else None,
+                        _time.perf_counter() - step_start)
+
+
+def assemble_fleet(rules: FleetRules,
+                   shards: Sequence[Iterable[ShardStep]],
+                   ) -> tuple[FleetResult, list[float]]:
+    """Sum per-range steps shard-major into a result and its telemetry.
+
+    ``shards`` holds one iterable of :class:`ShardStep` per device range,
+    in layout order — a live :func:`walk_shard` or the list a pool worker
+    shipped back; they are stepped in lockstep, so a live walk's injector
+    advances its fault counters between samples. Integer series sum
+    exactly; float series are ordered shard-partial sums (ranges are
+    contiguous and ascending, so shard-major order is device order). This
+    is the only code that publishes fleet metrics, trace events, SMART
+    probes and the summary series.
+
+    Returns the result and the seconds each range spent walking.
+    """
+    config, mode = rules.config, rules.mode
+    # Bound once; with observability disabled the per-step cost is a
+    # handful of ``is None`` checks (docs/OBSERVABILITY.md's 5% budget).
+    instr = fleet_instruments(mode) if obs.metrics_enabled() else None
+    tracer = obs.tracer() if obs.tracing_enabled() else None
+    sampler = obs.timeseries() if obs.timeseries_enabled() else None
+    steps = rules.steps
+    days = np.zeros(steps)
+    functioning = np.zeros(steps, dtype=np.int64)
+    capacity = np.zeros(steps)
+    lost = np.zeros(steps)
+    death_day: list[float] = [np.inf] * config.devices
+    walk_seconds = [0.0] * len(shards)
+    previous_capacity = rules.adv0_bytes * config.devices
+    n_census = rules.reuse_ceiling + 2
+
+    day_now = [0.0]
+    previous_clock = None
+    if tracer is not None:
+        # The fleet model is the time authority while it runs: stamp
+        # trace records with the simulated day rather than wall clock.
+        previous_clock = tracer.set_clock(lambda: day_now[0])
+    # Timeseries probes: fleet aggregates plus population SMART health,
+    # labelled by mode so per-mode runs sharing one sampler stay distinct.
+    smart_state: dict[str, float] = {}
+    probe_handles: list = []
+    if sampler is not None:
+        smart_state, probe_handles = _register_fleet_probes(
+            sampler, mode, rules.reuse_ceiling)
+    try:
+        for step, parts in enumerate(zip(*shards)):
+            day = (step + 1) * config.step_days
+            day_f = float(day)
+            day_now[0] = day_f
+            alive_count = 0
+            total_capacity = 0.0
+            step_wall = 0.0
+            for shard, (alive, adv, deaths, _, seconds) in enumerate(parts):
+                alive_count += alive
+                total_capacity += adv
+                step_wall += seconds
+                walk_seconds[shard] += seconds
+                for index, cause in deaths:
+                    death_day[index] = day
+                    if instr is not None:
+                        instr.device_deaths.labels(mode=mode,
+                                                   cause=cause).inc()
+                    if tracer is not None:
+                        tracer.event("fleet.device_death", mode=mode,
+                                     device=index, day=day, cause=cause)
+            days[step] = day
+            functioning[step] = alive_count
+            capacity[step] = total_capacity
+            lost[step] = max(0.0, previous_capacity - total_capacity)
+            previous_capacity = total_capacity
+            if instr is not None:
+                instr.step_duration.observe(step_wall)
+                instr.devices_functioning.set(alive_count)
+                instr.capacity_bytes.set(total_capacity)
+                instr.capacity_lost_bytes.inc(float(lost[step]))
+            if parts[0].sample is not None:  # every range, or none
+                census = [0] * n_census
+                wears: list[float] = []
+                burn_total = 0.0
+                for part in parts:
+                    shard_census, shard_wears, shard_burn = part.sample
+                    for i in range(n_census):
+                        census[i] += shard_census[i]
+                    wears.extend(shard_wears)
+                    burn_total += shard_burn
+                wears.sort()
+                _fill_smart_sample(smart_state, rules, alive_count,
+                                   total_capacity, float(lost[step]),
+                                   census, wears, burn_total)
+                sampler.maybe_sample(day_f)
+    finally:
+        # The probes close over this run's state and the clock over its
+        # day: detach both so a sampler or tracer shared with whatever
+        # runs next never reads a finished fleet.
+        for handle in probe_handles:
+            handle.remove()
+        if tracer is not None:
+            tracer.set_clock(previous_clock)
+
+    result = FleetResult(
+        mode=mode,
+        days=days,
+        functioning=functioning,
+        capacity_bytes=capacity,
+        capacity_lost_bytes=lost,
+        # From a list on purpose: an all-dead fleet stays an integer
+        # array, which is how the artifacts have always printed it.
+        death_day=np.array(death_day),
+        initial_capacity_bytes=rules.adv0_bytes * config.devices,
+    )
+    if sampler is not None:
+        # Scalar outcomes the claim checker reads directly (stamped at
+        # the horizon so the series stays monotone in time).
+        _record_fleet_summary(sampler, result)
+    return result, walk_seconds
+
+
 def simulate_fleet(config: FleetConfig, mode: str,
                    seed: int | np.random.Generator | None = None,
                    rber_model: RBERModel | None = None,
                    faults: FaultPlan | FaultInjector | None = None,
                    ) -> FleetResult:
-    """Run one fleet under one device discipline.
+    """Run one fleet under one device discipline, in this process.
+
+    The one-shard layout: :func:`walk_shard` over ``[0, devices)``,
+    stepped by :func:`assemble_fleet`. ``config.shards`` is ignored.
 
     Pass the same ``seed`` for every mode to compare disciplines on
     identical hardware draws (the AFR stream is forked per mode from the
@@ -496,179 +773,9 @@ def simulate_fleet(config: FleetConfig, mode: str,
     count), an explicit :class:`~repro.faults.FaultInjector` is used as
     given, and ``None`` falls back to the globally installed injector.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if faults is None:
-        injector = faults_mod.injector()
-    elif isinstance(faults, FaultInjector):
-        injector = faults
-    else:
-        injector = FaultInjector(faults)
-    # Bound once; with observability disabled the per-step cost is a single
-    # ``is None`` check (the 5% overhead budget in docs/OBSERVABILITY.md).
-    instr = fleet_instruments(mode) if obs.metrics_enabled() else None
-    tracer = obs.tracer() if obs.tracing_enabled() else None
-    sampler = obs.timeseries() if obs.timeseries_enabled() else None
-    day_now = [0.0]
-    if tracer is not None:
-        # The fleet model is the time authority here: stamp trace records
-        # with the simulated day rather than wall clock.
-        tracer.set_clock(lambda: day_now[0])
-    rng = make_rng(seed)
     rules = FleetRules(config, mode, rber_model)
-
-    hardware_rng = fork_rng(rng, "hardware")
-    afr_rng = fork_rng(rng, "afr", mode)
-    load_rng = fork_rng(rng, "load")
-    devices = rules.build_devices(hardware_rng)
-    load_factors = rules.load_factors(load_rng)
-
-    adv0_bytes = rules.adv0_bytes
-    original_daily_bytes = rules.original_daily_bytes
-    step_failure_prob = rules.step_failure_prob
-    advertised_bytes = rules.advertised_bytes
-    floor = rules.floor_bytes()
-
-    steps = rules.steps
-    days = np.zeros(steps)
-    functioning = np.zeros(steps, dtype=np.int64)
-    capacity = np.zeros(steps)
-    lost = np.zeros(steps)
-    previous_capacity = adv0_bytes * config.devices
-
-    # Timeseries probes: fleet aggregates plus population SMART health,
-    # labelled by mode so per-mode runs sharing one sampler stay distinct.
-    # Probes read ``smart_state``, which the step loop fills only on
-    # steps the sampler's cadence gate will actually sample
-    # (``sampler.due``) — the census piggybacks on the searchsorted
-    # calls ``advertised_bytes`` makes anyway, so sampling at the
-    # default cadence costs a few percent, and non-sample steps pay one
-    # ``due()`` call.
-    probe_handles: list = []
-    reuse_ceiling = rules.reuse_ceiling
-    smart_state: dict[str, float] = {}
-    if sampler is not None:
-        smart_state, probe_handles = _register_fleet_probes(
-            sampler, mode, reuse_ceiling)
-
-    census_scratch = [0] * (reuse_ceiling + 2)
-    n_census = reuse_ceiling + 2
-    try:
-        for step in range(steps):
-            step_start = _time.perf_counter() if instr is not None else 0.0
-            day = (step + 1) * config.step_days
-            day_f = float(day)
-            day_now[0] = day_f
-            if injector is not None:
-                # One site hit per fleet step; ``device_loss`` kills the
-                # first N alive devices in index order — deterministic by
-                # construction, independent of any RNG stream, so the AFR
-                # and hardware draws downstream are unperturbed.
-                spec = injector.check("fleet.step", mode=mode,
-                                      step=step + 1, day=day_f)
-                if spec is not None:
-                    to_kill = int(spec.args.get("devices", 1))
-                    for index, dev in enumerate(devices):
-                        if to_kill <= 0:
-                            break
-                        if not dev.alive:
-                            continue
-                        dev.alive = False
-                        dev.death_day = day
-                        to_kill -= 1
-                        injector.record_degraded("fleet_device_loss")
-                        if instr is not None:
-                            instr.device_deaths.labels(
-                                mode=mode, cause="injected").inc()
-                        if tracer is not None:
-                            tracer.event("fleet.device_death", mode=mode,
-                                         device=index, day=day,
-                                         cause="injected")
-            # SMART production (census + wear collection) happens only
-            # on steps the cadence gate will sample.
-            pending = sampler is not None and sampler.due(day_f)
-            if pending:
-                census = [0] * n_census
-                wears: list[float] = []
-                burn_total = 0.0
-            afr_draws = afr_rng.random(config.devices)
-            total_capacity = 0.0
-            alive_count = 0
-            for index, dev in enumerate(devices):
-                if not dev.alive:
-                    continue
-                if afr_draws[index] < step_failure_prob:
-                    dev.alive = False
-                    dev.death_day = day
-                    if instr is not None:
-                        instr.device_deaths.labels(mode=mode,
-                                                   cause="afr").inc()
-                    if tracer is not None:
-                        tracer.event("fleet.device_death", mode=mode,
-                                     device=index, day=day, cause="afr")
-                    continue
-                adv = advertised_bytes(
-                    dev, census_scratch if pending else None)
-                if adv <= floor or adv <= 0.0:
-                    dev.alive = False
-                    dev.death_day = day
-                    if instr is not None:
-                        instr.device_deaths.labels(mode=mode,
-                                                   cause="wear").inc()
-                    if tracer is not None:
-                        tracer.event("fleet.device_death", mode=mode,
-                                     device=index, day=day, cause="wear")
-                    continue
-                if pending:
-                    # Commit the surviving device's census and (entry)
-                    # wear to this sample.
-                    for i in range(n_census):
-                        census[i] += census_scratch[i]
-                    wears.append(dev.wear)
-                # Advance wear through this step at the current live
-                # capacity.
-                raw = rules.in_service_raw_bytes(adv)
-                written = (config.step_days * original_daily_bytes
-                           * load_factors[index])
-                burn = written * config.write_amplification / raw
-                dev.wear += burn
-                if pending:
-                    burn_total += burn
-                alive_count += 1
-                total_capacity += adv
-            days[step] = day
-            functioning[step] = alive_count
-            capacity[step] = total_capacity
-            lost[step] = max(0.0, previous_capacity - total_capacity)
-            previous_capacity = total_capacity
-            if instr is not None:
-                instr.step_duration.observe(_time.perf_counter() - step_start)
-                instr.devices_functioning.set(alive_count)
-                instr.capacity_bytes.set(total_capacity)
-                instr.capacity_lost_bytes.inc(float(lost[step]))
-            if pending:
-                wears.sort()
-                _fill_smart_sample(smart_state, rules, alive_count,
-                                   total_capacity, float(lost[step]),
-                                   census, wears, burn_total)
-                sampler.maybe_sample(day_f)
-    finally:
-        # The probes close over this run's device list; detach them so a
-        # sampler shared across sequential runs never reads dead state.
-        for handle in probe_handles:
-            handle.remove()
-
-    result = FleetResult(
-        mode=mode,
-        days=days,
-        functioning=functioning,
-        capacity_bytes=capacity,
-        capacity_lost_bytes=lost,
-        death_day=np.array([d.death_day for d in devices]),
-        initial_capacity_bytes=adv0_bytes * config.devices,
-    )
-    if sampler is not None:
-        # Scalar outcomes the claim checker reads directly (stamped at
-        # the horizon so the series stays monotone in time).
-        _record_fleet_summary(sampler, result)
+    injector = resolve_injector(faults)
+    task = ShardTask(config, mode, seed, 0, config.devices,
+                     sample_schedule(rules))
+    result, _ = assemble_fleet(rules, [walk_shard(task, rules, injector)])
     return result

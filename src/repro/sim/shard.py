@@ -1,37 +1,35 @@
-"""Sharded, process-parallel fleet data path with deterministic merge.
+"""Sharded, process-parallel fleet runner.
 
 :func:`repro.sim.parallel` parallelises *across* runs (one task per
 (config, mode, seed)); this module parallelises *inside* one run by
 partitioning the device population into contiguous **failure-domain
-shards** and simulating each shard in its own worker process. The
-merged result is bit-identical to a serial run for any ``--jobs``
-value, by the same discipline the sweep runner established:
+shards** and walking each shard in its own worker process. It owns the
+layout, the fork pool and the ``repro_shard_*`` instruments and nothing
+else: the step loop is :func:`repro.sim.fleet.walk_shard` and the merge
+is :func:`repro.sim.fleet.assemble_fleet`, the same two functions
+:func:`~repro.sim.fleet.simulate_fleet` runs on the one-shard layout.
 
 * the shard layout is a pure function of ``(devices, shards)`` —
   contiguous balanced slices, enumerated in one canonical order;
-* every worker replays the *full* canonical RNG walk
-  (``fork_rng(rng, "hardware")`` over all device indexes, the
-  whole-fleet AFR array per step, the whole-fleet load-factor draw)
-  and merely *slices* its own device range out of it, so the streams a
-  device sees are independent of the shard layout and worker count;
-* per-device step math goes through the same
-  :class:`repro.sim.fleet.FleetRules` instance methods as the serial
-  loop — the two paths share code, not just intent;
-* the coordinator merges shard outputs in canonical shard-major order
+* every walk replays the *full* canonical RNG walk and merely *slices*
+  its own device range out of it, so the streams a device sees are
+  independent of the shard layout and worker count;
+* the coordinator assembles shard steps in canonical shard-major order
   and drives telemetry (metrics, timeseries, tracing) itself; workers
   never export telemetry.
 
 Determinism contract (docs/SHARDING.md): artifacts are byte-identical
-across ``--jobs`` for a *fixed* shard count, and ``shards=1``
-reproduces the serial path bit-for-bit. Different shard counts give
-float-level (``allclose``) agreement only, because per-step capacity
-sums are ordered shard-partial sums — which is why ``shards`` lives in
+across ``--jobs`` for a *fixed* shard count, and ``shards=1`` is the
+``simulate_fleet`` layout. Different shard counts give float-level
+(``allclose``) agreement only, because per-step capacity sums are
+ordered shard-partial sums — which is why ``shards`` lives in
 :class:`~repro.sim.fleet.FleetConfig` (and thus in the artifact) while
 ``jobs`` does not.
 
 Injected faults (``fleet.step`` device losses) couple shards globally
 ("kill the first N alive devices in index order"), so a run with an
-active fault plan falls back to the serial path with a warning.
+active fault plan is walked as one shard, with a warning when more
+were asked for.
 """
 
 from __future__ import annotations
@@ -39,24 +37,24 @@ from __future__ import annotations
 import multiprocessing
 import time as _time
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro import faults as faults_mod
 from repro import obs
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan
-from repro.obs.instruments import fleet_instruments, shard_instruments
-from repro.rng import DEFAULT_SEED, fork_rng, make_rng
+from repro.obs.instruments import shard_instruments
+from repro.rng import DEFAULT_SEED
 from repro.sim.fleet import (
     FleetConfig,
     FleetResult,
     FleetRules,
-    MODES,
-    _fill_smart_sample,
-    _record_fleet_summary,
-    _register_fleet_probes,
+    ShardStep,
+    ShardTask,
+    assemble_fleet,
+    resolve_injector,
+    sample_schedule,
+    walk_shard,
 )
 from repro.sim.parallel import parallel_map
 
@@ -85,143 +83,17 @@ def partition_devices(devices: int, shards: int) -> list[tuple[int, int]]:
     return layout
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """One shard's work order, picklable for fork-pool dispatch.
+def run_shard_task(task: ShardTask) -> list[ShardStep]:
+    """Pool worker entry point: walk one device range to the horizon.
 
-    ``pending`` is the coordinator-computed timeseries sample schedule
-    (one bool per step): workers produce census/wear material exactly
-    for the steps the serial loop would have sampled, and nothing
-    else. ``timing`` asks for per-step wall clocks (only when the
-    coordinator has metrics enabled).
-    """
-
-    config: FleetConfig
-    mode: str
-    seed: int
-    start: int
-    stop: int
-    pending: tuple[bool, ...]
-    timing: bool = False
-
-
-@dataclass
-class ShardOutput:
-    """One shard's merged-ready partials, in device-index order.
-
-    ``capacity`` holds the shard's *ordered partial sums* per step;
-    ``deaths`` is ``(step, device_index, cause)`` tuples in the order
-    the serial loop would have discovered them; ``telemetry`` carries
-    one ``(census, wears, burn_total)`` triple per sampled step.
-    """
-
-    start: int
-    stop: int
-    functioning: np.ndarray
-    capacity: np.ndarray
-    death_day: np.ndarray
-    deaths: list[tuple[int, int, str]]
-    telemetry: list[tuple[list[int], list[float], float]]
-    step_seconds: np.ndarray | None
-    wall_s: float
-
-
-def run_shard_task(task: ShardTask) -> ShardOutput:
-    """Worker entry point: simulate one failure-domain shard.
-
-    Replays the canonical RNG walk over the whole fleet and evaluates
-    only the devices in ``[start, stop)`` through the shared
-    :class:`~repro.sim.fleet.FleetRules` math. Observability is
-    disabled in pool children (the coordinator merges results, not
-    telemetry); when called in-process the simulation never touches
-    the singletons anyway.
+    Observability is disabled in pool children (the coordinator
+    assembles results, workers never export telemetry); the walk itself
+    touches no singleton, so an in-process call leaves the caller's
+    state alone.
     """
     if multiprocessing.parent_process() is not None:
         obs.disable()
-    wall_start = _time.perf_counter()
-    config = task.config
-    rules = FleetRules(config, task.mode)
-    rng = make_rng(task.seed)
-    hardware_rng = fork_rng(rng, "hardware")
-    afr_rng = fork_rng(rng, "afr", task.mode)
-    load_rng = fork_rng(rng, "load")
-    devices = rules.build_devices(hardware_rng, task.start, task.stop)
-    load_factors = rules.load_factors(load_rng)
-
-    floor = rules.floor_bytes()
-    step_failure_prob = rules.step_failure_prob
-    original_daily_bytes = rules.original_daily_bytes
-    advertised_bytes = rules.advertised_bytes
-    steps = rules.steps
-    n_census = rules.reuse_ceiling + 2
-    census_scratch = [0] * n_census
-
-    functioning = np.zeros(steps, dtype=np.int64)
-    capacity = np.zeros(steps)
-    deaths: list[tuple[int, int, str]] = []
-    telemetry: list[tuple[list[int], list[float], float]] = []
-    step_seconds = np.zeros(steps) if task.timing else None
-
-    for step in range(steps):
-        step_start = _time.perf_counter() if task.timing else 0.0
-        day = (step + 1) * config.step_days
-        pending = task.pending[step]
-        if pending:
-            census = [0] * n_census
-            wears: list[float] = []
-            burn_total = 0.0
-        # Whole-fleet draw, sliced: the stream a device consumes is
-        # identical whatever shard it landed in.
-        afr_draws = afr_rng.random(config.devices)
-        total_capacity = 0.0
-        alive_count = 0
-        for offset, dev in enumerate(devices):
-            index = task.start + offset
-            if not dev.alive:
-                continue
-            if afr_draws[index] < step_failure_prob:
-                dev.alive = False
-                dev.death_day = day
-                deaths.append((step, index, "afr"))
-                continue
-            adv = advertised_bytes(
-                dev, census_scratch if pending else None)
-            if adv <= floor or adv <= 0.0:
-                dev.alive = False
-                dev.death_day = day
-                deaths.append((step, index, "wear"))
-                continue
-            if pending:
-                for i in range(n_census):
-                    census[i] += census_scratch[i]
-                wears.append(dev.wear)
-            raw = rules.in_service_raw_bytes(adv)
-            written = (config.step_days * original_daily_bytes
-                       * load_factors[index])
-            burn = written * config.write_amplification / raw
-            dev.wear += burn
-            if pending:
-                burn_total += burn
-            alive_count += 1
-            total_capacity += adv
-        functioning[step] = alive_count
-        capacity[step] = total_capacity
-        if pending:
-            telemetry.append((census, wears, burn_total))
-        if step_seconds is not None:
-            step_seconds[step] = _time.perf_counter() - step_start
-
-    return ShardOutput(
-        start=task.start,
-        stop=task.stop,
-        functioning=functioning,
-        capacity=capacity,
-        death_day=np.array([d.death_day for d in devices]),
-        deaths=deaths,
-        telemetry=telemetry,
-        step_seconds=step_seconds,
-        wall_s=_time.perf_counter() - wall_start,
-    )
+    return list(walk_shard(task))
 
 
 def simulate_fleet_sharded(config: FleetConfig, mode: str,
@@ -232,20 +104,20 @@ def simulate_fleet_sharded(config: FleetConfig, mode: str,
     """Run one fleet sharded across ``jobs`` worker processes.
 
     Drop-in for :func:`~repro.sim.fleet.simulate_fleet` under the
-    determinism contract above: ``shards=1`` (for any ``jobs``) is
-    bit-identical to the serial path; a fixed ``shards`` is
-    bit-identical across ``jobs``. ``shards`` defaults to
-    ``config.shards``. ``seed`` must be an int (or None for the
-    default) — a live ``Generator`` cannot be replayed inside workers.
+    determinism contract above: ``shards=1`` (for any ``jobs``) is the
+    same walk and the same result; a fixed ``shards`` is bit-identical
+    across ``jobs``. ``shards`` defaults to ``config.shards``. ``seed``
+    must be an int (or None for the default) — a live ``Generator``
+    cannot be replayed inside workers.
 
-    A run with an active fault plan (the ``faults`` argument or a
-    globally installed injector) falls back to the serial path with a
-    :class:`RuntimeWarning`: injected ``fleet.step`` device losses
-    pick victims across the whole fleet in index order, a coupling no
-    shard can resolve locally.
+    An active fault plan (the ``faults`` argument or a globally
+    installed injector) forces the one-shard layout, walked in this
+    process: injected ``fleet.step`` device losses pick victims across
+    the whole fleet in index order, a coupling no shard can resolve
+    locally. Asking for more shards than that raises a
+    :class:`RuntimeWarning`.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    rules = FleetRules(config, mode)
     shards = config.shards if shards is None else shards
     if shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards!r}")
@@ -253,139 +125,44 @@ def simulate_fleet_sharded(config: FleetConfig, mode: str,
         raise ConfigError(
             "simulate_fleet_sharded needs an int seed (workers replay "
             "the RNG walk from it); pass the seed, not a Generator")
-    if faults is not None or faults_mod.injector() is not None:
-        from repro.sim.fleet import simulate_fleet
-
+    seed = DEFAULT_SEED if seed is None else int(seed)
+    injector = resolve_injector(faults)
+    if injector is not None and shards > 1:
         warnings.warn(
             "an active fault plan couples shards globally; falling "
             "back to the serial fleet path (results are identical)",
             RuntimeWarning, stacklevel=2)
-        return simulate_fleet(config, mode, seed=seed, faults=faults)
-    seed = DEFAULT_SEED if seed is None else int(seed)
-
-    instr = fleet_instruments(mode) if obs.metrics_enabled() else None
+        shards = 1
     shard_instr = shard_instruments() if obs.metrics_enabled() else None
-    tracer = obs.tracer() if obs.tracing_enabled() else None
-    sampler = obs.timeseries() if obs.timeseries_enabled() else None
-    day_now = [0.0]
-    if tracer is not None:
-        tracer.set_clock(lambda: day_now[0])
 
-    rules = FleetRules(config, mode)
-    steps = rules.steps
-    days_list = [float((step + 1) * config.step_days)
-                 for step in range(steps)]
-    pending = (tuple(sampler.schedule(days_list)) if sampler is not None
-               else (False,) * steps)
-
+    pending = sample_schedule(rules)
     layout = partition_devices(config.devices, shards)
-    tasks = [ShardTask(config=config, mode=mode, seed=seed,
-                       start=start, stop=stop, pending=pending,
-                       timing=instr is not None)
+    tasks = [ShardTask(config, mode, seed, start, stop, pending)
              for start, stop in layout]
-    outputs = parallel_map(run_shard_task, tasks, jobs=jobs)
-
-    merge_start = _time.perf_counter()
-    smart_state: dict[str, float] = {}
-    probe_handles: list = []
-    if sampler is not None:
-        smart_state, probe_handles = _register_fleet_probes(
-            sampler, mode, rules.reuse_ceiling)
-    try:
-        days = np.zeros(steps)
-        functioning = np.zeros(steps, dtype=np.int64)
-        capacity = np.zeros(steps)
-        lost = np.zeros(steps)
-        # Canonical shard-major merge: integer series sum exactly;
-        # float series are ordered shard-partial sums (the layout is
-        # part of the config, so the order is a pure function of it).
-        for output in outputs:
-            functioning += output.functioning
-            capacity += output.capacity
-        deaths_by_step: list[list[tuple[int, str]]] = \
-            [[] for _ in range(steps)]
-        for output in outputs:
-            for step, index, cause in output.deaths:
-                deaths_by_step[step].append((index, cause))
-        previous_capacity = rules.adv0_bytes * config.devices
-        n_census = rules.reuse_ceiling + 2
-        sample_cursor = [0] * len(outputs)
-        for step in range(steps):
-            day = (step + 1) * config.step_days
-            day_f = days_list[step]
-            day_now[0] = day_f
-            days[step] = day
-            lost[step] = max(0.0, previous_capacity - capacity[step])
-            previous_capacity = capacity[step]
-            # Deaths were appended per shard in device-index order and
-            # shards are contiguous ascending slices, so the shard-major
-            # walk replays the serial discovery order.
-            for index, cause in deaths_by_step[step]:
-                if instr is not None:
-                    instr.device_deaths.labels(mode=mode,
-                                               cause=cause).inc()
-                if tracer is not None:
-                    tracer.event("fleet.device_death", mode=mode,
-                                 device=index, day=day, cause=cause)
-            if instr is not None:
-                step_wall = sum(
-                    float(output.step_seconds[step]) for output in outputs
-                    if output.step_seconds is not None)
-                instr.step_duration.observe(step_wall)
-                instr.devices_functioning.set(int(functioning[step]))
-                instr.capacity_bytes.set(float(capacity[step]))
-                instr.capacity_lost_bytes.inc(float(lost[step]))
-            if pending[step] and sampler is not None:
-                census = [0] * n_census
-                wears: list[float] = []
-                burn_total = 0.0
-                for shard_index, output in enumerate(outputs):
-                    shard_census, shard_wears, shard_burn = \
-                        output.telemetry[sample_cursor[shard_index]]
-                    sample_cursor[shard_index] += 1
-                    for i in range(n_census):
-                        census[i] += shard_census[i]
-                    wears.extend(shard_wears)
-                    burn_total += shard_burn
-                wears.sort()
-                _fill_smart_sample(smart_state, rules,
-                                   int(functioning[step]),
-                                   float(capacity[step]),
-                                   float(lost[step]),
-                                   census, wears, burn_total)
-                sampler.maybe_sample(day_f)
-    finally:
-        for handle in probe_handles:
-            handle.remove()
-
-    result = FleetResult(
-        mode=mode,
-        days=days,
-        functioning=functioning,
-        capacity_bytes=capacity,
-        capacity_lost_bytes=lost,
-        death_day=np.concatenate([output.death_day
-                                  for output in outputs])
-        if outputs else np.zeros(0),
-        initial_capacity_bytes=rules.adv0_bytes * config.devices,
-    )
-    if sampler is not None:
-        _record_fleet_summary(sampler, result)
+    live = len(tasks) == 1
+    if live:
+        # One range is stepped live by the assembler — the
+        # ``simulate_fleet`` layout — so an injector's counters advance
+        # between samples.
+        walks = [walk_shard(tasks[0], rules, injector)]
+    else:
+        walks = parallel_map(run_shard_task, tasks, jobs=jobs)
+    assemble_start = _time.perf_counter()
+    result, walk_seconds = assemble_fleet(rules, walks)
     if shard_instr is not None:
-        merge_wall = _time.perf_counter() - merge_start
-        shard_instr.merge_duration.observe(merge_wall)
-        for shard_index, output in enumerate(outputs):
+        assemble_wall = _time.perf_counter() - assemble_start
+        if live:
+            assemble_wall -= walk_seconds[0]  # the walk ran inside it
+        shard_instr.merge_duration.observe(assemble_wall)
+        for shard_index, (start, stop) in enumerate(layout):
             label = str(shard_index)
             shard_instr.tick_duration.labels(shard=label).observe(
-                output.wall_s)
-            shard_instr.shard_devices.labels(shard=label).set(
-                output.stop - output.start)
+                walk_seconds[shard_index])
+            shard_instr.shard_devices.labels(shard=label).set(stop - start)
     return result
 
 
 __all__ = [
-    "ShardOutput",
-    "ShardTask",
     "partition_devices",
     "run_shard_task",
     "simulate_fleet_sharded",

@@ -1,11 +1,8 @@
-"""Sharded staged-IO dispatch (ClusterTicker) determinism.
+"""Staged-IO dispatch (ClusterTicker) determinism.
 
-The cluster contract is *stronger* than the fleet one: shard
-boundaries partition the staged queues contiguously in staging order
-and dispatch walks them shard-major, so the global queue traversal —
-and therefore every chunk payload, namespace record, wear counter, and
-RNG stream — is bit-identical for **any** shard count, not just a
-fixed one (docs/SHARDING.md).
+Staged vectors keep per-device submission order and queues dispatch in
+staging order, so every chunk payload, namespace record, wear counter
+and RNG stream of the batched path is bit-identical to the direct one.
 """
 
 import hashlib
@@ -13,10 +10,8 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.difs.cluster import Cluster, ClusterConfig
 from repro.difs.ticker import ClusterTicker
-from repro.errors import ConfigError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
@@ -54,22 +49,13 @@ def _run_cluster(**overrides) -> str:
     }, indent=1, sort_keys=True, default=str)
 
 
-class TestShardedDispatchIdentity:
+class TestBatchedDispatchIdentity:
     @pytest.fixture(scope="class")
     def direct_state(self):
         return _run_cluster(queue_depth=0)
 
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_any_shard_count_matches_direct_path(self, direct_state,
-                                                 shards):
-        batched = _run_cluster(queue_depth=8, io_batch_chunks=8,
-                               shards=shards)
-        assert batched == direct_state
-
-    def test_shards_beyond_queue_count_are_harmless(self, direct_state):
-        # More shards than staged queues: tail shards dispatch nothing.
-        batched = _run_cluster(queue_depth=8, io_batch_chunks=8,
-                               shards=64)
+    def test_batched_matches_direct_path(self, direct_state):
+        batched = _run_cluster(queue_depth=8, io_batch_chunks=8)
         assert batched == direct_state
 
 
@@ -79,20 +65,3 @@ class TestTickerMechanics:
         assert ticker.note_chunk_staged() is False
         assert ticker.dispatch() == []
         assert not ticker.staged
-
-    def test_config_shards_validated(self):
-        with pytest.raises(ConfigError):
-            ClusterConfig(shards=0)
-
-    def test_shard_instruments_cover_dispatch(self):
-        obs.disable()
-        registry = obs.enable_metrics()
-        try:
-            _run_cluster(queue_depth=8, io_batch_chunks=8, shards=2)
-            names = {family["name"]
-                     for family in registry.to_dict()["metrics"]}
-        finally:
-            obs.disable()
-        assert "repro_shard_tick_seconds" in names
-        assert "repro_shard_merge_seconds" in names
-        assert "repro_shard_devices" in names

@@ -12,6 +12,7 @@ import pytest
 from repro import obs
 from repro.difs.cluster import Cluster, ClusterConfig
 from repro.flash.geometry import FlashGeometry
+from repro.flash.rber import PowerLawRBER
 from repro.sim.fleet import FleetConfig, simulate_fleet
 from repro.workloads.generators import stamp_payload
 
@@ -170,6 +171,28 @@ class TestFleetLayer:
         assert times == sorted(times)
         assert all(0.0 <= t <= config.horizon_days for t in times)
         assert {r.attrs["cause"] for r in deaths} == {"wear"}
+
+    def test_tracer_clock_is_handed_back(self, scoped_obs):
+        # The fleet borrows the tracer's clock for the run only: later
+        # spans (the probe sidecar, the next scenario stage) must read
+        # the caller's clock again, not the last fleet day.
+        _, tracer = scoped_obs
+        tracer.set_clock(lambda: 42.0)
+        config = FleetConfig(
+            devices=4,
+            geometry=FlashGeometry(blocks=16, fpages_per_block=16),
+            horizon_days=100, step_days=20)
+        simulate_fleet(config, "shrink", seed=7)
+        assert obs.tracer().now() == 42.0
+
+        class Broken(PowerLawRBER):
+            def rber(self, pec):
+                raise RuntimeError("model exploded mid-walk")
+
+        with pytest.raises(RuntimeError, match="exploded"):
+            simulate_fleet(config, "shrink", seed=7,
+                           rber_model=Broken(scale=1e-9, exponent=2.0))
+        assert obs.tracer().now() == 42.0
 
 
 class TestDisabledPath:

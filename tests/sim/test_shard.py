@@ -10,6 +10,10 @@ The headline properties (docs/SHARDING.md):
 
 Everything else here (partition layout, empty shards, fault-plan
 fallback, telemetry equivalence) is a supporting lemma.
+
+``simulate_fleet`` and ``simulate_fleet_sharded`` share their walk and
+their assemble pass, so the serial-equivalence tests guard the layout
+and the merge; ``test_fleet_golden.py`` is the independent reference.
 """
 
 from __future__ import annotations
@@ -131,12 +135,12 @@ class TestJobsInvariance:
         parts = [run_shard_task(ShardTask(
             TINY_CONFIG, "shrink", 77, start, stop, pending))
             for start, stop in partition_devices(TINY_CONFIG.devices, 4)]
-        assert np.array_equal(
-            whole.functioning,
-            np.sum([p.functioning for p in parts], axis=0))
-        assert np.array_equal(
-            whole.death_day,
-            np.concatenate([p.death_day for p in parts]))
+        for step, merged in enumerate(zip(*parts)):
+            assert whole[step].functioning == sum(
+                part.functioning for part in merged)
+            # Shard-major concatenation is device order.
+            assert whole[step].deaths == [
+                death for part in merged for death in part.deaths]
 
 
 class TestValidation:
@@ -196,6 +200,44 @@ class TestFaultFallback:
         serial = simulate_fleet(TINY_CONFIG, "shrink", seed=77,
                                 faults=plan)
         _assert_bit_identical(serial, sharded)
+
+
+    @pytest.mark.parametrize("shards", [None, 1])
+    def test_one_shard_with_a_plan_is_silent(self, shards, recwarn):
+        # Nothing falls back when the layout already is one range:
+        # omitted shards (config.shards == 1) and shards=1 are the
+        # simulate_fleet walk, without a warning.
+        serial = simulate_fleet(TINY_CONFIG, "shrink", seed=77,
+                                faults=LOSS_PLAN)
+        sharded = simulate_fleet_sharded(TINY_CONFIG, "shrink", seed=77,
+                                         faults=LOSS_PLAN, shards=shards,
+                                         jobs=2)
+        assert not recwarn.list
+        _assert_bit_identical(serial, sharded)
+
+    def test_injected_deaths_reach_metrics_and_trace_in_order(self):
+        # Step 3 of this run holds two injected losses and, at afr=0.9,
+        # AFR deaths too: injected come first, then afr by index.
+        config = FleetConfig(**{**TINY_CONFIG.__dict__, "afr": 0.9})
+        obs.disable()
+        registry = obs.enable_metrics()
+        tracer = obs.enable_tracing()
+        try:
+            with pytest.warns(RuntimeWarning, match="fault plan"):
+                simulate_fleet_sharded(config, "shrink", seed=77,
+                                       faults=LOSS_PLAN, shards=3)
+            deaths = registry.get("repro_fleet_device_deaths_total")
+            injected = deaths.labels(mode="shrink", cause="injected").value
+            day30 = [(r.attrs["cause"], r.attrs["device"])
+                     for r in tracer.records() if r.time == 30.0]
+        finally:
+            obs.disable()
+        assert injected == 2
+        causes = [cause for cause, _ in day30]
+        assert causes[:2] == ["injected", "injected"]
+        assert set(causes[2:]) == {"afr"}
+        afr_devices = [device for _, device in day30[2:]]
+        assert afr_devices == sorted(afr_devices)
 
 
 class TestTelemetryEquivalence:

@@ -390,6 +390,28 @@ class TestFleetShards:
             == EXIT_CONFIG_ERROR
         assert "configuration error" in capsys.readouterr().err
 
+    def test_fault_plan_on_one_shard_is_silent_and_identical(
+            self, capsys, tmp_path, recwarn):
+        # A plan forces the one-shard layout; an omitted --shards and
+        # --shards 1 already are that layout, so neither warns.
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "schema": "repro.faults/v1",
+            "events": [{"site": "fleet.step", "fault": "device_loss",
+                        "when": 4, "args": {"devices": 2}}]}))
+        omitted, one = tmp_path / "omitted.json", tmp_path / "s1.json"
+        assert main([*self.ARGS, "--faults", str(plan),
+                     "--out", str(omitted)]) == 0
+        assert main([*self.ARGS, "--faults", str(plan), "--shards", "1",
+                     "--out", str(one)]) == 0
+        assert not [w for w in recwarn.list
+                    if issubclass(w.category, RuntimeWarning)]
+        assert omitted.read_bytes() == one.read_bytes()
+        assert json.loads(one.read_text())["faults"] is not None
+        with pytest.warns(RuntimeWarning, match="fault plan"):
+            assert main([*self.ARGS, "--faults", str(plan), "--shards", "3",
+                         "--out", str(tmp_path / "s3.json")]) == 0
+
 
 class TestTrafficCommand:
     """`repro traffic`: the multi-tenant engine behind the engine/v1

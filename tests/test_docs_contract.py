@@ -8,10 +8,15 @@ attribute of a live instance of one of the classes the document is
 about (the FTL, the chip, a ``SalamanderSSD`` and its minidisk table,
 the cluster and its volume index); a qualified ``Class._name`` must be
 an attribute of that class.
+
+docs/SHARDING.md names the fleet walk by its public dotted names
+(``repro.sim.fleet.walk_shard``, ...); every back-ticked ``repro.*``
+name there must still import.
 """
 
 from __future__ import annotations
 
+import pkgutil
 import re
 from pathlib import Path
 
@@ -24,9 +29,14 @@ from repro.flash.geometry import FlashGeometry
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
 from repro.ssd.ftl import PageMappedFTL
 
-DOCUMENT = Path(__file__).resolve().parent.parent / "docs" / "PERFORMANCE.md"
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+DOCUMENT = DOCS / "PERFORMANCE.md"
+SHARDING = DOCS / "SHARDING.md"
 
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
+#: A dotted public name rooted at the package (``repro.sim.shard.x``),
+#: not a schema id (``repro.sweep/v1``).
+_DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+(?![\w/])")
 #: ``_name``, optionally qualified (``Cluster._name``, ``self._name``).
 _PRIVATE = re.compile(r"(?:\b([A-Za-z]\w*)\.)?(?<!\w)(_[a-z][a-z0-9_]*)")
 
@@ -83,3 +93,33 @@ def test_extractor_flags_a_removed_attribute(subjects):
     assert names == {(None, "_l2p_list"), ("Cluster", "_gone")}
     assert not any(hasattr(subject, "_l2p_list")
                    for subject in subjects.values())
+
+
+def dotted_names(text: str) -> set[str]:
+    return {name for span in _CODE_SPAN.findall(text)
+            for name in _DOTTED.findall(span)}
+
+
+def resolves(dotted: str) -> bool:
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_sharding_doc_names_resolve():
+    names = dotted_names(SHARDING.read_text())
+    assert "repro.sim.fleet.walk_shard" in names
+    assert "repro.sim.shard.simulate_fleet_sharded" in names
+    missing = sorted(name for name in names if not resolves(name))
+    assert not missing, (
+        f"docs/SHARDING.md names things that no longer exist: {missing}")
+
+
+def test_resolver_flags_a_removed_name():
+    assert resolves("repro.sim.fleet.FleetRules.advertised_bytes")
+    assert not resolves("repro.sim.shard.ShardOutput")
+    assert not resolves("repro.sim.gone.anything")
+    assert dotted_names("`repro.sweep/v1` and `repro.sim.shard`") == {
+        "repro.sim.shard"}
