@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -94,7 +95,9 @@ def record(name: str, ops: int, wall_s: float,
         "at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "ops": int(ops),
         "wall_s": round(float(wall_s), 6),
-        "ops_per_sec": round(ops / wall_s, 2),
+        # Six significant digits: a one-op entry (``time_command``) must
+        # not round to a zero rate, which the schema rejects.
+        "ops_per_sec": float(f"{ops / wall_s:.6g}"),
         "meta": meta or {},
     }
     document = load_document()
@@ -223,15 +226,31 @@ def run(name: str, workload) -> dict:
 
 # -- CI entry point ----------------------------------------------------------
 
+def time_command(name: str, command: list[str]) -> int:
+    """Run ``command``, record its wall seconds under ``name`` (one op,
+    so ``wall_s`` is the reading) and return its exit code. A failed
+    command records nothing."""
+    start = time.perf_counter()
+    code = subprocess.call(command)
+    wall_s = time.perf_counter() - start
+    if code == 0:
+        record(name, 1, wall_s, {"command": " ".join(command)})
+        print(f"[perf] {name}: {wall_s:.1f}s wall")
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     """``python -m benchmarks.perf.harness --check``: validate the
     committed BENCH_perf.json and gate each bench's *latest* entry
     against its baseline floor. Exit 0 on pass, 1 on any breach or
-    schema error."""
+    schema error. ``--time NAME COMMAND...`` instead runs a command and
+    appends its wall seconds (CI tracks the tier-1 suite this way)."""
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) >= 3 and argv[0] == "--time":
+        return time_command(argv[1], argv[2:])
     if argv and argv != ["--check"]:
-        print("usage: python -m benchmarks.perf.harness [--check]",
-              file=sys.stderr)
+        print("usage: python -m benchmarks.perf.harness "
+              "[--check | --time NAME COMMAND...]", file=sys.stderr)
         return 2
     try:
         document = load_document()

@@ -20,8 +20,12 @@ Each bench times one narrower hot path than the GC-heavy macro:
   RegenS device with ~800 minidisks (the minidisk census: per-write cost
   independent of the minidisk count);
 * ``remount_micro`` — the OOB-replay rebuild scan (mount latency);
-* ``fleet_step_micro`` — one vectorised fleet-model run (the unit the
-  sweep runner parallelises over);
+* ``fleet_step_micro`` — one columnar fleet-model run at the 16-device
+  break-even size (the per-step fixed cost; the unit the sweep runner
+  parallelises over);
+* ``fleet_wide_micro`` — the same walk over 2,048 devices in one
+  process (the per-device cost; ``REPRO_PERF_FLEET_DEVICES`` scales it
+  to the 10,000-device reading ROADMAP item 1 asks for);
 * ``fleet_sharded_micro`` — the same model through the sharded runner
   (worker fan-out, RNG replay, shard-major merge); the floor holds at
   ``jobs=1``, the meta records the measured speedup when cores allow.
@@ -128,6 +132,13 @@ def test_remount_micro():
 def test_fleet_step_micro():
     entry = harness.run("fleet_step_micro", workloads.fleet_step_micro)
     assert entry["meta"]["mean_lifetime_days"] > 0
+
+
+@pytest.mark.no_obs
+def test_fleet_wide_micro():
+    entry = harness.run("fleet_wide_micro", workloads.fleet_wide_micro)
+    assert entry["meta"]["devices"] >= 1
+    assert 0 < entry["meta"]["survivors"] <= entry["meta"]["devices"]
 
 
 @pytest.mark.no_obs

@@ -15,7 +15,9 @@ chip I/O) was built for.
 
 from __future__ import annotations
 
+import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -422,7 +424,15 @@ FLEET_MICRO_CONFIG = FleetConfig(
 
 
 def fleet_step_micro() -> dict:
-    """One vectorised fleet-model run; ops = device-steps advanced."""
+    """One columnar fleet-model run at the break-even size; ops =
+    device-steps advanced.
+
+    A step costs a fixed ~40-50 us of numpy dispatch whatever the range
+    holds, so 16 devices is about where the columnar walk meets the
+    per-device loop it replaced (docs/PERFORMANCE.md, "The columnar
+    fleet walk"): this bench watches that fixed cost, and
+    ``fleet_wide_micro`` the per-device one.
+    """
     steps = FLEET_MICRO_CONFIG.horizon_days // FLEET_MICRO_CONFIG.step_days
     start = time.perf_counter()
     result = simulate_fleet(FLEET_MICRO_CONFIG, "regen", seed=2025)
@@ -432,6 +442,37 @@ def fleet_step_micro() -> dict:
             "meta": {"mode": "regen",
                      "mean_lifetime_days":
                          round(result.mean_lifetime_days(), 1)}}
+
+
+# -- wide fleet run (micro) --------------------------------------------------
+
+#: Array-scale shape (ROADMAP item 1: "10k+ devices to be cheap"): wide
+#: enough that the device rows split into several banded groups, short
+#: enough to stay in the CI budget. ``REPRO_PERF_FLEET_DEVICES`` scales
+#: it (the 10,000-device entry in BENCH_perf.json).
+FLEET_WIDE_CONFIG = replace(FLEET_MICRO_CONFIG, devices=2048,
+                            horizon_days=365, step_days=5)
+
+
+def _fleet_devices(default: int) -> int:
+    return int(os.environ.get("REPRO_PERF_FLEET_DEVICES", "0")) or default
+
+
+def fleet_wide_micro() -> dict:
+    """One wide fleet run in one process; ops = device-steps advanced.
+
+    The wall includes drawing and sorting every device's variation
+    factors, which is most of a one-year run.
+    """
+    config = replace(FLEET_WIDE_CONFIG,
+                     devices=_fleet_devices(FLEET_WIDE_CONFIG.devices))
+    steps = config.horizon_days // config.step_days
+    start = time.perf_counter()
+    result = simulate_fleet(config, "regen", seed=2025)
+    wall_s = time.perf_counter() - start
+    return {"ops": config.devices * steps, "wall_s": wall_s,
+            "meta": {"mode": "regen", "devices": config.devices,
+                     "survivors": int(result.functioning[-1])}}
 
 
 # -- sharded fleet run (micro) -----------------------------------------------
@@ -467,14 +508,10 @@ def fleet_sharded_micro() -> dict:
     at least two workers run, a serial reference run is timed too and
     the measured speedup lands in ``meta``.
     """
-    import os
-    from dataclasses import replace as dc_replace
-
     from repro.sim.shard import simulate_fleet_sharded
 
-    devices = int(os.environ.get("REPRO_PERF_FLEET_DEVICES", "0")) \
-        or FLEET_SHARDED_CONFIG.devices
-    config = dc_replace(FLEET_SHARDED_CONFIG, devices=devices)
+    devices = _fleet_devices(FLEET_SHARDED_CONFIG.devices)
+    config = replace(FLEET_SHARDED_CONFIG, devices=devices)
     jobs = int(os.environ.get("REPRO_PERF_FLEET_JOBS", "0")) \
         or max(1, min(config.shards, (os.cpu_count() or 1) - 1))
     steps = config.horizon_days // config.step_days

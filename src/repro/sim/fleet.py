@@ -15,9 +15,20 @@ The trick that makes year-scale fleets cheap: per-page process variation is
 a multiplicative factor ``s`` on the RBER curve, so at device wear ``w`` a
 page is usable at tiredness level ``k`` iff ``s * rber(w) <= max_rber(k)``.
 Sorting each device's page factors once turns every per-step census into a
-``searchsorted``. Block-level rules (baseline min / CVSS mean) reduce the
-same way over per-block max/mean factors. The *same variation draws* are
-shared across disciplines, so curves differ only by policy.
+count of factors under a threshold. Block-level rules (baseline min / CVSS
+mean) reduce the same way over per-block max/mean factors. The *same
+variation draws* are shared across disciplines, so curves differ only by
+policy.
+
+The state is columnar (:class:`_FleetColumns`): one wear vector and three
+row-sorted factor matrices per device range, one row per device. A step
+is a fixed number of array operations over the rows still alive — one
+``model.rber`` call, one batched count per matrix (:class:`_BandedRows`),
+capacity and burn as vectors — so its cost is a constant (tens of
+microseconds of numpy dispatch) plus a per-device term far below a Python
+loop's. There is no scalar per-device path: a fleet under ~16 devices
+pays the constant for little, which is accepted
+(docs/PERFORMANCE.md, "The columnar fleet walk").
 
 Wear advances under perfect wear leveling: writing ``bytes`` of host data
 with write amplification ``waf`` onto ``live_raw_bytes`` of in-service
@@ -179,38 +190,101 @@ class FleetResult:
         return float(np.minimum(self.death_day, horizon).mean())
 
     def survivors_at(self, day: float) -> int:
+        """Devices in service at ``day``; the whole fleet before the
+        first sample (samples are taken *after* each step)."""
         index = int(np.searchsorted(self.days, day, side="right")) - 1
         if index < 0:
-            return int(self.functioning[0]) if self.functioning.size else 0
+            return int(self.death_day.size)
         return int(self.functioning[index])
 
     def capacity_fraction_at(self, day: float) -> float:
         index = int(np.searchsorted(self.days, day, side="right")) - 1
-        index = max(index, 0)
         if self.initial_capacity_bytes == 0:
             return 0.0
+        if index < 0:
+            return 1.0
         return float(self.capacity_bytes[index] / self.initial_capacity_bytes)
 
     def total_recovery_bytes(self) -> float:
         return float(self.capacity_lost_bytes.sum())
 
 
-class _DeviceState:
-    """Sorted variation factors + wear for one simulated device."""
+class _BandedRows:
+    """Row-sorted matrix answering "how many values <= t" for many rows
+    in one ``searchsorted``.
 
-    def __init__(self, rng: np.random.Generator, geometry: FlashGeometry,
-                 sigma: float) -> None:
-        pages = lognormal_page_variation(rng, geometry.total_fpages, sigma)
-        per_block = pages.reshape(geometry.blocks, geometry.fpages_per_block)
-        self.sorted_pages = np.sort(pages)
-        self.sorted_block_max = np.sort(per_block.max(axis=1))
-        self.sorted_block_mean = np.sort(per_block.mean(axis=1))
-        self.wear = 0.0
-        self.alive = True
+    Row ``r`` of a group is stored times ``2**(band * r)``. Scaling by a
+    power of two is exact in binary floating point, and ``band`` is wide
+    enough that consecutive rows land in disjoint ascending value
+    ranges, so a group of rows *is* one globally sorted flat array: a
+    threshold clipped into its row's range and scaled the same way finds
+    ``row * width + count`` there. A group holds as many rows as the
+    double exponent range fits (2044 // band: ~290 at sigma 0.35); when
+    the factors are not strictly positive and finite, or one row alone
+    overflows the range, every row is its own unscaled group and the
+    same code is a plain per-row ``searchsorted``.
+    """
+
+    #: Binades the scaled values may span: 2**-1021 .. 2**1023, all normal.
+    SPAN = 2044
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        """Takes ownership of ``matrix`` (rows ascending) and scales it
+        in place."""
+        count, width = matrix.shape
+        low = matrix[:, 0].min(initial=np.inf)
+        high = matrix[:, -1].max(initial=-np.inf)
+        # 2**floor < every value < 2**ceiling, strictly.
+        floor = int(np.frexp(low)[1]) - 2
+        ceiling = int(np.frexp(high)[1])
+        band = ceiling - floor
+        self.clip = (float(np.ldexp(1.0, floor)),
+                     float(np.ldexp(1.0, ceiling)))
+        if (0.0 < low <= high < np.inf and band <= self.SPAN
+                and self.clip[0] > 0.0):
+            per_group = self.SPAN // band
+            in_group = np.arange(count) % per_group
+            self.shift = (in_group * band - 1021 - floor).astype(np.intc)
+            np.ldexp(matrix, self.shift[:, None], out=matrix)
+        else:
+            per_group, self.clip = 1, (-np.inf, np.inf)
+            in_group = self.shift = np.zeros(count, dtype=np.intc)
+        self.offset = in_group * width
+        self.starts = np.arange(0, count, per_group)
+        self.flats = [matrix[start:start + per_group].reshape(-1)
+                      for start in self.starts.tolist()]
+
+    def count(self, rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        """Values ``<= thresholds[..., i]`` in row ``rows[i]``, for all i.
+
+        ``rows`` ascending; equals ``searchsorted(row, t, "right")`` on
+        the unscaled row for any non-NaN ``t``.
+        """
+        low, high = self.clip
+        needles = np.ldexp(np.minimum(np.maximum(thresholds, low), high),
+                           self.shift[rows])
+        found = np.empty(needles.shape, dtype=np.intp)
+        cuts = rows.searchsorted(self.starts).tolist() + [rows.size]
+        for flat, first, last in zip(self.flats, cuts, cuts[1:]):
+            if first < last:
+                found[..., first:last] = flat.searchsorted(
+                    needles[..., first:last], side="right")
+        return found - self.offset[rows]
 
 
-def _count_below(sorted_values: np.ndarray, threshold: float) -> int:
-    return int(np.searchsorted(sorted_values, threshold, side="right"))
+class _FleetColumns(NamedTuple):
+    """Columnar state of one device range: a row per device."""
+
+    wear: np.ndarray            # P/E cycles so far
+    pages: _BandedRows          # per-fPage variation factors
+    block_max: _BandedRows      # weakest page of each block
+    block_mean: _BandedRows     # block-average factor
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """Strict left-to-right sum, the order a per-device loop adds in
+    (``ndarray.sum`` is pairwise, builtin ``sum`` compensated)."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
 def _percentile_sorted(values: list[float], q: float) -> float:
@@ -261,77 +335,57 @@ class FleetRules:
                                   self.policy.dead_level - 1)
                               if mode == "regen" else 0)
         self.steps = int(np.ceil(config.horizon_days / config.step_days))
+        usable = np.arange(self.reuse_ceiling + 1)
+        self.level_thresholds = np.array(self.level_rber)[usable, None]
+        self.slots_per_level = self.geometry.opages_per_fpage - usable
 
-    def advertised_bytes(self, dev: _DeviceState,
-                         census: list[int] | None = None) -> float:
-        """Current advertised capacity under ``mode`` at the device's wear.
+    def advertised_bytes(self, fleet: _FleetColumns, rows: np.ndarray,
+                         census: bool = False,
+                         ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Advertised capacity under ``mode`` of devices ``rows``
+        (ascending row indexes) at their current wear, as one vector.
 
-        When ``census`` is given (only on timeseries sample steps) its
-        slots are *overwritten* with this device's per-level alive fPage
-        counts — ``census[k]`` pages at tiredness level ``k``, the last
-        slot out-of-service — reusing the searchsorted results this
-        function computes anyway, so SMART sampling costs ~nothing
-        extra on shrink/regen and one extra page-level count on
-        baseline/cvss.
+        With ``census`` (only on timeseries sample steps) the second
+        value is the per-device alive-fPage table — ``[i, k]`` pages of
+        ``rows[i]`` at tiredness level ``k``, the last column
+        out-of-service — from the counts computed anyway, so SMART
+        sampling costs ~nothing extra on shrink/regen and one extra
+        page-level count on baseline/cvss.
         """
         config = self.config
         geometry = self.geometry
-        level_rber = self.level_rber
-        adv0_bytes = self.adv0_bytes
-        total_pages = dev.sorted_pages.size
-        rber = float(self.model.rber(dev.wear))
-        if rber <= 0:
-            if census is not None:
-                for i in range(len(census)):
-                    census[i] = 0
-                census[0] = total_pages
-            return adv0_bytes
-        per_fpage = geometry.opages_per_fpage
+        rber = self.model.rber(fleet.wear[rows])
+        with np.errstate(divide="ignore"):
+            # One row of thresholds per level; a device with no errors
+            # yet (rber <= 0) keeps every page: threshold +inf.
+            thresholds = self.level_thresholds / np.where(rber > 0.0,
+                                                          rber, 0.0)
+        table = None
+        if census or self.mode in ("shrink", "regen"):
+            # alive[k]: pages usable at level k or below; levels[k]: at
+            # exactly k, contributing (P - k) oPage slots each.
+            alive = fleet.pages.count(rows, thresholds)
+            levels = alive.copy()
+            levels[1:] -= alive[:-1]
+            if census:
+                retired = geometry.total_fpages - alive[-1]
+                table = np.vstack((levels, retired)).T
         if self.mode == "baseline":
-            if census is not None:
-                live = _count_below(dev.sorted_pages, level_rber[0] / rber)
-                census[0] = live
-                census[1] = total_pages - live
-            weak = geometry.blocks - _count_below(
-                dev.sorted_block_max, level_rber[0] / rber)
-            if weak / geometry.blocks > config.brick_threshold:
-                return 0.0
-            return adv0_bytes
+            weak = geometry.blocks - fleet.block_max.count(rows,
+                                                           thresholds[0])
+            return np.where(weak / geometry.blocks > config.brick_threshold,
+                            0.0, self.adv0_bytes), table
         if self.mode == "cvss":
-            if census is not None:
-                live = _count_below(dev.sorted_pages, level_rber[0] / rber)
-                census[0] = live
-                census[1] = total_pages - live
-            block_factors = (dev.sorted_block_max
-                             if config.cvss_rule == "first-page"
-                             else dev.sorted_block_mean)
-            live_blocks = _count_below(block_factors, level_rber[0] / rber)
-            slots = live_blocks * geometry.fpages_per_block * per_fpage
-            return slots * geometry.opage_bytes \
-                / (1.0 + config.headroom_fraction)
-        if self.mode == "shrink":
-            live_pages = _count_below(dev.sorted_pages, level_rber[0] / rber)
-            if census is not None:
-                census[0] = live_pages
-                census[1] = total_pages - live_pages
-            return (live_pages * per_fpage * geometry.opage_bytes
-                    / (1.0 + config.headroom_fraction))
-        # regen: pages at level k contribute (P - k) oPage slots.
-        slots = 0
-        alive_below = 0
-        for k in range(min(config.regen_max_level,
-                           self.policy.dead_level - 1) + 1):
-            alive_k = _count_below(dev.sorted_pages, level_rber[k] / rber)
-            if census is not None:
-                census[k] = alive_k - alive_below
-            slots += (per_fpage - k) * (alive_k - alive_below)
-            alive_below = alive_k
-        if census is not None:
-            census[-1] = total_pages - alive_below
-        return slots * geometry.opage_bytes \
-            / (1.0 + config.headroom_fraction)
+            factors = (fleet.block_max if config.cvss_rule == "first-page"
+                       else fleet.block_mean)
+            slots = factors.count(rows, thresholds[0]) * (
+                geometry.fpages_per_block * geometry.opages_per_fpage)
+        else:
+            slots = self.slots_per_level @ levels
+        return (slots * geometry.opage_bytes
+                / (1.0 + config.headroom_fraction)), table
 
-    def in_service_raw_bytes(self, adv: float) -> float:
+    def in_service_raw_bytes(self, adv: np.ndarray) -> np.ndarray:
         return adv * (1.0 + self.config.headroom_fraction)
 
     def floor_bytes(self) -> float:
@@ -341,23 +395,36 @@ class FleetRules:
             return self.config.host_utilization * self.adv0_bytes
         return self.config.min_capacity_fraction * self.adv0_bytes
 
-    def build_devices(self, hardware_rng: np.random.Generator,
-                      start: int, stop: int) -> list[_DeviceState]:
+    def build_columns(self, hardware_rng: np.random.Generator,
+                      start: int, stop: int) -> _FleetColumns:
         """Walk the canonical hardware fork and build ``[start, stop)``.
 
         The fork walk *must* cover every device index — each
         :func:`~repro.rng.fork_rng` call advances ``hardware_rng`` — so
         a range replays the full walk (one cheap parent draw per
         device) but only pays the expensive variation draws for its own
-        slice.
+        slice. Each matrix is allocated once and sorted in place: the
+        page factors are the bulk of a run's memory.
         """
-        devices: list[_DeviceState] = []
+        geometry = self.geometry
+        count = max(stop - start, 0)
+        pages = np.empty((count, geometry.total_fpages))
+        block_max = np.empty((count, geometry.blocks))
+        block_mean = np.empty((count, geometry.blocks))
         for i in range(self.config.devices):
             child = fork_rng(hardware_rng, i)
             if start <= i < stop:
-                devices.append(_DeviceState(child, self.geometry,
-                                            self.config.variation_sigma))
-        return devices
+                pages[i - start] = lognormal_page_variation(
+                    child, geometry.total_fpages,
+                    self.config.variation_sigma)
+        per_block = pages.reshape(count, geometry.blocks,
+                                  geometry.fpages_per_block)
+        per_block.max(axis=2, out=block_max)
+        per_block.mean(axis=2, out=block_mean)
+        for matrix in (pages, block_max, block_mean):
+            matrix.sort(axis=1)
+        return _FleetColumns(np.zeros(count), _BandedRows(pages),
+                             _BandedRows(block_max), _BandedRows(block_mean))
 
     def load_factors(self, load_rng: np.random.Generator) -> np.ndarray:
         """Per-device DWPD multipliers (the full-fleet draw, always)."""
@@ -563,15 +630,14 @@ def walk_shard(task: ShardTask, rules: FleetRules | None = None,
     hardware_rng = fork_rng(rng, "hardware")
     afr_rng = fork_rng(rng, "afr", mode)
     load_rng = fork_rng(rng, "load")
-    devices = rules.build_devices(hardware_rng, task.start, task.stop)
-    load_factors = rules.load_factors(load_rng)
-
-    floor = rules.floor_bytes()
+    fleet = rules.build_columns(hardware_rng, task.start, task.stop)
+    written = (config.step_days * rules.original_daily_bytes
+               * rules.load_factors(load_rng)[task.start:task.stop])
+    wear = fleet.wear
+    rows = np.arange(wear.size)     # devices still alive, ascending
+    # At or under this capacity a device leaves service.
+    limit = max(rules.floor_bytes(), 0.0)
     step_failure_prob = rules.step_failure_prob
-    original_daily_bytes = rules.original_daily_bytes
-    advertised_bytes = rules.advertised_bytes
-    n_census = rules.reuse_ceiling + 2
-    census_scratch = [0] * n_census
 
     for step in range(rules.steps):
         step_start = _time.perf_counter()
@@ -580,57 +646,40 @@ def walk_shard(task: ShardTask, rules: FleetRules | None = None,
             spec = injector.check("fleet.step", mode=mode, step=step + 1,
                                   day=float((step + 1) * config.step_days))
             if spec is not None:
-                to_kill = int(spec.args.get("devices", 1))
-                for index, dev in enumerate(devices):
-                    if to_kill <= 0:
-                        break
-                    if not dev.alive:
-                        continue
-                    dev.alive = False
-                    to_kill -= 1
+                to_kill = max(int(spec.args.get("devices", 1)), 0)
+                for index in (rows[:to_kill] + task.start).tolist():
                     injector.record_degraded("fleet_device_loss")
                     deaths.append((index, "injected"))
+                rows = rows[to_kill:]
         # SMART production (census + wear collection) happens only on
         # steps the cadence gate will sample.
         pending = task.pending[step]
+        afr_draws = afr_rng.random(config.devices)[task.start:task.stop]
+        failed = afr_draws[rows] < step_failure_prob
+        alive = rows[~failed] if failed.any() else rows
+        adv, census = rules.advertised_bytes(fleet, alive, pending)
+        worn = adv <= limit
+        if alive.size < rows.size or worn.any():
+            # By device index, as a per-device loop would find them.
+            deaths.extend(sorted(
+                [(index, "afr")
+                 for index in (rows[failed] + task.start).tolist()]
+                + [(index, "wear")
+                   for index in (alive[worn] + task.start).tolist()]))
+            rows = alive = alive[~worn]
+            adv = adv[~worn]
+            if pending:
+                census = census[~worn]
+        # Advance wear through this step at the current live capacity.
+        burn = (written[alive] * config.write_amplification
+                / rules.in_service_raw_bytes(adv))
+        sample = None
         if pending:
-            census = [0] * n_census
-            wears: list[float] = []
-            burn_total = 0.0
-        afr_draws = afr_rng.random(config.devices)
-        total_capacity = 0.0
-        alive_count = 0
-        for index, dev in enumerate(devices, task.start):
-            if not dev.alive:
-                continue
-            if afr_draws[index] < step_failure_prob:
-                dev.alive = False
-                deaths.append((index, "afr"))
-                continue
-            adv = advertised_bytes(dev, census_scratch if pending else None)
-            if adv <= floor or adv <= 0.0:
-                dev.alive = False
-                deaths.append((index, "wear"))
-                continue
-            if pending:
-                # Commit the surviving device's census and (entry) wear
-                # to this sample.
-                for i in range(n_census):
-                    census[i] += census_scratch[i]
-                wears.append(dev.wear)
-            # Advance wear through this step at the current live
-            # capacity.
-            raw = rules.in_service_raw_bytes(adv)
-            written = (config.step_days * original_daily_bytes
-                       * load_factors[index])
-            burn = written * config.write_amplification / raw
-            dev.wear += burn
-            if pending:
-                burn_total += burn
-            alive_count += 1
-            total_capacity += adv
-        yield ShardStep(alive_count, total_capacity, deaths,
-                        (census, wears, burn_total) if pending else None,
+            # The survivors' census and (entry) wear go into the sample.
+            sample = (census.sum(axis=0).tolist(), wear[alive].tolist(),
+                      _ordered_sum(burn))
+        wear[alive] += burn
+        yield ShardStep(alive.size, _ordered_sum(adv), deaths, sample,
                         _time.perf_counter() - step_start)
 
 

@@ -129,6 +129,20 @@ class TestDeterminismAndKnobs:
         assert result.survivors_at(1e9) == 0
         assert 0.0 <= result.capacity_fraction_at(600) <= 1.0
 
+    def test_before_the_first_sample_the_whole_fleet_is_deployed(
+            self, quick_config):
+        """Samples are post-step: an AFR death in step 1 must not leak
+        back to day 0."""
+        from dataclasses import replace
+        deadly = replace(quick_config, afr=0.99)
+        result = simulate_fleet(deadly, "shrink", seed=8)
+        assert result.functioning[0] < deadly.devices     # step-1 deaths
+        assert result.survivors_at(0) == deadly.devices
+        assert result.survivors_at(deadly.step_days - 1) == deadly.devices
+        assert result.capacity_fraction_at(0) == 1.0
+        assert result.survivors_at(deadly.step_days) == result.functioning[0]
+        assert result.capacity_fraction_at(deadly.step_days) < 1.0
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             FleetConfig(devices=0)

@@ -5,7 +5,12 @@ the same assemble pass, so the equivalence tests in ``test_shard.py``
 compare a function with itself. This table is the independent
 reference: it was generated on the commit *before* the two step loops
 were merged (``python tests/sim/test_fleet_golden.py`` prints it), when
-the serial loop and the sharded workers were separate code.
+the serial loop and the sharded workers were separate code. The
+``wide-*`` cases were added the same way on the commit before the
+per-device loop became the columnar walk: 640 devices on an 8x8
+geometry, so the walk's banded row groups split — in two at the
+default sigma on the whole fleet, in six at sigma 1.2 and still in two
+inside each of three ranges.
 
 Every case pins the SHA-256 of one canonical JSON document holding the
 five ``FleetResult`` arrays, the timeseries document, the trace records
@@ -46,6 +51,13 @@ CONFIG = FleetConfig(
 )
 SEEDS = (77, 2025)
 CADENCE = 30.0
+#: Wide fleets on a tiny geometry: enough device rows that the columnar
+#: walk's row groups split (340 rows fit one at the default sigma, 127
+#: at sigma 1.2).
+WIDE = replace(CONFIG, devices=640,
+               geometry=FlashGeometry(blocks=8, fpages_per_block=8))
+WIDE_CONFIGS = {"wide": WIDE,
+                "wide-sigma": replace(WIDE, variation_sigma=1.2)}
 
 #: Two ``fleet.step`` hits: two devices on step 3, one more on step 21.
 LOSS_PLAN = FaultPlan(events=(
@@ -67,9 +79,9 @@ def _serial(config=CONFIG, **kwargs):
                                              **kwargs)
 
 
-def _sharded(shards, jobs):
+def _sharded(shards, jobs, config=CONFIG):
     return lambda mode, seed: simulate_fleet_sharded(
-        CONFIG, mode, seed=seed, shards=shards, jobs=jobs)
+        config, mode, seed=seed, shards=shards, jobs=jobs)
 
 
 #: name -> (runner, mode, seed); a Generator seed is built per run.
@@ -93,6 +105,12 @@ for _shards in (1, 3, 8):
     for _jobs in (1, 2):
         CASES[f"regen-shards{_shards}-j{_jobs}"] = (
             _sharded(_shards, _jobs), "regen", 77)
+for _name, _config in WIDE_CONFIGS.items():
+    for _mode in MODES:
+        CASES[f"{_name}-{_mode}-plan"] = (
+            _serial(_config, faults=LOSS_PLAN), _mode, 77)
+        CASES[f"{_name}-{_mode}-shards3"] = (
+            _sharded(3, 1, _config), _mode, 77)
 
 
 def _floats(array) -> list:
@@ -243,6 +261,54 @@ GOLDEN: dict[str, tuple[int, str, int, str]] = {
     "regen-shards8-j2": (
         0, "afr=1,wear=12", 13,
         "ca55c86d0da04948893251b256d4883be6568dd1353b53722f5f5f2585d91e6f"),
+    "wide-baseline-plan": (
+        5, "afr=100,injected=3,wear=532", 635,
+        "84e79928f2b81e620a26dc442083113e1ebf3e21da3ce43f40877c2c6233004a"),
+    "wide-baseline-shards3": (
+        5, "afr=100,wear=535", 635,
+        "af7d3aa9f2ea756977c4466613d6b1cfe7dec3379bbb6614c4f3d7abb5daa01a"),
+    "wide-cvss-plan": (
+        13, "afr=102,injected=3,wear=522", 627,
+        "04a0c56e1e06da96666893eb889a5e5068547b8e4f8c4747a647d631f2bb40cf"),
+    "wide-cvss-shards3": (
+        13, "afr=102,wear=525", 627,
+        "daaf04cb6be181ffa9b9d5ca2ad86f958eeb88e58d7a3ffb65f8269238f1c2cf"),
+    "wide-shrink-plan": (
+        63, "afr=122,injected=3,wear=452", 577,
+        "49cac0cfc0ce8031d807553f4bbe9463f91bad5bc837194da206b71060d2db58"),
+    "wide-shrink-shards3": (
+        63, "afr=122,wear=455", 577,
+        "c241c7326735df5a332fb4d31cb7a8388d8a90ab336472fa76c05224ad94ab87"),
+    "wide-regen-plan": (
+        303, "afr=98,injected=3,wear=236", 337,
+        "7547c596b1bb9d34e7a65ce86b16bd0d47c508c006949eeb614b229a23433ccc"),
+    "wide-regen-shards3": (
+        303, "afr=98,wear=239", 337,
+        "23c5cf36c354f41e9e9e6c585ce657fbac833d574bf446c9457ac80f2181acb9"),
+    "wide-sigma-baseline-plan": (
+        0, "afr=54,injected=3,wear=583", 640,
+        "74f0b3b0046d9cc441f8569e5be18e5642e174ee799f239e27cd9bc9049255b7"),
+    "wide-sigma-baseline-shards3": (
+        0, "afr=54,wear=586", 640,
+        "921de22198814f8250e5d91d4b094c2cc31ebc78c430abac7ee100c8ccb02c59"),
+    "wide-sigma-cvss-plan": (
+        0, "afr=70,injected=3,wear=567", 640,
+        "d9cd72ac38046ceaf716fc0eaed8115ffd2398d46db42c21dcdede30f71f7f4e"),
+    "wide-sigma-cvss-shards3": (
+        0, "afr=70,wear=570", 640,
+        "c41a36adb44503f9871501a5bff1f406db10fce4ea62b9ba18f3a5064fd59bed"),
+    "wide-sigma-shrink-plan": (
+        74, "afr=122,injected=3,wear=441", 566,
+        "d33d041547e0b6c8a48657e9dee570faf061827bf2198815907a9fc7c4255902"),
+    "wide-sigma-shrink-shards3": (
+        74, "afr=122,wear=444", 566,
+        "8d16a59d2e6fd38331f3e76442ff8fdbac22ce46c9f6f7e77b8cac204da6bde4"),
+    "wide-sigma-regen-plan": (
+        318, "afr=100,injected=3,wear=219", 322,
+        "e6d4c07bc0aedf18e7a1f3c3299520b57cfaeeb7a620a39f802e748d356a1dc6"),
+    "wide-sigma-regen-shards3": (
+        318, "afr=100,wear=222", 322,
+        "180f2f2984d044e30a835d0d2a1e08f7f5b3d4c5a82dbfd1330c48ed43ade4ab"),
 }
 
 

@@ -11,17 +11,30 @@ an attribute of that class.
 
 docs/SHARDING.md names the fleet walk by its public dotted names
 (``repro.sim.fleet.walk_shard``, ...); every back-ticked ``repro.*``
-name there must still import.
+name there, and in docs/PERFORMANCE.md, must still import.
+
+The "columnar fleet walk" section of docs/PERFORMANCE.md is held to
+more: *every* back-ticked span there that is a bare name, a dotted
+name or a file path must resolve — in the fleet modules, numpy, the
+benchmark manifests or the tree.
 """
 
 from __future__ import annotations
 
+import builtins
+import json
+import keyword
 import pkgutil
 import re
+import types
 from pathlib import Path
 
+import numpy
 import pytest
 
+import repro.flash.rber
+import repro.sim.fleet
+import repro.sim.shard
 from repro.difs.cluster import Cluster
 from repro.difs.placement import VolumeIndex
 from repro.flash.chip import FlashChip
@@ -29,7 +42,8 @@ from repro.flash.geometry import FlashGeometry
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
 from repro.ssd.ftl import PageMappedFTL
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 DOCUMENT = DOCS / "PERFORMANCE.md"
 SHARDING = DOCS / "SHARDING.md"
 
@@ -52,7 +66,8 @@ def subjects() -> dict[str, object]:
             "SalamanderSSD": salamander,
             "MinidiskTable": salamander._table,
             "Cluster": Cluster(),
-            "VolumeIndex": VolumeIndex()}
+            "VolumeIndex": VolumeIndex(),
+            "fleet": repro.sim.fleet}
 
 
 def private_names(text: str) -> set[tuple[str | None, str]]:
@@ -115,6 +130,95 @@ def test_sharding_doc_names_resolve():
     missing = sorted(name for name in names if not resolves(name))
     assert not missing, (
         f"docs/SHARDING.md names things that no longer exist: {missing}")
+
+
+def test_performance_doc_names_resolve():
+    names = dotted_names(DOCUMENT.read_text())
+    assert "repro.sim.fleet.walk_shard" in names
+    missing = sorted(name for name in names if not resolves(name))
+    assert not missing, (
+        f"docs/PERFORMANCE.md names things that no longer exist: {missing}")
+
+
+#: A bare or dotted name, and a path into the tree.
+_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+_PATH = re.compile(r"[\w./-]+/[\w.-]+|[\w.-]+\.(?:py|json|md)")
+
+
+def section(text: str, heading: str) -> str:
+    start = text.index(f"\n## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end > 0 else None]
+
+
+def benchmark_names() -> set[str]:
+    """What the two harnesses call things: benches, workloads, metrics,
+    ledger layers, and the keys of a ``fleet_grid`` result section."""
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+    floors = json.loads(
+        (ROOT / "benchmarks/perf/baseline.json").read_text())
+    reference = json.loads(
+        (ROOT / "benchmarks/e2e/reference/seed_20250.json").read_text())
+    fleet_grid = reference["workloads"]["fleet_grid"]
+    metrics = [m["name"] for m in
+               manifest["end_to_end"] + manifest["per_layer"]]
+    return (set(floors["benches"]) | set(metrics)
+            | {w["name"] for w in manifest["workloads"]}
+            | {name.rsplit(".", 1)[0] for name in metrics if "." in name}
+            | set(fleet_grid) | set(fleet_grid["parts"]))
+
+
+def unresolved_spans(text: str) -> tuple[set[str], list[str]]:
+    """(name-like spans checked, those that resolve nowhere)."""
+    namespaces = [repro.sim.fleet, repro.sim.shard, repro.flash.rber,
+                  repro.sim.fleet.FleetRules, repro.sim.fleet.FleetConfig,
+                  numpy, builtins, types.SimpleNamespace(np=numpy)]
+    known = benchmark_names()
+    checked, missing = set(), []
+    for span in sorted(set(_CODE_SPAN.findall(text))):
+        if _NAME.fullmatch(span):
+            ok = (span in known or keyword.iskeyword(span)
+                  or resolves(span) or any(
+                      resolves_in(root, span) for root in namespaces))
+        elif _PATH.fullmatch(span):
+            ok = (ROOT / span).exists()
+        else:
+            continue    # an expression, a flag, a glob
+        checked.add(span)
+        if not ok:
+            missing.append(span)
+    return checked, missing
+
+
+def resolves_in(root: object, dotted: str) -> bool:
+    try:
+        for part in dotted.split("."):
+            root = getattr(root, part)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_columnar_section_names_resolve():
+    text = section(DOCUMENT.read_text(), "The columnar fleet walk")
+    checked, missing = unresolved_spans(text)
+    assert {"FleetRules.advertised_bytes", "_BandedRows", "_ordered_sum",
+            "repro.sim.fleet.walk_shard", "np.ldexp", "fleet_grid",
+            "fleet_wide_micro", "sim.shard.over_serial_ratio",
+            "tests/sim/fleet_oracle.py"} <= checked
+    assert not missing, (
+        f"docs/PERFORMANCE.md, 'The columnar fleet walk', names things "
+        f"that resolve nowhere: {missing}")
+
+
+def test_section_check_flags_a_removed_name():
+    checked, missing = unresolved_spans(
+        "`_DeviceState`, `FleetRules.build_devices`, `np.ldexp`, "
+        "`tests/sim/gone.py`, `x <= t`, `fleet_grid`")
+    assert checked == {"_DeviceState", "FleetRules.build_devices",
+                       "np.ldexp", "tests/sim/gone.py", "fleet_grid"}
+    assert missing == ["FleetRules.build_devices", "_DeviceState",
+                       "tests/sim/gone.py"]
 
 
 def test_resolver_flags_a_removed_name():
