@@ -19,6 +19,9 @@ Each bench times one narrower hot path than the GC-heavy macro:
 * ``salamander_lifetime_micro`` — the write-until-death harness on a
   RegenS device with ~800 minidisks (the minidisk census: per-write cost
   independent of the minidisk count);
+* ``unit_write_micro`` — 16-LBA unit writes through the whole write
+  stack (DeviceQueue -> RegenS -> the FTL's range write kernel) at 75 %
+  fill with steady GC: one call per layer per unit;
 * ``remount_micro`` — the OOB-replay rebuild scan (mount latency);
 * ``fleet_step_micro`` — one columnar fleet-model run at the 16-device
   break-even size (the per-step fixed cost; the unit the sweep runner
@@ -120,6 +123,17 @@ def test_salamander_lifetime_micro():
         # Census reads are O(1) in the minidisk count: 35x the minidisks
         # must not cost 2x per write (recounted per write: 12x).
         assert entry["meta"]["cost_vs_small"] < 2.0
+
+
+@pytest.mark.no_obs
+def test_unit_write_micro():
+    entry = harness.run("unit_write_micro", workloads.unit_write_micro)
+    assert entry["ops"] == (workloads.UNIT_WRITE_UNITS
+                            * workloads.UNIT_WRITE_LBAS)
+    assert entry["meta"]["errors"] == 0
+    # Full and collecting: the loop timed the write path under GC.
+    assert entry["meta"]["fill_fraction"] > 0.7
+    assert entry["meta"]["timed_erases"] > 50
 
 
 @pytest.mark.no_obs

@@ -408,6 +408,70 @@ def salamander_lifetime_micro() -> dict:
                      "cost_vs_small": round(wall_s / small_wall, 3)}}
 
 
+# -- 16-LBA unit writes down the whole write stack (micro) -------------------
+
+UNIT_WRITE_LBAS = 16
+UNIT_WRITE_UNITS = 1_500
+UNIT_WRITE_WARMUP = 1_000
+
+
+def unit_write_micro() -> dict:
+    """16-LBA unit writes: DeviceQueue -> RegenS -> FTL write kernel.
+
+    One diFS chunk replica is one 16-LBA ``write`` request, and every
+    layer under it makes one call for it (``docs/PERFORMANCE.md``, "The
+    range write kernel"): ``DeviceQueue._serve`` ->
+    ``SalamanderSSD.write_range`` -> ``PageMappedFTL.write_range``, whose
+    kernel is the only per-LBA loop. The 64x32 chip is filled to its
+    advertised capacity (75 % of the flash) and overwritten, untimed,
+    until GC is in its steady state; the flash is fresh, so no minidisk
+    comes or goes. Pages are what ``Replication.encode`` hands the
+    cluster for a 32-byte chunk: one padded page and fifteen references
+    to the shared zero page. The per-LBA ``device.write`` loop this
+    replaced ran at about three quarters of the kernel's rate (64-72k
+    against 86-103k, best of 3). Ops unit: host LBAs."""
+    from repro.difs.redundancy import Replication
+    from repro.salamander.device import SalamanderConfig, SalamanderSSD
+
+    geometry = FlashGeometry(blocks=64, fpages_per_block=32)
+    chip = FlashChip(geometry, seed=37, variation_sigma=0.2)
+    device = SalamanderSSD(chip, SalamanderConfig(
+        mode="regen", msize_lbas=64, headroom_fraction=0.25,
+        ftl=FTLConfig(overprovision=0.25, buffer_opages=8)))
+    queue = DeviceQueue(device)
+    pages = Replication(1).encode(bytes([7]) * 32, UNIT_WRITE_LBAS,
+                                  geometry.opage_bytes)[0]
+    minidisks = len(device.minidisks)
+    slots = device.msize_lbas // UNIT_WRITE_LBAS
+
+    def write_unit(unit: int) -> None:
+        mdisk, slot = divmod(unit, slots)
+        queue.execute(IORequest(op="write", lba=slot * UNIT_WRITE_LBAS,
+                                mdisk_id=mdisk, payloads=pages))
+
+    units = [int(u) for u in np.random.default_rng(41).integers(
+        0, minidisks * slots, size=UNIT_WRITE_WARMUP + UNIT_WRITE_UNITS)]
+    for unit in range(minidisks * slots):       # fill, then reach
+        write_unit(unit)                        # GC steady state
+    for unit in units[:UNIT_WRITE_WARMUP]:
+        write_unit(unit)
+    erases = device.stats.erases
+    start = time.perf_counter()
+    for unit in units[UNIT_WRITE_WARMUP:]:
+        write_unit(unit)
+    wall_s = time.perf_counter() - start
+    assert not device.events, "a transition landed in the timed region"
+    stats = queue.stats
+    return {"ops": UNIT_WRITE_UNITS * UNIT_WRITE_LBAS, "wall_s": wall_s,
+            "meta": {"minidisks": minidisks,
+                     "fill_fraction": round(
+                         device.live_lbas() / geometry.total_opage_slots, 3),
+                     "dispatched": stats.dispatched,
+                     "errors": stats.errors,
+                     "timed_erases": device.stats.erases - erases,
+                     "waf": round(device.stats.write_amplification, 3)}}
+
+
 # -- analytic fleet step (micro) ---------------------------------------------
 
 FLEET_MICRO_CONFIG = FleetConfig(

@@ -18,15 +18,32 @@ a unit occupies ``unit_lbas(chunk_lbas)`` slots worth of LBAs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 
 from repro.errors import ConfigError, DiFSError
 from repro.difs.erasure import ReedSolomon
 
 
+@lru_cache(maxsize=4)
+def _zero_page(page_bytes: int) -> bytes:
+    return bytes(page_bytes)
+
+
 def _split_pages(data: bytes, page_bytes: int, pages: int) -> list[bytes]:
-    padded = data.ljust(page_bytes * pages, b"\0")
-    return [padded[i * page_bytes:(i + 1) * page_bytes]
-            for i in range(pages)]
+    """``data`` as ``pages`` payloads of exactly ``page_bytes`` each.
+
+    Whole pages are slices, a partial page is padded once, and every
+    page past the end of the data is the *same* zero page: devices keep
+    a full-size page as the object they were handed (write buffer,
+    ``FlashChip.program``, GC relocation), so short chunks share it.
+    """
+    whole, tail = divmod(len(data), page_bytes)
+    out = [data[i * page_bytes:(i + 1) * page_bytes]
+           for i in range(min(whole, pages))]
+    if tail and whole < pages:
+        out.append(data[whole * page_bytes:].ljust(page_bytes, b"\0"))
+    out.extend([_zero_page(page_bytes)] * (pages - len(out)))
+    return out
 
 
 class RedundancyScheme(ABC):
@@ -73,8 +90,8 @@ class Replication(RedundancyScheme):
         return chunk_lbas
 
     def encode(self, data, chunk_lbas, opage_bytes):
-        pages = _split_pages(data, opage_bytes, chunk_lbas)
-        return [list(pages) for _ in range(self.total_units)]
+        # One page list for every copy: nothing downstream mutates it.
+        return [_split_pages(data, opage_bytes, chunk_lbas)] * self.total_units
 
     def decode(self, units, chunk_lbas, opage_bytes):
         if not units:
@@ -87,7 +104,7 @@ class Replication(RedundancyScheme):
             raise ConfigError(f"unit index {index} out of range")
         if not units:
             raise DiFSError("no units available to rebuild from")
-        return list(next(iter(units.values())))
+        return next(iter(units.values()))
 
     @property
     def storage_overhead(self) -> float:
@@ -117,13 +134,11 @@ class ErasureCoding(RedundancyScheme):
         return self.unit_lbas(chunk_lbas) * opage_bytes
 
     def encode(self, data, chunk_lbas, opage_bytes):
-        unit_bytes = self._unit_bytes(chunk_lbas, opage_bytes)
-        padded = data.ljust(self.k * unit_bytes, b"\0")
-        # Encode with the fragment length fixed to the unit size so the
-        # systematic data fragments align with whole oPages.
-        stripes = [padded[i * unit_bytes:(i + 1) * unit_bytes]
-                   for i in range(self.k)]
-        fragments = self.rs.encode(b"".join(stripes))
+        # Pad to k whole units: the fragment length is then the unit
+        # size and the systematic fragments align with whole oPages.
+        stripe_bytes = self.k * self._unit_bytes(chunk_lbas, opage_bytes)
+        fragments = self.rs.encode(
+            data.ljust(stripe_bytes, b"\0")[:stripe_bytes])
         pages_per_unit = self.unit_lbas(chunk_lbas)
         return [_split_pages(fragment, opage_bytes, pages_per_unit)
                 for fragment in fragments]

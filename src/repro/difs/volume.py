@@ -20,9 +20,10 @@ Chunk IO goes through the device's :class:`repro.io.queue.DeviceQueue`
 when the cluster has attached one (``volume.queue``): writes become one
 ``write`` request, reads one ``read_range`` request, and every
 completion carries measured wait/service/latency. With no queue the
-legacy direct device calls run — the queued path dispatches through
-exactly the same methods in the same order, so both paths are
-bit-identical (the differential conformance suite pins this).
+legacy direct device calls run — one ``write_range`` / ``read_range``
+per chunk, the same two methods the queued path dispatches through, so
+both paths are bit-identical (the differential conformance suite pins
+this).
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ class Volume(ABC):
         """Whether the backing device still serves this volume."""
 
     @abstractmethod
-    def _write_lba(self, lba: int, data: bytes) -> None:
+    def _write_range(self, lba: int, payloads: list[bytes]) -> None:
         ...
 
     @abstractmethod
-    def _read_lba(self, lba: int) -> bytes:
+    def _read_range(self, lba: int, count: int) -> list[bytes]:
         ...
 
     # -- slot management ------------------------------------------------------------
@@ -159,22 +160,20 @@ class Volume(ABC):
             raise ConfigError(
                 f"chunk needs {self.chunk_lbas} payloads, got {len(payloads)}")
         return IORequest(op="write", lba=slot * self.chunk_lbas,
-                         payloads=list(payloads),
-                         mdisk_id=self._io_mdisk_id)
+                         payloads=payloads, mdisk_id=self._io_mdisk_id)
 
     def write_chunk(self, slot: int, payloads: list[bytes]) -> None:
         """Write one chunk (one oPage payload per LBA) into ``slot``.
 
         Routed through the device queue when one is attached; errors
         raise synchronously from ``submit`` exactly as the direct
-        per-LBA writes would.
+        range write would.
         """
         request = self.chunk_write_request(slot, payloads)
         if self.queue is not None:
             self.queue.submit(request)
-            return
-        for offset, payload in enumerate(payloads):
-            self._write_lba(request.lba + offset, payload)
+        else:
+            self._write_range(request.lba, payloads)
 
     def read_chunk(self, slot: int) -> list[bytes]:
         """Read one chunk's payloads; raises device errors through.
@@ -192,10 +191,6 @@ class Volume(ABC):
                 mdisk_id=self._io_mdisk_id))
             return completion.result
         return self._read_range(base, self.chunk_lbas)
-
-    def _read_range(self, lba: int, count: int) -> list[bytes]:
-        """Default scatter-gather: adapters override with device support."""
-        return [self._read_lba(lba + offset) for offset in range(count)]
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.total_slots:
@@ -224,11 +219,8 @@ class MonolithicVolume(Volume):
     def device_alive(self) -> bool:
         return self.device.is_alive
 
-    def _write_lba(self, lba: int, data: bytes) -> None:
-        self.device.write(lba, data)
-
-    def _read_lba(self, lba: int) -> bytes:
-        return self.device.read(lba)
+    def _write_range(self, lba: int, payloads: list[bytes]) -> None:
+        self.device.write_range(lba, payloads)
 
     def _read_range(self, lba: int, count: int) -> list[bytes]:
         return self.device.read_range(lba, count)
@@ -293,11 +285,8 @@ class MinidiskVolume(Volume):
         self.device.release_minidisk(self.mdisk_id)
         return True
 
-    def _write_lba(self, lba: int, data: bytes) -> None:
-        self.device.write(self.mdisk_id, lba, data)
-
-    def _read_lba(self, lba: int) -> bytes:
-        return self.device.read(self.mdisk_id, lba)
+    def _write_range(self, lba: int, payloads: list[bytes]) -> None:
+        self.device.write_range(self.mdisk_id, lba, payloads)
 
     def _read_range(self, lba: int, count: int) -> list[bytes]:
         return self.device.read_range(self.mdisk_id, lba, count)

@@ -13,8 +13,9 @@ rather than a flat LBA, so the *data* methods are intentionally loose
 (``runtime_checkable`` protocols check attribute presence, not
 signatures). What the protocol pins precisely is the shared control
 surface — capacity, liveness, health, and the queued submit/poll pair —
-plus the requirement that read/write/trim/flush exist at all. Requests
-carry ``mdisk_id`` so the queue bridges both address shapes.
+plus the requirement that read/write/trim/flush and their range forms
+exist at all. Requests carry ``mdisk_id`` so the queue bridges both
+address shapes.
 """
 
 from __future__ import annotations
@@ -80,7 +81,11 @@ class BlockDevice(Protocol):
 
     def write(self, *args, **kwargs): ...
 
+    def write_range(self, *args, **kwargs): ...
+
     def trim(self, *args): ...
+
+    def trim_range(self, *args): ...
 
     def flush(self) -> None: ...
 
@@ -105,12 +110,13 @@ class BlockDevice(Protocol):
 class QueuedDevice(Protocol):
     """The minimal surface :class:`repro.io.queue.DeviceQueue` drives.
 
-    Anything with per-LBA read/write and a chip exposing
-    ``stats.busy_us`` / ``channel_busy_us`` can sit behind a queue;
-    the full :class:`BlockDevice` surface is what the *cluster*
-    assumes.
+    Anything with a point read, a range write (a ``write`` request is
+    one ``write_range`` call, however many payloads it carries) and a
+    chip exposing ``stats.busy_us`` / ``channel_busy_us`` can sit
+    behind a queue; the full :class:`BlockDevice` surface is what the
+    *cluster* assumes.
     """
 
     def read(self, *args): ...
 
-    def write(self, *args, **kwargs): ...
+    def write_range(self, *args, **kwargs): ...

@@ -202,17 +202,6 @@ class DeviceQueue:
         self._dispatch_to_window(request, at_us)
         return request
 
-    def submit_vector(self, vec: IOVector) -> None:
-        """Submit every member of ``vec`` through :meth:`submit`.
-
-        A member's ``at_us`` column stamps its open-loop arrival; zero
-        means closed loop (arrive at the device clock). Completions
-        land in the usual window and drain through :meth:`poll`.
-        """
-        for i in range(len(vec)):
-            at = float(vec.at_us[i])
-            self.submit(vec.request(i), None if at == 0.0 else at)
-
     def execute(self, request: IORequest,
                 at_us: float | None = None) -> IOCompletion:
         """Submit synchronously and return the completion now.
@@ -449,7 +438,9 @@ class DeviceQueue:
             return False
         staged.count += request.count
         if staged.op == "write":
-            staged.payloads.extend(request.payloads)
+            # A new list: the staged one is still the submitter's (the
+            # diFS hands every replica of a chunk the same page list).
+            staged.payloads = staged.payloads + request.payloads
         if self._staged_deadlines is None:
             self._staged_deadlines = [staged.deadline_us]
         self._staged_deadlines.append(request.deadline_us)
@@ -541,17 +532,14 @@ class DeviceQueue:
                 result = ([device.read(lba)] if mdisk is None
                           else [device.read(mdisk, lba)])
             elif code == OP_WRITE:
-                if mdisk is not None:
-                    for offset, payload in enumerate(payloads):
-                        device.write(mdisk, lba + offset, payload)
-                elif stream:
-                    for offset, payload in enumerate(payloads):
-                        device.write(lba + offset, payload, stream=stream)
+                if mdisk is None:
+                    device.write_range(lba, payloads, stream)
                 else:
-                    # Exactly the legacy per-LBA call shape (devices
-                    # like BaselineSSD take no stream argument).
-                    for offset, payload in enumerate(payloads):
-                        device.write(lba + offset, payload)
+                    # The lifetime hint has never reached a minidisk
+                    # write (all on lane 0); forwarding it moves data
+                    # between open blocks — a re-baseline of the
+                    # traffic goldens.
+                    device.write_range(mdisk, lba, payloads)
             elif code == OP_READ_RANGE:
                 result = (device.read_range(lba, count) if mdisk is None
                           else device.read_range(mdisk, lba, count))
@@ -564,8 +552,7 @@ class DeviceQueue:
                 if mdisk is None:
                     device.trim_range(lba, count)
                 else:
-                    for offset in range(count):
-                        device.trim(mdisk, lba + offset)
+                    device.trim_range(mdisk, lba, count)
             elif code == OP_FLUSH:
                 device.flush()
             else:  # pragma: no cover - request validation rejects these

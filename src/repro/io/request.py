@@ -36,8 +36,9 @@ class IORequest:
     Attributes:
         op: one of ``read`` (single LBA via the device's point read),
             ``read_range`` (scatter-gather via ``read_range`` — one
-            sense per touched fPage), ``write`` (one device write per
-            payload, in order), ``trim``, ``trim_range``, ``flush``.
+            sense per touched fPage), ``write`` (one ``write_range``
+            call; payloads land in order), ``trim``, ``trim_range``,
+            ``flush``.
             ``read`` and ``read_range`` with ``count == 1`` are *not*
             interchangeable: they reach different chip primitives, so
             the caller picks the one matching its legacy call.
@@ -50,7 +51,7 @@ class IORequest:
         deadline_us: optional host deadline; completions past it are
             flagged, never dropped (QoS experiments consume the flag).
         stream: multi-stream lifetime hint forwarded to flat-device
-            writes.
+            writes (minidisk writes run on lane 0).
     """
 
     op: str

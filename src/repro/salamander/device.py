@@ -39,7 +39,6 @@ from repro.errors import (
     ConfigError,
     DeviceBrickedError,
     MinidiskDecommissionedError,
-    OutOfSpaceError,
 )
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
@@ -303,14 +302,10 @@ class SalamanderSSD(PageMappedFTL):
 
     # -- host I/O ------------------------------------------------------------------
 
-    def write(self, mdisk_id: int, lba: int, data: bytes) -> None:  # type: ignore[override]
+    def write(self, mdisk_id: int, lba: int, data: bytes,  # type: ignore[override]
+              stream: int = 0) -> None:
         """Write one oPage to ``(mdisk_id, lba)``."""
-        mdisk = self._active_mdisk(mdisk_id)
-        try:
-            super().write(mdisk.flat_lba(lba), data)
-        except OutOfSpaceError:
-            self._exhaust()
-            raise
+        super().write(self.minidisk(mdisk_id).flat_lba(lba), data, stream)
 
     def read(self, mdisk_id: int, lba: int) -> bytes:  # type: ignore[override]
         """Read one oPage from ``(mdisk_id, lba)``.
@@ -335,30 +330,32 @@ class SalamanderSSD(PageMappedFTL):
         if not mdisk.is_readable:
             raise MinidiskDecommissionedError(
                 f"mDisk {mdisk_id} was decommissioned")
-        if count <= 0 or lba + count > mdisk.size_lbas:
-            raise ConfigError(
-                f"range [{lba}, {lba + count}) exceeds mDisk size "
-                f"{mdisk.size_lbas}")
-        return super().read_range(mdisk.flat_lba(lba), count)
+        return super().read_range(mdisk.flat_range(lba, count), count)
 
     def write_range(self, mdisk_id: int, lba: int,  # type: ignore[override]
-                    payloads: list[bytes]) -> None:
-        """Write consecutive LBAs within one minidisk, in order.
-
-        Each member goes through :meth:`write`, so a decommission that
-        lands mid-range rejects the members after it.
-        """
-        mdisk = self._active_mdisk(mdisk_id)
-        if not payloads or lba < 0 or lba + len(payloads) > mdisk.size_lbas:
-            raise ConfigError(
-                f"range [{lba}, {lba + len(payloads)}) is empty or exceeds "
-                f"mDisk size {mdisk.size_lbas}")
-        for offset, payload in enumerate(payloads):
-            self.write(mdisk_id, lba + offset, payload)
+                    payloads: list[bytes], stream: int = 0) -> None:
+        """Write consecutive LBAs within one minidisk, in order; a
+        decommission that lands mid-range rejects the members after it
+        (the FTL's write kernel re-asks :meth:`_admit_write`)."""
+        flat = self.minidisk(mdisk_id).flat_range(lba, len(payloads))
+        super().write_range(flat, payloads, stream)
 
     def trim(self, mdisk_id: int, lba: int) -> None:  # type: ignore[override]
         mdisk = self._active_mdisk(mdisk_id)
         super().trim(mdisk.flat_lba(lba))
+
+    def trim_range(self, mdisk_id: int, lba: int,  # type: ignore[override]
+                   count: int) -> None:
+        """Discard ``count`` consecutive LBAs within one minidisk."""
+        mdisk = self._active_mdisk(mdisk_id)
+        super().trim_range(mdisk.flat_range(lba, count), count)
+
+    def _admit_write(self, lba: int) -> int:
+        """Host writes land only in an ACTIVE minidisk of a live device;
+        the admitted run ends with the minidisk."""
+        size = self._table.size_lbas
+        self._active_mdisk(lba // size)
+        return (lba // size + 1) * size
 
     def _active_mdisk(self, mdisk_id: int) -> Minidisk:
         if self._exhausted:

@@ -79,6 +79,15 @@ class Minidisk:
                 f"LBA {lba} out of mDisk range [0, {self.size_lbas})")
         return self.flat_base + lba
 
+    def flat_range(self, lba: int, count: int) -> int:
+        """First flat LBA of the mDisk-relative range ``[lba, lba +
+        count)``, which must be non-empty and inside the mDisk."""
+        if count <= 0 or lba < 0 or lba + count > self.size_lbas:
+            raise ConfigError(
+                f"range [{lba}, {lba + count}) is empty or exceeds "
+                f"mDisk size {self.size_lbas}")
+        return self.flat_base + lba
+
 
 class MinidiskTable:
     """The device's minidisk census, kept rather than recounted.

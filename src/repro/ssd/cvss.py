@@ -115,16 +115,15 @@ class CVSSDevice(PageMappedFTL):
 
     # -- host interface -----------------------------------------------------------
 
-    def write(self, lba: int, data: bytes, stream: int = 0) -> None:
+    def _admit_write(self, lba: int) -> int:
         self._check_alive()
         if lba >= self.capacity_lbas:
             raise OutOfSpaceError(
                 f"LBA {lba} beyond shrunk capacity {self.capacity_lbas}")
-        try:
-            super().write(lba, data, stream=stream)
-        except OutOfSpaceError:
-            self._failed = True
-            raise
+        return self.capacity_lbas
+
+    def _exhaust(self) -> None:
+        self._failed = True
 
     def read(self, lba: int) -> bytes:
         self._check_alive()

@@ -22,7 +22,6 @@ from repro.errors import (
     ConfigError,
     DeviceBrickedError,
     DeviceReadOnlyError,
-    OutOfSpaceError,
 )
 from repro.flash.chip import FlashChip, PageState
 from repro.flash.geometry import FlashGeometry
@@ -141,14 +140,12 @@ class BaselineSSD(PageMappedFTL):
 
     # -- host interface (liveness-gated) ---------------------------------------
 
-    def write(self, lba: int, data: bytes, stream: int = 0) -> None:
+    def _admit_write(self, lba: int) -> int:
         self._check_writable()
-        try:
-            super().write(lba, data, stream=stream)
-        except OutOfSpaceError:
-            # A device that can no longer place host data is dead in practice.
-            self._failed = True
-            raise
+        return self.n_lbas
+
+    def _exhaust(self) -> None:
+        self._failed = True
 
     def read(self, lba: int) -> bytes:
         self._check_readable()

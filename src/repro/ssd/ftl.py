@@ -218,6 +218,10 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._seq = 0
 
         self._write_seq = 0  # monotone program counter, stored in OOB
+        # Moves before any wear-policy hook runs — the only code that can
+        # change what a flavour's ``_admit_write`` answers — so the write
+        # kernel re-asks only after a drain in which it moved.
+        self._wear_epoch = 0
         # Incrementally maintained allocation/GC indexes (the hot-path
         # invariants live in docs/PERFORMANCE.md). ``_block_usable`` is a
         # template hook, so the free index filters through it lazily.
@@ -233,8 +237,9 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             "gc": None}
         self._buffer_stream: dict[int, int] = {}
         # Incremental counters replacing full rescans: buffered oPages per
-        # stream (invariant: sums over ``_buffer_stream``) and mapped LBAs
-        # (invariant: ``count_nonzero(_l2p >= 0)``).
+        # stream (invariant: ``_buffer_stream`` holds exactly the buffered
+        # keys and these sum over it) and mapped LBAs (invariant:
+        # ``count_nonzero(_l2p >= 0)``).
         self._stream_counts = [0] * self.config.host_streams
         self._mapped_lbas = 0
         self._scrub_cursor = 0
@@ -327,39 +332,93 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         return self.io_queue.poll()
 
     def write(self, lba: int, data: bytes, stream: int = 0) -> None:
-        """Buffer a 4 KiB (or shorter) write to ``lba``.
+        """Buffer a 4 KiB (or shorter) write to ``lba``, on the lane of
+        lifetime hint ``stream`` (see ``FTLConfig.host_streams``)."""
+        self._write_members(lba, (data,), stream)
 
-        ``stream`` is the multi-stream lifetime hint: writes sharing a
-        stream land in the same open blocks, so callers that tag hot and
-        cold data separately stop co-locating them in erase units.
+    def write_range(self, lba: int, payloads: list[bytes],
+                    stream: int = 0) -> None:
+        """Write consecutive LBAs in one call, all on ``stream``.
+
+        Per-LBA :meth:`write` semantics (a refused member raises after
+        those before it landed); the range drains through the buffer
+        in arrival order, so it lands as densely packed fPages.
         """
+        if not payloads:
+            raise ConfigError("payloads must be non-empty")
+        self._check_lba(lba)
+        self._check_lba(lba + len(payloads) - 1)
+        self._write_members(lba, payloads, stream)
+
+    def _write_members(self, lba: int, payloads, stream: int) -> None:
+        """The write kernel — the only per-LBA write loop; :meth:`write`
+        is its length-1 case (docs/PERFORMANCE.md, "The range write
+        kernel").
+
+        :meth:`_admit_write` is asked before the first member and again
+        after every drain that handled wear (``_wear_epoch`` moved), the
+        only place admission state changes, so a brick or decommission
+        landing mid-range refuses exactly the members after it. Per
+        member, in single-write order: size check, ``ftl.write`` fault
+        hit *before* the NVRAM insert (a crash there was never acked),
+        ``host_writes``, one ``write_latency`` sample (``0.0`` unless it
+        waited for a drain).
+        """
+        limit = self._admit_write(lba)
         self._check_lba(lba)
         if not 0 <= stream < self.config.host_streams:
             raise ConfigError(
                 f"stream must be in [0, {self.config.host_streams}), "
                 f"got {stream!r}")
-        if len(data) > self.geometry.opage_bytes:
-            raise ConfigError(
-                f"write of {len(data)} bytes exceeds the {self.geometry.opage_bytes}"
-                f"-byte oPage size; split at the device layer")
-        buffer = self.buffer
+        opage_bytes = self.geometry.opage_bytes
+        # ``buffer.put`` / ``is_full`` and the stream counts, in place.
+        entries = self.buffer._entries
+        capacity = self.buffer.capacity_opages
+        streams = self._buffer_stream
+        counts = self._stream_counts
+        injector = self._faults
+        stats = self.stats
         chip_stats = self.chip.stats
-        busy_before = chip_stats.busy_us
-        if self._faults is not None:
-            # Crash *before* the NVRAM insert: the write was never acked,
-            # so losing it is correct (and the invariant harness treats
-            # it as un-acked).
-            self._faults.crash_if("ftl.write", lba=lba)
-        if lba not in buffer and buffer.is_full:
-            self._drain_one_fpage()
-        buffer.put(lba, bytes(data))
-        self._note_buffered(lba, stream)
-        self.stats.host_writes += 1  # counted only once accepted
-        self._instr.host_writes.inc()
-        # The write's visible cost is whatever device work it had to wait
-        # for: usually nothing (NVRAM hit), sometimes a drain, occasionally
-        # a full GC pass — that is where the write tail comes from.
-        self.stats.write_latency.add(chip_stats.busy_us - busy_before)
+        add_latency = stats.write_latency.add
+        accepted = stats.host_writes
+        try:
+            for payload in payloads:
+                if lba >= limit:
+                    limit = self._admit_write(lba)
+                if len(payload) > opage_bytes:
+                    raise ConfigError(
+                        f"write of {len(payload)} bytes exceeds the "
+                        f"{opage_bytes}-byte oPage size; split at the "
+                        f"device layer")
+                if injector is not None:
+                    injector.crash_if("ftl.write", lba=lba)
+                # A write's visible cost is the device work it waited
+                # for: usually none (NVRAM hit), sometimes a drain,
+                # occasionally a whole GC pass — the write tail.
+                waited = 0.0
+                if lba not in entries and len(entries) >= capacity:
+                    epoch = self._wear_epoch
+                    busy_before = chip_stats.busy_us
+                    try:
+                        self._drain_one_fpage()
+                    except OutOfSpaceError:
+                        self._exhaust()
+                        raise
+                    waited = chip_stats.busy_us - busy_before
+                    if self._wear_epoch != epoch:
+                        limit = lba + 1  # admission may have moved: ask again
+                entries[lba] = bytes(payload)
+                prev = streams.get(lba)
+                if prev != stream:
+                    if prev is not None:
+                        counts[prev] -= 1
+                    streams[lba] = stream
+                    counts[stream] += 1
+                stats.host_writes += 1
+                add_latency(waited)
+                lba += 1
+        finally:
+            self._instr.host_writes.inc(stats.host_writes - accepted)
 
     def read(self, lba: int) -> bytes:
         """Read the 4 KiB oPage at ``lba``.
@@ -622,20 +681,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             self._note_unbuffered(target)
         self.invalidate_batch(np.arange(lba, lba + count, dtype=np.int64))
 
-    def write_range(self, lba: int, payloads: list[bytes]) -> None:
-        """Write consecutive LBAs in one call.
-
-        Semantically identical to per-LBA :meth:`write`; large sequential
-        transfers land as densely packed fPages because the batch drains
-        through the buffer in arrival order.
-        """
-        if not payloads:
-            raise ConfigError("payloads must be non-empty")
-        self._check_lba(lba)
-        self._check_lba(lba + len(payloads) - 1)
-        for offset, payload in enumerate(payloads):
-            self.write(lba + offset, payload)
-
     def flush(self) -> None:
         """Drain the write buffer completely (fPages may be padded)."""
         while len(self.buffer) > 0:
@@ -847,23 +892,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
 
     # -- internals: incremental buffer/stream accounting -----------------------
 
-    def _note_buffered(self, lba: int, stream: int) -> None:
-        """Record that ``lba`` is buffered under ``stream``.
-
-        Keeps ``_stream_counts`` consistent with the buffer contents so
-        ``_busiest_stream`` never rescans the buffer. Invariant: the keys
-        of ``_buffer_stream`` are exactly the buffered keys.
-        """
-        prev = self._buffer_stream.get(lba)
-        if prev is not None:
-            if prev == stream:
-                return
-            self._stream_counts[prev] -= 1
-        self._buffer_stream[lba] = stream
-        self._stream_counts[stream] += 1
-
     def _note_unbuffered(self, lba: int) -> None:
-        """Record that ``lba`` left the buffer (drain or trim)."""
+        """Record that ``lba`` left the buffer (trim or decommission)."""
         stream = self._buffer_stream.pop(lba, None)
         if stream is not None:
             self._stream_counts[stream] -= 1
@@ -919,9 +949,15 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
                 batch = batch[:capacity]
         if injector is not None:
             injector.crash_if("ftl.drain.post_program", fpage=fpage)
+        # ``buffer.discard`` / ``_note_unbuffered`` per key, in place.
+        entries = self.buffer._entries
+        streams = self._buffer_stream
+        counts = self._stream_counts
         for lba, _payload in batch:
-            self.buffer.discard(lba)
-            self._note_unbuffered(lba)
+            entries.pop(lba, None)
+            buffered_as = streams.pop(lba, None)
+            if buffered_as is not None:
+                counts[buffered_as] -= 1
         self._maybe_autoscrub()
 
     def _busiest_stream(self) -> int:
@@ -1066,6 +1102,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
                     # Cursor is persisted first so the policy hook (which
                     # may retire blocks or raise) sees consistent state.
                     self._open[key] = (block, cursor)
+                    self._wear_epoch += 1
                     still_usable = self._handle_worn_page(fpage, required)
                     if not still_usable or not chip.is_free(fpage):
                         continue
@@ -1220,6 +1257,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         # is reset and FREE pages carry no retention term, so the chip's
         # vectorised wear-only sweep is exact here.
         worn = self.chip.worn_free_pages(block)
+        self._wear_epoch += len(worn)
         for fpage, required in worn:
             self._handle_worn_page(fpage, required)
         if not self._block_usable(block):
@@ -1291,6 +1329,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         relocation, so nothing valid remains), the block joins the dead
         set, and the device-policy hook may additionally ledger it.
         """
+        self._wear_epoch += 1
         retired = 0
         for fpage in self.geometry.fpage_range_of_block(block):
             if self.chip.is_free(fpage) or self.chip.is_written(fpage):
@@ -1338,6 +1377,20 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
 
     def _after_wear_event(self, block: int, worn_fpages: list[int]) -> None:
         """Called after wear transitions in ``block``; default: nothing."""
+
+    def _admit_write(self, lba: int) -> int:
+        """Raise unless the device takes a host write to ``lba`` now;
+        return the first LBA above it the answer does not cover.
+
+        Default: no gate. The baseline device refuses once bricked or
+        read-only, CVSS beyond its shrunk capacity, Salamander outside
+        an ACTIVE minidisk.
+        """
+        return self.n_lbas
+
+    def _exhaust(self) -> None:
+        """A host write's drain ran out of space (the error is on its
+        way up). Default: nothing; the device flavours die of it."""
 
     def _block_usable(self, block: int) -> bool:
         """Whether policy still allows allocating from ``block``.

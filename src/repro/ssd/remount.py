@@ -71,7 +71,9 @@ class RemountMixin:
         """
         for lba, payload in entries:
             self.buffer.put(lba, payload)
-            self._note_buffered(lba, 0)
+            if lba not in self._buffer_stream:
+                self._buffer_stream[lba] = 0
+                self._stream_counts[0] += 1
 
     def _rebuild_from_flash(self) -> None:
         """Mount-time scan: rebuild mapping, counts, and block states."""

@@ -8,11 +8,17 @@ releases them in groups sized to the open fPage's tiredness level.
 Keys are opaque to the buffer (the FTL uses flat oPage indices; the
 Salamander device uses (mdisk, lba) flattened the same way). A later write
 to a buffered key overwrites in place — the classic buffer-hit fast path.
+
+The FTL's write kernel and drain (``PageMappedFTL._write_members``,
+``_drain_one_fpage``) run once per host oPage, so they work on
+``_entries`` directly; :meth:`put`, :attr:`is_full` and :meth:`discard`
+are the semantics they inline.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Hashable
 
 from repro.errors import ConfigError
@@ -97,13 +103,10 @@ class WriteBuffer:
         """
         if count < 0:
             raise ConfigError(f"count must be non-negative, got {count!r}")
-        batch = []
-        for key, payload in self._entries.items():
-            if len(batch) >= count:
-                break
-            if keys is None or key in keys:
-                batch.append((key, payload))
-        return batch
+        items = self._entries.items()
+        if keys is not None:
+            items = (item for item in items if item[0] in keys)
+        return list(islice(items, count))
 
     def keys(self) -> list[Hashable]:
         """Buffered keys, oldest first."""

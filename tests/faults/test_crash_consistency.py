@@ -31,6 +31,7 @@ from .walk import (
     replay_reference,
     run_episode,
     run_episode_batched,
+    run_episode_ranges,
     verify_invariants,
 )
 
@@ -122,6 +123,49 @@ def test_fuzz_episode_batched(flavour, seed, make_chip, ftl_config,
     assert result.crashes >= 3, (
         f"anchor crashes did not fire (got {result.crashes}); "
         f"sites seen: {result.crash_sites}")
+
+
+#: Crashes that cut a range short somewhere in its middle, by site,
+#: over the whole range-episode matrix.
+_TORN = {"runs": 0, "sites": set()}
+
+
+@pytest.mark.parametrize("seed", SEEDS[:6])
+@pytest.mark.parametrize("flavour", FLAVOURS)
+def test_fuzz_episode_ranges(flavour, seed, make_chip, ftl_config,
+                             make_baseline, make_salamander):
+    """Crash fuzz with ``write_range`` as the host write: a power loss
+    in the middle of a range keeps every member acked before it and
+    leaves the rest old-or-new."""
+    plan = episode_plan(flavour, seed)
+    with faults.installed(plan):
+        device = build_device(flavour, make_chip, ftl_config,
+                              make_baseline, make_salamander, seed)
+        try:
+            result = run_episode_ranges(device, plan, seed)
+            verify_invariants(result)
+        except AssertionError as failure:
+            raise AssertionError(
+                f"{failure}\n--- reproducer: flavour={flavour} "
+                f"walk_seed={seed} ranges plan ---\n"
+                f"{plan.to_json()}") from failure
+    assert result.crashes >= 3, (
+        f"anchor crashes did not fire (got {result.crashes}); "
+        f"sites seen: {result.crash_sites}")
+    _TORN["runs"] += 1
+    _TORN["sites"].update(site for site, landed, span in result.torn
+                          if 0 < landed < span)
+
+
+def test_range_episodes_crash_mid_range():
+    """The range matrix really tears ranges at the write hit and on
+    both sides of a drain's program."""
+    full_matrix = len(FLAVOURS) * len(SEEDS[:6])
+    if _TORN["runs"] < full_matrix:
+        pytest.skip(f"only {_TORN['runs']}/{full_matrix} range episodes "
+                    "ran (filtered or reduced REPRO_FUZZ_BUDGET)")
+    assert {"ftl.write", "ftl.drain.pre_program",
+            "ftl.drain.post_program"} <= _TORN["sites"], _TORN
 
 
 def test_crash_episode_floor():

@@ -70,6 +70,8 @@ class WalkResult:
     acked_ops: list = field(default_factory=list)    # (op, key, payload)
     crashes: int = 0
     crash_sites: list = field(default_factory=list)
+    #: Range writes a crash cut short: (site, members acked, members).
+    torn: list = field(default_factory=list)
     steps: int = 0
 
 
@@ -282,6 +284,104 @@ def run_episode_batched(device, plan: FaultPlan, seed: int,
     except END_OF_LIFE:
         pass
     return result
+
+
+def run_episode_ranges(device, plan: FaultPlan, seed: int,
+                       n_ops: int = 170, max_span: int = 12) -> WalkResult:
+    """The range-write twin of :func:`run_episode`.
+
+    Host writes arrive as ``write_range`` calls of 1..``max_span``
+    members, so injected power losses land *inside* ranges — at the
+    ``ftl.write`` hit of a middle member, or in the drain a middle
+    member had to wait for. The ack rule is per member: the members the
+    crashed call had accepted (its ``host_writes`` delta — counted only
+    once a member is in NVRAM) are acked and must survive the remount;
+    the member that crashed and those after it were never acked and may
+    read as their old content or the new, nothing else. Members that
+    landed before a mid-range decommission or end of life are acked the
+    same way. No trims here (their resurrection rules would blur
+    old-or-new); flushes and background GC keep the drains coming.
+    """
+    rng = fork_rng(make_rng(seed), "fuzz-range-ops")
+    result = WalkResult(device=device)
+    serial = 0
+
+    def ack(key, payload):
+        result.oracle[key] = payload
+        result.history.setdefault(key, []).append(payload)
+        result.acked_ops.append(("write", key, payload))
+
+    for step in range(n_ops):
+        result.steps = step + 1
+        roll = float(rng.random())
+        device = result.device
+        if roll >= 0.7:
+            try:
+                if roll < 0.85:
+                    device.flush()
+                else:
+                    device.background_tick(max_collections=2)
+            except PowerLossError as loss:
+                result.crashes += 1
+                result.crash_sites.append(loss.site)
+                result.device = remount_after_crash(device)
+            except END_OF_LIFE:
+                break
+            continue
+        start = _pick_key(device, rng)
+        if start is None:
+            break
+        salamander = isinstance(device, SalamanderSSD)
+        lba = start[1] if salamander else start
+        room = (device.msize_lbas if salamander else device.n_lbas) - lba
+        span = min(1 + int(rng.integers(max_span)), room)
+        keys = [(start[0], lba + i) if salamander else lba + i
+                for i in range(span)]
+        serial += 1
+        payloads = [f"{key}#{serial}@{seed}".encode() for key in keys]
+        accepted = device.stats.host_writes
+        ended = False
+        try:
+            if salamander:
+                device.write_range(start[0], lba, payloads)
+            else:
+                device.write_range(lba, payloads)
+        except PowerLossError as loss:
+            result.crashes += 1
+            result.crash_sites.append(loss.site)
+            result.torn.append(
+                (loss.site, device.stats.host_writes - accepted, span))
+            result.device = remount_after_crash(device)
+        except MinidiskDecommissionedError:
+            pass    # the range raced a wear-driven decommission
+        except END_OF_LIFE:
+            ended = True
+        landed = device.stats.host_writes - accepted
+        for key, payload in zip(keys[:landed], payloads):
+            ack(key, payload)
+        if result.device is not device:
+            for key, payload in zip(keys[landed:], payloads[landed:]):
+                _probe_unacked(result, key, payload)
+        if ended:
+            break
+    return result
+
+
+def _probe_unacked(result: WalkResult, key, new: bytes) -> None:
+    """An un-acked range member reads as its old content or the new."""
+    data = _read_key(result.device, key)
+    if data is None:
+        result.oracle.pop(key, None)    # its minidisk is gone
+        return
+    opage = result.device.geometry.opage_bytes
+    old = result.oracle.get(key, b"")
+    assert data in (old.ljust(opage, b"\0"), new.ljust(opage, b"\0")), (
+        f"un-acked range member {key} reads as neither its old content "
+        f"nor the new: {data[:24]!r}...")
+    if data != old.ljust(opage, b"\0"):
+        # It made it after all; from here on it must stay.
+        result.oracle[key] = new
+        result.history.setdefault(key, []).append(new)
 
 
 def _probe_key(result: WalkResult, key) -> None:

@@ -138,6 +138,70 @@ class TestCoalescing:
             IORequest(op="read_range", lba=MAX_MERGE_LBAS, count=1), None)
 
 
+    def test_merging_leaves_the_submitters_payload_lists_alone(self, device):
+        # The diFS hands every replica of a chunk the same page list.
+        queue = DeviceQueue(device, coalesce=True)
+        shared = [b"p" * 8, b"q" * 8]
+        queue.submit(IORequest(op="write", lba=16, payloads=shared))
+        queue.submit(IORequest(op="write", lba=18, payloads=shared))
+        queue.flush()
+        assert shared == [b"p" * 8, b"q" * 8]
+        assert queue.poll()[0].request.count == 4
+        assert device.read(19).rstrip(b"\0") == b"q" * 8
+
+
+class TestOneCallPerRequest:
+    """A request is one device call, whatever its length."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count calls into the device's public write/trim methods."""
+        from repro.salamander.device import SalamanderSSD
+        from repro.ssd.ftl import PageMappedFTL
+        seen = []
+        for cls in (PageMappedFTL, SalamanderSSD):
+            for name in ("write", "write_range", "trim", "trim_range"):
+                def counted(self, *args, _real=getattr(cls, name),
+                            _name=f"{cls.__name__}.{name}", **kwargs):
+                    seen.append(_name)
+                    return _real(self, *args, **kwargs)
+                monkeypatch.setattr(cls, name, counted)
+        return seen
+
+    def test_flat_write_and_trim_range(self, make_chip, calls):
+        from repro.ssd.ftl import FTLConfig, PageMappedFTL
+        ftl = PageMappedFTL.for_chip(make_chip(), FTLConfig(
+            overprovision=0.25, buffer_opages=8, host_streams=2))
+        queue = DeviceQueue(ftl)
+        queue.execute(IORequest(op="write", lba=4, stream=1,
+                                payloads=[b"x"] * 6))
+        assert calls == ["PageMappedFTL.write_range"]
+        assert [ftl._buffer_stream[lba] for lba in range(4, 10)] == [1] * 6
+        queue.execute(IORequest(op="trim_range", lba=4, count=6))
+        assert calls[1:] == ["PageMappedFTL.trim_range"]
+        assert ftl.stats.trims == 6 and len(ftl.buffer) == 0
+
+    def test_minidisk_write_and_trim_range(self, make_salamander, calls):
+        device = make_salamander()
+        queue = DeviceQueue(device)
+        # The lifetime hint stops at the queue for minidisk requests.
+        queue.execute(IORequest(op="write", lba=2, mdisk_id=1, stream=3,
+                                payloads=[b"y"] * 16))
+        assert calls == ["SalamanderSSD.write_range",
+                         "PageMappedFTL.write_range"]
+        assert device.stats.host_writes == 16
+        del calls[:]
+        queue.execute(IORequest(op="trim_range", lba=2, count=16,
+                                mdisk_id=1))
+        assert calls == ["SalamanderSSD.trim_range",
+                         "PageMappedFTL.trim_range"]
+        assert device.stats.trims == 16
+        assert device.read_range(1, 2, 16) == [bytes(4096)] * 16
+        with pytest.raises(ConfigError):
+            queue.execute(IORequest(op="trim_range", lba=30, count=4,
+                                    mdisk_id=1))
+
+
 class TestErrors:
     def test_execute_reraises_device_error(self, device):
         queue = DeviceQueue(device)

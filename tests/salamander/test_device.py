@@ -19,6 +19,7 @@ from repro.salamander.events import (
     MinidiskDecommissioned,
     MinidiskRegenerated,
 )
+from repro.ssd.ftl import FTLConfig
 
 
 def wear_out(device, utilization=0.6, seed=0, max_writes=500_000):
@@ -141,6 +142,52 @@ class TestHostIO:
         with pytest.raises(ConfigError):
             device.write_range(len(device.minidisks), 0, [b"a"])
         assert device.stats.host_writes == 0
+
+    def test_write_range_takes_the_stream_hint(self, make_chip):
+        device = SalamanderSSD(make_chip(variation_sigma=0.0), SalamanderConfig(
+            msize_lbas=32, headroom_fraction=0.25, ftl=FTLConfig(
+                overprovision=0.25, buffer_opages=8, host_streams=2)))
+        device.write_range(0, 0, [b"hot"] * 16, stream=0)
+        device.write_range(1, 0, [b"cold"] * 16, stream=1)
+        device.write(1, 16, b"cold", stream=1)
+        device.flush()
+        blocks = [{int(device._l2p[mdisk * 32 + lba])
+                   // device._slots_per_block for lba in range(16)}
+                  for mdisk in (0, 1)]
+        assert blocks[0].isdisjoint(blocks[1])
+        with pytest.raises(ConfigError):
+            device.write_range(0, 0, [b"x"], stream=2)
+
+    def test_trim_range_within_a_minidisk(self, make_salamander):
+        device = make_salamander()
+        device.write_range(1, 0, [b"data"] * 12)
+        device.flush()
+        device.write_range(1, 8, [b"buffered"] * 4)
+        device.trim_range(1, 2, 8)
+        assert device.stats.trims == 8
+        assert device.read_range(1, 0, 12) == (
+            [b"data".ljust(4096, b"\0")] * 2 + [bytes(4096)] * 8
+            + [b"buffered".ljust(4096, b"\0")] * 2)
+        assert device.read(0, 2) == bytes(4096)
+        device._audit_fastpath()
+
+    def test_trim_range_is_gated_and_bounded_like_read_range(
+            self, make_salamander):
+        device = make_salamander()
+        device.write_range(0, 0, [b"keep"] * 4)
+        for lba, count in ((0, 0), (-1, 2), (device.msize_lbas - 1, 2)):
+            with pytest.raises(ConfigError):
+                device.trim_range(0, lba, count)
+        with pytest.raises(ConfigError):
+            device.trim_range(len(device.minidisks), 0, 1)
+        device._decommission(device.minidisks[1], reason="test")
+        with pytest.raises(MinidiskDecommissionedError):
+            device.trim_range(1, 0, 4)
+        assert device.stats.trims == 0
+        assert device.read(0, 3) == b"keep".ljust(4096, b"\0")
+        device._exhaust()
+        with pytest.raises(DeviceBrickedError):
+            device.trim_range(0, 0, 4)
 
     def test_no_write_twin_reaches_a_decommissioned_minidisk(
             self, make_salamander):

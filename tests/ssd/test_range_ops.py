@@ -78,6 +78,34 @@ class TestWriteRange:
             ftl.write_range(ftl.n_lbas - 1, [b"a", b"b"])
 
 
+    def test_a_refused_member_raises_after_those_before_it_landed(self, ftl):
+        payloads = [b"ok"] * 5 + [bytes(4097)] + [b"never"] * 3
+        with pytest.raises(ConfigError, match="exceeds the 4096-byte"):
+            ftl.write_range(8, payloads)
+        assert ftl.stats.host_writes == 5
+        assert ftl.stats.write_latency.count == 5
+        assert ftl.buffer.keys() == [8, 9, 10, 11, 12]
+
+    @pytest.mark.parametrize("flavour", ["ftl", "baseline", "cvss"])
+    def test_stream_hint_covers_the_range_on_every_flat_flavour(
+            self, flavour, make_chip):
+        from repro.ssd.cvss import CVSSConfig, CVSSDevice
+        from repro.ssd.device import BaselineSSD, SSDConfig
+        config = FTLConfig(overprovision=0.25, buffer_opages=8,
+                           host_streams=2)
+        chip = make_chip(variation_sigma=0.0)
+        device = {"ftl": lambda: PageMappedFTL.for_chip(chip, config),
+                  "baseline": lambda: BaselineSSD(chip, SSDConfig(ftl=config)),
+                  "cvss": lambda: CVSSDevice(chip, CVSSConfig(ftl=config)),
+                  }[flavour]()
+        device.write_range(0, [b"cold"] * 6, stream=1)
+        assert [device._buffer_stream[lba] for lba in range(6)] == [1] * 6
+        with pytest.raises(ConfigError, match="stream must be in"):
+            device.write_range(8, [b"x"] * 3, stream=2)
+        assert device.stats.host_writes == 6
+        device._audit_fastpath()
+
+
 class TestBaselineLivenessGate:
     """Every write-side call on a baseline device checks liveness."""
 

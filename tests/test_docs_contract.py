@@ -5,18 +5,21 @@ The document describes the fast paths by their internal names
 removes one, the prose silently rots; this test turns that into a
 failure. Every back-ticked ``_name`` in the document must be an
 attribute of a live instance of one of the classes the document is
-about (the FTL, the chip, a ``SalamanderSSD`` and its minidisk table,
-the cluster and its volume index); a qualified ``Class._name`` must be
-an attribute of that class.
+about (the FTL with its write buffer and latency reservoir, the chip,
+the baseline and CVSS devices, a ``SalamanderSSD`` and its minidisk
+table, the cluster and its volume index, the redundancy module); a
+qualified ``Class._name`` must be an attribute of that class.
 
 docs/SHARDING.md names the fleet walk by its public dotted names
 (``repro.sim.fleet.walk_shard``, ...); every back-ticked ``repro.*``
 name there, and in docs/PERFORMANCE.md, must still import.
 
-The "columnar fleet walk" section of docs/PERFORMANCE.md is held to
-more: *every* back-ticked span there that is a bare name, a dotted
-name or a file path must resolve — in the fleet modules, numpy, the
-benchmark manifests or the tree.
+The "columnar fleet walk" and "range write kernel" sections of
+docs/PERFORMANCE.md are held to more: *every* back-ticked span there
+that is a bare name, a dotted name or a file path must resolve — in the
+modules the section is about (the fleet modules; the write stack from
+chunk encode to the chip), numpy, the benchmark manifests, the fault
+sites or the tree.
 """
 
 from __future__ import annotations
@@ -32,15 +35,25 @@ from pathlib import Path
 import numpy
 import pytest
 
+import repro.difs.redundancy
+import repro.errors
+import repro.faults
 import repro.flash.rber
 import repro.sim.fleet
+import repro.sim.lifetime
 import repro.sim.shard
+import repro.ssd.stats
+import repro.ssd.write_buffer
 from repro.difs.cluster import Cluster
 from repro.difs.placement import VolumeIndex
+from repro.difs.volume import Volume
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
+from repro.io.queue import DeviceQueue
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
-from repro.ssd.ftl import PageMappedFTL
+from repro.ssd.cvss import CVSSConfig, CVSSDevice
+from repro.ssd.device import BaselineSSD, SSDConfig
+from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ROOT / "docs"
@@ -55,14 +68,31 @@ _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+(?![\w/])")
 _PRIVATE = re.compile(r"(?:\b([A-Za-z]\w*)\.)?(?<!\w)(_[a-z][a-z0-9_]*)")
 
 
+_ROOMY = FTLConfig(overprovision=0.25)      # the test chips are tiny
+
+
+def small_baseline(geometry: FlashGeometry) -> BaselineSSD:
+    return BaselineSSD.create(geometry, SSDConfig(ftl=_ROOMY), seed=1)
+
+
+def small_cvss(geometry: FlashGeometry) -> CVSSDevice:
+    return CVSSDevice.create(geometry, CVSSConfig(ftl=_ROOMY), seed=1)
+
+
 @pytest.fixture(scope="module")
 def subjects() -> dict[str, object]:
     geometry = FlashGeometry(blocks=16, fpages_per_block=8)
     chip = FlashChip(geometry, seed=1)
     salamander = SalamanderSSD.create(
         geometry, SalamanderConfig(msize_lbas=32), seed=1)
-    return {"PageMappedFTL": PageMappedFTL(chip, n_lbas=64),
+    ftl = PageMappedFTL(chip, n_lbas=64)
+    return {"PageMappedFTL": ftl,
+            "WriteBuffer": ftl.buffer,
+            "LatencyReservoir": ftl.stats.write_latency,
             "FlashChip": chip,
+            "BaselineSSD": small_baseline(geometry),
+            "CVSSDevice": small_cvss(geometry),
+            "redundancy": repro.difs.redundancy,
             "SalamanderSSD": salamander,
             "MinidiskTable": salamander._table,
             "Cluster": Cluster(),
@@ -168,12 +198,16 @@ def benchmark_names() -> set[str]:
             | set(fleet_grid) | set(fleet_grid["parts"]))
 
 
-def unresolved_spans(text: str) -> tuple[set[str], list[str]]:
+FLEET_NAMESPACES = [repro.sim.fleet, repro.sim.shard, repro.flash.rber,
+                    repro.sim.fleet.FleetRules, repro.sim.fleet.FleetConfig]
+
+
+def unresolved_spans(text: str, namespaces=FLEET_NAMESPACES,
+                     ) -> tuple[set[str], list[str]]:
     """(name-like spans checked, those that resolve nowhere)."""
-    namespaces = [repro.sim.fleet, repro.sim.shard, repro.flash.rber,
-                  repro.sim.fleet.FleetRules, repro.sim.fleet.FleetConfig,
-                  numpy, builtins, types.SimpleNamespace(np=numpy)]
-    known = benchmark_names()
+    namespaces = [*namespaces, builtins, numpy,
+                  types.SimpleNamespace(np=numpy)]
+    known = benchmark_names() | set(repro.faults.SITES)
     checked, missing = set(), []
     for span in sorted(set(_CODE_SPAN.findall(text))):
         if _NAME.fullmatch(span):
@@ -219,6 +253,55 @@ def test_section_check_flags_a_removed_name():
                        "np.ldexp", "tests/sim/gone.py", "fleet_grid"}
     assert missing == ["FleetRules.build_devices", "_DeviceState",
                        "tests/sim/gone.py"]
+
+
+def write_stack_namespaces() -> list[object]:
+    """The write stack, top to bottom — classes, and one live instance
+    of each so that attributes set in ``__init__`` resolve too."""
+    geometry = FlashGeometry(blocks=16, fpages_per_block=8)
+    ftl = PageMappedFTL(FlashChip(geometry, seed=1), n_lbas=64)
+    return [repro.difs.redundancy, Volume, DeviceQueue,
+            SalamanderSSD.create(geometry, SalamanderConfig(msize_lbas=32),
+                                 seed=1),
+            small_baseline(geometry), small_cvss(geometry), ftl, ftl.config,
+            ftl.buffer, ftl.stats, ftl.stats.write_latency, ftl.chip,
+            ftl.chip.stats, repro.ssd.stats, repro.ssd.write_buffer,
+            repro.sim.lifetime, repro.errors, bytes,
+            types.SimpleNamespace(PageMappedFTL=PageMappedFTL,
+                                  SalamanderSSD=SalamanderSSD,
+                                  BaselineSSD=BaselineSSD,
+                                  CVSSDevice=CVSSDevice,
+                                  DeviceQueue=DeviceQueue, Volume=Volume,
+                                  FlashChip=FlashChip, Cluster=Cluster)]
+
+
+def test_write_kernel_section_names_resolve():
+    text = section(DOCUMENT.read_text(), "The range write kernel")
+    checked, missing = unresolved_spans(text, write_stack_namespaces())
+    assert {"PageMappedFTL._write_members", "_admit_write", "_exhaust",
+            "SalamanderSSD.write_range", "DeviceQueue._serve",
+            "Volume.write_chunk", "_split_pages", "FlashChip.program",
+            "event_seq", "ftl.write", "cluster_churn", "ssd.ftl.calls",
+            "unit_write_micro", "tests/ssd/write_loop_oracle.py",
+            "benchmarks/e2e/layers.py"} <= checked
+    assert not missing, (
+        f"docs/PERFORMANCE.md, 'The range write kernel', names things "
+        f"that resolve nowhere: {missing}")
+
+
+def test_write_kernel_check_flags_a_removed_name():
+    checked, missing = unresolved_spans(
+        "`_note_buffered`, `PageMappedFTL.write_batch`, `_write_members`, "
+        "`DeviceQueue.submit_vector`, `ftl.write`, `ftl.gone`, "
+        "`tests/ssd/write_loop_oracle.py`, `lba + 1`",
+        write_stack_namespaces())
+    assert checked == {"_note_buffered", "PageMappedFTL.write_batch",
+                       "_write_members", "DeviceQueue.submit_vector",
+                       "ftl.write", "ftl.gone",
+                       "tests/ssd/write_loop_oracle.py"}
+    assert missing == ["DeviceQueue.submit_vector",
+                       "PageMappedFTL.write_batch", "_note_buffered",
+                       "ftl.gone"]
 
 
 def test_resolver_flags_a_removed_name():
