@@ -235,7 +235,8 @@ def time_command(name: str, command: list[str]) -> int:
     wall_s = time.perf_counter() - start
     if code == 0:
         record(name, 1, wall_s, {"command": " ".join(command)})
-        print(f"[perf] {name}: {wall_s:.1f}s wall")
+        # Three significant digits: a cold start is ~0.4 s.
+        print(f"[perf] {name}: {wall_s:.3g}s wall")
     return code
 
 

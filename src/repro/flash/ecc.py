@@ -17,7 +17,8 @@ Micheloni [12]), we model a page as one binary-BCH-style codeword:
 
 ``max_rber()`` inverts the failure probability by bisection; this single
 number is what the tiredness machinery feeds into the RBER model's inverse
-to obtain per-level PEC limits.
+to obtain per-level PEC limits. The tail itself is ``_binomial_tail``
+below: this module, like all of ``src/``, needs numpy and nothing else.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigError
 
@@ -118,15 +118,14 @@ class EccScheme:
 
     def codeword_failure_probability(self, rber: float) -> float:
         """Probability one codeword sees more than ``t`` flips."""
-        if rber < 0:
+        if not rber >= 0:  # negative or NaN
             raise ConfigError(f"rber must be non-negative, got {rber!r}")
         if rber == 0:
             return 0.0
         if rber >= 1:
             return 1.0
-        return float(stats.binom.sf(self.correctable_bits,
-                                    self.codeword_bits // self.codewords,
-                                    rber))
+        return _binomial_tail(self.correctable_bits,
+                              self.codeword_bits // self.codewords, rber)
 
     def page_failure_probability(self, rber: float) -> float:
         """Probability a page read is uncorrectable.
@@ -253,7 +252,7 @@ class LdpcScheme:
 
     def page_failure_probability(self, rber: float) -> float:
         """Sharp-waterfall approximation of the LDPC failure curve."""
-        if rber < 0:
+        if not rber >= 0:  # negative or NaN
             raise ConfigError(f"rber must be non-negative, got {rber!r}")
         if rber == 0:
             return 0.0
@@ -297,3 +296,38 @@ def _max_rber_cached(codeword_bits: int, parity_bits: int,
         if hi - lo < 1e-12:
             break
     return lo
+
+
+def _binomial_tail(t: int, n: int, p: float) -> float:
+    """``P[Binomial(n, p) > t]`` for ``0 < p < 1``, in numpy alone.
+
+    The pmf is summed *away* from the mode, so terms only decay and no
+    ``0 * inf`` can form: the upper tail directly when
+    ``t + 1 >= (n + 1) p``, else one minus the lower tail (which is the
+    upper tail of ``n - X ~ Binomial(n, 1 - p)``). The first term is
+    taken in log space — ``log C(n, k)`` as a sum of ``log((n - k + i) /
+    i)``, because an ``lgamma`` difference cancels to ~4e-10 at
+    n ~ 1.5e5 — and extended by the pmf ratio recurrence until a term
+    no longer moves the sum (docs/PERFORMANCE.md, "Cold start").
+    """
+    if not 0 <= t < n:
+        return 1.0 if t < 0 else 0.0
+    upper = t + 1 >= (n + 1) * p
+    k, log_p, log_q, odds = (
+        (t + 1, math.log(p), math.log1p(-p), p / (1.0 - p)) if upper
+        else (n - t, math.log1p(-p), math.log(p), (1.0 - p) / p))
+    i = np.arange(1, min(k, n - k) + 1)
+    # One exactly rounded sum of small pieces — the logs in blocks of 64,
+    # each product as two exact halves — so log pmf(k) carries the
+    # rounding of the two logarithms, not of partial sums as large as n.
+    pieces = [*np.add.reduceat(np.log((n - i.size + i) / i), i[::64] - 1)]
+    for count, log in ((k, log_p), (n - k, log_q)):
+        head = float(np.float32(log))    # 24 bits: count * head is exact
+        pieces += [count * head, count * (log - head)]
+    term = total = math.exp(math.fsum(pieces))
+    while k < n and total + term != total:
+        ks = np.arange(k, min(k + 256, n))
+        terms = term * np.cumprod((n - ks) / (ks + 1) * odds)
+        total += float(terms.sum())
+        term, k = float(terms[-1]), k + ks.size
+    return total if upper else 1.0 - total

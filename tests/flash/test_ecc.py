@@ -54,6 +54,20 @@ class TestEccScheme:
         with pytest.raises(ConfigError):
             scheme.page_failure_probability(-0.1)
 
+    @pytest.mark.parametrize("codewords", [1, 4])
+    def test_nan_rber_is_rejected_like_a_negative_one(self, codewords):
+        # NaN fails every comparison: it used to slide past `rber < 0`
+        # and come back as nan, so is_reliable_at(nan) was a silent False.
+        scheme = EccScheme.for_page(16 * KIB, 2 * KIB, codewords=codewords)
+        for method in (scheme.codeword_failure_probability,
+                       scheme.page_failure_probability,
+                       scheme.is_reliable_at):
+            with pytest.raises(ConfigError, match="non-negative"):
+                method(float("nan"))
+        assert scheme.codeword_failure_probability(float("inf")) == 1.0
+        assert scheme.page_failure_probability(float("inf")) == 1.0
+        assert not scheme.is_reliable_at(float("inf"))
+
     def test_max_rber_meets_target(self):
         scheme = EccScheme.for_page(16 * KIB, 2 * KIB, uber_target=1e-15)
         limit = scheme.max_rber()

@@ -46,6 +46,18 @@ class TestLdpcScheme:
         assert scheme.page_failure_probability(threshold * 0.99) == 0.0
         assert scheme.page_failure_probability(threshold * 1.01) == 1.0
 
+    def test_nan_rber_is_rejected_like_a_negative_one(self):
+        # `nan <= threshold` is False, so NaN used to answer 1.0.
+        for scheme in (LdpcScheme.for_page(16 * KIB, 2 * KIB),
+                       LdpcScheme.for_page(16 * KIB, 64)):  # threshold 0
+            for method in (scheme.page_failure_probability,
+                           scheme.is_reliable_at):
+                with pytest.raises(ConfigError, match="non-negative"):
+                    method(float("nan"))
+            with pytest.raises(ConfigError, match="non-negative"):
+                scheme.page_failure_probability(-0.1)
+            assert scheme.page_failure_probability(float("inf")) == 1.0
+
     def test_beats_bch_at_same_layout(self):
         # The motivation for LDPC in drives: more tolerable RBER at the
         # same code rate.

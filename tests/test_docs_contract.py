@@ -7,8 +7,8 @@ failure. Every back-ticked ``_name`` in the document must be an
 attribute of a live instance of one of the classes the document is
 about (the FTL with its write buffer and latency reservoir, the chip,
 the baseline and CVSS devices, a ``SalamanderSSD`` and its minidisk
-table, the cluster and its volume index, the redundancy module); a
-qualified ``Class._name`` must be an attribute of that class.
+table, the cluster and its volume index, the redundancy, fleet and ECC
+modules); a qualified ``Class._name`` must be an attribute of that class.
 
 docs/SHARDING.md names the fleet walk by its public dotted names
 (``repro.sim.fleet.walk_shard``, ...); every back-ticked ``repro.*``
@@ -19,7 +19,9 @@ docs/PERFORMANCE.md are held to more: *every* back-ticked span there
 that is a bare name, a dotted name or a file path must resolve — in the
 modules the section is about (the fleet modules; the write stack from
 chunk encode to the chip), numpy, the benchmark manifests, the fault
-sites or the tree.
+sites or the tree. So is "Cold start" (the ECC module, ``math``, the
+package's own import graph; scipy is named there but is not a runtime
+dependency, so its names are listed, not imported).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import builtins
 import json
 import keyword
+import math
 import pkgutil
 import re
 import types
@@ -38,7 +41,9 @@ import pytest
 import repro.difs.redundancy
 import repro.errors
 import repro.faults
+import repro.flash.ecc
 import repro.flash.rber
+import repro.flash.tiredness
 import repro.sim.fleet
 import repro.sim.lifetime
 import repro.sim.shard
@@ -97,7 +102,8 @@ def subjects() -> dict[str, object]:
             "MinidiskTable": salamander._table,
             "Cluster": Cluster(),
             "VolumeIndex": VolumeIndex(),
-            "fleet": repro.sim.fleet}
+            "fleet": repro.sim.fleet,
+            "ecc": repro.flash.ecc}
 
 
 def private_names(text: str) -> set[tuple[str | None, str]]:
@@ -182,17 +188,20 @@ def section(text: str, heading: str) -> str:
 
 
 def benchmark_names() -> set[str]:
-    """What the two harnesses call things: benches, workloads, metrics,
-    ledger layers, and the keys of a ``fleet_grid`` result section."""
+    """What the two harnesses call things: benches (with a floor, or
+    recorded in the committed history), workloads, metrics, ledger
+    layers, and the keys of a ``fleet_grid`` result section."""
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     floors = json.loads(
         (ROOT / "benchmarks/perf/baseline.json").read_text())
+    recorded = json.loads(
+        (ROOT / "benchmarks/results/BENCH_perf.json").read_text())
     reference = json.loads(
         (ROOT / "benchmarks/e2e/reference/seed_20250.json").read_text())
     fleet_grid = reference["workloads"]["fleet_grid"]
     metrics = [m["name"] for m in
                manifest["end_to_end"] + manifest["per_layer"]]
-    return (set(floors["benches"]) | set(metrics)
+    return (set(floors["benches"]) | set(recorded["benches"]) | set(metrics)
             | {w["name"] for w in manifest["workloads"]}
             | {name.rsplit(".", 1)[0] for name in metrics if "." in name}
             | set(fleet_grid) | set(fleet_grid["parts"]))
@@ -203,15 +212,19 @@ FLEET_NAMESPACES = [repro.sim.fleet, repro.sim.shard, repro.flash.rber,
 
 
 def unresolved_spans(text: str, namespaces=FLEET_NAMESPACES,
+                     outside: frozenset[str] = frozenset(),
                      ) -> tuple[set[str], list[str]]:
-    """(name-like spans checked, those that resolve nowhere)."""
+    """(name-like spans checked, those that resolve nowhere).
+    ``outside`` lists names of things the tree cannot vouch for."""
     namespaces = [*namespaces, builtins, numpy,
                   types.SimpleNamespace(np=numpy)]
-    known = benchmark_names() | set(repro.faults.SITES)
+    known = benchmark_names() | set(repro.faults.SITES) | outside
     checked, missing = set(), []
     for span in sorted(set(_CODE_SPAN.findall(text))):
         if _NAME.fullmatch(span):
-            ok = (span in known or keyword.iskeyword(span)
+            # A top-level file first: importing `setup.py` would run it.
+            ok = ((ROOT / span).is_file()
+                  or span in known or keyword.iskeyword(span)
                   or resolves(span) or any(
                       resolves_in(root, span) for root in namespaces))
         elif _PATH.fullmatch(span):
@@ -302,6 +315,48 @@ def test_write_kernel_check_flags_a_removed_name():
     assert missing == ["DeviceQueue.submit_vector",
                        "PageMappedFTL.write_batch", "_note_buffered",
                        "ftl.gone"]
+
+
+COLD_START_NAMESPACES = [repro.flash.ecc, repro.flash.ecc.EccScheme,
+                         repro.flash.ecc.LdpcScheme, repro.flash.tiredness,
+                         math]
+#: scipy is the section's subject but only a test dependency: its names
+#: are not imported to check them (tier-1 passes without scipy), and an
+#: environment variable resolves nowhere.
+COLD_START_OUTSIDE = frozenset({
+    "scipy", "scipy.stats", "stats.binom.sf", "PYTHONDONTWRITEBYTECODE"})
+
+
+def test_cold_start_section_names_resolve():
+    text = section(DOCUMENT.read_text(), "Cold start")
+    checked, missing = unresolved_spans(
+        text, COLD_START_NAMESPACES, COLD_START_OUTSIDE)
+    assert {"repro.flash.ecc._binomial_tail", "max_rber", "_max_rber_cached",
+            "EccScheme.codeword_failure_probability", "lgamma",
+            "math.fsum", "np.cumprod", "np.add.reduceat", "stats.binom.sf",
+            "scipy.stats", "repro.flash.ecc", "repro.models",
+            "repro.obs.timeseries", "setup_s", "peak_rss_mb",
+            "device_wearout", "cold_start_wall",
+            "tests/flash/ecc_oracle.py", "tests/flash/max_rber_pins.json",
+            "tests/poison/scipy/__init__.py",
+            "tests/test_import_budget.py"} <= checked
+    assert not missing, (
+        f"docs/PERFORMANCE.md, 'Cold start', names things that resolve "
+        f"nowhere: {missing}")
+
+
+def test_cold_start_check_flags_a_removed_name():
+    checked, missing = unresolved_spans(
+        "`_binomial_tail`, `_binomial_sf`, `math.lgamma`, `math.lbeta`, "
+        "`scipy.stats`, `scipy.gone`, `cold_start_wall`, "
+        "`warm_start_wall`, `tests/poison/numpy/__init__.py`, `t + 1`",
+        COLD_START_NAMESPACES, COLD_START_OUTSIDE)
+    assert checked == {"_binomial_tail", "_binomial_sf", "math.lgamma",
+                       "math.lbeta", "scipy.stats", "scipy.gone",
+                       "cold_start_wall", "warm_start_wall",
+                       "tests/poison/numpy/__init__.py"}
+    assert missing == ["_binomial_sf", "math.lbeta", "scipy.gone",
+                       "tests/poison/numpy/__init__.py", "warm_start_wall"]
 
 
 def test_resolver_flags_a_removed_name():

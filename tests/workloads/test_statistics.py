@@ -19,7 +19,7 @@ stream exactly where one-op pulls leave it.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+import pytest
 
 from repro.rng import fork_rng, make_rng
 from repro.workloads import (
@@ -37,6 +37,14 @@ from repro.workloads import (
 from repro.workloads.generators import draw_block
 
 SEED = 20250808
+
+
+@pytest.fixture
+def stats():
+    """scipy is a test-only dependency: the goodness-of-fit tests skip
+    on a numpy-only install, the bit-identity sweeps still run."""
+    return pytest.importorskip("scipy.stats")
+
 
 #: Significance floor for the goodness-of-fit tests. Deterministic
 #: seeds make these non-flaky: the p-value is a constant of the code.
@@ -60,7 +68,7 @@ class TestZipfianHotspot:
         measured = counts[hot].sum() / counts.sum()
         assert abs(measured - mass) < 0.02
 
-    def test_rank_distribution_chi_square(self):
+    def test_rank_distribution_chi_square(self, stats):
         """Sampled rank frequencies fit the analytic Zipf pmf."""
         n = 50
         draws = 30_000
@@ -75,7 +83,7 @@ class TestZipfianHotspot:
         _, p_value = stats.chisquare(counts, expected)
         assert p_value > ALPHA
 
-    def test_theta_zero_is_uniform(self):
+    def test_theta_zero_is_uniform(self, stats):
         n = 64
         assert hotspot_mass(n, 0.0, hot_fraction=0.25) == 0.25
         generator = ZipfianGenerator(n, theta=0.0, seed=SEED)
@@ -87,7 +95,7 @@ class TestZipfianHotspot:
 
 
 class TestMixedRatios:
-    def test_op_mix_matches_configured_fractions(self):
+    def test_op_mix_matches_configured_fractions(self, stats):
         base = UniformGenerator(256, seed=SEED)
         generator = MixedGenerator(base, read_fraction=0.5,
                                    trim_fraction=0.1, seed=SEED + 1)
@@ -117,7 +125,7 @@ class TestMixedRatios:
 
 
 class TestPoissonArrivals:
-    def test_interarrivals_are_exponential_ks(self):
+    def test_interarrivals_are_exponential_ks(self, stats):
         rate = 0.05  # one arrival every 20 us on average
         arrivals = PoissonArrivals(rate, make_rng(SEED))
         t, gaps = 0.0, []
@@ -148,7 +156,7 @@ class TestMMPPArrivals:
             t = arrivals.next_after(t)
         assert abs(n / t - rate) / rate < 0.05
 
-    def test_overdispersed_vs_poisson(self):
+    def test_overdispersed_vs_poisson(self, stats):
         """Burstiness shows up as inter-arrival CV > 1 and a KS reject
         against the plain exponential."""
         rate = 0.05
