@@ -22,6 +22,10 @@ Each bench times one narrower hot path than the GC-heavy macro:
 * ``unit_write_micro`` — 16-LBA unit writes through the whole write
   stack (DeviceQueue -> RegenS -> the FTL's range write kernel) at 75 %
   fill with steady GC: one call per layer per unit;
+* ``range_read_micro`` — 4-LBA ranged reads with 5 % writes through
+  ``DeviceQueue.dispatch`` on a flat level-2 device (the FTL's range
+  read kernel and the chip's remembered read cost: the inner loop of the
+  ``traffic_scan`` end-to-end workload);
 * ``remount_micro`` — the OOB-replay rebuild scan (mount latency);
 * ``fleet_step_micro`` — one columnar fleet-model run at the 16-device
   break-even size (the per-step fixed cost; the unit the sweep runner
@@ -134,6 +138,17 @@ def test_unit_write_micro():
     # Full and collecting: the loop timed the write path under GC.
     assert entry["meta"]["fill_fraction"] > 0.7
     assert entry["meta"]["timed_erases"] > 50
+
+
+@pytest.mark.no_obs
+def test_range_read_micro():
+    entry = harness.run("range_read_micro", workloads.range_read_micro)
+    assert entry["ops"] == workloads.RANGE_READ_REQUESTS
+    assert entry["meta"]["errors"] == 0
+    # Level 2: two oPages per fPage, so ~3 senses per 4-LBA range — and
+    # each fPage's cost derived once, not once per sense.
+    assert 2.5 < entry["meta"]["senses_per_range"] < 3.5
+    assert 0 < entry["meta"]["remembered_costs"] <= 2048
 
 
 @pytest.mark.no_obs

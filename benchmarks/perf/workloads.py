@@ -472,6 +472,65 @@ def unit_write_micro() -> dict:
                      "waf": round(device.stats.write_amplification, 3)}}
 
 
+# -- 4-LBA ranged reads through the queue (micro) ----------------------------
+
+RANGE_READ_SPAN = 4
+RANGE_READ_REQUESTS = 20_000
+#: Every twentieth request is a single-LBA write instead (5 %).
+RANGE_READ_WRITE_EVERY = 20
+
+
+def range_read_micro() -> dict:
+    """4-LBA ranged reads: DeviceQueue.dispatch -> the FTL's range read
+    kernel -> ``FlashChip.read_fpage``.
+
+    The inner loop of the ``traffic_scan`` end-to-end workload without
+    the engine above it (``docs/PERFORMANCE.md``, "The range read
+    kernel"): the engine's own flat level-2 64x32 device, every LBA of
+    its 50 % fill written and flushed, then random ``read_span=4``
+    requests with 5 % single-LBA writes between them, which keep a few
+    members of some ranges in the NVRAM buffer and scatter others over
+    fresh fPages. At level 2 an fPage holds two oPages, so a 4-LBA range
+    costs about three senses (the paper's ``P / (P - L)`` at work); the
+    per-LBA resolve loop and per-sense cost derivation this replaced ran
+    at roughly two thirds of the kernel's rate. Ops unit: requests."""
+    from repro.io.probe import build_queue_device
+    from repro.io.vector import OP_FLUSH, OP_READ_RANGE, OP_WRITE
+
+    device = build_queue_device(
+        "flat", 43, blocks=64, fpages_per_block=32, channels=2,
+        pec_limit=60.0, msize_lbas=32, headroom_fraction=0.25,
+        fill_fraction=0.5, level=2)
+    queue = DeviceQueue(device, depth=64, device_kind="flat-l2")
+    dispatch = queue.dispatch
+    for lba in range(device.n_lbas):
+        dispatch(OP_WRITE, lba, 1, [bytes([lba & 0xFF]) * 16])
+    dispatch(OP_FLUSH)
+    starts = np.random.default_rng(47).integers(
+        0, device.n_lbas - RANGE_READ_SPAN + 1,
+        size=RANGE_READ_REQUESTS).tolist()
+    payloads = [bytes(16)]
+    reads = (RANGE_READ_REQUESTS
+             - RANGE_READ_REQUESTS // RANGE_READ_WRITE_EVERY)
+    senses = device.chip.stats.reads
+    start = time.perf_counter()
+    for index, lba in enumerate(starts, 1):
+        if index % RANGE_READ_WRITE_EVERY:
+            dispatch(OP_READ_RANGE, lba, RANGE_READ_SPAN)
+        else:
+            dispatch(OP_WRITE, lba, 1, payloads)
+    wall_s = time.perf_counter() - start
+    stats = queue.stats
+    return {"ops": RANGE_READ_REQUESTS, "wall_s": wall_s,
+            "meta": {"n_lbas": device.n_lbas,
+                     "dispatched": stats.dispatched,
+                     "errors": stats.errors,
+                     "ranged_reads": reads,
+                     "senses_per_range": round(
+                         (device.chip.stats.reads - senses) / reads, 3),
+                     "remembered_costs": len(device.chip._read_costs)}}
+
+
 # -- analytic fleet step (micro) ---------------------------------------------
 
 FLEET_MICRO_CONFIG = FleetConfig(

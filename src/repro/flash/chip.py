@@ -224,6 +224,9 @@ class FlashChip:
         # Wear term rber_model.rber(pec) memoised per PEC value (the
         # per-page variation factor multiplies in afterwards).
         self._base_rber_cache: dict[int, float] = {}
+        # ``_read_cost`` of written fPages, from first read until the
+        # data goes; stays empty with read disturb or retention modelled.
+        self._read_costs: dict[int, tuple] = {}
         # Per-block capacity accounting (the paper's Eq. 2 inputs),
         # maintained incrementally by set_level/retire so capacity
         # queries stop scanning every fPage on the chip.
@@ -480,7 +483,6 @@ class FlashChip:
             if spec is not None:
                 raise ProgramFaultError(
                     f"injected program failure at fPage {fpage}")
-        self._data[fpage] = tuple(stored)
         if self.now_fn is not None:
             self._programmed_at[fpage] = float(self.now_fn())
         if oob is not None:
@@ -490,6 +492,8 @@ class FlashChip:
                     f"oob records {len(lbas)} slots; fPage {fpage} at "
                     f"L{level} has {expected}")
             self._oob[fpage] = (tuple(lbas), int(sequence))
+        # Together: the read paths ask ``state == WRITTEN`` of ``_data``.
+        self._data[fpage] = tuple(stored)
         self._state[fpage] = _STATE_WRITTEN
         self.stats.programs += 1
         wear = self._endurance
@@ -509,30 +513,72 @@ class FlashChip:
         self._charge(fpage // self._fpages_per_block, latency)
         return latency
 
+    def _read_cost(self, fpage: int) -> tuple:
+        """What reading written ``fpage`` costs: ``(level, data_slots,
+        rber, retries, opage_latency_us, fpage_latency_us, channel)`` —
+        the one derivation behind :meth:`read` and :meth:`read_fpage`.
+
+        Without read disturb and retention it is a function of the page's
+        PEC, variation and level, none of which can change under data
+        (``set_level`` refuses a written page, PEC moves in ``erase``), so
+        it is remembered until ``erase`` or ``retire`` drops the data; a
+        chip modelling either term derives per read and never stores.
+        ``inject_errors``, faults and reqtrace are not the page's and stay
+        with the callers (docs/PERFORMANCE.md, "The range read kernel").
+        Raises for a page out of range or not written.
+        """
+        if not 0 <= fpage < self._total_fpages:
+            raise IndexError(
+                f"fPage {fpage} out of range [0, {self._total_fpages})")
+        if fpage not in self._data:
+            raise ProgramError(f"fPage {fpage} is not written")
+        level = self._level_py[fpage]
+        rber = self._rber_unchecked(fpage)
+        retries = self._read_retries_fast(rber, level)
+        sense = (1.0 + retries) * self.latency.read_us
+        cost = (level, self._data_opages_by_level[level], rber, retries,
+                sense + self._opage_transfer_us,
+                sense + self._fpage_transfer_us_by_level[level],
+                (fpage // self._fpages_per_block) % self._channels)
+        if self.read_disturb_rber == 0 and self.retention_rber_per_day == 0:
+            self._read_costs[fpage] = cost
+        return cost
+
+    def _forget_read_costs(self, fpages) -> None:
+        """Drop ``fpages``' costs: data going, or wear set by a test."""
+        for fpage in fpages:
+            self._read_costs.pop(fpage, None)
+
+    def _audit_read_costs(self) -> None:
+        """Assert every remembered cost equals a fresh derivation, for a
+        page holding data on a chip allowed to remember (a test aid)."""
+        static = not (self.read_disturb_rber or self.retention_rber_per_day)
+        for fpage, cost in list(self._read_costs.items()):
+            assert static and fpage in self._data, (
+                f"read cost remembered for fPage {fpage}, which holds no "
+                f"data or sits on a chip modelling disturb/retention")
+            assert self._read_cost(fpage) == cost, (
+                f"stale read cost remembered for fPage {fpage}")
+
     def read(self, fpage: int, slot: int) -> tuple[bytes, float]:
         """Read one oPage; returns ``(data, expected_latency_us)``.
 
         Raises :class:`UncorrectableError` when the sampled bit-error count
         exceeds the page's ECC capability at its current tiredness level.
+        Costed by :meth:`_read_cost`; faults and errors sampled per call.
         """
-        if not 0 <= fpage < self._total_fpages:
-            raise IndexError(
-                f"fPage {fpage} out of range [0, {self._total_fpages})")
-        if int(self._state[fpage]) != _STATE_WRITTEN:
-            raise ProgramError(f"fPage {fpage} is not written")
-        level = self._level_py[fpage]
-        data_slots = self._data_opages_by_level[level]
+        (level, data_slots, rber, retries, latency, _,
+         channel) = self._read_costs.get(fpage) or self._read_cost(fpage)
         if not 0 <= slot < data_slots:
             raise IndexError(
                 f"slot {slot} out of range [0, {data_slots}) for L{level}")
-        rber = self._rber_unchecked(fpage)
-        self._record_read_disturb(fpage)
-        retries = self._read_retries_fast(rber, level)
-        latency = ((1.0 + retries) * self.latency.read_us
-                   + self._opage_transfer_us)
-        self.stats.reads += 1
-        self.stats.read_retries += retries
-        self._charge(fpage // self._fpages_per_block, latency)
+        if self.read_disturb_rber:
+            self._record_read_disturb(fpage)
+        stats = self.stats
+        stats.reads += 1
+        stats.read_retries += retries
+        stats.busy_us += latency
+        self.channel_busy_us[channel] += latency
         rt = self._reqtrace
         if rt is not None and rt.active is not None:
             ctx = rt.active
@@ -546,25 +592,13 @@ class FlashChip:
                 block=fpage // self._fpages_per_block)
             if spec is not None:
                 if spec.fault == "uncorrectable":
-                    self.stats.uncorrectable_reads += 1
-                    correctable = self._ecc_t_by_level[level]
-                    raise UncorrectableError(
-                        f"fPage {fpage} (L{level}): injected uncorrectable "
-                        f"read", bit_errors=correctable + 1,
-                        correctable=correctable)
+                    raise self._uncorrectable(fpage, level, None)
                 self._corrupt_slot(fpage, slot, spec.args)
         if self.inject_errors and rber > 0:
-            ecc = self._ecc_by_level[level]
-            correctable = self._ecc_t_by_level[level]
-            flipped = int(self.rng.binomial(ecc.codeword_bits, min(rber, 1.0)))
-            if flipped > correctable:
-                self.stats.uncorrectable_reads += 1
-                raise UncorrectableError(
-                    f"fPage {fpage} (L{level}, pec={int(self._pec[fpage])}): "
-                    f"{flipped} bit errors exceed t={correctable}",
-                    bit_errors=flipped,
-                    correctable=correctable,
-                )
+            flipped = int(self.rng.binomial(
+                self._ecc_by_level[level].codeword_bits, min(rber, 1.0)))
+            if flipped > self._ecc_t_by_level[level]:
+                raise self._uncorrectable(fpage, level, flipped)
         return self._data[fpage][slot], latency
 
     def read_batch(self, fpages: Sequence[int], slots: Sequence[int],
@@ -859,29 +893,38 @@ class FlashChip:
         return (self.latency.max_read_retries
                 * ratio ** self.latency.retry_exponent)
 
+    def _uncorrectable(self, fpage: int, level: int,
+                       flipped: int | None) -> UncorrectableError:
+        """Count, and build, a failed read of ``fpage``: ``flipped``
+        sampled bit errors, or an injected fault (``None``)."""
+        self.stats.uncorrectable_reads += 1
+        correctable = self._ecc_t_by_level[level]
+        if flipped is None:
+            return UncorrectableError(
+                f"fPage {fpage} (L{level}): injected uncorrectable read",
+                bit_errors=correctable + 1, correctable=correctable)
+        return UncorrectableError(
+            f"fPage {fpage} (L{level}, pec={int(self._pec[fpage])}): "
+            f"{flipped} bit errors exceed t={correctable}",
+            bit_errors=flipped, correctable=correctable)
+
     def read_fpage(self, fpage: int) -> tuple[tuple[bytes, ...], float]:
         """Read a whole fPage in one sense: all data oPages plus latency.
 
         Large host accesses use this path — one array sense amortised over
         every data oPage the page holds, which is exactly why RegenS pages
         (fewer data oPages per sense) degrade large accesses by
-        ``P / (P - L)`` (paper §4.2).
+        ``P / (P - L)`` (paper §4.2). Costed by :meth:`_read_cost`.
         """
-        if not 0 <= fpage < self._total_fpages:
-            raise IndexError(
-                f"fPage {fpage} out of range [0, {self._total_fpages})")
-        if int(self._state[fpage]) != _STATE_WRITTEN:
-            raise ProgramError(f"fPage {fpage} is not written")
-        level = self._level_py[fpage]
-        data_slots = self._data_opages_by_level[level]
-        rber = self._rber_unchecked(fpage)
-        self._record_read_disturb(fpage)
-        retries = self._read_retries_fast(rber, level)
-        latency = ((1.0 + retries) * self.latency.read_us
-                   + self._fpage_transfer_us_by_level[level])
-        self.stats.reads += 1
-        self.stats.read_retries += retries
-        self._charge(fpage // self._fpages_per_block, latency)
+        (level, data_slots, rber, retries, _, latency,
+         channel) = self._read_costs.get(fpage) or self._read_cost(fpage)
+        if self.read_disturb_rber:
+            self._record_read_disturb(fpage)
+        stats = self.stats
+        stats.reads += 1
+        stats.read_retries += retries
+        stats.busy_us += latency
+        self.channel_busy_us[channel] += latency
         rt = self._reqtrace
         if rt is not None and rt.active is not None:
             ctx = rt.active
@@ -896,26 +939,14 @@ class FlashChip:
                 block=fpage // self._fpages_per_block)
             if spec is not None:
                 if spec.fault == "uncorrectable":
-                    self.stats.uncorrectable_reads += 1
-                    correctable = self._ecc_t_by_level[level]
-                    raise UncorrectableError(
-                        f"fPage {fpage} (L{level}): injected uncorrectable "
-                        f"read", bit_errors=correctable + 1,
-                        correctable=correctable)
+                    raise self._uncorrectable(fpage, level, None)
                 slot = int(spec.args.get("slot", 0)) % data_slots
                 self._corrupt_slot(fpage, slot, spec.args)
         if self.inject_errors and rber > 0:
-            ecc = self._ecc_by_level[level]
-            correctable = self._ecc_t_by_level[level]
-            flipped = int(self.rng.binomial(ecc.codeword_bits, min(rber, 1.0)))
-            if flipped > correctable:
-                self.stats.uncorrectable_reads += 1
-                raise UncorrectableError(
-                    f"fPage {fpage} (L{level}, pec={int(self._pec[fpage])}): "
-                    f"{flipped} bit errors exceed t={correctable}",
-                    bit_errors=flipped,
-                    correctable=correctable,
-                )
+            flipped = int(self.rng.binomial(
+                self._ecc_by_level[level].codeword_bits, min(rber, 1.0)))
+            if flipped > self._ecc_t_by_level[level]:
+                raise self._uncorrectable(fpage, level, flipped)
         return self._data[fpage][:data_slots], latency
 
     def erase(self, block: int) -> float:
@@ -943,6 +974,8 @@ class FlashChip:
         for fpage in range(start, stop):
             self._data.pop(fpage, None)
             self._oob.pop(fpage, None)
+        if self._read_costs:    # never, on a device that is only written
+            self._forget_read_costs(range(start, stop))
         self.stats.erases += 1
         wear = self._endurance
         if wear is not None:
@@ -992,6 +1025,8 @@ class FlashChip:
         self._state[fpage] = _STATE_RETIRED
         self._data.pop(fpage, None)
         self._oob.pop(fpage, None)
+        if self._read_costs:
+            self._forget_read_costs((fpage,))
 
     def read_oob(self, fpage: int) -> tuple[tuple[int | None, ...], int] | None:
         """Mount-time metadata for a written page, or None.

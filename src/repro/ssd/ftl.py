@@ -81,13 +81,13 @@ class FTLConfig:
             multi-stream SSD directive): ``write(lba, data, stream=s)``
             groups data of like lifetime into like blocks, so hot and cold
             data stop sharing erase units. 1 disables hints.
-        scrub_interval_writes: host operations (writes *and* reads — read
-            disturb also drives pages past their ECC) between automatic
-            scrub sweeps; 0 disables. Each sweep examines
-            ``scrub_batch_fpages`` pages from a rolling cursor and
-            relocates data off pages whose RBER has outgrown their ECC —
-            catching wear *before* a read fails rather than lazily at the
-            next erase.
+        scrub_interval_writes: host operations — buffer drains, ``read``
+            and ``read_range`` calls (read disturb also drives pages past
+            their ECC) — between automatic scrub sweeps; 0 disables. A
+            sweep examines ``scrub_batch_fpages`` pages from a rolling
+            cursor and relocates data off pages whose RBER has outgrown
+            their ECC — catching wear *before* a read fails rather than
+            lazily at the next erase.
         scrub_batch_fpages: pages examined per automatic sweep.
     """
 
@@ -451,16 +451,20 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         return data
 
     def read_range(self, lba: int, count: int) -> list[bytes]:
-        """Scatter-gather read of ``count`` consecutive LBAs.
+        """Scatter-gather read of ``count`` consecutive LBAs — the read
+        kernel (docs/PERFORMANCE.md, "The range read kernel").
 
         Groups the physical locations by fPage and senses each touched
         fPage once (via :meth:`FlashChip.read_fpage`), which is what makes
         large accesses pay the paper's ``P / (P - L)`` factor: the same
         logical bytes spread over more fPages once pages run at higher
-        tiredness levels.
+        tiredness levels. One host operation: one autoscrub tick, one
+        ``read_latency`` sample (the sum over the fPages sensed).
 
         Raises :class:`UncorrectableError` if any page in the range is
-        unreadable (partial large reads are not useful to the diFS).
+        unreadable (partial large reads are not useful to the diFS): a
+        ``LOST`` member before any sense, a failed sense once every LBA
+        wanted from its fPage is marked lost.
         """
         if count <= 0:
             raise ConfigError(f"count must be positive, got {count!r}")
@@ -468,42 +472,42 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._check_lba(lba + count - 1)
         self.stats.host_reads += count
         self._instr.host_reads.inc(count)
+        # Before the map is sliced: a sweep relocates pages.
+        self._maybe_autoscrub()
+        slots = self._l2p[lba:lba + count].tolist()
+        buffered_at = self.buffer._entries.get
+        opage_bytes = self.geometry.opage_bytes
+        spf = self._slots_per_fpage_max
         # Resolve every LBA first; group flash-resident ones by fPage.
-        results: list[bytes | None] = [None] * count
-        by_fpage: dict[int, list[tuple[int, int]]] = {}
-        for offset in range(count):
-            target = lba + offset
-            buffered = self.buffer.get(target)
-            if buffered is not None:
-                results[offset] = buffered.ljust(
-                    self.geometry.opage_bytes, b"\0")
-                continue
-            slot = int(self._l2p[target])
-            if slot == UNMAPPED:
-                results[offset] = bytes(self.geometry.opage_bytes)
-                continue
-            if slot == LOST:
+        results: list[bytes] = [b""] * count
+        by_fpage: dict[int, list[int]] = {}
+        for offset, slot in enumerate(slots):
+            buffered = buffered_at(lba + offset)
+            if buffered is not None:    # newer than any slot, LOST or not
+                results[offset] = buffered.ljust(opage_bytes, b"\0")
+            elif slot >= 0:
+                by_fpage.setdefault(slot // spf, []).append(offset)
+            elif slot == UNMAPPED:
+                results[offset] = bytes(opage_bytes)
+            else:
                 raise UncorrectableError(
-                    f"LBA {target}: data lost to an earlier media error",
-                    bit_errors=-1, correctable=-1)
-            fpage, page_slot = divmod(slot, self._slots_per_fpage_max)
-            by_fpage.setdefault(fpage, []).append((offset, page_slot))
+                    f"LBA {lba + offset}: data lost to an earlier media "
+                    f"error", bit_errors=-1, correctable=-1)
         total_latency = 0.0
         for fpage, wanted in by_fpage.items():
             try:
                 payloads, latency = self.chip.read_fpage(fpage)
             except UncorrectableError:
-                for offset, page_slot in wanted:
-                    self._lose_lba(lba + offset,
-                                   fpage * self._slots_per_fpage_max
-                                   + page_slot)
+                for offset in wanted:
+                    self._lose_lba(lba + offset, slots[offset])
                 raise
             total_latency += latency
-            for offset, page_slot in wanted:
-                results[offset] = payloads[page_slot]
+            base = fpage * spf
+            for offset in wanted:
+                results[offset] = payloads[slots[offset] - base]
         if by_fpage:
             self.stats.read_latency.add(total_latency)
-        return [r for r in results if r is not None]
+        return results
 
     @property
     def timed_batch_reads(self) -> bool:
@@ -825,6 +829,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             "l2p maps two LBAs to one physical slot")
         assert (self._p2l[slots_of_mapped] == mapped_lbas).all(), (
             "l2p/p2l bijection broken for mapped LBAs")
+        self.chip._audit_read_costs()
 
     # -- internals: mapping ----------------------------------------------------
 

@@ -18,12 +18,53 @@ def worn_ftl(make_chip, pec_past_limit: int = 2):
 
 
 def _age_written_blocks(chip, pec: int) -> None:
-    """Set PEC of every block holding written pages (test backdoor)."""
+    """Set PEC of every block holding written pages (test backdoor).
+
+    A written page's read cost is remembered on the premise that its
+    wear cannot move under its data; this helper is the one thing that
+    moves it, so it drops those costs the way ``erase`` does.
+    """
     states = chip.state_array()
     for block in range(chip.geometry.blocks):
         pages = list(chip.geometry.fpage_range_of_block(block))
         if any(states[p] == 1 for p in pages):  # WRITTEN code
             chip._pec[pages] = pec
+            chip._forget_read_costs(pages)
+
+
+class TestAgingBackdoor:
+    """``_age_written_blocks`` moves wear under written pages, which no
+    chip operation can: it owes the chip the drop ``erase`` would do."""
+
+    def _read_device(self, make_chip):
+        chip, ftl = worn_ftl(make_chip)
+        for lba in range(16):
+            ftl.write(lba, b"x")
+        ftl.flush()
+        ftl.read_range(0, 16)
+        ftl.read(3)
+        assert chip._read_costs
+        ftl._audit_fastpath()
+        return chip, ftl
+
+    def test_aged_pages_are_costed_afresh(self, make_chip):
+        chip, ftl = self._read_device(make_chip)
+        before = ftl.stats.read_latency.total
+        _age_written_blocks(chip, 20)
+        assert not chip._read_costs
+        ftl._audit_fastpath()
+        chip.inject_errors = False
+        ftl.read_range(0, 16)
+        ftl.read(3)
+        assert ftl.stats.read_latency.total - before > before
+
+    def test_the_audit_fails_if_the_costs_are_left(self, make_chip,
+                                                   monkeypatch):
+        chip, ftl = self._read_device(make_chip)
+        monkeypatch.setattr(chip, "_forget_read_costs", lambda fpages: None)
+        _age_written_blocks(chip, 20)
+        with pytest.raises(AssertionError, match="stale read cost"):
+            ftl._audit_fastpath()
 
 
 class TestScrub:

@@ -8,7 +8,8 @@ attribute of a live instance of one of the classes the document is
 about (the FTL with its write buffer and latency reservoir, the chip,
 the baseline and CVSS devices, a ``SalamanderSSD`` and its minidisk
 table, the cluster and its volume index, the redundancy, fleet and ECC
-modules); a qualified ``Class._name`` must be an attribute of that class.
+modules, the scrub tests' aging backdoor); a qualified ``Class._name``
+must be an attribute of that class.
 
 docs/SHARDING.md names the fleet walk by its public dotted names
 (``repro.sim.fleet.walk_shard``, ...); every back-ticked ``repro.*``
@@ -21,7 +22,10 @@ modules the section is about (the fleet modules; the write stack from
 chunk encode to the chip), numpy, the benchmark manifests, the fault
 sites or the tree. So is "Cold start" (the ECC module, ``math``, the
 package's own import graph; scipy is named there but is not a runtime
-dependency, so its names are listed, not imported).
+dependency, so its names are listed, not imported), and so is "The
+range read kernel" (the read stack from the queue to the chip, the
+oracle and the aging backdoor under ``tests/``, the benchmark's own
+``metrics`` module).
 """
 
 from __future__ import annotations
@@ -47,8 +51,10 @@ import repro.flash.tiredness
 import repro.sim.fleet
 import repro.sim.lifetime
 import repro.sim.shard
+import repro.ssd.ftl
 import repro.ssd.stats
 import repro.ssd.write_buffer
+import tests.ssd.test_scrub
 from repro.difs.cluster import Cluster
 from repro.difs.placement import VolumeIndex
 from repro.difs.volume import Volume
@@ -103,7 +109,9 @@ def subjects() -> dict[str, object]:
             "Cluster": Cluster(),
             "VolumeIndex": VolumeIndex(),
             "fleet": repro.sim.fleet,
-            "ecc": repro.flash.ecc}
+            "ecc": repro.flash.ecc,
+            # The aging backdoor the read kernel's section warns about.
+            "test_scrub": tests.ssd.test_scrub}
 
 
 def private_names(text: str) -> set[tuple[str | None, str]]:
@@ -357,6 +365,66 @@ def test_cold_start_check_flags_a_removed_name():
                        "tests/poison/numpy/__init__.py"}
     assert missing == ["_binomial_sf", "math.lbeta", "scipy.gone",
                        "tests/poison/numpy/__init__.py", "warm_start_wall"]
+
+
+def read_stack_namespaces() -> list[object]:
+    """The write stack's subjects (the read stack is the same objects)
+    plus what only the read kernel's section names: the FTL module's
+    sentinels, the oracle, the aging backdoor, the benchmark contract."""
+    import benchmarks.e2e.metrics
+    import repro.flash.chip
+    import tests.ssd.read_loop_oracle
+    from repro.obs.reqtrace import ReqContext
+    return [*write_stack_namespaces(), repro.ssd.ftl, repro.flash.chip,
+            ReqContext, tests.ssd.read_loop_oracle, tests.ssd.test_scrub,
+            benchmarks.e2e.metrics, dict]
+
+
+#: The fault kinds of the registry (``uncorrectable``, ``corrupt``, ...)
+#: are strings in plans, not attributes of anything.
+FAULT_KINDS = frozenset(kind for kinds in repro.faults.SITES.values()
+                        for kind in kinds)
+
+
+def test_read_kernel_section_names_resolve():
+    text = section(DOCUMENT.read_text(), "The range read kernel")
+    checked, missing = unresolved_spans(text, read_stack_namespaces(),
+                                        FAULT_KINDS)
+    assert {"PageMappedFTL.read_range", "FlashChip._read_cost",
+            "_read_costs", "_forget_read_costs",
+            "FlashChip._audit_read_costs", "_maybe_autoscrub", "_lose_lba",
+            "read_opages", "read_batch", "LOST", "inject_errors",
+            "read_disturb_rber", "retention_rber_per_day",
+            "FTLConfig.scrub_interval_writes", "_age_written_blocks",
+            "OracleChip", "OracleFTL", "DeviceQueue.dispatch",
+            "PREDICTED_DOMINANT", "traffic_scan", "ssd.ftl.self_s",
+            "flash.chip.calls", "range_read_micro", "cProfile",
+            "tests/ssd/read_loop_oracle.py", "tests/ssd/test_read_kernel.py",
+            "benchmarks/perf/pairs.py", "benchmarks/e2e/metrics.py"
+            } <= checked
+    assert not missing, (
+        f"docs/PERFORMANCE.md, 'The range read kernel', names things "
+        f"that resolve nowhere: {missing}")
+
+
+def test_read_kernel_check_flags_a_removed_name():
+    checked, missing = unresolved_spans(
+        "`_read_costs`, `_read_cost_cache`, `FlashChip._audit_read_costs`, "
+        "`FlashChip.read_fpages`, `OracleChip`, `OracleQueue`, `LOST`, "
+        "`GONE`, `PREDICTED_DOMINANT`, `range_read_micro`, "
+        "`range_scan_micro`, `tests/ssd/read_loop_oracle.py`, "
+        "`tests/ssd/scan_loop_oracle.py`, `fpage in _data`",
+        read_stack_namespaces(), FAULT_KINDS)
+    assert checked == {"_read_costs", "_read_cost_cache",
+                       "FlashChip._audit_read_costs",
+                       "FlashChip.read_fpages", "OracleChip", "OracleQueue",
+                       "LOST", "GONE", "PREDICTED_DOMINANT",
+                       "range_read_micro", "range_scan_micro",
+                       "tests/ssd/read_loop_oracle.py",
+                       "tests/ssd/scan_loop_oracle.py"}
+    assert missing == ["FlashChip.read_fpages", "GONE", "OracleQueue",
+                       "_read_cost_cache", "range_scan_micro",
+                       "tests/ssd/scan_loop_oracle.py"]
 
 
 def test_resolver_flags_a_removed_name():
