@@ -8,8 +8,9 @@ Each bench times one narrower hot path than the GC-heavy macro:
   wear decomposition snapshot;
 * ``io_roundtrip_micro`` — the DeviceQueue request/completion plumbing
   the cluster's default IO path now rides on;
-* ``io_batch_roundtrip_micro`` — the same traffic through
-  ``execute_vector`` IOVector batches (the batched hot path);
+* ``io_dispatch_roundtrip_micro`` — the same traffic through
+  ``DeviceQueue.dispatch``, request fields with no request objects (the
+  traffic engine's surface);
 * ``io_roundtrip_reqtrace_micro`` — the same loop with request tracing
   installed at 1-in-64 sampling (the reqtrace overhead contract);
 * ``traffic_engine_micro`` — one multi-tenant traffic-engine cell
@@ -75,9 +76,9 @@ def test_io_roundtrip_micro():
 
 
 @pytest.mark.no_obs
-def test_io_batch_roundtrip_micro():
-    entry = harness.run("io_batch_roundtrip_micro",
-                        workloads.io_batch_roundtrip_micro)
+def test_io_dispatch_roundtrip_micro():
+    entry = harness.run("io_dispatch_roundtrip_micro",
+                        workloads.io_dispatch_roundtrip_micro)
     assert entry["ops"] == workloads.IO_MICRO_OPS
     assert entry["meta"]["errors"] == 0
     assert entry["meta"]["dispatched"] == workloads.IO_MICRO_OPS

@@ -128,6 +128,33 @@ def ftl_write_endurance_micro() -> dict:
 IO_MICRO_OPS = 8_000
 
 
+def _io_micro_fixture() -> tuple[DeviceQueue, list[int]]:
+    """A half-filled, flushed 32x32 FTL behind a fresh queue, and the
+    ``IO_MICRO_OPS`` LBAs the point-read micros read, in order."""
+    geometry = FlashGeometry(blocks=32, fpages_per_block=32, channels=2)
+    chip = FlashChip(geometry, seed=23, variation_sigma=0.2)
+    ftl = PageMappedFTL.for_chip(
+        chip, FTLConfig(overprovision=0.25, buffer_opages=16))
+    payload = bytes(32)
+    fill = ftl.n_lbas // 2
+    for lba in range(fill):
+        ftl.write(lba, payload)
+    ftl.flush()
+    lbas = [int(x) for x in
+            np.random.default_rng(29).integers(0, fill, size=IO_MICRO_OPS)]
+    return DeviceQueue(ftl), lbas
+
+
+def _io_micro_result(queue: DeviceQueue, wall_s: float, **meta) -> dict:
+    stats = queue.stats
+    return {"ops": IO_MICRO_OPS, "wall_s": wall_s,
+            "meta": {"dispatched": stats.dispatched,
+                     "errors": stats.errors,
+                     "mean_service_us": round(stats.mean_service_us, 3),
+                     "mean_latency_us": round(stats.mean_latency_us, 3),
+                     **meta}}
+
+
 def io_roundtrip_micro() -> dict:
     """Single-LBA reads through :class:`repro.io.queue.DeviceQueue`.
 
@@ -135,74 +162,33 @@ def io_roundtrip_micro() -> dict:
     validation, submit, dispatch, completion accounting — on top of the
     underlying device read. Guards the queue plumbing against becoming
     a per-request hot-path cost now that the cluster defaults to it."""
-    geometry = FlashGeometry(blocks=32, fpages_per_block=32, channels=2)
-    chip = FlashChip(geometry, seed=23, variation_sigma=0.2)
-    ftl = PageMappedFTL.for_chip(
-        chip, FTLConfig(overprovision=0.25, buffer_opages=16))
-    payload = bytes(32)
-    fill = ftl.n_lbas // 2
-    for lba in range(fill):
-        ftl.write(lba, payload)
-    ftl.flush()
-    queue = DeviceQueue(ftl)
-    lbas = [int(x) for x in
-            np.random.default_rng(29).integers(0, fill, size=IO_MICRO_OPS)]
+    queue, lbas = _io_micro_fixture()
     start = time.perf_counter()
     for lba in lbas:
         queue.execute(IORequest(op="read", lba=lba))
     wall_s = time.perf_counter() - start
-    stats = queue.stats
-    return {"ops": IO_MICRO_OPS, "wall_s": wall_s,
-            "meta": {"dispatched": stats.dispatched,
-                     "errors": stats.errors,
-                     "mean_service_us": round(stats.mean_service_us, 3),
-                     "mean_latency_us": round(stats.mean_latency_us, 3)}}
+    return _io_micro_result(queue, wall_s)
 
 
-# -- batched IO roundtrip (micro) --------------------------------------------
+# -- field-level IO roundtrip (micro) ----------------------------------------
 
-IO_BATCH_SIZE = 256
-
-
-def io_batch_roundtrip_micro() -> dict:
-    """:func:`io_roundtrip_micro` traffic submitted as IOVector batches.
+def io_dispatch_roundtrip_micro() -> dict:
+    """:func:`io_roundtrip_micro` traffic through ``DeviceQueue.dispatch``.
 
     Identical fixture, identical reads in identical order — the only
-    delta is the submission surface: ``execute_vector`` over
-    ``IO_BATCH_SIZE``-request vectors instead of one ``execute`` per
-    request. Measures what the batched hot path actually buys (the
-    read-run kernel, columnar completion state, amortised dispatch)
-    against the same 45k-ops/s-floor scalar loop."""
-    from repro.io.vector import IOVector
+    delta is the submission surface: one ``dispatch(OP_READ, lba)`` per
+    request, with no ``IORequest`` or ``IOCompletion`` built for it.
+    This is the traffic engine's surface; the gap to
+    ``io_roundtrip_micro`` is what the request objects cost."""
+    from repro.io.request import OP_READ
 
-    geometry = FlashGeometry(blocks=32, fpages_per_block=32, channels=2)
-    chip = FlashChip(geometry, seed=23, variation_sigma=0.2)
-    ftl = PageMappedFTL.for_chip(
-        chip, FTLConfig(overprovision=0.25, buffer_opages=16))
-    payload = bytes(32)
-    fill = ftl.n_lbas // 2
-    for lba in range(fill):
-        ftl.write(lba, payload)
-    ftl.flush()
-    queue = DeviceQueue(ftl)
-    lbas = np.random.default_rng(29).integers(0, fill, size=IO_MICRO_OPS)
-    vectors = []
-    for base in range(0, IO_MICRO_OPS, IO_BATCH_SIZE):
-        vector = IOVector(capacity=IO_BATCH_SIZE)
-        for lba in lbas[base:base + IO_BATCH_SIZE]:
-            vector.append("read", lba=int(lba))
-        vectors.append(vector)
+    queue, lbas = _io_micro_fixture()
+    dispatch = queue.dispatch
     start = time.perf_counter()
-    for vector in vectors:
-        queue.execute_vector(vector)
+    for lba in lbas:
+        dispatch(OP_READ, lba)
     wall_s = time.perf_counter() - start
-    stats = queue.stats
-    return {"ops": IO_MICRO_OPS, "wall_s": wall_s,
-            "meta": {"dispatched": stats.dispatched,
-                     "errors": stats.errors,
-                     "batch_size": IO_BATCH_SIZE,
-                     "mean_service_us": round(stats.mean_service_us, 3),
-                     "mean_latency_us": round(stats.mean_latency_us, 3)}}
+    return _io_micro_result(queue, wall_s)
 
 
 # -- queued IO roundtrip with request tracing (micro) ------------------------
@@ -217,30 +203,13 @@ def io_roundtrip_reqtrace_micro() -> dict:
 
     with reqtrace.installed(reqtrace.ReqTracer(seed=3, every=64)) \
             as tracer:
-        geometry = FlashGeometry(blocks=32, fpages_per_block=32,
-                                 channels=2)
-        chip = FlashChip(geometry, seed=23, variation_sigma=0.2)
-        ftl = PageMappedFTL.for_chip(
-            chip, FTLConfig(overprovision=0.25, buffer_opages=16))
-        payload = bytes(32)
-        fill = ftl.n_lbas // 2
-        for lba in range(fill):
-            ftl.write(lba, payload)
-        ftl.flush()
-        queue = DeviceQueue(ftl)
-        lbas = [int(x) for x in
-                np.random.default_rng(29).integers(0, fill,
-                                                   size=IO_MICRO_OPS)]
+        queue, lbas = _io_micro_fixture()
         start = time.perf_counter()
         for lba in lbas:
             queue.execute(IORequest(op="read", lba=lba))
         wall_s = time.perf_counter() - start
-        stats = queue.stats
-        return {"ops": IO_MICRO_OPS, "wall_s": wall_s,
-                "meta": {"dispatched": stats.dispatched,
-                         "errors": stats.errors,
-                         "sampled": tracer.sampled,
-                         "every": 64}}
+        return _io_micro_result(queue, wall_s, sampled=tracer.sampled,
+                                every=64)
 
 
 # -- OOB-replay remount (micro) ----------------------------------------------
@@ -495,7 +464,7 @@ def range_read_micro() -> dict:
     per-LBA resolve loop and per-sense cost derivation this replaced ran
     at roughly two thirds of the kernel's rate. Ops unit: requests."""
     from repro.io.probe import build_queue_device
-    from repro.io.vector import OP_FLUSH, OP_READ_RANGE, OP_WRITE
+    from repro.io.request import OP_FLUSH, OP_READ_RANGE, OP_WRITE
 
     device = build_queue_device(
         "flat", 43, blocks=64, fpages_per_block=32, channels=2,

@@ -36,7 +36,6 @@ from repro.difs.node import StorageNode
 from repro.difs.placement import VolumeIndex, place_replicas
 from repro.difs.recovery import RecoveryManager
 from repro.difs.redundancy import make_scheme
-from repro.difs.ticker import ClusterTicker
 from repro.difs.volume import MinidiskVolume, MonolithicVolume, Volume
 from repro.rng import make_rng
 from repro.salamander.device import SalamanderSSD
@@ -64,26 +63,13 @@ class ClusterConfig:
         recovery_read_retries: transient recovery-read failures tolerated
             per unit before the source replica is written off (bounds the
             retry loop under injected ``difs.recovery.read`` faults).
-        queue_depth: per-device NCQ depth for the measured IO pipeline
-            (:mod:`repro.io`). The queued path is the default; ``0``
-            selects the legacy direct device calls (kept for the
-            differential conformance suite — both paths are
-            bit-identical).
+        queue_depth: per-device NCQ depth (>= 1) for the measured IO
+            pipeline (:mod:`repro.io`), which carries every chunk.
         io_batch: opt-in request coalescing on the device queues.
             Merging changes physical access patterns (merged reads
             sense each touched fPage once across the merged range), so
             it is excluded from the bit-identity contract and off by
             default.
-        io_batch_chunks: batch-submission window — chunk writes are
-            staged into one :class:`repro.io.vector.IOVector` per device
-            queue and dispatched with a single ``execute_vector`` call
-            once this many chunks accumulate (or at the next read,
-            stats poll, or explicit :meth:`Cluster.flush_io`). ``0``
-            (the default) dispatches each request individually. Per-
-            device request order is unchanged, so the batched path stays
-            bit-identical to the direct path while writes succeed; a
-            write that fails at flush time surfaces as a volume failure
-            plus queued repair instead of a synchronous retry.
     """
 
     replication: int = 3
@@ -96,26 +82,16 @@ class ClusterConfig:
     recovery_read_retries: int = 3
     queue_depth: int = 8
     io_batch: bool = False
-    io_batch_chunks: int = 0
 
     def __post_init__(self) -> None:
         if self.replication < 1:
             raise ConfigError(
                 f"replication must be >= 1, got {self.replication!r}")
-        if self.queue_depth < 0:
+        if self.queue_depth < 1:
             raise ConfigError(
-                f"queue_depth must be >= 0 (0 = direct path), "
+                f"queue_depth must be >= 1 (the direct path is gone: "
+                f"every chunk goes through a device queue), "
                 f"got {self.queue_depth!r}")
-        if self.io_batch and self.queue_depth == 0:
-            raise ConfigError(
-                "io_batch needs the queued path; set queue_depth >= 1")
-        if self.io_batch_chunks < 0:
-            raise ConfigError(
-                f"io_batch_chunks must be >= 0 (0 = unbatched), "
-                f"got {self.io_batch_chunks!r}")
-        if self.io_batch_chunks and self.queue_depth == 0:
-            raise ConfigError(
-                "io_batch_chunks needs the queued path; set queue_depth >= 1")
         if self.recovery_read_retries < 0:
             raise ConfigError(
                 f"recovery_read_retries must be >= 0, "
@@ -158,9 +134,6 @@ class Cluster:
         self._chunks_by_volume: dict[str, set[str]] = {}
         self._device_count = 0
         self._audit_cursor = 0
-        # Batch submission (io_batch_chunks > 0): staging and dispatch
-        # mechanics live in the ticker; recovery effects stay here.
-        self._ticker = ClusterTicker(self.config.io_batch_chunks)
         self._faults = faults.injector()
         self._instr = difs_instruments()
         if obs.metrics_enabled():
@@ -201,25 +174,14 @@ class Cluster:
         return volume
 
     def _attach_io_queue(self, device) -> None:
-        """Front ``device`` with a submission queue per cluster config.
+        """Front ``device`` with a submission queue per cluster config,
+        before its volumes are built (they pick it up from the device).
 
-        The queued pipeline is the default path; ``queue_depth == 0``
-        keeps the legacy direct calls (the differential suite runs both
-        and asserts bit-identical results). One queue per *device* —
-        every minidisk volume of a Salamander SSD shares it, because
-        the NCQ is a device resource.
+        One queue per *device* — every minidisk volume of a Salamander
+        SSD shares it, because the NCQ is a device resource.
         """
-        if self.config.queue_depth == 0:
-            return
-        if not hasattr(device, "attach_queue"):
-            return  # test doubles without the BlockDevice queue surface
         device.attach_queue(depth=self.config.queue_depth,
                             coalesce=self.config.io_batch)
-
-    def _volume_queue(self, device):
-        if self.config.queue_depth == 0 or not hasattr(device, "io_queue"):
-            return None
-        return device.io_queue
 
     def _add_monolithic(self, node: StorageNode, device_name: str,
                         device) -> Volume:
@@ -227,7 +189,6 @@ class Cluster:
         volume_id = f"{node.node_id}/{device_name}"
         volume = MonolithicVolume(volume_id, node.node_id,
                                   self.unit_lbas, device)
-        volume.queue = self._volume_queue(device)
         self._register(node, volume)
         if hasattr(device, "shrink_listener"):
             device.shrink_listener = (
@@ -249,11 +210,10 @@ class Cluster:
     def _register_minidisk(self, node: StorageNode, device_name: str,
                            device: SalamanderSSD, mdisk_id: int) -> Volume:
         volume_id = f"{node.node_id}/{device_name}/md{mdisk_id}"
+        # A regenerated minidisk's volume picks up the same device
+        # queue (the NCQ outlives any one minidisk).
         volume = MinidiskVolume(volume_id, node.node_id,
                                 self.unit_lbas, device, mdisk_id)
-        # Regenerated minidisks join the same device queue (the NCQ
-        # outlives any one minidisk).
-        volume.queue = self._volume_queue(device)
         return self._register(node, volume)
 
     # -- device event handlers (enqueue only) -------------------------------------------
@@ -300,7 +260,6 @@ class Cluster:
         for index, payloads in enumerate(units):
             self.add_unit(chunk, index, payloads)
         self._instr.chunks_created.inc()
-        self._note_chunk_staged()
         if self.config.io_batch:
             self.flush_io()
         return chunk
@@ -358,7 +317,6 @@ class Cluster:
             chunk.replicas.append(replica)
             self._chunks_by_volume[replica.volume_id].add(chunk_id)
         chunk.version += 1
-        self._note_chunk_staged()
         if self.config.io_batch:
             self.flush_io()
         return chunk
@@ -383,7 +341,6 @@ class Cluster:
         the next client read. Walks the namespace from a rolling cursor;
         ``max_chunks`` bounds one sweep. Returns counters.
         """
-        self._dispatch_staged()  # scrub reads must observe staged writes
         chunk_ids = sorted(self.namespace)
         if not chunk_ids:
             return {"chunks_checked": 0, "units_checked": 0,
@@ -429,7 +386,6 @@ class Cluster:
         for ``count`` consecutive polls). Returns the number of
         newly-detected failures — outages are transient and never count.
         """
-        self._dispatch_staged()  # staged writes may change liveness
         if self._faults is not None:
             self._faults.note_poll()
         found = 0
@@ -464,7 +420,6 @@ class Cluster:
         place for the recovery manager to retire. ``preloaded`` units (e.g.
         read off a draining volume by recovery) count toward the quorum.
         """
-        self._dispatch_staged()  # reads must observe staged writes
         units: dict[int, list[bytes]] = dict(preloaded or {})
         needed = self.scheme.min_units
         injector = self._faults
@@ -561,8 +516,7 @@ class Cluster:
                         f"could not allocate a slot for {chunk.chunk_id}")
                 continue
             try:
-                if not self._stage_chunk_write(volume, slot, payloads):
-                    volume.write_chunk(slot, payloads)
+                volume.write_chunk(slot, payloads)
             except ReproError:
                 # The device died or the minidisk vanished mid-write; fail
                 # the volume and retry elsewhere.
@@ -579,41 +533,6 @@ class Cluster:
             raise ConfigError(f"unknown chunk {chunk_id}")
         return chunk
 
-    # -- batch submission (io_batch_chunks) ---------------------------------------------------
-
-    def _stage_chunk_write(self, volume: Volume, slot: int,
-                           payloads: list[bytes]) -> bool:
-        """Stage one chunk write for batched dispatch; False = write now."""
-        return self._ticker.stage_chunk_write(volume, slot, payloads)
-
-    def _note_chunk_staged(self) -> None:
-        """Close the batching window after ``io_batch_chunks`` chunks."""
-        if self._ticker.note_chunk_staged():
-            self.flush_io()
-
-    def _dispatch_staged(self) -> None:
-        """Dispatch staged writes; apply recovery effects for failures.
-
-        The ticker executes one ``execute_vector`` per staged queue
-        (shard-partitioned, order-preserving) and reports per-member
-        errors without raising — the batch keeps going, exactly as
-        independent scalar submissions would. Each failed write fails
-        its volume and queues repair for the replica that never reached
-        flash — the asynchronous analogue of the synchronous retry in
-        :meth:`_place_and_write`.
-        """
-        for volume_id, slot, _ in self._ticker.dispatch():
-            self.recovery.volume_failed(volume_id)
-            for chunk_id in sorted(self._chunks_by_volume.get(
-                    volume_id, ())):
-                chunk = self.namespace.get(chunk_id)
-                replica = (chunk.replica_on(volume_id)
-                           if chunk is not None else None)
-                if replica is not None and replica.slot == slot:
-                    self.forget_replica(chunk, replica, release=False)
-                    self.recovery.chunk_degraded(chunk_id)
-                    break
-
     # -- namespace persistence ---------------------------------------------------------------------
 
     def namespace_snapshot(self) -> dict:
@@ -624,7 +543,6 @@ class Cluster:
         their own persistence (OOB replay + NVRAM snapshots); this is the
         coordinator's durable metadata, as HDFS's fsimage is.
         """
-        self._dispatch_staged()  # snapshot only placements that reached flash
         return {
             "config": {
                 "replication": self.config.replication,
@@ -695,12 +613,10 @@ class Cluster:
 
     def device_queues(self) -> list:
         """Every distinct device submission queue in the cluster."""
-        return [volume.queue for volume in self._index.device_heads()
-                if volume.queue is not None]
+        return [volume.queue for volume in self._index.device_heads()]
 
     def flush_io(self) -> None:
-        """Dispatch batch-staged chunk writes, then coalesce-staged requests."""
-        self._dispatch_staged()
+        """Dispatch every queue's coalesce-staged request."""
         for queue in self.device_queues():
             queue.flush()
 
@@ -711,7 +627,6 @@ class Cluster:
         with what one ``repro_io_latency_us`` histogram over all devices
         would report.
         """
-        self._dispatch_staged()  # staged writes are not yet counted
         queues = self.device_queues()
         dispatched = sum(q.stats.dispatched for q in queues)
         total_latency = sum(q.stats.total_latency_us for q in queues)
@@ -746,7 +661,6 @@ class Cluster:
         """
         from repro.obs.endurance import CAUSES
 
-        self._dispatch_staged()  # staged writes have not worn flash yet
         programs = dict.fromkeys(CAUSES, 0)
         program_opages = dict.fromkeys(CAUSES, 0)
         erases = dict.fromkeys(CAUSES, 0)

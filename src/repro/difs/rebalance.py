@@ -57,8 +57,8 @@ def rebalance(cluster, *, max_moves: int = 100,
         raise ConfigError(f"max_moves must be >= 0, got {max_moves!r}")
     if tolerance <= 0:
         raise ConfigError(f"tolerance must be positive, got {tolerance!r}")
-    # Migration reads bypass the cluster read path, so drain any
-    # batch-staged chunk writes first.
+    # Migration reads bypass the cluster read path, so dispatch any
+    # coalesce-staged request first.
     cluster.flush_io()
     volumes = _live_volumes(cluster)
     before = _load_spread(volumes)

@@ -17,13 +17,13 @@ index (``allocate_slot``, ``claim_slot``, ``release_slot``,
 index reads them off the device (see that module).
 
 Chunk IO goes through the device's :class:`repro.io.queue.DeviceQueue`
-when the cluster has attached one (``volume.queue``): writes become one
-``write`` request, reads one ``read_range`` request, and every
-completion carries measured wait/service/latency. With no queue the
-legacy direct device calls run — one ``write_range`` / ``read_range``
-per chunk, the same two methods the queued path dispatches through, so
-both paths are bit-identical (the differential conformance suite pins
-this).
+(``volume.queue`` — the one a cluster attached, or the device's own
+default): writes become one ``write`` request, reads one ``read_range``
+request, and every completion carries measured wait/service/latency.
+The queue dispatches them as one ``write_range`` / ``read_range`` device
+call per chunk; ``tests/difs/direct_io_oracle.py`` makes those calls
+directly and the differential conformance suite pins the two
+bit-identical.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ class Volume(ABC):
         self.volume_id = volume_id
         self.node_id = node_id
         self.chunk_lbas = chunk_lbas
-        #: Device submission queue (a :class:`repro.io.queue.DeviceQueue`)
-        #: the cluster attaches; ``None`` means direct device calls.
-        self.queue = None
+        #: The device's submission queue, shared by all its volumes.
+        self.queue = self.device.io_queue
         self._failed = False
         self.total_slots = self.capacity_lbas() // chunk_lbas
         self._free_slots = set(range(self.total_slots))
@@ -72,14 +71,6 @@ class Volume(ABC):
     @abstractmethod
     def device_alive(self) -> bool:
         """Whether the backing device still serves this volume."""
-
-    @abstractmethod
-    def _write_range(self, lba: int, payloads: list[bytes]) -> None:
-        ...
-
-    @abstractmethod
-    def _read_range(self, lba: int, count: int) -> list[bytes]:
-        ...
 
     # -- slot management ------------------------------------------------------------
 
@@ -147,50 +138,32 @@ class Volume(ABC):
     #: Minidisk address space chunk requests target (``None`` = flat).
     _io_mdisk_id: int | None = None
 
-    def chunk_write_request(self, slot: int,
-                            payloads: list[bytes]) -> IORequest:
-        """Build (and validate) the queue request for one chunk write.
+    def write_chunk(self, slot: int, payloads: list[bytes]) -> None:
+        """Write one chunk (one oPage payload per LBA) into ``slot``.
 
-        The cluster's batch-submission path uses this to stage many chunk
-        writes into one :class:`repro.io.vector.IOVector` per device queue;
-        :meth:`write_chunk` dispatches the identical request one at a time.
+        One ``write`` request on the device queue; errors raise
+        synchronously from ``submit`` exactly as a direct range write
+        would.
         """
         self._check_slot(slot)
         if len(payloads) != self.chunk_lbas:
             raise ConfigError(
                 f"chunk needs {self.chunk_lbas} payloads, got {len(payloads)}")
-        return IORequest(op="write", lba=slot * self.chunk_lbas,
-                         payloads=payloads, mdisk_id=self._io_mdisk_id)
-
-    def write_chunk(self, slot: int, payloads: list[bytes]) -> None:
-        """Write one chunk (one oPage payload per LBA) into ``slot``.
-
-        Routed through the device queue when one is attached; errors
-        raise synchronously from ``submit`` exactly as the direct
-        range write would.
-        """
-        request = self.chunk_write_request(slot, payloads)
-        if self.queue is not None:
-            self.queue.submit(request)
-        else:
-            self._write_range(request.lba, payloads)
+        self.queue.submit(IORequest(
+            op="write", lba=slot * self.chunk_lbas, payloads=payloads,
+            mdisk_id=self._io_mdisk_id))
 
     def read_chunk(self, slot: int) -> list[bytes]:
         """Read one chunk's payloads; raises device errors through.
 
-        Uses the device's scatter-gather path (one sense per touched
-        fPage) so system-level large-read performance inherits the §4.2
-        ``P/(P-L)`` behaviour. With a queue attached the read is one
-        measured ``read_range`` request over the same device method.
+        One measured ``read_range`` request: the device's scatter-gather
+        path (one sense per touched fPage), so system-level large-read
+        performance inherits the §4.2 ``P/(P-L)`` behaviour.
         """
         self._check_slot(slot)
-        base = slot * self.chunk_lbas
-        if self.queue is not None:
-            completion = self.queue.execute(IORequest(
-                op="read_range", lba=base, count=self.chunk_lbas,
-                mdisk_id=self._io_mdisk_id))
-            return completion.result
-        return self._read_range(base, self.chunk_lbas)
+        return self.queue.execute(IORequest(
+            op="read_range", lba=slot * self.chunk_lbas,
+            count=self.chunk_lbas, mdisk_id=self._io_mdisk_id)).result
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.total_slots:
@@ -218,12 +191,6 @@ class MonolithicVolume(Volume):
 
     def device_alive(self) -> bool:
         return self.device.is_alive
-
-    def _write_range(self, lba: int, payloads: list[bytes]) -> None:
-        self.device.write_range(lba, payloads)
-
-    def _read_range(self, lba: int, count: int) -> list[bytes]:
-        return self.device.read_range(lba, count)
 
     def shrink_to(self, new_capacity_lbas: int) -> list[int]:
         """Apply a device shrink; returns occupied slots now out of range."""
@@ -284,9 +251,3 @@ class MinidiskVolume(Volume):
             return False
         self.device.release_minidisk(self.mdisk_id)
         return True
-
-    def _write_range(self, lba: int, payloads: list[bytes]) -> None:
-        self.device.write_range(self.mdisk_id, lba, payloads)
-
-    def _read_range(self, lba: int, count: int) -> list[bytes]:
-        return self.device.read_range(self.mdisk_id, lba, count)

@@ -213,14 +213,6 @@ class FlashChip:
             self.latency.program_latency_us(
                 slots * self.geometry.opage_bytes + self.geometry.spare_bytes)
             for slots in self._data_opages_by_level)
-        # Array twins of the per-level tuples, for the batched read path
-        # (fancy indexing by a level vector instead of a Python loop).
-        self._data_opages_array = np.asarray(
-            self._data_opages_by_level, dtype=np.int64)
-        self._ecc_t_array = np.asarray(self._ecc_t_by_level, dtype=np.int64)
-        self._codeword_bits_array = np.asarray(
-            [ecc.codeword_bits for ecc in self._ecc_by_level],
-            dtype=np.int64)
         # Wear term rber_model.rber(pec) memoised per PEC value (the
         # per-page variation factor multiplies in afterwards).
         self._base_rber_cache: dict[int, float] = {}
@@ -600,173 +592,6 @@ class FlashChip:
             if flipped > self._ecc_t_by_level[level]:
                 raise self._uncorrectable(fpage, level, flipped)
         return self._data[fpage][slot], latency
-
-    def read_batch(self, fpages: Sequence[int], slots: Sequence[int],
-                   service_out: list | None = None,
-                   work_out: list | None = None) -> list:
-        """Read many ``(fpage, slot)`` oPages as independent point reads.
-
-        Equivalent to calling :meth:`read` once per pair in order with
-        each :class:`UncorrectableError` caught: element ``i`` of the
-        result is ``(data, latency_us)`` on success or the
-        ``UncorrectableError`` instance for an uncorrectable sample. The
-        same statistics accrue, the same busy time is charged to the
-        same channels, and the RNG consumes exactly the same draws in
-        the same order (``rng.binomial`` with array arguments draws
-        elementwise in sequence), so device state after a batch is
-        bit-identical to the scalar loop — the equivalence tests pin
-        this across device flavours.
-
-        The vectorised path needs the per-read derivation to be free of
-        cross-read coupling; with fault injection installed, an active
-        reqtrace context, or read disturb / retention modelled, it falls
-        back to the scalar loop (identical semantics, scalar speed).
-
-        ``service_out`` / ``work_out``, when given, must be zero-filled
-        lists of ``len(fpages)`` floats. Entry ``i`` receives the read's
-        channel-accumulator and busy-accumulator *delta* — computed as
-        ``after - before`` on the running totals, exactly the floats a
-        caller snapshotting ``channel_busy_us`` / ``stats.busy_us``
-        around a scalar :meth:`read` would measure (the rounding of the
-        accumulator subtraction is part of the timing bit-identity
-        contract). Failed reads also carry their delta as a
-        ``latency_us`` attribute on the error.
-        """
-        n = len(fpages)
-        if n == 0:
-            return []
-        rt = self._reqtrace
-        if (self._faults is not None
-                or (rt is not None and rt.active is not None)
-                or self.read_disturb_rber != 0
-                or self.retention_rber_per_day != 0):
-            return self._read_batch_scalar(fpages, slots, service_out,
-                                           work_out)
-        fps = np.asarray(fpages, dtype=np.int64)
-        sls = np.asarray(slots, dtype=np.int64)
-        if ((fps < 0).any() or (fps >= self._total_fpages).any()
-                or (self._state[fps] != _STATE_WRITTEN).any()):
-            return self._read_batch_scalar(fpages, slots, service_out,
-                                           work_out)
-        levels = self._level[fps]
-        if ((sls < 0) | (sls >= self._data_opages_array[levels])).any():
-            return self._read_batch_scalar(fpages, slots, service_out,
-                                           work_out)
-        # Wear-term RBER, vectorised: memoised base per distinct PEC,
-        # times the per-page variation factor — the same float ops as
-        # ``_wear_rber``, so the values are bit-identical.
-        pecs = self._pec[fps]
-        upecs, inverse = np.unique(pecs, return_inverse=True)
-        cache = self._base_rber_cache
-        bases = np.empty(upecs.size, dtype=float)
-        for j, pec in enumerate(upecs):
-            pec = int(pec)
-            base = cache.get(pec)
-            if base is None:
-                base = float(self.rber_model.rber(pec))
-                cache[pec] = base
-            bases[j] = base
-        rbers = bases[inverse] * self._variation[fps]
-        inject = self.inject_errors
-        if inject and bool((rbers <= 0).any()):
-            # Zero-RBER reads draw nothing on the scalar path; keep the
-            # draw count identical by replaying the loop.
-            return self._read_batch_scalar(fpages, slots, service_out,
-                                           work_out)
-        # Retries and latency via the scalar helpers (identical
-        # arithmetic), float stats accumulated in scalar order.
-        stats = self.stats
-        chan = self.channel_busy_us
-        channels = self._channels
-        fpb = self._fpages_per_block
-        read_us = self.latency.read_us
-        transfer = self._opage_transfer_us
-        level_list = self._level_py
-        retries_fast = self._read_retries_fast
-        rber_list = rbers.tolist()
-        fp_list = fps.tolist()
-        latencies = [0.0] * n
-        track = service_out is not None or work_out is not None
-        for i in range(n):
-            retries = retries_fast(rber_list[i], level_list[fp_list[i]])
-            latency = (1.0 + retries) * read_us + transfer
-            latencies[i] = latency
-            stats.reads += 1
-            stats.read_retries += retries
-            channel = (fp_list[i] // fpb) % channels
-            if track:
-                # Charge via explicit before/after so the reported
-                # deltas round exactly like a caller's snapshots.
-                busy_prev = stats.busy_us
-                busy_next = busy_prev + latency
-                stats.busy_us = busy_next
-                chan_prev = chan[channel]
-                chan_next = chan_prev + latency
-                chan[channel] = chan_next
-                if work_out is not None:
-                    work_out[i] = busy_next - busy_prev
-                if service_out is not None:
-                    service_out[i] = chan_next - chan_prev
-            else:
-                stats.busy_us += latency
-                chan[channel] += latency
-        data = self._data
-        sl_list = sls.tolist()
-        out: list = [None] * n
-        failed_list = None
-        if inject:
-            flipped = self.rng.binomial(
-                self._codeword_bits_array[levels],
-                np.minimum(rbers, 1.0))
-            failed_list = (flipped > self._ecc_t_array[levels]).tolist()
-            flipped_list = flipped.tolist()
-        for i in range(n):
-            fpage = fp_list[i]
-            if failed_list is not None and failed_list[i]:
-                stats.uncorrectable_reads += 1
-                level = level_list[fpage]
-                correctable = self._ecc_t_by_level[level]
-                error = UncorrectableError(
-                    f"fPage {fpage} (L{level}, "
-                    f"pec={int(self._pec[fpage])}): "
-                    f"{flipped_list[i]} bit errors exceed t={correctable}",
-                    bit_errors=flipped_list[i],
-                    correctable=correctable)
-                # Busy time was charged before the (virtual) raise, same
-                # as the scalar path; expose it so batch timing layers
-                # can attribute the failed read's service.
-                error.latency_us = (service_out[i]
-                                    if service_out is not None
-                                    else latencies[i])
-                out[i] = error
-            else:
-                out[i] = (data[fpage][sl_list[i]], latencies[i])
-        return out
-
-    def _read_batch_scalar(self, fpages, slots,
-                           service_out: list | None = None,
-                           work_out: list | None = None) -> list:
-        """Reference loop for :meth:`read_batch` (always applicable)."""
-        out = []
-        stats = self.stats
-        chan = self.channel_busy_us
-        track = service_out is not None or work_out is not None
-        for i, (fpage, slot) in enumerate(zip(fpages, slots)):
-            busy_before = stats.busy_us
-            chan_before = list(chan) if track else None
-            try:
-                out.append(self.read(int(fpage), int(slot)))
-            except UncorrectableError as error:
-                error.latency_us = stats.busy_us - busy_before
-                out.append(error)
-            if track:
-                if work_out is not None:
-                    work_out[i] = stats.busy_us - busy_before
-                if service_out is not None:
-                    service_out[i] = max(
-                        (chan[c] - chan_before[c]
-                         for c in range(len(chan_before))), default=0.0)
-        return out
 
     def read_opages(self, fpage: int, slots: Sequence[int],
                     ) -> list[bytes | None]:

@@ -8,9 +8,10 @@ does two jobs:
    ``execute``), in submission order, through exactly the same methods
    direct callers would use — so with coalescing off the data path,
    RNG draw order and ``_audit_fastpath`` state are bit-identical to
-   the legacy direct path (the differential conformance suite asserts
-   this). Errors raise synchronously from ``submit``/``execute``,
-   preserving direct-call exception semantics.
+   direct device calls (the differential conformance suite asserts
+   this against ``tests/difs/direct_io_oracle.py``). Errors raise
+   synchronously from ``submit``/``execute``, preserving direct-call
+   exception semantics.
 
 2. **Time accounting.** The queue keeps a device-local virtual clock
    in microseconds and models the device as ``c`` parallel channel
@@ -31,13 +32,11 @@ rather than on request objects: ``_serve`` calls the device and
 measures what the call cost the chip, ``_meter`` places that service on
 the virtual clock and does all the accounting (stats, metrics,
 deadlines, SLOs). ``execute`` and ``submit`` unpack an
-:class:`~repro.io.request.IORequest` into it, :meth:`DeviceQueue.
-execute_vector` feeds it the columns of a whole
-:class:`~repro.io.vector.IOVector` (routing runs of point reads through
-the device's ``read_batch`` kernel when that preserves timing
-bit-identity, see ``timed_batch_reads``), and :meth:`DeviceQueue.
-dispatch` exposes it directly for callers — the traffic engine — that
-have no use for per-request objects. Only requests that *stay* in the
+:class:`~repro.io.request.IORequest` into it — after checking that the
+request is addressed for this kind of device — and
+:meth:`DeviceQueue.dispatch` exposes it directly for callers — the
+traffic engine — that have no use for per-request objects and vouch
+for the fields themselves. Only requests that *stay* in the
 in-flight window leave anything behind: one row tuple each, bridged to
 a scalar :class:`~repro.io.request.IOCompletion` when ``poll`` hands
 it out. Synchronous dispatches allocate nothing but their result.
@@ -64,10 +63,9 @@ from collections import deque
 from operator import sub
 
 from repro import obs
-from repro.errors import ConfigError, UncorrectableError
+from repro.errors import ConfigError
 from repro.io.protocols import device_kind_of
-from repro.io.request import IOCompletion, IORequest
-from repro.io.vector import (
+from repro.io.request import (
     OP_CODES,
     OP_FLUSH,
     OP_NAMES,
@@ -76,8 +74,8 @@ from repro.io.vector import (
     OP_TRIM,
     OP_TRIM_RANGE,
     OP_WRITE,
-    CompletionVector,
-    IOVector,
+    IOCompletion,
+    IORequest,
 )
 from repro.obs import reqtrace, slo
 from repro.obs.instruments import io_instruments
@@ -88,10 +86,6 @@ from repro.io.queue_stats import QueueStats
 
 #: Upper bound on LBAs a coalesced request may span.
 MAX_MERGE_LBAS = 1024
-
-#: Minimum run of consecutive point reads worth routing through the
-#: device's ``read_batch`` kernel inside ``execute_vector``.
-_READ_RUN_MIN = 2
 
 _MERGEABLE_OPS = ("read_range", "trim_range", "write")
 
@@ -137,6 +131,9 @@ class DeviceQueue:
         self.coalesce = coalesce
         self.keep_latencies = keep_latencies
         self.device_kind = device_kind or device_kind_of(device)
+        #: Whether the device's host interface is ``(mdisk_id, lba)``
+        #: (Salamander) rather than a flat LBA.
+        self._by_minidisk = hasattr(device, "active_minidisks")
         chip = getattr(device, "chip", None)
         self._chip = chip
         geometry = getattr(chip, "geometry", None)
@@ -232,8 +229,8 @@ class DeviceQueue:
         :meth:`execute`. Any other ``handle`` makes it occupy a window
         slot like :meth:`submit`, and :meth:`drain` hands the handle
         back in the row's first field. The caller vouches for the
-        ``IORequest`` invariants, as with directly filled
-        :class:`IOVector` columns.
+        ``IORequest`` invariants and for addressing the device's kind
+        (``mdisk_id`` on a minidisk device, none on a flat one).
         """
         self._flush_staged()
         if self._rt_sampler is not None:
@@ -256,126 +253,6 @@ class DeviceQueue:
             self._inflight.append((handle,) + measured + (1,))
             self._set_inflight(len(self._inflight))
         return measured
-
-    def execute_vector(self, vec: IOVector,
-                       stop_on_error: bool = False) -> CompletionVector:
-        """Dispatch a whole :class:`IOVector` synchronously (closed loop).
-
-        Semantically a per-member :meth:`execute` loop with each
-        member's error *caught* and recorded on its completion instead
-        of aborting the batch — exactly the device state a caller
-        looping ``try: execute(...) except`` would leave behind, which
-        is how the batched==scalar equivalence tests compare the two
-        paths. With ``stop_on_error`` the loop ``break``s there: the
-        first errored member is the last one dispatched and the
-        returned vector is that much shorter. The ``at_us`` column is
-        ignored: every member arrives at the device clock, like
-        ``execute(request)``.
-
-        Members dispatch straight from the vector's columns (no
-        per-member request/completion objects), and runs of >= 2 flat
-        point reads go through the device's ``read_batch`` kernel when
-        the device declares ``timed_batch_reads`` and no fault injector
-        is bound. With request-trace sampling installed every member is
-        bridged to a request first, so sampling decisions and trace
-        segments stay identical.
-        """
-        n = len(vec)
-        self._flush_staged()
-        tag0 = self._next_tag
-        traced = self._rt_sampler is not None
-        device = self.device
-        chip = self._chip
-        ops = vec.op[:n].tolist()
-        lbas = vec.lba[:n].tolist()
-        counts = vec.count[:n].tolist()
-        mdisks = [None if m < 0 else m for m in vec.mdisk_id[:n].tolist()]
-        streams = vec.stream[:n].tolist()
-        deadlines = [None if d != d else d
-                     for d in vec.deadline_us[:n].tolist()]
-        payload_col = vec.payloads
-        submit_col = [0.0] * n
-        start_col = [0.0] * n
-        end_col = [0.0] * n
-        work_col = [0.0] * n
-        results: list = [None] * n
-        errors: list = [None] * n
-        n_lbas = getattr(device, "n_lbas", None)
-        # A batched run has touched the device for every member before
-        # the first error is known, so stopping early rules it out.
-        batch_read = (
-            getattr(device, "read_batch", None)
-            if (n_lbas is not None and not traced and not stop_on_error
-                and getattr(device, "timed_batch_reads", False)
-                and getattr(device, "_faults", None) is None
-                and (chip is None
-                     or getattr(chip, "_faults", None) is None))
-            else None)
-        serve = self._serve
-        meter = self._meter
-        i = 0
-        while i < n:
-            code = ops[i]
-            if (batch_read is not None and code == OP_READ
-                    and mdisks[i] is None and 0 <= lbas[i] < n_lbas):
-                j = i + 1
-                while (j < n and ops[j] == OP_READ and mdisks[j] is None
-                       and 0 <= lbas[j] < n_lbas):
-                    j += 1
-                if j - i >= _READ_RUN_MIN:
-                    run = j - i
-                    svc = [0.0] * run
-                    wrk = [0.0] * run
-                    try:
-                        batch = batch_read(lbas[i:j], service_out=svc,
-                                           work_out=wrk)
-                    except Exception:
-                        # Liveness gates raise before any member runs
-                        # (reads cannot change device health); replay
-                        # the run member by member so each completion
-                        # records the error the scalar loop would see.
-                        batch = None
-                    if batch is not None:
-                        for k in range(run):
-                            res = batch[k]
-                            m = i + k
-                            if isinstance(res, UncorrectableError):
-                                errors[m] = res
-                            else:
-                                results[m] = [res]
-                            work_col[m] = wrk[k]
-                            submit_col[m], start_col[m], end_col[m] = meter(
-                                OP_READ, streams[m], deadlines[m], None,
-                                svc[k], wrk[k], errors[m])
-                        i = j
-                        continue
-            if traced:
-                request = vec.request(i)
-                request.tag = tag0 + i
-                self._maybe_trace(request)
-                (_, results[i], error, submit_col[i], start_col[i],
-                 end_col[i], work_col[i], _) = self._dispatch_request(
-                     request, None)
-            else:
-                results[i], error, service, work_col[i] = serve(
-                    code, lbas[i], counts[i], mdisks[i], streams[i],
-                    payload_col[i])
-                submit_col[i], start_col[i], end_col[i] = meter(
-                    code, streams[i], deadlines[i], None, service,
-                    work_col[i], error)
-            errors[i] = error
-            i += 1
-            if stop_on_error and error is not None:
-                break
-        self._next_tag = tag0 + i
-        self.stats.submitted += i
-        if i < n:
-            vec = vec[:i]
-            submit_col, start_col = submit_col[:i], start_col[:i]
-            end_col, work_col = end_col[:i], work_col[:i]
-            results, errors = results[:i], errors[:i]
-        return CompletionVector(vec, tag0, submit_col, start_col,
-                                end_col, work_col, results, errors)
 
     def drain(self) -> list[tuple]:
         """Retire the whole window; returns its rows, oldest first.
@@ -407,6 +284,15 @@ class DeviceQueue:
     # -- internals ------------------------------------------------------------
 
     def _stamp(self, request: IORequest) -> None:
+        if ((request.mdisk_id is None) == self._by_minidisk
+                and request.op != "flush"):
+            # Refused before dispatch: the device call would die on its
+            # argument count, a TypeError no ReproError handler catches.
+            shape = "(mdisk_id, lba)" if self._by_minidisk else "flat LBA"
+            raise ConfigError(
+                f"{request.op} request with mdisk_id="
+                f"{request.mdisk_id!r} on a {self.device_kind} device, "
+                f"which is addressed by {shape}")
         request.tag = self._next_tag
         self._next_tag += 1
         self.stats.submitted += 1

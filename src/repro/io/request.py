@@ -26,7 +26,17 @@ READ_OPS = ("read", "read_range")
 #: Operations that deliver data to the device.
 WRITE_OPS = ("write",)
 
-_ALL_OPS = ("read", "read_range", "write", "trim", "trim_range", "flush")
+#: Op codes, in the order of :data:`OP_NAMES`: ``IORequest.op`` holds
+#: the name, :meth:`repro.io.queue.DeviceQueue.dispatch` takes the code.
+OP_READ = 0
+OP_READ_RANGE = 1
+OP_WRITE = 2
+OP_TRIM = 3
+OP_TRIM_RANGE = 4
+OP_FLUSH = 5
+
+OP_NAMES = ("read", "read_range", "write", "trim", "trim_range", "flush")
+OP_CODES = {name: code for code, name in enumerate(OP_NAMES)}
 
 
 @dataclass
@@ -72,9 +82,9 @@ class IORequest:
     trace: object | None = None
 
     def __post_init__(self) -> None:
-        if self.op not in _ALL_OPS:
+        if self.op not in OP_NAMES:
             raise ConfigError(
-                f"op must be one of {_ALL_OPS}, got {self.op!r}")
+                f"op must be one of {OP_NAMES}, got {self.op!r}")
         if self.op == "write":
             if not self.payloads:
                 raise ConfigError("write requests need payloads")
@@ -89,6 +99,9 @@ class IORequest:
             raise ConfigError(f"count must be positive, got {self.count!r}")
         if self.lba < 0:
             raise ConfigError(f"lba must be non-negative, got {self.lba!r}")
+        if self.mdisk_id is not None and self.mdisk_id < 0:
+            raise ConfigError(
+                f"mdisk_id must be non-negative, got {self.mdisk_id!r}")
 
     @property
     def is_read(self) -> bool:

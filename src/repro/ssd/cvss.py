@@ -133,12 +133,6 @@ class CVSSDevice(PageMappedFTL):
         self._check_alive()
         return super().read_range(lba, count)
 
-    def read_batch(self, lbas, service_out: list | None = None,
-                   work_out: list | None = None) -> list:
-        # Reads cannot exhaust the device, so one check covers the batch.
-        self._check_alive()
-        return super().read_batch(lbas, service_out, work_out)
-
     def _check_alive(self) -> None:
         if self._failed:
             raise DeviceBrickedError(

@@ -155,13 +155,6 @@ class BaselineSSD(PageMappedFTL):
         self._check_readable()
         return super().read_range(lba, count)
 
-    def read_batch(self, lbas, service_out: list | None = None,
-                   work_out: list | None = None) -> list:
-        # One liveness check covers the batch: reads cannot brick the
-        # device, so per-member checks would all see the same state.
-        self._check_readable()
-        return super().read_batch(lbas, service_out, work_out)
-
     def trim(self, lba: int) -> None:
         self._check_writable()
         super().trim(lba)

@@ -68,19 +68,12 @@ class BlockIndex:
     def add_many(self, blocks: Iterable[int]) -> None:
         """Batched :meth:`add`: one set union, one dirty-flag flip.
 
-        The batched IO path frees whole runs of blocks at once (vector
-        GC, remount rebuilds); folding them in per-element would mark the
-        cache dirty O(n) times for the same single rebuild.
+        A remount rebuilds the whole free pool at once; folding it in
+        per element would mark the cache dirty O(n) times for the same
+        single rebuild.
         """
         before = len(self._blocks)
         self._blocks.update(blocks)
-        if len(self._blocks) != before:
-            self._dirty = True
-
-    def discard_many(self, blocks: Iterable[int]) -> None:
-        """Batched :meth:`discard`; counterpart of :meth:`add_many`."""
-        before = len(self._blocks)
-        self._blocks.difference_update(blocks)
         if len(self._blocks) != before:
             self._dirty = True
 

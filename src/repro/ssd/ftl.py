@@ -201,11 +201,11 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         # oPage capacity per tiredness level, resolved once (P - L).
         self._data_opages = tuple(
             self.policy.data_opages(level) for level in self.policy.levels)
-        # L2P/P2L live on numpy so the batched kernels
-        # (``translate_batch``/``invalidate_batch`` and the vectorised
-        # ``_program_fpage`` mapping update) fancy-index them directly;
+        # L2P/P2L live on numpy so the range kernels (``read_range``'s
+        # map slice, ``invalidate_batch`` and the vectorised
+        # ``_program_fpage`` mapping update) index them directly;
         # scalar touch points pay a slightly dearer element extraction
-        # than a Python list would, which the batch paths repay many
+        # than a Python list would, which the range paths repay many
         # times over (docs/PERFORMANCE.md).
         self._l2p = np.full(n_lbas, UNMAPPED, dtype=np.int64)
         self._p2l = np.full(self.geometry.total_opage_slots, UNMAPPED,
@@ -509,156 +509,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             self.stats.read_latency.add(total_latency)
         return results
 
-    @property
-    def timed_batch_reads(self) -> bool:
-        """Whether ``read_batch``'s per-member ``service_out`` equals the
-        channel service a queued scalar :meth:`read` would measure.
-
-        True unless autoscrub is armed: a scrub pass triggered inside a
-        read relocates pages across channels, so its busy time is not a
-        single-channel service. Queue layers use this to decide whether
-        the batched read path preserves timing bit-identity.
-        """
-        return not self.config.scrub_interval_writes
-
-    def read_batch(self, lbas, service_out: list | None = None,
-                   work_out: list | None = None) -> list:
-        """Point-read many LBAs; the batched twin of :meth:`read`.
-
-        Element ``i`` of the result is the data bytes, or the
-        :class:`UncorrectableError` the scalar :meth:`read` would have
-        raised for that LBA. Side effects are bit-identical to calling
-        :meth:`read` once per LBA in order — the same stats, the same
-        latency-reservoir sequence, the same loss bookkeeping, and the
-        same chip RNG draws (duplicate LBAs split the chip batch at the
-        repeat, so a loss observed by an earlier member is seen by later
-        duplicates exactly as the scalar loop would). An out-of-range
-        LBA raises after the members before it completed, like the
-        scalar loop. Falls back to that loop when autoscrub is armed
-        (reads advance its operation counter member by member).
-
-        ``service_out`` / ``work_out``, when given, must be zero-filled
-        lists of ``len(lbas)`` floats; entry ``i`` receives the
-        channel-accumulator and busy-accumulator delta member ``i``
-        added (0 for buffer hits, unmapped and lost LBAs), rounded
-        exactly as a caller snapshotting the chip's running totals
-        around a scalar :meth:`read` would measure them — see
-        :meth:`FlashChip.read_batch` and :attr:`timed_batch_reads`.
-        """
-        n = len(lbas)
-        out: list = [None] * n
-        if n == 0:
-            return out
-        track = service_out is not None or work_out is not None
-        if self.config.scrub_interval_writes:
-            self._read_batch_fallback(lbas, out, service_out, work_out,
-                                      track)
-            return out
-        arr = np.asarray(lbas, dtype=np.int64)
-        if bool((arr < 0).any()) or bool((arr >= self.n_lbas).any()):
-            # Raises at the bad member, like the scalar loop.
-            self._read_batch_fallback(lbas, out, service_out, work_out,
-                                      track)
-            return out
-        self.stats.host_reads += n
-        self._instr.host_reads.inc(n)
-        buffer_get = self.buffer.get
-        opage_bytes = self.geometry.opage_bytes
-        slots = self._l2p[arr].tolist()
-        lba_list = arr.tolist()
-        spf = self._slots_per_fpage_max
-        add_latency = self.stats.read_latency.add
-        lost_now: set[int] = set()
-        seen: set[int] = set()
-        pend_member: list[int] = []
-        pend_fpage: list[int] = []
-        pend_slot: list[int] = []
-
-        def flush() -> None:
-            if track:
-                svc_sub = [0.0] * len(pend_member)
-                wrk_sub = [0.0] * len(pend_member)
-                results = self.chip.read_batch(
-                    pend_fpage, pend_slot, service_out=svc_sub,
-                    work_out=wrk_sub)
-            else:
-                svc_sub = wrk_sub = None
-                results = self.chip.read_batch(pend_fpage, pend_slot)
-            for j, member in enumerate(pend_member):
-                res = results[j]
-                if isinstance(res, UncorrectableError):
-                    lba = lba_list[member]
-                    self._lose_lba(lba, slots[member])
-                    lost_now.add(lba)
-                    out[member] = res
-                else:
-                    add_latency(res[1])
-                    out[member] = res[0]
-                if track:
-                    if service_out is not None:
-                        service_out[member] = svc_sub[j]
-                    if work_out is not None:
-                        work_out[member] = wrk_sub[j]
-            pend_member.clear()
-            pend_fpage.clear()
-            pend_slot.clear()
-            seen.clear()
-
-        for i in range(n):
-            target = lba_list[i]
-            buffered = buffer_get(target)
-            if buffered is not None:
-                out[i] = buffered.ljust(opage_bytes, b"\0")
-                continue
-            if target in seen:
-                # A duplicate's outcome may depend on the pending read
-                # of the same LBA (it could be lost); resolve in order.
-                flush()
-            if target in lost_now:
-                out[i] = UncorrectableError(
-                    f"LBA {target}: data lost to an earlier media error",
-                    bit_errors=-1, correctable=-1)
-                continue
-            slot = slots[i]
-            if slot == UNMAPPED:
-                out[i] = bytes(opage_bytes)
-                continue
-            if slot == LOST:
-                out[i] = UncorrectableError(
-                    f"LBA {target}: data lost to an earlier media error",
-                    bit_errors=-1, correctable=-1)
-                continue
-            seen.add(target)
-            pend_member.append(i)
-            pend_fpage.append(slot // spf)
-            pend_slot.append(slot % spf)
-        if pend_member:
-            flush()
-        return out
-
-    def _read_batch_fallback(self, lbas, out: list,
-                             service_out: list | None,
-                             work_out: list | None,
-                             track: bool) -> None:
-        """Member-by-member loop for :meth:`read_batch`, with the same
-        per-member accumulator-delta timing a queued scalar read sees."""
-        chip_stats = self.chip.stats
-        chan = self.chip.channel_busy_us
-        for i, lba in enumerate(lbas):
-            busy_before = chip_stats.busy_us
-            chan_before = list(chan) if track else None
-            try:
-                out[i] = self.read(int(lba))
-            except UncorrectableError as error:
-                out[i] = error
-            if track:
-                if work_out is not None:
-                    work_out[i] = chip_stats.busy_us - busy_before
-                if service_out is not None:
-                    service_out[i] = max(
-                        (chan[c] - chan_before[c]
-                         for c in range(len(chan_before))), default=0.0)
-
     def trim(self, lba: int) -> None:
         """Discard ``lba``'s data; subsequent reads return zeros."""
         self._check_lba(lba)
@@ -863,16 +713,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._valid_counts[slot // self._slots_per_block] += 1
         self._mapped_lbas += 1
 
-    # -- batched mapping kernels (the repro.io.vector data path) ---------------
-
-    def translate_batch(self, lbas) -> np.ndarray:
-        """L2P lookup for many LBAs at once (sentinels preserved).
-
-        Returns the physical slot per LBA; ``UNMAPPED``/``LOST`` pass
-        through so callers can classify members without re-touching the
-        map. Pure lookup — no bounds check, no side effects.
-        """
-        return self._l2p[np.asarray(lbas, dtype=np.int64)]
+    # -- batched mapping kernel -------------------------------------------------
 
     def invalidate_batch(self, lbas) -> None:
         """Vectorised ``_unmap`` over many *distinct* LBAs.

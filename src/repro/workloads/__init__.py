@@ -18,7 +18,6 @@ from repro.workloads.generators import (
     UniformGenerator,
     ZipfianGenerator,
     hotspot_mass,
-    ops_vector,
 )
 from repro.workloads.arrivals import (
     ARRIVAL_KINDS,
@@ -48,7 +47,6 @@ __all__ = [
     "hotspot_mass",
     "make_arrivals",
     "mmpp_rates",
-    "ops_vector",
     "DWPDSchedule",
     "Trace",
     "synthesize_trace",

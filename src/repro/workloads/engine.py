@@ -19,8 +19,8 @@ cells out over :func:`repro.sim.parallel.parallel_map` and the merged
 artifact is byte-identical for any ``--jobs`` value.
 
 :func:`run_cell` is a pipeline of stages over one ``_Cell`` state
-object: **build** (device, queue, tenants) → **prefill** (one
-``IOVector`` per tenant) → **calibrate** (pilot reads → service scale)
+object: **build** (device, queue, tenants) → **prefill** (every
+tenant's span) → **calibrate** (pilot reads → service scale)
 → **window** → **report**. The window is one event heap interleaving
 every tenant, each event walking **arrivals → admission → dispatch →
 accounting**:
@@ -58,14 +58,13 @@ from repro import obs
 from repro.errors import ConfigError
 from repro.io.probe import _PROBE_ERRORS, BUILD_MODES, build_queue_device
 from repro.io.queue import DeviceQueue
-from repro.io.vector import (
+from repro.io.request import (
     OP_FLUSH,
     OP_NAMES,
     OP_READ,
     OP_READ_RANGE,
     OP_TRIM,
     OP_WRITE,
-    IOVector,
 )
 from repro.obs.analyze import interpolated_percentile
 from repro.obs.slo import SLOEngine, SLOObjective
@@ -485,16 +484,16 @@ def _build(config: EngineConfig, cell: int, seed: int) -> _Cell:
 
 def _prefill(state: _Cell) -> None:
     """Write every tenant's span through the queue so reads hit flash
-    (probe discipline): one vector per tenant, cut short at the
-    tenant's first device error like the scalar loop it replaces."""
+    (probe discipline); a tenant stops at its first device error."""
     queue = state.queue
     for tenant in state.tenants:
-        vector = IOVector(capacity=tenant.span)
         for lba in range(tenant.base, tenant.base + tenant.span):
-            vector.append(OP_WRITE, lba=lba, mdisk_id=tenant.mdisk,
-                          payloads=[bytes([lba & 0xFF]) * 16])
-        done = queue.execute_vector(vector, stop_on_error=True)
-        _raise_unless_probe_error(done.errors[-1])
+            error = queue.dispatch(OP_WRITE, lba, 1,
+                                   [bytes([lba & 0xFF]) * 16],
+                                   tenant.mdisk)[1]
+            if error is not None:
+                _raise_unless_probe_error(error)
+                break
     _raise_unless_probe_error(queue.dispatch(OP_FLUSH)[1])
 
 

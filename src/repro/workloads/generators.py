@@ -68,27 +68,6 @@ def hotspot_mass(n_lbas: int, theta: float,
     return float(weights[:hot].sum() / weights.sum())
 
 
-def ops_vector(generator, count: int):
-    """Materialise ``generator.ops(count)`` as one batched IOVector.
-
-    Consumes the generator's own scalar stream, so the RNG draw order —
-    and therefore every address, mix decision, and payload stamp — is
-    bit-identical to iterating :meth:`ops` directly. Batching changes the
-    representation handed to :meth:`repro.io.queue.DeviceQueue.
-    execute_vector`, never the traffic.
-    """
-    from repro.io.vector import IOVector
-
-    vector = IOVector(capacity=count)
-    for operation in generator.ops(count):
-        if operation.op is OpType.WRITE:
-            vector.append("write", lba=operation.lba,
-                          payloads=[operation.payload])
-        else:
-            vector.append(operation.op.value, lba=operation.lba)
-    return vector
-
-
 def draw_block(generator, block: int, flip_rng=None,
                read_fraction: float = 0.0) -> list[Operation]:
     """The next ``block`` operations of ``generator``, as a list.
@@ -116,15 +95,7 @@ def draw_block(generator, block: int, flip_rng=None,
     return ops
 
 
-class _BatchedOpsMixin:
-    """Adds the IOVector emission surface shared by every generator."""
-
-    def ops_vector(self, count: int):
-        """Batched form of :meth:`ops`; see :func:`ops_vector`."""
-        return ops_vector(self, count)
-
-
-class UniformGenerator(_BatchedOpsMixin):
+class UniformGenerator:
     """Uniformly random writes over ``[0, n_lbas)``."""
 
     def __init__(self, n_lbas: int,
@@ -142,7 +113,7 @@ class UniformGenerator(_BatchedOpsMixin):
                             stamp_payload(lba, self._sequence))
 
 
-class ZipfianGenerator(_BatchedOpsMixin):
+class ZipfianGenerator:
     """Zipf-skewed writes: a hot set absorbs most traffic.
 
     Args:
@@ -174,7 +145,7 @@ class ZipfianGenerator(_BatchedOpsMixin):
                             stamp_payload(lba, self._sequence))
 
 
-class SequentialGenerator(_BatchedOpsMixin):
+class SequentialGenerator:
     """Wrap-around sequential writes (log-style ingest)."""
 
     def __init__(self, n_lbas: int, start: int = 0) -> None:
@@ -196,7 +167,7 @@ class SequentialGenerator(_BatchedOpsMixin):
                             stamp_payload(lba, self._sequence))
 
 
-class MixedGenerator(_BatchedOpsMixin):
+class MixedGenerator:
     """Read/write/trim mix over a base write generator's address range.
 
     Reads and trims target previously written LBAs, so replay on a fresh

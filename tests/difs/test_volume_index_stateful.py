@@ -278,7 +278,7 @@ class VolumeIndexMachine(RuleBasedStateMachine):
             v.capacity_lbas() for v in alive) * cluster.config.opage_bytes
         queues = []
         for volume in volumes:
-            if volume.queue is not None and volume.queue not in queues:
+            if volume.queue not in queues:
                 queues.append(volume.queue)
         assert cluster.device_queues() == queues
 

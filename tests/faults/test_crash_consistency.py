@@ -105,9 +105,9 @@ def test_fuzz_episode(flavour, seed, make_chip, ftl_config, make_baseline,
 @pytest.mark.parametrize("flavour", ("ftl", "baseline"))
 def test_fuzz_episode_batched(flavour, seed, make_chip, ftl_config,
                               make_baseline, make_salamander):
-    """Crash fuzz through ``execute_vector``: power losses surfacing as
-    per-member batch errors must leave the same acked-durability and
-    trim guarantees as the scalar submission path."""
+    """Crash fuzz through ``DeviceQueue.dispatch``: power losses handed
+    back in the result tuple must leave the same acked-durability and
+    trim guarantees as direct device calls."""
     plan = episode_plan(flavour, seed)
     with faults.installed(plan):
         device = build_device(flavour, make_chip, ftl_config,

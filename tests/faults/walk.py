@@ -177,25 +177,26 @@ def run_episode(device, plan: FaultPlan, seed: int,
 
 def run_episode_batched(device, plan: FaultPlan, seed: int,
                         n_ops: int = 520, batch: int = 8) -> WalkResult:
-    """The batched-submission twin of :func:`run_episode`.
+    """The queue-dispatch twin of :func:`run_episode`.
 
-    Host writes and trims are staged into :class:`IOVector` batches and
-    dispatched through ``DeviceQueue.execute_vector`` — the cluster's
-    batched hot path. ``execute_vector`` records per-member errors
-    instead of raising, so crashes surface *inside* a batch; the walk
-    follows the host retry protocol a real initiator uses after a
-    device reset: members before the crash are acked, the crash member
-    and everything after it are re-driven against the remounted device
-    (their first execution is void — the crashed object is discarded,
+    Host writes and trims are staged in batches of ``batch`` and driven
+    through ``DeviceQueue.dispatch`` — the traffic engine's submission
+    path. ``dispatch`` hands a device error back *in its result tuple*
+    instead of raising, so a power loss surfaces as a value the host
+    has to notice; the walk follows the host retry protocol a real
+    initiator uses after a device reset: members before the crash are
+    acked, the batch stops at the crash member, and it and everything
+    after it are re-driven against the remounted device (the crash
+    member's first execution is void — the crashed object is discarded,
     though any flash it programmed stays durable, which is exactly the
     ambiguity the trim-resurrection rules already allow for).
 
     Flat-LBA devices only (plain FTL / baseline): Salamander keys need
     per-member minidisk liveness tracking that the scalar walk handles
-    by racing decommissions, which has no batched analogue yet.
+    by racing decommissions, which a staged batch cannot.
     """
     from repro.io import DeviceQueue
-    from repro.io.vector import IOVector
+    from repro.io.request import OP_TRIM, OP_WRITE
 
     rng = fork_rng(make_rng(seed), "fuzz-ops")
     result = WalkResult(device=device)
@@ -226,25 +227,20 @@ def run_episode_batched(device, plan: FaultPlan, seed: int,
     def dispatch():
         pending = staged[:]
         staged.clear()
-        while pending:
-            vector = IOVector(capacity=len(pending))
-            for op, key, payload in pending:
-                vector.append(op, lba=key,
-                              payloads=[payload] if op == "write" else None)
-            completions = queue.execute_vector(vector)
-            crash_at = None
-            for index, (op, key, payload) in enumerate(pending):
-                error = completions.errors[index]
-                if isinstance(error, PowerLossError):
-                    crash_at = index
-                    absorb_crash(error)
-                    break
-                if error is not None:
-                    raise error  # END_OF_LIFE or a real model bug
-                ack(op, key, payload)
-            if crash_at is None:
-                return
-            pending = pending[crash_at:]  # host retry after the reset
+        index = 0
+        while index < len(pending):
+            op, key, payload = pending[index]
+            if op == "write":
+                error = queue.dispatch(OP_WRITE, key, 1, [payload])[1]
+            else:
+                error = queue.dispatch(OP_TRIM, key)[1]
+            if isinstance(error, PowerLossError):
+                absorb_crash(error)
+                continue  # host retry after the reset, from this member
+            if error is not None:
+                raise error  # END_OF_LIFE or a real model bug
+            ack(op, key, payload)
+            index += 1
 
     for step in range(n_ops):
         result.steps = step + 1

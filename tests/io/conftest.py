@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ReproError
 from repro.io import IORequest
 from repro.ssd.ftl import PageMappedFTL
 
@@ -44,6 +45,29 @@ def make_device(make_chip, ftl_config, make_baseline, make_cvss,
         raise ValueError(flavour)
 
     return factory
+
+
+def queue_state(queue, mdisk_id=None, lbas: int = 16):
+    """Everything a dispatch can leave behind, as one comparable tuple:
+    the queue's clock, servers, tags, window and stats, the chip's RNG,
+    stats, channel clocks and wear, and what the first ``lbas`` addresses
+    read back as. Twin queues driven through two submission surfaces
+    must agree on all of it.
+    """
+    device = queue.device
+    chip = device.chip
+    state = (queue.clock_us, list(queue._channel_free), queue._next_tag,
+             queue.inflight, dict(vars(queue.stats)),
+             chip.rng.bit_generator.state, dict(vars(chip.stats)),
+             list(chip.channel_busy_us), chip.wear_summary())
+    contents = []
+    for lba in range(lbas):
+        try:
+            contents.append(device.read(lba) if mdisk_id is None
+                            else device.read(mdisk_id, lba))
+        except ReproError as error:
+            contents.append(type(error))
+    return state + (contents,)
 
 
 class DeviceIO:

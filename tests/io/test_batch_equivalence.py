@@ -1,11 +1,12 @@
-"""Batched==scalar bit-identity: the vectorised hot path's contract.
+"""Fields==objects bit-identity: the contract of ``DeviceQueue.dispatch``.
 
-``DeviceQueue.execute_vector`` must be an exact drop-in for the scalar
-``execute`` loop: identical results, errors, timing columns, chip RNG
-draw order, wear, endurance-ledger cause attribution, and FTL fast-path
-invariants — across every device flavour, healthy or worn. Batching is a
-representation change, never a behaviour change (docs/PERFORMANCE.md
-"Batched IO path").
+``dispatch`` (one request as its fields, the error handed back in the
+result tuple) must be an exact drop-in for the ``IORequest`` path with
+each error caught: identical results, errors, timings, chip RNG draw
+order, wear, endurance-ledger cause attribution, request-trace sampling
+and FTL fast-path invariants — across every device flavour, healthy or
+worn. The two surfaces share ``_serve``/``_meter``; these tests are what
+says so (docs/IO_PIPELINE.md "One dispatch core").
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import pytest
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import PowerLawRBER
-from repro.io import DeviceQueue, IORequest
-from repro.io.vector import IOVector
+from repro.io import OP_CODES, DeviceQueue, IORequest
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
-from tests.io.conftest import FLAVOURS
+from tests.io.conftest import FLAVOURS, queue_state
 
 
 def mixed_ops(n_lbas: int, count: int, seed: int):
@@ -41,91 +41,74 @@ def mixed_ops(n_lbas: int, count: int, seed: int):
     return ops
 
 
-def build_vector(ops, mdisk_id=None):
-    vector = IOVector(capacity=len(ops))
-    for op, lba, count in ops:
-        vector.append(op, lba=lba, count=count,
-                      payloads=([bytes([lba % 7]) * 8]
-                                if op == "write" else None),
-                      mdisk_id=mdisk_id)
-    return vector
+def _payloads(op, lba):
+    return [bytes([lba % 7]) * 8] if op == "write" else None
 
 
-def run_scalar(queue, ops, mdisk_id=None):
-    """Reference loop: one closed-loop request per op, errors swallowed
-    like the vector path records them. ``submit`` + ``poll`` rather than
-    ``execute``: an errored completion stays pollable, so every member
-    has a completion to compare."""
-    completions = []
+def run_objects(queue, ops, mdisk_id=None):
+    """Reference loop: one closed-loop ``IORequest`` per op, errors
+    swallowed like ``dispatch`` hands them back. ``submit`` + ``poll``
+    rather than ``execute``: an errored completion stays pollable, so
+    every member has a completion to compare."""
+    measured = []
     for op, lba, count in ops:
-        request = IORequest(
-            op=op, lba=lba, count=count,
-            payloads=([bytes([lba % 7]) * 8] if op == "write" else None),
-            mdisk_id=mdisk_id)
+        request = IORequest(op=op, lba=lba, count=count,
+                            payloads=_payloads(op, lba), mdisk_id=mdisk_id)
         try:
             queue.submit(request)
         except Exception:
             pass
-        (completion,) = queue.poll()
-        completions.append(completion)
-    return completions
+        (done,) = queue.poll()
+        measured.append((done.result, done.error, done.submit_us,
+                         done.start_us, done.end_us, done.work_us))
+    return measured
 
 
-def queue_state(queue):
-    stats = {k: v for k, v in vars(queue.stats).items()
-             if k != "latencies_us"}
-    return (queue.clock_us, list(queue._channel_free), stats)
+def run_fields(queue, ops, mdisk_id=None):
+    return [queue.dispatch(OP_CODES[op], lba, count, _payloads(op, lba),
+                           mdisk_id)
+            for op, lba, count in ops]
 
 
-def chip_state(chip):
-    return (chip.rng.bit_generator.state, dict(vars(chip.stats)),
-            list(chip.channel_busy_us), chip.wear_summary())
+def assert_measured_match(by_objects, by_fields, ops):
+    assert len(by_objects) == len(by_fields) == len(ops)
+    for member, (objects, fields) in enumerate(zip(by_objects, by_fields)):
+        # (result, error, submit_us, start_us, end_us, work_us)
+        assert objects[0] == fields[0], (member, ops[member])
+        assert type(objects[1]) is type(fields[1]), (member, ops[member])
+        assert objects[2:] == fields[2:], (member, ops[member])
 
 
-def assert_completions_match(scalar, vector_completions, ops):
-    assert len(scalar) == len(vector_completions)
-    for member, completion in enumerate(scalar):
-        batched = vector_completions.completion(member)
-        for field in ("submit_us", "start_us", "end_us", "work_us"):
-            assert getattr(completion, field) == getattr(batched, field), \
-                (member, ops[member], field)
-        assert (completion.error is None) == (batched.error is None), \
-            (member, ops[member])
-        assert completion.result == batched.result, (member, ops[member])
-
-
-class TestExecuteVectorEquivalence:
+class TestDispatchEquivalence:
     @pytest.mark.parametrize("flavour", FLAVOURS)
     def test_all_flavours_bit_identical(self, flavour, make_device,
                                         device_io):
-        scalar_dev = make_device(flavour, seed=17)
-        vector_dev = make_device(flavour, seed=17)
-        mdisk = device_io(scalar_dev).mdisk_id
-        n_lbas = (scalar_dev.minidisk(mdisk).size_lbas
-                  if mdisk is not None else scalar_dev.n_lbas)
+        object_dev = make_device(flavour, seed=17)
+        field_dev = make_device(flavour, seed=17)
+        mdisk = device_io(object_dev).mdisk_id
+        n_lbas = (object_dev.minidisk(mdisk).size_lbas
+                  if mdisk is not None else object_dev.n_lbas)
         ops = mixed_ops(n_lbas, 400, seed=31)
         for lba in range(n_lbas):
-            if mdisk is None:
-                scalar_dev.write(lba, bytes([lba % 251]) * 8)
-                vector_dev.write(lba, bytes([lba % 251]) * 8)
-            else:
-                scalar_dev.write(mdisk, lba, bytes([lba % 251]) * 8)
-                vector_dev.write(mdisk, lba, bytes([lba % 251]) * 8)
-        scalar_q = DeviceQueue(scalar_dev)
-        vector_q = DeviceQueue(vector_dev)
-        scalar = run_scalar(scalar_q, ops, mdisk)
-        batched = vector_q.execute_vector(build_vector(ops, mdisk))
-        assert chip_state(scalar_dev.chip) == chip_state(vector_dev.chip)
-        assert queue_state(scalar_q) == queue_state(vector_q)
-        assert_completions_match(scalar, batched, ops)
-        scalar_dev._audit_fastpath()
-        vector_dev._audit_fastpath()
+            for device in (object_dev, field_dev):
+                if mdisk is None:
+                    device.write(lba, bytes([lba % 251]) * 8)
+                else:
+                    device.write(mdisk, lba, bytes([lba % 251]) * 8)
+        object_q = DeviceQueue(object_dev, keep_latencies=True)
+        field_q = DeviceQueue(field_dev, keep_latencies=True)
+        by_objects = run_objects(object_q, ops, mdisk)
+        by_fields = run_fields(field_q, ops, mdisk)
+        assert_measured_match(by_objects, by_fields, ops)
+        assert (queue_state(object_q, mdisk, n_lbas)
+                == queue_state(field_q, mdisk, n_lbas))
+        object_dev._audit_fastpath()
+        field_dev._audit_fastpath()
 
     def test_worn_chip_errors_bit_identical(self):
-        """Uncorrectable reads keep both paths in lockstep (the batched
-        read kernel must charge accumulator *deltas*, not raw latencies,
-        and record per-member errors exactly where the scalar loop
-        raises them)."""
+        """Uncorrectable reads keep both surfaces in lockstep: the error
+        comes back where the object path raises it, after the same RNG
+        draws, charged the same busy time."""
 
         def build():
             geometry = FlashGeometry(blocks=32, fpages_per_block=32,
@@ -140,21 +123,20 @@ class TestExecuteVectorEquivalence:
                                      buffer_opages=16))
             for lba in range(200):
                 ftl.write(lba, bytes([lba % 251]) * 8)
-            return ftl
+            return DeviceQueue(ftl, keep_latencies=True)
 
         ops = mixed_ops(200, 3000, seed=77)
-        scalar_dev, vector_dev = build(), build()
-        scalar_q, vector_q = DeviceQueue(scalar_dev), DeviceQueue(vector_dev)
-        scalar = run_scalar(scalar_q, ops)
-        batched = vector_q.execute_vector(build_vector(ops))
-        assert vector_q.stats.errors > 0, "fixture must produce errors"
-        assert chip_state(scalar_dev.chip) == chip_state(vector_dev.chip)
-        assert queue_state(scalar_q) == queue_state(vector_q)
-        assert ([repr(x) for x in scalar_q.stats.latencies_us]
-                == [repr(x) for x in vector_q.stats.latencies_us])
-        assert_completions_match(scalar, batched, ops)
-        scalar_dev._audit_fastpath()
-        vector_dev._audit_fastpath()
+        object_q, field_q = build(), build()
+        by_objects = run_objects(object_q, ops)
+        by_fields = run_fields(field_q, ops)
+        assert field_q.stats.errors > 0, "fixture must produce errors"
+        assert_measured_match(by_objects, by_fields, ops)
+        assert ([repr(x) for x in object_q.stats.latencies_us]
+                == [repr(x) for x in field_q.stats.latencies_us])
+        assert (queue_state(object_q, lbas=200)
+                == queue_state(field_q, lbas=200))
+        object_q.device._audit_fastpath()
+        field_q.device._audit_fastpath()
 
     @pytest.mark.parametrize("flavour", ("ftl", "baseline"))
     def test_endurance_causes_identical(self, flavour, make_device):
@@ -164,30 +146,28 @@ class TestExecuteVectorEquivalence:
 
         ops = mixed_ops(48, 600, seed=5)
 
-        def causes(batched: bool):
+        def causes(fields: bool):
             with endurance.installed(pec_limit=3000.0):
                 device = make_device(flavour, seed=17)
                 for lba in range(48):
                     device.write(lba, bytes(8))
                 queue = DeviceQueue(device)
-                if batched:
-                    queue.execute_vector(build_vector(ops))
-                else:
-                    run_scalar(queue, ops)
+                (run_fields if fields else run_objects)(queue, ops)
                 handle = device.chip._endurance
                 return (dict(handle.programs), dict(handle.erases),
                         dict(handle.program_opages))
 
-        assert causes(batched=False) == causes(batched=True)
+        assert causes(fields=False) == causes(fields=True)
 
-    def test_vector_scalar_fallback_with_reqtrace(self, make_baseline):
-        """With a reqtrace sampler installed the vector path must take
-        the fully-traced scalar route and still match."""
+    def test_reqtrace_sampling_identical(self, make_baseline):
+        """With a reqtrace sampler installed ``dispatch`` bridges every
+        member to a request, so the same submissions are sampled and
+        the device ends up in the same state."""
         from repro.obs import reqtrace
 
         ops = mixed_ops(16, 200, seed=9)
 
-        def run(batched: bool):
+        def run(fields: bool):
             with reqtrace.installed(reqtrace.ReqTracer(seed=3, every=8)) \
                     as tracer:
                 device = make_baseline(seed=3, variation_sigma=0.0,
@@ -196,41 +176,10 @@ class TestExecuteVectorEquivalence:
                     device.write(lba, bytes([lba]) * 8)
                 device.flush()
                 queue = DeviceQueue(device)
-                if batched:
-                    queue.execute_vector(build_vector(ops))
-                else:
-                    run_scalar(queue, ops)
-                return (queue_state(queue), chip_state(device.chip),
-                        tracer.sampled)
+                (run_fields if fields else run_objects)(queue, ops)
+                return queue_state(queue), tracer.sampled
 
-        scalar_state = run(batched=False)
-        vector_state = run(batched=True)
-        assert scalar_state == vector_state
-        assert vector_state[2] > 0, "sampler must actually sample"
-
-
-class TestWorkloadVectorEquivalence:
-    def test_ops_vector_matches_ops_stream(self):
-        """Generator batching re-expresses the identical traffic."""
-        from repro.workloads import MixedGenerator, UniformGenerator
-        from repro.workloads.generators import OpType
-
-        scalar_gen = MixedGenerator(
-            UniformGenerator(64, seed=2), read_fraction=0.4,
-            trim_fraction=0.1, seed=4)
-        vector_gen = MixedGenerator(
-            UniformGenerator(64, seed=2), read_fraction=0.4,
-            trim_fraction=0.1, seed=4)
-        scalar_ops = list(scalar_gen.ops(500))
-        vector = vector_gen.ops_vector(500)
-        assert len(vector) == 500
-        assert (scalar_gen.rng.bit_generator.state
-                == vector_gen.rng.bit_generator.state)
-        for index, operation in enumerate(scalar_ops):
-            request = vector.request(index)
-            assert request.op == operation.op.value
-            assert request.lba == operation.lba
-            if operation.op is OpType.WRITE:
-                assert request.payloads == [operation.payload]
-            else:
-                assert request.payloads is None
+        by_objects = run(fields=False)
+        by_fields = run(fields=True)
+        assert by_objects == by_fields
+        assert by_fields[1] > 0, "sampler must actually sample"

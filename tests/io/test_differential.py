@@ -1,23 +1,28 @@
-"""Cluster-level differential: queued pipeline vs legacy direct path.
+"""Cluster-level differential: queued pipeline vs direct device calls.
 
 Two clusters with identical seeds and devices run the same workload —
-one through the default queued IO pipeline (``queue_depth=8``), one
-through the legacy direct device calls (``queue_depth=0``). Everything
-observable must be bit-identical: chunk bytes, placement, every chip's
-RNG state, wear counters, and the FTL fast-path invariants. The only
-difference the queue is allowed to make is that latencies get measured.
+one through the queued IO pipeline (the only path ``src/`` has), one
+with its volumes patched to make the direct device calls of
+``tests/difs/direct_io_oracle.py``. Everything observable must be
+bit-identical: chunk bytes, placement, every chip's RNG state, wear
+counters, and the FTL fast-path invariants. The only difference the
+queue is allowed to make is that latencies get measured.
 """
 
 import pytest
 
 from repro.difs.cluster import Cluster, ClusterConfig
+from repro.errors import ConfigError
+
+from tests.difs.direct_io_oracle import use_direct_io
 
 
 def build_cluster(make_baseline, make_cvss, make_salamander,
-                  queue_depth: int, **config_kwargs) -> Cluster:
-    config = ClusterConfig(replication=2, chunk_lbas=4,
-                           queue_depth=queue_depth, **config_kwargs)
+                  direct: bool = False) -> Cluster:
+    config = ClusterConfig(replication=2, chunk_lbas=4, queue_depth=8)
     cluster = Cluster(config, seed=29)
+    if direct:
+        use_direct_io(cluster)
     cluster.add_node("n0")
     cluster.add_device("n0", make_baseline(seed=1))
     cluster.add_node("n1")
@@ -47,10 +52,9 @@ def run_workload(cluster: Cluster) -> dict[str, bytes]:
 
 @pytest.fixture
 def clusters(make_baseline, make_cvss, make_salamander):
-    queued = build_cluster(make_baseline, make_cvss, make_salamander,
-                           queue_depth=8)
+    queued = build_cluster(make_baseline, make_cvss, make_salamander)
     direct = build_cluster(make_baseline, make_cvss, make_salamander,
-                           queue_depth=0)
+                           direct=True)
     return queued, direct
 
 
@@ -88,58 +92,16 @@ class TestDifferential:
             q_dev._audit_fastpath()
             d_dev._audit_fastpath()
 
-    @pytest.mark.parametrize("window", [1, 3, 64])
-    def test_batch_submission_matches_direct(
-            self, make_baseline, make_cvss, make_salamander, window):
-        """io_batch_chunks staging keeps the full bit-identity contract.
-
-        The staged path defers chunk writes into one execute_vector call
-        per queue; per-device op order is unchanged, so chunk bytes,
-        placement, chip RNG state, and wear must all match the direct
-        path for any batching window.
-        """
-        batched = build_cluster(make_baseline, make_cvss, make_salamander,
-                                queue_depth=8, io_batch_chunks=window)
-        direct = build_cluster(make_baseline, make_cvss, make_salamander,
-                               queue_depth=0)
-        batched_data = run_workload(batched)
-        direct_data = run_workload(direct)
-        assert batched_data == direct_data
-        assert (batched.rng.bit_generator.state
-                == direct.rng.bit_generator.state)
-        for chunk_id in batched.namespace:
-            assert ([(r.volume_id, r.slot, r.index)
-                     for r in batched.namespace[chunk_id].replicas]
-                    == [(r.volume_id, r.slot, r.index)
-                        for r in direct.namespace[chunk_id].replicas])
-        for b_dev, d_dev in zip(devices_of(batched), devices_of(direct)):
-            assert (b_dev.chip.rng.bit_generator.state
-                    == d_dev.chip.rng.bit_generator.state)
-            assert b_dev.chip.wear_summary() == d_dev.chip.wear_summary()
-            b_dev._audit_fastpath()
-        assert batched.io_stats()["errors"] == 0
-
-    def test_batch_submission_flushes_before_stats_and_snapshot(
-            self, make_baseline, make_cvss, make_salamander):
-        cluster = build_cluster(make_baseline, make_cvss, make_salamander,
-                                queue_depth=8, io_batch_chunks=1000)
-        cluster.create_chunk("c0", b"payload")
-        # The write is staged, not dispatched; any stats/metadata read
-        # must flush it first so nothing observable goes missing.
-        assert cluster._ticker.staged
-        stats = cluster.io_stats()
-        assert not cluster._ticker.staged
-        assert stats["dispatched"] > 0
-        cluster.create_chunk("c1", b"payload")
-        snapshot = cluster.namespace_snapshot()
-        assert not cluster._ticker.staged
-        assert len(snapshot["chunks"]) == 2
+    def test_direct_mode_is_gone(self):
+        with pytest.raises(ConfigError, match="direct path is gone"):
+            ClusterConfig(queue_depth=0)
 
     def test_queued_path_is_default_and_measures(self, clusters):
         queued, direct = clusters
-        assert all(v.queue is not None for v in queued.volumes.values())
-        assert all(v.queue is None for v in direct.volumes.values())
         run_workload(queued)
+        run_workload(direct)
+        # The oracle really goes around the queues.
+        assert direct.io_stats()["dispatched"] == 0
         stats = queued.io_stats()
         assert stats["queues"] == 4
         assert stats["dispatched"] > 0

@@ -7,7 +7,9 @@ off, so every flash read costs the same deterministic service time.
 import pytest
 
 from repro.errors import ConfigError, InvalidLBAError
-from repro.io import DeviceQueue, IORequest
+from repro.io import OP_CODES, DeviceQueue, IORequest
+
+from tests.io.conftest import queue_state
 
 
 @pytest.fixture
@@ -252,8 +254,8 @@ class TestErrors:
 
 
 class TestColumnDispatch:
-    """``dispatch`` and ``execute_vector`` run the same serve+meter core
-    as ``execute``/``submit``; these pin that nothing differs."""
+    """``dispatch`` runs the same serve+meter core as ``execute`` /
+    ``submit``; these pin that nothing differs."""
 
     OPS = [("write", 3, None), ("read", 3, 40.0), ("read_range", 0, 55.0),
            ("trim", 5, None), ("read", 10 ** 9, 90.0), ("read", 7, 91.0),
@@ -265,18 +267,9 @@ class TestColumnDispatch:
         payloads = [bytes([lba & 0xFF]) * 8] if op == "write" else None
         return count, payloads
 
-    @staticmethod
-    def _state(queue):
-        chip = queue.device.chip
-        return (queue.clock_us, list(queue._channel_free), queue._next_tag,
-                queue.inflight, vars(queue.stats),
-                chip.rng.bit_generator.state, vars(chip.stats),
-                list(chip.channel_busy_us),
-                [queue.device.read(lba) for lba in range(16)])
+    _state = staticmethod(queue_state)
 
     def test_dispatch_matches_execute_and_submit(self, make_baseline):
-        from repro.io.vector import OP_CODES
-
         def build():
             ssd = make_baseline(seed=3, variation_sigma=0.0,
                                 inject_errors=False)
@@ -317,7 +310,6 @@ class TestColumnDispatch:
         assert by_columns.inflight == 0
 
     def test_dispatch_is_sampled_and_traced_like_execute(self, device):
-        from repro.io.vector import OP_CODES
         from repro.obs import reqtrace
 
         def records(columns: bool):
@@ -340,43 +332,59 @@ class TestColumnDispatch:
         # second pass sees the same service times.
         assert records(columns=True) == by_request
 
-    def test_vector_stops_at_first_error_like_a_break_loop(
-            self, make_baseline):
-        from repro.io.vector import IOVector
 
-        def build():
-            ssd = make_baseline(seed=3, variation_sigma=0.0,
-                                inject_errors=False)
-            for lba in range(16):
-                ssd.write(lba, bytes([lba]) * 8)
-            ssd.flush()
-            return DeviceQueue(ssd, keep_latencies=True)
+class TestAddressing:
+    """A request addressed for the wrong kind of device is refused
+    before dispatch, as a ``ReproError`` the cluster's handlers catch —
+    not a ``TypeError`` from the device call's argument count."""
 
-        scalar, batched = build(), build()
-        vector = IOVector()
-        completions = []
-        for op, lba, _at in self.OPS:
-            count, payloads = self._fields(op, lba)
-            vector.append(op, lba=lba, count=count, payloads=payloads)
-        for op, lba, _at in self.OPS:
-            count, payloads = self._fields(op, lba)
-            try:
-                completions.append(scalar.execute(IORequest(
-                    op=op, lba=lba, count=count, payloads=payloads)))
-            except InvalidLBAError:
-                break
-        done = batched.execute_vector(vector, stop_on_error=True)
-        # Four good members, then the errored one; nothing after it ran.
-        assert len(done) == len(done.vector) == len(completions) + 1 == 5
-        assert isinstance(done.errors[-1], InvalidLBAError)
-        assert done.error_count == 1
-        assert self._state(scalar) == self._state(batched)
-        for index, completion in enumerate(completions):
-            bridged = done.completion(index)
-            assert (bridged.result, bridged.submit_us, bridged.end_us) == (
-                completion.result, completion.submit_us, completion.end_us)
-        # Without the flag every member dispatches, errors recorded.
-        assert len(build().execute_vector(vector)) == len(self.OPS)
+    @pytest.mark.parametrize("minidisk_device, op, mdisk_id", [
+        (True, "read", None),    # was: read() missing 'lba'
+        (True, "write", None),   # was: object of type 'int' has no len()
+        (False, "read", 0),      # was: read() takes 2 positional arguments
+    ])
+    def test_wrong_address_shape_is_refused_before_dispatch(
+            self, minidisk_device, op, mdisk_id, make_baseline,
+            make_salamander):
+        make = make_salamander if minidisk_device else make_baseline
+        queue = DeviceQueue(make(seed=3))
+
+        def request():
+            return IORequest(
+                op=op, lba=0, mdisk_id=mdisk_id,
+                payloads=[b"x" * 8] if op == "write" else None)
+
+        with pytest.raises(ConfigError, match="addressed by"):
+            queue.execute(request())
+        with pytest.raises(ConfigError, match="addressed by"):
+            queue.submit(request())
+        assert queue.stats.submitted == queue.stats.dispatched == 0
+        assert queue.stats.errors == 0
+        assert queue.poll() == []
+
+    def test_negative_mdisk_id_rejected(self):
+        with pytest.raises(ConfigError, match="mdisk_id"):
+            IORequest(op="read", lba=0, mdisk_id=-3)
+
+    def test_salamander_has_no_flat_read_past_its_gates(
+            self, make_salamander):
+        """Every read a Salamander device exposes takes ``mdisk_id`` and
+        goes through ``_active_mdisk``; the flat ``read_batch`` it used
+        to inherit served two flat reads in a row from whatever
+        minidisks held those flat LBAs (docs/PERFORMANCE.md,
+        "Retired")."""
+        from repro.salamander.device import SalamanderSSD
+
+        assert not hasattr(SalamanderSSD, "read_batch")
+        queue = DeviceQueue(make_salamander(seed=3))
+        for lba in (0, 1):  # back to back: each one refused
+            with pytest.raises(ConfigError, match="addressed by"):
+                queue.execute(IORequest(op="read", lba=lba))
+        assert queue.stats.dispatched == 0
+
+    def test_flush_carries_no_address(self, make_salamander):
+        queue = DeviceQueue(make_salamander(seed=3))
+        assert queue.execute(IORequest(op="flush")).ok
 
 
 class TestDeadlines:

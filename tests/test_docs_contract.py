@@ -26,6 +26,12 @@ dependency, so its names are listed, not imported), and so is "The
 range read kernel" (the read stack from the queue to the chip, the
 oracle and the aging backdoor under ``tests/``, the benchmark's own
 ``metrics`` module).
+
+docs/IO_PIPELINE.md is held whole, to a narrower rule: every back-ticked
+dotted name (``Class.method``, ``repro.io.queue.DeviceQueue``), class or
+constant name and file path must resolve in the IO stack. Bare
+lower-case spans there are mostly parameters and metric names, which
+nothing can vouch for.
 """
 
 from __future__ import annotations
@@ -187,6 +193,8 @@ def test_performance_doc_names_resolve():
 #: A bare or dotted name, and a path into the tree.
 _NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 _PATH = re.compile(r"[\w./-]+/[\w.-]+|[\w.-]+\.(?:py|json|md)")
+#: ``repro.obs.reqtrace/v1``: looks like a path, names a document format.
+_SCHEMA_ID = re.compile(r"repro\.[\w.]+/v\d+")
 
 
 def section(text: str, heading: str) -> str:
@@ -235,6 +243,8 @@ def unresolved_spans(text: str, namespaces=FLEET_NAMESPACES,
                   or span in known or keyword.iskeyword(span)
                   or resolves(span) or any(
                       resolves_in(root, span) for root in namespaces))
+        elif _SCHEMA_ID.fullmatch(span):
+            continue
         elif _PATH.fullmatch(span):
             ok = (ROOT / span).exists()
         else:
@@ -393,7 +403,7 @@ def test_read_kernel_section_names_resolve():
     assert {"PageMappedFTL.read_range", "FlashChip._read_cost",
             "_read_costs", "_forget_read_costs",
             "FlashChip._audit_read_costs", "_maybe_autoscrub", "_lose_lba",
-            "read_opages", "read_batch", "LOST", "inject_errors",
+            "read_opages", "LOST", "inject_errors",
             "read_disturb_rber", "retention_rber_per_day",
             "FTLConfig.scrub_interval_writes", "_age_written_blocks",
             "OracleChip", "OracleFTL", "DeviceQueue.dispatch",
@@ -425,6 +435,64 @@ def test_read_kernel_check_flags_a_removed_name():
     assert missing == ["FlashChip.read_fpages", "GONE", "OracleQueue",
                        "_read_cost_cache", "range_scan_micro",
                        "tests/ssd/scan_loop_oracle.py"]
+
+
+def io_pipeline_unresolved(text: str) -> tuple[set[str], list[str]]:
+    """``unresolved_spans`` over the IO stack, kept to dotted names,
+    capitalised names and paths (see the module docstring)."""
+    import repro.io.protocols
+    import repro.io.queue
+    import repro.io.request
+    import repro.models.queueing
+    import typing
+    from repro.difs.cluster import ClusterConfig
+    from repro.io import IOCompletion, IORequest, QueueStats
+    queue = DeviceQueue(small_baseline(
+        FlashGeometry(blocks=16, fpages_per_block=8)))
+    checked, missing = unresolved_spans(
+        text,
+        [*write_stack_namespaces(), repro.io.request, repro.io.queue,
+         repro.io.protocols, repro.models.queueing, typing, queue,
+         types.SimpleNamespace(ClusterConfig=ClusterConfig,
+                               IORequest=IORequest,
+                               IOCompletion=IOCompletion,
+                               QueueStats=QueueStats)])
+    held = {span for span in checked
+            if "." in span or "/" in span or span[0].isupper()}
+    return held, [span for span in missing if span in held]
+
+
+def test_io_pipeline_doc_names_resolve():
+    held, missing = io_pipeline_unresolved(
+        (DOCS / "IO_PIPELINE.md").read_text())
+    assert {"DeviceQueue.dispatch", "IORequest", "OP_READ", "OP_CODES",
+            "QueueStats.dispatched", "ClusterConfig.queue_depth",
+            "Volume.write_chunk", "PageMappedFTL.io_queue",
+            "repro.io.queue.DeviceQueue", "repro.io.protocols.BlockDevice",
+            "repro.models.queueing.mdc_latency_us",
+            "ConfigError", "TypeError",
+            "tests/difs/direct_io_oracle.py",
+            "tests/io/test_batch_equivalence.py",
+            "benchmarks/perf/baseline.json"} <= held
+    assert not missing, (
+        f"docs/IO_PIPELINE.md names things that resolve nowhere: {missing}")
+
+
+def test_io_pipeline_check_flags_the_parent_text():
+    """The document as it stood before the vector stack was retired."""
+    held, missing = io_pipeline_unresolved(
+        "* **`IOVector` / `CompletionVector`** (`repro.io.vector`) — the "
+        "same request/completion fields as parallel numpy columns for "
+        "batch submission via `DeviceQueue.execute_vector`; bridges "
+        "losslessly to the scalar types. `DeviceQueue.dispatch` exposes "
+        "the core; `io_batch_roundtrip_micro` gates the "
+        "`execute_vector` batched path (`tests/io/test_vector.py`).")
+    assert held == {"IOVector", "CompletionVector", "repro.io.vector",
+                    "DeviceQueue.execute_vector", "DeviceQueue.dispatch",
+                    "tests/io/test_vector.py"}
+    assert missing == ["CompletionVector", "DeviceQueue.execute_vector",
+                       "IOVector", "repro.io.vector",
+                       "tests/io/test_vector.py"]
 
 
 def test_resolver_flags_a_removed_name():

@@ -10,10 +10,9 @@ deterministic, so a pass is a pass forever; a failure means the
 generator (or the RNG discipline) changed.
 
 The bit-identity sweeps at the bottom are the other half of the
-contract: ``ops_vector`` must consume the *same* RNG stream as
-``ops``, for every generator and any tenant-style fan-out, and pulling
-``ops`` in blocks (the traffic engine's ``draw_block``) must leave every
-stream exactly where one-op pulls leave it.
+contract: pulling ``ops`` in blocks (the traffic engine's
+``draw_block``) must leave every stream exactly where one-op pulls
+leave it.
 """
 
 from __future__ import annotations
@@ -181,51 +180,6 @@ class TestMMPPArrivals:
     def test_make_arrivals_dispatch(self):
         assert make_arrivals("poisson", 0.1, make_rng(0)).kind == "poisson"
         assert make_arrivals("mmpp", 0.1, make_rng(0)).kind == "mmpp"
-
-
-class TestOpsVectorBitIdentity:
-    """``ops_vector`` must consume the same RNG stream as ``ops``."""
-
-    @staticmethod
-    def _generators(seed):
-        rng = make_rng(seed)
-        yield SequentialGenerator(128, start=3)
-        yield UniformGenerator(128, seed=fork_rng(rng, "uniform"))
-        yield ZipfianGenerator(128, theta=0.99,
-                               seed=fork_rng(rng, "zipf"))
-        yield MixedGenerator(
-            UniformGenerator(128, seed=fork_rng(rng, "mixed-base")),
-            read_fraction=0.4, trim_fraction=0.1,
-            seed=fork_rng(rng, "mixed"))
-
-    def test_sweep_all_generators_and_tenant_counts(self):
-        for tenants in (1, 3, 8):
-            for t in range(tenants):
-                seed = SEED + 17 * tenants + t
-                for scalar, batched in zip(self._generators(seed),
-                                           self._generators(seed)):
-                    ops = list(scalar.ops(200))
-                    vector = batched.ops_vector(200)
-                    assert len(vector) == len(ops)
-                    for i, op in enumerate(ops):
-                        request = vector.request(i)
-                        assert request.op == op.op.value
-                        assert request.lba == op.lba
-                        if op.op is OpType.WRITE:
-                            assert request.payloads == [op.payload]
-
-    def test_streams_identical_after_interleaving(self):
-        """Chunked emission does not desynchronise the two surfaces."""
-        a = ZipfianGenerator(64, theta=0.9, seed=SEED)
-        b = ZipfianGenerator(64, theta=0.9, seed=SEED)
-        collected = []
-        for chunk in (10, 1, 25):
-            collected.extend(a.ops(chunk))
-        vector_lbas = []
-        for chunk in (10, 1, 25):
-            vec = b.ops_vector(chunk)
-            vector_lbas.extend(int(vec.lba[i]) for i in range(len(vec)))
-        assert [op.lba for op in collected] == vector_lbas
 
 
 class TestBlockDrawEquivalence:
