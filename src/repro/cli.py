@@ -599,7 +599,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         endurance_records=endurance_records,
         tolerance=args.tolerance,
         queue_depth=args.queue_depth,
-        io_batch=args.io_batch,
     )
     markdown = format_report(report)
     if args.markdown:
@@ -1041,10 +1040,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="NCQ depth for the measured queueing-latency claim "
              "(default 64; keep it above the expected queue length so "
              "backpressure does not bend the open-loop arrivals)")
-    report.add_argument(
-        "--io-batch", action="store_true",
-        help="enable request coalescing on the measured queue "
-             "(changes physical access patterns; off by default)")
     report.set_defaults(func=_cmd_report)
 
     slo = sub.add_parser(

@@ -26,7 +26,6 @@ from repro.difs.cluster import Cluster, ClusterConfig
 from repro.difs.recovery import RecoveryManager, RecoveryStats
 from repro.difs.redundancy import ErasureCoding, RedundancyScheme, Replication
 from repro.difs.erasure import ReedSolomon
-from repro.difs.rebalance import RebalanceReport, rebalance
 
 __all__ = [
     "Chunk",
@@ -45,6 +44,4 @@ __all__ = [
     "Replication",
     "ErasureCoding",
     "ReedSolomon",
-    "rebalance",
-    "RebalanceReport",
 ]

@@ -65,11 +65,6 @@ class ClusterConfig:
             retry loop under injected ``difs.recovery.read`` faults).
         queue_depth: per-device NCQ depth (>= 1) for the measured IO
             pipeline (:mod:`repro.io`), which carries every chunk.
-        io_batch: opt-in request coalescing on the device queues.
-            Merging changes physical access patterns (merged reads
-            sense each touched fPage once across the merged range), so
-            it is excluded from the bit-identity contract and off by
-            default.
     """
 
     replication: int = 3
@@ -81,7 +76,6 @@ class ClusterConfig:
     rs_m: int = 2
     recovery_read_retries: int = 3
     queue_depth: int = 8
-    io_batch: bool = False
 
     def __post_init__(self) -> None:
         if self.replication < 1:
@@ -160,6 +154,11 @@ class Cluster:
         device_name = f"dev{self._device_count}"
         self._device_count += 1
         node.devices.append(device)
+        # One submission queue per *device*, attached before its volumes
+        # are built (they pick it up from the device): every minidisk
+        # volume of a Salamander SSD shares it — the NCQ is a device
+        # resource.
+        device.attach_queue(depth=self.config.queue_depth)
         if isinstance(device, SalamanderSSD):
             return self._add_salamander(node, device_name, device)
         return [self._add_monolithic(node, device_name, device)]
@@ -173,19 +172,8 @@ class Cluster:
         self._chunks_by_volume.setdefault(volume.volume_id, set())
         return volume
 
-    def _attach_io_queue(self, device) -> None:
-        """Front ``device`` with a submission queue per cluster config,
-        before its volumes are built (they pick it up from the device).
-
-        One queue per *device* — every minidisk volume of a Salamander
-        SSD shares it, because the NCQ is a device resource.
-        """
-        device.attach_queue(depth=self.config.queue_depth,
-                            coalesce=self.config.io_batch)
-
     def _add_monolithic(self, node: StorageNode, device_name: str,
                         device) -> Volume:
-        self._attach_io_queue(device)
         volume_id = f"{node.node_id}/{device_name}"
         volume = MonolithicVolume(volume_id, node.node_id,
                                   self.unit_lbas, device)
@@ -197,7 +185,6 @@ class Cluster:
 
     def _add_salamander(self, node: StorageNode, device_name: str,
                         device: SalamanderSSD) -> list[Volume]:
-        self._attach_io_queue(device)
         volumes = []
         for mdisk in device.active_minidisks():
             volumes.append(self._register_minidisk(
@@ -260,8 +247,6 @@ class Cluster:
         for index, payloads in enumerate(units):
             self.add_unit(chunk, index, payloads)
         self._instr.chunks_created.inc()
-        if self.config.io_batch:
-            self.flush_io()
         return chunk
 
     def read_chunk(self, chunk_id: str) -> bytes:
@@ -317,8 +302,6 @@ class Cluster:
             chunk.replicas.append(replica)
             self._chunks_by_volume[replica.volume_id].add(chunk_id)
         chunk.version += 1
-        if self.config.io_batch:
-            self.flush_io()
         return chunk
 
     def delete_chunk(self, chunk_id: str) -> None:
@@ -533,92 +516,11 @@ class Cluster:
             raise ConfigError(f"unknown chunk {chunk_id}")
         return chunk
 
-    # -- namespace persistence ---------------------------------------------------------------------
-
-    def namespace_snapshot(self) -> dict:
-        """Serialisable namespace state (the metadata a master journals).
-
-        Covers chunks, their unit placements and versions, and slot
-        allocations. Volume/device state is *not* included — devices carry
-        their own persistence (OOB replay + NVRAM snapshots); this is the
-        coordinator's durable metadata, as HDFS's fsimage is.
-        """
-        return {
-            "config": {
-                "replication": self.config.replication,
-                "chunk_lbas": self.config.chunk_lbas,
-                "opage_bytes": self.config.opage_bytes,
-                "placement": self.config.placement,
-                "redundancy": self.config.redundancy,
-                "rs_k": self.config.rs_k,
-                "rs_m": self.config.rs_m,
-            },
-            "chunks": [
-                {
-                    "chunk_id": chunk.chunk_id,
-                    "size_lbas": chunk.size_lbas,
-                    "version": chunk.version,
-                    "replicas": [(r.volume_id, r.slot, r.index)
-                                 for r in chunk.replicas],
-                }
-                for chunk in self.namespace.values()
-            ],
-        }
-
-    def restore_namespace(self, snapshot: dict) -> int:
-        """Rebuild the namespace from a snapshot over existing volumes.
-
-        Replica records pointing at volumes that no longer exist are
-        dropped (their chunks are queued for repair); slot allocations are
-        re-established on live volumes. Returns the number of chunks
-        restored. The namespace must be empty (fresh coordinator).
-        """
-        if self.namespace:
-            raise ConfigError(
-                "restore requires an empty namespace; this cluster "
-                "already holds chunks")
-        expected = snapshot.get("config", {})
-        for key in ("replication", "chunk_lbas", "redundancy",
-                    "rs_k", "rs_m"):
-            if expected.get(key) != getattr(self.config, key):
-                raise ConfigError(
-                    f"snapshot was taken under a different {key} "
-                    f"({expected.get(key)!r} vs "
-                    f"{getattr(self.config, key)!r})")
-        restored = 0
-        for record in snapshot["chunks"]:
-            chunk = Chunk(chunk_id=record["chunk_id"],
-                          size_lbas=record["size_lbas"],
-                          version=record["version"])
-            self.namespace[chunk.chunk_id] = chunk
-            degraded = False
-            for volume_id, slot, index in record["replicas"]:
-                volume = self.volumes.get(volume_id)
-                if volume is None or not volume.is_alive \
-                        or slot >= volume.total_slots:
-                    degraded = True
-                    continue
-                volume.claim_slot(slot)
-                chunk.replicas.append(
-                    Replica(volume_id=volume_id, slot=slot, index=index))
-                self._chunks_by_volume.setdefault(
-                    volume_id, set()).add(chunk.chunk_id)
-            if degraded or (len(chunk.indexes_present())
-                            < self.scheme.total_units):
-                self.recovery.chunk_degraded(chunk.chunk_id)
-            restored += 1
-        return restored
-
     # -- measured IO pipeline ----------------------------------------------------------------------
 
     def device_queues(self) -> list:
         """Every distinct device submission queue in the cluster."""
         return [volume.queue for volume in self._index.device_heads()]
-
-    def flush_io(self) -> None:
-        """Dispatch every queue's coalesce-staged request."""
-        for queue in self.device_queues():
-            queue.flush()
 
     def io_stats(self) -> dict[str, float]:
         """Aggregate measured-latency counters across all device queues.
@@ -637,7 +539,9 @@ class Cluster:
             "queues": len(queues),
             "submitted": sum(q.stats.submitted for q in queues),
             "dispatched": dispatched,
-            "merged": sum(q.stats.merged for q in queues),
+            # A request is one dispatch, so nothing merges; recorded
+            # cluster stats documents (and their digests) carry the key.
+            "merged": 0,
             "errors": sum(q.stats.errors for q in queues),
             "deadline_misses": deadline_misses,
             "deadline_miss_ratio": (deadline_misses / dispatched
@@ -647,53 +551,6 @@ class Cluster:
             "mean_wait_us": total_wait / dispatched if dispatched else 0.0,
             "mean_service_us": (total_service / dispatched
                                 if dispatched else 0.0),
-        }
-
-    def wear_stats(self) -> dict:
-        """Cluster-level wear provenance: summed cause counters.
-
-        Aggregates the :mod:`repro.obs.endurance` handles of every
-        distinct device chip backing the cluster's volumes (minidisk
-        volumes share their device's chip, so each chip counts once).
-        Returns zeroed counters when no ledger was installed at build
-        time — aggregation is read-only reporting, never a hot-path
-        cost.
-        """
-        from repro.obs.endurance import CAUSES
-
-        programs = dict.fromkeys(CAUSES, 0)
-        program_opages = dict.fromkeys(CAUSES, 0)
-        erases = dict.fromkeys(CAUSES, 0)
-        devices = 0
-        total_opages = 0
-        total_erases = 0
-        max_pec = 0
-        seen: set[int] = set()
-        for volume in self.volumes.values():
-            chip = getattr(getattr(volume, "device", None), "chip", None)
-            handle = getattr(chip, "_endurance", None)
-            if handle is None or id(handle) in seen:
-                continue
-            seen.add(id(handle))
-            devices += 1
-            for cause in CAUSES:
-                programs[cause] += handle.programs[cause]
-                program_opages[cause] += handle.program_opages[cause]
-                erases[cause] += handle.erases[cause]
-            total_opages += handle.total_program_opages
-            total_erases += handle.total_erases
-            max_pec = max(max_pec, handle.max_block_erases)
-        host = program_opages["host"]
-        return {
-            "devices": devices,
-            "programs": programs,
-            "program_opages": program_opages,
-            "erases": erases,
-            "total_program_opages": total_opages,
-            "total_erases": total_erases,
-            "max_pec": max_pec,
-            "waf": (1.0 + (total_opages - host) / host
-                    if host > 0 else None),
         }
 
     # -- reporting --------------------------------------------------------------------------------

@@ -12,8 +12,8 @@ The ``Volume`` object is the source of truth for slots and liveness; a
 cluster's :class:`repro.difs.placement.VolumeIndex` mirrors them as
 columns, and every method here that changes ``used_slots``,
 ``total_slots`` or ``_failed`` pushes the volume's row to the attached
-index (``allocate_slot``, ``claim_slot``, ``release_slot``,
-``mark_failed``, ``shrink_to``). Device-side deaths are not pushed — the
+index (``allocate_slot``, ``release_slot``, ``mark_failed``,
+``shrink_to``). Device-side deaths are not pushed — the
 index reads them off the device (see that module).
 
 Chunk IO goes through the device's :class:`repro.io.queue.DeviceQueue`
@@ -116,12 +116,6 @@ class Volume(ABC):
         self._free_slots.discard(slot)
         self._push_row()
         return slot
-
-    def claim_slot(self, slot: int) -> None:
-        """Reserve one specific slot (namespace restore); idempotent."""
-        self._check_slot(slot)
-        self._free_slots.discard(slot)
-        self._push_row()
 
     def release_slot(self, slot: int) -> None:
         self._check_slot(slot)

@@ -57,7 +57,6 @@ SITES: dict[str, tuple[str, ...]] = {
     "difs.node": ("outage",),
     # --- simulation level ----------------------------------------------
     "fleet.step": ("device_loss",),
-    "engine.step": ("crash",),
 }
 
 #: Sites whose fault is an injected power loss (PowerLossError).

@@ -101,9 +101,8 @@ class FlashChip:
         retention_rber_per_day: additive RBER per day a page has held data
             (charge leak — §2's other wear-independent error source).
             Requires ``now_fn``; 0 (default) disables.
-        now_fn: simulated-time source (seconds), e.g. a
-            :class:`repro.sim.clock.SimClock`'s ``lambda: clock.now``.
-            Only needed when retention is modelled.
+        now_fn: simulated-time source (seconds), a zero-argument
+            callable. Only needed when retention is modelled.
     """
 
     def __init__(
@@ -415,10 +414,6 @@ class FlashChip:
     def usable_slots_total(self) -> int:
         """Usable oPage slots across the whole chip at current levels."""
         return int(self._block_usable_slots.sum())
-
-    def free_fpages(self) -> np.ndarray:
-        """Indices of programmable fPages."""
-        return np.flatnonzero(self._state == _STATE_FREE)
 
     def retired_count(self) -> int:
         return int(np.count_nonzero(self._state == _STATE_RETIRED))

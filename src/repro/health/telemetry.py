@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import lognormal_page_variation
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
-from repro.obs.smart import smart_field
 from repro.rng import fork_rng, make_rng
 
 
@@ -162,53 +160,3 @@ def generate_trajectories(config: TelemetryConfig,
         ))
     return out
 
-
-def trajectory_smart_points(trajectory: DeviceTrajectory,
-                            ) -> list[tuple[str, float, float]]:
-    """Flatten one trajectory onto the shared SMART vocabulary.
-
-    Returns ``(field_name, day, value)`` triples using the catalog names
-    from :mod:`repro.obs.smart` — the same series a functional
-    :meth:`~repro.salamander.device.SalamanderSSD.smart_sample` emits,
-    so baseline populations and Salamander devices are comparable in one
-    timeseries document.
-    """
-    points: list[tuple[str, float, float]] = []
-    for i, day in enumerate(trajectory.days):
-        t = float(day)
-        points.append(("repro_smart_age_days", t, t))
-        points.append(("repro_smart_host_writes_bytes", t,
-                       float(trajectory.writes_bytes[i])))
-        points.append(("repro_smart_bad_blocks", t,
-                       float(trajectory.bad_blocks[i])))
-        points.append(("repro_smart_bad_block_fraction", t,
-                       float(trajectory.bad_blocks[i])
-                       / trajectory.total_blocks))
-    return points
-
-
-def record_trajectories(trajectories: list[DeviceTrajectory],
-                        sampler=None,
-                        labels: dict[str, str] | None = None) -> int:
-    """Record a population's trajectories into a timeseries sampler.
-
-    Each device's fields are labelled ``device=telemetry-<id>`` (plus
-    any extra ``labels``); defaults to the active
-    :func:`repro.obs.timeseries` sampler and no-ops (returning 0) when
-    timeseries collection is disabled. Returns the number of points
-    recorded.
-    """
-    if sampler is None:
-        sampler = obs.timeseries() if obs.timeseries_enabled() else None
-    if sampler is None:
-        return 0
-    recorded = 0
-    for trajectory in trajectories:
-        base = {"device": f"telemetry-{trajectory.device_id}",
-                **(labels or {})}
-        for name, t, value in trajectory_smart_points(trajectory):
-            meta = smart_field(name)
-            sampler.record(name, t, value, labels=base,
-                           unit=meta.unit, kind=meta.kind)
-            recorded += 1
-    return recorded

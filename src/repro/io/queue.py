@@ -6,12 +6,12 @@ does two jobs:
 
 1. **Dispatch.** Device method calls happen *inside* ``submit`` (or
    ``execute``), in submission order, through exactly the same methods
-   direct callers would use — so with coalescing off the data path,
-   RNG draw order and ``_audit_fastpath`` state are bit-identical to
-   direct device calls (the differential conformance suite asserts
-   this against ``tests/difs/direct_io_oracle.py``). Errors raise
-   synchronously from ``submit``/``execute``, preserving direct-call
-   exception semantics.
+   direct callers would use — so the data path, RNG draw order and
+   ``_audit_fastpath`` state are bit-identical to direct device calls
+   (the differential conformance suite asserts this against
+   ``tests/difs/direct_io_oracle.py``). Errors raise synchronously
+   from ``submit``/``execute``, preserving direct-call exception
+   semantics.
 
 2. **Time accounting.** The queue keeps a device-local virtual clock
    in microseconds and models the device as ``c`` parallel channel
@@ -45,16 +45,6 @@ it out. Synchronous dispatches allocate nothing but their result.
 a full queue first retires the oldest in-flight completion and clamps
 the newcomer's arrival to that completion time (host-side
 backpressure).
-
-Coalescing (``coalesce=True``) merges a submitted request into a
-staged contiguous neighbour of the same kind before dispatch. It
-changes physical access patterns (merged reads sense each touched
-fPage once across the *merged* range), so it is opt-out of the
-bit-identity contract and defaults off. Deadline accounting stays
-per-member through a merge: the queue remembers every absorbed
-member's deadline and counts one miss per member the merged dispatch
-finished late for (the completion's ``deadline_missed`` flag keeps the
-min-deadline semantics — set iff at least one member missed).
 """
 
 from __future__ import annotations
@@ -84,12 +74,6 @@ from repro.obs.instruments import io_instruments
 # part of the queue's public surface.
 from repro.io.queue_stats import QueueStats
 
-#: Upper bound on LBAs a coalesced request may span.
-MAX_MERGE_LBAS = 1024
-
-_MERGEABLE_OPS = ("read_range", "trim_range", "write")
-
-
 #: Layout of a window row — what one dispatch measured, plus whatever
 #: the submitter wants back when the row drains (an ``IORequest`` for
 #: ``submit``, the caller's own handle for ``dispatch``).
@@ -99,11 +83,11 @@ _END = 5
 
 def _completion(row: tuple) -> IOCompletion:
     """Bridge a window row to the scalar :class:`IOCompletion`."""
-    request, result, error, submit, start, end, work, merged = row
+    request, result, error, submit, start, end, work = row
     return IOCompletion(
         request=request, status="error" if error is not None else "ok",
         result=result, error=error, submit_us=submit, start_us=start,
-        end_us=end, work_us=work, merged=merged)
+        end_us=end, work_us=work)
 
 
 class DeviceQueue:
@@ -112,8 +96,6 @@ class DeviceQueue:
     Args:
         device: any :class:`repro.io.protocols.BlockDevice`.
         depth: in-flight window (>= 1).
-        coalesce: merge contiguous neighbours before dispatch (changes
-            physical access patterns; see module docstring).
         device_kind: metric label override; defaults to the device's
             ``device_kind`` attribute or lower-cased class name.
         keep_latencies: record every completion latency in
@@ -121,14 +103,13 @@ class DeviceQueue:
             off by default to keep long runs bounded).
     """
 
-    def __init__(self, device, depth: int = 8, coalesce: bool = False,
+    def __init__(self, device, depth: int = 8,
                  device_kind: str | None = None,
                  keep_latencies: bool = False) -> None:
         if depth < 1:
             raise ConfigError(f"depth must be >= 1, got {depth!r}")
         self.device = device
         self.depth = depth
-        self.coalesce = coalesce
         self.keep_latencies = keep_latencies
         self.device_kind = device_kind or device_kind_of(device)
         #: Whether the device's host interface is ``(mdisk_id, lba)``
@@ -146,9 +127,6 @@ class DeviceQueue:
         #: it, both oldest first (see ``_ERROR``/``_END`` for the row).
         self._inflight: deque[tuple] = deque()
         self._done: deque[tuple] = deque()
-        self._staged: IORequest | None = None
-        self._staged_merged = 1
-        self._staged_deadlines: list[float | None] | None = None
         self._next_tag = 0
         self.stats = QueueStats()
         # Instruments bind at construction: with metrics off they are
@@ -180,35 +158,27 @@ class DeviceQueue:
 
     def submit(self, request: IORequest,
                at_us: float | None = None) -> IORequest:
-        """Submit one request; dispatches eagerly (or stages it when
-        coalescing). Dispatch errors raise here, exactly as a direct
-        device call would; the errored completion is still recorded
-        and visible to :meth:`poll`.
+        """Submit one request into the window; dispatches eagerly.
+        Dispatch errors raise here, exactly as a direct device call
+        would; the errored completion is still recorded and visible to
+        :meth:`poll`.
         """
         self._stamp(request)
-        if self.coalesce:
-            if self._try_merge(request, at_us):
-                return request
-            self._flush_staged()
-            self._staged = request
-            self._staged_merged = 1
-            self._staged_deadlines = [request.deadline_us]
-            request.submit_us = (self.clock_us if at_us is None
-                                 else max(at_us, 0.0))
-            return request
-        self._dispatch_to_window(request, at_us)
+        row = self._dispatch_request(request, at_us)
+        self._inflight.append(row)
+        self._set_inflight(len(self._inflight))
+        if row[_ERROR] is not None:
+            raise row[_ERROR]
         return request
 
     def execute(self, request: IORequest,
                 at_us: float | None = None) -> IOCompletion:
         """Submit synchronously and return the completion now.
 
-        Any staged request dispatches first (ordering), then this one;
-        its completion never enters the window (it will not appear in
+        The completion never enters the window (it will not appear in
         ``poll``). Errors re-raise, preserving direct-call semantics.
         """
         self._stamp(request)
-        self._flush_staged()
         row = self._dispatch_request(request, at_us)
         if row[_ERROR] is not None:
             raise row[_ERROR]
@@ -232,7 +202,6 @@ class DeviceQueue:
         ``IORequest`` invariants and for addressing the device's kind
         (``mdisk_id`` on a minidisk device, none on a flat one).
         """
-        self._flush_staged()
         if self._rt_sampler is not None:
             # Sampling decisions and trace contexts ride on requests.
             request = IORequest(
@@ -240,7 +209,7 @@ class DeviceQueue:
                 mdisk_id=mdisk_id, deadline_us=deadline_us, stream=stream)
             self._stamp(request)
             row = self._dispatch_request(request, at_us)
-            measured = row[1:7]
+            measured = row[1:]
         else:
             self._next_tag += 1
             self.stats.submitted += 1
@@ -250,7 +219,7 @@ class DeviceQueue:
                 code, stream, deadline_us, at_us, service, work, error)
             measured = (result, error, arrival, start, end, work)
         if handle is not None:
-            self._inflight.append((handle,) + measured + (1,))
+            self._inflight.append((handle,) + measured)
             self._set_inflight(len(self._inflight))
         return measured
 
@@ -258,10 +227,9 @@ class DeviceQueue:
         """Retire the whole window; returns its rows, oldest first.
 
         A row is ``(handle, result, error, submit_us, start_us, end_us,
-        work_us, merged)`` where ``handle`` is the submitted
-        ``IORequest`` or the handle given to :meth:`dispatch`.
+        work_us)`` where ``handle`` is the submitted ``IORequest`` or
+        the handle given to :meth:`dispatch`.
         """
-        self._flush_staged()
         rows = list(self._done)
         rows.extend(self._inflight)
         self._done.clear()
@@ -272,10 +240,6 @@ class DeviceQueue:
     def poll(self) -> list[IOCompletion]:
         """Drain and return every finished completion (oldest first)."""
         return [_completion(row) for row in self.drain()]
-
-    def flush(self) -> None:
-        """Dispatch any staged (coalesced) request."""
-        self._flush_staged()
 
     @property
     def inflight(self) -> int:
@@ -307,68 +271,8 @@ class DeviceQueue:
         if self._rt_sampler.sample() and request.trace is None:
             request.trace = self._reqtrace.begin()
 
-    def _try_merge(self, request: IORequest,
-                   at_us: float | None) -> bool:
-        staged = self._staged
-        if staged is None or at_us is not None:
-            return False
-        if request.op != staged.op or request.op not in _MERGEABLE_OPS:
-            return False
-        if request.mdisk_id != staged.mdisk_id:
-            return False
-        if request.stream != staged.stream:
-            return False
-        if request.lba != staged.lba + staged.count:
-            return False
-        if staged.count + request.count > MAX_MERGE_LBAS:
-            return False
-        staged.count += request.count
-        if staged.op == "write":
-            # A new list: the staged one is still the submitter's (the
-            # diFS hands every replica of a chunk the same page list).
-            staged.payloads = staged.payloads + request.payloads
-        if self._staged_deadlines is None:
-            self._staged_deadlines = [staged.deadline_us]
-        self._staged_deadlines.append(request.deadline_us)
-        deadlines = [d for d in (staged.deadline_us, request.deadline_us)
-                     if d is not None]
-        staged.deadline_us = min(deadlines) if deadlines else None
-        staged.tag = request.tag  # completion reports the latest tag
-        if request.trace is not None and staged.trace is None:
-            # A sampled request absorbed into a neighbour hands its
-            # context over: the merged dispatch is what it experienced.
-            staged.trace = request.trace
-        self._staged_merged += 1
-        self.stats.merged += 1
-        self._instr.merged.inc()
-        return True
-
-    def _flush_staged(self) -> None:
-        staged = self._staged
-        if staged is None:
-            return
-        self._staged = None
-        merged = self._staged_merged
-        member_deadlines = self._staged_deadlines
-        self._staged_merged = 1
-        self._staged_deadlines = None
-        self._dispatch_to_window(staged, staged.submit_us, merged=merged,
-                       member_deadlines=member_deadlines)
-
-    def _dispatch_to_window(self, request: IORequest,
-                            at_us: float | None, merged: int = 1,
-                            member_deadlines: list | None = None) -> None:
-        """Dispatch ``request`` into the window; re-raise its error."""
-        row = self._dispatch_request(request, at_us, merged,
-                                     member_deadlines)
-        self._inflight.append(row)
-        self._set_inflight(len(self._inflight))
-        if row[_ERROR] is not None:
-            raise row[_ERROR]
-
-    def _dispatch_request(self, request: IORequest, at_us: float | None,
-                          merged: int = 1,
-                          member_deadlines: list | None = None) -> tuple:
+    def _dispatch_request(self, request: IORequest,
+                          at_us: float | None) -> tuple:
         """Serve and meter one ``IORequest``; returns its window row.
 
         The only place trace contexts are honoured: they ride on
@@ -389,9 +293,9 @@ class DeviceQueue:
             rt.active = None
         arrival, start, end = self._meter(
             code, request.stream, request.deadline_us, at_us, service,
-            work, error, member_deadlines)
+            work, error)
         request.submit_us = arrival
-        row = (request, result, error, arrival, start, end, work, merged)
+        row = (request, result, error, arrival, start, end, work)
         if ctx is not None:
             request.trace = None  # consumed; records outlive contexts
             rt.finish(ctx, _completion(row), self.device_kind,
@@ -454,8 +358,7 @@ class DeviceQueue:
 
     def _meter(self, code: int, stream: int, deadline: float | None,
                at_us: float | None, service: float, work: float,
-               error: Exception | None,
-               member_deadlines: list | None = None) -> tuple:
+               error: Exception | None) -> tuple:
         """Place one served request on the virtual clock and account it.
 
         The queue's whole timing model, in one place: arrival (with
@@ -499,15 +402,9 @@ class DeviceQueue:
             stats.latencies_us.append(latency)
         if error is not None:
             stats.errors += 1
-        # Deadline accounting is per *member*: a coalesced dispatch
-        # that finishes late counts one miss per absorbed request whose
-        # own deadline it blew, not one per dispatch.
-        if member_deadlines is None:
-            misses = 1 if deadline is not None and end > deadline else 0
-        else:
-            misses = sum(1 for member in member_deadlines
-                         if member is not None and end > member)
-        stats.deadline_misses += misses
+        missed = deadline is not None and end > deadline
+        if missed:
+            stats.deadline_misses += 1
         if self._observed:
             children = self._op_children[code] or self._bind_children(code)
             children[0](latency)
@@ -515,13 +412,13 @@ class DeviceQueue:
             children[2]()
             if error is not None:
                 self._instr.errors.inc()
-            if misses:
-                self._instr.deadline_misses.inc(misses)
+            if missed:
+                self._instr.deadline_misses.inc()
         if self._slo is not None:
             self._slo.observe(
                 end_us=end, latency_us=latency, op=OP_NAMES[code],
                 stream=stream, device_kind=self.device_kind,
-                deadline_missed=misses > 0)
+                deadline_missed=missed)
         return arrival, start, end
 
     def _bind_children(self, code: int) -> tuple:

@@ -17,15 +17,11 @@ class QueueStats:
 
     Kept on the queue itself so claim checks and benchmarks can read
     measured latencies without an observability registry enabled.
-    ``deadline_misses`` counts *members*: a coalesced dispatch that
-    finishes late adds one miss per absorbed request whose own deadline
-    it blew.
     """
 
     submitted: int = 0
     dispatched: int = 0
     errors: int = 0
-    merged: int = 0
     deadline_misses: int = 0
     total_latency_us: float = 0.0
     total_wait_us: float = 0.0

@@ -126,8 +126,6 @@ class IOCompletion:
     end_us: float = 0.0
     #: Total chip busy time consumed (summed across channels).
     work_us: float = 0.0
-    #: Requests this completion absorbed via coalescing (1 = itself).
-    merged: int = 1
 
     @property
     def ok(self) -> bool:

@@ -20,7 +20,7 @@ from repro.models.carbon import (
     relative_footprint,
 )
 from repro.models.tco import TCOParams, cost_upgrade_rate, tco_relative, tco_savings
-from repro.models.recovery import RecoveryModel, recovery_traffic_summary
+from repro.models.recovery import RecoveryModel
 from repro.models.capacity import (
     CapacityPlan,
     embodied_purchase_ratio,
@@ -52,7 +52,6 @@ __all__ = [
     "tco_relative",
     "tco_savings",
     "RecoveryModel",
-    "recovery_traffic_summary",
     "CapacityPlan",
     "plan_constant_capacity",
     "embodied_purchase_ratio",

@@ -81,21 +81,6 @@ class PerformanceModel:
         return sum(frac * latency_factor(level, self.policy.dead_level)
                    for level, frac in level_mix.items())
 
-    def large_read_latency_us(self, level: int, rber: float = 0.0) -> float:
-        """Absolute expected latency of one fPage-sized read at ``level``.
-
-        Includes read retries at the given RBER — showing §4.2's point that
-        the lower code rate keeps retries down even though L1 pages are
-        more worn.
-        """
-        _check(level, self.policy.dead_level)
-        ecc = self.policy.ecc_for_level(level)
-        per_fpage = self.policy.data_opages(level)
-        fpages_touched = latency_factor(level, self.policy.dead_level)
-        payload = per_fpage * self.policy.geometry.opage_bytes
-        one = self.latency.read_latency_us(rber, ecc, payload)
-        return one * fpages_touched
-
     def small_read_latency_us(self, level: int, rber: float = 0.0) -> float:
         """Absolute expected latency of one 4 KiB read (level-independent
         page count: always a single fPage touch)."""

@@ -72,21 +72,10 @@ class RecoveryModel:
                 f"read_write_cost must be positive, "
                 f"got {self.read_write_cost!r}")
 
-    def traffic_bytes(self, lost_capacity_bytes: float) -> float:
-        """Recovery traffic for ``lost_capacity_bytes`` of failed capacity."""
-        if lost_capacity_bytes < 0:
-            raise ConfigError(
-                f"lost_capacity_bytes must be non-negative, "
-                f"got {lost_capacity_bytes!r}")
-        return lost_capacity_bytes * self.utilization * self.read_write_cost
-
     def traffic_series(self, result: FleetResult) -> np.ndarray:
         """Per-step recovery traffic for a fleet run."""
         return (result.capacity_lost_bytes
                 * self.utilization * self.read_write_cost)
-
-    def cumulative_traffic(self, result: FleetResult) -> np.ndarray:
-        return np.cumsum(self.traffic_series(result))
 
     def peak_step_traffic(self, result: FleetResult) -> float:
         """Worst single-step recovery burst — where minidisks shine.
@@ -97,29 +86,3 @@ class RecoveryModel:
         """
         series = self.traffic_series(result)
         return float(series.max()) if series.size else 0.0
-
-
-def recovery_traffic_summary(results: dict[str, FleetResult],
-                             model: RecoveryModel | None = None,
-                             regen_max_level: int = 1) -> list[dict[str, float]]:
-    """Rows comparing disciplines: total and peak recovery traffic.
-
-    ``results`` maps mode name -> fleet result (same config/seed). The
-    ``regen`` row also carries the analytic total-failure bound for
-    context.
-    """
-    model = model or RecoveryModel()
-    rows = []
-    for mode, result in results.items():
-        total = float(model.traffic_series(result).sum())
-        rows.append({
-            "mode": mode,
-            "total_traffic_bytes": total,
-            "peak_step_traffic_bytes": model.peak_step_traffic(result),
-            "traffic_per_initial_byte": (
-                total / result.initial_capacity_bytes
-                if result.initial_capacity_bytes else 0.0),
-            "analytic_failed_fraction": total_failed_capacity_fraction(
-                regen_max_level=regen_max_level if mode == "regen" else 0),
-        })
-    return rows

@@ -1,8 +1,8 @@
 """Cross-layer observability: metrics registry + sim-time tracing.
 
 ``repro.obs`` is the one place every layer of the stack — flash/FTL/GC,
-Salamander shrink/regen, the diFS recovery path, and the fleet/event
-simulators — reports what it is doing, so a single run can be watched
+Salamander shrink/regen, the diFS recovery path, and the fleet
+simulator — reports what it is doing, so a single run can be watched
 (and regressed against) end to end. See docs/OBSERVABILITY.md for the
 full metric catalog and usage examples.
 
@@ -20,7 +20,7 @@ Enable explicitly (typically once, at harness start)::
     from repro import obs
 
     registry = obs.enable_metrics()
-    tracer = obs.enable_tracing(clock=engine.clock)
+    tracer = obs.enable_tracing(clock=lambda: cluster.time)
     ...  # build devices / clusters / fleets, run the experiment
     registry.write_json("metrics.json")
     tracer.export_jsonl("trace.jsonl")
@@ -56,7 +56,7 @@ from repro.obs.noop import (
     NullTimeseriesSampler,
     NullTracer,
 )
-from repro.obs.promtext import parse_prometheus_text, render_prometheus
+from repro.obs.promtext import render_prometheus
 from repro.obs.smart import SMART_FIELDS, SmartField, smart_field
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
@@ -212,7 +212,6 @@ __all__ = [
     "load_timeseries",
     "metrics",
     "metrics_enabled",
-    "parse_prometheus_text",
     "quantile_from_cumulative",
     "quantile_from_sample",
     "render_prometheus",

@@ -58,9 +58,10 @@ ENDURANCE_SCHEMA = "repro.obs.endurance/v1"
 
 #: The cause vocabulary, in canonical (artifact) order. ``host`` is the
 #: ambient default; ``meta`` is reserved for firmware metadata writes
-#: (always 0 today — no layer models them yet); ``remount`` wraps the
-#: OOB-replay rebuild, which only reads flash, so its program/erase
-#: counts are legitimately ~0.
+#: and ``wear_level`` for static wear-leveling moves (both always 0
+#: today — no layer does either; the columns are schema); ``remount``
+#: wraps the OOB-replay rebuild, which only reads flash, so its
+#: program/erase counts are legitimately ~0.
 CAUSES = ("host", "gc", "wear_level", "scrub", "shrink", "regen",
           "meta", "remount")
 

@@ -203,7 +203,6 @@ class IOInstruments:
     wait: Any            # family; labels (op, device_kind)
     requests: Any        # family; labels (op, device_kind)
     errors: Any          # child, pre-labelled (device_kind,)
-    merged: Any          # child, pre-labelled (device_kind,)
     deadline_misses: Any  # child, pre-labelled (device_kind,)
     deadline_miss_ratio: Any  # child, pre-labelled (device_kind,)
     inflight: Any        # child, pre-labelled (device_kind,)
@@ -232,11 +231,6 @@ def io_instruments(device_kind: str) -> IOInstruments:
         errors=m.counter(
             "repro_io_errors_total",
             help="Requests that completed with a device error",
-            unit="requests",
-            labelnames=("device_kind",)).labels(device_kind=device_kind),
-        merged=m.counter(
-            "repro_io_merged_total",
-            help="Requests absorbed into a neighbour by coalescing",
             unit="requests",
             labelnames=("device_kind",)).labels(device_kind=device_kind),
         deadline_misses=m.counter(
@@ -495,15 +489,6 @@ def traffic_instruments() -> TrafficInstruments:
 
 
 @dataclass(frozen=True)
-class EngineInstruments:
-    """Discrete-event engine instruments."""
-
-    events_executed: Any
-    events_cancelled: Any
-    queue_depth: Any
-
-
-@dataclass(frozen=True)
 class ShardInstruments:
     """Sharded fleet instruments (repro.sim.shard).
 
@@ -537,22 +522,4 @@ def shard_instruments() -> ShardInstruments:
             "repro_shard_devices",
             help="Devices assigned to each failure-domain shard",
             unit="devices", labelnames=("shard",)),
-    )
-
-
-def engine_instruments() -> EngineInstruments:
-    m = obs.metrics()
-    return EngineInstruments(
-        events_executed=m.counter(
-            "repro_engine_events_executed_total",
-            help="Events the discrete-event engine has fired",
-            unit="events"),
-        events_cancelled=m.counter(
-            "repro_engine_events_cancelled_total",
-            help="Scheduled events cancelled before firing",
-            unit="events"),
-        queue_depth=m.gauge(
-            "repro_engine_queue_depth",
-            help="Live (non-cancelled) events awaiting execution",
-            unit="events"),
     )

@@ -36,7 +36,7 @@ import math
 import re
 from bisect import bisect_left
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.errors import ConfigError
 
@@ -118,26 +118,6 @@ class Histogram:
             out.append((bound, running))
         out.append((math.inf, self.count))
         return out
-
-    def percentile(self, q: float) -> float:
-        """Bucket-resolution percentile estimate (``q`` in [0, 100]).
-
-        Returns the upper bound of the bucket containing the q-th
-        observation (the last finite bound for overflow observations),
-        0.0 when empty — the same estimate a PromQL
-        ``histogram_quantile`` would produce without interpolation.
-        """
-        if not 0 <= q <= 100:
-            raise ConfigError(f"q must be in [0, 100], got {q!r}")
-        if self.count == 0:
-            return 0.0
-        rank = math.ceil(self.count * q / 100.0) or 1
-        running = 0
-        for bound, n in zip(self.bounds, self.bucket_counts):
-            running += n
-            if running >= rank:
-                return bound
-        return self.bounds[-1] if self.bounds else math.inf
 
     def quantile(self, q: float) -> float:
         """Linearly interpolated quantile estimate (``q`` in [0, 1]).
@@ -515,9 +495,3 @@ def _validate_sample(name: str, kind: str, labelnames: list,
     else:
         if not isinstance(sample.get("value"), (int, float)):
             fail(f"{name}: {kind} samples need a numeric 'value'")
-
-
-def merge_label_values(labels: Mapping[str, str],
-                       labelnames: Iterable[str]) -> tuple[str, ...]:
-    """Order ``labels`` by ``labelnames`` (shared by export/parsing)."""
-    return tuple(str(labels[name]) for name in labelnames)

@@ -180,9 +180,6 @@ class NullTimeseriesSampler:
                kind="gauge") -> None:
         pass
 
-    def due(self, t: float) -> bool:
-        return False
-
     def maybe_sample(self, t: float) -> bool:
         return False
 

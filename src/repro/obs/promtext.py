@@ -1,9 +1,9 @@
-"""Prometheus text exposition rendering and parsing.
+"""Prometheus text exposition rendering.
 
 Renders a ``repro.obs.metrics/v1`` document (see
 :meth:`repro.obs.metrics.MetricsRegistry.to_dict`) as text exposition
 format 0.0.4 — the format every Prometheus scraper, ``promtool`` and
-VictoriaMetrics ingests — and parses it back for round-trip tests.
+VictoriaMetrics ingests.
 
 Counter families are rendered with the conventional ``_total`` suffix
 (added if the registered name lacks it); histogram families expand
@@ -15,27 +15,10 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import ConfigError
-
 
 def _escape_label_value(value: str) -> str:
     return (value.replace("\\", r"\\").replace("\n", r"\n")
             .replace('"', r'\"'))
-
-
-def _unescape_label_value(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            out.append({"\\": "\\", "n": "\n", '"': '"'}.get(nxt, ch + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 def _format_value(value: float) -> str:
@@ -91,113 +74,3 @@ def render_prometheus(document: dict) -> str:
                              f"{_format_value(sample['value'])}")
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def _parse_labels(block: str) -> dict[str, str]:
-    """Parse the inside of a ``{...}`` label block.
-
-    Tolerates the trailing comma the exposition format permits
-    (``{a="1",}``) and raises :class:`~repro.errors.ConfigError` —
-    never a bare ``ValueError``/``IndexError`` — on malformed input
-    (missing ``=``, unquoted or unterminated values, empty names).
-    """
-    labels: dict[str, str] = {}
-    i = 0
-    n = len(block)
-    while i < n:
-        # Skip separators; a trailing comma is legal, so running off
-        # the end here just finishes the block.
-        while i < n and block[i] in ", \t":
-            i += 1
-        if i >= n:
-            break
-        eq = block.find("=", i)
-        if eq < 0:
-            raise ConfigError(f"malformed label block {block!r}")
-        name = block[i:eq].strip()
-        if not name:
-            raise ConfigError(f"empty label name in {block!r}")
-        if eq + 1 >= n or block[eq + 1] != '"':
-            raise ConfigError(f"malformed label block {block!r}")
-        j = eq + 2
-        raw = []
-        while j < n:
-            ch = block[j]
-            if ch == "\\" and j + 1 < n:
-                raw.append(block[j:j + 2])
-                j += 2
-                continue
-            if ch == '"':
-                break
-            raw.append(ch)
-            j += 1
-        else:
-            raise ConfigError(f"unterminated label value in {block!r}")
-        labels[name] = _unescape_label_value("".join(raw))
-        i = j + 1
-    return labels
-
-
-def _parse_number(text: str) -> float:
-    if text == "NaN":
-        return math.nan
-    if text == "+Inf":
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    return float(text)
-
-
-def parse_prometheus_text(text: str) -> dict[str, dict]:
-    """Parse text exposition format back into a comparable structure.
-
-    Returns ``{series_name: {"type": str | None, "samples":
-    {(sorted (label, value) pairs): value}}}`` where histogram series
-    appear under their expanded ``_bucket``/``_sum``/``_count`` names
-    (with ``type`` set on the base family name). Raises
-    :class:`~repro.errors.ConfigError` on malformed lines.
-    """
-    series: dict[str, dict] = {}
-
-    def entry(name: str) -> dict:
-        return series.setdefault(name, {"type": None, "samples": {}})
-
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split(None, 3)
-            if len(parts) < 4:
-                raise ConfigError(
-                    f"line {line_number}: malformed TYPE comment")
-            entry(parts[2])["type"] = parts[3]
-            continue
-        if line.startswith("#"):
-            continue
-        if "{" in line:
-            name, rest = line.split("{", 1)
-            if "}" not in rest:
-                raise ConfigError(
-                    f"line {line_number}: missing '}}' in {line!r}")
-            block, value_text = rest.rsplit("}", 1)
-            labels = _parse_labels(block)
-        else:
-            fields = line.split()
-            if len(fields) != 2:
-                raise ConfigError(
-                    f"line {line_number}: expected 'name value', "
-                    f"got {line!r}")
-            name, value_text = fields
-            labels = {}
-        name = name.strip()
-        value_text = value_text.strip()
-        if not name:
-            raise ConfigError(f"line {line_number}: empty metric name")
-        try:
-            value = _parse_number(value_text)
-        except ValueError:
-            raise ConfigError(
-                f"line {line_number}: bad sample value {value_text!r}")
-        key = tuple(sorted(labels.items()))
-        entry(name)["samples"][key] = value
-    return series

@@ -250,7 +250,9 @@ class ReqTracer:
             "device_kind": device_kind,
             "tag": request.tag,
             "status": completion.status,
-            "merged": completion.merged,
+            # Requests behind this dispatch — always one; schema v1
+            # readers expect the key.
+            "merged": 1,
             "deadline_missed": completion.deadline_missed,
             "submit_us": completion.submit_us,
             "start_us": completion.start_us,

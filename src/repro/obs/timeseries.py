@@ -228,19 +228,6 @@ class TimeseriesSampler:
 
     # -- sampling ----------------------------------------------------------
 
-    def due(self, t: float) -> bool:
-        """Would :meth:`maybe_sample` take a sample at ``t``?
-
-        Pure cadence-gate check with no side effects. Hot loops that
-        must do extra work to *produce* sample values (e.g. the fleet
-        census) ask this first and skip the production cost entirely on
-        non-sample steps.
-        """
-        last = self._last_sample_t
-        if last is None or t < last - _EPS:
-            return True
-        return t - last >= self.cadence - _EPS
-
     def schedule(self, times: Iterable[float]) -> list[bool]:
         """Which of ``times`` would :meth:`maybe_sample` accept, in order?
 

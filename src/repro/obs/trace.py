@@ -1,8 +1,8 @@
 """Sim-time tracer: nested spans and point events over simulated time.
 
 Unlike a wall-clock tracer, records are stamped with *simulated* time —
-``SimClock`` seconds, fleet days, or cluster logical time — because
-that is the axis operators reason about in a discrete-event run
+device seconds, fleet days, or cluster logical time — because
+that is the axis operators reason about in a simulated run
 ("which recovery storm coincided with the capacity cliff at year 6?").
 
 The tracer keeps two bounded ring buffers (completed spans and point
@@ -11,8 +11,8 @@ win. :meth:`SimTimeTracer.export_jsonl` merges both and writes one
 JSON object per line, ordered by sim time (ties broken by record
 sequence, preserving causality for same-instant records).
 
-The clock is pluggable: pass a :class:`repro.sim.clock.SimClock`, any
-object with a ``now`` attribute, a zero-argument callable, or nothing
+The clock is pluggable: pass any object with a ``now`` attribute, a
+zero-argument callable, or nothing
 (time sticks at 0.0 until a harness wires a clock via
 :meth:`SimTimeTracer.set_clock`).
 """
@@ -142,7 +142,7 @@ class SimTimeTracer:
     # -- clock -------------------------------------------------------------
 
     def set_clock(self, clock) -> Callable[[], float]:
-        """Swap the sim-time source (SimClock, ``.now`` object, callable).
+        """Swap the sim-time source (``.now`` object or callable).
 
         Returns the clock it replaced, so a run that borrows the tracer
         can hand it back: ``previous = tracer.set_clock(mine)`` ...

@@ -29,8 +29,8 @@ mechanically against a run's observability artifacts:
    *measured* mean service time. Self-contained like the throughput
    check — no artifact needed. Means (not p50) are compared because
    the analytic model predicts the mean; M/D/1 medians sit 25-35 %
-   below it at moderate load. ``repro report --queue-depth/--io-batch``
-   parameterise the queue under test.
+   below it at moderate load. ``repro report --queue-depth``
+   parameterises the queue under test.
 5. **Traffic p99 under degradation** (§4.2's latency-sensitivity worry
    end to end): the multi-tenant traffic engine
    (:mod:`repro.workloads.engine`) driving fPage-spanning reads at a
@@ -304,7 +304,6 @@ def check_throughput_degradation(levels: tuple[int, ...] = (1, 2, 3),
 def measured_queueing_latency(utilisation: float,
                               n_requests: int = 1500,
                               queue_depth: int = 64,
-                              io_batch: bool = False,
                               channels: int = 1,
                               seed: int = 7) -> dict[str, float]:
     """Drive open-loop Poisson reads through a real queue; measure means.
@@ -356,14 +355,13 @@ def measured_queueing_latency(utilisation: float,
     # arrival rate scales by the channel count.
     arrival_per_us = utilisation * channels / service_us
     rng = make_rng(seed)
-    queue = DeviceQueue(ftl, depth=queue_depth, coalesce=io_batch)
+    queue = DeviceQueue(ftl, depth=queue_depth)
     t = 0.0
     for i in range(n_requests):
         t += float(rng.exponential(1.0 / arrival_per_us))
         queue.submit(IORequest(op="read", lba=i % prefill), at_us=t)
         if queue.inflight >= queue_depth:
             queue.poll()
-    queue.flush()
     queue.poll()
     measured = queue.stats.mean_latency_us
     mean_service = queue.stats.mean_service_us
@@ -384,8 +382,7 @@ def measured_queueing_latency(utilisation: float,
 def check_queueing_latency(
         utilisations: tuple[float, ...] = QUEUEING_UTILISATIONS,
         tolerance: float = QUEUEING_TOLERANCE,
-        queue_depth: int = 64,
-        io_batch: bool = False) -> list[ClaimResult]:
+        queue_depth: int = 64) -> list[ClaimResult]:
     """Measured pipeline latency within ``tolerance`` of M/D/c.
 
     One claim row per utilisation on a single channel (where M/D/1 is
@@ -399,8 +396,7 @@ def check_queueing_latency(
             f"c{channels}_rho{rho:g}"
         claim = f"queueing_latency/{suffix}"
         run = measured_queueing_latency(
-            rho, queue_depth=queue_depth, io_batch=io_batch,
-            channels=channels)
+            rho, queue_depth=queue_depth, channels=channels)
         measured = run["measured_mean_latency_us"]
         analytic = run["analytic_mean_latency_us"]
         status = ("pass" if analytic > 0
@@ -413,8 +409,7 @@ def check_queueing_latency(
             f"open-loop Poisson reads: {run['requests']:.0f} requests, "
             f"service {run['service_us']:.1f} us, "
             f"{run['iops']:.0f} IOPS on {channels} channel(s), "
-            f"queue depth {queue_depth}"
-            + (", coalescing on" if io_batch else "")))
+            f"queue depth {queue_depth}"))
     return results
 
 
@@ -683,15 +678,14 @@ def build_report(metrics_doc: dict | None = None,
                  tolerance: float = DEFAULT_TOLERANCE,
                  throughput_levels: tuple[int, ...] = (1, 2, 3),
                  traffic_levels: tuple[int, ...] = TRAFFIC_LEVELS,
-                 queue_depth: int = 64,
-                 io_batch: bool = False) -> dict:
+                 queue_depth: int = 64) -> dict:
     """Run every claim check over the supplied inputs.
 
     All inputs are optional; checks whose inputs are missing are
     reported as ``skip`` rather than failing, so a partial report is
-    still useful. ``queue_depth``/``io_batch`` parameterise the queue
-    the measured-latency claim drives (the CLI's ``--queue-depth`` and
-    ``--io-batch``); ``endurance_records`` are the device records of a
+    still useful. ``queue_depth`` parameterises the queue the
+    measured-latency claim drives (the CLI's ``--queue-depth``);
+    ``endurance_records`` are the device records of a
     ``repro.obs.endurance/v1`` artifact (the CLI's ``--endurance``).
     Returns the ``repro.report/v1`` document.
     """
@@ -723,7 +717,7 @@ def build_report(metrics_doc: dict | None = None,
     claims += check_throughput_degradation(throughput_levels, tolerance)
     claims += check_queueing_latency(
         tolerance=max(tolerance, QUEUEING_TOLERANCE),
-        queue_depth=queue_depth, io_batch=io_batch)
+        queue_depth=queue_depth)
     claims += check_traffic_latency(
         levels=traffic_levels,
         tolerance=max(tolerance, TRAFFIC_TOLERANCE))

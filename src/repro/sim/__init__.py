@@ -11,14 +11,10 @@ Two granularities, sharing the same flash models:
   disciplines (baseline / CVSS / ShrinkS / RegenS) are evaluated from the
   same variation draws.
 
-:mod:`repro.sim.clock` and :mod:`repro.sim.engine` provide the
-discrete-event machinery used by cluster-level scenarios;
 :mod:`repro.sim.parallel` fans multi-seed sweeps out over worker
 processes with bit-identical merged artifacts.
 """
 
-from repro.sim.clock import SimClock
-from repro.sim.engine import Engine
 from repro.sim.lifetime import LifetimeResult, run_write_lifetime
 from repro.sim.fleet import FleetConfig, FleetResult, simulate_fleet
 from repro.sim.parallel import (
@@ -37,8 +33,6 @@ from repro.sim.replacement import (
 )
 
 __all__ = [
-    "SimClock",
-    "Engine",
     "LifetimeResult",
     "run_write_lifetime",
     "FleetConfig",

@@ -17,7 +17,7 @@ bad — plus the CVSS-like capacity-variant comparator from §4.
 from repro.ssd.stats import SSDStats
 from repro.ssd.badblocks import BadBlockLedger
 from repro.ssd.write_buffer import WriteBuffer
-from repro.ssd.gc import GCPolicy, GreedyGC, CostBenefitGC
+from repro.ssd.gc import GCPolicy, GreedyGC
 from repro.ssd.wear import select_min_wear_block
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 from repro.ssd.device import BaselineSSD, SSDConfig
@@ -29,7 +29,6 @@ __all__ = [
     "WriteBuffer",
     "GCPolicy",
     "GreedyGC",
-    "CostBenefitGC",
     "select_min_wear_block",
     "FTLConfig",
     "PageMappedFTL",

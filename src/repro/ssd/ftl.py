@@ -43,11 +43,11 @@ from repro.flash.chip import FlashChip
 from repro.obs import endurance, reqtrace
 from repro.obs.instruments import ftl_instruments, next_device_name
 from repro.ssd.freelist import BlockIndex
-from repro.ssd.gc import CostBenefitGC, GCPolicy, GreedyGC
+from repro.ssd.gc import GCPolicy, GreedyGC
 from repro.ssd.remount import RemountMixin
 from repro.ssd.scrub import ScrubMixin
 from repro.ssd.stats import SSDStats
-from repro.ssd.wear import select_cold_closed_block, select_min_wear_block
+from repro.ssd.wear import select_min_wear_block
 from repro.ssd.write_buffer import WriteBuffer
 
 UNMAPPED = -1
@@ -57,8 +57,6 @@ LOST = -2
 #: to the vectorised kernel — below this, numpy call overhead loses to
 #: the plain loop (default geometry programs 4 oPages per fPage).
 _PROGRAM_VECTOR_MIN = 16
-
-_GC_POLICIES = {"greedy": GreedyGC, "cost-benefit": CostBenefitGC}
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class FTLConfig:
         gc_reserve_blocks: free blocks host writes may not consume; GC dips
             into them while compacting.
         buffer_opages: NVRAM write-buffer capacity.
-        gc_policy: ``"greedy"`` or ``"cost-benefit"``.
         max_level: highest tiredness level at which pages may still store
             data. 0 reproduces a fixed-code-rate device; RegenS raises it.
         stream_separation: keep separate open blocks for host writes and
@@ -94,7 +91,6 @@ class FTLConfig:
     overprovision: float = 0.07
     gc_reserve_blocks: int = 2
     buffer_opages: int = 64
-    gc_policy: str = "greedy"
     max_level: int = 0
     stream_separation: bool = True
     host_streams: int = 1
@@ -111,10 +107,6 @@ class FTLConfig:
         if self.buffer_opages <= 0:
             raise ConfigError(
                 f"buffer_opages must be positive, got {self.buffer_opages!r}")
-        if self.gc_policy not in _GC_POLICIES:
-            raise ConfigError(
-                f"gc_policy must be one of {sorted(_GC_POLICIES)}, "
-                f"got {self.gc_policy!r}")
         if self.max_level < 0:
             raise ConfigError(
                 f"max_level must be non-negative, got {self.max_level!r}")
@@ -193,7 +185,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._instr = ftl_instruments(self.obs_name)
         self.stats = SSDStats()
         self.buffer = WriteBuffer(self.config.buffer_opages)
-        self._gc: GCPolicy = _GC_POLICIES[self.config.gc_policy]()
+        self._gc: GCPolicy = GreedyGC()
 
         p = self.geometry.opages_per_fpage
         self._slots_per_fpage_max = p
@@ -315,11 +307,10 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             self._io_queue = DeviceQueue(self)
         return self._io_queue
 
-    def attach_queue(self, depth: int = 8, coalesce: bool = False,
-                     keep_latencies: bool = False):
+    def attach_queue(self, depth: int = 8, keep_latencies: bool = False):
         """(Re)build the submission queue with explicit settings."""
         from repro.io.queue import DeviceQueue
-        self._io_queue = DeviceQueue(self, depth=depth, coalesce=coalesce,
+        self._io_queue = DeviceQueue(self, depth=depth,
                                      keep_latencies=keep_latencies)
         return self._io_queue
 
@@ -1119,53 +1110,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             self._free_blocks.add(block)
         if worn:
             self._after_wear_event(block, [f for f, _ in worn])
-
-    # -- internals: wear leveling ------------------------------------------------
-
-    def level_wear(self, min_spread: int = 0) -> int:
-        """Opt-in static wear-leveling pass: recycle the coldest block.
-
-        Relocates the valid data of the least-erased *closed* block and
-        erases it, so blocks pinning cold data rejoin the allocation
-        pool instead of freezing their low erase counts forever (the
-        GC-side half :mod:`repro.ssd.wear` approximates with the
-        cost-benefit age term). Nothing on the host path calls this —
-        it is the wear signal sink for the ROADMAP item-3 adaptive
-        controller — so default-run determinism is untouched. With an
-        endurance ledger installed the pass is charged to the
-        ``wear_level`` cause.
-
-        Args:
-            min_spread: only act when the device-wide max erase count
-                exceeds the victim's by at least this much (0 = always).
-
-        Returns:
-            Number of oPages relocated (0 when no candidate qualified).
-        """
-        victim = select_cold_closed_block(self._closed_blocks.array(),
-                                          self._erase_counts)
-        if victim is None:
-            return 0
-        spread = (int(self._erase_counts.max())
-                  - int(self._erase_counts[victim]))
-        if spread < min_spread:
-            return 0
-        self._ensure_free_space()
-        led = self._endurance
-        if led is None:
-            return self._level_wear_move(victim)
-        with led.cause("wear_level"):
-            return self._level_wear_move(victim)
-
-    def _level_wear_move(self, victim: int) -> int:
-        survivors: list[tuple[int, bytes]] = []
-        start = victim * self.geometry.fpages_per_block
-        for fpage in range(start, start + self.geometry.fpages_per_block):
-            if self.chip.is_written(fpage):
-                survivors.extend(self._read_valid_opages(fpage))
-        self._program_items("gc", survivors, relocation=True)
-        self._erase_block(victim)
-        return len(survivors)
 
     def _condemn_block(self, block: int) -> None:
         """An erase failure takes the whole block out of service.

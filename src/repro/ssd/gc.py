@@ -3,13 +3,8 @@
 A page-mapped FTL reclaims space by picking a victim block, relocating its
 still-valid oPages, and erasing it. Victim choice drives write
 amplification, which in turn drives wear — so lifetime experiments are
-sensitive to it. Two classic policies are provided:
-
-* :class:`GreedyGC` — pick the block with the fewest valid oPages. Optimal
-  for uniform traffic, the usual default.
-* :class:`CostBenefitGC` — weigh reclaimed space against relocation cost and
-  block age (Rosenblum & Ousterhout's LFS policy, common in FTLs); better
-  under skewed traffic because it lets hot blocks "cool off".
+sensitive to it. :class:`GreedyGC` picks the block with the fewest valid
+oPages — optimal for uniform traffic, the usual default.
 """
 
 from __future__ import annotations
@@ -106,17 +101,3 @@ class GreedyGC(GCPolicy):
             return int(candidate_blocks[
                 int(np.argmax(valid_counts == floor))])
         return int(candidate_blocks[int(np.argmin(valid_counts))])
-
-
-class CostBenefitGC(GCPolicy):
-    """LFS cost-benefit: maximise ``(1 - u) * age / (1 + u)``.
-
-    ``u`` is block utilisation (valid / capacity). Fully-valid blocks score
-    zero benefit and are only chosen when nothing else exists.
-    """
-
-    def choose_victim(self, candidate_blocks, valid_counts, capacities, ages):
-        capacities = np.maximum(capacities, 1)
-        u = valid_counts / capacities
-        benefit = (1.0 - u) * (1.0 + ages) / (1.0 + u)
-        return int(candidate_blocks[int(np.argmax(benefit))])

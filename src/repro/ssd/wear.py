@@ -2,8 +2,6 @@
 
 The allocation-side half of wear leveling: when the FTL opens a new block
 for writing, prefer the least-worn free block so erase counts stay even.
-(The GC-side half — relocating cold data off young blocks — is approximated
-by :class:`repro.ssd.gc.CostBenefitGC`'s age term.)
 """
 
 from __future__ import annotations
@@ -28,31 +26,3 @@ def select_min_wear_block(free_blocks: np.ndarray,
         raise OutOfSpaceError("no free blocks available")
     counts = erase_counts[free_blocks]
     return int(free_blocks[int(np.argmin(counts))])
-
-
-def select_cold_closed_block(closed_blocks: np.ndarray,
-                             erase_counts: np.ndarray) -> int | None:
-    """Pick the closed block with the lowest erase count, or None.
-
-    The static-wear-leveling victim: a closed block that has been
-    erased least is probably pinning cold data, so relocating it (see
-    :meth:`repro.ssd.ftl.PageMappedFTL.level_wear`) lets its young
-    flash rejoin the hot allocation pool. Ties break to the lowest
-    block id, keeping the pass deterministic.
-    """
-    if closed_blocks.size == 0:
-        return None
-    counts = erase_counts[closed_blocks]
-    return int(closed_blocks[int(np.argmin(counts))])
-
-
-def wear_imbalance(erase_counts: np.ndarray) -> float:
-    """Max-minus-mean erase-count spread, normalised by the mean.
-
-    0 means perfectly even wear; used by tests to assert the leveler works.
-    Devices with no erases yet report 0.
-    """
-    mean = float(erase_counts.mean()) if erase_counts.size else 0.0
-    if mean == 0:
-        return 0.0
-    return (float(erase_counts.max()) - mean) / mean

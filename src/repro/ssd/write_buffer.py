@@ -68,38 +68,16 @@ class WriteBuffer:
         """Drop a buffered entry (trim of a not-yet-flushed write)."""
         return self._entries.pop(key, None) is not None
 
-    def pop_batch(self, count: int,
-                  keys: set[Hashable] | None = None,
-                  ) -> list[tuple[Hashable, bytes]]:
-        """Remove and return up to ``count`` oldest entries, FIFO order.
-
-        With ``keys`` given, only entries whose key is in the set are
-        taken (used for per-stream draining); others stay in place.
-        """
-        if count < 0:
-            raise ConfigError(f"count must be non-negative, got {count!r}")
-        if keys is None:
-            batch = []
-            while self._entries and len(batch) < count:
-                batch.append(self._entries.popitem(last=False))
-            return batch
-        batch = []
-        for key in list(self._entries):
-            if len(batch) >= count:
-                break
-            if key in keys:
-                batch.append((key, self._entries.pop(key)))
-        return batch
-
     def peek_batch(self, count: int,
                    keys: set[Hashable] | None = None,
                    ) -> list[tuple[Hashable, bytes]]:
-        """The batch :meth:`pop_batch` *would* take, without removing it.
+        """Up to ``count`` oldest entries, FIFO order, left in place.
 
-        Crash-safe drains peek, program the batch onto flash, and only
-        then :meth:`discard` each key — so the NVRAM copy outlives the
-        operation that persists it (docs/FAULTS.md, ack-before-persist).
-        Selection and order are identical to :meth:`pop_batch`.
+        With ``keys`` given, only entries whose key is in the set are
+        taken (per-stream draining). Crash-safe drains peek, program
+        the batch onto flash, and only then :meth:`discard` each key —
+        so the NVRAM copy outlives the operation that persists it
+        (docs/FAULTS.md, ack-before-persist).
         """
         if count < 0:
             raise ConfigError(f"count must be non-negative, got {count!r}")

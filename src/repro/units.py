@@ -36,71 +36,3 @@ def format_size(num_bytes: int | float) -> str:
         if value >= step:
             return f"{sign}{value / step:.1f} {suffix}"
     return f"{sign}{value:.0f} B"
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration in the most natural unit, e.g. ``format_duration(90)`` -> ``"1.5 min"``."""
-    if seconds < 0:
-        return "-" + format_duration(-seconds)
-    if seconds >= YEAR:
-        return f"{seconds / YEAR:.2f} yr"
-    if seconds >= DAY:
-        return f"{seconds / DAY:.1f} d"
-    if seconds >= HOUR:
-        return f"{seconds / HOUR:.1f} h"
-    if seconds >= MINUTE:
-        return f"{seconds / MINUTE:.1f} min"
-    if seconds >= 1:
-        return f"{seconds:.2f} s"
-    if seconds >= MILLISECOND:
-        return f"{seconds / MILLISECOND:.2f} ms"
-    return f"{seconds / MICROSECOND:.2f} us"
-
-
-_SIZE_SUFFIXES = {
-    "b": 1, "kib": KIB, "mib": MIB, "gib": GIB, "tib": TIB,
-    "k": KIB, "m": MIB, "g": GIB, "t": TIB,
-}
-
-
-def parse_size(text: str) -> int:
-    """Parse a human size string: ``parse_size("4KiB")`` -> 4096.
-
-    Accepts ``B/KiB/MiB/GiB/TiB`` (case-insensitive, ``K/M/G/T`` shorthand)
-    with an integer or decimal count; bare numbers are bytes.
-    """
-    cleaned = text.strip().lower().replace(" ", "")
-    if not cleaned:
-        raise ValueError("empty size string")
-    index = len(cleaned)
-    while index > 0 and not cleaned[index - 1].isdigit():
-        index -= 1
-    number, suffix = cleaned[:index], cleaned[index:]
-    if not number:
-        raise ValueError(f"no numeric part in size {text!r}")
-    if suffix and suffix not in _SIZE_SUFFIXES:
-        raise ValueError(f"unknown size suffix {suffix!r} in {text!r}")
-    scale = _SIZE_SUFFIXES.get(suffix, 1)
-    value = float(number) * scale
-    if value < 0 or value != int(value):
-        raise ValueError(f"size {text!r} is not a whole byte count")
-    return int(value)
-
-
-def require_positive(name: str, value: int | float) -> None:
-    """Raise ``ValueError`` unless ``value`` is strictly positive."""
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def require_fraction(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` lies in the closed interval [0, 1]."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def require_multiple(name: str, value: int, divisor: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is a positive multiple of ``divisor``."""
-    require_positive(name, value)
-    if value % divisor != 0:
-        raise ValueError(f"{name} must be a multiple of {divisor}, got {value!r}")

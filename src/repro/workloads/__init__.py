@@ -1,13 +1,11 @@
-"""Synthetic workloads: access-pattern generators, DWPD schedules, traces.
+"""Synthetic workloads: access-pattern generators, arrivals, traces.
 
 The paper's analysis is wear-driven, so workloads here are primarily write
 streams: who writes, where, how much per day. Generators yield oPage-level
-operations; :mod:`repro.workloads.dwpd` converts datasheet-style
-drive-writes-per-day intensities into daily volumes; :mod:`traces` records
-streams for replay; :mod:`repro.workloads.arrivals` supplies per-tenant
-arrival-time processes; and :mod:`repro.workloads.engine` composes all of
-them into the deterministic multi-tenant traffic engine behind
-``repro traffic``.
+operations; :mod:`traces` records streams for replay;
+:mod:`repro.workloads.arrivals` supplies per-tenant arrival-time
+processes; and :mod:`repro.workloads.engine` composes all of them into the
+deterministic multi-tenant traffic engine behind ``repro traffic``.
 """
 
 from repro.workloads.generators import (
@@ -26,7 +24,6 @@ from repro.workloads.arrivals import (
     make_arrivals,
     mmpp_rates,
 )
-from repro.workloads.dwpd import DWPDSchedule
 from repro.workloads.traces import (
     Trace,
     parse_msr_trace,
@@ -47,7 +44,6 @@ __all__ = [
     "hotspot_mass",
     "make_arrivals",
     "mmpp_rates",
-    "DWPDSchedule",
     "Trace",
     "synthesize_trace",
     "parse_msr_trace",

@@ -5,7 +5,7 @@ import pytest
 from repro import faults
 from repro.difs.cluster import Cluster, ClusterConfig
 from repro.difs.placement import PLACEMENT_POLICIES, VolumeIndex
-from repro.errors import ConfigError, PowerLossError
+from repro.errors import PowerLossError
 from repro.faults import FaultPlan, FaultSpec
 from repro.salamander.events import MinidiskDecommissioned
 
@@ -97,21 +97,3 @@ class TestVolumeIndex:
         assert cluster.poll_failures() == 1
         assert cluster.recovery.is_failed(volume.volume_id)
 
-
-class TestClaimSlot:
-    def test_claimed_slot_is_not_reallocated(self, make_salamander):
-        cluster = build_cluster(make_salamander, replication=2)
-        volume = next(iter(cluster.volumes.values()))
-        volume.claim_slot(0)
-        volume.claim_slot(0)   # idempotent
-        assert volume.used_slots == 1
-        assert volume.allocate_slot() == 1
-        cluster._audit_volume_index()
-
-    def test_out_of_range_rejected(self, make_salamander):
-        cluster = build_cluster(make_salamander, replication=2)
-        volume = next(iter(cluster.volumes.values()))
-        with pytest.raises(ConfigError):
-            volume.claim_slot(volume.total_slots)
-        with pytest.raises(ConfigError):
-            volume.claim_slot(-1)

@@ -83,7 +83,7 @@ class TestSiteRegistry:
         # One representative per layer; docs/FAULTS.md lists them all.
         for site in ("chip.read", "ftl.drain.post_program", "gc.pre_erase",
                      "salamander.decommission", "difs.recovery.read",
-                     "fleet.step", "engine.step"):
+                     "fleet.step"):
             assert site in SITES
 
 

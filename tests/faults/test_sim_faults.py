@@ -1,4 +1,4 @@
-"""Sim-level faults: fleet device losses, engine crashes, jobs invariance."""
+"""Sim-level faults: fleet device losses, jobs invariance."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.errors import PowerLossError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash.geometry import FlashGeometry
-from repro.sim.engine import Engine
 from repro.sim.fleet import FleetConfig, simulate_fleet
 from repro.sim.parallel import fleet_tasks, run_fleet_grid, sweep_document
 
@@ -100,18 +98,3 @@ class TestJobsInvariance:
                                 faults=LOSS_PLAN)
         assert faulty["faults"]["schema"] == "repro.faults/v1"
 
-
-class TestEngineCrash:
-    def test_step_crash_halts_between_events(self):
-        plan = plan_of(FaultSpec(site="engine.step", fault="crash", when=3))
-        with faults.installed(plan):
-            engine = Engine()
-            ran = []
-            for i in range(6):
-                engine.schedule_at(float(i), lambda i=i: ran.append(i))
-            with pytest.raises(PowerLossError) as excinfo:
-                engine.run()
-            assert excinfo.value.site == "engine.step"
-        # The third popped event was charged but its callback never ran:
-        # the discrete-event analogue of losing power mid-step.
-        assert ran == [0, 1]

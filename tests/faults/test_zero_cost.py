@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro import faults
 from repro.difs.cluster import Cluster, ClusterConfig
 from repro.faults import FaultPlan
-from repro.sim.engine import Engine
 from repro.ssd.ftl import PageMappedFTL
 
 
@@ -30,9 +29,8 @@ class TestDisabledBindings:
         salamander = make_salamander()
         cluster = Cluster(ClusterConfig(replication=2, chunk_lbas=4),
                           seed=1)
-        engine = Engine()
         for layer in (chip, ftl, baseline, salamander, salamander.chip,
-                      cluster, cluster.recovery, engine):
+                      cluster, cluster.recovery):
             assert layer._faults is None, type(layer).__name__
 
     def test_binding_happens_at_construction_not_per_call(self, make_chip,

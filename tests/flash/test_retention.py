@@ -1,17 +1,18 @@
 """Tests for retention-error modelling and scrub-driven data refresh."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ConfigError, UncorrectableError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.sim.clock import SimClock
 from repro.units import DAY
 
 
 @pytest.fixture
 def clocked_chip(tiny_geometry):
-    clock = SimClock()
+    clock = SimpleNamespace(now=0.0)
     chip = FlashChip(tiny_geometry, seed=1, variation_sigma=0.0,
                      retention_rber_per_day=2e-4,
                      now_fn=lambda: clock.now)
@@ -28,14 +29,14 @@ class TestRetention:
     def test_rber_grows_with_data_age(self, clocked_chip):
         chip, clock = clocked_chip
         chip.program(0, [b"a"] * 4)
-        clock.advance(10 * DAY)
+        clock.now += 10 * DAY
         assert chip.data_age_days(0) == pytest.approx(10.0)
         assert chip.rber_of(0) == pytest.approx(10 * 2e-4)
 
     def test_cold_data_eventually_unreadable(self, clocked_chip):
         chip, clock = clocked_chip
         chip.program(0, [b"a"] * 4)
-        clock.advance(200 * DAY)  # RBER 0.04 >> L0 capability ~4.7e-3
+        clock.now += 200 * DAY  # RBER 0.04 >> L0 capability ~4.7e-3
         with pytest.raises(UncorrectableError):
             for _ in range(30):
                 chip.read(0, 0)
@@ -44,14 +45,14 @@ class TestRetention:
         chip, clock = clocked_chip
         chip.program(0, [b"a"] * 4)
         assert chip.required_level(0) == 0
-        clock.advance(40 * DAY)  # RBER 8e-3: past L0, within L1
+        clock.now += 40 * DAY  # RBER 8e-3: past L0, within L1
         assert chip.required_level(0) >= 1
         assert chip.is_overworn(0)
 
     def test_rewrite_resets_the_clock(self, clocked_chip):
         chip, clock = clocked_chip
         chip.program(0, [b"a"] * 4)
-        clock.advance(50 * DAY)
+        clock.now += 50 * DAY
         chip.erase(0)
         chip.program(0, [b"b"] * 4)
         assert chip.data_age_days(0) == 0.0
@@ -59,7 +60,7 @@ class TestRetention:
 
     def test_free_pages_have_no_retention(self, clocked_chip):
         chip, clock = clocked_chip
-        clock.advance(100 * DAY)
+        clock.now += 100 * DAY
         assert chip.rber_of(0) == pytest.approx(0.0)
 
     def test_requires_time_source(self, tiny_geometry):
@@ -74,7 +75,7 @@ class TestScrubRefresh:
     def test_scrubber_refreshes_cold_data(self, tiny_geometry, ftl_config):
         from repro.ssd.ftl import PageMappedFTL
 
-        clock = SimClock()
+        clock = SimpleNamespace(now=0.0)
         chip = FlashChip(tiny_geometry, seed=1, variation_sigma=0.0,
                          retention_rber_per_day=2e-4,
                          now_fn=lambda: clock.now)
@@ -85,13 +86,13 @@ class TestScrubRefresh:
         # Data sits cold just past the L0 retention budget — still readable
         # (uncorrectable sets in sharply around ~1.3x capability) but
         # flagged overworn — and a scrub sweep rewrites it in time.
-        clock.advance(26 * DAY)
+        clock.now += 26 * DAY
         moved = ftl.scrub()
         assert moved >= 24
         for lba in range(24):
             assert ftl.read(lba).rstrip(b"\0") == f"cold-{lba}".encode()
         # Another cold spell is now survivable too (clock was reset).
-        clock.advance(26 * DAY)
+        clock.now += 26 * DAY
         ftl.scrub()
         for lba in range(24):
             assert ftl.read(lba).rstrip(b"\0") == f"cold-{lba}".encode()
@@ -99,14 +100,14 @@ class TestScrubRefresh:
     def test_without_scrub_cold_data_dies(self, tiny_geometry, ftl_config):
         from repro.ssd.ftl import PageMappedFTL
 
-        clock = SimClock()
+        clock = SimpleNamespace(now=0.0)
         chip = FlashChip(tiny_geometry, seed=1, variation_sigma=0.0,
                          retention_rber_per_day=2e-4,
                          now_fn=lambda: clock.now)
         ftl = PageMappedFTL.for_chip(chip, ftl_config)
         ftl.write(0, b"cold")
         ftl.flush()
-        clock.advance(200 * DAY)
+        clock.now += 200 * DAY
         with pytest.raises(UncorrectableError):
             for _ in range(30):
                 ftl.read(0)

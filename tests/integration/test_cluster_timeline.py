@@ -1,8 +1,8 @@
-"""Integration: discrete-event-driven cluster scenarios.
+"""Integration: cluster scenarios on an operations timeline.
 
-Uses the DES engine to orchestrate a realistic operations timeline —
-periodic client traffic, failure-detection sweeps, injected node outages —
-against a Salamander cluster, exercising the event machinery end to end.
+A plain timed loop drives periodic client traffic, failure-detection
+sweeps and an injected node outage against a Salamander cluster, with
+``cluster.time`` carrying the simulated hour into the recovery events.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
-from repro.sim.engine import Engine
 from repro.ssd.ftl import FTLConfig
 from repro.units import HOUR
 
@@ -35,9 +34,8 @@ def build_cluster(nodes: int = 4, pec_limit: int = 14, seed: int = 7):
     return cluster
 
 
-class TestEngineDrivenCluster:
+class TestClusterTimeline:
     def test_timeline_with_traffic_and_maintenance(self):
-        engine = Engine()
         cluster = build_cluster()
         rng = np.random.default_rng(3)
         chunks = 30
@@ -48,9 +46,8 @@ class TestEngineDrivenCluster:
         write_errors = []
 
         def client_tick():
-            cluster.time = engine.clock.now
             i = int(rng.integers(0, chunks))
-            stamp = int(engine.clock.now)
+            stamp = int(cluster.time)
             try:
                 cluster.delete_chunk(f"c{i}")
                 attempted[i] = stamp
@@ -60,22 +57,22 @@ class TestEngineDrivenCluster:
                 write_errors.append(error)
 
         def maintenance_tick():
-            cluster.time = engine.clock.now
             cluster.poll_failures()
             cluster.run_recovery()
 
-        # Recovery sweeps run between every couple of client operations —
-        # production systems react to failure notifications promptly, and
-        # the grace budget only protects a few in-flight decommissions.
-        horizon = 2000 * HOUR
-        engine.schedule_every(0.5 * HOUR, client_tick, until=horizon)
-        engine.schedule_every(1 * HOUR, maintenance_tick, until=horizon)
-        engine.run_until(horizon)
+        # A client operation every half hour, a recovery sweep on the
+        # hour (before that hour's client operation) — production
+        # systems react to failure notifications promptly, and the grace
+        # budget only protects a few in-flight decommissions.
+        for half_hour in range(1, 2 * 2000 + 1):
+            cluster.time = half_hour * 0.5 * HOUR
+            if half_hour % 2 == 0:
+                maintenance_tick()
+            client_tick()
         maintenance_tick()
 
         # Traffic actually ran and wear events actually happened.
         stats = cluster.recovery.stats
-        assert engine.clock.now == horizon
         assert stats.volume_failures > 0
         # Every chunk reads back as its acknowledged generation, or as an
         # unacknowledged-but-durable later attempt (a failed create may
@@ -91,23 +88,17 @@ class TestEngineDrivenCluster:
         assert stats.chunks_lost == 0
 
     def test_injected_node_outage_recovers_elsewhere(self):
-        engine = Engine()
         cluster = build_cluster(pec_limit=200)  # no wear in this scenario
         for i in range(12):
             cluster.create_chunk(f"c{i}", f"data-{i}".encode())
 
-        def kill_node(node_id: str):
-            cluster.time = engine.clock.now
-            for volume in cluster.nodes[node_id].volumes.values():
-                cluster.recovery.volume_failed(volume.volume_id)
-
-        def maintenance_tick():
-            cluster.time = engine.clock.now
+        # Hourly recovery sweeps for a day; node n1 dies at hour 10.
+        for hour in range(1, 25):
+            cluster.time = hour * HOUR
+            if hour == 10:
+                for volume in cluster.nodes["n1"].volumes.values():
+                    cluster.recovery.volume_failed(volume.volume_id)
             cluster.run_recovery()
-
-        engine.schedule_at(10 * HOUR, lambda: kill_node("n1"))
-        engine.schedule_every(1 * HOUR, maintenance_tick, until=24 * HOUR)
-        engine.run_until(24 * HOUR)
 
         # All data recovered onto the surviving three nodes.
         assert cluster.recovery.stats.chunks_lost == 0

@@ -1,4 +1,4 @@
-"""DeviceQueue mechanics: clocks, backpressure, coalescing, errors.
+"""DeviceQueue mechanics: clocks, backpressure, errors.
 
 Timing assertions run with ``variation_sigma=0`` and error injection
 off, so every flash read costs the same deterministic service time.
@@ -99,57 +99,6 @@ class TestDispatch:
             sum(stats.latencies_us) / 3)
         assert stats.mean_latency_us == pytest.approx(
             stats.mean_wait_us + stats.mean_service_us)
-
-
-class TestCoalescing:
-    def test_contiguous_writes_merge(self, device):
-        queue = DeviceQueue(device, coalesce=True)
-        for lba in range(4):
-            queue.submit(IORequest(op="write", lba=16 + lba,
-                                   payloads=[b"m" * 8]))
-        assert queue.stats.dispatched == 0  # still staged
-        queue.flush()
-        assert queue.stats.dispatched == 1
-        assert queue.stats.merged == 3
-        completions = queue.poll()
-        assert completions[0].merged == 4
-        assert completions[0].request.count == 4
-
-    def test_non_contiguous_does_not_merge(self, device):
-        queue = DeviceQueue(device, coalesce=True)
-        queue.submit(IORequest(op="write", lba=16, payloads=[b"a" * 8]))
-        queue.submit(IORequest(op="write", lba=20, payloads=[b"b" * 8]))
-        queue.flush()
-        assert queue.stats.merged == 0
-        assert queue.stats.dispatched == 2
-
-    def test_execute_flushes_staged_first(self, device):
-        # Read-after-staged-write must see the write: execute()
-        # dispatches the staged request before its own.
-        queue = DeviceQueue(device, coalesce=True)
-        queue.submit(IORequest(op="write", lba=16, payloads=[b"q" * 8]))
-        completion = queue.execute(read_request(16))
-        assert completion.result[0].rstrip(b"\0") == b"q" * 8
-
-    def test_merge_respects_cap(self, device):
-        from repro.io.queue import MAX_MERGE_LBAS
-        queue = DeviceQueue(device, coalesce=True)
-        staged = IORequest(op="read_range", lba=0, count=MAX_MERGE_LBAS)
-        queue._staged = staged
-        assert not queue._try_merge(
-            IORequest(op="read_range", lba=MAX_MERGE_LBAS, count=1), None)
-
-
-    def test_merging_leaves_the_submitters_payload_lists_alone(self, device):
-        # The diFS hands every replica of a chunk the same page list.
-        queue = DeviceQueue(device, coalesce=True)
-        shared = [b"p" * 8, b"q" * 8]
-        queue.submit(IORequest(op="write", lba=16, payloads=shared))
-        queue.submit(IORequest(op="write", lba=18, payloads=shared))
-        queue.flush()
-        assert shared == [b"p" * 8, b"q" * 8]
-        assert queue.poll()[0].request.count == 4
-        assert device.read(19).rstrip(b"\0") == b"q" * 8
 
 
 class TestOneCallPerRequest:
@@ -305,7 +254,7 @@ class TestColumnDispatch:
         drained = by_columns.drain()
         assert [row[0] for row in drained] == [1, 3, 5, 7]
         assert [(c.result, type(c.error), c.submit_us, c.start_us,
-                 c.end_us, c.work_us, c.merged) for c in polled] == [
+                 c.end_us, c.work_us) for c in polled] == [
             (row[1], type(row[2])) + row[3:] for row in drained]
         assert by_columns.inflight == 0
 
@@ -388,62 +337,6 @@ class TestAddressing:
 
 
 class TestDeadlines:
-    def test_coalescing_keeps_min_deadline(self, device):
-        # A merged request must inherit the *tightest* deadline of its
-        # constituents — otherwise coalescing would quietly relax SLOs.
-        queue = DeviceQueue(device, coalesce=True)
-        queue.submit(IORequest(op="write", lba=16, payloads=[b"a" * 8],
-                               deadline_us=900.0))
-        queue.submit(IORequest(op="write", lba=17, payloads=[b"b" * 8],
-                               deadline_us=300.0))
-        queue.submit(IORequest(op="write", lba=18, payloads=[b"c" * 8],
-                               deadline_us=500.0))
-        assert queue._staged.deadline_us == 300.0
-
-    def test_merge_with_undated_neighbour_keeps_deadline(self, device):
-        queue = DeviceQueue(device, coalesce=True)
-        queue.submit(IORequest(op="write", lba=16, payloads=[b"a" * 8]))
-        queue.submit(IORequest(op="write", lba=17, payloads=[b"b" * 8],
-                               deadline_us=250.0))
-        assert queue._staged.deadline_us == 250.0
-        queue.submit(IORequest(op="write", lba=18, payloads=[b"c" * 8]))
-        assert queue._staged.deadline_us == 250.0
-
-    def test_all_undated_merge_has_no_deadline(self, device):
-        queue = DeviceQueue(device, coalesce=True)
-        queue.submit(IORequest(op="write", lba=16, payloads=[b"a" * 8]))
-        queue.submit(IORequest(op="write", lba=17, payloads=[b"b" * 8]))
-        assert queue._staged.deadline_us is None
-
-    def test_merged_miss_counts_every_blown_member(self, device):
-        # Per-member accounting: a coalesced dispatch that finishes late
-        # counts one miss per absorbed request whose own deadline it
-        # blew — previously a merged dispatch could only ever count 1.
-        queue = DeviceQueue(device, coalesce=True)
-        for lba, deadline in ((16, -1.0), (17, -1.0), (18, -1.0)):
-            queue.submit(IORequest(op="write", lba=lba,
-                                   payloads=[bytes([lba]) * 8],
-                                   deadline_us=deadline))
-        queue.flush()
-        (completion,) = queue.poll()
-        assert completion.request.count == 3  # really one merged dispatch
-        assert completion.deadline_missed
-        assert queue.stats.deadline_misses == 3
-
-    def test_merged_miss_spares_members_with_slack(self, device):
-        # Only the members whose own deadlines were blown count: a
-        # generous deadline inside the same merge is not a miss.
-        queue = DeviceQueue(device, coalesce=True)
-        for lba, deadline in ((16, -1.0), (17, 1e9), (18, -1.0)):
-            queue.submit(IORequest(op="write", lba=lba,
-                                   payloads=[bytes([lba]) * 8],
-                                   deadline_us=deadline))
-        queue.flush()
-        (completion,) = queue.poll()
-        assert completion.request.count == 3
-        assert completion.deadline_missed
-        assert queue.stats.deadline_misses == 2
-
     def test_miss_counted_and_ratio_published(self, device):
         from repro import obs
 
@@ -466,24 +359,6 @@ class TestDeadlines:
 
 
 class TestTraceHandoff:
-    def test_merge_adopts_absorbed_requests_context(self, device):
-        from repro.obs import reqtrace
-
-        with reqtrace.installed(reqtrace.ReqTracer(seed=1, every=1)):
-            queue = DeviceQueue(device, coalesce=True)
-        ctx_a = object.__new__(reqtrace.ReqContext)
-        first = IORequest(op="write", lba=16, payloads=[b"a" * 8])
-        queue._staged = first
-        merged = queue._try_merge(
-            IORequest(op="write", lba=17, payloads=[b"b" * 8]), None)
-        assert merged
-        assert first.trace is None
-        # Now hand a sampled request to an unsampled staged neighbour.
-        second = IORequest(op="write", lba=18, payloads=[b"c" * 8])
-        second.trace = ctx_a
-        assert queue._try_merge(second, None)
-        assert first.trace is ctx_a
-
     def test_sampled_request_produces_record(self, device):
         from repro.obs import reqtrace
 

@@ -64,11 +64,6 @@ class TestMixedLevels:
 
 
 class TestAbsoluteLatencies:
-    def test_large_read_slower_at_l1(self):
-        model = PerformanceModel()
-        assert (model.large_read_latency_us(1)
-                > model.large_read_latency_us(0))
-
     def test_small_reads_unaffected_by_level(self):
         # §4.2: "small, random accesses ... likely have the same latency".
         model = PerformanceModel()

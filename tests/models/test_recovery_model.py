@@ -7,7 +7,6 @@ from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
 from repro.models.recovery import (
     RecoveryModel,
-    recovery_traffic_summary,
     total_failed_capacity_fraction,
 )
 from repro.sim.fleet import FleetConfig, simulate_fleet
@@ -34,14 +33,6 @@ class TestAnalyticBound:
 
 
 class TestTrafficModel:
-    def test_bytes_scaling(self):
-        model = RecoveryModel(utilization=0.5, read_write_cost=2.0)
-        assert model.traffic_bytes(1000) == pytest.approx(1000.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            RecoveryModel().traffic_bytes(-1)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             RecoveryModel(utilization=0.0)
@@ -71,13 +62,5 @@ class TestFleetIntegration:
 
     def test_cumulative_is_monotone(self, results):
         model = RecoveryModel()
-        cumulative = model.cumulative_traffic(results["shrink"])
+        cumulative = np.cumsum(model.traffic_series(results["shrink"]))
         assert np.all(np.diff(cumulative) >= 0)
-
-    def test_summary_rows(self, results):
-        rows = recovery_traffic_summary(results)
-        by_mode = {row["mode"]: row for row in rows}
-        assert by_mode["regen"]["analytic_failed_fraction"] == \
-            pytest.approx(1.75)
-        assert by_mode["baseline"]["analytic_failed_fraction"] == 1.0
-        assert by_mode["shrink"]["total_traffic_bytes"] > 0

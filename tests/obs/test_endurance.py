@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import faults
@@ -38,7 +37,6 @@ from repro.obs.endurance import (
     write_endurance,
 )
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
-from repro.ssd.wear import select_cold_closed_block
 
 FLAVOURS = ("ftl", "baseline", "cvss", "salamander", "regen")
 
@@ -523,75 +521,3 @@ class TestJobsInvariance:
         validate_endurance_records(merged)
         # The probes' scope-installed ledgers must not leak.
         assert not endurance.enabled()
-
-
-class TestWearLeveling:
-    def test_level_wear_charged_to_wear_level_cause(self, make_chip,
-                                                    ftl_config):
-        with endurance.installed():
-            device = PageMappedFTL.for_chip(make_chip(seed=9), ftl_config)
-            churn(device, passes=4)
-            # Free up logical space so the leveler's relocation target
-            # allocation cannot hit the GC reserve.
-            for lba in range(int(device.capacity_lbas) // 2):
-                device.trim(lba)
-            device.flush()
-            handle = device.chip._endurance
-            assert handle.erases["wear_level"] == 0
-            moved = device.level_wear(min_spread=0)
-            # A victim existed (churn left closed blocks), so its erase
-            # and every survivor relocation land on the wear_level
-            # cause — and nowhere else.
-            assert handle.erases["wear_level"] == 1
-            assert handle.program_opages["wear_level"] == moved
-            assert moved > 0, "cold victim held no survivors"
-        assert_ledger_matches_chip(device)
-
-    def test_select_cold_closed_block(self):
-        assert select_cold_closed_block(
-            np.array([], dtype=np.int64),
-            np.array([3, 1, 2], dtype=np.int64)) is None
-        closed = np.array([0, 1, 2], dtype=np.int64)
-        counts = np.array([5, 2, 2, 9], dtype=np.int64)
-        # Ties break to the lowest block id, deterministically.
-        assert select_cold_closed_block(closed, counts) == 1
-
-
-class TestClusterWear:
-    def test_wear_stats_aggregate_each_chip_once(self, make_baseline,
-                                                 make_salamander):
-        from repro.difs.cluster import Cluster, ClusterConfig
-
-        with endurance.installed():
-            cluster = Cluster(ClusterConfig(replication=2, chunk_lbas=4),
-                              seed=11)
-            cluster.add_node("n0")
-            cluster.add_node("n1")
-            cluster.add_device("n0", make_salamander(seed=1))
-            cluster.add_device("n1", make_baseline(seed=2))
-            for i in range(12):
-                cluster.create_chunk(f"c{i}", bytes([i]) * 16)
-            stats = cluster.wear_stats()
-        # The Salamander device contributes many minidisk volumes but
-        # exactly one chip: it must be counted once.
-        assert stats["devices"] == 2
-        assert sum(stats["program_opages"].values()) == \
-            stats["total_program_opages"]
-        assert sum(stats["erases"].values()) == stats["total_erases"]
-        host = stats["program_opages"]["host"]
-        assert host > 0
-        assert stats["waf"] == pytest.approx(
-            1.0 + (stats["total_program_opages"] - host) / host)
-
-    def test_wear_stats_zero_without_ledger(self, make_baseline):
-        from repro.difs.cluster import Cluster, ClusterConfig
-
-        cluster = Cluster(ClusterConfig(replication=1, chunk_lbas=4),
-                          seed=3)
-        cluster.add_node("n0")
-        cluster.add_device("n0", make_baseline())
-        cluster.create_chunk("c", b"x")
-        stats = cluster.wear_stats()
-        assert stats["devices"] == 0
-        assert stats["total_program_opages"] == 0
-        assert stats["waf"] is None

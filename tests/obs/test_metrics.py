@@ -9,7 +9,6 @@ from repro import obs
 from repro.errors import ConfigError
 from repro.obs import (
     MetricsRegistry,
-    parse_prometheus_text,
     render_prometheus,
     validate_metrics_document,
 )
@@ -107,16 +106,6 @@ class TestHistogram:
         assert child.cumulative_buckets() == [
             (1.0, 1), (2.0, 3), (5.0, 3), (math.inf, 4)]
 
-    def test_percentile_estimates(self):
-        family = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 5.0))
-        for value in (0.5, 1.5, 1.7, 3.0):
-            family.observe(value)
-        child = family.labels()
-        assert child.percentile(50) == 2.0
-        assert child.percentile(100) == 5.0
-        assert MetricsRegistry().histogram("h2").labels().percentile(50) \
-            == 0.0
-
     def test_bad_buckets_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ConfigError):
@@ -160,23 +149,17 @@ class TestExport:
         with pytest.raises(ConfigError):
             validate_metrics_document({"schema": "nope", "metrics": []})
 
-    def test_prometheus_round_trip(self):
+    def test_prometheus_rendering(self):
         registry = self._populated()
         text = registry.to_prometheus()
-        parsed = parse_prometheus_text(text)
-        assert parsed["repro_x_total"]["type"] == "counter"
-        assert parsed["repro_x_total"]["samples"][
-            (("device", "dev0"),)] == 3.0
-        assert parsed["repro_g"]["samples"][()] == 1.5
-        histogram = parsed["repro_h_bucket"]["samples"]
-        assert histogram[(("le", "0.1"),)] == 1.0
-        assert histogram[(("le", "+Inf"),)] == 2.0
-        assert parsed["repro_h_count"]["samples"][()] == 2.0
-
-    def test_prometheus_render_parse_identity(self):
-        text = render_prometheus(self._populated().to_dict())
-        assert parse_prometheus_text(text) == parse_prometheus_text(
-            render_prometheus(self._populated().to_dict()))
+        assert text == render_prometheus(self._populated().to_dict())
+        lines = text.splitlines()
+        assert "# TYPE repro_x_total counter" in lines
+        assert 'repro_x_total{device="dev0"} 3.0' in lines
+        assert "repro_g 1.5" in lines
+        assert 'repro_h_bucket{le="0.1"} 1' in lines
+        assert 'repro_h_bucket{le="+Inf"} 2' in lines
+        assert "repro_h_count 2" in lines
 
     def test_collect_hook_runs_at_export(self):
         registry = MetricsRegistry()

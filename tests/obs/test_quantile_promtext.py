@@ -1,4 +1,4 @@
-"""Histogram quantile interpolation and promtext parser robustness."""
+"""Histogram quantile interpolation and promtext rendering."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.obs.metrics import (
     quantile_from_cumulative,
     quantile_from_sample,
 )
-from repro.obs.promtext import parse_prometheus_text, render_prometheus
+from repro.obs.promtext import render_prometheus
 
 
 class TestQuantileFromCumulative:
@@ -71,47 +71,20 @@ class TestHistogramQuantile:
             quantile_from_sample({"sum": 1.0, "count": 2}, 0.5)
 
 
-class TestPromtextLabelParsing:
-    def test_trailing_comma_is_legal(self):
-        # The exposition format explicitly permits {a="1",}.
-        parsed = parse_prometheus_text('m{a="1",} 2.0\n')
-        assert parsed["m"]["samples"][(("a", "1"),)] == 2.0
-
-    def test_escape_round_trip(self):
+class TestPromtextRendering:
+    def test_label_values_are_escaped(self):
         nasty = 'back\\slash "quote"\nnewline'
         document = {"metrics": [{
             "type": "gauge", "name": "m", "help": "",
             "samples": [{"labels": {"path": nasty}, "value": 1.0}],
         }]}
-        text = render_prometheus(document)
-        parsed = parse_prometheus_text(text)
-        assert parsed["m"]["samples"][(("path", nasty),)] == 1.0
+        assert render_prometheus(document) == (
+            '# TYPE m gauge\n'
+            'm{path="back\\\\slash \\"quote\\"\\nnewline"} 1.0\n')
 
-    @pytest.mark.parametrize("line", [
-        'm{a} 1.0',            # no '='
-        'm{a=1} 1.0',          # unquoted value
-        'm{a="1} 1.0',         # unterminated value
-        'm{="1"} 1.0',         # empty label name
-        'm{a="1" 1.0',         # missing '}'
-        'm 1.0 extra junk',    # too many fields
-        'm not-a-number',      # bad sample value
-        '# TYPE m',            # malformed TYPE comment
-    ])
-    def test_malformed_input_raises_config_error(self, line):
-        with pytest.raises(ConfigError):
-            parse_prometheus_text(line + "\n")
-
-    def test_special_values_round_trip(self):
-        parsed = parse_prometheus_text(
-            "m_nan NaN\nm_pinf +Inf\nm_ninf -Inf\n")
-        assert math.isnan(parsed["m_nan"]["samples"][()])
-        assert parsed["m_pinf"]["samples"][()] == math.inf
-        assert parsed["m_ninf"]["samples"][()] == -math.inf
-
-    def test_counter_total_suffix_round_trip(self):
+    def test_counter_gets_total_suffix(self):
         registry = MetricsRegistry()
         registry.counter("repro_ops", "ops").inc(3)
-        parsed = parse_prometheus_text(
-            render_prometheus(registry.to_dict()))
-        assert parsed["repro_ops_total"]["type"] == "counter"
-        assert parsed["repro_ops_total"]["samples"][()] == 3.0
+        lines = render_prometheus(registry.to_dict()).splitlines()
+        assert "# TYPE repro_ops_total counter" in lines
+        assert "repro_ops_total 3.0" in lines

@@ -303,27 +303,6 @@ class TestSingletonWiring:
         assert csv_path.read_text().startswith("name,labels,")
 
 
-class TestEngineIntegration:
-    def test_engine_offers_samples_to_active_sampler(self):
-        from repro.sim.engine import Engine
-
-        sampler = TimeseriesSampler(cadence=0.0)
-        with obs.enabled(timeseries_sampler=sampler):
-            engine = Engine()
-            state = {"n": 0}
-            sampler.add_probe("repro_events", lambda: float(state["n"]))
-
-            def tick():
-                state["n"] += 1
-
-            engine.schedule_every(1.0, tick, until=5.0)
-            engine.run()
-        series = sampler.get_series("repro_events")
-        assert series is not None
-        assert len(series) >= 5
-        assert series.values[-1] >= 4.0
-
-
 class TestFleetIntegration:
     def test_fleet_emits_smart_and_outcome_series(self):
         from repro.flash.geometry import FlashGeometry

@@ -7,7 +7,6 @@ import pytest
 from repro import obs
 from repro.errors import ConfigError
 from repro.obs import SimTimeTracer
-from repro.sim.clock import SimClock
 
 
 class FakeClock:
@@ -32,12 +31,6 @@ class TestClock:
         tracer = SimTimeTracer(clock=clock)
         clock.now = 9.0
         assert tracer.now() == 9.0
-
-    def test_accepts_sim_clock(self):
-        clock = SimClock()
-        tracer = SimTimeTracer(clock=clock)
-        clock.advance(2.5)
-        assert tracer.now() == 2.5
 
     def test_set_clock_swaps_source(self):
         tracer = SimTimeTracer()

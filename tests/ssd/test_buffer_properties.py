@@ -19,31 +19,30 @@ class TestBufferProperties:
             if key not in buffer:
                 order.append(key)
             buffer.put(key, payload)
-        drained = [k for k, _ in buffer.pop_batch(100)]
+        drained = [k for k, _ in buffer.peek_batch(100)]
         assert drained == order
 
     @given(writes=ops, keep=st.sets(st.integers(0, 15)))
-    def test_filtered_pop_leaves_others_untouched(self, writes, keep):
+    def test_filtered_peek_takes_only_wanted_keys(self, writes, keep):
         buffer = WriteBuffer(64)
         latest = {}
         for key, payload in writes:
             buffer.put(key, payload)
             latest[key] = payload
-        taken = buffer.pop_batch(100, keys=keep)
-        assert all(key in keep for key, _ in taken)
+        taken = buffer.peek_batch(100, keys=keep)
+        assert {key for key, _ in taken} == keep & set(latest)
         for key, payload in taken:
             assert payload == latest[key]
-        # Everything not taken is still present with its latest payload.
+        # Nothing left the buffer, taken or not.
         for key, payload in latest.items():
-            if key not in keep:
-                assert buffer.get(key) == payload
+            assert buffer.get(key) == payload
 
     @given(writes=ops, count=st.integers(0, 10))
-    def test_pop_respects_count(self, writes, count):
+    def test_peek_respects_count(self, writes, count):
         buffer = WriteBuffer(64)
         for key, payload in writes:
             buffer.put(key, payload)
         size_before = len(buffer)
-        taken = buffer.pop_batch(count)
+        taken = buffer.peek_batch(count)
         assert len(taken) == min(count, size_before)
-        assert len(buffer) == size_before - len(taken)
+        assert len(buffer) == size_before

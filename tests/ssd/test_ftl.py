@@ -20,7 +20,6 @@ class TestConfig:
         {"overprovision": 1.0},
         {"gc_reserve_blocks": 0},
         {"buffer_opages": 0},
-        {"gc_policy": "nonsense"},
         {"max_level": -1},
     ])
     def test_validation(self, kwargs):
@@ -147,16 +146,6 @@ class TestGarbageCollection:
         worked = counts[counts > 0]
         assert worked.size > 1
         assert counts.max() - counts.min() <= max(4, 0.5 * counts.mean())
-
-    def test_cost_benefit_policy_also_works(self, make_chip):
-        config = FTLConfig(overprovision=0.25, buffer_opages=8,
-                           gc_policy="cost-benefit")
-        ftl = PageMappedFTL.for_chip(make_chip(variation_sigma=0.0), config)
-        rng = np.random.default_rng(3)
-        for i in range(4 * ftl.n_lbas):
-            lba = int(rng.integers(0, ftl.n_lbas // 2))
-            ftl.write(lba, stamp_payload(lba, i))
-        assert ftl.stats.erases > 0
 
 
 class TestAccounting:

@@ -1,8 +1,8 @@
-"""Unit tests for GC victim selection policies."""
+"""Unit tests for GC victim selection."""
 
 import numpy as np
 
-from repro.ssd.gc import CostBenefitGC, GreedyGC
+from repro.ssd.gc import GreedyGC
 
 
 class TestGreedy:
@@ -32,41 +32,3 @@ class TestGreedy:
             capacities=np.array([32, 32]),
             ages=np.array([0, 1000]))
         assert victim == 1
-
-
-class TestCostBenefit:
-    def test_prefers_empty_over_full(self):
-        policy = CostBenefitGC()
-        victim = policy.choose_victim(
-            np.array([1, 2]),
-            valid_counts=np.array([30, 2]),
-            capacities=np.array([32, 32]),
-            ages=np.array([1, 1]))
-        assert victim == 2
-
-    def test_age_can_outweigh_slightly_higher_utilisation(self):
-        policy = CostBenefitGC()
-        victim = policy.choose_victim(
-            np.array([1, 2]),
-            valid_counts=np.array([16, 14]),
-            capacities=np.array([32, 32]),
-            ages=np.array([100, 1]))
-        assert victim == 1
-
-    def test_fully_valid_block_scores_zero(self):
-        policy = CostBenefitGC()
-        victim = policy.choose_victim(
-            np.array([1, 2]),
-            valid_counts=np.array([32, 31]),
-            capacities=np.array([32, 32]),
-            ages=np.array([1000, 1]))
-        assert victim == 2
-
-    def test_handles_zero_capacity_blocks(self):
-        policy = CostBenefitGC()
-        victim = policy.choose_victim(
-            np.array([1, 2]),
-            valid_counts=np.array([0, 0]),
-            capacities=np.array([0, 32]),
-            ages=np.array([1, 1]))
-        assert victim in (1, 2)  # must not divide by zero

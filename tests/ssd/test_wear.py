@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import OutOfSpaceError
-from repro.ssd.wear import select_min_wear_block, wear_imbalance
+from repro.ssd.wear import select_min_wear_block
 
 
 class TestSelectMinWear:
@@ -21,15 +21,3 @@ class TestSelectMinWear:
         with pytest.raises(OutOfSpaceError):
             select_min_wear_block(np.array([], dtype=np.int64),
                                   np.array([1, 2]))
-
-
-class TestImbalance:
-    def test_even_wear_is_zero(self):
-        assert wear_imbalance(np.array([4, 4, 4])) == 0.0
-
-    def test_unworn_device_is_zero(self):
-        assert wear_imbalance(np.array([0, 0])) == 0.0
-        assert wear_imbalance(np.array([], dtype=np.int64)) == 0.0
-
-    def test_skewed_wear_positive(self):
-        assert wear_imbalance(np.array([1, 1, 10])) > 1.0

@@ -22,7 +22,7 @@ class TestBasics:
         assert len(buf) == 2
         assert buf.get(1) == b"new"
         # Drain order unchanged: 1 was inserted first, stays first.
-        assert [k for k, _ in buf.pop_batch(2)] == [1, 2]
+        assert [k for k, _ in buf.peek_batch(2)] == [1, 2]
 
     def test_full_rejects_new_keys_but_not_overwrites(self):
         buf = WriteBuffer(2)
@@ -41,29 +41,29 @@ class TestBasics:
         assert len(buf) == 0
 
 
-class TestPopBatch:
+class TestPeekBatch:
     def test_fifo_order(self):
         buf = WriteBuffer(8)
         for key in (5, 3, 9):
             buf.put(key, str(key).encode())
-        assert [k for k, _ in buf.pop_batch(3)] == [5, 3, 9]
+        assert [k for k, _ in buf.peek_batch(3)] == [5, 3, 9]
 
     def test_partial_batch(self):
         buf = WriteBuffer(8)
         buf.put(1, b"a")
-        batch = buf.pop_batch(4)
+        batch = buf.peek_batch(4)
         assert batch == [(1, b"a")]
-        assert len(buf) == 0
+        assert len(buf) == 1
 
     def test_zero_count(self):
         buf = WriteBuffer(8)
         buf.put(1, b"a")
-        assert buf.pop_batch(0) == []
+        assert buf.peek_batch(0) == []
         assert len(buf) == 1
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigError):
-            WriteBuffer(8).pop_batch(-1)
+            WriteBuffer(8).peek_batch(-1)
 
     def test_keys_view(self):
         buf = WriteBuffer(8)

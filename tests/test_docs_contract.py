@@ -32,6 +32,13 @@ dotted name (``Class.method``, ``repro.io.queue.DeviceQueue``), class or
 constant name and file path must resolve in the IO stack. Bare
 lower-case spans there are mostly parameters and metric names, which
 nothing can vouch for.
+
+Two catalogs are held both ways: the site tables of docs/FAULTS.md
+against ``repro.faults.SITES``, and the metric tables of
+docs/OBSERVABILITY.md against the names ``repro/obs/instruments.py``
+registers. EXPERIMENTS.md and docs/TUTORIAL.md may only name ``repro.*``
+things that import, and every name in DESIGN.md's "Reached only by
+tests" ledger must still be an attribute of its owner.
 """
 
 from __future__ import annotations
@@ -501,3 +508,132 @@ def test_resolver_flags_a_removed_name():
     assert not resolves("repro.sim.gone.anything")
     assert dotted_names("`repro.sweep/v1` and `repro.sim.shard`") == {
         "repro.sim.shard"}
+
+
+# -- catalogs, both ways -----------------------------------------------------
+
+def table_first_cells(text: str, *header: str) -> list[str]:
+    """First cell (back-ticks stripped) of every data row of every
+    markdown table whose header row starts with ``header``."""
+    cells, inside = [], False
+    for line in text.splitlines():
+        row = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.lstrip().startswith("|"):
+            inside = False
+        elif tuple(row[:len(header)]) == header:
+            inside = True
+        elif inside and row[0].strip("`-: "):
+            cells.append(row[0].strip("`"))
+    return cells
+
+
+def fault_site_drift(text: str) -> tuple[list[str], list[str]]:
+    """(sites the document never names, table rows that are no site)."""
+    spans = set(_CODE_SPAN.findall(text))
+    rows = table_first_cells(text, "site")
+    return (sorted(set(repro.faults.SITES) - spans),
+            sorted(set(rows) - set(repro.faults.SITES)))
+
+
+def test_fault_sites_and_the_faults_doc_agree():
+    text = (DOCS / "FAULTS.md").read_text()
+    assert "ftl.drain.post_program" in table_first_cells(text, "site")
+    assert fault_site_drift(text) == ([], [])
+
+
+def test_fault_site_check_flags_the_parent_text():
+    undocumented, unknown = fault_site_drift(
+        "| site | faults | context | semantics |\n|---|---|---|---|\n"
+        "| `fleet.step` | `device_loss` | `mode, step, day` | kills |\n"
+        "| `engine.step` | `crash` | `time` | raises between events |\n")
+    assert unknown == ["engine.step"]
+    assert "chip.read" in undocumented and "fleet.step" not in undocumented
+
+
+_METRIC = re.compile(r'"(repro_[a-z0-9_]+)"')
+
+
+def metric_drift(text: str) -> tuple[list[str], list[str]]:
+    """(instruments the catalog lacks, catalog rows nothing registers)."""
+    rows = [cell for cell in table_first_cells(text, "name", "type")
+            if cell.startswith("repro_")]
+    instruments = set(_METRIC.findall(
+        (ROOT / "src/repro/obs/instruments.py").read_text()))
+    registered = {name for tree in ("src/repro", "benchmarks")
+                  for path in (ROOT / tree).rglob("*.py")
+                  for name in _METRIC.findall(path.read_text())}
+    return sorted(instruments - set(rows)), sorted(set(rows) - registered)
+
+
+def test_instruments_and_the_metric_catalog_agree():
+    text = (DOCS / "OBSERVABILITY.md").read_text()
+    assert "repro_io_latency_us" in table_first_cells(text, "name", "type")
+    assert metric_drift(text) == ([], [])
+
+
+def test_metric_check_flags_the_parent_text():
+    uncatalogued, unregistered = metric_drift(
+        "| name | type | labels | unit | meaning |\n|---|---|---|---|---|\n"
+        "| `repro_io_errors_total` | counter | device_kind | requests | x |\n"
+        "| `repro_io_merged_total` | counter | device_kind | requests | x |\n"
+        "| `repro_engine_queue_depth` | gauge | — | events | live events |\n")
+    assert unregistered == ["repro_engine_queue_depth",
+                            "repro_io_merged_total"]
+    assert "repro_io_latency_us" in uncatalogued
+    assert "repro_io_errors_total" not in uncatalogued
+
+
+@pytest.mark.parametrize("document", ["EXPERIMENTS.md", "docs/TUTORIAL.md"])
+def test_experiment_and_tutorial_names_resolve(document):
+    names = dotted_names((ROOT / document).read_text())
+    assert names, f"{document} names nothing under repro.*"
+    missing = sorted(name for name in names if not resolves(name))
+    assert not missing, (
+        f"{document} names things that no longer exist: {missing}")
+
+
+def test_name_check_flags_the_parent_sentences():
+    names = dotted_names(
+        "(`Cluster.audit`), **data balancer** (`repro.difs.rebalance`) and "
+        "Other tools: `repro.difs.rebalance(cluster)` (load balancer), "
+        "**M/D/c latency-under-load model** (`repro.models.queueing`)")
+    assert names == {"repro.difs.rebalance", "repro.models.queueing"}
+    assert [n for n in names if not resolves(n)] == ["repro.difs.rebalance"]
+
+
+# -- the ledger of what only tests reach -------------------------------------
+
+_LEDGER_ROW = re.compile(r"^- `(repro(?:\.\w+)+)`: (.+)$", re.M)
+
+
+def ledger_members(text: str) -> list[tuple[str, str]]:
+    """(owner, member) for every row ``- `repro.owner`: `a`, `b` ...``
+    of DESIGN.md's "Reached only by tests, and why it stays"."""
+    text = section(text, "Reached only by tests, and why it stays")
+    return [(owner, member.split("(")[0])
+            for owner, rest in _LEDGER_ROW.findall(text.replace("\n  ", " "))
+            for member in _CODE_SPAN.findall(rest)]
+
+
+def test_every_ledger_name_is_still_an_attribute():
+    members = ledger_members((ROOT / "DESIGN.md").read_text())
+    assert ("repro.ssd.ftl.PageMappedFTL", "_audit_fastpath") in members
+    assert len(members) > 150
+    gone = sorted(f"{owner}.{member}" for owner, member in members
+                  if not resolves_in(pkgutil.resolve_name(owner), member))
+    assert not gone, (
+        f"DESIGN.md's ledger keeps names that no longer exist: {gone}")
+
+
+def test_ledger_check_flags_a_removed_name():
+    members = ledger_members(
+        "\n## Reached only by tests, and why it stays\n\n"
+        "- `repro.difs.cluster.Cluster`: `audit`,\n  `wear_stats`\n"
+        "- `repro.units`: `format_size`, `parse_size(text)`\n")
+    assert members == [("repro.difs.cluster.Cluster", "audit"),
+                       ("repro.difs.cluster.Cluster", "wear_stats"),
+                       ("repro.units", "format_size"),
+                       ("repro.units", "parse_size")]
+    assert [m for o, m in members
+            if not resolves_in(pkgutil.resolve_name(o), m)] == [
+        "wear_stats", "parse_size"]

@@ -1,14 +1,38 @@
 """The package's public API surface is importable and coherent."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
+
+#: Exports the PR 21 reachability audit retired, by package.
+RETIRED = {
+    "repro.sim": ("Engine", "SimClock"),
+    "repro.difs": ("rebalance", "RebalanceReport"),
+    "repro.workloads": ("DWPDSchedule",),
+    "repro.models": ("recovery_traffic_summary",),
+    "repro.obs": ("parse_prometheus_text",),
+    "repro.ssd": ("CostBenefitGC",),
+}
 
 
 class TestPublicAPI:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
+
+    def test_every_subpackage_export_resolves(self):
+        packages = [info.name for info in pkgutil.iter_modules(
+            repro.__path__, "repro.") if info.ispkg]
+        assert set(RETIRED) <= set(packages)
+        for package in packages:
+            module = importlib.import_module(package)
+            for name in module.__all__:
+                assert hasattr(module, name), f"{package}.{name}"
+            for name in RETIRED.get(package, ()):
+                assert not hasattr(module, name), f"{package}.{name}"
 
     def test_version(self):
         assert repro.__version__ == "0.1.0"

@@ -2,18 +2,7 @@
 
 import pytest
 
-from repro.units import (
-    DAY,
-    GIB,
-    KIB,
-    MIB,
-    YEAR,
-    format_duration,
-    format_size,
-    require_fraction,
-    require_multiple,
-    require_positive,
-)
+from repro.units import GIB, KIB, MIB, format_size
 
 
 class TestFormatSize:
@@ -27,63 +16,3 @@ class TestFormatSize:
     ])
     def test_examples(self, value, expected):
         assert format_size(value) == expected
-
-
-class TestFormatDuration:
-    @pytest.mark.parametrize("value,expected", [
-        (0.5e-6, "0.50 us"),
-        (2.5e-3, "2.50 ms"),
-        (1.5, "1.50 s"),
-        (90, "1.5 min"),
-        (2 * 3600, "2.0 h"),
-        (3 * DAY, "3.0 d"),
-        (2 * YEAR, "2.00 yr"),
-        (-90, "-1.5 min"),
-    ])
-    def test_examples(self, value, expected):
-        assert format_duration(value) == expected
-
-
-class TestParseSize:
-    @pytest.mark.parametrize("text,expected", [
-        ("4096", 4096),
-        ("4KiB", 4 * KIB),
-        ("4 kib", 4 * KIB),
-        ("1.5M", int(1.5 * MIB)),
-        ("2GiB", 2 * GIB),
-        ("0B", 0),
-    ])
-    def test_examples(self, text, expected):
-        from repro.units import parse_size
-        assert parse_size(text) == expected
-
-    @pytest.mark.parametrize("bad", ["", "KiB", "4XB", "-1KiB", "1.0001B"])
-    def test_rejects_garbage(self, bad):
-        from repro.units import parse_size
-        with pytest.raises(ValueError):
-            parse_size(bad)
-
-    def test_roundtrips_format_size(self):
-        from repro.units import format_size, parse_size
-        for value in (KIB, 3 * MIB, 2 * GIB):
-            assert parse_size(format_size(value)) == value
-
-
-class TestValidators:
-    def test_require_positive(self):
-        require_positive("x", 1)
-        with pytest.raises(ValueError):
-            require_positive("x", 0)
-
-    def test_require_fraction(self):
-        require_fraction("x", 0.0)
-        require_fraction("x", 1.0)
-        with pytest.raises(ValueError):
-            require_fraction("x", 1.01)
-
-    def test_require_multiple(self):
-        require_multiple("x", 8, 4)
-        with pytest.raises(ValueError):
-            require_multiple("x", 9, 4)
-        with pytest.raises(ValueError):
-            require_multiple("x", 0, 4)
