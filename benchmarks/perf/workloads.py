@@ -24,7 +24,7 @@ import numpy as np
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.io import DeviceQueue, IORequest
-from repro.sim.fleet import FleetConfig, simulate_fleet
+from repro.sim.fleet import FleetConfig, forget_hardware, simulate_fleet
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
 
@@ -523,9 +523,11 @@ def fleet_step_micro() -> dict:
     holds, so 16 devices is about where the columnar walk meets the
     per-device loop it replaced (docs/PERFORMANCE.md, "The columnar
     fleet walk"): this bench watches that fixed cost, and
-    ``fleet_wide_micro`` the per-device one.
+    ``fleet_wide_micro`` the per-device one. Every round is a cold
+    run: the hardware tables a round before it drew are forgotten.
     """
     steps = FLEET_MICRO_CONFIG.horizon_days // FLEET_MICRO_CONFIG.step_days
+    forget_hardware()
     start = time.perf_counter()
     result = simulate_fleet(FLEET_MICRO_CONFIG, "regen", seed=2025)
     wall_s = time.perf_counter() - start
@@ -554,11 +556,13 @@ def fleet_wide_micro() -> dict:
     """One wide fleet run in one process; ops = device-steps advanced.
 
     The wall includes drawing and sorting every device's variation
-    factors, which is most of a one-year run.
+    factors, which is most of a one-year run — in every round, so the
+    tables an earlier round drew are forgotten first.
     """
     config = replace(FLEET_WIDE_CONFIG,
                      devices=_fleet_devices(FLEET_WIDE_CONFIG.devices))
     steps = config.horizon_days // config.step_days
+    forget_hardware()
     start = time.perf_counter()
     result = simulate_fleet(config, "regen", seed=2025)
     wall_s = time.perf_counter() - start
@@ -598,7 +602,8 @@ def fleet_sharded_micro() -> dict:
     ``jobs=1``: on a single-core runner the bench measures the sharding
     *overhead* over the serial path, on real hardware the speedup. When
     at least two workers run, a serial reference run is timed too and
-    the measured speedup lands in ``meta``.
+    the measured speedup lands in ``meta``. Both runs draw their own
+    hardware, so the speedup compares cold with cold.
     """
     from repro.sim.shard import simulate_fleet_sharded
 
@@ -607,6 +612,7 @@ def fleet_sharded_micro() -> dict:
     jobs = int(os.environ.get("REPRO_PERF_FLEET_JOBS", "0")) \
         or max(1, min(config.shards, (os.cpu_count() or 1) - 1))
     steps = config.horizon_days // config.step_days
+    forget_hardware()
     start = time.perf_counter()
     result = simulate_fleet_sharded(config, "regen", seed=2025, jobs=jobs)
     wall_s = time.perf_counter() - start
@@ -614,6 +620,7 @@ def fleet_sharded_micro() -> dict:
             "shards": config.shards, "jobs": jobs,
             "mean_lifetime_days": round(result.mean_lifetime_days(), 1)}
     if jobs >= 2:
+        forget_hardware()
         serial_start = time.perf_counter()
         simulate_fleet(config, "regen", seed=2025)
         serial_wall = time.perf_counter() - serial_start

@@ -39,7 +39,14 @@ SCENARIO_KINDS = ("fleet", "tournament", "carbon", "tco", "replacement",
 
 def load_scenario(path: str | Path) -> dict:
     """Read and validate a scenario document."""
-    document = json.loads(Path(path).read_text())
+    try:
+        document = json.loads(Path(path).read_text())
+    except OSError as error:    # missing, a directory, unreadable
+        raise ConfigError(
+            f"cannot read scenario {path}: {error.strerror}") from error
+    except json.JSONDecodeError as error:
+        raise ConfigError(
+            f"scenario {path} is not valid JSON: {error}") from error
     return validate_scenario(document)
 
 

@@ -16,7 +16,12 @@ processes with bit-identical merged artifacts.
 """
 
 from repro.sim.lifetime import LifetimeResult, run_write_lifetime
-from repro.sim.fleet import FleetConfig, FleetResult, simulate_fleet
+from repro.sim.fleet import (
+    FleetConfig,
+    FleetResult,
+    forget_hardware,
+    simulate_fleet,
+)
 from repro.sim.parallel import (
     FleetTask,
     derive_seeds,
@@ -38,6 +43,7 @@ __all__ = [
     "FleetConfig",
     "FleetResult",
     "simulate_fleet",
+    "forget_hardware",
     "FleetTask",
     "derive_seeds",
     "parallel_map",

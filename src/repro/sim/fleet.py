@@ -20,8 +20,11 @@ mean) reduce the same way over per-block max/mean factors. The *same
 variation draws* are shared across disciplines, so curves differ only by
 policy.
 
-The state is columnar (:class:`_FleetColumns`): one wear vector and three
-row-sorted factor matrices per device range, one row per device. A step
+The state is columnar (:class:`_FleetColumns`): one wear vector per
+device range over the fleet's *hardware*, three row-sorted factor
+matrices with a row per device, drawn once per ``(seed, devices,
+geometry, variation_sigma)`` (:func:`fleet_hardware`) and read by every
+discipline and range. A step
 is a fixed number of array operations over the rows still alive — one
 ``model.rber`` call, one batched count per matrix (:class:`_BandedRows`),
 capacity and burn as vectors — so its cost is a constant (tens of
@@ -60,7 +63,7 @@ from repro.obs.smart import smart_field
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import RBERModel, lognormal_page_variation
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
-from repro.rng import fork_rng, make_rng
+from repro.rng import DEFAULT_SEED, fork_rng, make_rng
 
 MODES = ("baseline", "cvss", "shrink", "regen")
 
@@ -273,12 +276,64 @@ class _BandedRows:
 
 
 class _FleetColumns(NamedTuple):
-    """Columnar state of one device range: a row per device."""
+    """Columnar state of one device range: its own ``wear``, a row per
+    device, over the whole fleet's shared, read-only tables
+    (:func:`fleet_hardware`), whose row ``first + r`` is its row ``r``."""
 
     wear: np.ndarray            # P/E cycles so far
+    first: int                  # fleet row of the range's first device
     pages: _BandedRows          # per-fPage variation factors
     block_max: _BandedRows      # weakest page of each block
     block_mean: _BandedRows     # block-average factor
+
+
+#: The one fleet whose hardware is held: ``(key, tables)``.
+_hardware: tuple = (None, None)
+
+
+def forget_hardware() -> None:
+    """Release the held hardware tables; the next fleet draws its own."""
+    global _hardware
+    _hardware = (None, None)
+
+
+def fleet_hardware(config: FleetConfig,
+                   seed: int | np.random.Generator | None,
+                   rng: np.random.Generator,
+                   ) -> tuple[_BandedRows, _BandedRows, _BandedRows]:
+    """The fleet's ``(pages, block_max, block_mean)`` tables, a sorted
+    row per device: the held ones if their key matches, else drawn from
+    the ``"hardware"`` fork of ``rng`` — ``make_rng(seed)``, which the
+    fork advances either way — one child per device index.
+
+    The key names every input the draw reads, so modes, RBER models and
+    device ranges share one draw. One entry, released *before* the next
+    draw (the page factors are the bulk of a run's memory, sorted in
+    place); a live ``Generator`` cannot be replayed and is never held.
+    """
+    global _hardware
+    hardware_rng = fork_rng(rng, "hardware")
+    devices, geometry = config.devices, config.geometry
+    key = (DEFAULT_SEED if seed is None else seed, devices, geometry,
+           config.variation_sigma)
+    if key == _hardware[0]:
+        return _hardware[1]
+    forget_hardware()
+    pages = np.empty((devices, geometry.total_fpages))
+    for i in range(devices):
+        pages[i] = lognormal_page_variation(
+            fork_rng(hardware_rng, i), geometry.total_fpages,
+            config.variation_sigma)
+    per_block = pages.reshape(devices, geometry.blocks,
+                              geometry.fpages_per_block)
+    block_max, block_mean = per_block.max(axis=2), per_block.mean(axis=2)
+    for matrix in (pages, block_max, block_mean):
+        matrix.sort(axis=1)
+    tables = (_BandedRows(pages), _BandedRows(block_max),
+              _BandedRows(block_mean))
+    if not isinstance(seed, np.random.Generator):
+        _hardware = (key, tables)
+    return tables
 
 
 def _ordered_sum(values: np.ndarray) -> float:
@@ -343,7 +398,7 @@ class FleetRules:
                          census: bool = False,
                          ) -> tuple[np.ndarray, np.ndarray | None]:
         """Advertised capacity under ``mode`` of devices ``rows``
-        (ascending row indexes) at their current wear, as one vector.
+        (ascending, within the range) at their current wear, as a vector.
 
         With ``census`` (only on timeseries sample steps) the second
         value is the per-device alive-fPage table — ``[i, k]`` pages of
@@ -355,6 +410,7 @@ class FleetRules:
         config = self.config
         geometry = self.geometry
         rber = self.model.rber(fleet.wear[rows])
+        rows = rows + fleet.first
         with np.errstate(divide="ignore"):
             # One row of thresholds per level; a device with no errors
             # yet (rber <= 0) keeps every page: threshold +inf.
@@ -394,37 +450,6 @@ class FleetRules:
         if self.mode == "cvss":
             return self.config.host_utilization * self.adv0_bytes
         return self.config.min_capacity_fraction * self.adv0_bytes
-
-    def build_columns(self, hardware_rng: np.random.Generator,
-                      start: int, stop: int) -> _FleetColumns:
-        """Walk the canonical hardware fork and build ``[start, stop)``.
-
-        The fork walk *must* cover every device index — each
-        :func:`~repro.rng.fork_rng` call advances ``hardware_rng`` — so
-        a range replays the full walk (one cheap parent draw per
-        device) but only pays the expensive variation draws for its own
-        slice. Each matrix is allocated once and sorted in place: the
-        page factors are the bulk of a run's memory.
-        """
-        geometry = self.geometry
-        count = max(stop - start, 0)
-        pages = np.empty((count, geometry.total_fpages))
-        block_max = np.empty((count, geometry.blocks))
-        block_mean = np.empty((count, geometry.blocks))
-        for i in range(self.config.devices):
-            child = fork_rng(hardware_rng, i)
-            if start <= i < stop:
-                pages[i - start] = lognormal_page_variation(
-                    child, geometry.total_fpages,
-                    self.config.variation_sigma)
-        per_block = pages.reshape(count, geometry.blocks,
-                                  geometry.fpages_per_block)
-        per_block.max(axis=2, out=block_max)
-        per_block.mean(axis=2, out=block_mean)
-        for matrix in (pages, block_max, block_mean):
-            matrix.sort(axis=1)
-        return _FleetColumns(np.zeros(count), _BandedRows(pages),
-                             _BandedRows(block_max), _BandedRows(block_mean))
 
     def load_factors(self, load_rng: np.random.Generator) -> np.ndarray:
         """Per-device DWPD multipliers (the full-fleet draw, always)."""
@@ -606,10 +631,10 @@ def walk_shard(task: ShardTask, rules: FleetRules | None = None,
                ) -> Iterator[ShardStep]:
     """Step devices ``[start, stop)`` to the horizon, one yield per step.
 
-    The only step loop of the fleet model. It replays the canonical RNG
-    walk over the *whole* fleet (the hardware fork per device index, the
-    whole-fleet AFR array per step, the whole-fleet load-factor draw)
-    and slices its own range out of it, so the streams a device sees do
+    The only step loop of the fleet model. It reads its rows of the
+    fleet's hardware tables (:func:`fleet_hardware`) and replays the
+    whole-fleet AFR array per step and the whole-fleet load-factor draw,
+    slicing its own range out of them, so the streams a device sees do
     not depend on the layout. It touches no observability singleton:
     :func:`assemble_fleet` turns the yielded partials into telemetry.
 
@@ -627,10 +652,10 @@ def walk_shard(task: ShardTask, rules: FleetRules | None = None,
             "fleet.step faults pick victims fleet-wide; walk the whole "
             f"fleet, not [{task.start}, {task.stop})")
     rng = make_rng(task.seed)
-    hardware_rng = fork_rng(rng, "hardware")
+    fleet = _FleetColumns(np.zeros(task.stop - task.start), task.start,
+                          *fleet_hardware(config, task.seed, rng))
     afr_rng = fork_rng(rng, "afr", mode)
     load_rng = fork_rng(rng, "load")
-    fleet = rules.build_columns(hardware_rng, task.start, task.stop)
     written = (config.step_days * rules.original_daily_bytes
                * rules.load_factors(load_rng)[task.start:task.stop])
     wear = fleet.wear

@@ -11,8 +11,10 @@ is :func:`repro.sim.fleet.assemble_fleet`, the same two functions
 
 * the shard layout is a pure function of ``(devices, shards)`` —
   contiguous balanced slices, enumerated in one canonical order;
-* every walk replays the *full* canonical RNG walk and merely *slices*
-  its own device range out of it, so the streams a device sees are
+* every walk reads its rows of the one whole-fleet hardware table (the
+  coordinator draws it before the pool forks: workers inherit it and
+  never draw) and replays the *full* AFR and load-factor streams,
+  *slicing* its own range out of them, so the streams a device sees are
   independent of the shard layout and worker count;
 * the coordinator assembles shard steps in canonical shard-major order
   and drives telemetry (metrics, timeseries, tracing) itself; workers
@@ -44,7 +46,7 @@ from repro import obs
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.instruments import shard_instruments
-from repro.rng import DEFAULT_SEED
+from repro.rng import DEFAULT_SEED, make_rng
 from repro.sim.fleet import (
     FleetConfig,
     FleetResult,
@@ -52,6 +54,7 @@ from repro.sim.fleet import (
     ShardStep,
     ShardTask,
     assemble_fleet,
+    fleet_hardware,
     resolve_injector,
     sample_schedule,
     walk_shard,
@@ -146,6 +149,8 @@ def simulate_fleet_sharded(config: FleetConfig, mode: str,
         # between samples.
         walks = [walk_shard(tasks[0], rules, injector)]
     else:
+        # Before the fork, so every range finds the tables held.
+        fleet_hardware(config, seed, make_rng(seed))
         walks = parallel_map(run_shard_task, tasks, jobs=jobs)
     assemble_start = _time.perf_counter()
     result, walk_seconds = assemble_fleet(rules, walks)

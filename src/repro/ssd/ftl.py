@@ -206,8 +206,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         # sweep fancy-index this array; _map/_unmap update single cells.
         self._valid_counts = np.zeros(self.geometry.blocks, dtype=np.int64)
         self._erase_counts = np.zeros(self.geometry.blocks, dtype=np.int64)
-        self._close_seq = np.zeros(self.geometry.blocks, dtype=np.int64)
-        self._seq = 0
 
         self._write_seq = 0  # monotone program counter, stored in OOB
         # Moves before any wear-policy hook runs — the only code that can
@@ -975,8 +973,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         if state is None:
             return
         block, _cursor = state
-        self._seq += 1
-        self._close_seq[block] = self._seq
         self._closed_blocks.add(block)
         self._open[key] = None
         self._open_required.pop(key, None)
@@ -1028,7 +1024,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         # Only zero-valid candidates can qualify, so the sweep inspects
         # those instead of walking every closed block.
         candidates = self._closed_blocks.array()
-        valid_arr = self._valid_per_block
+        valid_arr = self._valid_counts    # read-only here: no copy
         if candidates.size:
             swept = False
             for block in candidates[valid_arr[candidates] == 0]:
@@ -1044,8 +1040,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             raise OutOfSpaceError("no closed blocks to garbage-collect")
         valid = valid_arr[candidates]
         capacities = self._block_capacities(candidates)
-        ages = self._seq - self._close_seq[candidates]
-        victim = self._gc.pick(candidates, valid, capacities, ages)
+        victim = self._gc.pick(candidates, valid, capacities)
         injector = self._faults
         if injector is not None:
             # Crash points bracketing the two non-atomic halves of a

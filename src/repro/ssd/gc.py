@@ -33,10 +33,10 @@ class GCPolicy(ABC):
         self._faults = faults.injector()
 
     def pick(self, candidate_blocks: np.ndarray, valid_counts: np.ndarray,
-             capacities: np.ndarray, ages: np.ndarray) -> int:
+             capacities: np.ndarray) -> int:
         """Instrumented victim selection (same contract as choose_victim)."""
         victim = self.choose_victim(candidate_blocks, valid_counts,
-                                    capacities, ages)
+                                    capacities)
         if self._faults is not None:
             spec = self._faults.check("gc.pick", victim=victim)
             if spec is not None:
@@ -65,7 +65,6 @@ class GCPolicy(ABC):
         candidate_blocks: np.ndarray,
         valid_counts: np.ndarray,
         capacities: np.ndarray,
-        ages: np.ndarray,
     ) -> int:
         """Return the victim block index.
 
@@ -75,7 +74,6 @@ class GCPolicy(ABC):
                 ``candidate_blocks``).
             capacities: usable oPage slots per candidate at current
                 tiredness levels (the reclaimable ceiling).
-            ages: cycles (or ticks) since each candidate was last written.
 
         Implementations may assume ``candidate_blocks`` is non-empty.
         """
@@ -93,7 +91,7 @@ class GreedyGC(GCPolicy):
     #: Candidate count above which argpartition shortlisting kicks in.
     SHORTLIST = 64
 
-    def choose_victim(self, candidate_blocks, valid_counts, capacities, ages):
+    def choose_victim(self, candidate_blocks, valid_counts, capacities):
         if len(valid_counts) > self.SHORTLIST:
             short = np.argpartition(valid_counts, self.SHORTLIST - 1)[
                 :self.SHORTLIST]

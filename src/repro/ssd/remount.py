@@ -115,8 +115,6 @@ class RemountMixin:
                 self._dead_blocks.add(block)
             elif any_written[block]:
                 self._closed_blocks.add(block)
-                self._seq += 1
-                self._close_seq[block] = self._seq
             elif self._block_usable(block):
                 free.append(block)
             else:

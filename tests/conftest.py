@@ -13,11 +13,19 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
+from repro.sim.fleet import forget_hardware
 from repro.ssd.cvss import CVSSConfig, CVSSDevice
 from repro.ssd.device import BaselineSSD, SSDConfig
 from repro.ssd.ftl import FTLConfig
 
 TEST_PEC_LIMIT = 25
+
+
+@pytest.fixture(autouse=True)
+def _no_held_fleet_hardware():
+    """No test's outcome (or draw count) depends on which fleet the
+    previous test drew."""
+    forget_hardware()
 
 
 @pytest.fixture

@@ -6,6 +6,9 @@ Two layers, both held to *equality*, not closeness:
   per-device function it replaced (``fleet_oracle.py``): capacity and
   census, every mode and rule, both RBER model families, wear vectors
   that include 0 (the ``rber <= 0`` branch) and wear past every level.
+  The range is partial and reads the whole-fleet tables of
+  ``fleet_hardware`` while the oracle builds its own devices one by
+  one: a range over the shared table equals a per-device build.
 * ``_BandedRows.count`` — the batched "values <= t per row" kernel —
   against ``np.searchsorted(row, t, side="right")`` row by row, on
   thresholds chosen to sit on, just under and just over stored values.
@@ -24,7 +27,14 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import ExponentialRBER
 from repro.flash.tiredness import TirednessPolicy
 from repro.rng import fork_rng, make_rng
-from repro.sim.fleet import MODES, FleetConfig, FleetRules, _BandedRows
+from repro.sim.fleet import (
+    MODES,
+    FleetConfig,
+    FleetRules,
+    _BandedRows,
+    _FleetColumns,
+    fleet_hardware,
+)
 from tests.sim import fleet_oracle
 
 CONFIG = FleetConfig(
@@ -41,6 +51,13 @@ def _model(name: str):
     policy = TirednessPolicy(geometry=CONFIG.geometry)
     return ExponentialRBER.calibrated(pec_limit=250.0,
                                       max_rber=policy.max_rber(0))
+
+
+def _columns(config: FleetConfig, seed: int, start: int,
+             stop: int) -> _FleetColumns:
+    """Devices ``[start, stop)`` as ``walk_shard`` sets them up."""
+    tables = fleet_hardware(config, seed, make_rng(seed))
+    return _FleetColumns(np.zeros(stop - start), start, *tables)
 
 
 def _wear_vectors(rules: FleetRules, count: int, seed: int):
@@ -66,8 +83,7 @@ def test_columnar_capacity_and_census_equal_the_scalar_oracle(
                      regen_max_level=regen_max_level)
     rules = FleetRules(config, mode, _model(model_name))
     start, stop = 3, config.devices - 2     # a partial range, like a shard
-    fleet = rules.build_columns(fork_rng(make_rng(11), "hardware"),
-                                start, stop)
+    fleet = _columns(config, 11, start, stop)
     devices = fleet_oracle.build_devices(
         rules, fork_rng(make_rng(11), "hardware"), start, stop)
     n_census = rules.reuse_ceiling + 2
@@ -97,7 +113,7 @@ def test_columns_hold_the_oracle_devices_factors(blocks, fpages_per_block):
     config = replace(CONFIG, geometry=FlashGeometry(
         blocks=blocks, fpages_per_block=fpages_per_block))
     rules = FleetRules(config, "regen")
-    fleet = rules.build_columns(fork_rng(make_rng(3), "hardware"), 0, 24)
+    fleet = _columns(config, 3, 0, 24)
     devices = fleet_oracle.build_devices(
         rules, fork_rng(make_rng(3), "hardware"), 0, 24)
     for banded, name in ((fleet.pages, "sorted_pages"),

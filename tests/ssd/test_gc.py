@@ -11,8 +11,7 @@ class TestGreedy:
         victim = policy.choose_victim(
             np.array([3, 5, 9]),
             valid_counts=np.array([10, 2, 7]),
-            capacities=np.array([32, 32, 32]),
-            ages=np.array([1, 1, 1]))
+            capacities=np.array([32, 32, 32]))
         assert victim == 5
 
     def test_tie_breaks_deterministically(self):
@@ -20,15 +19,5 @@ class TestGreedy:
         victim = policy.choose_victim(
             np.array([4, 8]),
             valid_counts=np.array([3, 3]),
-            capacities=np.array([32, 32]),
-            ages=np.array([0, 0]))
+            capacities=np.array([32, 32]))
         assert victim == 4  # argmin takes the first
-
-    def test_ignores_age(self):
-        policy = GreedyGC()
-        victim = policy.choose_victim(
-            np.array([1, 2]),
-            valid_counts=np.array([5, 6]),
-            capacities=np.array([32, 32]),
-            ages=np.array([0, 1000]))
-        assert victim == 1

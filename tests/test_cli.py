@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -109,6 +110,23 @@ class TestVersionAndExitCodes:
                      "--years", "1", "--afr", "2.0"]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert "configuration error" in err
+
+    def test_unreadable_scenario_exits_2(self, capsys, tmp_path):
+        # Missing, a directory, not JSON or unreadable: one
+        # "configuration error" line each, never exit 3.
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        paths = [tmp_path / "nope.json", tmp_path, broken]
+        if os.geteuid() != 0:   # root reads a mode-000 file anyway
+            locked = tmp_path / "locked.json"
+            locked.write_text("{}")
+            locked.chmod(0)
+            paths.append(locked)
+        for path in paths:
+            assert main(["run", str(path)]) == EXIT_CONFIG_ERROR, path
+            err = capsys.readouterr().err
+            assert err.startswith("repro: configuration error:")
+            assert err.count("\n") == 1 and str(path) in err
 
     def test_unexpected_error_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(args):

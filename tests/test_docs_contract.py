@@ -63,6 +63,7 @@ import repro.flash.rber
 import repro.flash.tiredness
 import repro.sim.fleet
 import repro.sim.lifetime
+import repro.sim.parallel
 import repro.sim.shard
 import repro.ssd.ftl
 import repro.ssd.stats
@@ -281,6 +282,30 @@ def test_columnar_section_names_resolve():
     assert not missing, (
         f"docs/PERFORMANCE.md, 'The columnar fleet walk', names things "
         f"that resolve nowhere: {missing}")
+
+
+def test_hardware_section_names_resolve():
+    text = section(DOCUMENT.read_text(), "The fleet's hardware is drawn once")
+    config = repro.sim.fleet.FleetConfig()
+    namespaces = [*FLEET_NAMESPACES, repro.sim.fleet._FleetColumns, config,
+                  repro.sim.fleet.FleetRules(config, "regen"),
+                  repro.sim.parallel]
+    # A parameter, a Unix tool, and the method the section says is gone.
+    outside = frozenset({"rber_model", "cmp", "FleetRules.build_columns"})
+    checked, missing = unresolved_spans(text, namespaces, outside)
+    assert {"repro.sim.fleet.fleet_hardware", "forget_hardware",
+            "_BandedRows.count", "_BandedRows.__init__",
+            "FleetRules.advertised_bytes", "simulate_fleet_sharded",
+            "parallel_map", "variation_sigma", "wear", "block_mean",
+            "fleet_grid", "fleet_wide_micro", "sim.fleet.self_s",
+            "sim.shard.over_serial_ratio", "tests/conftest.py",
+            "tests/sim/test_fleet_hardware.py",
+            "tests/sim/fleet_oracle.py"} <= checked
+    assert not missing, (
+        f"docs/PERFORMANCE.md, 'The fleet's hardware is drawn once', "
+        f"names things that resolve nowhere: {missing}")
+    # One way to obtain hardware tables in src/.
+    assert not hasattr(repro.sim.fleet.FleetRules, "build_columns")
 
 
 def test_section_check_flags_a_removed_name():

@@ -34,6 +34,14 @@ class TestPublicAPI:
             for name in RETIRED.get(package, ()):
                 assert not hasattr(module, name), f"{package}.{name}"
 
+    def test_forget_hardware_is_exported(self):
+        import repro.sim
+        from repro.sim import fleet
+
+        assert "forget_hardware" in repro.sim.__all__
+        assert repro.sim.forget_hardware is fleet.forget_hardware
+        assert fleet.forget_hardware() is None      # no argument, no option
+
     def test_version(self):
         assert repro.__version__ == "0.1.0"
 
