@@ -33,7 +33,8 @@ SLO = f"slo --slo {SCN}/slo_default.json"
 TRAFFIC = "traffic --tenants 12 --duration 4000"
 #: ``repro`` commands (one a line, or `` ; ``-separated), run in a scratch
 #: directory in this order: later ones read what earlier ones wrote.
-#: ``!`` marks one whose non-zero exit is the behaviour being driven.
+#: ``!`` marks one whose non-zero exit is the behaviour being driven (the
+#: last three: a directory, a non-UTF-8 file and a mistyped field, exit 2).
 CLI = f"""--version ; fig2 ; fig2 --ecc-family ldpc ; tco ; carbon ; carbon --ru 0.5 --renewable
 fleet --devices 8 --years 2 --blocks 32 --metrics-out m.json --trace-out t.jsonl --timeseries-out ts.jsonl --reqtrace-out rt.jsonl --endurance-out e.jsonl --slo {SCN}/slo_default.json
 fleet {FLEET} --out f1.json --timeseries-out ts.csv ; fleet {FLEET} --shards 4 --jobs 2 --out f4.json
@@ -53,7 +54,8 @@ report --json io.json --markdown io.md ; report --timeseries ts.csv --artifact r
 {SLO} --reqtrace rt.jsonl --json slo.json ; {SLO} --measure --requests 60 --jobs 2
 {SLO} --measure --mode baseline --requests 120 --every 4 --reqtrace-out rt2.jsonl
 wear report --endurance e.jsonl --check --waf-budget 50 ; wear diff --endurance e.jsonl --against e.jsonl
-wear forecast --endurance e.jsonl --horizon 1000 --json wf.json ; !run missing.json"""
+wear forecast --endurance e.jsonl --horizon 1000 --json wf.json ; !run missing.json
+!report --metrics results ; !wear report --endurance not_utf8 ; !slo --slo mistyped_slo.json --measure"""
 FILES = {  # inputs named above that no shipped file provides
     "plan.json": '{"schema": "repro.faults/v1", "events": [{"site": "fleet.step",'
     ' "fault": "device_loss", "when": 4, "args": {"devices": 2}}]}',
@@ -61,7 +63,9 @@ FILES = {  # inputs named above that no shipped file provides
     "bad_slo.json": '{"schema": "repro.obs.slo/v1", "objectives": [{"name": "x", "kind":'
     ' "latency", "percentile": 50.0, "threshold_us": 0.001, "window_us": 1e6}]}',
     "tournament.json": '{"name": "t", "kind": "tournament", "params": {"blocks": 16}}',
-    "carbon.json": '{"name": "c", "kind": "carbon"}'}
+    "carbon.json": '{"name": "c", "kind": "carbon"}', "not_utf8": "\xff\xfe",
+    "mistyped_slo.json": '{"schema": "repro.obs.slo/v1", "objectives": [{"name": "x",'
+    ' "percentile": "p", "threshold_us": 1}]}'}
 
 
 def install() -> None:
@@ -101,7 +105,7 @@ def drive(only: list[str], log: Path) -> None:
         env = {**os.environ, "REPRO_REACH_LOG": str(log),
                "PYTHONPATH": os.pathsep.join([scratch, str(ROOT / "src")])}
         for name, text in FILES.items():
-            Path(scratch, name).write_text(text)
+            Path(scratch, name).write_bytes(text.encode("latin-1"))   # \xff stays one byte
         families = {   # name -> [(arguments to the interpreter, cwd)]
             "e2e": [(f"benchmarks/e2e/run.py --workload {workload} --seed 20250"
                      " --seconds 0.1 --trace 0", ROOT) for workload in WORKLOADS.split()],

@@ -25,7 +25,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro import obs
+from repro import artifact, obs
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
@@ -483,8 +483,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.obs import slo as slo_mod
     from repro.sim.parallel import resolve_jobs
     from repro.workloads.engine import (
@@ -493,14 +491,12 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         run_traffic,
         write_engine_artifact,
     )
+    from repro.workloads.traces import Trace
 
     registry, tracer, sampler = _setup_observability(args)
-    trace_text = None
-    if args.trace:
-        trace_path = Path(args.trace)
-        if not trace_path.exists():
-            raise ConfigError(f"trace file not found: {trace_path}")
-        trace_text = trace_path.read_text()
+    # Parsed here so that a bad file fails at the door, path named, not
+    # inside a worker; the cells re-read the canonical text.
+    trace_text = Trace.load(args.trace).dumps() if args.trace else None
     objectives = (slo_mod.load_slo_config(args.slo)
                   if args.slo else None)
     config = EngineConfig(
@@ -555,9 +551,6 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.obs.analyze import load_trace_jsonl
     from repro.obs.metrics import validate_metrics_document
     from repro.obs.timeseries import load_timeseries
@@ -568,18 +561,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     from repro.reporting.export import load_experiment
 
-    metrics_doc = None
-    if args.metrics:
-        path = Path(args.metrics)
-        if not path.exists():
-            raise ConfigError(f"metrics artifact not found: {path}")
-        try:
-            metrics_doc = json.loads(path.read_text())
-        except json.JSONDecodeError as error:
-            raise ConfigError(
-                f"metrics artifact {path} is not valid JSON: "
-                f"{error}") from error
-        validate_metrics_document(metrics_doc)
+    metrics_doc = (validate_metrics_document(
+        artifact.read_json(args.metrics, "metrics artifact"))
+        if args.metrics else None)
     timeseries_doc = (load_timeseries(args.timeseries)
                       if args.timeseries else None)
     trace_records = (load_trace_jsonl(args.trace)
@@ -602,15 +586,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     markdown = format_report(report)
     if args.markdown:
-        path = Path(args.markdown)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(markdown + "\n")
+        path = artifact.write_text(args.markdown, markdown + "\n")
         print(f"report (markdown) -> {path}")
     if args.json:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True,
-                                   allow_nan=False))
+        path = artifact.write_text(args.json, artifact.dumps(report))
         print(f"report (json) -> {path}")
     if not args.markdown and not args.json:
         print(markdown)
@@ -622,9 +601,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.obs import reqtrace as reqtrace_mod
     from repro.obs import slo as slo_mod
     from repro.obs.analyze import analyze_trace, format_trace_summary
@@ -665,10 +641,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
             print(f"reqtrace -> {path}")
     report = _evaluate_by_device(records, objectives)
     if args.json:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True,
-                                   allow_nan=False))
+        path = artifact.write_text(args.json, artifact.dumps(report))
         print(f"slo report (json) -> {path}")
     print(slo_mod.format_slo_report(report))
     summary = analyze_trace(records)
@@ -683,9 +656,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_wear(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.obs import endurance as endurance_mod
 
     header, records = endurance_mod.load_endurance(args.endurance)
@@ -797,10 +767,7 @@ def _cmd_wear(args: argparse.Namespace) -> int:
                     f"{record['name']}: WAF {waf:.3f} exceeds budget "
                     f"{args.waf_budget:g}")
     if args.json:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(document, indent=2, sort_keys=True,
-                                   allow_nan=False))
+        path = artifact.write_text(args.json, artifact.dumps(document))
         print(f"wear document (json) -> {path}")
     if violations:
         for violation in violations:

@@ -20,11 +20,11 @@ randomised fuzz episodes are one-line reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
+from repro import artifact
 from repro.errors import ConfigError
 from repro.rng import fork_rng, make_rng
 
@@ -76,6 +76,10 @@ def _check_mapping(name: str, value: Mapping) -> dict:
                 f"{name}[{key!r}] must be a JSON scalar, got {val!r}")
         out[key] = val
     return out
+
+
+_SPEC_FIELDS = {"site": str, "fault": str}
+_SPEC_OPTIONAL = {"when": int, "count": int, "match": dict, "args": dict}
 
 
 @dataclass(frozen=True)
@@ -135,16 +139,12 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "FaultSpec":
-        if not isinstance(record, Mapping):
-            raise ConfigError(f"fault spec must be an object, got {record!r}")
-        unknown = set(record) - {"site", "fault", "when", "count",
-                                 "match", "args"}
+        artifact.require(record, "fault spec", _SPEC_FIELDS,
+                         optional=_SPEC_OPTIONAL)
+        unknown = set(record) - set(_SPEC_FIELDS) - set(_SPEC_OPTIONAL)
         if unknown:
             raise ConfigError(
                 f"fault spec has unknown keys: {sorted(unknown)}")
-        for key in ("site", "fault"):
-            if key not in record:
-                raise ConfigError(f"fault spec missing {key!r}: {record!r}")
         return cls(site=record["site"], fault=record["fault"],
                    when=record.get("when", 1), count=record.get("count", 1),
                    match=record.get("match", {}),
@@ -201,49 +201,27 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, document: Mapping) -> "FaultPlan":
-        if not isinstance(document, Mapping):
-            raise ConfigError(
-                f"fault plan must be a JSON object, got {document!r}")
-        schema = document.get("schema")
-        if schema != FAULTS_SCHEMA:
-            raise ConfigError(
-                f"unsupported fault plan schema: {schema!r} "
-                f"(expected {FAULTS_SCHEMA!r})")
-        events = document.get("events")
-        if not isinstance(events, Sequence) or isinstance(events, (str, bytes)):
-            raise ConfigError("fault plan 'events' must be an array")
-        seed = document.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise ConfigError(f"fault plan seed must be int, got {seed!r}")
-        return cls(events=tuple(FaultSpec.from_dict(e) for e in events),
-                   seed=seed)
+        artifact.require(document, "fault plan", {"events": list},
+                         schema=FAULTS_SCHEMA,
+                         optional={"seed": (int, type(None))})
+        return cls(events=tuple(FaultSpec.from_dict(e)
+                                for e in document["events"]),
+                   seed=document.get("seed"))
 
     def to_json(self) -> str:
         """Canonical one-plan JSON (stable bytes for identical plans)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
+        return artifact.dumps(self.to_dict()) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigError(
-                f"fault plan is not valid JSON: {error}") from error
-        return cls.from_dict(document)
+        return cls.from_dict(artifact.parse_json(text, "fault plan"))
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json())
-        return path
+        return artifact.write_text(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultPlan":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"fault plan not found: {path}")
-        return cls.from_json(path.read_text())
+        return cls.from_dict(artifact.read_json(path, "fault plan"))
 
     # -- generation ------------------------------------------------------
 

@@ -15,15 +15,21 @@ histograms give — the trace has the raw samples, so use them.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from repro import artifact
 from repro.errors import ConfigError
 from repro.obs.trace import EventRecord, SpanRecord
 
 #: Version tag stamped into every trace summary document.
 TRACE_SUMMARY_SCHEMA = "repro.obs.trace_summary/v1"
+
+
+#: What every trace line holds; a reqtrace file is a trace file, and the
+#: latency breakdown reads these of a record that carries segments.
+_RECORD_FIELDS = {"kind": str, "name": str, "time": float}
+_REQUEST_FIELDS = {"total_us": float, "segments": dict}
 
 
 def load_trace_jsonl(path: str | Path) -> list[dict]:
@@ -32,25 +38,15 @@ def load_trace_jsonl(path: str | Path) -> list[dict]:
     Raises :class:`~repro.errors.ConfigError` on missing files or
     corrupt lines — ``repro report`` maps that to exit code 2.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"trace artifact not found: {path}")
     records = []
-    for line_number, line in enumerate(path.read_text().splitlines(),
-                                       start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ConfigError(
-                f"trace artifact {path}:{line_number} is not valid "
-                f"JSON: {error}") from error
-        if not isinstance(record, dict) or "kind" not in record \
-                or "name" not in record or "time" not in record:
-            raise ConfigError(
-                f"trace artifact {path}:{line_number} is not a trace "
-                f"record: {line[:80]!r}")
+    for where, record in artifact.read_jsonl(path, "trace artifact"):
+        artifact.require(record, where, _RECORD_FIELDS,
+                         optional={"end_time": float})
+        if "segments" in record:
+            segments = artifact.require(record, where,
+                                        _REQUEST_FIELDS)["segments"]
+            artifact.require(segments, f"{where} segments",
+                             dict.fromkeys(segments, float))
         records.append(record)
     return records
 

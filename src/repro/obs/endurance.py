@@ -46,11 +46,11 @@ registered device. See docs/OBSERVABILITY.md for the schema and the
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro import artifact
 from repro.errors import ConfigError
 
 #: Version tag on every endurance artifact header.
@@ -395,15 +395,7 @@ def write_endurance(path: str | Path, records: list[dict],
     device_records` or a merged multi-mode probe run); ``header``
     overrides the default header (``meta`` feeds the default one).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        handle.write(json.dumps(header or _header(meta), sort_keys=True))
-        handle.write("\n")
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-    return path
+    return artifact.write_jsonl(path, [header or _header(meta), *records])
 
 
 def load_endurance(path: str | Path) -> tuple[dict, list[dict]]:
@@ -412,38 +404,17 @@ def load_endurance(path: str | Path) -> tuple[dict, list[dict]]:
     Raises :class:`~repro.errors.ConfigError` on missing files, corrupt
     lines or a wrong schema tag — the CLI maps that to exit code 2.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"endurance artifact not found: {path}")
-    header: dict | None = None
-    records: list[dict] = []
-    for line_number, line in enumerate(path.read_text().splitlines(),
-                                       start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ConfigError(
-                f"endurance artifact {path}:{line_number} is not valid "
-                f"JSON: {error}") from error
-        if not isinstance(record, dict):
-            raise ConfigError(
-                f"endurance artifact {path}:{line_number} is not a JSON "
-                f"object")
-        kind = record.get("kind")
-        if kind == "header":
-            if record.get("schema") != ENDURANCE_SCHEMA:
-                raise ConfigError(
-                    f"unsupported endurance schema in {path}: "
-                    f"{record.get('schema')!r}")
-            header = record
-        elif kind == "device":
-            records.append(record)
-    if header is None:
-        raise ConfigError(
-            f"endurance artifact {path} has no {ENDURANCE_SCHEMA} header")
-    return header, records
+    return artifact.read_records(path, "endurance artifact",
+                                 ENDURANCE_SCHEMA, "device")
+
+
+_RECORD_FIELDS = {
+    "name": str, "blocks": int, "programs": dict, "program_opages": dict,
+    "erases": dict, "total_programs": int, "total_program_opages": int,
+    "total_erases": int, "mean_pec": float, "max_pec": int,
+    "pec_histogram": dict, "waf": (float, type(None))}
+_FORECAST_FIELDS = {"eta_host_opages": float, "mean_pec": float,
+                    "pec_limit": float, "slope_pec_per_host_opage": float}
 
 
 def validate_endurance_records(records: list[dict],
@@ -455,14 +426,13 @@ def validate_endurance_records(records: list[dict],
     equal ``1 + overhead/host`` within ``tolerance``. The CI smoke job
     runs this over CLI-produced artifacts.
     """
-    required = ("name", "blocks", "programs", "program_opages", "erases",
-                "total_programs", "total_program_opages", "total_erases",
-                "mean_pec", "max_pec", "pec_histogram", "waf")
     for index, record in enumerate(records):
-        for key in required:
-            if key not in record:
-                raise ConfigError(
-                    f"endurance record {index} missing {key!r}")
+        what = f"endurance record {index}"
+        artifact.require(record, what, _RECORD_FIELDS,
+                         optional={"forecast": (dict, type(None))})
+        if record.get("forecast"):
+            artifact.require(record["forecast"], f"{what} forecast",
+                             _FORECAST_FIELDS)
         for counter, total_key in (("programs", "total_programs"),
                                    ("program_opages",
                                     "total_program_opages"),
@@ -470,17 +440,22 @@ def validate_endurance_records(records: list[dict],
             by_cause = record[counter]
             if set(by_cause) != _CAUSE_SET:
                 raise ConfigError(
-                    f"endurance record {index}: {counter} causes "
+                    f"{what}: {counter} causes "
                     f"{sorted(by_cause)} != {sorted(_CAUSE_SET)}")
+            artifact.require(by_cause, f"{what} {counter}",
+                             dict.fromkeys(CAUSES, int))
             total = sum(by_cause.values())
             if total != record[total_key]:
                 raise ConfigError(
-                    f"endurance record {index}: {counter} sum {total} "
+                    f"{what}: {counter} sum {total} "
                     f"!= {total_key} {record[total_key]}")
-        histogram_blocks = sum(record["pec_histogram"].values())
+        histogram = record["pec_histogram"]
+        artifact.require(histogram, f"{what} pec_histogram",
+                         dict.fromkeys(histogram, int))
+        histogram_blocks = sum(histogram.values())
         if histogram_blocks != record["blocks"]:
             raise ConfigError(
-                f"endurance record {index}: pec_histogram covers "
+                f"{what}: pec_histogram covers "
                 f"{histogram_blocks} blocks of {record['blocks']}")
         host = record["program_opages"]["host"]
         waf = record["waf"]
@@ -489,11 +464,11 @@ def validate_endurance_records(records: list[dict],
             if waf is None or abs(waf - expected) > tolerance * max(
                     1.0, abs(expected)):
                 raise ConfigError(
-                    f"endurance record {index}: waf {waf!r} breaks the "
+                    f"{what}: waf {waf!r} breaks the "
                     f"identity 1 + overhead/host = {expected!r}")
         elif waf is not None:
             raise ConfigError(
-                f"endurance record {index}: waf {waf!r} with no host "
+                f"{what}: waf {waf!r} with no host "
                 f"oPages absorbed")
 
 

@@ -31,13 +31,13 @@ instrumentation costs ~nothing when observability is off.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_left
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from repro import artifact
 from repro.errors import ConfigError
 
 #: Version tag stamped into every exported metrics document.
@@ -402,11 +402,14 @@ class MetricsRegistry:
 
     def write_json(self, path: str | Path) -> Path:
         """Write the metrics document as JSON; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2,
-                                   sort_keys=True))
-        return path
+        return artifact.write_text(path, artifact.dumps(self.to_dict()))
+
+
+_FAMILY_FIELDS = {"name": str, "type": str, "help": str,
+                  "labelnames": list, "samples": list}
+_VALUE_FIELDS = {"labels": dict, "value": float}
+_HISTOGRAM_FIELDS = {"labels": dict, "count": int, "sum": float,
+                     "buckets": list}
 
 
 def validate_metrics_document(document: object) -> dict:
@@ -420,60 +423,41 @@ def validate_metrics_document(document: object) -> dict:
     def fail(message: str):
         raise ConfigError(f"invalid metrics document: {message}")
 
-    if not isinstance(document, dict):
-        fail("not an object")
-    if document.get("schema") != METRICS_SCHEMA:
-        fail(f"schema must be {METRICS_SCHEMA!r}, "
-             f"got {document.get('schema')!r}")
-    metrics = document.get("metrics")
-    if not isinstance(metrics, list):
-        fail("'metrics' must be a list")
+    artifact.require(document, "metrics document", {"metrics": list},
+                     schema=METRICS_SCHEMA)
     seen: set[str] = set()
-    for entry in metrics:
-        if not isinstance(entry, dict):
-            fail("metric entries must be objects")
-        name = entry.get("name")
-        if not isinstance(name, str) or not _METRIC_NAME_RE.match(name):
+    for entry in document["metrics"]:
+        artifact.require(entry, "metric entry", _FAMILY_FIELDS,
+                         optional={"unit": (str, type(None))})
+        name, kind = entry["name"], entry["type"]
+        if not _METRIC_NAME_RE.match(name):
             fail(f"bad metric name {name!r}")
         if name in seen:
             fail(f"duplicate metric {name!r}")
         seen.add(name)
-        kind = entry.get("type")
         if kind not in _CHILD_TYPES:
             fail(f"{name}: bad type {kind!r}")
-        if not isinstance(entry.get("help"), str):
-            fail(f"{name}: 'help' must be a string")
-        unit = entry.get("unit")
-        if unit is not None and not isinstance(unit, str):
-            fail(f"{name}: 'unit' must be a string or null")
-        labelnames = entry.get("labelnames")
-        if not isinstance(labelnames, list) or not all(
-                isinstance(label, str) and _LABEL_NAME_RE.match(label)
-                for label in labelnames):
+        labelnames = entry["labelnames"]
+        if not all(isinstance(label, str) and _LABEL_NAME_RE.match(label)
+                   for label in labelnames):
             fail(f"{name}: bad labelnames {labelnames!r}")
-        samples = entry.get("samples")
-        if not isinstance(samples, list):
-            fail(f"{name}: 'samples' must be a list")
-        for sample in samples:
+        for sample in entry["samples"]:
             _validate_sample(name, kind, labelnames, sample, fail)
     return document  # type: ignore[return-value]
 
 
 def _validate_sample(name: str, kind: str, labelnames: list,
                      sample: object, fail: Callable[[str], None]) -> None:
-    if not isinstance(sample, dict):
-        fail(f"{name}: samples must be objects")
-    labels = sample.get("labels")
-    if not isinstance(labels, dict) or set(labels) != set(labelnames):
+    artifact.require(sample, f"metric {name} sample",
+                     _HISTOGRAM_FIELDS if kind == "histogram"
+                     else _VALUE_FIELDS)
+    labels = sample["labels"]
+    if set(labels) != set(labelnames):
         fail(f"{name}: sample labels {labels!r} do not match "
              f"labelnames {labelnames!r}")
     if kind == "histogram":
-        if not isinstance(sample.get("count"), int) \
-                or not isinstance(sample.get("sum"), (int, float)):
-            fail(f"{name}: histogram samples need integer 'count' and "
-                 f"numeric 'sum'")
-        buckets = sample.get("buckets")
-        if not isinstance(buckets, list) or not buckets:
+        buckets = sample["buckets"]
+        if not buckets:
             fail(f"{name}: histogram samples need a 'buckets' list")
         previous = -math.inf
         running = -1
@@ -492,6 +476,3 @@ def _validate_sample(name: str, kind: str, labelnames: list,
         if buckets[-1].get("le") != "+Inf" \
                 or buckets[-1].get("count") != sample["count"]:
             fail(f"{name}: last bucket must be '+Inf' with the total count")
-    else:
-        if not isinstance(sample.get("value"), (int, float)):
-            fail(f"{name}: {kind} samples need a numeric 'value'")

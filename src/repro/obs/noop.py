@@ -16,6 +16,7 @@ code never branches on whether observability is on.
 
 from __future__ import annotations
 
+from repro import artifact
 from repro.obs.metrics import METRICS_SCHEMA
 
 
@@ -93,13 +94,7 @@ class NullMetricsRegistry:
         return ""
 
     def write_json(self, path):
-        import json
-        from pathlib import Path
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2))
-        return path
+        return artifact.write_text(path, artifact.dumps(self.to_dict()))
 
 
 class NullSpan:
@@ -144,12 +139,7 @@ class NullTracer:
         return []
 
     def export_jsonl(self, path):
-        from pathlib import Path
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("")
-        return path
+        return artifact.write_jsonl(path, [])
 
     def clear(self) -> None:
         pass
@@ -204,25 +194,11 @@ class NullTimeseriesSampler:
         return {"schema": TIMESERIES_SCHEMA, "cadence": 0.0,
                 "capacity": 0, "samples_taken": 0, "series": []}
 
-    def _export_empty(self, path):
-        import json
-        from pathlib import Path
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
-        return path
-
     def export_jsonl(self, path):
-        return self._export_empty(path)
+        return artifact.write_jsonl(path, [self.to_dict()])
 
     def export_csv(self, path):
-        from pathlib import Path
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("name,labels,unit,kind,t,value\n")
-        return path
+        return artifact.write_text(path, "name,labels,unit,kind,t,value\n")
 
     def export(self, path):
         if str(path).endswith(".csv"):

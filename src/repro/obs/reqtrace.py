@@ -45,11 +45,11 @@ contract.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro import artifact
 from repro.errors import ConfigError
 from repro.rng import fork_rng, make_rng
 
@@ -359,15 +359,7 @@ def write_reqtrace(path: str | Path, records: list[dict],
     merged multi-mode probe run); ``header`` overrides the default
     header (``meta`` feeds the default one).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        handle.write(json.dumps(header or _header(meta), sort_keys=True))
-        handle.write("\n")
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-    return path
+    return artifact.write_jsonl(path, [header or _header(meta), *records])
 
 
 def load_reqtrace(path: str | Path) -> tuple[dict, list[dict]]:
@@ -376,39 +368,18 @@ def load_reqtrace(path: str | Path) -> tuple[dict, list[dict]]:
     Raises :class:`~repro.errors.ConfigError` on missing files, corrupt
     lines or a wrong schema tag — the CLI maps that to exit code 2.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"reqtrace artifact not found: {path}")
-    header: dict | None = None
-    records: list[dict] = []
-    for line_number, line in enumerate(path.read_text().splitlines(),
-                                       start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ConfigError(
-                f"reqtrace artifact {path}:{line_number} is not valid "
-                f"JSON: {error}") from error
-        if not isinstance(record, dict):
-            raise ConfigError(
-                f"reqtrace artifact {path}:{line_number} is not a JSON "
-                f"object")
-        kind = record.get("kind")
-        if kind == "header":
-            if record.get("schema") != REQTRACE_SCHEMA:
-                raise ConfigError(
-                    f"unsupported reqtrace schema in {path}: "
-                    f"{record.get('schema')!r}")
-            header = record
-        elif kind == "request":
-            records.append(record)
-        # other kinds (spans/events mixed into one file) are ignored
-    if header is None:
-        raise ConfigError(
-            f"reqtrace artifact {path} has no {REQTRACE_SCHEMA} header")
-    return header, records
+    return artifact.read_records(path, "reqtrace artifact",
+                                 REQTRACE_SCHEMA, "request")
+
+
+#: What a request record must hold, and what the SLO replay and the
+#: trace summary read if there.
+_RECORD_FIELDS = {"op": str, "device_kind": str, "total_us": float,
+                  "wait_us": float, "service_us": float, "segments": dict,
+                  "attrs": dict, "submit_us": float, "end_us": float,
+                  "time": float}
+_RECORD_OPTIONAL = {"stream": int, "deadline_missed": bool,
+                    "end_time": float}
 
 
 def validate_reqtrace_records(records: list[dict],
@@ -420,27 +391,25 @@ def validate_reqtrace_records(records: list[dict],
     ``service_us``) within ``tolerance``; the CI smoke job runs this
     over CLI-produced artifacts.
     """
-    required = ("op", "device_kind", "total_us", "wait_us", "service_us",
-                "segments", "attrs", "submit_us", "end_us")
     for index, record in enumerate(records):
-        for key in required:
-            if key not in record:
-                raise ConfigError(
-                    f"reqtrace record {index} missing {key!r}")
+        what = f"reqtrace record {index}"
+        artifact.require(record, what, _RECORD_FIELDS,
+                         optional=_RECORD_OPTIONAL)
         segments = record["segments"]
-        if not isinstance(segments, dict) or not segments:
-            raise ConfigError(
-                f"reqtrace record {index} has no segments")
+        if not segments:
+            raise ConfigError(f"{what} has no segments")
+        artifact.require(segments, f"{what} segments",
+                         dict.fromkeys(segments, float))
         total = float(record["total_us"])
         parts = sum(float(v) for v in segments.values())
         if abs(parts - total) > tolerance * max(1.0, abs(total)):
             raise ConfigError(
-                f"reqtrace record {index}: segments sum to {parts!r} "
+                f"{what}: segments sum to {parts!r} "
                 f"but total_us is {total!r}")
         decomposed = float(record["wait_us"]) + float(record["service_us"])
         if abs(decomposed - total) > tolerance * max(1.0, abs(total)):
             raise ConfigError(
-                f"reqtrace record {index}: wait+service {decomposed!r} "
+                f"{what}: wait+service {decomposed!r} "
                 f"!= total_us {total!r}")
 
 

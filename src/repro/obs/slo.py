@@ -38,13 +38,12 @@ See docs/OBSERVABILITY.md for the config schema
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import obs
+from repro import artifact, obs
 from repro.errors import ConfigError
 from repro.obs.analyze import interpolated_percentile
 
@@ -132,48 +131,38 @@ class SLOObjective:
         return deadline_missed
 
 
+_NULLABLE_STR = (str, type(None))
+_OBJECTIVE_OPTIONAL = {
+    "kind": str, "op": _NULLABLE_STR, "stream": (int, type(None)),
+    "device_kind": _NULLABLE_STR, "percentile": float,
+    "threshold_us": float, "max_ratio": float, "window_us": float,
+    "budget": float}
+
+
 def objective_from_dict(doc: dict) -> SLOObjective:
     """Build an objective from one config entry (strict keys)."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"SLO objective must be an object, got "
-                          f"{type(doc).__name__}")
-    allowed = {"name", "kind", "op", "stream", "device_kind", "percentile",
-               "threshold_us", "max_ratio", "window_us", "budget"}
-    unknown = set(doc) - allowed
+    artifact.require(doc, "SLO objective", {"name": str},
+                     optional=_OBJECTIVE_OPTIONAL)
+    unknown = set(doc) - {"name"} - set(_OBJECTIVE_OPTIONAL)
     if unknown:
         raise ConfigError(
-            f"SLO objective {doc.get('name', '?')!r}: unknown keys "
+            f"SLO objective {doc['name']!r}: unknown keys "
             f"{sorted(unknown)}")
-    if "name" not in doc:
-        raise ConfigError("SLO objective missing required key 'name'")
     return SLOObjective(**doc)
 
 
 def load_slo_config(path: str | Path) -> list[SLOObjective]:
     """Read a ``repro.obs.slo/v1`` config file into objectives."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"SLO config not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"SLO config {path} is not valid JSON: {error}") from error
-    return validate_slo_document(doc)
+    return validate_slo_document(artifact.read_json(path, "SLO config"))
 
 
 def validate_slo_document(doc: dict) -> list[SLOObjective]:
     """Validate a parsed config document; returns its objectives."""
-    if not isinstance(doc, dict):
-        raise ConfigError("SLO config must be a JSON object")
-    if doc.get("schema") != SLO_SCHEMA:
-        raise ConfigError(
-            f"unsupported SLO config schema: {doc.get('schema')!r} "
-            f"(expected {SLO_SCHEMA!r})")
-    entries = doc.get("objectives")
-    if not isinstance(entries, list) or not entries:
+    artifact.require(doc, "SLO config", {"objectives": list},
+                     schema=SLO_SCHEMA)
+    if not doc["objectives"]:
         raise ConfigError("SLO config needs a non-empty 'objectives' list")
-    objectives = [objective_from_dict(entry) for entry in entries]
+    objectives = [objective_from_dict(entry) for entry in doc["objectives"]]
     names = [objective.name for objective in objectives]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate objective names in SLO config: "

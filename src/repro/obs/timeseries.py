@@ -33,11 +33,13 @@ disabled path costs one ``is None`` test per step.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
+from repro import artifact
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
 
@@ -54,6 +56,8 @@ DEFAULT_CAPACITY = 512
 DEFAULT_CADENCE = 30.0
 
 _EPS = 1e-12
+
+_CSV_HEADER = ["name", "labels", "unit", "kind", "t", "value"]
 
 
 class SeriesBuffer:
@@ -346,30 +350,21 @@ class TimeseriesSampler:
     def export_jsonl(self, path: str | Path) -> Path:
         """Write the document as JSONL: header line, then one series/line."""
         document = self.to_dict()
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as handle:
-            header = {k: v for k, v in document.items() if k != "series"}
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for series in document["series"]:
-                handle.write(json.dumps(series, sort_keys=True) + "\n")
-        return path
+        header = {k: v for k, v in document.items() if k != "series"}
+        return artifact.write_jsonl(path, [header, *document["series"]])
 
     def export_csv(self, path: str | Path) -> Path:
         """Write long-format CSV: ``name,labels,unit,kind,t,value``."""
-        document = self.to_dict()
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["name", "labels", "unit", "kind", "t", "value"])
-            for series in document["series"]:
-                labels = json.dumps(series["labels"], sort_keys=True)
-                for t, v in zip(series["t"], series["v"]):
-                    writer.writerow([series["name"], labels,
-                                     series["unit"] or "",
-                                     series["kind"], t, v])
-        return path
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(_CSV_HEADER)
+        for series in self.to_dict()["series"]:
+            labels = json.dumps(series["labels"], sort_keys=True)
+            for t, v in zip(series["t"], series["v"]):
+                writer.writerow([series["name"], labels,
+                                 series["unit"] or "",
+                                 series["kind"], t, v])
+        return artifact.write_text(path, out.getvalue())
 
     def export(self, path: str | Path) -> Path:
         """Dispatch on suffix: ``.csv`` -> CSV, everything else JSONL."""
@@ -405,60 +400,43 @@ def load_timeseries(path: str | Path) -> dict:
     Raises :class:`~repro.errors.ConfigError` on missing files or
     corrupt content — ``repro report`` maps that to exit code 2.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"timeseries artifact not found: {path}")
-    if path.suffix == ".csv":
+    if Path(path).suffix == ".csv":
         document = _load_csv(path)
     else:
         document = _load_jsonl(path)
     return validate_timeseries_document(document)
 
 
-def _load_jsonl(path: Path) -> dict:
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
+def _load_jsonl(path: str | Path) -> dict:
+    lines = [record for _, record in
+             artifact.read_jsonl(path, "timeseries artifact")]
     if not lines:
         raise ConfigError(f"timeseries artifact {path} is empty")
-    try:
-        header = json.loads(lines[0])
-        series = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"timeseries artifact {path} is not valid JSONL: {error}"
-        ) from error
-    if not isinstance(header, dict):
-        raise ConfigError(
-            f"timeseries artifact {path}: header line must be an object")
-    document = dict(header)
-    document["series"] = series
-    return document
+    return {**lines[0], "series": lines[1:]}
 
 
-def _load_csv(path: Path) -> dict:
+def _load_csv(path: str | Path) -> dict:
     series: dict[tuple[str, str], dict] = {}
+    text = artifact.read_text(path, "timeseries CSV")
     try:
-        with path.open(newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["name", "labels", "unit", "kind", "t", "value"]:
-                raise ConfigError(
-                    f"timeseries CSV {path} has unexpected header "
-                    f"{header!r}")
-            for row in reader:
-                if len(row) != 6:
-                    raise ConfigError(
-                        f"timeseries CSV {path}: bad row {row!r}")
-                name, labels_json, unit, kind, t, v = row
-                entry = series.setdefault((name, labels_json), {
-                    "name": name,
-                    "labels": json.loads(labels_json),
-                    "unit": unit or None, "kind": kind,
-                    "resolution": 0.0, "downsamples": 0,
-                    "t": [], "v": [],
-                })
-                entry["t"].append(float(t))
-                entry["v"].append(_finite(_unfinite(v)))
-    except (json.JSONDecodeError, ValueError) as error:
+        reader = csv.reader(text.splitlines())
+        header = next(reader, None)
+        if header != _CSV_HEADER:
+            raise ConfigError(f"unexpected header {header!r}")
+        for row in reader:
+            if len(row) != 6:
+                raise ConfigError(f"bad row {row!r}")
+            name, labels_json, unit, kind, t, v = row
+            entry = series.setdefault((name, labels_json), {
+                "name": name,
+                "labels": artifact.parse_json(labels_json, "labels"),
+                "unit": unit or None, "kind": kind,
+                "resolution": 0.0, "downsamples": 0,
+                "t": [], "v": [],
+            })
+            entry["t"].append(float(t))
+            entry["v"].append(_finite(_unfinite(v)))
+    except (ValueError, csv.Error) as error:    # ConfigError is one
         raise ConfigError(
             f"timeseries CSV {path} is corrupt: {error}") from error
     return {
@@ -471,39 +449,29 @@ def _load_csv(path: Path) -> dict:
     }
 
 
+_SERIES_FIELDS = {"name": str, "labels": dict, "t": list, "v": list}
+
+
 def validate_timeseries_document(document: object) -> dict:
     """Validate the ``repro.obs.timeseries/v1`` shape; returns the doc."""
     def fail(message: str):
         raise ConfigError(f"invalid timeseries document: {message}")
 
-    if not isinstance(document, dict):
-        fail("not an object")
-    if document.get("schema") != TIMESERIES_SCHEMA:
-        fail(f"schema must be {TIMESERIES_SCHEMA!r}, "
-             f"got {document.get('schema')!r}")
-    series = document.get("series")
-    if not isinstance(series, list):
-        fail("'series' must be a list")
+    artifact.require(document, "timeseries document", {"series": list},
+                     schema=TIMESERIES_SCHEMA)
     seen: set[tuple[str, tuple]] = set()
-    for entry in series:
-        if not isinstance(entry, dict):
-            fail("series entries must be objects")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            fail(f"bad series name {name!r}")
-        labels = entry.get("labels")
-        if not isinstance(labels, dict) or not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in labels.items()):
-            fail(f"{name}: 'labels' must map strings to strings")
+    for entry in document["series"]:
+        artifact.require(entry, "timeseries series", _SERIES_FIELDS)
+        name, labels = entry["name"], entry["labels"]
+        if not name:
+            fail("empty series name")
+        artifact.require(labels, f"timeseries series {name!r} labels",
+                         dict.fromkeys(labels, str))
         key = (name, _labels_key(labels))
         if key in seen:
             fail(f"duplicate series {name!r} {labels!r}")
         seen.add(key)
-        times = entry.get("t")
-        values = entry.get("v")
-        if not isinstance(times, list) or not isinstance(values, list):
-            fail(f"{name}: 't' and 'v' must be lists")
+        times, values = entry["t"], entry["v"]
         if len(times) != len(values):
             fail(f"{name}: len(t)={len(times)} != len(v)={len(values)}")
         previous = -math.inf

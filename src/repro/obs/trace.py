@@ -19,12 +19,12 @@ zero-argument callable, or nothing
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from repro import artifact
 from repro.errors import ConfigError
 
 
@@ -206,13 +206,8 @@ class SimTimeTracer:
 
     def export_jsonl(self, path: str | Path) -> Path:
         """Write one JSON object per record, ordered by sim time."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as handle:
-            for record in self.records():
-                handle.write(json.dumps(record.to_json(), sort_keys=True))
-                handle.write("\n")
-        return path
+        return artifact.write_jsonl(
+            path, (record.to_json() for record in self.records()))
 
     def clear(self) -> None:
         self._spans.clear()

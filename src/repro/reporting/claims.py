@@ -584,29 +584,29 @@ def check_wear_provenance(records: list[dict] | None,
     hint = ("needs a repro.obs.endurance/v1 artifact (rerun `repro "
             "fleet`/`repro run` with --endurance-out, then pass "
             "--endurance)")
-    if records is None:
-        return ([ClaimResult(identity_claim, "skip", None,
-                             identity_expected, hint),
-                 ClaimResult(isolation_claim, "skip", None,
-                             isolation_expected, hint)]
+    def skipped(detail: str) -> list[ClaimResult]:
+        return ([ClaimResult(isolation_claim, "skip", None,
+                             isolation_expected, detail)]
                 + [ClaimResult(f"wear_provenance/{mode}_delta", "skip",
-                               None, delta_expected, hint)
+                               None, delta_expected, detail)
                    for mode in ("shrink", "regen")])
 
-    results: list[ClaimResult] = []
+    if records is None:
+        return [ClaimResult(identity_claim, "skip", None,
+                            identity_expected, hint)] + skipped(hint)
     try:
         validate_endurance_records(records)
     except ConfigError as error:
-        results.append(ClaimResult(
+        # Nothing below may read records that failed validation.
+        return [ClaimResult(
             identity_claim, "fail", float(len(records)),
-            identity_expected, str(error)))
-    else:
-        results.append(ClaimResult(
-            identity_claim, "pass", float(len(records)),
-            identity_expected,
-            f"{len(records)} device record(s); every per-cause counter "
-            f"sums to its total and the measured WAF matches the "
-            f"decomposition identity"))
+            identity_expected, str(error))] + skipped(
+                "the endurance records failed validation")
+    results = [ClaimResult(
+        identity_claim, "pass", float(len(records)), identity_expected,
+        f"{len(records)} device record(s); every per-cause counter "
+        f"sums to its total and the measured WAF matches the "
+        f"decomposition identity")]
 
     groups = endurance_by_mode(records)
     if groups:

@@ -25,14 +25,15 @@ through raw. Values of unknown types are rejected with
 
 from __future__ import annotations
 
-import json
 import math
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from repro import artifact
 from repro.errors import ConfigError
+from repro.obs.timeseries import validate_timeseries_document
 from repro.reporting.series import Series
 
 
@@ -146,12 +147,13 @@ class ExperimentWriter:
 
     def write(self, directory: str | Path) -> Path:
         """Write ``<directory>/<experiment>.json``; returns the path."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{self.experiment}.json"
-        path.write_text(json.dumps(self.document(), indent=2,
-                                   sort_keys=True, allow_nan=False))
-        return path
+        return artifact.write_text(
+            Path(directory) / f"{self.experiment}.json",
+            artifact.dumps(self.document()))
+
+
+_EXPERIMENT_FIELDS = {"experiment": str, "meta": dict, "tables": dict,
+                      "series": dict}
 
 
 def load_experiment(path: str | Path) -> dict:
@@ -161,15 +163,13 @@ def load_experiment(path: str | Path) -> dict:
     corrupt JSON so consumers (``repro report``) map the condition to
     exit code 2 rather than an unexpected-error traceback.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"artifact not found: {path}")
-    try:
-        document = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"artifact {path} is not valid JSON: {error}") from error
-    for key in ("experiment", "meta", "tables", "series"):
-        if key not in document:
-            raise ConfigError(f"artifact {path} missing key {key!r}")
+    document = artifact.read_json(path, "artifact")
+    what = f"artifact {path}"
+    artifact.require(document, what, _EXPERIMENT_FIELDS,
+                     optional={"metrics": dict, "timeseries": dict})
+    for section in ("tables", "series"):    # name -> object, both
+        artifact.require(document[section], f"{what} {section}",
+                         dict.fromkeys(document[section], dict))
+    if "timeseries" in document:    # `repro report` reads it as it stands
+        validate_timeseries_document(document["timeseries"])
     return document

@@ -23,10 +23,10 @@ this as ``python -m repro run <scenario.json> [--out results/]``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
+from repro import artifact
 from repro import faults as faults_mod
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
@@ -39,30 +39,38 @@ SCENARIO_KINDS = ("fleet", "tournament", "carbon", "tco", "replacement",
 
 def load_scenario(path: str | Path) -> dict:
     """Read and validate a scenario document."""
-    try:
-        document = json.loads(Path(path).read_text())
-    except OSError as error:    # missing, a directory, unreadable
-        raise ConfigError(
-            f"cannot read scenario {path}: {error.strerror}") from error
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"scenario {path} is not valid JSON: {error}") from error
-    return validate_scenario(document)
+    return validate_scenario(artifact.read_json(path, "scenario"))
+
+
+_SCENARIO_OPTIONAL = {"seed": (int, type(None)), "params": dict,
+                      "modes": list, "faults": dict}
+
+#: What ``params`` may hold for the kinds that read it key by key; the
+#: ``fleet`` and ``replacement`` kinds build a config dataclass instead.
+_PARAMS = {
+    "tournament": {"blocks": int, "pec_limit": float, "utilization": float},
+    "carbon": {"f_op": float, "ru_shrink": float, "ru_regen": float},
+    "tco": {"f_opex": float},
+    "fig2": {"ecc_family": str, "pec_limit": float},
+}
 
 
 def validate_scenario(document: dict) -> dict:
-    if not isinstance(document, dict):
-        raise ConfigError("scenario must be a JSON object")
-    name = document.get("name")
-    if not name or not isinstance(name, str):
+    artifact.require(document, "scenario", {"name": str, "kind": str},
+                     optional=_SCENARIO_OPTIONAL)
+    if not document["name"]:
         raise ConfigError("scenario needs a non-empty string 'name'")
-    kind = document.get("kind")
+    kind = document["kind"]
     if kind not in SCENARIO_KINDS:
         raise ConfigError(
             f"scenario 'kind' must be one of {SCENARIO_KINDS}, got {kind!r}")
     params = document.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("scenario 'params' must be an object")
+    if kind == "fleet":
+        _fleet_config(params)
+    elif kind == "replacement":
+        _replacement_config(params)
+    else:
+        _typed(params, f"{kind} params", _PARAMS[kind])
     if "faults" in document:
         # Validates eagerly so a broken plan fails at load, not mid-run.
         scenario_fault_plan(document)
@@ -77,20 +85,43 @@ def scenario_fault_plan(document: dict) -> FaultPlan | None:
     return FaultPlan.from_dict(plan_doc)
 
 
+def _typed(params: dict, what: str, types: dict) -> dict:
+    """``params`` if every key is known and holds its stated type."""
+    unknown = set(artifact.require(params, what, optional=types)) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+    return params
+
+
+def _config(cls, params: dict, what: str, **built):
+    """A config dataclass from outside data: a field's own default says
+    what type it holds (``| None`` in the annotation admits null); a field
+    with a factory default is a sub-config the caller passes as ``built``."""
+    types = {f.name: ((type(f.default), type(None)) if "None" in str(f.type)
+                      else type(f.default))
+             for f in fields(cls) if f.default is not MISSING}
+    return cls(**_typed(params, what, types), **built)
+
+
 def _fleet_config(params: dict):
     from repro.flash.geometry import FlashGeometry
     from repro.sim.fleet import FleetConfig
 
-    params = dict(params)
-    geometry_params = params.pop("geometry", None)
-    allowed = {f.name for f in fields(FleetConfig)} - {"geometry"}
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"unknown fleet params: {sorted(unknown)}")
-    config = FleetConfig(**params)
-    if geometry_params:
-        config = replace(config, geometry=FlashGeometry(**geometry_params))
-    return config
+    params = dict(artifact.require(
+        params, "fleet params", optional={"geometry": (dict, type(None))}))
+    geometry = params.pop("geometry", None)
+    built = ({"geometry": _config(FlashGeometry, geometry, "fleet geometry")}
+             if geometry else {})
+    return _config(FleetConfig, params, "fleet params", **built)
+
+
+def _replacement_config(params: dict):
+    from repro.sim.replacement import ReplacementConfig
+
+    params = dict(artifact.require(params, "replacement params"))
+    fleet = _fleet_config(params.pop("fleet", {}))
+    return _config(ReplacementConfig, params, "replacement params",
+                   fleet=fleet)
 
 
 def _run_fleet(document: dict, writer: ExperimentWriter) -> None:
@@ -158,12 +189,9 @@ def _run_tco(document: dict, writer: ExperimentWriter) -> None:
 
 
 def _run_replacement(document: dict, writer: ExperimentWriter) -> None:
-    from repro.sim.replacement import (ReplacementConfig,
-                                       measured_upgrade_rates)
+    from repro.sim.replacement import measured_upgrade_rates
 
-    params = dict(document.get("params", {}))
-    fleet_params = params.pop("fleet", {})
-    config = ReplacementConfig(fleet=_fleet_config(fleet_params), **params)
+    config = _replacement_config(document.get("params", {}))
     results = measured_upgrade_rates(config, seed=document.get("seed", 9))
     base = results["baseline"].purchases
     writer.add_table(

@@ -22,7 +22,6 @@ re-import) and falls back to the platform default elsewhere.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
@@ -33,7 +32,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro import obs
+from repro import artifact, obs
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.rng import fork_rng, make_rng
@@ -253,52 +252,35 @@ def write_sweep_artifact(document: dict, path: str | Path) -> Path:
     document already maps infinities to None) makes the bytes a pure
     function of the document contents.
     """
-    if document.get("schema") != SWEEP_SCHEMA:
-        raise ConfigError(
-            f"not a {SWEEP_SCHEMA} document: "
-            f"schema={document.get('schema')!r}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(document, indent=2, sort_keys=True,
-                         allow_nan=False) + "\n"
-    path.write_text(payload)
-    return path
+    artifact.require(document, "sweep document", schema=SWEEP_SCHEMA)
+    return artifact.write_text(path, artifact.dumps(document) + "\n")
 
 
 def load_sweep_artifact(path: str | Path) -> dict:
     """Read and validate a ``repro.sweep/v1`` artifact."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"sweep artifact not found: {path}")
-    try:
-        document = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"sweep artifact {path} is not valid JSON: {error}") from error
+    document = artifact.read_json(path, "sweep artifact")
     validate_sweep_document(document)
     return document
 
 
+_DOCUMENT_FIELDS = {"config": dict, "modes": list, "seeds": list,
+                    "results": list}
+_RESULT_FIELDS = {"mode": str, "seed": int, "days": list,
+                  "functioning": list, "capacity_bytes": list,
+                  "mean_lifetime_days": (float, type(None))}
+
+
 def validate_sweep_document(document: dict) -> None:
     """Schema check for ``repro.sweep/v1`` documents."""
-    if not isinstance(document, dict):
-        raise ConfigError("sweep document must be a JSON object")
-    if document.get("schema") != SWEEP_SCHEMA:
-        raise ConfigError(
-            f"unsupported sweep schema: {document.get('schema')!r}")
-    for key in ("config", "modes", "seeds", "results"):
-        if key not in document:
-            raise ConfigError(f"sweep document missing {key!r}")
+    artifact.require(document, "sweep document", _DOCUMENT_FIELDS,
+                     schema=SWEEP_SCHEMA)
     expected = len(document["modes"]) * len(document["seeds"])
     if len(document["results"]) != expected:
         raise ConfigError(
             f"sweep document has {len(document['results'])} results; "
             f"modes x seeds = {expected}")
     for record in document["results"]:
-        for key in ("mode", "seed", "days", "functioning",
-                    "capacity_bytes", "mean_lifetime_days"):
-            if key not in record:
-                raise ConfigError(f"sweep result missing {key!r}")
+        artifact.require(record, "sweep result", _RESULT_FIELDS)
 
 
 def summarize_sweep(document: dict) -> list[dict]:

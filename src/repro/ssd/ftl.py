@@ -53,11 +53,6 @@ from repro.ssd.write_buffer import WriteBuffer
 UNMAPPED = -1
 LOST = -2
 
-#: Item count from which ``_program_fpage`` switches its mapping update
-#: to the vectorised kernel — below this, numpy call overhead loses to
-#: the plain loop (default geometry programs 4 oPages per fPage).
-_PROGRAM_VECTOR_MIN = 16
-
 
 @dataclass(frozen=True)
 class FTLConfig:
@@ -819,39 +814,24 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         # Mapping inlined from _map: every new slot lands in one block,
         # so the per-block valid count bumps once, not per oPage. LBAs
         # within one programmed batch are distinct (buffer keys / one
-        # survivor per slot), which both branches rely on.
+        # survivor per slot).
         base = fpage * self._slots_per_fpage_max
         l2p = self._l2p
         p2l = self._p2l
         counts = self._valid_counts
         spb = self._slots_per_block
         n_items = len(items)
-        if n_items >= _PROGRAM_VECTOR_MIN:
-            lba_arr = np.fromiter((lba for lba, _payload in items),
-                                  dtype=np.int64, count=n_items)
-            prev = l2p[lba_arr]
-            mapped = prev >= 0
-            delta = 0
-            if mapped.any():
-                hot = prev[mapped]
-                p2l[hot] = UNMAPPED
-                np.subtract.at(counts, hot // spb, 1)
-                delta = -int(np.count_nonzero(mapped))
-            slot_arr = np.arange(base, base + n_items, dtype=np.int64)
-            l2p[lba_arr] = slot_arr
-            p2l[slot_arr] = lba_arr
-        else:
-            delta = 0
-            slot = base
-            for lba, _payload in items:
-                prev = l2p[lba]
-                if prev >= 0:
-                    p2l[prev] = UNMAPPED
-                    counts[prev // spb] -= 1
-                    delta -= 1
-                l2p[lba] = slot
-                p2l[slot] = lba
-                slot += 1
+        delta = 0
+        slot = base
+        for lba, _payload in items:
+            prev = l2p[lba]
+            if prev >= 0:
+                p2l[prev] = UNMAPPED
+                counts[prev // spb] -= 1
+                delta -= 1
+            l2p[lba] = slot
+            p2l[slot] = lba
+            slot += 1
         counts[base // spb] += n_items
         self._mapped_lbas += delta + n_items
         self.stats.flash_writes += len(items)

@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 import multiprocessing
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
-from repro import obs
+from repro import artifact, obs
 from repro.errors import ConfigError
 from repro.io.probe import _PROBE_ERRORS, BUILD_MODES, build_queue_device
 from repro.io.queue import DeviceQueue
@@ -891,26 +890,20 @@ def _config_record(config: EngineConfig) -> dict:
 def write_engine_artifact(document: dict, path) -> Path:
     """Write a traffic document as canonical JSON (byte-stable)."""
     validate_engine_document(document)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
-    return path
+    return artifact.write_text(path, artifact.dumps(document) + "\n")
 
 
 def load_engine_artifact(path) -> dict:
     """Read and validate a ``repro.workloads.engine/v1`` artifact."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"traffic artifact not found: {path}")
-    try:
-        document = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise ConfigError(
-            f"traffic artifact {path} is not valid JSON: {error}"
-        ) from error
+    document = artifact.read_json(path, "traffic artifact")
     validate_engine_document(document)
     return document
+
+
+_DOCUMENT_FIELDS = {"config": dict, "cells": list, "tenants": list,
+                    "totals": dict}
+_TENANT_FIELDS = {"tenant": int, "class": str, "loop": str, "offered": int,
+                  "admitted": int, "shed": int, "completed": int}
 
 
 def validate_engine_document(document: dict) -> None:
@@ -920,20 +913,11 @@ def validate_engine_document(document: dict) -> None:
     tests rely on: every tenant's ``offered == admitted + shed``, and
     the totals are the exact sums of the tenant rows.
     """
-    if not isinstance(document, dict):
-        raise ConfigError("traffic document must be a JSON object")
-    if document.get("schema") != ENGINE_SCHEMA:
-        raise ConfigError(
-            f"unsupported traffic schema: {document.get('schema')!r}")
-    for key in ("config", "cells", "tenants", "totals"):
-        if key not in document:
-            raise ConfigError(f"traffic document missing {key!r}")
+    artifact.require(document, "traffic document", _DOCUMENT_FIELDS,
+                     schema=ENGINE_SCHEMA)
     totals = {"offered": 0, "admitted": 0, "shed": 0}
     for row in document["tenants"]:
-        for key in ("tenant", "class", "loop", "offered", "admitted",
-                    "shed", "completed"):
-            if key not in row:
-                raise ConfigError(f"tenant row missing {key!r}")
+        artifact.require(row, "tenant row", _TENANT_FIELDS)
         if row["offered"] != row["admitted"] + row["shed"]:
             raise ConfigError(
                 f"tenant {row['tenant']}: offered {row['offered']} != "

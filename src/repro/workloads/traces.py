@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable
+from pathlib import Path
 
+from repro import artifact
 from repro.errors import ConfigError, ReproError
 from repro.workloads.generators import Operation, OpType
 
@@ -71,38 +72,39 @@ class Trace:
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines or not lines[0].startswith("# trace n_lbas="):
             raise ConfigError("trace text missing header line")
-        n_lbas = int(lines[0].split("=", 1)[1])
-        trace = cls(n_lbas=n_lbas)
-        for line in lines[1:]:
-            parts = line.split()
-            kind, lba = parts[0], int(parts[1])
-            if kind == "W":
-                payload = bytes.fromhex(parts[2]) if len(parts) > 2 else b""
-                trace.append(Operation(OpType.WRITE, lba, payload))
-            elif kind == "R":
-                trace.append(Operation(OpType.READ, lba))
-            elif kind == "T":
-                trace.append(Operation(OpType.TRIM, lba))
-            else:
-                raise ConfigError(f"unknown trace op {kind!r}")
+        try:
+            trace = cls(n_lbas=int(lines[0].split("=", 1)[1]))
+            for line in lines[1:]:
+                parts = line.split()
+                kind, lba = parts[0], int(parts[1])
+                if kind == "W":
+                    payload = (bytes.fromhex(parts[2]) if len(parts) > 2
+                               else b"")
+                    trace.append(Operation(OpType.WRITE, lba, payload))
+                elif kind == "R":
+                    trace.append(Operation(OpType.READ, lba))
+                elif kind == "T":
+                    trace.append(Operation(OpType.TRIM, lba))
+                else:
+                    raise ConfigError(f"unknown trace op {kind!r}")
+        except ConfigError:
+            raise
+        except (ValueError, IndexError) as error:
+            raise ConfigError(f"malformed trace line: {error}") from error
         return trace
 
-    def save(self, path: "str | Path") -> "Path":
+    def save(self, path: str | Path) -> Path:
         """Write the canonical serialisation to ``path`` (UTF-8)."""
-        from pathlib import Path
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.dumps(), encoding="utf-8")
-        return path
+        return artifact.write_text(path, self.dumps())
 
     @classmethod
-    def load(cls, path: "str | Path") -> "Trace":
+    def load(cls, path: str | Path) -> "Trace":
         """Read a trace file written by :meth:`save` (or hand-edited)."""
-        from pathlib import Path
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"trace file not found: {path}")
-        return cls.loads(path.read_text(encoding="utf-8"))
+        text = artifact.read_text(path, "trace file")
+        try:
+            return cls.loads(text)
+        except ConfigError as error:
+            raise ConfigError(f"trace file {path}: {error}") from error
 
 
 def synthesize_trace(generator, count: int) -> Trace:

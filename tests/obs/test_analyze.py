@@ -163,7 +163,7 @@ class TestLoadTraceJsonl:
     def test_non_record_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"foo": 1}\n')
-        with pytest.raises(ConfigError, match="not a trace record"):
+        with pytest.raises(ConfigError, match="trace.jsonl:1 missing 'kind'"):
             load_trace_jsonl(path)
 
 

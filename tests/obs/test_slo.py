@@ -78,7 +78,7 @@ class TestObjectiveValidation:
     def test_strict_keys_in_config_entries(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             objective_from_dict({"name": "x", "threshold": 5})
-        with pytest.raises(ConfigError, match="missing required"):
+        with pytest.raises(ConfigError, match="missing 'name'"):
             objective_from_dict({"kind": "latency"})
 
     def test_document_schema_and_duplicates(self):

@@ -218,7 +218,7 @@ class TestLoadingErrors:
     def test_corrupt_jsonl(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json\n")
-        with pytest.raises(ConfigError, match="not valid JSONL"):
+        with pytest.raises(ConfigError, match="bad.jsonl:1 is not valid JSON"):
             load_timeseries(path)
 
     def test_empty_jsonl(self, tmp_path):

@@ -608,6 +608,35 @@ def test_metric_check_flags_the_parent_text():
     assert "repro_io_errors_total" not in uncatalogued
 
 
+def test_files_in_files_out_names_resolve():
+    """docs/OBSERVABILITY.md, "Files in, files out": the door, the
+    loaders that go through it, the config classes typed at it and the
+    exit-code constants all still exist."""
+    import importlib
+    import inspect
+
+    # By module path: ``repro.obs.timeseries`` the attribute is a function.
+    modules = [importlib.import_module(f"repro.{name}") for name in (
+        "artifact", "cli", "scenarios", "workloads.engine",
+        "workloads.traces", "obs.analyze", "obs.endurance", "obs.reqtrace",
+        "obs.slo", "obs.timeseries", "reporting.export", "sim.replacement",
+        "sim.parallel", "sim.fleet", "faults", "errors")]
+    text = section((DOCS / "OBSERVABILITY.md").read_text(),
+                   "Files in, files out")
+    namespaces = [*modules, repro.faults.FaultPlan,
+                  types.SimpleNamespace(**dict.fromkeys(
+                      inspect.signature(modules[0].require).parameters))]
+    checked, missing = unresolved_spans(text, namespaces)
+    assert {"repro.artifact", "repro.artifact.require", "read_records",
+            "write_jsonl", "load_reqtrace", "FaultPlan.load", "Trace.load",
+            "optional", "SLOObjective", "ReplacementConfig",
+            "EXIT_CONFIG_ERROR", "tests/test_malformed_inputs.py",
+            "tests/test_artifact_fuzz.py"} <= checked
+    assert not missing, (
+        f"docs/OBSERVABILITY.md, 'Files in, files out', names things "
+        f"that resolve nowhere: {missing}")
+
+
 @pytest.mark.parametrize("document", ["EXPERIMENTS.md", "docs/TUTORIAL.md"])
 def test_experiment_and_tutorial_names_resolve(document):
     names = dotted_names((ROOT / document).read_text())
