@@ -7,8 +7,9 @@ emits both the performance numbers and the paper-shaped output. Each
 registered output is also written to ``benchmarks/results/<slug>.txt`` so
 runs leave diffable artifacts behind.
 
-An autouse fixture additionally enables ``repro.obs`` metrics *and* a
-timeseries sampler around each bench, snapshotting the registry into
+An autouse fixture additionally scopes a metrics registry, a tracer
+*and* a timeseries sampler into the run context (``repro.context``)
+around each bench, snapshotting the registry into
 ``benchmarks/results/metrics/`` (one ``repro.obs.metrics/v1`` JSON per
 bench) and any recorded trajectories into
 ``benchmarks/results/timeseries/<slug>.jsonl``
@@ -29,7 +30,8 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro import context
+from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
 
 _REGISTERED: list[tuple[str, str]] = []
 _RESULTS_DIR = Path(__file__).parent / "results"
@@ -76,8 +78,10 @@ def _obs_snapshot(request):
     if request.node.get_closest_marker("no_obs") is not None:
         yield None
         return
-    sampler = obs.TimeseriesSampler(cadence=0.0)
-    with obs.enabled(timeseries_sampler=sampler) as (registry, _tracer):
+    registry = MetricsRegistry()
+    sampler = TimeseriesSampler(registry=registry, cadence=0.0)
+    with context.scoped(metrics=registry, tracer=SimTimeTracer(),
+                        timeseries=sampler):
         yield registry
         document = registry.to_dict()
         slug = re.sub(r"[^a-z0-9]+", "-",

@@ -27,7 +27,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro import obs
+from repro import context
+from repro.obs import MetricsRegistry
+from repro.obs.noop import NULL_METRICS
 
 PERF_SCHEMA = "repro.bench_perf/v1"
 
@@ -134,14 +136,15 @@ def _publish_metrics(name: str, entry: dict) -> None:
     short-lived one purely to export a snapshot next to the other bench
     telemetry under ``benchmarks/results/metrics/``.
     """
-    if obs.metrics_enabled():
-        _set_gauges(obs.metrics(), name, entry)
-        return
-    with obs.enabled() as (registry, _tracer):
+    registry = context.current().metrics
+    if registry is not NULL_METRICS:
         _set_gauges(registry, name, entry)
-        metrics_dir = _RESULTS_DIR / "metrics"
-        metrics_dir.mkdir(parents=True, exist_ok=True)
-        registry.write_json(metrics_dir / f"perf-{name}.json")
+        return
+    registry = MetricsRegistry()
+    _set_gauges(registry, name, entry)
+    metrics_dir = _RESULTS_DIR / "metrics"
+    metrics_dir.mkdir(parents=True, exist_ok=True)
+    registry.write_json(metrics_dir / f"perf-{name}.json")
 
 
 def export_endurance(name: str, ledger) -> Path:

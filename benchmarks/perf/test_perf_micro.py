@@ -4,7 +4,7 @@ Each bench times one narrower hot path than the GC-heavy macro:
 
 * ``ftl_write_micro`` — buffer/flush/allocation with little GC;
 * ``ftl_write_endurance_micro`` — the same loop with the wear ledger
-  installed (the endurance overhead contract), exporting a per-bench
+  scoped (the endurance overhead contract), exporting a per-bench
   wear decomposition snapshot;
 * ``io_roundtrip_micro`` — the DeviceQueue request/completion plumbing
   the cluster's default IO path now rides on;
@@ -12,7 +12,7 @@ Each bench times one narrower hot path than the GC-heavy macro:
   ``DeviceQueue.dispatch``, request fields with no request objects (the
   traffic engine's surface);
 * ``io_roundtrip_reqtrace_micro`` — the same loop with request tracing
-  installed at 1-in-64 sampling (the reqtrace overhead contract);
+  scoped at 1-in-64 sampling (the reqtrace overhead contract);
 * ``traffic_engine_micro`` — one multi-tenant traffic-engine cell
   (arrival scheduling, admission control, queue dispatch, accounting);
 * ``difs_placement_micro`` — chunk updates + failure polls over ~580

@@ -21,9 +21,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro import context
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.io import DeviceQueue, IORequest
+from repro.obs.endurance import EnduranceLedger
+from repro.obs.reqtrace import ReqTracer
 from repro.sim.fleet import FleetConfig, forget_hardware, simulate_fleet
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
@@ -88,16 +91,15 @@ def ftl_write_micro() -> dict:
 # -- buffered write path with wear ledger (micro) ----------------------------
 
 def ftl_write_endurance_micro() -> dict:
-    """:func:`ftl_write_micro` with the wear-provenance ledger installed
+    """:func:`ftl_write_micro` with the wear-provenance ledger scoped
     — the measured side of the ≤5% endurance overhead contract
     (docs/OBSERVABILITY.md). Identical fixture and loop; the only delta
     is the per-device handle the chip binds at construction. The
     ledger's records are exported next to ``BENCH_perf.json`` so every
     perf run leaves a wear decomposition snapshot.
     """
-    from repro.obs import endurance
-
-    with endurance.installed(pec_limit=3000.0) as led:
+    led = EnduranceLedger(pec_limit=3000.0)
+    with context.scoped(endurance=led):
         geometry = FlashGeometry(blocks=32, fpages_per_block=32,
                                  channels=2)
         chip = FlashChip(geometry, seed=11, variation_sigma=0.2)
@@ -194,15 +196,13 @@ def io_dispatch_roundtrip_micro() -> dict:
 # -- queued IO roundtrip with request tracing (micro) ------------------------
 
 def io_roundtrip_reqtrace_micro() -> dict:
-    """:func:`io_roundtrip_micro` with request tracing installed at the
+    """:func:`io_roundtrip_micro` with request tracing scoped at the
     default 1-in-64 sampling — the measured side of the ≤5% reqtrace
     overhead contract (docs/OBSERVABILITY.md). Identical fixture and
     loop; the only delta is the tracer the queue binds at construction.
     """
-    from repro.obs import reqtrace
-
-    with reqtrace.installed(reqtrace.ReqTracer(seed=3, every=64)) \
-            as tracer:
+    tracer = ReqTracer(seed=3, every=64)
+    with context.scoped(reqtrace=tracer):
         queue, lbas = _io_micro_fixture()
         start = time.perf_counter()
         for lba in lbas:

@@ -1,12 +1,12 @@
-"""Wear-ledger overhead: off must cost ~nothing, installed ≤ ~5%.
+"""Wear-ledger overhead: off must cost ~nothing, scoped ≤ ~5%.
 
 The endurance contract (docs/OBSERVABILITY.md) mirrors reqtrace's:
 
-* **Disabled** — chips and FTLs bind ``endurance.ledger()`` once at
-  construction; with nothing installed the program/erase hot path is a
-  single ``is None`` test. The write loop here must match the
+* **Disabled** — chips and FTLs bind the run context's ``endurance``
+  field once at construction; with nothing scoped the program/erase hot
+  path is a single ``is None`` test. The write loop here must match the
   committed ``ftl_write_micro`` floor untouched.
-* **Installed** — every program and erase pays two dict increments and
+* **Scoped** — every program and erase pays two dict increments and
   a cause-stack read; no RNG, no clock, no allocation. That bounded
   cost is the ≤5% target the ``ftl_write_endurance_micro`` perf floor
   enforces in CI.
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import context
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.obs import endurance
+from repro.obs.endurance import EnduranceLedger
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
 WRITES = 4_000
@@ -47,7 +48,7 @@ def _write_loop(ftl: PageMappedFTL) -> int:
 
 @pytest.mark.no_obs
 def test_ftl_write_ledger_disabled(benchmark):
-    assert endurance.ledger() is None
+    assert context.current().endurance is None
     ftl = _build_ftl()
     # Bound off at construction: pure is-None hot path on both layers.
     assert ftl._endurance is None
@@ -58,7 +59,8 @@ def test_ftl_write_ledger_disabled(benchmark):
 
 @pytest.mark.no_obs
 def test_ftl_write_ledger_installed(benchmark):
-    with endurance.installed() as led:
+    led = EnduranceLedger()
+    with context.scoped(endurance=led):
         ftl = _build_ftl()
         handle = ftl.chip._endurance
         assert handle is led.devices["wear0"]

@@ -6,9 +6,10 @@ instrumentation cost, and that *timeseries sampling* at the default
 cadence (a monthly SMART pull, ``timeseries.DEFAULT_CADENCE``) stays
 within ~5% — the census piggybacks on the searchsorted calls the step
 loop already makes, and non-sample steps pay one ``due()`` check. Hot
-loops guard with ``obs.metrics_enabled()`` (one boolean) and everything
-else goes through the no-op singletons, so the benches below differ
-only by the real cost of each enabled layer.
+loops bind ``None`` for a run-context field that holds its no-op object
+(one ``is None`` test) and everything else goes through the no-op
+singletons, so the benches below differ only by the real cost of each
+enabled layer.
 
 ``no_obs`` opts these benches out of the harness's autouse registry
 fixture — overhead measurement needs to control exactly which layers
@@ -19,9 +20,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs
+from repro import context
+from repro.context import RunContext
 from repro.flash.geometry import FlashGeometry
-from repro.obs.timeseries import DEFAULT_CADENCE
+from repro.obs.noop import NULL_METRICS
+from repro.obs.timeseries import DEFAULT_CADENCE, TimeseriesSampler
 from repro.sim.fleet import FleetConfig, simulate_fleet
 
 CONFIG = FleetConfig(
@@ -50,8 +53,7 @@ SAMPLING_CONFIG = FleetConfig(
 
 @pytest.mark.no_obs
 def test_fleet_sim_observability_disabled(benchmark):
-    assert not obs.metrics_enabled()
-    assert not obs.timeseries_enabled()
+    assert context.current() == RunContext()
     result = benchmark(simulate_fleet, CONFIG, "regen", 7)
     assert result.days.size > 0
 
@@ -59,7 +61,7 @@ def test_fleet_sim_observability_disabled(benchmark):
 @pytest.mark.no_obs
 def test_fleet_sim_sampling_baseline(benchmark):
     """The production-shaped fleet with everything disabled."""
-    assert not obs.timeseries_enabled()
+    assert context.current() == RunContext()
     result = benchmark(simulate_fleet, SAMPLING_CONFIG, "regen", 7)
     assert result.days.size > 0
 
@@ -68,17 +70,15 @@ def test_fleet_sim_sampling_baseline(benchmark):
 def test_fleet_sim_timeseries_default_cadence(benchmark):
     """Sampler-only overhead at the default (monthly) cadence: <=5%
     against ``test_fleet_sim_sampling_baseline``."""
-    sampler = obs.enable_timeseries(cadence=DEFAULT_CADENCE)
-    try:
-        assert obs.timeseries_enabled() and not obs.metrics_enabled()
+    sampler = TimeseriesSampler(cadence=DEFAULT_CADENCE)
+    with context.scoped(timeseries=sampler) as ctx:
+        assert ctx.metrics is NULL_METRICS
         result = benchmark(simulate_fleet, SAMPLING_CONFIG, "regen", 7)
-    finally:
-        obs.disable()
     assert result.days.size > 0
     assert sampler.samples_taken > 0
 
 
 def test_fleet_sim_observability_enabled(benchmark, _obs_snapshot):
-    assert obs.metrics_enabled()
+    assert context.current().metrics is _obs_snapshot
     result = benchmark(simulate_fleet, CONFIG, "regen", 7)
     assert result.days.size > 0

@@ -2,11 +2,11 @@
 
 The reqtrace contract (docs/OBSERVABILITY.md) has two sides:
 
-* **Disabled** — every layer binds ``reqtrace.tracer()`` once at
-  construction; with nothing installed the hot path is one ``is None``
-  test per submit/dispatch. The queue-roundtrip loop here must match
+* **Disabled** — every layer binds the run context's ``reqtrace`` field
+  once at construction; with nothing scoped the hot path is one
+  ``is None`` test per submit/dispatch. The queue-roundtrip loop here must match
   the committed ``io_roundtrip_micro`` floor untouched.
-* **Sampled** — with a tracer installed at the default 1-in-64 period,
+* **Sampled** — with a tracer scoped at the default 1-in-64 period,
   63 of 64 requests still take the ``trace is None`` fast path; only
   the sampled request pays for context activation, busy-ledger reads
   and record assembly. That amortised cost is the ≤5% target the
@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import context
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.io import DeviceQueue, IORequest
-from repro.obs import reqtrace
+from repro.obs.reqtrace import ReqTracer
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
 READS = 2_000
@@ -52,7 +53,7 @@ def _read_loop(queue: DeviceQueue, fill: int) -> int:
 
 @pytest.mark.no_obs
 def test_io_roundtrip_tracing_disabled(benchmark):
-    assert reqtrace.tracer() is None
+    assert context.current().reqtrace is None
     queue, fill = _build_queue()
     assert queue._reqtrace is None  # bound off: pure is-None hot path
     dispatched = benchmark(_read_loop, queue, fill)
@@ -61,8 +62,8 @@ def test_io_roundtrip_tracing_disabled(benchmark):
 
 @pytest.mark.no_obs
 def test_io_roundtrip_tracing_sampled_1_in_64(benchmark):
-    with reqtrace.installed(reqtrace.ReqTracer(seed=3, every=64)) \
-            as tracer:
+    tracer = ReqTracer(seed=3, every=64)
+    with context.scoped(reqtrace=tracer):
         queue, fill = _build_queue()
         assert queue._reqtrace is tracer
         dispatched = benchmark(_read_loop, queue, fill)
@@ -78,8 +79,8 @@ def test_io_roundtrip_tracing_sampled_1_in_64(benchmark):
 def test_io_roundtrip_tracing_every_request(benchmark):
     """The worst case (every=1): still functional, bounded overhead —
     the knob an operator reaches for when debugging one bad device."""
-    with reqtrace.installed(reqtrace.ReqTracer(seed=3, every=1)) \
-            as tracer:
+    tracer = ReqTracer(seed=3, every=1)
+    with context.scoped(reqtrace=tracer):
         queue, fill = _build_queue()
         dispatched = benchmark(_read_loop, queue, fill)
     assert dispatched >= READS

@@ -25,7 +25,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro import artifact, obs
+from repro import artifact, context
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
@@ -40,6 +40,7 @@ from repro.models.lifetime import tiredness_tradeoff
 from repro.models.tco import TCOParams, tco_savings
 from repro.models.tco import RU_REGENS as TCO_RU_REGENS
 from repro.models.tco import RU_SHRINKS as TCO_RU_SHRINKS
+from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
 from repro.reporting.series import Series
 from repro.reporting.tables import format_table, render_bars, render_series
 from repro.rng import DEFAULT_SEED
@@ -55,35 +56,33 @@ def _version() -> str:
         return repro.__version__
 
 
-def _setup_observability(args: argparse.Namespace):
-    """Enable metrics/tracing/timeseries when the output flags ask.
+def _observability(args: argparse.Namespace) -> dict:
+    """The run-context fields the output flags ask for.
 
-    Returns the ``(registry, tracer, sampler)`` triple (each may be
-    ``None``). Must run *before* the experiment objects are constructed
-    — instrumentation binds at construction time.
+    :func:`main` scopes them around the whole command, so every
+    experiment object binds them at construction.
     """
-    registry = tracer = sampler = None
+    fields = {}
     if getattr(args, "metrics_out", None):
-        registry = obs.enable_metrics()
+        fields["metrics"] = MetricsRegistry()
     if getattr(args, "trace_out", None):
-        tracer = obs.enable_tracing()
+        fields["tracer"] = SimTimeTracer()
     if getattr(args, "timeseries_out", None):
-        from repro.obs.timeseries import DEFAULT_CADENCE
-        sampler = obs.enable_timeseries(
-            cadence=getattr(args, "timeseries_cadence", DEFAULT_CADENCE))
-    return registry, tracer, sampler
+        fields["timeseries"] = TimeseriesSampler(
+            registry=fields.get("metrics"), cadence=args.timeseries_cadence)
+    return fields
 
 
-def _write_observability(args: argparse.Namespace, registry, tracer,
-                         sampler=None) -> None:
-    if registry is not None:
-        registry.write_json(args.metrics_out)
+def _write_observability(args: argparse.Namespace) -> None:
+    ctx = context.current()
+    if getattr(args, "metrics_out", None):
+        ctx.metrics.write_json(args.metrics_out)
         print(f"metrics -> {args.metrics_out}")
-    if tracer is not None:
-        tracer.export_jsonl(args.trace_out)
+    if getattr(args, "trace_out", None):
+        ctx.tracer.export_jsonl(args.trace_out)
         print(f"trace -> {args.trace_out}")
-    if sampler is not None:
-        sampler.export(args.timeseries_out)
+    if getattr(args, "timeseries_out", None):
+        ctx.timeseries.export(args.timeseries_out)
         print(f"timeseries -> {args.timeseries_out}")
 
 
@@ -262,7 +261,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.sim.parallel import resolve_jobs
     from repro.sim.shard import simulate_fleet_sharded
 
-    registry, tracer, sampler = _setup_observability(args)
     config = FleetConfig(
         devices=args.devices,
         geometry=FlashGeometry(blocks=args.blocks, fpages_per_block=64),
@@ -301,7 +299,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         path = write_sweep_artifact(document, args.out)
         print(f"fleet artifact -> {path}")
     _run_probe_sidecar(args, modes)
-    _write_observability(args, registry, tracer, sampler)
+    _write_observability(args)
     return 0
 
 
@@ -461,7 +459,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.scenarios import load_scenario, run_scenario
 
-    registry, tracer, sampler = _setup_observability(args)
     document = load_scenario(args.scenario)
     plan = _load_fault_plan(args)
     if plan is not None:
@@ -469,13 +466,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         document = dict(document)
         document["faults"] = plan.to_dict()
     writer = run_scenario(document)
-    if registry is not None:
-        writer.attach_metrics(registry)
-    if sampler is not None:
-        writer.attach_timeseries(sampler)
+    if args.metrics_out:
+        writer.attach_metrics(context.current().metrics)
+    if args.timeseries_out:
+        writer.attach_timeseries(context.current().timeseries)
     path = writer.write(args.out)
     _run_probe_sidecar(args)
-    _write_observability(args, registry, tracer, sampler)
+    _write_observability(args)
     print(f"scenario {document['name']!r} ({document['kind']}) -> {path}")
     for name, table in writer.document()["tables"].items():
         print(format_table(table["headers"], table["rows"], title=name))
@@ -493,7 +490,6 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     )
     from repro.workloads.traces import Trace
 
-    registry, tracer, sampler = _setup_observability(args)
     # Parsed here so that a bad file fails at the door, path named, not
     # inside a worker; the cells re-read the canonical text.
     trace_text = Trace.load(args.trace).dumps() if args.trace else None
@@ -524,7 +520,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         document["meta"] = {"jobs": jobs}
     publish_traffic_metrics(document)
     path = write_engine_artifact(document, args.out)
-    _write_observability(args, registry, tracer, sampler)
+    _write_observability(args)
 
     totals = document["totals"]
     rows = [[klass, "-" if p99 is None else f"{p99:.1f}"]
@@ -1113,11 +1109,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    uses_obs = bool(getattr(args, "metrics_out", None)
-                    or getattr(args, "trace_out", None)
-                    or getattr(args, "timeseries_out", None))
     try:
-        return args.func(args)
+        # One run context per command, built from its flags; library
+        # callers of main() (and the test suite) see no state change.
+        with context.scoped(**_observability(args)):
+            return args.func(args)
     except ConfigError as error:
         print(f"repro: configuration error: {error}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -1131,11 +1127,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"repro: unexpected error: "
               f"{type(error).__name__}: {error}", file=sys.stderr)
         return EXIT_UNEXPECTED_ERROR
-    finally:
-        if uses_obs:
-            # Restore the no-op singletons so library callers of main()
-            # (and the test suite) see no global state change.
-            obs.disable()
 
 
 if __name__ == "__main__":

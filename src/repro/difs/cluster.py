@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import faults, obs
+from repro import context
 from repro.errors import (
     ChunkLostError,
     ConfigError,
@@ -31,6 +31,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.obs.instruments import difs_instruments
+from repro.obs.noop import NULL_METRICS
 from repro.difs.chunk import Chunk, Replica
 from repro.difs.node import StorageNode
 from repro.difs.placement import VolumeIndex, place_replicas
@@ -128,12 +129,13 @@ class Cluster:
         self._chunks_by_volume: dict[str, set[str]] = {}
         self._device_count = 0
         self._audit_cursor = 0
-        self._faults = faults.injector()
+        ctx = context.current()
+        self._faults = ctx.faults
         self._instr = difs_instruments()
-        if obs.metrics_enabled():
+        if ctx.metrics is not NULL_METRICS:
             # Gauge sampled at collection time, so it is correct even when
             # volumes die asynchronously (device events, bricked devices).
-            obs.metrics().add_collect_hook(
+            ctx.metrics.add_collect_hook(
                 lambda: self._instr.live_volumes.set(
                     self.live_volume_count()))
 
@@ -440,7 +442,7 @@ class Cluster:
     def _read_unit(self, volume: Volume, slot: int) -> list[bytes]:
         """Read one unit for collection, with bounded retry under faults.
 
-        With no injector installed this is a plain ``read_chunk``. Each
+        With no injector scoped this is a plain ``read_chunk``. Each
         attempt the plan fails consumes one ``difs.recovery.read`` site
         hit, so a burst of ``count=n`` means "fail n consecutive
         attempts": ``n <= recovery_read_retries`` succeeds after the

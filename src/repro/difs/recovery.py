@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import faults, obs
+from repro import context
 from repro.errors import NoPlacementError, ReproError
 from repro.obs.instruments import difs_instruments
 
@@ -69,7 +69,9 @@ class RecoveryManager:
     def __init__(self, cluster) -> None:
         self._cluster = cluster
         self.stats = RecoveryStats()
-        self._faults = faults.injector()
+        ctx = context.current()
+        self._faults = ctx.faults
+        self._tracer = ctx.tracer
         self._pending_volumes: list[str] = []
         self._pending_chunks: list[str] = []
         self._failed_volumes: set[str] = set()
@@ -135,7 +137,7 @@ class RecoveryManager:
                 self._instr.degraded_dwell.labels(kind="volume").observe(
                     self._cluster.time - enqueued)
                 self._set_queue_gauges()
-                with obs.tracer().span("difs.recover_volume",
+                with self._tracer.span("difs.recover_volume",
                                        volume=volume_id):
                     self._recover_volume(volume_id)
             elif self._pending_chunks:
@@ -148,7 +150,7 @@ class RecoveryManager:
                 self._instr.degraded_dwell.labels(kind="chunk").observe(
                     self._cluster.time - enqueued)
                 self._set_queue_gauges()
-                with obs.tracer().span("difs.repair_chunk", chunk=chunk_id):
+                with self._tracer.span("difs.repair_chunk", chunk=chunk_id):
                     self._repair_chunk(chunk_id, record=None)
 
     def _event_fault(self, kind: str, item_id: str, queue: list[str],

@@ -1,20 +1,21 @@
 """Deterministic, seed-driven fault injection for the whole stack.
 
-``repro.faults`` mirrors the :mod:`repro.obs` singleton pattern: one
-guarded module-level injector that every layer *binds at construction*
-and consults only when non-None, so the hooks are a single attribute
-test on the hot path and provably free when no plan is installed.
+A :class:`FaultInjector` for one :class:`FaultPlan` rides in the run
+context (:mod:`repro.context`): every layer binds it *at construction*
+and consults it only when non-None, so the hooks are a single attribute
+test on the hot path and provably free when no plan is scoped. See
+docs/OBSERVABILITY.md ("Run context") for the binding rule.
 
-Usage (typically once, at harness start, **before** building devices)::
+Usage (scope the injector **before** building devices)::
 
-    from repro import faults
-    from repro.faults import FaultPlan, FaultSpec
+    from repro import context
+    from repro.faults import FaultInjector, FaultPlan, FaultSpec
 
     plan = FaultPlan((FaultSpec("gc.pre_erase", "crash", when=3),))
-    with faults.installed(plan) as injector:
+    with context.scoped(faults=FaultInjector(plan)) as ctx:
         device = SalamanderSSD(...)   # binds the injector
         ...                           # run; PowerLossError fires at hit 3
-    print(injector.summary())
+    print(ctx.faults.summary())
 
 The crash-and-remount driver in :mod:`repro.faults.harness` catches the
 resulting :class:`~repro.errors.PowerLossError` and rebuilds the device
@@ -25,9 +26,7 @@ the injection-site registry and the ``repro.faults/v1`` plan schema.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-from repro.errors import ConfigError
+from repro import context
 from repro.faults.injector import FaultInjector, FiredFault
 from repro.faults.plan import (
     CRASH_SITES,
@@ -38,58 +37,9 @@ from repro.faults.plan import (
     validate_fault_document,
 )
 
-_injector: FaultInjector | None = None
-
-
-def injector() -> FaultInjector | None:
-    """The active injector, or None when no plan is installed.
-
-    Hooks keep the value they saw at construction; the None default is
-    what makes disabled hooks a plain attribute test.
-    """
-    return _injector
-
 
 def enabled() -> bool:
-    return _injector is not None
-
-
-def install(plan_or_injector: FaultPlan | FaultInjector) -> FaultInjector:
-    """Install a fresh injector for ``plan`` (or the given injector).
-
-    Like observability, fault hooks bind at construction time: install
-    before creating the objects you want to inject into.
-    """
-    global _injector
-    if isinstance(plan_or_injector, FaultInjector):
-        _injector = plan_or_injector
-    elif isinstance(plan_or_injector, FaultPlan):
-        _injector = FaultInjector(plan_or_injector)
-    else:
-        raise ConfigError(
-            f"expected FaultPlan or FaultInjector, got {plan_or_injector!r}")
-    return _injector
-
-
-def uninstall() -> None:
-    """Return to the no-injection default."""
-    global _injector
-    _injector = None
-
-
-@contextmanager
-def installed(plan: FaultPlan | FaultInjector):
-    """Scope-install a plan; restores the previous injector on exit.
-
-    Yields the active :class:`FaultInjector` so callers can inspect
-    ``fired`` / ``summary()`` afterwards.
-    """
-    global _injector
-    previous = _injector
-    try:
-        yield install(plan)
-    finally:
-        _injector = previous
+    return context.current().faults is not None
 
 
 __all__ = [
@@ -101,9 +51,5 @@ __all__ = [
     "FiredFault",
     "SITES",
     "enabled",
-    "injector",
-    "install",
-    "installed",
-    "uninstall",
     "validate_fault_document",
 ]

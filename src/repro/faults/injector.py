@@ -3,7 +3,7 @@
 A :class:`FaultInjector` wraps one :class:`~repro.faults.plan.FaultPlan`
 and is consulted by hooks threaded through the stack::
 
-    self._faults = faults.injector()          # bound at construction
+    self._faults = context.current().faults   # bound at construction
     ...
     if self._faults is not None:              # zero-cost when disabled
         self._faults.crash_if("gc.pre_erase", block=victim)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import faults
+from repro import context
 from repro.errors import (
     ConfigError,
     EraseError,
@@ -40,7 +40,6 @@ from repro.errors import (
 from repro.flash.geometry import FlashGeometry
 from repro.flash.latency import LatencyModel
 from repro.flash.rber import RBERModel, lognormal_page_variation
-from repro.obs import endurance, reqtrace
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
 from repro.rng import make_rng
 
@@ -142,18 +141,18 @@ class FlashChip:
         self.retention_rber_per_day = retention_rber_per_day
         self.now_fn = now_fn
         self.stats = ChipStats()
-        # Fault injection binds at construction (None ⇒ hooks are a
-        # single attribute test; see docs/FAULTS.md).
-        self._faults = faults.injector()
-        # Request tracing binds the same way: read paths attribute their
-        # retry excess / ECC level to the active sampled request, if any.
-        self._reqtrace = reqtrace.tracer()
-        # Wear provenance binds the same way: with a ledger installed the
-        # chip registers itself and charges every program/erase to the
-        # ledger's current cause (docs/OBSERVABILITY.md, repro_wear_*).
-        led = endurance.ledger()
-        self._endurance = (None if led is None
-                           else led.register_device(self.geometry.blocks))
+        # The run context binds at construction (None ⇒ hooks are a
+        # single attribute test; docs/OBSERVABILITY.md, "Run context"):
+        # the fault injector, the request tracer whose sampled request
+        # read paths charge retry excess / ECC level to, and the wear
+        # ledger the chip registers with so every program/erase is
+        # charged to its current cause (repro_wear_*).
+        ctx = context.current()
+        self._faults = ctx.faults
+        self._reqtrace = ctx.reqtrace
+        self._endurance = (None if ctx.endurance is None
+                           else ctx.endurance.register_device(
+                               self.geometry.blocks))
 
         n = self.geometry.total_fpages
         self._total_fpages = n

@@ -6,7 +6,7 @@ attribution paths — queue contention, GC stalls, read retries under
 tiredness, Salamander shrink/regen — on every device flavour. This
 module provides it: a deterministic open-loop Poisson read/write mix
 driven through a real :class:`~repro.io.queue.DeviceQueue` against a
-freshly built device, with request tracing installed at 1-in-``every``
+freshly built device, with request tracing scoped at 1-in-``every``
 sampling.
 
 Determinism contract (same as the sweep runner): a probe's output is a
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro import context
 from repro.errors import (
     ConfigError,
     DeviceBrickedError,
@@ -31,7 +32,8 @@ from repro.errors import (
 )
 from repro.io.queue import DeviceQueue
 from repro.io.request import IORequest
-from repro.obs import endurance, reqtrace
+from repro.obs.endurance import EnduranceLedger
+from repro.obs.reqtrace import ReqTracer
 from repro.rng import DEFAULT_SEED, fork_rng, make_rng
 
 #: Device flavours a probe can drive (CLI ``--mode`` values).
@@ -192,9 +194,9 @@ def run_probe(mode: str, seed: int = DEFAULT_SEED,
     # is per-process, so records are byte-identical for any --jobs
     # layout. The ledger draws no RNG and charges no busy time, so the
     # reqtrace records are unchanged by its presence.
-    with reqtrace.installed(reqtrace.ReqTracer(
-            seed=seed, every=config.every)) as tr, \
-            endurance.installed(pec_limit=config.pec_limit) as led:
+    tr = ReqTracer(seed=seed, every=config.every)
+    led = EnduranceLedger(pec_limit=config.pec_limit)
+    with context.scoped(reqtrace=tr, endurance=led):
         device = _build_device(mode, seed, config)
         queue = DeviceQueue(device, depth=config.queue_depth,
                             device_kind=mode)

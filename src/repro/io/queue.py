@@ -31,7 +31,7 @@ Every entry point runs the same two-step core, on a request's *fields*
 rather than on request objects: ``_serve`` calls the device and
 measures what the call cost the chip, ``_meter`` places that service on
 the virtual clock and does all the accounting (stats, metrics,
-deadlines, SLOs). ``execute`` and ``submit`` unpack an
+deadlines). ``execute`` and ``submit`` unpack an
 :class:`~repro.io.request.IORequest` into it — after checking that the
 request is addressed for this kind of device — and
 :meth:`DeviceQueue.dispatch` exposes it directly for callers — the
@@ -52,7 +52,7 @@ from __future__ import annotations
 from collections import deque
 from operator import sub
 
-from repro import obs
+from repro import context
 from repro.errors import ConfigError
 from repro.io.protocols import device_kind_of
 from repro.io.request import (
@@ -67,8 +67,8 @@ from repro.io.request import (
     IOCompletion,
     IORequest,
 )
-from repro.obs import reqtrace, slo
 from repro.obs.instruments import io_instruments
+from repro.obs.noop import NULL_METRICS
 
 # Re-exported for callers that predate the stats split; QueueStats is
 # part of the queue's public surface.
@@ -129,24 +129,23 @@ class DeviceQueue:
         self._done: deque[tuple] = deque()
         self._next_tag = 0
         self.stats = QueueStats()
-        # Instruments bind at construction: with metrics off they are
-        # the null singletons for this queue's whole life, so the hot
-        # path skips them on one flag instead of calling no-ops.
-        self._observed = obs.metrics_enabled()
+        # The run context binds at construction: with metrics off the
+        # instruments are the null singletons for this queue's whole
+        # life, so the hot path skips them on one flag instead of
+        # calling no-ops; request tracing is None unless scoped, one
+        # identity test on the hot path when off.
+        ctx = context.current()
+        self._observed = ctx.metrics is not NULL_METRICS
         self._instr = io_instruments(self.device_kind)
         self._set_inflight = self._instr.inflight.set
         #: Per op code: (latency.observe, wait.observe, requests.inc),
         #: bound on the op's first dispatch.
         self._op_children: list[tuple | None] = [None] * len(OP_NAMES)
-        # Request tracing / SLO tracking bind at construction, like
-        # fault injection: None unless installed, one identity test on
-        # the hot path when off.
-        self._reqtrace = reqtrace.tracer()
+        self._reqtrace = ctx.reqtrace
         self._rt_sampler = (self._reqtrace.sampler_for(self.device_kind)
                             if self._reqtrace is not None else None)
-        self._slo = slo.engine()
         if self._observed:
-            obs.metrics().add_collect_hook(self._refresh_deadline_gauge)
+            ctx.metrics.add_collect_hook(self._refresh_deadline_gauge)
 
     def _refresh_deadline_gauge(self) -> None:
         stats = self.stats
@@ -216,7 +215,7 @@ class DeviceQueue:
             result, error, service, work = self._serve(
                 code, lba, count, mdisk_id, stream, payloads)
             arrival, start, end = self._meter(
-                code, stream, deadline_us, at_us, service, work, error)
+                code, deadline_us, at_us, service, work, error)
             measured = (result, error, arrival, start, end, work)
         if handle is not None:
             self._inflight.append((handle,) + measured)
@@ -292,8 +291,7 @@ class DeviceQueue:
         if ctx is not None:
             rt.active = None
         arrival, start, end = self._meter(
-            code, request.stream, request.deadline_us, at_us, service,
-            work, error)
+            code, request.deadline_us, at_us, service, work, error)
         request.submit_us = arrival
         row = (request, result, error, arrival, start, end, work)
         if ctx is not None:
@@ -356,14 +354,14 @@ class DeviceQueue:
                       default=0.0)
         return result, error, service, work
 
-    def _meter(self, code: int, stream: int, deadline: float | None,
+    def _meter(self, code: int, deadline: float | None,
                at_us: float | None, service: float, work: float,
                error: Exception | None) -> tuple:
         """Place one served request on the virtual clock and account it.
 
         The queue's whole timing model, in one place: arrival (with
         NCQ backpressure), earliest-free channel server, clock advance,
-        ``QueueStats``, metrics, deadline and SLO accounting. Returns
+        ``QueueStats``, metrics and deadline accounting. Returns
         ``(arrival, start, end)``.
         """
         clock = self.clock_us
@@ -414,11 +412,6 @@ class DeviceQueue:
                 self._instr.errors.inc()
             if missed:
                 self._instr.deadline_misses.inc()
-        if self._slo is not None:
-            self._slo.observe(
-                end_us=end, latency_us=latency, op=OP_NAMES[code],
-                stream=stream, device_kind=self.device_kind,
-                deadline_missed=missed)
         return arrival, start, end
 
     def _bind_children(self, code: int) -> tuple:

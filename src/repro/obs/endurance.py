@@ -9,12 +9,13 @@ the :class:`repro.flash.chip.FlashChip` boundary carries a cause label
 (:data:`CAUSES`), threaded from FTL host writes, GC victim evacuation,
 wear-leveling moves, scrub refreshes and Salamander shrink/regen work.
 
-Design (mirrors :mod:`repro.faults` / reqtrace exactly):
+Design:
 
-* One guarded module-level singleton (:func:`ledger`), ``None`` by
-  default. Chips bind a per-device handle **at construction**
-  (:meth:`EnduranceLedger.register_device`); with nothing installed the
-  hot path is a single ``is None`` test per program/erase.
+* The ledger is the ``endurance`` field of the run context
+  (:mod:`repro.context`), ``None`` by default. Chips bind a per-device
+  handle **at construction** (:meth:`EnduranceLedger.register_device`);
+  with no ledger scoped the hot path is a single ``is None`` test per
+  program/erase.
 * Causes form a stack (:meth:`EnduranceLedger.cause`) defaulting to
   ``"host"``; layers wrap housekeeping work the way they already wrap
   reqtrace sections (GC passes, scrub evacuations, shrink/regen,
@@ -22,7 +23,7 @@ Design (mirrors :mod:`repro.faults` / reqtrace exactly):
   *inside* a scrub evacuation charges its relocations to ``gc``, the
   same nesting the latency segments use.
 * All counters are plain integers over op indices — no RNG draws, no
-  wall clock, no busy-time charges — so installing a ledger never
+  wall clock, no busy-time charges — so scoping a ledger never
   perturbs the determinism contract: reqtrace records, sweep artifacts
   and RNG streams are byte-identical with the ledger on or off, and
   endurance artifacts are byte-identical for any ``--jobs`` value.
@@ -50,7 +51,7 @@ from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro import artifact
+from repro import artifact, context
 from repro.errors import ConfigError
 
 #: Version tag on every endurance artifact header.
@@ -262,7 +263,7 @@ class EnduranceLedger:
         """Register one chip; returns the handle it keeps for life.
 
         Auto-names run ``wear0``, ``wear1``, ... in registration order
-        — per-ledger, so probe forks that each install a fresh ledger
+        — per-ledger, so probe forks that each scope a fresh ledger
         produce identical names regardless of process layout.
         """
         if name is None:
@@ -324,59 +325,8 @@ class EnduranceLedger:
         self._auto_names = 0
 
 
-# -- module singleton (the repro.faults pattern) ----------------------------
-
-_ledger: EnduranceLedger | None = None
-
-
-def ledger() -> EnduranceLedger | None:
-    """The active wear ledger, or None when endurance tracking is off.
-
-    Chips keep the handle they registered at construction; the None
-    default is what makes disabled hooks a plain attribute test.
-    """
-    return _ledger
-
-
 def enabled() -> bool:
-    return _ledger is not None
-
-
-def install(ledger_obj: EnduranceLedger | None = None,
-            snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-            pec_limit: float | None = None) -> EnduranceLedger:
-    """Install a wear ledger (or build a fresh one).
-
-    Like observability, fault injection and reqtrace, endurance binds
-    at construction time: install *before* creating the chips you want
-    accounted.
-    """
-    global _ledger
-    if ledger_obj is None:
-        ledger_obj = EnduranceLedger(snapshot_every=snapshot_every,
-                                     pec_limit=pec_limit)
-    _ledger = ledger_obj
-    return ledger_obj
-
-
-def uninstall() -> None:
-    """Return to the no-accounting default."""
-    global _ledger
-    _ledger = None
-
-
-@contextmanager
-def installed(ledger_obj: EnduranceLedger | None = None,
-              snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-              pec_limit: float | None = None):
-    """Scope-install a ledger; restores the previous one on exit."""
-    global _ledger
-    previous = _ledger
-    try:
-        yield install(ledger_obj, snapshot_every=snapshot_every,
-                      pec_limit=pec_limit)
-    finally:
-        _ledger = previous
+    return context.current().endurance is not None
 
 
 # -- artifact I/O ------------------------------------------------------------
@@ -557,12 +507,8 @@ __all__ = [
     "enabled",
     "fleet_survival",
     "forecast_rows",
-    "install",
-    "installed",
-    "ledger",
     "load_endurance",
     "publish_wear_metrics",
-    "uninstall",
     "validate_endurance_records",
     "write_endurance",
 ]

@@ -2,9 +2,10 @@
 
 Instrumented subsystems call these factories once at construction and
 keep the returned bundle; each field is a metric child (or family,
-when further labels vary per call site). With observability disabled
-the bundles are built from the no-op singletons, so the per-operation
-cost is a no-op method call.
+when further labels vary per call site) of the run context's registry
+(:mod:`repro.context`), read when the factory runs. With observability
+disabled the bundles are built from the no-op singletons, so the
+per-operation cost is a no-op method call.
 
 Families are (re-)registered idempotently on every call, so multiple
 devices/clusters share one family and differ only by their label
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
-from repro import obs
+from repro import context
 
 _device_ids = itertools.count()
 
@@ -71,7 +72,7 @@ class FTLInstruments:
 
 
 def ftl_instruments(device: str) -> FTLInstruments:
-    m = obs.metrics()
+    m = context.current().metrics
 
     def counter(name: str, help_text: str, unit: str = "opages"):
         return m.counter(name, help=help_text, unit=unit,
@@ -122,7 +123,7 @@ class GCInstruments:
 
 
 def gc_instruments(policy: str) -> GCInstruments:
-    m = obs.metrics()
+    m = context.current().metrics
     return GCInstruments(
         picks=m.counter(
             "repro_gc_victim_picks_total",
@@ -156,7 +157,7 @@ class SalamanderInstruments:
 
 
 def salamander_instruments(device: str) -> SalamanderInstruments:
-    m = obs.metrics()
+    m = context.current().metrics
     return SalamanderInstruments(
         device=device,
         decommissions=m.counter(
@@ -209,7 +210,7 @@ class IOInstruments:
 
 
 def io_instruments(device_kind: str) -> IOInstruments:
-    m = obs.metrics()
+    m = context.current().metrics
     return IOInstruments(
         device_kind=device_kind,
         latency=m.histogram(
@@ -283,7 +284,7 @@ class WearInstruments:
 
 
 def wear_instruments(device: str) -> WearInstruments:
-    m = obs.metrics()
+    m = context.current().metrics
 
     def gauge(name: str, help_text: str, unit: str):
         return m.gauge(name, help=help_text, unit=unit,
@@ -341,7 +342,7 @@ class DiFSInstruments:
 
 
 def difs_instruments() -> DiFSInstruments:
-    m = obs.metrics()
+    m = context.current().metrics
     return DiFSInstruments(
         recovery_bytes=m.counter(
             "repro_difs_recovery_bytes_total",
@@ -392,7 +393,7 @@ class FleetInstruments:
 
 
 def fleet_instruments(mode: str) -> FleetInstruments:
-    m = obs.metrics()
+    m = context.current().metrics
     return FleetInstruments(
         mode=mode,
         step_duration=m.histogram(
@@ -430,7 +431,7 @@ class FaultInstruments:
 
 
 def fault_instruments() -> FaultInstruments:
-    m = obs.metrics()
+    m = context.current().metrics
     return FaultInstruments(
         injected=m.counter(
             "repro_faults_injected_total",
@@ -465,7 +466,7 @@ class TrafficInstruments:
 
 
 def traffic_instruments() -> TrafficInstruments:
-    m = obs.metrics()
+    m = context.current().metrics
     return TrafficInstruments(
         requests=m.counter(
             "repro_traffic_requests_total",
@@ -505,7 +506,7 @@ class ShardInstruments:
 
 
 def shard_instruments() -> ShardInstruments:
-    m = obs.metrics()
+    m = context.current().metrics
     return ShardInstruments(
         tick_duration=m.histogram(
             "repro_shard_tick_seconds",

@@ -1,13 +1,14 @@
 """No-op observability objects: the disabled-by-default fast path.
 
 Every instrumentation site in the codebase holds references obtained
-from :func:`repro.obs.metrics` / :func:`repro.obs.tracer`. When
-observability is disabled (the default), those functions hand out the
-singletons below, whose methods are empty — one attribute lookup and
-one no-op call per instrumentation point, which the overhead benchmark
-(``benchmarks/test_obs_overhead.py``) verifies is within noise of an
-uninstrumented run. Hot loops that want literally zero per-iteration
-cost additionally guard on :func:`repro.obs.metrics_enabled`.
+from the run context (:mod:`repro.context`) at construction. When
+observability is disabled (the default), its metrics, tracer and
+timeseries fields are the singletons below, whose methods are empty —
+one attribute lookup and one no-op call per instrumentation point, which
+the overhead benchmark (``benchmarks/test_obs_overhead.py``) verifies is
+within noise of an uninstrumented run. Hot loops that want literally
+zero per-iteration cost additionally bind ``None`` when a field is its
+null object.
 
 The null objects mirror the real APIs exactly (including
 ``labels(...)`` chaining and span context managers) so instrumented

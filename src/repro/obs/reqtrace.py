@@ -9,13 +9,13 @@ that by attaching a tiny accounting context to a deterministic sample
 of requests and having every instrumented layer charge the device time
 it consumes to a named segment.
 
-Design (mirrors :mod:`repro.faults` exactly):
+Design:
 
-* One guarded module-level singleton (:func:`tracer`), ``None`` by
-  default. Layers bind it **at construction** (``reqtrace.tracer()``)
-  and consult the binding only when non-None, so the disabled hot path
-  is a single identity test — the zero-cost contract pinned by
-  ``tests/obs/test_reqtrace.py`` and the perf floors.
+* The tracer is the ``reqtrace`` field of the run context
+  (:mod:`repro.context`), ``None`` by default. Layers bind it **at
+  construction** and consult the binding only when non-None, so the
+  disabled hot path is a single identity test — the zero-cost contract
+  pinned by ``tests/test_context.py`` and the perf floors.
 * Sampling is **seed-derived**: each device kind gets a deterministic
   phase from :func:`repro.rng.fork_rng` over the tracer's seed, and a
   request is sampled when ``(counter + phase) % every == 0``. The
@@ -46,10 +46,9 @@ contract.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
 
-from repro import artifact
+from repro import artifact, context
 from repro.errors import ConfigError
 from repro.rng import fork_rng, make_rng
 
@@ -291,56 +290,8 @@ class ReqTracer:
         self.active = None
 
 
-# -- module singleton (the repro.faults pattern) ----------------------------
-
-_tracer: ReqTracer | None = None
-
-
-def tracer() -> ReqTracer | None:
-    """The active request tracer, or None when tracing is off.
-
-    Hooks keep the value they saw at construction; the None default is
-    what makes disabled hooks a plain attribute test.
-    """
-    return _tracer
-
-
 def enabled() -> bool:
-    return _tracer is not None
-
-
-def install(tracer_or_seed: ReqTracer | int = 0,
-            every: int = DEFAULT_EVERY) -> ReqTracer:
-    """Install a request tracer (or build one from a seed).
-
-    Like observability and fault injection, reqtrace binds at
-    construction time: install *before* creating the queues/devices
-    you want traced.
-    """
-    global _tracer
-    if isinstance(tracer_or_seed, ReqTracer):
-        _tracer = tracer_or_seed
-    else:
-        _tracer = ReqTracer(seed=int(tracer_or_seed), every=every)
-    return _tracer
-
-
-def uninstall() -> None:
-    """Return to the no-tracing default."""
-    global _tracer
-    _tracer = None
-
-
-@contextmanager
-def installed(tracer_or_seed: ReqTracer | int = 0,
-              every: int = DEFAULT_EVERY):
-    """Scope-install a tracer; restores the previous one on exit."""
-    global _tracer
-    previous = _tracer
-    try:
-        yield install(tracer_or_seed, every=every)
-    finally:
-        _tracer = previous
+    return context.current().reqtrace is not None
 
 
 # -- artifact I/O ------------------------------------------------------------
@@ -419,11 +370,7 @@ __all__ = [
     "ReqContext",
     "ReqTracer",
     "enabled",
-    "install",
-    "installed",
     "load_reqtrace",
-    "tracer",
-    "uninstall",
     "validate_reqtrace_records",
     "write_reqtrace",
 ]

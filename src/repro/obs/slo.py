@@ -25,12 +25,11 @@ Windows reuse the bounded-ring discipline of
 ``(end_us, latency_us, bad)`` samples evicted by sim-time age and
 capped in size, so memory stays bounded no matter how long a run is.
 
-Like the rest of the stack, the engine is available as a guarded
-module singleton (:func:`engine` is ``None`` unless installed), bound
-by :class:`~repro.io.queue.DeviceQueue` at construction — disabled
-runs pay one ``is None`` test per completion. When the metrics
-registry is enabled the engine also publishes ``repro_slo_*``
-counters/gauges, refreshed through a collect hook.
+An engine is built per evaluation: ``repro traffic --slo`` replays each
+cell's completions through a fresh one, and ``repro slo`` replays
+reqtrace records (:func:`evaluate_records`). When the run context
+holds a metrics registry at construction the engine also publishes
+``repro_slo_*`` counters/gauges, refreshed through a collect hook.
 
 See docs/OBSERVABILITY.md for the config schema
 (``repro.obs.slo/v1``) and report schema (``repro.obs.slo_report/v1``).
@@ -39,13 +38,13 @@ See docs/OBSERVABILITY.md for the config schema
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import artifact, obs
+from repro import artifact, context
 from repro.errors import ConfigError
 from repro.obs.analyze import interpolated_percentile
+from repro.obs.noop import NULL_METRICS
 
 #: Version tag expected at the top of every SLO config document.
 SLO_SCHEMA = "repro.obs.slo/v1"
@@ -209,8 +208,8 @@ class SLOEngine:
         self.objectives = list(objectives)
         self._windows = [_Window() for _ in self.objectives]
         self._instr = None
-        if obs.metrics_enabled():
-            registry = obs.metrics()
+        registry = context.current().metrics
+        if registry is not NULL_METRICS:
             self._instr = {
                 "observations": registry.counter(
                     "repro_slo_observations_total",
@@ -374,52 +373,6 @@ def format_slo_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-# -- module singleton (the repro.faults pattern) ----------------------------
-
-_engine: SLOEngine | None = None
-
-
-def engine() -> SLOEngine | None:
-    """The active SLO engine, or None when SLO tracking is off."""
-    return _engine
-
-
-def enabled() -> bool:
-    return _engine is not None
-
-
-def install(engine_or_objectives: SLOEngine | list[SLOObjective],
-            ) -> SLOEngine:
-    """Install an SLO engine (or build one from objectives).
-
-    Queues bind the engine at construction: install before creating
-    the devices whose completions should be tracked.
-    """
-    global _engine
-    if isinstance(engine_or_objectives, SLOEngine):
-        _engine = engine_or_objectives
-    else:
-        _engine = SLOEngine(engine_or_objectives)
-    return _engine
-
-
-def uninstall() -> None:
-    """Return to the no-tracking default."""
-    global _engine
-    _engine = None
-
-
-@contextmanager
-def installed(engine_or_objectives: SLOEngine | list[SLOObjective]):
-    """Scope-install an engine; restores the previous one on exit."""
-    global _engine
-    previous = _engine
-    try:
-        yield install(engine_or_objectives)
-    finally:
-        _engine = previous
-
-
 __all__ = [
     "DEFAULT_WINDOW_US",
     "SLO_KINDS",
@@ -427,15 +380,10 @@ __all__ = [
     "SLO_SCHEMA",
     "SLOEngine",
     "SLOObjective",
-    "enabled",
-    "engine",
     "evaluate_records",
     "format_slo_report",
-    "install",
-    "installed",
     "load_slo_config",
     "objective_from_dict",
     "slo_failed",
-    "uninstall",
     "validate_slo_document",
 ]

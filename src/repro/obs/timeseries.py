@@ -24,10 +24,10 @@ CSV under the ``repro.obs.timeseries/v1`` schema; both round-trip via
 :func:`validate_timeseries_document`. ``repro report`` consumes these
 artifacts for its claim checks.
 
-Like the registry and tracer, the module-level singleton in
-:mod:`repro.obs` is a no-op until enabled; instrumented loops bind
-``obs.timeseries() if obs.timeseries_enabled() else None`` once so the
-disabled path costs one ``is None`` test per step.
+Like the registry and tracer, the sampler is a run-context field
+(:mod:`repro.context`) that is a no-op until scoped; instrumented loops
+bind it once (``None`` for the no-op) so the disabled path costs one
+``is None`` test per step.
 """
 
 from __future__ import annotations

@@ -31,8 +31,9 @@ import math
 
 import numpy as np
 
-from repro import obs
+from repro import context
 from repro.obs.instruments import salamander_instruments
+from repro.obs.noop import NULL_METRICS, NULL_TRACER
 from repro.obs.smart import smart_field
 
 from repro.errors import (
@@ -175,6 +176,11 @@ class SalamanderSSD(PageMappedFTL):
         # capacity, DRAINING FIFO): the one owner of minidisk lifecycle.
         self._table = MinidiskTable(cfg.msize_lbas, initial_count)
         self._exhausted = False
+        # Lifecycle telemetry binds at construction (None when off): the
+        # gauges, the victim/revival counters and the event trace.
+        ctx = context.current()
+        self._metrics = None if ctx.metrics is NULL_METRICS else ctx.metrics
+        self._tracer = None if ctx.tracer is NULL_TRACER else ctx.tracer
         self._sal_instr = salamander_instruments(self.obs_name)
         self._obs_limbo_levels: set[int] = set()
         self._refresh_obs_gauges()
@@ -447,6 +453,12 @@ class SalamanderSSD(PageMappedFTL):
             victim = choose_victim(
                 policy, active,
                 self._live_counts() if policy in DATA_AWARE_POLICIES else {})
+            if self._metrics is not None:
+                self._metrics.counter(
+                    "repro_shrink_victim_picks_total",
+                    help="ShrinkS decommission victim selections",
+                    unit="minidisks",
+                    labelnames=("policy",)).labels(policy=policy).inc()
             if led is None:
                 self._decommission_traced(victim, ctx)
             else:
@@ -496,10 +508,10 @@ class SalamanderSSD(PageMappedFTL):
         """Push the capacity/limbo state into the metrics registry.
 
         Called after every lifecycle transition (decommission, regenerate,
-        release, exhaustion). A single ``metrics_enabled`` check keeps the
-        disabled-path cost to one boolean test.
+        release, exhaustion). The construction-time binding keeps the
+        disabled-path cost to one ``is None`` test.
         """
-        if not obs.metrics_enabled():
+        if self._metrics is None:
             return
         instr = self._sal_instr
         counts = self.limbo.counts()
@@ -587,6 +599,14 @@ class SalamanderSSD(PageMappedFTL):
             plan = planner(self.limbo, needed)
             if plan is None:
                 return
+            if self._metrics is not None:
+                self._metrics.counter(
+                    "repro_regen_revival_plans_total",
+                    help="RegenS revival plans produced",
+                    unit="minidisks",
+                    labelnames=("level", "mixed")).labels(
+                        level=str(plan.level),
+                        mixed="true" if plan.mixed else "false").inc()
             if self._faults is not None:
                 # Crash *before* the mint touches NVRAM: the limbo
                 # ledger / minidisk table mutations below model one
@@ -619,8 +639,8 @@ class SalamanderSSD(PageMappedFTL):
             self._emit(DeviceExhausted(seq=self._event_seq))
 
     def _emit(self, event: HostEvent) -> None:
-        if obs.tracing_enabled():
-            obs.tracer().event(
+        if self._tracer is not None:
+            self._tracer.event(
                 type(event).__name__, device=self.obs_name,
                 **asdict(event))
         self.events.append(event)
@@ -708,19 +728,13 @@ class SalamanderSSD(PageMappedFTL):
                 if self.stats.host_writes else 0.0),
         }
 
-    def record_smart(self, t: float, sampler=None,
+    def record_smart(self, t: float, sampler,
                      labels: dict[str, str] | None = None) -> None:
         """Record :meth:`smart_sample` into a timeseries sampler.
 
-        Defaults to the active :func:`repro.obs.timeseries` sampler;
-        no-ops when timeseries collection is disabled. Series are
-        labelled ``device=<obs_name>`` plus any extra ``labels``.
+        Series are labelled ``device=<obs_name>`` plus any extra
+        ``labels``.
         """
-        if sampler is None:
-            sampler = (obs.timeseries()
-                       if obs.timeseries_enabled() else None)
-        if sampler is None:
-            return
         base = {"device": self.obs_name, **(labels or {})}
         for name, value in self.smart_sample().items():
             meta = smart_field(name)

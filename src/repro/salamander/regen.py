@@ -12,22 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro import obs
 from repro.errors import ConfigError
 from repro.salamander.limbo import LimboLedger
-
-
-def _count_plan(plan: RevivalPlan) -> RevivalPlan:
-    """Record a successful revival plan (level + mixedness) and return it."""
-    if obs.metrics_enabled():
-        obs.metrics().counter(
-            "repro_regen_revival_plans_total",
-            help="RegenS revival plans produced",
-            unit="minidisks",
-            labelnames=("level", "mixed")).labels(
-                level=str(plan.level),
-                mixed="true" if plan.mixed else "false").inc()
-    return plan
 
 
 @dataclass(frozen=True)
@@ -72,9 +58,8 @@ def plan_revival(limbo: LimboLedger, needed_opages: int) -> RevivalPlan | None:
         want = math.ceil(needed_opages / per_page)
         if len(pages) >= want:
             chosen = tuple(pages[:want])
-            return _count_plan(RevivalPlan(
-                level=level, fpages=chosen,
-                capacity_opages=want * per_page))
+            return RevivalPlan(level=level, fpages=chosen,
+                               capacity_opages=want * per_page)
     return None
 
 
@@ -101,8 +86,7 @@ def plan_revival_mixed(limbo: LimboLedger,
             capacity += per_page
             top_level = level
             if capacity >= needed_opages:
-                return _count_plan(RevivalPlan(
-                    level=top_level, fpages=tuple(chosen),
-                    capacity_opages=capacity,
-                    mixed=len(limbo.counts()) > 1))
+                return RevivalPlan(level=top_level, fpages=tuple(chosen),
+                                   capacity_opages=capacity,
+                                   mixed=len(limbo.counts()) > 1)
     return None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro import obs
 from repro.errors import ConfigError
 from repro.salamander.minidisk import Minidisk
 
@@ -64,11 +63,4 @@ def choose_victim(policy: str, active: Sequence[Minidisk],
             f"choose from {sorted(VICTIM_POLICIES)}")
     if not active:
         raise ConfigError("no active minidisks to choose a victim from")
-    victim = VICTIM_POLICIES[policy](active, live_counts)
-    if obs.metrics_enabled():
-        obs.metrics().counter(
-            "repro_shrink_victim_picks_total",
-            help="ShrinkS decommission victim selections",
-            unit="minidisks",
-            labelnames=("policy",)).labels(policy=policy).inc()
-    return victim
+    return VICTIM_POLICIES[policy](active, live_counts)

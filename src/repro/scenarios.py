@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from repro import artifact
-from repro import faults as faults_mod
+from repro import artifact, context
 from repro.errors import ConfigError
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.reporting.export import ExperimentWriter
 from repro.reporting.series import Series
 
@@ -234,7 +233,7 @@ def run_scenario(document: dict) -> ExperimentWriter:
     """Execute a validated scenario; returns the artifact writer.
 
     When the scenario carries a ``"faults"`` plan (``repro.faults/v1``)
-    it is installed as the process-wide injector for the duration of the
+    its injector is scoped into the run context for the duration of the
     run, so functional kinds (``tournament``, ...) construct their
     devices fault-aware; the fleet kind additionally passes the plan per
     mode for fresh per-run trigger counters. The plan document is echoed
@@ -250,9 +249,7 @@ def run_scenario(document: dict) -> ExperimentWriter:
     if plan is not None:
         meta["faults"] = plan.to_dict()
     writer = ExperimentWriter(document["name"], meta=meta)
-    if plan is not None:
-        with faults_mod.installed(plan):
-            _RUNNERS[document["kind"]](document, writer)
-    else:
+    scope = {} if plan is None else {"faults": FaultInjector(plan)}
+    with context.scoped(**scope):
         _RUNNERS[document["kind"]](document, writer)
     return writer

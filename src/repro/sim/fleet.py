@@ -54,11 +54,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro import faults as faults_mod
-from repro import obs
+from repro import context
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.instruments import fleet_instruments
+from repro.obs.noop import NULL_METRICS, NULL_TIMESERIES, NULL_TRACER
 from repro.obs.smart import smart_field
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import RBERModel, lognormal_page_variation
@@ -609,20 +609,21 @@ class ShardStep(NamedTuple):
 def resolve_injector(faults: FaultPlan | FaultInjector | None,
                      ) -> FaultInjector | None:
     """A plan gets a fresh injector, an injector is used as given, and
-    ``None`` falls back to the globally installed one (if any)."""
+    ``None`` falls back to the run context's (if any)."""
     if faults is None:
-        return faults_mod.injector()
+        return context.current().faults
     if isinstance(faults, FaultInjector):
         return faults
     return FaultInjector(faults)
 
 
 def sample_schedule(rules: FleetRules) -> tuple[bool, ...]:
-    """Which steps the active sampler's cadence gate will accept."""
-    if not obs.timeseries_enabled():
+    """Which steps the run context's sampler's cadence gate will accept."""
+    sampler = context.current().timeseries
+    if sampler is NULL_TIMESERIES:
         return (False,) * rules.steps
     step_days = rules.config.step_days
-    return tuple(obs.timeseries().schedule(
+    return tuple(sampler.schedule(
         float((step + 1) * step_days) for step in range(rules.steps)))
 
 
@@ -635,7 +636,7 @@ def walk_shard(task: ShardTask, rules: FleetRules | None = None,
     fleet's hardware tables (:func:`fleet_hardware`) and replays the
     whole-fleet AFR array per step and the whole-fleet load-factor draw,
     slicing its own range out of them, so the streams a device sees do
-    not depend on the layout. It touches no observability singleton:
+    not depend on the layout. It reads nothing from the run context:
     :func:`assemble_fleet` turns the yielded partials into telemetry.
 
     ``injector`` schedules ``fleet.step`` device losses, which pick the
@@ -727,9 +728,11 @@ def assemble_fleet(rules: FleetRules,
     config, mode = rules.config, rules.mode
     # Bound once; with observability disabled the per-step cost is a
     # handful of ``is None`` checks (docs/OBSERVABILITY.md's 5% budget).
-    instr = fleet_instruments(mode) if obs.metrics_enabled() else None
-    tracer = obs.tracer() if obs.tracing_enabled() else None
-    sampler = obs.timeseries() if obs.timeseries_enabled() else None
+    ctx = context.current()
+    instr = (None if ctx.metrics is NULL_METRICS
+             else fleet_instruments(mode))
+    tracer = None if ctx.tracer is NULL_TRACER else ctx.tracer
+    sampler = None if ctx.timeseries is NULL_TIMESERIES else ctx.timeseries
     steps = rules.steps
     days = np.zeros(steps)
     functioning = np.zeros(steps, dtype=np.int64)
@@ -845,7 +848,7 @@ def simulate_fleet(config: FleetConfig, mode: str,
     site: a :class:`~repro.faults.FaultPlan` gets a *fresh* injector per
     call (so parallel sweeps stay byte-identical regardless of worker
     count), an explicit :class:`~repro.faults.FaultInjector` is used as
-    given, and ``None`` falls back to the globally installed injector.
+    given, and ``None`` falls back to the run context's injector.
     """
     rules = FleetRules(config, mode, rber_model)
     injector = resolve_injector(faults)

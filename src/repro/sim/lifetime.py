@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
+from repro import context
 from repro.errors import ReproError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
+from repro.obs.noop import NULL_TIMESERIES
 from repro.rng import make_rng
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
 from repro.ssd.cvss import CVSSConfig, CVSSDevice
@@ -120,7 +121,9 @@ def run_write_lifetime(
     # Bound once; the time axis for lifetime trajectories is *host
     # writes* (the quantity the paper's lifetime claims are over), not
     # simulated seconds — documented in docs/OBSERVABILITY.md.
-    sampler = obs.timeseries() if obs.timeseries_enabled() else None
+    sampler = context.current().timeseries
+    if sampler is NULL_TIMESERIES:
+        sampler = None
     device_labels = {"device": getattr(device, "obs_name", "device")}
     record_smart = getattr(device, "record_smart", None)
 

@@ -9,9 +9,10 @@ the merged output is **bit-identical** to a sequential run:
   :func:`repro.rng.fork_rng` walk — worker count can never perturb them;
 * tasks are enumerated in one canonical order (seed-major, then mode) and
   ``Pool.map`` preserves that order in its result list;
-* each worker disables observability and runs
-  :func:`repro.sim.fleet.simulate_fleet` from the task's own integer seed,
-  so results depend only on the task tuple, not on which process ran it;
+* each worker starts from a reset run context (:func:`repro.context.reset`
+  is the pool initializer) and runs :func:`repro.sim.fleet.simulate_fleet`
+  from the task's own integer seed, so results depend only on the task
+  tuple, not on which process ran it;
 * artifacts are serialised with sorted keys and a fixed layout, so the
   files produced by ``--jobs 1`` and ``--jobs N`` compare equal as bytes
   (the sweep determinism test diffs them).
@@ -32,7 +33,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro import artifact, obs
+from repro import artifact, context
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.rng import fork_rng, make_rng
@@ -100,6 +101,11 @@ def parallel_map(fn: Callable[[_T], _R], tasks: Sequence[_T],
     the reference execution the parallel path must match. ``fn`` and every
     task must be picklable module-level objects when ``jobs > 1``.
 
+    Every pool worker starts from a reset run context: nothing the
+    parent scoped (a registry, tracer, sampler, injector, request
+    tracer or wear ledger) leaks into a child, and workers never export
+    telemetry — the parent merges results, not telemetry.
+
     On platforms without the ``fork`` start method the call falls back
     to the serial path with a :class:`RuntimeWarning` — results are
     identical by the determinism contract, only slower.
@@ -107,8 +113,8 @@ def parallel_map(fn: Callable[[_T], _R], tasks: Sequence[_T],
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    context = _fork_context()
-    if context is None:
+    fork = _fork_context()
+    if fork is None:
         warnings.warn(
             "the 'fork' start method is unavailable on this platform; "
             f"running {len(tasks)} task(s) serially instead of on "
@@ -118,7 +124,8 @@ def parallel_map(fn: Callable[[_T], _R], tasks: Sequence[_T],
     # Chunked fan-out: a few chunks per worker balances load without
     # drowning in per-task IPC.
     chunk_size = max(1, math.ceil(len(tasks) / (jobs * 4)))
-    with context.Pool(processes=min(jobs, len(tasks))) as pool:
+    with fork.Pool(processes=min(jobs, len(tasks)),
+                   initializer=context.reset) as pool:
         return pool.map(fn, tasks, chunksize=chunk_size)
 
 
@@ -141,15 +148,10 @@ class FleetTask:
 def run_fleet_task(task: FleetTask) -> FleetResult:
     """Worker entry point: simulate one fleet task.
 
-    In a *worker process* observability is disabled first: workers never
-    export metrics/traces (the parent merges results, not telemetry), and
-    a ``fork`` child would otherwise inherit an enabled registry. When
-    called in-process (``jobs <= 1``) the caller's observability state is
-    left alone — telemetry never changes simulation results, so the two
-    paths still produce identical :class:`FleetResult` values.
+    Called in-process (``jobs <= 1``) it runs under the caller's run
+    context — telemetry never changes simulation results, so both paths
+    produce identical :class:`FleetResult` values.
     """
-    if multiprocessing.parent_process() is not None:
-        obs.disable()
     return simulate_fleet(task.config, task.mode, seed=task.seed,
                           faults=task.faults)
 

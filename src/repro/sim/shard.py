@@ -36,16 +36,16 @@ were asked for.
 
 from __future__ import annotations
 
-import multiprocessing
 import time as _time
 import warnings
 
 import numpy as np
 
-from repro import obs
+from repro import context
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.instruments import shard_instruments
+from repro.obs.noop import NULL_METRICS
 from repro.rng import DEFAULT_SEED, make_rng
 from repro.sim.fleet import (
     FleetConfig,
@@ -89,13 +89,10 @@ def partition_devices(devices: int, shards: int) -> list[tuple[int, int]]:
 def run_shard_task(task: ShardTask) -> list[ShardStep]:
     """Pool worker entry point: walk one device range to the horizon.
 
-    Observability is disabled in pool children (the coordinator
-    assembles results, workers never export telemetry); the walk itself
-    touches no singleton, so an in-process call leaves the caller's
-    state alone.
+    The walk reads nothing from the run context (the coordinator
+    assembles results; workers start from a reset one and never export
+    telemetry), so an in-process call leaves the caller's state alone.
     """
-    if multiprocessing.parent_process() is not None:
-        obs.disable()
     return list(walk_shard(task))
 
 
@@ -113,8 +110,8 @@ def simulate_fleet_sharded(config: FleetConfig, mode: str,
     must be an int (or None for the default) — a live ``Generator``
     cannot be replayed inside workers.
 
-    An active fault plan (the ``faults`` argument or a globally
-    installed injector) forces the one-shard layout, walked in this
+    An active fault plan (the ``faults`` argument or the run context's
+    injector) forces the one-shard layout, walked in this
     process: injected ``fleet.step`` device losses pick victims across
     the whole fleet in index order, a coupling no shard can resolve
     locally. Asking for more shards than that raises a
@@ -136,7 +133,8 @@ def simulate_fleet_sharded(config: FleetConfig, mode: str,
             "back to the serial fleet path (results are identical)",
             RuntimeWarning, stacklevel=2)
         shards = 1
-    shard_instr = shard_instruments() if obs.metrics_enabled() else None
+    shard_instr = (None if context.current().metrics is NULL_METRICS
+                   else shard_instruments())
 
     pending = sample_schedule(rules)
     layout = partition_devices(config.devices, shards)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import faults
+from repro import context
 from repro.errors import (
     ConfigError,
     EraseFaultError,
@@ -40,7 +40,6 @@ from repro.errors import (
     UncorrectableError,
 )
 from repro.flash.chip import FlashChip
-from repro.obs import endurance, reqtrace
 from repro.obs.instruments import ftl_instruments, next_device_name
 from repro.ssd.freelist import BlockIndex
 from repro.ssd.gc import GCPolicy, GreedyGC
@@ -165,16 +164,16 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self.n_lbas = n_lbas
         self._capacity_lbas = n_lbas
         self._io_queue = None
-        # Fault injection binds at construction, like observability: with
-        # no plan installed the hooks are one attribute test (None).
-        self._faults = faults.injector()
-        # Request tracing binds the same way; the active context (if a
-        # sampled request is mid-dispatch) is read through this binding.
-        self._reqtrace = reqtrace.tracer()
-        # Wear provenance binds the same way: housekeeping paths (GC,
-        # scrubbing, wear leveling, shrink/regen) scope-attribute the chip
-        # programs/erases they cause; everything else stays "host".
-        self._endurance = endurance.ledger()
+        # The run context binds at construction: with nothing scoped each
+        # hook is one attribute test (None). The request tracer's active
+        # context (a sampled request mid-dispatch) is read through its
+        # binding; housekeeping paths (GC, scrubbing, wear leveling,
+        # shrink/regen) scope-attribute the chip programs/erases they
+        # cause to the wear ledger; everything else stays "host".
+        ctx = context.current()
+        self._faults = ctx.faults
+        self._reqtrace = ctx.reqtrace
+        self._endurance = ctx.endurance
         #: Stable observability label for this device's metric series.
         self.obs_name = next_device_name()
         self._instr = ftl_instruments(self.obs_name)

@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro import faults
+from repro import context
 from repro.obs.instruments import gc_instruments
 
 
@@ -30,7 +30,7 @@ class GCPolicy(ABC):
 
     def __init__(self) -> None:
         self._instr = gc_instruments(policy=type(self).__name__)
-        self._faults = faults.injector()
+        self._faults = context.current().faults
 
     def pick(self, candidate_blocks: np.ndarray, valid_counts: np.ndarray,
              capacities: np.ndarray) -> int:

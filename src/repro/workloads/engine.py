@@ -48,12 +48,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import multiprocessing
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
-from repro import artifact, obs
+from repro import artifact, context
 from repro.errors import ConfigError
 from repro.io.probe import _PROBE_ERRORS, BUILD_MODES, build_queue_device
 from repro.io.queue import DeviceQueue
@@ -66,6 +65,7 @@ from repro.io.request import (
     OP_WRITE,
 )
 from repro.obs.analyze import interpolated_percentile
+from repro.obs.noop import NULL_METRICS
 from repro.obs.slo import SLOEngine, SLOObjective
 from repro.rng import DEFAULT_SEED, fork_rng, make_rng
 from repro.workloads.arrivals import (
@@ -818,9 +818,7 @@ def _report(state: _Cell,
 
 
 def _cell_star(args: tuple) -> dict:
-    """Worker entry point (picklable; disables obs in pool children)."""
-    if multiprocessing.parent_process() is not None:
-        obs.disable()
+    """Worker entry point (picklable)."""
     return run_cell(*args)
 
 
@@ -943,7 +941,7 @@ def publish_traffic_metrics(document: dict) -> None:
     Workers never export telemetry (parallel discipline); the parent
     calls this once over the merged document when metrics are enabled.
     """
-    if not obs.metrics_enabled():
+    if context.current().metrics is NULL_METRICS:
         return
     from repro.obs.instruments import traffic_instruments
     instr = traffic_instruments()

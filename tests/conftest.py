@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import context
+from repro.context import RunContext
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
@@ -19,6 +21,16 @@ from repro.ssd.device import BaselineSSD, SSDConfig
 from repro.ssd.ftl import FTLConfig
 
 TEST_PEC_LIMIT = 25
+
+
+@pytest.fixture(autouse=True)
+def _default_run_context():
+    """Every test starts from the all-off run context; whatever a test
+    left scoped is reset, never leaked into the next one."""
+    assert context.current() == RunContext(), (
+        "run-context state leaked into this test")
+    yield
+    context.reset()
 
 
 @pytest.fixture(autouse=True)

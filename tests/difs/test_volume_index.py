@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro import faults
+from repro import context
 from repro.difs.cluster import Cluster, ClusterConfig
 from repro.difs.placement import PLACEMENT_POLICIES, VolumeIndex
 from repro.errors import PowerLossError
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.salamander.events import MinidiskDecommissioned
 
 
@@ -30,7 +30,7 @@ class TestDecommissionFaultWindow:
                                               placement):
         plan = FaultPlan(events=(FaultSpec(
             site="salamander.decommission", fault="crash", when=1),))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             # One replica per node, so every chunk must use node n0.
             cluster = build_cluster(make_salamander, replication=3,
                                     placement=placement)

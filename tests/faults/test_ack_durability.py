@@ -18,14 +18,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import context
 from repro.errors import (
     DeviceBrickedError,
     MinidiskDecommissionedError,
     OutOfSpaceError,
     PowerLossError,
 )
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.harness import remount_after_crash, run_to_crash
 from repro.ssd.ftl import PageMappedFTL
 
@@ -51,7 +51,7 @@ class TestDrainCrashes:
                                                        ftl_config):
         plan = plan_of(FaultSpec(site="ftl.drain.pre_program",
                                  fault="crash", when=1))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             device = PageMappedFTL.for_chip(
                 make_chip(inject_errors=False), ftl_config)
             writes = self._fill_buffer(device, ftl_config.buffer_opages)
@@ -69,7 +69,7 @@ class TestDrainCrashes:
             self, make_chip, ftl_config):
         plan = plan_of(FaultSpec(site="ftl.drain.post_program",
                                  fault="crash", when=1))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             device = PageMappedFTL.for_chip(
                 make_chip(inject_errors=False), ftl_config)
             writes = self._fill_buffer(device, ftl_config.buffer_opages)
@@ -99,7 +99,7 @@ class TestSalamanderLifecycleCrashes:
             self, make_salamander):
         plan = plan_of(FaultSpec(site="salamander.decommission",
                                  fault="crash", when=1))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             device = make_salamander(mode="shrink", inject_errors=False)
             survivors = {}
             for mdisk in device.active_minidisks():
@@ -128,7 +128,7 @@ class TestSalamanderLifecycleCrashes:
             self, make_salamander):
         plan = plan_of(FaultSpec(site="salamander.regenerate",
                                  fault="crash", when=1))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             device = make_salamander(mode="regen", seed=3,
                                      inject_errors=False)
             rng = np.random.default_rng(7)

@@ -1,7 +1,7 @@
 """Chip-level faults end to end: what the FTL does when media misbehaves.
 
 These are behaviour tests, not dispatch tests (those live in
-``test_injector.py``): each one installs a targeted plan, drives the
+``test_injector.py``): each one scopes a targeted plan, drives the
 device through its public API and asserts the firmware-level response —
 lose-and-report for uncorrectable reads, silent persistence for
 injected corruption, retire-and-retry for program failures, and
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import faults
+from repro import context
 from repro.errors import UncorrectableError
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.ssd.ftl import PageMappedFTL
 
 RETIRED = 2  # chip state code for retired fPages
@@ -34,7 +34,7 @@ class TestReadFaults:
                                                           ftl_config):
         plan = plan_of(FaultSpec(site="chip.read", fault="uncorrectable",
                                  when=1))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             device = make_ftl(make_chip, ftl_config)
             device.write(5, b"fragile")
             device.flush()  # off NVRAM, onto flash
@@ -53,7 +53,7 @@ class TestReadFaults:
                                                  ftl_config):
         plan = plan_of(FaultSpec(site="chip.read", fault="corrupt", when=1,
                                  args={"byte": 2, "mask": 0x01}))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             device = make_ftl(make_chip, ftl_config)
             device.write(5, b"abcd")
             device.flush()
@@ -67,7 +67,7 @@ class TestReadFaults:
             # ...and *stays* wrong: the flip damaged the stored media,
             # it is not a per-read disturbance.
             assert device.read(5) == first
-            summary = faults.injector().summary()
+            summary = context.current().faults.summary()
             assert summary["fired"] == {"chip.read:corrupt": 1}
 
 
@@ -75,7 +75,7 @@ class TestProgramAndEraseFaults:
     def test_program_failure_retires_page_and_keeps_data(self, make_chip,
                                                          ftl_config):
         plan = plan_of(FaultSpec(site="chip.program", fault="fail", when=1))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             device = make_ftl(make_chip, ftl_config)
             writes = {}
             for lba in range(ftl_config.buffer_opages + 1):  # forces drain
@@ -94,7 +94,7 @@ class TestProgramAndEraseFaults:
     def test_erase_failure_condemns_block_without_data_loss(self, make_chip,
                                                             ftl_config):
         plan = plan_of(FaultSpec(site="chip.erase", fault="fail", when=1))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             device = make_ftl(make_chip, ftl_config)
             writes = {}
             serial = 0
@@ -117,7 +117,7 @@ class TestProgramAndEraseFaults:
             for lba, data in writes.items():
                 assert device.read(lba) == data.ljust(opage, b"\0")
             device._audit_fastpath()
-            summary = faults.injector().summary()
+            summary = context.current().faults.summary()
             assert summary["fired"] == {"chip.erase:fail": 1}
 
     def test_forced_gc_victim_steers_but_never_corrupts(self, make_chip,
@@ -128,7 +128,7 @@ class TestProgramAndEraseFaults:
         # durability.
         plan = plan_of(FaultSpec(site="gc.pick", fault="force_victim",
                                  when=1, count=3))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             device = make_ftl(make_chip, ftl_config)
             writes = {}
             serial = 0
@@ -138,9 +138,9 @@ class TestProgramAndEraseFaults:
                     device.write(lba, f"v{serial}".encode())
                     writes[lba] = f"v{serial}".encode()
                 device.background_tick(max_collections=2)
-            summary = faults.injector().summary()
+            summary = context.current().faults.summary()
             assert summary["fired"].get("gc.pick:force_victim", 0) >= 1
-            for record in faults.injector().fired:
+            for record in context.current().faults.fired:
                 assert record.site == "gc.pick"
                 assert "victim" in record.context
             opage = device.geometry.opage_bytes

@@ -12,7 +12,7 @@ On any invariant failure the assertion is re-raised with the flavour,
 seed and the plan's JSON so the exact episode can be replayed:
 
     plan = FaultPlan.from_json(reproducer)
-    with faults.installed(plan): ...
+    with context.scoped(faults=FaultInjector(plan)): ...
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import os
 
 import pytest
 
-from repro import faults
-from repro.faults import FaultPlan, FaultSpec
+from repro import context
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.ssd.ftl import PageMappedFTL
 
 from .walk import (
@@ -83,7 +83,7 @@ def episode_plan(flavour, seed) -> FaultPlan:
 def test_fuzz_episode(flavour, seed, make_chip, ftl_config, make_baseline,
                       make_salamander):
     plan = episode_plan(flavour, seed)
-    with faults.installed(plan):
+    with context.scoped(faults=FaultInjector(plan)):
         device = build_device(flavour, make_chip, ftl_config,
                               make_baseline, make_salamander, seed)
         try:
@@ -109,7 +109,7 @@ def test_fuzz_episode_batched(flavour, seed, make_chip, ftl_config,
     back in the result tuple must leave the same acked-durability and
     trim guarantees as direct device calls."""
     plan = episode_plan(flavour, seed)
-    with faults.installed(plan):
+    with context.scoped(faults=FaultInjector(plan)):
         device = build_device(flavour, make_chip, ftl_config,
                               make_baseline, make_salamander, seed)
         try:
@@ -138,7 +138,7 @@ def test_fuzz_episode_ranges(flavour, seed, make_chip, ftl_config,
     in the middle of a range keeps every member acked before it and
     leaves the rest old-or-new."""
     plan = episode_plan(flavour, seed)
-    with faults.installed(plan):
+    with context.scoped(faults=FaultInjector(plan)):
         device = build_device(flavour, make_chip, ftl_config,
                               make_baseline, make_salamander, seed)
         try:
@@ -186,7 +186,7 @@ def test_episode_is_deterministic(flavour, make_chip, ftl_config,
     states = []
     for _ in range(2):
         plan = episode_plan(flavour, 4242)
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             device = build_device(flavour, make_chip, ftl_config,
                                   make_baseline, make_salamander, 4242)
             result = run_episode(device, plan, 4242)
@@ -206,12 +206,12 @@ def test_differential_replay(flavour, seed, make_chip, ftl_config,
     """Replaying the acked op stream on a fault-free reference device
     reproduces every surviving acked payload byte for byte."""
     plan = episode_plan(flavour, seed)
-    with faults.installed(plan):
+    with context.scoped(faults=FaultInjector(plan)):
         device = build_device(flavour, make_chip, ftl_config,
                               make_baseline, make_salamander, seed)
         result = run_episode(device, plan, seed)
 
-    # Fresh chip, same geometry, no faults installed.
+    # Fresh chip, same geometry, no faults scoped.
     reference = build_device(flavour, make_chip, ftl_config,
                              make_baseline, make_salamander, seed)
     applied = replay_reference(reference, result.acked_ops)

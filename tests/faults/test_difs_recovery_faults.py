@@ -1,18 +1,18 @@
 """diFS recovery under injected faults: bounded retry, outages, events.
 
-The cluster binds the installed injector at construction (like every
+The cluster binds the scoped injector at construction (like every
 other layer), so each test builds its cluster inside
-``faults.installed(plan)``.
+``context.scoped(faults=FaultInjector(plan))``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import faults
+from repro import context
 from repro.difs.cluster import Cluster, ClusterConfig
 from repro.errors import ChunkLostError
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 
 
 def plan_of(*specs):
@@ -40,7 +40,7 @@ class TestRecoveryReadRetry:
         # (recovery_read_retries=3) absorbs them.
         plan = plan_of(FaultSpec(site="difs.recovery.read", fault="fail",
                                  when=1, count=2))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             cluster = build_cluster(make_salamander)
             cluster.create_chunk("c0", b"survives-retries")
             fail_first_replica_volume(cluster, "c0")
@@ -63,7 +63,7 @@ class TestRecoveryReadRetry:
         # comes back: the chunk must be *lost*, not retried forever.
         plan = plan_of(FaultSpec(site="difs.recovery.read", fault="fail",
                                  when=1, count=50))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             cluster = build_cluster(make_salamander)
             cluster.create_chunk("c0", b"doomed")
             fail_first_replica_volume(cluster, "c0")
@@ -85,7 +85,7 @@ class TestRecoveryReadRetry:
                 ("faulty", (FaultSpec(site="difs.recovery.read",
                                       fault="fail", when=1, count=3),)),
                 ("clean", ())):
-            with faults.installed(plan_of(*events)):
+            with context.scoped(faults=FaultInjector(plan_of(*events))):
                 cluster = build_cluster(make_salamander)
                 for i in range(4):
                     cluster.create_chunk(f"c{i}", f"data-{i}".encode())
@@ -101,21 +101,21 @@ class TestRecoveryEventFaults:
     def test_delayed_event_still_converges(self, make_salamander):
         plan = plan_of(FaultSpec(site="difs.recovery.event", fault="delay",
                                  when=1, match={"kind": "volume"}))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             cluster = build_cluster(make_salamander)
             cluster.create_chunk("c0", b"late-but-fine")
             fail_first_replica_volume(cluster, "c0")
             cluster.run_recovery()
             assert cluster.namespace["c0"].replica_count == 2
             assert cluster.read_chunk("c0").rstrip(b"\0") == b"late-but-fine"
-            summary = faults.injector().summary()
+            summary = context.current().faults.summary()
             assert summary["fired"] == {"difs.recovery.event:delay": 1}
 
     def test_duplicated_event_is_idempotent(self, make_salamander):
         plan = plan_of(FaultSpec(site="difs.recovery.event",
                                  fault="duplicate", when=1,
                                  match={"kind": "volume"}))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             cluster = build_cluster(make_salamander)
             cluster.create_chunk("c0", b"exactly-once")
             fail_first_replica_volume(cluster, "c0")
@@ -145,11 +145,11 @@ class TestNodeOutages:
             self, make_salamander):
         plan = plan_of(FaultSpec(site="difs.node", fault="outage",
                                  when=1, count=1, match={"node": "n0"}))
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             cluster = build_cluster(make_salamander)
             chunk, replica = self._chunk_with_replica_on(cluster, "n0")
             cluster.poll_failures()  # poll 1: n0 goes dark
-            assert faults.injector().node_down("n0")
+            assert context.current().faults.node_down("n0")
             # Reads are served from the other replica; the unreachable
             # one is skipped, not written off.
             data = cluster.read_chunk(chunk.chunk_id)
@@ -158,5 +158,5 @@ class TestNodeOutages:
             assert replica in chunk.replicas
             assert chunk.replica_count == 2
             cluster.poll_failures()  # poll 2: outage window over
-            assert not faults.injector().node_down("n0")
+            assert not context.current().faults.node_down("n0")
             assert cluster.read_chunk(chunk.chunk_id) == data

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import faults
+from repro import context
 from repro.errors import PowerLossError
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.harness import remount_after_crash
 from repro.salamander.device import SalamanderSSD
 
@@ -81,7 +81,8 @@ def test_write_faults_fire_on_the_same_lba_singly_or_in_a_range(
         make_salamander):
     fired, contents = {}, {}
     for span in (1, SPAN, 5):
-        with faults.installed(FaultPlan(events=PLANS[plan_name])) as injector:
+        injector = FaultInjector(FaultPlan(events=PLANS[plan_name]))
+        with context.scoped(faults=injector):
             device = build_device(flavour, make_chip, ftl_config,
                                   make_baseline, make_salamander, seed=3)
             device, torn = drive(device, span)
@@ -104,7 +105,8 @@ def _hits_of_first_pass(site, flavour, fixtures) -> int:
     """Dry run: how often ``site`` is hit while generation 0 is written."""
     never = FaultPlan(events=(FaultSpec(site=site, fault="crash",
                                         when=10**9),))
-    with faults.installed(never) as injector:
+    injector = FaultInjector(never)
+    with context.scoped(faults=injector):
         drive(build_device(flavour, *fixtures, seed=3), SPAN, passes=1)
         return injector.hits(site)
 
@@ -127,7 +129,7 @@ def test_mid_range_crash_keeps_acked_members_and_old_or_new_rest(
     plan = FaultPlan(events=(FaultSpec(site=site, fault="crash",
                                        when=when),))
     lbas = list(range(first, first + SPAN))
-    with faults.installed(plan):
+    with context.scoped(faults=FaultInjector(plan)):
         device = build_device(flavour, *fixtures, seed=3)
         device, torn = drive(device, SPAN, passes=1)
         assert torn == []

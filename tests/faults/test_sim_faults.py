@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import context
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash.geometry import FlashGeometry
 from repro.sim.fleet import FleetConfig, simulate_fleet
@@ -51,8 +51,8 @@ class TestFleetDeviceLoss:
         assert faulty.survivors_at(400.0) == clean.survivors_at(400.0) - 5
 
     def test_plan_argument_beats_installed_singleton(self, quick_config):
-        # An explicit plan wins; the installed singleton is the default.
-        with faults.installed(plan_of()):
+        # An explicit plan wins; the run context's injector is the default.
+        with context.scoped(faults=FaultInjector(plan_of())):
             result = simulate_fleet(quick_config, "baseline", seed=9,
                                     faults=LOSS_PLAN)
         assert (result.death_day == 100.0).sum() == 3

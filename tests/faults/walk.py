@@ -115,7 +115,7 @@ def run_episode(device, plan: FaultPlan, seed: int,
                 n_ops: int = 520) -> WalkResult:
     """Drive ``device`` through ``n_ops`` seeded host operations.
 
-    The fault ``plan`` must already be installed (the device was
+    The fault ``plan`` must already be scoped (the device was
     constructed under it); remounted devices re-bind the same injector,
     so hit counters — and therefore crash schedules — continue across
     power cycles.

@@ -14,10 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import context
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import PowerLawRBER
 from repro.io import OP_CODES, DeviceQueue, IORequest
+from repro.obs.endurance import EnduranceLedger
+from repro.obs.reqtrace import ReqTracer
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
 from tests.io.conftest import FLAVOURS, queue_state
@@ -142,12 +145,10 @@ class TestDispatchEquivalence:
     def test_endurance_causes_identical(self, flavour, make_device):
         """The wear ledger attributes every program/erase to the same
         cause under both submission surfaces."""
-        from repro.obs import endurance
-
         ops = mixed_ops(48, 600, seed=5)
 
         def causes(fields: bool):
-            with endurance.installed(pec_limit=3000.0):
+            with context.scoped(endurance=EnduranceLedger(pec_limit=3000.0)):
                 device = make_device(flavour, seed=17)
                 for lba in range(48):
                     device.write(lba, bytes(8))
@@ -160,16 +161,14 @@ class TestDispatchEquivalence:
         assert causes(fields=False) == causes(fields=True)
 
     def test_reqtrace_sampling_identical(self, make_baseline):
-        """With a reqtrace sampler installed ``dispatch`` bridges every
+        """With a reqtrace sampler scoped ``dispatch`` bridges every
         member to a request, so the same submissions are sampled and
         the device ends up in the same state."""
-        from repro.obs import reqtrace
-
         ops = mixed_ops(16, 200, seed=9)
 
         def run(fields: bool):
-            with reqtrace.installed(reqtrace.ReqTracer(seed=3, every=8)) \
-                    as tracer:
+            tracer = ReqTracer(seed=3, every=8)
+            with context.scoped(reqtrace=tracer):
                 device = make_baseline(seed=3, variation_sigma=0.0,
                                        inject_errors=False)
                 for lba in range(16):

@@ -6,8 +6,11 @@ off, so every flash read costs the same deterministic service time.
 
 import pytest
 
+from repro import context
 from repro.errors import ConfigError, InvalidLBAError
 from repro.io import OP_CODES, DeviceQueue, IORequest
+from repro.obs import MetricsRegistry
+from repro.obs.reqtrace import ReqTracer
 
 from tests.io.conftest import queue_state
 
@@ -175,31 +178,27 @@ class TestErrors:
         # when submit/execute re-raise a device error: submit leaves
         # the errored completion in flight (poll sees it), execute
         # consumes it — the gauge follows both.
-        from repro import obs
-
-        obs.enable_metrics()
-        try:
+        registry = MetricsRegistry()
+        with context.scoped(metrics=registry):
             queue = DeviceQueue(device)
 
-            def gauge():
-                doc = obs.metrics().to_dict()
-                families = {m["name"]: m for m in doc["metrics"]}
-                (sample,) = families["repro_io_inflight"]["samples"]
-                return sample["value"]
+        def gauge():
+            doc = registry.to_dict()
+            families = {m["name"]: m for m in doc["metrics"]}
+            (sample,) = families["repro_io_inflight"]["samples"]
+            return sample["value"]
 
-            with pytest.raises(InvalidLBAError):
-                queue.submit(read_request(10 ** 9))
-            assert queue.inflight == 1
-            assert gauge() == 1.0
-            queue.poll()
-            assert queue.inflight == 0
-            assert gauge() == 0.0
-            with pytest.raises(InvalidLBAError):
-                queue.execute(read_request(10 ** 9))
-            assert queue.inflight == 0
-            assert gauge() == 0.0
-        finally:
-            obs.disable()
+        with pytest.raises(InvalidLBAError):
+            queue.submit(read_request(10 ** 9))
+        assert queue.inflight == 1
+        assert gauge() == 1.0
+        queue.poll()
+        assert queue.inflight == 0
+        assert gauge() == 0.0
+        with pytest.raises(InvalidLBAError):
+            queue.execute(read_request(10 ** 9))
+        assert queue.inflight == 0
+        assert gauge() == 0.0
 
 
 class TestColumnDispatch:
@@ -259,11 +258,9 @@ class TestColumnDispatch:
         assert by_columns.inflight == 0
 
     def test_dispatch_is_sampled_and_traced_like_execute(self, device):
-        from repro.obs import reqtrace
-
         def records(columns: bool):
-            with reqtrace.installed(
-                    reqtrace.ReqTracer(seed=5, every=2)) as tracer:
+            tracer = ReqTracer(seed=5, every=2)
+            with context.scoped(reqtrace=tracer):
                 queue = DeviceQueue(device)
                 for lba in range(8):
                     if columns:
@@ -338,32 +335,26 @@ class TestAddressing:
 
 class TestDeadlines:
     def test_miss_counted_and_ratio_published(self, device):
-        from repro import obs
-
-        obs.enable_metrics()
-        try:
+        registry = MetricsRegistry()
+        with context.scoped(metrics=registry):
             queue = DeviceQueue(device)
-            # Generous deadline met, then an already-expired one missed.
-            ok = queue.execute(read_request(0), at_us=0.0)
-            assert not ok.deadline_missed
-            late = IORequest(op="read", lba=1, deadline_us=0.0)
-            missed = queue.execute(late, at_us=100.0)
-            assert missed.deadline_missed
-            assert queue.stats.deadline_misses == 1
-            doc = obs.metrics().to_dict()
-            families = {m["name"]: m for m in doc["metrics"]}
-            sample = families["repro_io_deadline_miss_ratio"]["samples"][0]
-            assert sample["value"] == pytest.approx(0.5)
-        finally:
-            obs.disable()
+        # Generous deadline met, then an already-expired one missed.
+        ok = queue.execute(read_request(0), at_us=0.0)
+        assert not ok.deadline_missed
+        late = IORequest(op="read", lba=1, deadline_us=0.0)
+        missed = queue.execute(late, at_us=100.0)
+        assert missed.deadline_missed
+        assert queue.stats.deadline_misses == 1
+        doc = registry.to_dict()
+        families = {m["name"]: m for m in doc["metrics"]}
+        sample = families["repro_io_deadline_miss_ratio"]["samples"][0]
+        assert sample["value"] == pytest.approx(0.5)
 
 
 class TestTraceHandoff:
     def test_sampled_request_produces_record(self, device):
-        from repro.obs import reqtrace
-
-        with reqtrace.installed(reqtrace.ReqTracer(seed=1, every=1)) \
-                as tracer:
+        tracer = ReqTracer(seed=1, every=1)
+        with context.scoped(reqtrace=tracer):
             queue = DeviceQueue(device)
             queue.execute(read_request(0))
             queue.execute(read_request(1), at_us=0.0)

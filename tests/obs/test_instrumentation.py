@@ -1,7 +1,8 @@
 """One instrumented path per layer: FTL/GC, salamander, diFS, fleet.
 
 Instruments are bound at construction time, so every test constructs
-its subject *inside* an ``obs.enabled()`` scope; the no-op test checks
+its subject *inside* a ``context.scoped(metrics=..., tracer=...)``
+scope; the no-op test checks
 the opposite — that a run outside the scope leaves nothing behind and
 produces bit-identical results.
 """
@@ -9,17 +10,19 @@ produces bit-identical results.
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import context
 from repro.difs.cluster import Cluster, ClusterConfig
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import PowerLawRBER
+from repro.obs import MetricsRegistry, SimTimeTracer
 from repro.sim.fleet import FleetConfig, simulate_fleet
 from repro.workloads.generators import stamp_payload
 
 
 @pytest.fixture
 def scoped_obs():
-    with obs.enabled() as (registry, tracer):
+    registry, tracer = MetricsRegistry(), SimTimeTracer()
+    with context.scoped(metrics=registry, tracer=tracer):
         yield registry, tracer
 
 
@@ -183,7 +186,7 @@ class TestFleetLayer:
             geometry=FlashGeometry(blocks=16, fpages_per_block=16),
             horizon_days=100, step_days=20)
         simulate_fleet(config, "shrink", seed=7)
-        assert obs.tracer().now() == 42.0
+        assert tracer.now() == 42.0
 
         class Broken(PowerLawRBER):
             def rber(self, pec):
@@ -192,16 +195,16 @@ class TestFleetLayer:
         with pytest.raises(RuntimeError, match="exploded"):
             simulate_fleet(config, "shrink", seed=7,
                            rber_model=Broken(scale=1e-9, exponent=2.0))
-        assert obs.tracer().now() == 42.0
+        assert tracer.now() == 42.0
 
 
 class TestDisabledPath:
     def test_disabled_run_registers_nothing(self, make_baseline):
-        assert not obs.metrics_enabled()
         ssd = make_baseline()
         ssd.write(0, stamp_payload(0, ssd.geometry.opage_bytes))
-        assert len(obs.metrics()) == 0
-        assert obs.metrics().to_dict()["metrics"] == []
+        metrics = context.current().metrics
+        assert len(metrics) == 0
+        assert metrics.to_dict()["metrics"] == []
 
     def test_instrumentation_does_not_perturb_results(self):
         config = FleetConfig(
@@ -209,7 +212,8 @@ class TestDisabledPath:
             geometry=FlashGeometry(blocks=64, fpages_per_block=32),
             dwpd=2.0, afr=0.02, horizon_days=200, step_days=20)
         plain = simulate_fleet(config, "shrink", seed=5)
-        with obs.enabled():
+        with context.scoped(metrics=MetricsRegistry(),
+                            tracer=SimTimeTracer()):
             observed = simulate_fleet(config, "shrink", seed=5)
         np.testing.assert_array_equal(plain.functioning,
                                       observed.functioning)

@@ -132,15 +132,17 @@ class TestProducers:
         assert sample["repro_smart_waf"] > 0.0
 
     def test_fleet_emits_wear_forecast_series(self):
-        from repro import obs
+        from repro import context
         from repro.flash.geometry import FlashGeometry
+        from repro.obs import MetricsRegistry
         from repro.sim.fleet import FleetConfig, simulate_fleet
 
-        sampler = TimeseriesSampler(cadence=50.0)
+        registry = MetricsRegistry()
+        sampler = TimeseriesSampler(registry=registry, cadence=50.0)
         config = FleetConfig(
             devices=4, horizon_days=600, step_days=10,
             geometry=FlashGeometry(blocks=64, fpages_per_block=32))
-        with obs.enabled(timeseries_sampler=sampler):
+        with context.scoped(metrics=registry, timeseries=sampler):
             simulate_fleet(config, "baseline", seed=5)
         names = sampler.series_names()
         for required in V2_FIELDS:

@@ -32,11 +32,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import context
 from repro.faults import FaultPlan, FaultSpec
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import ExponentialRBER
 from repro.flash.tiredness import TirednessPolicy
+from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
 from repro.sim.fleet import MODES, FleetConfig, simulate_fleet
 from repro.sim.shard import simulate_fleet_sharded
 
@@ -120,17 +121,14 @@ def _floats(array) -> list:
 def run_case(name: str) -> dict:
     runner, mode, seed = CASES[name]
     rng = np.random.default_rng(5) if seed == "generator" else None
-    obs.disable()
-    registry = obs.enable_metrics()
-    tracer = obs.enable_tracing()
-    sampler = obs.enable_timeseries(cadence=CADENCE)
-    try:
+    registry, tracer = MetricsRegistry(), SimTimeTracer()
+    sampler = TimeseriesSampler(registry=registry, cadence=CADENCE)
+    with context.scoped(metrics=registry, tracer=tracer,
+                        timeseries=sampler):
         result = runner(mode, rng if rng is not None else seed)
-        timeseries = sampler.to_dict()
-        trace = [record.to_json() for record in tracer.records()]
-        metrics = registry.to_dict()
-    finally:
-        obs.disable()
+    timeseries = sampler.to_dict()
+    trace = [record.to_json() for record in tracer.records()]
+    metrics = registry.to_dict()
     timeseries["series"] = [s for s in timeseries["series"]
                             if "duration_seconds" not in s["name"]]
     metrics["metrics"] = [

@@ -23,10 +23,11 @@ import copy
 import numpy as np
 import pytest
 
-from repro import faults, obs
+from repro import context
 from repro.errors import ConfigError
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash.geometry import FlashGeometry
+from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
 from repro.sim.fleet import MODES, FleetConfig, simulate_fleet
 from repro.sim.shard import (
     ShardTask,
@@ -190,13 +191,10 @@ class TestFaultFallback:
             FaultSpec(site="fleet.step", fault="device_loss", when=3,
                       args={"devices": 1}),
         ))
-        faults.install(plan)
-        try:
-            with pytest.warns(RuntimeWarning, match="fault plan"):
-                sharded = simulate_fleet_sharded(TINY_CONFIG, "shrink",
-                                                 seed=77, shards=2)
-        finally:
-            faults.uninstall()
+        with context.scoped(faults=FaultInjector(plan)), \
+                pytest.warns(RuntimeWarning, match="fault plan"):
+            sharded = simulate_fleet_sharded(TINY_CONFIG, "shrink",
+                                             seed=77, shards=2)
         serial = simulate_fleet(TINY_CONFIG, "shrink", seed=77,
                                 faults=plan)
         _assert_bit_identical(serial, sharded)
@@ -219,19 +217,15 @@ class TestFaultFallback:
         # Step 3 of this run holds two injected losses and, at afr=0.9,
         # AFR deaths too: injected come first, then afr by index.
         config = FleetConfig(**{**TINY_CONFIG.__dict__, "afr": 0.9})
-        obs.disable()
-        registry = obs.enable_metrics()
-        tracer = obs.enable_tracing()
-        try:
-            with pytest.warns(RuntimeWarning, match="fault plan"):
-                simulate_fleet_sharded(config, "shrink", seed=77,
-                                       faults=LOSS_PLAN, shards=3)
-            deaths = registry.get("repro_fleet_device_deaths_total")
-            injected = deaths.labels(mode="shrink", cause="injected").value
-            day30 = [(r.attrs["cause"], r.attrs["device"])
-                     for r in tracer.records() if r.time == 30.0]
-        finally:
-            obs.disable()
+        registry, tracer = MetricsRegistry(), SimTimeTracer()
+        with context.scoped(metrics=registry, tracer=tracer), \
+                pytest.warns(RuntimeWarning, match="fault plan"):
+            simulate_fleet_sharded(config, "shrink", seed=77,
+                                   faults=LOSS_PLAN, shards=3)
+        deaths = registry.get("repro_fleet_device_deaths_total")
+        injected = deaths.labels(mode="shrink", cause="injected").value
+        day30 = [(r.attrs["cause"], r.attrs["device"])
+                 for r in tracer.records() if r.time == 30.0]
         assert injected == 2
         causes = [cause for cause, _ in day30]
         assert causes[:2] == ["injected", "injected"]
@@ -242,17 +236,12 @@ class TestFaultFallback:
 
 class TestTelemetryEquivalence:
     def _run(self, fn, **kwargs):
-        obs.disable()
-        obs.enable_metrics()
-        tracer = obs.enable_tracing()
-        sampler = obs.enable_timeseries(cadence=30.0)
-        try:
+        registry, tracer = MetricsRegistry(), SimTimeTracer()
+        sampler = TimeseriesSampler(registry=registry, cadence=30.0)
+        with context.scoped(metrics=registry, tracer=tracer,
+                            timeseries=sampler):
             fn(TINY_CONFIG, "regen", seed=77, **kwargs)
-            document = sampler.to_dict()
-            records = [r.to_json() for r in tracer.records()]
-        finally:
-            obs.disable()
-        return document, records
+        return sampler.to_dict(), [r.to_json() for r in tracer.records()]
 
     @staticmethod
     def _sim_pure(document):
@@ -279,15 +268,12 @@ class TestTelemetryEquivalence:
         assert trace_one == trace_two
 
     def test_shard_metrics_exported(self):
-        obs.disable()
-        registry = obs.enable_metrics()
-        try:
+        registry = MetricsRegistry()
+        with context.scoped(metrics=registry):
             simulate_fleet_sharded(TINY_CONFIG, "shrink", seed=77,
                                    shards=3, jobs=1)
-            names = {family["name"]
-                     for family in registry.to_dict()["metrics"]}
-        finally:
-            obs.disable()
+        names = {family["name"]
+                 for family in registry.to_dict()["metrics"]}
         assert "repro_shard_tick_seconds" in names
         assert "repro_shard_merge_seconds" in names
         assert "repro_shard_devices" in names

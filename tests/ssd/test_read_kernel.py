@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import inspect
 import textwrap
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,7 +35,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import faults
+from repro import context
 from repro.errors import (
     ConfigError,
     InvalidLBAError,
@@ -44,11 +43,11 @@ from repro.errors import (
     ProgramError,
     UncorrectableError,
 )
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash import chip as chip_module
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.obs import reqtrace
+from repro.obs.reqtrace import ReqTracer
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
 from repro.ssd import ftl as ftl_module
 from repro.ssd.cvss import CVSSConfig, CVSSDevice
@@ -125,7 +124,7 @@ def build(rig: Rig, oracle: bool):
     return cls(chip, *args), clock
 
 
-def observe(device, injector, context) -> dict:
+def observe(device, injector, active) -> dict:
     """Everything the kernel could get wrong, as plain comparable data."""
     stats, chip = device.stats, device.chip
     state = {
@@ -149,8 +148,8 @@ def observe(device, injector, context) -> dict:
         "alive": device.is_alive,
         "capacity": device.capacity_lbas,
         "faults": injector.summary() if injector is not None else None,
-        "reqtrace": (dict(context.segments), dict(context.counts),
-                     context.level_max),
+        "reqtrace": (dict(active.segments), dict(active.counts),
+                     active.level_max),
     }
     if isinstance(device, SalamanderSSD):
         state["events"] = list(device.events)
@@ -176,16 +175,15 @@ class Twins:
     def _build(rig: Rig, oracle: bool) -> dict:
         # Devices bind the injector and the tracer at construction; each
         # twin gets its own, so hit counters and contexts are not shared.
-        tracer = reqtrace.ReqTracer(seed=0, every=1)
-        plan = (nullcontext() if rig.plan is None
-                else faults.installed(rig.plan))
-        with reqtrace.installed(tracer), plan as injector:
+        tracer = ReqTracer(seed=0, every=1)
+        injector = None if rig.plan is None else FaultInjector(rig.plan)
+        with context.scoped(reqtrace=tracer, faults=injector):
             device, clock = build(rig, oracle)
-        context = tracer.begin()
+        active = tracer.begin()
         if rig.traced:
-            tracer.active = context
+            tracer.active = active
         return {"device": device, "clock": clock, "injector": injector,
-                "tracer": tracer, "context": context}
+                "tracer": tracer, "context": active}
 
     def _compare(self, what: str) -> None:
         seen, expected = (observe(side["device"], side["injector"],

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import faults, obs
+from repro import context
 from repro.errors import (
     DeviceBrickedError,
     DeviceReadOnlyError,
@@ -40,10 +40,11 @@ from repro.errors import (
     OutOfSpaceError,
     PowerLossError,
 )
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
+from repro.obs import MetricsRegistry
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
 from repro.ssd import ftl as ftl_module
 from repro.ssd.cvss import CVSSConfig, CVSSDevice
@@ -156,7 +157,7 @@ class Twins:
             return build(*shape)
         # An injector each: devices bind it at construction, and its
         # hit counters must not be shared between the twins.
-        with faults.installed(plan):
+        with context.scoped(faults=FaultInjector(plan)):
             return build(*shape)
 
     def spaces(self) -> list[tuple[int | None, int]]:
@@ -342,7 +343,7 @@ def test_scripted_walks_reach_every_transition(flavour):
 def test_published_metrics_match_too():
     """``host_writes`` is published once per range, not per member; the
     WAF gauge a mid-range drain sets still reads the per-member count."""
-    with obs.enabled():
+    with context.scoped(metrics=MetricsRegistry()):
         twins = Twins("regen", chip_seed=11, host_streams=3)
         walk(twins, SCRIPT, seed=5)
     published = observe(twins.kernel)["instruments"]

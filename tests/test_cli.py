@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro import obs
+from repro import context
 from repro.cli import (
     EXIT_CLAIM_FAILED,
     EXIT_CONFIG_ERROR,
@@ -13,6 +13,7 @@ from repro.cli import (
     build_parser,
     main,
 )
+from repro.context import RunContext
 from repro.obs import validate_metrics_document, validate_timeseries_document
 
 
@@ -150,7 +151,7 @@ class TestObservabilityFlags:
                      "--mode", "regen", "--points", "5",
                      "--metrics-out", str(metrics_path),
                      "--trace-out", str(trace_path)]) == 0
-        assert not obs.metrics_enabled()  # CLI restores the no-op state
+        assert context.current() == RunContext()  # the scope is gone
         document = json.loads(metrics_path.read_text())
         validate_metrics_document(document)
         names = {family["name"] for family in document["metrics"]}
@@ -182,9 +183,7 @@ class TestObservabilityFlags:
         assert main(["fleet", "--devices", "4", "--blocks", "32",
                      "--years", "1", "--step-days", "20",
                      "--points", "3"]) == 0
-        assert not obs.metrics_enabled()
-        assert not obs.tracing_enabled()
-        assert not obs.timeseries_enabled()
+        assert context.current() == RunContext()
 
 
 class TestTimeseriesFlag:
@@ -194,7 +193,7 @@ class TestTimeseriesFlag:
                      "--years", "2", "--step-days", "20",
                      "--mode", "all", "--points", "3",
                      "--timeseries-out", str(ts_path)]) == 0
-        assert not obs.timeseries_enabled()  # CLI restores no-op state
+        assert context.current() == RunContext()  # the scope is gone
         from repro.obs import load_timeseries
         document = load_timeseries(ts_path)  # validates on load
         names = {entry["name"] for entry in document["series"]}

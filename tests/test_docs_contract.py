@@ -39,6 +39,10 @@ docs/OBSERVABILITY.md against the names ``repro/obs/instruments.py``
 registers. EXPERIMENTS.md and docs/TUTORIAL.md may only name ``repro.*``
 things that import, and every name in DESIGN.md's "Reached only by
 tests" ledger must still be an attribute of its owner.
+
+docs/OBSERVABILITY.md's "Run context" section must resolve in
+``repro.context`` and the layers that bind it, and no user document may
+show a retired ``install`` / ``enable`` call form.
 """
 
 from __future__ import annotations
@@ -635,6 +639,89 @@ def test_files_in_files_out_names_resolve():
     assert not missing, (
         f"docs/OBSERVABILITY.md, 'Files in, files out', names things "
         f"that resolve nowhere: {missing}")
+
+
+def run_context_unresolved(text: str) -> tuple[set[str], list[str]]:
+    """``unresolved_spans`` over the run context and what binds it."""
+    import repro.context
+    import repro.obs
+    import repro.obs.endurance
+    import repro.obs.noop
+    import repro.obs.reqtrace
+    from repro.difs.recovery import RecoveryManager
+    from repro.obs.slo import SLOEngine
+    from repro.sim.parallel import parallel_map
+    from repro.ssd.gc import GCPolicy
+    queue = DeviceQueue(small_baseline(
+        FlashGeometry(blocks=16, fpages_per_block=8)))
+    return unresolved_spans(
+        text, [repro.context, repro.context.RunContext(), repro.obs,
+               repro.obs.noop, repro.obs.reqtrace, repro.obs.endurance,
+               repro.faults, queue, *write_stack_namespaces(),
+               types.SimpleNamespace(
+                   parallel_map=parallel_map, GCPolicy=GCPolicy,
+                   RecoveryManager=RecoveryManager, SLOEngine=SLOEngine)],
+        frozenset({"dataclasses.replace"}))
+
+
+def test_run_context_section_names_resolve():
+    text = section((DOCS / "OBSERVABILITY.md").read_text(), "Run context")
+    checked, missing = run_context_unresolved(text)
+    assert {"RunContext", "repro.context", "scoped", "NULL_METRICS",
+            "PageMappedFTL", "GCPolicy", "RecoveryManager", "SLOEngine",
+            "_observed", "parallel_map", "repro.cli.main",
+            "repro.obs.metrics_enabled", "src/repro/obs/instruments.py",
+            "tests/test_context.py", "tests/conftest.py",
+            "benchmarks/test_endurance_overhead.py"} <= checked
+    assert not missing, (
+        f"docs/OBSERVABILITY.md, 'Run context', names things that "
+        f"resolve nowhere: {missing}")
+
+
+def test_run_context_check_flags_the_parent_names():
+    checked, missing = run_context_unresolved(
+        "`repro.faults.installed`, `repro.obs.enable_metrics`, "
+        "`repro.obs.reqtrace.tracer`, `repro.obs.slo.engine`, `scoped`")
+    assert "scoped" in checked
+    assert missing == ["repro.faults.installed", "repro.obs.enable_metrics",
+                       "repro.obs.reqtrace.tracer", "repro.obs.slo.engine"]
+
+
+#: The install/enable call forms the run context retired.
+_RETIRED_CALL = re.compile(
+    r"\b(?:(?:faults|reqtrace|endurance|slo)\.(?:install|uninstall"
+    r"|installed)|faults\.injector|reqtrace\.tracer|endurance\.ledger"
+    r"|slo\.(?:engine|enabled)|obs\.(?:enable_metrics|enable_tracing"
+    r"|enable_timeseries|disable|enabled|metrics|tracer|timeseries))\(")
+#: What users read; CHANGES.md and ROADMAP.md are history and plans.
+USER_DOCS = sorted([*DOCS.glob("*.md"), ROOT / "README.md",
+                    ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"])
+
+
+def retired_calls(text: str) -> list[str]:
+    return sorted(set(_RETIRED_CALL.findall(text)))
+
+
+def test_no_doc_shows_a_retired_call():
+    left = {path.name: found for path in USER_DOCS
+            if (found := retired_calls(path.read_text()))}
+    assert not left, f"retired run-state calls left in docs: {left}"
+
+
+def test_retired_call_check_flags_the_parent_text():
+    """Sentences of the documents as they stood before the run context."""
+    assert retired_calls(
+        "with faults.installed(plan) as injector:\n"
+        "(`self._faults = faults.injector()`), mirroring the `repro.obs`\n"
+        "registry = obs.enable_metrics()          # install the active\n"
+        "with obs.enabled() as (registry, tracer):\n"
+        "(`reqtrace.tracer()`, `None` by default); layers bind it at\n"
+        "with endurance.installed(pec_limit=12.0) as led:\n"
+        "obs.disable()\n"
+        "`obs.metrics_enabled()` / `obs.timeseries_enabled()` stay") == [
+        "endurance.installed(", "faults.injector(", "faults.installed(",
+        "obs.disable(", "obs.enable_metrics(", "obs.enabled(",
+        "reqtrace.tracer("]
 
 
 @pytest.mark.parametrize("document", ["EXPERIMENTS.md", "docs/TUTORIAL.md"])

@@ -17,6 +17,19 @@ RETIRED = {
     "repro.ssd": ("CostBenefitGC",),
 }
 
+#: The install/bind singletons the run context replaced, by module. A
+#: name may survive as a submodule (``repro.obs.metrics``), never as
+#: something to call.
+RETIRED_SINGLETONS = {
+    "repro.faults": ("install", "uninstall", "installed", "injector"),
+    "repro.obs": ("enable_metrics", "enable_tracing", "enable_timeseries",
+                  "disable", "enabled", "metrics", "tracer", "timeseries"),
+    "repro.obs.reqtrace": ("install", "uninstall", "installed", "tracer"),
+    "repro.obs.endurance": ("install", "uninstall", "installed", "ledger"),
+    "repro.obs.slo": ("install", "uninstall", "installed", "engine",
+                      "enabled"),
+}
+
 
 class TestPublicAPI:
     def test_all_names_resolve(self):
@@ -33,6 +46,18 @@ class TestPublicAPI:
                 assert hasattr(module, name), f"{package}.{name}"
             for name in RETIRED.get(package, ()):
                 assert not hasattr(module, name), f"{package}.{name}"
+
+    def test_run_context_replaced_the_singletons(self):
+        import repro.context
+
+        assert sorted(repro.context.__all__) == [
+            "RunContext", "current", "reset", "scoped"]
+        for module_name, names in RETIRED_SINGLETONS.items():
+            module = importlib.import_module(module_name)
+            for name in names:
+                assert name not in module.__all__, f"{module_name}.{name}"
+                assert not callable(getattr(module, name, None)), (
+                    f"{module_name}.{name}")
 
     def test_forget_hardware_is_exported(self):
         import repro.sim
