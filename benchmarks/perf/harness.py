@@ -29,7 +29,6 @@ from pathlib import Path
 
 from repro import context
 from repro.obs import MetricsRegistry
-from repro.obs.noop import NULL_METRICS
 
 PERF_SCHEMA = "repro.bench_perf/v1"
 
@@ -137,7 +136,7 @@ def _publish_metrics(name: str, entry: dict) -> None:
     telemetry under ``benchmarks/results/metrics/``.
     """
     registry = context.current().metrics
-    if registry is not NULL_METRICS:
+    if registry is not None:
         _set_gauges(registry, name, entry)
         return
     registry = MetricsRegistry()

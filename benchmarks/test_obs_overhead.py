@@ -23,7 +23,6 @@ import pytest
 from repro import context
 from repro.context import RunContext
 from repro.flash.geometry import FlashGeometry
-from repro.obs.noop import NULL_METRICS
 from repro.obs.timeseries import DEFAULT_CADENCE, TimeseriesSampler
 from repro.sim.fleet import FleetConfig, simulate_fleet
 
@@ -72,7 +71,7 @@ def test_fleet_sim_timeseries_default_cadence(benchmark):
     against ``test_fleet_sim_sampling_baseline``."""
     sampler = TimeseriesSampler(cadence=DEFAULT_CADENCE)
     with context.scoped(timeseries=sampler) as ctx:
-        assert ctx.metrics is NULL_METRICS
+        assert ctx.metrics is None
         result = benchmark(simulate_fleet, SAMPLING_CONFIG, "regen", 7)
     assert result.days.size > 0
     assert sampler.samples_taken > 0

@@ -466,10 +466,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         document = dict(document)
         document["faults"] = plan.to_dict()
     writer = run_scenario(document)
-    if args.metrics_out:
-        writer.attach_metrics(context.current().metrics)
-    if args.timeseries_out:
-        writer.attach_timeseries(context.current().timeseries)
+    # Embedded only when scoped: an unscoped field is None.
+    writer.attach_metrics(context.current().metrics)
+    writer.attach_timeseries(context.current().timeseries)
     path = writer.write(args.out)
     _run_probe_sidecar(args)
     _write_observability(args)

@@ -6,8 +6,8 @@ tracer and the wear ledger — is one frozen :class:`RunContext`. Each
 instrumented constructor (chip, FTL, GC policy, device queue, cluster,
 recovery manager, Salamander device, fleet assembler, instrument
 factories) reads :func:`current` once and keeps the fields it needs, so
-nothing is looked up per operation: with the defaults the hooks are the
-no-op objects of :mod:`repro.obs.noop` or a single ``is None`` test.
+nothing is looked up per operation. Every field defaults to ``None``
+("off"), so a disabled hook is a single ``is None`` test.
 
 Callers build the objects and scope them, *before* constructing what
 should see them::
@@ -34,17 +34,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator
 
-from repro.obs.noop import NULL_METRICS, NULL_TIMESERIES, NULL_TRACER
-
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
     from repro.obs.endurance import EnduranceLedger
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.noop import (
-        NullMetricsRegistry,
-        NullTimeseriesSampler,
-        NullTracer,
-    )
     from repro.obs.reqtrace import ReqTracer
     from repro.obs.timeseries import TimeseriesSampler
     from repro.obs.trace import SimTimeTracer
@@ -54,9 +47,9 @@ if TYPE_CHECKING:
 class RunContext:
     """What a run's objects bind at construction (defaults: all off)."""
 
-    metrics: MetricsRegistry | NullMetricsRegistry = NULL_METRICS
-    tracer: SimTimeTracer | NullTracer = NULL_TRACER
-    timeseries: TimeseriesSampler | NullTimeseriesSampler = NULL_TIMESERIES
+    metrics: MetricsRegistry | None = None
+    tracer: SimTimeTracer | None = None
+    timeseries: TimeseriesSampler | None = None
     faults: FaultInjector | None = None
     reqtrace: ReqTracer | None = None
     endurance: EnduranceLedger | None = None

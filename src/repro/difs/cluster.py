@@ -31,7 +31,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.obs.instruments import difs_instruments
-from repro.obs.noop import NULL_METRICS
 from repro.difs.chunk import Chunk, Replica
 from repro.difs.node import StorageNode
 from repro.difs.placement import VolumeIndex, place_replicas
@@ -129,15 +128,8 @@ class Cluster:
         self._chunks_by_volume: dict[str, set[str]] = {}
         self._device_count = 0
         self._audit_cursor = 0
-        ctx = context.current()
-        self._faults = ctx.faults
+        self._faults = context.current().faults
         self._instr = difs_instruments()
-        if ctx.metrics is not NULL_METRICS:
-            # Gauge sampled at collection time, so it is correct even when
-            # volumes die asynchronously (device events, bricked devices).
-            ctx.metrics.add_collect_hook(
-                lambda: self._instr.live_volumes.set(
-                    self.live_volume_count()))
 
     # -- topology -------------------------------------------------------------------
 
@@ -248,13 +240,15 @@ class Cluster:
                                    self.config.opage_bytes)
         for index, payloads in enumerate(units):
             self.add_unit(chunk, index, payloads)
-        self._instr.chunks_created.inc()
+        if self._instr is not None:
+            self._instr.chunks_created.inc()
         return chunk
 
     def read_chunk(self, chunk_id: str) -> bytes:
         """Read and decode from surviving units; repairs around bad copies."""
         chunk = self._chunk(chunk_id)
-        self._instr.chunk_reads.inc()
+        if self._instr is not None:
+            self._instr.chunk_reads.inc()
         units = self.collect_units(chunk)
         if units is None:
             # Record the loss so recovery accounting sees it too.

@@ -11,11 +11,12 @@ time — and RegenS adds traffic for the shorter-lived regenerated capacity.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro import context
 from repro.errors import NoPlacementError, ReproError
-from repro.obs.instruments import difs_instruments
+from repro.obs.instruments import difs_instruments, export_difs_state
 
 
 @dataclass
@@ -76,16 +77,22 @@ class RecoveryManager:
         self._pending_chunks: list[str] = []
         self._failed_volumes: set[str] = set()
         self._instr = difs_instruments()
+        export_difs_state(self.stats, self._pending_volumes,
+                          self._pending_chunks, cluster._index)
         # Enqueue timestamps (cluster time), parallel to the pending lists;
         # their difference at dequeue is the degraded dwell time.
         self._pending_volume_times: list[float] = []
         self._pending_chunk_times: list[float] = []
 
-    def _set_queue_gauges(self) -> None:
-        self._instr.queue_depth.labels(kind="volume").set(
-            len(self._pending_volumes))
-        self._instr.queue_depth.labels(kind="chunk").set(
-            len(self._pending_chunks))
+    def _span(self, name: str, **attrs):
+        if self._tracer is None:
+            return nullcontext()
+        return self._tracer.span(name, **attrs)
+
+    def _dwell(self, kind: str, enqueued: float) -> None:
+        if self._instr is not None:
+            self._instr.degraded_dwell.labels(kind=kind).observe(
+                self._cluster.time - enqueued)
 
     # -- enqueue (safe to call from device event listeners) ------------------------
 
@@ -100,8 +107,6 @@ class RecoveryManager:
         self._pending_volumes.append(volume_id)
         self._pending_volume_times.append(self._cluster.time)
         self.stats.volume_failures += 1
-        self._instr.volume_failures.inc()
-        self._set_queue_gauges()
 
     def is_failed(self, volume_id: str) -> bool:
         """Whether this failure domain's loss was already enqueued."""
@@ -111,7 +116,6 @@ class RecoveryManager:
         """Enqueue a single under-replicated chunk."""
         self._pending_chunks.append(chunk_id)
         self._pending_chunk_times.append(self._cluster.time)
-        self._set_queue_gauges()
 
     @property
     def has_pending(self) -> bool:
@@ -134,11 +138,8 @@ class RecoveryManager:
                                      self._pending_volumes,
                                      self._pending_volume_times, enqueued):
                     continue
-                self._instr.degraded_dwell.labels(kind="volume").observe(
-                    self._cluster.time - enqueued)
-                self._set_queue_gauges()
-                with self._tracer.span("difs.recover_volume",
-                                       volume=volume_id):
+                self._dwell("volume", enqueued)
+                with self._span("difs.recover_volume", volume=volume_id):
                     self._recover_volume(volume_id)
             elif self._pending_chunks:
                 chunk_id = self._pending_chunks.pop(0)
@@ -147,10 +148,8 @@ class RecoveryManager:
                                      self._pending_chunks,
                                      self._pending_chunk_times, enqueued):
                     continue
-                self._instr.degraded_dwell.labels(kind="chunk").observe(
-                    self._cluster.time - enqueued)
-                self._set_queue_gauges()
-                with self._tracer.span("difs.repair_chunk", chunk=chunk_id):
+                self._dwell("chunk", enqueued)
+                with self._span("difs.repair_chunk", chunk=chunk_id):
                     self._repair_chunk(chunk_id, record=None)
 
     def _event_fault(self, kind: str, item_id: str, queue: list[str],
@@ -172,7 +171,6 @@ class RecoveryManager:
             return False
         queue.append(item_id)
         times.append(enqueued)
-        self._set_queue_gauges()
         if spec.fault == "delay":
             self._faults.record_degraded("recovery_event_delayed")
             return True
@@ -233,7 +231,6 @@ class RecoveryManager:
         units = cluster.collect_units(chunk, preloaded=source)
         if units is None:
             self.stats.chunks_lost += 1
-            self._instr.chunks_lost.inc()
             if record is not None:
                 record.chunks_lost += 1
             return False
@@ -247,7 +244,6 @@ class RecoveryManager:
         read_bytes = sum(
             sum(len(page) for page in pages) for pages in units.values())
         self.stats.bytes_read += read_bytes
-        self._instr.recovery_bytes.labels(direction="read").inc(read_bytes)
         recovered = False
         for index in missing:
             payloads = scheme.rebuild(index, units,
@@ -261,10 +257,7 @@ class RecoveryManager:
                 break
             written = sum(len(p) for p in payloads)
             self.stats.bytes_written += written
-            self._instr.recovery_bytes.labels(
-                direction="write").inc(written)
             recovered = True
         if recovered:
             self.stats.chunks_recovered += 1
-            self._instr.chunks_recovered.inc()
         return True

@@ -72,8 +72,9 @@ class FaultInjector:
                     and spec.matches(context):
                 self.fired.append(FiredFault(site=site, fault=spec.fault,
                                              hit=hit, context=dict(context)))
-                self._instruments.injected.labels(
-                    site=site, fault=spec.fault).inc()
+                if self._instruments is not None:
+                    self._instruments.injected.labels(
+                        site=site, fault=spec.fault).inc()
                 return spec
         return None
 
@@ -81,7 +82,8 @@ class FaultInjector:
         """Raise :class:`PowerLossError` when a crash is scheduled here."""
         spec = self.check(site, **context)
         if spec is not None and spec.fault == "crash":
-            self._instruments.crashes.labels(site=site).inc()
+            if self._instruments is not None:
+                self._instruments.crashes.labels(site=site).inc()
             raise PowerLossError(site)
 
     def hits(self, site: str) -> int:
@@ -109,8 +111,9 @@ class FaultInjector:
                 self.fired.append(FiredFault(
                     site="difs.node", fault="outage", hit=poll,
                     context={"node": node}))
-                self._instruments.injected.labels(
-                    site="difs.node", fault="outage").inc()
+                if self._instruments is not None:
+                    self._instruments.injected.labels(
+                        site="difs.node", fault="outage").inc()
 
     def node_down(self, node_id) -> bool:
         """True while ``node_id`` is inside an injected outage window.
@@ -125,7 +128,8 @@ class FaultInjector:
 
     def record_degraded(self, action: str) -> None:
         """Count one graceful-degradation action taken in response."""
-        self._instruments.degraded.labels(action=action).inc()
+        if self._instruments is not None:
+            self._instruments.degraded.labels(action=action).inc()
 
     def summary(self) -> dict:
         """Hit/fired tallies (tests and reproducer dumps)."""

@@ -67,8 +67,7 @@ from repro.io.request import (
     IOCompletion,
     IORequest,
 )
-from repro.obs.instruments import io_instruments
-from repro.obs.noop import NULL_METRICS
+from repro.obs.instruments import export_queue_stats, io_instruments
 
 # Re-exported for callers that predate the stats split; QueueStats is
 # part of the queue's public surface.
@@ -129,29 +128,19 @@ class DeviceQueue:
         self._done: deque[tuple] = deque()
         self._next_tag = 0
         self.stats = QueueStats()
-        # The run context binds at construction: with metrics off the
-        # instruments are the null singletons for this queue's whole
-        # life, so the hot path skips them on one flag instead of
-        # calling no-ops; request tracing is None unless scoped, one
-        # identity test on the hot path when off.
+        # The run context binds at construction: the latency histograms
+        # are None with metrics off, one identity test on the hot path;
+        # the counters and gauges read ``stats`` and the window at
+        # collect time. Request tracing is None unless scoped.
         ctx = context.current()
-        self._observed = ctx.metrics is not NULL_METRICS
-        self._instr = io_instruments(self.device_kind)
-        self._set_inflight = self._instr.inflight.set
-        #: Per op code: (latency.observe, wait.observe, requests.inc),
-        #: bound on the op's first dispatch.
+        self._instr = io_instruments()
+        export_queue_stats(self.device_kind, self.stats, self._inflight)
+        #: Per op code: (latency.observe, wait.observe), bound on the
+        #: op's first dispatch.
         self._op_children: list[tuple | None] = [None] * len(OP_NAMES)
         self._reqtrace = ctx.reqtrace
         self._rt_sampler = (self._reqtrace.sampler_for(self.device_kind)
                             if self._reqtrace is not None else None)
-        if self._observed:
-            ctx.metrics.add_collect_hook(self._refresh_deadline_gauge)
-
-    def _refresh_deadline_gauge(self) -> None:
-        stats = self.stats
-        self._instr.deadline_miss_ratio.set(
-            stats.deadline_misses / stats.dispatched
-            if stats.dispatched else 0.0)
 
     # -- submission -----------------------------------------------------------
 
@@ -165,7 +154,6 @@ class DeviceQueue:
         self._stamp(request)
         row = self._dispatch_request(request, at_us)
         self._inflight.append(row)
-        self._set_inflight(len(self._inflight))
         if row[_ERROR] is not None:
             raise row[_ERROR]
         return request
@@ -219,7 +207,6 @@ class DeviceQueue:
             measured = (result, error, arrival, start, end, work)
         if handle is not None:
             self._inflight.append((handle,) + measured)
-            self._set_inflight(len(self._inflight))
         return measured
 
     def drain(self) -> list[tuple]:
@@ -233,7 +220,6 @@ class DeviceQueue:
         rows.extend(self._inflight)
         self._done.clear()
         self._inflight.clear()
-        self._set_inflight(0)
         return rows
 
     def poll(self) -> list[IOCompletion]:
@@ -374,7 +360,6 @@ class DeviceQueue:
                 oldest = inflight.popleft()
                 arrival = max(arrival, oldest[_END])
                 self._done.append(oldest)
-            self._set_inflight(len(inflight))
         free = self._channel_free
         earliest = min(free)
         start = arrival if arrival >= earliest else earliest
@@ -400,26 +385,18 @@ class DeviceQueue:
             stats.latencies_us.append(latency)
         if error is not None:
             stats.errors += 1
-        missed = deadline is not None and end > deadline
-        if missed:
+        if deadline is not None and end > deadline:
             stats.deadline_misses += 1
-        if self._observed:
+        if self._instr is not None:
             children = self._op_children[code] or self._bind_children(code)
             children[0](latency)
             children[1](wait)
-            children[2]()
-            if error is not None:
-                self._instr.errors.inc()
-            if missed:
-                self._instr.deadline_misses.inc()
         return arrival, start, end
 
     def _bind_children(self, code: int) -> tuple:
         labels = {"op": OP_NAMES[code], "device_kind": self.device_kind}
-        instr = self._instr
-        children = (instr.latency.labels(**labels).observe,
-                    instr.wait.labels(**labels).observe,
-                    instr.requests.labels(**labels).inc)
+        children = (self._instr.latency.labels(**labels).observe,
+                    self._instr.wait.labels(**labels).observe)
         self._op_children[code] = children
         return children
 

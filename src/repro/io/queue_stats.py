@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 @dataclass
 class QueueStats:
-    """Plain counters mirrored into ``repro_io_*`` metrics.
+    """Plain counters the ``repro_io_*`` metrics read at collect time.
 
     Kept on the queue itself so claim checks and benchmarks can read
     measured latencies without an observability registry enabled.

@@ -7,12 +7,11 @@ simulator — reports what it is doing, so a single run can be watched
 full metric catalog and usage examples.
 
 The active registry, tracer and periodic sampler are fields of the run
-context (:mod:`repro.context`), the no-op singletons from
-:mod:`repro.obs.noop` by default. Instrumented code reads them once at
-construction and keeps what it gets; with observability off every
-child is a no-op and costs ~nothing. Build the objects and scope them
-(typically once, at harness start, *before* building what should be
-measured)::
+context (:mod:`repro.context`), ``None`` by default. Instrumented code
+reads them once at construction and keeps what it gets; with
+observability off a hook is one ``is None`` test. Build the objects and
+scope them (typically once, at harness start, *before* building what
+should be measured)::
 
     from repro import context
     from repro.obs import MetricsRegistry, SimTimeTracer
@@ -44,14 +43,6 @@ from repro.obs.metrics import (
     quantile_from_sample,
     validate_metrics_document,
 )
-from repro.obs.noop import (
-    NULL_METRICS,
-    NULL_TIMESERIES,
-    NULL_TRACER,
-    NullMetricsRegistry,
-    NullTimeseriesSampler,
-    NullTracer,
-)
 from repro.obs.promtext import render_prometheus
 from repro.obs.smart import SMART_FIELDS, SmartField, smart_field
 from repro.obs.timeseries import (
@@ -67,15 +58,15 @@ from repro.obs.trace import EventRecord, SimTimeTracer, SpanRecord
 
 
 def metrics_enabled() -> bool:
-    return context.current().metrics is not NULL_METRICS
+    return context.current().metrics is not None
 
 
 def tracing_enabled() -> bool:
-    return context.current().tracer is not NULL_TRACER
+    return context.current().tracer is not None
 
 
 def timeseries_enabled() -> bool:
-    return context.current().timeseries is not NULL_TIMESERIES
+    return context.current().timeseries is not None
 
 
 __all__ = [
@@ -87,9 +78,6 @@ __all__ = [
     "METRICS_SCHEMA",
     "MetricFamily",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NullTimeseriesSampler",
-    "NullTracer",
     "SMART_FIELDS",
     "SeriesBuffer",
     "SimTimeTracer",

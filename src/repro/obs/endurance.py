@@ -483,6 +483,8 @@ def publish_wear_metrics(records: list[dict]) -> None:
 
     for record in records:
         instruments = wear_instruments(record["name"])
+        if instruments is None:
+            return
         for cause in CAUSES:
             instruments.programs(cause).inc(record["programs"][cause])
             instruments.program_opages(cause).inc(

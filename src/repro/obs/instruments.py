@@ -1,24 +1,32 @@
-"""Pre-bound instrument bundles for each instrumented layer.
+"""Instrument factories for each instrumented layer.
 
-Instrumented subsystems call these factories once at construction and
-keep the returned bundle; each field is a metric child (or family,
-when further labels vary per call site) of the run context's registry
-(:mod:`repro.context`), read when the factory runs. With observability
-disabled the bundles are built from the no-op singletons, so the
-per-operation cost is a no-op method call.
+Two kinds; the metric catalog's ``recorded`` column (docs/
+OBSERVABILITY.md) says which one records each metric:
 
-Families are (re-)registered idempotently on every call, so multiple
-devices/clusters share one family and differ only by their label
-values. The full catalog (names, labels, units, semantics) is
-documented in docs/OBSERVABILITY.md; that document is the contract —
-rename a metric here and the docs, CI smoke check, and dashboards must
-move with it.
+* ``export_*`` (``export``) reads state a layer already keeps. The
+  layer hands over its stats objects once, at construction, and a
+  collect hook (:meth:`~repro.obs.metrics.MetricsRegistry.
+  add_collect_hook`) copies them into the families whenever the
+  registry is exported or sampled: nothing is pushed per operation, and
+  the exported number is the layer's own by construction.
+* ``*_instruments`` (``event``) returns children (or families, when
+  labels vary per call site) for events no state holds, which the layer
+  pushes where they happen.
+
+Each factory reads the run context's registry (:mod:`repro.context`)
+when it runs; with metrics off (``None``) an ``export_*`` factory
+registers nothing and an ``*_instruments`` factory returns ``None``.
+Families are (re-)registered idempotently, so layers share a family and
+differ by label values; an unlabelled diFS family, or a
+``device_kind`` shared by many queues, sums every layer under it.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any
 
 from repro import context
@@ -54,81 +62,73 @@ IO_LATENCY_US_BUCKETS = (
     500000.0, 1000000.0)
 
 
-@dataclass(frozen=True)
-class FTLInstruments:
-    """Per-device FTL/GC hot-path instruments (children, pre-labelled)."""
-
-    device: str
-    host_writes: Any
-    host_reads: Any
-    flash_writes: Any
-    gc_relocations: Any
-    wear_relocations: Any
-    erases: Any
-    trims: Any
-    retired_fpages: Any
-    lost_opages: Any
-    write_amplification: Any
+def _child(m, kind: str, name: str, help_text: str, unit: str,
+           **labels: str):
+    """The pre-labelled child of a counter or gauge family."""
+    return getattr(m, kind)(name, help=help_text, unit=unit,
+                            labelnames=tuple(labels)).labels(**labels)
 
 
-def ftl_instruments(device: str) -> FTLInstruments:
+# Per registry: the sources summed by each shared export family group.
+_groups: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _first_in_group(m, group: tuple, source) -> list | None:
+    """Add ``source`` to ``group`` in registry ``m``. The group's source
+    list when this is its first member (the caller then adds the one
+    hook that reads them all), else ``None``."""
+    sources = _groups.setdefault(m, {}).setdefault(group, [])
+    sources.append(source)
+    return sources if len(sources) == 1 else None
+
+
+def export_ftl_stats(device: str, stats) -> None:
+    """Read one device's :class:`~repro.ssd.stats.SSDStats` into the
+    ``repro_ftl_*`` families at collect time."""
     m = context.current().metrics
+    if m is None:
+        return
+    counters = [
+        (field, _child(m, "counter", name, help_text, unit, device=device))
+        for field, name, unit, help_text in (
+            ("host_writes", "repro_ftl_host_writes_total", "opages",
+             "Host oPage writes accepted by the FTL"),
+            ("host_reads", "repro_ftl_host_reads_total", "opages",
+             "Host oPage reads served by the FTL"),
+            ("flash_writes", "repro_ftl_flash_writes_total", "opages",
+             "oPages programmed onto NAND (host + relocation)"),
+            ("gc_relocations", "repro_ftl_gc_relocations_total", "opages",
+             "Valid oPages moved by garbage collection"),
+            ("wear_relocations", "repro_ftl_wear_relocations_total",
+             "opages", "oPages moved off overworn pages by scrubbing"),
+            ("erases", "repro_ftl_erases_total", "blocks",
+             "Block erases performed"),
+            ("trims", "repro_ftl_trims_total", "opages",
+             "Host trims accepted"),
+            ("retired_fpages", "repro_ftl_retired_fpages_total", "fpages",
+             "fPages permanently taken out of service"),
+            ("lost_opages", "repro_ftl_lost_opages_total", "opages",
+             "oPages destroyed by uncorrectable media errors"))]
+    waf = _child(m, "gauge", "repro_ftl_write_amplification",
+                 "Flash writes per host write (1.0 is ideal)", "ratio",
+                 device=device)
 
-    def counter(name: str, help_text: str, unit: str = "opages"):
-        return m.counter(name, help=help_text, unit=unit,
-                         labelnames=("device",)).labels(device=device)
+    def collect() -> None:
+        for field, child in counters:
+            child.value = float(getattr(stats, field))
+        waf.value = stats.write_amplification
 
-    return FTLInstruments(
-        device=device,
-        host_writes=counter(
-            "repro_ftl_host_writes_total",
-            "Host oPage writes accepted by the FTL"),
-        host_reads=counter(
-            "repro_ftl_host_reads_total",
-            "Host oPage reads served by the FTL"),
-        flash_writes=counter(
-            "repro_ftl_flash_writes_total",
-            "oPages programmed onto NAND (host + relocation)"),
-        gc_relocations=counter(
-            "repro_ftl_gc_relocations_total",
-            "Valid oPages moved by garbage collection"),
-        wear_relocations=counter(
-            "repro_ftl_wear_relocations_total",
-            "oPages moved off overworn pages by scrubbing"),
-        erases=counter(
-            "repro_ftl_erases_total",
-            "Block erases performed", unit="blocks"),
-        trims=counter(
-            "repro_ftl_trims_total",
-            "Host trims accepted"),
-        retired_fpages=counter(
-            "repro_ftl_retired_fpages_total",
-            "fPages permanently taken out of service", unit="fpages"),
-        lost_opages=counter(
-            "repro_ftl_lost_opages_total",
-            "oPages destroyed by uncorrectable media errors"),
-        write_amplification=m.gauge(
-            "repro_ftl_write_amplification",
-            help="Flash writes per host write (1.0 is ideal)",
-            unit="ratio", labelnames=("device",)).labels(device=device),
-    )
+    m.add_collect_hook(collect)
 
 
-@dataclass(frozen=True)
-class GCInstruments:
-    """Per-policy GC victim-selection instruments."""
-
-    picks: Any
-    victim_valid_fraction: Any
-
-
-def gc_instruments(policy: str) -> GCInstruments:
+def gc_instruments(policy: str) -> SimpleNamespace | None:
+    """Per-policy GC victim picks and their utilisation (children)."""
     m = context.current().metrics
-    return GCInstruments(
-        picks=m.counter(
-            "repro_gc_victim_picks_total",
-            help="GC victim selections", unit="blocks",
-            labelnames=("policy",)).labels(policy=policy),
+    if m is None:
+        return None
+    return SimpleNamespace(
+        picks=_child(m, "counter", "repro_gc_victim_picks_total",
+                     "GC victim selections", "blocks", policy=policy),
         victim_valid_fraction=m.histogram(
             "repro_gc_victim_valid_fraction",
             help="Victim utilisation (valid/capacity) at pick time — "
@@ -138,28 +138,13 @@ def gc_instruments(policy: str) -> GCInstruments:
     )
 
 
-@dataclass(frozen=True)
-class SalamanderInstruments:
-    """Per-device minidisk lifecycle instruments.
-
-    ``decommissions`` and ``regenerations``/``limbo_fpages`` are
-    families (labelled further by reason / tiredness level per event).
-    """
-
-    device: str
-    decommissions: Any      # family; labels (device, reason)
-    regenerations: Any      # family; labels (device, level)
-    limbo_fpages: Any       # family; labels (device, level)
-    limbo_capacity_opages: Any
-    advertised_bytes: Any
-    active_minidisks: Any
-    draining_minidisks: Any
-
-
-def salamander_instruments(device: str) -> SalamanderInstruments:
+def salamander_instruments() -> SimpleNamespace | None:
+    """Minidisk lifecycle events: families labelled ``(device, reason)``
+    and ``(device, level)``."""
     m = context.current().metrics
-    return SalamanderInstruments(
-        device=device,
+    if m is None:
+        return None
+    return SimpleNamespace(
         decommissions=m.counter(
             "repro_salamander_decommissions_total",
             help="mDisks decommissioned (Eq. 2 capacity pressure)",
@@ -168,89 +153,117 @@ def salamander_instruments(device: str) -> SalamanderInstruments:
             "repro_salamander_regenerations_total",
             help="mDisks minted from revived limbo pages (RegenS)",
             unit="minidisks", labelnames=("device", "level")),
-        limbo_fpages=m.gauge(
-            "repro_salamander_limbo_fpages",
-            help="fPages parked in limbo, by tiredness level",
-            unit="fpages", labelnames=("device", "level")),
-        limbo_capacity_opages=m.gauge(
-            "repro_salamander_limbo_capacity_opages",
-            help="Eq. 1 capacity stored in limbo",
-            unit="opages", labelnames=("device",)).labels(device=device),
-        advertised_bytes=m.gauge(
-            "repro_salamander_advertised_bytes",
-            help="Host-visible capacity across active mDisks",
-            unit="bytes", labelnames=("device",)).labels(device=device),
-        active_minidisks=m.gauge(
-            "repro_salamander_active_minidisks",
-            help="mDisks currently in service",
-            unit="minidisks", labelnames=("device",)).labels(device=device),
-        draining_minidisks=m.gauge(
-            "repro_salamander_draining_minidisks",
-            help="mDisks in the §4.3 grace period (readable, not writable)",
-            unit="minidisks", labelnames=("device",)).labels(device=device),
     )
 
 
-@dataclass(frozen=True)
-class IOInstruments:
-    """Per-device-kind IO pipeline instruments (repro.io).
-
-    ``latency``/``wait``/``requests`` are families further labelled by
-    ``op`` per request; the queue caches the per-op children.
-    """
-
-    device_kind: str
-    latency: Any         # family; labels (op, device_kind)
-    wait: Any            # family; labels (op, device_kind)
-    requests: Any        # family; labels (op, device_kind)
-    errors: Any          # child, pre-labelled (device_kind,)
-    deadline_misses: Any  # child, pre-labelled (device_kind,)
-    deadline_miss_ratio: Any  # child, pre-labelled (device_kind,)
-    inflight: Any        # child, pre-labelled (device_kind,)
-
-
-def io_instruments(device_kind: str) -> IOInstruments:
+def export_salamander_state(device: str, table, limbo,
+                            opage_bytes: int) -> None:
+    """Read a Salamander device's minidisk table and limbo ledger into
+    the ``repro_salamander_*`` gauges at collect time."""
     m = context.current().metrics
-    return IOInstruments(
-        device_kind=device_kind,
-        latency=m.histogram(
-            "repro_io_latency_us",
-            help="End-to-end request latency (queue wait + measured "
-                 "device service time)",
-            unit="us", labelnames=("op", "device_kind"),
-            buckets=IO_LATENCY_US_BUCKETS),
-        wait=m.histogram(
-            "repro_io_wait_us",
-            help="Time a request waited for a free channel server "
-                 "before dispatch",
-            unit="us", labelnames=("op", "device_kind"),
-            buckets=IO_LATENCY_US_BUCKETS),
-        requests=m.counter(
-            "repro_io_requests_total",
-            help="Requests dispatched through the queued IO path",
-            unit="requests", labelnames=("op", "device_kind")),
-        errors=m.counter(
-            "repro_io_errors_total",
-            help="Requests that completed with a device error",
-            unit="requests",
-            labelnames=("device_kind",)).labels(device_kind=device_kind),
-        deadline_misses=m.counter(
-            "repro_io_deadline_misses_total",
-            help="Completions that landed past their request deadline",
-            unit="requests",
-            labelnames=("device_kind",)).labels(device_kind=device_kind),
-        deadline_miss_ratio=m.gauge(
-            "repro_io_deadline_miss_ratio",
-            help="Deadline misses over dispatched requests (refreshed "
-                 "at collect time; the deadline_miss_rate SLO input)",
-            unit="ratio",
-            labelnames=("device_kind",)).labels(device_kind=device_kind),
-        inflight=m.gauge(
-            "repro_io_inflight",
-            help="Dispatched completions not yet polled",
-            unit="requests",
-            labelnames=("device_kind",)).labels(device_kind=device_kind),
+    if m is None:
+        return
+    limbo_fpages = m.gauge(
+        "repro_salamander_limbo_fpages",
+        help="fPages parked in limbo, by tiredness level",
+        unit="fpages", labelnames=("device", "level"))
+    capacity, advertised, active, draining = (
+        _child(m, "gauge", name, help_text, unit, device=device)
+        for name, help_text, unit in (
+            ("repro_salamander_limbo_capacity_opages",
+             "Eq. 1 capacity stored in limbo", "opages"),
+            ("repro_salamander_advertised_bytes",
+             "Host-visible capacity across active mDisks", "bytes"),
+            ("repro_salamander_active_minidisks",
+             "mDisks currently in service", "minidisks"),
+            ("repro_salamander_draining_minidisks",
+             "mDisks in the §4.3 grace period (readable, not writable)",
+             "minidisks")))
+    levels: dict[int, Any] = {}     # every level seen; emptied ones read 0
+
+    def collect() -> None:
+        counts = limbo.counts()
+        for level in counts.keys() - levels.keys():
+            levels[level] = limbo_fpages.labels(device=device,
+                                                level=str(level))
+        for level, child in levels.items():
+            child.value = float(counts.get(level, 0))
+        capacity.value = float(limbo.capacity_opages())
+        advertised.value = float(table.advertised_lbas * opage_bytes)
+        active.value = float(len(table.active))
+        draining.value = float(len(table.draining))
+
+    m.add_collect_hook(collect)
+
+
+def _io_histogram(m, name: str, help_text: str):
+    return m.histogram(name, help=help_text, unit="us",
+                       labelnames=("op", "device_kind"),
+                       buckets=IO_LATENCY_US_BUCKETS)
+
+
+def io_instruments() -> SimpleNamespace | None:
+    """Per-request IO histograms, families labelled ``(op,
+    device_kind)``; the queue caches the per-op children."""
+    m = context.current().metrics
+    if m is None:
+        return None
+    return SimpleNamespace(
+        latency=_io_histogram(
+            m, "repro_io_latency_us",
+            "End-to-end request latency (queue wait + measured device "
+            "service time)"),
+        wait=_io_histogram(
+            m, "repro_io_wait_us",
+            "Time a request waited for a free channel server before "
+            "dispatch"),
     )
+
+
+def export_queue_stats(device_kind: str, stats, window) -> None:
+    """Read a queue's :class:`~repro.io.queue_stats.QueueStats` and its
+    in-flight ``window`` into the ``repro_io_*`` counters and gauges at
+    collect time. Errors, misses and the in-flight count sum every queue
+    of ``device_kind``; the miss ratio is the newest queue's own;
+    ``repro_io_requests_total`` is the ``repro_io_latency_us`` count."""
+    m = context.current().metrics
+    if m is None:
+        return
+    sources = _first_in_group(m, ("io", device_kind), (stats, window))
+    if sources is None:
+        return
+    latency = io_instruments().latency
+    requests = m.counter(
+        "repro_io_requests_total",
+        help="Requests dispatched through the queued IO path",
+        unit="requests", labelnames=("op", "device_kind"))
+    errors, misses, ratio, inflight = (
+        _child(m, kind, name, help_text, unit, device_kind=device_kind)
+        for kind, name, help_text, unit in (
+            ("counter", "repro_io_errors_total",
+             "Requests that completed with a device error", "requests"),
+            ("counter", "repro_io_deadline_misses_total",
+             "Completions that landed past their request deadline",
+             "requests"),
+            ("gauge", "repro_io_deadline_miss_ratio",
+             "Deadline misses over dispatched requests (refreshed at "
+             "collect time; the deadline_miss_rate SLO input)", "ratio"),
+            ("gauge", "repro_io_inflight",
+             "Dispatched completions not yet polled", "requests")))
+
+    def collect() -> None:
+        for (op, kind), histogram in latency._children.items():
+            if kind == device_kind:
+                requests.labels(op=op, device_kind=kind).value = float(
+                    histogram.count)
+        errors.value = float(sum(s.errors for s, _ in sources))
+        misses.value = float(sum(s.deadline_misses for s, _ in sources))
+        inflight.value = float(sum(len(w) for _, w in sources))
+        newest = sources[-1][0]
+        ratio.value = (newest.deadline_misses / newest.dispatched
+                       if newest.dispatched else 0.0)
+
+    m.add_collect_hook(collect)
 
 
 @dataclass(frozen=True)
@@ -283,13 +296,24 @@ class WearInstruments:
         return self.erases_family.labels(device=self.device, cause=cause)
 
 
-def wear_instruments(device: str) -> WearInstruments:
+def wear_instruments(device: str) -> WearInstruments | None:
     m = context.current().metrics
-
-    def gauge(name: str, help_text: str, unit: str):
-        return m.gauge(name, help=help_text, unit=unit,
-                       labelnames=("device",)).labels(device=device)
-
+    if m is None:
+        return None
+    waf, mean_pec, max_pec, eta = (
+        _child(m, "gauge", name, help_text, unit, device=device)
+        for name, help_text, unit in (
+            ("repro_wear_waf",
+             "Measured write amplification: 1 + overhead/host oPages",
+             "ratio"),
+            ("repro_wear_mean_pec",
+             "Mean per-block erase count seen by the wear ledger", "cycles"),
+            ("repro_wear_max_pec",
+             "Worst-block erase count seen by the wear ledger", "cycles"),
+            ("repro_wear_eta_host_opages",
+             "Forecast host oPages absorbable before mean PEC reaches the "
+             "device limit (burn-rate slope over the snapshot window)",
+             "opages")))
     return WearInstruments(
         device=device,
         programs_family=m.counter(
@@ -305,115 +329,102 @@ def wear_instruments(device: str) -> WearInstruments:
             "repro_wear_erases_total",
             help="Block erases at the chip boundary, by wear cause",
             unit="blocks", labelnames=("device", "cause")),
-        waf=gauge(
-            "repro_wear_waf",
-            "Measured write amplification: 1 + overhead/host oPages",
-            "ratio"),
-        mean_pec=gauge(
-            "repro_wear_mean_pec",
-            "Mean per-block erase count seen by the wear ledger",
-            "cycles"),
-        max_pec=gauge(
-            "repro_wear_max_pec",
-            "Worst-block erase count seen by the wear ledger",
-            "cycles"),
-        eta_host_opages=gauge(
-            "repro_wear_eta_host_opages",
-            "Forecast host oPages absorbable before mean PEC reaches "
-            "the device limit (burn-rate slope over the snapshot "
-            "window)",
-            "opages"),
-    )
+        waf=waf, mean_pec=mean_pec, max_pec=max_pec, eta_host_opages=eta)
 
 
-@dataclass(frozen=True)
-class DiFSInstruments:
-    """Cluster-wide recovery-path instruments."""
-
-    recovery_bytes: Any        # family; labels (direction,)
-    volume_failures: Any
-    chunks_recovered: Any
-    chunks_lost: Any
-    chunk_reads: Any
-    chunks_created: Any
-    queue_depth: Any           # family; labels (kind,)
-    degraded_dwell: Any        # family; labels (kind,)
-    live_volumes: Any
-
-
-def difs_instruments() -> DiFSInstruments:
+def difs_instruments() -> SimpleNamespace | None:
+    """Cluster-wide client chunk ops and recovery-queue dwell times."""
     m = context.current().metrics
-    return DiFSInstruments(
-        recovery_bytes=m.counter(
-            "repro_difs_recovery_bytes_total",
-            help="Recovery traffic moved (source reads + rebuilt writes)",
-            unit="bytes", labelnames=("direction",)),
-        volume_failures=m.counter(
-            "repro_difs_volume_failures_total",
-            help="Failure domains (volumes/minidisks) lost",
-            unit="volumes"),
-        chunks_recovered=m.counter(
-            "repro_difs_chunks_recovered_total",
-            help="Chunks restored to full redundancy", unit="chunks"),
-        chunks_lost=m.counter(
-            "repro_difs_chunks_lost_total",
-            help="Chunks lost beyond repair", unit="chunks"),
+    if m is None:
+        return None
+    return SimpleNamespace(
         chunk_reads=m.counter(
             "repro_difs_chunk_reads_total",
             help="Client chunk reads", unit="chunks"),
         chunks_created=m.counter(
             "repro_difs_chunks_created_total",
             help="Chunks written with full redundancy", unit="chunks"),
-        queue_depth=m.gauge(
-            "repro_difs_recovery_queue_depth",
-            help="Pending re-replication work items",
-            unit="items", labelnames=("kind",)),
         degraded_dwell=m.histogram(
             "repro_difs_degraded_dwell_time",
             help="Cluster-time a failure waited in the recovery queue "
                  "before being processed",
             unit="sim_time", labelnames=("kind",),
             buckets=DWELL_BUCKETS),
-        live_volumes=m.gauge(
-            "repro_difs_live_volumes",
-            help="Volumes currently alive", unit="volumes"),
     )
 
 
-@dataclass(frozen=True)
-class FleetInstruments:
-    """Per-mode fleet simulation instruments (children, pre-labelled)."""
-
-    step_duration: Any
-    devices_functioning: Any
-    capacity_bytes: Any
-    capacity_lost_bytes: Any
-    device_deaths: Any  # family; labels (mode, cause)
-    mode: str
-
-
-def fleet_instruments(mode: str) -> FleetInstruments:
+def export_difs_state(stats, pending_volumes: list, pending_chunks: list,
+                      index) -> None:
+    """Read a cluster's :class:`~repro.difs.recovery.RecoveryStats`, its
+    pending recovery queues and its :class:`~repro.difs.placement.
+    VolumeIndex` (so volumes dying asynchronously are counted) into the
+    diFS families at collect time, summed over every cluster in the
+    registry."""
     m = context.current().metrics
-    return FleetInstruments(
-        mode=mode,
+    if m is None:
+        return
+    sources = _first_in_group(
+        m, ("difs",), (stats, pending_volumes, pending_chunks, index))
+    if sources is None:
+        return
+    moved = m.counter(
+        "repro_difs_recovery_bytes_total",
+        help="Recovery traffic moved (source reads + rebuilt writes)",
+        unit="bytes", labelnames=("direction",))
+    depth = m.gauge(
+        "repro_difs_recovery_queue_depth",
+        help="Pending re-replication work items",
+        unit="items", labelnames=("kind",))
+    counters = [
+        ("volume_failures", _child(
+            m, "counter", "repro_difs_volume_failures_total",
+            "Failure domains (volumes/minidisks) lost", "volumes")),
+        ("chunks_recovered", _child(
+            m, "counter", "repro_difs_chunks_recovered_total",
+            "Chunks restored to full redundancy", "chunks")),
+        ("chunks_lost", _child(
+            m, "counter", "repro_difs_chunks_lost_total",
+            "Chunks lost beyond repair", "chunks")),
+        ("bytes_read", moved.labels(direction="read")),
+        ("bytes_written", moved.labels(direction="write"))]
+    queued_volumes = depth.labels(kind="volume")
+    queued_chunks = depth.labels(kind="chunk")
+    live = _child(m, "gauge", "repro_difs_live_volumes",
+                  "Volumes currently alive", "volumes")
+
+    def collect() -> None:
+        for field, child in counters:
+            child.value = float(sum(getattr(s[0], field) for s in sources))
+        queued_volumes.value = float(sum(len(s[1]) for s in sources))
+        queued_chunks.value = float(sum(len(s[2]) for s in sources))
+        live.value = float(sum(s[3].live_count() for s in sources))
+
+    m.add_collect_hook(collect)
+
+
+def fleet_instruments(mode: str) -> SimpleNamespace | None:
+    """Per-mode fleet step instruments, published once per step."""
+    m = context.current().metrics
+    if m is None:
+        return None
+    return SimpleNamespace(
         step_duration=m.histogram(
             "repro_fleet_step_duration_seconds",
             help="Wall-clock cost of one fleet simulation step",
             unit="seconds", labelnames=("mode",),
             buckets=STEP_SECONDS_BUCKETS).labels(mode=mode),
-        devices_functioning=m.gauge(
-            "repro_fleet_devices_functioning",
-            help="Devices still in service at the latest step",
-            unit="devices", labelnames=("mode",)).labels(mode=mode),
-        capacity_bytes=m.gauge(
-            "repro_fleet_capacity_bytes",
-            help="Advertised fleet capacity at the latest step",
-            unit="bytes", labelnames=("mode",)).labels(mode=mode),
-        capacity_lost_bytes=m.counter(
-            "repro_fleet_capacity_lost_bytes_total",
-            help="Advertised capacity shed (the diFS re-replication "
-                 "volume, §4.3)",
-            unit="bytes", labelnames=("mode",)).labels(mode=mode),
+        devices_functioning=_child(
+            m, "gauge", "repro_fleet_devices_functioning",
+            "Devices still in service at the latest step", "devices",
+            mode=mode),
+        capacity_bytes=_child(
+            m, "gauge", "repro_fleet_capacity_bytes",
+            "Advertised fleet capacity at the latest step", "bytes",
+            mode=mode),
+        capacity_lost_bytes=_child(
+            m, "counter", "repro_fleet_capacity_lost_bytes_total",
+            "Advertised capacity shed (the diFS re-replication volume, "
+            "§4.3)", "bytes", mode=mode),
         device_deaths=m.counter(
             "repro_fleet_device_deaths_total",
             help="Devices leaving service, by cause",
@@ -421,18 +432,12 @@ def fleet_instruments(mode: str) -> FleetInstruments:
     )
 
 
-@dataclass(frozen=True)
-class FaultInstruments:
-    """Fault-injection instruments (families; labelled per event)."""
-
-    injected: Any   # family; labels (site, fault)
-    crashes: Any    # family; labels (site,)
-    degraded: Any   # family; labels (action,)
-
-
-def fault_instruments() -> FaultInstruments:
+def fault_instruments() -> SimpleNamespace | None:
+    """Fault-injection tallies (families labelled per event)."""
     m = context.current().metrics
-    return FaultInstruments(
+    if m is None:
+        return None
+    return SimpleNamespace(
         injected=m.counter(
             "repro_faults_injected_total",
             help="Faults injected by the active fault plan",
@@ -449,25 +454,13 @@ def fault_instruments() -> FaultInstruments:
     )
 
 
-@dataclass(frozen=True)
-class TrafficInstruments:
-    """Traffic-engine instruments (repro.workloads.engine).
-
-    ``requests`` and ``p99_latency`` are families (labelled per
-    admission outcome / tenant class at publish time); the rest are
-    plain children. Published once per run from the merged artifact —
-    not on the per-request hot path.
-    """
-
-    requests: Any      # family; labels (outcome,)
-    p99_latency: Any   # family; labels (tenant_class,)
-    max_backlog: Any
-    tenants: Any
-
-
-def traffic_instruments() -> TrafficInstruments:
+def traffic_instruments() -> SimpleNamespace | None:
+    """Traffic-engine totals, published once per run from the merged
+    artifact (never on the per-request path)."""
     m = context.current().metrics
-    return TrafficInstruments(
+    if m is None:
+        return None
+    return SimpleNamespace(
         requests=m.counter(
             "repro_traffic_requests_total",
             help="Traffic-engine requests by admission outcome "
@@ -489,25 +482,13 @@ def traffic_instruments() -> TrafficInstruments:
     )
 
 
-@dataclass(frozen=True)
-class ShardInstruments:
-    """Sharded fleet instruments (repro.sim.shard).
-
-    ``tick_duration`` and ``shard_devices`` are families labelled per
-    shard index at publish time; ``merge_duration`` is a plain child.
-    Workers never touch these — the coordinator records per-shard wall
-    times from the assembled steps, once per run, never on the
-    per-device hot path.
-    """
-
-    tick_duration: Any   # family; labels (shard,)
-    merge_duration: Any
-    shard_devices: Any   # family; labels (shard,)
-
-
-def shard_instruments() -> ShardInstruments:
+def shard_instruments() -> SimpleNamespace | None:
+    """Sharded-fleet wall times, recorded by the coordinator once per
+    run (workers never touch them)."""
     m = context.current().metrics
-    return ShardInstruments(
+    if m is None:
+        return None
+    return SimpleNamespace(
         tick_duration=m.histogram(
             "repro_shard_tick_seconds",
             help="Wall-clock cost of one shard's tick batch (a fleet "

@@ -24,9 +24,9 @@ Design notes:
   objects without locks; ``inc``/``set``/``observe`` are a few
   attribute operations each.
 
-The module-level default registry lives in :mod:`repro.obs` and is a
-no-op (:mod:`repro.obs.noop`) until explicitly enabled, so
-instrumentation costs ~nothing when observability is off.
+The active registry is the run context's ``metrics`` field
+(:mod:`repro.context`), ``None`` until a caller scopes one, so
+instrumentation costs one ``is None`` test when observability is off.
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ from pathlib import Path
 from repro import artifact, context
 from repro.errors import ConfigError
 from repro.obs.analyze import interpolated_percentile
-from repro.obs.noop import NULL_METRICS
 
 #: Version tag expected at the top of every SLO config document.
 SLO_SCHEMA = "repro.obs.slo/v1"
@@ -209,7 +208,7 @@ class SLOEngine:
         self._windows = [_Window() for _ in self.objectives]
         self._instr = None
         registry = context.current().metrics
-        if registry is not NULL_METRICS:
+        if registry is not None:
             self._instr = {
                 "observations": registry.counter(
                     "repro_slo_observations_total",

@@ -25,9 +25,8 @@ CSV under the ``repro.obs.timeseries/v1`` schema; both round-trip via
 artifacts for its claim checks.
 
 Like the registry and tracer, the sampler is a run-context field
-(:mod:`repro.context`) that is a no-op until scoped; instrumented loops
-bind it once (``None`` for the no-op) so the disabled path costs one
-``is None`` test per step.
+(:mod:`repro.context`), ``None`` until scoped; instrumented loops
+bind it once, so the disabled path costs one ``is None`` test per step.
 """
 
 from __future__ import annotations

@@ -32,8 +32,10 @@ import math
 import numpy as np
 
 from repro import context
-from repro.obs.instruments import salamander_instruments
-from repro.obs.noop import NULL_METRICS, NULL_TRACER
+from repro.obs.instruments import (
+    export_salamander_state,
+    salamander_instruments,
+)
 from repro.obs.smart import smart_field
 
 from repro.errors import (
@@ -177,13 +179,14 @@ class SalamanderSSD(PageMappedFTL):
         self._table = MinidiskTable(cfg.msize_lbas, initial_count)
         self._exhausted = False
         # Lifecycle telemetry binds at construction (None when off): the
-        # gauges, the victim/revival counters and the event trace.
+        # victim/revival counters and the event trace. The capacity and
+        # limbo gauges read the table and the ledger at collect time.
         ctx = context.current()
-        self._metrics = None if ctx.metrics is NULL_METRICS else ctx.metrics
-        self._tracer = None if ctx.tracer is NULL_TRACER else ctx.tracer
-        self._sal_instr = salamander_instruments(self.obs_name)
-        self._obs_limbo_levels: set[int] = set()
-        self._refresh_obs_gauges()
+        self._metrics = ctx.metrics
+        self._tracer = ctx.tracer
+        self._sal_instr = salamander_instruments()
+        export_salamander_state(self.obs_name, self._table, self.limbo,
+                                self.geometry.opage_bytes)
 
     @classmethod
     def create(cls, geometry: FlashGeometry | None = None,
@@ -224,14 +227,14 @@ class SalamanderSSD(PageMappedFTL):
         """
         device = cls(chip, config)
         # The census comes back with the table, before anything below
-        # (the flash replay's wear handling) asks for capacity.
-        device._table = MinidiskTable.restore(
-            config.msize_lbas, snapshot["minidisks"], snapshot["draining"])
+        # (the flash replay's wear handling) asks for capacity. Table
+        # and limbo ledger are refilled in place, so the objects the
+        # constructor handed to the metric export stay the live ones.
+        device._table.restore(snapshot["minidisks"], snapshot["draining"])
         flat = sum(m.size_lbas for m in device.minidisks)
         if flat > device.n_lbas:
             device._grow_flat_space(flat - device.n_lbas)
         device.n_lbas = flat
-        device.limbo = LimboLedger(device.policy.dead_level)
         for fpage, level in snapshot["limbo"].items():
             device.limbo.add(int(fpage), int(level))
         device._event_seq = int(snapshot["event_seq"])
@@ -504,29 +507,6 @@ class SalamanderSSD(PageMappedFTL):
         if minted:
             ctx.bump("regen_events", minted)
 
-    def _refresh_obs_gauges(self) -> None:
-        """Push the capacity/limbo state into the metrics registry.
-
-        Called after every lifecycle transition (decommission, regenerate,
-        release, exhaustion). The construction-time binding keeps the
-        disabled-path cost to one ``is None`` test.
-        """
-        if self._metrics is None:
-            return
-        instr = self._sal_instr
-        counts = self.limbo.counts()
-        for level in self._obs_limbo_levels - set(counts):
-            instr.limbo_fpages.labels(
-                device=instr.device, level=str(level)).set(0)
-        for level, n in counts.items():
-            instr.limbo_fpages.labels(
-                device=instr.device, level=str(level)).set(n)
-            self._obs_limbo_levels.add(level)
-        instr.limbo_capacity_opages.set(self.limbo.capacity_opages())
-        instr.advertised_bytes.set(self.advertised_bytes)
-        instr.active_minidisks.set(len(self._table.active))
-        instr.draining_minidisks.set(len(self._table.draining))
-
     def _decommission(self, mdisk: Minidisk, reason: str) -> None:
         grace = self.salamander_config.grace_decommissions
         table = self._table
@@ -551,9 +531,9 @@ class SalamanderSSD(PageMappedFTL):
                                       mdisk=mdisk.mdisk_id, reason=reason)
             self._invalidate(mdisk)
         self.stats.decommissioned_minidisks += 1
-        self._sal_instr.decommissions.labels(
-            device=self._sal_instr.device, reason=reason).inc()
-        self._refresh_obs_gauges()
+        if self._sal_instr is not None:
+            self._sal_instr.decommissions.labels(
+                device=self.obs_name, reason=reason).inc()
         self._emit(MinidiskDecommissioned(
             seq=self._event_seq, mdisk_id=mdisk.mdisk_id, reason=reason,
             remaining_active=len(table.active)))
@@ -570,7 +550,6 @@ class SalamanderSSD(PageMappedFTL):
         mdisk = self.minidisk(mdisk_id)
         self._table.release(mdisk)      # refuses unless DRAINING
         self._invalidate(mdisk)
-        self._refresh_obs_gauges()
 
     def _invalidate(self, mdisk: Minidisk) -> None:
         """Drop every mapping and buffered write inside ``mdisk``."""
@@ -620,9 +599,9 @@ class SalamanderSSD(PageMappedFTL):
             mdisk = self._table.mint(plan.level, self._event_seq)
             self._grow_flat_space(cfg.msize_lbas)
             self.stats.regenerated_minidisks += 1
-            self._sal_instr.regenerations.labels(
-                device=self._sal_instr.device, level=str(plan.level)).inc()
-            self._refresh_obs_gauges()
+            if self._sal_instr is not None:
+                self._sal_instr.regenerations.labels(
+                    device=self.obs_name, level=str(plan.level)).inc()
             self._emit(MinidiskRegenerated(
                 seq=self._event_seq, mdisk_id=mdisk.mdisk_id,
                 level=plan.level, size_lbas=mdisk.size_lbas))

@@ -124,21 +124,18 @@ class MinidiskTable:
         self.draining: list[int] = []
         self._recount()
 
-    @classmethod
-    def restore(cls, size_lbas: int, rows, draining) -> "MinidiskTable":
-        """Rebuild the table and its census from :meth:`rows` after power
-        loss; ``draining`` is the persisted FIFO, whose order the rows
-        cannot give back."""
-        table = cls(size_lbas)
-        table.minidisks = [
+    def restore(self, rows, draining) -> None:
+        """Rebuild the table and its census in place from :meth:`rows`
+        after power loss; ``draining`` is the persisted FIFO, whose order
+        the rows cannot give back."""
+        self.minidisks = [
             Minidisk(mdisk_id=mdisk_id, size_lbas=size, level=level,
                      created_seq=created, status=MinidiskStatus(status),
                      decommissioned_seq=decommissioned)
             for (mdisk_id, size, level, created, status, decommissioned)
             in rows]
-        table.draining = list(draining)
-        table._recount()
-        return table
+        self.draining = list(draining)
+        self._recount()
 
     def rows(self) -> list[tuple]:
         """The table as plain NVRAM rows (what :meth:`restore` reads)."""

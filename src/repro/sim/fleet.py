@@ -58,7 +58,6 @@ from repro import context
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.instruments import fleet_instruments
-from repro.obs.noop import NULL_METRICS, NULL_TIMESERIES, NULL_TRACER
 from repro.obs.smart import smart_field
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import RBERModel, lognormal_page_variation
@@ -620,7 +619,7 @@ def resolve_injector(faults: FaultPlan | FaultInjector | None,
 def sample_schedule(rules: FleetRules) -> tuple[bool, ...]:
     """Which steps the run context's sampler's cadence gate will accept."""
     sampler = context.current().timeseries
-    if sampler is NULL_TIMESERIES:
+    if sampler is None:
         return (False,) * rules.steps
     step_days = rules.config.step_days
     return tuple(sampler.schedule(
@@ -729,10 +728,8 @@ def assemble_fleet(rules: FleetRules,
     # Bound once; with observability disabled the per-step cost is a
     # handful of ``is None`` checks (docs/OBSERVABILITY.md's 5% budget).
     ctx = context.current()
-    instr = (None if ctx.metrics is NULL_METRICS
-             else fleet_instruments(mode))
-    tracer = None if ctx.tracer is NULL_TRACER else ctx.tracer
-    sampler = None if ctx.timeseries is NULL_TIMESERIES else ctx.timeseries
+    instr = fleet_instruments(mode)
+    tracer, sampler = ctx.tracer, ctx.timeseries
     steps = rules.steps
     days = np.zeros(steps)
     functioning = np.zeros(steps, dtype=np.int64)

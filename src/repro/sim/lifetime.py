@@ -19,7 +19,6 @@ from repro.errors import ReproError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
-from repro.obs.noop import NULL_TIMESERIES
 from repro.rng import make_rng
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
 from repro.ssd.cvss import CVSSConfig, CVSSDevice
@@ -122,8 +121,6 @@ def run_write_lifetime(
     # writes* (the quantity the paper's lifetime claims are over), not
     # simulated seconds — documented in docs/OBSERVABILITY.md.
     sampler = context.current().timeseries
-    if sampler is NULL_TIMESERIES:
-        sampler = None
     device_labels = {"device": getattr(device, "obs_name", "device")}
     record_smart = getattr(device, "record_smart", None)
 

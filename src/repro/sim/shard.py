@@ -41,11 +41,9 @@ import warnings
 
 import numpy as np
 
-from repro import context
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.instruments import shard_instruments
-from repro.obs.noop import NULL_METRICS
 from repro.rng import DEFAULT_SEED, make_rng
 from repro.sim.fleet import (
     FleetConfig,
@@ -133,8 +131,7 @@ def simulate_fleet_sharded(config: FleetConfig, mode: str,
             "back to the serial fleet path (results are identical)",
             RuntimeWarning, stacklevel=2)
         shards = 1
-    shard_instr = (None if context.current().metrics is NULL_METRICS
-                   else shard_instruments())
+    shard_instr = shard_instruments()
 
     pending = sample_schedule(rules)
     layout = partition_devices(config.devices, shards)

@@ -40,7 +40,7 @@ from repro.errors import (
     UncorrectableError,
 )
 from repro.flash.chip import FlashChip
-from repro.obs.instruments import ftl_instruments, next_device_name
+from repro.obs.instruments import export_ftl_stats, next_device_name
 from repro.ssd.freelist import BlockIndex
 from repro.ssd.gc import GCPolicy, GreedyGC
 from repro.ssd.remount import RemountMixin
@@ -176,8 +176,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._endurance = ctx.endurance
         #: Stable observability label for this device's metric series.
         self.obs_name = next_device_name()
-        self._instr = ftl_instruments(self.obs_name)
         self.stats = SSDStats()
+        export_ftl_stats(self.obs_name, self.stats)
         self.buffer = WriteBuffer(self.config.buffer_opages)
         self._gc: GCPolicy = GreedyGC()
 
@@ -363,45 +363,41 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         stats = self.stats
         chip_stats = self.chip.stats
         add_latency = stats.write_latency.add
-        accepted = stats.host_writes
-        try:
-            for payload in payloads:
-                if lba >= limit:
-                    limit = self._admit_write(lba)
-                if len(payload) > opage_bytes:
-                    raise ConfigError(
-                        f"write of {len(payload)} bytes exceeds the "
-                        f"{opage_bytes}-byte oPage size; split at the "
-                        f"device layer")
-                if injector is not None:
-                    injector.crash_if("ftl.write", lba=lba)
-                # A write's visible cost is the device work it waited
-                # for: usually none (NVRAM hit), sometimes a drain,
-                # occasionally a whole GC pass — the write tail.
-                waited = 0.0
-                if lba not in entries and len(entries) >= capacity:
-                    epoch = self._wear_epoch
-                    busy_before = chip_stats.busy_us
-                    try:
-                        self._drain_one_fpage()
-                    except OutOfSpaceError:
-                        self._exhaust()
-                        raise
-                    waited = chip_stats.busy_us - busy_before
-                    if self._wear_epoch != epoch:
-                        limit = lba + 1  # admission may have moved: ask again
-                entries[lba] = bytes(payload)
-                prev = streams.get(lba)
-                if prev != stream:
-                    if prev is not None:
-                        counts[prev] -= 1
-                    streams[lba] = stream
-                    counts[stream] += 1
-                stats.host_writes += 1
-                add_latency(waited)
-                lba += 1
-        finally:
-            self._instr.host_writes.inc(stats.host_writes - accepted)
+        for payload in payloads:
+            if lba >= limit:
+                limit = self._admit_write(lba)
+            if len(payload) > opage_bytes:
+                raise ConfigError(
+                    f"write of {len(payload)} bytes exceeds the "
+                    f"{opage_bytes}-byte oPage size; split at the "
+                    f"device layer")
+            if injector is not None:
+                injector.crash_if("ftl.write", lba=lba)
+            # A write's visible cost is the device work it waited
+            # for: usually none (NVRAM hit), sometimes a drain,
+            # occasionally a whole GC pass — the write tail.
+            waited = 0.0
+            if lba not in entries and len(entries) >= capacity:
+                epoch = self._wear_epoch
+                busy_before = chip_stats.busy_us
+                try:
+                    self._drain_one_fpage()
+                except OutOfSpaceError:
+                    self._exhaust()
+                    raise
+                waited = chip_stats.busy_us - busy_before
+                if self._wear_epoch != epoch:
+                    limit = lba + 1  # admission may have moved: ask again
+            entries[lba] = bytes(payload)
+            prev = streams.get(lba)
+            if prev != stream:
+                if prev is not None:
+                    counts[prev] -= 1
+                streams[lba] = stream
+                counts[stream] += 1
+            stats.host_writes += 1
+            add_latency(waited)
+            lba += 1
 
     def read(self, lba: int) -> bytes:
         """Read the 4 KiB oPage at ``lba``.
@@ -412,7 +408,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         """
         self._check_lba(lba)
         self.stats.host_reads += 1
-        self._instr.host_reads.inc()
         self._maybe_autoscrub()
         buffered = self.buffer.get(lba)
         if buffered is not None:
@@ -454,7 +449,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._check_lba(lba)
         self._check_lba(lba + count - 1)
         self.stats.host_reads += count
-        self._instr.host_reads.inc(count)
         # Before the map is sliced: a sweep relocates pages.
         self._maybe_autoscrub()
         slots = self._l2p[lba:lba + count].tolist()
@@ -496,7 +490,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         """Discard ``lba``'s data; subsequent reads return zeros."""
         self._check_lba(lba)
         self.stats.trims += 1
-        self._instr.trims.inc()
         self.buffer.discard(lba)
         self._note_unbuffered(lba)
         self._unmap(lba)
@@ -511,7 +504,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             raise ConfigError(f"count must be positive, got {count!r}")
         self._check_lba(lba)
         self._check_lba(lba + count - 1)
-        self._instr.trims.inc(count)
         self.stats.trims += count
         for target in range(lba, lba + count):
             self.buffer.discard(target)
@@ -733,7 +725,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._l2p[lba] = LOST
         self.stats.uncorrectable_reads += 1
         self.stats.lost_opages += 1
-        self._instr.lost_opages.inc()
 
     # -- internals: allocation and programming ---------------------------------
 
@@ -834,13 +825,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         counts[base // spb] += n_items
         self._mapped_lbas += delta + n_items
         self.stats.flash_writes += len(items)
-        self._instr.flash_writes.inc(len(items))
         if relocation:
             self.stats.gc_relocations += len(items)
-            self._instr.gc_relocations.inc(len(items))
-        if self.stats.host_writes:
-            self._instr.write_amplification.set(
-                self.stats.flash_writes / self.stats.host_writes)
 
     def _program_items(self, stream: str, items: list[tuple[int, bytes]],
                        relocation: bool) -> None:
@@ -873,7 +859,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         """
         self.chip.retire(fpage)
         self.stats.retired_fpages += 1
-        self._instr.retired_fpages.inc()
         if self._faults is not None:
             self._faults.record_degraded("retire_program_fail")
         rt = self._reqtrace
@@ -1063,7 +1048,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             return
         self._erase_counts[block] += 1
         self.stats.erases += 1
-        self._instr.erases.inc()
         # Wear-transition detection: right after the erase, read disturb
         # is reset and FREE pages carry no retention term, so the chip's
         # vectorised wear-only sweep is exact here.
@@ -1100,8 +1084,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
                 self.chip.retire(fpage)
                 retired += 1
         self.stats.retired_fpages += retired
-        if retired:
-            self._instr.retired_fpages.inc(retired)
         self._free_blocks.discard(block)
         self._dead_blocks.add(block)
         if self._faults is not None:
@@ -1136,7 +1118,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             return self.chip.is_free(fpage)
         self.chip.retire(fpage)
         self.stats.retired_fpages += 1
-        self._instr.retired_fpages.inc()
         return False
 
     def _after_wear_event(self, block: int, worn_fpages: list[int]) -> None:

@@ -52,11 +52,13 @@ class GCPolicy(ABC):
                     victim = int(np.asarray(candidate_blocks)[
                         int(index) % len(candidate_blocks)])
                 self._faults.record_degraded("gc_forced_victim")
-        position = int(np.argmax(candidate_blocks == victim))
-        self._instr.picks.inc()
-        self._instr.victim_valid_fraction.observe(
-            float(valid_counts[position])
-            / float(max(capacities[position], 1)))
+        instr = self._instr
+        if instr is not None:
+            position = int(np.argmax(candidate_blocks == victim))
+            instr.picks.inc()
+            instr.victim_valid_fraction.observe(
+                float(valid_counts[position])
+                / float(max(capacities[position], 1)))
         return victim
 
     @abstractmethod

@@ -87,7 +87,6 @@ class ScrubMixin:
             self._faults.crash_if("ftl.scrub", fpage=fpage)
         self._program_items("gc", moved, relocation=False)
         self.stats.wear_relocations += len(moved)
-        self._instr.wear_relocations.inc(len(moved))
         return len(moved)
 
     def _maybe_autoscrub(self) -> None:

@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
-from repro import artifact, context
+from repro import artifact
 from repro.errors import ConfigError
 from repro.io.probe import _PROBE_ERRORS, BUILD_MODES, build_queue_device
 from repro.io.queue import DeviceQueue
@@ -65,7 +65,6 @@ from repro.io.request import (
     OP_WRITE,
 )
 from repro.obs.analyze import interpolated_percentile
-from repro.obs.noop import NULL_METRICS
 from repro.obs.slo import SLOEngine, SLOObjective
 from repro.rng import DEFAULT_SEED, fork_rng, make_rng
 from repro.workloads.arrivals import (
@@ -941,10 +940,10 @@ def publish_traffic_metrics(document: dict) -> None:
     Workers never export telemetry (parallel discipline); the parent
     calls this once over the merged document when metrics are enabled.
     """
-    if context.current().metrics is NULL_METRICS:
-        return
     from repro.obs.instruments import traffic_instruments
     instr = traffic_instruments()
+    if instr is None:
+        return
     for outcome in ("offered", "admitted", "shed", "deferrals",
                     "completed", "errors", "deadline_misses"):
         instr.requests.labels(outcome=outcome).inc(

@@ -4,7 +4,10 @@ Instruments are bound at construction time, so every test constructs
 its subject *inside* a ``context.scoped(metrics=..., tracer=...)``
 scope; the no-op test checks
 the opposite — that a run outside the scope leaves nothing behind and
-produces bit-identical results.
+produces bit-identical results. State a layer already keeps is read
+into the registry at collect time, so every exported FTL, Salamander
+and diFS number must equal the layer's own, at every timeseries sample
+and at export, on all five device flavours run to wear-out.
 """
 
 import numpy as np
@@ -12,10 +15,13 @@ import pytest
 
 from repro import context
 from repro.difs.cluster import Cluster, ClusterConfig
+from repro.errors import ReproError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import PowerLawRBER
-from repro.obs import MetricsRegistry, SimTimeTracer
+from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
+from repro.salamander.device import SalamanderSSD
 from repro.sim.fleet import FleetConfig, simulate_fleet
+from repro.ssd.ftl import PageMappedFTL
 from repro.workloads.generators import stamp_payload
 
 
@@ -27,9 +33,118 @@ def scoped_obs():
 
 
 def _value(registry, name, **labels):
+    registry.collect()
     family = registry.get(name)
     assert family is not None, f"metric {name} never registered"
     return family.labels(**labels).value
+
+
+#: Every ``repro_ftl_*`` family and the ``SSDStats`` field it reads.
+FTL_FIELDS = {f"repro_ftl_{field}_total": field for field in (
+    "host_writes", "host_reads", "flash_writes", "gc_relocations",
+    "wear_relocations", "erases", "trims", "retired_fpages",
+    "lost_opages")}
+
+
+@pytest.fixture
+def make_flavour(make_chip, ftl_config, make_baseline, make_cvss,
+                 make_salamander):
+    def factory(flavour: str):
+        if flavour == "ftl":
+            return PageMappedFTL(make_chip(seed=3), 256, ftl_config)
+        if flavour in ("shrink", "regen"):
+            return make_salamander(flavour, seed=3)
+        return {"baseline": make_baseline, "cvss": make_cvss}[flavour](
+            seed=3)
+
+    return factory
+
+
+def _wear_out(device, on_sample, every: int = 100) -> None:
+    """Random overwrites of 3/4 of the space until the device refuses,
+    calling ``on_sample(t)`` every ``every`` accepted writes and once
+    at the end."""
+    rng = np.random.default_rng(5)
+    payload = bytes(device.geometry.opage_bytes)
+    writes = 0
+    while writes < 200_000:
+        try:
+            if isinstance(device, SalamanderSSD):
+                active = device.active_minidisks()
+                if not active:
+                    break
+                mdisk = active[int(rng.integers(len(active)))]
+                device.write(mdisk.mdisk_id, int(rng.integers(
+                    mdisk.size_lbas * 3 // 4)), payload)
+            else:
+                device.write(int(rng.integers(
+                    device.capacity_lbas * 3 // 4)), payload)
+        except ReproError:
+            break
+        writes += 1
+        if writes % every == 0:
+            on_sample(float(writes))
+    on_sample(float(writes + 1))
+
+
+def _layer_state(device) -> dict:
+    """What each exported sample must read: ``(metric, labels) ->
+    value``, taken from the device's own stats, SMART view and tables."""
+    name, stats = device.obs_name, device.stats
+    state = {(metric, (("device", name),)): float(getattr(stats, field))
+             for metric, field in FTL_FIELDS.items()}
+    state["repro_ftl_write_amplification", (("device", name),)] = (
+        stats.write_amplification)
+    if isinstance(device, SalamanderSSD):
+        smart = device.smart_sample()
+        assert stats.retired_fpages == smart["repro_smart_retired_fpages"]
+        assert stats.write_amplification == smart["repro_smart_waf"]
+        table = device._table
+        for metric, value in (
+                ("limbo_capacity_opages", device.limbo.capacity_opages()),
+                ("advertised_bytes", device.advertised_bytes),
+                ("active_minidisks", len(device.active_minidisks())),
+                ("draining_minidisks", len(table.draining))):
+            state[f"repro_salamander_{metric}", (("device", name),)] = (
+                float(value))
+        counts = device.limbo.counts()
+        assert sum(counts.values()) == len(device.limbo)
+        for level in range(device.policy.dead_level):
+            state["repro_salamander_limbo_fpages", (
+                ("device", name), ("level", str(level)))] = float(
+                    counts.get(level, 0))
+    return state
+
+
+@pytest.mark.parametrize("flavour",
+                         ["ftl", "baseline", "cvss", "shrink", "regen"])
+def test_exported_state_is_the_layers_own(flavour, make_flavour):
+    """The three numbers that used to be pushed beside the mutation and
+    drifted from it — retired fPages (the wear handlers never pushed),
+    WAF (stale after the last program) and RegenS's limbo gauges
+    (pushed only on lifecycle transitions) — now read the layer."""
+    registry = MetricsRegistry()
+    sampler = TimeseriesSampler(registry=registry, capacity=100_000)
+    with context.scoped(metrics=registry, timeseries=sampler):
+        device = make_flavour(flavour)
+    checked = []
+
+    def on_sample(t: float) -> None:
+        sampler.sample(t)
+        for (metric, labels), value in _layer_state(device).items():
+            series = sampler.get_series(metric, dict(labels))
+            if series is None:      # a limbo level never seen reads 0
+                assert value == 0.0, (metric, labels)
+                continue
+            assert series.values[-1] == value, (t, metric, labels)
+            checked.append(metric)
+
+    _wear_out(device, on_sample)
+    assert device.chip.retired_count() > 0, "the walk must wear it out"
+    assert set(FTL_FIELDS) <= set(checked)
+    for (metric, labels), value in _layer_state(device).items():
+        if sampler.get_series(metric, dict(labels)) is not None:
+            assert _value(registry, metric, **dict(labels)) == value
 
 
 class TestFTLLayer:
@@ -200,11 +315,16 @@ class TestFleetLayer:
 
 class TestDisabledPath:
     def test_disabled_run_registers_nothing(self, make_baseline):
+        assert context.current().metrics is None
         ssd = make_baseline()
         ssd.write(0, stamp_payload(0, ssd.geometry.opage_bytes))
-        metrics = context.current().metrics
-        assert len(metrics) == 0
-        assert metrics.to_dict()["metrics"] == []
+        # Built while off, it bound nothing: a registry scoped later
+        # never hears from it.
+        registry = MetricsRegistry()
+        with context.scoped(metrics=registry):
+            ssd.write(1, stamp_payload(1, ssd.geometry.opage_bytes))
+        assert len(registry) == 0
+        assert registry.to_dict()["metrics"] == []
 
     def test_instrumentation_does_not_perturb_results(self):
         config = FleetConfig(

@@ -8,7 +8,6 @@ import pytest
 from repro import context, obs
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry
-from repro.obs.noop import NULL_TIMESERIES
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
     SeriesBuffer,
@@ -275,11 +274,7 @@ class TestSingletonWiring:
 
     def test_disabled_by_default(self):
         assert not obs.timeseries_enabled()
-        # The null sampler accepts the full API.
-        null = context.current().timeseries
-        null.record("x", 0.0, 1.0)
-        assert not null.maybe_sample(1.0)
-        assert len(null) == 0
+        assert context.current().timeseries is None
 
     def test_enable_and_disable(self):
         sampler = TimeseriesSampler(cadence=5.0)
@@ -303,11 +298,13 @@ class TestSingletonWiring:
 
 
 class TestNullSampler:
+    """A sampler that never sampled (nothing else is left to be one)."""
+
     def test_exports_empty_documents(self, tmp_path):
-        path = NULL_TIMESERIES.export(tmp_path / "empty.jsonl")
+        path = TimeseriesSampler().export(tmp_path / "empty.jsonl")
         document = load_timeseries(path)
         assert document["series"] == []
-        csv_path = NULL_TIMESERIES.export(tmp_path / "empty.csv")
+        csv_path = TimeseriesSampler().export(tmp_path / "empty.csv")
         assert csv_path.read_text().startswith("name,labels,")
 
 

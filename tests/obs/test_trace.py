@@ -189,10 +189,7 @@ class TestGlobalSingleton:
 
     def test_noop_by_default(self):
         assert not obs.tracing_enabled()
-        tracer = context.current().tracer
-        with tracer.span("ignored"):
-            tracer.event("ignored")
-        assert tracer.records() == []
+        assert context.current().tracer is None
 
     def test_enable_disable_cycle(self):
         tracer = SimTimeTracer()

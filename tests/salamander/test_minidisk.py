@@ -117,7 +117,8 @@ class TestMinidiskTable:
         table.decommission(table.minidisks[1], seq=2, draining=True)
         table.release(table.minidisks[3])
         table.mint(level=1, seq=3)
-        restored = MinidiskTable.restore(16, table.rows(), table.draining)
+        restored = MinidiskTable(16, count=1)
+        restored.restore(table.rows(), table.draining)
         assert restored.rows() == table.rows()
         assert restored.draining == [1]
         assert ([m.mdisk_id for m in restored.active]

@@ -147,7 +147,6 @@ class OracleFTL(PageMappedFTL):
         self._check_lba(lba)
         self._check_lba(lba + count - 1)
         self.stats.host_reads += count
-        self._instr.host_reads.inc(count)
         self._maybe_autoscrub()     # the one line the old body lacked
         # Resolve every LBA first; group flash-resident ones by fPage.
         results: list[bytes | None] = [None] * count

@@ -54,7 +54,6 @@ def ftl_write(self, lba: int, data: bytes, stream: int = 0) -> None:
     buffer.put(lba, bytes(data))
     _note_buffered(self, lba, stream)
     self.stats.host_writes += 1  # counted only once accepted
-    self._instr.host_writes.inc()
     self.stats.write_latency.add(chip_stats.busy_us - busy_before)
 
 

@@ -2,9 +2,9 @@
 
 Three contracts (docs/OBSERVABILITY.md, "Run context"):
 
-* **Zero cost off** — with the default context every layer binds the
-  ``None`` / null objects, so a disabled hook is one identity test or a
-  no-op call.
+* **Zero cost off** — every field of the default context is ``None``
+  and every layer binds ``None``, so a disabled hook is one identity
+  test; state mirrored into metrics is read at export, never pushed.
 * **Construction-time binding** — a layer reads the context once, when
   it is built: an object built before a scope never sees it, one built
   inside keeps what it bound after the scope exits. Nothing is looked
@@ -30,13 +30,6 @@ from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
 from repro.obs import endurance, reqtrace
 from repro.obs.endurance import EnduranceLedger
 from repro.obs.instruments import fault_instruments, fleet_instruments
-from repro.obs.noop import (
-    NULL_CHILD,
-    NULL_FAMILY,
-    NULL_METRICS,
-    NULL_TIMESERIES,
-    NULL_TRACER,
-)
 from repro.obs.reqtrace import ReqTracer
 from repro.obs.slo import SLOEngine, SLOObjective
 from repro.sim.fleet import (
@@ -82,35 +75,28 @@ def bindings(layers: dict) -> dict:
         ("salamander", "metrics"): device._metrics,
         ("salamander", "tracer"): device._tracer,
         ("queue", "reqtrace"): queue._reqtrace,
-        ("queue", "observed"): queue._observed,
         ("cluster", "faults"): layers["cluster"]._faults,
         ("recovery", "faults"): layers["recovery"]._faults,
         ("recovery", "tracer"): layers["recovery"]._tracer,
     }
 
 
+def event_instruments(layers: dict) -> list:
+    """The push-site bundles each layer got from its factory."""
+    return [layers["device"]._sal_instr, layers["gc"]._instr,
+            layers["queue"]._instr, layers["cluster"]._instr,
+            layers["recovery"]._instr]
+
+
 class TestDefault:
     def test_default_is_all_off(self):
         ctx = context.current()
         assert ctx == RunContext()
-        assert (ctx.metrics, ctx.tracer, ctx.timeseries) == (
-            NULL_METRICS, NULL_TRACER, NULL_TIMESERIES)
-        assert ctx.faults is ctx.reqtrace is ctx.endurance is None
+        assert all(getattr(ctx, field.name) is None
+                   for field in dataclasses.fields(ctx))
         assert not any((obs.metrics_enabled(), obs.tracing_enabled(),
                         obs.timeseries_enabled(), faults.enabled(),
                         reqtrace.enabled(), endurance.enabled()))
-
-    def test_null_objects_record_nothing(self):
-        ctx = context.current()
-        ctx.metrics.counter("whatever_total").inc()
-        assert ctx.metrics.to_dict()["metrics"] == []
-        assert ctx.metrics.to_prometheus() == ""
-        with ctx.tracer.span("ignored"):
-            ctx.tracer.event("ignored")
-        assert ctx.tracer.records() == []
-        ctx.timeseries.record("x", 0.0, 1.0)
-        assert not ctx.timeseries.maybe_sample(1.0)
-        assert len(ctx.timeseries) == 0
 
     def test_context_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -121,18 +107,13 @@ class TestZeroCost:
     def test_every_layer_binds_the_defaults(self, make_salamander):
         layers = stack(make_salamander)
         bound = bindings(layers)
-        assert bound.pop(("recovery", "tracer")) is NULL_TRACER
-        assert bound.pop(("queue", "observed")) is False
         assert all(value is None for value in bound.values()), bound
         assert layers["queue"]._rt_sampler is None
-        # The instrument factories hand out null children and families.
-        assert layers["device"]._instr.host_writes is NULL_CHILD
-        assert layers["device"]._sal_instr.advertised_bytes is NULL_CHILD
-        assert layers["gc"]._instr.picks is NULL_CHILD
-        assert layers["queue"]._instr.inflight is NULL_CHILD
-        assert layers["cluster"]._instr.live_volumes is NULL_FAMILY
-        assert fleet_instruments("regen").capacity_bytes is NULL_CHILD
-        assert fault_instruments().injected is NULL_FAMILY
+        # Every instrument factory hands out None: a push site is one
+        # identity test, and the FTL binds nothing at all.
+        assert event_instruments(layers) == [None] * 5
+        assert not hasattr(layers["device"], "_instr")
+        assert fleet_instruments("regen") is fault_instruments() is None
         assert SLOEngine([SLOObjective(name="p99",
                                        threshold_us=1.0)])._instr is None
 
@@ -176,7 +157,6 @@ class TestBinding:
             ("salamander", "metrics"): fields["metrics"],
             ("salamander", "tracer"): tracer,
             ("queue", "reqtrace"): requests,
-            ("queue", "observed"): True,
             ("cluster", "faults"): injector,
             ("recovery", "faults"): injector,
             ("recovery", "tracer"): tracer,
@@ -187,6 +167,16 @@ class TestBinding:
             assert bound[key] is value, key
         assert during["queue"]._rt_sampler is not None
         assert before["queue"]._rt_sampler is None
+        assert None not in event_instruments(during)
+        assert event_instruments(before) == [None] * 5
+        # The layer state mirrored into metrics is read at export: the
+        # device built inside the scope is in the registry, the one
+        # built before is not.
+        exported = {sample["labels"]["device"]
+                    for family in fields["metrics"].to_dict()["metrics"]
+                    if family["name"] == "repro_ftl_host_writes_total"
+                    for sample in family["samples"]}
+        assert exported == {during["device"].obs_name}
 
     def test_chips_register_with_the_scoped_ledger(self, make_salamander):
         ledger = EnduranceLedger()

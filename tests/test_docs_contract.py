@@ -36,7 +36,8 @@ nothing can vouch for.
 Two catalogs are held both ways: the site tables of docs/FAULTS.md
 against ``repro.faults.SITES``, and the metric tables of
 docs/OBSERVABILITY.md against the names ``repro/obs/instruments.py``
-registers. EXPERIMENTS.md and docs/TUTORIAL.md may only name ``repro.*``
+registers, and the tables' ``recorded`` column against which of its
+factories add a collect hook. EXPERIMENTS.md and docs/TUTORIAL.md may only name ``repro.*``
 things that import, and every name in DESIGN.md's "Reached only by
 tests" ledger must still be an attribute of its owner.
 
@@ -47,6 +48,7 @@ show a retired ``install`` / ``enable`` call form.
 
 from __future__ import annotations
 
+import ast
 import builtins
 import json
 import keyword
@@ -600,6 +602,60 @@ def test_instruments_and_the_metric_catalog_agree():
     assert metric_drift(text) == ([], [])
 
 
+#: A markdown table cell boundary: a ``|`` outside back-ticks.
+_CELL = re.compile(r"\|(?=(?:[^`]*`[^`]*`)*[^`]*$)")
+
+
+def recorded_drift(text: str) -> list[str]:
+    """Catalog rows whose ``recorded`` cell is not what
+    ``repro/obs/instruments.py`` does: ``export`` exactly when the name
+    is registered by a factory that adds a collect hook, else
+    ``event``."""
+    tree = ast.parse((ROOT / "src/repro/obs/instruments.py").read_text())
+    exported = {node.value for function in tree.body
+                if isinstance(function, ast.FunctionDef)
+                and "add_collect_hook" in {
+                    node.attr for node in ast.walk(function)
+                    if isinstance(node, ast.Attribute)}
+                for node in ast.walk(function)
+                if isinstance(node, ast.Constant)
+                and _METRIC.fullmatch(f'"{node.value}"')}
+    wrong, inside = [], False
+    for line in text.splitlines():
+        row = [cell.strip() for cell in _CELL.split(line.strip())[1:-1]]
+        if not line.lstrip().startswith("|"):
+            inside = False
+        elif row[:5] == ["name", "type", "labels", "unit", "recorded"]:
+            inside = True
+        elif inside and row[0].startswith("`repro_"):
+            name = row[0].strip("`")
+            if row[4] != ("export" if name in exported else "event"):
+                wrong.append(name)
+    return wrong
+
+
+def test_recorded_column_matches_the_factories():
+    text = (DOCS / "OBSERVABILITY.md").read_text()
+    assert text.count("| name | type | labels | unit | recorded |") == 10
+    assert recorded_drift(text) == []
+
+
+def test_recorded_check_flags_both_ways():
+    header = ("| name | type | labels | unit | recorded | meaning |\n"
+              "|---|---|---|---|---|---|\n")
+    assert recorded_drift(
+        header
+        + "| `repro_ftl_erases_total` | counter | device | blocks | event "
+          "| block erases |\n"
+        + "| `repro_difs_recovery_queue_depth` | gauge | kind (`volume|"
+          "chunk`) | items | export | pending work |\n"
+        + "| `repro_gc_victim_picks_total` | counter | policy | blocks "
+          "| export | picks |\n"
+        + "| `repro_perf_wall_seconds` | gauge | bench | s | event "
+          "| wall |\n") == ["repro_ftl_erases_total",
+                            "repro_gc_victim_picks_total"]
+
+
 def test_metric_check_flags_the_parent_text():
     uncatalogued, unregistered = metric_drift(
         "| name | type | labels | unit | meaning |\n|---|---|---|---|---|\n"
@@ -646,7 +702,6 @@ def run_context_unresolved(text: str) -> tuple[set[str], list[str]]:
     import repro.context
     import repro.obs
     import repro.obs.endurance
-    import repro.obs.noop
     import repro.obs.reqtrace
     from repro.difs.recovery import RecoveryManager
     from repro.obs.slo import SLOEngine
@@ -656,7 +711,7 @@ def run_context_unresolved(text: str) -> tuple[set[str], list[str]]:
         FlashGeometry(blocks=16, fpages_per_block=8)))
     return unresolved_spans(
         text, [repro.context, repro.context.RunContext(), repro.obs,
-               repro.obs.noop, repro.obs.reqtrace, repro.obs.endurance,
+               repro.obs.reqtrace, repro.obs.endurance,
                repro.faults, queue, *write_stack_namespaces(),
                types.SimpleNamespace(
                    parallel_map=parallel_map, GCPolicy=GCPolicy,
@@ -667,9 +722,9 @@ def run_context_unresolved(text: str) -> tuple[set[str], list[str]]:
 def test_run_context_section_names_resolve():
     text = section((DOCS / "OBSERVABILITY.md").read_text(), "Run context")
     checked, missing = run_context_unresolved(text)
-    assert {"RunContext", "repro.context", "scoped", "NULL_METRICS",
+    assert {"RunContext", "repro.context", "scoped", "None",
             "PageMappedFTL", "GCPolicy", "RecoveryManager", "SLOEngine",
-            "_observed", "parallel_map", "repro.cli.main",
+            "_instr", "parallel_map", "repro.cli.main",
             "repro.obs.metrics_enabled", "src/repro/obs/instruments.py",
             "tests/test_context.py", "tests/conftest.py",
             "benchmarks/test_endurance_overhead.py"} <= checked

@@ -1,6 +1,7 @@
 """The package's public API surface is importable and coherent."""
 
 import importlib
+import importlib.util
 import pkgutil
 
 import pytest
@@ -30,6 +31,11 @@ RETIRED_SINGLETONS = {
                       "enabled"),
 }
 
+#: The null objects ``None`` replaced as the run context's one "off".
+RETIRED_NULL_OBJECTS = ("NULL_METRICS", "NULL_TRACER", "NULL_TIMESERIES",
+                        "NullChild", "NullMetricsRegistry", "NullTracer",
+                        "NullTimeseriesSampler")
+
 
 class TestPublicAPI:
     def test_all_names_resolve(self):
@@ -58,6 +64,15 @@ class TestPublicAPI:
                 assert name not in module.__all__, f"{module_name}.{name}"
                 assert not callable(getattr(module, name, None)), (
                     f"{module_name}.{name}")
+
+    def test_none_replaced_the_null_objects(self):
+        import repro.context
+        import repro.obs
+
+        assert importlib.util.find_spec("repro.obs.noop") is None
+        for module in (repro.obs, repro.context):
+            for name in RETIRED_NULL_OBJECTS:
+                assert not hasattr(module, name), f"{module}.{name}"
 
     def test_forget_hardware_is_exported(self):
         import repro.sim
