@@ -187,6 +187,8 @@ class FlashChip:
         # schemes in particular used to be *constructed* per read.
         self._fpages_per_block = self.geometry.fpages_per_block
         self._opage_bytes = self.geometry.opage_bytes
+        # Fills the slots no payload does (shared: bytes are immutable).
+        self._zero_opage = bytes(self._opage_bytes)
         self._dead_level = self.policy.dead_level
         self._data_opages_by_level = tuple(
             self.policy.data_opages(level) for level in self.policy.levels)
@@ -451,52 +453,64 @@ class FlashChip:
             raise ProgramError(
                 f"fPage {fpage} at L{level} needs {expected} oPage payloads, "
                 f"got {len(payloads)}")
-        opage_bytes = self.geometry.opage_bytes
-        stored = []
+        opage_bytes = self._opage_bytes
         for slot, payload in enumerate(payloads):
             if len(payload) > opage_bytes:
                 raise ProgramError(
                     f"payload for slot {slot} is {len(payload)} bytes; "
                     f"oPages hold {opage_bytes}")
-            stored.append(bytes(payload).ljust(opage_bytes, b"\0"))
+        lbas, sequence = (None, 0) if oob is None else oob
+        if lbas is not None and len(lbas) != expected:
+            raise ProgramError(
+                f"oob records {len(lbas)} slots; fPage {fpage} at "
+                f"L{level} has {expected}")
+        return self.program_trusted(fpage, level, lbas,
+                                    [bytes(p) for p in payloads],
+                                    int(sequence))
+
+    def program_trusted(self, fpage: int, level: int,
+                        lbas: Sequence[int | None] | None,
+                        payloads: Sequence[bytes], sequence: int) -> float:
+        """The one program body — :meth:`program` after its checks, and
+        the FTL's entry for the pages it allocated. Checks nothing:
+        ``fpage`` is FREE at ``level`` (not dead), ``payloads`` are at
+        most the level's data oPages of ``bytes`` no longer than an oPage,
+        ``lbas`` one LBA (or ``None``) per payload, or ``None`` for no
+        OOB. Slots past the payloads are zero-filled and map no LBA.
+        """
+        block = fpage // self._fpages_per_block
         if self._faults is not None:
             # Counted after validation: a hit is one well-formed program
             # attempt. An injected failure leaves the page FREE and
             # unmodified — the FTL decides whether to retire it.
-            spec = self._faults.check(
-                "chip.program", fpage=fpage,
-                block=fpage // self._fpages_per_block)
+            spec = self._faults.check("chip.program", fpage=fpage,
+                                      block=block)
             if spec is not None:
                 raise ProgramFaultError(
                     f"injected program failure at fPage {fpage}")
         if self.now_fn is not None:
             self._programmed_at[fpage] = float(self.now_fn())
-        if oob is not None:
-            lbas, sequence = oob
-            if len(lbas) != expected:
-                raise ProgramError(
-                    f"oob records {len(lbas)} slots; fPage {fpage} at "
-                    f"L{level} has {expected}")
-            self._oob[fpage] = (tuple(lbas), int(sequence))
+        opage_bytes = self._opage_bytes
+        stored = [payload.ljust(opage_bytes, b"\0") for payload in payloads]
+        pad = self._data_opages_by_level[level] - len(stored)
+        if pad:
+            stored += [self._zero_opage] * pad
+        if lbas is not None:
+            self._oob[fpage] = (tuple(lbas) + (None,) * pad, sequence)
         # Together: the read paths ask ``state == WRITTEN`` of ``_data``.
         self._data[fpage] = tuple(stored)
         self._state[fpage] = _STATE_WRITTEN
         self.stats.programs += 1
         wear = self._endurance
         if wear is not None:
-            # Data oPages actually carried: the non-None OOB slots (pad
-            # slots map no LBA), falling back to the slot count for raw
-            # programs without OOB — this is what makes the ledger's
-            # cause-summed oPages reconcile exactly with
-            # ``SSDStats.flash_writes``.
-            if oob is None:
-                opages = expected
-            else:
-                opages = sum(1 for lba in self._oob[fpage][0]
-                             if lba is not None)
-            wear.record_program(opages)
+            # Data oPages actually carried: the LBA-bearing slots (pad
+            # slots map none), or every slot of a raw program without
+            # OOB — this is what makes the ledger's cause-summed oPages
+            # reconcile exactly with ``SSDStats.flash_writes``.
+            wear.record_program(len(stored) if lbas is None
+                                else len(lbas) - lbas.count(None))
         latency = self._program_latency_by_level[level]
-        self._charge(fpage // self._fpages_per_block, latency)
+        self._charge(block, latency)
         return latency
 
     def _read_cost(self, fpage: int) -> tuple:

@@ -215,10 +215,13 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._dead_blocks: set[int] = set()
         # One open (block, cursor) per write stream: host stream hints get
         # their own blocks, and relocations get one when stream_separation
-        # is on.
-        self._open: dict[str, tuple[int, int] | None] = {
-            **{f"host{i}": None for i in range(self.config.host_streams)},
-            "gc": None}
+        # is on. Keys are resolved once; without separation relocations
+        # share host0's.
+        self._host_keys = tuple(f"host{i}"
+                                for i in range(self.config.host_streams))
+        self._gc_key = "gc" if self.config.stream_separation else "host0"
+        self._open: dict[str, tuple[int, int] | None] = dict.fromkeys(
+            (*self._host_keys, "gc"))
         self._buffer_stream: dict[int, int] = {}
         # Incremental counters replacing full rescans: buffered oPages per
         # stream (invariant: ``_buffer_stream`` holds exactly the buffered
@@ -542,29 +545,36 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             performed += 1
         return performed
 
-    def _read_valid_opages(self, fpage: int) -> list[tuple[int, bytes]]:
-        """Batch-read a written page's valid oPages, in slot order.
+    def _read_live(self, fpage: int, count: int) -> tuple[list, list]:
+        """The valid oPages of ``count`` fPages from ``fpage`` on, as
+        ``(lbas, payloads)`` — the relocation reader of GC and scrub.
 
-        Slots that fail ECC are recorded as lost (matching the previous
-        one-read-per-slot error handling) and skipped.
+        One ``_p2l`` slice finds the live slots (a mapped slot always
+        sits on a WRITTEN fPage, as ``_audit_fastpath`` checks); each
+        fPage holding any is read by one ``read_opages``, in fPage and
+        slot order. Slots that fail ECC are recorded as lost and skipped.
         """
-        base = fpage * self._slots_per_fpage_max
-        level = self.chip.level(fpage)
-        # Numpy slices are views, so snapshot explicitly: ``_lose_lba``
-        # mutating ``_p2l`` mid-loop must not corrupt what we iterate.
-        lbas = self._p2l[base:base + self._data_opages[level]].tolist()
-        slot_list = [slot for slot, lba in enumerate(lbas) if lba >= 0]
-        if not slot_list:
-            return []
-        payloads = self.chip.read_opages(fpage, slot_list)
-        survivors: list[tuple[int, bytes]] = []
-        for slot, data in zip(slot_list, payloads):
-            lba = lbas[slot]
-            if data is None:
-                self._lose_lba(lba, base + slot)
-                continue
-            survivors.append((lba, data))
-        return survivors
+        spf = self._slots_per_fpage_max
+        base = fpage * spf
+        # A snapshot, not a view: ``_lose_lba`` writes ``_p2l`` mid-loop.
+        owners = self._p2l[base:base + count * spf].tolist()
+        by_fpage: dict[int, list[int]] = {}
+        for offset, lba in enumerate(owners):
+            if lba >= 0:
+                by_fpage.setdefault(offset // spf, []).append(offset % spf)
+        lbas: list[int] = []
+        payloads: list[bytes] = []
+        for page, slots in by_fpage.items():
+            first = page * spf
+            read = self.chip.read_opages(fpage + page, slots)
+            for slot, data in zip(slots, read):
+                lba = owners[first + slot]
+                if data is None:
+                    self._lose_lba(lba, base + first + slot)
+                    continue
+                lbas.append(lba)
+                payloads.append(data)
+        return lbas, payloads
 
     # -- capacity accounting ---------------------------------------------------
 
@@ -654,6 +664,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             "l2p maps two LBAs to one physical slot")
         assert (self._p2l[slots_of_mapped] == mapped_lbas).all(), (
             "l2p/p2l bijection broken for mapped LBAs")
+        assert (states[slots_of_mapped // self._slots_per_fpage_max]
+                == 1).all(), "a mapped slot sits on an fPage not WRITTEN"
         self.chip._audit_read_costs()
 
     # -- internals: mapping ----------------------------------------------------
@@ -743,19 +755,20 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         """
         self._ensure_free_space()
         stream = self._busiest_stream()
-        fpage = self._allocate_open_fpage(stream=f"host{stream}")
-        capacity = self._data_opages[self.chip.level(fpage)]
-        keys = None
-        if self.config.host_streams > 1:
-            keys = {lba for lba in self.buffer.keys()
-                    if self._buffer_stream.get(lba, 0) == stream}
-        batch = self.buffer.peek_batch(capacity, keys=keys)
+        key = self._host_keys[stream]
+        fpage, level = self._allocate_open_fpage(key)
+        streams = self._buffer_stream
+        lbas, payloads = self.buffer.peek_batch(
+            self._data_opages[level],
+            where=None if self.config.host_streams == 1
+            else lambda lba: streams.get(lba, 0) == stream)
         injector = self._faults
         if injector is not None:
             injector.crash_if("ftl.drain.pre_program", fpage=fpage)
         while True:
             try:
-                self._program_fpage(fpage, batch, relocation=False)
+                self._program_fpage(fpage, level, lbas, payloads,
+                                    relocation=False)
                 break
             except ProgramFaultError:
                 # Media refused the program; the batch is still safe in
@@ -764,16 +777,15 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
                 # the surplus simply stays buffered).
                 self._on_program_fault(fpage)
                 self._ensure_free_space()
-                fpage = self._allocate_open_fpage(stream=f"host{stream}")
-                capacity = self._data_opages[self.chip.level(fpage)]
-                batch = batch[:capacity]
+                fpage, level = self._allocate_open_fpage(key)
+                capacity = self._data_opages[level]
+                lbas, payloads = lbas[:capacity], payloads[:capacity]
         if injector is not None:
             injector.crash_if("ftl.drain.post_program", fpage=fpage)
         # ``buffer.discard`` / ``_note_unbuffered`` per key, in place.
         entries = self.buffer._entries
-        streams = self._buffer_stream
         counts = self._stream_counts
-        for lba, _payload in batch:
+        for lba in lbas:
             entries.pop(lba, None)
             buffered_as = streams.pop(lba, None)
             if buffered_as is not None:
@@ -787,20 +799,14 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         counts = self._stream_counts
         return int(max(range(len(counts)), key=counts.__getitem__))
 
-    def _program_fpage(self, fpage: int,
-                       items: list[tuple[int, bytes]],
-                       relocation: bool) -> None:
-        """Program ``fpage`` with ``items``; pads short batches with zeros."""
-        level = self.chip.level(fpage)
-        capacity = self._data_opages[level]
-        if len(items) > capacity:
-            raise ConfigError(
-                f"{len(items)} payloads exceed fPage capacity {capacity}")
-        pad = capacity - len(items)
-        payloads = [payload for _lba, payload in items] + [b""] * pad
+    def _program_fpage(self, fpage: int, level: int, lbas: list[int],
+                       payloads: list[bytes], relocation: bool) -> None:
+        """Program ``fpage``, allocated here at ``level``, with one
+        payload per LBA — no more than its capacity; the chip zero-pads
+        the rest — and map them."""
         self._write_seq += 1
-        oob_lbas = tuple([lba for lba, _payload in items] + [None] * pad)
-        self.chip.program(fpage, payloads, oob=(oob_lbas, self._write_seq))
+        self.chip.program_trusted(fpage, level, lbas, payloads,
+                                  self._write_seq)
         # Mapping inlined from _map: every new slot lands in one block,
         # so the per-block valid count bumps once, not per oPage. LBAs
         # within one programmed batch are distinct (buffer keys / one
@@ -810,10 +816,10 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         p2l = self._p2l
         counts = self._valid_counts
         spb = self._slots_per_block
-        n_items = len(items)
+        n_items = len(lbas)
         delta = 0
         slot = base
-        for lba, _payload in items:
+        for lba in lbas:
             prev = l2p[lba]
             if prev >= 0:
                 p2l[prev] = UNMAPPED
@@ -824,30 +830,30 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             slot += 1
         counts[base // spb] += n_items
         self._mapped_lbas += delta + n_items
-        self.stats.flash_writes += len(items)
+        self.stats.flash_writes += n_items
         if relocation:
-            self.stats.gc_relocations += len(items)
+            self.stats.gc_relocations += n_items
 
-    def _program_items(self, stream: str, items: list[tuple[int, bytes]],
+    def _program_items(self, lbas: list[int], payloads: list[bytes],
                        relocation: bool) -> None:
-        """Pack ``items`` densely into the stream's open fPages.
+        """Pack ``lbas``/``payloads`` densely into relocation's open
+        fPages — the chunking loop of GC and scrubbing.
 
-        The shared chunking loop of relocation paths (GC and scrubbing).
         Injected program failures retire the refused target page and the
         same chunk retries on a fresh allocation — relocation never
         drops a payload it already holds in DRAM.
         """
         cursor = 0
-        while cursor < len(items):
-            target = self._allocate_open_fpage(stream=stream)
-            capacity = self._data_opages[self.chip.level(target)]
-            chunk = items[cursor:cursor + capacity]
+        while cursor < len(lbas):
+            target, level = self._allocate_open_fpage(self._gc_key)
+            end = cursor + self._data_opages[level]
             try:
-                self._program_fpage(target, chunk, relocation=relocation)
+                self._program_fpage(target, level, lbas[cursor:end],
+                                    payloads[cursor:end], relocation)
             except ProgramFaultError:
                 self._on_program_fault(target)
                 continue
-            cursor += capacity
+            cursor = end
 
     def _on_program_fault(self, fpage: int) -> None:
         """A program operation was refused by the media: retire the page.
@@ -865,14 +871,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         if rt is not None and rt.active is not None:
             rt.active.bump("program_retries")
 
-    def _stream_key(self, stream: str) -> str:
-        if stream == "gc" and not self.config.stream_separation:
-            return "host0"
-        return stream
-
-    def _allocate_open_fpage(self, stream: str) -> int:
-        """Next programmable fPage in the stream's open block."""
-        key = self._stream_key(stream)
+    def _allocate_open_fpage(self, key: str) -> tuple[int, int]:
+        """Next programmable fPage in open block ``key``, and its level."""
         chip = self.chip
         fpages_per_block = self.geometry.fpages_per_block
         while True:
@@ -895,7 +895,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
                     continue
                 required = (req_arr[fpage - start] if req_arr is not None
                             else chip.required_level(fpage))
-                if required > chip.level(fpage):
+                level = chip.level(fpage)
+                if required > level:
                     # Detected lazily at allocation; hand to policy. The page
                     # may come back usable (promoted, or tolerated by CVSS).
                     # Cursor is persisted first so the policy hook (which
@@ -905,8 +906,9 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
                     still_usable = self._handle_worn_page(fpage, required)
                     if not still_usable or not chip.is_free(fpage):
                         continue
+                    level = chip.level(fpage)
                 self._open[key] = (block, cursor)
-                return fpage
+                return fpage, level
             self._open[key] = (block, fpages_per_block)
             self._close_open_block(key)
 
@@ -1025,14 +1027,10 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
 
     def _relocate_block(self, block: int) -> None:
         """Move every valid oPage out of ``block`` (into open fPages)."""
-        survivors: list[tuple[int, bytes]] = []
-        start = block * self.geometry.fpages_per_block
-        for fpage in range(start, start + self.geometry.fpages_per_block):
-            if not self.chip.is_written(fpage):
-                continue
-            survivors.extend(self._read_valid_opages(fpage))
+        fpages = self.geometry.fpages_per_block
+        lbas, payloads = self._read_live(block * fpages, fpages)
         # Pack survivors densely: fill each target fPage to its capacity.
-        self._program_items("gc", survivors, relocation=True)
+        self._program_items(lbas, payloads, relocation=True)
 
     def _erase_block(self, block: int) -> None:
         """Erase ``block`` and run wear-transition detection on its pages."""

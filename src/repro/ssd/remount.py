@@ -99,9 +99,7 @@ class RemountMixin:
         # free tail is reclaimed when GC erases them (cheap, and avoids
         # resuming a half-open block with an unknown history).
         self._free_blocks.clear()
-        self._open = {
-            **{f"host{i}": None for i in range(self.config.host_streams)},
-            "gc": None}
+        self._open = dict.fromkeys((*self._host_keys, "gc"))
         self._open_required = {}
         per_block = states.reshape(self.geometry.blocks,
                                    self.geometry.fpages_per_block)

@@ -5,8 +5,8 @@
 and when a page's RBER has outgrown its tiredness level's ECC, relocate
 its valid oPages *before* a read fails — rather than lazily at the next
 erase. The mixin relies on the FTL core for allocation
-(``_ensure_free_space``/``_program_items``), the shared batch reader
-(``_read_valid_opages``) and the fault injector binding.
+(``_ensure_free_space``/``_program_items``), the relocation reader
+(``_read_live``) and the fault injector binding.
 
 Split out of ``ftl.py`` purely for readability; behaviour, method
 names and call order are unchanged (``from repro.ssd.ftl import
@@ -80,14 +80,14 @@ class ScrubMixin:
 
     def _evacuate_fpage_inner(self, fpage: int) -> int:
         self._ensure_free_space()
-        moved = self._read_valid_opages(fpage)
+        lbas, payloads = self._read_live(fpage, 1)
         if self._faults is not None:
             # Crash between the read and the rewrite: the source page is
             # untouched (reads are non-destructive), so nothing is lost.
             self._faults.crash_if("ftl.scrub", fpage=fpage)
-        self._program_items("gc", moved, relocation=False)
-        self.stats.wear_relocations += len(moved)
-        return len(moved)
+        self._program_items(lbas, payloads, relocation=False)
+        self.stats.wear_relocations += len(lbas)
+        return len(lbas)
 
     def _maybe_autoscrub(self) -> None:
         interval = self.config.scrub_interval_writes

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import islice
-from typing import Hashable
+from typing import Callable, Hashable
 
 from repro.errors import ConfigError
 
@@ -69,22 +69,23 @@ class WriteBuffer:
         return self._entries.pop(key, None) is not None
 
     def peek_batch(self, count: int,
-                   keys: set[Hashable] | None = None,
-                   ) -> list[tuple[Hashable, bytes]]:
-        """Up to ``count`` oldest entries, FIFO order, left in place.
+                   where: Callable[[Hashable], bool] | None = None,
+                   ) -> tuple[list[Hashable], list[bytes]]:
+        """Up to ``count`` oldest entries, FIFO order, left in place, as
+        ``(keys, payloads)`` — the two lists a program takes.
 
-        With ``keys`` given, only entries whose key is in the set are
-        taken (per-stream draining). Crash-safe drains peek, program
-        the batch onto flash, and only then :meth:`discard` each key —
-        so the NVRAM copy outlives the operation that persists it
-        (docs/FAULTS.md, ack-before-persist).
+        With ``where`` given, only entries whose key it accepts are
+        taken (per-stream draining), and the scan stops at ``count``.
+        Crash-safe drains peek, program the batch onto flash, and only
+        then :meth:`discard` each key — so the NVRAM copy outlives the
+        operation that persists it (docs/FAULTS.md, ack-before-persist).
         """
         if count < 0:
             raise ConfigError(f"count must be non-negative, got {count!r}")
-        items = self._entries.items()
-        if keys is not None:
-            items = (item for item in items if item[0] in keys)
-        return list(islice(items, count))
+        entries = self._entries
+        wanted = entries if where is None else filter(where, entries)
+        taken = list(islice(wanted, count))
+        return taken, list(map(entries.__getitem__, taken))
 
     def keys(self) -> list[Hashable]:
         """Buffered keys, oldest first."""

@@ -12,20 +12,31 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import context
+from repro.errors import ProgramError, ProgramFaultError
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash.chip import FlashChip, PageState
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
+from repro.obs.endurance import EnduranceLedger
+
+
+def make_one(seed: int = 21, **kwargs) -> FlashChip:
+    """An 8x8 chip; the same arguments make the same chip (same
+    variation, same RNG)."""
+    geometry = FlashGeometry(blocks=8, fpages_per_block=8)
+    policy = TirednessPolicy(geometry=geometry)
+    model = calibrate_power_law(policy, pec_limit_l0=50)
+    return FlashChip(geometry, rber_model=model, policy=policy, seed=seed,
+                     **kwargs)
 
 
 def make_pair(seed: int = 21, **kwargs) -> tuple[FlashChip, FlashChip]:
     """Two chips with identical construction (same variation, same RNG)."""
-    geometry = FlashGeometry(blocks=8, fpages_per_block=8)
-    policy = TirednessPolicy(geometry=geometry)
-    model = calibrate_power_law(policy, pec_limit_l0=50)
-    mk = lambda: FlashChip(geometry, rber_model=model, policy=policy,  # noqa: E731
-                           seed=seed, **kwargs)
-    return mk(), mk()
+    return make_one(seed, **kwargs), make_one(seed, **kwargs)
 
 
 class TestRberMemo:
@@ -119,6 +130,113 @@ class TestReadOpagesBitIdentity:
         sequential = [seq_chip.read(8, slot)[0] for slot in slots]
         assert batch == sequential
         assert batch_chip.stats.busy_us == seq_chip.stats.busy_us
+
+
+OPAGE = FlashGeometry().opage_bytes
+#: One step of a program walk: ``("erase", block)``, or ``("program",
+#: fpage, level to raise a FREE page to first, payloads)`` — short
+#: payloads, full-size ones, more than any level holds.
+payload = st.one_of(st.binary(max_size=12), st.just(b"\x5a" * OPAGE))
+step = st.one_of(
+    st.tuples(st.just("erase"), st.integers(0, 7)),
+    st.tuples(st.just("program"), st.integers(0, 63), st.integers(0, 3),
+              st.lists(payload, min_size=1, max_size=5)))
+
+
+def make_twins(when: int, count: int) -> list[FlashChip]:
+    """Two same-seed chips, each with its own injector (refusing
+    programs ``when`` .. ``when + count - 1``) and wear ledger."""
+    plan = FaultPlan(events=(FaultSpec(site="chip.program", fault="fail",
+                                       when=when, count=count),))
+    twins = []
+    for _ in range(2):
+        with context.scoped(faults=FaultInjector(plan),
+                            endurance=EnduranceLedger()):
+            twins.append(make_one(seed=28, now_fn=lambda: 86400.0))
+    return twins
+
+
+class TestProgramTrusted:
+    """``program_trusted`` is the body of ``program``: a valid batch
+    through either entry leaves every observable the same."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(steps=st.lists(step, max_size=40), when=st.integers(1, 12),
+           count=st.integers(1, 3))
+    def test_public_and_trusted_entries_agree(self, steps, when, count):
+        public, trusted = make_twins(when, count)
+        for sequence, (kind, target, *rest) in enumerate(steps, start=1):
+            if kind == "erase":
+                assert public.erase(target) == trusted.erase(target)
+                continue
+            level, payloads = rest
+            if not public.is_free(target):
+                continue
+            for chip in (public, trusted):
+                if level > chip.level(target):
+                    chip.set_level(target, level)
+            level = public.level(target)
+            capacity = public.policy.data_opages(level)
+            payloads = payloads[:capacity]
+            lbas = [sequence * 8 + slot for slot in range(len(payloads))]
+            pad = capacity - len(payloads)
+            outcomes = []
+            for program in (
+                    lambda: public.program(
+                        target, payloads + [b""] * pad,
+                        oob=(tuple(lbas) + (None,) * pad, sequence)),
+                    lambda: trusted.program_trusted(
+                        target, level, lbas, payloads, sequence)):
+                try:
+                    outcomes.append(program())
+                except ProgramFaultError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+        assert public._data == trusted._data
+        assert public._oob == trusted._oob
+        assert (public._state == trusted._state).all()
+        assert (public._programmed_at == trusted._programmed_at).all()
+        assert public.stats.snapshot() == trusted.stats.snapshot()
+        assert public.channel_busy_us == trusted.channel_busy_us
+        assert (public._faults.hits("chip.program")
+                == trusted._faults.hits("chip.program"))
+        assert public._faults.fired == trusted._faults.fired
+        for attribute in ("programs", "program_opages", "total_programs",
+                          "total_program_opages"):
+            assert (getattr(public._endurance, attribute)
+                    == getattr(trusted._endurance, attribute))
+
+    @pytest.mark.parametrize("rejection", [
+        "retired", "written", "dead level", "wrong count", "oversize",
+        "oob length"])
+    def test_public_program_still_rejects(self, rejection):
+        # Every attempt after the first fails: a rejection that counted
+        # as an attempt would surface as the injected failure instead.
+        plan = FaultPlan(events=(FaultSpec(site="chip.program",
+                                           fault="fail", when=2,
+                                           count=10),))
+        with context.scoped(faults=FaultInjector(plan)):
+            chip = make_one(seed=29)
+        payloads, oob = [b"a"] * 4, None
+        if rejection == "retired":
+            chip.retire(0)
+        elif rejection == "written":
+            chip.program_trusted(0, 0, [1], [b"a"], 1)
+        elif rejection == "dead level":
+            chip._level_py[0] = chip.policy.dead_level
+        elif rejection == "wrong count":
+            payloads = [b"a"] * 3
+        elif rejection == "oversize":
+            payloads = [b"a", bytes(OPAGE + 1), b"", b""]
+        else:
+            oob = ((1, 2, 3), 1)
+        hits = chip._faults.hits("chip.program")
+        with pytest.raises(ProgramError) as refused:
+            chip.program(0, payloads, oob=oob)
+        assert type(refused.value) is ProgramError
+        assert chip._faults.hits("chip.program") == hits
+        assert chip.stats.programs == (rejection == "written")
 
 
 class TestBlockAccounting:

@@ -19,7 +19,7 @@ class TestBufferProperties:
             if key not in buffer:
                 order.append(key)
             buffer.put(key, payload)
-        drained = [k for k, _ in buffer.peek_batch(100)]
+        drained, _ = buffer.peek_batch(100)
         assert drained == order
 
     @given(writes=ops, keep=st.sets(st.integers(0, 15)))
@@ -29,9 +29,9 @@ class TestBufferProperties:
         for key, payload in writes:
             buffer.put(key, payload)
             latest[key] = payload
-        taken = buffer.peek_batch(100, keys=keep)
-        assert {key for key, _ in taken} == keep & set(latest)
-        for key, payload in taken:
+        taken, payloads = buffer.peek_batch(100, where=keep.__contains__)
+        assert set(taken) == keep & set(latest)
+        for key, payload in zip(taken, payloads, strict=True):
             assert payload == latest[key]
         # Nothing left the buffer, taken or not.
         for key, payload in latest.items():
@@ -43,6 +43,6 @@ class TestBufferProperties:
         for key, payload in writes:
             buffer.put(key, payload)
         size_before = len(buffer)
-        taken = buffer.peek_batch(count)
-        assert len(taken) == min(count, size_before)
+        taken, payloads = buffer.peek_batch(count)
+        assert len(taken) == len(payloads) == min(count, size_before)
         assert len(buffer) == size_before

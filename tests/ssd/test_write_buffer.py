@@ -22,7 +22,7 @@ class TestBasics:
         assert len(buf) == 2
         assert buf.get(1) == b"new"
         # Drain order unchanged: 1 was inserted first, stays first.
-        assert [k for k, _ in buf.peek_batch(2)] == [1, 2]
+        assert buf.peek_batch(2) == ([1, 2], [b"new", b"two"])
 
     def test_full_rejects_new_keys_but_not_overwrites(self):
         buf = WriteBuffer(2)
@@ -46,19 +46,19 @@ class TestPeekBatch:
         buf = WriteBuffer(8)
         for key in (5, 3, 9):
             buf.put(key, str(key).encode())
-        assert [k for k, _ in buf.peek_batch(3)] == [5, 3, 9]
+        assert buf.peek_batch(3)[0] == [5, 3, 9]
 
     def test_partial_batch(self):
         buf = WriteBuffer(8)
         buf.put(1, b"a")
         batch = buf.peek_batch(4)
-        assert batch == [(1, b"a")]
+        assert batch == ([1], [b"a"])
         assert len(buf) == 1
 
     def test_zero_count(self):
         buf = WriteBuffer(8)
         buf.put(1, b"a")
-        assert buf.peek_batch(0) == []
+        assert buf.peek_batch(0) == ([], [])
         assert len(buf) == 1
 
     def test_negative_count_rejected(self):

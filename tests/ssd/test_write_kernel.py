@@ -39,6 +39,8 @@ from repro.errors import (
     MinidiskDecommissionedError,
     OutOfSpaceError,
     PowerLossError,
+    ProgramFaultError,
+    UncorrectableError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash.chip import FlashChip
@@ -334,6 +336,102 @@ def test_scripted_walks_reach_every_transition(flavour):
         assert device.stats.decommissioned_minidisks > 3
         if flavour == "regen":
             assert device.stats.regenerated_minidisks > 0
+
+
+def test_program_fault_retry_truncates_the_batch():
+    """A refused program on a level-1 page retries on the next fPage, a
+    level-2 one, which takes only part of a full batch: the surplus stays
+    buffered on its stream, and no acked write is ever lost."""
+    plan = FaultPlan(events=tuple(
+        FaultSpec(site="chip.program", fault="fail", when=when)
+        for when in range(3, 400, 7)))
+    # Twice the walks' chip: the pages hold 2.5 oPages on average, and
+    # four streams (three host, one GC) each keep a block open.
+    geometry = FlashGeometry(blocks=32, fpages_per_block=8)
+    with context.scoped(faults=FaultInjector(plan)):
+        chip = FlashChip(geometry, seed=7, variation_sigma=0.3)
+        for fpage in range(geometry.total_fpages):
+            chip.set_level(fpage, 1 + fpage % 2)
+        device = SalamanderSSD(chip, SalamanderConfig(
+            msize_lbas=MSIZE, mode="regen", regen_max_level=2,
+            headroom_fraction=0.25, ftl=FTLConfig(
+                overprovision=0.25, buffer_opages=8, host_streams=3)))
+    attempts: list[tuple] = []
+    program = device._program_fpage
+
+    def recorded(fpage, level, lbas, payloads, relocation):
+        attempts.append((level, len(lbas), relocation))
+        try:
+            program(fpage, level, lbas, payloads, relocation)
+        except ProgramFaultError:
+            attempts[-1] += ("refused",)
+            raise
+
+    device._program_fpage = recorded
+    rng = np.random.default_rng(7)
+    acked = {}
+    for index in range(600):
+        mdisk, lba = int(rng.integers(2)), int(rng.integers(MSIZE))
+        payload = f"{index}".encode()
+        device.write(mdisk, lba, payload, stream=index % 3)
+        acked[mdisk, lba] = payload
+        device._audit_fastpath()
+    truncations = [
+        (refused, retry) for refused, retry in zip(attempts, attempts[1:])
+        if refused == (1, 3, False, "refused") and retry[:3] == (2, 2, False)]
+    assert len(truncations) >= 3
+    for (mdisk, lba), payload in acked.items():
+        assert device.read(mdisk, lba) == payload.ljust(OPAGE, b"\0")
+    device.flush()
+    device._audit_fastpath()
+    for (mdisk, lba), payload in acked.items():
+        assert device.read(mdisk, lba) == payload.ljust(OPAGE, b"\0")
+
+
+@pytest.mark.parametrize("uncorrectable", [False, True])
+def test_gc_reads_each_survivor_once(uncorrectable):
+    """One GC pass reads the victim's valid slots — one chip read each —
+    and moves every one it could read; a slot the chip cannot correct is
+    recorded as lost, not moved."""
+    plan = FaultPlan(events=(FaultSpec(
+        site="chip.read", fault="uncorrectable", when=1),))
+    with context.scoped(faults=FaultInjector(plan) if uncorrectable
+                        else None):
+        device = build("ftl", chip_seed=3, host_streams=1)
+    for lba in range(200):
+        device.write(lba, b"old %d" % lba)
+    for lba in range(0, 200, 2):
+        device.write(lba, b"new %d" % lba)
+    device.flush()
+    seen = {}
+    relocate = device._relocate_block
+
+    def recorded(block):
+        slots = device._slots_per_block
+        seen.update(valid=int(device._valid_counts[block]),
+                    lbas=set(device._p2l[block * slots:(block + 1) * slots]
+                             .tolist()) - {ftl_module.UNMAPPED})
+        relocate(block)
+
+    device._relocate_block = recorded
+    reads, moved = device.chip.stats.reads, device.stats.gc_relocations
+    lost = device.stats.lost_opages
+    device._gc_once()
+    assert seen["valid"] > 1
+    assert device.chip.stats.reads - reads == seen["valid"]
+    assert device.stats.lost_opages - lost == uncorrectable
+    assert (device.stats.gc_relocations - moved
+            == seen["valid"] - uncorrectable)
+    gone = [lba for lba in seen["lbas"]
+            if device._l2p[lba] == ftl_module.LOST]
+    assert len(gone) == uncorrectable
+    for lba in seen["lbas"] - set(gone):
+        assert device.read(lba).rstrip(b"\0") == b"%s %d" % (
+            b"new" if lba % 2 == 0 else b"old", lba)
+    for lba in gone:
+        with pytest.raises(UncorrectableError):
+            device.read(lba)
+    device._audit_fastpath()
 
 
 def test_published_metrics_match_too():

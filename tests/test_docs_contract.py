@@ -22,10 +22,10 @@ modules the section is about (the fleet modules; the write stack from
 chunk encode to the chip), numpy, the benchmark manifests, the fault
 sites or the tree. So is "Cold start" (the ECC module, ``math``, the
 package's own import graph; scipy is named there but is not a runtime
-dependency, so its names are listed, not imported), and so is "The
-range read kernel" (the read stack from the queue to the chip, the
-oracle and the aging backdoor under ``tests/``, the benchmark's own
-``metrics`` module).
+dependency, so its names are listed, not imported), and so are "The
+range read kernel" and "The drain kernel" (the read stack from the queue
+to the chip, the oracle and the aging backdoor under ``tests/``, the
+benchmark's own ``metrics`` module).
 
 docs/IO_PIPELINE.md is held whole, to a narrower rule: every back-ticked
 dotted name (``Class.method``, ``repro.io.queue.DeviceQueue``), class or
@@ -473,6 +473,40 @@ def test_read_kernel_check_flags_a_removed_name():
     assert missing == ["FlashChip.read_fpages", "GONE", "OracleQueue",
                        "_read_cost_cache", "range_scan_micro",
                        "tests/ssd/scan_loop_oracle.py"]
+
+
+def test_drain_kernel_section_names_resolve():
+    text = section(DOCUMENT.read_text(), "The drain kernel")
+    checked, missing = unresolved_spans(text, read_stack_namespaces(),
+                                        FAULT_KINDS)
+    assert {"_drain_one_fpage", "_program_fpage", "_program_items",
+            "FlashChip.program", "FlashChip.program_trusted", "_read_live",
+            "_relocate_block", "_evacuate_fpage", "peek_batch",
+            "_host_keys", "_gc_key", "_wear_epoch", "_audit_fastpath",
+            "read_opages", "ftl.drain.pre_program", "gc.pre_erase",
+            "chip.program", "device_wearout", "cluster_churn",
+            "ssd.ftl.self_s", "flash.chip.self_s", "ftl_gc_heavy_macro",
+            "tests/ssd/test_write_kernel.py",
+            "tests/flash/test_chip_fastpath.py",
+            "benchmarks/e2e/layers.py", "benchmarks/perf/baseline.json"
+            } <= checked
+    assert not missing, (
+        f"docs/PERFORMANCE.md, 'The drain kernel', names things that "
+        f"resolve nowhere: {missing}")
+
+
+def test_drain_kernel_check_flags_a_removed_name():
+    checked, missing = unresolved_spans(
+        "`_read_live`, `_read_valid_opages`, `FlashChip.program_trusted`, "
+        "`FlashChip.program_unchecked`, `_host_keys`, `_stream_key`, "
+        "`gc.pre_relocate`, `gc.relocate`, `batch[:capacity]`",
+        read_stack_namespaces(), FAULT_KINDS)
+    assert checked == {"_read_live", "_read_valid_opages",
+                       "FlashChip.program_trusted",
+                       "FlashChip.program_unchecked", "_host_keys",
+                       "_stream_key", "gc.pre_relocate", "gc.relocate"}
+    assert missing == ["FlashChip.program_unchecked", "_read_valid_opages",
+                       "_stream_key", "gc.relocate"]
 
 
 def io_pipeline_unresolved(text: str) -> tuple[set[str], list[str]]:

@@ -13,8 +13,10 @@ its valid form, so a malformed row cannot pass on a wrong base document.
 from __future__ import annotations
 
 import copy
+import errno
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -180,8 +182,13 @@ MALFORMATIONS = ("missing", "directory", "unreadable", "not UTF-8", "empty",
                  "field mistyped")
 
 
-def place(entry: Input, form: str, tmp_path):
-    """Put the input's ``form`` on disk; return its path."""
+def place(entry: Input, form: str, tmp_path, monkeypatch):
+    """Put the input's ``form`` on disk; return its path.
+
+    An ``unreadable`` file is a valid one whose read is refused. The
+    refusal is made, not asked of the file system: root reads a
+    chmod-000 file, and the suite runs as root in CI.
+    """
     path = tmp_path / "input.jsonl"
     if form == "missing":
         return path
@@ -197,8 +204,22 @@ def place(entry: Input, form: str, tmp_path):
         path.write_text(entry.forms["valid" if form == "unreadable"
                                     else form], encoding="utf-8")
         if form == "unreadable":
-            path.chmod(0)
+            refuse_reading(path, monkeypatch)
     return path
+
+
+def refuse_reading(path, monkeypatch) -> None:
+    """Make ``Path.read_text`` of ``path`` (and only of it) fail as a
+    file without read permission does."""
+    read_text = pathlib.Path.read_text
+
+    def refused(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", refused)
 
 
 def run(entry: Input, path, tmp_path, capsys):
@@ -207,19 +228,18 @@ def run(entry: Input, path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("entry", INPUTS, ids=lambda entry: entry.name)
-def test_the_valid_form_is_accepted(entry, tmp_path, capsys):
+def test_the_valid_form_is_accepted(entry, tmp_path, capsys, monkeypatch):
     """Control: every base document really is valid for its command."""
-    code, err = run(entry, place(entry, "valid", tmp_path), tmp_path, capsys)
+    code, err = run(entry, place(entry, "valid", tmp_path, monkeypatch),
+                    tmp_path, capsys)
     assert code == 0, err
 
 
 @pytest.mark.parametrize("form", MALFORMATIONS)
 @pytest.mark.parametrize("entry", INPUTS, ids=lambda entry: entry.name)
 def test_malformed_file_is_exit_2_and_one_line(entry, form, tmp_path,
-                                               capsys):
-    if form == "unreadable" and os.geteuid() == 0:
-        pytest.skip("root reads a chmod-000 file")
-    path = place(entry, form, tmp_path)
+                                               capsys, monkeypatch):
+    path = place(entry, form, tmp_path, monkeypatch)
     code, err = run(entry, path, tmp_path, capsys)
     if form == "empty" and entry.name == EMPTY_IS_VALID:
         assert code == 0, err
