@@ -559,7 +559,8 @@ class SalamanderSSD(PageMappedFTL):
             if base <= flat < end:
                 self.buffer.discard(flat)
                 self._note_unbuffered(flat)
-        self.invalidate_batch(np.arange(base, end, dtype=np.int64))
+        for flat in range(base, end):
+            self._unmap(flat)
 
     def _regenerate(self) -> None:
         """Mint new mDisks while a single limbo level can back one (§3.4).
@@ -607,8 +608,7 @@ class SalamanderSSD(PageMappedFTL):
                 level=plan.level, size_lbas=mdisk.size_lbas))
 
     def _grow_flat_space(self, extra_lbas: int) -> None:
-        self._l2p = np.concatenate(
-            [self._l2p, np.full(extra_lbas, UNMAPPED, dtype=np.int64)])
+        self._l2p.extend([UNMAPPED] * extra_lbas)
         self.n_lbas += extra_lbas
 
     def _exhaust(self) -> None:
@@ -630,7 +630,7 @@ class SalamanderSSD(PageMappedFTL):
         """Live LBAs per active mDisk (mapped plus buffered-unmapped)."""
         counts: dict[int, int] = {}
         msize = self.msize_lbas
-        mapped = np.flatnonzero(self._l2p >= 0)
+        mapped = np.flatnonzero(np.array(self._l2p) >= 0)
         for mdisk_id, live in zip(*np.unique(mapped // msize,
                                              return_counts=True)):
             counts[int(mdisk_id)] = int(live)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import context
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
@@ -25,6 +25,9 @@ from repro.ssd.cvss import CVSSConfig, CVSSDevice
 from repro.ssd.device import BaselineSSD, SSDConfig
 from repro.ssd.ftl import FTLConfig
 from repro.workloads.generators import stamp_payload
+
+#: Writes' worth of addresses one ``Generator.integers`` call draws.
+_DRAW_BLOCK = 512
 
 
 @dataclass
@@ -107,8 +110,15 @@ def run_write_lifetime(
             drive) — also prevents degenerate buffer-only endgames.
         max_writes: hard safety stop.
         sample_every: capacity-curve sampling period, in host writes.
+        seed: an int, or a generator, which is left exactly where the
+            per-write draws leave it however the walk ends; never the
+            device chip's own ``rng`` (``ConfigError``): the walk draws
+            ahead of its writes, which would reorder the two streams.
     """
     rng = make_rng(seed)
+    if rng is device.chip.rng:
+        raise ConfigError(
+            "run_write_lifetime cannot share the device chip's generator")
     integers = rng.integers
     write = device.write
     # The device flavour is resolved once: Salamander is addressed by
@@ -117,6 +127,15 @@ def run_write_lifetime(
     # The draw order is part of the harness contract
     # (tests/sim/test_lifetime_golden.py pins the generator state).
     by_minidisk = isinstance(device, SalamanderSSD)
+    # The draws are made _DRAW_BLOCK writes at a time: ``integers`` over
+    # an array of bounds returns, and leaves the generator as, the same
+    # bounds drawn one by one. A block holds while its key does — the
+    # active-minidisk count (every minidisk is ``msize_lbas`` long), or
+    # the flat capacity; when the key moves, and on any exit, the
+    # generator is rewound to the block's start and redraws the prefix
+    # the walk used.
+    msize_hot = (max(1, int(utilization * device.msize_lbas))
+                 if by_minidisk else 0)
     # Bound once; the time axis for lifetime trajectories is *host
     # writes* (the quantity the paper's lifetime claims are over), not
     # simulated seconds — documented in docs/OBSERVABILITY.md.
@@ -140,29 +159,45 @@ def run_write_lifetime(
     curve: list[tuple[int, int]] = [(0, initial)]
     writes = 0
     cause = "max-writes"
-    while writes < max_writes:
-        capacity = device.capacity_lbas
-        if capacity < floor or capacity == 0:
-            cause = "capacity-floor"
-            break
-        try:
-            if by_minidisk:
-                active = device.active_minidisks()
-                mdisk = active[int(integers(0, len(active)))]
-                hot = max(1, int(utilization * mdisk.size_lbas))
-                lba = int(integers(0, hot))
-                write(mdisk.mdisk_id, lba,
-                      stamp_payload(mdisk.flat_base + lba, writes))
-            else:
-                hot = max(1, int(utilization * capacity))
-                lba = int(integers(0, hot))
-                write(lba, stamp_payload(lba, writes))
-        except ReproError as error:
-            cause = type(error).__name__
-            break
-        writes += 1
-        if writes % sample_every == 0:
-            curve.append((writes, sample(writes)))
+    key = start = None
+    bounds = values = ()
+    used = 0                    # values of the block the walk consumed
+    try:
+        while writes < max_writes:
+            capacity = device.capacity_lbas
+            if capacity < floor or capacity == 0:
+                cause = "capacity-floor"
+                break
+            active = device.active_minidisks() if by_minidisk else None
+            now = len(active) if by_minidisk else capacity
+            if now != key or used == len(values):
+                _rewind(rng, start, bounds, used)
+                key = now
+                bounds = np.array(
+                    ((now, msize_hot) if by_minidisk
+                     else (max(1, int(utilization * now)),)) * _DRAW_BLOCK)
+                start = rng.bit_generator.state
+                values = integers(0, bounds).tolist()
+                used = 0
+            try:
+                if by_minidisk:
+                    mdisk = active[values[used]]
+                    lba = values[used + 1]
+                    used += 2
+                    write(mdisk.mdisk_id, lba,
+                          stamp_payload(mdisk.flat_base + lba, writes))
+                else:
+                    lba = values[used]
+                    used += 1
+                    write(lba, stamp_payload(lba, writes))
+            except ReproError as error:
+                cause = type(error).__name__
+                break
+            writes += 1
+            if writes % sample_every == 0:
+                curve.append((writes, sample(writes)))
+    finally:
+        _rewind(rng, start, bounds, used)
     final = sample(writes)
     curve.append((writes, final))
     wear = device.chip.wear_summary()
@@ -175,3 +210,13 @@ def run_write_lifetime(
         mean_pec_at_death=wear["mean_pec"],
         stats=device.stats.snapshot(),
     )
+
+
+def _rewind(rng: np.random.Generator, start: dict | None,
+            bounds, used: int) -> None:
+    """Leave ``rng`` as drawing only ``bounds[:used]`` from bit-generator
+    state ``start`` would: a no-op once the whole block is used."""
+    if used < len(bounds):
+        rng.bit_generator.state = start
+        if used:
+            rng.integers(0, bounds[:used])

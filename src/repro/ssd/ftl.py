@@ -187,18 +187,14 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         # oPage capacity per tiredness level, resolved once (P - L).
         self._data_opages = tuple(
             self.policy.data_opages(level) for level in self.policy.levels)
-        # L2P/P2L live on numpy so the range kernels (``read_range``'s
-        # map slice, ``invalidate_batch`` and the vectorised
-        # ``_program_fpage`` mapping update) index them directly;
-        # scalar touch points pay a slightly dearer element extraction
-        # than a Python list would, which the range paths repay many
-        # times over (docs/PERFORMANCE.md).
-        self._l2p = np.full(n_lbas, UNMAPPED, dtype=np.int64)
-        self._p2l = np.full(self.geometry.total_opage_slots, UNMAPPED,
-                            dtype=np.int64)
-        # Valid-oPage count per block: GC victim scoring and the dead
-        # sweep fancy-index this array; _map/_unmap update single cells.
-        self._valid_counts = np.zeros(self.geometry.blocks, dtype=np.int64)
+        # L2P/P2L and the valid-oPage count per block are lists of Python
+        # ints: every touch is a scalar one (a list cell costs a fraction
+        # of a numpy element), and the vector readers — GC victim
+        # scoring, the audit, Salamander's live counts — convert once
+        # per call (docs/PERFORMANCE.md).
+        self._l2p = [UNMAPPED] * n_lbas
+        self._p2l = [UNMAPPED] * self.geometry.total_opage_slots
+        self._valid_counts = [0] * self.geometry.blocks
         self._erase_counts = np.zeros(self.geometry.blocks, dtype=np.int64)
 
         self._write_seq = 0  # monotone program counter, stored in OOB
@@ -225,8 +221,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._buffer_stream: dict[int, int] = {}
         # Incremental counters replacing full rescans: buffered oPages per
         # stream (invariant: ``_buffer_stream`` holds exactly the buffered
-        # keys and these sum over it) and mapped LBAs (invariant:
-        # ``count_nonzero(_l2p >= 0)``).
+        # keys and these sum over it) and mapped LBAs (invariant: the
+        # ``_l2p`` cells >= 0).
         self._stream_counts = [0] * self.config.host_streams
         self._mapped_lbas = 0
         self._scrub_cursor = 0
@@ -415,7 +411,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         buffered = self.buffer.get(lba)
         if buffered is not None:
             return buffered.ljust(self.geometry.opage_bytes, b"\0")
-        slot = int(self._l2p[lba])
+        slot = self._l2p[lba]
         if slot == UNMAPPED:
             return bytes(self.geometry.opage_bytes)
         if slot == LOST:
@@ -454,7 +450,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self.stats.host_reads += count
         # Before the map is sliced: a sweep relocates pages.
         self._maybe_autoscrub()
-        slots = self._l2p[lba:lba + count].tolist()
+        slots = self._l2p[lba:lba + count]
         buffered_at = self.buffer._entries.get
         opage_bytes = self.geometry.opage_bytes
         spf = self._slots_per_fpage_max
@@ -511,7 +507,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         for target in range(lba, lba + count):
             self.buffer.discard(target)
             self._note_unbuffered(target)
-        self.invalidate_batch(np.arange(lba, lba + count, dtype=np.int64))
+            self._unmap(target)
 
     def flush(self) -> None:
         """Drain the write buffer completely (fPages may be padded)."""
@@ -556,8 +552,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         """
         spf = self._slots_per_fpage_max
         base = fpage * spf
-        # A snapshot, not a view: ``_lose_lba`` writes ``_p2l`` mid-loop.
-        owners = self._p2l[base:base + count * spf].tolist()
+        # A slice is a copy: ``_lose_lba`` writes ``_p2l`` mid-loop.
+        owners = self._p2l[base:base + count * spf]
         by_fpage: dict[int, list[int]] = {}
         for offset, lba in enumerate(owners):
             if lba >= 0:
@@ -617,6 +613,15 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         the O(n) scan it replaced, at any externally observable moment.
         Raises ``AssertionError`` on divergence.
         """
+        # The maps are lists of Python ints: a numpy scalar stored into
+        # one would still compare equal, and slow every later touch.
+        for name, size in (("_l2p", self.n_lbas),
+                           ("_p2l", self.geometry.total_opage_slots),
+                           ("_valid_counts", self.geometry.blocks)):
+            cells = getattr(self, name)
+            assert (type(cells) is list and len(cells) == size
+                    and set(map(type, cells)) == {int}), (
+                f"{name} representation diverged: not a list of {size} ints")
         mapped = sum(1 for slot in self._l2p if slot >= 0)
         assert self._mapped_lbas == mapped, (
             f"mapped-LBA counter {self._mapped_lbas} != scan {mapped}")
@@ -651,18 +656,18 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             assert self.chip.block_fully_retired(block) == bool(
                 retired[block] == self.geometry.fpages_per_block), (
                 f"block {block} fully-retired flag diverged")
-        valid = np.zeros(self.geometry.blocks, dtype=np.int64)
+        valid = [0] * self.geometry.blocks
         for slot, lba in enumerate(self._p2l):
             if lba >= 0:
                 valid[slot // self._slots_per_block] += 1
-        assert valid.tolist() == self._valid_counts.tolist(), (
+        assert valid == self._valid_counts, (
             "valid-per-block accounting diverged from p2l scan")
-        l2p = self._l2p
+        l2p = np.array(self._l2p)
         mapped_lbas = np.flatnonzero(l2p >= 0)
         slots_of_mapped = l2p[mapped_lbas]
         assert len(set(slots_of_mapped.tolist())) == slots_of_mapped.size, (
             "l2p maps two LBAs to one physical slot")
-        assert (self._p2l[slots_of_mapped] == mapped_lbas).all(), (
+        assert (np.array(self._p2l)[slots_of_mapped] == mapped_lbas).all(), (
             "l2p/p2l bijection broken for mapped LBAs")
         assert (states[slots_of_mapped // self._slots_per_fpage_max]
                 == 1).all(), "a mapped slot sits on an fPage not WRITTEN"
@@ -678,7 +683,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
     @property
     def _valid_per_block(self) -> np.ndarray:
         """Vector view of per-block valid-oPage counts (copy)."""
-        return self._valid_counts.copy()
+        return np.array(self._valid_counts)
 
     def _unmap(self, lba: int) -> None:
         slot = self._l2p[lba]
@@ -699,29 +704,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._p2l[slot] = lba
         self._valid_counts[slot // self._slots_per_block] += 1
         self._mapped_lbas += 1
-
-    # -- batched mapping kernel -------------------------------------------------
-
-    def invalidate_batch(self, lbas) -> None:
-        """Vectorised ``_unmap`` over many *distinct* LBAs.
-
-        Bit-identical to unmapping each LBA in turn provided no LBA
-        repeats in the batch (a repeat would double-count its slot;
-        callers pass ranges or deduplicated sets — ``trim_range`` is the
-        canonical consumer).
-        """
-        arr = np.asarray(lbas, dtype=np.int64)
-        if arr.size == 0:
-            return
-        slots = self._l2p[arr]
-        mapped = slots >= 0
-        if mapped.any():
-            hot = slots[mapped]
-            self._p2l[hot] = UNMAPPED
-            np.subtract.at(self._valid_counts,
-                           hot // self._slots_per_block, 1)
-            self._mapped_lbas -= int(np.count_nonzero(mapped))
-        self._l2p[arr] = UNMAPPED
 
     # -- internals: incremental buffer/stream accounting -----------------------
 
@@ -990,7 +972,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         # Only zero-valid candidates can qualify, so the sweep inspects
         # those instead of walking every closed block.
         candidates = self._closed_blocks.array()
-        valid_arr = self._valid_counts    # read-only here: no copy
+        valid_arr = np.array(self._valid_counts)  # once per pass
         if candidates.size:
             swept = False
             for block in candidates[valid_arr[candidates] == 0]:

@@ -132,8 +132,8 @@ def observe(device, injector, active) -> dict:
                   if not f.name.endswith("_latency")},
         "write_latency": _reservoir(stats.write_latency),
         "read_latency": _reservoir(stats.read_latency),
-        "l2p": device._l2p.tolist(),
-        "p2l": device._p2l.tolist(),
+        "l2p": list(device._l2p),
+        "p2l": list(device._p2l),
         "buffer": list(device.buffer._entries.items()),
         "scrub": (device._scrub_cursor, device._writes_since_scrub),
         "chip": {f.name: getattr(chip.stats, f.name)
@@ -245,7 +245,7 @@ class Twins:
         device, first = self.kernel, self.flat(space, lba)
         if not 0 <= first <= first + count <= device.n_lbas:
             return {}
-        slots = device._l2p[first:first + count].tolist()
+        slots = device._l2p[first:first + count]
         buffered = [first + i in device.buffer for i in range(count)]
         fpages = [slot // SPF for slot, hit in zip(slots, buffered)
                   if slot >= 0 and not hit]
@@ -449,7 +449,7 @@ def test_an_fpage_wanted_non_adjacently_is_sensed_once():
     for lba in (0, 2, 5):
         twins.call("write", None, lba, f"new{lba}".encode())
     twins.call("flush", None)
-    fpages = (twins.kernel._l2p[:8] // SPF).tolist()
+    fpages = [slot // SPF for slot in twins.kernel._l2p[:8]]
     assert fpages == [2, 0, 2, 0, 1, 2, 1, 1]
     seen = twins.call("read_range", None, 0, 8)
     assert seen["senses"] == 3
@@ -528,8 +528,8 @@ MUTATIONS = {
         Rig("ftl", disturb=True, retention=True, autoscrub=True), RANGE,
         "read_range", [
             ("self._maybe_autoscrub()\n", "pass\n"),
-            ("slots = self._l2p[lba:lba + count].tolist()\n",
-             "slots = self._l2p[lba:lba + count].tolist()\n"
+            ("slots = self._l2p[lba:lba + count]\n",
+             "slots = self._l2p[lba:lba + count]\n"
              "    self._maybe_autoscrub()\n")]),
     "one latency sample per fPage": (STATIC, RANGE, "read_range", [
         ("total_latency += latency",

@@ -103,8 +103,8 @@ def assert_state_equal(live: PageMappedFTL,
     were open at crash time.
     """
     recovered._audit_fastpath()
-    assert recovered._l2p.tolist() == live._l2p.tolist()
-    assert recovered._valid_counts.tolist() == live._valid_counts.tolist()
+    assert recovered._l2p == live._l2p
+    assert recovered._valid_counts == live._valid_counts
     assert recovered._mapped_lbas == live._mapped_lbas
     assert recovered.live_lbas() == live.live_lbas()
     assert list(recovered._erase_counts) == list(live._erase_counts)

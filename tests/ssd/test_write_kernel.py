@@ -18,7 +18,9 @@ minidisk decommissions, regenerations and exhaustion all land in the
 middle of ranges. ``test_scripted_walks_reach_every_transition`` pins
 that they really do; ``test_seeded_mutations_are_caught`` breaks the
 kernel (and the wear epoch it relies on) six ways and requires the
-comparison to notice each.
+comparison to notice each. A seventh stores a numpy scalar into the map,
+which the comparison sees as equal, so the closing ``_audit_fastpath``
+must catch it.
 """
 
 from __future__ import annotations
@@ -109,9 +111,9 @@ def observe(device) -> dict:
                   if not f.name.endswith("_latency")},
         "write_latency": _reservoir(stats.write_latency),
         "read_latency": _reservoir(stats.read_latency),
-        "l2p": device._l2p.tolist(),
-        "p2l": device._p2l.tolist(),
-        "valid": device._valid_counts.tolist(),
+        "l2p": list(device._l2p),
+        "p2l": list(device._p2l),
+        "valid": list(device._valid_counts),
         "buffer": [(key, device.buffer.get(key))
                    for key in device.buffer.keys()],
         "buffer_stream": sorted(device._buffer_stream.items()),
@@ -409,8 +411,8 @@ def test_gc_reads_each_survivor_once(uncorrectable):
     def recorded(block):
         slots = device._slots_per_block
         seen.update(valid=int(device._valid_counts[block]),
-                    lbas=set(device._p2l[block * slots:(block + 1) * slots]
-                             .tolist()) - {ftl_module.UNMAPPED})
+                    lbas=set(device._p2l[block * slots:(block + 1) * slots])
+                    - {ftl_module.UNMAPPED})
         relocate(block)
 
     device._relocate_block = recorded
@@ -489,6 +491,9 @@ MUTATIONS = {
          "limit = self._admit_write(lba)\n    first = lba\n"),
         ("if injector is not None:",
          "if injector is not None and lba == first:")]),
+    # Equal to the int it wraps, so only the audit's type check sees it.
+    "a numpy scalar stored into the map": (("ftl", None), "_program_fpage", [
+        ("l2p[lba] = slot", "l2p[lba] = np.int64(slot)")]),
 }
 
 

@@ -21,6 +21,7 @@ import pytest
 import repro
 from repro import artifact
 from repro.errors import ConfigError
+from tests.test_malformed_inputs import refuse_reading
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -38,11 +39,11 @@ class TestReadText:
                                               ".* at byte 3"):
             artifact.read_text(bad, "thing")
 
-    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads chmod 000")
-    def test_unreadable(self, tmp_path):
+    def test_unreadable(self, tmp_path, monkeypatch):
         path = tmp_path / "locked"
         path.write_text("{}")
-        path.chmod(0)
+        # The read refused as chmod 000 refuses it, root included.
+        refuse_reading(path, monkeypatch)
         with pytest.raises(ConfigError, match="Permission denied"):
             artifact.read_text(path, "thing")
 

@@ -7,9 +7,9 @@ failure. Every back-ticked ``_name`` in the document must be an
 attribute of a live instance of one of the classes the document is
 about (the FTL with its write buffer and latency reservoir, the chip,
 the baseline and CVSS devices, a ``SalamanderSSD`` and its minidisk
-table, the cluster and its volume index, the redundancy, fleet and ECC
-modules, the scrub tests' aging backdoor); a qualified ``Class._name``
-must be an attribute of that class.
+table, the cluster and its volume index, the redundancy, fleet, ECC and
+lifetime-harness modules, the scrub tests' aging backdoor); a qualified
+``Class._name`` must be an attribute of that class.
 
 docs/SHARDING.md names the fleet walk by its public dotted names
 (``repro.sim.fleet.walk_shard``, ...); every back-ticked ``repro.*``
@@ -25,7 +25,9 @@ package's own import graph; scipy is named there but is not a runtime
 dependency, so its names are listed, not imported), and so are "The
 range read kernel" and "The drain kernel" (the read stack from the queue
 to the chip, the oracle and the aging backdoor under ``tests/``, the
-benchmark's own ``metrics`` module).
+benchmark's own ``metrics`` module) and "The lifetime walk and the
+scalar maps" (that stack plus the harness module and its scalar
+reference under ``tests/``, numpy's generator and ``signal``).
 
 docs/IO_PIPELINE.md is held whole, to a narrower rule: every back-ticked
 dotted name (``Class.method``, ``repro.io.queue.DeviceQueue``), class or
@@ -130,6 +132,7 @@ def subjects() -> dict[str, object]:
             "VolumeIndex": VolumeIndex(),
             "fleet": repro.sim.fleet,
             "ecc": repro.flash.ecc,
+            "lifetime": repro.sim.lifetime,
             # The aging backdoor the read kernel's section warns about.
             "test_scrub": tests.ssd.test_scrub}
 
@@ -507,6 +510,56 @@ def test_drain_kernel_check_flags_a_removed_name():
                        "_stream_key", "gc.pre_relocate", "gc.relocate"}
     assert missing == ["FlashChip.program_unchecked", "_read_valid_opages",
                        "_stream_key", "gc.relocate"]
+
+
+def lifetime_walk_namespaces() -> list[object]:
+    """The read stack's subjects plus the walk's: the harness module and
+    its test-side reference, the generator it draws from, and the
+    sampler's ``signal`` module."""
+    import signal
+
+    import tests.sim.test_lifetime
+    return [*read_stack_namespaces(), repro.sim.lifetime,
+            tests.sim.test_lifetime, numpy.random,
+            numpy.random.default_rng(0), signal,
+            types.SimpleNamespace(Generator=numpy.random.Generator)]
+
+
+#: The method the section says is gone.
+LIFETIME_WALK_OUTSIDE = frozenset({"invalidate_batch"})
+
+
+def test_lifetime_walk_section_names_resolve():
+    text = section(DOCUMENT.read_text(), "The lifetime walk and the scalar maps")
+    checked, missing = unresolved_spans(text, lifetime_walk_namespaces(),
+                                        LIFETIME_WALK_OUTSIDE)
+    assert {"run_write_lifetime", "_DRAW_BLOCK", "_rewind",
+            "Generator.integers", "bit_generator.state", "ConfigError",
+            "_l2p", "_p2l", "_valid_counts", "_erase_counts",
+            "_audit_fastpath", "_live_counts", "_unmap", "trim_range",
+            "_grow_flat_space", "invalidate_batch", "scalar_walk",
+            "SIGPROF", "cProfile",
+            "device_wearout", "sim.lifetime.self_s",
+            "salamander_lifetime_micro", "tests/sim/test_lifetime.py",
+            "tests/sim/test_lifetime_golden.py",
+            "benchmarks/perf/baseline.json"} <= checked
+    assert not missing, (
+        f"docs/PERFORMANCE.md, 'The lifetime walk and the scalar maps', "
+        f"names things that resolve nowhere: {missing}")
+    assert not hasattr(PageMappedFTL, "invalidate_batch")
+
+
+def test_lifetime_walk_check_flags_a_removed_name():
+    checked, missing = unresolved_spans(
+        "`_DRAW_BLOCK`, `_DRAW_SIZE`, `_rewind`, `_replay`, "
+        "`Generator.integers`, `Generator.draw_block`, `_l2p_list`, "
+        "`tests/sim/test_lifetime_blocks.py`, `integers(0, bounds)`",
+        lifetime_walk_namespaces(), LIFETIME_WALK_OUTSIDE)
+    assert checked == {"_DRAW_BLOCK", "_DRAW_SIZE", "_rewind", "_replay",
+                       "Generator.integers", "Generator.draw_block",
+                       "_l2p_list", "tests/sim/test_lifetime_blocks.py"}
+    assert missing == ["Generator.draw_block", "_DRAW_SIZE", "_l2p_list",
+                       "_replay", "tests/sim/test_lifetime_blocks.py"]
 
 
 def io_pipeline_unresolved(text: str) -> tuple[set[str], list[str]]:
