@@ -178,48 +178,45 @@ def _run_probe_sidecar(args: argparse.Namespace,
             or getattr(args, "slo", None)
             or getattr(args, "endurance_out", None)):
         return
-    from repro.io.probe import (
-        PROBE_MODES,
-        ProbeConfig,
-        merged_endurance,
-        merged_records,
-        run_probes,
-    )
-    from repro.obs import reqtrace as reqtrace_mod
+    from repro.io.probe import PROBE_MODES
     from repro.obs import slo as slo_mod
 
-    seed = int(getattr(args, "seed", DEFAULT_SEED))
     probe_modes = tuple(m for m in (modes or ()) if m in PROBE_MODES) \
         or PROBE_MODES
-    config = ProbeConfig()
-    results = run_probes(probe_modes, seed=seed, config=config)
-    records = merged_records(results)
-    if args.reqtrace_out:
-        path = reqtrace_mod.write_reqtrace(
-            args.reqtrace_out, records,
-            meta={"seed": seed, "every": config.every,
-                  "modes": list(probe_modes),
-                  "sampled": sum(r["meta"]["sampled"] for r in results),
-                  "dropped": sum(r["meta"]["dropped"] for r in results)})
-        print(f"reqtrace -> {path}")
-    if getattr(args, "endurance_out", None):
-        from repro.obs import endurance as endurance_mod
-
-        wear_records = merged_endurance(results)
-        path = endurance_mod.write_endurance(
-            args.endurance_out, wear_records,
-            meta={"seed": seed, "modes": list(probe_modes),
-                  "pec_limit": config.pec_limit,
-                  "devices": len(wear_records),
-                  "snapshot_every": endurance_mod.DEFAULT_SNAPSHOT_EVERY,
-                  "causes": list(endurance_mod.CAUSES)})
-        if getattr(args, "metrics_out", None):
-            endurance_mod.publish_wear_metrics(wear_records)
-        print(f"endurance -> {path}")
+    records = _measure_probes(args, probe_modes)
     if args.slo:
         objectives = slo_mod.load_slo_config(args.slo)
         report = _evaluate_by_device(records, objectives)
         print(slo_mod.format_slo_report(report))
+
+
+def _measure_probes(args: argparse.Namespace, modes: tuple[str, ...],
+                    **options) -> list[dict]:
+    """Run the IO probes for ``modes`` (``options`` go to
+    :func:`repro.io.probe.run_probes`), write the ``--reqtrace-out`` /
+    ``--endurance-out`` artifacts asked for, and return the merged
+    request records."""
+    from repro.io import probe
+    from repro.obs import reqtrace as reqtrace_mod
+
+    results = probe.run_probes(
+        modes, seed=int(getattr(args, "seed", DEFAULT_SEED)), **options)
+    records = probe.merged_records(results)
+    if args.reqtrace_out:
+        path = reqtrace_mod.write_reqtrace(
+            args.reqtrace_out, records, meta=probe.reqtrace_meta(results))
+        print(f"reqtrace -> {path}")
+    if getattr(args, "endurance_out", None):
+        from repro.obs import endurance as endurance_mod
+
+        wear_records = probe.merged_endurance(results)
+        path = endurance_mod.write_endurance(
+            args.endurance_out, wear_records,
+            meta=probe.endurance_meta(results, wear_records))
+        if getattr(args, "metrics_out", None):
+            endurance_mod.publish_wear_metrics(wear_records)
+        print(f"endurance -> {path}")
+    return records
 
 
 def _load_fault_plan(args: argparse.Namespace):
@@ -610,30 +607,13 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         _, records = reqtrace_mod.load_reqtrace(args.reqtrace)
         reqtrace_mod.validate_reqtrace_records(records)
     else:
-        from repro.io.probe import (
-            PROBE_MODES,
-            merged_records,
-            probe_config_from_args,
-            run_probes,
-        )
+        from repro.io.probe import PROBE_MODES
         from repro.sim.parallel import resolve_jobs
 
         modes = PROBE_MODES if args.mode == "all" else (args.mode,)
-        config = probe_config_from_args(every=args.every,
-                                        n_requests=args.requests)
-        results = run_probes(modes, seed=args.seed, config=config,
-                             jobs=resolve_jobs(args.jobs))
-        records = merged_records(results)
-        if args.reqtrace_out:
-            path = reqtrace_mod.write_reqtrace(
-                args.reqtrace_out, records,
-                meta={"seed": args.seed, "every": config.every,
-                      "modes": list(modes),
-                      "sampled": sum(r["meta"]["sampled"]
-                                     for r in results),
-                      "dropped": sum(r["meta"]["dropped"]
-                                     for r in results)})
-            print(f"reqtrace -> {path}")
+        records = _measure_probes(args, modes, every=args.every,
+                                  requests=args.requests,
+                                  jobs=resolve_jobs(args.jobs))
     report = _evaluate_by_device(records, objectives)
     if args.json:
         path = artifact.write_text(args.json, artifact.dumps(report))
@@ -1028,16 +1008,17 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
         help="probe seed; records are a pure function of "
-             "(mode, seed, config) and identical for any --jobs")
+             "(mode, seed, --every, --requests) and identical for any "
+             "--jobs")
     slo.add_argument(
         "--jobs", type=int, default=1,
         help="probe one mode per worker process (0 = all cores)")
     slo.add_argument(
-        "--every", type=int, default=None, metavar="N",
-        help="sample 1 request in N (default: the probe's 16)")
+        "--every", type=int, default=16, metavar="N",
+        help="sample 1 request in N (default 16)")
     slo.add_argument(
-        "--requests", type=int, default=None, metavar="N",
-        help="measured requests per mode (default: the probe's 400)")
+        "--requests", type=int, default=400, metavar="N",
+        help="measured requests per mode (default 400)")
     slo.add_argument(
         "--reqtrace-out", default=None, metavar="PATH",
         help="also write the measured repro.obs.reqtrace/v1 JSONL")

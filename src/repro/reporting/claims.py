@@ -23,8 +23,9 @@ mechanically against a run's observability artifacts:
    timeseries or a fleet artifact's ``<mode>/capacity`` series.
 4. **Queueing latency** (§4.2 load axis): the measured IO pipeline
    (:mod:`repro.io`) agrees with the analytic M/D/c model. The check
-   drives open-loop Poisson reads through a real device queue at
-   several utilisations and compares the measured mean latency against
+   runs one traffic-engine cell per utilisation — a single open-loop
+   Poisson tenant issuing point reads through a real device queue —
+   and compares the window's measured mean latency against
    :func:`repro.models.queueing.mdc_latency_us` evaluated at the
    *measured* mean service time. Self-contained like the throughput
    check — no artifact needed. Means (not p50) are compared because
@@ -301,6 +302,19 @@ def check_throughput_degradation(levels: tuple[int, ...] = (1, 2, 3),
     return results
 
 
+def _flat_read_cell(seed: int, **overrides) -> tuple[dict, float]:
+    """One traffic-engine cell of open-loop Poisson tenants issuing
+    uniform reads at a flat (variation-free, error-free) device with no
+    admission control: the window record and the offered IOPS."""
+    from repro.workloads.engine import EngineConfig, run_cell
+
+    config = EngineConfig(cells=1, mode="flat", read_fraction=1.0,
+                          mix=(0.0, 1.0, 0.0, 0.0), admission="none",
+                          host_streams=1, **overrides)
+    record = run_cell(config, 0, seed=seed)
+    return record["window"], record["arrival_per_us"] * 1e6
+
+
 def measured_queueing_latency(utilisation: float,
                               n_requests: int = 1500,
                               queue_depth: int = 64,
@@ -308,74 +322,39 @@ def measured_queueing_latency(utilisation: float,
                               seed: int = 7) -> dict[str, float]:
     """Drive open-loop Poisson reads through a real queue; measure means.
 
-    Builds a deterministic single-level device (no process variation, no
-    injected errors, ``channels`` flash channels), prefills it so reads
-    hit flash, then submits single-LBA reads with exponential
-    inter-arrival gaps tuned to the target utilisation of the *measured*
-    service time. Returns measured and analytic mean latencies plus the
-    operating point, so callers can compare like for like: the analytic
-    value is :func:`repro.models.queueing.mdc_latency_us` at the same
-    measured service time and arrival rate.
+    One tenant issues ``n_requests`` point reads at ``utilisation`` of
+    the measured service time on ``channels`` flash channels (see
+    :func:`_flat_read_cell`). Returns the window's measured mean latency
+    and wait with :func:`repro.models.queueing.mdc_latency_us` at the
+    window's mean service time and the same arrival rate, so callers
+    compare like for like.
 
     ``queue_depth`` should stay well above the typical queue length at
     the chosen utilisation — NCQ backpressure defers arrivals and would
     (correctly) bend the measurement away from the unbounded-queue
     model.
     """
-    from repro.flash.chip import FlashChip
-    from repro.flash.geometry import FlashGeometry
-    from repro.io import DeviceQueue, IORequest
     from repro.models.queueing import mdc_latency_us
-    from repro.rng import make_rng
-    from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
     if not 0.0 < utilisation < 1.0:
         raise ConfigError(
             f"utilisation must be in (0, 1), got {utilisation!r}")
-    geometry = FlashGeometry(blocks=16, fpages_per_block=16,
-                             channels=channels)
-    chip = FlashChip(geometry, seed=seed, variation_sigma=0.0,
-                     inject_errors=False)
-    config = FTLConfig(overprovision=0.25, buffer_opages=8)
-    n_lbas = int(geometry.total_opage_slots * 0.75)
-    ftl = PageMappedFTL(chip, n_lbas, config)
-    prefill = min(n_lbas, 256)
-    for lba in range(prefill):
-        ftl.write(lba, bytes([lba & 0xFF]) * 16)
-    ftl.flush()
-    # Pilot read on a throwaway queue: the deterministic service time.
-    pilot = DeviceQueue(ftl, depth=queue_depth)
-    service_us = pilot.execute(
-        IORequest(op="read", lba=0), at_us=0.0).service_us
-    if service_us <= 0:
-        raise ConfigError("pilot read took no device time; "
-                          "prefill did not reach flash")
-    # Open-loop Poisson arrivals at the target utilisation. With
-    # channels > 1 each server sees utilisation, so the device-level
-    # arrival rate scales by the channel count.
-    arrival_per_us = utilisation * channels / service_us
-    rng = make_rng(seed)
-    queue = DeviceQueue(ftl, depth=queue_depth)
-    t = 0.0
-    for i in range(n_requests):
-        t += float(rng.exponential(1.0 / arrival_per_us))
-        queue.submit(IORequest(op="read", lba=i % prefill), at_us=t)
-        if queue.inflight >= queue_depth:
-            queue.poll()
-    queue.poll()
-    measured = queue.stats.mean_latency_us
-    mean_service = queue.stats.mean_service_us
-    analytic = mdc_latency_us(mean_service, arrival_per_us * 1e6,
-                              channels=channels)
+    window, iops = _flat_read_cell(
+        seed, tenants=1, duration_us=1e12, utilisation=utilisation,
+        queue_depth=queue_depth, channels=channels,
+        max_requests=n_requests)
+    service_us = window["mean_service_us"]
+    latency_us = window["mean_latency_us"]
     return {
         "utilisation": utilisation,
         "channels": float(channels),
-        "service_us": mean_service,
-        "iops": arrival_per_us * 1e6,
-        "measured_mean_latency_us": measured,
-        "measured_mean_wait_us": queue.stats.mean_wait_us,
-        "analytic_mean_latency_us": analytic,
-        "requests": float(queue.stats.dispatched),
+        "service_us": service_us,
+        "iops": iops,
+        "measured_mean_latency_us": latency_us,
+        "measured_mean_wait_us": latency_us - service_us,
+        "analytic_mean_latency_us": mdc_latency_us(service_us, iops,
+                                                   channels=channels),
+        "requests": float(window["requests"]),
     }
 
 
@@ -418,16 +397,10 @@ def _traffic_point(level: int, duration_us: float,
                    seed: int) -> tuple[float, float, float, float, int]:
     """One cached traffic measurement (the sim is pure in its args)."""
     from repro.models.queueing import mdc_latency_quantile_us
-    from repro.workloads.engine import EngineConfig, run_cell
 
-    config = EngineConfig(
-        tenants=8, cells=1, duration_us=duration_us, mode="flat",
-        level=level, read_fraction=1.0, mix=(0.0, 1.0, 0.0, 0.0),
-        utilisation=0.6, admission="none", queue_depth=256,
-        channels=2, host_streams=1, read_span=4)
-    record = run_cell(config, 0, seed=seed)
-    window = record["window"]
-    iops = record["arrival_per_us"] * 1e6
+    window, iops = _flat_read_cell(
+        seed, tenants=8, duration_us=duration_us, level=level,
+        utilisation=0.6, queue_depth=256, channels=2, read_span=4)
     service_us = window["mean_service_us"]
     analytic = mdc_latency_quantile_us(service_us, iops, channels=2,
                                        percentile=99.0)

@@ -19,7 +19,7 @@ cells out over :func:`repro.sim.parallel.parallel_map` and the merged
 artifact is byte-identical for any ``--jobs`` value.
 
 :func:`run_cell` is a pipeline of stages over one ``_Cell`` state
-object: **build** (device, queue, tenants) → **prefill** (every
+object: **build** (device, any aging, queue, tenants) → **prefill** (every
 tenant's span) → **calibrate** (pilot reads → service scale)
 → **window** → **report**. The window is one event heap interleaving
 every tenant, each event walking **arrivals → admission → dispatch →
@@ -53,8 +53,13 @@ from functools import partial
 from pathlib import Path
 
 from repro import artifact
-from repro.errors import ConfigError
-from repro.io.probe import _PROBE_ERRORS, BUILD_MODES, build_queue_device
+from repro.errors import (
+    ConfigError,
+    DeviceBrickedError,
+    DeviceReadOnlyError,
+    MinidiskError,
+    OutOfSpaceError,
+)
 from repro.io.queue import DeviceQueue
 from repro.io.request import (
     OP_FLUSH,
@@ -103,6 +108,19 @@ _PILOT_PROBES = 4
 
 #: Fallback service estimate when the pilot read cannot reach flash.
 _FALLBACK_SERVICE_US = 100.0
+
+#: Device flavours :func:`build_queue_device` can build: the four the
+#: reqtrace probes drive, plus ``flat`` — a plain functional
+#: :class:`PageMappedFTL` over a variation-free chip programmed at one
+#: uniform tiredness level (``level``), the fixture the traffic and
+#: M/D/c claim rows measure.
+BUILD_MODES = ("baseline", "cvss", "shrink", "regen", "flat")
+
+#: Device-side failures a cell rides through: a tired device
+#: legitimately shrinks, goes read-only, runs out of space or bricks
+#: mid-workload — that *is* the interference being measured.
+_PROBE_ERRORS = (DeviceBrickedError, DeviceReadOnlyError,
+                 MinidiskError, OutOfSpaceError)
 
 
 @dataclass(frozen=True)
@@ -159,7 +177,7 @@ class EngineConfig:
     #: SSDs. Per-tenant SLO attribution does *not* depend on this —
     #: the engine tracks tenants by id, not by device stream.
     host_streams: int = 4
-    # Device geometry (shared with the probe builder).
+    # Device geometry (see build_queue_device).
     blocks: int = 16
     fpages_per_block: int = 16
     channels: int = 2
@@ -390,13 +408,20 @@ class _Cell:
 
 
 def run_cell(config: EngineConfig, cell: int, seed: int = DEFAULT_SEED,
-             objectives: list[SLOObjective] | None = None) -> dict:
+             objectives: list[SLOObjective] | None = None,
+             age_passes: int = 0) -> dict:
     """Simulate one cell: its device, queue and tenant subset.
+
+    ``age_passes`` full overwrites of the device, written directly
+    before any tenant is placed, wear it ahead of the window (the
+    reqtrace probes use this; traffic runs leave it 0). It is an
+    argument rather than a config field so the artifact's config
+    record stays what it is.
 
     Pure function of the arguments — see the module docstring for the
     determinism contract. Returns the cell's JSON-safe result record.
     """
-    state = _build(config, cell, seed)
+    state = _build(config, cell, seed, age_passes)
     _prefill(state)
     _calibrate(state)
     _open_window(state)
@@ -406,8 +431,92 @@ def run_cell(config: EngineConfig, cell: int, seed: int = DEFAULT_SEED,
 
 # -- stage: build ------------------------------------------------------------
 
-def _build(config: EngineConfig, cell: int, seed: int) -> _Cell:
-    """The cell's device, queue and tenants (address spans, op streams)."""
+def build_queue_device(mode: str, seed: int, *,
+                       blocks: int, fpages_per_block: int, channels: int,
+                       pec_limit: float, msize_lbas: int,
+                       headroom_fraction: float, fill_fraction: float,
+                       level: int = 0, host_streams: int = 1):
+    """Build a queue-ready device of the requested flavour.
+
+    The result is a pure function of the arguments (no wall clock, RNG
+    seeded from ``seed`` only). :func:`_build` looks this name up in
+    the module at call time, so a harness may rebind it to observe the
+    devices a run builds.
+    """
+    from repro.flash.chip import FlashChip
+    from repro.flash.geometry import FlashGeometry
+    from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
+    from repro.salamander.device import SalamanderConfig, SalamanderSSD
+    from repro.ssd.cvss import CVSSConfig, CVSSDevice
+    from repro.ssd.device import BaselineSSD, SSDConfig
+    from repro.ssd.ftl import FTLConfig, PageMappedFTL
+
+    geometry = FlashGeometry(blocks=blocks,
+                             fpages_per_block=fpages_per_block,
+                             channels=channels)
+    ftl = FTLConfig(overprovision=0.25, buffer_opages=8,
+                    host_streams=host_streams)
+    policy = TirednessPolicy(geometry=geometry)
+    if mode == "flat":
+        if not 0 <= level < policy.dead_level:
+            raise ConfigError(
+                f"level must be a usable tiredness level, got {level!r}")
+        chip = FlashChip(geometry, seed=seed, variation_sigma=0.0,
+                         inject_errors=False)
+        if level:
+            for fpage in range(geometry.total_fpages):
+                chip.set_level(fpage, level)
+        n_lbas = int(chip.usable_slots_total() * fill_fraction)
+        return PageMappedFTL(chip, n_lbas, ftl)
+    model = calibrate_power_law(policy, pec_limit_l0=pec_limit)
+    chip = FlashChip(geometry, rber_model=model, policy=policy,
+                     seed=seed, variation_sigma=0.3,
+                     inject_errors=False)
+    n_lbas = int(geometry.total_opage_slots * fill_fraction)
+    if mode == "baseline":
+        # Default brick threshold (2.5% bad blocks) is under one block
+        # on a probe-sized chip — the first grown-bad block would end
+        # the measurement. Raise it so the baseline stays measurable
+        # while its pages tire.
+        return BaselineSSD(chip, SSDConfig(ftl=ftl, brick_threshold=0.6),
+                           n_lbas=n_lbas)
+    if mode == "cvss":
+        return CVSSDevice(chip, CVSSConfig(ftl=ftl), n_lbas=n_lbas)
+    if mode in ("shrink", "regen"):
+        return SalamanderSSD(chip, SalamanderConfig(
+            mode=mode, msize_lbas=msize_lbas,
+            headroom_fraction=headroom_fraction, ftl=ftl))
+    raise ConfigError(
+        f"mode must be one of {BUILD_MODES}, got {mode!r}")
+
+
+def _address_spaces(device, mode: str) -> list[tuple[int | None, int]]:
+    """The device's live ``(mdisk, size)`` address spaces: Salamander
+    devices expose minidisks, flat devices one LBA range."""
+    if mode in ("shrink", "regen"):
+        return [(m.mdisk_id, m.size_lbas)
+                for m in device.active_minidisks()]
+    return [(None, int(getattr(device, "capacity_lbas", device.n_lbas)))]
+
+
+def _age(device, mode: str, passes: int) -> None:
+    """Overwrite every live address ``passes`` times, directly at the
+    device (no queue, nothing sampled). A device error ends the pass;
+    each pass re-reads the spaces, which aging itself may shrink."""
+    for _ in range(passes):
+        for mdisk, span in _address_spaces(device, mode):
+            try:
+                for lba in range(span):
+                    address = (lba,) if mdisk is None else (mdisk, lba)
+                    device.write(*address, bytes([lba & 0xFF]) * 16)
+            except _PROBE_ERRORS:
+                break
+
+
+def _build(config: EngineConfig, cell: int, seed: int,
+           age_passes: int = 0) -> _Cell:
+    """The cell's device (aged, if asked), queue and tenants (address
+    spans, op streams)."""
     cell_count = config.cell_count
     if not 0 <= cell < cell_count:
         raise ConfigError(
@@ -424,19 +533,19 @@ def _build(config: EngineConfig, cell: int, seed: int) -> _Cell:
         headroom_fraction=config.headroom_fraction,
         fill_fraction=config.fill_fraction, level=config.level,
         host_streams=config.host_streams)
+    if age_passes:
+        _age(device, config.mode, age_passes)
     state.kind = (config.mode if config.mode != "flat"
                   else f"flat-l{config.level}")
     state.queue = DeviceQueue(device, depth=config.queue_depth,
                               device_kind=state.kind)
 
-    # Address space: Salamander devices expose minidisks; flat devices
-    # one LBA range. Tenants partition whichever space is live.
-    if config.mode in ("shrink", "regen"):
-        spans = [(m.mdisk_id, m.size_lbas)
-                 for m in device.active_minidisks()]
-    else:
-        spans = [(None, int(getattr(device, "capacity_lbas",
-                                    device.n_lbas)))]
+    # Tenants partition whichever space is live *after* aging: a CVSS
+    # device shrinks and minidisks are decommissioned while it ages.
+    spans = _address_spaces(device, config.mode)
+    if not spans:
+        raise ConfigError(
+            f"the {state.kind} device has no live address space left")
 
     state.trace = None
     if config.trace_text is not None:
@@ -960,9 +1069,11 @@ def publish_traffic_metrics(document: dict) -> None:
 
 __all__ = [
     "ADMISSION_POLICIES",
+    "BUILD_MODES",
     "ENGINE_SCHEMA",
     "TENANT_CLASSES",
     "EngineConfig",
+    "build_queue_device",
     "is_closed_loop",
     "load_engine_artifact",
     "publish_traffic_metrics",

@@ -507,17 +507,11 @@ class TestValidation:
 
 class TestJobsInvariance:
     def test_merged_endurance_identical_across_jobs(self):
-        from repro.io.probe import (
-            ProbeConfig,
-            merged_endurance,
-            run_probes,
-        )
+        from repro.io.probe import merged_endurance, run_probes
 
-        config = ProbeConfig(n_requests=120, every=4, age_passes=8)
-        one = run_probes(("baseline", "shrink"), seed=11, config=config,
-                         jobs=1)
-        two = run_probes(("baseline", "shrink"), seed=11, config=config,
-                         jobs=2)
+        fast = {"every": 4, "requests": 120}
+        one = run_probes(("baseline", "shrink"), seed=11, **fast, jobs=1)
+        two = run_probes(("baseline", "shrink"), seed=11, **fast, jobs=2)
         merged = merged_endurance(one)
         assert json.dumps(merged, sort_keys=True) == \
             json.dumps(merged_endurance(two), sort_keys=True)

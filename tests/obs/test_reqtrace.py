@@ -10,7 +10,8 @@ The attribution pipeline has three contracts worth pinning hard:
   ``sum(segments) == wait_us + service_us == total_us``; attribution
   that does not add up is worse than none.
 * **Jobs-invariance** — probe records are a pure function of
-  ``(mode, seed, config)``, byte-identical for any ``--jobs`` layout.
+  ``(mode, seed, every, requests)``, byte-identical for any ``--jobs``
+  layout.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import pytest
 from repro import context
 from repro.errors import ConfigError
 from repro.io import DeviceQueue, IORequest
-from repro.io.probe import ProbeConfig, run_probe, run_probes
+from repro.io.probe import PROBE_MODES, run_probe, run_probes
 from repro.obs import reqtrace
 from repro.obs.reqtrace import (
     ReqContext,
@@ -34,12 +35,12 @@ from repro.obs.reqtrace import (
 
 #: Small probe shape shared by the suite: enough traffic to sample a
 #: handful of requests per mode, small enough to stay fast.
-FAST_PROBE = ProbeConfig(n_requests=120, every=4, age_passes=8)
+FAST_PROBE = {"every": 4, "requests": 120}
 
 
 @pytest.fixture
 def probe_result():
-    return run_probe("baseline", seed=11, config=FAST_PROBE)
+    return run_probe("baseline", seed=11, **FAST_PROBE)
 
 
 class TestDisabledBindings:
@@ -169,12 +170,25 @@ class TestSegmentInvariant:
     def test_tired_device_attributes_retries(self):
         # The probe's aged chip reads at elevated RBER, so at least
         # some sampled reads must carry retry attribution.
-        result = run_probe("regen", seed=11, config=FAST_PROBE)
+        result = run_probe("regen", seed=11, **FAST_PROBE)
         segments = {}
         for record in result["records"]:
             for name, value in record["segments"].items():
                 segments[name] = segments.get(name, 0.0) + value
         assert "read_retry" in segments
+
+    @pytest.mark.parametrize("seed", [2025, 23066, 20250, 77003])
+    def test_every_mode_is_alive_and_tired(self, seed):
+        # The CLI default seeds (2025 fleet, 23066 slo) and the
+        # benchmark's two: aging must leave each device serving its
+        # window, and worn enough that sampled reads retry.
+        for result in run_probes(PROBE_MODES, seed=seed):
+            tenants = result["cell"]["tenants"]
+            errors = sum(tenant["errors"] for tenant in tenants)
+            completed = sum(tenant["completed"] for tenant in tenants)
+            assert errors <= 0.05 * completed, (result["mode"], errors)
+            assert any("read_retry" in record["segments"]
+                       for record in result["records"]), result["mode"]
 
 
 class _StubRequest:
@@ -261,18 +275,17 @@ class TestRingAndArtifact:
 class TestJobsInvariance:
     def test_probe_records_identical_across_jobs(self):
         modes = ("baseline", "shrink")
-        sequential = run_probes(modes, seed=11, config=FAST_PROBE,
-                                jobs=1)
-        parallel = run_probes(modes, seed=11, config=FAST_PROBE, jobs=2)
+        sequential = run_probes(modes, seed=11, **FAST_PROBE, jobs=1)
+        parallel = run_probes(modes, seed=11, **FAST_PROBE, jobs=2)
         assert json.dumps(sequential, sort_keys=True) == \
             json.dumps(parallel, sort_keys=True)
 
     def test_probe_is_pure_function_of_inputs(self, probe_result):
-        again = run_probe("baseline", seed=11, config=FAST_PROBE)
+        again = run_probe("baseline", seed=11, **FAST_PROBE)
         assert json.dumps(again, sort_keys=True) == \
             json.dumps(probe_result, sort_keys=True)
 
     def test_different_seeds_differ(self, probe_result):
-        other = run_probe("baseline", seed=12, config=FAST_PROBE)
+        other = run_probe("baseline", seed=12, **FAST_PROBE)
         assert json.dumps(other["records"], sort_keys=True) != \
             json.dumps(probe_result["records"], sort_keys=True)

@@ -25,7 +25,7 @@ from repro.difs.cluster import Cluster, ClusterConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.flash.geometry import FlashGeometry
 from repro.io import DeviceQueue
-from repro.io.probe import ProbeConfig, run_probe
+from repro.io.probe import run_probe
 from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
 from repro.obs import endurance, reqtrace
 from repro.obs.endurance import EnduranceLedger
@@ -125,8 +125,7 @@ class TestZeroCost:
         assert not any(sample_schedule(FleetRules(config, "regen")))
 
     def test_probe_scopes_its_own_and_hands_back(self):
-        result = run_probe("baseline", seed=11, config=ProbeConfig(
-            n_requests=40, every=4, age_passes=1))
+        result = run_probe("baseline", seed=11, every=4, requests=40)
         assert result["records"] and result["endurance"]
         assert context.current() == RunContext()
 

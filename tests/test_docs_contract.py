@@ -46,6 +46,10 @@ tests" ledger must still be an attribute of its owner.
 docs/OBSERVABILITY.md's "Run context" section must resolve in
 ``repro.context`` and the layers that bind it, and no user document may
 show a retired ``install`` / ``enable`` call form.
+
+Every ``--flag`` a user document attributes to a ``repro <subcommand>``
+— on a command line, or in a section or paragraph that opens with the
+subcommand — must be defined by that subcommand's parser.
 """
 
 from __future__ import annotations
@@ -864,6 +868,102 @@ def test_retired_call_check_flags_the_parent_text():
         "endurance.installed(", "faults.injector(", "faults.installed(",
         "obs.disable(", "obs.enable_metrics(", "obs.enabled(",
         "reqtrace.tracer("]
+
+
+#: ``repro <subcommand>`` and the arguments after it on its line.
+_COMMAND = re.compile(r"\brepro ([a-z]+)((?: +[^\s`]+)*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_LEAD = re.compile(r"`repro ([a-z]+)[^`]*`")
+
+
+def subcommand_flags() -> dict[str, set[str]]:
+    """Every subcommand's option strings, from the CLI's own parser."""
+    import argparse
+
+    from repro.cli import build_parser
+    choices = next(action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    return {name: set(sub._option_string_actions)
+            for name, sub in choices.items()}
+
+
+def prose_units(text: str):
+    """Sections (a heading and its body) and paragraphs (with the list
+    a trailing colon opens), code fences blanked out."""
+    lines, fence = [], False
+    for line in text.splitlines():
+        fence ^= line.startswith("```")
+        lines.append("" if fence or line.startswith("```") else line)
+    sections, current = [], []
+    for line in lines:
+        if line.startswith("#"):
+            sections.append(current)
+            current = []
+        current.append(line)
+    for section in [*sections, current]:
+        yield "\n".join(section)
+        block = []
+        for line in [*section, ""]:
+            if line.strip():
+                block.append(line)
+            elif block and not block[-1].rstrip().endswith(":"):
+                yield "\n".join(block)
+                block = []
+
+
+def attributed_flags(text: str) -> set[tuple[str, str]]:
+    """``(subcommand, --flag)`` pairs a document states: the flags a
+    ``repro <sub>`` command line carries, and every back-ticked flag of
+    a section or paragraph that opens with a `` `repro <sub>` `` span."""
+    joined = re.sub(r"\\\n\s*", " ", text)
+    found = {(name, flag) for name, args in _COMMAND.findall(joined)
+             for flag in _FLAG.findall(args)}
+    for unit in prose_units(text):
+        unit = unit.lstrip("# ")
+        lead = _LEAD.match(unit)
+        if lead:
+            found |= {(lead.group(1), flag)
+                      for span in _CODE_SPAN.findall(unit)
+                      for flag in _FLAG.findall(span)}
+    return found
+
+
+def undefined_flags(text: str) -> list[str]:
+    flags = subcommand_flags()
+    return sorted(f"repro {name} {flag}"
+                  for name, flag in attributed_flags(text)
+                  if flag not in flags.get(name, {flag}))
+
+
+def test_user_docs_name_only_flags_the_parser_defines():
+    pairs = {pair for path in USER_DOCS
+             for pair in attributed_flags(path.read_text())}
+    assert {("report", "--queue-depth"), ("slo", "--every"),
+            ("fleet", "--reqtrace-out"), ("traffic", "--arrival")} <= pairs
+    undefined = {path.name: found for path in USER_DOCS
+                 if (found := undefined_flags(path.read_text()))}
+    assert not undefined, f"docs name flags no parser defines: {undefined}"
+
+
+def test_flag_check_flags_the_parent_text():
+    """The two sentences that named a flag retired with coalescing."""
+    assert undefined_flags(
+        "## `repro report`: the claim checker\n\n"
+        "| claim | checks | inputs |\n|---|---|---|\n"
+        "| `queueing_latency/rho{0.3,0.5,0.7}` | open-loop Poisson reads; "
+        "`--queue-depth` / `--io-batch` tune the measurement harness "
+        "| none |\n") == ["repro report --io-batch"]
+    assert undefined_flags(
+        "`repro report` re-measures three performance claims through this\n"
+        "pipeline on every run:\n\n"
+        "* `queueing_latency/*` — open-loop Poisson reads vs the analytic\n"
+        "  M/D/c model (`--queue-depth`, `--io-batch` tune the harness);\n"
+        "\n"
+        "Elsewhere `--io-batch` belongs to nothing.\n") == [
+        "repro report --io-batch"]
+    assert undefined_flags(
+        "```console\n$ python -m repro slo --slo s.json --measure \\\n"
+        "      --io-batch 8\n```\n") == ["repro slo --io-batch"]
 
 
 @pytest.mark.parametrize("document", ["EXPERIMENTS.md", "docs/TUTORIAL.md"])

@@ -298,6 +298,32 @@ class TestStages:
         # Each errored tenant gave up the rest of its span.
         assert stats.dispatched < spans + 1
 
+    @pytest.mark.parametrize("mode", ["cvss", "shrink", "regen"])
+    def test_tenants_are_placed_after_aging(self, mode):
+        """Aging shrinks these devices (20 passes at seed 20250: CVSS
+        192 -> 168 LBAs, 7 minidisks -> 4 or 5); every tenant must sit
+        inside what is left, so spans are read after aging."""
+        from dataclasses import replace
+        from repro.io.probe import PROBE_CONFIG
+        from repro.workloads import engine
+        config = replace(PROBE_CONFIG, mode=mode)
+        fresh = engine._build(config, 0, 20250)
+        aged = engine._build(config, 0, 20250, age_passes=20)
+        before = engine._address_spaces(fresh.queue.device, mode)
+        after = dict(engine._address_spaces(aged.queue.device, mode))
+        assert sum(after.values()) < sum(size for _, size in before)
+        for tenant in aged.tenants:
+            assert tenant.mdisk in after, tenant
+            assert tenant.base + tenant.span <= after[tenant.mdisk], tenant
+
+    def test_aging_past_the_last_minidisk_is_a_config_error(self):
+        from dataclasses import replace
+        from repro.io.probe import PROBE_CONFIG
+        from repro.workloads import engine
+        config = replace(PROBE_CONFIG, mode="shrink")
+        with pytest.raises(ConfigError, match="no live address space"):
+            engine._build(config, 0, 20250, age_passes=24)
+
     def test_admit_gates(self):
         from dataclasses import replace
         from repro.workloads import engine
