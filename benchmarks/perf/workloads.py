@@ -463,7 +463,7 @@ def range_read_micro() -> dict:
     costs about three senses (the paper's ``P / (P - L)`` at work); the
     per-LBA resolve loop and per-sense cost derivation this replaced ran
     at roughly two thirds of the kernel's rate. Ops unit: requests."""
-    from repro.workloads.engine import build_queue_device
+    from repro.io.probe import build_queue_device
     from repro.io.request import OP_FLUSH, OP_READ_RANGE, OP_WRITE
 
     device = build_queue_device(

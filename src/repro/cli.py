@@ -752,6 +752,8 @@ def _cmd_wear(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.io import probe
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Salamander (HotOS '25) reproduction experiments")
@@ -1002,8 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive the instrumented IO probe and evaluate its "
              "records (mutually exclusive with --reqtrace)")
     slo.add_argument(
-        "--mode", default="all",
-        choices=("all", "baseline", "cvss", "shrink", "regen"),
+        "--mode", default="all", choices=("all",) + probe.PROBE_MODES,
         help="device mode(s) to probe under --measure")
     slo.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
@@ -1014,11 +1015,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="probe one mode per worker process (0 = all cores)")
     slo.add_argument(
-        "--every", type=int, default=16, metavar="N",
-        help="sample 1 request in N (default 16)")
+        "--every", type=int, default=probe.PROBE_EVERY, metavar="N",
+        help="sample 1 request in N (default %(default)s)")
     slo.add_argument(
-        "--requests", type=int, default=400, metavar="N",
-        help="measured requests per mode (default 400)")
+        "--requests", type=int, default=probe.PROBE_REQUESTS, metavar="N",
+        help="measured requests per mode (default %(default)s)")
     slo.add_argument(
         "--reqtrace-out", default=None, metavar="PATH",
         help="also write the measured repro.obs.reqtrace/v1 JSONL")

@@ -4,42 +4,64 @@
 sidecars need a workload that exercises the attribution paths — queue
 contention, GC stalls, read retries under tiredness, Salamander
 shrink/regen — on every device flavour. A probe is one
-:func:`repro.workloads.engine.run_cell` of :data:`PROBE_CONFIG` on an
+:func:`repro.workloads.engine.run_cell` of :func:`probe_config` on an
 aged device, with request tracing scoped at 1-in-``every`` sampling and
 a fresh wear ledger. Its output is a pure function of ``(mode, seed,
 every, requests)``, so :func:`run_probes` returns byte-identical results
 for any ``jobs``, which the determinism test pins.
+
+The module also owns :func:`build_queue_device`, which the engine
+imports as a module global. The engine is therefore imported lazily
+here, inside the functions that need it.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro import context
-from repro.errors import ConfigError
+from repro.errors import (
+    ConfigError,
+    DeviceBrickedError,
+    DeviceReadOnlyError,
+    MinidiskError,
+    OutOfSpaceError,
+)
 from repro.obs import endurance
 from repro.obs.reqtrace import ReqTracer
 from repro.rng import DEFAULT_SEED
-from repro.workloads.engine import EngineConfig, run_cell
 
 #: Device flavours a probe can drive (CLI ``--mode`` values).
 PROBE_MODES = ("baseline", "cvss", "shrink", "regen")
 
-#: The probe cell. A low ``pec_limit`` makes wear (read retries, level
-#: promotions, Salamander rebalancing) show within a few hundred
-#: requests; eight tenants put one on each of a Salamander device's
-#: seven starting minidisks; the duration is long enough that
-#: ``max_requests`` is what ends the window.
-PROBE_CONFIG = EngineConfig(
-    tenants=8, cells=1, duration_us=1e12, arrival="poisson",
-    utilisation=0.7, mix=(0.0, 1.0, 0.0, 0.0), read_fraction=0.6,
-    deadline_factor=3.0, admission="none", queue_depth=32,
-    max_requests=400, host_streams=1, blocks=12, fpages_per_block=8,
-    channels=2, pec_limit=12.0, msize_lbas=32, headroom_fraction=0.25,
-    fill_fraction=0.5)
+#: Device flavours :func:`build_queue_device` can build: the probe
+#: modes plus ``flat`` — a plain functional :class:`PageMappedFTL` over
+#: a variation-free chip programmed at one uniform tiredness level
+#: (``level``), the fixture the traffic and M/D/c claim rows measure.
+BUILD_MODES = PROBE_MODES + ("flat",)
+
+#: Device-side failures a cell rides through: a tired device
+#: legitimately shrinks, goes read-only, runs out of space or bricks
+#: mid-workload — that *is* the interference being measured.
+_PROBE_ERRORS = (DeviceBrickedError, DeviceReadOnlyError,
+                 MinidiskError, OutOfSpaceError)
 
 #: Default request sampling: 1 request in this many is traced.
 PROBE_EVERY = 16
+
+#: Default window length: requests the probe cell completes.
+PROBE_REQUESTS = 400
+
+#: The probe cell's ``EngineConfig`` fields. A low ``pec_limit`` makes
+#: wear (read retries, level promotions, Salamander rebalancing) show
+#: within a few hundred requests; eight tenants put one on each of a
+#: Salamander device's seven starting minidisks; the duration is long
+#: enough that ``max_requests`` is what ends the window.
+_PROBE_CELL = dict(
+    tenants=8, cells=1, duration_us=1e12, arrival="poisson",
+    utilisation=0.7, mix=(0.0, 1.0, 0.0, 0.0), read_fraction=0.6,
+    deadline_factor=3.0, admission="none", queue_depth=32,
+    host_streams=1, blocks=12, fpages_per_block=8, channels=2,
+    pec_limit=12.0, msize_lbas=32, headroom_fraction=0.25,
+    fill_fraction=0.5)
 
 #: Full-device overwrite passes before the window: the most that keeps
 #: every mode's window error share under 5 % over seeds 2025, 23066,
@@ -51,8 +73,76 @@ PROBE_EVERY = 16
 _AGE_PASSES = 14
 
 
+def build_queue_device(mode: str, seed: int, *,
+                       blocks: int, fpages_per_block: int, channels: int,
+                       pec_limit: float, msize_lbas: int,
+                       headroom_fraction: float, fill_fraction: float,
+                       level: int = 0, host_streams: int = 1):
+    """Build a queue-ready device of the requested flavour.
+
+    The result is a pure function of the arguments (no wall clock, RNG
+    seeded from ``seed`` only).
+    """
+    from repro.flash.chip import FlashChip
+    from repro.flash.geometry import FlashGeometry
+    from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
+    from repro.salamander.device import SalamanderConfig, SalamanderSSD
+    from repro.ssd.cvss import CVSSConfig, CVSSDevice
+    from repro.ssd.device import BaselineSSD, SSDConfig
+    from repro.ssd.ftl import FTLConfig, PageMappedFTL
+
+    geometry = FlashGeometry(blocks=blocks,
+                             fpages_per_block=fpages_per_block,
+                             channels=channels)
+    ftl = FTLConfig(overprovision=0.25, buffer_opages=8,
+                    host_streams=host_streams)
+    policy = TirednessPolicy(geometry=geometry)
+    if mode == "flat":
+        if not 0 <= level < policy.dead_level:
+            raise ConfigError(
+                f"level must be a usable tiredness level, got {level!r}")
+        chip = FlashChip(geometry, seed=seed, variation_sigma=0.0,
+                         inject_errors=False)
+        if level:
+            for fpage in range(geometry.total_fpages):
+                chip.set_level(fpage, level)
+        n_lbas = int(chip.usable_slots_total() * fill_fraction)
+        return PageMappedFTL(chip, n_lbas, ftl)
+    model = calibrate_power_law(policy, pec_limit_l0=pec_limit)
+    chip = FlashChip(geometry, rber_model=model, policy=policy,
+                     seed=seed, variation_sigma=0.3,
+                     inject_errors=False)
+    n_lbas = int(geometry.total_opage_slots * fill_fraction)
+    if mode == "baseline":
+        # Default brick threshold (2.5% bad blocks) is under one block
+        # on a probe-sized chip — the first grown-bad block would end
+        # the measurement. Raise it so the baseline stays measurable
+        # while its pages tire.
+        return BaselineSSD(chip, SSDConfig(ftl=ftl, brick_threshold=0.6),
+                           n_lbas=n_lbas)
+    if mode == "cvss":
+        return CVSSDevice(chip, CVSSConfig(ftl=ftl), n_lbas=n_lbas)
+    if mode in ("shrink", "regen"):
+        return SalamanderSSD(chip, SalamanderConfig(
+            mode=mode, msize_lbas=msize_lbas,
+            headroom_fraction=headroom_fraction, ftl=ftl))
+    raise ConfigError(
+        f"mode must be one of {BUILD_MODES}, got {mode!r}")
+
+
+def probe_config(mode: str, requests: int = PROBE_REQUESTS):
+    """The probe cell's :class:`~repro.workloads.engine.EngineConfig`
+    against ``mode``, its window capped at ``requests``."""
+    from repro.workloads.engine import EngineConfig
+
+    if mode not in PROBE_MODES:
+        raise ConfigError(
+            f"mode must be one of {PROBE_MODES}, got {mode!r}")
+    return EngineConfig(**_PROBE_CELL, mode=mode, max_requests=requests)
+
+
 def run_probe(mode: str, seed: int = DEFAULT_SEED, every: int = PROBE_EVERY,
-              requests: int = PROBE_CONFIG.max_requests) -> dict:
+              requests: int = PROBE_REQUESTS) -> dict:
     """Drive one instrumented probe cell against ``mode``.
 
     Returns ``{"mode", "records", "meta", "cell", "endurance"}`` where
@@ -62,10 +152,9 @@ def run_probe(mode: str, seed: int = DEFAULT_SEED, every: int = PROBE_EVERY,
     records of a fresh per-probe wear ledger (cause-attributed program
     and erase counts for the whole probe, aging included).
     """
-    if mode not in PROBE_MODES:
-        raise ConfigError(
-            f"mode must be one of {PROBE_MODES}, got {mode!r}")
-    config = replace(PROBE_CONFIG, mode=mode, max_requests=requests)
+    from repro.workloads.engine import run_cell
+
+    config = probe_config(mode, requests)
     # A fresh ledger per probe: registration order (hence device names)
     # is per-process, so records are byte-identical for any --jobs
     # layout. The ledger draws no RNG and charges no busy time, so the
@@ -86,7 +175,7 @@ def run_probe(mode: str, seed: int = DEFAULT_SEED, every: int = PROBE_EVERY,
 
 def run_probes(modes: tuple[str, ...] = PROBE_MODES,
                seed: int = DEFAULT_SEED, every: int = PROBE_EVERY,
-               requests: int = PROBE_CONFIG.max_requests,
+               requests: int = PROBE_REQUESTS,
                jobs: int = 1) -> list[dict]:
     """Run :func:`run_probe` for each mode, optionally in parallel.
 
@@ -135,19 +224,22 @@ def endurance_meta(results: list[dict], records: list[dict]) -> dict:
     """The ``meta`` block of a merged ``--endurance-out`` artifact."""
     return {"seed": results[0]["meta"]["seed"],
             "modes": [result["mode"] for result in results],
-            "pec_limit": PROBE_CONFIG.pec_limit,
+            "pec_limit": _PROBE_CELL["pec_limit"],
             "devices": len(records),
             "snapshot_every": endurance.DEFAULT_SNAPSHOT_EVERY,
             "causes": list(endurance.CAUSES)}
 
 
 __all__ = [
-    "PROBE_CONFIG",
+    "BUILD_MODES",
     "PROBE_EVERY",
     "PROBE_MODES",
+    "PROBE_REQUESTS",
+    "build_queue_device",
     "endurance_meta",
     "merged_endurance",
     "merged_records",
+    "probe_config",
     "reqtrace_meta",
     "run_probe",
     "run_probes",

@@ -53,13 +53,10 @@ from functools import partial
 from pathlib import Path
 
 from repro import artifact
-from repro.errors import (
-    ConfigError,
-    DeviceBrickedError,
-    DeviceReadOnlyError,
-    MinidiskError,
-    OutOfSpaceError,
-)
+from repro.errors import ConfigError
+# _build looks build_queue_device up in this module at call time, so a
+# harness may rebind it here to observe the devices a run builds.
+from repro.io.probe import _PROBE_ERRORS, BUILD_MODES, build_queue_device
 from repro.io.queue import DeviceQueue
 from repro.io.request import (
     OP_FLUSH,
@@ -108,20 +105,6 @@ _PILOT_PROBES = 4
 
 #: Fallback service estimate when the pilot read cannot reach flash.
 _FALLBACK_SERVICE_US = 100.0
-
-#: Device flavours :func:`build_queue_device` can build: the four the
-#: reqtrace probes drive, plus ``flat`` — a plain functional
-#: :class:`PageMappedFTL` over a variation-free chip programmed at one
-#: uniform tiredness level (``level``), the fixture the traffic and
-#: M/D/c claim rows measure.
-BUILD_MODES = ("baseline", "cvss", "shrink", "regen", "flat")
-
-#: Device-side failures a cell rides through: a tired device
-#: legitimately shrinks, goes read-only, runs out of space or bricks
-#: mid-workload — that *is* the interference being measured.
-_PROBE_ERRORS = (DeviceBrickedError, DeviceReadOnlyError,
-                 MinidiskError, OutOfSpaceError)
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -430,65 +413,6 @@ def run_cell(config: EngineConfig, cell: int, seed: int = DEFAULT_SEED,
 
 
 # -- stage: build ------------------------------------------------------------
-
-def build_queue_device(mode: str, seed: int, *,
-                       blocks: int, fpages_per_block: int, channels: int,
-                       pec_limit: float, msize_lbas: int,
-                       headroom_fraction: float, fill_fraction: float,
-                       level: int = 0, host_streams: int = 1):
-    """Build a queue-ready device of the requested flavour.
-
-    The result is a pure function of the arguments (no wall clock, RNG
-    seeded from ``seed`` only). :func:`_build` looks this name up in
-    the module at call time, so a harness may rebind it to observe the
-    devices a run builds.
-    """
-    from repro.flash.chip import FlashChip
-    from repro.flash.geometry import FlashGeometry
-    from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
-    from repro.salamander.device import SalamanderConfig, SalamanderSSD
-    from repro.ssd.cvss import CVSSConfig, CVSSDevice
-    from repro.ssd.device import BaselineSSD, SSDConfig
-    from repro.ssd.ftl import FTLConfig, PageMappedFTL
-
-    geometry = FlashGeometry(blocks=blocks,
-                             fpages_per_block=fpages_per_block,
-                             channels=channels)
-    ftl = FTLConfig(overprovision=0.25, buffer_opages=8,
-                    host_streams=host_streams)
-    policy = TirednessPolicy(geometry=geometry)
-    if mode == "flat":
-        if not 0 <= level < policy.dead_level:
-            raise ConfigError(
-                f"level must be a usable tiredness level, got {level!r}")
-        chip = FlashChip(geometry, seed=seed, variation_sigma=0.0,
-                         inject_errors=False)
-        if level:
-            for fpage in range(geometry.total_fpages):
-                chip.set_level(fpage, level)
-        n_lbas = int(chip.usable_slots_total() * fill_fraction)
-        return PageMappedFTL(chip, n_lbas, ftl)
-    model = calibrate_power_law(policy, pec_limit_l0=pec_limit)
-    chip = FlashChip(geometry, rber_model=model, policy=policy,
-                     seed=seed, variation_sigma=0.3,
-                     inject_errors=False)
-    n_lbas = int(geometry.total_opage_slots * fill_fraction)
-    if mode == "baseline":
-        # Default brick threshold (2.5% bad blocks) is under one block
-        # on a probe-sized chip — the first grown-bad block would end
-        # the measurement. Raise it so the baseline stays measurable
-        # while its pages tire.
-        return BaselineSSD(chip, SSDConfig(ftl=ftl, brick_threshold=0.6),
-                           n_lbas=n_lbas)
-    if mode == "cvss":
-        return CVSSDevice(chip, CVSSConfig(ftl=ftl), n_lbas=n_lbas)
-    if mode in ("shrink", "regen"):
-        return SalamanderSSD(chip, SalamanderConfig(
-            mode=mode, msize_lbas=msize_lbas,
-            headroom_fraction=headroom_fraction, ftl=ftl))
-    raise ConfigError(
-        f"mode must be one of {BUILD_MODES}, got {mode!r}")
-
 
 def _address_spaces(device, mode: str) -> list[tuple[int | None, int]]:
     """The device's live ``(mdisk, size)`` address spaces: Salamander
@@ -1069,11 +993,9 @@ def publish_traffic_metrics(document: dict) -> None:
 
 __all__ = [
     "ADMISSION_POLICIES",
-    "BUILD_MODES",
     "ENGINE_SCHEMA",
     "TENANT_CLASSES",
     "EngineConfig",
-    "build_queue_device",
     "is_closed_loop",
     "load_engine_artifact",
     "publish_traffic_metrics",

@@ -303,10 +303,9 @@ class TestStages:
         """Aging shrinks these devices (20 passes at seed 20250: CVSS
         192 -> 168 LBAs, 7 minidisks -> 4 or 5); every tenant must sit
         inside what is left, so spans are read after aging."""
-        from dataclasses import replace
-        from repro.io.probe import PROBE_CONFIG
+        from repro.io.probe import probe_config
         from repro.workloads import engine
-        config = replace(PROBE_CONFIG, mode=mode)
+        config = probe_config(mode)
         fresh = engine._build(config, 0, 20250)
         aged = engine._build(config, 0, 20250, age_passes=20)
         before = engine._address_spaces(fresh.queue.device, mode)
@@ -317,10 +316,9 @@ class TestStages:
             assert tenant.base + tenant.span <= after[tenant.mdisk], tenant
 
     def test_aging_past_the_last_minidisk_is_a_config_error(self):
-        from dataclasses import replace
-        from repro.io.probe import PROBE_CONFIG
+        from repro.io.probe import probe_config
         from repro.workloads import engine
-        config = replace(PROBE_CONFIG, mode="shrink")
+        config = probe_config("shrink")
         with pytest.raises(ConfigError, match="no live address space"):
             engine._build(config, 0, 20250, age_passes=24)
 
