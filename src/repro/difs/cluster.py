@@ -278,13 +278,11 @@ class Cluster:
         # Place the new generation first. Old replicas' nodes stay
         # eligible: the old generation is about to be released.
         new_replicas: list[Replica] = []
+        staging_id = f"{chunk_id}#staging"
         try:
             for index, payloads in enumerate(units):
-                staged = Chunk(chunk_id=f"{chunk_id}#staging",
-                               size_lbas=chunk.size_lbas,
-                               replicas=new_replicas)
-                replica = self._place_and_write(staged, index, payloads)
-                new_replicas.append(replica)
+                new_replicas.append(self._place_and_write(
+                    staging_id, new_replicas, index, payloads))
         except ReproError:
             # Roll the staged units back; the old generation still rules.
             for replica in new_replicas:
@@ -467,24 +465,25 @@ class Cluster:
     def add_unit(self, chunk: Chunk, index: int,
                  payloads: list[bytes]) -> Replica:
         """Place, write and register one unit (copy/fragment) for ``chunk``."""
-        replica = self._place_and_write(chunk, index, payloads)
+        replica = self._place_and_write(chunk.chunk_id, chunk.replicas,
+                                        index, payloads)
         chunk.replicas.append(replica)
         self._chunks_by_volume[replica.volume_id].add(chunk.chunk_id)
         return replica
 
-    def _place_and_write(self, chunk: Chunk, index: int,
-                         payloads: list[bytes]) -> Replica:
+    def _place_and_write(self, chunk_id: str, replicas: list[Replica],
+                         index: int, payloads: list[bytes]) -> Replica:
         """Placement + durable write, without namespace registration.
 
-        ``chunk`` provides the avoid-node set (its current replicas) and
-        the error-message identity; the caller decides when the returned
-        replica becomes visible.
+        ``replicas`` (the chunk's current units) give the avoid-node
+        set and ``chunk_id`` the error-message identity; the caller
+        decides when the returned replica becomes visible.
         """
         attempts = 5
         while True:
             attempts -= 1
             avoid = self._index.nodes_of(
-                replica.volume_id for replica in chunk.replicas)
+                replica.volume_id for replica in replicas)
             volume = place_replicas(
                 self.config.placement, self._index, 1,
                 self.rng, avoid_nodes=avoid)[0]
@@ -492,7 +491,7 @@ class Cluster:
             if slot is None:
                 if attempts == 0:
                     raise ReproError(
-                        f"could not allocate a slot for {chunk.chunk_id}")
+                        f"could not allocate a slot for {chunk_id}")
                 continue
             try:
                 volume.write_chunk(slot, payloads)

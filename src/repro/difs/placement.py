@@ -15,9 +15,13 @@ A Salamander SSD contributes one volume per minidisk, so the population
 is hundreds of volumes for a handful of devices, and a placement that
 asks every ``Volume`` whether it is alive, full and how loaded costs more
 than the IO it places. :class:`VolumeIndex` keeps that answer as numpy
-columns in registration order — ``used``, ``total``, ``load``, a sticky
-``dead`` flag, and ``node`` / ``device`` / ``level`` codes — so
-eligibility is one boolean mask and the tie set one ``flatnonzero``.
+columns in registration order — the placement ``key`` (the load
+``used / total`` of a live volume with a free slot, ``+inf`` for every
+other), a sticky ``dead`` flag, and ``node`` / ``device`` / ``level``
+codes — plus the rows of each node as one array. A pick is one copy of
+``key`` with the avoided nodes' rows set to ``+inf``, one
+``np.minimum.reduce`` and one ``nonzero`` for the tie set, and the one
+``rng.integers`` draw.
 
 The columns stay exact without polling volumes because liveness is
 *monotone*: an administratively failed volume, a non-ACTIVE minidisk and
@@ -45,7 +49,9 @@ import numpy as np
 from repro.errors import ConfigError, NoPlacementError
 from repro.difs.volume import Volume
 
-_COLUMNS = ("_used", "_total", "_load", "_dead", "_node", "_device", "_level")
+#: Column -> fill value of the rows a doubling adds.
+_COLUMNS = {"_key": np.inf, "_dead": False, "_node": 0, "_device": 0,
+            "_level": 0}
 
 
 class _DeviceWatch:
@@ -72,15 +78,14 @@ class VolumeIndex:
     def __init__(self, volumes: Iterable[Volume] = ()) -> None:
         self.volumes: list[Volume] = []
         # One row per volume; grown by doubling (see _COLUMNS).
-        self._used = np.zeros(64, dtype=np.int64)
-        self._total = np.zeros(64, dtype=np.int64)
-        self._load = np.zeros(64, dtype=np.float64)   # used / total
+        self._key = np.full(64, np.inf)   # load if live and not full
         self._dead = np.zeros(64, dtype=np.bool_)     # sticky
         self._node = np.zeros(64, dtype=np.int32)     # -> _node_names
         self._device = np.zeros(64, dtype=np.int32)   # -> _device_heads
         self._level = np.zeros(64, dtype=np.int64)    # tiredness tier
         self._row_of: dict[str, int] = {}
         self._node_names: list[str] = []
+        self._node_rows: list[np.ndarray] = []   # rows of each node code
         self._node_codes: dict[str, int] = {}
         self._device_codes: dict[int, int] = {}
         self._device_heads: list[int] = []   # first row of each device
@@ -101,17 +106,19 @@ class VolumeIndex:
 
     def _append(self, volume: Volume) -> int:
         row = len(self.volumes)
-        if row == len(self._used):
-            for name in _COLUMNS:
+        if row == len(self._key):
+            for name, fill in _COLUMNS.items():
                 column = getattr(self, name)
                 setattr(self, name, np.concatenate(
-                    [column, np.zeros_like(column)]))
+                    [column, np.full_like(column, fill)]))
         self.volumes.append(volume)
         self._row_of[volume.volume_id] = row
         node = self._node_codes.setdefault(volume.node_id,
                                            len(self._node_names))
         if node == len(self._node_names):
             self._node_names.append(volume.node_id)
+            self._node_rows.append(np.empty(0, dtype=np.intp))
+        self._node_rows[node] = np.append(self._node_rows[node], row)
         device = self._device_codes.setdefault(id(volume.device),
                                                len(self._device_heads))
         if device == len(self._device_heads):
@@ -126,11 +133,12 @@ class VolumeIndex:
 
     def update(self, row: int, used: int, total: int, dead: bool) -> None:
         """A volume's own view of its row (``dead`` only ever rises)."""
-        self._used[row] = used
-        self._total[row] = total
-        self._load[row] = used / total if total else 1.0
-        if dead and not self._dead[row]:
+        if self._dead[row]:
+            return
+        if dead:
             self._bury(row)
+        else:
+            self._key[row] = used / total if used < total else np.inf
 
     # -- liveness -------------------------------------------------------------
 
@@ -160,6 +168,7 @@ class VolumeIndex:
 
     def _bury(self, row: int) -> None:
         self._dead[row] = True
+        self._key[row] = np.inf
         self._newly_dead.append(row)
 
     def drain_newly_dead(self) -> list[Volume]:
@@ -188,9 +197,9 @@ class VolumeIndex:
 
     def nodes_of(self, volume_ids: Iterable[str]) -> set[str]:
         """Nodes hosting the given volumes (unknown ids are skipped)."""
-        rows = [self._row_of[volume_id] for volume_id in volume_ids
-                if volume_id in self._row_of]
-        return {self._node_names[code] for code in self._node[rows].tolist()}
+        row_of, volumes = self._row_of, self.volumes
+        return {volumes[row_of[volume_id]].node_id
+                for volume_id in volume_ids if volume_id in row_of}
 
     # -- placement ------------------------------------------------------------
 
@@ -199,25 +208,25 @@ class VolumeIndex:
         """``count`` eligible volumes on distinct nodes outside ``avoid_nodes``."""
         ties = PLACEMENT_POLICIES[policy]
         self.refresh()
-        n = len(self.volumes)
-        node = self._node[:n]
-        eligible = ~self._dead[:n] & (self._used[:n] < self._total[:n])
+        # Eligible rows keep their load; the avoided nodes' go to +inf.
+        key = self._key[:len(self.volumes)].copy()
         avoid = set(avoid_nodes)
         for name in avoid:
-            if name in self._node_codes:
-                eligible &= node != self._node_codes[name]
+            code = self._node_codes.get(name)
+            if code is not None:
+                key[self._node_rows[code]] = np.inf
         chosen: list[Volume] = []
         for _ in range(count):
-            rows = np.flatnonzero(eligible)
-            if rows.size == 0:
+            best = ties(self, key)
+            if not len(best):
                 raise NoPlacementError(
                     f"cannot place replica {len(chosen) + 1}/{count}: "
                     f"no eligible volume outside nodes {sorted(avoid)}")
-            best = ties(self, rows)
-            row = best[int(rng.integers(0, len(best)))]
-            chosen.append(self.volumes[row])
-            avoid.add(chosen[-1].node_id)
-            eligible &= node != node[row]
+            row = int(best[int(rng.integers(0, len(best)))])
+            volume = self.volumes[row]
+            chosen.append(volume)
+            avoid.add(volume.node_id)
+            key[self._node_rows[self._node_codes[volume.node_id]]] = np.inf
         return chosen
 
     # -- invariant ------------------------------------------------------------
@@ -234,9 +243,6 @@ class VolumeIndex:
         for row, volume in enumerate(self.volumes):
             where = f"row {row} ({volume.volume_id})"
             assert self._row_of[volume.volume_id] == row, where
-            assert self._used[row] == volume.used_slots, f"{where}: used"
-            assert self._total[row] == volume.total_slots, f"{where}: total"
-            assert self._load[row] == volume.load, f"{where}: load"
             assert self._dead[row] == (not volume.is_alive), f"{where}: dead"
             assert self._node_names[self._node[row]] == volume.node_id, (
                 f"{where}: node")
@@ -244,21 +250,33 @@ class VolumeIndex:
             assert head.device is volume.device, f"{where}: device"
             assert self._level[row] == getattr(volume, "level", 0), (
                 f"{where}: level")
+            eligible = (volume.is_alive
+                        and volume.used_slots < volume.total_slots)
+            assert self._key[row] == (volume.load if eligible else np.inf), (
+                f"{where}: key")
+        n = len(self.volumes)
+        assert (self._key[n:] == np.inf).all(), "a spare row has a finite key"
+        for code, rows in enumerate(self._node_rows):
+            assert rows.tolist() == np.flatnonzero(
+                self._node[:n] == code).tolist(), (
+                f"node {self._node_names[code]}: row array")
         assert all(self._dead[row] for row in self._newly_dead), (
             "a live row is queued as newly dead")
 
 
-def _least_loaded(index: VolumeIndex, rows: np.ndarray) -> np.ndarray:
-    load = index._load[rows]
-    return rows[load <= load.min() + 1e-9]
+def _least_loaded(index: VolumeIndex, key: np.ndarray) -> np.ndarray:
+    low = np.minimum.reduce(key, initial=np.inf)
+    if low == np.inf:
+        return _NONE
+    return (key <= low + 1e-9).nonzero()[0]
 
 
-def _uniform(index: VolumeIndex, rows: np.ndarray) -> np.ndarray:
-    return rows
+def _uniform(index: VolumeIndex, key: np.ndarray) -> np.ndarray:
+    return (key != np.inf).nonzero()[0]
 
 
 def _youngest_least_loaded(index: VolumeIndex,
-                           rows: np.ndarray) -> np.ndarray:
+                           key: np.ndarray) -> np.ndarray:
     """Prefer young (low-tiredness) volumes; balance load within a tier.
 
     Addresses the paper's §3.2 open question about correlated mDisk
@@ -267,12 +285,19 @@ def _youngest_least_loaded(index: VolumeIndex,
     several units in one wear episode. This policy drains the L0 tier
     first and reaches for tired volumes only when nothing younger fits.
     """
-    level = index._level[rows]
-    return _least_loaded(index, rows[level == level.min()])
+    level = index._level[:len(key)]
+    eligible = key != np.inf
+    if not eligible.any():
+        return _NONE
+    youngest = level[eligible].min()
+    return _least_loaded(index, np.where(level == youngest, key, np.inf))
 
 
-#: Policy name -> tie set: the eligible rows (registration order) the
-#: pick is drawn uniformly from.
+_NONE = np.empty(0, dtype=np.intp)
+
+#: Policy name -> tie set: given a copy of the ``key`` column with every
+#: ineligible row at ``+inf``, the rows (registration order) the pick is
+#: drawn uniformly from; empty when no row is eligible.
 PLACEMENT_POLICIES: dict[str, Callable[[VolumeIndex, np.ndarray],
                                        np.ndarray]] = {
     "spread-nodes": _least_loaded,

@@ -18,9 +18,13 @@ index reads them off the device (see that module).
 
 Chunk IO goes through the device's :class:`repro.io.queue.DeviceQueue`
 (``volume.queue`` — the one a cluster attached, or the device's own
-default): writes become one ``write`` request, reads one ``read_range``
-request, and every completion carries measured wait/service/latency.
-The queue dispatches them as one ``write_range`` / ``read_range`` device
+default): a write is one ``write`` dispatch, a read one ``read_range``
+dispatch, each measured (wait/service/latency) into the queue's stats.
+They enter through :meth:`~repro.io.queue.DeviceQueue.dispatch`, the
+field-level synchronous entry: the volume addresses its own device, so
+no ``IORequest`` is built or checked per unit, and a closed-loop chunk
+completes before the call returns, so it leaves no row in the queue's
+window. The queue makes one ``write_range`` / ``read_range`` device
 call per chunk; ``tests/difs/direct_io_oracle.py`` makes those calls
 directly and the differential conformance suite pins the two
 bit-identical.
@@ -31,7 +35,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.errors import ConfigError, ReproError
-from repro.io.request import IORequest
+from repro.io.request import OP_READ_RANGE, OP_WRITE
 from repro.salamander.device import SalamanderSSD
 
 
@@ -135,29 +139,36 @@ class Volume(ABC):
     def write_chunk(self, slot: int, payloads: list[bytes]) -> None:
         """Write one chunk (one oPage payload per LBA) into ``slot``.
 
-        One ``write`` request on the device queue; errors raise
-        synchronously from ``submit`` exactly as a direct range write
-        would.
+        One synchronous ``write`` dispatch on the device queue: the
+        device's error raises here exactly as a direct range write
+        would, and the completed write leaves nothing in the window.
         """
         self._check_slot(slot)
         if len(payloads) != self.chunk_lbas:
             raise ConfigError(
                 f"chunk needs {self.chunk_lbas} payloads, got {len(payloads)}")
-        self.queue.submit(IORequest(
-            op="write", lba=slot * self.chunk_lbas, payloads=payloads,
-            mdisk_id=self._io_mdisk_id))
+        error = self.queue.dispatch(
+            OP_WRITE, slot * self.chunk_lbas, self.chunk_lbas, payloads,
+            self._io_mdisk_id)[1]
+        if error is not None:
+            raise error
 
     def read_chunk(self, slot: int) -> list[bytes]:
         """Read one chunk's payloads; raises device errors through.
 
-        One measured ``read_range`` request: the device's scatter-gather
-        path (one sense per touched fPage), so system-level large-read
-        performance inherits the §4.2 ``P/(P-L)`` behaviour.
+        One synchronous, measured ``read_range`` dispatch: the device's
+        scatter-gather path (one sense per touched fPage), so
+        system-level large-read performance inherits the §4.2
+        ``P/(P-L)`` behaviour. Like a write, it leaves nothing in the
+        queue's window.
         """
         self._check_slot(slot)
-        return self.queue.execute(IORequest(
-            op="read_range", lba=slot * self.chunk_lbas,
-            count=self.chunk_lbas, mdisk_id=self._io_mdisk_id)).result
+        result, error = self.queue.dispatch(
+            OP_READ_RANGE, slot * self.chunk_lbas, self.chunk_lbas, None,
+            self._io_mdisk_id)[:2]
+        if error is not None:
+            raise error
+        return result
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.total_slots:

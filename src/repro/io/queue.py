@@ -5,13 +5,13 @@ minidisk volumes share it — the NCQ is a device resource). The queue
 does two jobs:
 
 1. **Dispatch.** Device method calls happen *inside* ``submit`` (or
-   ``execute``), in submission order, through exactly the same methods
-   direct callers would use — so the data path, RNG draw order and
-   ``_audit_fastpath`` state are bit-identical to direct device calls
-   (the differential conformance suite asserts this against
+   ``execute``, or ``dispatch``), in submission order, through exactly
+   the same methods direct callers would use — so the data path, RNG
+   draw order and ``_audit_fastpath`` state are bit-identical to direct
+   device calls (the differential conformance suite asserts this against
    ``tests/difs/direct_io_oracle.py``). Errors raise synchronously
-   from ``submit``/``execute``, preserving direct-call exception
-   semantics.
+   from ``submit``/``execute`` (``dispatch`` hands them back for its
+   caller to raise), preserving direct-call exception semantics.
 
 2. **Time accounting.** The queue keeps a device-local virtual clock
    in microseconds and models the device as ``c`` parallel channel
@@ -35,11 +35,12 @@ deadlines). ``execute`` and ``submit`` unpack an
 :class:`~repro.io.request.IORequest` into it — after checking that the
 request is addressed for this kind of device — and
 :meth:`DeviceQueue.dispatch` exposes it directly for callers — the
-traffic engine — that have no use for per-request objects and vouch
-for the fields themselves. Only requests that *stay* in the
-in-flight window leave anything behind: one row tuple each, bridged to
-a scalar :class:`~repro.io.request.IOCompletion` when ``poll`` hands
-it out. Synchronous dispatches allocate nothing but their result.
+traffic engine and the cluster's chunk IO — that have no use for
+per-request objects and vouch for the fields themselves. Only requests
+that *stay* in the in-flight window leave anything behind: one row
+tuple each, bridged to a scalar :class:`~repro.io.request.IOCompletion`
+when ``poll`` hands it out. Synchronous dispatches allocate nothing but
+their result.
 
 ``depth`` bounds the in-flight window like a real NCQ: submitting into
 a full queue first retires the oldest in-flight completion and clamps

@@ -84,7 +84,7 @@ class TestVolumeIndex:
         cluster = build_cluster(make_salamander, replication=2)
         volume = next(iter(cluster.volumes.values()))
         volume._free_slots.discard(0)   # behind the index's back
-        with pytest.raises(AssertionError, match="used"):
+        with pytest.raises(AssertionError, match="key"):
             cluster._audit_volume_index()
 
     def test_silently_bricked_device_found_by_poll(self, make_baseline,

@@ -20,10 +20,18 @@ forgot to fold in device-side deaths is not rescued by the audit's own
 refresh. ``test_scripted_walk_reaches_every_transition`` drives the same
 rules in a fixed order and asserts the interesting transitions really
 happened, so coverage does not depend on hypothesis's luck.
+``test_seeded_mutations_are_caught`` breaks the index's ``key`` column
+and its per-node row arrays four ways and requires a walk to notice
+each.
 """
 
 from __future__ import annotations
 
+import inspect
+import sys
+import textwrap
+
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -34,7 +42,12 @@ from hypothesis.stateful import (
 )
 
 from repro.difs.cluster import Cluster, ClusterConfig
-from repro.difs.placement import PLACEMENT_POLICIES, place_replicas
+from repro.difs.placement import (
+    PLACEMENT_POLICIES,
+    VolumeIndex,
+    place_replicas,
+)
+from repro.difs.volume import Volume
 from repro.errors import NoPlacementError, ReproError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
@@ -288,10 +301,8 @@ TestVolumeIndexMachine.settings = settings(
                            HealthCheck.data_too_large])
 
 
-def test_scripted_walk_reaches_every_transition():
-    """The rules, in a fixed order, really cause decommissions,
-    regenerations, exhaustion, a silent brick, a shrink and a restart —
-    with the differential check after each."""
+def scripted_walk() -> VolumeIndexMachine:
+    """Every rule in a fixed order, the differential check after each."""
     machine = VolumeIndexMachine()
 
     def step(rule_method, **kwargs):
@@ -328,6 +339,70 @@ def test_scripted_walk_reaches_every_transition():
     step(machine.delete_chunk, pick=0)
     step(machine.create_chunk, pick=99)
     step(machine.run_recovery)
+    return machine
+
+
+def wide_walk() -> VolumeIndexMachine:
+    """More volumes than the index's first allocation, so its columns
+    double, then chunk traffic with the differential check after each."""
+    machine = VolumeIndexMachine()
+    machine.build(flavours=["regen"] * 8, policy="spread-nodes", seed=3)
+    assert len(machine.cluster.volumes) > len(VolumeIndex()._key)
+    for pick in range(8):
+        machine.create_chunk(pick=pick)
+        machine.update_chunk(pick=pick)
+        machine.index_agrees_with_scan()
+    return machine
+
+
+def test_scripted_walk_reaches_every_transition():
+    """The rules, in a fixed order, really cause decommissions,
+    regenerations, exhaustion, a silent brick, a shrink and a restart —
+    with the differential check after each."""
+    machine = scripted_walk()
     assert not machine.devices[3].is_alive
     assert not machine.devices[4].is_alive
     assert machine.cluster.recovery.stats.volume_failures > 0
+
+
+# -- seeded mutations --------------------------------------------------------
+
+#: What breaks -> (the walk that must notice, the class, the method,
+#: source edits). An edit is ``(old, new)`` on the dedented source of
+#: the method; ``old`` must still be there, so a mutation cannot silently
+#: stop applying.
+MUTATIONS = {
+    "a buried row keeps a finite key": (
+        scripted_walk, VolumeIndex, "_bury",
+        [("self._key[row] = np.inf", "pass")]),
+    "the doubled key column grows zeros": (
+        wide_walk, VolumeIndex, "_append",
+        [("np.full_like(column, fill)", "np.zeros_like(column)")]),
+    "a released slot leaves the key stale": (
+        scripted_walk, Volume, "release_slot",
+        [("self._push_row()", "pass")]),
+    "the avoid mask skips a node": (
+        scripted_walk, VolumeIndex, "place",
+        [("for name in avoid:", "for name in sorted(avoid)[1:]:")]),
+}
+
+
+def _mutant(owner: type, method: str, edits: list[tuple[str, str]]):
+    source = textwrap.dedent(inspect.getsource(getattr(owner, method)))
+    for old, new in edits:
+        assert old in source, f"mutation target vanished: {old!r}"
+        source = source.replace(old, new, 1)
+    namespace: dict = {}
+    exec(source, vars(sys.modules[owner.__module__]), namespace)
+    return namespace[method]
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_seeded_mutations_are_caught(name, monkeypatch):
+    walk, owner, method, edits = MUTATIONS[name]
+    # The walk passes on the real code...
+    walk()
+    # ...and not on the broken one.
+    monkeypatch.setattr(owner, method, _mutant(owner, method, edits))
+    with pytest.raises(AssertionError):
+        walk()

@@ -117,6 +117,19 @@ class TestDifferential:
         assert queued.report()["io_mean_latency_us"] == pytest.approx(
             stats["mean_latency_us"])
 
+    def test_closed_loop_chunk_io_leaves_no_window_rows(self, clusters):
+        # Create, update, read, audit and recovery complete every chunk
+        # request before it returns, so no queue window keeps a row (or
+        # its payloads) that nothing will ever poll.
+        queued, _ = clusters
+        run_workload(queued)
+        queues = queued.device_queues()
+        assert sum(q.stats.dispatched for q in queues) > 0
+        for queue in queues:
+            assert not queue._inflight
+            assert not queue._done
+            assert queue.poll() == []
+
     def test_minidisk_volumes_share_their_device_queue(self, clusters):
         queued, _ = clusters
         by_device = {}
