@@ -81,6 +81,7 @@ from repro.workloads.generators import (
     UniformGenerator,
     ZipfianGenerator,
     draw_block,
+    stamp_payload,
 )
 
 #: Version tag of the traffic artifact document.
@@ -301,6 +302,9 @@ def _make_generator(config: EngineConfig, klass: str, span: int, rng):
                               seed=fork_rng(rng, "mixrng"))
     raise ConfigError(f"unknown tenant class {klass!r}")
 
+
+#: Op kinds as globals: an ``OpType.X`` lookup costs ~10x a global's.
+_READ, _WRITE = OpType.READ, OpType.WRITE
 
 #: Ops a tenant pulls from its generator per refill (see ``draw_block``):
 #: enough to amortise the generator's numpy draw, small enough that a
@@ -617,25 +621,29 @@ def _open_window(state: _Cell) -> None:
 
 
 def _run_window(state: _Cell) -> None:
-    """The event loop: one heap interleaving every tenant.
-
-    Each event walks arrivals → admission → dispatch → accounting.
-    The loop is sequential by construction: admission reads the queue
-    backlog the previous dispatch left behind, and a closed-loop
-    tenant's next event is its previous completion.
-    """
+    """The event loop: one heap interleaving every tenant, each event
+    walking arrivals → admission (both inline) → dispatch → accounting.
+    Sequential by construction: admission reads the backlog the previous
+    dispatch left, and a closed-loop tenant's next event is its previous
+    completion."""
     heap, seq, horizon = state.heap, state.push_seq, state.horizon
     pop, push = heapq.heappop, heapq.heappush
-    max_requests = state.config.max_requests
+    config = state.config
+    max_requests, offered = config.max_requests, state.offered
+    gated, shed = config.admission != "none", config.admission == "shed"
+    burst, token_rate = config.bucket_burst, state.token_rate
+    watermark, service_est = state.watermark_us, state.service_est
+    makespan_us = state.queue.makespan_us
     while heap:
         now_us, _seq, tenant = pop(heap)
         if tenant.closed_loop:
-            # Self-clocked: issue, block on the completion, think.
-            # Structurally exempt from admission.
+            # Self-clocked (issue, block, think), so exempt from admission.
             if now_us >= horizon:
                 continue
-            wake = _dispatch(state, tenant, _arrive(state, tenant), now_us)
-            if wake < horizon and state.offered < max_requests:
+            tenant.offered += 1
+            offered += 1
+            wake = _dispatch(state, tenant, next(tenant.ops), now_us)
+            if wake < horizon and offered < max_requests:
                 push(heap, (wake, next(seq), tenant))
             continue
         op = tenant.pending
@@ -643,10 +651,31 @@ def _run_window(state: _Cell) -> None:
         if fresh:
             if now_us >= horizon:
                 continue
-            op = _arrive(state, tenant)
+            tenant.offered += 1
+            offered += 1
+            op = next(tenant.ops)
         else:
             tenant.pending = None
-        wake = _admit(state, tenant, now_us)
+        wake = None  # admitted; else the instant to retry at (shed: inf)
+        if gated:
+            # Gate 1: the tenant's token bucket.
+            tokens = tenant.tokens + (now_us - tenant.last_refill) * token_rate
+            tokens = burst if tokens > burst else tokens
+            tenant.tokens = tokens
+            tenant.last_refill = now_us
+            if tokens < 1.0:
+                wait = (1.0 - tokens) / token_rate
+                wake = (math.inf if shed
+                        else now_us + (wait if wait > 1.0 else 1.0))
+            else:
+                # Gate 2: the backlog (the watermark is positive: no clamp).
+                backlog = makespan_us() - now_us
+                if backlog > watermark:
+                    excess = backlog - watermark
+                    wake = (math.inf if shed else now_us + (
+                        excess if excess > service_est else service_est))
+                else:
+                    tenant.tokens = tokens - 1.0
         if wake is None:
             _dispatch(state, tenant, op, now_us)
         elif wake >= horizon:
@@ -655,48 +684,12 @@ def _run_window(state: _Cell) -> None:
             tenant.deferrals += 1
             tenant.pending = op
             push(heap, (wake, next(seq), tenant))
-        if fresh and state.offered < max_requests:
+        if fresh and offered < max_requests:
             nxt = tenant.arrivals.next_after(now_us)
             if nxt < horizon:
                 push(heap, (nxt, next(seq), tenant))
+    state.offered = offered
     _drain(state)
-
-
-def _arrive(state: _Cell, tenant: _Tenant) -> tuple:
-    """Arrivals: the tenant offers its next logical operation."""
-    tenant.offered += 1
-    state.offered += 1
-    return next(tenant.ops)
-
-
-def _admit(state: _Cell, tenant: _Tenant, now_us: float) -> float | None:
-    """Admission: ``None`` admits the open-loop arrival (and spends a
-    token); otherwise the instant to retry at — ``inf`` under the shed
-    policy, so the caller's horizon test sheds it."""
-    config = state.config
-    policy = config.admission
-    if policy == "none":
-        return None
-    # Gate 1: the per-tenant token bucket (rate bucket_rate_factor x
-    # the fair share, burst bucket_burst).
-    tokens = min(config.bucket_burst,
-                 tenant.tokens
-                 + (now_us - tenant.last_refill) * state.token_rate)
-    tenant.tokens = tokens
-    tenant.last_refill = now_us
-    if tokens < 1.0:
-        if policy == "shed":
-            return math.inf
-        return now_us + max(1.0, (1.0 - tokens) / state.token_rate)
-    # Gate 2: the cell backlog watermark.
-    backlog = max(0.0, state.queue.makespan_us() - now_us)
-    if backlog > state.watermark_us:
-        if policy == "shed":
-            return math.inf
-        return now_us + max(state.service_est,
-                            backlog - state.watermark_us)
-    tenant.tokens = tokens - 1.0
-    return None
 
 
 def _dispatch(state: _Cell, tenant: _Tenant, op: tuple,
@@ -709,17 +702,20 @@ def _dispatch(state: _Cell, tenant: _Tenant, op: tuple,
     """
     config, queue = state.config, state.queue
     hold = not tenant.closed_loop
-    kind, lba, payload = op
+    kind, lba, tag = op
     absolute = tenant.base + (lba % tenant.span)
     count, payloads = 1, None
-    if kind is OpType.WRITE:
+    if kind is _READ:
+        tenant.reads += 1
+        count = tenant.base + tenant.span - absolute
+        count = config.read_span if count > config.read_span else count
+        code = OP_READ_RANGE if count > 1 else OP_READ
+    elif kind is _WRITE:
         tenant.writes += 1
         code = OP_WRITE
+        # Generated writes carry a stamp sequence, replayed ones bytes.
+        payload = stamp_payload(lba, tag) if type(tag) is int else tag
         payloads = [payload or bytes([absolute & 0xFF]) * 16]
-    elif kind is OpType.READ:
-        tenant.reads += 1
-        count = min(config.read_span, tenant.base + tenant.span - absolute)
-        code = OP_READ_RANGE if count > 1 else OP_READ
     else:
         tenant.trims += 1
         code = OP_TRIM
@@ -729,7 +725,8 @@ def _dispatch(state: _Cell, tenant: _Tenant, op: tuple,
     _result, error, submit, start, end, _work = queue.dispatch(
         code, absolute, count, payloads, tenant.mdisk, tenant.stream,
         deadline, now_us, (tenant, name, deadline) if hold else None)
-    _raise_unless_probe_error(error)
+    if error is not None:
+        _raise_unless_probe_error(error)
     if not hold:
         if error is not None:
             # The tenant saw the failure, not a latency: counted, no
@@ -739,19 +736,22 @@ def _dispatch(state: _Cell, tenant: _Tenant, op: tuple,
             return now_us + state.service_est
         _account(state, tenant, name, deadline, None, submit, start, end)
         return end + config.think_us
-    backlog = max(0.0, queue.makespan_us() - now_us)
-    state.max_backlog_us = max(state.max_backlog_us, backlog)
-    state.max_inflight = max(state.max_inflight, queue.inflight)
-    if queue.inflight >= config.queue_depth:
+    backlog = queue.makespan_us() - now_us
+    if backlog > state.max_backlog_us:
+        state.max_backlog_us = backlog
+    inflight = queue.inflight
+    if inflight > state.max_inflight:
+        state.max_inflight = inflight
+    if inflight >= config.queue_depth:
         _drain(state)
     return end
 
 
 def _drain(state: _Cell) -> None:
     """Retire the queue's window into the accounts, oldest first."""
-    for row in state.queue.drain():
-        tenant, name, deadline = row[0]
-        _account(state, tenant, name, deadline, *row[2:6])
+    for ((tenant, name, deadline), _result, error, submit, start, end,
+         _work) in state.queue.drain():
+        _account(state, tenant, name, deadline, error, submit, start, end)
 
 
 def _account(state: _Cell, tenant: _Tenant, name: str, deadline: float,

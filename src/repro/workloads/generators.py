@@ -1,18 +1,24 @@
 """Access-pattern generators.
 
-Each generator produces :class:`Operation` streams over a logical LBA
-range. They are deliberately *range-relative*: the harness rescales them as
+Each generator produces operation streams over a logical LBA range.
+They are deliberately *range-relative*: the harness rescales them as
 devices shrink (the CVSS free-space discipline, or per-minidisk targeting
 for Salamander).
 
-Payloads encode the LBA and a stream sequence number so integrity checks
-can detect misdirected or stale reads — a trick borrowed from disk-test
-tools like fio's verify mode.
+A generator's one source of truth is :meth:`rows`: the next ``count``
+operations as plain ``(kind, lba, seq)`` tuples, where ``seq`` is a
+write's stamp sequence and ``None`` for reads and trims. Payloads are
+stamped from ``(lba, seq)`` only where a write is issued
+(:func:`stamp_payload`); :meth:`ops` is the stamped :class:`Operation`
+view of the same rows. A stamp encodes the LBA and the sequence number
+so integrity checks can detect misdirected or stale reads — a trick
+borrowed from disk-test tools like fio's verify mode.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat, starmap
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -46,6 +52,31 @@ def stamp_payload(lba: int, sequence: int) -> bytes:
     return f"lba={lba} seq={sequence}".encode()
 
 
+def _stamped(kind: OpType, lba: int, seq: int | None) -> Operation:
+    """The :class:`Operation` a row stands for."""
+    return Operation(kind, lba,
+                     None if seq is None else stamp_payload(lba, seq))
+
+
+def _writes(lbas: list[int], last_seq: int) -> list[tuple]:
+    """WRITE rows for ``lbas``, stamp sequences following ``last_seq``."""
+    return list(zip(repeat(OpType.WRITE), lbas,
+                    range(last_seq + 1, last_seq + 1 + len(lbas))))
+
+
+class _Generator:
+    """What every generator shares: :meth:`ops` over its ``rows``.
+
+    A subclass's ``rows(count)`` returns the next ``count`` operations
+    as a fresh list of ``(kind, lba, seq)`` rows.
+    """
+
+    def ops(self, count: int) -> Iterator[Operation]:
+        """The next ``count`` operations as stamped :class:`Operation`
+        tuples; the rows are drawn when this is called."""
+        return starmap(_stamped, self.rows(count))
+
+
 def hotspot_mass(n_lbas: int, theta: float,
                  hot_fraction: float = 0.2) -> float:
     """Fraction of Zipf accesses landing on the hottest LBAs.
@@ -69,33 +100,34 @@ def hotspot_mass(n_lbas: int, theta: float,
 
 
 def draw_block(generator, block: int, flip_rng=None,
-               read_fraction: float = 0.0) -> list[Operation]:
-    """The next ``block`` operations of ``generator``, as a list.
+               read_fraction: float = 0.0) -> list[tuple]:
+    """The next ``block`` rows of ``generator``: ``(kind, lba, seq)``.
 
-    Pulling one op at a time costs a generator object and a size-1
-    numpy draw per operation. Block pulls leave every RNG stream exactly
-    where one-op pulls would have: a generator's address RNG,
+    Pulling one op at a time costs a size-1 numpy draw per operation.
+    Block pulls leave every RNG stream exactly where one-op pulls would
+    have: a generator's address RNG,
     :class:`MixedGenerator`'s roll RNG and ``flip_rng`` are independent
     streams, and numpy consumes a bit stream identically for N draws of
     one and one draw of N (``tests/workloads/test_statistics.py`` pins
     it per class).
 
-    With ``flip_rng``, each WRITE becomes a payload-free READ with
+    With ``flip_rng``, each WRITE becomes a READ row (``seq`` None) with
     probability ``read_fraction`` — one ``flip_rng`` draw per WRITE, in
     op order, as a per-op ``flip_rng.random()`` would draw them.
     """
-    ops = list(generator.ops(block))
+    rows = generator.rows(block)
     if flip_rng is not None:
-        writes = [index for index, op in enumerate(ops)
-                  if op.op is OpType.WRITE]
+        read, write = OpType.READ, OpType.WRITE
+        writes = [index for index, row in enumerate(rows)
+                  if row[0] is write]
         rolls = flip_rng.random(len(writes)).tolist()
         for index, roll in zip(writes, rolls):
             if roll < read_fraction:
-                ops[index] = Operation(OpType.READ, ops[index].lba)
-    return ops
+                rows[index] = (read, rows[index][1], None)
+    return rows
 
 
-class UniformGenerator:
+class UniformGenerator(_Generator):
     """Uniformly random writes over ``[0, n_lbas)``."""
 
     def __init__(self, n_lbas: int,
@@ -106,14 +138,14 @@ class UniformGenerator:
         self.rng = make_rng(seed)
         self._sequence = 0
 
-    def ops(self, count: int) -> Iterator[Operation]:
-        for lba in self.rng.integers(0, self.n_lbas, size=count).tolist():
-            self._sequence += 1
-            yield Operation(OpType.WRITE, lba,
-                            stamp_payload(lba, self._sequence))
+    def rows(self, count: int) -> list[tuple]:
+        lbas = self.rng.integers(0, self.n_lbas, size=count).tolist()
+        rows = _writes(lbas, self._sequence)
+        self._sequence += count
+        return rows
 
 
-class ZipfianGenerator:
+class ZipfianGenerator(_Generator):
     """Zipf-skewed writes: a hot set absorbs most traffic.
 
     Args:
@@ -137,15 +169,14 @@ class ZipfianGenerator:
         # Hot ranks are scattered across the address space, as in YCSB.
         self._permutation = make_rng(self.rng).permutation(n_lbas)
 
-    def ops(self, count: int) -> Iterator[Operation]:
+    def rows(self, count: int) -> list[tuple]:
         ranks = np.searchsorted(self._cdf, self.rng.random(count))
-        for lba in self._permutation[ranks].tolist():
-            self._sequence += 1
-            yield Operation(OpType.WRITE, lba,
-                            stamp_payload(lba, self._sequence))
+        rows = _writes(self._permutation[ranks].tolist(), self._sequence)
+        self._sequence += count
+        return rows
 
 
-class SequentialGenerator:
+class SequentialGenerator(_Generator):
     """Wrap-around sequential writes (log-style ingest)."""
 
     def __init__(self, n_lbas: int, start: int = 0) -> None:
@@ -158,16 +189,16 @@ class SequentialGenerator:
         self._next = start
         self._sequence = 0
 
-    def ops(self, count: int) -> Iterator[Operation]:
-        for _ in range(count):
-            lba = self._next
-            self._next = (self._next + 1) % self.n_lbas
-            self._sequence += 1
-            yield Operation(OpType.WRITE, lba,
-                            stamp_payload(lba, self._sequence))
+    def rows(self, count: int) -> list[tuple]:
+        start, n_lbas = self._next, self.n_lbas
+        rows = _writes([lba % n_lbas for lba in range(start, start + count)],
+                       self._sequence)
+        self._next = (start + count) % n_lbas
+        self._sequence += count
+        return rows
 
 
-class MixedGenerator:
+class MixedGenerator(_Generator):
     """Read/write/trim mix over a base write generator's address range.
 
     Reads and trims target previously written LBAs, so replay on a fresh
@@ -191,21 +222,22 @@ class MixedGenerator:
         self._written: list[int] = []
         self._written_set: set[int] = set()
 
-    def ops(self, count: int) -> Iterator[Operation]:
-        for write_op in self.base.ops(count):
-            roll = float(self.rng.random())
-            if roll < self.read_fraction and self._written:
-                target = self._written[
-                    int(self.rng.integers(0, len(self._written)))]
-                yield Operation(OpType.READ, target)
-            elif (roll < self.read_fraction + self.trim_fraction
-                    and self._written):
-                index = int(self.rng.integers(0, len(self._written)))
-                target = self._written.pop(index)
-                self._written_set.discard(target)
-                yield Operation(OpType.TRIM, target)
-            else:
-                if write_op.lba not in self._written_set:
-                    self._written.append(write_op.lba)
-                    self._written_set.add(write_op.lba)
-                yield write_op
+    def rows(self, count: int) -> list[tuple]:
+        rows = self.base.rows(count)
+        rng, written, written_set = self.rng, self._written, self._written_set
+        read, trim = OpType.READ, OpType.TRIM
+        reads = self.read_fraction
+        reads_or_trims = self.read_fraction + self.trim_fraction
+        for index, (_kind, lba, _seq) in enumerate(rows):
+            roll = float(rng.random())
+            if roll < reads and written:
+                rows[index] = (
+                    read, written[int(rng.integers(0, len(written)))], None)
+            elif roll < reads_or_trims and written:
+                target = written.pop(int(rng.integers(0, len(written))))
+                written_set.discard(target)
+                rows[index] = (trim, target, None)
+            elif lba not in written_set:
+                written.append(lba)
+                written_set.add(lba)
+        return rows

@@ -8,8 +8,9 @@ attribute of a live instance of one of the classes the document is
 about (the FTL with its write buffer and latency reservoir, the chip,
 the baseline and CVSS devices, a ``SalamanderSSD`` and its minidisk
 table, the cluster and its volume index, the redundancy, fleet, ECC and
-lifetime-harness modules, the scrub tests' aging backdoor); a qualified
-``Class._name`` must be an attribute of that class.
+lifetime-harness modules, the traffic engine and arrival modules, the
+scrub tests' aging backdoor); a qualified ``Class._name`` must be an
+attribute of that class.
 
 docs/SHARDING.md names the fleet walk by its public dotted names
 (``repro.sim.fleet.walk_shard``, ...); every back-ticked ``repro.*``
@@ -27,7 +28,10 @@ range read kernel" and "The drain kernel" (the read stack from the queue
 to the chip, the oracle and the aging backdoor under ``tests/``, the
 benchmark's own ``metrics`` module) and "The lifetime walk and the
 scalar maps" (that stack plus the harness module and its scalar
-reference under ``tests/``, numpy's generator and ``signal``).
+reference under ``tests/``, numpy's generator and ``signal``), and so is
+the traffic section's follow-up subsection, "the event pays for its
+device call" (the engine, generator, arrival and trace modules, the
+arrivals' scalar oracle under ``tests/``, the queue, numpy's generator).
 
 docs/IO_PIPELINE.md is held whole, to a narrower rule: every back-ticked
 dotted name (``Class.method``, ``repro.io.queue.DeviceQueue``), class or
@@ -80,6 +84,8 @@ import repro.sim.shard
 import repro.ssd.ftl
 import repro.ssd.stats
 import repro.ssd.write_buffer
+import repro.workloads.arrivals
+import repro.workloads.engine
 import tests.ssd.test_scrub
 from repro.difs.cluster import Cluster
 from repro.difs.placement import VolumeIndex
@@ -137,6 +143,8 @@ def subjects() -> dict[str, object]:
             "fleet": repro.sim.fleet,
             "ecc": repro.flash.ecc,
             "lifetime": repro.sim.lifetime,
+            "engine": repro.workloads.engine,
+            "arrivals": repro.workloads.arrivals,
             # The aging backdoor the read kernel's section warns about.
             "test_scrub": tests.ssd.test_scrub}
 
@@ -564,6 +572,70 @@ def test_lifetime_walk_check_flags_a_removed_name():
                        "_l2p_list", "tests/sim/test_lifetime_blocks.py"}
     assert missing == ["Generator.draw_block", "_DRAW_SIZE", "_l2p_list",
                        "_replay", "tests/sim/test_lifetime_blocks.py"]
+
+
+def subsection(text: str, heading: str) -> str:
+    start = text.index(f"\n### {heading}\n")
+    ends = [end for end in (text.find("\n## ", start + 1),
+                            text.find("\n### ", start + 1)) if end > 0]
+    return text[start:min(ends, default=None)]
+
+
+TRAFFIC_FOLLOW_UP = "Follow-up: the event pays for its device call"
+
+
+def traffic_namespaces() -> list[object]:
+    """The traffic path above the queue — the engine, generator, arrival
+    and trace modules, a generator instance, the arrivals' scalar oracle
+    under ``tests/`` — plus the queue it dispatches to and numpy's
+    generator."""
+    import repro.rng
+    import repro.workloads.generators
+    import repro.workloads.traces
+    import tests.workloads.arrivals_oracle
+    return [repro.workloads.engine, repro.workloads.generators,
+            repro.workloads.arrivals, repro.workloads.traces,
+            repro.workloads.generators.UniformGenerator(8),
+            repro.workloads.arrivals.PoissonArrivals,
+            tests.workloads.arrivals_oracle, repro.rng,
+            types.SimpleNamespace(DeviceQueue=DeviceQueue,
+                                  Generator=numpy.random.Generator)]
+
+
+def test_traffic_follow_up_names_resolve():
+    text = subsection(DOCUMENT.read_text(), TRAFFIC_FOLLOW_UP)
+    checked, missing = unresolved_spans(text, traffic_namespaces())
+    assert {"rows", "draw_block", "stamp_payload", "Operation", "ops",
+            "synthesize_trace", "_dispatch", "_run_window", "_drain",
+            "PoissonArrivals", "MMPPArrivals", "_refill",
+            "_raise_unless_probe_error", "DeviceQueue.dispatch",
+            "Generator.standard_exponential", "next_after",
+            "DeviceQueue.makespan_us", "workloads.engine",
+            "workloads.generators", "workloads.arrivals", "io.queue",
+            "ssd.ftl", "flash.chip", "workloads.arrivals.draws",
+            "traffic_scan", "traffic_mixed", "traffic_engine_micro",
+            "range_read_micro", "tests/workloads/test_arrival_blocks.py",
+            "tests/workloads/arrivals_oracle.py"} <= checked
+    assert not missing, (
+        f"docs/PERFORMANCE.md, '{TRAFFIC_FOLLOW_UP}', names things that "
+        f"resolve nowhere: {missing}")
+    # The section says the per-event helpers were folded into the loop.
+    assert not hasattr(repro.workloads.engine, "_admit")
+    assert not hasattr(repro.workloads.engine, "_arrive")
+
+
+def test_traffic_follow_up_check_flags_a_removed_name():
+    checked, missing = unresolved_spans(
+        "`_run_window`, `_admit`, `_arrive`, `rows`, `Operation.stamp`, "
+        "`Generator.standard_exponential`, `Generator.exponential_block`, "
+        "`tests/workloads/gone.py`, `(1.0 / rate) * e`",
+        traffic_namespaces())
+    assert checked == {"_run_window", "_admit", "_arrive", "rows",
+                       "Operation.stamp", "Generator.standard_exponential",
+                       "Generator.exponential_block",
+                       "tests/workloads/gone.py"}
+    assert missing == ["Generator.exponential_block", "Operation.stamp",
+                       "_admit", "_arrive", "tests/workloads/gone.py"]
 
 
 def io_pipeline_unresolved(text: str) -> tuple[set[str], list[str]]:

@@ -322,22 +322,45 @@ class TestStages:
         with pytest.raises(ConfigError, match="no live address space"):
             engine._build(config, 0, 20250, age_passes=24)
 
-    def test_admit_gates(self):
+    def test_admit_gates(self, monkeypatch):
+        """The admission gates, inline in ``_run_window``, one event at
+        a time: the one open-loop tenant holds a pending op (a retry, so
+        no arrival is drawn or offered), and a recording push stands in
+        for the retry the loop would otherwise go on to run."""
+        import heapq
+        import types
         from dataclasses import replace
         from repro.workloads import engine
-        state = self._calibrated(self.CONFIG)  # admission="defer"
-        tenant = next(t for t in state.tenants if not t.closed_loop)
+        from repro.workloads.generators import OpType
+        config = replace(self.CONFIG, tenants=1, closed_loop_fraction=0.0)
+        state = self._calibrated(config)  # admission="defer"
+        (tenant,) = state.tenants
         now = tenant.last_refill
+        retries = []
+        monkeypatch.setattr(engine, "heapq", types.SimpleNamespace(
+            heappop=heapq.heappop,
+            heappush=lambda heap, event: retries.append(event[0])))
+
+        def event(at):
+            """(admitted, shed, deferred) by one event at ``at``, and
+            the retry instants it pushed."""
+            before = (tenant.admitted, tenant.shed, tenant.deferrals)
+            retries.clear()
+            tenant.pending = (OpType.READ, 0, None)
+            state.heap[:] = [(at, 0, tenant)]
+            engine._run_window(state)
+            after = (tenant.admitted, tenant.shed, tenant.deferrals)
+            return tuple(b - a for a, b in zip(before, after)), retries
 
         # Full bucket, idle queue: admitted, one token spent.
         before = tenant.tokens
-        assert engine._admit(state, tenant, now) is None
+        assert event(now) == ((1, 0, 0), [])
         assert tenant.tokens == before - 1.0
 
         # Empty bucket: deferred until a whole token has accrued.
         tenant.tokens = 0.25
-        wake = engine._admit(state, tenant, now)
-        assert wake == now + max(1.0, 0.75 / state.token_rate)
+        assert event(now) == ((0, 0, 1),
+                              [now + max(1.0, 0.75 / state.token_rate)])
         assert tenant.tokens == 0.25  # nothing spent
 
         # Backlog over the watermark (an instant 50 us before the queue
@@ -346,16 +369,18 @@ class TestStages:
         early = state.queue.makespan_us() - 50.0
         tenant.tokens, tenant.last_refill = 3.0, early
         state.watermark_us = 40.0
-        assert engine._admit(state, tenant, early) == early + max(
-            state.service_est, 10.0)
+        assert event(early) == ((0, 0, 1),
+                                [early + max(state.service_est, 10.0)])
         assert tenant.tokens == 3.0
         tenant.last_refill = now
 
         # The shed policy never names a retry instant; "none" has no
         # gates at all.
         tenant.tokens = 0.0
-        state.config = replace(self.CONFIG, admission="shed")
-        assert engine._admit(state, tenant, now) == float("inf")
-        state.config = replace(self.CONFIG, admission="none")
-        assert engine._admit(state, tenant, now) is None
+        state.config = replace(config, admission="shed")
+        assert event(now) == ((0, 1, 0), [])
+        state.config = replace(config, admission="none")
+        assert event(now) == ((1, 0, 0), [])
         assert tenant.tokens == 0.0
+        # Retries offer nothing.
+        assert tenant.offered == state.offered == 0

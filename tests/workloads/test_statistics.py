@@ -10,9 +10,9 @@ deterministic, so a pass is a pass forever; a failure means the
 generator (or the RNG discipline) changed.
 
 The bit-identity sweeps at the bottom are the other half of the
-contract: pulling ``ops`` in blocks (the traffic engine's
+contract: pulling ``rows`` in blocks (the traffic engine's
 ``draw_block``) must leave every stream exactly where one-op pulls
-leave it.
+leave it, and ``ops`` must be the stamped view of the same rows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.workloads import (
     make_arrivals,
     mmpp_rates,
 )
-from repro.workloads.generators import draw_block
+from repro.workloads.generators import Operation, draw_block, stamp_payload
 
 SEED = 20250808
 
@@ -183,7 +183,7 @@ class TestMMPPArrivals:
 
 
 class TestBlockDrawEquivalence:
-    """N x ``ops(1)`` == blocks of ``ops(k)``: ops *and* RNG state."""
+    """N x ``rows(1)`` == blocks of ``rows(k)``: rows *and* RNG state."""
 
     COUNT = 300  # not a multiple of 7 or 64: the last block is cut short
 
@@ -209,19 +209,37 @@ class TestBlockDrawEquivalence:
         return [owner.rng.bit_generator.state for owner in owners
                 if hasattr(owner, "rng")]
 
+    @staticmethod
+    def _stamp(rows):
+        """What the rows stand for: a write's payload stamped from its
+        ``(lba, seq)``, reads and trims payload-free."""
+        return [Operation(kind, lba,
+                          None if seq is None else stamp_payload(lba, seq))
+                for kind, lba, seq in rows]
+
     def test_blocks_match_one_op_pulls(self):
         for block in (1, 7, 64):
-            for one, blocked in zip(self._generators(SEED),
-                                    self._generators(SEED)):
-                expected = [op for _ in range(self.COUNT)
-                            for op in one.ops(1)]
+            for one, blocked, viewed in zip(self._generators(SEED),
+                                            self._generators(SEED),
+                                            self._generators(SEED)):
+                expected = [row for _ in range(self.COUNT)
+                            for row in one.rows(1)]
                 got = []
                 while len(got) < self.COUNT:
-                    got.extend(blocked.ops(
+                    got.extend(blocked.rows(
                         min(block, self.COUNT - len(got))))
                 name = type(one).__name__
                 assert got == expected, (name, block)
+                assert all(type(row) is tuple and len(row) == 3
+                           and (row[2] is None) == (row[0] is not OpType.WRITE)
+                           for row in got), (name, block)
                 assert self._rng_states(blocked) == \
+                    self._rng_states(one), (name, block)
+                # ops() is the stamped view of the same rows, byte for
+                # byte, and draws exactly what rows() draws.
+                assert list(viewed.ops(self.COUNT)) == self._stamp(got), \
+                    (name, block)
+                assert self._rng_states(viewed) == \
                     self._rng_states(one), (name, block)
 
     def test_draw_block_matches_one_op_pulls_with_flips(self):
@@ -234,12 +252,12 @@ class TestBlockDrawEquivalence:
                 flip_one, flip_blocked = make_rng(SEED + 1), make_rng(SEED + 1)
                 expected = []
                 for _ in range(self.COUNT):
-                    (op,) = one.ops(1)
-                    if (op.op is OpType.WRITE
+                    (row,) = one.rows(1)
+                    if (row[0] is OpType.WRITE
                             and float(flip_one.random()) < 0.35):
-                        expected.append((OpType.READ, op.lba, None))
+                        expected.append((OpType.READ, row[1], None))
                     else:
-                        expected.append(op)
+                        expected.append(row)
                 got = []
                 while len(got) < self.COUNT:
                     got.extend(draw_block(
@@ -255,5 +273,5 @@ class TestBlockDrawEquivalence:
     def test_draw_block_without_flip_rng_passes_ops_through(self):
         a = UniformGenerator(32, seed=SEED)
         b = UniformGenerator(32, seed=SEED)
-        assert draw_block(a, 40) == [op for _ in range(40)
-                                     for op in b.ops(1)]
+        assert draw_block(a, 40) == [row for _ in range(40)
+                                     for row in b.rows(1)]
