@@ -6,11 +6,9 @@ Each bench times one narrower hot path than the GC-heavy macro:
 * ``ftl_write_endurance_micro`` — the same loop with the wear ledger
   scoped (the endurance overhead contract), exporting a per-bench
   wear decomposition snapshot;
-* ``io_roundtrip_micro`` — the DeviceQueue request/completion plumbing
-  the cluster's default IO path now rides on;
-* ``io_dispatch_roundtrip_micro`` — the same traffic through
-  ``DeviceQueue.dispatch``, request fields with no request objects (the
-  traffic engine's surface);
+* ``io_dispatch_roundtrip_micro`` — point reads through
+  ``DeviceQueue.dispatch``, the one way into the queue that the traffic
+  engine and the cluster's chunk IO ride on;
 * ``io_roundtrip_reqtrace_micro`` — the same loop with request tracing
   scoped at 1-in-64 sampling (the reqtrace overhead contract);
 * ``traffic_engine_micro`` — one multi-tenant traffic-engine cell
@@ -65,14 +63,6 @@ def test_ftl_write_endurance_micro():
     snapshot = harness._RESULTS_DIR / "endurance" / \
         "perf-ftl_write_endurance_micro.jsonl"
     assert snapshot.exists()
-
-
-@pytest.mark.no_obs
-def test_io_roundtrip_micro():
-    entry = harness.run("io_roundtrip_micro", workloads.io_roundtrip_micro)
-    assert entry["ops"] == workloads.IO_MICRO_OPS
-    assert entry["meta"]["errors"] == 0
-    assert entry["meta"]["mean_service_us"] > 0
 
 
 @pytest.mark.no_obs

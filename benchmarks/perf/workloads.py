@@ -24,7 +24,8 @@ import numpy as np
 from repro import context
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.io import DeviceQueue, IORequest
+from repro.io import DeviceQueue
+from repro.io.request import OP_READ, OP_WRITE
 from repro.obs.endurance import EnduranceLedger
 from repro.obs.reqtrace import ReqTracer
 from repro.sim.fleet import FleetConfig, forget_hardware, simulate_fleet
@@ -157,33 +158,16 @@ def _io_micro_result(queue: DeviceQueue, wall_s: float, **meta) -> dict:
                      **meta}}
 
 
-def io_roundtrip_micro() -> dict:
-    """Single-LBA reads through :class:`repro.io.queue.DeviceQueue`.
-
-    Times the full request path — ``IORequest`` construction and
-    validation, submit, dispatch, completion accounting — on top of the
-    underlying device read. Guards the queue plumbing against becoming
-    a per-request hot-path cost now that the cluster defaults to it."""
-    queue, lbas = _io_micro_fixture()
-    start = time.perf_counter()
-    for lba in lbas:
-        queue.execute(IORequest(op="read", lba=lba))
-    wall_s = time.perf_counter() - start
-    return _io_micro_result(queue, wall_s)
-
-
 # -- field-level IO roundtrip (micro) ----------------------------------------
 
 def io_dispatch_roundtrip_micro() -> dict:
-    """:func:`io_roundtrip_micro` traffic through ``DeviceQueue.dispatch``.
+    """Single-LBA reads through :class:`repro.io.queue.DeviceQueue`.
 
-    Identical fixture, identical reads in identical order — the only
-    delta is the submission surface: one ``dispatch(OP_READ, lba)`` per
-    request, with no ``IORequest`` or ``IOCompletion`` built for it.
-    This is the traffic engine's surface; the gap to
-    ``io_roundtrip_micro`` is what the request objects cost."""
-    from repro.io.request import OP_READ
-
+    Times the full request path — one ``dispatch(OP_READ, lba)`` per
+    request: the device call, the chip-time measurement and the
+    completion accounting — on top of the underlying device read.
+    Guards the queue's per-request cost: every queued IO of the traffic
+    engine and the cluster rides on it."""
     queue, lbas = _io_micro_fixture()
     dispatch = queue.dispatch
     start = time.perf_counter()
@@ -196,17 +180,18 @@ def io_dispatch_roundtrip_micro() -> dict:
 # -- queued IO roundtrip with request tracing (micro) ------------------------
 
 def io_roundtrip_reqtrace_micro() -> dict:
-    """:func:`io_roundtrip_micro` with request tracing scoped at the
-    default 1-in-64 sampling — the measured side of the ≤5% reqtrace
+    """:func:`io_dispatch_roundtrip_micro` with request tracing scoped at
+    the default 1-in-64 sampling — the measured side of the ≤5% reqtrace
     overhead contract (docs/OBSERVABILITY.md). Identical fixture and
     loop; the only delta is the tracer the queue binds at construction.
     """
     tracer = ReqTracer(seed=3, every=64)
     with context.scoped(reqtrace=tracer):
         queue, lbas = _io_micro_fixture()
+        dispatch = queue.dispatch
         start = time.perf_counter()
         for lba in lbas:
-            queue.execute(IORequest(op="read", lba=lba))
+            dispatch(OP_READ, lba)
         wall_s = time.perf_counter() - start
         return _io_micro_result(queue, wall_s, sampled=tracer.sampled,
                                 every=64)
@@ -415,8 +400,10 @@ def unit_write_micro() -> dict:
 
     def write_unit(unit: int) -> None:
         mdisk, slot = divmod(unit, slots)
-        queue.execute(IORequest(op="write", lba=slot * UNIT_WRITE_LBAS,
-                                mdisk_id=mdisk, payloads=pages))
+        error = queue.dispatch(OP_WRITE, slot * UNIT_WRITE_LBAS,
+                               UNIT_WRITE_LBAS, pages, mdisk)[1]
+        if error is not None:
+            raise error
 
     units = [int(u) for u in np.random.default_rng(41).integers(
         0, minidisks * slots, size=UNIT_WRITE_WARMUP + UNIT_WRITE_UNITS)]

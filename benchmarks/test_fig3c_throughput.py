@@ -6,8 +6,8 @@ the curve two ways: the analytic mix model, and a *measured* run through
 the full IO pipeline — host data written through a real FTL over a
 population with the given L1 fraction, then sequentially scanned with
 ``read_range`` requests through a :class:`repro.io.queue.DeviceQueue`;
-throughput is data bytes divided by the measured service time the
-completions report. Shape check: measured tracks analytic within a few
+throughput is data bytes divided by the measured service time each
+dispatch reports. Shape check: measured tracks analytic within a few
 percent, i.e. the pipeline reproduces the ``4/(4-L)`` degradation
 end-to-end rather than only at the chip.
 """
@@ -16,7 +16,8 @@ import pytest
 
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.io import DeviceQueue, IORequest
+from repro.io import DeviceQueue
+from repro.io.request import OP_READ_RANGE
 from repro.models.performance import PerformanceModel
 from repro.reporting.tables import format_table
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
@@ -58,10 +59,12 @@ def measured_throughput(l1_fraction: float) -> float:
     service_us = 0.0
     for base in range(0, device.n_lbas, SCAN_RANGE_LBAS):
         count = min(SCAN_RANGE_LBAS, device.n_lbas - base)
-        completion = queue.execute(
-            IORequest(op="read_range", lba=base, count=count))
-        data_bytes += len(completion.result) * opage_bytes
-        service_us += completion.service_us
+        result, error, _submit, start, end, _work = queue.dispatch(
+            OP_READ_RANGE, base, count)
+        if error is not None:
+            raise error
+        data_bytes += len(result) * opage_bytes
+        service_us += end - start
     assert queue.stats.errors == 0
     return data_bytes / service_us
 

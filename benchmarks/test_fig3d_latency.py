@@ -14,7 +14,8 @@ import pytest
 
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.io import DeviceQueue, IORequest
+from repro.io import DeviceQueue
+from repro.io.request import OP_READ, OP_READ_RANGE
 from repro.models.performance import PerformanceModel
 from repro.reporting.tables import format_table
 from repro.rng import make_rng
@@ -51,10 +52,12 @@ def extent_latency_us(device: PageMappedFTL, queue: DeviceQueue) -> float:
     service_us = 0.0
     for base in range(0, device.n_lbas, SCAN_RANGE_LBAS):
         count = min(SCAN_RANGE_LBAS, device.n_lbas - base)
-        completion = queue.execute(
-            IORequest(op="read_range", lba=base, count=count))
-        data_bytes += len(completion.result) * opage_bytes
-        service_us += completion.service_us
+        result, error, _submit, start, end, _work = queue.dispatch(
+            OP_READ_RANGE, base, count)
+        if error is not None:
+            raise error
+        data_bytes += len(result) * opage_bytes
+        service_us += end - start
     assert queue.stats.errors == 0
     return service_us * EXTENT_BYTES / data_bytes
 
@@ -66,8 +69,11 @@ def small_latency_us(device: PageMappedFTL, queue: DeviceQueue,
     service_us = 0.0
     for _ in range(accesses):
         lba = int(rng.integers(0, device.n_lbas))
-        completion = queue.execute(IORequest(op="read", lba=lba))
-        service_us += completion.service_us
+        _result, error, _submit, start, end, _work = queue.dispatch(
+            OP_READ, lba)
+        if error is not None:
+            raise error
+        service_us += end - start
     assert queue.stats.errors == 0
     return service_us / accesses
 

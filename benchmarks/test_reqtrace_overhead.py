@@ -4,10 +4,10 @@ The reqtrace contract (docs/OBSERVABILITY.md) has two sides:
 
 * **Disabled** — every layer binds the run context's ``reqtrace`` field
   once at construction; with nothing scoped the hot path is one
-  ``is None`` test per submit/dispatch. The queue-roundtrip loop here must match
-  the committed ``io_roundtrip_micro`` floor untouched.
+  ``is None`` test per dispatch. The queue-roundtrip loop here must
+  match the committed ``io_dispatch_roundtrip_micro`` floor untouched.
 * **Sampled** — with a tracer scoped at the default 1-in-64 period,
-  63 of 64 requests still take the ``trace is None`` fast path; only
+  63 of 64 requests still take the unsampled path; only
   the sampled request pays for context activation, busy-ledger reads
   and record assembly. That amortised cost is the ≤5% target the
   ``io_roundtrip_reqtrace_micro`` perf floor enforces in CI.
@@ -24,7 +24,8 @@ import pytest
 from repro import context
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.io import DeviceQueue, IORequest
+from repro.io import DeviceQueue
+from repro.io.request import OP_READ
 from repro.obs.reqtrace import ReqTracer
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
@@ -46,8 +47,9 @@ def _build_queue() -> tuple[DeviceQueue, int]:
 
 
 def _read_loop(queue: DeviceQueue, fill: int) -> int:
+    dispatch = queue.dispatch
     for i in range(READS):
-        queue.execute(IORequest(op="read", lba=i % fill))
+        dispatch(OP_READ, i % fill)
     return queue.stats.dispatched
 
 

@@ -9,10 +9,10 @@ near end of life the baseline's tail inflates with retries, while RegenS's
 promoted L1 pages regain ECC margin and keep the tail flat.
 
 Probes run through the queued IO pipeline: each checkpoint issues reads
-via a fresh :class:`repro.io.queue.DeviceQueue` with ``keep_latencies``
-and the distribution comes from the per-completion latencies the queue
-records — the same numbers ``repro_io_latency_us`` observes in
-production paths.
+via a fresh :class:`repro.io.queue.DeviceQueue` and the distribution
+comes from the latency (``end_us - submit_us``) each dispatch hands
+back — the same numbers ``repro_io_latency_us`` observes in production
+paths.
 """
 
 import numpy as np
@@ -22,7 +22,8 @@ import repro.errors as E
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
-from repro.io import DeviceQueue, IORequest
+from repro.io import DeviceQueue
+from repro.io.request import OP_READ
 from repro.reporting.tables import format_table
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
 from repro.ssd.device import BaselineSSD, SSDConfig
@@ -85,30 +86,31 @@ def measure_at_checkpoints(kind: str, total_writes: int = 24_000):
 
 def _probe_reads(device, rng, probes: int = 400):
     """Sample the read-latency distribution through a fresh probe queue."""
-    queue = DeviceQueue(device, keep_latencies=True)
-    latencies = queue.stats.latencies_us
+    queue = DeviceQueue(device)
+    latencies = []
     issued = 0
     attempts = 0
     while issued < probes and attempts < probes * 4:
         attempts += 1
-        mark = len(latencies)
-        try:
-            if isinstance(device, SalamanderSSD):
-                active = device.active_minidisks()
-                if not active:
-                    break
-                mdisk = active[int(rng.integers(0, len(active)))]
-                queue.execute(IORequest(
-                    op="read", lba=int(rng.integers(0, mdisk.size_lbas)),
-                    mdisk_id=mdisk.mdisk_id))
-            else:
-                queue.execute(IORequest(
-                    op="read", lba=int(rng.integers(0, device.n_lbas))))
-        except E.ReproError:
+        if isinstance(device, SalamanderSSD):
+            active = device.active_minidisks()
+            if not active:
+                break
+            mdisk = active[int(rng.integers(0, len(active)))]
+            measured = queue.dispatch(
+                OP_READ, int(rng.integers(0, mdisk.size_lbas)),
+                mdisk_id=mdisk.mdisk_id)
+        else:
+            measured = queue.dispatch(
+                OP_READ, int(rng.integers(0, device.n_lbas)))
+        _result, error, submit, _start, end, _work = measured
+        if error is not None:
+            if not isinstance(error, E.ReproError):
+                raise error
             # A failed probe is not a latency sample (mirrors the legacy
             # reservoir, which only saw successful device reads).
-            del latencies[mark:]
             continue
+        latencies.append(end - submit)
         issued += 1
     samples = np.asarray(latencies)
     return (float(samples.mean()), float(np.percentile(samples, 50)),

@@ -21,13 +21,13 @@ Chunk IO goes through the device's :class:`repro.io.queue.DeviceQueue`
 default): a write is one ``write`` dispatch, a read one ``read_range``
 dispatch, each measured (wait/service/latency) into the queue's stats.
 They enter through :meth:`~repro.io.queue.DeviceQueue.dispatch`, the
-field-level synchronous entry: the volume addresses its own device, so
-no ``IORequest`` is built or checked per unit, and a closed-loop chunk
-completes before the call returns, so it leaves no row in the queue's
-window. The queue makes one ``write_range`` / ``read_range`` device
-call per chunk; ``tests/difs/direct_io_oracle.py`` makes those calls
-directly and the differential conformance suite pins the two
-bit-identical.
+queue's one entry, synchronously: the volume addresses its own device
+(``mdisk_id`` on a minidisk volume, none on a monolithic one), and a
+closed-loop chunk completes before the call returns, so it leaves no
+row in the queue's window. The queue makes one ``write_range`` /
+``read_range`` device call per chunk; ``tests/difs/direct_io_oracle.py``
+makes those calls directly and the differential conformance suite pins
+the two bit-identical.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ Addressing note: Salamander's host interface is ``(mdisk_id, lba)``
 rather than a flat LBA, so the *data* methods are intentionally loose
 (``runtime_checkable`` protocols check attribute presence, not
 signatures). What the protocol pins precisely is the shared control
-surface — capacity, liveness, health, and the queued submit/poll pair —
-plus the requirement that read/write/trim/flush and their range forms
-exist at all. Requests carry ``mdisk_id`` so the queue bridges both
-address shapes.
+surface — capacity, liveness, health and the device's queue — plus the
+requirement that read/write/trim/flush and their range forms exist at
+all. A dispatch carries ``mdisk_id`` so the queue bridges both address
+shapes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.io.queue import DeviceQueue
-    from repro.io.request import IOCompletion, IORequest
 
 
 def device_kind_of(device) -> str:
@@ -95,28 +94,3 @@ class BlockDevice(Protocol):
     def io_queue(self) -> "DeviceQueue":
         """The device's submission queue (created lazily)."""
         ...
-
-    def submit(self, request: "IORequest",
-               at_us: float | None = None) -> "IORequest":
-        """Submit a request to the device's queue."""
-        ...
-
-    def poll(self) -> "list[IOCompletion]":
-        """Drain finished completions from the device's queue."""
-        ...
-
-
-@runtime_checkable
-class QueuedDevice(Protocol):
-    """The minimal surface :class:`repro.io.queue.DeviceQueue` drives.
-
-    Anything with a point read, a range write (a ``write`` request is
-    one ``write_range`` call, however many payloads it carries) and a
-    chip exposing ``stats.busy_us`` / ``channel_busy_us`` can sit
-    behind a queue; the full :class:`BlockDevice` surface is what the
-    *cluster* assumes.
-    """
-
-    def read(self, *args): ...
-
-    def write_range(self, *args, **kwargs): ...

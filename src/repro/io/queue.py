@@ -4,14 +4,15 @@ One :class:`DeviceQueue` fronts one device (all of a Salamander SSD's
 minidisk volumes share it — the NCQ is a device resource). The queue
 does two jobs:
 
-1. **Dispatch.** Device method calls happen *inside* ``submit`` (or
-   ``execute``, or ``dispatch``), in submission order, through exactly
-   the same methods direct callers would use — so the data path, RNG
-   draw order and ``_audit_fastpath`` state are bit-identical to direct
-   device calls (the differential conformance suite asserts this against
-   ``tests/difs/direct_io_oracle.py``). Errors raise synchronously
-   from ``submit``/``execute`` (``dispatch`` hands them back for its
-   caller to raise), preserving direct-call exception semantics.
+1. **Dispatch.** Device method calls happen *inside* ``dispatch``, in
+   submission order, through exactly the same methods direct callers
+   would use — so the data path, RNG draw order and ``_audit_fastpath``
+   state are bit-identical to direct device calls (the differential
+   conformance suite asserts this against
+   ``tests/difs/direct_io_oracle.py``). A device error is handed back
+   in the result tuple for the caller to raise or count; a request
+   addressed for the other kind of device is refused with a
+   ``ConfigError`` before the device is called.
 
 2. **Time accounting.** The queue keeps a device-local virtual clock
    in microseconds and models the device as ``c`` parallel channel
@@ -27,20 +28,15 @@ does two jobs:
    and queueing delay emerges — that is what the M/D/c claim check
    validates against :func:`repro.models.queueing.mdc_latency_us`.
 
-Every entry point runs the same two-step core, on a request's *fields*
-rather than on request objects: ``_serve`` calls the device and
+A request is its fields, never an object: :meth:`DeviceQueue.dispatch`
+runs a two-step core on them — ``_serve`` calls the device and
 measures what the call cost the chip, ``_meter`` places that service on
 the virtual clock and does all the accounting (stats, metrics,
-deadlines). ``execute`` and ``submit`` unpack an
-:class:`~repro.io.request.IORequest` into it — after checking that the
-request is addressed for this kind of device — and
-:meth:`DeviceQueue.dispatch` exposes it directly for callers — the
-traffic engine and the cluster's chunk IO — that have no use for
-per-request objects and vouch for the fields themselves. Only requests
-that *stay* in the in-flight window leave anything behind: one row
-tuple each, bridged to a scalar :class:`~repro.io.request.IOCompletion`
-when ``poll`` hands it out. Synchronous dispatches allocate nothing but
-their result.
+deadlines). Only requests that *stay* in the in-flight window leave
+anything behind: one row tuple each, handed back by
+:meth:`DeviceQueue.drain`. Synchronous dispatches allocate nothing but
+their result. With a request tracer scoped, a sampled dispatch runs the
+same core with its trace context active around ``_serve``.
 
 ``depth`` bounds the in-flight window like a real NCQ: submitting into
 a full queue first retires the oldest in-flight completion and clamps
@@ -57,7 +53,6 @@ from repro import context
 from repro.errors import ConfigError
 from repro.io.protocols import device_kind_of
 from repro.io.request import (
-    OP_CODES,
     OP_FLUSH,
     OP_NAMES,
     OP_READ,
@@ -65,8 +60,6 @@ from repro.io.request import (
     OP_TRIM,
     OP_TRIM_RANGE,
     OP_WRITE,
-    IOCompletion,
-    IORequest,
 )
 from repro.obs.instruments import export_queue_stats, io_instruments
 
@@ -74,20 +67,9 @@ from repro.obs.instruments import export_queue_stats, io_instruments
 # part of the queue's public surface.
 from repro.io.queue_stats import QueueStats
 
-#: Layout of a window row — what one dispatch measured, plus whatever
-#: the submitter wants back when the row drains (an ``IORequest`` for
-#: ``submit``, the caller's own handle for ``dispatch``).
-_ERROR = 2
+#: Where a window row — ``(handle, result, error, submit_us, start_us,
+#: end_us, work_us)`` — keeps its completion time.
 _END = 5
-
-
-def _completion(row: tuple) -> IOCompletion:
-    """Bridge a window row to the scalar :class:`IOCompletion`."""
-    request, result, error, submit, start, end, work = row
-    return IOCompletion(
-        request=request, status="error" if error is not None else "ok",
-        result=result, error=error, submit_us=submit, start_us=start,
-        end_us=end, work_us=work)
 
 
 class DeviceQueue:
@@ -98,19 +80,14 @@ class DeviceQueue:
         depth: in-flight window (>= 1).
         device_kind: metric label override; defaults to the device's
             ``device_kind`` attribute or lower-cased class name.
-        keep_latencies: record every completion latency in
-            ``stats.latencies_us`` (percentile analysis in harnesses;
-            off by default to keep long runs bounded).
     """
 
     def __init__(self, device, depth: int = 8,
-                 device_kind: str | None = None,
-                 keep_latencies: bool = False) -> None:
+                 device_kind: str | None = None) -> None:
         if depth < 1:
             raise ConfigError(f"depth must be >= 1, got {depth!r}")
         self.device = device
         self.depth = depth
-        self.keep_latencies = keep_latencies
         self.device_kind = device_kind or device_kind_of(device)
         #: Whether the device's host interface is ``(mdisk_id, lba)``
         #: (Salamander) rather than a flat LBA.
@@ -124,10 +101,9 @@ class DeviceQueue:
         self.clock_us = 0.0
         self._channel_free = [0.0] * self.channels
         #: The in-flight window and the rows backpressure retired from
-        #: it, both oldest first (see ``_ERROR``/``_END`` for the row).
+        #: it, both oldest first (see ``_END`` for the row).
         self._inflight: deque[tuple] = deque()
         self._done: deque[tuple] = deque()
-        self._next_tag = 0
         self.stats = QueueStats()
         # The run context binds at construction: the latency histograms
         # are None with metrics off, one identity test on the hot path;
@@ -145,67 +121,59 @@ class DeviceQueue:
 
     # -- submission -----------------------------------------------------------
 
-    def submit(self, request: IORequest,
-               at_us: float | None = None) -> IORequest:
-        """Submit one request into the window; dispatches eagerly.
-        Dispatch errors raise here, exactly as a direct device call
-        would; the errored completion is still recorded and visible to
-        :meth:`poll`.
-        """
-        self._stamp(request)
-        row = self._dispatch_request(request, at_us)
-        self._inflight.append(row)
-        if row[_ERROR] is not None:
-            raise row[_ERROR]
-        return request
-
-    def execute(self, request: IORequest,
-                at_us: float | None = None) -> IOCompletion:
-        """Submit synchronously and return the completion now.
-
-        The completion never enters the window (it will not appear in
-        ``poll``). Errors re-raise, preserving direct-call semantics.
-        """
-        self._stamp(request)
-        row = self._dispatch_request(request, at_us)
-        if row[_ERROR] is not None:
-            raise row[_ERROR]
-        return _completion(row)
-
     def dispatch(self, code: int, lba: int = 0, count: int = 1,
                  payloads: list[bytes] | None = None,
                  mdisk_id: int | None = None, stream: int = 0,
                  deadline_us: float | None = None,
                  at_us: float | None = None, handle=None) -> tuple:
-        """Column-level :meth:`execute` / :meth:`submit`: one request
-        given as its fields (``code`` is an ``OP_*`` op code), with no
-        request or completion object built for it.
+        """Serve one request, given as its fields (``code`` is an
+        ``OP_*`` op code), and meter it on the device clock.
 
         Returns ``(result, error, submit_us, start_us, end_us,
         work_us)``; a device error is returned, never raised. With
-        ``handle=None`` the request is consumed synchronously like
-        :meth:`execute`. Any other ``handle`` makes it occupy a window
-        slot like :meth:`submit`, and :meth:`drain` hands the handle
-        back in the row's first field. The caller vouches for the
-        ``IORequest`` invariants and for addressing the device's kind
-        (``mdisk_id`` on a minidisk device, none on a flat one).
+        ``handle=None`` the request is consumed synchronously. Any
+        other ``handle`` makes it occupy a window slot, and
+        :meth:`drain` hands the handle back in the row's first field.
+
+        ``mdisk_id`` must be given on a minidisk device and omitted on
+        a flat one (``flush`` carries no address): a request of the
+        other shape would die on the device call's argument count, a
+        ``TypeError`` no ``ReproError`` handler catches, so it is
+        refused with a ``ConfigError`` before the device is called and
+        nothing is counted. The device checks everything else — LBA
+        ranges, empty payloads, minidisk ids — and its error comes back
+        in the tuple.
         """
-        if self._rt_sampler is not None:
-            # Sampling decisions and trace contexts ride on requests.
-            request = IORequest(
-                op=OP_NAMES[code], lba=lba, count=count, payloads=payloads,
-                mdisk_id=mdisk_id, deadline_us=deadline_us, stream=stream)
-            self._stamp(request)
-            row = self._dispatch_request(request, at_us)
-            measured = row[1:]
-        else:
-            self._next_tag += 1
-            self.stats.submitted += 1
-            result, error, service, work = self._serve(
-                code, lba, count, mdisk_id, stream, payloads)
-            arrival, start, end = self._meter(
-                code, deadline_us, at_us, service, work, error)
-            measured = (result, error, arrival, start, end, work)
+        if (mdisk_id is None) == self._by_minidisk and code != OP_FLUSH:
+            shape = "(mdisk_id, lba)" if self._by_minidisk else "flat LBA"
+            raise ConfigError(
+                f"{OP_NAMES[code]} request with mdisk_id={mdisk_id!r} on "
+                f"a {self.device_kind} device, which is addressed by "
+                f"{shape}")
+        self.stats.submitted += 1
+        trace = None
+        # The sample decision is a pure function of (tracer seed, device
+        # kind, how many dispatches of that kind came before) —
+        # independent of wall clock and process layout, which is what
+        # keeps artifacts byte-identical across ``--jobs``.
+        if self._rt_sampler is not None and self._rt_sampler.sample():
+            chip = self._chip
+            busy_before = chip.stats.busy_us if chip is not None else 0.0
+            trace = self._reqtrace.begin()
+            trace.activate(busy_before)
+            self._reqtrace.active = trace
+        result, error, service, work = self._serve(
+            code, lba, count, mdisk_id, stream, payloads)
+        arrival, start, end = self._meter(
+            code, deadline_us, at_us, service, work, error)
+        measured = (result, error, arrival, start, end, work)
+        if trace is not None:
+            self._reqtrace.finish(
+                trace, measured, busy_before + work, op=OP_NAMES[code],
+                lba=lba, count=len(payloads) if payloads else count,
+                stream=stream, mdisk=mdisk_id,
+                device_kind=self.device_kind,
+                tag=self.stats.submitted - 1, deadline_us=deadline_us)
         if handle is not None:
             self._inflight.append((handle,) + measured)
         return measured
@@ -214,8 +182,8 @@ class DeviceQueue:
         """Retire the whole window; returns its rows, oldest first.
 
         A row is ``(handle, result, error, submit_us, start_us, end_us,
-        work_us)`` where ``handle`` is the submitted ``IORequest`` or
-        the handle given to :meth:`dispatch`.
+        work_us)`` where ``handle`` is the one given to
+        :meth:`dispatch`.
         """
         rows = list(self._done)
         rows.extend(self._inflight)
@@ -223,69 +191,11 @@ class DeviceQueue:
         self._inflight.clear()
         return rows
 
-    def poll(self) -> list[IOCompletion]:
-        """Drain and return every finished completion (oldest first)."""
-        return [_completion(row) for row in self.drain()]
-
     @property
     def inflight(self) -> int:
         return len(self._inflight)
 
     # -- internals ------------------------------------------------------------
-
-    def _stamp(self, request: IORequest) -> None:
-        if ((request.mdisk_id is None) == self._by_minidisk
-                and request.op != "flush"):
-            # Refused before dispatch: the device call would die on its
-            # argument count, a TypeError no ReproError handler catches.
-            shape = "(mdisk_id, lba)" if self._by_minidisk else "flat LBA"
-            raise ConfigError(
-                f"{request.op} request with mdisk_id="
-                f"{request.mdisk_id!r} on a {self.device_kind} device, "
-                f"which is addressed by {shape}")
-        request.tag = self._next_tag
-        self._next_tag += 1
-        self.stats.submitted += 1
-        if self._rt_sampler is not None:
-            self._maybe_trace(request)
-
-    def _maybe_trace(self, request: IORequest) -> None:
-        # The sample decision is a pure function of (tracer seed,
-        # device kind, per-queue submission index) — independent of
-        # wall clock, process layout and other queues, which is what
-        # keeps artifacts byte-identical across ``--jobs``.
-        if self._rt_sampler.sample() and request.trace is None:
-            request.trace = self._reqtrace.begin()
-
-    def _dispatch_request(self, request: IORequest,
-                          at_us: float | None) -> tuple:
-        """Serve and meter one ``IORequest``; returns its window row.
-
-        The only place trace contexts are honoured: they ride on
-        requests, so every traced dispatch comes through here.
-        """
-        rt = self._reqtrace
-        ctx = request.trace if rt is not None else None
-        if ctx is not None:
-            chip = self._chip
-            busy_before = chip.stats.busy_us if chip is not None else 0.0
-            ctx.activate(busy_before)
-            rt.active = ctx
-        code = OP_CODES[request.op]
-        result, error, service, work = self._serve(
-            code, request.lba, request.count, request.mdisk_id,
-            request.stream, request.payloads)
-        if ctx is not None:
-            rt.active = None
-        arrival, start, end = self._meter(
-            code, request.deadline_us, at_us, service, work, error)
-        request.submit_us = arrival
-        row = (request, result, error, arrival, start, end, work)
-        if ctx is not None:
-            request.trace = None  # consumed; records outlive contexts
-            rt.finish(ctx, _completion(row), self.device_kind,
-                      busy_before + work)
-        return row
 
     def _serve(self, code: int, lba: int, count: int, mdisk: int | None,
                stream: int, payloads: list[bytes] | None) -> tuple:
@@ -382,8 +292,6 @@ class DeviceQueue:
         stats.total_wait_us += wait
         stats.total_service_us += end - start
         stats.total_work_us += work
-        if self.keep_latencies:
-            stats.latencies_us.append(latency)
         if error is not None:
             stats.errors += 1
         if deadline is not None and end > deadline:

@@ -8,7 +8,7 @@ working.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -16,7 +16,9 @@ class QueueStats:
     """Plain counters the ``repro_io_*`` metrics read at collect time.
 
     Kept on the queue itself so claim checks and benchmarks can read
-    measured latencies without an observability registry enabled.
+    measured means without an observability registry enabled; a caller
+    that wants every latency collects ``end_us - submit_us`` from the
+    tuples :meth:`~repro.io.queue.DeviceQueue.dispatch` returns.
     """
 
     submitted: int = 0
@@ -27,7 +29,6 @@ class QueueStats:
     total_wait_us: float = 0.0
     total_service_us: float = 0.0
     total_work_us: float = 0.0
-    latencies_us: list[float] = field(default_factory=list)
 
     @property
     def mean_latency_us(self) -> float:

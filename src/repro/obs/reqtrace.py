@@ -1,7 +1,7 @@
 """Request-scoped tracing: sampled per-request latency attribution.
 
-A completion from :class:`repro.io.queue.DeviceQueue` reports *how
-long* a request took (wait + measured service) but not *why*: was the
+A dispatch on :class:`repro.io.queue.DeviceQueue` reports *how long*
+a request took (wait + measured service) but not *why*: was the
 p99 read stuck behind earlier arrivals, senses that needed read
 retries under tiredness, a GC pass triggered mid-write, or Salamander
 shrinking capacity underneath the host? ``repro.obs.reqtrace`` answers
@@ -66,10 +66,11 @@ SEGMENT_SUM_TOLERANCE = 1e-6
 class ReqContext:
     """Latency-attribution scratchpad carried by one sampled request.
 
-    The context lives on ``IORequest.trace`` from submit to completion.
-    While the queue dispatches the request, instrumented layers reach
-    it through :attr:`ReqTracer.active` and charge the chip busy time
-    they consume to named segments via a small section stack:
+    The queue opens one for a sampled dispatch and closes it with
+    :meth:`ReqTracer.finish`. While the device call runs, instrumented
+    layers reach it through :attr:`ReqTracer.active` and charge the
+    chip busy time they consume to named segments via a small section
+    stack:
 
     * ``enter(name, busy_now)`` — charge busy time accrued since the
       last boundary to the current section, then push ``name``;
@@ -207,22 +208,29 @@ class ReqTracer:
 
     # -- record production --------------------------------------------------
 
-    def finish(self, ctx: ReqContext, completion, device_kind: str,
-               end_busy: float) -> dict:
-        """Close ``ctx`` against its completion and append the record.
+    def finish(self, ctx: ReqContext, measured: tuple, end_busy: float,
+               *, op: str, lba: int, count: int, stream: int,
+               mdisk: int | None, device_kind: str, tag: int,
+               deadline_us: float | None) -> dict:
+        """Close ``ctx`` against its dispatch, clear :attr:`active` and
+        append the record.
 
-        ``end_busy`` is the chip busy ledger right after the device
-        call, i.e. ``busy_before + work_us`` — residual busy time since
-        the last section boundary lands in the ambient section. The
-        busy-domain segments are scaled by ``service/work`` and the
-        ``device`` segment is computed as the residual, so the
-        segment-sum invariant holds exactly.
+        ``measured`` is what :meth:`repro.io.queue.DeviceQueue.dispatch`
+        returns — ``(result, error, submit_us, start_us, end_us,
+        work_us)`` — and the keywords are the request's own fields
+        (``tag`` is its submission index on the queue). ``end_busy`` is
+        the chip busy ledger right after the device call, i.e.
+        ``busy_before + work_us`` — residual busy time since the last
+        section boundary lands in the ambient section. The busy-domain
+        segments are scaled by ``service/work`` and the ``device``
+        segment is computed as the residual, so the segment-sum
+        invariant holds exactly.
         """
+        self.active = None
         ctx._charge(end_busy)
-        request = completion.request
-        wait = completion.wait_us
-        service = completion.service_us
-        work = completion.work_us
+        _result, error, submit, start, end, work = measured
+        wait = start - submit
+        service = end - start
         scale = service / work if work > 0.0 else 0.0
         segments: dict[str, float] = {"queue_wait": wait}
         attributed = 0.0
@@ -238,28 +246,28 @@ class ReqTracer:
             attrs["ecc_level_max"] = ctx.level_max
         record = {
             "kind": "request",
-            "name": f"io.{request.op}",
-            "time": completion.submit_us,
-            "end_time": completion.end_us,
-            "op": request.op,
-            "lba": request.lba,
-            "count": request.count,
-            "stream": request.stream,
-            "mdisk": request.mdisk_id,
+            "name": f"io.{op}",
+            "time": submit,
+            "end_time": end,
+            "op": op,
+            "lba": lba,
+            "count": count,
+            "stream": stream,
+            "mdisk": mdisk,
             "device_kind": device_kind,
-            "tag": request.tag,
-            "status": completion.status,
+            "tag": tag,
+            "status": "error" if error is not None else "ok",
             # Requests behind this dispatch — always one; schema v1
             # readers expect the key.
             "merged": 1,
-            "deadline_missed": completion.deadline_missed,
-            "submit_us": completion.submit_us,
-            "start_us": completion.start_us,
-            "end_us": completion.end_us,
+            "deadline_missed": deadline_us is not None and end > deadline_us,
+            "submit_us": submit,
+            "start_us": start,
+            "end_us": end,
             "wait_us": wait,
             "service_us": service,
             "work_us": work,
-            "total_us": completion.latency_us,
+            "total_us": end - submit,
             "segments": segments,
             "attrs": attrs,
         }

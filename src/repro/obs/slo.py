@@ -195,8 +195,8 @@ class _Window:
 class SLOEngine:
     """Streams completions through every objective's window.
 
-    :meth:`observe` takes primitive fields (not an ``IOCompletion``)
-    so the live queue path and offline reqtrace records share the same
+    :meth:`observe` takes primitive fields so the traffic engine's
+    live completions and offline reqtrace records share the same
     code. Evaluation (:meth:`evaluate`) is on-demand: windows are
     cheap per-completion, percentiles are computed only when asked.
     """

@@ -128,9 +128,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
 
     Conforms to :class:`repro.io.protocols.BlockDevice`: the shared
     control surface (``capacity_lbas``/``is_alive``/``health``) and the
-    queued IO pair (``submit``/``poll`` over a lazily created
-    :class:`repro.io.queue.DeviceQueue`) live here, so every device
-    flavour inherits them.
+    lazily created :class:`repro.io.queue.DeviceQueue` (``io_queue``,
+    ``attach_queue``) live here, so every device flavour inherits them.
 
     Args:
         chip: the flash chip to manage.
@@ -298,20 +297,11 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             self._io_queue = DeviceQueue(self)
         return self._io_queue
 
-    def attach_queue(self, depth: int = 8, keep_latencies: bool = False):
-        """(Re)build the submission queue with explicit settings."""
+    def attach_queue(self, depth: int = 8):
+        """(Re)build the submission queue with an explicit depth."""
         from repro.io.queue import DeviceQueue
-        self._io_queue = DeviceQueue(self, depth=depth,
-                                     keep_latencies=keep_latencies)
+        self._io_queue = DeviceQueue(self, depth=depth)
         return self._io_queue
-
-    def submit(self, request, at_us: float | None = None):
-        """Submit an :class:`repro.io.request.IORequest` to the queue."""
-        return self.io_queue.submit(request, at_us=at_us)
-
-    def poll(self):
-        """Drain finished completions from the queue."""
-        return self.io_queue.poll()
 
     def write(self, lba: int, data: bytes, stream: int = 0) -> None:
         """Buffer a 4 KiB (or shorter) write to ``lba``, on the lane of

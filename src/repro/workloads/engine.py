@@ -534,7 +534,8 @@ def _prefill(state: _Cell) -> None:
 
 def _raise_unless_probe_error(error: Exception | None) -> None:
     """A tired device legitimately failing a request is traffic; any
-    other error is a bug and propagates, as it did from ``execute``."""
+    other error is a bug and propagates, as a direct device call's
+    would."""
     if error is not None and not isinstance(error, _PROBE_ERRORS):
         raise error
 

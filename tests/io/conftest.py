@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ReproError
-from repro.io import IORequest
+from repro.io.request import OP_READ, OP_READ_RANGE, OP_TRIM, OP_WRITE
 from repro.ssd.ftl import PageMappedFTL
 
 #: ``salamander`` is ShrinkS (the fixture default); ``regen`` is RegenS
@@ -47,19 +47,17 @@ def make_device(make_chip, ftl_config, make_baseline, make_cvss,
     return factory
 
 
-def queue_state(queue, mdisk_id=None, lbas: int = 16):
-    """Everything a dispatch can leave behind, as one comparable tuple:
-    the queue's clock, servers, tags, window and stats, the chip's RNG,
-    stats, channel clocks and wear, and what the first ``lbas`` addresses
-    read back as. Twin queues driven through two submission surfaces
-    must agree on all of it.
+def device_state(device, mdisk_id=None, lbas: int = 16):
+    """Everything a request can leave behind on a device, as one
+    comparable tuple: the chip's RNG, stats, channel clocks and wear,
+    the device's stats, and what the first ``lbas`` addresses read back
+    as. A device driven through the queue and its twin driven by direct
+    calls must agree on all of it.
     """
-    device = queue.device
     chip = device.chip
-    state = (queue.clock_us, list(queue._channel_free), queue._next_tag,
-             queue.inflight, dict(vars(queue.stats)),
-             chip.rng.bit_generator.state, dict(vars(chip.stats)),
-             list(chip.channel_busy_us), chip.wear_summary())
+    state = (chip.rng.bit_generator.state, dict(vars(chip.stats)),
+             list(chip.channel_busy_us), chip.wear_summary(),
+             device.stats.snapshot())
     contents = []
     for lba in range(lbas):
         try:
@@ -68,6 +66,15 @@ def queue_state(queue, mdisk_id=None, lbas: int = 16):
         except ReproError as error:
             contents.append(type(error))
     return state + (contents,)
+
+
+def queue_state(queue, mdisk_id=None, lbas: int = 16):
+    """:func:`device_state` plus the queue's clock, servers, window and
+    stats (``submitted`` is the next request's tag): twin queues driven
+    the same way must agree on all of it."""
+    return (queue.clock_us, list(queue._channel_free), queue.inflight,
+            dict(vars(queue.stats))) + device_state(queue.device,
+                                                    mdisk_id, lbas)
 
 
 class DeviceIO:
@@ -105,24 +112,27 @@ class DeviceIO:
 
     # -- queued requests ----------------------------------------------------
 
+    def _dispatch(self, code: int, lba: int, count: int = 1,
+                  payloads: list[bytes] | None = None):
+        """One synchronous dispatch; raises the error it hands back,
+        as a direct call would."""
+        result, error = self.device.io_queue.dispatch(
+            code, lba, count, payloads, self.mdisk_id)[:2]
+        if error is not None:
+            raise error
+        return result
+
     def write_queued(self, lba: int, data: bytes) -> None:
-        self.device.submit(IORequest(op="write", lba=lba, payloads=[data],
-                                     mdisk_id=self.mdisk_id))
+        self._dispatch(OP_WRITE, lba, payloads=[data])
 
     def read_queued(self, lba: int) -> bytes:
-        completion = self.device.io_queue.execute(
-            IORequest(op="read", lba=lba, mdisk_id=self.mdisk_id))
-        return completion.result[0]
+        return self._dispatch(OP_READ, lba)[0]
 
     def read_range_queued(self, lba: int, count: int) -> list[bytes]:
-        completion = self.device.io_queue.execute(
-            IORequest(op="read_range", lba=lba, count=count,
-                      mdisk_id=self.mdisk_id))
-        return completion.result
+        return self._dispatch(OP_READ_RANGE, lba, count)
 
     def trim_queued(self, lba: int) -> None:
-        self.device.submit(IORequest(op="trim", lba=lba,
-                                     mdisk_id=self.mdisk_id))
+        self._dispatch(OP_TRIM, lba)
 
 
 @pytest.fixture

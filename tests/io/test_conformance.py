@@ -10,7 +10,8 @@ invariants.
 import pytest
 
 from repro.errors import InvalidLBAError
-from repro.io import BlockDevice, IORequest, device_kind_of
+from repro.io import BlockDevice, device_kind_of
+from repro.io.request import OP_READ
 
 from tests.io.conftest import FLAVOURS, expected_kind
 
@@ -53,7 +54,9 @@ class TestProtocol:
         queue = device.io_queue
         assert queue is device.io_queue  # stable
         assert queue.device_kind == expected_kind(flavour)
-        assert device.poll() == []
+        assert queue.drain() == []
+        # The queue is the only way in: no object-based submit/poll.
+        assert not hasattr(device, "submit") and not hasattr(device, "poll")
 
 
 @pytest.mark.parametrize("flavour", FLAVOURS)
@@ -103,7 +106,7 @@ class TestQueuedEqualsDirect:
         queued_dev._audit_fastpath()
 
     def test_error_semantics_match(self, flavour, make_device, device_io):
-        """The queue re-raises exactly what the direct call raises.
+        """The queue hands back exactly what the direct call raises.
 
         Flavours disagree on the exception for an out-of-range LBA
         (flat devices raise :class:`InvalidLBAError`, CVSS rejects
@@ -132,7 +135,8 @@ def test_measured_latency_is_positive_for_flash_reads(
     for lba in range(8):
         io.write_direct(lba, payload(lba))
     device.flush()
-    completion = device.io_queue.execute(
-        IORequest(op="read", lba=0, mdisk_id=io.mdisk_id))
-    assert completion.service_us > 0.0
-    assert completion.latency_us >= completion.service_us
+    result, error, submit, start, end, _work = device.io_queue.dispatch(
+        OP_READ, 0, mdisk_id=io.mdisk_id)
+    assert error is None and result == [io.read_direct(0)]
+    assert end - start > 0.0
+    assert end - submit >= end - start

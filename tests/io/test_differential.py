@@ -128,7 +128,7 @@ class TestDifferential:
         for queue in queues:
             assert not queue._inflight
             assert not queue._done
-            assert queue.poll() == []
+            assert queue.drain() == []
 
     def test_minidisk_volumes_share_their_device_queue(self, clusters):
         queued, _ = clusters

@@ -2,13 +2,22 @@
 
 Timing assertions run with ``variation_sigma=0`` and error injection
 off, so every flash read costs the same deterministic service time.
+``dispatch`` returns ``(result, error, submit_us, start_us, end_us,
+work_us)``: wait is ``start - submit``, service ``end - start`` and
+latency ``end - submit``.
 """
 
 import pytest
 
 from repro import context
 from repro.errors import ConfigError, InvalidLBAError
-from repro.io import OP_CODES, DeviceQueue, IORequest
+from repro.io import OP_CODES, DeviceQueue
+from repro.io.request import (
+    OP_FLUSH,
+    OP_READ,
+    OP_TRIM_RANGE,
+    OP_WRITE,
+)
 from repro.obs import MetricsRegistry
 from repro.obs.reqtrace import ReqTracer
 
@@ -25,81 +34,97 @@ def device(make_baseline):
     return ssd
 
 
-def read_request(lba):
-    return IORequest(op="read", lba=lba)
+def read(queue, lba, **fields):
+    """One point read; ``fields`` are ``dispatch`` keywords."""
+    return queue.dispatch(OP_READ, lba, **fields)
+
+
+def wait_us(measured):
+    return measured[3] - measured[2]
+
+
+def service_us(measured):
+    return measured[4] - measured[3]
+
+
+def latency_us(measured):
+    return measured[4] - measured[2]
 
 
 class TestDispatch:
     def test_closed_loop_has_no_wait(self, device):
         queue = DeviceQueue(device)
-        completion = queue.execute(read_request(0))
-        assert completion.ok
-        assert completion.result == [device.read(0)]
-        assert completion.wait_us == 0.0
-        assert completion.service_us > 0.0
-        assert completion.latency_us == completion.service_us
+        measured = read(queue, 0)
+        assert measured[1] is None
+        assert measured[0] == [device.read(0)]
+        assert wait_us(measured) == 0.0
+        assert service_us(measured) > 0.0
+        assert latency_us(measured) == service_us(measured)
 
     def test_submit_then_poll(self, device):
+        # A dispatch given a handle stays in the window until drained.
         queue = DeviceQueue(device)
         for lba in range(4):
-            queue.submit(read_request(lba))
-        completions = queue.poll()
-        assert [c.request.lba for c in completions] == [0, 1, 2, 3]
-        assert [c.request.tag for c in completions] == [0, 1, 2, 3]
-        assert all(c.ok for c in completions)
-        assert queue.poll() == []
+            read(queue, lba, handle=lba)
+        assert queue.inflight == 4
+        rows = queue.drain()
+        assert [row[0] for row in rows] == [0, 1, 2, 3]
+        assert all(row[2] is None for row in rows)
+        assert [row[1] for row in rows] == [[device.read(lba)]
+                                            for lba in range(4)]
+        assert queue.stats.submitted == 4
+        assert queue.drain() == []
 
     def test_execute_consumes_its_completion(self, device):
+        # Without a handle the dispatch is consumed synchronously.
         queue = DeviceQueue(device)
-        queue.execute(read_request(0))
-        assert queue.poll() == []
+        read(queue, 0)
+        assert queue.inflight == 0
+        assert queue.drain() == []
 
     def test_open_loop_same_arrival_queues_on_one_channel(self, device):
         # tiny_geometry has one channel: two simultaneous arrivals
         # serialise, so the second waits the first's service time.
         queue = DeviceQueue(device)
-        first = queue.execute(read_request(0), at_us=0.0)
-        second = queue.execute(read_request(1), at_us=0.0)
-        assert first.wait_us == 0.0
-        assert second.wait_us == pytest.approx(first.service_us)
-        assert second.latency_us == pytest.approx(
-            second.wait_us + second.service_us)
+        first = read(queue, 0, at_us=0.0)
+        second = read(queue, 1, at_us=0.0)
+        assert wait_us(first) == 0.0
+        assert wait_us(second) == pytest.approx(service_us(first))
+        assert latency_us(second) == pytest.approx(
+            wait_us(second) + service_us(second))
 
     def test_open_loop_spaced_arrivals_do_not_queue(self, device):
         queue = DeviceQueue(device)
-        first = queue.execute(read_request(0), at_us=0.0)
-        second = queue.execute(
-            read_request(1), at_us=first.end_us + 1.0)
-        assert second.wait_us == 0.0
+        first = read(queue, 0, at_us=0.0)
+        second = read(queue, 1, at_us=first[4] + 1.0)
+        assert wait_us(second) == 0.0
 
     def test_work_equals_service_on_one_channel(self, device):
         queue = DeviceQueue(device)
-        completion = queue.execute(read_request(0))
-        assert completion.work_us == pytest.approx(completion.service_us)
+        measured = read(queue, 0)
+        assert measured[5] == pytest.approx(service_us(measured))
 
     def test_backpressure_clamps_arrival(self, device):
         queue = DeviceQueue(device, depth=1)
-        first = queue.execute(read_request(0), at_us=0.0)
-        # The window is empty again (execute consumed it), so refill it.
-        queue.submit(read_request(1), at_us=0.0)
-        blocked = queue.execute(read_request(2), at_us=0.0)
+        first = read(queue, 0, at_us=0.0)
+        # The window is empty again (first was consumed), so refill it.
+        read(queue, 1, at_us=0.0, handle="held")
+        blocked = read(queue, 2, at_us=0.0)
         # Arrival was clamped to the oldest in-flight completion's end.
-        assert blocked.submit_us >= first.end_us
+        assert blocked[2] >= first[4]
         assert queue.stats.dispatched == 3
+        assert [row[0] for row in queue.drain()] == ["held"]
 
     def test_depth_validation(self, device):
         with pytest.raises(ConfigError):
             DeviceQueue(device, depth=0)
 
     def test_stats_accumulate(self, device):
-        queue = DeviceQueue(device, keep_latencies=True)
-        for lba in range(3):
-            queue.execute(read_request(lba))
+        queue = DeviceQueue(device)
+        latencies = [latency_us(read(queue, lba)) for lba in range(3)]
         stats = queue.stats
         assert stats.submitted == stats.dispatched == 3
-        assert len(stats.latencies_us) == 3
-        assert stats.mean_latency_us == pytest.approx(
-            sum(stats.latencies_us) / 3)
+        assert stats.mean_latency_us == pytest.approx(sum(latencies) / 3)
         assert stats.mean_latency_us == pytest.approx(
             stats.mean_wait_us + stats.mean_service_us)
 
@@ -127,11 +152,10 @@ class TestOneCallPerRequest:
         ftl = PageMappedFTL.for_chip(make_chip(), FTLConfig(
             overprovision=0.25, buffer_opages=8, host_streams=2))
         queue = DeviceQueue(ftl)
-        queue.execute(IORequest(op="write", lba=4, stream=1,
-                                payloads=[b"x"] * 6))
+        queue.dispatch(OP_WRITE, 4, 6, [b"x"] * 6, stream=1)
         assert calls == ["PageMappedFTL.write_range"]
         assert [ftl._buffer_stream[lba] for lba in range(4, 10)] == [1] * 6
-        queue.execute(IORequest(op="trim_range", lba=4, count=6))
+        queue.dispatch(OP_TRIM_RANGE, 4, 6)
         assert calls[1:] == ["PageMappedFTL.trim_range"]
         assert ftl.stats.trims == 6 and len(ftl.buffer) == 0
 
@@ -139,45 +163,47 @@ class TestOneCallPerRequest:
         device = make_salamander()
         queue = DeviceQueue(device)
         # The lifetime hint stops at the queue for minidisk requests.
-        queue.execute(IORequest(op="write", lba=2, mdisk_id=1, stream=3,
-                                payloads=[b"y"] * 16))
+        queue.dispatch(OP_WRITE, 2, 16, [b"y"] * 16, mdisk_id=1, stream=3)
         assert calls == ["SalamanderSSD.write_range",
                          "PageMappedFTL.write_range"]
         assert device.stats.host_writes == 16
         del calls[:]
-        queue.execute(IORequest(op="trim_range", lba=2, count=16,
-                                mdisk_id=1))
+        queue.dispatch(OP_TRIM_RANGE, 2, 16, mdisk_id=1)
         assert calls == ["SalamanderSSD.trim_range",
                          "PageMappedFTL.trim_range"]
         assert device.stats.trims == 16
         assert device.read_range(1, 2, 16) == [bytes(4096)] * 16
-        with pytest.raises(ConfigError):
-            queue.execute(IORequest(op="trim_range", lba=30, count=4,
-                                    mdisk_id=1))
+        error = queue.dispatch(OP_TRIM_RANGE, 30, 4, mdisk_id=1)[1]
+        assert isinstance(error, ConfigError)
 
 
 class TestErrors:
     def test_execute_reraises_device_error(self, device):
+        # The device's own error comes back in the tuple, counted.
         queue = DeviceQueue(device)
-        with pytest.raises(InvalidLBAError):
-            queue.execute(read_request(10 ** 9))
+        with pytest.raises(InvalidLBAError) as direct:
+            device.read(10 ** 9)
+        error = read(queue, 10 ** 9)[1]
+        assert type(error) is InvalidLBAError
+        assert str(error) == str(direct.value)
         assert queue.stats.errors == 1
+        assert queue.inflight == 0
 
     def test_submit_raises_synchronously(self, device):
+        # A held dispatch hands its error back at once, and the errored
+        # row is still in the window for drain().
         queue = DeviceQueue(device)
-        with pytest.raises(InvalidLBAError):
-            queue.submit(read_request(10 ** 9))
-        # The errored completion is still visible to poll().
-        completions = queue.poll()
-        assert len(completions) == 1
-        assert not completions[0].ok
-        assert isinstance(completions[0].error, InvalidLBAError)
+        measured = read(queue, 10 ** 9, handle="bad")
+        assert isinstance(measured[1], InvalidLBAError)
+        (row,) = queue.drain()
+        assert row[0] == "bad"
+        assert row[1:] == measured
 
     def test_inflight_gauge_tracks_error_reraise_paths(self, device):
-        # The repro_io_inflight gauge must equal len(_inflight) even
-        # when submit/execute re-raise a device error: submit leaves
-        # the errored completion in flight (poll sees it), execute
-        # consumes it — the gauge follows both.
+        # The repro_io_inflight gauge must equal len(_inflight) when a
+        # dispatch errors: a held one leaves the errored row in flight
+        # (drain sees it), a synchronous one leaves nothing — the gauge
+        # follows both.
         registry = MetricsRegistry()
         with context.scoped(metrics=registry):
             queue = DeviceQueue(device)
@@ -188,22 +214,22 @@ class TestErrors:
             (sample,) = families["repro_io_inflight"]["samples"]
             return sample["value"]
 
-        with pytest.raises(InvalidLBAError):
-            queue.submit(read_request(10 ** 9))
+        assert read(queue, 10 ** 9, handle="bad")[1] is not None
         assert queue.inflight == 1
         assert gauge() == 1.0
-        queue.poll()
+        queue.drain()
         assert queue.inflight == 0
         assert gauge() == 0.0
-        with pytest.raises(InvalidLBAError):
-            queue.execute(read_request(10 ** 9))
+        assert read(queue, 10 ** 9)[1] is not None
         assert queue.inflight == 0
         assert gauge() == 0.0
 
 
 class TestColumnDispatch:
-    """``dispatch`` runs the same serve+meter core as ``execute`` /
-    ``submit``; these pin that nothing differs."""
+    """``dispatch`` has two shapes over one serve+meter core: consumed
+    synchronously (``handle=None``) or held in the window (a handle,
+    handed back by ``drain``). These pin that the shapes measure alike
+    and that request tracing changes nothing it measures."""
 
     OPS = [("write", 3, None), ("read", 3, 40.0), ("read_range", 0, 55.0),
            ("trim", 5, None), ("read", 10 ** 9, 90.0), ("read", 7, 91.0),
@@ -217,6 +243,16 @@ class TestColumnDispatch:
 
     _state = staticmethod(queue_state)
 
+    def _run(self, queue):
+        """Alternate the two shapes; returns what each dispatch gave."""
+        measured = []
+        for index, (op, lba, at_us) in enumerate(self.OPS):
+            count, payloads = self._fields(op, lba)
+            measured.append(queue.dispatch(
+                OP_CODES[op], lba, count, payloads, None, 0, 60.0,
+                at_us, handle=index if index % 2 == 1 else None))
+        return measured
+
     def test_dispatch_matches_execute_and_submit(self, make_baseline):
         def build():
             ssd = make_baseline(seed=3, variation_sigma=0.0,
@@ -224,59 +260,49 @@ class TestColumnDispatch:
             for lba in range(16):
                 ssd.write(lba, bytes([lba]) * 8)
             ssd.flush()
-            return DeviceQueue(ssd, depth=2, keep_latencies=True)
+            return DeviceQueue(ssd, depth=2)
 
-        by_request, by_columns = build(), build()
-        rows = []
-        for index, (op, lba, at_us) in enumerate(self.OPS):
-            count, payloads = self._fields(op, lba)
-            hold = index % 2 == 1  # alternate execute / submit shapes
-            request = IORequest(op=op, lba=lba, count=count,
-                                payloads=payloads, deadline_us=60.0)
-            try:
-                if hold:
-                    by_request.submit(request, at_us=at_us)
-                else:
-                    rows.append(by_request.execute(request, at_us=at_us))
-            except InvalidLBAError:
-                pass
-            measured = by_columns.dispatch(
-                OP_CODES[op], lba, count, payloads, None, 0, 60.0, at_us,
-                handle=index if hold else None)
-            if not hold and measured[1] is None:
-                done = rows[-1]
-                assert measured == (done.result, None, done.submit_us,
-                                    done.start_us, done.end_us,
-                                    done.work_us)
-            assert self._state(by_request) == self._state(by_columns)
-        polled = by_request.poll()
-        drained = by_columns.drain()
+        first, second = build(), build()
+        by_first, by_second = self._run(first), self._run(second)
+        assert [(m[0], type(m[1])) + m[2:] for m in by_first] == [
+            (m[0], type(m[1])) + m[2:] for m in by_second]
+        assert self._state(first) == self._state(second)
+        assert isinstance(by_first[4][1], InvalidLBAError)
+        drained = first.drain()
+        # A held dispatch's row is exactly what the dispatch returned.
         assert [row[0] for row in drained] == [1, 3, 5, 7]
-        assert [(c.result, type(c.error), c.submit_us, c.start_us,
-                 c.end_us, c.work_us) for c in polled] == [
-            (row[1], type(row[2])) + row[3:] for row in drained]
-        assert by_columns.inflight == 0
+        assert [row[1:] for row in drained] == by_first[1::2]
+        assert first.inflight == 0
 
     def test_dispatch_is_sampled_and_traced_like_execute(self, device):
-        def records(columns: bool):
-            tracer = ReqTracer(seed=5, every=2)
-            with context.scoped(reqtrace=tracer):
-                queue = DeviceQueue(device)
-                for lba in range(8):
-                    if columns:
-                        queue.dispatch(OP_CODES["read"], lba,
-                                       deadline_us=1.0, at_us=10.0 * lba)
-                    else:
-                        queue.execute(IORequest(op="read", lba=lba,
-                                                deadline_us=1.0),
-                                      at_us=10.0 * lba)
-            assert tracer.sampled == 4
-            return list(tracer.records)
-
-        by_request = records(columns=False)
-        # Reads leave a deterministic device as they found it, so the
-        # second pass sees the same service times.
-        assert records(columns=True) == by_request
+        tracer = ReqTracer(seed=5, every=2)
+        with context.scoped(reqtrace=tracer):
+            queue = DeviceQueue(device)
+            measured = [read(queue, lba, deadline_us=1.0, at_us=10.0 * lba)
+                        for lba in range(8)]
+        assert tracer.sampled == 4
+        records = list(tracer.records)
+        assert len({record["tag"] % 2 for record in records}) == 1
+        for record in records:
+            # The record is the dispatch's fields and measured tuple.
+            tag = record["tag"]
+            _result, error, submit, start, end, work = measured[tag]
+            assert list(record)[:14] == [
+                "kind", "name", "time", "end_time", "op", "lba", "count",
+                "stream", "mdisk", "device_kind", "tag", "status",
+                "merged", "deadline_missed"]
+            assert (record["name"], record["op"], record["lba"],
+                    record["count"], record["stream"], record["mdisk"],
+                    record["status"], record["merged"]) == (
+                "io.read", "read", tag, 1, 0, None, "ok", 1)
+            assert (record["time"], record["end_time"]) == (submit, end)
+            assert (record["submit_us"], record["start_us"],
+                    record["end_us"], record["work_us"]) == (
+                submit, start, end, work)
+            assert record["wait_us"] == start - submit
+            assert record["service_us"] == end - start
+            assert record["total_us"] == end - submit
+            assert record["deadline_missed"] is (end > 1.0)
 
 
 class TestAddressing:
@@ -284,33 +310,47 @@ class TestAddressing:
     before dispatch, as a ``ReproError`` the cluster's handlers catch —
     not a ``TypeError`` from the device call's argument count."""
 
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
     @pytest.mark.parametrize("minidisk_device, op, mdisk_id", [
         (True, "read", None),    # was: read() missing 'lba'
         (True, "write", None),   # was: object of type 'int' has no len()
         (False, "read", 0),      # was: read() takes 2 positional arguments
     ])
     def test_wrong_address_shape_is_refused_before_dispatch(
-            self, minidisk_device, op, mdisk_id, make_baseline,
+            self, minidisk_device, op, mdisk_id, traced, make_baseline,
             make_salamander):
+        """Observability changes nothing a dispatch does: traced or not,
+        held or not, the request is a ``ConfigError`` before the device
+        is called — no stats, no chip RNG draw, no window row."""
         make = make_salamander if minidisk_device else make_baseline
-        queue = DeviceQueue(make(seed=3))
+        tracer = ReqTracer(seed=3, every=1) if traced else None
+        with context.scoped(reqtrace=tracer):
+            queue = DeviceQueue(make(seed=3))
+        rng_state = queue.device.chip.rng.bit_generator.state
+        payloads = [b"x" * 8] if op == "write" else None
+        for handle in (None, "held"):
+            with pytest.raises(ConfigError, match="addressed by"):
+                queue.dispatch(OP_CODES[op], 0, 1, payloads, mdisk_id,
+                               handle=handle)
+        stats = queue.stats
+        assert stats.submitted == stats.dispatched == stats.errors == 0
+        assert queue.device.chip.rng.bit_generator.state == rng_state
+        assert queue.drain() == []
+        if traced:
+            assert tracer.sampled == 0 and tracer.active is None
 
-        def request():
-            return IORequest(
-                op=op, lba=0, mdisk_id=mdisk_id,
-                payloads=[b"x" * 8] if op == "write" else None)
-
-        with pytest.raises(ConfigError, match="addressed by"):
-            queue.execute(request())
-        with pytest.raises(ConfigError, match="addressed by"):
-            queue.submit(request())
-        assert queue.stats.submitted == queue.stats.dispatched == 0
-        assert queue.stats.errors == 0
-        assert queue.poll() == []
-
-    def test_negative_mdisk_id_rejected(self):
-        with pytest.raises(ConfigError, match="mdisk_id"):
-            IORequest(op="read", lba=0, mdisk_id=-3)
+    def test_negative_mdisk_id_rejected(self, make_salamander):
+        # The device's own minidisk range check answers, as an error
+        # handed back and counted.
+        device = make_salamander(seed=3)
+        queue = DeviceQueue(device)
+        with pytest.raises(ConfigError, match="mDisk -3") as direct:
+            device.minidisk(-3)
+        error = queue.dispatch(OP_READ, 0, mdisk_id=-3)[1]
+        assert type(error) is ConfigError
+        assert str(error) == str(direct.value)
+        assert queue.stats.errors == 1
 
     def test_salamander_has_no_flat_read_past_its_gates(
             self, make_salamander):
@@ -325,12 +365,12 @@ class TestAddressing:
         queue = DeviceQueue(make_salamander(seed=3))
         for lba in (0, 1):  # back to back: each one refused
             with pytest.raises(ConfigError, match="addressed by"):
-                queue.execute(IORequest(op="read", lba=lba))
+                read(queue, lba)
         assert queue.stats.dispatched == 0
 
     def test_flush_carries_no_address(self, make_salamander):
         queue = DeviceQueue(make_salamander(seed=3))
-        assert queue.execute(IORequest(op="flush")).ok
+        assert queue.dispatch(OP_FLUSH)[1] is None
 
 
 class TestDeadlines:
@@ -339,11 +379,9 @@ class TestDeadlines:
         with context.scoped(metrics=registry):
             queue = DeviceQueue(device)
         # Generous deadline met, then an already-expired one missed.
-        ok = queue.execute(read_request(0), at_us=0.0)
-        assert not ok.deadline_missed
-        late = IORequest(op="read", lba=1, deadline_us=0.0)
-        missed = queue.execute(late, at_us=100.0)
-        assert missed.deadline_missed
+        read(queue, 0, at_us=0.0, deadline_us=1e9)
+        assert queue.stats.deadline_misses == 0
+        read(queue, 1, at_us=100.0, deadline_us=0.0)
         assert queue.stats.deadline_misses == 1
         doc = registry.to_dict()
         families = {m["name"]: m for m in doc["metrics"]}
@@ -356,11 +394,12 @@ class TestTraceHandoff:
         tracer = ReqTracer(seed=1, every=1)
         with context.scoped(reqtrace=tracer):
             queue = DeviceQueue(device)
-            queue.execute(read_request(0))
-            queue.execute(read_request(1), at_us=0.0)
+            read(queue, 0)
+            read(queue, 1, at_us=0.0)
         assert tracer.sampled == 2
+        assert tracer.active is None
         records = list(tracer.records)
-        assert len(records) == 2
+        assert [record["tag"] for record in records] == [0, 1]
         for record in records:
             assert record["device_kind"] == queue.device_kind
             assert sum(record["segments"].values()) == pytest.approx(
@@ -370,13 +409,13 @@ class TestTraceHandoff:
 class TestClock:
     def test_clock_monotone(self, device):
         queue = DeviceQueue(device)
-        queue.execute(read_request(0), at_us=100.0)
-        queue.execute(read_request(1), at_us=50.0)  # late-arriving stamp
+        read(queue, 0, at_us=100.0)
+        read(queue, 1, at_us=50.0)  # late-arriving stamp
         assert queue.clock_us == 100.0
 
     def test_makespan_covers_all_service(self, device):
         queue = DeviceQueue(device)
         total = 0.0
         for lba in range(4):
-            total += queue.execute(read_request(lba), at_us=0.0).service_us
+            total += service_us(read(queue, lba, at_us=0.0))
         assert queue.makespan_us() == pytest.approx(total)

@@ -22,7 +22,8 @@ import pytest
 
 from repro import context
 from repro.errors import ConfigError
-from repro.io import DeviceQueue, IORequest
+from repro.io import DeviceQueue
+from repro.io.request import OP_READ
 from repro.io.probe import PROBE_MODES, run_probe, run_probes
 from repro.obs import reqtrace
 from repro.obs.reqtrace import (
@@ -80,9 +81,9 @@ class TestDisabledBindings:
                 device.write(lba, bytes([lba]) * 8)
             device.flush()
             queue = DeviceQueue(device)
-            latencies.append([queue.execute(
-                IORequest(op="read", lba=lba)).latency_us
-                for lba in range(16)])
+            latencies.append([end - submit for _r, _e, submit, _s, end, _w
+                              in (queue.dispatch(OP_READ, lba)
+                                  for lba in range(16))])
         assert latencies[0] == latencies[1]
 
 
@@ -191,36 +192,21 @@ class TestSegmentInvariant:
                        for record in result["records"]), result["mode"]
 
 
-class _StubRequest:
-    op = "read"
-    lba = 0
-    count = 1
-    stream = 0
-    mdisk_id = None
-    tag = 0
-
-
-class _StubCompletion:
-    request = _StubRequest()
-    wait_us = 1.0
-    service_us = 2.0
-    work_us = 2.0
-    submit_us = 0.0
-    start_us = 1.0
-    end_us = 3.0
-    latency_us = 3.0
-    status = "ok"
-    merged = 1
-    deadline_missed = False
+def _finish_stub(tracer: ReqTracer) -> dict:
+    """Close one sampled read that waited 1 us and served for 2."""
+    ctx = tracer.begin()
+    ctx.activate(0.0)
+    return tracer.finish(
+        ctx, (None, None, 0.0, 1.0, 3.0, 2.0), 2.0, op="read", lba=0,
+        count=1, stream=0, mdisk=None, device_kind="dev", tag=0,
+        deadline_us=None)
 
 
 class TestRingAndArtifact:
     def test_capacity_overflow_counts_drops(self):
         tracer = ReqTracer(seed=1, capacity=2)
         for _ in range(5):
-            ctx = tracer.begin()
-            ctx.activate(0.0)
-            tracer.finish(ctx, _StubCompletion(), "dev", end_busy=2.0)
+            _finish_stub(tracer)
         assert len(tracer.records) == 2
         assert tracer.dropped == 3
         assert tracer.sampled == 5
@@ -229,9 +215,7 @@ class TestRingAndArtifact:
     def test_clear_resets_counters(self):
         tracer = ReqTracer(seed=1, capacity=2)
         for _ in range(3):
-            ctx = tracer.begin()
-            ctx.activate(0.0)
-            tracer.finish(ctx, _StubCompletion(), "dev", end_busy=2.0)
+            _finish_stub(tracer)
         tracer.clear()
         assert not tracer.records
         assert tracer.dropped == 0

@@ -645,19 +645,20 @@ def io_pipeline_unresolved(text: str) -> tuple[set[str], list[str]]:
     import repro.io.queue
     import repro.io.request
     import repro.models.queueing
+    import repro.obs.reqtrace
     import typing
     from repro.difs.cluster import ClusterConfig
-    from repro.io import IOCompletion, IORequest, QueueStats
+    from repro.io import QueueStats
+    from repro.salamander.minidisk import Minidisk
     queue = DeviceQueue(small_baseline(
         FlashGeometry(blocks=16, fpages_per_block=8)))
     checked, missing = unresolved_spans(
         text,
         [*write_stack_namespaces(), repro.io.request, repro.io.queue,
-         repro.io.protocols, repro.models.queueing, typing, queue,
+         repro.io.protocols, repro.models.queueing, repro.obs.reqtrace,
+         typing, queue,
          types.SimpleNamespace(ClusterConfig=ClusterConfig,
-                               IORequest=IORequest,
-                               IOCompletion=IOCompletion,
-                               QueueStats=QueueStats)])
+                               Minidisk=Minidisk, QueueStats=QueueStats)])
     held = {span for span in checked
             if "." in span or "/" in span or span[0].isupper()}
     return held, [span for span in missing if span in held]
@@ -666,8 +667,8 @@ def io_pipeline_unresolved(text: str) -> tuple[set[str], list[str]]:
 def test_io_pipeline_doc_names_resolve():
     held, missing = io_pipeline_unresolved(
         (DOCS / "IO_PIPELINE.md").read_text())
-    assert {"DeviceQueue.dispatch", "IORequest", "OP_READ", "OP_CODES",
-            "QueueStats.dispatched", "ClusterConfig.queue_depth",
+    assert {"DeviceQueue.dispatch", "DeviceQueue.drain", "OP_READ",
+            "OP_CODES", "QueueStats.dispatched", "ClusterConfig.queue_depth",
             "Volume.write_chunk", "PageMappedFTL.io_queue",
             "repro.io.queue.DeviceQueue", "repro.io.protocols.BlockDevice",
             "repro.models.queueing.mdc_latency_us",
@@ -694,6 +695,21 @@ def test_io_pipeline_check_flags_the_parent_text():
     assert missing == ["CompletionVector", "DeviceQueue.execute_vector",
                        "IOVector", "repro.io.vector",
                        "tests/io/test_vector.py"]
+
+
+def test_io_pipeline_check_flags_the_object_surface():
+    """The document's entry-point table and addressing row as they stood
+    while ``IORequest``/``IOCompletion`` were the second way in."""
+    held, missing = io_pipeline_unresolved(
+        "| `execute(request, at_us)` | an `IORequest` | nothing — returns "
+        "one `IOCompletion` | re-raised |\n"
+        "| `submit(request, at_us)` | an `IORequest` | one window row "
+        "(→ `poll()`) | re-raised, row kept |\n"
+        "| wrong address shape for the device (object path) | "
+        "`DeviceQueue._stamp`, before dispatch | `ConfigError` | no |")
+    assert held == {"IORequest", "IOCompletion", "DeviceQueue._stamp",
+                    "ConfigError"}
+    assert missing == ["DeviceQueue._stamp", "IOCompletion", "IORequest"]
 
 
 def test_resolver_flags_a_removed_name():
