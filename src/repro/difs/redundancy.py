@@ -34,8 +34,8 @@ def _split_pages(data: bytes, page_bytes: int, pages: int) -> list[bytes]:
 
     Whole pages are slices, a partial page is padded once, and every
     page past the end of the data is the *same* zero page: devices keep
-    a full-size page as the object they were handed (write buffer,
-    ``FlashChip.program``, GC relocation), so short chunks share it.
+    every page as the object they were handed (write buffer,
+    ``FlashChip.program_trusted``, GC relocation), so short chunks share it.
     """
     whole, tail = divmod(len(data), page_bytes)
     out = [data[i * page_bytes:(i + 1) * page_bytes]

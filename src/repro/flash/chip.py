@@ -431,7 +431,8 @@ class FlashChip:
         """Program ``fpage`` with one payload per data oPage at its level.
 
         ``payloads`` must have exactly ``policy.data_opages(level)`` items,
-        each at most ``opage_bytes`` long (short payloads are zero-padded).
+        each at most ``opage_bytes`` long and stored as given (host reads
+        zero-pad a short one, in the FTL).
         ``oob`` optionally records mount-time recovery metadata (per-slot
         LBA plus a write sequence number) in the spare area. Returns the
         expected latency in microseconds.
@@ -476,7 +477,9 @@ class FlashChip:
         ``fpage`` is FREE at ``level`` (not dead), ``payloads`` are at
         most the level's data oPages of ``bytes`` no longer than an oPage,
         ``lbas`` one LBA (or ``None``) per payload, or ``None`` for no
-        OOB. Slots past the payloads are zero-filled and map no LBA.
+        OOB. Payloads are stored as handed in, unpadded (an empty one as
+        the shared ``_zero_opage``); slots past them hold ``_zero_opage``
+        and map no LBA.
         """
         block = fpage // self._fpages_per_block
         if self._faults is not None:
@@ -490,15 +493,16 @@ class FlashChip:
                     f"injected program failure at fPage {fpage}")
         if self.now_fn is not None:
             self._programmed_at[fpage] = float(self.now_fn())
-        opage_bytes = self._opage_bytes
-        stored = [payload.ljust(opage_bytes, b"\0") for payload in payloads]
+        zero = self._zero_opage
+        stored = tuple(payloads)
+        if b"" in stored:
+            stored = tuple([p or zero for p in stored])
         pad = self._data_opages_by_level[level] - len(stored)
-        if pad:
-            stored += [self._zero_opage] * pad
+        stored += (zero,) * pad
         if lbas is not None:
             self._oob[fpage] = (tuple(lbas) + (None,) * pad, sequence)
         # Together: the read paths ask ``state == WRITTEN`` of ``_data``.
-        self._data[fpage] = tuple(stored)
+        self._data[fpage] = stored
         self._state[fpage] = _STATE_WRITTEN
         self.stats.programs += 1
         wear = self._endurance
@@ -561,7 +565,7 @@ class FlashChip:
                 f"stale read cost remembered for fPage {fpage}")
 
     def read(self, fpage: int, slot: int) -> tuple[bytes, float]:
-        """Read one oPage; returns ``(data, expected_latency_us)``.
+        """Read one oPage, as programmed: ``(data, expected_latency_us)``.
 
         Raises :class:`UncorrectableError` when the sampled bit-error count
         exceeds the page's ECC capability at its current tiredness level.
@@ -710,7 +714,7 @@ class FlashChip:
         ``args``: ``byte`` (offset, default 0), ``mask`` (XOR, default 0xFF).
         """
         data = list(self._data[fpage])
-        payload = bytearray(data[slot])
+        payload = bytearray(data[slot].ljust(self._opage_bytes, b"\0"))
         index = int(args.get("byte", 0)) % len(payload)
         payload[index] ^= int(args.get("mask", 0xFF)) & 0xFF
         data[slot] = bytes(payload)

@@ -391,7 +391,9 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
     def read(self, lba: int) -> bytes:
         """Read the 4 KiB oPage at ``lba``.
 
-        Unwritten LBAs read as zeros (block-device semantics). LBAs whose
+        Unwritten LBAs read as zeros (block-device semantics), and a
+        short payload is zero-padded here: the chip stores it as written,
+        so ``read`` and :meth:`read_range` are the pad sites. LBAs whose
         backing page suffered an uncorrectable error raise
         :class:`UncorrectableError` until rewritten.
         """
@@ -415,7 +417,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             self._lose_lba(lba, slot)
             raise
         self.stats.read_latency.add(latency)
-        return data
+        return data.ljust(self.geometry.opage_bytes, b"\0")
 
     def read_range(self, lba: int, count: int) -> list[bytes]:
         """Scatter-gather read of ``count`` consecutive LBAs — the read
@@ -470,7 +472,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             total_latency += latency
             base = fpage * spf
             for offset in wanted:
-                results[offset] = payloads[slots[offset] - base]
+                results[offset] = payloads[slots[offset] - base].ljust(
+                    opage_bytes, b"\0")
         if by_fpage:
             self.stats.read_latency.add(total_latency)
         return results
@@ -774,8 +777,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
     def _program_fpage(self, fpage: int, level: int, lbas: list[int],
                        payloads: list[bytes], relocation: bool) -> None:
         """Program ``fpage``, allocated here at ``level``, with one
-        payload per LBA — no more than its capacity; the chip zero-pads
-        the rest — and map them."""
+        payload per LBA — no more than its capacity; the chip stores each
+        as given and fills the slots past them — and map them."""
         self._write_seq += 1
         self.chip.program_trusted(fpage, level, lbas, payloads,
                                   self._write_seq)

@@ -11,6 +11,7 @@ from repro.errors import (
 )
 from repro.flash.chip import FlashChip, PageState
 from repro.flash.geometry import FlashGeometry
+from repro.ssd.ftl import PageMappedFTL
 
 
 @pytest.fixture
@@ -31,10 +32,17 @@ class TestProgramRead:
         assert data.rstrip(b"\0") == b"data-3-1"
         assert latency > 0
 
-    def test_payload_padded_to_opage(self, chip):
+    def test_payload_padded_to_opage(self, chip, ftl_config):
+        # The chip stores an oPage as written; padding to the oPage size
+        # happens where bytes leave the device, in the FTL's reads.
         chip.program(0, payloads_for(chip, 0))
-        data, _ = chip.read(0, 0)
-        assert len(data) == chip.geometry.opage_bytes
+        assert chip.read(0, 0)[0] == b"data-0-0"
+        assert chip.read_fpage(0)[0] == tuple(payloads_for(chip, 0))
+        ftl = PageMappedFTL(chip, 32, ftl_config)
+        ftl.write(5, b"short")
+        ftl.flush()
+        assert ftl.read(5) == b"short".ljust(chip.geometry.opage_bytes,
+                                             b"\0")
 
     def test_cannot_program_written_page(self, chip):
         chip.program(0, payloads_for(chip, 0))

@@ -6,9 +6,11 @@ These are ``PageMappedFTL.read_range``, ``FlashChip.read`` and
 kernel: per LBA a ``buffer.get``, an ``int(self._l2p[target])``, a
 ``divmod`` and a ``setdefault``; per sense the state probe, the RBER,
 the retries and both latency sums derived afresh. The bodies are
-verbatim, with one addition — ``read_range`` ticks the autoscrubber
+verbatim, with two additions — ``read_range`` ticks the autoscrubber
 like ``read`` always did (the bug the kernel's PR fixed is fixed on both
-sides, so the twins can be compared with autoscrub armed).
+sides, so the twins can be compared with autoscrub armed), and it
+zero-pads each flash-resident payload it hands back, because the chip
+now stores an oPage as written and the FTL is where host reads pad.
 
 They are methods of subclasses rather than free functions so that the
 flavours' own gates stay in front of them: ``BaselineSSD.read_range``,
@@ -147,7 +149,7 @@ class OracleFTL(PageMappedFTL):
         self._check_lba(lba)
         self._check_lba(lba + count - 1)
         self.stats.host_reads += count
-        self._maybe_autoscrub()     # the one line the old body lacked
+        self._maybe_autoscrub()     # a line the old body lacked
         # Resolve every LBA first; group flash-resident ones by fPage.
         results: list[bytes | None] = [None] * count
         by_fpage: dict[int, list[tuple[int, int]]] = {}
@@ -180,7 +182,9 @@ class OracleFTL(PageMappedFTL):
                 raise
             total_latency += latency
             for offset, page_slot in wanted:
-                results[offset] = payloads[page_slot]
+                # The other: the FTL pads what the chip stores as written.
+                results[offset] = payloads[page_slot].ljust(
+                    self.geometry.opage_bytes, b"\0")
         if by_fpage:
             self.stats.read_latency.add(total_latency)
         return [r for r in results if r is not None]

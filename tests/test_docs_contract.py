@@ -490,6 +490,78 @@ def test_read_kernel_check_flags_a_removed_name():
                        "tests/ssd/scan_loop_oracle.py"]
 
 
+# -- who pads a stored oPage -------------------------------------------------
+
+#: The chip's program and read entries, bare or qualified.
+_CHIP_ENTRY = re.compile(r"\b(?:program_trusted|read_fpage|read_opages)\b"
+                         r"|\bFlashChip\.(?:program|read)\b")
+_PADS = re.compile(r"`[^`]*\bljust\b[^`]*`|\bpads\b")
+_SENTENCE_END = re.compile(r"(?<=[.;])\s+(?=[A-Z`*(])")
+
+
+def chip_pad_sentences(text: str) -> list[str]:
+    """Sentences that have the chip pad an oPage: they name a chip
+    program or read entry (an "It ..." sentence names its paragraph's
+    first code span) together with ``ljust`` or "pads". The chip stores
+    an oPage as written; the FTL's host reads are the pad sites."""
+    found = []
+    for paragraph in re.split(r"\n\s*\n", text):
+        paragraph = " ".join(paragraph.split())
+        lead = _CODE_SPAN.findall(paragraph)[:1]
+        for sentence in _SENTENCE_END.split(paragraph):
+            names = _CODE_SPAN.findall(sentence)
+            if sentence.startswith("It "):
+                names += lead
+            if (any(_CHIP_ENTRY.search(name) for name in names)
+                    and _PADS.search(sentence)):
+                found.append(sentence)
+    return found
+
+
+def test_stored_as_written_section_names_resolve():
+    text = section(DOCUMENT.read_text(), "Stored as written")
+    checked, missing = unresolved_spans(text, read_stack_namespaces(),
+                                        FAULT_KINDS)
+    assert {"FlashChip.program_trusted", "_zero_opage", "_corrupt_slot",
+            "PageMappedFTL.read", "PageMappedFTL.read_range", "read_fpage",
+            "read_opages", "_read_live", "_program_items", "_split_pages",
+            "_data", "OracleFTL", "traffic_mixed", "traffic_scan",
+            "device_wearout", "cluster_churn", "peak_rss_mb",
+            "host_ops_per_s", "range_read_micro", "unit_write_micro",
+            "tests/ssd/test_stored_as_written.py",
+            "tests/ssd/read_loop_oracle.py",
+            "tests/flash/test_chip_fastpath.py"} <= checked
+    assert not missing, (
+        f"docs/PERFORMANCE.md, 'Stored as written', names things that "
+        f"resolve nowhere: {missing}")
+
+
+def test_no_document_has_the_chip_pad():
+    flagged = {path.name: found for path in (DOCUMENT, ROOT / "DESIGN.md")
+               if (found := chip_pad_sentences(path.read_text()))}
+    assert not flagged, f"sentences that have the chip pad: {flagged}"
+
+
+def test_pad_check_flags_the_parent_sentences():
+    """The two sentences of docs/PERFORMANCE.md that had the chip pad."""
+    parent = (
+        "**One trusted chip entry.** `FlashChip.program_trusted` programs a "
+        "page\nits caller allocated. It takes the level, the LBA list, the "
+        "payload list\nand the sequence number, and checks nothing. It pads "
+        "each payload with\n`ljust`, which returns a full-size `bytes` "
+        "unchanged, and fills the\nslots no payload does with the chip's "
+        "one `_zero_opage`.\n\n"
+        "`bytes(page_bytes)` object (one per page size). Nothing downstream"
+        "\ncopies a full-size page: the kernel's `bytes(payload)` and\n"
+        "`FlashChip.program_trusted`'s `payload.ljust(...)` return a "
+        "full-size\n`bytes` unchanged.")
+    assert [found[:14] for found in chip_pad_sentences(parent)] == [
+        "It pads each p", "Nothing downst"]
+    assert chip_pad_sentences(
+        "`PageMappedFTL.read` and `read_range` pad with `ljust` what "
+        "they hand back. It pads every slot a sense returns.") == []
+
+
 def test_drain_kernel_section_names_resolve():
     text = section(DOCUMENT.read_text(), "The drain kernel")
     checked, missing = unresolved_spans(text, read_stack_namespaces(),
