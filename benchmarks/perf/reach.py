@@ -36,7 +36,8 @@ TRAFFIC = "traffic --tenants 12 --duration 4000"
 #: ``!`` marks one whose non-zero exit is the behaviour being driven (the
 #: last three: a directory, a non-UTF-8 file and a mistyped field, exit 2).
 CLI = f"""--version ; fig2 ; fig2 --ecc-family ldpc ; tco ; carbon ; carbon --ru 0.5 --renewable
-fleet --devices 8 --years 2 --blocks 32 --metrics-out m.json --trace-out t.jsonl --timeseries-out ts.jsonl --reqtrace-out rt.jsonl --endurance-out e.jsonl --slo {SCN}/slo_default.json
+fleet --devices 8 --years 2 --blocks 32 --metrics-out m.json --trace-out t.jsonl --timeseries-out ts.jsonl
+{SLO} --measure --seed 2025 --reqtrace-out rt.jsonl --endurance-out e.jsonl
 fleet {FLEET} --out f1.json --timeseries-out ts.csv ; fleet {FLEET} --shards 4 --jobs 2 --out f4.json
 fleet {FLEET} --faults plan.json --out ff.json ; health --devices 30 --max-days 1500
 sweep {FLEET} --runs 2 --jobs 2 --faults plan.json --out s.json ; tournament --blocks 16 --pec-limit 12 ; replacement --slots 20 --years 6

@@ -113,31 +113,13 @@ def _add_faults_flag(parser: argparse.ArgumentParser) -> None:
              "(see docs/FAULTS.md); omit for a fault-free run")
 
 
-def _add_reqtrace_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--reqtrace-out", default=None, metavar="PATH",
-        help="run an instrumented IO probe over the selected device "
-             "modes and write its repro.obs.reqtrace/v1 JSONL here "
-             "(see docs/OBSERVABILITY.md)")
-    parser.add_argument(
-        "--slo", default=None, metavar="PATH",
-        help="evaluate a repro.obs.slo/v1 objectives config over the "
-             "probe's request records; the report is printed (use "
-             "`repro slo` for an exit-code gate)")
-    parser.add_argument(
-        "--endurance-out", default=None, metavar="PATH",
-        help="also write the probe's wear-ledger records as a "
-             "repro.obs.endurance/v1 JSONL here (consumed by "
-             "`repro wear` and `repro report --endurance`)")
-
-
 def _evaluate_by_device(records: list, objectives: list) -> dict:
     """Evaluate objectives per ``device_kind`` group; merge the rows.
 
-    Each mode's probe (and each device in a fleet) runs on its own
-    simulated clock, so windowed evaluation must not interleave
-    ``end_us`` values across kinds. Rows are prefixed ``kind/name``
-    and the merged ``ok`` is the conjunction of every group's.
+    Each mode's probe runs on its own simulated clock, so windowed
+    evaluation must not interleave ``end_us`` values across kinds. Rows
+    are prefixed ``kind/name`` and the merged ``ok`` is the conjunction
+    of every group's.
     """
     from repro.obs import slo as slo_mod
 
@@ -159,64 +141,6 @@ def _evaluate_by_device(records: list, objectives: list) -> dict:
             rows.append(row)
     return {"schema": slo_mod.SLO_REPORT_SCHEMA,
             "objective_count": len(rows), "ok": ok, "objectives": rows}
-
-
-def _run_probe_sidecar(args: argparse.Namespace,
-                       modes: Sequence[str] | None = None) -> None:
-    """Serve ``--reqtrace-out`` / ``--slo`` / ``--endurance-out``.
-
-    Drives the deterministic IO probe (:mod:`repro.io.probe`) for the
-    command's device modes as a measurement sidecar — fleet/scenario
-    simulations step device *state*, not per-request timing, so the
-    request-level and wear-provenance artifacts come from the probe's
-    queue-driven workload under the same seed. One probe run serves
-    every requested artifact. Must run *before*
-    :func:`_write_observability` so the published ``repro_wear_*``
-    families land in the metrics document.
-    """
-    if not (getattr(args, "reqtrace_out", None)
-            or getattr(args, "slo", None)
-            or getattr(args, "endurance_out", None)):
-        return
-    from repro.io.probe import PROBE_MODES
-    from repro.obs import slo as slo_mod
-
-    probe_modes = tuple(m for m in (modes or ()) if m in PROBE_MODES) \
-        or PROBE_MODES
-    records = _measure_probes(args, probe_modes)
-    if args.slo:
-        objectives = slo_mod.load_slo_config(args.slo)
-        report = _evaluate_by_device(records, objectives)
-        print(slo_mod.format_slo_report(report))
-
-
-def _measure_probes(args: argparse.Namespace, modes: tuple[str, ...],
-                    **options) -> list[dict]:
-    """Run the IO probes for ``modes`` (``options`` go to
-    :func:`repro.io.probe.run_probes`), write the ``--reqtrace-out`` /
-    ``--endurance-out`` artifacts asked for, and return the merged
-    request records."""
-    from repro.io import probe
-    from repro.obs import reqtrace as reqtrace_mod
-
-    results = probe.run_probes(
-        modes, seed=int(getattr(args, "seed", DEFAULT_SEED)), **options)
-    records = probe.merged_records(results)
-    if args.reqtrace_out:
-        path = reqtrace_mod.write_reqtrace(
-            args.reqtrace_out, records, meta=probe.reqtrace_meta(results))
-        print(f"reqtrace -> {path}")
-    if getattr(args, "endurance_out", None):
-        from repro.obs import endurance as endurance_mod
-
-        wear_records = probe.merged_endurance(results)
-        path = endurance_mod.write_endurance(
-            args.endurance_out, wear_records,
-            meta=probe.endurance_meta(results, wear_records))
-        if getattr(args, "metrics_out", None):
-            endurance_mod.publish_wear_metrics(wear_records)
-        print(f"endurance -> {path}")
-    return records
 
 
 def _load_fault_plan(args: argparse.Namespace):
@@ -295,7 +219,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             faults=plan)
         path = write_sweep_artifact(document, args.out)
         print(f"fleet artifact -> {path}")
-    _run_probe_sidecar(args, modes)
     _write_observability(args)
     return 0
 
@@ -463,11 +386,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         document = dict(document)
         document["faults"] = plan.to_dict()
     writer = run_scenario(document)
-    # Embedded only when scoped: an unscoped field is None.
-    writer.attach_metrics(context.current().metrics)
-    writer.attach_timeseries(context.current().timeseries)
     path = writer.write(args.out)
-    _run_probe_sidecar(args)
     _write_observability(args)
     print(f"scenario {document['name']!r} ({document['kind']}) -> {path}")
     for name, table in writer.document()["tables"].items():
@@ -607,13 +526,27 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         _, records = reqtrace_mod.load_reqtrace(args.reqtrace)
         reqtrace_mod.validate_reqtrace_records(records)
     else:
-        from repro.io.probe import PROBE_MODES
+        from repro.io import probe
         from repro.sim.parallel import resolve_jobs
 
-        modes = PROBE_MODES if args.mode == "all" else (args.mode,)
-        records = _measure_probes(args, modes, every=args.every,
-                                  requests=args.requests,
-                                  jobs=resolve_jobs(args.jobs))
+        modes = probe.PROBE_MODES if args.mode == "all" else (args.mode,)
+        results = probe.run_probes(
+            modes, seed=args.seed, every=args.every,
+            requests=args.requests, jobs=resolve_jobs(args.jobs))
+        records = probe.merged_records(results)
+        if args.reqtrace_out:
+            path = reqtrace_mod.write_reqtrace(
+                args.reqtrace_out, records,
+                meta=probe.reqtrace_meta(results))
+            print(f"reqtrace -> {path}")
+        if args.endurance_out:
+            from repro.obs import endurance as endurance_mod
+
+            wear_records = probe.merged_endurance(results)
+            path = endurance_mod.write_endurance(
+                args.endurance_out, wear_records,
+                meta=probe.endurance_meta(results, wear_records))
+            print(f"endurance -> {path}")
     report = _evaluate_by_device(records, objectives)
     if args.json:
         path = artifact.write_text(args.json, artifact.dumps(report))
@@ -792,7 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the determinism gates cmp it)")
     _add_observability_flags(fleet)
     _add_faults_flag(fleet)
-    _add_reqtrace_flags(fleet)
     fleet.set_defaults(func=_cmd_fleet)
 
     tournament = sub.add_parser(
@@ -865,7 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="artifact output directory")
     _add_observability_flags(run)
     _add_faults_flag(run)
-    _add_reqtrace_flags(run)
     run.set_defaults(func=_cmd_run)
 
     traffic = sub.add_parser(
@@ -965,11 +896,11 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--artifact", default=None, metavar="PATH",
         help="scenario artifact JSON (from `repro run`); supplies "
-             "lifetime/capacity inputs and any embedded timeseries")
+             "lifetime/capacity inputs")
     report.add_argument(
         "--endurance", default=None, metavar="PATH",
-        help="repro.obs.endurance/v1 JSONL (from --endurance-out); "
-             "enables the wear-provenance claims")
+        help="repro.obs.endurance/v1 JSONL (from `repro slo --measure "
+             "--endurance-out`); enables the wear-provenance claims")
     report.add_argument(
         "--json", default=None, metavar="PATH",
         help="write the repro.report/v1 JSON document here")
@@ -998,7 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument(
         "--reqtrace", default=None, metavar="PATH",
         help="evaluate an existing repro.obs.reqtrace/v1 artifact "
-             "(from --reqtrace-out) instead of measuring")
+             "(from `repro slo --measure --reqtrace-out`) instead of "
+             "measuring")
     slo.add_argument(
         "--measure", action="store_true",
         help="drive the instrumented IO probe and evaluate its "
@@ -1024,6 +956,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--reqtrace-out", default=None, metavar="PATH",
         help="also write the measured repro.obs.reqtrace/v1 JSONL")
     slo.add_argument(
+        "--endurance-out", default=None, metavar="PATH",
+        help="also write the probe's wear-ledger records as a "
+             "repro.obs.endurance/v1 JSONL (consumed by `repro wear` "
+             "and `repro report --endurance`)")
+    slo.add_argument(
         "--json", default=None, metavar="PATH",
         help="write the repro.obs.slo_report/v1 JSON document here")
     slo.set_defaults(func=_cmd_slo)
@@ -1040,7 +977,8 @@ def build_parser() -> argparse.ArgumentParser:
              "compare two artifacts device by device")
     wear.add_argument(
         "--endurance", required=True, metavar="PATH",
-        help="repro.obs.endurance/v1 JSONL (from --endurance-out)")
+        help="repro.obs.endurance/v1 JSONL (from `repro slo --measure "
+             "--endurance-out`)")
     wear.add_argument(
         "--against", default=None, metavar="PATH",
         help="reference artifact for `diff` (deltas are "

@@ -146,7 +146,7 @@ class FlashChip:
         # the fault injector, the request tracer whose sampled request
         # read paths charge retry excess / ECC level to, and the wear
         # ledger the chip registers with so every program/erase is
-        # charged to its current cause (repro_wear_*).
+        # charged to its current cause (repro.obs.endurance).
         ctx = context.current()
         self._faults = ctx.faults
         self._reqtrace = ctx.reqtrace

@@ -1,7 +1,7 @@
 """Reqtrace-instrumented IO probes: one traffic-engine preset per mode.
 
-``repro slo --measure`` and the ``--reqtrace-out`` / ``--endurance-out``
-sidecars need a workload that exercises the attribution paths — queue
+``repro slo --measure`` and its ``--reqtrace-out`` / ``--endurance-out``
+artifacts need a workload that exercises the attribution paths — queue
 contention, GC stalls, read retries under tiredness, Salamander
 shrink/regen — on every device flavour. A probe is one
 :func:`repro.workloads.engine.run_cell` of :func:`probe_config` on an

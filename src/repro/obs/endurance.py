@@ -472,33 +472,6 @@ def fleet_survival(records: list[dict], horizon_host_opages: float,
                                   else None)}
 
 
-def publish_wear_metrics(records: list[dict]) -> None:
-    """Push the ``repro_wear_*`` families for exported device records.
-
-    Publication happens *after* measurement (the ledger's hot path
-    never touches the metrics registry), mirroring how the perf
-    harness publishes ``repro_perf_*`` once the clock stops.
-    """
-    from repro.obs.instruments import wear_instruments
-
-    for record in records:
-        instruments = wear_instruments(record["name"])
-        if instruments is None:
-            return
-        for cause in CAUSES:
-            instruments.programs(cause).inc(record["programs"][cause])
-            instruments.program_opages(cause).inc(
-                record["program_opages"][cause])
-            instruments.erases(cause).inc(record["erases"][cause])
-        instruments.mean_pec.set(record["mean_pec"])
-        instruments.max_pec.set(record["max_pec"])
-        if record.get("waf") is not None:
-            instruments.waf.set(record["waf"])
-        forecast = record.get("forecast")
-        if forecast:
-            instruments.eta_host_opages.set(forecast["eta_host_opages"])
-
-
 __all__ = [
     "CAUSES",
     "DEFAULT_SNAPSHOT_EVERY",
@@ -510,7 +483,6 @@ __all__ = [
     "fleet_survival",
     "forecast_rows",
     "load_endurance",
-    "publish_wear_metrics",
     "validate_endurance_records",
     "write_endurance",
 ]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any
 
@@ -264,72 +263,6 @@ def export_queue_stats(device_kind: str, stats, window) -> None:
                        if newest.dispatched else 0.0)
 
     m.add_collect_hook(collect)
-
-
-@dataclass(frozen=True)
-class WearInstruments:
-    """Per-device wear-provenance instruments (repro.obs.endurance).
-
-    The cause-labelled families are kept as families (one child per
-    cause) because publication walks the whole :data:`CAUSES`
-    vocabulary at export time; the ledger's hot path never touches
-    these — see :func:`repro.obs.endurance.publish_wear_metrics`.
-    """
-
-    device: str
-    programs_family: Any        # family; labels (device, cause)
-    program_opages_family: Any  # family; labels (device, cause)
-    erases_family: Any          # family; labels (device, cause)
-    waf: Any                    # child, pre-labelled (device,)
-    mean_pec: Any               # child, pre-labelled (device,)
-    max_pec: Any                # child, pre-labelled (device,)
-    eta_host_opages: Any        # child, pre-labelled (device,)
-
-    def programs(self, cause: str) -> Any:
-        return self.programs_family.labels(device=self.device, cause=cause)
-
-    def program_opages(self, cause: str) -> Any:
-        return self.program_opages_family.labels(device=self.device,
-                                                 cause=cause)
-
-    def erases(self, cause: str) -> Any:
-        return self.erases_family.labels(device=self.device, cause=cause)
-
-
-def wear_instruments(device: str) -> WearInstruments | None:
-    m = context.current().metrics
-    if m is None:
-        return None
-    waf, mean_pec, max_pec, eta = (
-        _child(m, "gauge", name, help_text, unit, device=device)
-        for name, help_text, unit in (
-            ("repro_wear_waf",
-             "Measured write amplification: 1 + overhead/host oPages",
-             "ratio"),
-            ("repro_wear_mean_pec",
-             "Mean per-block erase count seen by the wear ledger", "cycles"),
-            ("repro_wear_max_pec",
-             "Worst-block erase count seen by the wear ledger", "cycles"),
-            ("repro_wear_eta_host_opages",
-             "Forecast host oPages absorbable before mean PEC reaches the "
-             "device limit (burn-rate slope over the snapshot window)",
-             "opages")))
-    return WearInstruments(
-        device=device,
-        programs_family=m.counter(
-            "repro_wear_programs_total",
-            help="fPage programs at the chip boundary, by wear cause",
-            unit="fpages", labelnames=("device", "cause")),
-        program_opages_family=m.counter(
-            "repro_wear_program_opages_total",
-            help="Data oPages programmed at the chip boundary, by wear "
-                 "cause (the WAF decomposition terms)",
-            unit="opages", labelnames=("device", "cause")),
-        erases_family=m.counter(
-            "repro_wear_erases_total",
-            help="Block erases at the chip boundary, by wear cause",
-            unit="blocks", labelnames=("device", "cause")),
-        waf=waf, mean_pec=mean_pec, max_pec=max_pec, eta_host_opages=eta)
 
 
 def difs_instruments() -> SimpleNamespace | None:

@@ -43,8 +43,8 @@ mechanically against a run's observability artifacts:
 6. **Wear provenance** (the endurance trade behind §4's lifetime
    claim): Salamander's lifetime extension is paid for in measured,
    cause-attributed wear — not hidden amplification. Given a
-   ``repro.obs.endurance/v1`` artifact (``--endurance``, produced by
-   the ``--endurance-out`` probe sidecar), the checks assert the exact
+   ``repro.obs.endurance/v1`` artifact (``--endurance``, written by
+   ``repro slo --measure --endurance-out``), the checks assert the exact
    WAF identity ``WAF = 1 + overhead/host`` on every device record,
    that ``shrink``/``regen`` wear causes appear only on Salamander
    devices, and that each Salamander mode's WAF delta against the
@@ -504,7 +504,7 @@ SALAMANDER_CAUSES = ("shrink", "regen")
 def endurance_by_mode(records: list[dict] | None) -> dict[str, dict]:
     """Aggregate mode-prefixed endurance records per device mode.
 
-    The probe sidecar names merged records ``<mode>/<device>``
+    The probe names merged records ``<mode>/<device>``
     (:func:`repro.io.probe.merged_endurance`); records without a mode
     prefix are skipped — the per-mode delta claims need the grouping.
     """
@@ -554,8 +554,8 @@ def check_wear_provenance(records: list[dict] | None,
                           "Salamander devices")
     delta_expected = ("WAF delta vs baseline decomposes exactly into "
                       "per-cause terms")
-    hint = ("needs a repro.obs.endurance/v1 artifact (rerun `repro "
-            "fleet`/`repro run` with --endurance-out, then pass "
+    hint = ("needs a repro.obs.endurance/v1 artifact (write one with "
+            "`repro slo --measure --endurance-out`, then pass "
             "--endurance)")
     def skipped(detail: str) -> list[ClaimResult]:
         return ([ClaimResult(isolation_claim, "skip", None,
@@ -665,10 +665,6 @@ def build_report(metrics_doc: dict | None = None,
     if not 0 <= tolerance < 1:
         raise ConfigError(
             f"tolerance must be in [0, 1), got {tolerance!r}")
-    # Timeseries embedded in a scenario artifact counts as supplied.
-    if timeseries_doc is None and artifact_doc is not None:
-        timeseries_doc = artifact_doc.get("timeseries")
-
     lifetimes = _series_map(timeseries_doc, "repro_fleet_mean_lifetime_days")
     source = "timeseries"
     if not lifetimes:

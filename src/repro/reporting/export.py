@@ -10,8 +10,7 @@ schema::
       "meta": {...},                      # free-form provenance
       "tables": {"name": {"headers": [...], "rows": [[...], ...]}},
       "series": {"name": {"x": [...], "y": [...],
-                           "x_label": "...", "y_label": "..."}},
-      "metrics": {...}                    # optional; attach_metrics()
+                           "x_label": "...", "y_label": "..."}}
     }
 
 Non-finite policy: JSON has no NaN/Infinity, and ``json.dumps`` silently
@@ -33,7 +32,6 @@ import numpy as np
 
 from repro import artifact
 from repro.errors import ConfigError
-from repro.obs.timeseries import validate_timeseries_document
 from repro.reporting.series import Series
 
 
@@ -87,28 +85,6 @@ class ExperimentWriter:
         self.meta = dict(meta or {})
         self._tables: dict[str, dict] = {}
         self._series: dict[str, dict] = {}
-        self._metrics = None
-        self._timeseries = None
-
-    def attach_metrics(self, registry) -> None:
-        """Embed a metrics registry's document in the artifact.
-
-        ``registry`` is anything with a ``to_dict()`` returning the
-        ``repro.obs.metrics/v1`` document (collected lazily at
-        :meth:`document` time, so late samples are included).
-        """
-        self._metrics = registry
-
-    def attach_timeseries(self, sampler) -> None:
-        """Embed a timeseries sampler's document in the artifact.
-
-        ``sampler`` is anything with a ``to_dict()`` returning the
-        ``repro.obs.timeseries/v1`` document (snapshotted lazily at
-        :meth:`document` time). ``repro report`` reads the embedded
-        document via ``--artifact`` exactly as it reads a standalone
-        ``--timeseries`` file.
-        """
-        self._timeseries = sampler
 
     def add_table(self, name: str, headers: list[str],
                   rows: list[list]) -> None:
@@ -133,17 +109,12 @@ class ExperimentWriter:
         }
 
     def document(self) -> dict:
-        document = {
+        return {
             "experiment": self.experiment,
             "meta": _jsonable(self.meta),
             "tables": self._tables,
             "series": self._series,
         }
-        if self._metrics is not None:
-            document["metrics"] = _jsonable(self._metrics.to_dict())
-        if self._timeseries is not None:
-            document["timeseries"] = _jsonable(self._timeseries.to_dict())
-        return document
 
     def write(self, directory: str | Path) -> Path:
         """Write ``<directory>/<experiment>.json``; returns the path."""
@@ -165,11 +136,8 @@ def load_experiment(path: str | Path) -> dict:
     """
     document = artifact.read_json(path, "artifact")
     what = f"artifact {path}"
-    artifact.require(document, what, _EXPERIMENT_FIELDS,
-                     optional={"metrics": dict, "timeseries": dict})
+    artifact.require(document, what, _EXPERIMENT_FIELDS)
     for section in ("tables", "series"):    # name -> object, both
         artifact.require(document[section], f"{what} {section}",
                          dict.fromkeys(document[section], dict))
-    if "timeseries" in document:    # `repro report` reads it as it stands
-        validate_timeseries_document(document["timeseries"])
     return document

@@ -248,16 +248,6 @@ class TestBuildReport:
         assert not report_failed(report)
         assert report["inputs"]["timeseries"] is True
 
-    def test_timeseries_embedded_in_artifact(self):
-        artifact = {"timeseries": _timeseries_doc(
-            lifetimes={"baseline": 100.0, "shrink": 120.0,
-                       "regen": 140.0})}
-        report = build_report(artifact_doc=artifact)
-        by_claim = {c["claim"]: c for c in report["claims"]}
-        assert by_claim["lifetime_extension/shrink"]["status"] == "pass"
-        assert "from timeseries" in \
-            by_claim["lifetime_extension/shrink"]["detail"]
-
     def test_artifact_table_fallback(self):
         report = build_report(artifact_doc=TestArtifactExtraction.ARTIFACT)
         by_claim = {c["claim"]: c for c in report["claims"]}

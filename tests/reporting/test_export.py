@@ -120,21 +120,11 @@ class TestSerialisationPolicy:
 
 
 class TestAttachMetrics:
-    def test_metrics_embedded_and_validated(self, tmp_path):
-        from repro.obs import MetricsRegistry, validate_metrics_document
-
-        registry = MetricsRegistry()
-        registry.counter("repro_test_total", help="h").inc(3)
-        writer = ExperimentWriter("with-metrics")
-        writer.attach_metrics(registry)
-        document = load_experiment(writer.write(tmp_path))
-        assert "metrics" in document
-        validate_metrics_document(document["metrics"])
-        (family,) = document["metrics"]["metrics"]
-        assert family["name"] == "repro_test_total"
-        assert family["samples"][0]["value"] == 3.0
+    """An experiment artifact carries no metrics document: a scenario's
+    metrics live only in its `--metrics-out` file."""
 
     def test_no_metrics_key_when_not_attached(self, tmp_path):
         writer = ExperimentWriter("plain")
         document = load_experiment(writer.write(tmp_path))
         assert "metrics" not in document
+        assert not hasattr(writer, "attach_metrics")

@@ -57,14 +57,16 @@ def quiet(argv) -> tuple[int, str]:
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
-    """Where one small ``fleet`` and one ``run`` wrote their artifacts."""
+    """Where one small ``fleet``, one ``slo --measure`` and one ``run``
+    wrote their artifacts."""
     root = tmp_path_factory.mktemp("written")
     fleet = ["fleet", "--devices", "4", "--years", "1", "--blocks", "16"]
     assert quiet(fleet + [
         "--metrics-out", f"{root}/m.json", "--trace-out", f"{root}/t.jsonl",
-        "--timeseries-out", f"{root}/ts.jsonl",
-        "--reqtrace-out", f"{root}/rt.jsonl",
-        "--endurance-out", f"{root}/e.jsonl"])[0] == 0
+        "--timeseries-out", f"{root}/ts.jsonl"])[0] == 0
+    assert quiet(["slo", "--slo", SLO, "--measure",
+                  "--reqtrace-out", f"{root}/rt.jsonl",
+                  "--endurance-out", f"{root}/e.jsonl"])[0] == 0
     assert quiet(fleet + ["--timeseries-out", f"{root}/ts.csv"])[0] == 0
     (root / "scenario.json").write_text(json.dumps(SCENARIO))
     assert quiet(["run", f"{root}/scenario.json", "--out", str(root),

@@ -14,7 +14,7 @@ from repro.cli import (
     main,
 )
 from repro.context import RunContext
-from repro.obs import validate_metrics_document, validate_timeseries_document
+from repro.obs import validate_metrics_document
 
 
 class TestParser:
@@ -166,6 +166,8 @@ class TestObservabilityFlags:
         assert str(trace_path) in out
 
     def test_run_embeds_metrics_in_artifact(self, capsys, tmp_path):
+        # The --metrics-out file is a scenario's one copy of its metrics;
+        # the experiment artifact no longer embeds them.
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(
             {"name": "cli-obs", "kind": "fig2",
@@ -176,7 +178,8 @@ class TestObservabilityFlags:
                      "--metrics-out", str(metrics_path)]) == 0
         artifact = json.loads(
             (tmp_path / "artifacts" / "cli-obs.json").read_text())
-        assert "metrics" in artifact
+        assert sorted(artifact) == ["experiment", "meta", "series",
+                                    "tables"]
         validate_metrics_document(json.loads(metrics_path.read_text()))
 
     def test_flags_off_means_no_observability_cost(self, capsys, tmp_path):
@@ -221,7 +224,10 @@ class TestTimeseriesFlag:
             load_timeseries(sparse), "repro_fleet_devices_functioning")
         assert len(sparse_t) < len(dense_t)
 
+
     def test_run_embeds_timeseries_in_artifact(self, capsys, tmp_path):
+        # The --timeseries-out file is a scenario's one copy of its
+        # timeseries; the experiment artifact no longer embeds it.
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps({
             "name": "cli-ts", "kind": "fleet",
@@ -230,15 +236,15 @@ class TestTimeseriesFlag:
                        "geometry": {"blocks": 32,
                                     "fpages_per_block": 64}},
         }))
-        ts_path = tmp_path / "ts.csv"
+        ts_path = tmp_path / "ts.jsonl"
         assert main(["run", str(scenario),
                      "--out", str(tmp_path / "artifacts"),
                      "--timeseries-out", str(ts_path)]) == 0
         artifact = json.loads(
             (tmp_path / "artifacts" / "cli-ts.json").read_text())
-        embedded = validate_timeseries_document(artifact["timeseries"])
-        assert embedded["series"]
-        assert ts_path.exists()  # CSV export alongside the artifact
+        assert "timeseries" not in artifact
+        from repro.obs import load_timeseries
+        assert load_timeseries(ts_path)["series"]  # validates on load
 
 
 class TestReportCommand:
@@ -624,15 +630,52 @@ class TestSLOCommand:
                      "--requests", "120", "--every", "4"]) == 0
         assert "all met" in capsys.readouterr().out
 
+    def test_endurance_out_feeds_the_wear_provenance_rows(self, capsys,
+                                                          tmp_path):
+        from repro.obs.endurance import (
+            load_endurance,
+            validate_endurance_records,
+        )
+        from repro.reporting.claims import check_wear_provenance
+
+        # Without an artifact the rows skip and name their one producer.
+        hint = check_wear_provenance(None)[0].detail
+        assert "`repro slo --measure --endurance-out`" in hint
+        config = self.slo_config(tmp_path)
+        wear_path = tmp_path / "e.jsonl"
+        assert main(["slo", "--slo", str(config), "--measure",
+                     "--mode", "all", "--requests", "120", "--every", "4",
+                     "--endurance-out", str(wear_path)]) == 0
+        assert "endurance ->" in capsys.readouterr().out
+        _, records = load_endurance(wear_path)
+        validate_endurance_records(records)
+        modes = {record["name"].split("/")[0] for record in records}
+        assert {"baseline", "shrink"} <= modes
+        report_path = tmp_path / "report.json"
+        assert main(["report", "--endurance", str(wear_path),
+                     "--json", str(report_path)]) == 0
+        claims = json.loads(report_path.read_text())["claims"]
+        wear = {c["claim"]: c["status"] for c in claims
+                if c["claim"].startswith("wear_provenance/")}
+        assert wear == dict.fromkeys(
+            ["wear_provenance/waf_identity",
+             "wear_provenance/cause_isolation",
+             "wear_provenance/shrink_delta",
+             "wear_provenance/regen_delta"], "pass")
+
 
 class TestReqtraceFlags:
-    """--reqtrace-out / --slo sidecar on fleet and run."""
+    """The reqtrace the fleet sidecar wrote comes from `slo --measure`."""
 
     def test_fleet_writes_reqtrace_sidecar(self, capsys, tmp_path):
         trace_path = tmp_path / "rt.jsonl"
-        assert main(["fleet", "--devices", "4", "--blocks", "16",
-                     "--years", "1", "--step-days", "30",
-                     "--mode", "baseline", "--points", "3",
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--reqtrace-out", str(trace_path)])
+        assert excinfo.value.code == 2
+        assert not trace_path.exists()
+        capsys.readouterr()
+        assert main([*TestSLOCommand.MEASURE,
+                     "--slo", str(TestSLOCommand.slo_config(tmp_path)),
                      "--reqtrace-out", str(trace_path)]) == 0
         from repro.obs.reqtrace import (
             load_reqtrace,
@@ -645,10 +688,18 @@ class TestReqtraceFlags:
         assert all(r["device_kind"] == "baseline" for r in records)
         assert "reqtrace ->" in capsys.readouterr().out
 
-    def test_run_scenario_with_slo_report(self, capsys, tmp_path):
-        config = TestSLOCommand.slo_config(tmp_path)
-        assert main(["run", "scenarios/quick_fleet.json",
-                     "--out", str(tmp_path),
-                     "--slo", str(config)]) == 0
-        out = capsys.readouterr().out
-        assert "SLO report" in out
+class TestProbeFlags:
+    """The IO probe has one door: `repro slo --measure`."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--reqtrace-out", "x.jsonl"],
+        ["fleet", "--endurance-out", "x.jsonl"],
+        ["run", "scenarios/quick_fleet.json", "--slo", "y.json"],
+        ["run", "scenarios/quick_fleet.json", "--endurance-out", "x.jsonl"],
+    ], ids=["fleet-reqtrace-out", "fleet-endurance-out", "run-slo",
+            "run-endurance-out"])
+    def test_fleet_and_run_reject_probe_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -39,13 +39,15 @@ constant name and file path must resolve in the IO stack. Bare
 lower-case spans there are mostly parameters and metric names, which
 nothing can vouch for.
 
-Two catalogs are held both ways: the site tables of docs/FAULTS.md
-against ``repro.faults.SITES``, and the metric tables of
+Three catalogs are held both ways: the site tables of docs/FAULTS.md
+against ``repro.faults.SITES``; the metric tables of
 docs/OBSERVABILITY.md against the names ``repro/obs/instruments.py``
 registers, and the tables' ``recorded`` column against which of its
-factories add a collect hook. EXPERIMENTS.md and docs/TUTORIAL.md may only name ``repro.*``
-things that import, and every name in DESIGN.md's "Reached only by
-tests" ledger must still be an attribute of its owner.
+factories add a collect hook; and that document's SMART field catalog
+against ``repro.obs.smart.SMART_FIELDS`` (name, kind and unit).
+EXPERIMENTS.md and docs/TUTORIAL.md may only name ``repro.*`` things
+that import, and every name in DESIGN.md's "Reached only by tests"
+ledger must still be an attribute of its owner.
 
 docs/OBSERVABILITY.md's "Run context" section must resolve in
 ``repro.context`` and the layers that bind it, and no user document may
@@ -794,10 +796,10 @@ def test_resolver_flags_a_removed_name():
 
 # -- catalogs, both ways -----------------------------------------------------
 
-def table_first_cells(text: str, *header: str) -> list[str]:
-    """First cell (back-ticks stripped) of every data row of every
-    markdown table whose header row starts with ``header``."""
-    cells, inside = [], False
+def table_rows(text: str, *header: str) -> list[list[str]]:
+    """The cells of every data row of every markdown table whose header
+    row starts with ``header``."""
+    rows, inside = [], False
     for line in text.splitlines():
         row = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if not line.lstrip().startswith("|"):
@@ -805,8 +807,14 @@ def table_first_cells(text: str, *header: str) -> list[str]:
         elif tuple(row[:len(header)]) == header:
             inside = True
         elif inside and row[0].strip("`-: "):
-            cells.append(row[0].strip("`"))
-    return cells
+            rows.append(row)
+    return rows
+
+
+def table_first_cells(text: str, *header: str) -> list[str]:
+    """First cell (back-ticks stripped) of every data row of every
+    markdown table whose header row starts with ``header``."""
+    return [row[0].strip("`") for row in table_rows(text, *header)]
 
 
 def fault_site_drift(text: str) -> tuple[list[str], list[str]]:
@@ -853,6 +861,42 @@ def test_instruments_and_the_metric_catalog_agree():
     assert metric_drift(text) == ([], [])
 
 
+def smart_drift(text: str) -> tuple[list[tuple], list[tuple]]:
+    """(``SMART_FIELDS`` entries the catalog lacks or states otherwise,
+    catalog rows no field matches), each as ``(name, kind, unit)``."""
+    from repro.obs.smart import SMART_FIELDS
+
+    fields = {(field.name, field.kind, field.unit)
+              for field in SMART_FIELDS.values()}
+    rows = {(name.strip("`"), kind, unit) for name, kind, unit, *_
+            in table_rows(text, "name", "kind", "unit")}
+    return sorted(fields - rows), sorted(rows - fields)
+
+
+def test_smart_fields_and_the_smart_catalog_agree():
+    from repro.obs.smart import SMART_FIELDS
+
+    text = subsection((DOCS / "OBSERVABILITY.md").read_text(),
+                      "SMART field catalog (`repro.obs.smart`)")
+    assert len(table_rows(text, "name", "kind", "unit")) \
+        == len(SMART_FIELDS) == 17
+    assert smart_drift(text) == ([], [])
+
+
+def test_smart_check_flags_a_renamed_field():
+    text = (DOCS / "OBSERVABILITY.md").read_text()
+    renamed = text.replace("`repro_smart_waf` | gauge",
+                           "`repro_smart_write_amp` | gauge")
+    assert smart_drift(renamed) == (
+        [("repro_smart_waf", "gauge", "ratio")],
+        [("repro_smart_write_amp", "gauge", "ratio")])
+    retyped = text.replace("`repro_smart_rber` | gauge",
+                           "`repro_smart_rber` | counter")
+    assert smart_drift(retyped) == (
+        [("repro_smart_rber", "gauge", "ratio")],
+        [("repro_smart_rber", "counter", "ratio")])
+
+
 #: A markdown table cell boundary: a ``|`` outside back-ticks.
 _CELL = re.compile(r"\|(?=(?:[^`]*`[^`]*`)*[^`]*$)")
 
@@ -887,7 +931,7 @@ def recorded_drift(text: str) -> list[str]:
 
 def test_recorded_column_matches_the_factories():
     text = (DOCS / "OBSERVABILITY.md").read_text()
-    assert text.count("| name | type | labels | unit | recorded |") == 10
+    assert text.count("| name | type | labels | unit | recorded |") == 9
     assert recorded_drift(text) == []
 
 
@@ -1099,7 +1143,7 @@ def test_user_docs_name_only_flags_the_parser_defines():
     pairs = {pair for path in USER_DOCS
              for pair in attributed_flags(path.read_text())}
     assert {("report", "--queue-depth"), ("slo", "--every"),
-            ("fleet", "--reqtrace-out"), ("traffic", "--arrival")} <= pairs
+            ("slo", "--endurance-out"), ("traffic", "--arrival")} <= pairs
     undefined = {path.name: found for path in USER_DOCS
                  if (found := undefined_flags(path.read_text()))}
     assert not undefined, f"docs name flags no parser defines: {undefined}"
