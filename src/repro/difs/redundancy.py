@@ -12,7 +12,9 @@ classic schemes:
   with Salamander's many-small-failures model (see the EC bench).
 
 Units are lists of oPage payloads so volumes can store them page by page;
-a unit occupies ``unit_lbas(chunk_lbas)`` slots worth of LBAs.
+a unit occupies ``unit_lbas(chunk_lbas)`` slots worth of LBAs. A page is
+at most one oPage long: a short chunk's tail page is the caller's bytes,
+which devices zero-fill on host reads, so decoding widens each page.
 """
 
 from __future__ import annotations
@@ -30,18 +32,19 @@ def _zero_page(page_bytes: int) -> bytes:
 
 
 def _split_pages(data: bytes, page_bytes: int, pages: int) -> list[bytes]:
-    """``data`` as ``pages`` payloads of exactly ``page_bytes`` each.
+    """``data`` as ``pages`` payloads of at most ``page_bytes`` each.
 
-    Whole pages are slices, a partial page is padded once, and every
-    page past the end of the data is the *same* zero page: devices keep
-    every page as the object they were handed (write buffer,
+    Whole pages are slices, a partial page is the rest of the data,
+    unpadded (the FTL zero-fills it on host reads), and every page past
+    the end of the data is the *same* zero page: devices keep every page
+    as the object they were handed (write buffer,
     ``FlashChip.program_trusted``, GC relocation), so short chunks share it.
     """
     whole, tail = divmod(len(data), page_bytes)
     out = [data[i * page_bytes:(i + 1) * page_bytes]
            for i in range(min(whole, pages))]
     if tail and whole < pages:
-        out.append(data[whole * page_bytes:].ljust(page_bytes, b"\0"))
+        out.append(data[whole * page_bytes:])
     out.extend([_zero_page(page_bytes)] * (pages - len(out)))
     return out
 
@@ -97,7 +100,7 @@ class Replication(RedundancyScheme):
         if not units:
             raise DiFSError("no units available to decode")
         pages = next(iter(units.values()))
-        return b"".join(pages)
+        return b"".join([page.ljust(opage_bytes, b"\0") for page in pages])
 
     def rebuild(self, index, units, chunk_lbas, opage_bytes):
         if not 0 <= index < self.total_units:

@@ -174,12 +174,19 @@ class FlashChip:
         self._state = np.full(n, _STATE_FREE, dtype=np.int8)
         self._variation = lognormal_page_variation(
             self.rng, n, sigma=variation_sigma)
-        # Payloads of written pages: fpage -> tuple of oPage byte strings.
-        self._data: dict[int, tuple[bytes, ...]] = {}
-        # Out-of-band metadata per written fPage: (per-slot LBA or None,
-        # monotonically increasing write sequence). Real FTLs stash this in
-        # the spare area and replay it at mount time after power loss.
-        self._oob: dict[int, tuple[tuple[int | None, ...], int]] = {}
+        # Payloads of written fPages, one tuple of oPage byte strings per
+        # fPage as programmed; None holds nothing (like ``_level_py``, a
+        # list sized by geometry).
+        self._data: list[tuple[bytes, ...] | None] = [None] * n
+        # Out-of-band metadata, in two columns: the LBA of each oPage slot
+        # (indexed like the FTL's ``_p2l``; None past a written page's
+        # LBA-bearing slots) and each fPage's monotonically increasing
+        # write sequence (None: no OOB). Real FTLs stash this in the spare
+        # area and replay it at mount time after power loss (read_oob).
+        self._slots_per_fpage = self.geometry.opages_per_fpage
+        self._oob_lbas: list[int | None] = [
+            None] * self.geometry.total_opage_slots
+        self._oob_seq: list[int | None] = [None] * n
 
         # -- hot-path lookup tables (docs/PERFORMANCE.md) -----------------
         # Everything below is derived once from immutable policy/geometry
@@ -500,7 +507,9 @@ class FlashChip:
         pad = self._data_opages_by_level[level] - len(stored)
         stored += (zero,) * pad
         if lbas is not None:
-            self._oob[fpage] = (tuple(lbas) + (None,) * pad, sequence)
+            base = fpage * self._slots_per_fpage
+            self._oob_lbas[base:base + len(stored)] = (*lbas, *(None,) * pad)
+            self._oob_seq[fpage] = sequence
         # Together: the read paths ask ``state == WRITTEN`` of ``_data``.
         self._data[fpage] = stored
         self._state[fpage] = _STATE_WRITTEN
@@ -534,7 +543,7 @@ class FlashChip:
         if not 0 <= fpage < self._total_fpages:
             raise IndexError(
                 f"fPage {fpage} out of range [0, {self._total_fpages})")
-        if fpage not in self._data:
+        if self._data[fpage] is None:
             raise ProgramError(f"fPage {fpage} is not written")
         level = self._level_py[fpage]
         rber = self._rber_unchecked(fpage)
@@ -558,7 +567,7 @@ class FlashChip:
         page holding data on a chip allowed to remember (a test aid)."""
         static = not (self.read_disturb_rber or self.retention_rber_per_day)
         for fpage, cost in list(self._read_costs.items()):
-            assert static and fpage in self._data, (
+            assert static and self._data[fpage] is not None, (
                 f"read cost remembered for fPage {fpage}, which holds no "
                 f"data or sits on a chip modelling disturb/retention")
             assert self._read_cost(fpage) == cost, (
@@ -808,9 +817,10 @@ class FlashChip:
         self._reads_since_erase[start:stop] = 0
         seg = self._state[start:stop]
         seg[seg != _STATE_RETIRED] = _STATE_FREE
-        for fpage in range(start, stop):
-            self._data.pop(fpage, None)
-            self._oob.pop(fpage, None)
+        nothing = [None] * self._fpages_per_block
+        self._data[start:stop] = self._oob_seq[start:stop] = nothing
+        spf = self._slots_per_fpage
+        self._oob_lbas[start * spf:stop * spf] = nothing * spf
         if self._read_costs:    # never, on a device that is only written
             self._forget_read_costs(range(start, stop))
         self.stats.erases += 1
@@ -860,8 +870,9 @@ class FlashChip:
                 self._dead_level - self._level_py[fpage])
             self._block_retired_fpages[block] += 1
         self._state[fpage] = _STATE_RETIRED
-        self._data.pop(fpage, None)
-        self._oob.pop(fpage, None)
+        self._data[fpage] = self._oob_seq[fpage] = None
+        spf = self._slots_per_fpage
+        self._oob_lbas[fpage * spf:(fpage + 1) * spf] = [None] * spf
         if self._read_costs:
             self._forget_read_costs((fpage,))
 
@@ -873,7 +884,33 @@ class FlashChip:
         (as in real firmware).
         """
         self.geometry.check_fpage(fpage)
-        return self._oob.get(fpage)
+        sequence = self._oob_seq[fpage]
+        if sequence is None:
+            return None
+        base = fpage * self._slots_per_fpage
+        slots = self._data_opages_by_level[self._level_py[fpage]]
+        return tuple(self._oob_lbas[base:base + slots]), sequence
+
+    def _audit_store(self) -> None:
+        """Assert payloads and OOB sit only on WRITTEN fPages, and slot
+        LBAs only in a written page's data slots (a test aid)."""
+        n, spf = self._total_fpages, self._slots_per_fpage
+        assert (len(self._data), len(self._oob_seq), len(self._oob_lbas)
+                ) == (n, n, n * spf), "chip store columns resized"
+        written = self._state == _STATE_WRITTEN
+        held = np.array([d is not None for d in self._data], dtype=bool)
+        assert (held == written).all(), (
+            "a payload is held by an fPage not WRITTEN, or missing")
+        has_oob = np.array([s is not None for s in self._oob_seq],
+                           dtype=bool)
+        assert not (has_oob & ~written).any(), (
+            "an OOB sequence is set on an fPage not WRITTEN")
+        data_slots = np.asarray(self._data_opages_by_level)[self._level]
+        limit = np.where(written & has_oob, data_slots, 0)
+        allowed = (np.arange(spf) < limit[:, None]).ravel()
+        lbas = np.array([x is not None for x in self._oob_lbas], dtype=bool)
+        assert not (lbas & ~allowed).any(), (
+            "an OOB slot LBA lies outside a written page's data slots")
 
     def channel_of_block(self, block: int) -> int:
         """Channel a block's operations execute on (striped layout)."""

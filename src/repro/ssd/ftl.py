@@ -665,6 +665,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         assert (states[slots_of_mapped // self._slots_per_fpage_max]
                 == 1).all(), "a mapped slot sits on an fPage not WRITTEN"
         self.chip._audit_read_costs()
+        self.chip._audit_store()
 
     # -- internals: mapping ----------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Unit tests for the functional flash chip."""
 
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.errors import (
     ProgramError,
     UncorrectableError,
 )
+from repro.flash import chip as chip_module
 from repro.flash.chip import FlashChip, PageState
 from repro.flash.geometry import FlashGeometry
 from repro.ssd.ftl import PageMappedFTL
@@ -104,6 +108,74 @@ class TestErase:
         chip.erase(0)
         assert chip.state(pages[0]) is PageState.RETIRED
         assert chip.state(pages[1]) is PageState.FREE
+
+
+def _walk_oob(chip) -> None:
+    """Program, erase and retire pages; after each step, ``read_oob`` must
+    be ``(LBAs padded with None to the level's data oPages, sequence)``
+    for a written page with OOB and None for every other page."""
+    expected = {}
+
+    def check():
+        chip._audit_store()
+        assert [chip.read_oob(f)
+                for f in range(chip.geometry.total_fpages)] == [
+            expected.get(f) for f in range(chip.geometry.total_fpages)]
+
+    chip.program(2, payloads_for(chip, 2), oob=((10, 11, 12, 13), 1))
+    expected[2] = ((10, 11, 12, 13), 1)
+    check()
+    chip.program_trusted(1, 0, [20, 21], [b"a", b"b"], 2)         # short
+    expected[1] = ((20, 21, None, None), 2)
+    check()
+    chip.set_level(9, 1)
+    chip.program_trusted(9, 1, [30, None], [b"c", b"d"], 3)
+    expected[9] = ((30, None, None), 3)
+    chip.program(3, payloads_for(chip, 3))                      # no OOB
+    chip.program_trusted(10, 0, None, [b"e"], 4)                 # no OOB
+    check()
+    chip.erase(0)
+    del expected[1], expected[2]
+    check()
+    chip.program_trusted(1, 0, [40], [b"f"], 5)
+    expected[1] = ((40, None, None, None), 5)
+    chip.retire(9)
+    del expected[9]
+    check()
+
+
+#: Seeded breakages of the chip's store -> (method, source edits); the
+#: walk (its audit or its ``read_oob`` comparison) must notice each.
+STORE_MUTATIONS = {
+    "erase keeps the OOB columns": ("erase", [
+        ("self._data[start:stop] = self._oob_seq[start:stop] = nothing",
+         "self._data[start:stop] = nothing"),
+        ("self._oob_lbas[start * spf:stop * spf] = nothing * spf", "pass")]),
+    "retire keeps the sequence": ("retire", [
+        ("self._data[fpage] = self._oob_seq[fpage] = None",
+         "self._data[fpage] = None")]),
+    "program skips the pad slots": ("program_trusted", [
+        ("(*lbas, *(None,) * pad)", "lbas")]),
+}
+
+
+class TestOutOfBand:
+    def test_read_oob_returns_each_page_state_exactly(self, chip):
+        _walk_oob(chip)
+
+    @pytest.mark.parametrize("name", STORE_MUTATIONS)
+    def test_seeded_mutations_are_caught(self, chip, name, monkeypatch):
+        method, edits = STORE_MUTATIONS[name]
+        source = textwrap.dedent(inspect.getsource(getattr(FlashChip,
+                                                           method)))
+        for old, new in edits:
+            assert old in source, f"mutation target vanished: {old!r}"
+            source = source.replace(old, new, 1)
+        namespace: dict = {}
+        exec(source, vars(chip_module), namespace)
+        monkeypatch.setattr(FlashChip, method, namespace[method])
+        with pytest.raises(AssertionError):
+            _walk_oob(chip)
 
 
 class TestLevels:

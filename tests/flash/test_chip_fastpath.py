@@ -194,7 +194,9 @@ class TestProgramTrusted:
                     outcomes.append(str(error))
             assert outcomes[0] == outcomes[1]
         assert public._data == trusted._data
-        assert public._oob == trusted._oob
+        pages = range(public.geometry.total_fpages)
+        assert [*map(public.read_oob, pages)] == [
+            *map(trusted.read_oob, pages)]
         assert (public._state == trusted._state).all()
         assert (public._programmed_at == trusted._programmed_at).all()
         assert public.stats.snapshot() == trusted.stats.snapshot()
