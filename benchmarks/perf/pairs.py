@@ -36,7 +36,7 @@ that claims bit-identity must print the parent's).
 The tool refuses to start if either tree holds ``.pyc`` files for
 sources the other has but has not cached: a cached tree starts ~0.1 s
 faster on untouched code, which reads as a ``setup_s`` change on every
-workload (docs/PERFORMANCE.md, "Cold start"). Runs are started with
+workload (docs/PERFORMANCE.md, "Traps"). Runs are started with
 ``PYTHONDONTWRITEBYTECODE=1`` so that the trees stay as they were found.
 """
 

@@ -373,8 +373,8 @@ def unit_write_micro() -> dict:
     """16-LBA unit writes: DeviceQueue -> RegenS -> FTL write kernel.
 
     One diFS chunk replica is one 16-LBA ``write`` request, and every
-    layer under it makes one call for it (``docs/PERFORMANCE.md``, "The
-    range write kernel"): ``DeviceQueue._serve`` ->
+    layer under it makes one call for it (``docs/PERFORMANCE.md``,
+    "Kernels and their twins"): ``DeviceQueue._serve`` ->
     ``SalamanderSSD.write_range`` -> ``PageMappedFTL.write_range``, whose
     kernel is the only per-LBA loop. The 64x32 chip is filled to its
     advertised capacity (75 % of the flash) and overwritten, untimed,
@@ -441,8 +441,8 @@ def range_read_micro() -> dict:
     kernel -> ``FlashChip.read_fpage``.
 
     The inner loop of the ``traffic_scan`` end-to-end workload without
-    the engine above it (``docs/PERFORMANCE.md``, "The range read
-    kernel"): the engine's own flat level-2 64x32 device, every LBA of
+    the engine above it (``docs/PERFORMANCE.md``, "Kernels and their
+    twins"): the engine's own flat level-2 64x32 device, every LBA of
     its 50 % fill written and flushed, then random ``read_span=4``
     requests with 5 % single-LBA writes between them, which keep a few
     members of some ranges in the NVRAM buffer and scatter others over
@@ -508,8 +508,8 @@ def fleet_step_micro() -> dict:
 
     A step costs a fixed ~40-50 us of numpy dispatch whatever the range
     holds, so 16 devices is about where the columnar walk meets the
-    per-device loop it replaced (docs/PERFORMANCE.md, "The columnar
-    fleet walk"): this bench watches that fixed cost, and
+    per-device loop it replaced (docs/PERFORMANCE.md, "Kernels and
+    their twins"): this bench watches that fixed cost, and
     ``fleet_wide_micro`` the per-device one. Every round is a cold
     run: the hardware tables a round before it drew are forgotten.
     """

@@ -537,7 +537,8 @@ class FlashChip:
         it is remembered until ``erase`` or ``retire`` drops the data; a
         chip modelling either term derives per read and never stores.
         ``inject_errors``, faults and reqtrace are not the page's and stay
-        with the callers (docs/PERFORMANCE.md, "The range read kernel").
+        with the callers (docs/PERFORMANCE.md, "Kept state and the audits
+        that hold it").
         Raises for a page out of range or not written.
         """
         if not 0 <= fpage < self._total_fpages:

@@ -308,7 +308,8 @@ def _binomial_tail(t: int, n: int, p: float) -> float:
     taken in log space — ``log C(n, k)`` as a sum of ``log((n - k + i) /
     i)``, because an ``lgamma`` difference cancels to ~4e-10 at
     n ~ 1.5e5 — and extended by the pmf ratio recurrence until a term
-    no longer moves the sum (docs/PERFORMANCE.md, "Cold start").
+    no longer moves the sum (docs/PERFORMANCE.md, "Kernels and their
+    twins").
     """
     if not 0 <= t < n:
         return 1.0 if t < 0 else 0.0

@@ -102,7 +102,7 @@ class MinidiskTable:
     :attr:`Minidisk.status` or appends a minidisk. The census is NVRAM
     state like the table it summarises: it is never keyed on the
     device's ``event_seq``, which moves *before* the status does
-    (``docs/PERFORMANCE.md``, "The minidisk census").
+    (``docs/PERFORMANCE.md``, "Kept state and the audits that hold it").
 
     Attributes:
         size_lbas: mSize in oPages, shared by every minidisk.

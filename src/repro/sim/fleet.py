@@ -31,7 +31,7 @@ capacity and burn as vectors — so its cost is a constant (tens of
 microseconds of numpy dispatch) plus a per-device term far below a Python
 loop's. There is no scalar per-device path: a fleet under ~16 devices
 pays the constant for little, which is accepted
-(docs/PERFORMANCE.md, "The columnar fleet walk").
+(docs/PERFORMANCE.md, "Kernels and their twins").
 
 Wear advances under perfect wear leveling: writing ``bytes`` of host data
 with write amplification ``waf`` onto ``live_raw_bytes`` of in-service

@@ -324,8 +324,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
 
     def _write_members(self, lba: int, payloads, stream: int) -> None:
         """The write kernel — the only per-LBA write loop; :meth:`write`
-        is its length-1 case (docs/PERFORMANCE.md, "The range write
-        kernel").
+        is its length-1 case (docs/PERFORMANCE.md, "Kernels and their
+        twins").
 
         :meth:`_admit_write` is asked before the first member and again
         after every drain that handled wear (``_wear_epoch`` moved), the
@@ -421,7 +421,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
 
     def read_range(self, lba: int, count: int) -> list[bytes]:
         """Scatter-gather read of ``count`` consecutive LBAs — the read
-        kernel (docs/PERFORMANCE.md, "The range read kernel").
+        kernel (docs/PERFORMANCE.md, "Kernels and their twins").
 
         Groups the physical locations by fPage and senses each touched
         fPage once (via :meth:`FlashChip.read_fpage`), which is what makes

@@ -1,7 +1,8 @@
 """The in-house binomial tail against three independent references.
 
 ``repro.flash.ecc._binomial_tail`` replaced ``scipy.stats.binom.sf`` so
-that the runtime needs numpy only (docs/PERFORMANCE.md, "Cold start").
+that the runtime needs numpy only (docs/PERFORMANCE.md, "Kernels and
+their twins").
 ``max_rber`` — the one number the rest of the simulator reads off it —
 is a threshold bisection, so it is robust to a 1e-12 relative change in
 the tail but not immune: identity is a *measurement*, and this file is

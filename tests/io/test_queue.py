@@ -357,8 +357,8 @@ class TestAddressing:
         """Every read a Salamander device exposes takes ``mdisk_id`` and
         goes through ``_active_mdisk``; the flat ``read_batch`` it used
         to inherit served two flat reads in a row from whatever
-        minidisks held those flat LBAs (docs/PERFORMANCE.md,
-        "Retired")."""
+        minidisks held those flat LBAs (docs/PERFORMANCE.md, "The
+        logs")."""
         from repro.salamander.device import SalamanderSSD
 
         assert not hasattr(SalamanderSSD, "read_batch")

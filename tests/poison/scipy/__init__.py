@@ -6,7 +6,7 @@ package instead of the real one and fails exactly as it would on a
 numpy-only install. scipy is a test-only dependency (the binomial-tail
 oracle, the goodness-of-fit tests); anything under ``src/`` that imports
 it again fails those runs instead of quietly adding ~0.65 s and ~63 MiB
-to every process (docs/PERFORMANCE.md, "Cold start").
+to every process (docs/PERFORMANCE.md, "How a gain is measured").
 """
 
 raise ModuleNotFoundError(

@@ -7,8 +7,8 @@ host reads zero-pad it to ``opage_bytes``.
 the stored objects, and GC relocation carries them through unchanged.
 ``PageMappedFTL.read`` and ``read_range`` are where bytes leave the
 device, so they are the pad sites. This module holds the three
-contracts that move with that rule (docs/PERFORMANCE.md, "Stored as
-written"):
+contracts that move with that rule (docs/PERFORMANCE.md, "Kernels and
+their twins"):
 
 * every host read — ``read``, ``read_range`` and ``DeviceQueue.dispatch``,
   on all five flavours — returns ``payload.ljust(opage_bytes, b"\\0")``

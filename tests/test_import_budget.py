@@ -2,9 +2,10 @@
 
 ``scipy.stats`` used to ride in through ``repro.flash.ecc`` for one
 expression and was the largest single cost of *starting* the simulator
-(docs/PERFORMANCE.md, "Cold start"). The runtime is numpy-only now;
-these tests keep it so, in fresh subprocesses — this process has pytest,
-hypothesis and usually scipy loaded, so it cannot tell.
+(docs/PERFORMANCE.md, "How a gain is measured"). The runtime is
+numpy-only now; these tests keep it so, in fresh subprocesses — this
+process has pytest, hypothesis and usually scipy loaded, so it cannot
+tell.
 """
 
 from __future__ import annotations
