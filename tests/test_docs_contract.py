@@ -216,6 +216,61 @@ def test_live_doc_names_resolve(document, names):
     assert not missing, f"{document.name} names what is gone: {missing}"
 
 
+def section(text: str, heading: str) -> str:
+    start = text.index(f"\n## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end > 0 else None]
+
+
+def test_every_named_private_attribute_exists(names):
+    private = {span for span in spans((DOCS / "PERFORMANCE.md").read_text())
+               if any(part.startswith("_") for part in span.split("."))}
+    assert {"_valid_counts", "PageMappedFTL._audit_fastpath",
+            "Cluster._audit_volume_index",
+            "SalamanderSSD._audit_fastpath"} <= private
+    missing = unresolved(" ".join(f"`{name}`" for name in private), names)
+    assert not missing, (
+        f"docs/PERFORMANCE.md names attributes that no longer exist: "
+        f"{missing}")
+
+
+def test_performance_doc_names_resolve(names):
+    dotted = {span for span in spans((DOCS / "PERFORMANCE.md").read_text())
+              if span.startswith("repro.")}
+    assert "repro.sim.fleet.forget_hardware" in dotted
+    missing = unresolved(" ".join(f"`{name}`" for name in dotted), names)
+    assert not missing, (
+        f"docs/PERFORMANCE.md names things that no longer exist: {missing}")
+
+
+def test_files_in_files_out_names_resolve(names):
+    text = section((DOCS / "OBSERVABILITY.md").read_text(),
+                   "Files in, files out")
+    assert {"repro.artifact", "repro.artifact.require", "read_records",
+            "write_jsonl", "load_reqtrace", "FaultPlan.load", "Trace.load",
+            "SLOObjective", "ReplacementConfig", "EXIT_CONFIG_ERROR",
+            "tests/test_malformed_inputs.py",
+            "tests/test_artifact_fuzz.py"} <= spans(text)
+    missing = unresolved(text, names)
+    assert not missing, (
+        f"docs/OBSERVABILITY.md, 'Files in, files out', names things "
+        f"that resolve nowhere: {missing}")
+
+
+def test_run_context_section_names_resolve(names):
+    text = section((DOCS / "OBSERVABILITY.md").read_text(), "Run context")
+    assert {"RunContext", "repro.context", "None", "PageMappedFTL",
+            "GCPolicy", "RecoveryManager", "SLOEngine", "_instr",
+            "parallel_map", "repro.cli.main", "repro.obs.metrics_enabled",
+            "src/repro/obs/instruments.py", "tests/test_context.py",
+            "tests/conftest.py",
+            "benchmarks/test_endurance_overhead.py"} <= spans(text)
+    missing = unresolved(text, names)
+    assert not missing, (
+        f"docs/OBSERVABILITY.md, 'Run context', names things that "
+        f"resolve nowhere: {missing}")
+
+
 def test_document_names_private_attributes():
     assert {"_valid_counts", "PageMappedFTL._audit_fastpath", "_wear_epoch",
             "Cluster._audit_volume_index", "PageMappedFTL._write_members",
