@@ -32,31 +32,32 @@ FLEET = "--devices 6 --blocks 16 --years 2 --step-days 20"
 SLO = f"slo --slo {SCN}/slo_default.json"
 TRAFFIC = "traffic --tenants 12 --duration 4000"
 #: ``repro`` commands (one a line, or `` ; ``-separated), run in a scratch
-#: directory in this order: later ones read what earlier ones wrote.
-#: ``!`` marks one whose non-zero exit is the behaviour being driven (the
-#: last three: a directory, a non-UTF-8 file and a mistyped field, exit 2).
+#: directory in this order: later ones read the run directories earlier
+#: ones wrote. ``!`` marks one whose non-zero exit is the behaviour being
+#: driven (the last six, all exit 2: a missing scenario, a missing run
+#: directory, a file given as one, a directory given as a file, a
+#: non-UTF-8 artifact and a mistyped field).
 CLI = f"""--version ; fig2 ; fig2 --ecc-family ldpc ; tco ; carbon ; carbon --ru 0.5 --renewable
-fleet --devices 8 --years 2 --blocks 32 --metrics-out m.json --trace-out t.jsonl --timeseries-out ts.jsonl
-{SLO} --measure --seed 2025 --reqtrace-out rt.jsonl --endurance-out e.jsonl
-fleet {FLEET} --out f1.json --timeseries-out ts.csv ; fleet {FLEET} --shards 4 --jobs 2 --out f4.json
-fleet {FLEET} --faults plan.json --out ff.json ; health --devices 30 --max-days 1500
-sweep {FLEET} --runs 2 --jobs 2 --faults plan.json --out s.json ; tournament --blocks 16 --pec-limit 12 ; replacement --slots 20 --years 6
-run {SCN}/quick_fleet.json --out results --metrics-out rm.json --trace-out rtr.jsonl --timeseries-out rts.jsonl
+fleet --devices 8 --years 2 --blocks 32 --out obs
+{SLO} obs --measure --seed 2025
+fleet {FLEET} --out f1 --timeseries-cadence 0 ; fleet {FLEET} --shards 4 --jobs 2 --out f4
+fleet {FLEET} --faults plan.json --out ff ; health --devices 30 --max-days 1500
+sweep {FLEET} --runs 2 --jobs 2 --faults plan.json --out s ; tournament --blocks 16 --pec-limit 12 ; replacement --slots 20 --years 6
+run {SCN}/quick_fleet.json --out results
 run {SCN}/faulty_fleet.json --out results ; run {SCN}/fig2_ldpc.json --out results
 run {SCN}/measured_upgrade_rates.json --out results ; run tournament.json --out results
 run carbon.json --out results ; run tco.json --out results
-traffic --tenants 48 --duration 8000 --cells 2 --arrival mmpp --jobs 2 --out tr.json
-{TRAFFIC} --shards 4 --jobs 1 --out tr4.json ; {TRAFFIC} --cells 1 --trace ops.trace --out trt.json
-{TRAFFIC} --cells 1 --slo {SCN}/traffic_slo.json --out trs.json --metrics-out tm.json
-!{TRAFFIC} --cells 1 --read-fraction 1.0 --slo bad_slo.json --out trb.json
-{TRAFFIC} --cells 1 --mode regen --closed-loop 0.5 --think 50 --admission shed --read-span 4 --read-fraction 0.5 --out trc.json
-report --metrics m.json --timeseries ts.jsonl --trace t.jsonl --endurance e.jsonl --markdown r.md --json r.json
-report --json io.json --markdown io.md ; report --timeseries ts.csv --artifact results/quick-fleet.json --markdown ra.md
-{SLO} --reqtrace rt.jsonl --json slo.json ; {SLO} --measure --requests 60 --jobs 2
-{SLO} --measure --mode baseline --requests 120 --every 4 --reqtrace-out rt2.jsonl
-wear report --endurance e.jsonl --check --waf-budget 50 ; wear diff --endurance e.jsonl --against e.jsonl
-wear forecast --endurance e.jsonl --horizon 1000 --json wf.json ; !run missing.json
-!report --metrics results ; !wear report --endurance not_utf8 ; !slo --slo mistyped_slo.json --measure"""
+traffic --tenants 48 --duration 8000 --cells 2 --arrival mmpp --jobs 2 --out tr
+{TRAFFIC} --shards 4 --jobs 1 --out tr4 ; {TRAFFIC} --cells 1 --trace ops.trace --out trt
+{TRAFFIC} --cells 1 --slo {SCN}/traffic_slo.json --out trs
+!{TRAFFIC} --cells 1 --read-fraction 1.0 --slo bad_slo.json --out trb
+{TRAFFIC} --cells 1 --mode regen --closed-loop 0.5 --think 50 --admission shed --read-span 4 --read-fraction 0.5 --out trc
+report obs ; report ; report f1
+{SLO} obs ; {SLO} p2 --measure --requests 60 --jobs 2
+{SLO} p3 --measure --mode baseline --requests 120 --every 4
+wear report obs --check --waf-budget 50 ; wear diff obs --against p2
+wear forecast obs --horizon 1000 ; !run missing.json ; !report absent ; !report plan.json
+!slo --slo results obs ; !wear report not_utf8 ; !slo --slo mistyped_slo.json obs --measure"""
 FILES = {  # inputs named above that no shipped file provides
     "plan.json": '{"schema": "repro.faults/v1", "events": [{"site": "fleet.step",'
     ' "fault": "device_loss", "when": 4, "args": {"devices": 2}}]}',
@@ -64,7 +65,8 @@ FILES = {  # inputs named above that no shipped file provides
     "bad_slo.json": '{"schema": "repro.obs.slo/v1", "objectives": [{"name": "x", "kind":'
     ' "latency", "percentile": 50.0, "threshold_us": 0.001, "window_us": 1e6}]}',
     "tournament.json": '{"name": "t", "kind": "tournament", "params": {"blocks": 16}}',
-    "carbon.json": '{"name": "c", "kind": "carbon"}', "not_utf8": "\xff\xfe",
+    "carbon.json": '{"name": "c", "kind": "carbon"}',
+    "not_utf8/endurance.jsonl": "\xff\xfe",
     "mistyped_slo.json": '{"schema": "repro.obs.slo/v1", "objectives": [{"name": "x",'
     ' "percentile": "p", "threshold_us": 1}]}'}
 
@@ -106,6 +108,7 @@ def drive(only: list[str], log: Path) -> None:
         env = {**os.environ, "REPRO_REACH_LOG": str(log),
                "PYTHONPATH": os.pathsep.join([scratch, str(ROOT / "src")])}
         for name, text in FILES.items():
+            Path(scratch, name).parent.mkdir(exist_ok=True)
             Path(scratch, name).write_bytes(text.encode("latin-1"))   # \xff stays one byte
         families = {   # name -> [(arguments to the interpreter, cwd)]
             "e2e": [(f"benchmarks/e2e/run.py --workload {workload} --seed 20250"

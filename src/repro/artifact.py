@@ -32,6 +32,16 @@ def read_text(path: str | Path, what: str) -> str:
                           f"{error.reason} at byte {error.start}") from error
 
 
+def run_dir(path: str | Path) -> Path:
+    """``path`` as a run directory to read artifacts from."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"run directory not found: {path}")
+    if not path.is_dir():
+        raise ConfigError(f"run directory {path} is not a directory")
+    return path
+
+
 def parse_json(text: str, what: str) -> dict:
     """``text`` as one JSON object."""
     try:

@@ -3,19 +3,23 @@
 Usage::
 
     python -m repro fig2 [--pec-limit 3000] [--ecc-family bch|ldpc]
-    python -m repro fleet [--devices 48] [--dwpd 2.0] [--years 10] [...]
-    python -m repro sweep [--runs 4] [--jobs 4] [--out results/sweep.json]
+    python -m repro fleet [--devices 48] [--dwpd 2.0] [--out DIR] [...]
+    python -m repro sweep [--runs 4] [--jobs 4] [--out results]
     python -m repro tournament [--utilization 0.6] [--pec-limit 30]
     python -m repro carbon [--f-op 0.46] [--renewable]
     python -m repro tco [--f-opex 0.14]
     python -m repro replacement [--slots 100] [--age-limit 5]
     python -m repro traffic [--tenants 1000] [--arrival mmpp] [--slo o.json]
-    python -m repro report [--metrics m.json] [--timeseries ts.jsonl] [...]
-    python -m repro slo --slo objectives.json (--measure | --reqtrace t.jsonl)
-    python -m repro wear (report|forecast|diff) --endurance e.jsonl [...]
+    python -m repro report [DIR]
+    python -m repro slo --slo objectives.json DIR [--measure]
+    python -m repro wear (report|forecast|diff) DIR [--against DIR2]
 
-Each subcommand prints the same tables the benchmark suite regenerates;
-see DESIGN.md for the experiment-to-paper mapping.
+Every command that writes files writes them into one run directory
+under fixed names (the constants below), and every command that reads
+artifacts reads them from one; docs/OBSERVABILITY.md ("Where output
+lands") has the table. Each subcommand prints the same tables the
+benchmark suite regenerates; see DESIGN.md for the experiment-to-paper
+mapping.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from repro import artifact, context
@@ -56,47 +61,53 @@ def _version() -> str:
         return repro.__version__
 
 
+#: The run directory's file names: what each command writes into its
+#: ``--out`` (or positional) directory and what the readers look for.
+METRICS = "metrics.json"
+TRACE = "trace.jsonl"
+TIMESERIES = "timeseries.jsonl"
+REQTRACE = "reqtrace.jsonl"
+ENDURANCE = "endurance.jsonl"
+
+#: The run-context sinks a producer scopes when it has an output
+#: directory: exactly those whose artifacts it writes.
+_SINKS = {"fleet": (METRICS, TRACE, TIMESERIES),
+          "run": (METRICS, TRACE, TIMESERIES),
+          "traffic": (METRICS,)}
+
+
 def _observability(args: argparse.Namespace) -> dict:
-    """The run-context fields the output flags ask for.
+    """The run-context fields the command's output directory asks for.
 
     :func:`main` scopes them around the whole command, so every
     experiment object binds them at construction.
     """
+    sinks = _SINKS.get(args.command, ()) if getattr(args, "out", None) else ()
     fields = {}
-    if getattr(args, "metrics_out", None):
+    if METRICS in sinks:
         fields["metrics"] = MetricsRegistry()
-    if getattr(args, "trace_out", None):
+    if TRACE in sinks:
         fields["tracer"] = SimTimeTracer()
-    if getattr(args, "timeseries_out", None):
+    if TIMESERIES in sinks:
         fields["timeseries"] = TimeseriesSampler(
             registry=fields.get("metrics"), cadence=args.timeseries_cadence)
     return fields
 
 
-def _write_observability(args: argparse.Namespace) -> None:
+def _write_observability(out: str) -> None:
+    """Write every sink :func:`_observability` scoped into ``out``."""
     ctx = context.current()
-    if getattr(args, "metrics_out", None):
-        ctx.metrics.write_json(args.metrics_out)
-        print(f"metrics -> {args.metrics_out}")
-    if getattr(args, "trace_out", None):
-        ctx.tracer.export_jsonl(args.trace_out)
-        print(f"trace -> {args.trace_out}")
-    if getattr(args, "timeseries_out", None):
-        ctx.timeseries.export(args.timeseries_out)
-        print(f"timeseries -> {args.timeseries_out}")
+    out = Path(out)
+    if ctx.metrics is not None:
+        print(f"metrics -> {ctx.metrics.write_json(out / METRICS)}")
+    if ctx.tracer is not None:
+        print(f"trace -> {ctx.tracer.export_jsonl(out / TRACE)}")
+    if ctx.timeseries is not None:
+        print(f"timeseries -> "
+              f"{ctx.timeseries.export_jsonl(out / TIMESERIES)}")
 
 
-def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write a repro.obs.metrics/v1 JSON document here")
-    parser.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write a sim-time JSONL trace here")
-    parser.add_argument(
-        "--timeseries-out", default=None, metavar="PATH",
-        help="write a repro.obs.timeseries/v1 trajectory artifact here "
-             "(.csv for long-format CSV, anything else for JSONL)")
+def _add_cadence_flag(parser: argparse.ArgumentParser) -> None:
     from repro.obs.timeseries import DEFAULT_CADENCE
     parser.add_argument(
         "--timeseries-cadence", type=float, default=DEFAULT_CADENCE,
@@ -104,6 +115,13 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         help="minimum simulated time between timeseries samples "
              f"(default {DEFAULT_CADENCE:g} — a monthly SMART pull on "
              "the fleet's day axis; 0 samples every step)")
+
+
+def _add_jobs_flag(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help=f"{what} worker processes (0 = all cores; the artifacts are "
+             "byte-identical for any value)")
 
 
 def _add_faults_flag(parser: argparse.ArgumentParser) -> None:
@@ -166,17 +184,6 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jobs_arg(value: str):
-    """``--jobs`` argparse type: an int worker count or literal 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}")
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.sim.fleet import MODES, FleetConfig
     from repro.sim.parallel import resolve_jobs
@@ -217,9 +224,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             config, modes, [args.seed],
             {(mode, args.seed): r for mode, r in results.items()},
             faults=plan)
-        path = write_sweep_artifact(document, args.out)
+        path = write_sweep_artifact(document, Path(args.out) / "fleet.json")
         print(f"fleet artifact -> {path}")
-    _write_observability(args)
+        _write_observability(args.out)
     return 0
 
 
@@ -356,12 +363,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     results = run_fleet_grid(config, modes=modes, seeds=seeds, jobs=jobs,
                              faults=plan)
     document = sweep_document(config, modes, seeds, results, faults=plan)
-    if args.jobs == "auto":
-        # Record the *resolved* worker count, never the literal string —
-        # explicit --jobs values stay out of the document entirely, so
-        # the jobs-invariance byte-identity gates keep holding.
-        document["meta"] = {"jobs": jobs}
-    path = write_sweep_artifact(document, args.out)
+    path = write_sweep_artifact(document, Path(args.out) / "sweep.json")
     rows = [[row["mode"], row["runs"],
              f"{row['mean_lifetime_days']:.0f}",
              f"{row['mean_survivors_at_horizon']:.1f}",
@@ -387,7 +389,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         document["faults"] = plan.to_dict()
     writer = run_scenario(document)
     path = writer.write(args.out)
-    _write_observability(args)
+    _write_observability(args.out)
     print(f"scenario {document['name']!r} ({document['kind']}) -> {path}")
     for name, table in writer.document()["tables"].items():
         print(format_table(table["headers"], table["rows"], title=name))
@@ -430,12 +432,9 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     jobs = resolve_jobs(args.jobs)
     document = run_traffic(config, seed=args.seed, jobs=jobs,
                            objectives=objectives)
-    if args.jobs == "auto":
-        # Resolved int, never the literal string (see _cmd_sweep).
-        document["meta"] = {"jobs": jobs}
     publish_traffic_metrics(document)
-    path = write_engine_artifact(document, args.out)
-    _write_observability(args)
+    path = write_engine_artifact(document, Path(args.out) / "traffic.json")
+    _write_observability(args.out)
 
     totals = document["totals"]
     rows = [[klass, "-" if p99 is None else f"{p99:.1f}"]
@@ -463,6 +462,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.analyze import load_trace_jsonl
+    from repro.obs.endurance import load_endurance
     from repro.obs.metrics import validate_metrics_document
     from repro.obs.timeseries import load_timeseries
     from repro.reporting.claims import (
@@ -470,40 +470,38 @@ def _cmd_report(args: argparse.Namespace) -> int:
         format_report,
         report_failed,
     )
-    from repro.reporting.export import load_experiment
 
-    metrics_doc = (validate_metrics_document(
-        artifact.read_json(args.metrics, "metrics artifact"))
-        if args.metrics else None)
-    timeseries_doc = (load_timeseries(args.timeseries)
-                      if args.timeseries else None)
-    trace_records = (load_trace_jsonl(args.trace)
-                     if args.trace else None)
-    artifact_doc = (load_experiment(args.artifact)
-                    if args.artifact else None)
-    endurance_records = None
-    if args.endurance:
-        from repro.obs.endurance import load_endurance
-        _, endurance_records = load_endurance(args.endurance)
+    loaders = {
+        METRICS: lambda path: validate_metrics_document(
+            artifact.read_json(path, "metrics artifact")),
+        TIMESERIES: load_timeseries,
+        TRACE: load_trace_jsonl,
+        ENDURANCE: lambda path: load_endurance(path)[1],
+    }
+    found = {}
+    if args.dir is not None:
+        run_dir = artifact.run_dir(args.dir)
+        found = {name: load(run_dir / name)
+                 for name, load in loaders.items()
+                 if (run_dir / name).exists()}
 
     report = build_report(
-        metrics_doc=metrics_doc,
-        timeseries_doc=timeseries_doc,
-        trace_records=trace_records,
-        artifact_doc=artifact_doc,
-        endurance_records=endurance_records,
+        metrics_doc=found.get(METRICS),
+        timeseries_doc=found.get(TIMESERIES),
+        trace_records=found.get(TRACE),
+        endurance_records=found.get(ENDURANCE),
         tolerance=args.tolerance,
         queue_depth=args.queue_depth,
     )
     markdown = format_report(report)
-    if args.markdown:
-        path = artifact.write_text(args.markdown, markdown + "\n")
-        print(f"report (markdown) -> {path}")
-    if args.json:
-        path = artifact.write_text(args.json, artifact.dumps(report))
-        print(f"report (json) -> {path}")
-    if not args.markdown and not args.json:
+    if args.dir is None:
         print(markdown)
+    else:
+        path = artifact.write_text(run_dir / "report.md", markdown + "\n")
+        print(f"report (markdown) -> {path}")
+        path = artifact.write_text(run_dir / "report.json",
+                                   artifact.dumps(report))
+        print(f"report (json) -> {path}")
     if report_failed(report):
         print("repro report: one or more claims FAILED",
               file=sys.stderr)
@@ -517,40 +515,32 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.obs.analyze import analyze_trace, format_trace_summary
 
     objectives = slo_mod.load_slo_config(args.slo)
-    if bool(args.reqtrace) == bool(args.measure):
-        raise ConfigError(
-            "repro slo needs exactly one input: --reqtrace PATH "
-            "(evaluate an existing artifact) or --measure "
-            "(drive the instrumented IO probe)")
-    if args.reqtrace:
-        _, records = reqtrace_mod.load_reqtrace(args.reqtrace)
-        reqtrace_mod.validate_reqtrace_records(records)
-    else:
+    if args.measure:
         from repro.io import probe
+        from repro.obs import endurance as endurance_mod
         from repro.sim.parallel import resolve_jobs
 
+        run_dir = Path(args.dir)
         modes = probe.PROBE_MODES if args.mode == "all" else (args.mode,)
         results = probe.run_probes(
             modes, seed=args.seed, every=args.every,
             requests=args.requests, jobs=resolve_jobs(args.jobs))
         records = probe.merged_records(results)
-        if args.reqtrace_out:
-            path = reqtrace_mod.write_reqtrace(
-                args.reqtrace_out, records,
-                meta=probe.reqtrace_meta(results))
-            print(f"reqtrace -> {path}")
-        if args.endurance_out:
-            from repro.obs import endurance as endurance_mod
-
-            wear_records = probe.merged_endurance(results)
-            path = endurance_mod.write_endurance(
-                args.endurance_out, wear_records,
-                meta=probe.endurance_meta(results, wear_records))
-            print(f"endurance -> {path}")
+        path = reqtrace_mod.write_reqtrace(
+            run_dir / REQTRACE, records, meta=probe.reqtrace_meta(results))
+        print(f"reqtrace -> {path}")
+        wear_records = probe.merged_endurance(results)
+        path = endurance_mod.write_endurance(
+            run_dir / ENDURANCE, wear_records,
+            meta=probe.endurance_meta(results, wear_records))
+        print(f"endurance -> {path}")
+    else:
+        run_dir = artifact.run_dir(args.dir)
+        _, records = reqtrace_mod.load_reqtrace(run_dir / REQTRACE)
+        reqtrace_mod.validate_reqtrace_records(records)
     report = _evaluate_by_device(records, objectives)
-    if args.json:
-        path = artifact.write_text(args.json, artifact.dumps(report))
-        print(f"slo report (json) -> {path}")
+    path = artifact.write_text(run_dir / "slo.json", artifact.dumps(report))
+    print(f"slo report (json) -> {path}")
     print(slo_mod.format_slo_report(report))
     summary = analyze_trace(records)
     if any(cohort.get("count")
@@ -566,11 +556,13 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 def _cmd_wear(args: argparse.Namespace) -> int:
     from repro.obs import endurance as endurance_mod
 
-    header, records = endurance_mod.load_endurance(args.endurance)
+    run_dir = artifact.run_dir(args.dir)
+    source = str(run_dir / ENDURANCE)
+    header, records = endurance_mod.load_endurance(source)
     endurance_mod.validate_endurance_records(records)
     violations: list[str] = []
     document: dict = {"schema": endurance_mod.ENDURANCE_SCHEMA,
-                      "action": args.action, "source": args.endurance,
+                      "action": args.action, "source": source,
                       "meta": header.get("meta", {})}
 
     if args.action == "report":
@@ -632,9 +624,10 @@ def _cmd_wear(args: argparse.Namespace) -> int:
                         f"the {args.horizon:g} host-oPage horizon")
     else:  # diff
         if not args.against:
-            raise ConfigError("repro wear diff needs --against PATH "
-                              "(the reference artifact)")
-        _, against = endurance_mod.load_endurance(args.against)
+            raise ConfigError("repro wear diff needs --against DIR2 "
+                              "(the reference run directory)")
+        reference_source = str(artifact.run_dir(args.against) / ENDURANCE)
+        _, against = endurance_mod.load_endurance(reference_source)
         endurance_mod.validate_endurance_records(against)
         current = {record["name"]: record for record in records}
         reference = {record["name"]: record for record in against}
@@ -642,7 +635,7 @@ def _cmd_wear(args: argparse.Namespace) -> int:
         for name in sorted(set(current) | set(reference)):
             ours, theirs = current.get(name), reference.get(name)
             if ours is None or theirs is None:
-                where = args.endurance if ours is not None else args.against
+                where = source if ours is not None else reference_source
                 rows.append([name, "-", "-", "-", f"only in {where}"])
                 continue
             host_delta = (ours["program_opages"]["host"]
@@ -663,8 +656,8 @@ def _cmd_wear(args: argparse.Namespace) -> int:
         print(format_table(
             ["device", "host oPages +/-", "mean PEC +/-", "WAF +/-",
              "overhead oPages by cause +/-"],
-            rows, title=f"wear diff: {args.endurance} vs {args.against}"))
-        document["against"] = args.against
+            rows, title=f"wear diff: {source} vs {reference_source}"))
+        document["against"] = reference_source
         document["rows"] = rows
 
     if args.check and args.waf_budget is not None:
@@ -674,9 +667,9 @@ def _cmd_wear(args: argparse.Namespace) -> int:
                 violations.append(
                     f"{record['name']}: WAF {waf:.3f} exceeds budget "
                     f"{args.waf_budget:g}")
-    if args.json:
-        path = artifact.write_text(args.json, artifact.dumps(document))
-        print(f"wear document (json) -> {path}")
+    path = artifact.write_text(run_dir / "wear.json",
+                               artifact.dumps(document))
+    print(f"wear document (json) -> {path}")
     if violations:
         for violation in violations:
             print(f"repro wear: {violation}", file=sys.stderr)
@@ -715,15 +708,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="failure-domain shards for the process-parallel runner "
              "(1 = the whole fleet walked in this process; see "
              "docs/SHARDING.md)")
+    _add_jobs_flag(fleet, "shard")
     fleet.add_argument(
-        "--jobs", type=int, default=1,
-        help="shard worker processes (0 = all cores; results are "
-             "identical for any value at a fixed --shards)")
-    fleet.add_argument(
-        "--out", default=None,
-        help="optionally write a repro.sweep/v1 artifact (byte-stable; "
-             "the determinism gates cmp it)")
-    _add_observability_flags(fleet)
+        "--out", default=None, metavar="DIR",
+        help="write fleet.json (a repro.sweep/v1 artifact), metrics.json, "
+             "trace.jsonl and timeseries.jsonl into DIR; omit to print "
+             "only")
+    _add_cadence_flag(fleet)
     _add_faults_flag(fleet)
     fleet.set_defaults(func=_cmd_fleet)
 
@@ -781,21 +772,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "deterministically (jobs-invariant)")
     sweep.add_argument("--runs", type=int, default=4,
                        help="independent seed replicates per mode")
-    sweep.add_argument("--jobs", type=_jobs_arg, default=1,
-                       help="worker processes (0 = all cores, 'auto' = all "
-                            "cores but one; results are identical for any "
-                            "value)")
-    sweep.add_argument("--out", default="results/sweep.json",
-                       help="repro.sweep/v1 artifact path")
+    _add_jobs_flag(sweep, "run")
+    sweep.add_argument("--out", default="results", metavar="DIR",
+                       help="write sweep.json (a repro.sweep/v1 artifact) "
+                            "into DIR (default results)")
     _add_faults_flag(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     run = sub.add_parser(
         "run", help="execute a JSON scenario file (see scenarios/)")
     run.add_argument("scenario", help="path to a scenario .json")
-    run.add_argument("--out", default="results",
-                     help="artifact output directory")
-    _add_observability_flags(run)
+    run.add_argument("--out", default="results", metavar="DIR",
+                     help="write <name>.json, metrics.json, trace.jsonl and "
+                          "timeseries.jsonl into DIR (default results)")
+    _add_cadence_flag(run)
     _add_faults_flag(run)
     run.set_defaults(func=_cmd_run)
 
@@ -868,14 +858,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=DEFAULT_SEED,
         help="root seed; every cell and tenant derives from it "
              "deterministically (jobs-invariant)")
+    _add_jobs_flag(traffic, "cell")
     traffic.add_argument(
-        "--jobs", type=_jobs_arg, default=1,
-        help="cell worker processes (0 = all cores, 'auto' = all cores "
-             "but one; the artifact is byte-identical for any value)")
-    traffic.add_argument(
-        "--out", default="results/traffic.json",
-        help="repro.workloads.engine/v1 artifact path")
-    _add_observability_flags(traffic)
+        "--out", default="results", metavar="DIR",
+        help="write traffic.json (a repro.workloads.engine/v1 artifact) "
+             "and metrics.json into DIR (default results)")
     traffic.set_defaults(func=_cmd_traffic)
 
     report = sub.add_parser(
@@ -883,30 +870,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the paper's claims against run artifacts "
              "(exit 1 when a claim fails)")
     report.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="repro.obs.metrics/v1 JSON (from --metrics-out)")
-    report.add_argument(
-        "--timeseries", default=None, metavar="PATH",
-        help="repro.obs.timeseries/v1 JSONL or CSV "
-             "(from --timeseries-out)")
-    report.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="sim-time trace JSONL (from --trace-out); adds a trace "
-             "summary to the report")
-    report.add_argument(
-        "--artifact", default=None, metavar="PATH",
-        help="scenario artifact JSON (from `repro run`); supplies "
-             "lifetime/capacity inputs")
-    report.add_argument(
-        "--endurance", default=None, metavar="PATH",
-        help="repro.obs.endurance/v1 JSONL (from `repro slo --measure "
-             "--endurance-out`); enables the wear-provenance claims")
-    report.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the repro.report/v1 JSON document here")
-    report.add_argument(
-        "--markdown", default=None, metavar="PATH",
-        help="write the markdown report here (default: print it)")
+        "dir", nargs="?", default=None, metavar="DIR",
+        help="run directory: reads whichever of metrics.json, "
+             "timeseries.jsonl, trace.jsonl and endurance.jsonl it holds "
+             "and writes report.json and report.md into it; omit to "
+             "print the self-measuring claims only")
     report.add_argument(
         "--tolerance", type=float, default=0.10,
         help="relative tolerance for the claim checks (default 0.10)")
@@ -927,14 +895,13 @@ def build_parser() -> argparse.ArgumentParser:
              "docs/OBSERVABILITY.md; scenarios/slo_default.json ships "
              "a permissive example)")
     slo.add_argument(
-        "--reqtrace", default=None, metavar="PATH",
-        help="evaluate an existing repro.obs.reqtrace/v1 artifact "
-             "(from `repro slo --measure --reqtrace-out`) instead of "
-             "measuring")
+        "dir", metavar="DIR",
+        help="run directory: evaluates its reqtrace.jsonl (or, with "
+             "--measure, writes reqtrace.jsonl and endurance.jsonl) and "
+             "writes slo.json into it")
     slo.add_argument(
         "--measure", action="store_true",
-        help="drive the instrumented IO probe and evaluate its "
-             "records (mutually exclusive with --reqtrace)")
+        help="drive the instrumented IO probe and evaluate its records")
     slo.add_argument(
         "--mode", default="all", choices=("all",) + probe.PROBE_MODES,
         help="device mode(s) to probe under --measure")
@@ -943,26 +910,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe seed; records are a pure function of "
              "(mode, seed, --every, --requests) and identical for any "
              "--jobs")
-    slo.add_argument(
-        "--jobs", type=int, default=1,
-        help="probe one mode per worker process (0 = all cores)")
+    _add_jobs_flag(slo, "probe (one mode each)")
     slo.add_argument(
         "--every", type=int, default=probe.PROBE_EVERY, metavar="N",
         help="sample 1 request in N (default %(default)s)")
     slo.add_argument(
         "--requests", type=int, default=probe.PROBE_REQUESTS, metavar="N",
         help="measured requests per mode (default %(default)s)")
-    slo.add_argument(
-        "--reqtrace-out", default=None, metavar="PATH",
-        help="also write the measured repro.obs.reqtrace/v1 JSONL")
-    slo.add_argument(
-        "--endurance-out", default=None, metavar="PATH",
-        help="also write the probe's wear-ledger records as a "
-             "repro.obs.endurance/v1 JSONL (consumed by `repro wear` "
-             "and `repro report --endurance`)")
-    slo.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the repro.obs.slo_report/v1 JSON document here")
     slo.set_defaults(func=_cmd_slo)
 
     wear = sub.add_parser(
@@ -976,13 +930,13 @@ def build_parser() -> argparse.ArgumentParser:
              "per-tiredness-level ETA rows plus fleet survival; diff: "
              "compare two artifacts device by device")
     wear.add_argument(
-        "--endurance", required=True, metavar="PATH",
-        help="repro.obs.endurance/v1 JSONL (from `repro slo --measure "
-             "--endurance-out`)")
+        "dir", metavar="DIR",
+        help="run directory holding endurance.jsonl (from `repro slo "
+             "--measure`); wear.json is written into it")
     wear.add_argument(
-        "--against", default=None, metavar="PATH",
-        help="reference artifact for `diff` (deltas are "
-             "--endurance minus --against)")
+        "--against", default=None, metavar="DIR2",
+        help="reference run directory for `diff` (deltas are DIR "
+             "minus DIR2)")
     wear.add_argument(
         "--waf-budget", type=float, default=None, metavar="X",
         help="with --check: fail when any device's measured WAF "
@@ -999,9 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="gate mode: exit 1 on any --waf-budget or --horizon "
              "violation (malformed artifacts exit 2 regardless)")
-    wear.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the computed document as JSON here")
     wear.set_defaults(func=_cmd_wear)
 
     return parser

@@ -18,9 +18,9 @@ from fine to coarse sampling instead of exhausting memory or
 truncating history. A series that overflows ``k`` times spans the
 whole run at ``2^k`` times the original spacing.
 
-Export is columnar (one ``t``/``v`` array pair per series) as JSONL or
-CSV under the ``repro.obs.timeseries/v1`` schema; both round-trip via
-:func:`load_timeseries` and are validated by
+Export is columnar (one ``t``/``v`` array pair per series) as JSONL
+under the ``repro.obs.timeseries/v1`` schema; it round-trips via
+:func:`load_timeseries` and is validated by
 :func:`validate_timeseries_document`. ``repro report`` consumes these
 artifacts for its claim checks.
 
@@ -31,9 +31,6 @@ bind it once, so the disabled path costs one ``is None`` test per step.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -55,8 +52,6 @@ DEFAULT_CAPACITY = 512
 DEFAULT_CADENCE = 30.0
 
 _EPS = 1e-12
-
-_CSV_HEADER = ["name", "labels", "unit", "kind", "t", "value"]
 
 
 class SeriesBuffer:
@@ -352,25 +347,6 @@ class TimeseriesSampler:
         header = {k: v for k, v in document.items() if k != "series"}
         return artifact.write_jsonl(path, [header, *document["series"]])
 
-    def export_csv(self, path: str | Path) -> Path:
-        """Write long-format CSV: ``name,labels,unit,kind,t,value``."""
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(_CSV_HEADER)
-        for series in self.to_dict()["series"]:
-            labels = json.dumps(series["labels"], sort_keys=True)
-            for t, v in zip(series["t"], series["v"]):
-                writer.writerow([series["name"], labels,
-                                 series["unit"] or "",
-                                 series["kind"], t, v])
-        return artifact.write_text(path, out.getvalue())
-
-    def export(self, path: str | Path) -> Path:
-        """Dispatch on suffix: ``.csv`` -> CSV, everything else JSONL."""
-        if str(path).endswith(".csv"):
-            return self.export_csv(path)
-        return self.export_jsonl(path)
-
 
 def _finite(value: float):
     if math.isnan(value):
@@ -380,72 +356,20 @@ def _finite(value: float):
     return value
 
 
-def _unfinite(value) -> float:
-    if value == "NaN":
-        return math.nan
-    if value == "Infinity":
-        return math.inf
-    if value == "-Infinity":
-        return -math.inf
-    return float(value)
-
-
 # -- loading / validation ---------------------------------------------------
 
 
 def load_timeseries(path: str | Path) -> dict:
-    """Read a timeseries artifact (JSONL or CSV) back into the document.
+    """Read a JSONL timeseries artifact back into the document.
 
     Raises :class:`~repro.errors.ConfigError` on missing files or
     corrupt content — ``repro report`` maps that to exit code 2.
     """
-    if Path(path).suffix == ".csv":
-        document = _load_csv(path)
-    else:
-        document = _load_jsonl(path)
-    return validate_timeseries_document(document)
-
-
-def _load_jsonl(path: str | Path) -> dict:
     lines = [record for _, record in
              artifact.read_jsonl(path, "timeseries artifact")]
     if not lines:
         raise ConfigError(f"timeseries artifact {path} is empty")
-    return {**lines[0], "series": lines[1:]}
-
-
-def _load_csv(path: str | Path) -> dict:
-    series: dict[tuple[str, str], dict] = {}
-    text = artifact.read_text(path, "timeseries CSV")
-    try:
-        reader = csv.reader(text.splitlines())
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise ConfigError(f"unexpected header {header!r}")
-        for row in reader:
-            if len(row) != 6:
-                raise ConfigError(f"bad row {row!r}")
-            name, labels_json, unit, kind, t, v = row
-            entry = series.setdefault((name, labels_json), {
-                "name": name,
-                "labels": artifact.parse_json(labels_json, "labels"),
-                "unit": unit or None, "kind": kind,
-                "resolution": 0.0, "downsamples": 0,
-                "t": [], "v": [],
-            })
-            entry["t"].append(float(t))
-            entry["v"].append(_finite(_unfinite(v)))
-    except (ValueError, csv.Error) as error:    # ConfigError is one
-        raise ConfigError(
-            f"timeseries CSV {path} is corrupt: {error}") from error
-    return {
-        "schema": TIMESERIES_SCHEMA,
-        "cadence": 0.0,
-        "capacity": DEFAULT_CAPACITY,
-        "samples_taken": max((len(s["t"]) for s in series.values()),
-                             default=0),
-        "series": [series[key] for key in sorted(series)],
-    }
+    return validate_timeseries_document({**lines[0], "series": lines[1:]})
 
 
 _SERIES_FIELDS = {"name": str, "labels": dict, "t": list, "v": list}
@@ -515,7 +439,7 @@ def series_from_document(document: dict, name: str,
             f"{len(matches)} series match")
     entry = matches[0]
     return (list(map(float, entry["t"])),
-            [_unfinite(v) for v in entry["v"]])
+            [float(v) for v in entry["v"]])
 
 
 def document_series_names(document: dict) -> list[str]:

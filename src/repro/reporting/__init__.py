@@ -2,7 +2,7 @@
 
 from repro.reporting.series import Series
 from repro.reporting.tables import format_table, render_bars, render_series
-from repro.reporting.export import ExperimentWriter, load_experiment
+from repro.reporting.export import ExperimentWriter
 
 __all__ = ["Series", "format_table", "render_bars", "render_series",
-           "ExperimentWriter", "load_experiment"]
+           "ExperimentWriter"]

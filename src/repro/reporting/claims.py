@@ -5,9 +5,8 @@ mechanically against a run's observability artifacts:
 
 1. **Lifetime extension** (§4, Fig. 3a): ShrinkS/RegenS extend mean
    device lifetime over the baseline, "up to 1.5x". The check reads
-   per-mode mean lifetimes — from a fleet scenario artifact's summary
-   table or from ``repro_fleet_mean_lifetime_days`` timeseries — and
-   asserts the ratio lands in ``[1 - tol, 1.5 + tol]``.
+   per-mode mean lifetimes from the ``repro_fleet_mean_lifetime_days``
+   timeseries and asserts the ratio lands in ``[1 - tol, 1.5 + tol]``.
 2. **Throughput degradation** (§4.2, Fig. 3c): sequential throughput at
    tiredness level ``L`` degrades by ``4/(4-L)`` — i.e. a factor of
    ``(P - L)/P``. The check *measures* this on the functional flash
@@ -19,8 +18,8 @@ mechanically against a run's observability artifacts:
    many small re-replication bursts — where the baseline cliff loses a
    whole device at once. The check compares the *peak single-interval
    capacity drop* (fraction of initial capacity) between shrink and
-   baseline trajectories, from ``repro_fleet_capacity_bytes``
-   timeseries or a fleet artifact's ``<mode>/capacity`` series.
+   baseline trajectories, from the ``repro_fleet_capacity_bytes``
+   timeseries.
 4. **Queueing latency** (§4.2 load axis): the measured IO pipeline
    (:mod:`repro.io`) agrees with the analytic M/D/c model. The check
    runs one traffic-engine cell per utilisation — a single open-loop
@@ -43,13 +42,13 @@ mechanically against a run's observability artifacts:
 6. **Wear provenance** (the endurance trade behind §4's lifetime
    claim): Salamander's lifetime extension is paid for in measured,
    cause-attributed wear — not hidden amplification. Given a
-   ``repro.obs.endurance/v1`` artifact (``--endurance``, written by
-   ``repro slo --measure --endurance-out``), the checks assert the exact
-   WAF identity ``WAF = 1 + overhead/host`` on every device record,
-   that ``shrink``/``regen`` wear causes appear only on Salamander
-   devices, and that each Salamander mode's WAF delta against the
-   baseline decomposes exactly into its per-cause terms — the wear
-   premium of the mode's lifetime extension, itemised.
+   ``repro.obs.endurance/v1`` artifact (a run directory's
+   ``endurance.jsonl``, written by ``repro slo --measure``), the checks
+   assert the exact WAF identity ``WAF = 1 + overhead/host`` on every
+   device record, that ``shrink``/``regen`` wear causes appear only on
+   Salamander devices, and that each Salamander mode's WAF delta
+   against the baseline decomposes exactly into its per-cause terms —
+   the wear premium of the mode's lifetime extension, itemised.
 
 Each check returns a :class:`ClaimResult` with status ``pass``,
 ``fail`` or ``skip`` (skip = the needed inputs were not supplied; the
@@ -164,41 +163,6 @@ def _series_arrays(timeseries_doc: dict | None, name: str,
     return out
 
 
-def lifetimes_from_artifact(artifact: dict | None) -> dict[str, float]:
-    """``mode -> mean_lifetime_days`` from a fleet scenario artifact."""
-    if not artifact:
-        return {}
-    table = artifact.get("tables", {}).get("summary")
-    if not table:
-        return {}
-    headers = table.get("headers", [])
-    if "mode" not in headers or "mean_lifetime_days" not in headers:
-        return {}
-    mode_i = headers.index("mode")
-    life_i = headers.index("mean_lifetime_days")
-    out = {}
-    for row in table.get("rows", []):
-        try:
-            out[str(row[mode_i])] = float(row[life_i])
-        except (TypeError, ValueError, IndexError):
-            continue
-    return out
-
-
-def capacity_curves_from_artifact(artifact: dict | None,
-                                  ) -> dict[str, list[float]]:
-    """``mode -> capacity_bytes[]`` from ``<mode>/capacity`` series."""
-    out: dict[str, list[float]] = {}
-    if not artifact:
-        return out
-    for name, series in artifact.get("series", {}).items():
-        if name.endswith("/capacity"):
-            out[name.rsplit("/", 1)[0]] = [
-                float(v) for v in series.get("y", [])
-                if isinstance(v, (int, float))]
-    return out
-
-
 # -- claim checks ------------------------------------------------------------
 
 
@@ -223,8 +187,8 @@ def check_lifetime_extension(lifetimes: dict[str, float],
             results.append(ClaimResult(
                 claim, "skip", None, expected,
                 "needs baseline and "
-                f"{mode} fleet lifetimes (run `repro fleet` or the "
-                "quick_fleet scenario with --timeseries-out)"))
+                f"{mode} fleet lifetimes (a timeseries.jsonl from "
+                "`repro fleet --out DIR` or `repro run`)"))
             continue
         ratio = lifetimes[mode] / baseline
         status = "pass" if ratio >= (1.0 - tolerance) else "fail"
@@ -488,8 +452,8 @@ def check_recovery_traffic(curves: dict[str, list[float]],
     if shrink is None or baseline is None:
         return ClaimResult(
             claim, "skip", None, expected,
-            "needs baseline and shrink capacity trajectories (rerun "
-            "with --timeseries-out, or pass a fleet scenario artifact)")
+            "needs baseline and shrink capacity trajectories (a "
+            "timeseries.jsonl from `repro fleet --out DIR` or `repro run`)")
     status = "pass" if shrink < baseline else "fail"
     return ClaimResult(
         claim, status, round(shrink, 4), expected,
@@ -554,9 +518,9 @@ def check_wear_provenance(records: list[dict] | None,
                           "Salamander devices")
     delta_expected = ("WAF delta vs baseline decomposes exactly into "
                       "per-cause terms")
-    hint = ("needs a repro.obs.endurance/v1 artifact (write one with "
-            "`repro slo --measure --endurance-out`, then pass "
-            "--endurance)")
+    hint = ("needs a repro.obs.endurance/v1 artifact (an endurance.jsonl "
+            "from `repro slo --slo CFG DIR --measure`, then `repro report "
+            "DIR`)")
     def skipped(detail: str) -> list[ClaimResult]:
         return ([ClaimResult(isolation_claim, "skip", None,
                              isolation_expected, detail)]
@@ -646,7 +610,6 @@ def check_wear_provenance(records: list[dict] | None,
 def build_report(metrics_doc: dict | None = None,
                  timeseries_doc: dict | None = None,
                  trace_records: list[dict] | None = None,
-                 artifact_doc: dict | None = None,
                  endurance_records: list[dict] | None = None,
                  tolerance: float = DEFAULT_TOLERANCE,
                  throughput_levels: tuple[int, ...] = (1, 2, 3),
@@ -659,28 +622,20 @@ def build_report(metrics_doc: dict | None = None,
     still useful. ``queue_depth`` parameterises the queue the
     measured-latency claim drives (the CLI's ``--queue-depth``);
     ``endurance_records`` are the device records of a
-    ``repro.obs.endurance/v1`` artifact (the CLI's ``--endurance``).
+    ``repro.obs.endurance/v1`` artifact (a run directory's
+    ``endurance.jsonl``).
     Returns the ``repro.report/v1`` document.
     """
     if not 0 <= tolerance < 1:
         raise ConfigError(
             f"tolerance must be in [0, 1), got {tolerance!r}")
     lifetimes = _series_map(timeseries_doc, "repro_fleet_mean_lifetime_days")
-    source = "timeseries"
-    if not lifetimes:
-        lifetimes = lifetimes_from_artifact(artifact_doc)
-        source = "artifact summary table"
-
     curves = _series_arrays(timeseries_doc, "repro_fleet_capacity_bytes")
-    curve_source = "timeseries"
-    if not ("baseline" in curves and "shrink" in curves):
-        curves = capacity_curves_from_artifact(artifact_doc)
-        curve_source = "artifact capacity series"
 
     claims: list[ClaimResult] = []
     claims += check_lifetime_extension(
         lifetimes, tolerance,
-        detail=(f"from {source}: " + ", ".join(
+        detail=("from timeseries: " + ", ".join(
             f"{m}={v:.0f}d" for m, v in sorted(lifetimes.items()))
             if lifetimes else ""))
     claims += check_throughput_degradation(throughput_levels, tolerance)
@@ -692,7 +647,7 @@ def build_report(metrics_doc: dict | None = None,
         tolerance=max(tolerance, TRAFFIC_TOLERANCE))
     recovery = check_recovery_traffic(curves)
     if recovery.status != "skip":
-        recovery.detail += f" (from {curve_source})"
+        recovery.detail += " (from timeseries)"
     claims.append(recovery)
     claims += check_wear_provenance(endurance_records)
 
@@ -706,7 +661,8 @@ def build_report(metrics_doc: dict | None = None,
             "metrics": metrics_doc is not None,
             "timeseries": timeseries_doc is not None,
             "trace": trace_records is not None,
-            "artifact": artifact_doc is not None,
+            # A repro.report/v1 key that no report input sets.
+            "artifact": False,
             "endurance": endurance_records is not None,
         },
         "claims": [c.to_json() for c in claims],

@@ -121,23 +121,3 @@ class ExperimentWriter:
         return artifact.write_text(
             Path(directory) / f"{self.experiment}.json",
             artifact.dumps(self.document()))
-
-
-_EXPERIMENT_FIELDS = {"experiment": str, "meta": dict, "tables": dict,
-                      "series": dict}
-
-
-def load_experiment(path: str | Path) -> dict:
-    """Read back an artifact; validates the schema's top-level shape.
-
-    Raises :class:`~repro.errors.ConfigError` on missing files and
-    corrupt JSON so consumers (``repro report``) map the condition to
-    exit code 2 rather than an unexpected-error traceback.
-    """
-    document = artifact.read_json(path, "artifact")
-    what = f"artifact {path}"
-    artifact.require(document, what, _EXPERIMENT_FIELDS)
-    for section in ("tables", "series"):    # name -> object, both
-        artifact.require(document[section], f"{what} {section}",
-                         dict.fromkeys(document[section], dict))
-    return document

@@ -10,7 +10,8 @@ the merged output is **bit-identical** to a sequential run:
 * tasks are enumerated in one canonical order (seed-major, then mode) and
   ``Pool.map`` preserves that order in its result list;
 * each worker starts from a reset run context (:func:`repro.context.reset`
-  is the pool initializer) and runs :func:`repro.sim.fleet.simulate_fleet`
+  is the pool initializer; the serial path scopes the same defaults) and
+  runs :func:`repro.sim.fleet.simulate_fleet`
   from the task's own integer seed, so results depend only on the task
   tuple, not on which process ran it;
 * artifacts are serialised with sorted keys and a fixed layout, so the
@@ -59,18 +60,13 @@ def derive_seeds(root_seed: int, count: int) -> list[int]:
     return [int(fork_rng(rng, i).integers(0, 2**31)) for i in range(count)]
 
 
-def resolve_jobs(jobs: int | str) -> int:
+def resolve_jobs(jobs: int) -> int:
     """Normalise a ``--jobs`` value to a worker count.
 
-    ``0`` means "all cores"; the string ``"auto"`` means "all cores
-    but one" (floor 1) — leave a core for the coordinator and the rest
-    of the machine. Anything else must be a positive int.
+    ``0`` means "all cores"; anything else must be a positive int.
     """
-    if jobs == "auto":
-        return max(1, (os.cpu_count() or 1) - 1)
     if not isinstance(jobs, int) or isinstance(jobs, bool):
-        raise ConfigError(
-            f"jobs must be an int or 'auto', got {jobs!r}")
+        raise ConfigError(f"jobs must be an int, got {jobs!r}")
     if jobs < 0:
         raise ConfigError(f"jobs must be non-negative, got {jobs!r}")
     if jobs == 0:
@@ -101,26 +97,29 @@ def parallel_map(fn: Callable[[_T], _R], tasks: Sequence[_T],
     the reference execution the parallel path must match. ``fn`` and every
     task must be picklable module-level objects when ``jobs > 1``.
 
-    Every pool worker starts from a reset run context: nothing the
-    parent scoped (a registry, tracer, sampler, injector, request
-    tracer or wear ledger) leaks into a child, and workers never export
-    telemetry — the parent merges results, not telemetry.
+    Every task runs under the default run context — a pool worker
+    from :func:`repro.context.reset`, the serial path under the same
+    defaults scoped around it: nothing the caller scoped (a registry,
+    tracer, sampler, injector, request tracer or wear ledger) reaches a
+    task, so what the caller exports never depends on ``jobs``. Tasks
+    never export telemetry — the caller merges results, not telemetry.
 
     On platforms without the ``fork`` start method the call falls back
     to the serial path with a :class:`RuntimeWarning` — results are
     identical by the determinism contract, only slower.
     """
     jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    fork = _fork_context()
+    parallel = jobs > 1 and len(tasks) > 1
+    fork = _fork_context() if parallel else None
     if fork is None:
-        warnings.warn(
-            "the 'fork' start method is unavailable on this platform; "
-            f"running {len(tasks)} task(s) serially instead of on "
-            f"{jobs} workers (results are identical)",
-            RuntimeWarning, stacklevel=2)
-        return [fn(task) for task in tasks]
+        if parallel:
+            warnings.warn(
+                "the 'fork' start method is unavailable on this platform; "
+                f"running {len(tasks)} task(s) serially instead of on "
+                f"{jobs} workers (results are identical)",
+                RuntimeWarning, stacklevel=2)
+        with context.scoped(**asdict(context.RunContext())):
+            return [fn(task) for task in tasks]
     # Chunked fan-out: a few chunks per worker balances load without
     # drowning in per-task IPC.
     chunk_size = max(1, math.ceil(len(tasks) / (jobs * 4)))
@@ -146,12 +145,7 @@ class FleetTask:
 
 
 def run_fleet_task(task: FleetTask) -> FleetResult:
-    """Worker entry point: simulate one fleet task.
-
-    Called in-process (``jobs <= 1``) it runs under the caller's run
-    context — telemetry never changes simulation results, so both paths
-    produce identical :class:`FleetResult` values.
-    """
+    """Worker entry point: simulate one fleet task."""
     return simulate_fleet(task.config, task.mode, seed=task.seed,
                           faults=task.faults)
 

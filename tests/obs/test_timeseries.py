@@ -186,23 +186,6 @@ class TestRoundTrip:
         _t, weird = series_from_document(document, "repro_weird")
         assert math.isnan(weird[0]) and math.isinf(weird[1])
 
-    def test_csv_round_trip(self, tmp_path):
-        sampler = self._sampler()
-        path = sampler.export_csv(tmp_path / "ts.csv")
-        document = load_timeseries(path)
-        assert document["schema"] == TIMESERIES_SCHEMA
-        t, v = series_from_document(document, "repro_x",
-                                    {"mode": "shrink"})
-        assert (t, v) == ([float(i) for i in range(10)], [1.5] * 10)
-
-    def test_export_dispatches_on_suffix(self, tmp_path):
-        sampler = self._sampler()
-        csv_path = sampler.export(tmp_path / "a.csv")
-        jsonl_path = sampler.export(tmp_path / "a.jsonl")
-        assert csv_path.read_text().startswith("name,labels,")
-        assert json.loads(jsonl_path.read_text().splitlines()[0])[
-            "schema"] == TIMESERIES_SCHEMA
-
     def test_merge_documents(self, tmp_path):
         a = self._sampler().to_dict()
         b = TimeseriesSampler().to_dict()
@@ -226,12 +209,6 @@ class TestLoadingErrors:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(ConfigError, match="empty"):
-            load_timeseries(path)
-
-    def test_csv_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("who,what\n1,2\n")
-        with pytest.raises(ConfigError, match="unexpected header"):
             load_timeseries(path)
 
     def test_validation_rejects_bad_documents(self):
@@ -301,11 +278,9 @@ class TestNullSampler:
     """A sampler that never sampled (nothing else is left to be one)."""
 
     def test_exports_empty_documents(self, tmp_path):
-        path = TimeseriesSampler().export(tmp_path / "empty.jsonl")
+        path = TimeseriesSampler().export_jsonl(tmp_path / "empty.jsonl")
         document = load_timeseries(path)
         assert document["series"] == []
-        csv_path = TimeseriesSampler().export(tmp_path / "empty.csv")
-        assert csv_path.read_text().startswith("name,labels,")
 
 
 class TestFleetIntegration:

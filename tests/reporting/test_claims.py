@@ -11,13 +11,11 @@ from repro.reporting.claims import (
     TRAFFIC_TOLERANCE,
     ClaimResult,
     build_report,
-    capacity_curves_from_artifact,
     check_lifetime_extension,
     check_recovery_traffic,
     check_throughput_degradation,
     check_traffic_latency,
     format_report,
-    lifetimes_from_artifact,
     measured_throughput_factor,
     measured_traffic_p99,
     report_failed,
@@ -67,7 +65,7 @@ class TestLifetimeExtension:
     def test_missing_modes_skip_with_rerun_hint(self):
         results = check_lifetime_extension({"baseline": 100.0})
         assert [r.status for r in results] == ["skip", "skip"]
-        assert "--timeseries-out" in results[0].detail
+        assert "`repro fleet --out DIR`" in results[0].detail
 
     def test_zero_baseline_skips(self):
         results = check_lifetime_extension(
@@ -201,36 +199,6 @@ class TestRecoveryTraffic:
             {"baseline": [100.0]}).status == "skip"
 
 
-class TestArtifactExtraction:
-    ARTIFACT = {
-        "tables": {"summary": {
-            "headers": ["mode", "devices", "mean_lifetime_days"],
-            "rows": [["baseline", 16, 400.0], ["shrink", 16, 520.0],
-                     ["regen", 16, "bogus"]],
-        }},
-        "series": {
-            "baseline/capacity": {"x": [0, 1], "y": [100.0, 50.0]},
-            "shrink/capacity": {"x": [0, 1], "y": [100.0, 90.0]},
-            "shrink/lost": {"x": [0, 1], "y": [0.0, 10.0]},
-        },
-    }
-
-    def test_lifetimes_from_summary_table(self):
-        lifetimes = lifetimes_from_artifact(self.ARTIFACT)
-        # The unparseable regen row is dropped, not fatal.
-        assert lifetimes == {"baseline": 400.0, "shrink": 520.0}
-
-    def test_capacity_curves_by_suffix(self):
-        curves = capacity_curves_from_artifact(self.ARTIFACT)
-        assert set(curves) == {"baseline", "shrink"}
-        assert curves["shrink"] == [100.0, 90.0]
-
-    def test_absent_inputs_yield_empty(self):
-        assert lifetimes_from_artifact(None) == {}
-        assert lifetimes_from_artifact({"tables": {}}) == {}
-        assert capacity_curves_from_artifact(None) == {}
-
-
 class TestBuildReport:
     def test_full_pass_report(self):
         doc = _timeseries_doc(
@@ -240,23 +208,13 @@ class TestBuildReport:
                         "shrink": [100.0, 90.0, 80.0]})
         report = build_report(timeseries_doc=doc)
         assert report["schema"] == REPORT_SCHEMA
-        # The four wear_provenance claims skip without --endurance input.
+        # The four wear_provenance claims skip without endurance records.
         assert report["summary"] == {"pass": 14, "fail": 0, "skip": 4}
         skipped = [c["claim"] for c in report["claims"]
                    if c["status"] == "skip"]
         assert all(c.startswith("wear_provenance/") for c in skipped)
         assert not report_failed(report)
         assert report["inputs"]["timeseries"] is True
-
-    def test_artifact_table_fallback(self):
-        report = build_report(artifact_doc=TestArtifactExtraction.ARTIFACT)
-        by_claim = {c["claim"]: c for c in report["claims"]}
-        shrink = by_claim["lifetime_extension/shrink"]
-        assert shrink["status"] == "pass"
-        assert "artifact summary table" in shrink["detail"]
-        recovery = by_claim["recovery_traffic/shrink_vs_baseline"]
-        assert recovery["status"] == "pass"
-        assert "artifact capacity series" in recovery["detail"]
 
     def test_no_inputs_is_all_skip_plus_throughput(self):
         report = build_report()

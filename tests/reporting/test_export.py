@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.reporting.export import ExperimentWriter, load_experiment
+from repro.reporting.export import ExperimentWriter
 from repro.reporting.series import Series
 
 
@@ -19,7 +19,7 @@ class TestExperimentWriter:
                                  np.array([48, 40]), x_label="years"))
         path = writer.write(tmp_path)
         assert path.name == "fig-test.json"
-        document = load_experiment(path)
+        document = json.loads(path.read_text())
         assert document["meta"]["seed"] == 7
         assert document["tables"]["gains"]["rows"][1] == ["L2", 0.8]
         assert document["series"]["survivors"]["x"] == [0.0, 1.0]
@@ -45,12 +45,6 @@ class TestExperimentWriter:
         with pytest.raises(ConfigError):
             ExperimentWriter("a/b")
 
-    def test_load_rejects_malformed(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"experiment": "x"}')
-        with pytest.raises(ConfigError):
-            load_experiment(path)
-
     def test_directory_created(self, tmp_path):
         writer = ExperimentWriter("nested")
         path = writer.write(tmp_path / "a" / "b")
@@ -66,7 +60,7 @@ class TestSerialisationPolicy:
             "vec": np.arange(3, dtype=np.int32),
             "grid": np.array([[1.0, 2.0], [3.0, 4.0]]),
         })
-        document = load_experiment(writer.write(tmp_path))
+        document = json.loads(writer.write(tmp_path).read_text())
         meta = document["meta"]
         assert meta["i8"] == -3 and isinstance(meta["i8"], int)
         assert meta["u32"] == 7
@@ -114,17 +108,17 @@ class TestSerialisationPolicy:
 
         writer = ExperimentWriter("coerced", meta={
             "path": Path("/tmp/x"), "mode": Mode.REGEN})
-        meta = load_experiment(writer.write(tmp_path))["meta"]
+        meta = json.loads(writer.write(tmp_path).read_text())["meta"]
         assert meta["path"] == "/tmp/x"
         assert "REGEN" in meta["mode"] or "regen" in meta["mode"]
 
 
 class TestAttachMetrics:
     """An experiment artifact carries no metrics document: a scenario's
-    metrics live only in its `--metrics-out` file."""
+    metrics live only in its run directory's metrics.json."""
 
     def test_no_metrics_key_when_not_attached(self, tmp_path):
         writer = ExperimentWriter("plain")
-        document = load_experiment(writer.write(tmp_path))
+        document = json.loads(writer.write(tmp_path).read_text())
         assert "metrics" not in document
         assert not hasattr(writer, "attach_metrics")

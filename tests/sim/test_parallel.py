@@ -81,18 +81,15 @@ class TestParallelMap:
         with pytest.raises(ConfigError):
             resolve_jobs(-1)
 
-    def test_resolve_jobs_auto(self, monkeypatch):
-        # 'auto' = all cores but one, floor 1; always a resolved int.
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
-        assert resolve_jobs("auto") == 7
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-        assert resolve_jobs("auto") == 1
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
-        assert resolve_jobs("auto") == 1
+    def test_resolve_jobs_auto(self):
+        # There is no 'auto': 0 is all cores, and a string is refused.
+        with pytest.raises(ConfigError, match="must be an int"):
+            resolve_jobs("auto")
 
     def test_resolve_jobs_rejects_other_strings_and_bools(self):
-        with pytest.raises(ConfigError):
-            resolve_jobs("fast")
+        for value in ("fast", "2"):
+            with pytest.raises(ConfigError):
+                resolve_jobs(value)
         with pytest.raises(ConfigError):
             resolve_jobs(True)
 

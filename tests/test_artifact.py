@@ -249,7 +249,7 @@ def test_negative_control_the_old_reqtrace_is_caught():
 # -- UTF-8 whatever the locale ------------------------------------------------
 
 def _cli_round_trip(out: Path, env: dict) -> dict[str, bytes]:
-    """``fleet --out``, ``run`` and ``report --artifact`` into ``out``."""
+    """``fleet --out``, ``run --out`` and ``report`` into ``out``."""
     out.mkdir()
     scenario = out / "scenario.json"
     scenario.write_text(json.dumps({
@@ -258,10 +258,9 @@ def _cli_round_trip(out: Path, env: dict) -> dict[str, bytes]:
                    "geometry": {"blocks": 16, "fpages_per_block": 16}}}))
     for argv in (
             ["fleet", "--devices", "4", "--years", "1", "--blocks", "16",
-             "--out", "fleet.json"],
+             "--out", "."],
             ["run", "scenario.json", "--out", "."],
-            ["report", "--artifact", "tiny.json", "--markdown", "report.md",
-             "--json", "report.json"]):
+            ["report", "."]):
         done = subprocess.run(
             [sys.executable, "-m", "repro", *argv], cwd=out, timeout=300,
             capture_output=True, env={**os.environ, **env,

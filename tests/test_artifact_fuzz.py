@@ -1,10 +1,12 @@
 """Damage what the CLI wrote, hand it back: exit 0, 1 or 2 — never 3.
 
 The matrix in ``tests/test_malformed_inputs.py`` walks the malformations
-someone thought of. This sweep draws them: every artifact ``repro fleet``
-and ``repro run`` just wrote is truncated at a drawn byte offset, has a
-drawn leaf replaced by a drawn JSON value, or has drawn bytes spliced
-in, and goes back through every command that reads that kind of file.
+someone thought of. This sweep draws them: every artifact ``repro
+fleet``, ``repro slo --measure`` and ``repro run`` just wrote is
+truncated at a drawn byte offset, has a drawn leaf replaced by a drawn
+JSON value, or has drawn bytes spliced in, and goes back, at a fixed
+name in a fresh run directory, through every command that reads that
+kind of file.
 Whatever the damage, the verdict is "fine" (0), "claim violated" (1) or
 "configuration error" (2); an unexpected-error exit is a validator that
 checked a key was there and not what it held.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -26,20 +29,22 @@ from repro.cli import main
 SLO = str(Path(__file__).resolve().parent.parent / "scenarios"
           / "slo_default.json")
 
-#: (artifact the CLI wrote, a command line that reads it back)
+#: (artifact the CLI wrote, the name it is read back under, a command
+#: line that reads it from the run directory ``@``)
 CONSUMERS = [
-    ("m.json", ["report", "--metrics", "@"]),
-    ("ts.jsonl", ["report", "--timeseries", "@"]),
-    ("ts.csv", ["report", "--timeseries", "@"]),
-    ("t.jsonl", ["report", "--trace", "@"]),
-    ("rt.jsonl", ["report", "--trace", "@"]),
-    ("rt.jsonl", ["slo", "--slo", SLO, "--reqtrace", "@"]),
-    ("e.jsonl", ["report", "--endurance", "@"]),
-    ("e.jsonl", ["wear", "report", "--endurance", "@"]),
-    ("e.jsonl", ["wear", "forecast", "--endurance", "@",
-                 "--horizon", "500", "--check"]),
-    ("e.jsonl", ["wear", "diff", "--endurance", "@", "--against", "@"]),
-    ("tiny.json", ["report", "--artifact", "@"]),
+    ("fleet/metrics.json", "metrics.json", ["report", "@"]),
+    ("run/metrics.json", "metrics.json", ["report", "@"]),
+    ("fleet/timeseries.jsonl", "timeseries.jsonl", ["report", "@"]),
+    ("run/timeseries.jsonl", "timeseries.jsonl", ["report", "@"]),
+    ("fleet/trace.jsonl", "trace.jsonl", ["report", "@"]),
+    ("probe/reqtrace.jsonl", "trace.jsonl", ["report", "@"]),
+    ("probe/reqtrace.jsonl", "reqtrace.jsonl", ["slo", "--slo", SLO, "@"]),
+    ("probe/endurance.jsonl", "endurance.jsonl", ["report", "@"]),
+    ("probe/endurance.jsonl", "endurance.jsonl", ["wear", "report", "@"]),
+    ("probe/endurance.jsonl", "endurance.jsonl",
+     ["wear", "forecast", "@", "--horizon", "500", "--check"]),
+    ("probe/endurance.jsonl", "endurance.jsonl",
+     ["wear", "diff", "@", "--against", "@"]),
 ]
 
 SCENARIO = {"name": "tiny", "kind": "fleet", "seed": 3,
@@ -58,19 +63,15 @@ def quiet(argv) -> tuple[int, str]:
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
     """Where one small ``fleet``, one ``slo --measure`` and one ``run``
-    wrote their artifacts."""
+    wrote their run directories."""
     root = tmp_path_factory.mktemp("written")
-    fleet = ["fleet", "--devices", "4", "--years", "1", "--blocks", "16"]
-    assert quiet(fleet + [
-        "--metrics-out", f"{root}/m.json", "--trace-out", f"{root}/t.jsonl",
-        "--timeseries-out", f"{root}/ts.jsonl"])[0] == 0
-    assert quiet(["slo", "--slo", SLO, "--measure",
-                  "--reqtrace-out", f"{root}/rt.jsonl",
-                  "--endurance-out", f"{root}/e.jsonl"])[0] == 0
-    assert quiet(fleet + ["--timeseries-out", f"{root}/ts.csv"])[0] == 0
+    assert quiet(["fleet", "--devices", "4", "--years", "1", "--blocks",
+                  "16", "--out", f"{root}/fleet"])[0] == 0
+    assert quiet(["slo", "--slo", SLO, f"{root}/probe", "--measure"])[0] \
+        == 0
     (root / "scenario.json").write_text(json.dumps(SCENARIO))
-    assert quiet(["run", f"{root}/scenario.json", "--out", str(root),
-                  "--timeseries-out", f"{root}/unused.jsonl"])[0] == 0
+    assert quiet(["run", f"{root}/scenario.json",
+                  "--out", f"{root}/run"])[0] == 0
     return root
 
 
@@ -117,20 +118,23 @@ JSON_VALUES = st.one_of(
        value=JSON_VALUES, junk=st.binary(max_size=6))
 def test_damaged_artifact_never_exits_3(written, consumer, how, where,
                                         pick, value, junk):
-    name, argv = CONSUMERS[consumer]
-    data = (written / name).read_bytes()
+    source, name, argv = CONSUMERS[consumer]
+    data = (written / source).read_bytes()
     offset = int(where * len(data))
-    if how == "leaf" and not name.endswith(".csv"):
+    if how == "leaf":
         damaged = replace_leaf(data, pick, value)
     elif how == "truncate":
         damaged = data[:offset]
     else:
         damaged = data[:offset] + junk + data[offset + pick % 4:]
-    target = written / f"damaged-{name}"
-    target.write_bytes(damaged)
+    target = written / "damaged"
+    shutil.rmtree(target, ignore_errors=True)
+    target.mkdir()
+    (target / name).write_bytes(damaged)
     code, err = quiet([str(target) if part == "@" else part
                        for part in argv])
     assert code in (0, 1, 2), (
-        f"{' '.join(argv)} on {name} ({how} @ {offset}): exit {code}\n{err}")
+        f"{' '.join(argv)} on {source} ({how} @ {offset}): exit {code}\n"
+        f"{err}")
     if code == 2:
         assert len(err.splitlines()) == 1, err

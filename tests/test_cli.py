@@ -95,6 +95,15 @@ class TestParser:
         assert "predictor" in out
         assert "run-to-failure" in out
 
+    def test_options_stay_at_most_87(self):
+        # Every argument of every subcommand, positionals included.
+        import argparse
+        choices = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        count = sum(not isinstance(action, argparse._HelpAction)
+                    for sub in choices.values() for action in sub._actions)
+        assert count <= 87, count
+
 
 class TestVersionAndExitCodes:
     def test_version_flag(self, capsys):
@@ -144,61 +153,63 @@ class TestVersionAndExitCodes:
 
 class TestObservabilityFlags:
     def test_fleet_writes_metrics_and_trace(self, capsys, tmp_path):
-        metrics_path = tmp_path / "m.json"
-        trace_path = tmp_path / "t.jsonl"
+        out = tmp_path / "run"
         assert main(["fleet", "--devices", "8", "--blocks", "32",
                      "--years", "2", "--step-days", "20",
                      "--mode", "regen", "--points", "5",
-                     "--metrics-out", str(metrics_path),
-                     "--trace-out", str(trace_path)]) == 0
+                     "--out", str(out)]) == 0
         assert context.current() == RunContext()  # the scope is gone
-        document = json.loads(metrics_path.read_text())
+        document = json.loads((out / "metrics.json").read_text())
         validate_metrics_document(document)
         names = {family["name"] for family in document["metrics"]}
         assert "repro_fleet_step_duration_seconds" in names
         assert "repro_fleet_devices_functioning" in names
-        records = [json.loads(line)
-                   for line in trace_path.read_text().splitlines()]
+        records = [json.loads(line) for line in
+                   (out / "trace.jsonl").read_text().splitlines()]
         times = [record["time"] for record in records]
         assert times == sorted(times)
-        out = capsys.readouterr().out
-        assert str(metrics_path) in out
-        assert str(trace_path) in out
+        printed = capsys.readouterr().out
+        assert str(out / "metrics.json") in printed
+        assert str(out / "trace.jsonl") in printed
 
     def test_run_embeds_metrics_in_artifact(self, capsys, tmp_path):
-        # The --metrics-out file is a scenario's one copy of its metrics;
-        # the experiment artifact no longer embeds them.
+        # metrics.json is a scenario's one copy of its metrics; the
+        # experiment artifact embeds none.
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(
             {"name": "cli-obs", "kind": "fig2",
              "params": {"pec_limit": 500}}))
-        metrics_path = tmp_path / "m.json"
-        assert main(["run", str(scenario),
-                     "--out", str(tmp_path / "artifacts"),
-                     "--metrics-out", str(metrics_path)]) == 0
-        artifact = json.loads(
-            (tmp_path / "artifacts" / "cli-obs.json").read_text())
+        out = tmp_path / "artifacts"
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        artifact = json.loads((out / "cli-obs.json").read_text())
         assert sorted(artifact) == ["experiment", "meta", "series",
                                     "tables"]
-        validate_metrics_document(json.loads(metrics_path.read_text()))
+        validate_metrics_document(
+            json.loads((out / "metrics.json").read_text()))
 
-    def test_flags_off_means_no_observability_cost(self, capsys, tmp_path):
+    def test_flags_off_means_no_observability_cost(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # Without --out, fleet prints only: nothing scoped, nothing
+        # written.
+        monkeypatch.chdir(tmp_path)
         assert main(["fleet", "--devices", "4", "--blocks", "32",
                      "--years", "1", "--step-days", "20",
                      "--points", "3"]) == 0
         assert context.current() == RunContext()
+        assert not list(tmp_path.iterdir())
 
 
 class TestTimeseriesFlag:
     def test_fleet_writes_timeseries(self, capsys, tmp_path):
-        ts_path = tmp_path / "ts.jsonl"
+        out = tmp_path / "run"
         assert main(["fleet", "--devices", "8", "--blocks", "32",
                      "--years", "2", "--step-days", "20",
                      "--mode", "all", "--points", "3",
-                     "--timeseries-out", str(ts_path)]) == 0
+                     "--out", str(out)]) == 0
         assert context.current() == RunContext()  # the scope is gone
         from repro.obs import load_timeseries
-        document = load_timeseries(ts_path)  # validates on load
+        # Validates on load.
+        document = load_timeseries(out / "timeseries.jsonl")
         names = {entry["name"] for entry in document["series"]}
         assert "repro_fleet_capacity_bytes" in names
         assert "repro_fleet_mean_lifetime_days" in names
@@ -206,28 +217,30 @@ class TestTimeseriesFlag:
         modes = {entry["labels"].get("mode")
                  for entry in document["series"]}
         assert {"baseline", "shrink", "regen"} <= modes
-        assert str(ts_path) in capsys.readouterr().out
+        assert str(out / "timeseries.jsonl") in capsys.readouterr().out
 
     def test_timeseries_cadence_thins_samples(self, tmp_path):
-        dense = tmp_path / "dense.jsonl"
-        sparse = tmp_path / "sparse.jsonl"
+        dense = tmp_path / "dense"
+        sparse = tmp_path / "sparse"
         argv = ["fleet", "--devices", "4", "--blocks", "32",
                 "--years", "2", "--step-days", "10",
                 "--mode", "baseline", "--points", "3"]
-        assert main(argv + ["--timeseries-out", str(dense)]) == 0
-        assert main(argv + ["--timeseries-out", str(sparse),
+        assert main(argv + ["--out", str(dense)]) == 0
+        assert main(argv + ["--out", str(sparse),
                             "--timeseries-cadence", "100"]) == 0
         from repro.obs import load_timeseries, series_from_document
         dense_t, _ = series_from_document(
-            load_timeseries(dense), "repro_fleet_devices_functioning")
+            load_timeseries(dense / "timeseries.jsonl"),
+            "repro_fleet_devices_functioning")
         sparse_t, _ = series_from_document(
-            load_timeseries(sparse), "repro_fleet_devices_functioning")
+            load_timeseries(sparse / "timeseries.jsonl"),
+            "repro_fleet_devices_functioning")
         assert len(sparse_t) < len(dense_t)
 
 
     def test_run_embeds_timeseries_in_artifact(self, capsys, tmp_path):
-        # The --timeseries-out file is a scenario's one copy of its
-        # timeseries; the experiment artifact no longer embeds it.
+        # timeseries.jsonl is a scenario's one copy of its timeseries;
+        # the experiment artifact embeds none.
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps({
             "name": "cli-ts", "kind": "fleet",
@@ -236,20 +249,18 @@ class TestTimeseriesFlag:
                        "geometry": {"blocks": 32,
                                     "fpages_per_block": 64}},
         }))
-        ts_path = tmp_path / "ts.jsonl"
-        assert main(["run", str(scenario),
-                     "--out", str(tmp_path / "artifacts"),
-                     "--timeseries-out", str(ts_path)]) == 0
-        artifact = json.loads(
-            (tmp_path / "artifacts" / "cli-ts.json").read_text())
+        out = tmp_path / "artifacts"
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        artifact = json.loads((out / "cli-ts.json").read_text())
         assert "timeseries" not in artifact
         from repro.obs import load_timeseries
-        assert load_timeseries(ts_path)["series"]  # validates on load
+        # Validates on load.
+        assert load_timeseries(out / "timeseries.jsonl")["series"]
 
 
 class TestReportCommand:
     @staticmethod
-    def _write_timeseries(path, lifetimes):
+    def _write_timeseries(run_dir, lifetimes):
         lines = [json.dumps({"schema": "repro.obs.timeseries/v1",
                              "cadence": 0.0, "capacity": 4096,
                              "samples_taken": 1})]
@@ -259,61 +270,59 @@ class TestReportCommand:
                 "labels": {"mode": mode}, "unit": "days",
                 "kind": "gauge", "resolution": 0.0, "downsamples": 0,
                 "t": [100.0], "v": [value]}))
-        path.write_text("\n".join(lines) + "\n")
+        run_dir.mkdir(exist_ok=True)
+        (run_dir / "timeseries.jsonl").write_text("\n".join(lines) + "\n")
 
     def test_report_passes_on_healthy_timeseries(self, capsys, tmp_path):
-        ts_path = tmp_path / "ts.jsonl"
-        self._write_timeseries(ts_path, {"baseline": 400.0,
-                                         "shrink": 520.0,
-                                         "regen": 600.0})
-        json_path = tmp_path / "report.json"
-        assert main(["report", "--timeseries", str(ts_path),
-                     "--json", str(json_path)]) == 0
-        report = json.loads(json_path.read_text())
+        self._write_timeseries(tmp_path, {"baseline": 400.0,
+                                          "shrink": 520.0,
+                                          "regen": 600.0})
+        assert main(["report", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["schema"] == "repro.report/v1"
         assert report["summary"]["fail"] == 0
+        assert report["inputs"] == {
+            "metrics": False, "timeseries": True, "trace": False,
+            "artifact": False, "endurance": False}
         by_claim = {c["claim"]: c for c in report["claims"]}
         assert by_claim["lifetime_extension/shrink"]["status"] == "pass"
         assert by_claim["throughput_degradation/L2"]["status"] == "pass"
+        assert "| claim |" in (tmp_path / "report.md").read_text()
 
     def test_report_claim_failure_exits_1(self, capsys, tmp_path):
-        ts_path = tmp_path / "ts.jsonl"
-        self._write_timeseries(ts_path, {"baseline": 400.0,
-                                         "shrink": 100.0,
-                                         "regen": 600.0})
-        assert main(["report", "--timeseries", str(ts_path)]) \
-            == EXIT_CLAIM_FAILED
-        captured = capsys.readouterr()
-        assert "FAILED" in captured.err
-        assert "`lifetime_extension/shrink` | fail" in captured.out
+        self._write_timeseries(tmp_path, {"baseline": 400.0,
+                                          "shrink": 100.0,
+                                          "regen": 600.0})
+        assert main(["report", str(tmp_path)]) == EXIT_CLAIM_FAILED
+        assert "FAILED" in capsys.readouterr().err
+        assert "`lifetime_extension/shrink` | fail" in \
+            (tmp_path / "report.md").read_text()
 
-    def test_report_prints_markdown_by_default(self, capsys, tmp_path):
+    def test_report_prints_markdown_by_default(self, capsys, tmp_path,
+                                               monkeypatch):
+        # No DIR: the self-measuring claims, printed; nothing written.
+        monkeypatch.chdir(tmp_path)
         assert main(["report"]) == 0
         out = capsys.readouterr().out
         assert "## Salamander claim check" in out
         assert "| claim | status |" in out
+        assert not list(tmp_path.iterdir())
 
     def test_missing_metrics_exits_2(self, capsys, tmp_path):
-        assert main(["report", "--metrics",
-                     str(tmp_path / "nope.json")]) == EXIT_CONFIG_ERROR
+        # The run directory itself is missing; a missing file in one
+        # that exists is an input the report skips.
+        assert main(["report", str(tmp_path / "nope")]) \
+            == EXIT_CONFIG_ERROR
         assert "not found" in capsys.readouterr().err
 
     def test_corrupt_metrics_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text("{not json")
-        assert main(["report", "--metrics", str(path)]) \
-            == EXIT_CONFIG_ERROR
+        (tmp_path / "metrics.json").write_text("{not json")
+        assert main(["report", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert "not valid JSON" in capsys.readouterr().err
 
     def test_corrupt_timeseries_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "ts.jsonl"
-        path.write_text("{broken\n")
-        assert main(["report", "--timeseries", str(path)]) \
-            == EXIT_CONFIG_ERROR
-
-    def test_missing_artifact_exits_2(self, capsys, tmp_path):
-        assert main(["report", "--artifact",
-                     str(tmp_path / "nope.json")]) == EXIT_CONFIG_ERROR
+        (tmp_path / "timeseries.jsonl").write_text("{broken\n")
+        assert main(["report", str(tmp_path)]) == EXIT_CONFIG_ERROR
 
     def test_bad_tolerance_exits_2(self, capsys, tmp_path):
         assert main(["report", "--tolerance", "1.5"]) \
@@ -327,57 +336,51 @@ class TestSweepCommand:
     def test_jobs_do_not_change_artifact_bytes(self, capsys, tmp_path):
         """`--jobs 2` must emit the same bytes as `--jobs 1` — the CLI
         face of the parallel runner's determinism contract."""
-        j1, j2 = tmp_path / "j1.json", tmp_path / "j2.json"
+        j1, j2 = tmp_path / "j1", tmp_path / "j2"
         assert main([*self.ARGS, "--jobs", "1", "--out", str(j1)]) == 0
         assert main([*self.ARGS, "--jobs", "2", "--out", str(j2)]) == 0
-        assert j1.read_bytes() == j2.read_bytes()
+        assert (j1 / "sweep.json").read_bytes() == \
+            (j2 / "sweep.json").read_bytes()
         out = capsys.readouterr().out
         assert "sweep artifact" in out
         assert "fleet sweep" in out
 
     def test_artifact_validates_and_covers_grid(self, capsys, tmp_path):
         from repro.sim.parallel import load_sweep_artifact
-        path = tmp_path / "sweep.json"
-        assert main([*self.ARGS, "--jobs", "1", "--out", str(path)]) == 0
-        document = load_sweep_artifact(path)
+        assert main([*self.ARGS, "--jobs", "1",
+                     "--out", str(tmp_path)]) == 0
+        document = load_sweep_artifact(tmp_path / "sweep.json")
         assert len(document["seeds"]) == 2
         assert len(document["results"]) == \
             len(document["modes"]) * len(document["seeds"])
 
     def test_single_mode_sweep(self, capsys, tmp_path):
-        path = tmp_path / "regen.json"
         assert main([*self.ARGS, "--mode", "regen", "--runs", "1",
-                     "--out", str(path)]) == 0
+                     "--out", str(tmp_path)]) == 0
         from repro.sim.parallel import load_sweep_artifact
-        document = load_sweep_artifact(path)
+        document = load_sweep_artifact(tmp_path / "sweep.json")
         assert document["modes"] == ["regen"]
 
     def test_bad_jobs_maps_to_exit_2(self, capsys, tmp_path):
         assert main([*self.ARGS, "--jobs", "-2",
-                     "--out", str(tmp_path / "x.json")]) == EXIT_CONFIG_ERROR
+                     "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert "configuration error" in capsys.readouterr().err
 
-    def test_jobs_auto_records_resolved_int(self, capsys, tmp_path):
-        # 'auto' resolves in the parent; the artifact records the
-        # resolved worker count, never the literal string.
-        path = tmp_path / "auto.json"
-        assert main([*self.ARGS, "--jobs", "auto",
-                     "--out", str(path)]) == 0
-        document = json.loads(path.read_text())
-        assert isinstance(document["meta"]["jobs"], int)
-        assert document["meta"]["jobs"] >= 1
-
     def test_explicit_jobs_leave_no_meta(self, capsys, tmp_path):
-        # Explicit worker counts stay out of the document, so the
-        # jobs-invariance byte-identity gates keep holding.
-        path = tmp_path / "j2.json"
-        assert main([*self.ARGS, "--jobs", "2", "--out", str(path)]) == 0
-        assert "meta" not in json.loads(path.read_text())
+        # No worker count reaches the document, so the jobs-invariance
+        # byte-identity gates keep holding; 0 is all cores.
+        for jobs in ("2", "0"):
+            out = tmp_path / jobs
+            assert main([*self.ARGS, "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            assert "meta" not in json.loads(
+                (out / "sweep.json").read_text())
 
     def test_jobs_gibberish_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main([*self.ARGS, "--jobs", "fast",
-                  "--out", str(tmp_path / "x.json")])
+        # --jobs is an int; 0 (not 'auto') asks for all cores.
+        for jobs in ("fast", "auto"):
+            with pytest.raises(SystemExit):
+                main([*self.ARGS, "--jobs", jobs, "--out", str(tmp_path)])
 
 
 class TestFleetShards:
@@ -386,31 +389,33 @@ class TestFleetShards:
     ARGS = ["fleet", "--devices", "6", "--blocks", "16", "--years", "2",
             "--step-days", "20"]
 
+    @staticmethod
+    def _fleet(out):
+        return (out / "fleet.json").read_bytes()
+
     def test_single_shard_matches_serial_bytes(self, capsys, tmp_path):
-        serial, sharded = tmp_path / "serial.json", tmp_path / "s1.json"
+        serial, sharded = tmp_path / "serial", tmp_path / "s1"
         assert main([*self.ARGS, "--out", str(serial)]) == 0
         assert main([*self.ARGS, "--shards", "1", "--jobs", "2",
                      "--out", str(sharded)]) == 0
-        assert serial.read_bytes() == sharded.read_bytes()
+        assert self._fleet(serial) == self._fleet(sharded)
 
     def test_jobs_do_not_change_artifact_bytes(self, capsys, tmp_path):
-        j1, j4 = tmp_path / "j1.json", tmp_path / "j4.json"
+        j1, j4 = tmp_path / "j1", tmp_path / "j4"
         assert main([*self.ARGS, "--shards", "4", "--jobs", "1",
                      "--out", str(j1)]) == 0
         assert main([*self.ARGS, "--shards", "4", "--jobs", "4",
                      "--out", str(j4)]) == 0
-        assert j1.read_bytes() == j4.read_bytes()
+        assert self._fleet(j1) == self._fleet(j4)
 
     def test_shards_recorded_in_config(self, capsys, tmp_path):
-        path = tmp_path / "s2.json"
         assert main([*self.ARGS, "--shards", "2",
-                     "--out", str(path)]) == 0
-        assert json.loads(path.read_text())["config"]["shards"] == 2
+                     "--out", str(tmp_path)]) == 0
+        assert json.loads(self._fleet(tmp_path))["config"]["shards"] == 2
 
     def test_bad_shards_maps_to_exit_2(self, capsys, tmp_path):
         assert main([*self.ARGS, "--shards", "0",
-                     "--out", str(tmp_path / "x.json")]) \
-            == EXIT_CONFIG_ERROR
+                     "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert "configuration error" in capsys.readouterr().err
 
     def test_fault_plan_on_one_shard_is_silent_and_identical(
@@ -422,18 +427,18 @@ class TestFleetShards:
             "schema": "repro.faults/v1",
             "events": [{"site": "fleet.step", "fault": "device_loss",
                         "when": 4, "args": {"devices": 2}}]}))
-        omitted, one = tmp_path / "omitted.json", tmp_path / "s1.json"
+        omitted, one = tmp_path / "omitted", tmp_path / "s1"
         assert main([*self.ARGS, "--faults", str(plan),
                      "--out", str(omitted)]) == 0
         assert main([*self.ARGS, "--faults", str(plan), "--shards", "1",
                      "--out", str(one)]) == 0
         assert not [w for w in recwarn.list
                     if issubclass(w.category, RuntimeWarning)]
-        assert omitted.read_bytes() == one.read_bytes()
-        assert json.loads(one.read_text())["faults"] is not None
+        assert self._fleet(omitted) == self._fleet(one)
+        assert json.loads(self._fleet(one))["faults"] is not None
         with pytest.warns(RuntimeWarning, match="fault plan"):
             assert main([*self.ARGS, "--faults", str(plan), "--shards", "3",
-                         "--out", str(tmp_path / "s3.json")]) == 0
+                         "--out", str(tmp_path / "s3")]) == 0
 
 
 class TestTrafficCommand:
@@ -446,9 +451,8 @@ class TestTrafficCommand:
     def test_writes_validated_artifact(self, capsys, tmp_path):
         from repro.workloads.engine import load_engine_artifact
 
-        out = tmp_path / "traffic.json"
-        assert main([*self.FAST, "--out", str(out)]) == 0
-        document = load_engine_artifact(out)
+        assert main([*self.FAST, "--out", str(tmp_path)]) == 0
+        document = load_engine_artifact(tmp_path / "traffic.json")
         assert document["config"]["tenants"] == 12
         assert document["totals"]["offered"] > 0
         printed = capsys.readouterr().out
@@ -456,67 +460,62 @@ class TestTrafficCommand:
         assert "tenant class" in printed
 
     def test_jobs_do_not_change_artifact_bytes(self, capsys, tmp_path):
-        a, b = tmp_path / "j1.json", tmp_path / "j2.json"
+        a, b = tmp_path / "j1", tmp_path / "j2"
         assert main([*self.FAST, "--jobs", "1", "--out", str(a)]) == 0
         assert main([*self.FAST, "--jobs", "2", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert (a / "traffic.json").read_bytes() == \
+            (b / "traffic.json").read_bytes()
 
-    def test_jobs_auto_records_resolved_int(self, capsys, tmp_path):
-        path = tmp_path / "auto.json"
-        assert main([*self.FAST, "--jobs", "auto",
-                     "--out", str(path)]) == 0
-        document = json.loads(path.read_text())
-        assert isinstance(document["meta"]["jobs"], int)
-        assert document["meta"]["jobs"] >= 1
-        # Explicit jobs leave the document meta-free.
-        plain = tmp_path / "j1b.json"
-        assert main([*self.FAST, "--jobs", "1", "--out", str(plain)]) == 0
-        assert "meta" not in json.loads(plain.read_text())
+    def test_metrics_do_not_depend_on_jobs(self, capsys, tmp_path):
+        # Cells run under the default run context on both paths, so no
+        # cell device exports into the command's registry at --jobs 1.
+        argv = ["traffic", "--tenants", "48", "--duration", "8000",
+                "--cells", "2", "--mode", "regen"]
+        a, b = tmp_path / "j1", tmp_path / "j2"
+        assert main([*argv, "--jobs", "1", "--out", str(a)]) == 0
+        assert main([*argv, "--jobs", "2", "--out", str(b)]) == 0
+        assert (a / "metrics.json").read_bytes() == \
+            (b / "metrics.json").read_bytes()
 
     def test_shards_raise_resolved_cells(self, capsys, tmp_path):
         # --shards guarantees at least that many failure-domain cells
         # (capped at the tenant count) and lands in the artifact config.
-        path = tmp_path / "s4.json"
         assert main(["traffic", "--tenants", "12", "--duration", "4000",
                      "--shards", "4", "--jobs", "2",
-                     "--out", str(path)]) == 0
-        document = json.loads(path.read_text())
+                     "--out", str(tmp_path)]) == 0
+        document = json.loads((tmp_path / "traffic.json").read_text())
         assert document["config"]["shards"] == 4
         assert document["config"]["resolved_cells"] == 4
 
     def test_slo_gates_exit_code(self, capsys, tmp_path):
         config = TestSLOCommand.slo_config(tmp_path)
-        out = tmp_path / "ok.json"
         assert main([*self.FAST, "--slo", str(config),
-                     "--out", str(out)]) == 0
+                     "--out", str(tmp_path / "ok")]) == 0
         capsys.readouterr()
         strict = TestSLOCommand.slo_config(tmp_path, threshold_us=0.001,
                                            name="impossible")
         assert main([*self.FAST, "--slo", str(strict),
-                     "--out", str(tmp_path / "bad.json")]) \
+                     "--out", str(tmp_path / "bad")]) \
             == EXIT_CLAIM_FAILED
         assert "VIOLATED" in capsys.readouterr().err
 
     def test_metrics_out_publishes_traffic_families(self, capsys,
                                                     tmp_path):
-        metrics_path = tmp_path / "metrics.json"
-        assert main([*self.FAST, "--out", str(tmp_path / "t.json"),
-                     "--metrics-out", str(metrics_path)]) == 0
-        names = {family["name"] for family in
-                 json.loads(metrics_path.read_text())["metrics"]}
+        assert main([*self.FAST, "--out", str(tmp_path)]) == 0
+        names = {family["name"] for family in json.loads(
+            (tmp_path / "metrics.json").read_text())["metrics"]}
         assert "repro_traffic_requests_total" in names
         assert "repro_traffic_p99_latency_us" in names
         assert "repro_traffic_tenants" in names
 
     def test_bad_utilisation_exits_2(self, capsys, tmp_path):
         assert main([*self.FAST, "--utilisation", "0",
-                     "--out", str(tmp_path / "t.json")]) \
-            == EXIT_CONFIG_ERROR
+                     "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
 
     def test_missing_trace_exits_2(self, capsys, tmp_path):
         assert main([*self.FAST, "--trace",
-                     str(tmp_path / "absent.trace")]) \
-            == EXIT_CONFIG_ERROR
+                     str(tmp_path / "absent.trace"),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
 
     def test_trace_replay(self, capsys, tmp_path):
         from repro.workloads import Trace
@@ -526,10 +525,10 @@ class TestTrafficCommand:
         for lba in range(8):
             trace.append(Operation(OpType.WRITE, lba, b"x" * 16))
         trace_path = trace.save(tmp_path / "t.trace")
-        out = tmp_path / "replay.json"
+        out = tmp_path / "replay"
         assert main([*self.FAST, "--trace", str(trace_path),
                      "--out", str(out)]) == 0
-        document = json.loads(out.read_text())
+        document = json.loads((out / "traffic.json").read_text())
         assert document["config"]["trace_ops"] == 8
         assert all(row["class"] == "trace"
                    for row in document["tenants"])
@@ -545,7 +544,7 @@ class TestSLOCommand:
 
     @staticmethod
     def slo_config(tmp_path, threshold_us=1e9, name="read-p99"):
-        path = tmp_path / "slo.json"
+        path = tmp_path / f"{name}.slo.json"
         path.write_text(json.dumps({
             "schema": "repro.obs.slo/v1",
             "objectives": [{"name": name, "kind": "latency",
@@ -556,14 +555,13 @@ class TestSLOCommand:
 
     def test_measure_meets_generous_objective(self, capsys, tmp_path):
         config = self.slo_config(tmp_path)
-        report_path = tmp_path / "report.json"
-        assert main([*self.MEASURE, "--slo", str(config),
-                     "--json", str(report_path)]) == 0
-        out = capsys.readouterr().out
-        assert "SLO report" in out
-        assert "all met" in out
-        assert "Latency attribution" in out  # segments table printed
-        report = json.loads(report_path.read_text())
+        out = tmp_path / "run"
+        assert main([*self.MEASURE, "--slo", str(config), str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "SLO report" in printed
+        assert "all met" in printed
+        assert "Latency attribution" in printed  # segments table printed
+        report = json.loads((out / "slo.json").read_text())
         assert report["schema"] == "repro.obs.slo_report/v1"
         assert report["ok"]
         assert report["objectives"][0]["name"] == "baseline/read-p99"
@@ -572,8 +570,8 @@ class TestSLOCommand:
         # The acceptance criterion: an impossible threshold must gate
         # the exit code, not just print a sad table.
         config = self.slo_config(tmp_path, threshold_us=0.001)
-        assert main([*self.MEASURE,
-                     "--slo", str(config)]) == EXIT_CLAIM_FAILED
+        assert main([*self.MEASURE, "--slo", str(config),
+                     str(tmp_path)]) == EXIT_CLAIM_FAILED
         captured = capsys.readouterr()
         assert "VIOLATED" in captured.err
         assert "**NO**" in captured.out
@@ -585,48 +583,52 @@ class TestSLOCommand:
         )
 
         config = self.slo_config(tmp_path)
-        trace_path = tmp_path / "rt.jsonl"
-        assert main([*self.MEASURE, "--slo", str(config),
-                     "--reqtrace-out", str(trace_path)]) == 0
-        header, records = load_reqtrace(trace_path)
+        out = tmp_path / "run"
+        assert main([*self.MEASURE, "--slo", str(config), str(out)]) == 0
+        header, records = load_reqtrace(out / "reqtrace.jsonl")
         assert header["meta"]["modes"] == ["baseline"]
         assert records
         validate_reqtrace_records(records)
+        measured = (out / "slo.json").read_bytes()
         capsys.readouterr()
-        # Offline evaluation of the artifact agrees: exit 0 here, exit
-        # 1 under an impossible threshold.
-        assert main(["slo", "--slo", str(config),
-                     "--reqtrace", str(trace_path)]) == 0
+        # Offline evaluation of the artifact agrees: the same report
+        # and exit 0 here, exit 1 under an impossible threshold.
+        assert main(["slo", "--slo", str(config), str(out)]) == 0
+        assert (out / "slo.json").read_bytes() == measured
         tight = self.slo_config(tmp_path, threshold_us=0.001)
-        assert main(["slo", "--slo", str(tight),
-                     "--reqtrace", str(trace_path)]) == EXIT_CLAIM_FAILED
+        assert main(["slo", "--slo", str(tight), str(out)]) \
+            == EXIT_CLAIM_FAILED
 
     def test_needs_exactly_one_input(self, capsys, tmp_path):
-        config = self.slo_config(tmp_path)
-        assert main(["slo", "--slo", str(config)]) == EXIT_CONFIG_ERROR
-        assert main(["slo", "--slo", str(config), "--measure",
-                     "--reqtrace", "x.jsonl"]) == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert "exactly one input" in err
+        # The one input is the run directory: none, or two, is a usage
+        # error.
+        config = str(self.slo_config(tmp_path))
+        for argv in (["slo", "--slo", config],
+                     ["slo", "--slo", config, "a", "b"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == EXIT_CONFIG_ERROR
 
     def test_bad_config_and_artifact_map_to_exit_2(self, capsys,
                                                    tmp_path):
         config = self.slo_config(tmp_path)
         assert main(["slo", "--slo", str(tmp_path / "absent.json"),
-                     "--measure"]) == EXIT_CONFIG_ERROR
-        assert main(["slo", "--slo", str(config), "--reqtrace",
-                     str(tmp_path / "absent.jsonl")]) == EXIT_CONFIG_ERROR
+                     str(tmp_path), "--measure"]) == EXIT_CONFIG_ERROR
+        assert main(["slo", "--slo", str(config),
+                     str(tmp_path / "absent")]) == EXIT_CONFIG_ERROR
+        assert main(["slo", "--slo", str(config),
+                     str(tmp_path)]) == EXIT_CONFIG_ERROR
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "nope"}')
-        assert main(["slo", "--slo", str(bad),
+        assert main(["slo", "--slo", str(bad), str(tmp_path),
                      "--measure"]) == EXIT_CONFIG_ERROR
         capsys.readouterr()
 
-    def test_default_config_ships_and_passes(self, capsys):
+    def test_default_config_ships_and_passes(self, capsys, tmp_path):
         # scenarios/slo_default.json is the CI smoke's config; it must
         # keep passing against the default probe.
         assert main(["slo", "--slo", "scenarios/slo_default.json",
-                     "--measure", "--mode", "shrink",
+                     str(tmp_path), "--measure", "--mode", "shrink",
                      "--requests", "120", "--every", "4"]) == 0
         assert "all met" in capsys.readouterr().out
 
@@ -640,21 +642,19 @@ class TestSLOCommand:
 
         # Without an artifact the rows skip and name their one producer.
         hint = check_wear_provenance(None)[0].detail
-        assert "`repro slo --measure --endurance-out`" in hint
+        assert "`repro slo --slo CFG DIR --measure`" in hint
         config = self.slo_config(tmp_path)
-        wear_path = tmp_path / "e.jsonl"
-        assert main(["slo", "--slo", str(config), "--measure",
-                     "--mode", "all", "--requests", "120", "--every", "4",
-                     "--endurance-out", str(wear_path)]) == 0
+        out = tmp_path / "run"
+        assert main(["slo", "--slo", str(config), str(out), "--measure",
+                     "--mode", "all", "--requests", "120",
+                     "--every", "4"]) == 0
         assert "endurance ->" in capsys.readouterr().out
-        _, records = load_endurance(wear_path)
+        _, records = load_endurance(out / "endurance.jsonl")
         validate_endurance_records(records)
         modes = {record["name"].split("/")[0] for record in records}
         assert {"baseline", "shrink"} <= modes
-        report_path = tmp_path / "report.json"
-        assert main(["report", "--endurance", str(wear_path),
-                     "--json", str(report_path)]) == 0
-        claims = json.loads(report_path.read_text())["claims"]
+        assert main(["report", str(out)]) == 0
+        claims = json.loads((out / "report.json").read_text())["claims"]
         wear = {c["claim"]: c["status"] for c in claims
                 if c["claim"].startswith("wear_provenance/")}
         assert wear == dict.fromkeys(
@@ -668,20 +668,20 @@ class TestReqtraceFlags:
     """The reqtrace the fleet sidecar wrote comes from `slo --measure`."""
 
     def test_fleet_writes_reqtrace_sidecar(self, capsys, tmp_path):
-        trace_path = tmp_path / "rt.jsonl"
         with pytest.raises(SystemExit) as excinfo:
-            main(["fleet", "--reqtrace-out", str(trace_path)])
+            main(["fleet", "--reqtrace-out", str(tmp_path / "rt.jsonl")])
         assert excinfo.value.code == 2
-        assert not trace_path.exists()
+        assert not list(tmp_path.iterdir())
         capsys.readouterr()
+        out = tmp_path / "run"
         assert main([*TestSLOCommand.MEASURE,
                      "--slo", str(TestSLOCommand.slo_config(tmp_path)),
-                     "--reqtrace-out", str(trace_path)]) == 0
+                     str(out)]) == 0
         from repro.obs.reqtrace import (
             load_reqtrace,
             validate_reqtrace_records,
         )
-        header, records = load_reqtrace(trace_path)
+        header, records = load_reqtrace(out / "reqtrace.jsonl")
         assert header["meta"]["modes"] == ["baseline"]
         assert records
         validate_reqtrace_records(records)
@@ -703,3 +703,56 @@ class TestProbeFlags:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: (argv after ``repro``, the names it writes into DIR) — the run
+#: directory's layout, one producer or reader per row. ``@`` is DIR;
+#: reader rows start from the probe's files.
+_FLEET = ["--devices", "4", "--blocks", "16", "--years", "1",
+          "--step-days", "50"]
+_SLO = ["--slo", "scenarios/slo_default.json"]
+_PROBE = ["--mode", "baseline", "--requests", "60", "--every", "4"]
+LAYOUT = [
+    (["fleet", *_FLEET, "--out", "@"],
+     {"fleet.json", "metrics.json", "trace.jsonl", "timeseries.jsonl"}),
+    (["run", "scenarios/fig2_ldpc.json", "--out", "@"],
+     {"fig2-ldpc.json", "metrics.json", "trace.jsonl",
+      "timeseries.jsonl"}),
+    (["traffic", "--tenants", "4", "--duration", "400", "--cells", "1",
+      "--out", "@"], {"traffic.json", "metrics.json"}),
+    (["sweep", *_FLEET, "--runs", "1", "--mode", "baseline",
+      "--out", "@"], {"sweep.json"}),
+    (["slo", *_SLO, "@", "--measure", *_PROBE],
+     {"reqtrace.jsonl", "endurance.jsonl", "slo.json"}),
+    (["slo", *_SLO, "@"], {"slo.json"}),
+    (["report", "@"], {"report.json", "report.md"}),
+    (["wear", "report", "@"], {"wear.json"}),
+    (["wear", "forecast", "@"], {"wear.json"}),
+    (["wear", "diff", "@", "--against", "@"], {"wear.json"}),
+]
+
+
+class TestRunDirectory:
+    """Every command writes exactly its fixed names into its directory."""
+
+    @pytest.fixture(scope="class")
+    def probed(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("probed")
+        assert main(["slo", *_SLO, str(root), "--measure", *_PROBE]) == 0
+        return root
+
+    @pytest.mark.parametrize("argv, names", LAYOUT, ids=[
+        "fleet", "run", "traffic", "sweep", "slo --measure", "slo",
+        "report", "wear report", "wear forecast", "wear diff"])
+    def test_each_command_writes_exactly_its_names(self, argv, names,
+                                                   tmp_path, probed,
+                                                   capsys):
+        out = tmp_path / "run"
+        if argv[0] in ("slo", "report", "wear") and "--measure" not in argv:
+            out.mkdir()
+            for name in ("reqtrace.jsonl", "endurance.jsonl"):
+                (out / name).write_bytes((probed / name).read_bytes())
+        before = {path.name for path in out.glob("*")}
+        assert main([str(out) if part == "@" else part
+                     for part in argv]) == 0
+        assert {path.name for path in out.iterdir()} - before == names

@@ -234,7 +234,9 @@ class TestWorkers:
     def test_pool_workers_start_from_the_default(self):
         with context.scoped(**every_field()):
             seen = parallel_map(_sees_default, range(4), jobs=2)
-            # In-process (jobs=1) the caller's context stays in force.
+            # In-process (jobs=1) tasks run under the defaults too, so
+            # what the caller exports never depends on the job count.
             assert parallel_map(_sees_default, range(2), jobs=1) == [
-                False, False]
+                True, True]
+            assert context.current() != RunContext()
         assert seen == [True] * 4

@@ -728,7 +728,7 @@ def test_user_docs_name_only_flags_the_parser_defines():
     pairs = {pair for path in LIVE_DOCS
              for pair in attributed_flags(path.read_text())}
     assert {("report", "--queue-depth"), ("slo", "--every"),
-            ("slo", "--endurance-out"), ("traffic", "--arrival")} <= pairs
+            ("slo", "--measure"), ("traffic", "--arrival")} <= pairs
     undefined = {path.name: found for path in LIVE_DOCS
                  if (found := undefined_flags(path.read_text()))}
     assert not undefined, f"docs name flags no parser defines: {undefined}"

@@ -1,13 +1,20 @@
 """Every file the CLI reads x every way it can be wrong -> exit 2, one line.
 
-The contract as a matrix: the eleven command-line inputs that name a
-file, each fed a missing path, a directory, an unreadable file, bytes
-that are not UTF-8, an empty file, valid JSON that is not an object, a
+The contract as a matrix: the eleven inputs the CLI reads — a path on
+the command line, or an artifact at its fixed name in a run directory —
+each fed a missing path, a directory, an unreadable file, bytes that
+are not UTF-8, an empty file, valid JSON that is not an object, a
 foreign schema, a document with a required field dropped and one with a
-field of the wrong type. ``main`` must return 2 and stderr must be
-exactly one ``repro: configuration error: ...`` line naming the path or
-the field — never 3, never a traceback. A control row feeds each input
-its valid form, so a malformed row cannot pass on a wrong base document.
+field of the wrong type. For a run-directory artifact "missing" is the
+directory itself; the file sits at its fixed name for every other row.
+``main`` must return 2 and stderr must be exactly one ``repro:
+configuration error: ...`` line naming the path or the field — never 3,
+never a traceback. A control row feeds each input its valid form, so a
+malformed row cannot pass on a wrong base document.
+
+A run-directory row is named after its command and the artifact it
+reads, in flag form: ``report --metrics`` is the ``metrics.json`` of
+``repro report DIR``.
 """
 
 from __future__ import annotations
@@ -62,9 +69,6 @@ TIMESERIES = [
      "t": [0.0, 1.0], "v": [1.0, 2.0]}]
 TRACE = [{"kind": "span", "name": "step", "time": 0.0, "end_time": 2.0,
           "span_id": 1, "parent_id": None, "attrs": {}}]
-EXPERIMENT = {"experiment": "e", "meta": {},
-              "tables": {"t": {"headers": ["a"], "rows": [[1]]}},
-              "series": {}}
 OPS = "# trace n_lbas=8\nW 1 00ff\nR 1\nT 1\n"
 
 _TRAFFIC = ["traffic", "--tenants", "4", "--duration", "400", "--cells", "1"]
@@ -95,15 +99,27 @@ def forms(valid, render, schema, dropped, mistyped) -> dict:
 
 
 class Input:
-    """One file-taking command line, the forms of its file, and what the
-    dropped / mistyped messages must name."""
+    """One command line that reads a file, the forms of that file, and
+    what the dropped / mistyped messages must name.
 
-    def __init__(self, name, argv, forms, field, helpers=()):
+    ``@`` in ``argv`` is the input: the file itself, or, when ``file``
+    is set, the run directory that holds it under that name. ``@dir`` is
+    a second run directory holding the valid ``dir_files``.
+    """
+
+    def __init__(self, name, argv, forms, field, helpers=(), file=None,
+                 dir_files=None):
         self.name, self._argv, self.forms = name, argv, forms
         self.field, self.helpers = field, helpers
+        self.file, self.dir_files = file, dir_files or {}
 
     def argv(self, path, tmp_path):
-        out = [str(path) if part == "@" else part for part in self._argv]
+        given = {"@": path, "@dir": tmp_path / "helper_dir"}
+        if self.dir_files:
+            given["@dir"].mkdir(exist_ok=True)
+            for name, text in self.dir_files.items():
+                (given["@dir"] / name).write_text(text)
+        out = [str(given.get(part, part)) for part in self._argv]
         for flag, text in self.helpers:
             helper = tmp_path / f"helper{flag}"
             helper.write_text(text)
@@ -121,6 +137,11 @@ _SLO_FORMS = forms(SLO, one, edited(SLO, ["schema"], "repro.obs.slo/v0"),
                    ["objectives", 0, "name"],
                    (["objectives", 0, "percentile"], "p"))
 
+_ENDURANCE_FORMS = forms(
+    ENDURANCE, jsonl,
+    edited(ENDURANCE, [0, "schema"], "repro.obs.endurance/v0"),
+    [1, "waf"], ([1, "programs"], 5))
+
 INPUTS = [
     Input("run SCENARIO", ["run", "@"],
           forms(SCENARIO, one, edited(SCENARIO, ["kind"], "teleport"),
@@ -132,36 +153,35 @@ INPUTS = [
           forms(FAULTS, one, edited(FAULTS, ["schema"], "repro.faults/v0"),
                 ["events"], (["events", 0, "when"], "soon")),
           ("events", "when")),
-    Input("slo --slo", ["slo", "--slo", "@"], _SLO_FORMS,
-          ("name", "percentile"), helpers=(("--reqtrace", jsonl(REQTRACE)),)),
-    Input("slo --reqtrace", ["slo", "--reqtrace", "@"],
+    Input("slo --slo", ["slo", "--slo", "@", "@dir"], _SLO_FORMS,
+          ("name", "percentile"),
+          dir_files={"reqtrace.jsonl": jsonl(REQTRACE)}),
+    Input("slo --reqtrace", ["slo", "@"],
           forms(REQTRACE, jsonl,
                 edited(REQTRACE, [0, "schema"], "repro.obs.reqtrace/v0"),
                 [1, "total_us"], ([1, "total_us"], "a")),
-          ("total_us", "total_us"), helpers=(("--slo", one(SLO)),)),
-    Input("wear --endurance", ["wear", "report", "--endurance", "@"],
-          forms(ENDURANCE, jsonl,
-                edited(ENDURANCE, [0, "schema"], "repro.obs.endurance/v0"),
-                [1, "waf"], ([1, "programs"], 5)),
-          ("waf", "programs")),
-    Input("report --metrics", ["report", "--metrics", "@"],
+          ("total_us", "total_us"), helpers=(("--slo", one(SLO)),),
+          file="reqtrace.jsonl"),
+    Input("wear --endurance", ["wear", "report", "@"], _ENDURANCE_FORMS,
+          ("waf", "programs"), file="endurance.jsonl"),
+    Input("wear --against", ["wear", "diff", "@dir", "--against", "@"],
+          _ENDURANCE_FORMS, ("waf", "programs"), file="endurance.jsonl",
+          dir_files={"endurance.jsonl": jsonl(ENDURANCE)}),
+    Input("report --metrics", ["report", "@"],
           forms(METRICS, one,
                 edited(METRICS, ["schema"], "repro.obs.metrics/v0"),
                 ["metrics"], (["metrics"], 5)),
-          ("metrics", "metrics")),
-    Input("report --timeseries", ["report", "--timeseries", "@"],
+          ("metrics", "metrics"), file="metrics.json"),
+    Input("report --timeseries", ["report", "@"],
           forms(TIMESERIES, jsonl,
                 edited(TIMESERIES, [0, "schema"], "repro.obs.timeseries/v0"),
                 [1, "t"], ([1, "t"], "x")),
-          ("'t'", "'t'")),
-    # No schema tag on these two: "wrong schema" is a foreign artifact.
-    Input("report --trace", ["report", "--trace", "@"],
+          ("'t'", "'t'"), file="timeseries.jsonl"),
+    # No schema tag on the trace: "wrong schema" is a foreign artifact.
+    Input("report --trace", ["report", "@"],
           forms(TRACE, jsonl, TIMESERIES, [0, "time"],
                 ([0, "time"], "noon")),
-          ("time", "time")),
-    Input("report --artifact", ["report", "--artifact", "@"],
-          forms(EXPERIMENT, one, METRICS, ["tables"], (["series"], [])),
-          ("tables", "series")),
+          ("time", "time"), file="trace.jsonl"),
     # The replay format is lines, not JSON.
     Input("traffic --trace", _TRAFFIC + ["--trace", "@"],
           {"valid": OPS,
@@ -174,7 +194,7 @@ INPUTS = [
 ]
 
 #: The one cell that is not an error: a run that recorded no span writes
-#: an empty trace, and ``repro report --trace`` reads it as no records.
+#: an empty trace, and ``repro report`` reads it as no records.
 EMPTY_IS_VALID = "report --trace"
 
 MALFORMATIONS = ("missing", "directory", "unreadable", "not UTF-8", "empty",
@@ -183,15 +203,24 @@ MALFORMATIONS = ("missing", "directory", "unreadable", "not UTF-8", "empty",
 
 
 def place(entry: Input, form: str, tmp_path, monkeypatch):
-    """Put the input's ``form`` on disk; return its path.
+    """Put the input's ``form`` on disk; return the path the command is
+    given (the file, or its run directory) and the path its error must
+    name (the file, or the run directory when that is what is missing).
 
     An ``unreadable`` file is a valid one whose read is refused. The
     refusal is made, not asked of the file system: root reads a
     chmod-000 file, and the suite runs as root in CI.
     """
-    path = tmp_path / "input.jsonl"
+    if entry.file is None:
+        path = given = tmp_path / "input.jsonl"
+    else:
+        given = tmp_path / "run"
+        path = given / entry.file
+        if form == "missing":
+            return given, given
+        given.mkdir()
     if form == "missing":
-        return path
+        return given, path
     if form == "directory":
         path.mkdir()
     elif form == "not UTF-8":
@@ -205,7 +234,7 @@ def place(entry: Input, form: str, tmp_path, monkeypatch):
                                     else form], encoding="utf-8")
         if form == "unreadable":
             refuse_reading(path, monkeypatch)
-    return path
+    return given, path
 
 
 def refuse_reading(path, monkeypatch) -> None:
@@ -230,8 +259,8 @@ def run(entry: Input, path, tmp_path, capsys):
 @pytest.mark.parametrize("entry", INPUTS, ids=lambda entry: entry.name)
 def test_the_valid_form_is_accepted(entry, tmp_path, capsys, monkeypatch):
     """Control: every base document really is valid for its command."""
-    code, err = run(entry, place(entry, "valid", tmp_path, monkeypatch),
-                    tmp_path, capsys)
+    given, _ = place(entry, "valid", tmp_path, monkeypatch)
+    code, err = run(entry, given, tmp_path, capsys)
     assert code == 0, err
 
 
@@ -239,8 +268,8 @@ def test_the_valid_form_is_accepted(entry, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("entry", INPUTS, ids=lambda entry: entry.name)
 def test_malformed_file_is_exit_2_and_one_line(entry, form, tmp_path,
                                                capsys, monkeypatch):
-    path = place(entry, form, tmp_path, monkeypatch)
-    code, err = run(entry, path, tmp_path, capsys)
+    given, path = place(entry, form, tmp_path, monkeypatch)
+    code, err = run(entry, given, tmp_path, capsys)
     if form == "empty" and entry.name == EMPTY_IS_VALID:
         assert code == 0, err
         return
@@ -255,20 +284,18 @@ def test_malformed_file_is_exit_2_and_one_line(entry, form, tmp_path,
 
 
 @pytest.mark.parametrize("argv, records, edit", [
-    (["wear", "forecast", "--endurance", "@"], ENDURANCE,
-     ([1, "programs"], 5)),
-    (["slo", "--reqtrace", "@", "--slo", "@slo"], REQTRACE,
-     ([1, "end_us"], "z")),
-    (["wear", "report", "--endurance", "@"], ENDURANCE,
+    (["wear", "forecast", "@"], ENDURANCE, ([1, "programs"], 5)),
+    (["slo", "@", "--slo", "@slo"], REQTRACE, ([1, "end_us"], "z")),
+    (["wear", "report", "@"], ENDURANCE,
      ([1, "mean_pec"], True)),    # a bool is not a number
 ], ids=["wear forecast programs=5", "slo end_us=z", "wear mean_pec=true"])
 def test_mistyped_fields_named_in_the_issue(argv, records, edit, tmp_path,
                                             capsys):
-    path = tmp_path / "input.jsonl"
-    path.write_text(jsonl(edited(records, *edit)))
+    name = "reqtrace.jsonl" if records is REQTRACE else "endurance.jsonl"
+    (tmp_path / name).write_text(jsonl(edited(records, *edit)))
     slo = tmp_path / "slo.json"
     slo.write_text(json.dumps(SLO))
-    argv = [{"@": str(path), "@slo": str(slo)}.get(part, part)
+    argv = [{"@": str(tmp_path), "@slo": str(slo)}.get(part, part)
             for part in argv]
     code = main(argv)
     err = capsys.readouterr().err

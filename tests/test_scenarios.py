@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.reporting.export import load_experiment
 from repro.scenarios import (
     SCENARIO_KINDS,
     load_scenario,
@@ -40,7 +39,7 @@ class TestRunners:
         writer = run_scenario({"name": "f2", "kind": "fig2",
                                "params": {"pec_limit": 1000}})
         path = writer.write(tmp_path)
-        document = load_experiment(path)
+        document = json.loads(path.read_text())
         rows = document["tables"]["fig2"]["rows"]
         assert rows[1][5] == pytest.approx(0.5, abs=1e-6)  # L1 gain
 
