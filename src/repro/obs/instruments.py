@@ -424,8 +424,8 @@ def shard_instruments() -> SimpleNamespace | None:
     return SimpleNamespace(
         tick_duration=m.histogram(
             "repro_shard_tick_seconds",
-            help="Wall-clock cost of one shard's tick batch (a fleet "
-                 "shard's whole step loop)",
+            help="Wall-clock cost of one shard's tick batch (its "
+                 "device share of its group's step loop)",
             unit="seconds", labelnames=("shard",),
             buckets=STEP_SECONDS_BUCKETS),
         merge_duration=m.histogram(

@@ -39,16 +39,18 @@ flash adds ``bytes * waf / live_raw_bytes`` P/E cycles — so shrunken
 devices wear *faster* per host byte, a feedback the curves include.
 
 There is one step loop, :func:`walk_shard` over a contiguous device
-range, and one place that turns its per-step partials into a
-:class:`FleetResult` and telemetry, :func:`assemble_fleet`.
+range cut into shards, and one place that turns its per-shard partials
+into a :class:`FleetResult` and telemetry, :func:`assemble_fleet`.
 :func:`simulate_fleet` is the one-shard layout walked in this process;
 :func:`repro.sim.shard.simulate_fleet_sharded` partitions the fleet and
-fans the same walk out over a fork pool (docs/SHARDING.md).
+fans the same walk out over a fork pool, one range of shards per worker
+(docs/SHARDING.md).
 """
 
 from __future__ import annotations
 
 import time as _time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -577,8 +579,11 @@ class ShardTask:
 
     ``pending`` is the timeseries sample schedule (one bool per step):
     the walk produces census/wear material for exactly those steps and
-    nothing else. ``seed`` may be a live ``Generator`` when the walk
-    runs in the caller's process.
+    nothing else. ``cuts`` are the first devices of the range's shards
+    after its first (ascending, within ``[start, stop]``; a repeated cut
+    is an empty shard): the range is walked once and reported per shard.
+    ``seed`` may be a live ``Generator`` when the walk runs in the
+    caller's process.
     """
 
     config: FleetConfig
@@ -587,15 +592,17 @@ class ShardTask:
     start: int
     stop: int
     pending: tuple[bool, ...]
+    cuts: tuple[int, ...] = ()
 
 
 class ShardStep(NamedTuple):
-    """One step of one device range, ready to be summed shard-major.
+    """One step of one shard, ready to be summed shard-major.
 
     ``deaths`` is ``(device_index, cause)`` in discovery order (injected
     losses first, then AFR/wear by device index); ``sample`` is the
     ``(census, wears, burn_total)`` triple of a sampled step, else None;
-    ``seconds`` is the wall clock the step took.
+    ``seconds`` is the shard's device share of the wall clock its
+    range's step took.
     """
 
     functioning: int
@@ -628,15 +635,19 @@ def sample_schedule(rules: FleetRules) -> tuple[bool, ...]:
 
 def walk_shard(task: ShardTask, rules: FleetRules | None = None,
                injector: FaultInjector | None = None,
-               ) -> Iterator[ShardStep]:
-    """Step devices ``[start, stop)`` to the horizon, one yield per step.
+               ) -> Iterator[list[ShardStep]]:
+    """Step devices ``[start, stop)`` to the horizon, yielding per step
+    one :class:`ShardStep` per shard of the range (``task.cuts``).
 
     The only step loop of the fleet model. It reads its rows of the
     fleet's hardware tables (:func:`fleet_hardware`) and replays the
     whole-fleet AFR array per step and the whole-fleet load-factor draw,
     slicing its own range out of them, so the streams a device sees do
-    not depend on the layout. It reads nothing from the run context:
-    :func:`assemble_fleet` turns the yielded partials into telemetry.
+    not depend on the layout. A step computes the range's vectors once
+    and cuts each shard's partials from its own slice of them — the
+    float sums over that slice alone — so a shard reports the same bits
+    whichever range it is walked in. It reads nothing from the run
+    context: :func:`assemble_fleet` turns the partials into telemetry.
 
     ``injector`` schedules ``fleet.step`` device losses, which pick the
     first N alive devices fleet-wide in index order — deterministic by
@@ -663,6 +674,12 @@ def walk_shard(task: ShardTask, rules: FleetRules | None = None,
     # At or under this capacity a device leaves service.
     limit = max(rules.floor_bytes(), 0.0)
     step_failure_prob = rules.step_failure_prob
+    cuts = task.cuts
+    local_cuts = np.array(cuts, dtype=np.intp) - task.start
+    # Each shard is charged its device share of the range's step wall.
+    sizes = np.diff([task.start, *cuts, task.stop])
+    shares = (sizes / sizes.sum() if sizes.sum()
+              else np.full(sizes.size, 1.0 / sizes.size)).tolist()
 
     for step in range(rules.steps):
         step_start = _time.perf_counter()
@@ -698,31 +715,40 @@ def walk_shard(task: ShardTask, rules: FleetRules | None = None,
         # Advance wear through this step at the current live capacity.
         burn = (written[alive] * config.write_amplification
                 / rules.in_service_raw_bytes(adv))
-        sample = None
-        if pending:
-            # The survivors' census and (entry) wear go into the sample.
-            sample = (census.sum(axis=0).tolist(), wear[alive].tolist(),
-                      _ordered_sum(burn))
+        # The survivors' census and (entry) wear go into the sample.
+        entry = wear[alive] if pending else None
         wear[alive] += burn
-        yield ShardStep(alive.size, _ordered_sum(adv), deaths, sample,
-                        _time.perf_counter() - step_start)
+        # Cut per shard: deaths by device index, in discovery order, and
+        # every other partial from the shard's own slice of the vectors.
+        by_shard: list[list[tuple[int, str]]] = [[] for _ in shares]
+        for death in deaths:
+            by_shard[bisect_right(cuts, death[0])].append(death)
+        edges = [0, *alive.searchsorted(local_cuts).tolist(), alive.size]
+        parts = [(hi - lo, _ordered_sum(adv[lo:hi]), shard_deaths,
+                  (census[lo:hi].sum(axis=0).tolist(), entry[lo:hi].tolist(),
+                   _ordered_sum(burn[lo:hi])) if pending else None)
+                 for lo, hi, shard_deaths in zip(edges, edges[1:], by_shard)]
+        seconds = _time.perf_counter() - step_start
+        yield [ShardStep(*part, seconds * share)
+               for part, share in zip(parts, shares)]
 
 
 def assemble_fleet(rules: FleetRules,
-                   shards: Sequence[Iterable[ShardStep]],
+                   walks: Sequence[Iterable[Sequence[ShardStep]]],
                    ) -> tuple[FleetResult, list[float]]:
-    """Sum per-range steps shard-major into a result and its telemetry.
+    """Sum per-shard steps shard-major into a result and its telemetry.
 
-    ``shards`` holds one iterable of :class:`ShardStep` per device range,
-    in layout order — a live :func:`walk_shard` or the list a pool worker
-    shipped back; they are stepped in lockstep, so a live walk's injector
-    advances its fault counters between samples. Integer series sum
-    exactly; float series are ordered shard-partial sums (ranges are
+    ``walks`` holds one iterable per device range, in layout order — a
+    live :func:`walk_shard` or the list a pool worker shipped back — each
+    yielding a step's :class:`ShardStep` per shard of its range. They are
+    stepped in lockstep, so a live walk's injector advances its fault
+    counters between samples. Integer series sum exactly; float series
+    are ordered shard-partial sums (ranges and their shards are
     contiguous and ascending, so shard-major order is device order). This
     is the only code that publishes fleet metrics, trace events, SMART
     probes and the summary series.
 
-    Returns the result and the seconds each range spent walking.
+    Returns the result and the seconds charged to each shard.
     """
     config, mode = rules.config, rules.mode
     # Bound once; with observability disabled the per-step cost is a
@@ -736,7 +762,7 @@ def assemble_fleet(rules: FleetRules,
     capacity = np.zeros(steps)
     lost = np.zeros(steps)
     death_day: list[float] = [np.inf] * config.devices
-    walk_seconds = [0.0] * len(shards)
+    walk_seconds: list[float] = []
     previous_capacity = rules.adv0_bytes * config.devices
     n_census = rules.reuse_ceiling + 2
 
@@ -754,7 +780,10 @@ def assemble_fleet(rules: FleetRules,
         smart_state, probe_handles = _register_fleet_probes(
             sampler, mode, rules.reuse_ceiling)
     try:
-        for step, parts in enumerate(zip(*shards)):
+        for step, steps_now in enumerate(zip(*walks)):
+            parts = [part for walk_step in steps_now for part in walk_step]
+            if not walk_seconds:
+                walk_seconds = [0.0] * len(parts)
             day = (step + 1) * config.step_days
             day_f = float(day)
             day_now[0] = day_f
@@ -784,7 +813,7 @@ def assemble_fleet(rules: FleetRules,
                 instr.devices_functioning.set(alive_count)
                 instr.capacity_bytes.set(total_capacity)
                 instr.capacity_lost_bytes.inc(float(lost[step]))
-            if parts[0].sample is not None:  # every range, or none
+            if parts[0].sample is not None:  # every shard, or none
                 census = [0] * n_census
                 wears: list[float] = []
                 burn_total = 0.0

@@ -3,14 +3,18 @@
 :func:`repro.sim.parallel` parallelises *across* runs (one task per
 (config, mode, seed)); this module parallelises *inside* one run by
 partitioning the device population into contiguous **failure-domain
-shards** and walking each shard in its own worker process. It owns the
-layout, the fork pool and the ``repro_shard_*`` instruments and nothing
-else: the step loop is :func:`repro.sim.fleet.walk_shard` and the merge
-is :func:`repro.sim.fleet.assemble_fleet`, the same two functions
+shards** and handing each worker process a contiguous group of them,
+walked in one step loop. It owns the layout, the fork pool and the
+``repro_shard_*`` instruments and nothing else: the step loop is
+:func:`repro.sim.fleet.walk_shard` and the merge is
+:func:`repro.sim.fleet.assemble_fleet`, the same two functions
 :func:`~repro.sim.fleet.simulate_fleet` runs on the one-shard layout.
 
 * the shard layout is a pure function of ``(devices, shards)`` —
-  contiguous balanced slices, enumerated in one canonical order;
+  contiguous balanced slices, enumerated in one canonical order; the
+  grouping (``min(jobs, shards)`` contiguous groups) only decides how
+  many step loops run, never a number: a shard's partials are the same
+  bits in any group;
 * every walk reads its rows of the one whole-fleet hardware table (the
   coordinator draws it before the pool forks: workers inherit it and
   never draw) and replays the *full* AFR and load-factor streams,
@@ -57,7 +61,7 @@ from repro.sim.fleet import (
     sample_schedule,
     walk_shard,
 )
-from repro.sim.parallel import parallel_map
+from repro.sim.parallel import parallel_map, resolve_jobs
 
 
 def partition_devices(devices: int, shards: int) -> list[tuple[int, int]]:
@@ -84,8 +88,8 @@ def partition_devices(devices: int, shards: int) -> list[tuple[int, int]]:
     return layout
 
 
-def run_shard_task(task: ShardTask) -> list[ShardStep]:
-    """Pool worker entry point: walk one device range to the horizon.
+def run_shard_task(task: ShardTask) -> list[list[ShardStep]]:
+    """Pool worker entry point: walk one group of shards to the horizon.
 
     The walk reads nothing from the run context (the coordinator
     assembles results; workers start from a reset one and never export
@@ -99,7 +103,8 @@ def simulate_fleet_sharded(config: FleetConfig, mode: str,
                            faults: FaultPlan | FaultInjector | None = None,
                            shards: int | None = None,
                            jobs: int = 1) -> FleetResult:
-    """Run one fleet sharded across ``jobs`` worker processes.
+    """Run one fleet sharded across ``jobs`` worker processes, each
+    walking a contiguous group of shards in one step loop.
 
     Drop-in for :func:`~repro.sim.fleet.simulate_fleet` under the
     determinism contract above: ``shards=1`` (for any ``jobs``) is the
@@ -135,13 +140,17 @@ def simulate_fleet_sharded(config: FleetConfig, mode: str,
 
     pending = sample_schedule(rules)
     layout = partition_devices(config.devices, shards)
-    tasks = [ShardTask(config, mode, seed, start, stop, pending)
-             for start, stop in layout]
+    # One step loop per worker: each walks a contiguous group of shards.
+    tasks = [ShardTask(config, mode, seed, layout[first][0],
+                       layout[last - 1][1], pending,
+                       tuple(start for start, _ in layout[first + 1:last]))
+             for first, last in partition_devices(
+                 shards, min(resolve_jobs(jobs), shards))]
     live = len(tasks) == 1
     if live:
-        # One range is stepped live by the assembler — the
-        # ``simulate_fleet`` layout — so an injector's counters advance
-        # between samples.
+        # One range is stepped live by the assembler — with one shard,
+        # the ``simulate_fleet`` layout — so an injector's counters
+        # advance between samples.
         walks = [walk_shard(tasks[0], rules, injector)]
     else:
         # Before the fork, so every range finds the tables held.
@@ -152,7 +161,7 @@ def simulate_fleet_sharded(config: FleetConfig, mode: str,
     if shard_instr is not None:
         assemble_wall = _time.perf_counter() - assemble_start
         if live:
-            assemble_wall -= walk_seconds[0]  # the walk ran inside it
+            assemble_wall -= sum(walk_seconds)  # the walk ran inside it
         shard_instr.merge_duration.observe(assemble_wall)
         for shard_index, (start, stop) in enumerate(layout):
             label = str(shard_index)

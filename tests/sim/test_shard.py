@@ -126,21 +126,27 @@ class TestJobsInvariance:
         _assert_bit_identical(base, other)
 
     def test_worker_slice_matches_inprocess(self):
-        # One shard task run in-process equals its slice of the layout —
-        # the pure-function property the fork pool relies on.
+        # Group tasks run in-process equal their slice of the layout —
+        # the pure-function property the fork pool relies on: four
+        # shards in two groups of two, against one unsplit range.
         steps = int(np.ceil(TINY_CONFIG.horizon_days
                             / TINY_CONFIG.step_days))
         pending = (False,) * steps
         whole = run_shard_task(ShardTask(
             TINY_CONFIG, "shrink", 77, 0, TINY_CONFIG.devices, pending))
-        parts = [run_shard_task(ShardTask(
-            TINY_CONFIG, "shrink", 77, start, stop, pending))
-            for start, stop in partition_devices(TINY_CONFIG.devices, 4)]
-        for step, merged in enumerate(zip(*parts)):
-            assert whole[step].functioning == sum(
+        layout = partition_devices(TINY_CONFIG.devices, 4)
+        groups = [run_shard_task(ShardTask(
+            TINY_CONFIG, "shrink", 77, layout[first][0],
+            layout[last - 1][1], pending, (layout[first + 1][0],)))
+            for first, last in partition_devices(4, 2)]
+        for step, in_groups in enumerate(zip(*groups)):
+            (unsplit,) = whole[step]
+            merged = [part for group in in_groups for part in group]
+            assert len(merged) == 4
+            assert unsplit.functioning == sum(
                 part.functioning for part in merged)
             # Shard-major concatenation is device order.
-            assert whole[step].deaths == [
+            assert unsplit.deaths == [
                 death for part in merged for death in part.deaths]
 
 
