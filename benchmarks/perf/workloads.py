@@ -438,7 +438,7 @@ RANGE_READ_WRITE_EVERY = 20
 
 def range_read_micro() -> dict:
     """4-LBA ranged reads: DeviceQueue.dispatch -> the FTL's range read
-    kernel -> ``FlashChip.read_fpage``.
+    kernel -> a whole-fPage ``FlashChip.read``.
 
     The inner loop of the ``traffic_scan`` end-to-end workload without
     the engine above it (``docs/PERFORMANCE.md``, "Kernels and their

@@ -529,7 +529,7 @@ class FlashChip:
     def _read_cost(self, fpage: int) -> tuple:
         """What reading written ``fpage`` costs: ``(level, data_slots,
         rber, retries, opage_latency_us, fpage_latency_us, channel)`` —
-        the one derivation behind :meth:`read` and :meth:`read_fpage`.
+        the one derivation behind :meth:`read`.
 
         Without read disturb and retention it is a function of the page's
         PEC, variation and level, none of which can change under data
@@ -574,16 +574,28 @@ class FlashChip:
             assert self._read_cost(fpage) == cost, (
                 f"stale read cost remembered for fPage {fpage}")
 
-    def read(self, fpage: int, slot: int) -> tuple[bytes, float]:
-        """Read one oPage, as programmed: ``(data, expected_latency_us)``.
+    def read(self, fpage: int, slot: int | None = None,
+             ) -> tuple[bytes | tuple[bytes, ...], float]:
+        """Sense written ``fpage``, as programmed.
 
-        Raises :class:`UncorrectableError` when the sampled bit-error count
-        exceeds the page's ECC capability at its current tiredness level.
-        Costed by :meth:`_read_cost`; faults and errors sampled per call.
+        With ``slot`` one oPage: ``(data, opage_latency_us)``. Without,
+        the whole fPage in one sense: ``(data oPages, fpage_latency_us)``
+        — one array sense amortised over every data oPage the page
+        holds, which is exactly why RegenS pages (fewer data oPages per
+        sense) degrade large accesses by ``P / (P - L)`` (paper §4.2).
+        Either is one ``chip.read`` fault hit (a whole-fPage hit carries
+        no slot; a ``corrupt`` there flips ``args["slot"]``) and one ECC
+        draw. Raises :class:`UncorrectableError` when the sampled
+        bit-error count exceeds the page's ECC capability at its current
+        tiredness level. Costed by :meth:`_read_cost`.
         """
-        (level, data_slots, rber, retries, latency, _,
+        (level, data_slots, rber, retries, opage_us, fpage_us,
          channel) = self._read_costs.get(fpage) or self._read_cost(fpage)
-        if not 0 <= slot < data_slots:
+        if slot is None:
+            latency = fpage_us
+        elif 0 <= slot < data_slots:
+            latency = opage_us
+        else:
             raise IndexError(
                 f"slot {slot} out of range [0, {data_slots}) for L{level}")
         if self.read_disturb_rber:
@@ -601,121 +613,27 @@ class FlashChip:
                 ctx.bump("read_retries", retries)
                 ctx.leaf("read_retry", retries * self.latency.read_us)
         if self._faults is not None:
-            spec = self._faults.check(
-                "chip.read", fpage=fpage, slot=slot,
-                block=fpage // self._fpages_per_block)
+            block = fpage // self._fpages_per_block
+            if slot is None:
+                spec = self._faults.check("chip.read", fpage=fpage,
+                                          block=block)
+            else:
+                spec = self._faults.check("chip.read", fpage=fpage,
+                                          slot=slot, block=block)
             if spec is not None:
                 if spec.fault == "uncorrectable":
                     raise self._uncorrectable(fpage, level, None)
-                self._corrupt_slot(fpage, slot, spec.args)
+                self._corrupt_slot(
+                    fpage, (int(spec.args.get("slot", 0)) % data_slots
+                            if slot is None else slot), spec.args)
         if self.inject_errors and rber > 0:
             flipped = int(self.rng.binomial(
                 self._ecc_by_level[level].codeword_bits, min(rber, 1.0)))
             if flipped > self._ecc_t_by_level[level]:
                 raise self._uncorrectable(fpage, level, flipped)
+        if slot is None:
+            return self._data[fpage][:data_slots], latency
         return self._data[fpage][slot], latency
-
-    def read_opages(self, fpage: int, slots: Sequence[int],
-                    ) -> list[bytes | None]:
-        """Batch-read several oPages of one written fPage.
-
-        Semantically equivalent to calling :meth:`read` once per slot in
-        order — the same statistics accrue, the same busy time is
-        charged, and *exactly the same RNG draws happen in the same
-        order*, so workloads are bit-identical whichever path the FTL
-        takes (the perf harness asserts this). The difference is error
-        handling (an uncorrectable slot yields ``None`` instead of
-        raising, so one bad slot does not abort the batch) and cost: the
-        per-read RBER/retry/latency derivation is hoisted out of the loop
-        whenever it is loop-invariant (no read disturb or retention
-        modelling), which is the common configuration for GC relocation —
-        the hottest read path in the simulator.
-        """
-        if not 0 <= fpage < self._total_fpages:
-            raise IndexError(
-                f"fPage {fpage} out of range [0, {self._total_fpages})")
-        if int(self._state[fpage]) != _STATE_WRITTEN:
-            raise ProgramError(f"fPage {fpage} is not written")
-        level = self._level_py[fpage]
-        data_slots = self._data_opages_by_level[level]
-        ecc = self._ecc_by_level[level]
-        correctable = self._ecc_t_by_level[level]
-        codeword_bits = ecc.codeword_bits
-        data = self._data[fpage]
-        block = fpage // self._fpages_per_block
-        stats = self.stats
-        inject = self.inject_errors
-        injector = self._faults
-        rng = self.rng
-        chan = self.channel_busy_us
-        ci = block % self._channels
-        rt = self._reqtrace
-        ctx = rt.active if rt is not None else None
-        read_us = self.latency.read_us
-        if ctx is not None:
-            ctx.note_level(level)
-        # RBER is loop-invariant unless reads disturb the block mid-batch
-        # or a retention clock could advance between reads.
-        static = (self.read_disturb_rber == 0
-                  and self.retention_rber_per_day == 0)
-        predrawn = None
-        if static:
-            rber = self._rber_unchecked(fpage)
-            retries = self._read_retries_fast(rber, level)
-            latency = ((1.0 + retries) * self.latency.read_us
-                       + self._opage_transfer_us)
-            p_flip = min(rber, 1.0)
-            # One array draw replaces the per-slot binomial calls; array
-            # draws consume the bitstream exactly like successive scalar
-            # draws, so RNG state stays path-independent. Injected
-            # uncorrectables skip their slot's draw, so the fast path
-            # needs the injector absent; invalid slots would abort the
-            # loop mid-batch, so bounds are pre-checked.
-            if (inject and injector is None and rber > 0 and len(slots) > 1
-                    and all(0 <= s < data_slots for s in slots)):
-                predrawn = rng.binomial(codeword_bits, p_flip,
-                                        size=len(slots)).tolist()
-        out: list[bytes | None] = []
-        for index, slot in enumerate(slots):
-            if not 0 <= slot < data_slots:
-                raise IndexError(
-                    f"slot {slot} out of range [0, {data_slots}) "
-                    f"for L{level}")
-            if not static:
-                rber = self._rber_unchecked(fpage)
-                self._record_read_disturb(fpage)
-                retries = self._read_retries_fast(rber, level)
-                latency = ((1.0 + retries) * self.latency.read_us
-                           + self._opage_transfer_us)
-                p_flip = min(rber, 1.0)
-            stats.reads += 1
-            stats.read_retries += retries
-            stats.busy_us += latency
-            chan[ci] += latency
-            if ctx is not None and retries > 0.0:
-                ctx.bump("read_retries", retries)
-                ctx.leaf("read_retry", retries * read_us)
-            if injector is not None:
-                # Same hit/context sequence as per-slot read() calls, so
-                # fault schedules are path-independent too.
-                spec = injector.check("chip.read", fpage=fpage, slot=slot,
-                                      block=block)
-                if spec is not None:
-                    if spec.fault == "uncorrectable":
-                        stats.uncorrectable_reads += 1
-                        out.append(None)
-                        continue
-                    self._corrupt_slot(fpage, slot, spec.args)
-                    data = self._data[fpage]
-            if inject and rber > 0:
-                flipped = (predrawn[index] if predrawn is not None
-                           else int(rng.binomial(codeword_bits, p_flip)))
-                if flipped > correctable:
-                    stats.uncorrectable_reads += 1
-                    out.append(None)
-                    continue
-            out.append(data[slot])
-        return out
 
     def _corrupt_slot(self, fpage: int, slot: int, args) -> None:
         """Silently flip stored bits (injected corruption beyond the RBER
@@ -754,47 +672,6 @@ class FlashChip:
             f"fPage {fpage} (L{level}, pec={int(self._pec[fpage])}): "
             f"{flipped} bit errors exceed t={correctable}",
             bit_errors=flipped, correctable=correctable)
-
-    def read_fpage(self, fpage: int) -> tuple[tuple[bytes, ...], float]:
-        """Read a whole fPage in one sense: all data oPages plus latency.
-
-        Large host accesses use this path — one array sense amortised over
-        every data oPage the page holds, which is exactly why RegenS pages
-        (fewer data oPages per sense) degrade large accesses by
-        ``P / (P - L)`` (paper §4.2). Costed by :meth:`_read_cost`.
-        """
-        (level, data_slots, rber, retries, _, latency,
-         channel) = self._read_costs.get(fpage) or self._read_cost(fpage)
-        if self.read_disturb_rber:
-            self._record_read_disturb(fpage)
-        stats = self.stats
-        stats.reads += 1
-        stats.read_retries += retries
-        stats.busy_us += latency
-        self.channel_busy_us[channel] += latency
-        rt = self._reqtrace
-        if rt is not None and rt.active is not None:
-            ctx = rt.active
-            ctx.note_level(level)
-            if retries > 0.0:
-                ctx.bump("read_retries", retries)
-                ctx.leaf("read_retry", retries * self.latency.read_us)
-        if self._faults is not None:
-            # A whole-fPage sense is one hit (one array read on hardware).
-            spec = self._faults.check(
-                "chip.read", fpage=fpage,
-                block=fpage // self._fpages_per_block)
-            if spec is not None:
-                if spec.fault == "uncorrectable":
-                    raise self._uncorrectable(fpage, level, None)
-                slot = int(spec.args.get("slot", 0)) % data_slots
-                self._corrupt_slot(fpage, slot, spec.args)
-        if self.inject_errors and rber > 0:
-            flipped = int(self.rng.binomial(
-                self._ecc_by_level[level].codeword_bits, min(rber, 1.0)))
-            if flipped > self._ecc_t_by_level[level]:
-                raise self._uncorrectable(fpage, level, flipped)
-        return self._data[fpage][:data_slots], latency
 
     def erase(self, block: int) -> float:
         """Erase ``block``: all non-retired fPages become FREE, PEC += 1.

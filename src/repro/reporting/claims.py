@@ -229,7 +229,7 @@ def measured_throughput_factor(level: int, blocks: int = 4,
         busy_program = chip.stats.busy_us
         data_bytes = 0
         for fpage in range(total):
-            payloads, _latency = chip.read_fpage(fpage)
+            payloads, _latency = chip.read(fpage)
             data_bytes += len(payloads) * geometry.opage_bytes
         return data_bytes / (chip.stats.busy_us - busy_program)
 

@@ -239,14 +239,16 @@ class SalamanderSSD(PageMappedFTL):
             device.limbo.add(int(fpage), int(level))
         device._event_seq = int(snapshot["event_seq"])
         device._exhausted = bool(snapshot["exhausted"])
-        with device._remount_cause():
-            device._rebuild_from_flash()
-            # Drop resurrected mappings inside decommissioned minidisks.
-            for mdisk in device.minidisks:
-                if mdisk.status is MinidiskStatus.DECOMMISSIONED:
-                    device._invalidate(mdisk)
-            device._restore_buffer(snapshot["buffer"])
+        device._attributed("remount", device._mount, snapshot["buffer"])
         return device
+
+    def _rebuild_from_flash(self) -> None:
+        """The mapping replay, less resurrected mappings inside
+        decommissioned minidisks."""
+        super()._rebuild_from_flash()
+        for mdisk in self.minidisks:
+            if mdisk.status is MinidiskStatus.DECOMMISSIONED:
+                self._invalidate(mdisk)
 
     # -- host-facing geometry ----------------------------------------------------
 
@@ -322,23 +324,12 @@ class SalamanderSSD(PageMappedFTL):
         Reads are also served from DRAINING minidisks — the §4.3 grace
         period exists precisely so the diFS can still pull data out.
         """
-        if self._exhausted:
-            raise DeviceBrickedError("all minidisks decommissioned")
-        mdisk = self.minidisk(mdisk_id)
-        if not mdisk.is_readable:
-            raise MinidiskDecommissionedError(
-                f"mDisk {mdisk_id} was decommissioned")
-        return super().read(mdisk.flat_lba(lba))
+        return super().read(self._readable_mdisk(mdisk_id).flat_lba(lba))
 
     def read_range(self, mdisk_id: int, lba: int,  # type: ignore[override]
                    count: int) -> list[bytes]:
         """Scatter-gather read of ``count`` LBAs within one minidisk."""
-        if self._exhausted:
-            raise DeviceBrickedError("all minidisks decommissioned")
-        mdisk = self.minidisk(mdisk_id)
-        if not mdisk.is_readable:
-            raise MinidiskDecommissionedError(
-                f"mDisk {mdisk_id} was decommissioned")
+        mdisk = self._readable_mdisk(mdisk_id)
         return super().read_range(mdisk.flat_range(lba, count), count)
 
     def write_range(self, mdisk_id: int, lba: int,  # type: ignore[override]
@@ -365,6 +356,15 @@ class SalamanderSSD(PageMappedFTL):
         size = self._table.size_lbas
         self._active_mdisk(lba // size)
         return (lba // size + 1) * size
+
+    def _readable_mdisk(self, mdisk_id: int) -> Minidisk:
+        if self._exhausted:
+            raise DeviceBrickedError("all minidisks decommissioned")
+        mdisk = self.minidisk(mdisk_id)
+        if not mdisk.is_readable:
+            raise MinidiskDecommissionedError(
+                f"mDisk {mdisk_id} was decommissioned")
+        return mdisk
 
     def _active_mdisk(self, mdisk_id: int) -> Minidisk:
         if self._exhausted:
@@ -441,9 +441,6 @@ class SalamanderSSD(PageMappedFTL):
         (their grace ends early) before any further active mDisk is
         sacrificed — freed garbage is cheaper than lost capacity.
         """
-        rt = self._reqtrace
-        ctx = rt.active if rt is not None else None
-        led = self._endurance
         table = self._table
         policy = self.salamander_config.victim_policy
         while self.capacity_deficit() > 0:
@@ -462,50 +459,23 @@ class SalamanderSSD(PageMappedFTL):
                     help="ShrinkS decommission victim selections",
                     unit="minidisks",
                     labelnames=("policy",)).labels(policy=policy).inc()
-            if led is None:
-                self._decommission_traced(victim, ctx)
-            else:
-                # Any chip work the shrink does (today: none — the
-                # minidisk is unmapped, not rewritten) is ShrinkS burn.
-                with led.cause("shrink"):
-                    self._decommission_traced(victim, ctx)
+            # Any chip work the shrink does (today: none — the minidisk
+            # is unmapped, not rewritten) is ShrinkS burn.
+            self._attributed("shrink", self._decommission, victim, "wear",
+                             counter="shrink_events")
         if not table.active:
             self._exhaust()
             raise DeviceBrickedError(
                 "device exhausted: all minidisks decommissioned")
         if self.salamander_config.mode is SalamanderMode.REGEN:
-            if led is None:
-                self._regenerate_traced(ctx)
-            else:
-                with led.cause("regen"):
-                    self._regenerate_traced(ctx)
-
-    def _decommission_traced(self, victim, ctx) -> None:
-        if ctx is None:
-            self._decommission(victim, reason="wear")
-            return
-        # Wear-triggered shrink landing inside a sampled host
-        # request's dispatch: capacity interference it observed.
-        ctx.enter("shrink", self.chip.stats.busy_us)
-        ctx.bump("shrink_events")
-        try:
-            self._decommission(victim, reason="wear")
-        finally:
-            ctx.exit(self.chip.stats.busy_us)
-
-    def _regenerate_traced(self, ctx) -> None:
-        if ctx is None:
-            self._regenerate()
-            return
-        minted_before = self.stats.regenerated_minidisks
-        ctx.enter("regen", self.chip.stats.busy_us)
-        try:
-            self._regenerate()
-        finally:
-            ctx.exit(self.chip.stats.busy_us)
-        minted = self.stats.regenerated_minidisks - minted_before
-        if minted:
-            ctx.bump("regen_events", minted)
+            # Counted after the pass, and only if it minted: a request's
+            # ``regen_events`` is minidisks regenerated, not passes run.
+            minted = self.stats.regenerated_minidisks
+            self._attributed("regen", self._regenerate)
+            minted = self.stats.regenerated_minidisks - minted
+            rt = self._reqtrace
+            if minted and rt is not None and rt.active is not None:
+                rt.active.bump("regen_events", minted)
 
     def _decommission(self, mdisk: Minidisk, reason: str) -> None:
         grace = self.salamander_config.grace_decommissions

@@ -96,19 +96,21 @@ class BaselineSSD(PageMappedFTL):
         :meth:`PageMappedFTL.remount` for buffer/trim semantics.
         """
         device = cls(chip, config, n_lbas)
-        with device._remount_cause():
-            for block in range(chip.geometry.blocks):
-                pages = np.asarray(
-                    chip.geometry.fpage_range_of_block(block))
-                if (chip.state_array()[pages] == 2).any():
-                    device.ledger.mark_bad(block)
-                    device._free_blocks.discard(block)
-            device._rebuild_from_flash()
-            if buffer_entries:
-                device._restore_buffer(buffer_entries)
+        device._attributed("remount", device._mount, buffer_entries)
         if device.ledger.exceeded:
             device._failed = True
         return device
+
+    def _rebuild_from_flash(self) -> None:
+        """The bad-block ledger first, from retired pages, then the
+        mapping replay."""
+        chip = self.chip
+        for block in range(chip.geometry.blocks):
+            pages = np.asarray(chip.geometry.fpage_range_of_block(block))
+            if (chip.state_array()[pages] == 2).any():
+                self.ledger.mark_bad(block)
+                self._free_blocks.discard(block)
+        super()._rebuild_from_flash()
 
     # -- liveness ------------------------------------------------------------
 

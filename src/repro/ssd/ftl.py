@@ -26,6 +26,7 @@ error — the distributed layer re-replicates around this).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -424,7 +425,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         kernel (docs/PERFORMANCE.md, "Kernels and their twins").
 
         Groups the physical locations by fPage and senses each touched
-        fPage once (via :meth:`FlashChip.read_fpage`), which is what makes
+        fPage once (a whole-fPage :meth:`FlashChip.read`), which is what makes
         large accesses pay the paper's ``P / (P - L)`` factor: the same
         logical bytes spread over more fPages once pages run at higher
         tiredness levels. One host operation: one autoscrub tick, one
@@ -464,7 +465,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         total_latency = 0.0
         for fpage, wanted in by_fpage.items():
             try:
-                payloads, latency = self.chip.read_fpage(fpage)
+                payloads, latency = self.chip.read(fpage)
             except UncorrectableError:
                 for offset in wanted:
                     self._lose_lba(lba + offset, slots[offset])
@@ -528,7 +529,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         while (performed < max_collections
                and len(self._usable_free_blocks()) < watermark_blocks):
             try:
-                self._gc_once()
+                self._attributed("gc", self._gc_once, counter="gc_passes")
             except OutOfSpaceError:
                 break  # nothing collectible right now
             performed += 1
@@ -539,30 +540,27 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         ``(lbas, payloads)`` — the relocation reader of GC and scrub.
 
         One ``_p2l`` slice finds the live slots (a mapped slot always
-        sits on a WRITTEN fPage, as ``_audit_fastpath`` checks); each
-        fPage holding any is read by one ``read_opages``, in fPage and
-        slot order. Slots that fail ECC are recorded as lost and skipped.
+        sits on a WRITTEN fPage, as ``_audit_fastpath`` checks); each is
+        read by one point :meth:`FlashChip.read`, in fPage and slot
+        order. Slots that fail ECC are recorded as lost and skipped.
         """
         spf = self._slots_per_fpage_max
         base = fpage * spf
+        read = self.chip.read
         # A slice is a copy: ``_lose_lba`` writes ``_p2l`` mid-loop.
         owners = self._p2l[base:base + count * spf]
-        by_fpage: dict[int, list[int]] = {}
-        for offset, lba in enumerate(owners):
-            if lba >= 0:
-                by_fpage.setdefault(offset // spf, []).append(offset % spf)
         lbas: list[int] = []
         payloads: list[bytes] = []
-        for page, slots in by_fpage.items():
-            first = page * spf
-            read = self.chip.read_opages(fpage + page, slots)
-            for slot, data in zip(slots, read):
-                lba = owners[first + slot]
-                if data is None:
-                    self._lose_lba(lba, base + first + slot)
-                    continue
-                lbas.append(lba)
-                payloads.append(data)
+        for offset, lba in enumerate(owners):
+            if lba < 0:
+                continue
+            try:
+                data, _latency = read(fpage + offset // spf, offset % spf)
+            except UncorrectableError:
+                self._lose_lba(lba, base + offset)
+                continue
+            lbas.append(lba)
+            payloads.append(data)
         return lbas, payloads
 
     # -- capacity accounting ---------------------------------------------------
@@ -919,6 +917,35 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._open[key] = None
         self._open_required.pop(key, None)
 
+    # -- internals: background work -------------------------------------------
+
+    def _attributed(self, cause: str, work, *args, counter=None):
+        """Run ``work(*args)`` as background work done for ``cause``.
+
+        The endurance ledger charges its programs and erases to
+        ``cause`` (innermost wins). When a sampled host request is
+        mid-dispatch, the request absorbed it: its chip busy time lands
+        in the request's ``cause`` segment, nested inside any segment
+        already open (a GC forced by a scrub sits under ``scrub``), and
+        ``counter``, if given, is bumped once. Returns what ``work``
+        returns.
+        """
+        led = self._endurance
+        rt = self._reqtrace
+        ctx = rt.active if rt is not None else None
+        if ctx is None and led is None:
+            return work(*args)
+        with nullcontext() if led is None else led.cause(cause):
+            if ctx is None:
+                return work(*args)
+            ctx.enter(cause, self.chip.stats.busy_us)
+            if counter is not None:
+                ctx.bump(counter)
+            try:
+                return work(*args)
+            finally:
+                ctx.exit(self.chip.stats.busy_us)
+
     # -- internals: garbage collection ------------------------------------------
 
     def _ensure_free_space(self) -> None:
@@ -931,36 +958,13 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
                     "garbage collection cannot reclaim space; device is "
                     "effectively full")
             guard -= 1
-            self._gc_once()
+            self._attributed("gc", self._gc_once, counter="gc_passes")
 
     def _gc_once(self) -> None:
-        """Relocate one victim block's valid data and erase it."""
-        led = self._endurance
-        if led is None:
-            self._gc_once_traced()
-            return
-        # Everything a collection does — victim reads, relocation
-        # programs, the erase — burns cycles on GC's behalf.
-        with led.cause("gc"):
-            self._gc_once_traced()
-
-    def _gc_once_traced(self) -> None:
-        rt = self._reqtrace
-        ctx = rt.active if rt is not None else None
-        if ctx is None:
-            self._gc_once_inner()
-            return
-        # A sampled host request is mid-dispatch: the whole collection
-        # (victim reads + relocation programs + erase) is a GC stall it
-        # experienced, so charge the chip busy time to the "gc" segment.
-        ctx.enter("gc", self.chip.stats.busy_us)
-        ctx.bump("gc_passes")
-        try:
-            self._gc_once_inner()
-        finally:
-            ctx.exit(self.chip.stats.busy_us)
-
-    def _gc_once_inner(self) -> None:
+        """Relocate one victim block's valid data and erase it: a
+        collection's victim reads, relocation programs and erase are all
+        GC's burn, and a GC stall to a request it lands inside (callers
+        run it under :meth:`_attributed`)."""
         # Sweep out blocks with nothing left to reclaim: condemned (or fully
         # retired) blocks that hold no valid data are dead, not candidates.
         # Only zero-valid candidates can qualify, so the sweep inspects

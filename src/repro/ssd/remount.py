@@ -16,8 +16,6 @@ PageMappedFTL`` keeps working.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 __all__ = ["RemountMixin"]
@@ -25,17 +23,6 @@ __all__ = ["RemountMixin"]
 
 class RemountMixin:
     """OOB-replay remount methods shared through :class:`PageMappedFTL`."""
-
-    def _remount_cause(self):
-        """Scope charging mount-time chip work to the ``remount`` cause.
-
-        The OOB replay only reads flash today, so remount-cause
-        program/erase counts are legitimately ~0 — the scope keeps
-        mount-time work distinguishable if a future rebuild rewrites.
-        Device flavours reuse this around their own remount replays.
-        """
-        led = self._endurance
-        return nullcontext() if led is None else led.cause("remount")
 
     @classmethod
     def remount(cls, chip, n_lbas: int,
@@ -55,11 +42,16 @@ class RemountMixin:
         standard behaviour for FTLs without a trim journal.
         """
         ftl = cls(chip, n_lbas, config)
-        with ftl._remount_cause():
-            ftl._rebuild_from_flash()
-            if buffer_entries:
-                ftl._restore_buffer(buffer_entries)
+        ftl._attributed("remount", ftl._mount, buffer_entries)
         return ftl
+
+    def _mount(self, buffer_entries) -> None:
+        """Rebuild from flash, then refill the NVRAM buffer. Remounts
+        run it as ``remount`` work: the OOB replay only reads flash
+        today, so remount-cause program/erase counts are ~0."""
+        self._rebuild_from_flash()
+        if buffer_entries:
+            self._restore_buffer(buffer_entries)
 
     def _restore_buffer(self,
                         entries: list[tuple[int, bytes]]) -> None:

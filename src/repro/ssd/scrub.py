@@ -6,7 +6,8 @@ and when a page's RBER has outgrown its tiredness level's ECC, relocate
 its valid oPages *before* a read fails — rather than lazily at the next
 erase. The mixin relies on the FTL core for allocation
 (``_ensure_free_space``/``_program_items``), the relocation reader
-(``_read_live``) and the fault injector binding.
+(``_read_live``), the attribution helper (``_attributed``) and the
+fault injector binding.
 
 Split out of ``ftl.py`` purely for readability; behaviour, method
 names and call order are unchanged (``from repro.ssd.ftl import
@@ -49,36 +50,16 @@ class ScrubMixin:
                 continue
             if not self.chip.is_overworn(fpage):
                 continue
-            relocated += self._evacuate_fpage(fpage)
+            relocated += self._attributed(
+                "scrub", self._evacuate_fpage, fpage,
+                counter="scrub_evacuations")
         return relocated
 
     def _evacuate_fpage(self, fpage: int) -> int:
-        """Move a written page's valid oPages to fresh flash."""
-        led = self._endurance
-        if led is None:
-            return self._evacuate_fpage_traced(fpage)
-        # The rewrite programs are scrub's burn; a GC pass forced by
-        # _ensure_free_space nests its own "gc" cause (innermost wins),
-        # matching the reqtrace section nesting below.
-        with led.cause("scrub"):
-            return self._evacuate_fpage_traced(fpage)
-
-    def _evacuate_fpage_traced(self, fpage: int) -> int:
-        rt = self._reqtrace
-        ctx = rt.active if rt is not None else None
-        if ctx is None:
-            return self._evacuate_fpage_inner(fpage)
-        # Autoscrub triggered inside a sampled request's dispatch: the
-        # evacuation (and any GC it forces — nested under "scrub" on
-        # the section stack) is interference that request absorbed.
-        ctx.enter("scrub", self.chip.stats.busy_us)
-        ctx.bump("scrub_evacuations")
-        try:
-            return self._evacuate_fpage_inner(fpage)
-        finally:
-            ctx.exit(self.chip.stats.busy_us)
-
-    def _evacuate_fpage_inner(self, fpage: int) -> int:
+        """Move a written page's valid oPages to fresh flash: scrub's
+        burn, and interference to a request it lands inside (the
+        sweep runs it under ``_attributed``; a GC pass it forces nests
+        under it)."""
         self._ensure_free_space()
         lbas, payloads = self._read_live(fpage, 1)
         if self._faults is not None:

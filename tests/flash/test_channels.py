@@ -11,7 +11,7 @@ def scan_all(chip: FlashChip) -> None:
         capacity = chip.policy.data_opages(chip.level(fpage))
         chip.program(fpage, [b"x"] * capacity)
     for fpage in range(chip.geometry.total_fpages):
-        chip.read_fpage(fpage)
+        chip.read(fpage)
 
 
 class TestChannels:
@@ -46,7 +46,7 @@ class TestChannels:
         # Hammer a single block: everything serialises on one channel.
         chip.program(0, [b"x"] * 4)
         for _ in range(50):
-            chip.read_fpage(0)
+            chip.read(0)
         assert chip.makespan_us() == pytest.approx(chip.stats.busy_us)
 
     def test_erases_charged_to_block_channel(self):

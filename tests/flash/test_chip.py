@@ -41,7 +41,7 @@ class TestProgramRead:
         # happens where bytes leave the device, in the FTL's reads.
         chip.program(0, payloads_for(chip, 0))
         assert chip.read(0, 0)[0] == b"data-0-0"
-        assert chip.read_fpage(0)[0] == tuple(payloads_for(chip, 0))
+        assert chip.read(0)[0] == tuple(payloads_for(chip, 0))
         ftl = PageMappedFTL(chip, 32, ftl_config)
         ftl.write(5, b"short")
         ftl.flush()

@@ -1,11 +1,11 @@
 """Equivalence tests for the chip-level fast paths.
 
 The chip precomputes per-level ECC tables, memoises the wear RBER per PEC
-value, batches GC reads (``read_opages``) and maintains per-block capacity
-counters incrementally. Each shortcut must be observationally identical to
-the straightforward recomputation it replaced — including, for the batched
-read path, consuming *exactly the same RNG draws in the same order* as the
-sequential reads it supersedes.
+value and maintains per-block capacity counters incrementally. Each
+shortcut must be observationally identical to the straightforward
+recomputation it replaced. GC's relocation reader reads slot by slot
+through the point ``read`` and must consume *exactly the same RNG draws
+in the same order* as those reads made one at a time.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import context
-from repro.errors import ProgramError, ProgramFaultError
+from repro.errors import ProgramError, ProgramFaultError, UncorrectableError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash.chip import FlashChip, PageState
 from repro.flash.geometry import FlashGeometry
 from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
 from repro.obs.endurance import EnduranceLedger
+from repro.ssd.ftl import LOST, PageMappedFTL
 
 
 def make_one(seed: int = 21, **kwargs) -> FlashChip:
@@ -88,48 +89,70 @@ class TestRequiredLevel:
         assert chip.worn_free_pages(2) == expected
 
 
+def remounted_pair(fpage: int, seed: int, wear: int = 0, **kwargs):
+    """Two same-seed FTLs whose map puts the four LBAs from ``fpage // 2``
+    on the four slots of ``fpage``: programmed raw, ``wear`` cycles added
+    by hand under the data (nothing read yet, so no cost to forget),
+    found by the OOB replay."""
+    ftls = []
+    for chip in make_pair(seed, **kwargs):
+        first = fpage // 2
+        chip.program(fpage, [bytes([i]) * 8 for i in range(4)],
+                     oob=(tuple(range(first, first + 4)), 1))
+        chip._pec[chip.geometry.fpage_range_of_block(
+            fpage // chip.geometry.fpages_per_block)] += wear
+        ftls.append(PageMappedFTL.remount(chip, 64))
+    return ftls
+
+
+def live_versus_point_reads(relocating, pointwise, fpage: int) -> int:
+    """``relocating._read_live(fpage, 1)`` equals per-slot ``read()`` of
+    the mapped slots on the twin: payloads or loss, RNG state, stats and
+    per-channel busy time. Returns how many slots were lost."""
+    spf = relocating._slots_per_fpage_max
+    owners = relocating._p2l[fpage * spf:(fpage + 1) * spf]
+    lbas, payloads = relocating._read_live(fpage, 1)
+    got = dict(zip(lbas, payloads))
+    lost = 0
+    for slot, lba in enumerate(owners):
+        if lba < 0:
+            continue
+        try:
+            data, _latency = pointwise.chip.read(fpage, slot)
+        except UncorrectableError:
+            assert lba not in got and relocating._l2p[lba] == LOST
+            lost += 1
+        else:
+            assert got.pop(lba) == data
+    assert not got
+    batch, sequential = relocating.chip, pointwise.chip
+    assert (batch.rng.bit_generator.state
+            == sequential.rng.bit_generator.state)
+    assert batch.stats.snapshot() == sequential.stats.snapshot()
+    assert batch.channel_busy_us == sequential.channel_busy_us
+    return lost
+
+
 class TestReadOpagesBitIdentity:
+    """GC and scrub relocation (``_read_live``) reads each live slot
+    through the point ``read``, in slot order, and marks a slot that
+    fails ECC lost instead of raising."""
+
     @pytest.mark.parametrize("kwargs", [
         {},
         {"read_disturb_rber": 1e-9},
     ])
     def test_same_rng_draws_and_stats_as_sequential_reads(self, kwargs):
-        batch_chip, seq_chip = make_pair(seed=24, **kwargs)
-        payloads = [bytes([i]) * 8 for i in range(4)]
-        for chip in (batch_chip, seq_chip):
-            chip.program(0, payloads, oob=((0, 1, 2, 3), 1))
-            # Age the page so the RBER (and hence the injected-error
-            # binomials) are non-trivial.
-            for _ in range(60):
-                chip.erase(1)
-        slots = [0, 1, 2, 3]
-        batch = batch_chip.read_opages(0, slots)
-        sequential = []
-        for slot in slots:
-            try:
-                data, _latency = seq_chip.read(0, slot)
-            except Exception:
-                data = None
-            sequential.append(data)
-        assert batch == sequential
-        # Identical RNG consumption: the next draw on both chips agrees.
-        assert (batch_chip.rng.integers(0, 2**31)
-                == seq_chip.rng.integers(0, 2**31))
-        assert batch_chip.stats.reads == seq_chip.stats.reads
-        assert batch_chip.stats.read_retries == seq_chip.stats.read_retries
-        assert batch_chip.stats.busy_us == seq_chip.stats.busy_us
-        assert batch_chip.channel_busy_us == seq_chip.channel_busy_us
+        # Worn to where this seed's ECC draws fail some slots, not all.
+        twins = remounted_pair(0, seed=24, wear=47, **kwargs)
+        assert 0 < live_versus_point_reads(*twins, fpage=0) < 4
 
     def test_subset_of_slots(self):
-        batch_chip, seq_chip = make_pair(seed=25)
-        payloads = [bytes([i]) * 8 for i in range(4)]
-        for chip in (batch_chip, seq_chip):
-            chip.program(8, payloads, oob=((4, 5, 6, 7), 1))
-        slots = [1, 3]
-        batch = batch_chip.read_opages(8, slots)
-        sequential = [seq_chip.read(8, slot)[0] for slot in slots]
-        assert batch == sequential
-        assert batch_chip.stats.busy_us == seq_chip.stats.busy_us
+        twins = remounted_pair(8, seed=25)
+        for ftl in twins:
+            ftl.trim(4)
+            ftl.trim(6)
+        assert live_versus_point_reads(*twins, fpage=8) == 0
 
 
 OPAGE = FlashGeometry().opage_bytes

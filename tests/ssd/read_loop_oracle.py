@@ -1,8 +1,9 @@
 """The per-LBA ranged read and the per-read chip derivation, kept as the
 differential oracle.
 
-These are ``PageMappedFTL.read_range``, ``FlashChip.read`` and
-``FlashChip.read_fpage`` exactly as they stood before the range read
+These are ``PageMappedFTL.read_range`` and ``FlashChip.read``'s point
+and whole-fPage senses (the latter kept here as ``read_fpage``, the
+separate method it was) exactly as they stood before the range read
 kernel: per LBA a ``buffer.get``, an ``int(self._l2p[target])``, a
 ``divmod`` and a ``setdefault``; per sense the state probe, the RBER,
 the retries and both latency sums derived afresh. The bodies are

@@ -1,8 +1,8 @@
 """Differential test: the range read kernel against the per-LBA loop.
 
 ``PageMappedFTL.read_range`` slices the map once and probes the write
-buffer in place; ``FlashChip.read`` / ``read_fpage`` take a written
-page's cost from ``_read_cost``, which remembers it until the page's
+buffer in place; ``FlashChip.read``, point or whole-fPage, takes a
+written page's cost from ``_read_cost``, which remembers it until the page's
 data goes. ``read_loop_oracle.py`` holds what they replaced: the per-LBA
 resolve loop and the per-call derivation. Twin devices (same chip seed,
 same configuration, a fault injector, clock and reqtrace context each)
@@ -349,8 +349,8 @@ step = st.one_of(
     st.tuples(st.sampled_from(("flush", "gc", "inject", "trace")),
               st.just(0), st.just("fresh")),
     st.tuples(st.just("day"), st.integers(1, 4), st.just("fresh")))
-#: ``chip.read`` faults: ``read`` hits once per oPage, ``read_fpage`` and
-#: GC's ``read_opages`` once per sense or slot; a ``corrupt`` hit flips a
+#: ``chip.read`` faults: a point ``read`` (host or GC) hits once per
+#: oPage, a whole-fPage ``read`` once per sense; a ``corrupt`` hit flips a
 #: byte of the stored page itself.
 read_fault = st.builds(
     FaultSpec, site=st.just("chip.read"),
@@ -601,8 +601,8 @@ def test_a_cost_lives_from_first_read_to_erase_or_retire():
         chip._read_costs[0])
     assert (level, slots, channel) == (0, 4, 0)
     assert rber == chip.rber_of(0) and opage_us == point
-    assert chip.read_fpage(0)[1] == fpage_us > opage_us
-    assert chip.read_opages(0, [0, 1]) == [b"a", b"b"]   # as written
+    assert chip.read(0)[1] == fpage_us > opage_us
+    assert chip.read(0)[0] == (b"a", b"b", b"c", b"d")   # as written
     chip._audit_read_costs()
     chip.erase(0)
     assert not chip._read_costs
@@ -613,7 +613,7 @@ def test_a_cost_lives_from_first_read_to_erase_or_retire():
     assert chip.read(0, 1)[1] > point
     chip.retire(0)
     assert not chip._read_costs
-    for read in (lambda: chip.read(0, 1), lambda: chip.read_fpage(0)):
+    for read in (lambda: chip.read(0, 1), lambda: chip.read(0)):
         with pytest.raises(ProgramError, match="not written"):
             read()
     chip._audit_read_costs()
@@ -626,14 +626,14 @@ def test_a_chip_whose_rber_moves_under_data_remembers_nothing(dynamic):
     chip = _programmed_chip(**dynamic)
     for _ in range(3):
         chip.read(0, 0)
-        chip.read_fpage(0)
+        chip.read(0)
     assert not chip._read_costs
     chip._audit_read_costs()
 
 
 def test_the_audit_catches_a_stale_and_an_orphaned_cost():
     chip = _programmed_chip()
-    chip.read_fpage(0)
+    chip.read(0)
     chip._pec[0] += 2           # wear set by hand under the data
     with pytest.raises(AssertionError, match="stale read cost"):
         chip._audit_read_costs()

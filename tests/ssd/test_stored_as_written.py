@@ -3,8 +3,8 @@ host reads zero-pad it to ``opage_bytes``.
 
 ``FlashChip.program_trusted`` stores each payload object it is handed
 (an empty one, and every slot past the payloads, as the shared
-``_zero_opage``); ``read``, ``read_fpage`` and ``read_opages`` return
-the stored objects, and GC relocation carries them through unchanged.
+``_zero_opage``); ``read``, point or whole-fPage, returns the stored
+objects, and GC relocation carries them through unchanged.
 ``PageMappedFTL.read`` and ``read_range`` are where bytes leave the
 device, so they are the pad sites. This module holds the three
 contracts that move with that rule (docs/PERFORMANCE.md, "Kernels and

@@ -45,7 +45,9 @@ LIVE_DOCS = sorted([*DOCS.glob("*.md"), ROOT / "README.md",
 RETIRED = frozenset({
     "FleetRules.build_columns", "PageMappedFTL.invalidate_batch",
     "engine._admit", "engine._arrive", "keep_latencies", "DWPDSchedule",
-    "level_wear", "CostBenefitGC"})
+    "level_wear", "CostBenefitGC", "read_opages", "FlashChip.read_fpage",
+    "_gc_once_traced", "_evacuate_fpage_traced", "_decommission_traced",
+    "_regenerate_traced", "_remount_cause"})
 
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
