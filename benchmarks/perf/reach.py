@@ -37,16 +37,17 @@ TRAFFIC = "traffic --tenants 12 --duration 4000"
 #: driven (the last six, all exit 2: a missing scenario, a missing run
 #: directory, a file given as one, a directory given as a file, a
 #: non-UTF-8 artifact and a mistyped field).
-CLI = f"""--version ; fig2 ; fig2 --ecc-family ldpc ; tco ; carbon ; carbon --ru 0.5 --renewable
+CLI = f"""--version
 fleet --devices 8 --years 2 --blocks 32 --out obs
 {SLO} obs --measure --seed 2025
 fleet {FLEET} --out f1 --timeseries-cadence 0 ; fleet {FLEET} --shards 4 --jobs 2 --out f4
-fleet {FLEET} --faults plan.json --out ff ; health --devices 30 --max-days 1500
-sweep {FLEET} --runs 2 --jobs 2 --faults plan.json --out s ; tournament --blocks 16 --pec-limit 12 ; replacement --slots 20 --years 6
+fleet {FLEET} --faults plan.json --out ff
+sweep {FLEET} --runs 2 --jobs 2 --faults plan.json --out s
 run {SCN}/quick_fleet.json --out results
 run {SCN}/faulty_fleet.json --out results ; run {SCN}/fig2_ldpc.json --out results
-run {SCN}/measured_upgrade_rates.json --out results ; run tournament.json --out results
-run carbon.json --out results ; run tco.json --out results
+run {SCN}/measured_upgrade_rates.json --out results ; run {SCN}/tournament.json --out results
+run {SCN}/fig2.json --out results ; run {SCN}/carbon.json --out results
+run {SCN}/tco.json --out results ; run {SCN}/health.json --out results
 traffic --tenants 48 --duration 8000 --cells 2 --arrival mmpp --jobs 2 --out tr
 {TRAFFIC} --shards 4 --jobs 1 --out tr4 ; {TRAFFIC} --cells 1 --trace ops.trace --out trt
 {TRAFFIC} --cells 1 --slo {SCN}/traffic_slo.json --out trs
@@ -61,11 +62,9 @@ wear forecast obs --horizon 1000 ; !run missing.json ; !report absent ; !report 
 FILES = {  # inputs named above that no shipped file provides
     "plan.json": '{"schema": "repro.faults/v1", "events": [{"site": "fleet.step",'
     ' "fault": "device_loss", "when": 4, "args": {"devices": 2}}]}',
-    "ops.trace": "# trace n_lbas=64\nW 1 00\nR 1\nT 1\nW 2\n", "tco.json": '{"name": "o", "kind": "tco"}',
+    "ops.trace": "# trace n_lbas=64\nW 1 00\nR 1\nT 1\nW 2\n",
     "bad_slo.json": '{"schema": "repro.obs.slo/v1", "objectives": [{"name": "x", "kind":'
     ' "latency", "percentile": 50.0, "threshold_us": 0.001, "window_us": 1e6}]}',
-    "tournament.json": '{"name": "t", "kind": "tournament", "params": {"blocks": 16}}',
-    "carbon.json": '{"name": "c", "kind": "carbon"}',
     "not_utf8/endurance.jsonl": "\xff\xfe",
     "mistyped_slo.json": '{"schema": "repro.obs.slo/v1", "objectives": [{"name": "x",'
     ' "percentile": "p", "threshold_us": 1}]}'}

@@ -2,24 +2,23 @@
 
 Usage::
 
-    python -m repro fig2 [--pec-limit 3000] [--ecc-family bch|ldpc]
+    python -m repro run SCENARIO.json [--out DIR]
     python -m repro fleet [--devices 48] [--dwpd 2.0] [--out DIR] [...]
     python -m repro sweep [--runs 4] [--jobs 4] [--out results]
-    python -m repro tournament [--utilization 0.6] [--pec-limit 30]
-    python -m repro carbon [--f-op 0.46] [--renewable]
-    python -m repro tco [--f-opex 0.14]
-    python -m repro replacement [--slots 100] [--age-limit 5]
     python -m repro traffic [--tenants 1000] [--arrival mmpp] [--slo o.json]
     python -m repro report [DIR]
     python -m repro slo --slo objectives.json DIR [--measure]
     python -m repro wear (report|forecast|diff) DIR [--against DIR2]
 
-Every command that writes files writes them into one run directory
-under fixed names (the constants below), and every command that reads
-artifacts reads them from one; docs/OBSERVABILITY.md ("Where output
-lands") has the table. Each subcommand prints the same tables the
-benchmark suite regenerates; see DESIGN.md for the experiment-to-paper
-mapping.
+``run`` is the one door to the paper's single-figure experiments: each
+is a scenario kind of :mod:`repro.scenarios`, and ``scenarios/`` ships
+one file per experiment (``fig2.json``, ``tournament.json``,
+``carbon.json``, ``tco.json``, ``measured_upgrade_rates.json``,
+``health.json``). Every command that writes files writes them into one
+run directory under fixed names (the constants below), and every
+command that reads artifacts reads them from one; docs/OBSERVABILITY.md
+("Where output lands") has the table. See DESIGN.md for the
+experiment-to-paper mapping.
 """
 
 from __future__ import annotations
@@ -33,21 +32,9 @@ from typing import Sequence
 from repro import artifact, context
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
-from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
-from repro.models.carbon import (
-    RU_REGENS,
-    RU_SHRINKS,
-    CarbonParams,
-    carbon_savings,
-    fig4_configurations,
-)
-from repro.models.lifetime import tiredness_tradeoff
-from repro.models.tco import TCOParams, tco_savings
-from repro.models.tco import RU_REGENS as TCO_RU_REGENS
-from repro.models.tco import RU_SHRINKS as TCO_RU_SHRINKS
 from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
 from repro.reporting.series import Series
-from repro.reporting.tables import format_table, render_bars, render_series
+from repro.reporting.tables import format_table, render_series
 from repro.rng import DEFAULT_SEED
 
 
@@ -169,21 +156,6 @@ def _load_fault_plan(args: argparse.Namespace):
     return FaultPlan.load(args.faults)
 
 
-def _cmd_fig2(args: argparse.Namespace) -> int:
-    policy = TirednessPolicy(ecc_family=args.ecc_family)
-    model = calibrate_power_law(policy, pec_limit_l0=args.pec_limit)
-    points = tiredness_tradeoff(policy, model)
-    rows = [[f"L{p.level}", f"{p.capacity_fraction:.2f}",
-             f"{p.code_rate:.3f}", f"{p.max_rber:.3e}",
-             f"{p.pec_limit:.0f}", f"{p.pec_gain:+.0%}"]
-            for p in points]
-    print(format_table(
-        ["level", "capacity", "code rate", "max RBER", "PEC limit", "gain"],
-        rows, title=f"Fig. 2 ({args.ecc_family.upper()}, "
-                    f"rated {args.pec_limit:.0f} cycles)"))
-    return 0
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.sim.fleet import MODES, FleetConfig
     from repro.sim.parallel import resolve_jobs
@@ -227,116 +199,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         path = write_sweep_artifact(document, Path(args.out) / "fleet.json")
         print(f"fleet artifact -> {path}")
         _write_observability(args.out)
-    return 0
-
-
-def _cmd_tournament(args: argparse.Namespace) -> int:
-    from repro.sim.lifetime import run_write_lifetime, tournament_devices
-
-    devices = tournament_devices(blocks=args.blocks,
-                                 pec_limit=args.pec_limit, seed=args.seed)
-    rows = []
-    base = None
-    for name, device in devices.items():
-        result = run_write_lifetime(device, utilization=args.utilization,
-                                    capacity_floor_fraction=0.3, seed=0)
-        if base is None:
-            base = result.host_writes
-        rows.append([name, result.host_writes,
-                     f"{result.host_writes / base:.2f}x",
-                     f"{result.mean_pec_at_death:.1f}",
-                     result.death_cause])
-    print(format_table(
-        ["device", "host writes", "vs baseline", "mean PEC at death",
-         "end cause"],
-        rows, title=f"lifetime tournament @ {args.utilization:.0%} "
-                    f"utilisation"))
-    return 0
-
-
-def _cmd_carbon(args: argparse.Namespace) -> int:
-    if args.ru is not None:
-        params = CarbonParams(f_op=args.f_op, upgrade_rate=args.ru,
-                              renewable_operational=args.renewable)
-        print(f"CO2e savings (Eq. 3): {carbon_savings(params):+.1%}")
-        return 0
-    bars = fig4_configurations(f_op=args.f_op)
-    print(render_bars({k: v * 100 for k, v in bars.items()},
-                      title="Fig. 4: CO2e savings", unit="%"))
-    return 0
-
-
-def _cmd_tco(args: argparse.Namespace) -> int:
-    rows = []
-    for mode, ru in (("shrinks", TCO_RU_SHRINKS), ("regens", TCO_RU_REGENS)):
-        params = TCOParams(f_opex=args.f_opex, upgrade_rate=ru)
-        rows.append([mode, f"{tco_savings(params):+.1%}"])
-    print(format_table(["mode", "TCO savings"], rows,
-                       title=f"Eq. 4 @ f_opex = {args.f_opex}"))
-    return 0
-
-
-def _cmd_replacement(args: argparse.Namespace) -> int:
-    from repro.sim.fleet import FleetConfig
-    from repro.sim.replacement import (
-        ReplacementConfig,
-        measured_upgrade_rates,
-    )
-
-    config = ReplacementConfig(
-        fleet=FleetConfig(
-            devices=32,
-            geometry=FlashGeometry(blocks=64, fpages_per_block=32),
-            dwpd=args.dwpd, afr=0.01, step_days=10),
-        slots=args.slots, horizon_years=args.years,
-        age_limit_years=args.age_limit)
-    results = measured_upgrade_rates(config, seed=args.seed)
-    base = results["baseline"].purchases
-    rows = [[mode, r.purchases, f"{r.purchases / base:.2f}",
-             f"{r.mean_service_life_days:.0f}",
-             f"{r.preempted_fraction:.0%}"]
-            for mode, r in results.items()]
-    print(format_table(
-        ["mode", "purchases", "measured Ru", "mean life (d)", "preempted"],
-        rows, title=f"replacement over {args.years:.0f} years, "
-                    f"age limit {args.age_limit}"))
-    return 0
-
-
-def _cmd_health(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.health.policy import (
-        evaluate_fixed_age,
-        evaluate_predictive,
-        evaluate_run_to_failure,
-    )
-    from repro.health.predictor import FailurePredictor, evaluate_predictor
-    from repro.health.telemetry import TelemetryConfig, generate_trajectories
-
-    config = TelemetryConfig(
-        devices=args.devices,
-        geometry=FlashGeometry(blocks=128, fpages_per_block=32),
-        dwpd=args.dwpd, sample_days=30, max_days=args.max_days)
-    train = generate_trajectories(config, seed=args.seed)
-    test = generate_trajectories(config, seed=args.seed + 1)
-    predictor = FailurePredictor(horizon_days=args.horizon).fit(train)
-    report = evaluate_predictor(predictor, test)
-    print(f"predictor: precision {report.precision:.2f}, "
-          f"recall {report.recall:.2f} (base rate {report.base_rate:.1%})")
-    deaths = [t.death_day for t in test if np.isfinite(t.death_day)]
-    median_life = float(np.median(deaths)) if deaths else args.max_days
-    outcomes = [
-        evaluate_run_to_failure(test),
-        evaluate_fixed_age(test, median_life * 0.6),
-        evaluate_predictive(test, predictor),
-    ]
-    rows = [[o.policy, f"{o.mean_service_days:.0f}",
-             f"{o.unexpected_failure_rate:.0%}",
-             f"{o.wasted_life_fraction:.0%}"] for o in outcomes]
-    print(format_table(
-        ["policy", "mean service (d)", "unexpected", "wasted life"],
-        rows, title="replacement policies (§2.1)"))
     return 0
 
 
@@ -687,11 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {_version()}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig2 = sub.add_parser("fig2", help="tiredness-level trade-off (Fig. 2)")
-    fig2.add_argument("--pec-limit", type=float, default=3000.0)
-    fig2.add_argument("--ecc-family", choices=("bch", "ldpc"), default="bch")
-    fig2.set_defaults(func=_cmd_fig2)
-
     fleet = sub.add_parser("fleet", help="fleet curves (Fig. 3a/3b)")
     fleet.add_argument("--devices", type=int, default=48)
     fleet.add_argument("--blocks", type=int, default=128)
@@ -717,43 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cadence_flag(fleet)
     _add_faults_flag(fleet)
     fleet.set_defaults(func=_cmd_fleet)
-
-    tournament = sub.add_parser(
-        "tournament", help="functional lifetime tournament")
-    tournament.add_argument("--utilization", type=float, default=0.6)
-    tournament.add_argument("--pec-limit", type=float, default=30.0)
-    tournament.add_argument("--blocks", type=int, default=32)
-    tournament.add_argument("--seed", type=int, default=1)
-    tournament.set_defaults(func=_cmd_tournament)
-
-    carbon = sub.add_parser("carbon", help="Eq. 3 / Fig. 4 carbon model")
-    carbon.add_argument("--f-op", type=float, default=0.46)
-    carbon.add_argument("--ru", type=float, default=None,
-                        help="evaluate one upgrade rate instead of Fig. 4")
-    carbon.add_argument("--renewable", action="store_true")
-    carbon.set_defaults(func=_cmd_carbon)
-
-    tco = sub.add_parser("tco", help="Eq. 4 cost model")
-    tco.add_argument("--f-opex", type=float, default=0.14)
-    tco.set_defaults(func=_cmd_tco)
-
-    replacement = sub.add_parser(
-        "replacement", help="measured upgrade rates (EXT-RU)")
-    replacement.add_argument("--slots", type=int, default=100)
-    replacement.add_argument("--years", type=float, default=15.0)
-    replacement.add_argument("--age-limit", type=float, default=5.0)
-    replacement.add_argument("--dwpd", type=float, default=0.7)
-    replacement.add_argument("--seed", type=int, default=9)
-    replacement.set_defaults(func=_cmd_replacement)
-
-    health = sub.add_parser(
-        "health", help="failure prediction and retirement policies (§2.1)")
-    health.add_argument("--devices", type=int, default=150)
-    health.add_argument("--dwpd", type=float, default=1.5)
-    health.add_argument("--horizon", type=float, default=90.0)
-    health.add_argument("--max-days", type=int, default=5000)
-    health.add_argument("--seed", type=int, default=1)
-    health.set_defaults(func=_cmd_health)
 
     sweep = sub.add_parser(
         "sweep",

@@ -1,9 +1,9 @@
 """Reqtrace-instrumented IO probes: one traffic-engine preset per mode.
 
-``repro slo --measure`` and its ``--reqtrace-out`` / ``--endurance-out``
-artifacts need a workload that exercises the attribution paths — queue
-contention, GC stalls, read retries under tiredness, Salamander
-shrink/regen — on every device flavour. A probe is one
+``repro slo --measure`` and the ``reqtrace.jsonl`` / ``endurance.jsonl``
+it writes into its run directory need a workload that exercises the
+attribution paths — queue contention, GC stalls, read retries under
+tiredness, Salamander shrink/regen — on every device flavour. A probe is one
 :func:`repro.workloads.engine.run_cell` of :func:`probe_config` on an
 aged device, with request tracing scoped at 1-in-``every`` sampling and
 a fresh wear ledger. Its output is a pure function of ``(mode, seed,
@@ -212,7 +212,7 @@ def merged_endurance(results: list[dict]) -> list[dict]:
 
 
 def reqtrace_meta(results: list[dict]) -> dict:
-    """The ``meta`` block of a merged ``--reqtrace-out`` artifact."""
+    """The ``meta`` block of a merged ``reqtrace.jsonl`` artifact."""
     first = results[0]["meta"]
     return {"seed": first["seed"], "every": first["every"],
             "modes": [result["mode"] for result in results],
@@ -221,7 +221,7 @@ def reqtrace_meta(results: list[dict]) -> dict:
 
 
 def endurance_meta(results: list[dict], records: list[dict]) -> dict:
-    """The ``meta`` block of a merged ``--endurance-out`` artifact."""
+    """The ``meta`` block of a merged ``endurance.jsonl`` artifact."""
     return {"seed": results[0]["meta"]["seed"],
             "modes": [result["mode"] for result in results],
             "pec_limit": _PROBE_CELL["pec_limit"],

@@ -23,8 +23,8 @@ should be measured)::
     registry.write_json("metrics.json")
     tracer.export_jsonl("trace.jsonl")
 
-The CLI flags (``repro fleet --metrics-out ... --trace-out ...``) and
-the benchmark harness do this for you. docs/OBSERVABILITY.md ("Run
+The CLI (``repro fleet --out DIR``, ``repro run SCENARIO --out DIR``)
+and the benchmark harness do this for you. docs/OBSERVABILITY.md ("Run
 context") is the binding rule.
 """
 

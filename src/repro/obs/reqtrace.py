@@ -37,8 +37,8 @@ Design:
 The artifact (``repro.obs.reqtrace/v1``) is JSONL: one header line
 (schema + run metadata) followed by one ``kind: "request"`` record per
 sampled completion. Records carry ``name``/``time``/``end_time`` like
-span records, so ``repro report --trace`` and
-:mod:`repro.obs.analyze` accept the same files. See
+span records, so :mod:`repro.obs.analyze` reads these files as it
+reads a span trace. See
 docs/OBSERVABILITY.md for the schema and the sampling/overhead
 contract.
 """

@@ -349,6 +349,9 @@ class TimeseriesSampler:
 
 
 def _finite(value: float):
+    """A non-finite float as its string (``"NaN"``, ``"Infinity"``,
+    ``"-Infinity"``): JSON has no literal for it, and every artifact is
+    dumped with ``allow_nan=False``."""
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):

@@ -24,7 +24,6 @@ through raw. Values of unknown types are rejected with
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from pathlib import Path
 
@@ -32,16 +31,8 @@ import numpy as np
 
 from repro import artifact
 from repro.errors import ConfigError
+from repro.obs.timeseries import _finite
 from repro.reporting.series import Series
-
-
-def _finite(value: float):
-    """Encode non-finite floats as strings (see module docstring)."""
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return value
 
 
 def _jsonable(value):

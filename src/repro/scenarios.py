@@ -15,10 +15,12 @@ shareable and re-runnable without writing Python:
     }
 
 ``run_scenario`` dispatches on ``kind`` (``fleet``, ``tournament``,
-``carbon``, ``tco``, ``replacement``, ``fig2``) and returns an
-:class:`~repro.reporting.export.ExperimentWriter` holding structured
+``carbon``, ``tco``, ``replacement``, ``fig2``, ``health``) and returns
+an :class:`~repro.reporting.export.ExperimentWriter` holding structured
 tables/series, ready to ``write()`` as a JSON artifact. The CLI exposes
-this as ``python -m repro run <scenario.json> [--out results/]``.
+this as ``python -m repro run <scenario.json> [--out results/]``, the
+only way to run these experiments from a shell; ``scenarios/`` ships one
+file per kind at the paper's settings.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.reporting.export import ExperimentWriter
 from repro.reporting.series import Series
 
 SCENARIO_KINDS = ("fleet", "tournament", "carbon", "tco", "replacement",
-                  "fig2")
+                  "fig2", "health")
 
 
 def load_scenario(path: str | Path) -> dict:
@@ -51,6 +53,8 @@ _PARAMS = {
     "carbon": {"f_op": float, "ru_shrink": float, "ru_regen": float},
     "tco": {"f_opex": float},
     "fig2": {"ecc_family": str, "pec_limit": float},
+    "health": {"devices": int, "dwpd": float, "horizon": float,
+               "max_days": int},
 }
 
 
@@ -159,11 +163,13 @@ def _run_tournament(document: dict, writer: ExperimentWriter) -> None:
         result = run_write_lifetime(
             device, utilization=params.get("utilization", 0.6),
             capacity_floor_fraction=0.3, seed=0)
-        rows.append([name, result.host_writes, result.mean_pec_at_death,
-                     result.death_cause])
-    writer.add_table("lifetimes",
-                     ["device", "host_writes", "mean_pec", "end_cause"],
-                     rows)
+        base = rows[0][1] if rows else result.host_writes
+        rows.append([name, result.host_writes, result.host_writes / base,
+                     result.mean_pec_at_death, result.death_cause])
+    writer.add_table(
+        "lifetimes",
+        ["device", "host_writes", "vs_baseline", "mean_pec", "end_cause"],
+        rows)
 
 
 def _run_carbon(document: dict, writer: ExperimentWriter) -> None:
@@ -219,6 +225,46 @@ def _run_fig2(document: dict, writer: ExperimentWriter) -> None:
           p.pec_limit, p.pec_gain] for p in points])
 
 
+def _run_health(document: dict, writer: ExperimentWriter) -> None:
+    """§2.1: a SMART failure predictor and three retirement policies."""
+    import numpy as np
+
+    from repro.flash.geometry import FlashGeometry
+    from repro.health.policy import (
+        evaluate_fixed_age,
+        evaluate_predictive,
+        evaluate_run_to_failure,
+    )
+    from repro.health.predictor import FailurePredictor, evaluate_predictor
+    from repro.health.telemetry import TelemetryConfig, generate_trajectories
+
+    params = document.get("params", {})
+    seed = document.get("seed", 1)
+    max_days = params.get("max_days", 5000)
+    config = TelemetryConfig(
+        devices=params.get("devices", 150),
+        geometry=FlashGeometry(blocks=128, fpages_per_block=32),
+        dwpd=params.get("dwpd", 1.5), sample_days=30, max_days=max_days)
+    train = generate_trajectories(config, seed=seed)
+    test = generate_trajectories(config, seed=seed + 1)
+    predictor = FailurePredictor(
+        horizon_days=params.get("horizon", 90.0)).fit(train)
+    report = evaluate_predictor(predictor, test)
+    writer.add_table("predictor", ["precision", "recall", "base_rate"],
+                     [[report.precision, report.recall, report.base_rate]])
+    deaths = [t.death_day for t in test if np.isfinite(t.death_day)]
+    median_life = float(np.median(deaths)) if deaths else max_days
+    outcomes = [evaluate_run_to_failure(test),
+                evaluate_fixed_age(test, median_life * 0.6),
+                evaluate_predictive(test, predictor)]
+    writer.add_table(
+        "policies",
+        ["policy", "mean_service_days", "unexpected_failure_rate",
+         "wasted_life_fraction"],
+        [[o.policy, o.mean_service_days, o.unexpected_failure_rate,
+          o.wasted_life_fraction] for o in outcomes])
+
+
 _RUNNERS = {
     "fleet": _run_fleet,
     "tournament": _run_tournament,
@@ -226,6 +272,7 @@ _RUNNERS = {
     "tco": _run_tco,
     "replacement": _run_replacement,
     "fig2": _run_fig2,
+    "health": _run_health,
 }
 
 

@@ -26,35 +26,49 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nonsense"])
 
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        """What ``repro run`` prints for a shipped scenario file or a
+        scenario document (written to a file first)."""
+        def run(scenario):
+            if isinstance(scenario, dict):
+                path = tmp_path / "scenario.json"
+                path.write_text(json.dumps(scenario))
+                scenario = str(path)
+            assert main(["run", scenario, "--out",
+                         str(tmp_path / "out")]) == 0
+            return capsys.readouterr().out
+        return run
+
+    # The experiments the print-only subcommands ran are `repro run`
+    # scenarios now; tests/test_scenarios.py holds their numbers.
     @pytest.mark.parametrize("argv", [
-        ["fig2"],
-        ["fig2", "--ecc-family", "ldpc", "--pec-limit", "500"],
-        ["carbon"],
-        ["carbon", "--ru", "0.8", "--renewable"],
-        ["tco", "--f-opex", "0.5"],
+        ["run", "scenarios/fig2.json"],
+        ["run", "scenarios/fig2_ldpc.json"],
+        ["run", "scenarios/carbon.json"],
+        ["run", "scenarios/tco.json"],
+        ["run", "scenarios/quick_fleet.json"],
     ])
-    def test_fast_commands_run(self, argv, capsys):
-        assert main(argv) == 0
+    def test_fast_commands_run(self, argv, capsys, tmp_path):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out.strip()
 
-    def test_fig2_output_contains_levels(self, capsys):
-        main(["fig2"])
-        out = capsys.readouterr().out
-        for level in ("L0", "L1", "L2", "L3"):
-            assert level in out
-        assert "+50%" in out  # the paper's anchor
+    def test_fig2_output_contains_levels(self, run):
+        table = run("scenarios/fig2.json").split("== fig2 ==\n")[1]
+        rows = [line.split("|") for line in table.splitlines()[2:]]
+        assert [row[0].strip() for row in rows] == ["0", "1", "2", "3"]
+        assert rows[1][-1].strip() == "0.5"  # the paper's L1 anchor
 
-    def test_carbon_single_rate(self, capsys):
-        main(["carbon", "--ru", "0.8", "--renewable"])
-        out = capsys.readouterr().out
-        assert "+20.0%" in out
+    def test_carbon_single_rate(self, run):
+        out = run({"name": "c", "kind": "carbon",
+                   "params": {"ru_shrink": 0.8}})
+        assert "shrinks/renewable |     0.2" in out
 
-    def test_tco_headline(self, capsys):
-        main(["tco"])
-        out = capsys.readouterr().out
-        assert "+12.9%" in out
-        assert "+25.8%" in out
+    def test_tco_headline(self, run):
+        out = run("scenarios/tco.json")
+        assert "shrinks |   0.129" in out
+        assert " regens |   0.258" in out
 
     def test_fleet_small_run(self, capsys):
         assert main(["fleet", "--devices", "8", "--blocks", "32",
@@ -64,20 +78,21 @@ class TestParser:
         assert "Fig. 3a" in out
         assert "baseline" in out
 
-    def test_tournament_small_run(self, capsys):
-        assert main(["tournament", "--blocks", "24",
-                     "--pec-limit", "20"]) == 0
-        out = capsys.readouterr().out
-        assert "regens" in out
+    def test_tournament_small_run(self, run):
+        out = run({"name": "t", "kind": "tournament",
+                   "params": {"blocks": 24, "pec_limit": 20}})
+        assert "vs_baseline" in out and "regens" in out
 
-    def test_replacement_small_run(self, capsys):
-        assert main(["replacement", "--slots", "10", "--years", "6",
-                     "--dwpd", "2.0"]) == 0
-        out = capsys.readouterr().out
-        assert "measured Ru" in out
+    def test_replacement_small_run(self, run):
+        out = run({"name": "r", "kind": "replacement",
+                   "params": {"slots": 10, "horizon_years": 6,
+                              "fleet": {"dwpd": 2.0, "step_days": 20,
+                                        "geometry": {
+                                            "blocks": 32,
+                                            "fpages_per_block": 16}}}})
+        assert "measured_ru" in out
 
     def test_run_scenario_command(self, capsys, tmp_path):
-        import json
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(
             {"name": "cli-fig2", "kind": "fig2",
@@ -88,21 +103,22 @@ class TestParser:
         assert "cli-fig2" in out
         assert (tmp_path / "artifacts" / "cli-fig2.json").exists()
 
-    def test_health_small_run(self, capsys):
-        assert main(["health", "--devices", "40", "--dwpd", "3.0",
-                     "--max-days", "2500"]) == 0
-        out = capsys.readouterr().out
+    def test_health_small_run(self, run):
+        out = run({"name": "h", "kind": "health",
+                   "params": {"devices": 40, "dwpd": 3.0,
+                              "max_days": 2500}})
         assert "predictor" in out
         assert "run-to-failure" in out
 
-    def test_options_stay_at_most_87(self):
+    def test_options_stay_at_most_67(self):
         # Every argument of every subcommand, positionals included.
         import argparse
         choices = next(action.choices for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
+        assert len(choices) == 7, sorted(choices)
         count = sum(not isinstance(action, argparse._HelpAction)
                     for sub in choices.values() for action in sub._actions)
-        assert count <= 87, count
+        assert count <= 67, count
 
 
 class TestVersionAndExitCodes:
@@ -144,8 +160,8 @@ class TestVersionAndExitCodes:
 
         # build_parser resolves the handler from module globals at call
         # time, so patching the name reroutes the subcommand.
-        monkeypatch.setattr("repro.cli._cmd_fig2", boom)
-        assert main(["fig2"]) == EXIT_UNEXPECTED_ERROR
+        monkeypatch.setattr("repro.cli._cmd_run", boom)
+        assert main(["run", "scenarios/fig2.json"]) == EXIT_UNEXPECTED_ERROR
         err = capsys.readouterr().err
         assert "unexpected error" in err
         assert "RuntimeError" in err

@@ -8,7 +8,8 @@ One resolver, one span rule: a back-ticked name or path holding a ``.``,
 ``<DOC>.md, "<heading>"`` in the tree names a heading that exists. Four
 catalogs are held both ways (fault sites, metrics and their ``recorded``
 column, SMART fields, CLI flags), and two prose checks run over every
-live document.
+live document. The CLI checks (flags and subcommands) also read the
+docstrings of ``src/repro``.
 """
 
 from __future__ import annotations
@@ -726,14 +727,56 @@ def undefined_flags(text: str) -> list[str]:
                   if flag not in flags.get(name, {flag}))
 
 
+#: ``python -m repro <sub>`` anywhere; a back-ticked `` `repro <sub> ...` ``.
+_INVOCATION = re.compile(r"python -m repro ([a-z][\w-]*)"
+                         r"|`repro ([a-z][\w-]*)[^`]*`")
+
+
+def undefined_subcommands(text: str) -> list[str]:
+    """The ``repro <sub>`` invocations of ``text`` whose ``<sub>`` the
+    parser does not define; prose that says "repro" is left alone."""
+    known = subcommand_flags()
+    return sorted({f"repro {name}" for match in _INVOCATION.finditer(text)
+                   if (name := match[1] or match[2]) not in known})
+
+
+def docstring_text(source: str) -> str:
+    """The docstrings of a module's source, RST ````x```` read as `x`."""
+    return "\n\n".join(
+        text.replace("``", "`") for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and (text := ast.get_docstring(node)))
+
+
+def command_texts() -> dict[str, str]:
+    """What the command checks read: every live document and the
+    docstrings of ``src/repro``, by path."""
+    return {**{str(path.relative_to(ROOT)): path.read_text()
+               for path in LIVE_DOCS},
+            **{str(path.relative_to(ROOT)): docstring_text(path.read_text())
+               for path in sorted(SRC.rglob("*.py"))}}
+
+
 def test_user_docs_name_only_flags_the_parser_defines():
-    pairs = {pair for path in LIVE_DOCS
-             for pair in attributed_flags(path.read_text())}
+    texts = command_texts()
+    pairs = {pair for text in texts.values()
+             for pair in attributed_flags(text)}
     assert {("report", "--queue-depth"), ("slo", "--every"),
-            ("slo", "--measure"), ("traffic", "--arrival")} <= pairs
-    undefined = {path.name: found for path in LIVE_DOCS
-                 if (found := undefined_flags(path.read_text()))}
+            ("slo", "--measure"), ("traffic", "--arrival"),
+            ("run", "--out")} <= pairs
+    undefined = {name: found for name, text in texts.items()
+                 if (found := undefined_flags(text))}
     assert not undefined, f"docs name flags no parser defines: {undefined}"
+
+
+def test_user_docs_name_only_subcommands_the_parser_defines():
+    texts = command_texts()
+    assert "src/repro/cli.py" in texts
+    undefined = {name: found for name, text in texts.items()
+                 if (found := undefined_subcommands(text))}
+    assert not undefined, (
+        f"docs name subcommands no parser defines: {undefined}")
 
 
 def test_flag_check_flags_the_parent_text():
@@ -755,3 +798,36 @@ def test_flag_check_flags_the_parent_text():
     assert undefined_flags(
         "```console\n$ python -m repro slo --slo s.json --measure \\\n"
         "      --io-batch 8\n```\n") == ["repro slo --io-batch"]
+
+
+def test_flag_check_reads_docstrings():
+    """The parent's ``repro.io.probe`` docstring named two options the
+    run directory retired."""
+    parent = (
+        '"""Reqtrace-instrumented IO probes: one traffic-engine preset per '
+        'mode.\n\n``repro slo --measure`` and its ``--reqtrace-out`` / '
+        '``--endurance-out``\nartifacts need a workload that exercises the '
+        'attribution paths.\n"""\n')
+    assert undefined_flags(docstring_text(parent)) == [
+        "repro slo --endurance-out", "repro slo --reqtrace-out"]
+    assert undefined_flags(parent) == []   # the docs-only reading missed it
+
+
+def test_subcommand_check_flags_the_parent_text():
+    """README's shell paragraph as it stood before the print-only
+    subcommands became scenario kinds."""
+    assert undefined_subcommands(
+        "Or run experiments straight from the shell: `python -m repro fig2`,"
+        "\n`python -m repro fleet`, `python -m repro tournament`,\n"
+        "`python -m repro carbon`, `python -m repro tco`,\n"
+        "`python -m repro replacement`, `python -m repro health`,\n"
+        "`python -m repro sweep --runs 8 --jobs 4` (multi-seed fleet sweep") \
+        == ["repro carbon", "repro fig2", "repro health",
+            "repro replacement", "repro tco", "repro tournament"]
+    assert undefined_subcommands(
+        "$ python -m repro check run\n`repro diff a b` and `repro run x`"
+    ) == ["repro check", "repro diff"]
+    # Prose is not a command line.
+    assert undefined_subcommands(
+        "a repro process, the repro fig2 table, `repro.scenarios`, "
+        "`python -m repro --version`, `repro <subcommand>`") == []

@@ -1,16 +1,26 @@
 """Tests for the declarative scenario runner."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs.slo import load_slo_config
 from repro.scenarios import (
     SCENARIO_KINDS,
     load_scenario,
     run_scenario,
     validate_scenario,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def shipped(name: str) -> dict:
+    """The tables of a shipped scenario file, run."""
+    return run_scenario(load_scenario(SCENARIOS / name)).document()["tables"]
 
 
 class TestValidation:
@@ -43,16 +53,32 @@ class TestRunners:
         rows = document["tables"]["fig2"]["rows"]
         assert rows[1][5] == pytest.approx(0.5, abs=1e-6)  # L1 gain
 
+    def test_fig2_l1_anchor(self):
+        # The paper's anchor: L1 keeps 3/4 of the capacity for +50 % P/E.
+        rows = shipped("fig2.json")["fig2"]["rows"]
+        assert [row[0] for row in rows] == [0, 1, 2, 3]
+        assert [f"{row[5]:+.0%}" for row in rows] == [
+            "+0%", "+50%", "+80%", "+103%"]
+        assert [f"{row[4]:.0f}" for row in rows] == [
+            "3000", "4500", "5399", "6078"]
+
     def test_carbon(self):
         writer = run_scenario({"name": "c", "kind": "carbon"})
         rows = dict(writer.document()["tables"]["fig4"]["rows"])
         assert rows["regens/renewable"] == pytest.approx(0.2)
+        assert dict(shipped("carbon.json")["fig4"]["rows"]) == rows
+
+    def test_carbon_one_rate_with_renewables(self):
+        # Eq. 3 at Ru 0.8 with a renewable operational mix: +20.0 %.
+        writer = run_scenario({"name": "c", "kind": "carbon",
+                               "params": {"ru_shrink": 0.8}})
+        rows = dict(writer.document()["tables"]["fig4"]["rows"])
+        assert f"{rows['shrinks/renewable']:+.1%}" == "+20.0%"
 
     def test_tco(self):
-        writer = run_scenario({"name": "t", "kind": "tco",
-                               "params": {"f_opex": 0.14}})
-        rows = dict(writer.document()["tables"]["tco"]["rows"])
-        assert rows["regens"] == pytest.approx(0.258, abs=0.01)
+        rows = dict(shipped("tco.json")["tco"]["rows"])
+        assert f"{rows['shrinks']:+.1%}" == "+12.9%"
+        assert f"{rows['regens']:+.1%}" == "+25.8%"
 
     def test_fleet_small(self):
         writer = run_scenario({
@@ -78,9 +104,15 @@ class TestRunners:
             "name": "tour", "kind": "tournament", "seed": 1,
             "params": {"blocks": 24, "pec_limit": 20},
         })
-        rows = {row[0]: row[1]
-                for row in writer.document()["tables"]["lifetimes"]["rows"]}
-        assert rows["regens"] > rows["baseline"]
+        table = writer.document()["tables"]["lifetimes"]
+        assert table["headers"] == ["device", "host_writes", "vs_baseline",
+                                    "mean_pec", "end_cause"]
+        rows = {row[0]: row for row in table["rows"]}
+        base = rows["baseline"][1]
+        assert rows["baseline"][2] == 1.0
+        for name, host_writes, vs_baseline, *_ in rows.values():
+            assert vs_baseline == host_writes / base, name
+        assert rows["regens"][2] > 1.0
 
     def test_replacement_small(self):
         writer = run_scenario({
@@ -97,12 +129,53 @@ class TestRunners:
                 ["upgrade_rates"]["rows"]}
         assert rows["regen"] < rows["baseline"]
 
+    def test_health_small(self):
+        writer = run_scenario({
+            "name": "h", "kind": "health", "seed": 1,
+            "params": {"devices": 40, "dwpd": 3.0, "max_days": 2500},
+        })
+        tables = writer.document()["tables"]
+        precision, recall, base_rate = tables["predictor"]["rows"][0]
+        assert 0.0 <= precision <= 1.0 and 0.0 < recall <= 1.0
+        assert 0.0 < base_rate < 1.0
+        policies = {row[0].split()[0]: row[1:]
+                    for row in tables["policies"]["rows"]}
+        assert sorted(policies) == ["fixed-age", "predictive",
+                                    "run-to-failure"]
+        # Run-to-failure wastes nothing and is always surprised.
+        assert policies["run-to-failure"][1:] == [1.0, 0.0]
+        assert (policies["predictive"][1]
+                < policies["run-to-failure"][1])
+
+    def test_health_rejects_unknown_params(self):
+        with pytest.raises(ConfigError):
+            validate_scenario({"name": "h", "kind": "health",
+                               "params": {"sample_days": 7}})
+
 
 class TestShippedScenarios:
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_every_file_loads_as_a_scenario_or_an_slo_config(self, path):
+        try:
+            load_scenario(path)
+        except ConfigError as scenario_error:
+            try:
+                load_slo_config(path)
+            except ConfigError as slo_error:
+                pytest.fail(f"{path.name}: not a scenario "
+                            f"({scenario_error}) nor an SLO config "
+                            f"({slo_error})")
+
+    def test_every_kind_ships_a_file(self):
+        kinds = set()
+        for path in SCENARIOS.glob("*.json"):
+            try:
+                kinds.add(load_scenario(path)["kind"])
+            except ConfigError:
+                pass
+        assert kinds == set(SCENARIO_KINDS)
+
     @pytest.mark.parametrize("name", ["fig2_ldpc.json"])
     def test_shipped_scenarios_validate(self, name):
-        from pathlib import Path
-        path = Path(__file__).parent.parent / "scenarios" / name
-        document = load_scenario(path)
-        writer = run_scenario(document)
-        assert writer.document()["tables"]
+        assert shipped(name)
