@@ -28,7 +28,6 @@ ROOT = Path(__file__).resolve().parents[2]
 SRC = str(ROOT / "src" / "repro") + os.sep
 SCN = ROOT / "scenarios"
 WORKLOADS = "traffic_mixed traffic_scan device_wearout cluster_churn fleet_grid"
-FLEET = "--devices 6 --blocks 16 --years 2 --step-days 20"
 SLO = f"slo --slo {SCN}/slo_default.json"
 TRAFFIC = "traffic --tenants 12 --duration 4000"
 #: ``repro`` commands (one a line, or `` ; ``-separated), run in a scratch
@@ -38,12 +37,13 @@ TRAFFIC = "traffic --tenants 12 --duration 4000"
 #: directory, a file given as one, a directory given as a file, a
 #: non-UTF-8 artifact and a mistyped field).
 CLI = f"""--version
-fleet --devices 8 --years 2 --blocks 32 --out obs
+run smoke.json --out obs
 {SLO} obs --measure --seed 2025
-fleet {FLEET} --out f1 --timeseries-cadence 0 ; fleet {FLEET} --shards 4 --jobs 2 --out f4
-fleet {FLEET} --faults plan.json --out ff
-sweep {FLEET} --runs 2 --jobs 2 --faults plan.json --out s
-run {SCN}/quick_fleet.json --out results
+run fleet.json --out f1 --timeseries-cadence 0 ; run fleet_s4.json --jobs 2 --out f4
+run fleet.json --faults plan.json --out ff
+run sweep.json --jobs 2 --faults plan.json --out s
+run {SCN}/quick_fleet.json --out results ; run {SCN}/fleet.json --out results
+run {SCN}/fleet_sweep.json --jobs 2 --out results
 run {SCN}/faulty_fleet.json --out results ; run {SCN}/fig2_ldpc.json --out results
 run {SCN}/measured_upgrade_rates.json --out results ; run {SCN}/tournament.json --out results
 run {SCN}/fig2.json --out results ; run {SCN}/carbon.json --out results
@@ -59,7 +59,16 @@ report obs ; report ; report f1
 wear report obs --check --waf-budget 50 ; wear diff obs --against p2
 wear forecast obs --horizon 1000 ; !run missing.json ; !report absent ; !report plan.json
 !slo --slo results obs ; !wear report not_utf8 ; !slo --slo mistyped_slo.json obs --measure"""
+_FLEET = ('{"name": "fleet", "kind": "fleet", "seed": 2025, "params": {"devices": 6,'
+          ' "horizon_days": 730, "step_days": 20, %s"geometry": {"blocks": 16,'
+          ' "fpages_per_block": 64}}%s}')
 FILES = {  # inputs named above that no shipped file provides
+    "smoke.json": '{"name": "smoke", "kind": "fleet", "seed": 2025, "params": {'
+    '"devices": 8, "horizon_days": 730, "dwpd": 2.0, "step_days": 10, "geometry":'
+    ' {"blocks": 32, "fpages_per_block": 64}}}',
+    "fleet.json": _FLEET % ("", ""),
+    "fleet_s4.json": _FLEET % ('"shards": 4, ', ""),
+    "sweep.json": _FLEET % ("", ', "runs": 2'),
     "plan.json": '{"schema": "repro.faults/v1", "events": [{"site": "fleet.step",'
     ' "fault": "device_loss", "when": 4, "args": {"devices": 2}}]}',
     "ops.trace": "# trace n_lbas=64\nW 1 00\nR 1\nT 1\nW 2\n",

@@ -11,19 +11,15 @@ then feed the paper's own carbon/cost models.
 
 import pytest
 
-from repro.flash.geometry import FlashGeometry
 from repro.models.carbon import CarbonParams, carbon_savings
 from repro.models.tco import TCOParams, tco_savings
 from repro.reporting.tables import format_table
-from repro.sim.fleet import FleetConfig
 from repro.sim.replacement import ReplacementConfig, measured_upgrade_rates
 
-CONFIG = ReplacementConfig(
-    fleet=FleetConfig(
-        devices=32,
-        geometry=FlashGeometry(blocks=64, fpages_per_block=32),
-        pec_limit_l0=3000, dwpd=0.7, afr=0.01, step_days=10),
-    slots=100, horizon_years=15, age_limit_years=5)
+#: The defaults are the experiment: 100 slots of 32 devices on 64x32
+#: blocks at 0.7 DWPD, 15 years, preemption at 5 (also what
+#: scenarios/measured_upgrade_rates.json runs).
+CONFIG = ReplacementConfig()
 
 
 @pytest.mark.benchmark(group="ext-ru")

@@ -2,23 +2,21 @@
 
 Usage::
 
-    python -m repro run SCENARIO.json [--out DIR]
-    python -m repro fleet [--devices 48] [--dwpd 2.0] [--out DIR] [...]
-    python -m repro sweep [--runs 4] [--jobs 4] [--out results]
+    python -m repro run SCENARIO.json [--out DIR] [--jobs N]
     python -m repro traffic [--tenants 1000] [--arrival mmpp] [--slo o.json]
     python -m repro report [DIR]
     python -m repro slo --slo objectives.json DIR [--measure]
     python -m repro wear (report|forecast|diff) DIR [--against DIR2]
 
-``run`` is the one door to the paper's single-figure experiments: each
-is a scenario kind of :mod:`repro.scenarios`, and ``scenarios/`` ships
-one file per experiment (``fig2.json``, ``tournament.json``,
-``carbon.json``, ``tco.json``, ``measured_upgrade_rates.json``,
-``health.json``). Every command that writes files writes them into one
-run directory under fixed names (the constants below), and every
-command that reads artifacts reads them from one; docs/OBSERVABILITY.md
-("Where output lands") has the table. See DESIGN.md for the
-experiment-to-paper mapping.
+``run`` is the one door to the paper's experiments: each is a scenario
+kind of :mod:`repro.scenarios`, and ``scenarios/`` ships one file per
+experiment (``fleet.json`` and ``fleet_sweep.json`` for Fig. 3a/3b,
+``fig2.json``, ``tournament.json``, ``carbon.json``, ``tco.json``,
+``measured_upgrade_rates.json``, ``health.json``). Every command that
+writes files writes them into one run directory under fixed names (the
+constants below), and every command that reads artifacts reads them from
+one; docs/OBSERVABILITY.md ("Where output lands") has the table. See
+DESIGN.md for the experiment-to-paper mapping.
 """
 
 from __future__ import annotations
@@ -31,10 +29,8 @@ from typing import Sequence
 
 from repro import artifact, context
 from repro.errors import ConfigError
-from repro.flash.geometry import FlashGeometry
 from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
-from repro.reporting.series import Series
-from repro.reporting.tables import format_table, render_series
+from repro.reporting.tables import format_table
 from repro.rng import DEFAULT_SEED
 
 
@@ -56,11 +52,9 @@ TIMESERIES = "timeseries.jsonl"
 REQTRACE = "reqtrace.jsonl"
 ENDURANCE = "endurance.jsonl"
 
-#: The run-context sinks a producer scopes when it has an output
-#: directory: exactly those whose artifacts it writes.
-_SINKS = {"fleet": (METRICS, TRACE, TIMESERIES),
-          "run": (METRICS, TRACE, TIMESERIES),
-          "traffic": (METRICS,)}
+#: The run-context sinks a producer scopes: exactly those whose
+#: artifacts it writes into its output directory.
+_SINKS = {"run": (METRICS, TRACE, TIMESERIES), "traffic": (METRICS,)}
 
 
 def _observability(args: argparse.Namespace) -> dict:
@@ -69,7 +63,7 @@ def _observability(args: argparse.Namespace) -> dict:
     :func:`main` scopes them around the whole command, so every
     experiment object binds them at construction.
     """
-    sinks = _SINKS.get(args.command, ()) if getattr(args, "out", None) else ()
+    sinks = _SINKS.get(args.command, ())
     fields = {}
     if METRICS in sinks:
         fields["metrics"] = MetricsRegistry()
@@ -94,28 +88,11 @@ def _write_observability(out: str) -> None:
               f"{ctx.timeseries.export_jsonl(out / TIMESERIES)}")
 
 
-def _add_cadence_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.obs.timeseries import DEFAULT_CADENCE
-    parser.add_argument(
-        "--timeseries-cadence", type=float, default=DEFAULT_CADENCE,
-        metavar="T",
-        help="minimum simulated time between timeseries samples "
-             f"(default {DEFAULT_CADENCE:g} — a monthly SMART pull on "
-             "the fleet's day axis; 0 samples every step)")
-
-
 def _add_jobs_flag(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1,
         help=f"{what} worker processes (0 = all cores; the artifacts are "
              "byte-identical for any value)")
-
-
-def _add_faults_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--faults", default=None, metavar="PATH",
-        help="inject faults from a repro.faults/v1 plan JSON "
-             "(see docs/FAULTS.md); omit for a fault-free run")
 
 
 def _evaluate_by_device(records: list, objectives: list) -> dict:
@@ -148,108 +125,18 @@ def _evaluate_by_device(records: list, objectives: list) -> dict:
             "objective_count": len(rows), "ok": ok, "objectives": rows}
 
 
-def _load_fault_plan(args: argparse.Namespace):
-    """Load the ``--faults`` plan, or None when the flag was not given."""
-    if not getattr(args, "faults", None):
-        return None
-    from repro.faults import FaultPlan
-    return FaultPlan.load(args.faults)
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.sim.fleet import MODES, FleetConfig
-    from repro.sim.parallel import resolve_jobs
-    from repro.sim.shard import simulate_fleet_sharded
-
-    config = FleetConfig(
-        devices=args.devices,
-        geometry=FlashGeometry(blocks=args.blocks, fpages_per_block=64),
-        dwpd=args.dwpd, afr=args.afr,
-        horizon_days=int(args.years * 365), step_days=args.step_days,
-        shards=args.shards)
-    modes = MODES if args.mode == "all" else (args.mode,)
-    plan = _load_fault_plan(args)
-    jobs = resolve_jobs(args.jobs)
-    # Passing the *plan* (not an injector) gives every mode its own
-    # fresh fault counters — the schedule applies per run, not jointly.
-    results = {mode: simulate_fleet_sharded(config, mode, seed=args.seed,
-                                            faults=plan, jobs=jobs)
-               for mode in modes}
-    print(render_series(
-        [Series(mode, r.days / 365.0, r.functioning, x_label="years")
-         for mode, r in results.items()],
-        points=args.points, title="functioning devices (Fig. 3a)"))
-    print()
-    print(render_series(
-        [Series(mode, r.days / 365.0,
-                r.capacity_bytes / max(r.initial_capacity_bytes, 1),
-                x_label="years") for mode, r in results.items()],
-        points=args.points, title="capacity fraction (Fig. 3b)"))
-    print()
-    rows = [[mode, f"{r.mean_lifetime_days():.0f}"]
-            for mode, r in results.items()]
-    print(format_table(["mode", "mean lifetime (days)"], rows))
-    if args.out is not None:
-        from repro.sim.parallel import sweep_document, write_sweep_artifact
-
-        document = sweep_document(
-            config, modes, [args.seed],
-            {(mode, args.seed): r for mode, r in results.items()},
-            faults=plan)
-        path = write_sweep_artifact(document, Path(args.out) / "fleet.json")
-        print(f"fleet artifact -> {path}")
-        _write_observability(args.out)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sim.fleet import MODES, FleetConfig
-    from repro.sim.parallel import (
-        derive_seeds,
-        resolve_jobs,
-        run_fleet_grid,
-        summarize_sweep,
-        sweep_document,
-        write_sweep_artifact,
-    )
-
-    config = FleetConfig(
-        devices=args.devices,
-        geometry=FlashGeometry(blocks=args.blocks, fpages_per_block=64),
-        dwpd=args.dwpd, afr=args.afr,
-        horizon_days=int(args.years * 365), step_days=args.step_days)
-    modes = MODES if args.mode == "all" else (args.mode,)
-    seeds = derive_seeds(args.seed, args.runs)
-    jobs = resolve_jobs(args.jobs)
-    plan = _load_fault_plan(args)
-    results = run_fleet_grid(config, modes=modes, seeds=seeds, jobs=jobs,
-                             faults=plan)
-    document = sweep_document(config, modes, seeds, results, faults=plan)
-    path = write_sweep_artifact(document, Path(args.out) / "sweep.json")
-    rows = [[row["mode"], row["runs"],
-             f"{row['mean_lifetime_days']:.0f}",
-             f"{row['mean_survivors_at_horizon']:.1f}",
-             f"{row['mean_recovery_bytes']:.3e}"]
-            for row in summarize_sweep(document)]
-    print(format_table(
-        ["mode", "runs", "mean lifetime (d)", "survivors @ horizon",
-         "recovery (bytes)"],
-        rows, title=f"fleet sweep: {args.runs} seed(s) x "
-                    f"{len(modes)} mode(s), {jobs} job(s)"))
-    print(f"sweep artifact -> {path}")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.scenarios import load_scenario, run_scenario
+    from repro.sim.parallel import resolve_jobs
 
     document = load_scenario(args.scenario)
-    plan = _load_fault_plan(args)
-    if plan is not None:
+    if args.faults:
+        from repro.faults import FaultPlan
+
         # The CLI flag overrides any plan embedded in the scenario file.
-        document = dict(document)
-        document["faults"] = plan.to_dict()
-    writer = run_scenario(document)
+        document = {**document,
+                    "faults": FaultPlan.load(args.faults).to_dict()}
+    writer = run_scenario(document, jobs=resolve_jobs(args.jobs))
     path = writer.write(args.out)
     _write_observability(args.out)
     print(f"scenario {document['name']!r} ({document['kind']}) -> {path}")
@@ -541,6 +428,7 @@ def _cmd_wear(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.io import probe
+    from repro.obs.timeseries import DEFAULT_CADENCE
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -549,64 +437,23 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {_version()}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fleet = sub.add_parser("fleet", help="fleet curves (Fig. 3a/3b)")
-    fleet.add_argument("--devices", type=int, default=48)
-    fleet.add_argument("--blocks", type=int, default=128)
-    fleet.add_argument("--dwpd", type=float, default=2.0)
-    fleet.add_argument("--afr", type=float, default=0.01)
-    fleet.add_argument("--years", type=float, default=10.0)
-    fleet.add_argument("--step-days", type=int, default=10)
-    fleet.add_argument("--points", type=int, default=12)
-    fleet.add_argument("--mode", default="all",
-                       choices=("all", "baseline", "cvss", "shrink", "regen"))
-    fleet.add_argument("--seed", type=int, default=2025)
-    fleet.add_argument(
-        "--shards", type=int, default=1,
-        help="failure-domain shards for the process-parallel runner "
-             "(1 = the whole fleet walked in this process; see "
-             "docs/SHARDING.md)")
-    _add_jobs_flag(fleet, "shard")
-    fleet.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="write fleet.json (a repro.sweep/v1 artifact), metrics.json, "
-             "trace.jsonl and timeseries.jsonl into DIR; omit to print "
-             "only")
-    _add_cadence_flag(fleet)
-    _add_faults_flag(fleet)
-    fleet.set_defaults(func=_cmd_fleet)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="multi-seed fleet sweep with a process-parallel runner; "
-             "artifacts are bit-identical for any --jobs value")
-    sweep.add_argument("--devices", type=int, default=48)
-    sweep.add_argument("--blocks", type=int, default=128)
-    sweep.add_argument("--dwpd", type=float, default=2.0)
-    sweep.add_argument("--afr", type=float, default=0.01)
-    sweep.add_argument("--years", type=float, default=10.0)
-    sweep.add_argument("--step-days", type=int, default=10)
-    sweep.add_argument("--mode", default="all",
-                       choices=("all", "baseline", "cvss", "shrink", "regen"))
-    sweep.add_argument("--seed", type=int, default=2025,
-                       help="root seed; per-run seeds are derived from it "
-                            "deterministically (jobs-invariant)")
-    sweep.add_argument("--runs", type=int, default=4,
-                       help="independent seed replicates per mode")
-    _add_jobs_flag(sweep, "run")
-    sweep.add_argument("--out", default="results", metavar="DIR",
-                       help="write sweep.json (a repro.sweep/v1 artifact) "
-                            "into DIR (default results)")
-    _add_faults_flag(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
-
     run = sub.add_parser(
         "run", help="execute a JSON scenario file (see scenarios/)")
     run.add_argument("scenario", help="path to a scenario .json")
     run.add_argument("--out", default="results", metavar="DIR",
                      help="write <name>.json, metrics.json, trace.jsonl and "
                           "timeseries.jsonl into DIR (default results)")
-    _add_cadence_flag(run)
-    _add_faults_flag(run)
+    _add_jobs_flag(run, "fleet shard (or, with runs, sweep run)")
+    run.add_argument(
+        "--timeseries-cadence", type=float, default=DEFAULT_CADENCE,
+        metavar="T",
+        help="minimum simulated time between timeseries samples "
+             f"(default {DEFAULT_CADENCE:g} — a monthly SMART pull on "
+             "the fleet's day axis; 0 samples every step)")
+    run.add_argument(
+        "--faults", default=None, metavar="PATH",
+        help="inject faults from a repro.faults/v1 plan JSON "
+             "(see docs/FAULTS.md); omit for a fault-free run")
     run.set_defaults(func=_cmd_run)
 
     traffic = sub.add_parser(

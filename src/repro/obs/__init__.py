@@ -23,7 +23,7 @@ should be measured)::
     registry.write_json("metrics.json")
     tracer.export_jsonl("trace.jsonl")
 
-The CLI (``repro fleet --out DIR``, ``repro run SCENARIO --out DIR``)
+The CLI (``repro run SCENARIO --out DIR``, ``repro traffic --out DIR``)
 and the benchmark harness do this for you. docs/OBSERVABILITY.md ("Run
 context") is the binding rule.
 """

@@ -188,7 +188,7 @@ def check_lifetime_extension(lifetimes: dict[str, float],
                 claim, "skip", None, expected,
                 "needs baseline and "
                 f"{mode} fleet lifetimes (a timeseries.jsonl from "
-                "`repro fleet --out DIR` or `repro run`)"))
+                "`repro run scenarios/fleet.json --out DIR`)"))
             continue
         ratio = lifetimes[mode] / baseline
         status = "pass" if ratio >= (1.0 - tolerance) else "fail"
@@ -453,7 +453,8 @@ def check_recovery_traffic(curves: dict[str, list[float]],
         return ClaimResult(
             claim, "skip", None, expected,
             "needs baseline and shrink capacity trajectories (a "
-            "timeseries.jsonl from `repro fleet --out DIR` or `repro run`)")
+            "timeseries.jsonl from `repro run scenarios/fleet.json "
+            "--out DIR`)")
     status = "pass" if shrink < baseline else "fail"
     return ClaimResult(
         claim, status, round(shrink, 4), expected,

@@ -18,9 +18,15 @@ shareable and re-runnable without writing Python:
 ``carbon``, ``tco``, ``replacement``, ``fig2``, ``health``) and returns
 an :class:`~repro.reporting.export.ExperimentWriter` holding structured
 tables/series, ready to ``write()`` as a JSON artifact. The CLI exposes
-this as ``python -m repro run <scenario.json> [--out results/]``, the
-only way to run these experiments from a shell; ``scenarios/`` ships one
-file per kind at the paper's settings.
+this as ``python -m repro run <scenario.json> [--out results/] [--jobs N]``,
+the only way to run these experiments from a shell; ``scenarios/`` ships
+one file per kind at the paper's settings.
+
+A ``fleet`` scenario walks each mode through the sharded runner
+(``params.shards`` shards, ``jobs`` workers); with ``"runs": N`` it is a
+multi-seed sweep instead (``N`` seeds derived from ``seed``, the
+(mode, seed) grid fanned over ``jobs`` workers). Either way the artifact
+is byte-identical for any ``jobs``.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ def load_scenario(path: str | Path) -> dict:
 
 
 _SCENARIO_OPTIONAL = {"seed": (int, type(None)), "params": dict,
-                      "modes": list, "faults": dict}
+                      "modes": list, "faults": dict, "runs": int}
 
 #: What ``params`` may hold for the kinds that read it key by key; the
 #: ``fleet`` and ``replacement`` kinds build a config dataclass instead.
@@ -67,6 +73,9 @@ def validate_scenario(document: dict) -> dict:
     if kind not in SCENARIO_KINDS:
         raise ConfigError(
             f"scenario 'kind' must be one of {SCENARIO_KINDS}, got {kind!r}")
+    if "runs" in document and (kind != "fleet" or document["runs"] < 1):
+        raise ConfigError(f"'runs' must be a positive int on a fleet "
+                          f"scenario, got {document['runs']!r} on {kind}")
     params = document.get("params", {})
     if kind == "fleet":
         _fleet_config(params)
@@ -122,33 +131,61 @@ def _replacement_config(params: dict):
     from repro.sim.replacement import ReplacementConfig
 
     params = dict(artifact.require(params, "replacement params"))
-    fleet = _fleet_config(params.pop("fleet", {}))
-    return _config(ReplacementConfig, params, "replacement params",
-                   fleet=fleet)
+    # Without a ``fleet``, the experiment's own fleet, not FleetConfig().
+    built = ({"fleet": _fleet_config(params.pop("fleet"))}
+             if "fleet" in params else {})
+    return _config(ReplacementConfig, params, "replacement params", **built)
 
 
-def _run_fleet(document: dict, writer: ExperimentWriter) -> None:
-    from repro.sim.fleet import MODES, simulate_fleet
+def _run_fleet(document: dict, writer: ExperimentWriter, jobs: int) -> None:
+    from repro.sim.fleet import MODES
+    from repro.sim.parallel import derive_seeds, run_fleet_grid
+    from repro.sim.shard import simulate_fleet_sharded
 
     config = _fleet_config(document.get("params", {}))
     modes = document.get("modes", list(MODES))
     seed = document.get("seed", 0)
-    # Each mode gets a fresh injector built from the plan, so the fault
-    # schedule applies identically per discipline (like per sweep task).
+    # Each run gets a fresh injector built from the plan, so the fault
+    # schedule applies identically per discipline and per seed.
     plan = scenario_fault_plan(document)
-    rows = []
-    for mode in modes:
-        result = simulate_fleet(config, mode, seed=seed, faults=plan)
+    sweep = "runs" in document
+    if sweep:
+        results = run_fleet_grid(config, modes,
+                                 derive_seeds(seed, document["runs"]),
+                                 jobs=jobs, faults=plan)
+    else:
+        results = {(mode, seed): simulate_fleet_sharded(
+            config, mode, seed, faults=plan, jobs=jobs) for mode in modes}
+    for (mode, run_seed), result in results.items():
+        name = f"{mode}/{run_seed}" if sweep else mode
         writer.add_series(Series(
-            f"{mode}/functioning", result.days, result.functioning,
+            f"{name}/functioning", result.days, result.functioning,
             x_label="days", y_label="functioning devices"))
         writer.add_series(Series(
-            f"{mode}/capacity", result.days, result.capacity_bytes,
+            f"{name}/capacity", result.days, result.capacity_bytes,
             x_label="days", y_label="capacity bytes"))
-        rows.append([mode, result.mean_lifetime_days(),
-                     result.total_recovery_bytes()])
-    writer.add_table("summary",
-                     ["mode", "mean_lifetime_days", "recovery_bytes"], rows)
+    if not sweep:
+        writer.add_table(
+            "summary", ["mode", "mean_lifetime_days", "recovery_bytes"],
+            [[mode, r.mean_lifetime_days(), r.total_recovery_bytes()]
+             for (mode, _), r in results.items()])
+        return
+    rows = []
+    for mode in modes:
+        runs = [r for (m, _), r in results.items() if m == mode]
+        rows.append([mode, len(runs),
+                     _mean(r.mean_lifetime_days() for r in runs),
+                     _mean(r.functioning[-1] for r in runs),
+                     _mean(r.total_recovery_bytes() for r in runs)])
+    writer.add_table(
+        "by_mode", ["mode", "runs", "mean_lifetime_days",
+                    "mean_survivors_at_horizon", "mean_recovery_bytes"],
+        rows)
+
+
+def _mean(values) -> float:
+    values = [float(value) for value in values]
+    return sum(values) / len(values)
 
 
 def _run_tournament(document: dict, writer: ExperimentWriter) -> None:
@@ -276,27 +313,36 @@ _RUNNERS = {
 }
 
 
-def run_scenario(document: dict) -> ExperimentWriter:
+def run_scenario(document: dict, jobs: int = 1) -> ExperimentWriter:
     """Execute a validated scenario; returns the artifact writer.
+
+    ``jobs`` is the fleet kind's worker count (shards, or the runs of a
+    sweep); no other kind reads it, and no artifact records it.
 
     When the scenario carries a ``"faults"`` plan (``repro.faults/v1``)
     its injector is scoped into the run context for the duration of the
     run, so functional kinds (``tournament``, ...) construct their
     devices fault-aware; the fleet kind additionally passes the plan per
-    mode for fresh per-run trigger counters. The plan document is echoed
+    run for fresh per-run trigger counters. The plan document is echoed
     into the artifact's ``meta`` for provenance.
     """
     document = validate_scenario(document)
+    kind = document["kind"]
     meta = {
-        "kind": document["kind"],
+        "kind": kind,
         "seed": document.get("seed"),
         "params": document.get("params", {}),
     }
+    if "runs" in document:
+        meta["runs"] = document["runs"]
     plan = scenario_fault_plan(document)
     if plan is not None:
         meta["faults"] = plan.to_dict()
     writer = ExperimentWriter(document["name"], meta=meta)
     scope = {} if plan is None else {"faults": FaultInjector(plan)}
     with context.scoped(**scope):
-        _RUNNERS[document["kind"]](document, writer)
+        if kind == "fleet":
+            _run_fleet(document, writer, jobs)
+        else:
+            _RUNNERS[kind](document, writer)
     return writer

@@ -12,7 +12,7 @@ Two granularities, sharing the same flash models:
   same variation draws.
 
 :mod:`repro.sim.parallel` fans multi-seed sweeps out over worker
-processes with bit-identical merged artifacts.
+processes with bit-identical merged results.
 """
 
 from repro.sim.lifetime import LifetimeResult, run_write_lifetime
@@ -27,8 +27,6 @@ from repro.sim.parallel import (
     derive_seeds,
     parallel_map,
     run_fleet_grid,
-    sweep_document,
-    write_sweep_artifact,
 )
 from repro.sim.replacement import (
     ReplacementConfig,
@@ -48,8 +46,6 @@ __all__ = [
     "derive_seeds",
     "parallel_map",
     "run_fleet_grid",
-    "sweep_document",
-    "write_sweep_artifact",
     "ReplacementConfig",
     "ReplacementResult",
     "simulate_replacement",

@@ -97,11 +97,11 @@ class FleetConfig:
         regen_max_level: RegenS page-reuse ceiling (paper recommends 1).
         shards: failure-domain shards the sharded runner
             (:func:`repro.sim.shard.simulate_fleet_sharded`) partitions
-            the devices into. Part of the config — and therefore of the
-            artifact — because the float merge order is a function of
-            the shard layout (see docs/SHARDING.md). ``1`` is the
-            layout :func:`simulate_fleet` always walks, whatever the
-            knob says.
+            the devices into; the ``fleet`` scenario kind and the sweep
+            runner go through it. Part of the config — and therefore of
+            the artifact — because the float merge order is a function
+            of the shard layout (see docs/SHARDING.md). A library call
+            of :func:`simulate_fleet` ignores it and walks one shard.
         cvss_rule: when a CVSS block retires — ``"first-page"`` (as soon as
             its weakest page outgrows the ECC; reliability-preserving, the
             conservative reading behind the paper's "ShrinkS is at least as

@@ -3,7 +3,7 @@
 Fleet sweeps (many seeds x four disciplines) are embarrassingly parallel:
 every (config, mode, seed) task is a pure function of its inputs. This
 module fans such tasks out over worker processes while guaranteeing that
-the merged output is **bit-identical** to a sequential run:
+the merged results are **bit-identical** to a sequential run:
 
 * seeds are derived *in the parent, before dispatch*, by a sequential
   :func:`repro.rng.fork_rng` walk — worker count can never perturb them;
@@ -11,12 +11,13 @@ the merged output is **bit-identical** to a sequential run:
   ``Pool.map`` preserves that order in its result list;
 * each worker starts from a reset run context (:func:`repro.context.reset`
   is the pool initializer; the serial path scopes the same defaults) and
-  runs :func:`repro.sim.fleet.simulate_fleet`
-  from the task's own integer seed, so results depend only on the task
-  tuple, not on which process ran it;
-* artifacts are serialised with sorted keys and a fixed layout, so the
-  files produced by ``--jobs 1`` and ``--jobs N`` compare equal as bytes
-  (the sweep determinism test diffs them).
+  runs :func:`repro.sim.shard.simulate_fleet_sharded` (one worker, so
+  ``config.shards`` is honoured and nothing nests a pool) from the
+  task's own integer seed, so results depend only on the task tuple,
+  not on which process ran it.
+
+A ``fleet`` scenario with ``"runs"`` (:mod:`repro.scenarios`) is the
+CLI's door to a sweep; its artifact is byte-identical for any ``--jobs``.
 
 The runner prefers the ``fork`` start method (cheap on Linux, no
 re-import) and falls back to the platform default elsewhere.
@@ -29,18 +30,13 @@ import multiprocessing
 import os
 import warnings
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-import numpy as np
-
-from repro import artifact, context
+from repro import context
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.rng import fork_rng, make_rng
-from repro.sim.fleet import MODES, FleetConfig, FleetResult, simulate_fleet
-
-SWEEP_SCHEMA = "repro.sweep/v1"
+from repro.sim.fleet import MODES, FleetConfig, FleetResult
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -145,9 +141,12 @@ class FleetTask:
 
 
 def run_fleet_task(task: FleetTask) -> FleetResult:
-    """Worker entry point: simulate one fleet task."""
-    return simulate_fleet(task.config, task.mode, seed=task.seed,
-                          faults=task.faults)
+    """Worker entry point: simulate one fleet task, its shards walked in
+    this process."""
+    from repro.sim.shard import simulate_fleet_sharded  # imports this module
+
+    return simulate_fleet_sharded(task.config, task.mode, seed=task.seed,
+                                  faults=task.faults, jobs=1)
 
 
 def fleet_tasks(config: FleetConfig, modes: Sequence[str],
@@ -169,135 +168,11 @@ def run_fleet_grid(config: FleetConfig, modes: Sequence[str] = MODES,
     """Simulate every (mode, seed) combination, optionally in parallel.
 
     Returns ``{(mode, seed): FleetResult}``. The result for any key is
-    identical whatever ``jobs`` is — the sweep artifact and the
-    determinism test both rely on this. The same ``faults`` plan applies
+    identical whatever ``jobs`` is — the ``runs`` scenario artifact and
+    the determinism test both rely on this. The same ``faults`` plan applies
     to every task (each gets its own injector).
     """
     tasks = fleet_tasks(config, modes, seeds, faults=faults)
     results = parallel_map(run_fleet_task, tasks, jobs=jobs)
     return {(task.mode, task.seed): result
             for task, result in zip(tasks, results)}
-
-
-def _jsonable(value):
-    """Recursively convert numpy scalars/arrays; infinities become None."""
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            raise ConfigError("sweep results must not contain NaN")
-        return None if math.isinf(value) else value
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _result_record(task: FleetTask, result: FleetResult) -> dict:
-    """JSON-safe record for one task. ``death_day`` None means survived."""
-    return {
-        "mode": task.mode,
-        "seed": task.seed,
-        "days": _jsonable(result.days),
-        "functioning": _jsonable(result.functioning),
-        "capacity_bytes": _jsonable(result.capacity_bytes),
-        "capacity_lost_bytes": _jsonable(result.capacity_lost_bytes),
-        "death_day": _jsonable(result.death_day),
-        "initial_capacity_bytes": _jsonable(result.initial_capacity_bytes),
-        "mean_lifetime_days": _jsonable(result.mean_lifetime_days()),
-        "total_recovery_bytes": _jsonable(result.total_recovery_bytes()),
-    }
-
-
-def sweep_document(config: FleetConfig, modes: Sequence[str],
-                   seeds: Sequence[int],
-                   results: dict[tuple[str, int], FleetResult],
-                   faults: FaultPlan | None = None) -> dict:
-    """Assemble the ``repro.sweep/v1`` artifact document.
-
-    Deliberately excludes anything execution-dependent (job count,
-    timestamps, host names): two runs of the same sweep must produce the
-    same document. When the sweep ran under a fault plan the plan document
-    is embedded verbatim (fault-free sweeps keep the historical layout).
-    """
-    records = [_result_record(FleetTask(config, mode, int(seed)),
-                              results[(mode, int(seed))])
-               for seed in seeds for mode in modes]
-    document = {
-        "schema": SWEEP_SCHEMA,
-        "kind": "fleet_sweep",
-        "config": _jsonable(asdict(config)),
-        "modes": list(modes),
-        "seeds": [int(seed) for seed in seeds],
-        "results": records,
-    }
-    if faults is not None:
-        document["faults"] = faults.to_dict()
-    return document
-
-
-def write_sweep_artifact(document: dict, path: str | Path) -> Path:
-    """Write a sweep document as canonical JSON (byte-stable).
-
-    ``sort_keys`` plus fixed indentation plus ``allow_nan=False`` (the
-    document already maps infinities to None) makes the bytes a pure
-    function of the document contents.
-    """
-    artifact.require(document, "sweep document", schema=SWEEP_SCHEMA)
-    return artifact.write_text(path, artifact.dumps(document) + "\n")
-
-
-def load_sweep_artifact(path: str | Path) -> dict:
-    """Read and validate a ``repro.sweep/v1`` artifact."""
-    document = artifact.read_json(path, "sweep artifact")
-    validate_sweep_document(document)
-    return document
-
-
-_DOCUMENT_FIELDS = {"config": dict, "modes": list, "seeds": list,
-                    "results": list}
-_RESULT_FIELDS = {"mode": str, "seed": int, "days": list,
-                  "functioning": list, "capacity_bytes": list,
-                  "mean_lifetime_days": (float, type(None))}
-
-
-def validate_sweep_document(document: dict) -> None:
-    """Schema check for ``repro.sweep/v1`` documents."""
-    artifact.require(document, "sweep document", _DOCUMENT_FIELDS,
-                     schema=SWEEP_SCHEMA)
-    expected = len(document["modes"]) * len(document["seeds"])
-    if len(document["results"]) != expected:
-        raise ConfigError(
-            f"sweep document has {len(document['results'])} results; "
-            f"modes x seeds = {expected}")
-    for record in document["results"]:
-        artifact.require(record, "sweep result", _RESULT_FIELDS)
-
-
-def summarize_sweep(document: dict) -> list[dict]:
-    """Per-mode aggregate rows (mean over seeds) for table rendering."""
-    by_mode: dict[str, list[dict]] = {}
-    for record in document["results"]:
-        by_mode.setdefault(record["mode"], []).append(record)
-    rows = []
-    for mode in document["modes"]:
-        records = by_mode.get(mode, [])
-        if not records:
-            continue
-        lifetimes = [r["mean_lifetime_days"] for r in records]
-        recovery = [r.get("total_recovery_bytes", 0.0) for r in records]
-        survivors = [r["functioning"][-1] if r["functioning"] else 0
-                     for r in records]
-        rows.append({
-            "mode": mode,
-            "runs": len(records),
-            "mean_lifetime_days": sum(lifetimes) / len(lifetimes),
-            "mean_survivors_at_horizon": sum(survivors) / len(survivors),
-            "mean_recovery_bytes": sum(recovery) / len(recovery),
-        })
-    return rows

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.flash.geometry import FlashGeometry
 from repro.rng import fork_rng, make_rng
 from repro.sim.fleet import MODES, FleetConfig, simulate_fleet
 
@@ -38,18 +39,23 @@ PREEMPTIVE_MODES = ("baseline", "cvss")
 class ReplacementConfig:
     """Replacement experiment parameters.
 
+    The defaults are the shipped experiment
+    (``scenarios/measured_upgrade_rates.json``, the EXT-RU bench).
+
     Attributes:
         fleet: device/workload parameters (its ``horizon_days`` is ignored;
             the life-distribution run uses a horizon long enough to observe
-            every death).
+            every death): 32 devices on 64x32 blocks at 0.7 DWPD.
         slots: rack slots to maintain (each is one renewal process).
         horizon_years: operating period to simulate.
         age_limit_years: preemptive replacement age for monolithic fleets;
             None disables preemption everywhere.
     """
 
-    fleet: FleetConfig = field(default_factory=FleetConfig)
-    slots: int = 200
+    fleet: FleetConfig = field(default_factory=lambda: FleetConfig(
+        devices=32, geometry=FlashGeometry(blocks=64, fpages_per_block=32),
+        dwpd=0.7, step_days=10))
+    slots: int = 100
     horizon_years: float = 15.0
     age_limit_years: float | None = 5.0
 

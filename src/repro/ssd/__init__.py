@@ -17,7 +17,7 @@ bad — plus the CVSS-like capacity-variant comparator from §4.
 from repro.ssd.stats import SSDStats
 from repro.ssd.badblocks import BadBlockLedger
 from repro.ssd.write_buffer import WriteBuffer
-from repro.ssd.gc import GCPolicy, GreedyGC
+from repro.ssd.gc import GreedyGC
 from repro.ssd.wear import select_min_wear_block
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 from repro.ssd.device import BaselineSSD, SSDConfig
@@ -27,7 +27,6 @@ __all__ = [
     "SSDStats",
     "BadBlockLedger",
     "WriteBuffer",
-    "GCPolicy",
     "GreedyGC",
     "select_min_wear_block",
     "FTLConfig",

@@ -43,7 +43,7 @@ from repro.errors import (
 from repro.flash.chip import FlashChip
 from repro.obs.instruments import export_ftl_stats, next_device_name
 from repro.ssd.freelist import BlockIndex
-from repro.ssd.gc import GCPolicy, GreedyGC
+from repro.ssd.gc import GreedyGC
 from repro.ssd.remount import RemountMixin
 from repro.ssd.scrub import ScrubMixin
 from repro.ssd.stats import SSDStats
@@ -179,7 +179,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self.stats = SSDStats()
         export_ftl_stats(self.obs_name, self.stats)
         self.buffer = WriteBuffer(self.config.buffer_opages)
-        self._gc: GCPolicy = GreedyGC()
+        self._gc = GreedyGC()
 
         p = self.geometry.opages_per_fpage
         self._slots_per_fpage_max = p

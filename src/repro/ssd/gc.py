@@ -4,12 +4,10 @@ A page-mapped FTL reclaims space by picking a victim block, relocating its
 still-valid oPages, and erasing it. Victim choice drives write
 amplification, which in turn drives wear — so lifetime experiments are
 sensitive to it. :class:`GreedyGC` picks the block with the fewest valid
-oPages — optimal for uniform traffic, the usual default.
+oPages — optimal for uniform traffic, and the FTL's one policy.
 """
 
 from __future__ import annotations
-
-from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -17,15 +15,16 @@ from repro import context
 from repro.obs.instruments import gc_instruments
 
 
-class GCPolicy(ABC):
-    """Chooses the next victim block for garbage collection.
+class GreedyGC:
+    """Minimum-valid-count victim selection.
 
-    Subclasses implement :meth:`choose_victim`; callers that want the
-    pick counted and its utilisation histogrammed (the FTL does) call
-    :meth:`pick` instead, which wraps the policy decision with
-    observability — and with the ``gc.pick`` fault-injection site, which
+    :meth:`choose_victim` is the decision: the *first* candidate holding
+    the minimum valid count (``argmin``; position tie-breaking is part of
+    the determinism contract). The FTL calls :meth:`pick`, which wraps
+    it with observability (the ``policy`` label of ``repro_gc_*`` is this
+    class's name) and with the ``gc.pick`` fault-injection site, which
     can override the choice (``force_victim``) to steer GC into
-    pathological schedules the policies would never produce themselves.
+    pathological schedules the policy would never produce itself.
     """
 
     def __init__(self) -> None:
@@ -61,43 +60,18 @@ class GCPolicy(ABC):
                 / float(max(capacities[position], 1)))
         return victim
 
-    @abstractmethod
-    def choose_victim(
-        self,
-        candidate_blocks: np.ndarray,
-        valid_counts: np.ndarray,
-        capacities: np.ndarray,
-    ) -> int:
+    def choose_victim(self, candidate_blocks: np.ndarray,
+                      valid_counts: np.ndarray,
+                      capacities: np.ndarray) -> int:
         """Return the victim block index.
 
         Args:
-            candidate_blocks: indices of closed, erasable blocks.
+            candidate_blocks: indices of closed, erasable blocks
+                (non-empty).
             valid_counts: valid oPages per candidate (aligned with
                 ``candidate_blocks``).
             capacities: usable oPage slots per candidate at current
-                tiredness levels (the reclaimable ceiling).
-
-        Implementations may assume ``candidate_blocks`` is non-empty.
+                tiredness levels (the reclaimable ceiling; greedy
+                selection does not read it).
         """
-
-
-class GreedyGC(GCPolicy):
-    """Minimum-valid-count victim selection.
-
-    Scoring over large candidate sets goes through ``argpartition`` (no
-    full sort) and then resolves the *first* position holding the
-    minimum, so the pick is identical to a plain ``argmin`` — position
-    tie-breaking is part of the determinism contract.
-    """
-
-    #: Candidate count above which argpartition shortlisting kicks in.
-    SHORTLIST = 64
-
-    def choose_victim(self, candidate_blocks, valid_counts, capacities):
-        if len(valid_counts) > self.SHORTLIST:
-            short = np.argpartition(valid_counts, self.SHORTLIST - 1)[
-                :self.SHORTLIST]
-            floor = valid_counts[short].min()
-            return int(candidate_blocks[
-                int(np.argmax(valid_counts == floor))])
         return int(candidate_blocks[int(np.argmin(valid_counts))])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from repro import context
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.flash.geometry import FlashGeometry
+from repro.scenarios import run_scenario
 from repro.sim.fleet import FleetConfig, simulate_fleet
-from repro.sim.parallel import fleet_tasks, run_fleet_grid, sweep_document
+from repro.sim.parallel import fleet_tasks
 
 
 def plan_of(*specs, seed=None):
@@ -72,29 +74,37 @@ class TestFleetDeviceLoss:
         np.testing.assert_array_equal(a.capacity_bytes, b.capacity_bytes)
 
 
+def sweep(config: FleetConfig, plan: FaultPlan | None = None) -> dict:
+    """``config`` as a two-seed, two-mode ``fleet`` scenario with
+    ``runs``, ``plan`` embedded."""
+    scenario = {"name": "sweep", "kind": "fleet", "seed": 1, "runs": 2,
+                "modes": ["baseline", "shrink"],
+                "params": dataclasses.asdict(config)}
+    if plan is not None:
+        scenario["faults"] = plan.to_dict()
+    return scenario
+
+
 class TestJobsInvariance:
     def test_sweep_document_identical_across_job_counts(self, quick_config):
         # Each task carries the *plan* (picklable) and builds a fresh
         # injector per run, so worker scheduling cannot leak hit-counter
         # state between grid points.
-        modes, seeds = ("baseline", "shrink"), (1, 2)
-        tasks = fleet_tasks(quick_config, modes, seeds, faults=LOSS_PLAN)
+        tasks = fleet_tasks(quick_config, ("baseline", "shrink"), (1, 2),
+                            faults=LOSS_PLAN)
         assert all(task.faults == LOSS_PLAN for task in tasks)
-        documents = []
-        for jobs in (1, 2):
-            results = run_fleet_grid(quick_config, modes, seeds, jobs=jobs,
-                                     faults=LOSS_PLAN)
-            document = sweep_document(quick_config, modes, seeds, results,
-                                      faults=LOSS_PLAN)
-            documents.append(json.dumps(document, sort_keys=True))
+        documents = [json.dumps(run_scenario(sweep(quick_config, LOSS_PLAN),
+                                             jobs=jobs).document(),
+                                sort_keys=True)
+                     for jobs in (1, 2)]
         assert documents[0] == documents[1]
+        # The plan did fire: three devices are gone by day 100.
+        series = json.loads(documents[0])["series"]
+        assert min(series[name]["y"][5] for name in series
+                   if name.endswith("/functioning")) <= 9
 
     def test_fault_free_document_has_no_faults_key(self, quick_config):
-        modes, seeds = ("baseline",), (1,)
-        results = run_fleet_grid(quick_config, modes, seeds, jobs=1)
-        document = sweep_document(quick_config, modes, seeds, results)
-        assert "faults" not in document
-        faulty = sweep_document(quick_config, modes, seeds, results,
-                                faults=LOSS_PLAN)
-        assert faulty["faults"]["schema"] == "repro.faults/v1"
-
+        document = run_scenario(sweep(quick_config)).document()
+        assert "faults" not in document["meta"]
+        faulty = run_scenario(sweep(quick_config, LOSS_PLAN)).document()
+        assert faulty["meta"]["faults"]["schema"] == "repro.faults/v1"

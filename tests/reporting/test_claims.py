@@ -65,7 +65,8 @@ class TestLifetimeExtension:
     def test_missing_modes_skip_with_rerun_hint(self):
         results = check_lifetime_extension({"baseline": 100.0})
         assert [r.status for r in results] == ["skip", "skip"]
-        assert "`repro fleet --out DIR`" in results[0].detail
+        assert "`repro run scenarios/fleet.json --out DIR`" in \
+            results[0].detail
 
     def test_zero_baseline_skips(self):
         results = check_lifetime_extension(

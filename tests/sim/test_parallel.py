@@ -1,13 +1,14 @@
 """Determinism contract of the process-parallel sweep runner.
 
-The headline property: a sweep artifact produced with ``--jobs N`` must
-be **byte-identical** to one produced with ``--jobs 1``. Everything else
-here (seed derivation invariance, order preservation, schema
-validation) is a supporting lemma of that contract.
+The headline property: a sweep artifact (a ``fleet`` scenario with
+``"runs"``) produced with ``--jobs N`` must be **byte-identical** to one
+produced with ``--jobs 1``. Everything else here (seed derivation
+invariance, order preservation) is a supporting lemma of that contract.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 
@@ -15,19 +16,14 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.flash.geometry import FlashGeometry
+from repro.scenarios import run_scenario
 from repro.sim import parallel
 from repro.sim.fleet import MODES, FleetConfig
 from repro.sim.parallel import (
     derive_seeds,
     fleet_tasks,
-    load_sweep_artifact,
     parallel_map,
     resolve_jobs,
-    run_fleet_grid,
-    summarize_sweep,
-    sweep_document,
-    validate_sweep_document,
-    write_sweep_artifact,
 )
 
 #: Small enough for CI, big enough for GC + wear + deaths to occur.
@@ -120,6 +116,13 @@ class TestTaskEnumeration:
             fleet_tasks(TINY_CONFIG, ("warp",), (1,))
 
 
+def sweep_scenario(runs: int) -> dict:
+    """TINY_CONFIG as a ``fleet`` scenario with ``runs`` seeds."""
+    params = dataclasses.asdict(TINY_CONFIG)
+    return {"name": "tiny-sweep", "kind": "fleet", "seed": 2025,
+            "runs": runs, "params": params}
+
+
 class TestSweepByteIdentity:
     """The satellite's acceptance check, as a test."""
 
@@ -128,48 +131,19 @@ class TestSweepByteIdentity:
         return derive_seeds(2025, 2)
 
     def test_jobs2_artifact_matches_jobs1_bytes(self, seeds, tmp_path):
-        documents = {}
-        for jobs in (1, 2):
-            grid = run_fleet_grid(TINY_CONFIG, modes=MODES, seeds=seeds,
-                                  jobs=jobs)
-            documents[jobs] = sweep_document(TINY_CONFIG, MODES, seeds,
-                                             grid)
-        paths = {jobs: write_sweep_artifact(doc,
-                                            tmp_path / f"j{jobs}.json")
-                 for jobs, doc in documents.items()}
+        paths = {jobs: run_scenario(sweep_scenario(len(seeds)),
+                                    jobs=jobs).write(tmp_path / f"j{jobs}")
+                 for jobs in (1, 2)}
         assert paths[1].read_bytes() == paths[2].read_bytes()
 
     def test_artifact_round_trips_and_summarizes(self, seeds, tmp_path):
-        grid = run_fleet_grid(TINY_CONFIG, modes=MODES, seeds=seeds,
-                              jobs=1)
-        document = sweep_document(TINY_CONFIG, MODES, seeds, grid)
-        path = write_sweep_artifact(document, tmp_path / "sweep.json")
-        loaded = load_sweep_artifact(path)
-        assert loaded == json.loads(json.dumps(document))
-        rows = summarize_sweep(loaded)
-        assert [row["mode"] for row in rows] == list(MODES)
-        for row in rows:
-            assert row["runs"] == len(seeds)
-            assert row["mean_lifetime_days"] > 0
-
-
-class TestSchemaValidation:
-    def test_missing_keys_rejected(self):
-        with pytest.raises(ConfigError):
-            validate_sweep_document({"schema": "repro.sweep/v1"})
-
-    def test_wrong_schema_rejected(self):
-        with pytest.raises(ConfigError):
-            validate_sweep_document({"schema": "repro.sweep/v0",
-                                     "config": {}, "modes": [],
-                                     "seeds": [], "results": []})
-
-    def test_result_count_must_match_grid(self):
-        with pytest.raises(ConfigError):
-            validate_sweep_document({
-                "schema": "repro.sweep/v1", "config": {},
-                "modes": ["baseline"], "seeds": [1, 2], "results": []})
-
-    def test_write_rejects_non_sweep_documents(self, tmp_path):
-        with pytest.raises(ConfigError):
-            write_sweep_artifact({"schema": "bogus"}, tmp_path / "x.json")
+        writer = run_scenario(sweep_scenario(len(seeds)))
+        loaded = json.loads(writer.write(tmp_path).read_text())
+        assert loaded == json.loads(json.dumps(writer.document()))
+        assert {name.split("/")[1] for name in loaded["series"]} == \
+            {str(seed) for seed in seeds}
+        rows = loaded["tables"]["by_mode"]["rows"]
+        assert [row[0] for row in rows] == list(MODES)
+        for mode, runs, lifetime, *_ in rows:
+            assert runs == len(seeds)
+            assert lifetime > 0

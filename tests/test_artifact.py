@@ -249,26 +249,21 @@ def test_negative_control_the_old_reqtrace_is_caught():
 # -- UTF-8 whatever the locale ------------------------------------------------
 
 def _cli_round_trip(out: Path, env: dict) -> dict[str, bytes]:
-    """``fleet --out``, ``run --out`` and ``report`` into ``out``."""
+    """``run --out`` of a fleet scenario and ``report`` into ``out``."""
     out.mkdir()
     scenario = out / "scenario.json"
     scenario.write_text(json.dumps({
         "name": "tiny", "kind": "fleet", "seed": 3, "modes": ["baseline"],
         "params": {"devices": 4, "horizon_days": 200, "step_days": 50,
                    "geometry": {"blocks": 16, "fpages_per_block": 16}}}))
-    for argv in (
-            ["fleet", "--devices", "4", "--years", "1", "--blocks", "16",
-             "--out", "."],
-            ["run", "scenario.json", "--out", "."],
-            ["report", "."]):
+    for argv in (["run", "scenario.json", "--out", "."], ["report", "."]):
         done = subprocess.run(
             [sys.executable, "-m", "repro", *argv], cwd=out, timeout=300,
             capture_output=True, env={**os.environ, **env,
                                       "PYTHONPATH": str(SRC.parent)})
         assert done.returncode == 0, done.stderr.decode()
     return {name: (out / name).read_bytes()
-            for name in ("fleet.json", "tiny.json", "report.md",
-                         "report.json")}
+            for name in ("tiny.json", "report.md", "report.json")}
 
 
 def test_artifact_bytes_do_not_depend_on_the_locale(tmp_path):

@@ -1,8 +1,8 @@
 """Damage what the CLI wrote, hand it back: exit 0, 1 or 2 — never 3.
 
 The matrix in ``tests/test_malformed_inputs.py`` walks the malformations
-someone thought of. This sweep draws them: every artifact ``repro
-fleet``, ``repro slo --measure`` and ``repro run`` just wrote is
+someone thought of. This sweep draws them: every artifact two fleet
+``repro run`` calls and ``repro slo --measure`` just wrote is
 truncated at a drawn byte offset, has a drawn leaf replaced by a drawn
 JSON value, or has drawn bytes spliced in, and goes back, at a fixed
 name in a fresh run directory, through every command that reads that
@@ -47,6 +47,12 @@ CONSUMERS = [
      ["wear", "diff", "@", "--against", "@"]),
 ]
 
+#: Every mode, four devices on 16 blocks for a year: what the retired
+#: ``repro fleet --devices 4 --years 1 --blocks 16`` ran.
+FLEET = {"name": "fleet", "kind": "fleet", "seed": 2025,
+         "params": {"devices": 4, "horizon_days": 365, "step_days": 10,
+                    "dwpd": 2.0,
+                    "geometry": {"blocks": 16, "fpages_per_block": 64}}}
 SCENARIO = {"name": "tiny", "kind": "fleet", "seed": 3,
             "params": {"devices": 4, "horizon_days": 400, "step_days": 40,
                        "geometry": {"blocks": 16, "fpages_per_block": 16}},
@@ -62,11 +68,12 @@ def quiet(argv) -> tuple[int, str]:
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
-    """Where one small ``fleet``, one ``slo --measure`` and one ``run``
-    wrote their run directories."""
+    """Where one small fleet ``run``, one ``slo --measure`` and one
+    ``run`` of ``SCENARIO`` wrote their run directories."""
     root = tmp_path_factory.mktemp("written")
-    assert quiet(["fleet", "--devices", "4", "--years", "1", "--blocks",
-                  "16", "--out", f"{root}/fleet"])[0] == 0
+    (root / "fleet.json").write_text(json.dumps(FLEET))
+    assert quiet(["run", f"{root}/fleet.json",
+                  "--out", f"{root}/fleet"])[0] == 0
     assert quiet(["slo", "--slo", SLO, f"{root}/probe", "--measure"])[0] \
         == 0
     (root / "scenario.json").write_text(json.dumps(SCENARIO))

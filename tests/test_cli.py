@@ -17,6 +17,20 @@ from repro.context import RunContext
 from repro.obs import validate_metrics_document
 
 
+def fleet_scenario(tmp_path, name="fleet", **fields) -> str:
+    """A small fleet scenario written into ``tmp_path``; ``params`` and
+    the other top-level ``fields`` override the defaults (the small
+    fleet the retired ``repro fleet`` tests ran: 6 devices on 16 blocks,
+    2 years, a 20-day step)."""
+    params = {"devices": 6, "horizon_days": 730, "step_days": 20,
+              "geometry": {"blocks": 16, "fpages_per_block": 64},
+              **fields.pop("params", {})}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "kind": "fleet",
+                                "seed": 2025, "params": params, **fields}))
+    return str(path)
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -70,12 +84,14 @@ class TestParser:
         assert "shrinks |   0.129" in out
         assert " regens |   0.258" in out
 
-    def test_fleet_small_run(self, capsys):
-        assert main(["fleet", "--devices", "8", "--blocks", "32",
-                     "--years", "4", "--step-days", "20",
-                     "--mode", "baseline", "--points", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "Fig. 3a" in out
+    def test_fleet_small_run(self, run):
+        # `repro run` of a fleet scenario is the one fleet door.
+        out = run({"name": "f", "kind": "fleet", "modes": ["baseline"],
+                   "params": {"devices": 8, "horizon_days": 1460,
+                              "step_days": 20,
+                              "geometry": {"blocks": 32,
+                                           "fpages_per_block": 64}}})
+        assert "== summary ==" in out
         assert "baseline" in out
 
     def test_tournament_small_run(self, run):
@@ -110,15 +126,16 @@ class TestParser:
         assert "predictor" in out
         assert "run-to-failure" in out
 
-    def test_options_stay_at_most_67(self):
+    def test_options_stay_at_most_42(self):
         # Every argument of every subcommand, positionals included.
         import argparse
         choices = next(action.choices for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
-        assert len(choices) == 7, sorted(choices)
+        assert sorted(choices) == ["report", "run", "slo", "traffic",
+                                   "wear"]
         count = sum(not isinstance(action, argparse._HelpAction)
                     for sub in choices.values() for action in sub._actions)
-        assert count <= 67, count
+        assert count <= 42, count
 
 
 class TestVersionAndExitCodes:
@@ -130,10 +147,11 @@ class TestVersionAndExitCodes:
         assert out.startswith("repro ")
         assert out.split()[1][0].isdigit()
 
-    def test_config_error_maps_to_exit_2(self, capsys):
-        # afr is a probability; 2.0 passes argparse but fails validation.
-        assert main(["fleet", "--devices", "4", "--blocks", "32",
-                     "--years", "1", "--afr", "2.0"]) == EXIT_CONFIG_ERROR
+    def test_config_error_maps_to_exit_2(self, capsys, tmp_path):
+        # afr is a probability; 2.0 is a number but fails validation.
+        scenario = fleet_scenario(tmp_path, params={"afr": 2.0})
+        assert main(["run", scenario, "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert "configuration error" in err
 
@@ -170,16 +188,17 @@ class TestVersionAndExitCodes:
 class TestObservabilityFlags:
     def test_fleet_writes_metrics_and_trace(self, capsys, tmp_path):
         out = tmp_path / "run"
-        assert main(["fleet", "--devices", "8", "--blocks", "32",
-                     "--years", "2", "--step-days", "20",
-                     "--mode", "regen", "--points", "5",
-                     "--out", str(out)]) == 0
+        scenario = fleet_scenario(tmp_path, modes=["regen"], params={
+            "devices": 8,
+            "geometry": {"blocks": 32, "fpages_per_block": 64}})
+        assert main(["run", scenario, "--out", str(out)]) == 0
         assert context.current() == RunContext()  # the scope is gone
         document = json.loads((out / "metrics.json").read_text())
         validate_metrics_document(document)
         names = {family["name"] for family in document["metrics"]}
         assert "repro_fleet_step_duration_seconds" in names
         assert "repro_fleet_devices_functioning" in names
+        assert "repro_shard_tick_seconds" in names   # the sharded runner
         records = [json.loads(line) for line in
                    (out / "trace.jsonl").read_text().splitlines()]
         times = [record["time"] for record in records]
@@ -205,12 +224,14 @@ class TestObservabilityFlags:
 
     def test_flags_off_means_no_observability_cost(self, capsys, tmp_path,
                                                    monkeypatch):
-        # Without --out, fleet prints only: nothing scoped, nothing
-        # written.
+        # A command with no observability sinks runs under the default
+        # context: nothing scoped, nothing written.
         monkeypatch.chdir(tmp_path)
-        assert main(["fleet", "--devices", "4", "--blocks", "32",
-                     "--years", "1", "--step-days", "20",
-                     "--points", "3"]) == 0
+        seen = []
+        monkeypatch.setattr("repro.cli._cmd_report",
+                            lambda args: seen.append(context.current()) or 0)
+        assert main(["report"]) == 0
+        assert seen == [RunContext()]
         assert context.current() == RunContext()
         assert not list(tmp_path.iterdir())
 
@@ -218,10 +239,10 @@ class TestObservabilityFlags:
 class TestTimeseriesFlag:
     def test_fleet_writes_timeseries(self, capsys, tmp_path):
         out = tmp_path / "run"
-        assert main(["fleet", "--devices", "8", "--blocks", "32",
-                     "--years", "2", "--step-days", "20",
-                     "--mode", "all", "--points", "3",
-                     "--out", str(out)]) == 0
+        scenario = fleet_scenario(tmp_path, params={
+            "devices": 8,
+            "geometry": {"blocks": 32, "fpages_per_block": 64}})
+        assert main(["run", scenario, "--out", str(out)]) == 0
         assert context.current() == RunContext()  # the scope is gone
         from repro.obs import load_timeseries
         # Validates on load.
@@ -238,9 +259,10 @@ class TestTimeseriesFlag:
     def test_timeseries_cadence_thins_samples(self, tmp_path):
         dense = tmp_path / "dense"
         sparse = tmp_path / "sparse"
-        argv = ["fleet", "--devices", "4", "--blocks", "32",
-                "--years", "2", "--step-days", "10",
-                "--mode", "baseline", "--points", "3"]
+        argv = ["run", fleet_scenario(
+            tmp_path, modes=["baseline"], params={
+                "devices": 4, "step_days": 10,
+                "geometry": {"blocks": 32, "fpages_per_block": 64}})]
         assert main(argv + ["--out", str(dense)]) == 0
         assert main(argv + ["--out", str(sparse),
                             "--timeseries-cadence", "100"]) == 0
@@ -346,39 +368,50 @@ class TestReportCommand:
 
 
 class TestSweepCommand:
-    ARGS = ["sweep", "--devices", "6", "--blocks", "16", "--years", "2",
-            "--step-days", "20", "--runs", "2"]
+    """A fleet scenario with ``"runs"``: the multi-seed sweep, run by
+    ``repro run`` (the door ``repro sweep`` was)."""
+
+    @staticmethod
+    def sweep(tmp_path, **fields):
+        return fleet_scenario(tmp_path, "sweep", **{"runs": 2, **fields})
 
     def test_jobs_do_not_change_artifact_bytes(self, capsys, tmp_path):
         """`--jobs 2` must emit the same bytes as `--jobs 1` — the CLI
         face of the parallel runner's determinism contract."""
         j1, j2 = tmp_path / "j1", tmp_path / "j2"
-        assert main([*self.ARGS, "--jobs", "1", "--out", str(j1)]) == 0
-        assert main([*self.ARGS, "--jobs", "2", "--out", str(j2)]) == 0
+        scenario = self.sweep(tmp_path)
+        assert main(["run", scenario, "--jobs", "1", "--out", str(j1)]) == 0
+        assert main(["run", scenario, "--jobs", "2", "--out", str(j2)]) == 0
         assert (j1 / "sweep.json").read_bytes() == \
             (j2 / "sweep.json").read_bytes()
         out = capsys.readouterr().out
-        assert "sweep artifact" in out
-        assert "fleet sweep" in out
+        assert "== by_mode ==" in out
 
     def test_artifact_validates_and_covers_grid(self, capsys, tmp_path):
-        from repro.sim.parallel import load_sweep_artifact
-        assert main([*self.ARGS, "--jobs", "1",
+        from repro.sim.parallel import derive_seeds
+
+        assert main(["run", self.sweep(tmp_path),
                      "--out", str(tmp_path)]) == 0
-        document = load_sweep_artifact(tmp_path / "sweep.json")
-        assert len(document["seeds"]) == 2
-        assert len(document["results"]) == \
-            len(document["modes"]) * len(document["seeds"])
+        document = json.loads((tmp_path / "sweep.json").read_text())
+        assert document["meta"]["runs"] == 2
+        seeds = derive_seeds(2025, 2)
+        assert sorted(document["series"]) == sorted(
+            f"{mode}/{seed}/{curve}"
+            for mode in ("baseline", "cvss", "shrink", "regen")
+            for seed in seeds for curve in ("functioning", "capacity"))
+        rows = document["tables"]["by_mode"]["rows"]
+        assert [row[:2] for row in rows] == [
+            ["baseline", 2], ["cvss", 2], ["shrink", 2], ["regen", 2]]
 
     def test_single_mode_sweep(self, capsys, tmp_path):
-        assert main([*self.ARGS, "--mode", "regen", "--runs", "1",
+        assert main(["run", self.sweep(tmp_path, modes=["regen"], runs=1),
                      "--out", str(tmp_path)]) == 0
-        from repro.sim.parallel import load_sweep_artifact
-        document = load_sweep_artifact(tmp_path / "sweep.json")
-        assert document["modes"] == ["regen"]
+        document = json.loads((tmp_path / "sweep.json").read_text())
+        assert [row[0] for row in
+                document["tables"]["by_mode"]["rows"]] == ["regen"]
 
     def test_bad_jobs_maps_to_exit_2(self, capsys, tmp_path):
-        assert main([*self.ARGS, "--jobs", "-2",
+        assert main(["run", self.sweep(tmp_path), "--jobs", "-2",
                      "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         assert "configuration error" in capsys.readouterr().err
 
@@ -387,74 +420,79 @@ class TestSweepCommand:
         # byte-identity gates keep holding; 0 is all cores.
         for jobs in ("2", "0"):
             out = tmp_path / jobs
-            assert main([*self.ARGS, "--jobs", jobs,
+            assert main(["run", self.sweep(tmp_path), "--jobs", jobs,
                          "--out", str(out)]) == 0
-            assert "meta" not in json.loads(
-                (out / "sweep.json").read_text())
+            meta = json.loads((out / "sweep.json").read_text())["meta"]
+            assert sorted(meta) == ["kind", "params", "runs", "seed"]
 
     def test_jobs_gibberish_rejected_by_parser(self, tmp_path):
         # --jobs is an int; 0 (not 'auto') asks for all cores.
         for jobs in ("fast", "auto"):
             with pytest.raises(SystemExit):
-                main([*self.ARGS, "--jobs", jobs, "--out", str(tmp_path)])
+                main(["run", self.sweep(tmp_path), "--jobs", jobs,
+                      "--out", str(tmp_path)])
 
 
 class TestFleetShards:
-    """`repro fleet --shards`: the sharded runner through the CLI."""
-
-    ARGS = ["fleet", "--devices", "6", "--blocks", "16", "--years", "2",
-            "--step-days", "20"]
+    """A fleet scenario's ``params.shards``: the sharded runner through
+    ``repro run``, ``--jobs`` its worker count."""
 
     @staticmethod
     def _fleet(out):
         return (out / "fleet.json").read_bytes()
 
+    @staticmethod
+    def _run(tmp_path, out, *flags, **params):
+        return main(["run", fleet_scenario(tmp_path, params=params),
+                     *flags, "--out", str(out)])
+
     def test_single_shard_matches_serial_bytes(self, capsys, tmp_path):
         serial, sharded = tmp_path / "serial", tmp_path / "s1"
-        assert main([*self.ARGS, "--out", str(serial)]) == 0
-        assert main([*self.ARGS, "--shards", "1", "--jobs", "2",
-                     "--out", str(sharded)]) == 0
-        assert self._fleet(serial) == self._fleet(sharded)
+        assert self._run(tmp_path, serial) == 0
+        assert self._run(tmp_path, sharded, "--jobs", "2", shards=1) == 0
+        # The same document but for the echoed knob.
+        documents = [json.loads(self._fleet(out))
+                     for out in (serial, sharded)]
+        assert documents[1]["meta"]["params"].pop("shards") == 1
+        assert documents[0] == documents[1]
 
     def test_jobs_do_not_change_artifact_bytes(self, capsys, tmp_path):
         j1, j4 = tmp_path / "j1", tmp_path / "j4"
-        assert main([*self.ARGS, "--shards", "4", "--jobs", "1",
-                     "--out", str(j1)]) == 0
-        assert main([*self.ARGS, "--shards", "4", "--jobs", "4",
-                     "--out", str(j4)]) == 0
+        assert self._run(tmp_path, j1, "--jobs", "1", shards=4) == 0
+        assert self._run(tmp_path, j4, "--jobs", "4", shards=4) == 0
         assert self._fleet(j1) == self._fleet(j4)
 
     def test_shards_recorded_in_config(self, capsys, tmp_path):
-        assert main([*self.ARGS, "--shards", "2",
-                     "--out", str(tmp_path)]) == 0
-        assert json.loads(self._fleet(tmp_path))["config"]["shards"] == 2
+        assert self._run(tmp_path, tmp_path, shards=2) == 0
+        meta = json.loads(self._fleet(tmp_path))["meta"]
+        assert meta["params"]["shards"] == 2
 
     def test_bad_shards_maps_to_exit_2(self, capsys, tmp_path):
-        assert main([*self.ARGS, "--shards", "0",
-                     "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert self._run(tmp_path, tmp_path, shards=0) == EXIT_CONFIG_ERROR
         assert "configuration error" in capsys.readouterr().err
 
     def test_fault_plan_on_one_shard_is_silent_and_identical(
             self, capsys, tmp_path, recwarn):
-        # A plan forces the one-shard layout; an omitted --shards and
-        # --shards 1 already are that layout, so neither warns.
+        # A plan forces the one-shard layout; an omitted shards and
+        # shards 1 already are that layout, so neither warns.
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({
             "schema": "repro.faults/v1",
             "events": [{"site": "fleet.step", "fault": "device_loss",
                         "when": 4, "args": {"devices": 2}}]}))
         omitted, one = tmp_path / "omitted", tmp_path / "s1"
-        assert main([*self.ARGS, "--faults", str(plan),
-                     "--out", str(omitted)]) == 0
-        assert main([*self.ARGS, "--faults", str(plan), "--shards", "1",
-                     "--out", str(one)]) == 0
+        assert self._run(tmp_path, omitted, "--faults", str(plan)) == 0
+        assert self._run(tmp_path, one, "--faults", str(plan),
+                         shards=1) == 0
         assert not [w for w in recwarn.list
                     if issubclass(w.category, RuntimeWarning)]
-        assert self._fleet(omitted) == self._fleet(one)
-        assert json.loads(self._fleet(one))["faults"] is not None
+        series = [json.loads(self._fleet(out))["series"]
+                  for out in (omitted, one)]
+        assert series[0] == series[1]
+        assert json.loads(self._fleet(one))["meta"]["faults"] is not None
         with pytest.warns(RuntimeWarning, match="fault plan"):
-            assert main([*self.ARGS, "--faults", str(plan), "--shards", "3",
-                         "--out", str(tmp_path / "s3")]) == 0
+            assert self._run(tmp_path, tmp_path / "s3", "--faults",
+                             str(plan), shards=3) == 0
 
 
 class TestTrafficCommand:
@@ -685,7 +723,8 @@ class TestReqtraceFlags:
 
     def test_fleet_writes_reqtrace_sidecar(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["fleet", "--reqtrace-out", str(tmp_path / "rt.jsonl")])
+            main(["run", "scenarios/quick_fleet.json",
+                  "--reqtrace-out", str(tmp_path / "rt.jsonl")])
         assert excinfo.value.code == 2
         assert not list(tmp_path.iterdir())
         capsys.readouterr()
@@ -708,8 +747,8 @@ class TestProbeFlags:
     """The IO probe has one door: `repro slo --measure`."""
 
     @pytest.mark.parametrize("argv", [
-        ["fleet", "--reqtrace-out", "x.jsonl"],
-        ["fleet", "--endurance-out", "x.jsonl"],
+        ["run", "scenarios/quick_fleet.json", "--reqtrace-out", "x.jsonl"],
+        ["run", "scenarios/quick_fleet.json", "--endurance-out", "x.jsonl"],
         ["run", "scenarios/quick_fleet.json", "--slo", "y.json"],
         ["run", "scenarios/quick_fleet.json", "--endurance-out", "x.jsonl"],
     ], ids=["fleet-reqtrace-out", "fleet-endurance-out", "run-slo",
@@ -722,22 +761,26 @@ class TestProbeFlags:
 
 
 #: (argv after ``repro``, the names it writes into DIR) — the run
-#: directory's layout, one producer or reader per row. ``@`` is DIR;
-#: reader rows start from the probe's files.
-_FLEET = ["--devices", "4", "--blocks", "16", "--years", "1",
-          "--step-days", "50"]
+#: directory's layout, one producer or reader per row. ``@`` is DIR,
+#: ``@sweep`` a small fleet scenario with ``runs``; reader rows start
+#: from the probe's files.
+_SWEEP = {"name": "sweep", "kind": "fleet", "runs": 1,
+          "modes": ["baseline"],
+          "params": {"devices": 4, "horizon_days": 365, "step_days": 50,
+                     "geometry": {"blocks": 16, "fpages_per_block": 64}}}
 _SLO = ["--slo", "scenarios/slo_default.json"]
 _PROBE = ["--mode", "baseline", "--requests", "60", "--every", "4"]
 LAYOUT = [
-    (["fleet", *_FLEET, "--out", "@"],
-     {"fleet.json", "metrics.json", "trace.jsonl", "timeseries.jsonl"}),
+    (["run", "scenarios/quick_fleet.json", "--out", "@"],
+     {"quick-fleet.json", "metrics.json", "trace.jsonl",
+      "timeseries.jsonl"}),
     (["run", "scenarios/fig2_ldpc.json", "--out", "@"],
      {"fig2-ldpc.json", "metrics.json", "trace.jsonl",
       "timeseries.jsonl"}),
     (["traffic", "--tenants", "4", "--duration", "400", "--cells", "1",
       "--out", "@"], {"traffic.json", "metrics.json"}),
-    (["sweep", *_FLEET, "--runs", "1", "--mode", "baseline",
-      "--out", "@"], {"sweep.json"}),
+    (["run", "@sweep", "--out", "@"],
+     {"sweep.json", "metrics.json", "trace.jsonl", "timeseries.jsonl"}),
     (["slo", *_SLO, "@", "--measure", *_PROBE],
      {"reqtrace.jsonl", "endurance.jsonl", "slo.json"}),
     (["slo", *_SLO, "@"], {"slo.json"}),
@@ -768,7 +811,9 @@ class TestRunDirectory:
             out.mkdir()
             for name in ("reqtrace.jsonl", "endurance.jsonl"):
                 (out / name).write_bytes((probed / name).read_bytes())
+        sweep = tmp_path / "sweep_scenario.json"
+        sweep.write_text(json.dumps(_SWEEP))
         before = {path.name for path in out.glob("*")}
-        assert main([str(out) if part == "@" else part
+        assert main([{"@": str(out), "@sweep": str(sweep)}.get(part, part)
                      for part in argv]) == 0
         assert {path.name for path in out.iterdir()} - before == names

@@ -48,7 +48,9 @@ RETIRED = frozenset({
     "engine._admit", "engine._arrive", "keep_latencies", "DWPDSchedule",
     "level_wear", "CostBenefitGC", "read_opages", "FlashChip.read_fpage",
     "_gc_once_traced", "_evacuate_fpage_traced", "_decommission_traced",
-    "_regenerate_traced", "_remount_cause"})
+    "_regenerate_traced", "_remount_cause", "GCPolicy", "SWEEP_SCHEMA",
+    "sweep_document", "write_sweep_artifact", "load_sweep_artifact",
+    "validate_sweep_document", "summarize_sweep"})
 
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
@@ -263,7 +265,7 @@ def test_files_in_files_out_names_resolve(names):
 def test_run_context_section_names_resolve(names):
     text = section((DOCS / "OBSERVABILITY.md").read_text(), "Run context")
     assert {"RunContext", "repro.context", "None", "PageMappedFTL",
-            "GCPolicy", "RecoveryManager", "SLOEngine", "_instr",
+            "GreedyGC", "RecoveryManager", "SLOEngine", "_instr",
             "parallel_map", "repro.cli.main", "repro.obs.metrics_enabled",
             "src/repro/obs/instruments.py", "tests/test_context.py",
             "tests/conftest.py",
@@ -822,8 +824,9 @@ def test_subcommand_check_flags_the_parent_text():
         "`python -m repro carbon`, `python -m repro tco`,\n"
         "`python -m repro replacement`, `python -m repro health`,\n"
         "`python -m repro sweep --runs 8 --jobs 4` (multi-seed fleet sweep") \
-        == ["repro carbon", "repro fig2", "repro health",
-            "repro replacement", "repro tco", "repro tournament"]
+        == ["repro carbon", "repro fig2", "repro fleet", "repro health",
+            "repro replacement", "repro sweep", "repro tco",
+            "repro tournament"]
     assert undefined_subcommands(
         "$ python -m repro check run\n`repro diff a b` and `repro run x`"
     ) == ["repro check", "repro diff"]

@@ -57,12 +57,10 @@ def test_the_poison_path_really_hides_scipy():
 
 def test_cli_runs_without_scipy(tmp_path):
     assert python("-c", PROBE, poison=True).returncode == 0
-    fleet = python("-m", "repro", "fleet", "--devices", "6", "--years", "2",
-                   "--blocks", "16", poison=True)
-    assert fleet.returncode == 0, fleet.stderr
-    scenario = python("-m", "repro", "run", "scenarios/quick_fleet.json",
-                      "--out", str(tmp_path), poison=True)
-    assert scenario.returncode == 0, scenario.stderr
+    for name in ("quick_fleet", "fleet_sweep"):
+        scenario = python("-m", "repro", "run", f"scenarios/{name}.json",
+                          "--out", str(tmp_path), poison=True)
+        assert scenario.returncode == 0, scenario.stderr
 
 
 def test_src_does_not_mention_scipy():

@@ -147,9 +147,9 @@ INPUTS = [
           forms(SCENARIO, one, edited(SCENARIO, ["kind"], "teleport"),
                 ["kind"], (["params", "devices"], "many")),
           ("kind", "devices")),
+    # The fault plan of a fleet run (`repro run` of a fleet scenario).
     Input("fleet --faults",
-          ["fleet", "--devices", "4", "--years", "1", "--blocks", "16",
-           "--faults", "@"],
+          ["run", "scenarios/quick_fleet.json", "--faults", "@"],
           forms(FAULTS, one, edited(FAULTS, ["schema"], "repro.faults/v0"),
                 ["events"], (["events", 0, "when"], "soon")),
           ("events", "when")),

@@ -94,6 +94,46 @@ class TestRunners:
                    for row in document["tables"]["summary"]["rows"]}
         assert summary["regen"] > summary["baseline"]
 
+    def test_fleet_walks_its_shards(self):
+        # The kind runs the sharded runner: params.shards is honoured bit
+        # for bit, and four shards sum capacity in another float order
+        # than one (allclose only, docs/SHARDING.md).
+        import numpy as np
+
+        from repro.flash.geometry import FlashGeometry
+        from repro.sim.fleet import FleetConfig
+        from repro.sim.shard import simulate_fleet_sharded
+
+        params = {"devices": 12, "horizon_days": 1500, "step_days": 20,
+                  "pec_limit_l0": 300.0,
+                  "geometry": {"blocks": 32, "fpages_per_block": 16}}
+        config = FleetConfig(devices=12, horizon_days=1500, step_days=20,
+                             pec_limit_l0=300.0,
+                             geometry=FlashGeometry(blocks=32,
+                                                    fpages_per_block=16))
+        capacity = {}
+        for shards in (1, 4):
+            series = run_scenario({
+                "name": "fl", "kind": "fleet", "seed": 3, "modes": ["regen"],
+                "params": {**params, "shards": shards}}).document()["series"]
+            expected = simulate_fleet_sharded(config, "regen", 3,
+                                              shards=shards)
+            assert series["regen/capacity"]["y"] == \
+                expected.capacity_bytes.tolist()
+            assert series["regen/functioning"]["y"] == \
+                expected.functioning.tolist()
+            capacity[shards] = np.array(series["regen/capacity"]["y"])
+        assert not np.array_equal(capacity[1], capacity[4])
+        np.testing.assert_allclose(capacity[1], capacity[4])
+
+    def test_runs_is_a_positive_count_on_a_fleet(self):
+        for document in ({"name": "c", "kind": "carbon", "runs": 2},
+                         {"name": "f", "kind": "fleet", "runs": 0},
+                         {"name": "f", "kind": "fleet", "runs": True},
+                         {"name": "f", "kind": "fleet", "runs": 1.5}):
+            with pytest.raises(ConfigError, match="runs"):
+                validate_scenario(document)
+
     def test_fleet_rejects_unknown_params(self):
         with pytest.raises(ConfigError):
             run_scenario({"name": "bad", "kind": "fleet",
@@ -179,3 +219,22 @@ class TestShippedScenarios:
     @pytest.mark.parametrize("name", ["fig2_ldpc.json"])
     def test_shipped_scenarios_validate(self, name):
         assert shipped(name)
+
+    #: Each kind's shipped experiment, the one its bare defaults run.
+    CANONICAL = {"tournament": "tournament.json", "carbon": "carbon.json",
+                 "tco": "tco.json",
+                 "replacement": "measured_upgrade_rates.json",
+                 "fig2": "fig2.json", "health": "health.json"}
+
+    def test_every_kind_but_fleet_has_a_canonical_file(self):
+        assert set(self.CANONICAL) == set(SCENARIO_KINDS) - {"fleet"}
+
+    @pytest.mark.parametrize("kind", sorted(CANONICAL))
+    def test_bare_scenario_is_the_shipped_experiment(self, kind):
+        # A bare {"kind": ...} runs the shipped file's experiment. Not
+        # the fleet kind: the fleet_grid workload and the figure benches
+        # build on FleetConfig's defaults, so they stay what they are
+        # rather than become scenarios/fleet.json's Fig. 3 settings.
+        bare = run_scenario({"name": "bare", "kind": kind})
+        assert bare.document()["tables"] == shipped(self.CANONICAL[kind])
+
