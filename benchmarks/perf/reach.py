@@ -29,7 +29,6 @@ SRC = str(ROOT / "src" / "repro") + os.sep
 SCN = ROOT / "scenarios"
 WORKLOADS = "traffic_mixed traffic_scan device_wearout cluster_churn fleet_grid"
 SLO = f"slo --slo {SCN}/slo_default.json"
-TRAFFIC = "traffic --tenants 12 --duration 4000"
 #: ``repro`` commands (one a line, or `` ; ``-separated), run in a scratch
 #: directory in this order: later ones read the run directories earlier
 #: ones wrote. ``!`` marks one whose non-zero exit is the behaviour being
@@ -48,17 +47,18 @@ run {SCN}/faulty_fleet.json --out results ; run {SCN}/fig2_ldpc.json --out resul
 run {SCN}/measured_upgrade_rates.json --out results ; run {SCN}/tournament.json --out results
 run {SCN}/fig2.json --out results ; run {SCN}/carbon.json --out results
 run {SCN}/tco.json --out results ; run {SCN}/health.json --out results
-traffic --tenants 48 --duration 8000 --cells 2 --arrival mmpp --jobs 2 --out tr
-{TRAFFIC} --shards 4 --jobs 1 --out tr4 ; {TRAFFIC} --cells 1 --trace ops.trace --out trt
-{TRAFFIC} --cells 1 --slo {SCN}/traffic_slo.json --out trs
-!{TRAFFIC} --cells 1 --read-fraction 1.0 --slo bad_slo.json --out trb
-{TRAFFIC} --cells 1 --mode regen --closed-loop 0.5 --think 50 --admission shed --read-span 4 --read-fraction 0.5 --out trc
+run tr.json --jobs 2 --out tr ; run {SCN}/traffic.json --out results
+run tr4.json --jobs 1 --out tr4 ; run trt.json --out trt
+run {SCN}/traffic_slo.json --out trs ; !run trb.json --out trb
+run trc.json --out trc
 report obs ; report ; report f1
 {SLO} obs ; {SLO} p2 --measure --requests 60 --jobs 2
 {SLO} p3 --measure --mode baseline --requests 120 --every 4
 wear report obs --check --waf-budget 50 ; wear diff obs --against p2
 wear forecast obs --horizon 1000 ; !run missing.json ; !report absent ; !report plan.json
 !slo --slo results obs ; !wear report not_utf8 ; !slo --slo mistyped_slo.json obs --measure"""
+_TRAFFIC = ('{"name": "traffic", "kind": "traffic", "params": {"tenants": 12,'
+            ' "duration_us": 4000, %s}%s}')
 _FLEET = ('{"name": "fleet", "kind": "fleet", "seed": 2025, "params": {"devices": 6,'
           ' "horizon_days": 730, "step_days": 20, %s"geometry": {"blocks": 16,'
           ' "fpages_per_block": 64}}%s}')
@@ -72,8 +72,17 @@ FILES = {  # inputs named above that no shipped file provides
     "plan.json": '{"schema": "repro.faults/v1", "events": [{"site": "fleet.step",'
     ' "fault": "device_loss", "when": 4, "args": {"devices": 2}}]}',
     "ops.trace": "# trace n_lbas=64\nW 1 00\nR 1\nT 1\nW 2\n",
-    "bad_slo.json": '{"schema": "repro.obs.slo/v1", "objectives": [{"name": "x", "kind":'
-    ' "latency", "percentile": 50.0, "threshold_us": 0.001, "window_us": 1e6}]}',
+    "tr.json": '{"name": "traffic", "kind": "traffic", "params": {"tenants": 48,'
+    ' "duration_us": 8000, "cells": 2, "arrival": "mmpp"}}',
+    "tr4.json": _TRAFFIC % ('"shards": 4', ""),
+    "trt.json": _TRAFFIC % ('"cells": 1, "trace": "ops.trace"', ""),
+    "trb.json": _TRAFFIC % ('"cells": 1, "read_fraction": 1.0', ', "slo": {"schema":'
+                            ' "repro.obs.slo/v1", "objectives": [{"name": "x", "kind":'
+                            ' "latency", "percentile": 50.0, "threshold_us": 0.001,'
+                            ' "window_us": 1e6}]}'),
+    "trc.json": _TRAFFIC % ('"cells": 1, "mode": "regen", "closed_loop_fraction": 0.5,'
+                            ' "think_us": 50, "admission": "shed", "read_span": 4,'
+                            ' "read_fraction": 0.5', ""),
     "not_utf8/endurance.jsonl": "\xff\xfe",
     "mistyped_slo.json": '{"schema": "repro.obs.slo/v1", "objectives": [{"name": "x",'
     ' "percentile": "p", "threshold_us": 1}]}'}

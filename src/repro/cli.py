@@ -3,7 +3,6 @@
 Usage::
 
     python -m repro run SCENARIO.json [--out DIR] [--jobs N]
-    python -m repro traffic [--tenants 1000] [--arrival mmpp] [--slo o.json]
     python -m repro report [DIR]
     python -m repro slo --slo objectives.json DIR [--measure]
     python -m repro wear (report|forecast|diff) DIR [--against DIR2]
@@ -12,7 +11,8 @@ Usage::
 kind of :mod:`repro.scenarios`, and ``scenarios/`` ships one file per
 experiment (``fleet.json`` and ``fleet_sweep.json`` for Fig. 3a/3b,
 ``fig2.json``, ``tournament.json``, ``carbon.json``, ``tco.json``,
-``measured_upgrade_rates.json``, ``health.json``). Every command that
+``measured_upgrade_rates.json``, ``health.json``, and ``traffic.json``
+and ``traffic_slo.json`` for the traffic engine). Every command that
 writes files writes them into one run directory under fixed names (the
 constants below), and every command that reads artifacts reads them from
 one; docs/OBSERVABILITY.md ("Where output lands") has the table. See
@@ -52,27 +52,20 @@ TIMESERIES = "timeseries.jsonl"
 REQTRACE = "reqtrace.jsonl"
 ENDURANCE = "endurance.jsonl"
 
-#: The run-context sinks a producer scopes: exactly those whose
-#: artifacts it writes into its output directory.
-_SINKS = {"run": (METRICS, TRACE, TIMESERIES), "traffic": (METRICS,)}
-
-
 def _observability(args: argparse.Namespace) -> dict:
-    """The run-context fields the command's output directory asks for.
+    """The run-context sinks of the command: ``run`` writes
+    :data:`METRICS`, :data:`TRACE` and :data:`TIMESERIES` into its
+    output directory, no other command writes any.
 
     :func:`main` scopes them around the whole command, so every
     experiment object binds them at construction.
     """
-    sinks = _SINKS.get(args.command, ())
-    fields = {}
-    if METRICS in sinks:
-        fields["metrics"] = MetricsRegistry()
-    if TRACE in sinks:
-        fields["tracer"] = SimTimeTracer()
-    if TIMESERIES in sinks:
-        fields["timeseries"] = TimeseriesSampler(
-            registry=fields.get("metrics"), cadence=args.timeseries_cadence)
-    return fields
+    if args.command != "run":
+        return {}
+    metrics = MetricsRegistry()
+    return {"metrics": metrics, "tracer": SimTimeTracer(),
+            "timeseries": TimeseriesSampler(
+                registry=metrics, cadence=args.timeseries_cadence)}
 
 
 def _write_observability(out: str) -> None:
@@ -140,72 +133,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     path = writer.write(args.out)
     _write_observability(args.out)
     print(f"scenario {document['name']!r} ({document['kind']}) -> {path}")
-    for name, table in writer.document()["tables"].items():
+    tables = writer.document()["tables"]
+    for name, table in tables.items():
         print(format_table(table["headers"], table["rows"], title=name))
-    return 0
-
-
-def _cmd_traffic(args: argparse.Namespace) -> int:
-    from repro.obs import slo as slo_mod
-    from repro.sim.parallel import resolve_jobs
-    from repro.workloads.engine import (
-        EngineConfig,
-        publish_traffic_metrics,
-        run_traffic,
-        write_engine_artifact,
-    )
-    from repro.workloads.traces import Trace
-
-    # Parsed here so that a bad file fails at the door, path named, not
-    # inside a worker; the cells re-read the canonical text.
-    trace_text = Trace.load(args.trace).dumps() if args.trace else None
-    objectives = (slo_mod.load_slo_config(args.slo)
-                  if args.slo else None)
-    config = EngineConfig(
-        tenants=args.tenants,
-        duration_us=args.duration,
-        arrival=args.arrival,
-        utilisation=args.utilisation,
-        burstiness=args.burstiness,
-        mode=args.mode,
-        level=args.level,
-        cells=args.cells,
-        shards=args.shards,
-        read_fraction=args.read_fraction,
-        read_span=args.read_span,
-        closed_loop_fraction=args.closed_loop,
-        think_us=args.think,
-        admission=args.admission,
-        trace_text=trace_text,
-    )
-    jobs = resolve_jobs(args.jobs)
-    document = run_traffic(config, seed=args.seed, jobs=jobs,
-                           objectives=objectives)
-    publish_traffic_metrics(document)
-    path = write_engine_artifact(document, Path(args.out) / "traffic.json")
-    _write_observability(args.out)
-
-    totals = document["totals"]
-    rows = [[klass, "-" if p99 is None else f"{p99:.1f}"]
-            for klass, p99 in sorted(
-                document["median_p99_by_class_us"].items())]
-    print(format_table(
-        ["tenant class", "median p99 (us)"], rows,
-        title=f"traffic: {args.tenants} tenant(s) x "
-              f"{config.cell_count} cell(s), {jobs} job(s)"))
-    print(f"offered {totals['offered']}  admitted {totals['admitted']}  "
-          f"shed {totals['shed']}  deferrals {totals['deferrals']}  "
-          f"completed {totals['completed']}  "
-          f"deadline misses {totals['deadline_misses']}")
-    print(f"traffic artifact -> {path}")
-    if objectives:
-        for cell_report in document["slo"]["cells"]:
-            if cell_report is not None:
-                print(slo_mod.format_slo_report(cell_report))
-        if not document["slo"]["ok"]:
-            print("repro traffic: one or more SLOs VIOLATED",
-                  file=sys.stderr)
-            return EXIT_CLAIM_FAILED
+    slo = tables.get("slo")     # a traffic scenario's objectives, if any
+    if slo and not all(dict(zip(slo["headers"], row))["ok"]
+                       for row in slo["rows"]):
+        print("repro run: one or more SLOs VIOLATED", file=sys.stderr)
+        return EXIT_CLAIM_FAILED
     return 0
 
 
@@ -438,12 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser(
-        "run", help="execute a JSON scenario file (see scenarios/)")
+        "run", help="execute a JSON scenario file (see scenarios/; exit 1 "
+                    "when a traffic scenario's SLO is violated)")
     run.add_argument("scenario", help="path to a scenario .json")
     run.add_argument("--out", default="results", metavar="DIR",
                      help="write <name>.json, metrics.json, trace.jsonl and "
                           "timeseries.jsonl into DIR (default results)")
-    _add_jobs_flag(run, "fleet shard (or, with runs, sweep run)")
+    _add_jobs_flag(run, "fleet shard, sweep run or traffic cell")
     run.add_argument(
         "--timeseries-cadence", type=float, default=DEFAULT_CADENCE,
         metavar="T",
@@ -455,82 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject faults from a repro.faults/v1 plan JSON "
              "(see docs/FAULTS.md); omit for a fault-free run")
     run.set_defaults(func=_cmd_run)
-
-    traffic = sub.add_parser(
-        "traffic",
-        help="deterministic open-loop multi-tenant traffic engine "
-             "(artifacts are byte-identical for any --jobs; exit 1 "
-             "when an attached SLO is violated)")
-    traffic.add_argument(
-        "--tenants", type=int, default=64,
-        help="tenant streams across all cells (default 64)")
-    traffic.add_argument(
-        "--duration", type=float, default=30000.0, metavar="US",
-        help="simulated arrival window per cell in device-time "
-             "microseconds (default 30000)")
-    traffic.add_argument(
-        "--arrival", default="poisson", choices=("poisson", "mmpp"),
-        help="per-tenant arrival process (mmpp = bursty 2-state)")
-    traffic.add_argument(
-        "--utilisation", type=float, default=0.6,
-        help="target offered load per cell as a fraction of the "
-             "measured service capacity (>1 deliberately saturates)")
-    traffic.add_argument(
-        "--burstiness", type=float, default=4.0,
-        help="mmpp burst-to-quiet rate ratio (default 4)")
-    traffic.add_argument(
-        "--mode", default="flat",
-        choices=("flat", "baseline", "cvss", "shrink", "regen"),
-        help="device flavour each cell drives (default flat: a "
-             "uniform-level deterministic device; see --level)")
-    traffic.add_argument(
-        "--level", type=int, default=0, choices=(0, 1, 2, 3),
-        help="RegenS tiredness level of the flat device (default 0)")
-    traffic.add_argument(
-        "--cells", type=int, default=0,
-        help="independent device cells (0 = auto from tenant count)")
-    traffic.add_argument(
-        "--shards", type=int, default=0,
-        help="minimum failure-domain cell count for the fork pool "
-             "(0 = leave the auto tiers alone; part of the config, so "
-             "it changes the artifact — unlike --jobs)")
-    traffic.add_argument(
-        "--read-fraction", type=float, default=0.0,
-        help="flip this fraction of generated writes to reads")
-    traffic.add_argument(
-        "--read-span", type=int, default=1, metavar="LBAS",
-        help="LBAs per read request (4 = fPage-wide scan reads that "
-             "inherit the RegenS per-byte degradation)")
-    traffic.add_argument(
-        "--closed-loop", type=float, default=0.0, metavar="FRAC",
-        help="fraction of tenants that are closed-loop (self-clocked, "
-             "never shed)")
-    traffic.add_argument(
-        "--think", type=float, default=0.0, metavar="US",
-        help="closed-loop think time between completions")
-    traffic.add_argument(
-        "--admission", default="defer",
-        choices=("none", "shed", "defer"),
-        help="admission control for open-loop tenants when the token "
-             "bucket or backlog watermark trips (default defer)")
-    traffic.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="replay a repro.workloads trace file cyclically instead "
-             "of synthetic generators")
-    traffic.add_argument(
-        "--slo", default=None, metavar="PATH",
-        help="attach a repro.obs.slo/v1 objectives config; per-tenant "
-             "streams feed the evaluation and a violation exits 1")
-    traffic.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="root seed; every cell and tenant derives from it "
-             "deterministically (jobs-invariant)")
-    _add_jobs_flag(traffic, "cell")
-    traffic.add_argument(
-        "--out", default="results", metavar="DIR",
-        help="write traffic.json (a repro.workloads.engine/v1 artifact) "
-             "and metrics.json into DIR (default results)")
-    traffic.set_defaults(func=_cmd_traffic)
 
     report = sub.add_parser(
         "report",

@@ -23,8 +23,8 @@ should be measured)::
     registry.write_json("metrics.json")
     tracer.export_jsonl("trace.jsonl")
 
-The CLI (``repro run SCENARIO --out DIR``, ``repro traffic --out DIR``)
-and the benchmark harness do this for you. docs/OBSERVABILITY.md ("Run
+The CLI (``repro run SCENARIO --out DIR``) and the benchmark harness
+do this for you. docs/OBSERVABILITY.md ("Run
 context") is the binding rule.
 """
 

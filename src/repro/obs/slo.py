@@ -25,8 +25,8 @@ Windows reuse the bounded-ring discipline of
 ``(end_us, latency_us, bad)`` samples evicted by sim-time age and
 capped in size, so memory stays bounded no matter how long a run is.
 
-An engine is built per evaluation: ``repro traffic --slo`` replays each
-cell's completions through a fresh one, and ``repro slo`` replays
+An engine is built per evaluation: a traffic scenario's ``slo`` replays
+each cell's completions through a fresh one, and ``repro slo`` replays
 reqtrace records (:func:`evaluate_records`). When the run context
 holds a metrics registry at construction the engine also publishes
 ``repro_slo_*`` counters/gauges, refreshed through a collect hook.

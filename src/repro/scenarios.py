@@ -15,9 +15,9 @@ shareable and re-runnable without writing Python:
     }
 
 ``run_scenario`` dispatches on ``kind`` (``fleet``, ``tournament``,
-``carbon``, ``tco``, ``replacement``, ``fig2``, ``health``) and returns
-an :class:`~repro.reporting.export.ExperimentWriter` holding structured
-tables/series, ready to ``write()`` as a JSON artifact. The CLI exposes
+``carbon``, ``tco``, ``replacement``, ``fig2``, ``health``, ``traffic``)
+and returns an :class:`~repro.reporting.export.ExperimentWriter` holding
+structured tables/series, ready to ``write()`` as a JSON artifact. The CLI exposes
 this as ``python -m repro run <scenario.json> [--out results/] [--jobs N]``,
 the only way to run these experiments from a shell; ``scenarios/`` ships
 one file per kind at the paper's settings.
@@ -25,8 +25,12 @@ one file per kind at the paper's settings.
 A ``fleet`` scenario walks each mode through the sharded runner
 (``params.shards`` shards, ``jobs`` workers); with ``"runs": N`` it is a
 multi-seed sweep instead (``N`` seeds derived from ``seed``, the
-(mode, seed) grid fanned over ``jobs`` workers). Either way the artifact
-is byte-identical for any ``jobs``.
+(mode, seed) grid fanned over ``jobs`` workers). A ``traffic`` scenario
+runs the multi-tenant traffic engine over ``jobs`` cell workers; its
+``params`` are :class:`~repro.workloads.engine.EngineConfig` fields plus
+``trace`` (a replay file path), and a top-level ``"slo"``
+(``repro.obs.slo/v1``) attaches objectives to its tenant streams. Either
+way the artifact is byte-identical for any ``jobs``.
 """
 
 from __future__ import annotations
@@ -37,11 +41,12 @@ from pathlib import Path
 from repro import artifact, context
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan
+from repro.obs.slo import validate_slo_document
 from repro.reporting.export import ExperimentWriter
 from repro.reporting.series import Series
 
 SCENARIO_KINDS = ("fleet", "tournament", "carbon", "tco", "replacement",
-                  "fig2", "health")
+                  "fig2", "health", "traffic")
 
 
 def load_scenario(path: str | Path) -> dict:
@@ -50,7 +55,8 @@ def load_scenario(path: str | Path) -> dict:
 
 
 _SCENARIO_OPTIONAL = {"seed": (int, type(None)), "params": dict,
-                      "modes": list, "faults": dict, "runs": int}
+                      "modes": list, "faults": dict, "runs": int,
+                      "slo": dict}
 
 #: What ``params`` may hold for the kinds that read it key by key; the
 #: ``fleet`` and ``replacement`` kinds build a config dataclass instead.
@@ -61,6 +67,12 @@ _PARAMS = {
     "fig2": {"ecc_family": str, "pec_limit": float},
     "health": {"devices": int, "dwpd": float, "horizon": float,
                "max_days": int},
+    "traffic": {"tenants": int, "duration_us": float, "arrival": str,
+                "utilisation": float, "burstiness": float, "mode": str,
+                "level": int, "cells": int, "shards": int,
+                "read_fraction": float, "read_span": int,
+                "closed_loop_fraction": float, "think_us": float,
+                "admission": str, "trace": str},
 }
 
 
@@ -81,11 +93,22 @@ def validate_scenario(document: dict) -> dict:
         _fleet_config(params)
     elif kind == "replacement":
         _replacement_config(params)
+    elif kind == "traffic":
+        _engine_config(params)
     else:
         _typed(params, f"{kind} params", _PARAMS[kind])
+    # Validated eagerly so a broken plan or objective fails at load, not
+    # mid-run.
     if "faults" in document:
-        # Validates eagerly so a broken plan fails at load, not mid-run.
+        if kind == "traffic":
+            # Its cells run under the default run context: a plan would
+            # be dropped without a word.
+            raise ConfigError("a traffic scenario takes no fault plan")
         scenario_fault_plan(document)
+    if "slo" in document:
+        if kind != "traffic":
+            raise ConfigError(f"'slo' is for a traffic scenario, not {kind}")
+        validate_slo_document(document["slo"])
     return document
 
 
@@ -135,6 +158,21 @@ def _replacement_config(params: dict):
     built = ({"fleet": _fleet_config(params.pop("fleet"))}
              if "fleet" in params else {})
     return _config(ReplacementConfig, params, "replacement params", **built)
+
+
+def _engine_config(params: dict):
+    from repro.workloads.engine import EngineConfig
+    from repro.workloads.traces import Trace
+
+    types = _PARAMS["traffic"]
+    params = {name: float(value) if types[name] is float else value
+              for name, value in _typed(params, "traffic params",
+                                        types).items()}
+    # Parsed here so that a bad file fails at load, path named, not
+    # inside a worker; the cells re-read the canonical text.
+    trace = params.pop("trace", None)
+    return EngineConfig(**params, trace_text=(
+        Trace.load(trace).dumps() if trace is not None else None))
 
 
 def _run_fleet(document: dict, writer: ExperimentWriter, jobs: int) -> None:
@@ -302,6 +340,54 @@ def _run_health(document: dict, writer: ExperimentWriter) -> None:
           o.wasted_life_fraction] for o in outcomes])
 
 
+def _run_traffic(document: dict, writer: ExperimentWriter,
+                 jobs: int) -> None:
+    from repro.rng import DEFAULT_SEED
+    from repro.workloads.engine import (
+        publish_traffic_metrics,
+        run_traffic,
+        validate_engine_document,
+    )
+
+    seed = document.get("seed")
+    objectives = (validate_slo_document(document["slo"])
+                  if "slo" in document else None)
+    result = run_traffic(_engine_config(document.get("params", {})),
+                         seed=DEFAULT_SEED if seed is None else seed,
+                         jobs=jobs, objectives=objectives)
+    validate_engine_document(result)
+    publish_traffic_metrics(result)
+    writer.meta["seed"] = result["seed"]
+    writer.meta["config"] = result["config"]
+    _add_records(writer, "tenants", result["tenants"])
+    _add_records(writer, "cells", result["cells"])
+    writer.add_table("by_class", ["class", "median_p99_us"],
+                     [list(item) for item in
+                      result["median_p99_by_class_us"].items()])
+    _add_records(writer, "totals", [result["totals"]])
+    if objectives:
+        _add_records(writer, "slo", [
+            {"cell": cell, **row}
+            for cell, report in enumerate(result["slo"]["cells"])
+            for row in report["objectives"]])
+
+
+def _add_records(writer: ExperimentWriter, name: str, records: list) -> None:
+    """A table with one row per record; a nested dict's keys become
+    ``<key>_<sub>`` columns."""
+    rows = []
+    for record in records:
+        row = {}
+        for key, value in record.items():
+            if isinstance(value, dict):
+                row.update((f"{key}_{sub}", inner)
+                           for sub, inner in value.items())
+            else:
+                row[key] = value
+        rows.append(row)
+    writer.add_table(name, list(rows[0]), [list(row.values()) for row in rows])
+
+
 _RUNNERS = {
     "fleet": _run_fleet,
     "tournament": _run_tournament,
@@ -310,14 +396,16 @@ _RUNNERS = {
     "replacement": _run_replacement,
     "fig2": _run_fig2,
     "health": _run_health,
+    "traffic": _run_traffic,
 }
 
 
 def run_scenario(document: dict, jobs: int = 1) -> ExperimentWriter:
     """Execute a validated scenario; returns the artifact writer.
 
-    ``jobs`` is the fleet kind's worker count (shards, or the runs of a
-    sweep); no other kind reads it, and no artifact records it.
+    ``jobs`` is the worker count of the fleet kind (shards, or the runs
+    of a sweep) and of the traffic kind (cells); no other kind reads it,
+    and no artifact records it.
 
     When the scenario carries a ``"faults"`` plan (``repro.faults/v1``)
     its injector is scoped into the run context for the duration of the
@@ -338,11 +426,13 @@ def run_scenario(document: dict, jobs: int = 1) -> ExperimentWriter:
     plan = scenario_fault_plan(document)
     if plan is not None:
         meta["faults"] = plan.to_dict()
+    if "slo" in document:
+        meta["slo"] = document["slo"]
     writer = ExperimentWriter(document["name"], meta=meta)
     scope = {} if plan is None else {"faults": FaultInjector(plan)}
     with context.scoped(**scope):
-        if kind == "fleet":
-            _run_fleet(document, writer, jobs)
+        if kind in ("fleet", "traffic"):
+            _RUNNERS[kind](document, writer, jobs)
         else:
             _RUNNERS[kind](document, writer)
     return writer

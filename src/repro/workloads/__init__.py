@@ -5,7 +5,8 @@ streams: who writes, where, how much per day. Generators yield oPage-level
 operations; :mod:`traces` records streams for replay;
 :mod:`repro.workloads.arrivals` supplies per-tenant arrival-time
 processes; and :mod:`repro.workloads.engine` composes all of them into the
-deterministic multi-tenant traffic engine behind ``repro traffic``.
+deterministic multi-tenant traffic engine behind the ``traffic``
+scenario kind of ``repro run``.
 """
 
 from repro.workloads.generators import (

@@ -7,8 +7,8 @@ many *tenant* streams — each with its own address pattern
 :mod:`repro.workloads.traces`), its own arrival process
 (:mod:`repro.workloads.arrivals`) and its own admission budget —
 through the PR 5/8 :class:`repro.io.queue.DeviceQueue` path, and
-records the outcome as a canonical ``repro.workloads.engine/v1``
-artifact.
+records the outcome as a ``repro.workloads.engine/v1`` document (a
+``traffic`` scenario of :mod:`repro.scenarios` writes it out as tables).
 
 Tenants shard into **cells**: one device + queue per cell, serving the
 tenants whose id is congruent to the cell index. A cell is a pure
@@ -16,7 +16,7 @@ function of ``(config, cell, seed)`` — the device seed and every
 tenant's RNG derive from :func:`repro.rng.fork_rng` walks keyed on
 stable strings, never on worker layout — so :func:`run_traffic` fans
 cells out over :func:`repro.sim.parallel.parallel_map` and the merged
-artifact is byte-identical for any ``--jobs`` value.
+document is byte-identical for any ``jobs`` value.
 
 :func:`run_cell` is a pipeline of stages over one ``_Cell`` state
 object: **build** (device, any aging, queue, tenants) → **prefill** (every
@@ -50,7 +50,6 @@ import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from pathlib import Path
 
 from repro import artifact
 from repro.errors import ConfigError
@@ -861,8 +860,8 @@ def run_traffic(config: EngineConfig | None = None,
     """Run every cell (optionally in parallel) and merge the artifact.
 
     The returned document is the ``repro.workloads.engine/v1``
-    artifact body: byte-identical (via :func:`write_engine_artifact`)
-    for any ``jobs`` because cells are pure functions of
+    document: byte-identical (as ``artifact.dumps`` text) for any
+    ``jobs`` because cells are pure functions of
     ``(config, cell, seed)`` and the merge walks them in index order.
     """
     config = config or EngineConfig()
@@ -916,20 +915,7 @@ def _config_record(config: EngineConfig) -> dict:
     return record
 
 
-# -- artifact I/O ------------------------------------------------------------
-
-def write_engine_artifact(document: dict, path) -> Path:
-    """Write a traffic document as canonical JSON (byte-stable)."""
-    validate_engine_document(document)
-    return artifact.write_text(path, artifact.dumps(document) + "\n")
-
-
-def load_engine_artifact(path) -> dict:
-    """Read and validate a ``repro.workloads.engine/v1`` artifact."""
-    document = artifact.read_json(path, "traffic artifact")
-    validate_engine_document(document)
-    return document
-
+# -- validation -------------------------------------------------------------
 
 _DOCUMENT_FIELDS = {"config": dict, "cells": list, "tenants": list,
                     "totals": dict}
@@ -998,11 +984,9 @@ __all__ = [
     "TENANT_CLASSES",
     "EngineConfig",
     "is_closed_loop",
-    "load_engine_artifact",
     "publish_traffic_metrics",
     "run_cell",
     "run_traffic",
     "tenant_class",
     "validate_engine_document",
-    "write_engine_artifact",
 ]

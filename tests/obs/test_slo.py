@@ -217,9 +217,9 @@ class TestEvaluation:
 
 
 class TestSingleton:
-    """There is no process-wide SLO engine to install: ``repro traffic
-    --slo`` builds one per cell and ``repro slo`` evaluates records
-    offline, so nothing is bound by default and nothing leaks."""
+    """There is no process-wide SLO engine to install: a traffic
+    scenario's ``slo`` builds one per cell and ``repro slo`` evaluates
+    records offline, so nothing is bound by default and nothing leaks."""
 
     def test_disabled_by_default(self, make_baseline):
         fields = {field.name for field in dataclasses.fields(RunContext)}

@@ -126,16 +126,15 @@ class TestParser:
         assert "predictor" in out
         assert "run-to-failure" in out
 
-    def test_options_stay_at_most_42(self):
+    def test_options_stay_at_most_23(self):
         # Every argument of every subcommand, positionals included.
         import argparse
         choices = next(action.choices for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
-        assert sorted(choices) == ["report", "run", "slo", "traffic",
-                                   "wear"]
+        assert sorted(choices) == ["report", "run", "slo", "wear"]
         count = sum(not isinstance(action, argparse._HelpAction)
                     for sub in choices.values() for action in sub._actions)
-        assert count <= 42, count
+        assert count <= 23, count
 
 
 class TestVersionAndExitCodes:
@@ -495,67 +494,85 @@ class TestFleetShards:
                              str(plan), shards=3) == 0
 
 
-class TestTrafficCommand:
-    """`repro traffic`: the multi-tenant engine behind the engine/v1
-    artifact."""
+def traffic_scenario(tmp_path, name="traffic", **fields) -> str:
+    """A small traffic scenario written into ``tmp_path``; ``params`` and
+    the other top-level ``fields`` override the defaults (the fast run
+    the retired ``repro traffic`` tests ran: 12 tenants for 4000 us on
+    one cell)."""
+    params = {"tenants": 12, "duration_us": 4000.0, "cells": 1,
+              **fields.pop("params", {})}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "kind": "traffic",
+                                "params": params, **fields}))
+    return str(path)
 
-    FAST = ["traffic", "--tenants", "12", "--duration", "4000",
-            "--cells", "1"]
+
+class TestTrafficCommand:
+    """`repro run` of a traffic scenario: the multi-tenant engine, its
+    engine/v1 document written out as tables."""
+
+    @staticmethod
+    def _run(tmp_path, out, jobs=1, **fields):
+        return main(["run", traffic_scenario(tmp_path, **fields),
+                     "--jobs", str(jobs), "--out", str(out)])
 
     def test_writes_validated_artifact(self, capsys, tmp_path):
-        from repro.workloads.engine import load_engine_artifact
-
-        assert main([*self.FAST, "--out", str(tmp_path)]) == 0
-        document = load_engine_artifact(tmp_path / "traffic.json")
-        assert document["config"]["tenants"] == 12
-        assert document["totals"]["offered"] > 0
+        assert self._run(tmp_path, tmp_path) == 0
+        document = json.loads((tmp_path / "traffic.json").read_text())
+        assert document["meta"]["config"]["tenants"] == 12
+        totals = document["tables"]["totals"]
+        assert dict(zip(totals["headers"], totals["rows"][0]))[
+            "offered"] > 0
+        assert {"tenants", "cells", "by_class", "totals"} == \
+            set(document["tables"])
         printed = capsys.readouterr().out
-        assert "traffic artifact ->" in printed
-        assert "tenant class" in printed
+        assert "traffic.json" in printed
+        assert "median_p99_us" in printed
 
     def test_jobs_do_not_change_artifact_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "j1", tmp_path / "j2"
-        assert main([*self.FAST, "--jobs", "1", "--out", str(a)]) == 0
-        assert main([*self.FAST, "--jobs", "2", "--out", str(b)]) == 0
+        assert self._run(tmp_path, a, jobs=1) == 0
+        assert self._run(tmp_path, b, jobs=2) == 0
         assert (a / "traffic.json").read_bytes() == \
             (b / "traffic.json").read_bytes()
 
     def test_metrics_do_not_depend_on_jobs(self, capsys, tmp_path):
         # Cells run under the default run context on both paths, so no
         # cell device exports into the command's registry at --jobs 1.
-        argv = ["traffic", "--tenants", "48", "--duration", "8000",
-                "--cells", "2", "--mode", "regen"]
+        params = {"tenants": 48, "duration_us": 8000.0, "cells": 2,
+                  "mode": "regen"}
         a, b = tmp_path / "j1", tmp_path / "j2"
-        assert main([*argv, "--jobs", "1", "--out", str(a)]) == 0
-        assert main([*argv, "--jobs", "2", "--out", str(b)]) == 0
+        assert self._run(tmp_path, a, jobs=1, params=params) == 0
+        assert self._run(tmp_path, b, jobs=2, params=params) == 0
         assert (a / "metrics.json").read_bytes() == \
             (b / "metrics.json").read_bytes()
 
     def test_shards_raise_resolved_cells(self, capsys, tmp_path):
-        # --shards guarantees at least that many failure-domain cells
+        # shards guarantees at least that many failure-domain cells
         # (capped at the tenant count) and lands in the artifact config.
-        assert main(["traffic", "--tenants", "12", "--duration", "4000",
-                     "--shards", "4", "--jobs", "2",
-                     "--out", str(tmp_path)]) == 0
-        document = json.loads((tmp_path / "traffic.json").read_text())
-        assert document["config"]["shards"] == 4
-        assert document["config"]["resolved_cells"] == 4
+        assert self._run(tmp_path, tmp_path, jobs=2,
+                         params={"cells": 0, "shards": 4}) == 0
+        config = json.loads(
+            (tmp_path / "traffic.json").read_text())["meta"]["config"]
+        assert config["shards"] == 4
+        assert config["resolved_cells"] == 4
 
     def test_slo_gates_exit_code(self, capsys, tmp_path):
-        config = TestSLOCommand.slo_config(tmp_path)
-        assert main([*self.FAST, "--slo", str(config),
-                     "--out", str(tmp_path / "ok")]) == 0
-        capsys.readouterr()
-        strict = TestSLOCommand.slo_config(tmp_path, threshold_us=0.001,
-                                           name="impossible")
-        assert main([*self.FAST, "--slo", str(strict),
-                     "--out", str(tmp_path / "bad")]) \
+        def slo(**kwargs):
+            return json.loads(TestSLOCommand.slo_config(
+                tmp_path, **kwargs).read_text())
+
+        assert self._run(tmp_path, tmp_path / "ok", slo=slo()) == 0
+        assert "VIOLATED" not in capsys.readouterr().err
+        assert self._run(tmp_path, tmp_path / "bad",
+                         slo=slo(threshold_us=0.001, name="impossible")) \
             == EXIT_CLAIM_FAILED
-        assert "VIOLATED" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "repro run: one or more SLOs VIOLATED\n"
 
     def test_metrics_out_publishes_traffic_families(self, capsys,
                                                     tmp_path):
-        assert main([*self.FAST, "--out", str(tmp_path)]) == 0
+        assert self._run(tmp_path, tmp_path) == 0
         names = {family["name"] for family in json.loads(
             (tmp_path / "metrics.json").read_text())["metrics"]}
         assert "repro_traffic_requests_total" in names
@@ -563,13 +580,14 @@ class TestTrafficCommand:
         assert "repro_traffic_tenants" in names
 
     def test_bad_utilisation_exits_2(self, capsys, tmp_path):
-        assert main([*self.FAST, "--utilisation", "0",
-                     "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert self._run(tmp_path, tmp_path,
+                         params={"utilisation": 0}) == EXIT_CONFIG_ERROR
 
     def test_missing_trace_exits_2(self, capsys, tmp_path):
-        assert main([*self.FAST, "--trace",
-                     str(tmp_path / "absent.trace"),
-                     "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        absent = tmp_path / "absent.trace"
+        assert self._run(tmp_path, tmp_path,
+                         params={"trace": str(absent)}) == EXIT_CONFIG_ERROR
+        assert str(absent) in capsys.readouterr().err
 
     def test_trace_replay(self, capsys, tmp_path):
         from repro.workloads import Trace
@@ -580,12 +598,13 @@ class TestTrafficCommand:
             trace.append(Operation(OpType.WRITE, lba, b"x" * 16))
         trace_path = trace.save(tmp_path / "t.trace")
         out = tmp_path / "replay"
-        assert main([*self.FAST, "--trace", str(trace_path),
-                     "--out", str(out)]) == 0
+        assert self._run(tmp_path, out,
+                         params={"trace": str(trace_path)}) == 0
         document = json.loads((out / "traffic.json").read_text())
-        assert document["config"]["trace_ops"] == 8
-        assert all(row["class"] == "trace"
-                   for row in document["tenants"])
+        assert document["meta"]["config"]["trace_ops"] == 8
+        tenants = document["tables"]["tenants"]
+        klass = tenants["headers"].index("class")
+        assert all(row[klass] == "trace" for row in tenants["rows"])
 
 
 class TestSLOCommand:
@@ -762,8 +781,8 @@ class TestProbeFlags:
 
 #: (argv after ``repro``, the names it writes into DIR) — the run
 #: directory's layout, one producer or reader per row. ``@`` is DIR,
-#: ``@sweep`` a small fleet scenario with ``runs``; reader rows start
-#: from the probe's files.
+#: ``@sweep`` a small fleet scenario with ``runs``, ``@traffic`` a small
+#: traffic scenario; reader rows start from the probe's files.
 _SWEEP = {"name": "sweep", "kind": "fleet", "runs": 1,
           "modes": ["baseline"],
           "params": {"devices": 4, "horizon_days": 365, "step_days": 50,
@@ -777,8 +796,8 @@ LAYOUT = [
     (["run", "scenarios/fig2_ldpc.json", "--out", "@"],
      {"fig2-ldpc.json", "metrics.json", "trace.jsonl",
       "timeseries.jsonl"}),
-    (["traffic", "--tenants", "4", "--duration", "400", "--cells", "1",
-      "--out", "@"], {"traffic.json", "metrics.json"}),
+    (["run", "@traffic", "--out", "@"],
+     {"traffic.json", "metrics.json", "trace.jsonl", "timeseries.jsonl"}),
     (["run", "@sweep", "--out", "@"],
      {"sweep.json", "metrics.json", "trace.jsonl", "timeseries.jsonl"}),
     (["slo", *_SLO, "@", "--measure", *_PROBE],
@@ -813,7 +832,9 @@ class TestRunDirectory:
                 (out / name).write_bytes((probed / name).read_bytes())
         sweep = tmp_path / "sweep_scenario.json"
         sweep.write_text(json.dumps(_SWEEP))
+        given = {"@": str(out), "@sweep": str(sweep),
+                 "@traffic": traffic_scenario(
+                     tmp_path, params={"tenants": 4, "duration_us": 400.0})}
         before = {path.name for path in out.glob("*")}
-        assert main([{"@": str(out), "@sweep": str(sweep)}.get(part, part)
-                     for part in argv]) == 0
+        assert main([given.get(part, part) for part in argv]) == 0
         assert {path.name for path in out.iterdir()} - before == names

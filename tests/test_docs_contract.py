@@ -50,7 +50,8 @@ RETIRED = frozenset({
     "_gc_once_traced", "_evacuate_fpage_traced", "_decommission_traced",
     "_regenerate_traced", "_remount_cause", "GCPolicy", "SWEEP_SCHEMA",
     "sweep_document", "write_sweep_artifact", "load_sweep_artifact",
-    "validate_sweep_document", "summarize_sweep"})
+    "validate_sweep_document", "summarize_sweep", "write_engine_artifact",
+    "load_engine_artifact"})
 
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
@@ -729,8 +730,9 @@ def undefined_flags(text: str) -> list[str]:
                   if flag not in flags.get(name, {flag}))
 
 
-#: ``python -m repro <sub>`` anywhere; a back-ticked `` `repro <sub> ...` ``.
-_INVOCATION = re.compile(r"python -m repro ([a-z][\w-]*)"
+#: ``python -m repro <sub>`` or ``python -m repro {<sub>,<sub>,...}``
+#: anywhere; a back-ticked `` `repro <sub> ...` ``.
+_INVOCATION = re.compile(r"python -m repro (?:([a-z][\w-]*)|\{([^}]*)\})"
                          r"|`repro ([a-z][\w-]*)[^`]*`")
 
 
@@ -739,7 +741,9 @@ def undefined_subcommands(text: str) -> list[str]:
     parser does not define; prose that says "repro" is left alone."""
     known = subcommand_flags()
     return sorted({f"repro {name}" for match in _INVOCATION.finditer(text)
-                   if (name := match[1] or match[2]) not in known})
+                   for name in ([match[1] or match[3]] if match[2] is None
+                                else map(str.strip, match[2].split(",")))
+                   if name not in known})
 
 
 def docstring_text(source: str) -> str:
@@ -765,7 +769,7 @@ def test_user_docs_name_only_flags_the_parser_defines():
     pairs = {pair for text in texts.values()
              for pair in attributed_flags(text)}
     assert {("report", "--queue-depth"), ("slo", "--every"),
-            ("slo", "--measure"), ("traffic", "--arrival"),
+            ("slo", "--measure"), ("run", "--jobs"),
             ("run", "--out")} <= pairs
     undefined = {name: found for name, text in texts.items()
                  if (found := undefined_flags(text))}
@@ -817,7 +821,7 @@ def test_flag_check_reads_docstrings():
 
 def test_subcommand_check_flags_the_parent_text():
     """README's shell paragraph as it stood before the print-only
-    subcommands became scenario kinds."""
+    subcommands became scenario kinds, and its architecture row."""
     assert undefined_subcommands(
         "Or run experiments straight from the shell: `python -m repro fig2`,"
         "\n`python -m repro fleet`, `python -m repro tournament`,\n"
@@ -830,6 +834,12 @@ def test_subcommand_check_flags_the_parent_text():
     assert undefined_subcommands(
         "$ python -m repro check run\n`repro diff a b` and `repro run x`"
     ) == ["repro check", "repro diff"]
+    # README's architecture row as it stood before traffic became a
+    # scenario kind: a brace list, broken over two lines.
+    assert undefined_subcommands(
+        "repro.cli         python -m repro {run,fleet,sweep,traffic,report,"
+        "slo,\n                  wear}.") == [
+        "repro fleet", "repro sweep", "repro traffic"]
     # Prose is not a command line.
     assert undefined_subcommands(
         "a repro process, the repro fig2 table, `repro.scenarios`, "

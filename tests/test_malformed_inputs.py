@@ -14,7 +14,13 @@ malformed row cannot pass on a wrong base document.
 
 A run-directory row is named after its command and the artifact it
 reads, in flag form: ``report --metrics`` is the ``metrics.json`` of
-``repro report DIR``.
+``repro report DIR``. The two ``traffic`` rows are the inputs a traffic
+scenario of ``repro run`` adds, named as the options they replaced: the
+file its ``trace`` param names, and its embedded ``slo`` object.
+
+A traffic scenario's own fields are rows of a second table
+(``TRAFFIC_FIELDS``): each a document ``repro run`` must refuse with
+exit 2 and one line naming the field.
 """
 
 from __future__ import annotations
@@ -71,7 +77,8 @@ TRACE = [{"kind": "span", "name": "step", "time": 0.0, "end_time": 2.0,
           "span_id": 1, "parent_id": None, "attrs": {}}]
 OPS = "# trace n_lbas=8\nW 1 00ff\nR 1\nT 1\n"
 
-_TRAFFIC = ["traffic", "--tenants", "4", "--duration", "400", "--cells", "1"]
+TRAFFIC = {"name": "traffic", "kind": "traffic",
+           "params": {"tenants": 4, "duration_us": 400.0, "cells": 1}}
 
 
 def jsonl(records) -> str:
@@ -104,17 +111,26 @@ class Input:
 
     ``@`` in ``argv`` is the input: the file itself, or, when ``file``
     is set, the run directory that holds it under that name. ``@dir`` is
-    a second run directory holding the valid ``dir_files``.
+    a second run directory holding the valid ``dir_files``; ``@scenario``
+    is ``scenario`` written to a file, its ``"@"`` params set to the
+    input's path.
     """
 
     def __init__(self, name, argv, forms, field, helpers=(), file=None,
-                 dir_files=None):
+                 dir_files=None, scenario=None):
         self.name, self._argv, self.forms = name, argv, forms
         self.field, self.helpers = field, helpers
         self.file, self.dir_files = file, dir_files or {}
+        self.scenario = scenario
 
     def argv(self, path, tmp_path):
-        given = {"@": path, "@dir": tmp_path / "helper_dir"}
+        given = {"@": path, "@dir": tmp_path / "helper_dir",
+                 "@scenario": tmp_path / "helper_scenario.json"}
+        if self.scenario:
+            params = {key: str(path) if value == "@" else value
+                      for key, value in self.scenario["params"].items()}
+            given["@scenario"].write_text(
+                json.dumps({**self.scenario, "params": params}))
         if self.dir_files:
             given["@dir"].mkdir(exist_ok=True)
             for name, text in self.dir_files.items():
@@ -124,7 +140,7 @@ class Input:
             helper = tmp_path / f"helper{flag}"
             helper.write_text(text)
             out += [flag, str(helper)]
-        if out[0] in ("run", "traffic"):
+        if out[0] == "run":
             out += ["--out", str(tmp_path / "out")]
         return out
 
@@ -182,14 +198,24 @@ INPUTS = [
           forms(TRACE, jsonl, TIMESERIES, [0, "time"],
                 ([0, "time"], "noon")),
           ("time", "time"), file="trace.jsonl"),
-    # The replay format is lines, not JSON.
-    Input("traffic --trace", _TRAFFIC + ["--trace", "@"],
+    # The replay file a traffic scenario's `trace` param names. The
+    # format is lines, not JSON.
+    Input("traffic --trace", ["run", "@scenario"],
           {"valid": OPS,
            "wrong schema": OPS.replace("# trace n_lbas", "# trace/v9 lbas"),
            "field dropped": OPS.replace("R 1\n", "R\n"),
            "field mistyped": OPS.replace("R 1\n", "R one\n")},
-          ("trace line", "trace line")),
-    Input("traffic --slo", _TRAFFIC + ["--slo", "@"], _SLO_FORMS,
+          ("trace line", "trace line"),
+          scenario={**TRAFFIC, "params": {**TRAFFIC["params"],
+                                          "trace": "@"}}),
+    # A traffic scenario's embedded objectives: the scenario file is the
+    # input, its "slo" object the malformed part.
+    Input("traffic --slo", ["run", "@"],
+          forms({**TRAFFIC, "slo": SLO}, one,
+                {**TRAFFIC, "slo": edited(SLO, ["schema"],
+                                          "repro.obs.slo/v0")},
+                ["slo", "objectives", 0, "name"],
+                (["slo", "objectives", 0, "percentile"], "p")),
           ("name", "percentile")),
 ]
 
@@ -281,6 +307,37 @@ def test_malformed_file_is_exit_2_and_one_line(entry, form, tmp_path,
         assert entry.field[form == "field mistyped"] in lines[0], err
     elif form != "wrong schema":
         assert str(path) in lines[0], err
+
+
+#: (id, scenario document, extra argv, what the one stderr line names).
+TRAFFIC_FIELDS = [
+    ("unknown param", {**TRAFFIC, "params": {"tenant": 4}}, [], "tenant"),
+    ("mistyped param", {**TRAFFIC, "params": {"tenants": "4"}}, [],
+     "tenants"),
+    ("runs", {**TRAFFIC, "runs": 2}, [], "runs"),
+    ("embedded faults", {**TRAFFIC, "faults": FAULTS}, [], "fault plan"),
+    ("--faults", TRAFFIC, ["--faults", "@faults"], "fault plan"),
+    ("slo on a fleet", {**SCENARIO, "slo": SLO}, [], "slo"),
+]
+
+
+@pytest.mark.parametrize("document, extra, field",
+                         [row[1:] for row in TRAFFIC_FIELDS],
+                         ids=[row[0] for row in TRAFFIC_FIELDS])
+def test_traffic_scenario_field_is_exit_2_and_one_line(document, extra, field,
+                                                       tmp_path, capsys):
+    scenario, plan = tmp_path / "scenario.json", tmp_path / "plan.json"
+    scenario.write_text(json.dumps(document))
+    plan.write_text(json.dumps(FAULTS))
+    argv = ["run", str(scenario), "--out", str(tmp_path / "out"),
+            *[str(plan) if part == "@faults" else part for part in extra]]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("repro: configuration error: ")
+    assert field in lines[0], err
 
 
 @pytest.mark.parametrize("argv, records, edit", [

@@ -187,6 +187,49 @@ class TestRunners:
         assert (policies["predictive"][1]
                 < policies["run-to-failure"][1])
 
+    def test_traffic_tables_are_the_engine_document(self):
+        # Every leaf of run_traffic's engine/v1 document but its schema
+        # lands in the artifact: config and seed in meta, the rest as
+        # tables (nested dicts flattened to <key>_<sub> columns).
+        from repro.obs.slo import validate_slo_document
+        from repro.workloads.engine import EngineConfig, run_traffic
+
+        slo = json.loads((SCENARIOS / "traffic_slo.json").read_text())["slo"]
+        document = run_scenario({
+            "name": "t", "kind": "traffic", "seed": 5, "slo": slo,
+            "params": {"tenants": 8, "duration_us": 2000, "shards": 2,
+                       "mode": "regen"}}, jobs=2).document()
+        expected = run_traffic(
+            EngineConfig(tenants=8, duration_us=2000.0, shards=2,
+                         mode="regen"), seed=5,
+            objectives=validate_slo_document(slo))
+
+        def rows(name):
+            table = document["tables"][name]
+            return [dict(zip(table["headers"], row))
+                    for row in table["rows"]]
+
+        def flat(record):
+            return {f"{key}_{sub}" if sub else key: inner
+                    for key, value in record.items()
+                    for sub, inner in (value.items()
+                                       if isinstance(value, dict)
+                                       else [(None, value)])}
+
+        assert document["meta"]["seed"] == expected["seed"] == 5
+        assert document["meta"]["config"] == expected["config"]
+        assert document["meta"]["slo"] == slo
+        assert rows("tenants") == expected["tenants"]
+        assert rows("cells") == [flat(cell) for cell in expected["cells"]]
+        assert rows("totals") == [expected["totals"]]
+        assert {row["class"]: row["median_p99_us"]
+                for row in rows("by_class")} == \
+            expected["median_p99_by_class_us"]
+        assert rows("slo") == [
+            {"cell": cell, **flat(row)}
+            for cell, report in enumerate(expected["slo"]["cells"])
+            for row in report["objectives"]]
+
     def test_health_rejects_unknown_params(self):
         with pytest.raises(ConfigError):
             validate_scenario({"name": "h", "kind": "health",
@@ -224,7 +267,8 @@ class TestShippedScenarios:
     CANONICAL = {"tournament": "tournament.json", "carbon": "carbon.json",
                  "tco": "tco.json",
                  "replacement": "measured_upgrade_rates.json",
-                 "fig2": "fig2.json", "health": "health.json"}
+                 "fig2": "fig2.json", "health": "health.json",
+                 "traffic": "traffic.json"}
 
     def test_every_kind_but_fleet_has_a_canonical_file(self):
         assert set(self.CANONICAL) == set(SCENARIO_KINDS) - {"fleet"}

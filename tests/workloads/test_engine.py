@@ -18,18 +18,17 @@ import json
 
 import pytest
 
+from repro import artifact
 from repro.errors import ConfigError
 from repro.obs.slo import SLOObjective
 from repro.workloads.engine import (
     EngineConfig,
     EngineConfig as _EC,  # noqa: F401 - reexport check
     is_closed_loop,
-    load_engine_artifact,
     run_cell,
     run_traffic,
     tenant_class,
     validate_engine_document,
-    write_engine_artifact,
 )
 
 SEED = 1234
@@ -40,10 +39,19 @@ def _dumps(document: dict) -> str:
 
 
 def _reproducer(config: EngineConfig, seed: int, jobs: int) -> str:
-    return (f"PYTHONPATH=src python -m repro traffic "
-            f"--tenants {config.tenants} --duration {config.duration_us:g} "
-            f"--arrival {config.arrival} --admission {config.admission} "
-            f"--seed {seed} --jobs {jobs} --out /tmp/traffic_repro.json")
+    scenario = json.dumps({"name": "traffic", "kind": "traffic",
+                           "seed": seed, "params": {
+                               "tenants": config.tenants,
+                               "duration_us": config.duration_us,
+                               "arrival": config.arrival,
+                               "admission": config.admission,
+                               "cells": config.cells,
+                               "closed_loop_fraction":
+                                   config.closed_loop_fraction,
+                               "think_us": config.think_us}})
+    return (f"echo '{scenario}' > traffic_repro.json && PYTHONPATH=src "
+            f"python -m repro run traffic_repro.json --jobs {jobs} "
+            f"--out traffic_repro")
 
 
 class TestDeterminism:
@@ -71,12 +79,11 @@ class TestDeterminism:
         b = _dumps(run_traffic(self.CONFIG, seed=SEED + 1, jobs=1))
         assert a != b
 
-    def test_artifact_write_is_byte_stable(self, tmp_path):
-        document = run_traffic(self.CONFIG, seed=SEED, jobs=1)
-        p1 = write_engine_artifact(document, tmp_path / "a.json")
-        p2 = write_engine_artifact(
-            load_engine_artifact(p1), tmp_path / "b.json")
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_artifact_write_is_byte_stable(self):
+        text = artifact.dumps(run_traffic(self.CONFIG, seed=SEED, jobs=1))
+        document = artifact.parse_json(text, "traffic document")
+        validate_engine_document(document)
+        assert artifact.dumps(document) == text
 
 
 class TestAdmissionProperties:
@@ -197,10 +204,6 @@ class TestValidation:
         broken["totals"]["offered"] += 1
         with pytest.raises(ConfigError):
             validate_engine_document(broken)
-
-    def test_load_missing_artifact(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_engine_artifact(tmp_path / "absent.json")
 
 
 class TestSLOAttachment:

@@ -1,7 +1,7 @@
 """Golden artifact gate for the traffic engine.
 
 Every case pins the SHA-256 of the canonical ``repro.workloads.engine/v1``
-JSON (the bytes :func:`write_engine_artifact` writes). The engine's speed
+JSON (``artifact.dumps`` text plus a newline). The engine's speed
 work is held to "faster, never different": a change that moves a tenant
 row, a deferral count, a queue counter or the last digit of a latency
 fails here, in tier-1, rather than as a benchmark side effect.
