@@ -16,6 +16,7 @@ pytest-benchmark's ``sys.setprofile(None)`` re-installs the recorder.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +29,6 @@ ROOT = Path(__file__).resolve().parents[2]
 SRC = str(ROOT / "src" / "repro") + os.sep
 SCN = ROOT / "scenarios"
 WORKLOADS = "traffic_mixed traffic_scan device_wearout cluster_churn fleet_grid"
-SLO = f"slo --slo {SCN}/slo_default.json"
 #: ``repro`` commands (one a line, or `` ; ``-separated), run in a scratch
 #: directory in this order: later ones read the run directories earlier
 #: ones wrote. ``!`` marks one whose non-zero exit is the behaviour being
@@ -37,7 +37,7 @@ SLO = f"slo --slo {SCN}/slo_default.json"
 #: non-UTF-8 artifact and a mistyped field).
 CLI = f"""--version
 run smoke.json --out obs
-{SLO} obs --measure --seed 2025
+run probe_smoke.json --out obs
 run fleet.json --out f1 --timeseries-cadence 0 ; run fleet_s4.json --jobs 2 --out f4
 run fleet.json --faults plan.json --out ff
 run sweep.json --jobs 2 --faults plan.json --out s
@@ -51,12 +51,12 @@ run tr.json --jobs 2 --out tr ; run {SCN}/traffic.json --out results
 run tr4.json --jobs 1 --out tr4 ; run trt.json --out trt
 run {SCN}/traffic_slo.json --out trs ; !run trb.json --out trb
 run trc.json --out trc
+run {SCN}/probe.json --out results ; run {SCN}/slo_default.json --out results
 report obs ; report ; report f1
-{SLO} obs ; {SLO} p2 --measure --requests 60 --jobs 2
-{SLO} p3 --measure --mode baseline --requests 120 --every 4
+run p2.json --jobs 2 --out p2 ; run p3.json --out p3
 wear report obs --check --waf-budget 50 ; wear diff obs --against p2
 wear forecast obs --horizon 1000 ; !run missing.json ; !report absent ; !report plan.json
-!slo --slo results obs ; !wear report not_utf8 ; !slo --slo mistyped_slo.json obs --measure"""
+!run results ; !wear report not_utf8 ; !run mistyped_slo.json --out obs"""
 _TRAFFIC = ('{"name": "traffic", "kind": "traffic", "params": {"tenants": 12,'
             ' "duration_us": 4000, %s}%s}')
 _FLEET = ('{"name": "fleet", "kind": "fleet", "seed": 2025, "params": {"devices": 6,'
@@ -83,9 +83,14 @@ FILES = {  # inputs named above that no shipped file provides
     "trc.json": _TRAFFIC % ('"cells": 1, "mode": "regen", "closed_loop_fraction": 0.5,'
                             ' "think_us": 50, "admission": "shed", "read_span": 4,'
                             ' "read_fraction": 0.5', ""),
+    "probe_smoke.json": json.dumps({**json.loads((SCN / "slo_default.json").read_text()),
+                                    "name": "probe-smoke", "seed": 2025}),
+    "p2.json": '{"name": "p2", "kind": "probe", "params": {"requests": 60}}',
+    "p3.json": '{"name": "p3", "kind": "probe", "modes": ["baseline"], "params":'
+    ' {"requests": 120, "every": 4}}',
     "not_utf8/endurance.jsonl": "\xff\xfe",
-    "mistyped_slo.json": '{"schema": "repro.obs.slo/v1", "objectives": [{"name": "x",'
-    ' "percentile": "p", "threshold_us": 1}]}'}
+    "mistyped_slo.json": '{"name": "bad", "kind": "probe", "slo": {"schema": "repro.obs.slo/v1",'
+    ' "objectives": [{"name": "x", "percentile": "p", "threshold_us": 1}]}}'}
 
 
 def install() -> None:

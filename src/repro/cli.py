@@ -4,15 +4,15 @@ Usage::
 
     python -m repro run SCENARIO.json [--out DIR] [--jobs N]
     python -m repro report [DIR]
-    python -m repro slo --slo objectives.json DIR [--measure]
     python -m repro wear (report|forecast|diff) DIR [--against DIR2]
 
 ``run`` is the one door to the paper's experiments: each is a scenario
 kind of :mod:`repro.scenarios`, and ``scenarios/`` ships one file per
 experiment (``fleet.json`` and ``fleet_sweep.json`` for Fig. 3a/3b,
 ``fig2.json``, ``tournament.json``, ``carbon.json``, ``tco.json``,
-``measured_upgrade_rates.json``, ``health.json``, and ``traffic.json``
-and ``traffic_slo.json`` for the traffic engine). Every command that
+``measured_upgrade_rates.json``, ``health.json``, ``traffic.json`` and
+``traffic_slo.json`` for the traffic engine, and ``probe.json`` and
+``slo_default.json`` for the request-traced IO probe). Every command that
 writes files writes them into one run directory under fixed names (the
 constants below), and every command that reads artifacts reads them from
 one; docs/OBSERVABILITY.md ("Where output lands") has the table. See
@@ -31,7 +31,7 @@ from repro import artifact, context
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, SimTimeTracer, TimeseriesSampler
 from repro.reporting.tables import format_table
-from repro.rng import DEFAULT_SEED
+from repro.scenarios import ENDURANCE, load_scenario, run_scenario
 
 
 def _version() -> str:
@@ -44,18 +44,20 @@ def _version() -> str:
         return repro.__version__
 
 
-#: The run directory's file names: what each command writes into its
-#: ``--out`` (or positional) directory and what the readers look for.
+#: The run directory's file names: what ``run`` writes into its
+#: ``--out`` directory beside ``<name>.json`` and what the readers look
+#: for. A probe scenario adds :data:`~repro.scenarios.REQTRACE` and
+#: :data:`~repro.scenarios.ENDURANCE`.
 METRICS = "metrics.json"
 TRACE = "trace.jsonl"
 TIMESERIES = "timeseries.jsonl"
-REQTRACE = "reqtrace.jsonl"
-ENDURANCE = "endurance.jsonl"
+
 
 def _observability(args: argparse.Namespace) -> dict:
     """The run-context sinks of the command: ``run`` writes
     :data:`METRICS`, :data:`TRACE` and :data:`TIMESERIES` into its
-    output directory, no other command writes any.
+    output directory, each only if it recorded something; no other
+    command writes any.
 
     :func:`main` scopes them around the whole command, so every
     experiment object binds them at construction.
@@ -69,14 +71,17 @@ def _observability(args: argparse.Namespace) -> dict:
 
 
 def _write_observability(out: str) -> None:
-    """Write every sink :func:`_observability` scoped into ``out``."""
+    """Write into ``out`` each sink :func:`_observability` scoped that
+    recorded something: a registry with a family, a tracer with a
+    record, a sampler with a series. An empty one leaves the file of a
+    run before it (a fleet's, say) in place."""
     ctx = context.current()
     out = Path(out)
-    if ctx.metrics is not None:
+    if len(ctx.metrics):
         print(f"metrics -> {ctx.metrics.write_json(out / METRICS)}")
-    if ctx.tracer is not None:
+    if ctx.tracer.records():
         print(f"trace -> {ctx.tracer.export_jsonl(out / TRACE)}")
-    if ctx.timeseries is not None:
+    if len(ctx.timeseries):
         print(f"timeseries -> "
               f"{ctx.timeseries.export_jsonl(out / TIMESERIES)}")
 
@@ -88,40 +93,10 @@ def _add_jobs_flag(parser: argparse.ArgumentParser, what: str) -> None:
              "byte-identical for any value)")
 
 
-def _evaluate_by_device(records: list, objectives: list) -> dict:
-    """Evaluate objectives per ``device_kind`` group; merge the rows.
-
-    Each mode's probe runs on its own simulated clock, so windowed
-    evaluation must not interleave ``end_us`` values across kinds. Rows
-    are prefixed ``kind/name`` and the merged ``ok`` is the conjunction
-    of every group's.
-    """
-    from repro.obs import slo as slo_mod
-
-    groups: dict[str, list] = {}
-    for record in records:
-        groups.setdefault(str(record.get("device_kind", "")),
-                          []).append(record)
-    if not groups:
-        return slo_mod.evaluate_records([], objectives)
-    rows: list[dict] = []
-    ok = True
-    for kind in sorted(groups):
-        report = slo_mod.evaluate_records(groups[kind], objectives)
-        ok = ok and report["ok"]
-        for row in report["objectives"]:
-            row = dict(row)
-            if kind:
-                row["name"] = f"{kind}/{row['name']}"
-            rows.append(row)
-    return {"schema": slo_mod.SLO_REPORT_SCHEMA,
-            "objective_count": len(rows), "ok": ok, "objectives": rows}
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.scenarios import load_scenario, run_scenario
     from repro.sim.parallel import resolve_jobs
 
+    # Read here; run_scenario validates it and builds its config, once.
     document = load_scenario(args.scenario)
     if args.faults:
         from repro.faults import FaultPlan
@@ -133,10 +108,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     path = writer.write(args.out)
     _write_observability(args.out)
     print(f"scenario {document['name']!r} ({document['kind']}) -> {path}")
+    for name in writer.files:
+        print(f"{name} -> {path.parent / name}")
     tables = writer.document()["tables"]
     for name, table in tables.items():
         print(format_table(table["headers"], table["rows"], title=name))
-    slo = tables.get("slo")     # a traffic scenario's objectives, if any
+    slo = tables.get("slo")     # a traffic or probe scenario's objectives
     if slo and not all(dict(zip(slo["headers"], row))["ok"]
                        for row in slo["rows"]):
         print("repro run: one or more SLOs VIOLATED", file=sys.stderr)
@@ -188,50 +165,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"report (json) -> {path}")
     if report_failed(report):
         print("repro report: one or more claims FAILED",
-              file=sys.stderr)
-        return EXIT_CLAIM_FAILED
-    return 0
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.obs import reqtrace as reqtrace_mod
-    from repro.obs import slo as slo_mod
-    from repro.obs.analyze import analyze_trace, format_trace_summary
-
-    objectives = slo_mod.load_slo_config(args.slo)
-    if args.measure:
-        from repro.io import probe
-        from repro.obs import endurance as endurance_mod
-        from repro.sim.parallel import resolve_jobs
-
-        run_dir = Path(args.dir)
-        modes = probe.PROBE_MODES if args.mode == "all" else (args.mode,)
-        results = probe.run_probes(
-            modes, seed=args.seed, every=args.every,
-            requests=args.requests, jobs=resolve_jobs(args.jobs))
-        records = probe.merged_records(results)
-        path = reqtrace_mod.write_reqtrace(
-            run_dir / REQTRACE, records, meta=probe.reqtrace_meta(results))
-        print(f"reqtrace -> {path}")
-        wear_records = probe.merged_endurance(results)
-        path = endurance_mod.write_endurance(
-            run_dir / ENDURANCE, wear_records,
-            meta=probe.endurance_meta(results, wear_records))
-        print(f"endurance -> {path}")
-    else:
-        run_dir = artifact.run_dir(args.dir)
-        _, records = reqtrace_mod.load_reqtrace(run_dir / REQTRACE)
-        reqtrace_mod.validate_reqtrace_records(records)
-    report = _evaluate_by_device(records, objectives)
-    path = artifact.write_text(run_dir / "slo.json", artifact.dumps(report))
-    print(f"slo report (json) -> {path}")
-    print(slo_mod.format_slo_report(report))
-    summary = analyze_trace(records)
-    if any(cohort.get("count")
-           for cohort in summary.get("segments", {}).values()):
-        print(format_trace_summary(summary))
-    if slo_mod.slo_failed(report):
-        print("repro slo: one or more objectives VIOLATED",
               file=sys.stderr)
         return EXIT_CLAIM_FAILED
     return 0
@@ -362,7 +295,6 @@ def _cmd_wear(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.io import probe
     from repro.obs.timeseries import DEFAULT_CADENCE
 
     parser = argparse.ArgumentParser(
@@ -374,12 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run", help="execute a JSON scenario file (see scenarios/; exit 1 "
-                    "when a traffic scenario's SLO is violated)")
+                    "when a traffic or probe scenario's SLO is violated)")
     run.add_argument("scenario", help="path to a scenario .json")
     run.add_argument("--out", default="results", metavar="DIR",
-                     help="write <name>.json, metrics.json, trace.jsonl and "
-                          "timeseries.jsonl into DIR (default results)")
-    _add_jobs_flag(run, "fleet shard, sweep run or traffic cell")
+                     help="write <name>.json into DIR (default results), "
+                          "with whichever of metrics.json, trace.jsonl and "
+                          "timeseries.jsonl the run recorded into and a "
+                          "probe's reqtrace.jsonl and endurance.jsonl")
+    _add_jobs_flag(run, "fleet shard, sweep run, traffic cell or probe")
     run.add_argument(
         "--timeseries-cadence", type=float, default=DEFAULT_CADENCE,
         metavar="T",
@@ -412,40 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
              "backpressure does not bend the open-loop arrivals)")
     report.set_defaults(func=_cmd_report)
 
-    slo = sub.add_parser(
-        "slo",
-        help="evaluate latency/deadline SLOs over reqtrace records "
-             "(exit 1 when an objective is violated)")
-    slo.add_argument(
-        "--slo", required=True, metavar="PATH",
-        help="repro.obs.slo/v1 objectives config (see "
-             "docs/OBSERVABILITY.md; scenarios/slo_default.json ships "
-             "a permissive example)")
-    slo.add_argument(
-        "dir", metavar="DIR",
-        help="run directory: evaluates its reqtrace.jsonl (or, with "
-             "--measure, writes reqtrace.jsonl and endurance.jsonl) and "
-             "writes slo.json into it")
-    slo.add_argument(
-        "--measure", action="store_true",
-        help="drive the instrumented IO probe and evaluate its records")
-    slo.add_argument(
-        "--mode", default="all", choices=("all",) + probe.PROBE_MODES,
-        help="device mode(s) to probe under --measure")
-    slo.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="probe seed; records are a pure function of "
-             "(mode, seed, --every, --requests) and identical for any "
-             "--jobs")
-    _add_jobs_flag(slo, "probe (one mode each)")
-    slo.add_argument(
-        "--every", type=int, default=probe.PROBE_EVERY, metavar="N",
-        help="sample 1 request in N (default %(default)s)")
-    slo.add_argument(
-        "--requests", type=int, default=probe.PROBE_REQUESTS, metavar="N",
-        help="measured requests per mode (default %(default)s)")
-    slo.set_defaults(func=_cmd_slo)
-
     wear = sub.add_parser(
         "wear",
         help="inspect repro.obs.endurance/v1 wear-provenance artifacts "
@@ -458,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
              "compare two artifacts device by device")
     wear.add_argument(
         "dir", metavar="DIR",
-        help="run directory holding endurance.jsonl (from `repro slo "
-             "--measure`); wear.json is written into it")
+        help="run directory holding endurance.jsonl (from `repro run` "
+             "of a probe scenario); wear.json is written into it")
     wear.add_argument(
         "--against", default=None, metavar="DIR2",
         help="reference run directory for `diff` (deltas are DIR "

@@ -1,14 +1,20 @@
 """Reqtrace-instrumented IO probes: one traffic-engine preset per mode.
 
-``repro slo --measure`` and the ``reqtrace.jsonl`` / ``endurance.jsonl``
-it writes into its run directory need a workload that exercises the
-attribution paths — queue contention, GC stalls, read retries under
-tiredness, Salamander shrink/regen — on every device flavour. A probe is one
-:func:`repro.workloads.engine.run_cell` of :func:`probe_config` on an
-aged device, with request tracing scoped at 1-in-``every`` sampling and
-a fresh wear ledger. Its output is a pure function of ``(mode, seed,
-every, requests)``, so :func:`run_probes` returns byte-identical results
-for any ``jobs``, which the determinism test pins.
+A ``probe`` scenario of ``repro run`` (:mod:`repro.scenarios`) and the
+``reqtrace.jsonl`` / ``endurance.jsonl`` it writes into its run
+directory need a workload that loads the queue and the FTL of every
+device flavour. A probe is one :func:`repro.workloads.engine.run_cell`
+of :func:`probe_config` on an aged device, with request tracing scoped
+at 1-in-``every`` sampling and a fresh wear ledger. What it measures is
+queue wait, device service, GC stalls and read retries under tiredness:
+at the shipped settings no sampled request carries a segment other than
+``device``, ``gc``, ``queue_wait`` and ``read_retry``, the ledger
+records no ``shrink`` or ``regen`` program, and the ``shrink`` and
+``regen`` probes can come out identical (a Salamander device that never
+shrinks behaves the same in both modes). Its output is a pure function
+of ``(mode, seed, every, requests)``, so :func:`run_probes` returns
+byte-identical results for any ``jobs``, which the determinism test
+pins.
 
 The module also owns :func:`build_queue_device`, which the engine
 imports as a module global. The engine is therefore imported lazily
@@ -29,7 +35,7 @@ from repro.obs import endurance
 from repro.obs.reqtrace import ReqTracer
 from repro.rng import DEFAULT_SEED
 
-#: Device flavours a probe can drive (CLI ``--mode`` values).
+#: Device flavours a probe can drive (a probe scenario's ``modes``).
 PROBE_MODES = ("baseline", "cvss", "shrink", "regen")
 
 #: Device flavours :func:`build_queue_device` can build: the probe
@@ -51,10 +57,10 @@ PROBE_EVERY = 16
 PROBE_REQUESTS = 400
 
 #: The probe cell's ``EngineConfig`` fields. A low ``pec_limit`` makes
-#: wear (read retries, level promotions, Salamander rebalancing) show
-#: within a few hundred requests; eight tenants put one on each of a
-#: Salamander device's seven starting minidisks; the duration is long
-#: enough that ``max_requests`` is what ends the window.
+#: wear (read retries, level promotions) show within a few hundred
+#: requests; eight tenants put one on each of a Salamander device's
+#: seven starting minidisks; the duration is long enough that
+#: ``max_requests`` is what ends the window.
 _PROBE_CELL = dict(
     tenants=8, cells=1, duration_us=1e12, arrival="poisson",
     utilisation=0.7, mix=(0.0, 1.0, 0.0, 0.0), read_fraction=0.6,
@@ -156,7 +162,7 @@ def run_probe(mode: str, seed: int = DEFAULT_SEED, every: int = PROBE_EVERY,
 
     config = probe_config(mode, requests)
     # A fresh ledger per probe: registration order (hence device names)
-    # is per-process, so records are byte-identical for any --jobs
+    # is per-process, so records are byte-identical for any jobs
     # layout. The ledger draws no RNG and charges no busy time, so the
     # reqtrace records are unchanged by its presence.
     tracer = ReqTracer(seed=seed, every=every)
@@ -192,11 +198,6 @@ def run_probes(modes: tuple[str, ...] = PROBE_MODES,
 
 def _probe_star(args: tuple) -> dict:
     return run_probe(*args)
-
-
-def merged_records(results: list[dict]) -> list[dict]:
-    """All probe records in canonical (mode order, completion) order."""
-    return [record for result in results for record in result["records"]]
 
 
 def merged_endurance(results: list[dict]) -> list[dict]:
@@ -238,7 +239,6 @@ __all__ = [
     "build_queue_device",
     "endurance_meta",
     "merged_endurance",
-    "merged_records",
     "probe_config",
     "reqtrace_meta",
     "run_probe",

@@ -1,11 +1,12 @@
 """Declarative latency SLOs over the measured IO pipeline.
 
 PR 5 made per-request latency a measured quantity; this module turns
-it into something *enforceable*: a config file declares objectives
-("p99 read ≤ 900 µs over a 50 ms window", "stream 2 misses fewer than
-1% of its deadlines") and an :class:`SLOEngine` tracks compliance over
-sim-time windows as completions stream in — the substrate ROADMAP
-item 1's multi-tenant enforcement and item 3's repair throttling need.
+it into something *enforceable*: a scenario's ``"slo"`` object declares
+objectives ("p99 read ≤ 900 µs over a 50 ms window", "stream 2 misses
+fewer than 1% of its deadlines") and an :class:`SLOEngine` tracks
+compliance over sim-time windows as completions stream in — the
+substrate ROADMAP item 1's multi-tenant enforcement and item 3's repair
+throttling need.
 
 Two objective kinds:
 
@@ -26,10 +27,12 @@ Windows reuse the bounded-ring discipline of
 capped in size, so memory stays bounded no matter how long a run is.
 
 An engine is built per evaluation: a traffic scenario's ``slo`` replays
-each cell's completions through a fresh one, and ``repro slo`` replays
-reqtrace records (:func:`evaluate_records`). When the run context
-holds a metrics registry at construction the engine also publishes
-``repro_slo_*`` counters/gauges, refreshed through a collect hook.
+each cell's completions through a fresh one, and a probe scenario's
+replays its reqtrace records, one device kind at a time
+(:func:`evaluate_by_device` over :func:`evaluate_records`). When the
+run context holds a metrics registry at construction the engine also
+publishes ``repro_slo_*`` counters/gauges, refreshed through a collect
+hook.
 
 See docs/OBSERVABILITY.md for the config schema
 (``repro.obs.slo/v1``) and report schema (``repro.obs.slo_report/v1``).
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro import artifact, context
 from repro.errors import ConfigError
@@ -147,11 +149,6 @@ def objective_from_dict(doc: dict) -> SLOObjective:
             f"SLO objective {doc['name']!r}: unknown keys "
             f"{sorted(unknown)}")
     return SLOObjective(**doc)
-
-
-def load_slo_config(path: str | Path) -> list[SLOObjective]:
-    """Read a ``repro.obs.slo/v1`` config file into objectives."""
-    return validate_slo_document(artifact.read_json(path, "SLO config"))
 
 
 def validate_slo_document(doc: dict) -> list[SLOObjective]:
@@ -344,32 +341,24 @@ def evaluate_records(records: list[dict],
     return engine.evaluate()
 
 
-def slo_failed(report: dict) -> bool:
-    """True when any objective in the report is violated."""
-    return not report.get("ok", False)
+def evaluate_by_device(records: list[dict],
+                       objectives: list[SLOObjective]) -> list[dict]:
+    """One report row per (``device_kind``, objective), kinds sorted.
 
-
-def format_slo_report(report: dict) -> str:
-    """Render an evaluation report as a markdown fragment."""
-    lines = [
-        "### SLO report",
-        "",
-        f"- objectives: {report['objective_count']} "
-        f"({'all met' if report['ok'] else 'VIOLATED'})",
-        "",
-        "| objective | kind | window n | current | threshold | ok "
-        "| burn rate |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for result in report["objectives"]:
-        status = "yes" if result["ok"] else "**NO**"
-        lines.append(
-            f"| `{result['name']}` | {result['kind']} "
-            f"| {result['window_samples']} | {result['current']:g} "
-            f"| {result['threshold']:g} | {status} "
-            f"| {result['burn_rate']:.2f} |")
-    lines.append("")
-    return "\n".join(lines)
+    Each mode's probe runs on its own simulated clock, so windowed
+    evaluation must not interleave ``end_us`` values across kinds: each
+    kind's records are evaluated on their own. A row is an
+    :func:`evaluate_records` objective row led by its ``device_kind``
+    (``""`` for records without one, and for no records at all).
+    """
+    groups: dict[str, list] = {}
+    for record in records:
+        groups.setdefault(str(record.get("device_kind", "")),
+                          []).append(record)
+    return [{"device_kind": kind, **row}
+            for kind in sorted(groups or {"": []})
+            for row in evaluate_records(groups.get(kind, []),
+                                        objectives)["objectives"]]
 
 
 __all__ = [
@@ -379,10 +368,8 @@ __all__ = [
     "SLO_SCHEMA",
     "SLOEngine",
     "SLOObjective",
+    "evaluate_by_device",
     "evaluate_records",
-    "format_slo_report",
-    "load_slo_config",
     "objective_from_dict",
-    "slo_failed",
     "validate_slo_document",
 ]

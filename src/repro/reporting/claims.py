@@ -43,12 +43,12 @@ mechanically against a run's observability artifacts:
    claim): Salamander's lifetime extension is paid for in measured,
    cause-attributed wear — not hidden amplification. Given a
    ``repro.obs.endurance/v1`` artifact (a run directory's
-   ``endurance.jsonl``, written by ``repro slo --measure``), the checks
-   assert the exact WAF identity ``WAF = 1 + overhead/host`` on every
-   device record, that ``shrink``/``regen`` wear causes appear only on
-   Salamander devices, and that each Salamander mode's WAF delta
-   against the baseline decomposes exactly into its per-cause terms —
-   the wear premium of the mode's lifetime extension, itemised.
+   ``endurance.jsonl``, written by ``repro run`` of a probe scenario),
+   the checks assert the exact WAF identity ``WAF = 1 + overhead/host``
+   on every device record, that ``shrink``/``regen`` wear causes appear
+   only on Salamander devices, and that each Salamander mode's WAF
+   delta against the baseline decomposes exactly into its per-cause
+   terms — the wear premium of the mode's lifetime extension, itemised.
 
 Each check returns a :class:`ClaimResult` with status ``pass``,
 ``fail`` or ``skip`` (skip = the needed inputs were not supplied; the
@@ -520,8 +520,8 @@ def check_wear_provenance(records: list[dict] | None,
     delta_expected = ("WAF delta vs baseline decomposes exactly into "
                       "per-cause terms")
     hint = ("needs a repro.obs.endurance/v1 artifact (an endurance.jsonl "
-            "from `repro slo --slo CFG DIR --measure`, then `repro report "
-            "DIR`)")
+            "from `repro run scenarios/probe.json --out DIR`, then `repro "
+            "report DIR`)")
     def skipped(detail: str) -> list[ClaimResult]:
         return ([ClaimResult(isolation_claim, "skip", None,
                              isolation_expected, detail)]

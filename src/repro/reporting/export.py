@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -76,6 +77,8 @@ class ExperimentWriter:
         self.meta = dict(meta or {})
         self._tables: dict[str, dict] = {}
         self._series: dict[str, dict] = {}
+        #: Files written beside the document: name -> ``write(path)``.
+        self.files: dict[str, Callable[[Path], Path]] = {}
 
     def add_table(self, name: str, headers: list[str],
                   rows: list[list]) -> None:
@@ -90,6 +93,10 @@ class ExperimentWriter:
             "headers": list(headers),
             "rows": [_jsonable(list(row)) for row in rows],
         }
+
+    def add_file(self, name: str, write: Callable[[Path], Path]) -> None:
+        """Have :meth:`write` also call ``write(<directory>/<name>)``."""
+        self.files[name] = write
 
     def add_series(self, series: Series) -> None:
         self._series[series.name] = {
@@ -108,7 +115,10 @@ class ExperimentWriter:
         }
 
     def write(self, directory: str | Path) -> Path:
-        """Write ``<directory>/<experiment>.json``; returns the path."""
+        """Write ``<directory>/<experiment>.json`` and every added file
+        beside it; returns the document's path."""
+        for name, write in self.files.items():
+            write(Path(directory) / name)
         return artifact.write_text(
             Path(directory) / f"{self.experiment}.json",
             artifact.dumps(self.document()))

@@ -14,13 +14,15 @@ shareable and re-runnable without writing Python:
       "modes": ["baseline", "regen"]
     }
 
-``run_scenario`` dispatches on ``kind`` (``fleet``, ``tournament``,
-``carbon``, ``tco``, ``replacement``, ``fig2``, ``health``, ``traffic``)
-and returns an :class:`~repro.reporting.export.ExperimentWriter` holding
-structured tables/series, ready to ``write()`` as a JSON artifact. The CLI exposes
-this as ``python -m repro run <scenario.json> [--out results/] [--jobs N]``,
-the only way to run these experiments from a shell; ``scenarios/`` ships
-one file per kind at the paper's settings.
+``run_scenario`` validates the document, builds its kind's config once,
+dispatches on ``kind`` (``fleet``, ``tournament``, ``carbon``, ``tco``,
+``replacement``, ``fig2``, ``health``, ``traffic``, ``probe``) and
+returns an :class:`~repro.reporting.export.ExperimentWriter` holding
+structured tables/series (and any file the kind writes beside them),
+ready to ``write()`` into a run directory. The CLI exposes this as
+``python -m repro run <scenario.json> [--out results/] [--jobs N]``, the
+only way to run these experiments from a shell; ``scenarios/`` ships one
+file per kind at the paper's settings.
 
 A ``fleet`` scenario walks each mode through the sharded runner
 (``params.shards`` shards, ``jobs`` workers); with ``"runs": N`` it is a
@@ -29,8 +31,13 @@ multi-seed sweep instead (``N`` seeds derived from ``seed``, the
 runs the multi-tenant traffic engine over ``jobs`` cell workers; its
 ``params`` are :class:`~repro.workloads.engine.EngineConfig` fields plus
 ``trace`` (a replay file path), and a top-level ``"slo"``
-(``repro.obs.slo/v1``) attaches objectives to its tenant streams. Either
-way the artifact is byte-identical for any ``jobs``.
+(``repro.obs.slo/v1``) attaches objectives to its tenant streams. A
+``probe`` scenario drives the request-traced IO probe
+(:mod:`repro.io.probe`) once per mode over ``jobs`` workers (``params``
+``every`` and ``requests``) and writes :data:`REQTRACE` and
+:data:`ENDURANCE` beside its artifact; its ``"slo"`` is evaluated per
+device kind over the sampled requests. Every kind's artifact is
+byte-identical for any ``jobs``.
 """
 
 from __future__ import annotations
@@ -46,12 +53,17 @@ from repro.reporting.export import ExperimentWriter
 from repro.reporting.series import Series
 
 SCENARIO_KINDS = ("fleet", "tournament", "carbon", "tco", "replacement",
-                  "fig2", "health", "traffic")
+                  "fig2", "health", "traffic", "probe")
+
+#: The files a ``probe`` scenario writes into the run directory beside
+#: ``<name>.json``: its sampled request records and its wear ledger.
+REQTRACE = "reqtrace.jsonl"
+ENDURANCE = "endurance.jsonl"
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Read and validate a scenario document."""
-    return validate_scenario(artifact.read_json(path, "scenario"))
+    """Read a scenario document; :func:`run_scenario` validates it."""
+    return artifact.read_json(path, "scenario")
 
 
 _SCENARIO_OPTIONAL = {"seed": (int, type(None)), "params": dict,
@@ -73,10 +85,15 @@ _PARAMS = {
                 "read_fraction": float, "read_span": int,
                 "closed_loop_fraction": float, "think_us": float,
                 "admission": str, "trace": str},
+    "probe": {"every": int, "requests": int},
 }
 
 
-def validate_scenario(document: dict) -> dict:
+def validate_scenario(document: dict):
+    """Validate ``document`` (a :class:`ConfigError` naming the field if
+    it is not a scenario); return its kind's config: a config dataclass
+    for ``fleet``, ``replacement`` and ``traffic``, the typed ``params``
+    for every other kind."""
     artifact.require(document, "scenario", {"name": str, "kind": str},
                      optional=_SCENARIO_OPTIONAL)
     if not document["name"]:
@@ -90,26 +107,35 @@ def validate_scenario(document: dict) -> dict:
                           f"scenario, got {document['runs']!r} on {kind}")
     params = document.get("params", {})
     if kind == "fleet":
-        _fleet_config(params)
+        config = _fleet_config(params)
     elif kind == "replacement":
-        _replacement_config(params)
+        config = _replacement_config(params)
     elif kind == "traffic":
-        _engine_config(params)
+        config = _engine_config(params)
     else:
-        _typed(params, f"{kind} params", _PARAMS[kind])
+        config = _typed(params, f"{kind} params", _PARAMS[kind])
+    if kind == "probe":
+        from repro.io.probe import PROBE_MODES
+
+        modes = document.get("modes", PROBE_MODES)
+        if (not modes or not all(mode in PROBE_MODES for mode in modes)
+                or len(set(modes)) != len(modes)):
+            raise ConfigError(f"probe 'modes' must be distinct modes of "
+                              f"{PROBE_MODES}, got {modes!r}")
     # Validated eagerly so a broken plan or objective fails at load, not
     # mid-run.
     if "faults" in document:
-        if kind == "traffic":
+        if kind in ("traffic", "probe"):
             # Its cells run under the default run context: a plan would
             # be dropped without a word.
-            raise ConfigError("a traffic scenario takes no fault plan")
+            raise ConfigError(f"a {kind} scenario takes no fault plan")
         scenario_fault_plan(document)
     if "slo" in document:
-        if kind != "traffic":
-            raise ConfigError(f"'slo' is for a traffic scenario, not {kind}")
+        if kind not in ("traffic", "probe"):
+            raise ConfigError(
+                f"'slo' is for a traffic or probe scenario, not {kind}")
         validate_slo_document(document["slo"])
-    return document
+    return config
 
 
 def scenario_fault_plan(document: dict) -> FaultPlan | None:
@@ -175,12 +201,12 @@ def _engine_config(params: dict):
         Trace.load(trace).dumps() if trace is not None else None))
 
 
-def _run_fleet(document: dict, writer: ExperimentWriter, jobs: int) -> None:
+def _run_fleet(document: dict, config, writer: ExperimentWriter,
+               jobs: int) -> None:
     from repro.sim.fleet import MODES
     from repro.sim.parallel import derive_seeds, run_fleet_grid
     from repro.sim.shard import simulate_fleet_sharded
 
-    config = _fleet_config(document.get("params", {}))
     modes = document.get("modes", list(MODES))
     seed = document.get("seed", 0)
     # Each run gets a fresh injector built from the plan, so the fault
@@ -226,10 +252,10 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def _run_tournament(document: dict, writer: ExperimentWriter) -> None:
+def _run_tournament(document: dict, params: dict,
+                    writer: ExperimentWriter, jobs: int) -> None:
     from repro.sim.lifetime import run_write_lifetime, tournament_devices
 
-    params = document.get("params", {})
     devices = tournament_devices(blocks=params.get("blocks", 32),
                                  pec_limit=params.get("pec_limit", 30),
                                  seed=document.get("seed", 1))
@@ -247,20 +273,20 @@ def _run_tournament(document: dict, writer: ExperimentWriter) -> None:
         rows)
 
 
-def _run_carbon(document: dict, writer: ExperimentWriter) -> None:
+def _run_carbon(document: dict, params: dict, writer: ExperimentWriter,
+                jobs: int) -> None:
     from repro.models.carbon import fig4_configurations
 
-    params = document.get("params", {})
     bars = fig4_configurations(**params)
     writer.add_table("fig4", ["configuration", "savings"],
                      [[k, v] for k, v in bars.items()])
 
 
-def _run_tco(document: dict, writer: ExperimentWriter) -> None:
+def _run_tco(document: dict, params: dict, writer: ExperimentWriter,
+             jobs: int) -> None:
     from repro.models.tco import (RU_REGENS, RU_SHRINKS, TCOParams,
                                   tco_savings)
 
-    params = document.get("params", {})
     f_opex = params.get("f_opex", 0.14)
     rows = [[mode, tco_savings(TCOParams(f_opex=f_opex, upgrade_rate=ru))]
             for mode, ru in (("shrinks", RU_SHRINKS),
@@ -268,10 +294,10 @@ def _run_tco(document: dict, writer: ExperimentWriter) -> None:
     writer.add_table("tco", ["mode", "savings"], rows)
 
 
-def _run_replacement(document: dict, writer: ExperimentWriter) -> None:
+def _run_replacement(document: dict, config, writer: ExperimentWriter,
+                     jobs: int) -> None:
     from repro.sim.replacement import measured_upgrade_rates
 
-    config = _replacement_config(document.get("params", {}))
     results = measured_upgrade_rates(config, seed=document.get("seed", 9))
     base = results["baseline"].purchases
     writer.add_table(
@@ -282,11 +308,11 @@ def _run_replacement(document: dict, writer: ExperimentWriter) -> None:
           r.preempted_fraction] for mode, r in results.items()])
 
 
-def _run_fig2(document: dict, writer: ExperimentWriter) -> None:
+def _run_fig2(document: dict, params: dict, writer: ExperimentWriter,
+              jobs: int) -> None:
     from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
     from repro.models.lifetime import tiredness_tradeoff
 
-    params = document.get("params", {})
     policy = TirednessPolicy(
         ecc_family=params.get("ecc_family", "bch"))
     model = calibrate_power_law(
@@ -300,7 +326,8 @@ def _run_fig2(document: dict, writer: ExperimentWriter) -> None:
           p.pec_limit, p.pec_gain] for p in points])
 
 
-def _run_health(document: dict, writer: ExperimentWriter) -> None:
+def _run_health(document: dict, params: dict, writer: ExperimentWriter,
+                jobs: int) -> None:
     """§2.1: a SMART failure predictor and three retirement policies."""
     import numpy as np
 
@@ -313,7 +340,6 @@ def _run_health(document: dict, writer: ExperimentWriter) -> None:
     from repro.health.predictor import FailurePredictor, evaluate_predictor
     from repro.health.telemetry import TelemetryConfig, generate_trajectories
 
-    params = document.get("params", {})
     seed = document.get("seed", 1)
     max_days = params.get("max_days", 5000)
     config = TelemetryConfig(
@@ -340,7 +366,7 @@ def _run_health(document: dict, writer: ExperimentWriter) -> None:
           o.wasted_life_fraction] for o in outcomes])
 
 
-def _run_traffic(document: dict, writer: ExperimentWriter,
+def _run_traffic(document: dict, config, writer: ExperimentWriter,
                  jobs: int) -> None:
     from repro.rng import DEFAULT_SEED
     from repro.workloads.engine import (
@@ -352,8 +378,7 @@ def _run_traffic(document: dict, writer: ExperimentWriter,
     seed = document.get("seed")
     objectives = (validate_slo_document(document["slo"])
                   if "slo" in document else None)
-    result = run_traffic(_engine_config(document.get("params", {})),
-                         seed=DEFAULT_SEED if seed is None else seed,
+    result = run_traffic(config, seed=DEFAULT_SEED if seed is None else seed,
                          jobs=jobs, objectives=objectives)
     validate_engine_document(result)
     publish_traffic_metrics(result)
@@ -370,6 +395,50 @@ def _run_traffic(document: dict, writer: ExperimentWriter,
             {"cell": cell, **row}
             for cell, report in enumerate(result["slo"]["cells"])
             for row in report["objectives"]])
+
+
+def _run_probe(document: dict, params: dict, writer: ExperimentWriter,
+               jobs: int) -> None:
+    """The request-traced IO probe, one cell per mode: its sampled
+    requests and wear ledger go beside the artifact as :data:`REQTRACE`
+    and :data:`ENDURANCE`, their per-segment latency shares and any
+    ``"slo"`` verdicts (one row per device kind and objective) into it."""
+    from repro.io import probe
+    from repro.obs.analyze import segment_breakdown
+    from repro.obs.endurance import write_endurance
+    from repro.obs.reqtrace import validate_reqtrace_records, write_reqtrace
+    from repro.obs.slo import evaluate_by_device
+    from repro.rng import DEFAULT_SEED
+
+    seed = document.get("seed")
+    seed = DEFAULT_SEED if seed is None else seed
+    modes = document.get("modes", list(probe.PROBE_MODES))
+    params = {"every": probe.PROBE_EVERY, "requests": probe.PROBE_REQUESTS,
+              **params}
+    results = probe.run_probes(modes, seed=seed, jobs=jobs, **params)
+    writer.meta.update(seed=seed, modes=modes, params=params)
+    records = [record for result in results for record in result["records"]]
+    validate_reqtrace_records(records)      # segments sum to latency
+    wear = probe.merged_endurance(results)
+    writer.add_file(REQTRACE, lambda path: write_reqtrace(
+        path, records, meta=probe.reqtrace_meta(results)))
+    writer.add_file(ENDURANCE, lambda path: write_endurance(
+        path, wear, meta=probe.endurance_meta(results, wear)))
+    segments = segment_breakdown(records)
+    names = sorted({name for cohort in segments.values()
+                    for name in cohort["shares"]})
+    writer.add_table(
+        "segments", ["cohort", "requests", "total_us", *names],
+        [[cohort, shares["count"], shares["total_us"],
+          *(shares["shares"].get(name, 0.0) for name in names)]
+         for cohort, shares in segments.items()])
+    if "slo" in document:
+        # Under the default context, as a traffic cell's: the verdicts
+        # are table rows, not families in the run's registry.
+        with context.scoped(metrics=None):
+            rows = evaluate_by_device(
+                records, validate_slo_document(document["slo"]))
+        _add_records(writer, "slo", rows)
 
 
 def _add_records(writer: ExperimentWriter, name: str, records: list) -> None:
@@ -397,6 +466,7 @@ _RUNNERS = {
     "fig2": _run_fig2,
     "health": _run_health,
     "traffic": _run_traffic,
+    "probe": _run_probe,
 }
 
 
@@ -404,8 +474,9 @@ def run_scenario(document: dict, jobs: int = 1) -> ExperimentWriter:
     """Execute a validated scenario; returns the artifact writer.
 
     ``jobs`` is the worker count of the fleet kind (shards, or the runs
-    of a sweep) and of the traffic kind (cells); no other kind reads it,
-    and no artifact records it.
+    of a sweep), of the traffic kind (cells) and of the probe kind
+    (modes); no other kind reads it, and no artifact records it. The
+    document is validated and its config built once, here.
 
     When the scenario carries a ``"faults"`` plan (``repro.faults/v1``)
     its injector is scoped into the run context for the duration of the
@@ -414,7 +485,7 @@ def run_scenario(document: dict, jobs: int = 1) -> ExperimentWriter:
     run for fresh per-run trigger counters. The plan document is echoed
     into the artifact's ``meta`` for provenance.
     """
-    document = validate_scenario(document)
+    config = validate_scenario(document)
     kind = document["kind"]
     meta = {
         "kind": kind,
@@ -431,8 +502,5 @@ def run_scenario(document: dict, jobs: int = 1) -> ExperimentWriter:
     writer = ExperimentWriter(document["name"], meta=meta)
     scope = {} if plan is None else {"faults": FaultInjector(plan)}
     with context.scoped(**scope):
-        if kind in ("fleet", "traffic"):
-            _RUNNERS[kind](document, writer, jobs)
-        else:
-            _RUNNERS[kind](document, writer)
+        _RUNNERS[kind](document, config, writer, jobs)
     return writer

@@ -22,11 +22,9 @@ from repro.obs.slo import (
     SLOEngine,
     SLOObjective,
     WINDOW_CAPACITY,
+    evaluate_by_device,
     evaluate_records,
-    format_slo_report,
-    load_slo_config,
     objective_from_dict,
-    slo_failed,
     validate_slo_document,
 )
 from repro.workloads.engine import EngineConfig, run_traffic
@@ -100,14 +98,20 @@ class TestObjectiveValidation:
                     {"name": "x", "threshold_us": 2.0}]})
 
     def test_load_config_file(self, tmp_path):
-        path = tmp_path / "slo.json"
-        path.write_text('{"schema": "repro.obs.slo/v1", "objectives": '
-                        '[{"name": "r", "op": "read", '
-                        '"threshold_us": 50.0}]}')
-        objectives = load_slo_config(path)
-        assert [o.name for o in objectives] == ["r"]
+        # Objectives come in a scenario's "slo" object, checked when the
+        # scenario is.
+        from repro.scenarios import load_scenario, validate_scenario
+
+        path = tmp_path / "probe.json"
+        path.write_text('{"name": "p", "kind": "probe", "slo": {"schema": '
+                        '"repro.obs.slo/v1", "objectives": [{"name": "r", '
+                        '"op": "read", "threshold_us": 50.0}]}}')
+        document = load_scenario(path)
+        validate_scenario(document)
+        assert [o.name for o in validate_slo_document(
+            document["slo"])] == ["r"]
         with pytest.raises(ConfigError, match="not found"):
-            load_slo_config(tmp_path / "absent.json")
+            load_scenario(tmp_path / "absent.json")
 
 
 class TestFiltersAndWindow:
@@ -172,7 +176,6 @@ class TestEvaluation:
         report = engine.evaluate()
         assert report["ok"]
         assert report["schema"] == SLO_REPORT_SCHEMA
-        assert not slo_failed(report)
 
     def test_deadline_miss_rate_kind(self):
         objective = SLOObjective(name="miss", kind="deadline_miss_rate",
@@ -203,13 +206,20 @@ class TestEvaluation:
         assert evaluate_records(list(reversed(records)), objectives) \
             == live.evaluate()
 
-    def test_format_report_flags_violations(self):
-        engine = SLOEngine([latency_objective(threshold_us=1.0)])
-        observe_n(engine, [50.0] * 4)
-        text = format_slo_report(engine.evaluate())
-        assert "VIOLATED" in text
-        assert "`read-p99`" in text
-        assert "**NO**" in text
+    def test_by_device_evaluates_each_kind_alone(self):
+        # Two kinds on their own clocks: each kind's window holds only
+        # its own records, and no records at all is one "" group.
+        objective = latency_objective(threshold_us=55.0, percentile=50.0,
+                                      window_us=5.0)
+        records = [{"end_us": float(i), "total_us": total, "op": "read",
+                    "device_kind": kind}
+                   for kind, total in (("slow", 90.0), ("fast", 10.0))
+                   for i in range(4)]
+        rows = evaluate_by_device(records, [objective])
+        assert [(row["device_kind"], row["window_samples"], row["ok"])
+                for row in rows] == [("fast", 4, True), ("slow", 4, False)]
+        assert [row["device_kind"] for row in
+                evaluate_by_device([], [objective])] == [""]
 
     def test_empty_engine_rejected(self):
         with pytest.raises(ConfigError):
@@ -218,8 +228,9 @@ class TestEvaluation:
 
 class TestSingleton:
     """There is no process-wide SLO engine to install: a traffic
-    scenario's ``slo`` builds one per cell and ``repro slo`` evaluates
-    records offline, so nothing is bound by default and nothing leaks."""
+    scenario's ``slo`` builds one per cell and a probe scenario's
+    evaluates records offline, so nothing is bound by default and
+    nothing leaks."""
 
     def test_disabled_by_default(self, make_baseline):
         fields = {field.name for field in dataclasses.fields(RunContext)}

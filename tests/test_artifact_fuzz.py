@@ -2,11 +2,11 @@
 
 The matrix in ``tests/test_malformed_inputs.py`` walks the malformations
 someone thought of. This sweep draws them: every artifact two fleet
-``repro run`` calls and ``repro slo --measure`` just wrote is
-truncated at a drawn byte offset, has a drawn leaf replaced by a drawn
-JSON value, or has drawn bytes spliced in, and goes back, at a fixed
-name in a fresh run directory, through every command that reads that
-kind of file.
+``repro run`` calls and the ``repro run`` of a probe scenario just wrote
+is truncated at a drawn byte offset, has a drawn leaf replaced by a
+drawn JSON value, or has drawn bytes spliced in, and goes back, at a
+fixed name in a fresh run directory, through every command that reads
+that kind of file.
 Whatever the damage, the verdict is "fine" (0), "claim violated" (1) or
 "configuration error" (2); an unexpected-error exit is a validator that
 checked a key was there and not what it held.
@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 
-SLO = str(Path(__file__).resolve().parent.parent / "scenarios"
-          / "slo_default.json")
+PROBE = str(Path(__file__).resolve().parent.parent / "scenarios"
+            / "slo_default.json")
 
 #: (artifact the CLI wrote, the name it is read back under, a command
 #: line that reads it from the run directory ``@``)
@@ -38,7 +38,6 @@ CONSUMERS = [
     ("run/timeseries.jsonl", "timeseries.jsonl", ["report", "@"]),
     ("fleet/trace.jsonl", "trace.jsonl", ["report", "@"]),
     ("probe/reqtrace.jsonl", "trace.jsonl", ["report", "@"]),
-    ("probe/reqtrace.jsonl", "reqtrace.jsonl", ["slo", "--slo", SLO, "@"]),
     ("probe/endurance.jsonl", "endurance.jsonl", ["report", "@"]),
     ("probe/endurance.jsonl", "endurance.jsonl", ["wear", "report", "@"]),
     ("probe/endurance.jsonl", "endurance.jsonl",
@@ -68,14 +67,14 @@ def quiet(argv) -> tuple[int, str]:
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
-    """Where one small fleet ``run``, one ``slo --measure`` and one
-    ``run`` of ``SCENARIO`` wrote their run directories."""
+    """Where one small fleet ``run``, one ``run`` of the shipped probe
+    scenario and one ``run`` of ``SCENARIO`` wrote their run
+    directories."""
     root = tmp_path_factory.mktemp("written")
     (root / "fleet.json").write_text(json.dumps(FLEET))
     assert quiet(["run", f"{root}/fleet.json",
                   "--out", f"{root}/fleet"])[0] == 0
-    assert quiet(["slo", "--slo", SLO, f"{root}/probe", "--measure"])[0] \
-        == 0
+    assert quiet(["run", PROBE, "--out", f"{root}/probe"])[0] == 0
     (root / "scenario.json").write_text(json.dumps(SCENARIO))
     assert quiet(["run", f"{root}/scenario.json",
                   "--out", f"{root}/run"])[0] == 0

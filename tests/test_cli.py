@@ -126,15 +126,15 @@ class TestParser:
         assert "predictor" in out
         assert "run-to-failure" in out
 
-    def test_options_stay_at_most_23(self):
+    def test_options_stay_at_most_15(self):
         # Every argument of every subcommand, positionals included.
         import argparse
         choices = next(action.choices for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
-        assert sorted(choices) == ["report", "run", "slo", "wear"]
+        assert sorted(choices) == ["report", "run", "wear"]
         count = sum(not isinstance(action, argparse._HelpAction)
                     for sub in choices.values() for action in sub._actions)
-        assert count <= 23, count
+        assert count <= 15, count
 
 
 class TestVersionAndExitCodes:
@@ -186,9 +186,10 @@ class TestVersionAndExitCodes:
 
 class TestObservabilityFlags:
     def test_fleet_writes_metrics_and_trace(self, capsys, tmp_path):
+        # Four years, so that devices die and the trace records it.
         out = tmp_path / "run"
         scenario = fleet_scenario(tmp_path, modes=["regen"], params={
-            "devices": 8,
+            "devices": 8, "horizon_days": 1460,
             "geometry": {"blocks": 32, "fpages_per_block": 64}})
         assert main(["run", scenario, "--out", str(out)]) == 0
         assert context.current() == RunContext()  # the scope is gone
@@ -201,20 +202,19 @@ class TestObservabilityFlags:
         records = [json.loads(line) for line in
                    (out / "trace.jsonl").read_text().splitlines()]
         times = [record["time"] for record in records]
-        assert times == sorted(times)
+        assert records and times == sorted(times)
         printed = capsys.readouterr().out
         assert str(out / "metrics.json") in printed
         assert str(out / "trace.jsonl") in printed
 
     def test_run_embeds_metrics_in_artifact(self, capsys, tmp_path):
         # metrics.json is a scenario's one copy of its metrics; the
-        # experiment artifact embeds none.
-        scenario = tmp_path / "s.json"
-        scenario.write_text(json.dumps(
-            {"name": "cli-obs", "kind": "fig2",
-             "params": {"pec_limit": 500}}))
+        # experiment artifact embeds none. (A fig2 scenario records no
+        # metric, so it writes no metrics.json: TestRunDirectory.)
         out = tmp_path / "artifacts"
-        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        assert main(["run", fleet_scenario(tmp_path, name="cli-obs",
+                                           modes=["baseline"]),
+                     "--out", str(out)]) == 0
         artifact = json.loads((out / "cli-obs.json").read_text())
         assert sorted(artifact) == ["experiment", "meta", "series",
                                     "tables"]
@@ -557,10 +557,24 @@ class TestTrafficCommand:
         assert config["shards"] == 4
         assert config["resolved_cells"] == 4
 
+    def test_trace_file_is_read_once(self, capsys, tmp_path, monkeypatch):
+        # One `repro run` builds the scenario's config once: its trace
+        # file is read once, not at load, at validation and at the run.
+        from repro.workloads import Trace
+        from repro.workloads.generators import Operation, OpType
+
+        trace = Trace(n_lbas=8)
+        trace.append(Operation(OpType.WRITE, 1, b"x"))
+        trace_path = trace.save(tmp_path / "t.trace")
+        load, calls = Trace.load, []
+        monkeypatch.setattr(Trace, "load", classmethod(
+            lambda cls, path: calls.append(path) or load(path)))
+        assert self._run(tmp_path, tmp_path / "out",
+                         params={"trace": str(trace_path)}) == 0
+        assert calls == [str(trace_path)]
+
     def test_slo_gates_exit_code(self, capsys, tmp_path):
-        def slo(**kwargs):
-            return json.loads(TestSLOCommand.slo_config(
-                tmp_path, **kwargs).read_text())
+        slo = TestSLOCommand.slo_config
 
         assert self._run(tmp_path, tmp_path / "ok", slo=slo()) == 0
         assert "VIOLATED" not in capsys.readouterr().err
@@ -607,103 +621,122 @@ class TestTrafficCommand:
         assert all(row[klass] == "trace" for row in tenants["rows"])
 
 
-class TestSLOCommand:
-    """`repro slo`: probe-measured and offline SLO evaluation."""
+def probe_scenario(tmp_path, name="probe", **fields) -> str:
+    """A small probe scenario written into ``tmp_path``; ``params`` and
+    the other top-level ``fields`` override the defaults (what the
+    retired ``repro slo --measure --mode baseline --requests 120 --every
+    4`` ran)."""
+    params = {"requests": 120, "every": 4, **fields.pop("params", {})}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "kind": "probe",
+                                "modes": ["baseline"], "params": params,
+                                **fields}))
+    return str(path)
 
-    #: Small probe so the measured tests stay fast; deterministic for
-    #: the default seed.
-    MEASURE = ["slo", "--measure", "--mode", "baseline",
-               "--requests", "120", "--every", "4"]
+
+class TestSLOCommand:
+    """`repro run` of a probe scenario: the request-traced IO probe, its
+    embedded objectives evaluated per device kind."""
 
     @staticmethod
-    def slo_config(tmp_path, threshold_us=1e9, name="read-p99"):
-        path = tmp_path / f"{name}.slo.json"
-        path.write_text(json.dumps({
-            "schema": "repro.obs.slo/v1",
-            "objectives": [{"name": name, "kind": "latency",
-                            "op": "read", "percentile": 99.0,
-                            "threshold_us": threshold_us,
-                            "window_us": 1e9}]}))
-        return path
+    def slo_config(threshold_us=1e9, name="read-p99") -> dict:
+        return {"schema": "repro.obs.slo/v1",
+                "objectives": [{"name": name, "kind": "latency",
+                                "op": "read", "percentile": 99.0,
+                                "threshold_us": threshold_us,
+                                "window_us": 1e9}]}
+
+    @staticmethod
+    def rows(out, name="probe", table="slo") -> list[dict]:
+        table = json.loads((out / f"{name}.json").read_text())[
+            "tables"][table]
+        return [dict(zip(table["headers"], row)) for row in table["rows"]]
 
     def test_measure_meets_generous_objective(self, capsys, tmp_path):
-        config = self.slo_config(tmp_path)
         out = tmp_path / "run"
-        assert main([*self.MEASURE, "--slo", str(config), str(out)]) == 0
+        assert main(["run", probe_scenario(tmp_path, slo=self.slo_config()),
+                     "--out", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert "SLO report" in printed
-        assert "all met" in printed
-        assert "Latency attribution" in printed  # segments table printed
-        report = json.loads((out / "slo.json").read_text())
-        assert report["schema"] == "repro.obs.slo_report/v1"
-        assert report["ok"]
-        assert report["objectives"][0]["name"] == "baseline/read-p99"
+        assert "== slo ==" in printed
+        assert "== segments ==" in printed  # the latency attribution
+        [row] = self.rows(out)
+        assert (row["device_kind"], row["name"]) == ("baseline",
+                                                     "read-p99")
+        assert row["ok"] and row["observed"] > 0
+        cohorts = self.rows(out, table="segments")
+        assert [cohort["cohort"] for cohort in cohorts] == \
+            ["all", "p50", "p99"]
+        assert cohorts[0]["queue_wait"] > 0
 
     def test_violated_p99_exits_nonzero(self, capsys, tmp_path):
         # The acceptance criterion: an impossible threshold must gate
         # the exit code, not just print a sad table.
-        config = self.slo_config(tmp_path, threshold_us=0.001)
-        assert main([*self.MEASURE, "--slo", str(config),
-                     str(tmp_path)]) == EXIT_CLAIM_FAILED
-        captured = capsys.readouterr()
-        assert "VIOLATED" in captured.err
-        assert "**NO**" in captured.out
+        scenario = probe_scenario(
+            tmp_path, slo=self.slo_config(threshold_us=0.001))
+        assert main(["run", scenario, "--out", str(tmp_path)]) \
+            == EXIT_CLAIM_FAILED
+        assert capsys.readouterr().err == \
+            "repro run: one or more SLOs VIOLATED\n"
+        assert not self.rows(tmp_path)[0]["ok"]
 
     def test_reqtrace_out_round_trips_offline(self, capsys, tmp_path):
         from repro.obs.reqtrace import (
             load_reqtrace,
             validate_reqtrace_records,
         )
+        from repro.obs.slo import evaluate_by_device, validate_slo_document
 
-        config = self.slo_config(tmp_path)
         out = tmp_path / "run"
-        assert main([*self.MEASURE, "--slo", str(config), str(out)]) == 0
+        assert main(["run", probe_scenario(tmp_path, slo=self.slo_config()),
+                     "--out", str(out)]) == 0
         header, records = load_reqtrace(out / "reqtrace.jsonl")
         assert header["meta"]["modes"] == ["baseline"]
         assert records
         validate_reqtrace_records(records)
-        measured = (out / "slo.json").read_bytes()
-        capsys.readouterr()
-        # Offline evaluation of the artifact agrees: the same report
-        # and exit 0 here, exit 1 under an impossible threshold.
-        assert main(["slo", "--slo", str(config), str(out)]) == 0
-        assert (out / "slo.json").read_bytes() == measured
-        tight = self.slo_config(tmp_path, threshold_us=0.001)
-        assert main(["slo", "--slo", str(tight), str(out)]) \
-            == EXIT_CLAIM_FAILED
+        # Offline evaluation of the artifact agrees with the table, and
+        # fails where an impossible threshold would.
+        [row] = evaluate_by_device(
+            records, validate_slo_document(self.slo_config()))
+        filters = row.pop("filters")
+        assert self.rows(out) == [{
+            **row, **{f"filters_{key}": value
+                      for key, value in filters.items()}}]
+        [tight] = evaluate_by_device(records, validate_slo_document(
+            self.slo_config(threshold_us=0.001)))
+        assert not tight["ok"]
 
     def test_needs_exactly_one_input(self, capsys, tmp_path):
-        # The one input is the run directory: none, or two, is a usage
-        # error.
-        config = str(self.slo_config(tmp_path))
-        for argv in (["slo", "--slo", config],
-                     ["slo", "--slo", config, "a", "b"]):
+        # The one input is the scenario: none, or two, is a usage error.
+        scenario = probe_scenario(tmp_path)
+        for argv in (["run"], ["run", scenario, scenario]):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == EXIT_CONFIG_ERROR
 
     def test_bad_config_and_artifact_map_to_exit_2(self, capsys,
                                                    tmp_path):
-        config = self.slo_config(tmp_path)
-        assert main(["slo", "--slo", str(tmp_path / "absent.json"),
-                     str(tmp_path), "--measure"]) == EXIT_CONFIG_ERROR
-        assert main(["slo", "--slo", str(config),
-                     str(tmp_path / "absent")]) == EXIT_CONFIG_ERROR
-        assert main(["slo", "--slo", str(config),
-                     str(tmp_path)]) == EXIT_CONFIG_ERROR
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "nope"}')
-        assert main(["slo", "--slo", str(bad), str(tmp_path),
-                     "--measure"]) == EXIT_CONFIG_ERROR
-        capsys.readouterr()
+        for fields in ({"slo": {"schema": "nope"}},
+                       {"slo": self.slo_config(threshold_us=-1.0)},
+                       {"modes": ["baseline", "flat"]},
+                       {"modes": []},
+                       {"params": {"evry": 4}},
+                       {"runs": 2},
+                       {"faults": {"schema": "repro.faults/v1",
+                                   "events": []}}):
+            assert main(["run", probe_scenario(tmp_path, **fields),
+                         "--out", str(tmp_path / "out")]) \
+                == EXIT_CONFIG_ERROR, fields
+            assert capsys.readouterr().err.startswith(
+                "repro: configuration error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_default_config_ships_and_passes(self, capsys, tmp_path):
-        # scenarios/slo_default.json is the CI smoke's config; it must
-        # keep passing against the default probe.
-        assert main(["slo", "--slo", "scenarios/slo_default.json",
-                     str(tmp_path), "--measure", "--mode", "shrink",
-                     "--requests", "120", "--every", "4"]) == 0
-        assert "all met" in capsys.readouterr().out
+        # scenarios/slo_default.json is the probe at its defaults with
+        # three objectives; it must keep passing.
+        assert main(["run", "scenarios/slo_default.json",
+                     "--out", str(tmp_path)]) == 0
+        rows = self.rows(tmp_path, "slo-default")
+        assert len(rows) == 4 * 3 and all(row["ok"] for row in rows)
 
     def test_endurance_out_feeds_the_wear_provenance_rows(self, capsys,
                                                           tmp_path):
@@ -715,13 +748,12 @@ class TestSLOCommand:
 
         # Without an artifact the rows skip and name their one producer.
         hint = check_wear_provenance(None)[0].detail
-        assert "`repro slo --slo CFG DIR --measure`" in hint
-        config = self.slo_config(tmp_path)
+        assert "`repro run scenarios/probe.json --out DIR`" in hint
         out = tmp_path / "run"
-        assert main(["slo", "--slo", str(config), str(out), "--measure",
-                     "--mode", "all", "--requests", "120",
-                     "--every", "4"]) == 0
-        assert "endurance ->" in capsys.readouterr().out
+        scenario = probe_scenario(tmp_path, modes=["baseline", "cvss",
+                                                   "shrink", "regen"])
+        assert main(["run", scenario, "--out", str(out)]) == 0
+        assert "endurance.jsonl ->" in capsys.readouterr().out
         _, records = load_endurance(out / "endurance.jsonl")
         validate_endurance_records(records)
         modes = {record["name"].split("/")[0] for record in records}
@@ -738,7 +770,7 @@ class TestSLOCommand:
 
 
 class TestReqtraceFlags:
-    """The reqtrace the fleet sidecar wrote comes from `slo --measure`."""
+    """The reqtrace the fleet sidecar wrote comes from a probe scenario."""
 
     def test_fleet_writes_reqtrace_sidecar(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -748,9 +780,8 @@ class TestReqtraceFlags:
         assert not list(tmp_path.iterdir())
         capsys.readouterr()
         out = tmp_path / "run"
-        assert main([*TestSLOCommand.MEASURE,
-                     "--slo", str(TestSLOCommand.slo_config(tmp_path)),
-                     str(out)]) == 0
+        assert main(["run", probe_scenario(tmp_path),
+                     "--out", str(out)]) == 0
         from repro.obs.reqtrace import (
             load_reqtrace,
             validate_reqtrace_records,
@@ -760,18 +791,27 @@ class TestReqtraceFlags:
         assert records
         validate_reqtrace_records(records)
         assert all(r["device_kind"] == "baseline" for r in records)
-        assert "reqtrace ->" in capsys.readouterr().out
+        assert "reqtrace.jsonl ->" in capsys.readouterr().out
+
 
 class TestProbeFlags:
-    """The IO probe has one door: `repro slo --measure`."""
+    """The IO probe has one door, a probe scenario of `repro run`: its
+    mode, seed, sampling and window are the scenario's ``modes``,
+    ``seed`` and ``params``, not flags."""
 
     @pytest.mark.parametrize("argv", [
         ["run", "scenarios/quick_fleet.json", "--reqtrace-out", "x.jsonl"],
         ["run", "scenarios/quick_fleet.json", "--endurance-out", "x.jsonl"],
         ["run", "scenarios/quick_fleet.json", "--slo", "y.json"],
         ["run", "scenarios/quick_fleet.json", "--endurance-out", "x.jsonl"],
+        ["run", "scenarios/probe.json", "--measure"],
+        ["run", "scenarios/probe.json", "--mode", "baseline"],
+        ["run", "scenarios/probe.json", "--seed", "7"],
+        ["run", "scenarios/probe.json", "--every", "4"],
+        ["run", "scenarios/probe.json", "--requests", "100"],
     ], ids=["fleet-reqtrace-out", "fleet-endurance-out", "run-slo",
-            "run-endurance-out"])
+            "run-endurance-out", "run-measure", "run-mode", "run-seed",
+            "run-every", "run-requests"])
     def test_fleet_and_run_reject_probe_flags(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -782,27 +822,25 @@ class TestProbeFlags:
 #: (argv after ``repro``, the names it writes into DIR) — the run
 #: directory's layout, one producer or reader per row. ``@`` is DIR,
 #: ``@sweep`` a small fleet scenario with ``runs``, ``@traffic`` a small
-#: traffic scenario; reader rows start from the probe's files.
+#: traffic scenario, ``@probe`` a small probe scenario; reader rows
+#: start from the probe's files. A run writes a sink file only if the
+#: sink recorded something: fig2 and a sweep record nothing, traffic
+#: only metrics.
 _SWEEP = {"name": "sweep", "kind": "fleet", "runs": 1,
           "modes": ["baseline"],
           "params": {"devices": 4, "horizon_days": 365, "step_days": 50,
                      "geometry": {"blocks": 16, "fpages_per_block": 64}}}
-_SLO = ["--slo", "scenarios/slo_default.json"]
-_PROBE = ["--mode", "baseline", "--requests", "60", "--every", "4"]
+_PROBE = {"params": {"requests": 60, "every": 4}}
 LAYOUT = [
     (["run", "scenarios/quick_fleet.json", "--out", "@"],
      {"quick-fleet.json", "metrics.json", "trace.jsonl",
       "timeseries.jsonl"}),
     (["run", "scenarios/fig2_ldpc.json", "--out", "@"],
-     {"fig2-ldpc.json", "metrics.json", "trace.jsonl",
-      "timeseries.jsonl"}),
-    (["run", "@traffic", "--out", "@"],
-     {"traffic.json", "metrics.json", "trace.jsonl", "timeseries.jsonl"}),
-    (["run", "@sweep", "--out", "@"],
-     {"sweep.json", "metrics.json", "trace.jsonl", "timeseries.jsonl"}),
-    (["slo", *_SLO, "@", "--measure", *_PROBE],
-     {"reqtrace.jsonl", "endurance.jsonl", "slo.json"}),
-    (["slo", *_SLO, "@"], {"slo.json"}),
+     {"fig2-ldpc.json"}),
+    (["run", "@traffic", "--out", "@"], {"traffic.json", "metrics.json"}),
+    (["run", "@sweep", "--out", "@"], {"sweep.json"}),
+    (["run", "@probe", "--out", "@"],
+     {"probe.json", "reqtrace.jsonl", "endurance.jsonl"}),
     (["report", "@"], {"report.json", "report.md"}),
     (["wear", "report", "@"], {"wear.json"}),
     (["wear", "forecast", "@"], {"wear.json"}),
@@ -816,17 +854,19 @@ class TestRunDirectory:
     @pytest.fixture(scope="class")
     def probed(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("probed")
-        assert main(["slo", *_SLO, str(root), "--measure", *_PROBE]) == 0
+        scenario = probe_scenario(tmp_path_factory.mktemp("scenario"),
+                                  **_PROBE)
+        assert main(["run", scenario, "--out", str(root)]) == 0
         return root
 
     @pytest.mark.parametrize("argv, names", LAYOUT, ids=[
-        "fleet", "run", "traffic", "sweep", "slo --measure", "slo",
-        "report", "wear report", "wear forecast", "wear diff"])
+        "fleet", "run", "traffic", "sweep", "probe", "report",
+        "wear report", "wear forecast", "wear diff"])
     def test_each_command_writes_exactly_its_names(self, argv, names,
                                                    tmp_path, probed,
                                                    capsys):
         out = tmp_path / "run"
-        if argv[0] in ("slo", "report", "wear") and "--measure" not in argv:
+        if argv[0] in ("report", "wear"):
             out.mkdir()
             for name in ("reqtrace.jsonl", "endurance.jsonl"):
                 (out / name).write_bytes((probed / name).read_bytes())
@@ -834,7 +874,23 @@ class TestRunDirectory:
         sweep.write_text(json.dumps(_SWEEP))
         given = {"@": str(out), "@sweep": str(sweep),
                  "@traffic": traffic_scenario(
-                     tmp_path, params={"tenants": 4, "duration_us": 400.0})}
+                     tmp_path, params={"tenants": 4, "duration_us": 400.0}),
+                 "@probe": probe_scenario(tmp_path, **_PROBE)}
         before = {path.name for path in out.glob("*")}
         assert main([given.get(part, part) for part in argv]) == 0
         assert {path.name for path in out.iterdir()} - before == names
+
+    def test_a_probe_leaves_a_fleet_runs_sinks_in_place(self, tmp_path,
+                                                       capsys):
+        # CI runs the fleet smoke, then the probe, into one directory:
+        # the probe records into no sink, so it writes none.
+        out = tmp_path / "run"
+        assert main(["run", "scenarios/quick_fleet.json",
+                     "--out", str(out)]) == 0
+        sinks = {name: (out / name).read_bytes() for name in
+                 ("metrics.json", "trace.jsonl", "timeseries.jsonl")}
+        assert all(sinks.values())
+        assert main(["run", probe_scenario(tmp_path, **_PROBE),
+                     "--out", str(out)]) == 0
+        assert {name: (out / name).read_bytes() for name in sinks} == sinks
+        assert (out / "reqtrace.jsonl").exists()

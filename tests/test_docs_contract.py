@@ -768,8 +768,8 @@ def test_user_docs_name_only_flags_the_parser_defines():
     texts = command_texts()
     pairs = {pair for text in texts.values()
              for pair in attributed_flags(text)}
-    assert {("report", "--queue-depth"), ("slo", "--every"),
-            ("slo", "--measure"), ("run", "--jobs"),
+    assert {("report", "--queue-depth"), ("wear", "--against"),
+            ("wear", "--horizon"), ("run", "--jobs"),
             ("run", "--out")} <= pairs
     undefined = {name: found for name, text in texts.items()
                  if (found := undefined_flags(text))}
@@ -802,20 +802,23 @@ def test_flag_check_flags_the_parent_text():
         "Elsewhere `--io-batch` belongs to nothing.\n") == [
         "repro report --io-batch"]
     assert undefined_flags(
-        "```console\n$ python -m repro slo --slo s.json --measure \\\n"
-        "      --io-batch 8\n```\n") == ["repro slo --io-batch"]
+        "```console\n$ python -m repro run s.json --out d \\\n"
+        "      --io-batch 8\n```\n") == ["repro run --io-batch"]
 
 
 def test_flag_check_reads_docstrings():
-    """The parent's ``repro.io.probe`` docstring named two options the
-    run directory retired."""
+    """An earlier ``repro.io.probe`` docstring named two options the
+    run directory retired, on a subcommand the probe scenario kind
+    retired since; read onto ``repro run``, the flag check finds them."""
     parent = (
         '"""Reqtrace-instrumented IO probes: one traffic-engine preset per '
         'mode.\n\n``repro slo --measure`` and its ``--reqtrace-out`` / '
         '``--endurance-out``\nartifacts need a workload that exercises the '
         'attribution paths.\n"""\n')
+    assert undefined_subcommands(docstring_text(parent)) == ["repro slo"]
+    parent = parent.replace("repro slo --measure", "repro run")
     assert undefined_flags(docstring_text(parent)) == [
-        "repro slo --endurance-out", "repro slo --reqtrace-out"]
+        "repro run --endurance-out", "repro run --reqtrace-out"]
     assert undefined_flags(parent) == []   # the docs-only reading missed it
 
 
@@ -839,7 +842,7 @@ def test_subcommand_check_flags_the_parent_text():
     assert undefined_subcommands(
         "repro.cli         python -m repro {run,fleet,sweep,traffic,report,"
         "slo,\n                  wear}.") == [
-        "repro fleet", "repro sweep", "repro traffic"]
+        "repro fleet", "repro slo", "repro sweep", "repro traffic"]
     # Prose is not a command line.
     assert undefined_subcommands(
         "a repro process, the repro fig2 table, `repro.scenarios`, "

@@ -1,6 +1,6 @@
 """Every file the CLI reads x every way it can be wrong -> exit 2, one line.
 
-The contract as a matrix: the eleven inputs the CLI reads — a path on
+The contract as a matrix: the ten inputs the CLI reads — a path on
 the command line, or an artifact at its fixed name in a run directory —
 each fed a missing path, a directory, an unreadable file, bytes that
 are not UTF-8, an empty file, valid JSON that is not an object, a
@@ -16,7 +16,9 @@ A run-directory row is named after its command and the artifact it
 reads, in flag form: ``report --metrics`` is the ``metrics.json`` of
 ``repro report DIR``. The two ``traffic`` rows are the inputs a traffic
 scenario of ``repro run`` adds, named as the options they replaced: the
-file its ``trace`` param names, and its embedded ``slo`` object.
+file its ``trace`` param names, and its embedded ``slo`` object. The
+``slo --slo`` row is likewise a probe scenario's embedded ``slo``
+object, named as the option of the ``repro slo`` it replaced.
 
 A traffic scenario's own fields are rows of a second table
 (``TRAFFIC_FIELDS``): each a document ``repro run`` must refuse with
@@ -44,13 +46,6 @@ SCENARIO = {"name": "tiny", "kind": "fleet", "seed": 3,
             "params": {"devices": 4, "horizon_days": 200, "step_days": 50,
                        "geometry": {"blocks": 16, "fpages_per_block": 16}},
             "modes": ["baseline"]}
-REQTRACE = [
-    {"kind": "header", "name": "reqtrace", "time": 0.0, "meta": {},
-     "schema": "repro.obs.reqtrace/v1"},
-    {"kind": "request", "name": "io.read", "time": 0.0, "end_time": 5.0,
-     "op": "read", "device_kind": "baseline", "stream": 0, "attrs": {},
-     "submit_us": 0.0, "end_us": 5.0, "total_us": 5.0, "wait_us": 1.0,
-     "service_us": 4.0, "segments": {"queue_wait": 1.0, "device": 4.0}}]
 _BY_CAUSE = {cause: 0 for cause in ("gc", "wear_level", "scrub", "shrink",
                                     "regen", "meta", "remount")}
 ENDURANCE = [
@@ -79,6 +74,8 @@ OPS = "# trace n_lbas=8\nW 1 00ff\nR 1\nT 1\n"
 
 TRAFFIC = {"name": "traffic", "kind": "traffic",
            "params": {"tenants": 4, "duration_us": 400.0, "cells": 1}}
+PROBE = {"name": "probe", "kind": "probe", "modes": ["baseline"],
+         "params": {"requests": 40, "every": 4}}
 
 
 def jsonl(records) -> str:
@@ -116,10 +113,10 @@ class Input:
     input's path.
     """
 
-    def __init__(self, name, argv, forms, field, helpers=(), file=None,
+    def __init__(self, name, argv, forms, field, file=None,
                  dir_files=None, scenario=None):
         self.name, self._argv, self.forms = name, argv, forms
-        self.field, self.helpers = field, helpers
+        self.field = field
         self.file, self.dir_files = file, dir_files or {}
         self.scenario = scenario
 
@@ -136,10 +133,6 @@ class Input:
             for name, text in self.dir_files.items():
                 (given["@dir"] / name).write_text(text)
         out = [str(given.get(part, part)) for part in self._argv]
-        for flag, text in self.helpers:
-            helper = tmp_path / f"helper{flag}"
-            helper.write_text(text)
-            out += [flag, str(helper)]
         if out[0] == "run":
             out += ["--out", str(tmp_path / "out")]
         return out
@@ -149,9 +142,15 @@ def one(document) -> str:
     return json.dumps(document)
 
 
-_SLO_FORMS = forms(SLO, one, edited(SLO, ["schema"], "repro.obs.slo/v0"),
-                   ["objectives", 0, "name"],
-                   (["objectives", 0, "percentile"], "p"))
+def embedded_slo(scenario) -> dict:
+    """The content forms of a scenario whose ``slo`` object is the
+    malformed part."""
+    return forms({**scenario, "slo": SLO}, one,
+                 {**scenario, "slo": edited(SLO, ["schema"],
+                                            "repro.obs.slo/v0")},
+                 ["slo", "objectives", 0, "name"],
+                 (["slo", "objectives", 0, "percentile"], "p"))
+
 
 _ENDURANCE_FORMS = forms(
     ENDURANCE, jsonl,
@@ -169,15 +168,9 @@ INPUTS = [
           forms(FAULTS, one, edited(FAULTS, ["schema"], "repro.faults/v0"),
                 ["events"], (["events", 0, "when"], "soon")),
           ("events", "when")),
-    Input("slo --slo", ["slo", "--slo", "@", "@dir"], _SLO_FORMS,
-          ("name", "percentile"),
-          dir_files={"reqtrace.jsonl": jsonl(REQTRACE)}),
-    Input("slo --reqtrace", ["slo", "@"],
-          forms(REQTRACE, jsonl,
-                edited(REQTRACE, [0, "schema"], "repro.obs.reqtrace/v0"),
-                [1, "total_us"], ([1, "total_us"], "a")),
-          ("total_us", "total_us"), helpers=(("--slo", one(SLO)),),
-          file="reqtrace.jsonl"),
+    # A probe scenario's embedded objectives.
+    Input("slo --slo", ["run", "@"], embedded_slo(PROBE),
+          ("name", "percentile")),
     Input("wear --endurance", ["wear", "report", "@"], _ENDURANCE_FORMS,
           ("waf", "programs"), file="endurance.jsonl"),
     Input("wear --against", ["wear", "diff", "@dir", "--against", "@"],
@@ -210,12 +203,7 @@ INPUTS = [
                                           "trace": "@"}}),
     # A traffic scenario's embedded objectives: the scenario file is the
     # input, its "slo" object the malformed part.
-    Input("traffic --slo", ["run", "@"],
-          forms({**TRAFFIC, "slo": SLO}, one,
-                {**TRAFFIC, "slo": edited(SLO, ["schema"],
-                                          "repro.obs.slo/v0")},
-                ["slo", "objectives", 0, "name"],
-                (["slo", "objectives", 0, "percentile"], "p")),
+    Input("traffic --slo", ["run", "@"], embedded_slo(TRAFFIC),
           ("name", "percentile")),
 ]
 
@@ -342,18 +330,13 @@ def test_traffic_scenario_field_is_exit_2_and_one_line(document, extra, field,
 
 @pytest.mark.parametrize("argv, records, edit", [
     (["wear", "forecast", "@"], ENDURANCE, ([1, "programs"], 5)),
-    (["slo", "@", "--slo", "@slo"], REQTRACE, ([1, "end_us"], "z")),
     (["wear", "report", "@"], ENDURANCE,
      ([1, "mean_pec"], True)),    # a bool is not a number
-], ids=["wear forecast programs=5", "slo end_us=z", "wear mean_pec=true"])
+], ids=["wear forecast programs=5", "wear mean_pec=true"])
 def test_mistyped_fields_named_in_the_issue(argv, records, edit, tmp_path,
                                             capsys):
-    name = "reqtrace.jsonl" if records is REQTRACE else "endurance.jsonl"
-    (tmp_path / name).write_text(jsonl(edited(records, *edit)))
-    slo = tmp_path / "slo.json"
-    slo.write_text(json.dumps(SLO))
-    argv = [{"@": str(tmp_path), "@slo": str(slo)}.get(part, part)
-            for part in argv]
+    (tmp_path / "endurance.jsonl").write_text(jsonl(edited(records, *edit)))
+    argv = [str(tmp_path) if part == "@" else part for part in argv]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2, err

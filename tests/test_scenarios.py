@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs.slo import load_slo_config
 from repro.scenarios import (
     SCENARIO_KINDS,
     load_scenario,
@@ -230,6 +229,47 @@ class TestRunners:
             for cell, report in enumerate(expected["slo"]["cells"])
             for row in report["objectives"]]
 
+    def test_probe_writes_its_records_beside_the_artifact(self, tmp_path):
+        # The kind's slo table is evaluate_by_device's rows (filters
+        # flattened), its segments table the cohort shares of the
+        # records it writes to reqtrace.jsonl.
+        from repro.obs.analyze import segment_breakdown
+        from repro.obs.endurance import load_endurance
+        from repro.obs.reqtrace import load_reqtrace
+        from repro.obs.slo import evaluate_by_device, validate_slo_document
+
+        slo = json.loads((SCENARIOS / "slo_default.json").read_text())["slo"]
+        writer = run_scenario({
+            "name": "p", "kind": "probe", "seed": 7, "slo": slo,
+            "modes": ["shrink", "baseline"],
+            "params": {"every": 4, "requests": 100}}, jobs=2)
+        writer.write(tmp_path)
+        header, records = load_reqtrace(tmp_path / "reqtrace.jsonl")
+        assert header["meta"]["modes"] == ["shrink", "baseline"]
+        assert header["meta"]["every"] == 4
+        _, wear = load_endurance(tmp_path / "endurance.jsonl")
+        assert [record["name"].split("/")[0] for record in wear] == \
+            ["shrink", "baseline"]
+        document = writer.document()
+        assert document["meta"]["seed"] == 7
+
+        def rows(name):
+            table = document["tables"][name]
+            return [dict(zip(table["headers"], row))
+                    for row in table["rows"]]
+
+        expected = evaluate_by_device(records, validate_slo_document(slo))
+        assert rows("slo") == [
+            {key: value for key, value in row.items() if key != "filters"}
+            | {f"filters_{key}": value
+               for key, value in row["filters"].items()}
+            for row in expected]
+        assert [row["device_kind"] for row in rows("slo")] == \
+            ["baseline"] * 3 + ["shrink"] * 3
+        cohorts = segment_breakdown(records)
+        assert {row["cohort"]: row["requests"] for row in rows("segments")} \
+            == {name: cohort["count"] for name, cohort in cohorts.items()}
+
     def test_health_rejects_unknown_params(self):
         with pytest.raises(ConfigError):
             validate_scenario({"name": "h", "kind": "health",
@@ -240,23 +280,13 @@ class TestShippedScenarios:
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
                              ids=lambda path: path.name)
     def test_every_file_loads_as_a_scenario_or_an_slo_config(self, path):
-        try:
-            load_scenario(path)
-        except ConfigError as scenario_error:
-            try:
-                load_slo_config(path)
-            except ConfigError as slo_error:
-                pytest.fail(f"{path.name}: not a scenario "
-                            f"({scenario_error}) nor an SLO config "
-                            f"({slo_error})")
+        # SLO objectives ship inside the scenario that evaluates them
+        # (traffic_slo.json, slo_default.json): every file is a scenario.
+        validate_scenario(load_scenario(path))
 
     def test_every_kind_ships_a_file(self):
-        kinds = set()
-        for path in SCENARIOS.glob("*.json"):
-            try:
-                kinds.add(load_scenario(path)["kind"])
-            except ConfigError:
-                pass
+        kinds = {load_scenario(path)["kind"]
+                 for path in SCENARIOS.glob("*.json")}
         assert kinds == set(SCENARIO_KINDS)
 
     @pytest.mark.parametrize("name", ["fig2_ldpc.json"])
@@ -268,7 +298,7 @@ class TestShippedScenarios:
                  "tco": "tco.json",
                  "replacement": "measured_upgrade_rates.json",
                  "fig2": "fig2.json", "health": "health.json",
-                 "traffic": "traffic.json"}
+                 "traffic": "traffic.json", "probe": "probe.json"}
 
     def test_every_kind_but_fleet_has_a_canonical_file(self):
         assert set(self.CANONICAL) == set(SCENARIO_KINDS) - {"fleet"}
