@@ -152,7 +152,7 @@ def export_endurance(name: str, ledger) -> Path:
     Per-bench ``repro.obs.endurance/v1`` snapshots land under
     ``benchmarks/results/endurance/`` so a perf run documents not just
     how fast the hot loop was but what wear it caused — the same
-    decomposition ``repro wear report`` renders.
+    decomposition as the ``wear`` table of ``repro report``.
     """
     wear_dir = _RESULTS_DIR / "endurance"
     return ledger.export_jsonl(wear_dir / f"perf-{name}.jsonl",

@@ -54,9 +54,8 @@ run trc.json --out trc
 run {SCN}/probe.json --out results ; run {SCN}/slo_default.json --out results
 report obs ; report ; report f1
 run p2.json --jobs 2 --out p2 ; run p3.json --out p3
-wear report obs --check --waf-budget 50 ; wear diff obs --against p2
-wear forecast obs --horizon 1000 ; !run missing.json ; !report absent ; !report plan.json
-!run results ; !wear report not_utf8 ; !run mistyped_slo.json --out obs"""
+report obs --against p2 ; !run missing.json ; !report absent ; !report plan.json
+!run results ; !report not_utf8 ; !run mistyped_slo.json --out obs"""
 _TRAFFIC = ('{"name": "traffic", "kind": "traffic", "params": {"tenants": 12,'
             ' "duration_us": 4000, %s}%s}')
 _FLEET = ('{"name": "fleet", "kind": "fleet", "seed": 2025, "params": {"devices": 6,'

@@ -36,13 +36,12 @@ validated against :mod:`repro.ssd.stats` counters (``flash_writes``,
 ``gc_relocations``, ``wear_relocations``), and a burn-rate lifetime
 forecaster: windowed snapshots of mean-PEC versus host work give a
 PEC-consumption slope, hence a per-device ETA-to-exhaustion against
-the :func:`repro.models.lifetime.tiredness_tradeoff` P/E limits and a
-fleet survival projection.
+the :func:`repro.models.lifetime.tiredness_tradeoff` P/E limits.
 
 The artifact (``repro.obs.endurance/v1``) is JSONL: one header line
 (schema + run metadata) followed by one ``kind: "device"`` record per
-registered device. See docs/OBSERVABILITY.md for the schema and the
-``repro wear`` CLI that consumes it.
+registered device. ``repro report DIR`` is its one reader (claim rows
+and :func:`wear_tables`). See docs/OBSERVABILITY.md for the schema.
 """
 
 from __future__ import annotations
@@ -368,13 +367,13 @@ _FORECAST_FIELDS = {"eta_host_opages": float, "mean_pec": float,
 
 
 def validate_endurance_records(records: list[dict],
-                               tolerance: float = WAF_TOLERANCE) -> None:
-    """Check every device record's shape and the WAF identity.
+                               tolerance: float = WAF_TOLERANCE) -> list[dict]:
+    """``records`` if every device record's shape and WAF identity hold.
 
     Per-cause counters must cover exactly :data:`CAUSES` and sum to the
     recorded totals; when the device absorbed host oPages, ``waf`` must
-    equal ``1 + overhead/host`` within ``tolerance``. The CI smoke job
-    runs this over CLI-produced artifacts.
+    equal ``1 + overhead/host`` within ``tolerance``. ``repro report``
+    runs this over a run directory's ledger at load.
     """
     for index, record in enumerate(records):
         what = f"endurance record {index}"
@@ -420,20 +419,19 @@ def validate_endurance_records(records: list[dict],
             raise ConfigError(
                 f"{what}: waf {waf!r} with no host "
                 f"oPages absorbed")
+    return records
 
 
-# -- fleet forecasting --------------------------------------------------------
+# -- forecasting and report tables --------------------------------------------
 
-def forecast_rows(records: list[dict],
-                  pec_limit_l0: float | None = None) -> list[dict]:
+def forecast_rows(records: list[dict]) -> list[dict]:
     """Per-device, per-tiredness-level ETA rows from artifact records.
 
     For each device carrying a measured burn slope, recompute the ETA
     against every :func:`repro.models.lifetime.tiredness_tradeoff`
-    level limit (scaled from the device's own L0 limit unless
-    ``pec_limit_l0`` overrides it) — the ledger-side view of the
-    paper's lifetime-extension envelope. Devices without a measurable
-    slope yield no rows.
+    level limit (scaled from the device's own recorded L0 limit) — the
+    ledger-side view of the paper's lifetime-extension envelope.
+    Devices without a measurable slope yield no rows.
     """
     from repro.models.lifetime import tiredness_tradeoff
 
@@ -446,9 +444,8 @@ def forecast_rows(records: list[dict],
         if slope <= 0.0:
             continue
         mean = forecast["mean_pec"]
-        base_limit = (pec_limit_l0 if pec_limit_l0 is not None
-                      else forecast["pec_limit"])
-        for tradeoff in tiredness_tradeoff(pec_limit_l0=base_limit):
+        for tradeoff in tiredness_tradeoff(
+                pec_limit_l0=forecast["pec_limit"]):
             eta = max(0.0, (tradeoff.pec_limit - mean) / slope)
             rows.append({"device": record["name"],
                          "level": tradeoff.level,
@@ -459,17 +456,61 @@ def forecast_rows(records: list[dict],
     return rows
 
 
-def fleet_survival(records: list[dict], horizon_host_opages: float,
-                   ) -> dict:
-    """Fraction of forecastable devices whose ETA clears the horizon."""
-    etas = [record["forecast"]["eta_host_opages"] for record in records
-            if record.get("forecast")]
-    surviving = sum(1 for eta in etas if eta >= horizon_host_opages)
-    return {"devices": len(records), "forecastable": len(etas),
-            "horizon_host_opages": horizon_host_opages,
-            "surviving": surviving,
-            "survival_fraction": (surviving / len(etas) if etas
-                                  else None)}
+def _overhead(ours: dict, theirs: dict | None = None) -> dict[str, int]:
+    """Nonzero non-host program oPages by cause (less ``theirs``)."""
+    return {cause: delta for cause in CAUSES[1:] if (delta := (
+        ours["program_opages"][cause]
+        - (theirs["program_opages"][cause] if theirs else 0)))}
+
+
+_FORECAST_HEADERS = ["device", "level", "pec_limit", "mean_pec",
+                     "slope_pec_per_host_opage", "eta_host_opages"]
+
+
+def wear_tables(records: list[dict],
+                against: list[dict] | None = None) -> dict[str, dict]:
+    """The tables ``repro report`` writes over validated device records,
+    each ``{"headers": [...], "rows": [...]}``.
+
+    ``wear``: the measured WAF decomposition per device; ``forecast``:
+    :func:`forecast_rows`; with ``against`` (a reference run's records),
+    ``wear_delta``: per device, this run minus the reference as signed
+    text, or which side alone holds it.
+    """
+    tables = {
+        "wear": {"headers": ["device", "host_opages", "waf", "mean_pec",
+                             "max_pec", "overhead_opages"],
+                 "rows": [[r["name"], r["program_opages"]["host"], r["waf"],
+                           r["mean_pec"], r["max_pec"], _overhead(r)]
+                          for r in records]},
+        "forecast": {"headers": _FORECAST_HEADERS,
+                     "rows": [[row[key] for key in _FORECAST_HEADERS]
+                              for row in forecast_rows(records)]},
+    }
+    if against is None:
+        return tables
+    ours = {record["name"]: record for record in records}
+    theirs = {record["name"]: record for record in against}
+    rows = []
+    for name in sorted(set(ours) | set(theirs)):
+        a, b = ours.get(name), theirs.get(name)
+        if a is None or b is None:
+            rows.append([name, "-", "-", "-",
+                         f"only in {'DIR' if b is None else 'DIR2'}"])
+            continue
+        host = a["program_opages"]["host"] - b["program_opages"]["host"]
+        waf = ("-" if a["waf"] is None or b["waf"] is None
+               else f"{a['waf'] - b['waf']:+.3f}")
+        by_cause = sorted(_overhead(a, b).items(),
+                          key=lambda item: -abs(item[1]))
+        rows.append([name, f"{host:+d}",
+                     f"{a['mean_pec'] - b['mean_pec']:+.2f}", waf,
+                     ", ".join(f"{cause}{delta:+d}"
+                               for cause, delta in by_cause) or "-"])
+    tables["wear_delta"] = {"headers": ["device", "host_opages", "mean_pec",
+                                        "waf", "overhead_opages"],
+                            "rows": rows}
+    return tables
 
 
 __all__ = [
@@ -480,9 +521,9 @@ __all__ = [
     "DeviceEndurance",
     "EnduranceLedger",
     "enabled",
-    "fleet_survival",
     "forecast_rows",
     "load_endurance",
     "validate_endurance_records",
+    "wear_tables",
     "write_endurance",
 ]

@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.obs.analyze import analyze_trace, format_trace_summary
 from repro.obs.endurance import CAUSES, validate_endurance_records
+from repro.reporting.tables import format_table
 
 #: Version tag stamped into every report document.
 REPORT_SCHEMA = "repro.report/v1"
@@ -509,7 +510,7 @@ def check_wear_provenance(records: list[dict] | None,
 
     Exact-arithmetic checks (counter identities, not tolerances): the
     ledger counts every oPage, so any slack here is an accounting bug,
-    not measurement noise.
+    not measurement noise. Malformed records raise :class:`ConfigError`.
     """
     identity_claim = "wear_provenance/waf_identity"
     isolation_claim = "wear_provenance/cause_isolation"
@@ -522,24 +523,16 @@ def check_wear_provenance(records: list[dict] | None,
     hint = ("needs a repro.obs.endurance/v1 artifact (an endurance.jsonl "
             "from `repro run scenarios/probe.json --out DIR`, then `repro "
             "report DIR`)")
-    def skipped(detail: str) -> list[ClaimResult]:
-        return ([ClaimResult(isolation_claim, "skip", None,
-                             isolation_expected, detail)]
-                + [ClaimResult(f"wear_provenance/{mode}_delta", "skip",
-                               None, delta_expected, detail)
-                   for mode in ("shrink", "regen")])
-
     if records is None:
         return [ClaimResult(identity_claim, "skip", None,
-                            identity_expected, hint)] + skipped(hint)
-    try:
-        validate_endurance_records(records)
-    except ConfigError as error:
-        # Nothing below may read records that failed validation.
-        return [ClaimResult(
-            identity_claim, "fail", float(len(records)),
-            identity_expected, str(error))] + skipped(
-                "the endurance records failed validation")
+                            identity_expected, hint),
+                ClaimResult(isolation_claim, "skip", None,
+                            isolation_expected, hint),
+                *(ClaimResult(f"wear_provenance/{mode}_delta", "skip",
+                              None, delta_expected, hint)
+                  for mode in ("shrink", "regen"))]
+    # A malformed ledger is a configuration error, never a failed claim.
+    validate_endurance_records(records)
     results = [ClaimResult(
         identity_claim, "pass", float(len(records)), identity_expected,
         f"{len(records)} device record(s); every per-cause counter "
@@ -709,4 +702,20 @@ def format_report(report: dict) -> str:
         lines.append("")
     if "trace_summary" in report:
         lines.append(format_trace_summary(report["trace_summary"]))
+    # The wear tables (repro.obs.endurance.wear_tables), when present.
+    for name in ("wear", "forecast", "wear_delta"):
+        if name in report:
+            rows = [[_cell(value) for value in row]
+                    for row in report[name]["rows"]]
+            lines += ["```", format_table(report[name]["headers"], rows,
+                                          title=name), "```", ""]
     return "\n".join(lines)
+
+
+def _cell(value):
+    """A wear-table cell for report.md: ``-`` for none, a by-cause
+    count table as ``gc=82, scrub=3``."""
+    if isinstance(value, dict):
+        return ", ".join(f"{key}={count}"
+                         for key, count in value.items()) or "-"
+    return "-" if value is None else value

@@ -105,6 +105,13 @@ def validate_scenario(document: dict):
     if "runs" in document and (kind != "fleet" or document["runs"] < 1):
         raise ConfigError(f"'runs' must be a positive int on a fleet "
                           f"scenario, got {document['runs']!r} on {kind}")
+    # A field its kind ignores would run without a word: refuse it.
+    if "modes" in document and kind not in ("fleet", "probe"):
+        raise ConfigError(f"'modes' is for a fleet or probe scenario, "
+                          f"not {kind}")
+    if "seed" in document and kind in ("carbon", "tco", "fig2"):
+        raise ConfigError(f"a {kind} scenario draws nothing: it takes "
+                          f"no 'seed'")
     params = document.get("params", {})
     if kind == "fleet":
         config = _fleet_config(params)

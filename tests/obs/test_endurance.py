@@ -30,10 +30,10 @@ from repro.obs.endurance import (
     CAUSES,
     ENDURANCE_SCHEMA,
     EnduranceLedger,
-    fleet_survival,
     forecast_rows,
     load_endurance,
     validate_endurance_records,
+    wear_tables,
     write_endurance,
 )
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
@@ -335,37 +335,23 @@ class TestForecasting:
         assert etas == sorted(etas), \
             "higher tiredness levels must never shorten the ETA"
 
-    def test_forecast_rows_l0_override(self):
-        from repro.models.lifetime import tiredness_tradeoff
-
-        doc = self._burned_device().document(pec_limit=3.0)
-        rows = forecast_rows([doc], pec_limit_l0=6.0)
-        assert [row["pec_limit"] for row in rows] == \
-            [level.pec_limit for level in tiredness_tradeoff(
-                pec_limit_l0=6.0)]
-
     def test_forecast_rows_skip_unforecastable_devices(self):
         led = EnduranceLedger()
         dev = led.register_device(blocks=2, name="fresh")
         assert forecast_rows([dev.document(5.0)]) == []
         assert forecast_rows([dev.document()]) == []
 
-    def test_fleet_survival_counts_clearing_etas(self):
-        docs = []
-        for name, eta in (("a", 10.0), ("b", 100.0)):
-            dev = self._burned_device()
-            doc = dev.document(pec_limit=3.0)
-            doc["name"] = name
-            doc["forecast"]["eta_host_opages"] = eta
-            docs.append(doc)
-        docs.append({"name": "c", "forecast": None})
-        survival = fleet_survival(docs, horizon_host_opages=50.0)
-        assert survival["devices"] == 3
-        assert survival["forecastable"] == 2
-        assert survival["surviving"] == 1
-        assert survival["survival_fraction"] == pytest.approx(0.5)
-        empty = fleet_survival([], horizon_host_opages=50.0)
-        assert empty["survival_fraction"] is None
+    def test_wear_tables_name_one_sided_devices(self):
+        burned = self._burned_device().document(pec_limit=3.0)
+        other = {**burned, "name": "other"}
+        tables = wear_tables([burned])
+        assert set(tables) == {"wear", "forecast"}
+        assert tables["forecast"]["rows"] == [
+            list(row.values()) for row in forecast_rows([burned])]
+        delta = wear_tables([burned], against=[burned, other])["wear_delta"]
+        assert delta["rows"] == [
+            [burned["name"], "+0", "+0.00", "+0.000", "-"],
+            ["other", "-", "-", "-", "only in DIR2"]]
 
     def test_churned_device_forecast_ties_to_lifetime_model(
             self, make_flavour):

@@ -39,11 +39,8 @@ CONSUMERS = [
     ("fleet/trace.jsonl", "trace.jsonl", ["report", "@"]),
     ("probe/reqtrace.jsonl", "trace.jsonl", ["report", "@"]),
     ("probe/endurance.jsonl", "endurance.jsonl", ["report", "@"]),
-    ("probe/endurance.jsonl", "endurance.jsonl", ["wear", "report", "@"]),
     ("probe/endurance.jsonl", "endurance.jsonl",
-     ["wear", "forecast", "@", "--horizon", "500", "--check"]),
-    ("probe/endurance.jsonl", "endurance.jsonl",
-     ["wear", "diff", "@", "--against", "@"]),
+     ["report", "@", "--against", "@"]),
 ]
 
 #: Every mode, four devices on 16 blocks for a year: what the retired

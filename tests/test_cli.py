@@ -126,15 +126,15 @@ class TestParser:
         assert "predictor" in out
         assert "run-to-failure" in out
 
-    def test_options_stay_at_most_15(self):
+    def test_options_stay_at_most_9(self):
         # Every argument of every subcommand, positionals included.
         import argparse
         choices = next(action.choices for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
-        assert sorted(choices) == ["report", "run", "wear"]
+        assert sorted(choices) == ["report", "run"]
         count = sum(not isinstance(action, argparse._HelpAction)
                     for sub in choices.values() for action in sub._actions)
-        assert count <= 15, count
+        assert count <= 9, count
 
 
 class TestVersionAndExitCodes:
@@ -364,6 +364,77 @@ class TestReportCommand:
     def test_bad_tolerance_exits_2(self, capsys, tmp_path):
         assert main(["report", "--tolerance", "1.5"]) \
             == EXIT_CONFIG_ERROR
+
+    #: What the retired ``repro wear report|forecast|diff`` wrote into
+    #: ``wear.json`` over the two probe runs below (seed 2025 against 7).
+    WEAR_ROWS = [
+        ["baseline/wear0", 3036, 1.0270092226613965, 7.416666666666667, 9,
+         {"gc": 82}],
+        ["shrink/wear0", 3548, 1.0656708004509583, 9.166666666666666, 11,
+         {"gc": 233}]]
+    FORECAST_ROWS = [
+        ["baseline/wear0", 0, 12.000000000000002, 7.416666666666667,
+         0.0026709401709401706, 1716.000000000001],
+        ["baseline/wear0", 1, 18.000000000000004, 7.416666666666667,
+         0.0026709401709401706, 3962.4000000000015],
+        ["baseline/wear0", 2, 21.596580426197235, 7.416666666666667,
+         0.0026709401709401706, 5308.959711568245],
+        ["baseline/wear0", 3, 24.31061939153849, 7.416666666666667,
+         0.0026709401709401706, 6325.095900192012],
+        ["shrink/wear0", 0, 12.000000000000002, 9.166666666666666,
+         0.0026881720430107525, 1054.000000000001],
+        ["shrink/wear0", 1, 18.000000000000004, 9.166666666666666,
+         0.0026881720430107525, 3286.000000000002],
+        ["shrink/wear0", 2, 21.596580426197235, 9.166666666666666,
+         0.0026881720430107525, 4623.927918545372],
+        ["shrink/wear0", 3, 24.31061939153849, 9.166666666666666,
+         0.0026881720430107525, 5633.55041365232]]
+    DELTA_ROWS = [["baseline/wear0", "-4", "+0.00", "-0.001", "gc-2"],
+                  ["shrink/wear0", "+0", "+0.17", "+0.020", "gc+72"]]
+
+    @pytest.fixture(scope="class")
+    def probes(self, tmp_path_factory):
+        """Two probe run directories, at seeds 2025 and 7."""
+        root = tmp_path_factory.mktemp("probes")
+        for seed in (2025, 7):
+            scenario = probe_scenario(
+                root, name=f"p{seed}", seed=seed,
+                modes=["baseline", "shrink"],
+                params={"requests": 400, "every": 16})
+            assert main(["run", scenario, "--out", str(root / str(seed))]) \
+                == 0
+        return root
+
+    def test_wear_tables_match_the_retired_wear_command(self, probes,
+                                                        capsys):
+        new, old = probes / "2025", probes / "7"
+        assert main(["report", str(new), "--against", str(old)]) == 0
+        report = json.loads((new / "report.json").read_text())
+        assert report["wear"]["rows"] == self.WEAR_ROWS
+        assert report["forecast"]["rows"] == self.FORECAST_ROWS
+        assert report["wear_delta"]["rows"] == self.DELTA_ROWS
+        markdown = (new / "report.md").read_text()
+        assert "== wear_delta ==" in markdown and "gc+72" in markdown
+        # Without --against, no delta table.
+        assert main(["report", str(new)]) == 0
+        assert "wear_delta" not in json.loads(
+            (new / "report.json").read_text())
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["report", "@probe", "--against", "@bare"], "@bare"),
+        (["report", "@bare", "--against", "@probe"], "@bare"),
+        (["report", "--against", "@probe"], None),
+    ], ids=["DIR2 without ledger", "DIR without ledger", "no DIR"])
+    def test_against_needs_two_wear_ledgers(self, probes, tmp_path, capsys,
+                                            argv, missing):
+        given = {"@probe": str(probes / "2025"), "@bare": str(tmp_path)}
+        assert main([given.get(part, part) for part in argv]) \
+            == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        if missing:
+            assert str(tmp_path / "endurance.jsonl") in err, err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestSweepCommand:
@@ -842,9 +913,7 @@ LAYOUT = [
     (["run", "@probe", "--out", "@"],
      {"probe.json", "reqtrace.jsonl", "endurance.jsonl"}),
     (["report", "@"], {"report.json", "report.md"}),
-    (["wear", "report", "@"], {"wear.json"}),
-    (["wear", "forecast", "@"], {"wear.json"}),
-    (["wear", "diff", "@", "--against", "@"], {"wear.json"}),
+    (["report", "@", "--against", "@"], {"report.json", "report.md"}),
 ]
 
 
@@ -861,12 +930,12 @@ class TestRunDirectory:
 
     @pytest.mark.parametrize("argv, names", LAYOUT, ids=[
         "fleet", "run", "traffic", "sweep", "probe", "report",
-        "wear report", "wear forecast", "wear diff"])
+        "report against"])
     def test_each_command_writes_exactly_its_names(self, argv, names,
                                                    tmp_path, probed,
                                                    capsys):
         out = tmp_path / "run"
-        if argv[0] in ("report", "wear"):
+        if argv[0] == "report":
             out.mkdir()
             for name in ("reqtrace.jsonl", "endurance.jsonl"):
                 (out / name).write_bytes((probed / name).read_bytes())

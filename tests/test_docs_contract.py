@@ -768,9 +768,8 @@ def test_user_docs_name_only_flags_the_parser_defines():
     texts = command_texts()
     pairs = {pair for text in texts.values()
              for pair in attributed_flags(text)}
-    assert {("report", "--queue-depth"), ("wear", "--against"),
-            ("wear", "--horizon"), ("run", "--jobs"),
-            ("run", "--out")} <= pairs
+    assert {("report", "--queue-depth"), ("report", "--against"),
+            ("run", "--jobs"), ("run", "--out")} <= pairs
     undefined = {name: found for name, text in texts.items()
                  if (found := undefined_flags(text))}
     assert not undefined, f"docs name flags no parser defines: {undefined}"
@@ -824,7 +823,8 @@ def test_flag_check_reads_docstrings():
 
 def test_subcommand_check_flags_the_parent_text():
     """README's shell paragraph as it stood before the print-only
-    subcommands became scenario kinds, and its architecture row."""
+    subcommands became scenario kinds, its architecture row, and the
+    retired ``repro wear`` subcommand."""
     assert undefined_subcommands(
         "Or run experiments straight from the shell: `python -m repro fig2`,"
         "\n`python -m repro fleet`, `python -m repro tournament`,\n"
@@ -842,7 +842,14 @@ def test_subcommand_check_flags_the_parent_text():
     assert undefined_subcommands(
         "repro.cli         python -m repro {run,fleet,sweep,traffic,report,"
         "slo,\n                  wear}.") == [
-        "repro fleet", "repro slo", "repro sweep", "repro traffic"]
+        "repro fleet", "repro slo", "repro sweep", "repro traffic",
+        "repro wear"]
+    # OBSERVABILITY.md's endurance-gate section before `repro wear`
+    # folded into `repro report`.
+    assert undefined_subcommands(
+        "```console\n$ python -m repro wear report   run --check "
+        "--waf-budget 1.5\n$ python -m repro wear diff     new_run "
+        "--against old_run\n```\n") == ["repro wear"]
     # Prose is not a command line.
     assert undefined_subcommands(
         "a repro process, the repro fig2 table, `repro.scenarios`, "

@@ -14,15 +14,18 @@ malformed row cannot pass on a wrong base document.
 
 A run-directory row is named after its command and the artifact it
 reads, in flag form: ``report --metrics`` is the ``metrics.json`` of
-``repro report DIR``. The two ``traffic`` rows are the inputs a traffic
+``repro report DIR``, ``report --against`` the ``endurance.jsonl`` of
+its ``--against DIR2``. The two ``traffic`` rows are the inputs a traffic
 scenario of ``repro run`` adds, named as the options they replaced: the
 file its ``trace`` param names, and its embedded ``slo`` object. The
 ``slo --slo`` row is likewise a probe scenario's embedded ``slo``
 object, named as the option of the ``repro slo`` it replaced.
 
-A traffic scenario's own fields are rows of a second table
+A scenario's own fields are rows of a second table
 (``TRAFFIC_FIELDS``): each a document ``repro run`` must refuse with
-exit 2 and one line naming the field.
+exit 2 and one line naming the field — a traffic scenario's, and a
+field a kind would ignore (``modes`` off a fleet or probe, ``seed`` on
+a kind that draws nothing).
 """
 
 from __future__ import annotations
@@ -171,9 +174,10 @@ INPUTS = [
     # A probe scenario's embedded objectives.
     Input("slo --slo", ["run", "@"], embedded_slo(PROBE),
           ("name", "percentile")),
-    Input("wear --endurance", ["wear", "report", "@"], _ENDURANCE_FORMS,
+    # The wear ledger of `repro report DIR`, and of its `--against DIR2`.
+    Input("report --endurance", ["report", "@"], _ENDURANCE_FORMS,
           ("waf", "programs"), file="endurance.jsonl"),
-    Input("wear --against", ["wear", "diff", "@dir", "--against", "@"],
+    Input("report --against", ["report", "@dir", "--against", "@"],
           _ENDURANCE_FORMS, ("waf", "programs"), file="endurance.jsonl",
           dir_files={"endurance.jsonl": jsonl(ENDURANCE)}),
     Input("report --metrics", ["report", "@"],
@@ -306,6 +310,13 @@ TRAFFIC_FIELDS = [
     ("embedded faults", {**TRAFFIC, "faults": FAULTS}, [], "fault plan"),
     ("--faults", TRAFFIC, ["--faults", "@faults"], "fault plan"),
     ("slo on a fleet", {**SCENARIO, "slo": SLO}, [], "slo"),
+    ("modes on carbon", {"name": "t", "kind": "carbon", "modes": ["x"]},
+     [], "modes"),
+    ("modes on traffic", {**TRAFFIC, "modes": ["regen"]}, [], "modes"),
+    ("seed on carbon", {"name": "t", "kind": "carbon", "seed": 3}, [],
+     "seed"),
+    ("seed on tco", {"name": "t", "kind": "tco", "seed": 3}, [], "seed"),
+    ("seed on fig2", {"name": "t", "kind": "fig2", "seed": 3}, [], "seed"),
 ]
 
 
@@ -329,10 +340,10 @@ def test_traffic_scenario_field_is_exit_2_and_one_line(document, extra, field,
 
 
 @pytest.mark.parametrize("argv, records, edit", [
-    (["wear", "forecast", "@"], ENDURANCE, ([1, "programs"], 5)),
-    (["wear", "report", "@"], ENDURANCE,
+    (["report", "@", "--against", "@"], ENDURANCE, ([1, "programs"], 5)),
+    (["report", "@"], ENDURANCE,
      ([1, "mean_pec"], True)),    # a bool is not a number
-], ids=["wear forecast programs=5", "wear mean_pec=true"])
+], ids=["report --against programs=5", "report mean_pec=true"])
 def test_mistyped_fields_named_in_the_issue(argv, records, edit, tmp_path,
                                             capsys):
     (tmp_path / "endurance.jsonl").write_text(jsonl(edited(records, *edit)))
