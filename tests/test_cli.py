@@ -890,30 +890,36 @@ class TestProbeFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-#: (argv after ``repro``, the names it writes into DIR) — the run
-#: directory's layout, one producer or reader per row. ``@`` is DIR,
-#: ``@sweep`` a small fleet scenario with ``runs``, ``@traffic`` a small
-#: traffic scenario, ``@probe`` a small probe scenario; reader rows
-#: start from the probe's files. A run writes a sink file only if the
-#: sink recorded something: fig2 and a sweep record nothing, traffic
-#: only metrics.
+#: (argv after ``repro``, the probe's files DIR starts with, the names
+#: it writes into DIR) — the run directory's layout, one producer or
+#: reader per row. ``@`` is DIR, ``@other`` a second directory that
+#: starts with the same files, ``@sweep`` a small fleet scenario with
+#: ``runs``, ``@traffic`` a small traffic scenario, ``@probe`` a small
+#: probe scenario. A run writes a sink file only if the sink recorded
+#: something: fig2 and a sweep record nothing, traffic only metrics.
 _SWEEP = {"name": "sweep", "kind": "fleet", "runs": 1,
           "modes": ["baseline"],
           "params": {"devices": 4, "horizon_days": 365, "step_days": 50,
                      "geometry": {"blocks": 16, "fpages_per_block": 64}}}
 _PROBE = {"params": {"requests": 60, "every": 4}}
+_PROBED = {"reqtrace.jsonl", "endurance.jsonl"}
+_REPORT = {"report.json", "report.md"}
 LAYOUT = [
-    (["run", "scenarios/quick_fleet.json", "--out", "@"],
+    (["run", "scenarios/quick_fleet.json", "--out", "@"], set(),
      {"quick-fleet.json", "metrics.json", "trace.jsonl",
       "timeseries.jsonl"}),
-    (["run", "scenarios/fig2_ldpc.json", "--out", "@"],
+    (["run", "scenarios/fig2_ldpc.json", "--out", "@"], set(),
      {"fig2-ldpc.json"}),
-    (["run", "@traffic", "--out", "@"], {"traffic.json", "metrics.json"}),
-    (["run", "@sweep", "--out", "@"], {"sweep.json"}),
-    (["run", "@probe", "--out", "@"],
+    (["run", "@traffic", "--out", "@"], set(),
+     {"traffic.json", "metrics.json"}),
+    (["run", "@sweep", "--out", "@"], set(), {"sweep.json"}),
+    (["run", "@probe", "--out", "@"], set(),
      {"probe.json", "reqtrace.jsonl", "endurance.jsonl"}),
-    (["report", "@"], {"report.json", "report.md"}),
-    (["report", "@", "--against", "@"], {"report.json", "report.md"}),
+    (["report", "@"], _PROBED, _REPORT),
+    (["report", "@"], {"endurance.jsonl"}, _REPORT),
+    (["report", "@", "--against", "@"], _PROBED, _REPORT),
+    (["report", "@", "--against", "@other"], {"endurance.jsonl"},
+     _REPORT),
 ]
 
 
@@ -928,26 +934,29 @@ class TestRunDirectory:
         assert main(["run", scenario, "--out", str(root)]) == 0
         return root
 
-    @pytest.mark.parametrize("argv, names", LAYOUT, ids=[
+    @pytest.mark.parametrize("argv, inputs, names", LAYOUT, ids=[
         "fleet", "run", "traffic", "sweep", "probe", "report",
-        "report against"])
-    def test_each_command_writes_exactly_its_names(self, argv, names,
-                                                   tmp_path, probed,
-                                                   capsys):
-        out = tmp_path / "run"
-        if argv[0] == "report":
-            out.mkdir()
-            for name in ("reqtrace.jsonl", "endurance.jsonl"):
-                (out / name).write_bytes((probed / name).read_bytes())
+        "report endurance", "report against", "report against other"])
+    def test_each_command_writes_exactly_its_names(self, argv, inputs,
+                                                   names, tmp_path,
+                                                   probed, capsys):
+        out, other = tmp_path / "run", tmp_path / "other"
+        for directory in (out, other) if inputs else ():
+            directory.mkdir()
+            for name in inputs:
+                (directory / name).write_bytes((probed / name).read_bytes())
         sweep = tmp_path / "sweep_scenario.json"
         sweep.write_text(json.dumps(_SWEEP))
-        given = {"@": str(out), "@sweep": str(sweep),
+        given = {"@": str(out), "@other": str(other), "@sweep": str(sweep),
                  "@traffic": traffic_scenario(
                      tmp_path, params={"tenants": 4, "duration_us": 400.0}),
                  "@probe": probe_scenario(tmp_path, **_PROBE)}
         before = {path.name for path in out.glob("*")}
         assert main([given.get(part, part) for part in argv]) == 0
         assert {path.name for path in out.iterdir()} - before == names
+        # --against only reads DIR2.
+        if inputs:
+            assert {path.name for path in other.iterdir()} == inputs
 
     def test_a_probe_leaves_a_fleet_runs_sinks_in_place(self, tmp_path,
                                                        capsys):
