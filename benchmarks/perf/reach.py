@@ -52,7 +52,7 @@ run tr4.json --jobs 1 --out tr4 ; run trt.json --out trt
 run {SCN}/traffic_slo.json --out trs ; !run trb.json --out trb
 run trc.json --out trc
 run {SCN}/probe.json --out results ; run {SCN}/slo_default.json --out results
-report obs ; report ; report f1
+run {SCN}/agreement.json --out obs ; report obs ; report f1
 run p2.json --jobs 2 --out p2 ; run p3.json --out p3
 report obs --against p2 ; !run missing.json ; !report absent ; !report plan.json
 !run results ; !report not_utf8 ; !run mistyped_slo.json --out obs"""

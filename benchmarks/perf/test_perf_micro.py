@@ -31,7 +31,7 @@ Each bench times one narrower hot path than the GC-heavy macro:
   parallelises over);
 * ``fleet_wide_micro`` — the same walk over 2,048 devices in one
   process (the per-device cost; ``REPRO_PERF_FLEET_DEVICES`` scales it
-  to the 10,000-device reading ROADMAP item 1 asks for);
+  to a 10,000-device reading);
 * ``fleet_sharded_micro`` — the same model through the sharded runner
   (worker fan-out, RNG replay, shard-major merge); the floor holds at
   ``jobs=1``, the meta records the measured speedup when cores allow.

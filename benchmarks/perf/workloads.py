@@ -527,7 +527,7 @@ def fleet_step_micro() -> dict:
 
 # -- wide fleet run (micro) --------------------------------------------------
 
-#: Array-scale shape (ROADMAP item 1: "10k+ devices to be cheap"): wide
+#: Array-scale shape (10k+ devices should be cheap to model): wide
 #: enough that the device rows split into several banded groups, short
 #: enough to stay in the CI budget. ``REPRO_PERF_FLEET_DEVICES`` scales
 #: it (the 10,000-device entry in BENCH_perf.json).

@@ -99,7 +99,7 @@ UTILISATIONS = (0.3, 0.5, 0.7)
 @pytest.mark.benchmark(group="ext-load")
 def test_latency_under_load_measured(benchmark, experiment_output):
     """Open-loop Poisson reads through the queue track the M/D/c model."""
-    from repro.reporting.claims import measured_queueing_latency
+    from repro.io.probe import measured_queueing_latency
 
     def sweep():
         return [measured_queueing_latency(rho, n_requests=800)

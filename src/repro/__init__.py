@@ -21,70 +21,38 @@ See README.md for the architecture tour and DESIGN.md for the experiment
 index mapping every paper figure/table to a benchmark.
 """
 
-from repro.flash import (
-    EccScheme,
-    ExponentialRBER,
-    FlashChip,
-    FlashGeometry,
-    LatencyModel,
-    PowerLawRBER,
-    TirednessLevel,
-    TirednessPolicy,
-)
-from repro.flash.tiredness import calibrate_power_law
-from repro.ssd import (
-    BaselineSSD,
-    CVSSConfig,
-    CVSSDevice,
-    FTLConfig,
-    SSDConfig,
-)
-from repro.salamander import (
-    SalamanderConfig,
-    SalamanderMode,
-    SalamanderSSD,
-)
-from repro.difs import Cluster, ClusterConfig
-from repro.sim import FleetConfig, run_write_lifetime, simulate_fleet
-from repro.models import (
-    CarbonParams,
-    PerformanceModel,
-    TCOParams,
-    carbon_savings,
-    tco_savings,
-    tiredness_tradeoff,
-)
+import importlib
+
+#: Each top-level export and the module that defines it. They load on
+#: first use (PEP 562), so ``import repro.<module>`` pulls in that
+#: module's own imports and no more: a reader such as
+#: :mod:`repro.reporting.claims` loads no simulator.
+_EXPORTS = {
+    **dict.fromkeys(("EccScheme", "ExponentialRBER", "FlashChip",
+                     "FlashGeometry", "LatencyModel", "PowerLawRBER",
+                     "TirednessLevel", "TirednessPolicy"), "repro.flash"),
+    "calibrate_power_law": "repro.flash.tiredness",
+    **dict.fromkeys(("BaselineSSD", "CVSSConfig", "CVSSDevice",
+                     "FTLConfig", "SSDConfig"), "repro.ssd"),
+    **dict.fromkeys(("SalamanderConfig", "SalamanderMode",
+                     "SalamanderSSD"), "repro.salamander"),
+    **dict.fromkeys(("Cluster", "ClusterConfig"), "repro.difs"),
+    **dict.fromkeys(("FleetConfig", "run_write_lifetime",
+                     "simulate_fleet"), "repro.sim"),
+    **dict.fromkeys(("CarbonParams", "PerformanceModel", "TCOParams",
+                     "carbon_savings", "tco_savings", "tiredness_tradeoff"),
+                    "repro.models"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FlashGeometry",
-    "FlashChip",
-    "EccScheme",
-    "PowerLawRBER",
-    "ExponentialRBER",
-    "LatencyModel",
-    "TirednessLevel",
-    "TirednessPolicy",
-    "calibrate_power_law",
-    "FTLConfig",
-    "SSDConfig",
-    "BaselineSSD",
-    "CVSSConfig",
-    "CVSSDevice",
-    "SalamanderConfig",
-    "SalamanderMode",
-    "SalamanderSSD",
-    "Cluster",
-    "ClusterConfig",
-    "FleetConfig",
-    "simulate_fleet",
-    "run_write_lifetime",
-    "tiredness_tradeoff",
-    "PerformanceModel",
-    "CarbonParams",
-    "carbon_savings",
-    "TCOParams",
-    "tco_savings",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

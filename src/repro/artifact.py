@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import ConfigError
 
@@ -66,19 +66,24 @@ def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
             yield where, parse_json(line, where)
 
 
-def read_records(path: str | Path, what: str, schema: str,
-                 kind: str) -> tuple[dict, list[dict]]:
+def read_records(path: str | Path, what: str, schema: str, kind: str,
+                 check: Callable[[dict, str], object] | None = None,
+                 ) -> tuple[dict, list[dict]]:
     """A headed JSONL artifact as ``(header, records of kind)``; lines
-    of other kinds (spans and events mixed into one file) are skipped."""
+    of other kinds (spans and events mixed into one file) are skipped.
+    ``check(record, where)`` then runs on each record, ``where`` naming
+    its path and line."""
     header, records = None, []
     for where, record in read_jsonl(path, what):
         if record.get("kind") == "header":
             header = require(record, where, schema=schema)
         elif record.get("kind") == kind:
-            records.append(record)
+            records.append((where, record))
     if header is None:
         raise ConfigError(f"{what} {path} has no {schema} header")
-    return header, records
+    for where, record in records if check else ():
+        check(record, where)
+    return header, [record for _, record in records]
 
 
 def _is(value: object, kinds: tuple) -> bool:

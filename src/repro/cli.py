@@ -3,19 +3,20 @@
 Usage::
 
     python -m repro run SCENARIO.json [--out DIR] [--jobs N]
-    python -m repro report [DIR] [--against DIR2]
+    python -m repro report DIR [--against DIR2]
 
 ``run`` is the one door to the paper's experiments: each is a scenario
 kind of :mod:`repro.scenarios`, and ``scenarios/`` ships one file per
 experiment (``fleet.json`` and ``fleet_sweep.json`` for Fig. 3a/3b,
 ``fig2.json``, ``tournament.json``, ``carbon.json``, ``tco.json``,
 ``measured_upgrade_rates.json``, ``health.json``, ``traffic.json`` and
-``traffic_slo.json`` for the traffic engine, and ``probe.json`` and
-``slo_default.json`` for the request-traced IO probe). ``run`` writes a
-run directory under fixed names (the constants below) and ``report``
-reads it: the paper's claims, plus the wear tables over a probe's wear
-ledger; docs/OBSERVABILITY.md ("Where output lands") has the table. See
-DESIGN.md for the experiment-to-paper mapping.
+``traffic_slo.json`` for the traffic engine, ``probe.json`` and
+``slo_default.json`` for the request-traced IO probe, and
+``agreement.json`` for the §4.2 measurements). ``run`` writes a run
+directory under fixed names (the constants below) and ``report`` only
+reads it, simulating nothing: the paper's claims, plus the wear tables
+over a probe's wear ledger; docs/OBSERVABILITY.md ("Where output lands")
+has the table. See DESIGN.md for the experiment-to-paper mapping.
 """
 
 from __future__ import annotations
@@ -115,11 +116,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.analyze import load_trace_jsonl
-    from repro.obs.endurance import (
-        load_endurance,
-        validate_endurance_records,
-        wear_tables,
-    )
+    from repro.obs.endurance import load_endurance, wear_tables
     from repro.obs.metrics import validate_metrics_document
     from repro.obs.timeseries import load_timeseries
     from repro.reporting.claims import (
@@ -127,6 +124,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         format_report,
         report_failed,
     )
+    from repro.reporting.export import load_experiments
 
     loaders = {
         METRICS: lambda path: validate_metrics_document(
@@ -134,43 +132,32 @@ def _cmd_report(args: argparse.Namespace) -> int:
         TIMESERIES: load_timeseries,
         TRACE: load_trace_jsonl,
         # Validated at load: a malformed ledger is exit 2, not a claim.
-        ENDURANCE: lambda path: validate_endurance_records(
-            load_endurance(path)[1]),
+        ENDURANCE: lambda path: load_endurance(path)[1],
     }
-    if args.against is not None and args.dir is None:
-        raise ConfigError("repro report --against DIR2 needs a DIR to "
-                          "compare with it")
-    found, against = {}, None
-    if args.dir is not None:
-        run_dir = artifact.run_dir(args.dir)
-        # With --against, both directories must hold the wear ledger.
-        found = {name: load(run_dir / name)
-                 for name, load in loaders.items()
-                 if (run_dir / name).exists()
-                 or (name == ENDURANCE and args.against is not None)}
-        if args.against is not None:
-            against = loaders[ENDURANCE](
-                artifact.run_dir(args.against) / ENDURANCE)
-
+    run_dir = artifact.run_dir(args.dir)
+    # With --against, both directories must hold the wear ledger.
+    found = {name: load(run_dir / name)
+             for name, load in loaders.items()
+             if (run_dir / name).exists()
+             or (name == ENDURANCE and args.against is not None)}
+    against = (None if args.against is None else loaders[ENDURANCE](
+        artifact.run_dir(args.against) / ENDURANCE))
     report = build_report(
         metrics_doc=found.get(METRICS),
         timeseries_doc=found.get(TIMESERIES),
         trace_records=found.get(TRACE),
         endurance_records=found.get(ENDURANCE),
+        experiments=load_experiments(run_dir),
         tolerance=args.tolerance,
-        queue_depth=args.queue_depth,
     )
     if ENDURANCE in found:
         report.update(wear_tables(found[ENDURANCE], against))
-    markdown = format_report(report)
-    if args.dir is None:
-        print(markdown)
-    else:
-        path = artifact.write_text(run_dir / "report.md", markdown + "\n")
-        print(f"report (markdown) -> {path}")
-        path = artifact.write_text(run_dir / "report.json",
-                                   artifact.dumps(report))
-        print(f"report (json) -> {path}")
+    path = artifact.write_text(run_dir / "report.md",
+                               format_report(report) + "\n")
+    print(f"report (markdown) -> {path}")
+    path = artifact.write_text(run_dir / "report.json",
+                               artifact.dumps(report))
+    print(f"report (json) -> {path}")
     if report_failed(report):
         print("repro report: one or more claims FAILED",
               file=sys.stderr)
@@ -219,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the paper's claims against run artifacts "
              "(exit 1 when a claim fails)")
     report.add_argument(
-        "dir", nargs="?", default=None, metavar="DIR",
-        help="run directory: reads whichever of metrics.json, "
-             "timeseries.jsonl, trace.jsonl and endurance.jsonl it holds "
-             "and writes report.json and report.md into it (with the wear "
-             "and forecast tables when it holds endurance.jsonl); omit "
-             "to print the self-measuring claims only")
+        "dir", metavar="DIR",
+        help="run directory: reads its <name>.json experiment documents "
+             "and whichever of metrics.json, timeseries.jsonl, trace.jsonl "
+             "and endurance.jsonl it holds, and writes report.json and "
+             "report.md into it (with the wear and forecast tables when "
+             "it holds endurance.jsonl)")
     report.add_argument(
         "--against", default=None, metavar="DIR2",
         help="reference run directory: add the per-device wear deltas "
@@ -232,11 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--tolerance", type=float, default=0.10,
         help="relative tolerance for the claim checks (default 0.10)")
-    report.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="NCQ depth for the measured queueing-latency claim "
-             "(default 64; keep it above the expected queue length so "
-             "backpressure does not bend the open-loop arrivals)")
     report.set_defaults(func=_cmd_report)
 
     return parser

@@ -16,6 +16,10 @@ of ``(mode, seed, every, requests)``, so :func:`run_probes` returns
 byte-identical results for any ``jobs``, which the determinism test
 pins.
 
+For an ``agreement`` scenario the module also measures the §4.2
+claims at fixed cells (:func:`agreement_tables`), on ``flat`` devices
+and a functional chip, each beside its analytic model.
+
 The module also owns :func:`build_queue_device`, which the engine
 imports as a module global. The engine is therefore imported lazily
 here, inside the functions that need it.
@@ -231,13 +235,153 @@ def endurance_meta(results: list[dict], records: list[dict]) -> dict:
             "causes": list(endurance.CAUSES)}
 
 
+# -- the §4.2 agreement measurements ------------------------------------------
+
+#: The cells of an agreement scenario: scan levels, M/D/c
+#: ``(utilisation, channels)`` points (one channel, where M/D/1 is
+#: exact, and four for Erlang-C), and RegenS levels of the p99 cells.
+THROUGHPUT_LEVELS = (1, 2, 3)
+QUEUEING_POINTS = ((0.3, 1), (0.5, 1), (0.7, 1), (0.5, 4))
+TRAFFIC_LEVELS = (0, 1, 2, 3)
+
+#: NCQ depth of the M/D/c cells: well above the queue length at their
+#: loads, so backpressure does not bend the open-loop arrivals.
+QUEUEING_DEPTH = 64
+
+
+def measured_throughput(level: int) -> dict:
+    """Sequential-scan throughput at uniform ``level`` relative to L0,
+    and ``(P - L)/P``: a tiny functional chip programmed entirely at the
+    level, every fPage scanned, data bytes over accumulated expected
+    device time — the Fig. 3c bench's measurement, reduced to one level."""
+    from repro.flash.chip import FlashChip
+    from repro.flash.geometry import FlashGeometry
+    from repro.models.performance import throughput_factor
+
+    geometry = FlashGeometry(blocks=4, fpages_per_block=16)
+
+    def scan(lv: int) -> float:
+        chip = FlashChip(geometry, seed=1, variation_sigma=0.0,
+                         inject_errors=False)
+        total = geometry.total_fpages
+        if lv:
+            for fpage in range(total):
+                chip.set_level(fpage, lv)
+        capacity = chip.policy.data_opages(lv)
+        for fpage in range(total):
+            chip.program(fpage, [b"x"] * capacity)
+        busy_program = chip.stats.busy_us
+        data_bytes = 0
+        for fpage in range(total):
+            payloads, _latency = chip.read(fpage)
+            data_bytes += len(payloads) * geometry.opage_bytes
+        return data_bytes / (chip.stats.busy_us - busy_program)
+
+    p = geometry.opages_per_fpage
+    return {"level": level, "opages_per_fpage": p,
+            "measured_factor": scan(level) / scan(0),
+            "analytic_factor": throughput_factor(level, p)}
+
+
+def _flat_read_cell(seed: int, **overrides) -> tuple[dict, float]:
+    """One traffic-engine cell of open-loop Poisson tenants issuing
+    uniform reads at a flat (variation-free, error-free) device with no
+    admission control: the window record and the offered IOPS."""
+    from repro.workloads.engine import EngineConfig, run_cell
+
+    config = EngineConfig(cells=1, mode="flat", read_fraction=1.0,
+                          mix=(0.0, 1.0, 0.0, 0.0), admission="none",
+                          host_streams=1, **overrides)
+    record = run_cell(config, 0, seed=seed)
+    return record["window"], record["arrival_per_us"] * 1e6
+
+
+def measured_queueing_latency(utilisation: float, n_requests: int = 1500,
+                              channels: int = 1) -> dict:
+    """One tenant's ``n_requests`` open-loop point reads at
+    ``utilisation`` on ``channels`` channels (:func:`_flat_read_cell`):
+    the window's measured mean latency and wait, and
+    :func:`repro.models.queueing.mdc_latency_us` at its mean service
+    time and the same arrival rate, so callers compare like for like."""
+    from repro.models.queueing import mdc_latency_us
+
+    window, iops = _flat_read_cell(
+        seed=7, tenants=1, duration_us=1e12, utilisation=utilisation,
+        queue_depth=QUEUEING_DEPTH, channels=channels,
+        max_requests=n_requests)
+    service_us = window["mean_service_us"]
+    latency_us = window["mean_latency_us"]
+    return {
+        "utilisation": utilisation, "channels": channels,
+        "queue_depth": QUEUEING_DEPTH, "service_us": service_us,
+        "iops": iops, "requests": window["requests"],
+        "measured_mean_latency_us": latency_us,
+        "measured_mean_wait_us": latency_us - service_us,
+        "analytic_mean_latency_us": mdc_latency_us(service_us, iops,
+                                                   channels=channels),
+    }
+
+
+def measured_traffic_p99(level: int) -> dict:
+    """Eight open-loop tenants of fPage-spanning (``read_span = 4``)
+    reads at utilisation 0.6 on two channels of a flat device at RegenS
+    ``level``: the window's pooled tenant p99, and
+    :func:`repro.models.queueing.mdc_latency_quantile_us` at its mean
+    service time and the configured arrival rate. Span reads, because a
+    single oPage sense costs the same at every level: only they carry
+    the ``4/(4-L)`` per-byte cost into service time and latency."""
+    from repro.models.queueing import mdc_latency_quantile_us
+
+    window, iops = _flat_read_cell(
+        seed=11, tenants=8, duration_us=240_000.0, level=level,
+        utilisation=0.6, queue_depth=256, channels=2, read_span=4)
+    service_us = window["mean_service_us"]
+    return {
+        "level": level, "channels": 2, "service_us": service_us,
+        "iops": iops, "requests": window["requests"],
+        "measured_p99_latency_us": window["p99_latency_us"],
+        "analytic_p99_latency_us": mdc_latency_quantile_us(
+            service_us, iops, channels=2, percentile=99.0),
+    }
+
+
+def _measure(cell: tuple) -> dict:
+    measure, arguments = cell
+    return measure(*arguments)
+
+
+def agreement_tables(jobs: int = 1) -> dict[str, list[dict]]:
+    """The ``throughput``, ``queueing`` and ``traffic_p99`` rows of an
+    agreement scenario, ``jobs`` cells at a time. Every cell runs under
+    the default run context and is a pure function of the constants
+    above, so the rows are byte-identical for any ``jobs``."""
+    from repro.sim.parallel import parallel_map
+
+    tables = {"throughput": [(measured_throughput, (level,))
+                             for level in THROUGHPUT_LEVELS],
+              "queueing": [(measured_queueing_latency, (rho, 1500, c))
+                           for rho, c in QUEUEING_POINTS],
+              "traffic_p99": [(measured_traffic_p99, (level,))
+                              for level in TRAFFIC_LEVELS]}
+    rows = iter(parallel_map(_measure, sum(tables.values(), []), jobs=jobs))
+    return {name: [next(rows) for _ in cells]
+            for name, cells in tables.items()}
+
+
 __all__ = [
     "BUILD_MODES",
     "PROBE_EVERY",
     "PROBE_MODES",
     "PROBE_REQUESTS",
+    "QUEUEING_POINTS",
+    "THROUGHPUT_LEVELS",
+    "TRAFFIC_LEVELS",
+    "agreement_tables",
     "build_queue_device",
     "endurance_meta",
+    "measured_queueing_latency",
+    "measured_throughput",
+    "measured_traffic_p99",
     "merged_endurance",
     "probe_config",
     "reqtrace_meta",

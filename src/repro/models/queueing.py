@@ -94,8 +94,9 @@ def mdc_wait_quantile_us(service_us: float, iops: float,
     probability of queueing is already below the tail mass (light
     load), the quantile is exactly zero. Deterministic service has a
     *lighter* tail than exponential, so this overestimates somewhat at
-    high percentiles; the traffic claim rows absorb that with a wider
-    acceptance band (see ``repro.reporting.claims.TRAFFIC_TOLERANCE``).
+    high percentiles; ``repro report``'s ``traffic_p99/*`` rows, read
+    off an ``agreement`` scenario's table, absorb that with a wider
+    acceptance band (``repro.reporting.claims.TRAFFIC_TOLERANCE``).
     """
     if channels < 1:
         raise ConfigError(f"channels must be >= 1, got {channels!r}")

@@ -351,10 +351,13 @@ def load_endurance(path: str | Path) -> tuple[dict, list[dict]]:
     """Read an endurance artifact; returns ``(header, device_records)``.
 
     Raises :class:`~repro.errors.ConfigError` on missing files, corrupt
-    lines or a wrong schema tag — the CLI maps that to exit code 2.
+    lines, a wrong schema tag or a device record
+    :func:`validate_endurance_records` refuses, naming the path and
+    line — the CLI maps that to exit code 2.
     """
     return artifact.read_records(path, "endurance artifact",
-                                 ENDURANCE_SCHEMA, "device")
+                                 ENDURANCE_SCHEMA, "device",
+                                 check=_validate_record)
 
 
 _RECORD_FIELDS = {
@@ -372,54 +375,57 @@ def validate_endurance_records(records: list[dict],
 
     Per-cause counters must cover exactly :data:`CAUSES` and sum to the
     recorded totals; when the device absorbed host oPages, ``waf`` must
-    equal ``1 + overhead/host`` within ``tolerance``. ``repro report``
-    runs this over a run directory's ledger at load.
+    equal ``1 + overhead/host`` within ``tolerance``. :func:`load_endurance`
+    runs the same check on each record it reads.
     """
     for index, record in enumerate(records):
-        what = f"endurance record {index}"
-        artifact.require(record, what, _RECORD_FIELDS,
-                         optional={"forecast": (dict, type(None))})
-        if record.get("forecast"):
-            artifact.require(record["forecast"], f"{what} forecast",
-                             _FORECAST_FIELDS)
-        for counter, total_key in (("programs", "total_programs"),
-                                   ("program_opages",
-                                    "total_program_opages"),
-                                   ("erases", "total_erases")):
-            by_cause = record[counter]
-            if set(by_cause) != _CAUSE_SET:
-                raise ConfigError(
-                    f"{what}: {counter} causes "
-                    f"{sorted(by_cause)} != {sorted(_CAUSE_SET)}")
-            artifact.require(by_cause, f"{what} {counter}",
-                             dict.fromkeys(CAUSES, int))
-            total = sum(by_cause.values())
-            if total != record[total_key]:
-                raise ConfigError(
-                    f"{what}: {counter} sum {total} "
-                    f"!= {total_key} {record[total_key]}")
-        histogram = record["pec_histogram"]
-        artifact.require(histogram, f"{what} pec_histogram",
-                         dict.fromkeys(histogram, int))
-        histogram_blocks = sum(histogram.values())
-        if histogram_blocks != record["blocks"]:
-            raise ConfigError(
-                f"{what}: pec_histogram covers "
-                f"{histogram_blocks} blocks of {record['blocks']}")
-        host = record["program_opages"]["host"]
-        waf = record["waf"]
-        if host > 0:
-            expected = 1.0 + (record["total_program_opages"] - host) / host
-            if waf is None or abs(waf - expected) > tolerance * max(
-                    1.0, abs(expected)):
-                raise ConfigError(
-                    f"{what}: waf {waf!r} breaks the "
-                    f"identity 1 + overhead/host = {expected!r}")
-        elif waf is not None:
-            raise ConfigError(
-                f"{what}: waf {waf!r} with no host "
-                f"oPages absorbed")
+        _validate_record(record, f"endurance record {index}", tolerance)
     return records
+
+
+def _validate_record(record: dict, what: str,
+                     tolerance: float = WAF_TOLERANCE) -> None:
+    """One record of :func:`validate_endurance_records`, named ``what``."""
+    artifact.require(record, what, _RECORD_FIELDS,
+                     optional={"forecast": (dict, type(None))})
+    if record.get("forecast"):
+        artifact.require(record["forecast"], f"{what} forecast",
+                         _FORECAST_FIELDS)
+    for counter, total_key in (("programs", "total_programs"),
+                               ("program_opages", "total_program_opages"),
+                               ("erases", "total_erases")):
+        by_cause = record[counter]
+        if set(by_cause) != _CAUSE_SET:
+            raise ConfigError(
+                f"{what}: {counter} causes "
+                f"{sorted(by_cause)} != {sorted(_CAUSE_SET)}")
+        artifact.require(by_cause, f"{what} {counter}",
+                         dict.fromkeys(CAUSES, int))
+        total = sum(by_cause.values())
+        if total != record[total_key]:
+            raise ConfigError(
+                f"{what}: {counter} sum {total} "
+                f"!= {total_key} {record[total_key]}")
+    histogram = record["pec_histogram"]
+    artifact.require(histogram, f"{what} pec_histogram",
+                     dict.fromkeys(histogram, int))
+    histogram_blocks = sum(histogram.values())
+    if histogram_blocks != record["blocks"]:
+        raise ConfigError(
+            f"{what}: pec_histogram covers "
+            f"{histogram_blocks} blocks of {record['blocks']}")
+    host = record["program_opages"]["host"]
+    waf = record["waf"]
+    if host > 0:
+        expected = 1.0 + (record["total_program_opages"] - host) / host
+        if waf is None or abs(waf - expected) > tolerance * max(
+                1.0, abs(expected)):
+            raise ConfigError(
+                f"{what}: waf {waf!r} breaks the "
+                f"identity 1 + overhead/host = {expected!r}")
+    elif waf is not None:
+        raise ConfigError(
+            f"{what}: waf {waf!r} with no host oPages absorbed")
 
 
 # -- forecasting and report tables --------------------------------------------

@@ -5,8 +5,7 @@ it into something *enforceable*: a scenario's ``"slo"`` object declares
 objectives ("p99 read ≤ 900 µs over a 50 ms window", "stream 2 misses
 fewer than 1% of its deadlines") and an :class:`SLOEngine` tracks
 compliance over sim-time windows as completions stream in — the
-substrate ROADMAP item 1's multi-tenant enforcement and item 3's repair
-throttling need.
+substrate that multi-tenant enforcement and repair throttling need.
 
 Two objective kinds:
 

@@ -1,71 +1,49 @@
-"""The ``repro report`` claim checker: artifacts in, verdicts out.
+"""The ``repro report`` claim checker: a run directory in, verdicts out.
 
-The paper makes three quantitative headline claims this repo can check
-mechanically against a run's observability artifacts:
+``repro report`` only reads: every row is a function of the run
+directory's files, and this module imports no simulator. Each check
+reads one input — an experiment document's ``(kind, table)`` or a sink
+file — and the table in docs/OBSERVABILITY.md ("``repro report``: the
+claim checker") lists them:
 
-1. **Lifetime extension** (§4, Fig. 3a): ShrinkS/RegenS extend mean
-   device lifetime over the baseline, "up to 1.5x". The check reads
-   per-mode mean lifetimes from the ``repro_fleet_mean_lifetime_days``
-   timeseries and asserts the ratio lands in ``[1 - tol, 1.5 + tol]``.
-2. **Throughput degradation** (§4.2, Fig. 3c): sequential throughput at
-   tiredness level ``L`` degrades by ``4/(4-L)`` — i.e. a factor of
-   ``(P - L)/P``. The check *measures* this on the functional flash
-   chip (program a uniform-level population, sequentially scan it,
-   divide bytes by busy time) and compares against the formula. No
-   artifact needed: the claim is about the model itself, so the report
-   re-derives it on every run.
-3. **Recovery traffic** (§4.3): ShrinkS sheds capacity gracefully —
-   many small re-replication bursts — where the baseline cliff loses a
-   whole device at once. The check compares the *peak single-interval
-   capacity drop* (fraction of initial capacity) between shrink and
-   baseline trajectories, from the ``repro_fleet_capacity_bytes``
-   timeseries.
-4. **Queueing latency** (§4.2 load axis): the measured IO pipeline
-   (:mod:`repro.io`) agrees with the analytic M/D/c model. The check
-   runs one traffic-engine cell per utilisation — a single open-loop
-   Poisson tenant issuing point reads through a real device queue —
-   and compares the window's measured mean latency against
-   :func:`repro.models.queueing.mdc_latency_us` evaluated at the
-   *measured* mean service time. Self-contained like the throughput
-   check — no artifact needed. Means (not p50) are compared because
-   the analytic model predicts the mean; M/D/1 medians sit 25-35 %
-   below it at moderate load. ``repro report --queue-depth``
-   parameterises the queue under test.
-5. **Traffic p99 under degradation** (§4.2's latency-sensitivity worry
-   end to end): the multi-tenant traffic engine
-   (:mod:`repro.workloads.engine`) driving fPage-spanning reads at a
-   fixed utilisation sees per-tenant p99 latencies that agree with the
-   analytic M/D/c quantile overlay at every RegenS tiredness level
-   ``L in 0..3`` — the ``4/(4-L)`` per-byte degradation propagates
-   into tail latency exactly as the queueing model predicts.
-   Self-contained: the check runs one engine cell per level.
-6. **Wear provenance** (the endurance trade behind §4's lifetime
-   claim): Salamander's lifetime extension is paid for in measured,
-   cause-attributed wear — not hidden amplification. Given a
-   ``repro.obs.endurance/v1`` artifact (a run directory's
-   ``endurance.jsonl``, written by ``repro run`` of a probe scenario),
-   the checks assert the exact WAF identity ``WAF = 1 + overhead/host``
-   on every device record, that ``shrink``/``regen`` wear causes appear
-   only on Salamander devices, and that each Salamander mode's WAF
-   delta against the baseline decomposes exactly into its per-cause
-   terms — the wear premium of the mode's lifetime extension, itemised.
+1. **Lifetime extension** (§4, Fig. 3a): a ``fleet`` document's
+   ``summary`` table, or a sweep's ``by_mode`` (the mean over its
+   seeds); each Salamander mode's mean lifetime is at least
+   ``1 - tol`` of the baseline's, the paper reporting "up to 1.5x".
+2. **Throughput degradation** (§4.2, Fig. 3c): the ``agreement``
+   document's ``throughput`` table; a functional chip's sequential scan
+   at level ``L`` matches ``(P - L)/P``, the ``4/(4-L)`` slowdown.
+3. **Recovery traffic** (§4.3): ``timeseries.jsonl``'s
+   ``repro_fleet_capacity_bytes``; ShrinkS's peak single-interval
+   capacity drop is below the baseline's device cliff.
+4. **Queueing latency** (§4.2 load axis): the ``agreement`` document's
+   ``queueing`` table; one open-loop tenant's measured mean latency
+   through a real device queue matches M/D/c at the measured service
+   time (means, not p50: the model predicts the mean).
+5. **Traffic p99 under degradation**: the ``agreement`` document's
+   ``traffic_p99`` table; the traffic engine's pooled tenant p99 at each
+   RegenS level matches the M/D/c quantile at the measured service time.
+6. **Wear provenance**: ``endurance.jsonl``; the WAF identity holds
+   exactly on every device record, shrink/regen wear appears only on
+   Salamander devices, and each mode's WAF delta against the baseline
+   decomposes exactly into per-cause terms.
 
 Each check returns a :class:`ClaimResult` with status ``pass``,
-``fail`` or ``skip`` (skip = the needed inputs were not supplied; the
-report says what to rerun with). ``repro report`` renders the results
-as markdown and/or the ``repro.report/v1`` JSON document, exiting 1
-when any claim fails.
+``fail`` or ``skip`` (the directory does not hold the input; the row
+names the scenario that writes it). A malformed experiment document, a
+table without a column a check reads, and two documents of one kind in
+one directory are a :class:`ConfigError` naming the path.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.errors import ConfigError
 from repro.obs.analyze import analyze_trace, format_trace_summary
-from repro.obs.endurance import CAUSES, validate_endurance_records
+from repro.obs.endurance import CAUSES
+from repro.reporting.export import table_rows
 from repro.reporting.tables import format_table
 
 #: Version tag stamped into every report document.
@@ -83,10 +61,6 @@ LIFETIME_BOUND = 1.5
 #: top of any model error).
 QUEUEING_TOLERANCE = 0.15
 
-#: Utilisations the queueing-latency claim samples (all below the 0.7
-#: operating point the acceptance band is specified at).
-QUEUEING_UTILISATIONS = (0.3, 0.5, 0.7)
-
 #: Relative tolerance for the traffic-engine p99 rows. Wider than the
 #: mean-latency band twice over: a p99 estimated from ~1-2.5k samples
 #: carries more sampling noise than a mean, and the analytic overlay's
@@ -95,8 +69,16 @@ QUEUEING_UTILISATIONS = (0.3, 0.5, 0.7)
 #: within [0.85, 1.11] across seeds at the claim's operating point.
 TRAFFIC_TOLERANCE = 0.30
 
-#: RegenS tiredness levels the traffic p99 claim samples.
-TRAFFIC_LEVELS = (0, 1, 2, 3)
+#: The rows an ``agreement`` document answers, listed as skipped when
+#: the directory holds none.
+AGREEMENT_ROWS = (
+    *(f"throughput_degradation/L{level}" for level in (1, 2, 3)),
+    *(f"queueing_latency/{suffix}"
+      for suffix in ("rho0.3", "rho0.5", "rho0.7", "c4_rho0.5")),
+    *(f"traffic_p99/l{level}" for level in (0, 1, 2, 3)))
+
+_AGREEMENT_HINT = ("needs an agreement document (`repro run "
+                   "scenarios/agreement.json --out DIR`)")
 
 
 @dataclass
@@ -118,50 +100,20 @@ class ClaimResult:
     detail: str
 
     def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "status": self.status,
-            "observed": self.observed,
-            "expected": self.expected,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 # -- input extraction --------------------------------------------------------
 
 
-def _series_map(timeseries_doc: dict | None, name: str,
-                value_index: int = -1) -> dict[str, float]:
-    """``mode -> value`` from a timeseries doc (last point per series)."""
-    out: dict[str, float] = {}
-    if not timeseries_doc:
-        return out
-    for entry in timeseries_doc.get("series", []):
-        if entry.get("name") != name:
-            continue
-        mode = entry.get("labels", {}).get("mode")
-        values = entry.get("v", [])
-        if mode and values:
-            value = values[value_index]
-            if isinstance(value, (int, float)):
-                out[mode] = float(value)
-    return out
-
-
 def _series_arrays(timeseries_doc: dict | None, name: str,
                    ) -> dict[str, list[float]]:
     """``mode -> v[]`` for every mode-labelled series called ``name``."""
-    out: dict[str, list[float]] = {}
-    if not timeseries_doc:
-        return out
-    for entry in timeseries_doc.get("series", []):
-        if entry.get("name") != name:
-            continue
-        mode = entry.get("labels", {}).get("mode")
-        if mode:
-            out[mode] = [float(v) for v in entry.get("v", [])
-                         if isinstance(v, (int, float))]
-    return out
+    return {entry["labels"]["mode"]: [float(v) for v in entry.get("v", [])
+                                      if isinstance(v, (int, float))]
+            for entry in (timeseries_doc or {}).get("series", [])
+            if entry.get("name") == name
+            and entry.get("labels", {}).get("mode")}
 
 
 # -- claim checks ------------------------------------------------------------
@@ -188,7 +140,7 @@ def check_lifetime_extension(lifetimes: dict[str, float],
             results.append(ClaimResult(
                 claim, "skip", None, expected,
                 "needs baseline and "
-                f"{mode} fleet lifetimes (a timeseries.jsonl from "
+                f"{mode} fleet lifetimes (a fleet document from "
                 "`repro run scenarios/fleet.json --out DIR`)"))
             continue
         ratio = lifetimes[mode] / baseline
@@ -203,233 +155,79 @@ def check_lifetime_extension(lifetimes: dict[str, float],
     return results
 
 
-def measured_throughput_factor(level: int, blocks: int = 4,
-                               fpages_per_block: int = 16) -> float:
-    """Sequential-scan throughput at uniform ``level``, relative to L0.
-
-    Programs a tiny functional chip entirely at ``level``, scans every
-    fPage, and divides data bytes by accumulated expected device time —
-    the same measurement the Fig. 3c bench makes, reduced to one level.
-    """
-    from repro.flash.chip import FlashChip
-    from repro.flash.geometry import FlashGeometry
-
-    geometry = FlashGeometry(blocks=blocks,
-                             fpages_per_block=fpages_per_block)
-
-    def scan(lv: int) -> float:
-        chip = FlashChip(geometry, seed=1, variation_sigma=0.0,
-                         inject_errors=False)
-        total = geometry.total_fpages
-        if lv:
-            for fpage in range(total):
-                chip.set_level(fpage, lv)
-        capacity = chip.policy.data_opages(lv)
-        for fpage in range(total):
-            chip.program(fpage, [b"x"] * capacity)
-        busy_program = chip.stats.busy_us
-        data_bytes = 0
-        for fpage in range(total):
-            payloads, _latency = chip.read(fpage)
-            data_bytes += len(payloads) * geometry.opage_bytes
-        return data_bytes / (chip.stats.busy_us - busy_program)
-
-    return scan(level) / scan(0)
+#: The ``agreement`` table columns each check reads.
+THROUGHPUT_COLUMNS = {"level": int, "opages_per_fpage": int,
+                      "measured_factor": float, "analytic_factor": float}
+QUEUEING_COLUMNS = {"utilisation": float, "channels": int,
+                    "queue_depth": int, "service_us": float, "iops": float,
+                    "requests": int, "measured_mean_latency_us": float,
+                    "analytic_mean_latency_us": float}
+TRAFFIC_COLUMNS = {"level": int, "channels": int, "service_us": float,
+                   "iops": float, "requests": int,
+                   "measured_p99_latency_us": float,
+                   "analytic_p99_latency_us": float}
 
 
-def check_throughput_degradation(levels: tuple[int, ...] = (1, 2, 3),
+def _held(claim: str, measured: float, analytic: float, tolerance: float,
+          digits: int, expected: str, detail: str) -> ClaimResult:
+    """``measured`` within ``tolerance`` of a finite, positive model."""
+    ok = (analytic > 0 and math.isfinite(analytic)
+          and abs(measured - analytic) <= tolerance * analytic)
+    return ClaimResult(claim, "pass" if ok else "fail",
+                       round(measured, digits), expected, detail)
+
+
+def check_throughput_degradation(rows: list[dict],
                                  tolerance: float = DEFAULT_TOLERANCE,
                                  ) -> list[ClaimResult]:
-    """Measured scan throughput matches ``(P - L)/P`` per level."""
-    from repro.flash.tiredness import TirednessPolicy
-    from repro.models.performance import throughput_factor
-
-    policy = TirednessPolicy()
-    p = policy.geometry.opages_per_fpage
-    results = []
-    for level in levels:
-        claim = f"throughput_degradation/L{level}"
-        if not 0 < level < policy.dead_level:
-            results.append(ClaimResult(
-                claim, "skip", None, "level must be usable and > 0",
-                f"L{level} is not a usable non-zero level for this "
-                f"policy"))
-            continue
-        analytic = throughput_factor(level, p)
-        measured = measured_throughput_factor(level)
-        status = ("pass" if abs(measured - analytic)
-                  <= tolerance * analytic else "fail")
-        results.append(ClaimResult(
-            claim, status, round(measured, 4),
-            f"{p - level}/{p} = {analytic:.3f} "
-            f"(4/(4-L) degradation, rel tol {tolerance:.0%})",
-            "functional sequential scan vs analytic mix model"))
-    return results
+    """Measured scan throughput matches ``(P - L)/P``, one row per
+    ``throughput`` table row (:data:`THROUGHPUT_COLUMNS`)."""
+    return [_held(
+        f"throughput_degradation/L{row['level']}", row["measured_factor"],
+        row["analytic_factor"], tolerance, 4,
+        f"{row['opages_per_fpage'] - row['level']}/"
+        f"{row['opages_per_fpage']} = {row['analytic_factor']:.3f} "
+        f"(4/(4-L) degradation, rel tol {tolerance:.0%})",
+        "functional sequential scan vs analytic mix model "
+        "(agreement/throughput)") for row in rows]
 
 
-def _flat_read_cell(seed: int, **overrides) -> tuple[dict, float]:
-    """One traffic-engine cell of open-loop Poisson tenants issuing
-    uniform reads at a flat (variation-free, error-free) device with no
-    admission control: the window record and the offered IOPS."""
-    from repro.workloads.engine import EngineConfig, run_cell
-
-    config = EngineConfig(cells=1, mode="flat", read_fraction=1.0,
-                          mix=(0.0, 1.0, 0.0, 0.0), admission="none",
-                          host_streams=1, **overrides)
-    record = run_cell(config, 0, seed=seed)
-    return record["window"], record["arrival_per_us"] * 1e6
-
-
-def measured_queueing_latency(utilisation: float,
-                              n_requests: int = 1500,
-                              queue_depth: int = 64,
-                              channels: int = 1,
-                              seed: int = 7) -> dict[str, float]:
-    """Drive open-loop Poisson reads through a real queue; measure means.
-
-    One tenant issues ``n_requests`` point reads at ``utilisation`` of
-    the measured service time on ``channels`` flash channels (see
-    :func:`_flat_read_cell`). Returns the window's measured mean latency
-    and wait with :func:`repro.models.queueing.mdc_latency_us` at the
-    window's mean service time and the same arrival rate, so callers
-    compare like for like.
-
-    ``queue_depth`` should stay well above the typical queue length at
-    the chosen utilisation — NCQ backpressure defers arrivals and would
-    (correctly) bend the measurement away from the unbounded-queue
-    model.
-    """
-    from repro.models.queueing import mdc_latency_us
-
-    if not 0.0 < utilisation < 1.0:
-        raise ConfigError(
-            f"utilisation must be in (0, 1), got {utilisation!r}")
-    window, iops = _flat_read_cell(
-        seed, tenants=1, duration_us=1e12, utilisation=utilisation,
-        queue_depth=queue_depth, channels=channels,
-        max_requests=n_requests)
-    service_us = window["mean_service_us"]
-    latency_us = window["mean_latency_us"]
-    return {
-        "utilisation": utilisation,
-        "channels": float(channels),
-        "service_us": service_us,
-        "iops": iops,
-        "measured_mean_latency_us": latency_us,
-        "measured_mean_wait_us": latency_us - service_us,
-        "analytic_mean_latency_us": mdc_latency_us(service_us, iops,
-                                                   channels=channels),
-        "requests": float(window["requests"]),
-    }
+def check_queueing_latency(rows: list[dict],
+                           tolerance: float = QUEUEING_TOLERANCE,
+                           ) -> list[ClaimResult]:
+    """Measured pipeline mean latency within ``tolerance`` of M/D/c, one
+    row per ``queueing`` table row (:data:`QUEUEING_COLUMNS`)."""
+    return [_held(
+        "queueing_latency/" + ("" if row["channels"] == 1
+                               else f"c{row['channels']}_")
+        + f"rho{row['utilisation']:g}",
+        row["measured_mean_latency_us"], row["analytic_mean_latency_us"],
+        tolerance, 2,
+        f"mean latency within {tolerance:.0%} of M/D/c "
+        f"{row['analytic_mean_latency_us']:.1f} us",
+        f"open-loop Poisson reads: {row['requests']:.0f} requests, "
+        f"service {row['service_us']:.1f} us, "
+        f"{row['iops']:.0f} IOPS on {row['channels']} channel(s), "
+        f"queue depth {row['queue_depth']} (agreement/queueing)")
+        for row in rows]
 
 
-def check_queueing_latency(
-        utilisations: tuple[float, ...] = QUEUEING_UTILISATIONS,
-        tolerance: float = QUEUEING_TOLERANCE,
-        queue_depth: int = 64) -> list[ClaimResult]:
-    """Measured pipeline latency within ``tolerance`` of M/D/c.
-
-    One claim row per utilisation on a single channel (where M/D/1 is
-    exact), plus one multi-channel row at moderate load exercising the
-    Erlang-C approximation.
-    """
-    points = [(rho, 1) for rho in utilisations] + [(0.5, 4)]
-    results = []
-    for rho, channels in points:
-        suffix = f"rho{rho:g}" if channels == 1 else \
-            f"c{channels}_rho{rho:g}"
-        claim = f"queueing_latency/{suffix}"
-        run = measured_queueing_latency(
-            rho, queue_depth=queue_depth, channels=channels)
-        measured = run["measured_mean_latency_us"]
-        analytic = run["analytic_mean_latency_us"]
-        status = ("pass" if analytic > 0
-                  and abs(measured - analytic) <= tolerance * analytic
-                  else "fail")
-        results.append(ClaimResult(
-            claim, status, round(measured, 2),
-            f"mean latency within {tolerance:.0%} of M/D/c "
-            f"{analytic:.1f} us",
-            f"open-loop Poisson reads: {run['requests']:.0f} requests, "
-            f"service {run['service_us']:.1f} us, "
-            f"{run['iops']:.0f} IOPS on {channels} channel(s), "
-            f"queue depth {queue_depth}"))
-    return results
-
-
-@functools.lru_cache(maxsize=None)
-def _traffic_point(level: int, duration_us: float,
-                   seed: int) -> tuple[float, float, float, float, int]:
-    """One cached traffic measurement (the sim is pure in its args)."""
-    from repro.models.queueing import mdc_latency_quantile_us
-
-    window, iops = _flat_read_cell(
-        seed, tenants=8, duration_us=duration_us, level=level,
-        utilisation=0.6, queue_depth=256, channels=2, read_span=4)
-    service_us = window["mean_service_us"]
-    analytic = mdc_latency_quantile_us(service_us, iops, channels=2,
-                                       percentile=99.0)
-    return (window["p99_latency_us"], analytic, service_us, iops,
-            window["requests"])
-
-
-def measured_traffic_p99(level: int, duration_us: float = 240_000.0,
-                         seed: int = 11) -> dict[str, float]:
-    """Drive the traffic engine at RegenS level ``level``; measure p99.
-
-    Runs one engine cell of open-loop Poisson tenants issuing
-    fPage-spanning (``read_span = 4``) random reads against a
-    uniform-level flat device — the configuration where RegenS's
-    ``4/(4-L)`` per-byte degradation shows up in per-request *service
-    time*, and hence in queueing latency. Returns the pooled per-tenant
-    p99 of the traffic window together with
-    :func:`repro.models.queueing.mdc_latency_quantile_us` evaluated at
-    the window's measured mean service time and the configured arrival
-    rate, so callers compare like for like. Point reads would not do:
-    a single oPage sense costs the same at every level, so only span
-    reads tie tiredness to the latency axis.
-    """
-    if level not in (0, 1, 2, 3):
-        raise ConfigError(f"level must be in 0..3, got {level!r}")
-    measured, analytic, service_us, iops, requests = _traffic_point(
-        level, float(duration_us), int(seed))
-    return {
-        "level": float(level),
-        "service_us": service_us,
-        "iops": iops,
-        "requests": float(requests),
-        "measured_p99_latency_us": measured,
-        "analytic_p99_latency_us": analytic,
-    }
-
-
-def check_traffic_latency(
-        levels: tuple[int, ...] = TRAFFIC_LEVELS,
-        tolerance: float = TRAFFIC_TOLERANCE) -> list[ClaimResult]:
-    """Per-tenant traffic p99 within ``tolerance`` of the M/D/c overlay.
-
-    One claim row per RegenS tiredness level: the traffic engine's
-    pooled tenant p99 must agree with the analytic quantile at the
-    measured operating point, tying the engine's latency behaviour
-    under degradation to :mod:`repro.models.queueing`.
-    """
-    results = []
-    for level in levels:
-        claim = f"traffic_p99/l{level}"
-        run = measured_traffic_p99(level)
-        measured = run["measured_p99_latency_us"]
-        analytic = run["analytic_p99_latency_us"]
-        ok = (analytic > 0 and math.isfinite(analytic)
-              and abs(measured - analytic) <= tolerance * analytic)
-        results.append(ClaimResult(
-            claim, "pass" if ok else "fail", round(measured, 2),
-            f"tenant p99 within {tolerance:.0%} of M/D/c p99 "
-            f"{analytic:.1f} us at RegenS L{level}",
-            f"traffic engine, open-loop Poisson span reads: "
-            f"{run['requests']:.0f} requests, "
-            f"service {run['service_us']:.1f} us, "
-            f"{run['iops']:.0f} IOPS on 2 channels"))
-    return results
+def check_traffic_latency(rows: list[dict],
+                          tolerance: float = TRAFFIC_TOLERANCE,
+                          ) -> list[ClaimResult]:
+    """The traffic engine's pooled tenant p99 at a RegenS level within
+    ``tolerance`` of the M/D/c quantile at the measured operating point,
+    one row per ``traffic_p99`` table row (:data:`TRAFFIC_COLUMNS`)."""
+    return [_held(
+        f"traffic_p99/l{row['level']}", row["measured_p99_latency_us"],
+        row["analytic_p99_latency_us"], tolerance, 2,
+        f"tenant p99 within {tolerance:.0%} of M/D/c p99 "
+        f"{row['analytic_p99_latency_us']:.1f} us at RegenS L{row['level']}",
+        f"traffic engine, open-loop Poisson span reads: "
+        f"{row['requests']:.0f} requests, "
+        f"service {row['service_us']:.1f} us, "
+        f"{row['iops']:.0f} IOPS on {row['channels']} channels "
+        f"(agreement/traffic_p99)") for row in rows]
 
 
 def _peak_drop_fraction(capacities: list[float]) -> float | None:
@@ -510,7 +308,9 @@ def check_wear_provenance(records: list[dict] | None,
 
     Exact-arithmetic checks (counter identities, not tolerances): the
     ledger counts every oPage, so any slack here is an accounting bug,
-    not measurement noise. Malformed records raise :class:`ConfigError`.
+    not measurement noise. The records are validated at load
+    (:func:`repro.obs.endurance.load_endurance`): a malformed ledger is a
+    configuration error, never a failed claim.
     """
     identity_claim = "wear_provenance/waf_identity"
     isolation_claim = "wear_provenance/cause_isolation"
@@ -531,8 +331,6 @@ def check_wear_provenance(records: list[dict] | None,
                 *(ClaimResult(f"wear_provenance/{mode}_delta", "skip",
                               None, delta_expected, hint)
                   for mode in ("shrink", "regen"))]
-    # A malformed ledger is a configuration error, never a failed claim.
-    validate_endurance_records(records)
     results = [ClaimResult(
         identity_claim, "pass", float(len(records)), identity_expected,
         f"{len(records)} device record(s); every per-cause counter "
@@ -601,44 +399,58 @@ def check_wear_provenance(records: list[dict] | None,
 # -- report assembly ---------------------------------------------------------
 
 
+def fleet_lifetimes(experiments: dict) -> tuple[dict[str, float], str]:
+    """``mode -> mean lifetime (days)`` from the fleet document's
+    ``summary`` table, or a sweep's ``by_mode`` (the mean over its
+    seeds), and the detail naming it; empty without a fleet document."""
+    if "fleet" not in experiments:
+        return {}, ""
+    table = ("by_mode" if "by_mode" in experiments["fleet"][1]["tables"]
+             else "summary")
+    rows = table_rows(experiments, "fleet", table,
+                      {"mode": str, "mean_lifetime_days": float})
+    lifetimes = {row["mode"]: row["mean_lifetime_days"] for row in rows}
+    return lifetimes, f"from fleet/{table}: " + ", ".join(
+        f"{mode}={days:.0f}d" for mode, days in sorted(lifetimes.items()))
+
+
 def build_report(metrics_doc: dict | None = None,
                  timeseries_doc: dict | None = None,
                  trace_records: list[dict] | None = None,
                  endurance_records: list[dict] | None = None,
-                 tolerance: float = DEFAULT_TOLERANCE,
-                 throughput_levels: tuple[int, ...] = (1, 2, 3),
-                 traffic_levels: tuple[int, ...] = TRAFFIC_LEVELS,
-                 queue_depth: int = 64) -> dict:
-    """Run every claim check over the supplied inputs.
+                 experiments: dict | None = None,
+                 tolerance: float = DEFAULT_TOLERANCE) -> dict:
+    """Run every claim check over a run directory's inputs.
 
     All inputs are optional; checks whose inputs are missing are
     reported as ``skip`` rather than failing, so a partial report is
-    still useful. ``queue_depth`` parameterises the queue the
-    measured-latency claim drives (the CLI's ``--queue-depth``);
-    ``endurance_records`` are the device records of a
-    ``repro.obs.endurance/v1`` artifact (a run directory's
-    ``endurance.jsonl``).
+    still useful. ``experiments`` is
+    :func:`repro.reporting.export.load_experiments` of the
+    directory; ``endurance_records`` are the device records of its
+    ``endurance.jsonl`` (``repro.obs.endurance/v1``).
     Returns the ``repro.report/v1`` document.
     """
     if not 0 <= tolerance < 1:
         raise ConfigError(
             f"tolerance must be in [0, 1), got {tolerance!r}")
-    lifetimes = _series_map(timeseries_doc, "repro_fleet_mean_lifetime_days")
+    experiments = experiments or {}
+    lifetimes, detail = fleet_lifetimes(experiments)
     curves = _series_arrays(timeseries_doc, "repro_fleet_capacity_bytes")
 
-    claims: list[ClaimResult] = []
-    claims += check_lifetime_extension(
-        lifetimes, tolerance,
-        detail=("from timeseries: " + ", ".join(
-            f"{m}={v:.0f}d" for m, v in sorted(lifetimes.items()))
-            if lifetimes else ""))
-    claims += check_throughput_degradation(throughput_levels, tolerance)
-    claims += check_queueing_latency(
-        tolerance=max(tolerance, QUEUEING_TOLERANCE),
-        queue_depth=queue_depth)
-    claims += check_traffic_latency(
-        levels=traffic_levels,
-        tolerance=max(tolerance, TRAFFIC_TOLERANCE))
+    claims = check_lifetime_extension(lifetimes, tolerance, detail=detail)
+    for check, table, columns, family, floor in (
+            (check_throughput_degradation, "throughput", THROUGHPUT_COLUMNS,
+             "throughput_degradation/", 0.0),
+            (check_queueing_latency, "queueing", QUEUEING_COLUMNS,
+             "queueing_latency/", QUEUEING_TOLERANCE),
+            (check_traffic_latency, "traffic_p99", TRAFFIC_COLUMNS,
+             "traffic_p99/", TRAFFIC_TOLERANCE)):
+        rows = table_rows(experiments, "agreement", table, columns)
+        claims += (check(rows, max(tolerance, floor)) if rows is not None
+                   else [ClaimResult(claim, "skip", None, "its model",
+                                     _AGREEMENT_HINT)
+                         for claim in AGREEMENT_ROWS
+                         if claim.startswith(family)])
     recovery = check_recovery_traffic(curves)
     if recovery.status != "skip":
         recovery.detail += " (from timeseries)"
@@ -655,9 +467,9 @@ def build_report(metrics_doc: dict | None = None,
             "metrics": metrics_doc is not None,
             "timeseries": timeseries_doc is not None,
             "trace": trace_records is not None,
-            # A repro.report/v1 key that no report input sets.
-            "artifact": False,
             "endurance": endurance_records is not None,
+            "experiments": {path.name: kind for kind, (path, _)
+                            in sorted(experiments.items())},
         },
         "claims": [c.to_json() for c in claims],
         "summary": counts,

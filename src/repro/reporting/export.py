@@ -13,6 +13,10 @@ schema::
                            "x_label": "...", "y_label": "..."}}
     }
 
+:func:`load_experiments` and :func:`table_rows` are the reading side:
+``repro report`` finds a run directory's documents by their
+``meta.kind`` and reads their tables by column name.
+
 Non-finite policy: JSON has no NaN/Infinity, and ``json.dumps`` silently
 emits the non-standard ``NaN`` literal unless told otherwise. Artifacts
 must parse everywhere (jq, browsers, strict parsers), so non-finite floats
@@ -122,3 +126,51 @@ class ExperimentWriter:
         return artifact.write_text(
             Path(directory) / f"{self.experiment}.json",
             artifact.dumps(self.document()))
+
+
+#: The run directory's JSON files that are not experiment documents.
+NOT_EXPERIMENTS = ("metrics.json", "report.json")
+
+
+def load_experiments(run_dir: Path) -> dict[str, tuple[Path, dict]]:
+    """``kind -> (path, document)`` for every ``<name>.json`` experiment
+    document in ``run_dir`` (every ``*.json`` but
+    :data:`NOT_EXPERIMENTS`). A document must be an object with a
+    ``meta.kind`` string and a ``tables`` object; a kind may appear once."""
+    found: dict[str, tuple[Path, dict]] = {}
+    for path in sorted(run_dir.glob("*.json")):
+        if path.name in NOT_EXPERIMENTS:
+            continue
+        what = f"experiment document {path}"
+        document = artifact.read_json(path, "experiment document")
+        artifact.require(document, what, {"meta": dict, "tables": dict})
+        kind = artifact.require(document["meta"], f"{what} meta",
+                                {"kind": str})["kind"]
+        if kind in found:
+            raise ConfigError(f"two {kind} experiment documents in one "
+                              f"run directory: {found[kind][0]} and {path}")
+        found[kind] = (path, document)
+    return found
+
+
+def table_rows(experiments: dict, kind: str, table: str,
+               columns: dict) -> list[dict] | None:
+    """The rows of the ``kind`` document's ``table`` as dicts, each
+    holding ``columns`` (name -> type, as :func:`artifact.require` takes
+    them); ``None`` when ``experiments`` holds no ``kind`` document."""
+    if kind not in experiments:
+        return None
+    path, document = experiments[kind]
+    what = f"experiment document {path} table {table!r}"
+    found = artifact.require(artifact.require(
+        document["tables"], f"experiment document {path} tables",
+        {table: dict})[table], what, {"headers": list, "rows": list})
+    headers = [str(header) for header in found["headers"]]
+    rows = []
+    for index, row in enumerate(found["rows"]):
+        where = f"{what} row {index}"
+        if not isinstance(row, list) or len(row) != len(headers):
+            raise ConfigError(f"{where} does not match its headers")
+        rows.append(artifact.require(dict(zip(headers, row)), where,
+                                     columns))
+    return rows

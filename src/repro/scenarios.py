@@ -16,10 +16,11 @@ shareable and re-runnable without writing Python:
 
 ``run_scenario`` validates the document, builds its kind's config once,
 dispatches on ``kind`` (``fleet``, ``tournament``, ``carbon``, ``tco``,
-``replacement``, ``fig2``, ``health``, ``traffic``, ``probe``) and
-returns an :class:`~repro.reporting.export.ExperimentWriter` holding
-structured tables/series (and any file the kind writes beside them),
-ready to ``write()`` into a run directory. The CLI exposes this as
+``replacement``, ``fig2``, ``health``, ``traffic``, ``probe``,
+``agreement``) and returns an
+:class:`~repro.reporting.export.ExperimentWriter` holding structured
+tables/series (and any file the kind writes beside them), ready to
+``write()`` into a run directory. The CLI exposes this as
 ``python -m repro run <scenario.json> [--out results/] [--jobs N]``, the
 only way to run these experiments from a shell; ``scenarios/`` ships one
 file per kind at the paper's settings.
@@ -36,8 +37,10 @@ runs the multi-tenant traffic engine over ``jobs`` cell workers; its
 (:mod:`repro.io.probe`) once per mode over ``jobs`` workers (``params``
 ``every`` and ``requests``) and writes :data:`REQTRACE` and
 :data:`ENDURANCE` beside its artifact; its ``"slo"`` is evaluated per
-device kind over the sampled requests. Every kind's artifact is
-byte-identical for any ``jobs``.
+device kind over the sampled requests. An ``agreement`` scenario (no
+``params``, no ``seed``) writes the §4.2 measurements ``repro report``
+reads (:func:`repro.io.probe.agreement_tables`). Every kind's artifact
+is byte-identical for any ``jobs``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from repro.reporting.export import ExperimentWriter
 from repro.reporting.series import Series
 
 SCENARIO_KINDS = ("fleet", "tournament", "carbon", "tco", "replacement",
-                  "fig2", "health", "traffic", "probe")
+                  "fig2", "health", "traffic", "probe", "agreement")
 
 #: The files a ``probe`` scenario writes into the run directory beside
 #: ``<name>.json``: its sampled request records and its wear ledger.
@@ -86,6 +89,7 @@ _PARAMS = {
                 "closed_loop_fraction": float, "think_us": float,
                 "admission": str, "trace": str},
     "probe": {"every": int, "requests": int},
+    "agreement": {},
 }
 
 
@@ -109,9 +113,9 @@ def validate_scenario(document: dict):
     if "modes" in document and kind not in ("fleet", "probe"):
         raise ConfigError(f"'modes' is for a fleet or probe scenario, "
                           f"not {kind}")
-    if "seed" in document and kind in ("carbon", "tco", "fig2"):
-        raise ConfigError(f"a {kind} scenario draws nothing: it takes "
-                          f"no 'seed'")
+    if "seed" in document and kind in ("carbon", "tco", "fig2",
+                                       "agreement"):
+        raise ConfigError(f"a {kind} scenario takes no 'seed'")
     params = document.get("params", {})
     if kind == "fleet":
         config = _fleet_config(params)
@@ -448,6 +452,15 @@ def _run_probe(document: dict, params: dict, writer: ExperimentWriter,
         _add_records(writer, "slo", rows)
 
 
+def _run_agreement(document: dict, params: dict, writer: ExperimentWriter,
+                   jobs: int) -> None:
+    """The §4.2 measurements ``repro report`` holds to their models."""
+    from repro.io.probe import agreement_tables
+
+    for name, rows in agreement_tables(jobs=jobs).items():
+        _add_records(writer, name, rows)
+
+
 def _add_records(writer: ExperimentWriter, name: str, records: list) -> None:
     """A table with one row per record; a nested dict's keys become
     ``<key>_<sub>`` columns."""
@@ -474,6 +487,7 @@ _RUNNERS = {
     "health": _run_health,
     "traffic": _run_traffic,
     "probe": _run_probe,
+    "agreement": _run_agreement,
 }
 
 
@@ -481,8 +495,8 @@ def run_scenario(document: dict, jobs: int = 1) -> ExperimentWriter:
     """Execute a validated scenario; returns the artifact writer.
 
     ``jobs`` is the worker count of the fleet kind (shards, or the runs
-    of a sweep), of the traffic kind (cells) and of the probe kind
-    (modes); no other kind reads it, and no artifact records it. The
+    of a sweep), of the traffic kind (cells), of the probe kind (modes)
+    and of the agreement kind (cells); no other kind reads it, and no artifact records it. The
     document is validated and its config built once, here.
 
     When the scenario carries a ``"faults"`` plan (``repro.faults/v1``)

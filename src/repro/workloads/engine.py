@@ -1,10 +1,9 @@
 """Deterministic open-loop multi-tenant traffic engine.
 
-ROADMAP item 1 calls for "heavy traffic from millions of users" against
-the measured IO pipeline; this module is that traffic source. It drives
-many *tenant* streams — each with its own address pattern
-(:mod:`repro.workloads.generators` or trace replay via
-:mod:`repro.workloads.traces`), its own arrival process
+This module is the heavy-traffic source of the measured IO pipeline:
+many users' requests at once. It drives many *tenant* streams — each
+with its own address pattern (:mod:`repro.workloads.generators` or
+trace replay via :mod:`repro.workloads.traces`), its own arrival process
 (:mod:`repro.workloads.arrivals`) and its own admission budget —
 through the PR 5/8 :class:`repro.io.queue.DeviceQueue` path, and
 records the outcome as a ``repro.workloads.engine/v1`` document (a

@@ -249,20 +249,22 @@ def test_negative_control_the_old_reqtrace_is_caught():
 # -- UTF-8 whatever the locale ------------------------------------------------
 
 def _cli_round_trip(out: Path, env: dict) -> dict[str, bytes]:
-    """``run --out`` of a fleet scenario and ``report`` into ``out``."""
+    """``run --out`` of a fleet scenario and ``report`` into ``out/run``
+    (the scenario file beside it: every ``*.json`` in a run directory is
+    an experiment document to ``report``)."""
     out.mkdir()
     scenario = out / "scenario.json"
     scenario.write_text(json.dumps({
         "name": "tiny", "kind": "fleet", "seed": 3, "modes": ["baseline"],
         "params": {"devices": 4, "horizon_days": 200, "step_days": 50,
                    "geometry": {"blocks": 16, "fpages_per_block": 16}}}))
-    for argv in (["run", "scenario.json", "--out", "."], ["report", "."]):
+    for argv in (["run", "scenario.json", "--out", "run"], ["report", "run"]):
         done = subprocess.run(
             [sys.executable, "-m", "repro", *argv], cwd=out, timeout=300,
             capture_output=True, env={**os.environ, **env,
                                       "PYTHONPATH": str(SRC.parent)})
         assert done.returncode == 0, done.stderr.decode()
-    return {name: (out / name).read_bytes()
+    return {name: (out / "run" / name).read_bytes()
             for name in ("tiny.json", "report.md", "report.json")}
 
 

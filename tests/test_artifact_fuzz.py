@@ -2,8 +2,8 @@
 
 The matrix in ``tests/test_malformed_inputs.py`` walks the malformations
 someone thought of. This sweep draws them: every artifact two fleet
-``repro run`` calls and the ``repro run`` of a probe scenario just wrote
-is truncated at a drawn byte offset, has a drawn leaf replaced by a
+``repro run`` calls and the ``repro run`` of a probe scenario and of the
+agreement scenario just wrote is truncated at a drawn byte offset, has a drawn leaf replaced by a
 drawn JSON value, or has drawn bytes spliced in, and goes back, at a
 fixed name in a fresh run directory, through every command that reads
 that kind of file.
@@ -26,8 +26,9 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 
-PROBE = str(Path(__file__).resolve().parent.parent / "scenarios"
-            / "slo_default.json")
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+PROBE = str(SCENARIOS / "slo_default.json")
+AGREEMENT = str(SCENARIOS / "agreement.json")
 
 #: (artifact the CLI wrote, the name it is read back under, a command
 #: line that reads it from the run directory ``@``)
@@ -41,6 +42,8 @@ CONSUMERS = [
     ("probe/endurance.jsonl", "endurance.jsonl", ["report", "@"]),
     ("probe/endurance.jsonl", "endurance.jsonl",
      ["report", "@", "--against", "@"]),
+    ("fleet/fleet.json", "fleet.json", ["report", "@"]),
+    ("agreement/agreement.json", "agreement.json", ["report", "@"]),
 ]
 
 #: Every mode, four devices on 16 blocks for a year: what the retired
@@ -65,13 +68,14 @@ def quiet(argv) -> tuple[int, str]:
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
     """Where one small fleet ``run``, one ``run`` of the shipped probe
-    scenario and one ``run`` of ``SCENARIO`` wrote their run
-    directories."""
+    and agreement scenarios and one ``run`` of ``SCENARIO`` wrote their
+    run directories."""
     root = tmp_path_factory.mktemp("written")
     (root / "fleet.json").write_text(json.dumps(FLEET))
     assert quiet(["run", f"{root}/fleet.json",
                   "--out", f"{root}/fleet"])[0] == 0
     assert quiet(["run", PROBE, "--out", f"{root}/probe"])[0] == 0
+    assert quiet(["run", AGREEMENT, "--out", f"{root}/agreement"])[0] == 0
     (root / "scenario.json").write_text(json.dumps(SCENARIO))
     assert quiet(["run", f"{root}/scenario.json",
                   "--out", f"{root}/run"])[0] == 0

@@ -229,7 +229,7 @@ class TestObservabilityFlags:
         seen = []
         monkeypatch.setattr("repro.cli._cmd_report",
                             lambda args: seen.append(context.current()) or 0)
-        assert main(["report"]) == 0
+        assert main(["report", str(tmp_path)]) == 0
         assert seen == [RunContext()]
         assert context.current() == RunContext()
         assert not list(tmp_path.iterdir())
@@ -297,53 +297,104 @@ class TestTimeseriesFlag:
 
 class TestReportCommand:
     @staticmethod
-    def _write_timeseries(run_dir, lifetimes):
+    def _write_run(run_dir, lifetimes, capacities=None):
+        """A fleet document with these mean lifetimes, and a timeseries
+        of these capacity curves."""
+        run_dir.mkdir(exist_ok=True)
+        (run_dir / "fleet.json").write_text(json.dumps({
+            "experiment": "fleet", "meta": {"kind": "fleet"}, "series": {},
+            "tables": {"summary": {
+                "headers": ["mode", "mean_lifetime_days", "recovery_bytes"],
+                "rows": [[mode, days, 0.0]
+                         for mode, days in lifetimes.items()]}}}))
         lines = [json.dumps({"schema": "repro.obs.timeseries/v1",
                              "cadence": 0.0, "capacity": 4096,
                              "samples_taken": 1})]
-        for mode, value in lifetimes.items():
+        for mode, values in (capacities or {}).items():
             lines.append(json.dumps({
-                "name": "repro_fleet_mean_lifetime_days",
-                "labels": {"mode": mode}, "unit": "days",
+                "name": "repro_fleet_capacity_bytes",
+                "labels": {"mode": mode}, "unit": "bytes",
                 "kind": "gauge", "resolution": 0.0, "downsamples": 0,
-                "t": [100.0], "v": [value]}))
-        run_dir.mkdir(exist_ok=True)
+                "t": [float(t) for t in range(len(values))], "v": values}))
         (run_dir / "timeseries.jsonl").write_text("\n".join(lines) + "\n")
 
     def test_report_passes_on_healthy_timeseries(self, capsys, tmp_path):
-        self._write_timeseries(tmp_path, {"baseline": 400.0,
-                                          "shrink": 520.0,
-                                          "regen": 600.0})
+        self._write_run(tmp_path, {"baseline": 400.0, "shrink": 520.0,
+                                   "regen": 600.0},
+                        {"baseline": [10.0, 10.0, 5.0],
+                         "shrink": [10.0, 9.0, 8.0]})
         assert main(["report", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["schema"] == "repro.report/v1"
-        assert report["summary"]["fail"] == 0
+        assert report["summary"] == {"pass": 3, "fail": 0, "skip": 15}
         assert report["inputs"] == {
             "metrics": False, "timeseries": True, "trace": False,
-            "artifact": False, "endurance": False}
+            "endurance": False, "experiments": {"fleet.json": "fleet"}}
         by_claim = {c["claim"]: c for c in report["claims"]}
         assert by_claim["lifetime_extension/shrink"]["status"] == "pass"
-        assert by_claim["throughput_degradation/L2"]["status"] == "pass"
+        assert by_claim["recovery_traffic/shrink_vs_baseline"]["status"] \
+            == "pass"
+        assert by_claim["throughput_degradation/L2"]["status"] == "skip"
         assert "| claim |" in (tmp_path / "report.md").read_text()
 
     def test_report_claim_failure_exits_1(self, capsys, tmp_path):
-        self._write_timeseries(tmp_path, {"baseline": 400.0,
-                                          "shrink": 100.0,
-                                          "regen": 600.0})
+        self._write_run(tmp_path, {"baseline": 400.0, "shrink": 100.0,
+                                   "regen": 600.0})
         assert main(["report", str(tmp_path)]) == EXIT_CLAIM_FAILED
         assert "FAILED" in capsys.readouterr().err
         assert "`lifetime_extension/shrink` | fail" in \
             (tmp_path / "report.md").read_text()
 
-    def test_report_prints_markdown_by_default(self, capsys, tmp_path,
-                                               monkeypatch):
-        # No DIR: the self-measuring claims, printed; nothing written.
-        monkeypatch.chdir(tmp_path)
-        assert main(["report"]) == 0
-        out = capsys.readouterr().out
-        assert "## Salamander claim check" in out
-        assert "| claim | status |" in out
-        assert not list(tmp_path.iterdir())
+    @pytest.mark.parametrize("argv", [["report"],
+                                      ["report", "--against", "."]],
+                             ids=["no DIR", "against no DIR"])
+    def test_report_requires_a_dir(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "DIR" in capsys.readouterr().err
+
+    def test_a_sweep_directory_feeds_the_lifetime_rows(self, capsys,
+                                                      tmp_path):
+        out = tmp_path / "run"
+        scenario = fleet_scenario(tmp_path, runs=2, modes=[
+            "baseline", "shrink", "regen"])
+        assert main(["run", scenario, "--out", str(out)]) == 0
+        assert main(["report", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        rows = [c for c in report["claims"]
+                if c["claim"].startswith("lifetime_extension/")]
+        assert [row["status"] for row in rows] == ["pass", "pass"]
+        assert all("fleet/by_mode" in row["detail"] for row in rows)
+
+    def test_the_shipped_set_answers_every_row(self, capsys, tmp_path):
+        """fleet + probe + agreement in one directory: 18 rows, no skip,
+        the §4.2 rows at the values the report measured itself before
+        the agreement kind took the measurements over."""
+        for name in ("fleet", "probe", "agreement"):
+            assert main(["run", f"scenarios/{name}.json",
+                         "--out", str(tmp_path)]) == 0
+        assert main(["report", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["summary"] == {"pass": 18, "fail": 0, "skip": 0}
+        observed = {c["claim"]: c["observed"] for c in report["claims"]}
+        assert observed == {
+            "lifetime_extension/shrink": 1.4149,
+            "lifetime_extension/regen": 2.0,
+            "throughput_degradation/L1": 0.7619,
+            "throughput_degradation/L2": 0.5161,
+            "throughput_degradation/L3": 0.2623,
+            "queueing_latency/rho0.3": 72.81,
+            "queueing_latency/rho0.5": 89.09,
+            "queueing_latency/rho0.7": 131.22,
+            "queueing_latency/c4_rho0.5": 63.71,
+            "traffic_p99/l0": 362.99, "traffic_p99/l1": 338.95,
+            "traffic_p99/l2": 441.14, "traffic_p99/l3": 832.17,
+            "recovery_traffic/shrink_vs_baseline": 0.0741,
+            "wear_provenance/waf_identity": 4.0,
+            "wear_provenance/cause_isolation": 0.0,
+            "wear_provenance/shrink_delta": 0.0204,
+            "wear_provenance/regen_delta": 0.0204}
 
     def test_missing_metrics_exits_2(self, capsys, tmp_path):
         # The run directory itself is missing; a missing file in one
@@ -362,7 +413,7 @@ class TestReportCommand:
         assert main(["report", str(tmp_path)]) == EXIT_CONFIG_ERROR
 
     def test_bad_tolerance_exits_2(self, capsys, tmp_path):
-        assert main(["report", "--tolerance", "1.5"]) \
+        assert main(["report", str(tmp_path), "--tolerance", "1.5"]) \
             == EXIT_CONFIG_ERROR
 
     #: What the retired ``repro wear report|forecast|diff`` wrote into
@@ -420,20 +471,18 @@ class TestReportCommand:
         assert "wear_delta" not in json.loads(
             (new / "report.json").read_text())
 
-    @pytest.mark.parametrize("argv, missing", [
-        (["report", "@probe", "--against", "@bare"], "@bare"),
-        (["report", "@bare", "--against", "@probe"], "@bare"),
-        (["report", "--against", "@probe"], None),
-    ], ids=["DIR2 without ledger", "DIR without ledger", "no DIR"])
+    @pytest.mark.parametrize("argv", [
+        ["report", "@probe", "--against", "@bare"],
+        ["report", "@bare", "--against", "@probe"],
+    ], ids=["DIR2 without ledger", "DIR without ledger"])
     def test_against_needs_two_wear_ledgers(self, probes, tmp_path, capsys,
-                                            argv, missing):
+                                            argv):
         given = {"@probe": str(probes / "2025"), "@bare": str(tmp_path)}
         assert main([given.get(part, part) for part in argv]) \
             == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        if missing:
-            assert str(tmp_path / "endurance.jsonl") in err, err
+        assert str(tmp_path / "endurance.jsonl") in err, err
         assert not (tmp_path / "report.json").exists()
 
 
@@ -915,6 +964,8 @@ LAYOUT = [
     (["run", "@sweep", "--out", "@"], set(), {"sweep.json"}),
     (["run", "@probe", "--out", "@"], set(),
      {"probe.json", "reqtrace.jsonl", "endurance.jsonl"}),
+    (["run", "scenarios/agreement.json", "--out", "@"], set(),
+     {"agreement.json"}),
     (["report", "@"], _PROBED, _REPORT),
     (["report", "@"], {"endurance.jsonl"}, _REPORT),
     (["report", "@", "--against", "@"], _PROBED, _REPORT),
@@ -935,7 +986,7 @@ class TestRunDirectory:
         return root
 
     @pytest.mark.parametrize("argv, inputs, names", LAYOUT, ids=[
-        "fleet", "run", "traffic", "sweep", "probe", "report",
+        "fleet", "run", "traffic", "sweep", "probe", "agreement", "report",
         "report endurance", "report against", "report against other"])
     def test_each_command_writes_exactly_its_names(self, argv, inputs,
                                                    names, tmp_path,

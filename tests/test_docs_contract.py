@@ -768,7 +768,7 @@ def test_user_docs_name_only_flags_the_parser_defines():
     texts = command_texts()
     pairs = {pair for text in texts.values()
              for pair in attributed_flags(text)}
-    assert {("report", "--queue-depth"), ("report", "--against"),
+    assert {("report", "--tolerance"), ("report", "--against"),
             ("run", "--jobs"), ("run", "--out")} <= pairs
     undefined = {name: found for name, text in texts.items()
                  if (found := undefined_flags(text))}
@@ -785,13 +785,15 @@ def test_user_docs_name_only_subcommands_the_parser_defines():
 
 
 def test_flag_check_flags_the_parent_text():
-    """The two sentences that named a flag retired with coalescing."""
+    """The two sentences that named a flag retired with coalescing, and
+    ``--queue-depth``, retired when the report stopped measuring."""
     assert undefined_flags(
         "## `repro report`: the claim checker\n\n"
         "| claim | checks | inputs |\n|---|---|---|\n"
         "| `queueing_latency/rho{0.3,0.5,0.7}` | open-loop Poisson reads; "
         "`--queue-depth` / `--io-batch` tune the measurement harness "
-        "| none |\n") == ["repro report --io-batch"]
+        "| none |\n") == ["repro report --io-batch",
+                          "repro report --queue-depth"]
     assert undefined_flags(
         "`repro report` re-measures three performance claims through this\n"
         "pipeline on every run:\n\n"
@@ -799,7 +801,7 @@ def test_flag_check_flags_the_parent_text():
         "  M/D/c model (`--queue-depth`, `--io-batch` tune the harness);\n"
         "\n"
         "Elsewhere `--io-batch` belongs to nothing.\n") == [
-        "repro report --io-batch"]
+        "repro report --io-batch", "repro report --queue-depth"]
     assert undefined_flags(
         "```console\n$ python -m repro run s.json --out d \\\n"
         "      --io-batch 8\n```\n") == ["repro run --io-batch"]

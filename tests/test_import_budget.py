@@ -5,7 +5,7 @@ expression and was the largest single cost of *starting* the simulator
 (docs/PERFORMANCE.md, "How a gain is measured"). The runtime is
 numpy-only now; these tests keep it so, in fresh subprocesses — this
 process has pytest, hypothesis and usually scipy loaded, so it cannot
-tell.
+tell. The claim checker is a reader: it loads no simulator at all.
 """
 
 from __future__ import annotations
@@ -61,6 +61,30 @@ def test_cli_runs_without_scipy(tmp_path):
         scenario = python("-m", "repro", "run", f"scenarios/{name}.json",
                           "--out", str(tmp_path), poison=True)
         assert scenario.returncode == 0, scenario.stderr
+
+
+#: What the claim checker must never load: it reads tables, it does not
+#: simulate.
+SIMULATORS = ("repro.sim", "repro.io", "repro.workloads", "repro.flash")
+
+REPORT = f"""
+import sys, tempfile
+from pathlib import Path
+from repro.reporting.claims import build_report
+from repro.reporting.export import load_experiments
+with tempfile.TemporaryDirectory() as run:
+    report = build_report(experiments=load_experiments(Path(run)))
+assert report["summary"]["skip"] == 18, report["summary"]
+simulators = tuple(f"{{name}}." for name in {SIMULATORS!r})
+loaded = sorted(name for name in sys.modules
+                if f"{{name}}.".startswith(simulators))
+assert not loaded, f"the claim checker imported {{loaded}}"
+"""
+
+
+def test_the_claim_checker_loads_no_simulator():
+    result = python("-c", REPORT)
+    assert result.returncode == 0, result.stderr
 
 
 def test_src_does_not_mention_scipy():

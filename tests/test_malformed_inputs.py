@@ -1,6 +1,6 @@
 """Every file the CLI reads x every way it can be wrong -> exit 2, one line.
 
-The contract as a matrix: the ten inputs the CLI reads — a path on
+The contract as a matrix: the eleven inputs the CLI reads — a path on
 the command line, or an artifact at its fixed name in a run directory —
 each fed a missing path, a directory, an unreadable file, bytes that
 are not UTF-8, an empty file, valid JSON that is not an object, a
@@ -15,7 +15,9 @@ malformed row cannot pass on a wrong base document.
 A run-directory row is named after its command and the artifact it
 reads, in flag form: ``report --metrics`` is the ``metrics.json`` of
 ``repro report DIR``, ``report --against`` the ``endurance.jsonl`` of
-its ``--against DIR2``. The two ``traffic`` rows are the inputs a traffic
+its ``--against DIR2``, ``report --experiment`` a ``<name>.json``
+experiment document (one with no schema tag, so its "wrong schema" is a
+foreign document). The two ``traffic`` rows are the inputs a traffic
 scenario of ``repro run`` adds, named as the options they replaced: the
 file its ``trace`` param names, and its embedded ``slo`` object. The
 ``slo --slo`` row is likewise a probe scenario's embedded ``slo``
@@ -25,7 +27,7 @@ A scenario's own fields are rows of a second table
 (``TRAFFIC_FIELDS``): each a document ``repro run`` must refuse with
 exit 2 and one line naming the field — a traffic scenario's, and a
 field a kind would ignore (``modes`` off a fleet or probe, ``seed`` on
-a kind that draws nothing).
+a kind whose draws are fixed, ``params`` on the agreement kind).
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ TIMESERIES = [
     {"name": "repro_x", "labels": {"mode": "baseline"}, "unit": None,
      "kind": "gauge", "resolution": 0.0, "downsamples": 0,
      "t": [0.0, 1.0], "v": [1.0, 2.0]}]
+EXPERIMENT = {"experiment": "fleet", "meta": {"kind": "fleet"},
+              "series": {}, "tables": {"summary": {
+                  "headers": ["mode", "mean_lifetime_days"],
+                  "rows": [["baseline", 400.0], ["shrink", 520.0]]}}}
 TRACE = [{"kind": "span", "name": "step", "time": 0.0, "end_time": 2.0,
           "span_id": 1, "parent_id": None, "attrs": {}}]
 OPS = "# trace n_lbas=8\nW 1 00ff\nR 1\nT 1\n"
@@ -190,6 +196,11 @@ INPUTS = [
                 edited(TIMESERIES, [0, "schema"], "repro.obs.timeseries/v0"),
                 [1, "t"], ([1, "t"], "x")),
           ("'t'", "'t'"), file="timeseries.jsonl"),
+    # An experiment document at a name of its own.
+    Input("report --experiment", ["report", "@"],
+          forms(EXPERIMENT, one, METRICS, ["meta", "kind"],
+                (["tables", "summary", "rows", 0, 1], "long")),
+          ("kind", "mean_lifetime_days"), file="fleet.json"),
     # No schema tag on the trace: "wrong schema" is a foreign artifact.
     Input("report --trace", ["report", "@"],
           forms(TRACE, jsonl, TIMESERIES, [0, "time"],
@@ -317,6 +328,10 @@ TRAFFIC_FIELDS = [
      "seed"),
     ("seed on tco", {"name": "t", "kind": "tco", "seed": 3}, [], "seed"),
     ("seed on fig2", {"name": "t", "kind": "fig2", "seed": 3}, [], "seed"),
+    ("seed on agreement", {"name": "t", "kind": "agreement", "seed": 3},
+     [], "seed"),
+    ("params on agreement", {"name": "t", "kind": "agreement",
+                             "params": {"requests": 5}}, [], "params"),
 ]
 
 
@@ -343,12 +358,16 @@ def test_traffic_scenario_field_is_exit_2_and_one_line(document, extra, field,
     (["report", "@", "--against", "@"], ENDURANCE, ([1, "programs"], 5)),
     (["report", "@"], ENDURANCE,
      ([1, "mean_pec"], True)),    # a bool is not a number
-], ids=["report --against programs=5", "report mean_pec=true"])
+    (["report", "@"], ENDURANCE, ([1, "waf"],)),
+], ids=["report --against programs=5", "report mean_pec=true",
+        "report waf dropped"])
 def test_mistyped_fields_named_in_the_issue(argv, records, edit, tmp_path,
                                             capsys):
+    """The one line names the field, and the ledger's path and line."""
     (tmp_path / "endurance.jsonl").write_text(jsonl(edited(records, *edit)))
     argv = [str(tmp_path) if part == "@" else part for part in argv]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2, err
     assert len(err.splitlines()) == 1 and edit[0][-1] in err, err
+    assert f"{tmp_path / 'endurance.jsonl'}:2" in err, err

@@ -298,7 +298,8 @@ class TestShippedScenarios:
                  "tco": "tco.json",
                  "replacement": "measured_upgrade_rates.json",
                  "fig2": "fig2.json", "health": "health.json",
-                 "traffic": "traffic.json", "probe": "probe.json"}
+                 "traffic": "traffic.json", "probe": "probe.json",
+                 "agreement": "agreement.json"}
 
     def test_every_kind_but_fleet_has_a_canonical_file(self):
         assert set(self.CANONICAL) == set(SCENARIO_KINDS) - {"fleet"}
