@@ -65,6 +65,9 @@ from repro.salamander.shrink import (
 )
 from repro.ssd.ftl import UNMAPPED, FTLConfig, PageMappedFTL
 
+#: Bound once: the write gate compares every admitted write against it.
+_ACTIVE = MinidiskStatus.ACTIVE
+
 
 class SalamanderMode(Enum):
     SHRINK = "shrink"
@@ -315,8 +318,17 @@ class SalamanderSSD(PageMappedFTL):
 
     def write(self, mdisk_id: int, lba: int, data: bytes,  # type: ignore[override]
               stream: int = 0) -> None:
-        """Write one oPage to ``(mdisk_id, lba)``."""
-        super().write(self.minidisk(mdisk_id).flat_lba(lba), data, stream)
+        """Write one oPage to ``(mdisk_id, lba)``.
+
+        The address is range-checked here and admitted once, by the
+        kernel's :meth:`_admit_write`; :meth:`minidisk` and
+        :meth:`Minidisk.flat_lba` run only to raise their errors.
+        """
+        table = self._table
+        size = table.size_lbas
+        if not (0 <= mdisk_id < len(table.minidisks) and 0 <= lba < size):
+            self.minidisk(mdisk_id).flat_lba(lba)
+        super().write(mdisk_id * size + lba, data, stream)
 
     def read(self, mdisk_id: int, lba: int) -> bytes:  # type: ignore[override]
         """Read one oPage from ``(mdisk_id, lba)``.
@@ -337,8 +349,13 @@ class SalamanderSSD(PageMappedFTL):
         """Write consecutive LBAs within one minidisk, in order; a
         decommission that lands mid-range rejects the members after it
         (the FTL's write kernel re-asks :meth:`_admit_write`)."""
-        flat = self.minidisk(mdisk_id).flat_range(lba, len(payloads))
-        super().write_range(flat, payloads, stream)
+        table = self._table
+        size = table.size_lbas
+        end = lba + len(payloads)
+        if not (0 <= mdisk_id < len(table.minidisks)
+                and 0 <= lba < end <= size):
+            self.minidisk(mdisk_id).flat_range(lba, len(payloads))
+        super().write_range(mdisk_id * size + lba, payloads, stream)
 
     def trim(self, mdisk_id: int, lba: int) -> None:  # type: ignore[override]
         mdisk = self._active_mdisk(mdisk_id)
@@ -352,10 +369,14 @@ class SalamanderSSD(PageMappedFTL):
 
     def _admit_write(self, lba: int) -> int:
         """Host writes land only in an ACTIVE minidisk of a live device;
-        the admitted run ends with the minidisk."""
-        size = self._table.size_lbas
-        self._active_mdisk(lba // size)
-        return (lba // size + 1) * size
+        the admitted run ends with the minidisk. Read off the table;
+        :meth:`_active_mdisk` runs only to raise its error."""
+        table = self._table
+        mdisk_id = lba // table.size_lbas
+        if (self._exhausted or not 0 <= mdisk_id < len(table.minidisks)
+                or table.minidisks[mdisk_id].status is not _ACTIVE):
+            self._active_mdisk(mdisk_id)
+        return (mdisk_id + 1) * table.size_lbas
 
     def _readable_mdisk(self, mdisk_id: int) -> Minidisk:
         if self._exhausted:

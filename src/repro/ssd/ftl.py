@@ -968,25 +968,28 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         # Sweep out blocks with nothing left to reclaim: condemned (or fully
         # retired) blocks that hold no valid data are dead, not candidates.
         # Only zero-valid candidates can qualify, so the sweep inspects
-        # those instead of walking every closed block.
-        candidates = self._closed_blocks.array()
-        valid_arr = np.array(self._valid_counts)  # once per pass
-        if candidates.size:
-            swept = False
-            for block in candidates[valid_arr[candidates] == 0]:
-                block = int(block)
-                if (not self._block_usable(block)
-                        or self._block_is_dead(block)):
-                    self._closed_blocks.discard(block)
-                    self._dead_blocks.add(block)
-                    swept = True
+        # those, and only when there is one. Candidates and counts are
+        # Python ints, read off the ascending closed list and the kept
+        # ``_valid_counts``; the capacity is read only if the pick
+        # observes it, and then for the victim alone.
+        closed = self._closed_blocks
+        count_of = self._valid_counts.__getitem__
+        candidates = closed.ordered()
+        valid = list(map(count_of, candidates))
+        if 0 in valid:
+            swept = [block for block, count in zip(candidates, valid)
+                     if count == 0 and (not self._block_usable(block)
+                                        or self._block_is_dead(block))]
             if swept:
-                candidates = self._closed_blocks.array()
-        if candidates.size == 0:
+                for block in swept:
+                    closed.discard(block)
+                    self._dead_blocks.add(block)
+                candidates = closed.ordered()
+                valid = list(map(count_of, candidates))
+        if not candidates:
             raise OutOfSpaceError("no closed blocks to garbage-collect")
-        valid = valid_arr[candidates]
-        capacities = self._block_capacities(candidates)
-        victim = self._gc.pick(candidates, valid, capacities)
+        victim = self._gc.pick(candidates, valid,
+                               self.chip.usable_slots_of_blocks)
         injector = self._faults
         if injector is not None:
             # Crash points bracketing the two non-atomic halves of a
@@ -1001,9 +1004,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._erase_block(victim)
         if injector is not None:
             injector.crash_if("gc.post_erase", block=int(victim))
-
-    def _block_capacities(self, blocks: np.ndarray) -> np.ndarray:
-        return self.chip.usable_slots_of_blocks(blocks)
 
     def _relocate_block(self, block: int) -> None:
         """Move every valid oPage out of ``block`` (into open fPages)."""

@@ -49,7 +49,7 @@ class Operation(NamedTuple):
 
 def stamp_payload(lba: int, sequence: int) -> bytes:
     """Self-describing payload: identifies the LBA and write generation."""
-    return f"lba={lba} seq={sequence}".encode()
+    return b"lba=%d seq=%d" % (lba, sequence)
 
 
 def _stamped(kind: OpType, lba: int, seq: int | None) -> Operation:

@@ -38,6 +38,37 @@ class TestReservoir:
     def test_empty_percentile_is_zero(self):
         assert LatencyReservoir().percentile(99) == 0.0
 
+    @pytest.mark.parametrize("q", [0, 50, 99, 99.9, 100])
+    @pytest.mark.parametrize("samples", [1, 2, 4095, 4096, 50_000])
+    def test_percentile_is_numpys_bit_for_bit(self, samples, q):
+        """The reservoir works numpy's ``linear`` rule in Python floats;
+        it must give ``np.percentile``'s float exactly, on a reservoir
+        that kept every sample (``_stride`` 1) and on decimated ones."""
+        rng = np.random.default_rng(samples)
+        draws = [rng.exponential(80.0, samples),
+                 rng.integers(0, 4, samples) * 25.0,     # heavy ties
+                 rng.random(samples) * 1e-6]
+        for values in draws:
+            reservoir = LatencyReservoir()
+            for value in values.tolist():
+                reservoir.add(value)
+            assert (reservoir._stride > 1) == (samples >= 4096)
+            expected = float(np.percentile(np.array(reservoir._samples), q))
+            assert reservoir.percentile(q).hex() == expected.hex()
+
+    def test_percentile_on_random_reservoirs(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(200):
+            reservoir = LatencyReservoir(
+                capacity=int(rng.integers(2, 600)))
+            for value in rng.gamma(2.0, 30.0,
+                                   int(rng.integers(1, 3000))).tolist():
+                reservoir.add(value)
+            for q in (*rng.uniform(0, 100, 4).tolist(), 0, 100):
+                expected = float(np.percentile(
+                    np.array(reservoir._samples), q))
+                assert reservoir.percentile(q).hex() == expected.hex()
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             LatencyReservoir(capacity=1)

@@ -87,6 +87,30 @@ def test_the_claim_checker_loads_no_simulator():
     assert result.returncode == 0, result.stderr
 
 
+#: A lifetime walk reads percentiles at its end (``stats.snapshot()``);
+#: ``np.percentile`` would import ``numpy.ma`` there, inside whatever
+#: times the walk.
+LIFETIME = """
+import sys
+from repro.flash.geometry import FlashGeometry
+from repro.salamander.device import SalamanderConfig, SalamanderSSD
+from repro.sim.lifetime import run_write_lifetime
+device = SalamanderSSD.create(
+    FlashGeometry(blocks=16, fpages_per_block=8),
+    SalamanderConfig(msize_lbas=32, mode="regen"), seed=1)
+result = run_write_lifetime(device, utilization=0.5, seed=2,
+                            max_writes=2000)
+assert result.host_writes == 2000, result
+assert result.stats["write_latency_p99_us"] > 0, result.stats
+assert "numpy.ma" not in sys.modules, "the lifetime walk imported numpy.ma"
+"""
+
+
+def test_a_lifetime_walk_leaves_numpy_ma_unimported():
+    result = python("-c", LIFETIME)
+    assert result.returncode == 0, result.stderr
+
+
 def test_src_does_not_mention_scipy():
     """``grep -rn scipy src/`` is empty: no import, no fallback."""
     hits = [str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
