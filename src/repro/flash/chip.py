@@ -5,7 +5,7 @@ implements real NAND semantics:
 
 * program happens at fPage granularity, reads at oPage granularity;
 * a written fPage cannot be reprogrammed until its whole block is erased;
-* erasing a block increments the PEC of every fPage in it;
+* erasing a block increments its PEC, which every fPage in it shares;
 * each fPage has a private process-variation factor, so pages in the same
   block wear at different *effective* rates (the property Salamander
   exploits by retiring pages individually, §3);
@@ -162,20 +162,19 @@ class FlashChip:
         # makespan is the busiest channel, not the serial sum.
         self.channel_busy_us = [0.0] * self.geometry.channels
         self._channels = self.geometry.channels
-        self._pec = np.zeros(n, dtype=np.int64)
-        self._level = np.zeros(n, dtype=np.int64)
-        # Python-list mirror of ``_level``: levels are read per operation
-        # on the hot path but written only on (rare) wear transitions, so
-        # a list mirror makes the reads cheap while the numpy array stays
-        # canonical for the vectorised sweeps.
-        self._level_py: list[int] = [0] * n
+        # The two wear facts, each kept once as a list of Python ints
+        # (every touch is a scalar one): the P/E count of each block,
+        # which ``erase`` moves a block at a time, and each fPage's
+        # tiredness level. The vector views derive from them per call.
+        self._block_pec: list[int] = [0] * self.geometry.blocks
+        self._level: list[int] = [0] * n
         self._reads_since_erase = np.zeros(n, dtype=np.int64)
         self._programmed_at = np.zeros(n, dtype=float)
         self._state = np.full(n, _STATE_FREE, dtype=np.int8)
         self._variation = lognormal_page_variation(
             self.rng, n, sigma=variation_sigma)
         # Payloads of written fPages, one tuple of oPage byte strings per
-        # fPage as programmed; None holds nothing (like ``_level_py``, a
+        # fPage as programmed; None holds nothing (like ``_level``, a
         # list sized by geometry).
         self._data: list[tuple[bytes, ...] | None] = [None] * n
         # Out-of-band metadata, in two columns: the LBA of each oPage slot
@@ -240,14 +239,14 @@ class FlashChip:
     def pec(self, fpage: int) -> int:
         """P/E cycles the block containing ``fpage`` has endured."""
         self.geometry.check_fpage(fpage)
-        return int(self._pec[fpage])
+        return self._block_pec[fpage // self._fpages_per_block]
 
     def level(self, fpage: int) -> int:
         """Current tiredness level of ``fpage``."""
         if not 0 <= fpage < self._total_fpages:
             raise IndexError(
                 f"fPage {fpage} out of range [0, {self._total_fpages})")
-        return self._level_py[fpage]
+        return self._level[fpage]
 
     def state(self, fpage: int) -> PageState:
         self.geometry.check_fpage(fpage)
@@ -267,7 +266,7 @@ class FlashChip:
 
     def _wear_rber(self, fpage: int) -> float:
         """Wear term of the RBER: model(pec) memoised, times variation."""
-        pec = int(self._pec[fpage])
+        pec = self._block_pec[fpage // self._fpages_per_block]
         base = self._base_rber_cache.get(pec)
         if base is None:
             base = float(self.rber_model.rber(pec))
@@ -327,19 +326,21 @@ class FlashChip:
     def worn_free_pages(self, block: int) -> list[tuple[int, int]]:
         """``(fpage, required_level)`` for FREE pages past their level's ECC.
 
-        Vectorised wear-only qualification sweep over one block, valid
-        exactly when the FTL runs wear-transition detection: right after
-        an erase, when read disturb has been reset and FREE pages accrue
-        no retention term. PEC is block-uniform, so one memoised model
-        evaluation covers the whole block.
-        """
+        Wear-only qualification sweep over one block, valid exactly when
+        the FTL runs wear-transition detection: right after an erase,
+        when read disturb has been reset and FREE pages accrue no
+        retention term. PEC is block-uniform, so one memoised model
+        evaluation covers the whole block (states read only for pages
+        whose level falls short)."""
         self.geometry.check_block(block)
         start = block * self._fpages_per_block
         stop = start + self._fpages_per_block
-        required = self._block_wear_required(block)
-        worn = np.flatnonzero((self._state[start:stop] == _STATE_FREE)
-                              & (required > self._level[start:stop]))
-        return [(start + int(i), int(required[i])) for i in worn]
+        state = self._state
+        return [(fpage, need) for fpage, need, level in zip(
+                    range(start, stop),
+                    self._block_wear_required(block).tolist(),
+                    self._level[start:stop])
+                if need > level and state[fpage] == _STATE_FREE]
 
     def _block_wear_required(self, block: int) -> np.ndarray:
         """Wear-only required level for every fPage of ``block``.
@@ -351,7 +352,7 @@ class FlashChip:
         """
         start = block * self._fpages_per_block
         stop = start + self._fpages_per_block
-        pec = int(self._pec[start])
+        pec = self._block_pec[block]
         base = self._base_rber_cache.get(pec)
         if base is None:
             base = float(self.rber_model.rber(pec))
@@ -378,11 +379,13 @@ class FlashChip:
     # -- bulk views (vectorised; used by FTL policies) -----------------------
 
     def pec_array(self) -> np.ndarray:
-        """Read-only copy of per-fPage PEC."""
-        return self._pec.copy()
+        """Per-fPage PEC (each page repeats its block's count), int64."""
+        return np.repeat(np.array(self._block_pec, dtype=np.int64),
+                         self._fpages_per_block)
 
     def level_array(self) -> np.ndarray:
-        return self._level.copy()
+        """Per-fPage tiredness level, int64."""
+        return np.array(self._level, dtype=np.int64)
 
     def variation_array(self) -> np.ndarray:
         return self._variation.copy()
@@ -455,7 +458,7 @@ class FlashChip:
         if state == _STATE_WRITTEN:
             raise ProgramError(
                 f"fPage {fpage} already written; erase its block first")
-        level = self._level_py[fpage]
+        level = self._level[fpage]
         expected = self._data_opages_by_level[level]
         if expected == 0:
             raise ProgramError(f"fPage {fpage} is at the dead level")
@@ -548,7 +551,7 @@ class FlashChip:
                 f"fPage {fpage} out of range [0, {self._total_fpages})")
         if self._data[fpage] is None:
             raise ProgramError(f"fPage {fpage} is not written")
-        level = self._level_py[fpage]
+        level = self._level[fpage]
         rber = self._rber_unchecked(fpage)
         retries = self._read_retries_fast(rber, level)
         sense = (1.0 + retries) * self.latency.read_us
@@ -670,8 +673,9 @@ class FlashChip:
             return UncorrectableError(
                 f"fPage {fpage} (L{level}): injected uncorrectable read",
                 bit_errors=correctable + 1, correctable=correctable)
+        pec = self._block_pec[fpage // self._fpages_per_block]
         return UncorrectableError(
-            f"fPage {fpage} (L{level}, pec={int(self._pec[fpage])}): "
+            f"fPage {fpage} (L{level}, pec={pec}): "
             f"{flipped} bit errors exceed t={correctable}",
             bit_errors=flipped, correctable=correctable)
 
@@ -693,7 +697,7 @@ class FlashChip:
                     f"injected erase failure at block {block}")
         start = block * self._fpages_per_block
         stop = start + self._fpages_per_block
-        self._pec[start:stop] += 1
+        self._block_pec[block] += 1
         self._reads_since_erase[start:stop] = 0
         seg = self._state[start:stop]
         seg[seg != _STATE_RETIRED] = _STATE_FREE
@@ -726,7 +730,7 @@ class FlashChip:
             raise ProgramError(
                 f"fPage {fpage} is written; relocate its data before "
                 f"changing levels")
-        current = self._level_py[fpage]
+        current = self._level[fpage]
         if level < current:
             raise ConfigError(
                 f"fPage {fpage}: cannot lower level from "
@@ -737,7 +741,6 @@ class FlashChip:
             if level == self._dead_level:
                 self._block_retired_fpages[block] += 1
         self._level[fpage] = level
-        self._level_py[fpage] = level
         if level == self._dead_level:
             self._state[fpage] = _STATE_RETIRED
 
@@ -747,7 +750,7 @@ class FlashChip:
         if int(self._state[fpage]) != _STATE_RETIRED:
             block = fpage // self._fpages_per_block
             self._block_usable_slots[block] -= (
-                self._dead_level - self._level_py[fpage])
+                self._dead_level - self._level[fpage])
             self._block_retired_fpages[block] += 1
         self._state[fpage] = _STATE_RETIRED
         self._data[fpage] = self._oob_seq[fpage] = None
@@ -768,7 +771,7 @@ class FlashChip:
         if sequence is None:
             return None
         base = fpage * self._slots_per_fpage
-        slots = self._data_opages_by_level[self._level_py[fpage]]
+        slots = self._data_opages_by_level[self._level[fpage]]
         return tuple(self._oob_lbas[base:base + slots]), sequence
 
     def _audit_store(self) -> None:
@@ -821,12 +824,14 @@ class FlashChip:
 
     def wear_summary(self) -> dict[str, float]:
         """Aggregate wear view used by device SMART reporting."""
+        # Exact integer sums, so a per-block mean is the per-fPage one.
+        pecs = self._block_pec
         return {
-            "mean_pec": float(self._pec.mean()),
-            "max_pec": int(self._pec.max()),
+            "mean_pec": sum(pecs) / len(pecs),
+            "max_pec": max(pecs),
             "retired_fpages": self.retired_count(),
             "retired_fraction": self.retired_count() / self.geometry.total_fpages,
-            "mean_level": float(self._level.mean()),
+            "mean_level": sum(self._level) / self._total_fpages,
         }
 
 

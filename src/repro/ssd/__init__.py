@@ -6,7 +6,6 @@ bad — plus the CVSS-like capacity-variant comparator from §4.
 
 * :mod:`repro.ssd.write_buffer` — NVRAM coalescing buffer (oPages -> fPage).
 * :mod:`repro.ssd.gc` — garbage-collection victim policies.
-* :mod:`repro.ssd.wear` — free-block selection (wear leveling).
 * :mod:`repro.ssd.badblocks` — bad-block ledger and the 2.5 % brick rule.
 * :mod:`repro.ssd.ftl` — the page-mapped FTL core shared with Salamander.
 * :mod:`repro.ssd.device` — :class:`BaselineSSD`.
@@ -18,7 +17,6 @@ from repro.ssd.stats import SSDStats
 from repro.ssd.badblocks import BadBlockLedger
 from repro.ssd.write_buffer import WriteBuffer
 from repro.ssd.gc import GreedyGC
-from repro.ssd.wear import select_min_wear_block
 from repro.ssd.ftl import FTLConfig, PageMappedFTL
 from repro.ssd.device import BaselineSSD, SSDConfig
 from repro.ssd.cvss import CVSSDevice, CVSSConfig
@@ -28,7 +26,6 @@ __all__ = [
     "BadBlockLedger",
     "WriteBuffer",
     "GreedyGC",
-    "select_min_wear_block",
     "FTLConfig",
     "PageMappedFTL",
     "BaselineSSD",

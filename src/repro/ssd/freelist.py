@@ -1,25 +1,25 @@
 """Incrementally maintained block indexes for the FTL hot path.
 
-The original FTL re-derived its allocation views on every query:
-``_usable_free_blocks`` sorted the free set and ran the usability filter
+The original FTL re-derived its allocation views on every query: its
+free-block query sorted the free set and ran the usability filter
 per call, and ``_gc_once`` rebuilt ``np.array(sorted(closed))`` per GC
 pass. Both are O(B log B) in the erase-block count *per operation*, which
 dominates once device geometries reach production scale (see
 docs/PERFORMANCE.md).
 
 :class:`BlockIndex` keeps the same semantics — an unordered set of block
-ids whose views are ascending and optionally filtered by a policy
+ids whose view is ascending and optionally filtered by a policy
 predicate — but keeps its members in one sorted list as they come and
 go (a bisect finds, inserts or deletes; a C-level move of at most B
-pointers) and builds each view lazily, keeping it until the next
-mutation. The common query pattern (many reads between mutations) costs
-O(1), and a view rebuilt after a mutation is a copy or one filter pass,
-never a sort. There are two views of the one ordering: :meth:`ordered`,
-a list (GC's sweep and victim pick, which touch each member as a Python
-int), and :meth:`array`, an int64 array (the allocator's vector reads).
+pointers) and builds its one view, :meth:`ordered`, lazily, keeping it
+until the next mutation. The common query pattern (many reads between
+mutations) costs O(1), and a view rebuilt after a mutation is a copy or
+one filter pass, never a sort. Its readers — GC's sweep and victim
+pick, the allocator's least-worn pick — touch each member as a Python
+int.
 
 Invalidation contract: mutating the set (``add``/``discard``/``clear``)
-drops both cached views automatically. If the *filter's* answer for
+drops the cached view automatically. If the *filter's* answer for
 a member block can change without a set mutation, the owner must call
 :meth:`invalidate`. The in-tree devices never need this — every policy
 that condemns a block (bad-block ledger, CVSS retirement) also discards
@@ -32,23 +32,21 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
 
 class BlockIndex:
-    """A set of block ids with cached, sorted (and filtered) views.
+    """A set of block ids with a cached, sorted (and filtered) view.
 
     Args:
         blocks: initial members.
-        usable_fn: optional predicate applied when building the views;
+        usable_fn: optional predicate applied when building the view;
             blocks failing it stay members (``__len__`` and
-            ``__contains__`` see them) but are hidden from the views.
+            ``__contains__`` see them) but are hidden from the view.
             Evaluated lazily, so it may close over state that does not
             exist yet at construction time (e.g. a ledger built after
             ``super().__init__``).
     """
 
-    __slots__ = ("_sorted", "_usable_fn", "_list", "_array")
+    __slots__ = ("_sorted", "_usable_fn", "_list")
 
     def __init__(self, blocks: Iterable[int] = (),
                  usable_fn: Callable[[int], bool] | None = None) -> None:
@@ -56,7 +54,6 @@ class BlockIndex:
         self._sorted: list[int] = sorted(set(blocks))
         self._usable_fn = usable_fn
         self._list: list[int] | None = None
-        self._array: np.ndarray | None = None
 
     # -- set interface (drop-in for the plain ``set`` it replaces) ---------
 
@@ -65,31 +62,31 @@ class BlockIndex:
         at = bisect_left(members, block)
         if at == len(members) or members[at] != block:
             members.insert(at, block)
-            self._list = self._array = None
+            self._list = None
 
     def discard(self, block: int) -> None:
         members = self._sorted
         at = bisect_left(members, block)
         if at < len(members) and members[at] == block:
             del members[at]
-            self._list = self._array = None
+            self._list = None
 
     def add_many(self, blocks: Iterable[int]) -> None:
         """Batched :meth:`add`: one set union, one sort.
 
         A remount rebuilds the whole free pool at once; folding it in
-        per element would insert and drop the views O(n) times.
+        per element would insert and drop the view O(n) times.
         """
         merged = set(self._sorted)
         merged.update(blocks)
         if len(merged) != len(self._sorted):
             self._sorted = sorted(merged)
-            self._list = self._array = None
+            self._list = None
 
     def clear(self) -> None:
         if self._sorted:
             self._sorted = []
-            self._list = self._array = None
+            self._list = None
 
     def __len__(self) -> int:
         return len(self._sorted)
@@ -109,15 +106,15 @@ class BlockIndex:
         return (f"BlockIndex({self._sorted!r}, "
                 f"filtered={self._usable_fn is not None})")
 
-    # -- cached views ------------------------------------------------------
+    # -- cached view -------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Force a rebuild on the next :meth:`ordered` / :meth:`array`.
+        """Force a rebuild on the next :meth:`ordered`.
 
         Needed only when ``usable_fn``'s verdict for a *member* block can
         flip without an ``add``/``discard`` on this index.
         """
-        self._list = self._array = None
+        self._list = None
 
     def ordered(self) -> list[int]:
         """Ascending list of members passing ``usable_fn``.
@@ -131,13 +128,3 @@ class BlockIndex:
             self._list = (self._sorted[:] if usable is None
                           else [b for b in self._sorted if usable(b)])
         return self._list
-
-    def array(self) -> np.ndarray:
-        """:meth:`ordered` as an ascending int64 array.
-
-        Cached until the next mutation; callers must treat it as
-        read-only.
-        """
-        if self._array is None:
-            self._array = np.array(self.ordered(), dtype=np.int64)
-        return self._array

@@ -47,7 +47,6 @@ from repro.ssd.gc import GreedyGC
 from repro.ssd.remount import RemountMixin
 from repro.ssd.scrub import ScrubMixin
 from repro.ssd.stats import SSDStats
-from repro.ssd.wear import select_min_wear_block
 from repro.ssd.write_buffer import WriteBuffer
 
 UNMAPPED = -1
@@ -195,7 +194,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._l2p = [UNMAPPED] * n_lbas
         self._p2l = [UNMAPPED] * self.geometry.total_opage_slots
         self._valid_counts = [0] * self.geometry.blocks
-        self._erase_counts = np.zeros(self.geometry.blocks, dtype=np.int64)
 
         self._write_seq = 0  # monotone program counter, stored in OOB
         # Moves before any wear-policy hook runs — the only code that can
@@ -527,7 +525,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             watermark_blocks = self.config.gc_reserve_blocks + 2
         performed = 0
         while (performed < max_collections
-               and len(self._usable_free_blocks()) < watermark_blocks):
+               and len(self._free_blocks.ordered()) < watermark_blocks):
             try:
                 self._attributed("gc", self._gc_once, counter="gc_passes")
             except OutOfSpaceError:
@@ -604,12 +602,16 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         the O(n) scan it replaced, at any externally observable moment.
         Raises ``AssertionError`` on divergence.
         """
-        # The maps are lists of Python ints: a numpy scalar stored into
-        # one would still compare equal, and slow every later touch.
-        for name, size in (("_l2p", self.n_lbas),
-                           ("_p2l", self.geometry.total_opage_slots),
-                           ("_valid_counts", self.geometry.blocks)):
-            cells = getattr(self, name)
+        # The maps and the chip's wear records are lists of Python ints:
+        # a numpy scalar stored into one would still compare equal, and
+        # slow every later touch.
+        for owner, name, size in (
+                (self, "_l2p", self.n_lbas),
+                (self, "_p2l", self.geometry.total_opage_slots),
+                (self, "_valid_counts", self.geometry.blocks),
+                (self.chip, "_block_pec", self.geometry.blocks),
+                (self.chip, "_level", self.geometry.total_fpages)):
+            cells = getattr(owner, name)
             assert (type(cells) is list and len(cells) == size
                     and set(map(type, cells)) == {int}), (
                 f"{name} representation diverged: not a list of {size} ints")
@@ -627,10 +629,10 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             f"stream counts {self._stream_counts} != scan {counts}")
         expected_free = sorted(
             b for b in self._free_blocks if self._block_usable(b))
-        assert self._usable_free_blocks().tolist() == expected_free, (
-            "cached usable-free-block array diverged from scan")
-        assert self._closed_blocks.array().tolist() == sorted(
-            self._closed_blocks), "closed-block array diverged"
+        assert self._free_blocks.ordered() == expected_free, (
+            "cached usable-free-block list diverged from scan")
+        assert self._closed_blocks.ordered() == sorted(
+            self._closed_blocks), "closed-block list diverged"
         states = self.chip.state_array()
         levels = self.chip.level_array()
         per_fpage = np.where(states == 2, 0, self.policy.dead_level - levels)
@@ -671,11 +673,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         if not 0 <= lba < self.n_lbas:
             raise InvalidLBAError(
                 f"LBA {lba} out of range [0, {self.n_lbas})")
-
-    @property
-    def _valid_per_block(self) -> np.ndarray:
-        """Vector view of per-block valid-oPage counts (copy)."""
-        return np.array(self._valid_counts)
 
     def _unmap(self, lba: int) -> None:
         slot = self._l2p[lba]
@@ -887,26 +884,22 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             self._close_open_block(key)
 
     def _open_new_block(self, key: str) -> None:
-        usable = self._usable_free_blocks()
+        usable = self._free_blocks.ordered()
         host = key.startswith("host")
-        if host and len(usable) <= self.config.gc_reserve_blocks:
-            # Host writes must leave the GC reserve intact.
-            usable = usable[:max(0, len(usable)
-                                 - self.config.gc_reserve_blocks)]
-        if usable.size == 0:
+        # Host writes must leave the GC reserve intact.
+        if not usable or (host
+                          and len(usable) <= self.config.gc_reserve_blocks):
             raise OutOfSpaceError(
                 "no free blocks available"
                 + (" outside the GC reserve" if host else ""))
-        block = select_min_wear_block(usable, self._erase_counts)
+        # Wear leveling on allocation: the first (lowest-id) free block of
+        # least erase count, as the chip records it.
+        block = min(usable, key=self.chip._block_pec.__getitem__)
         self._free_blocks.discard(block)
         self._open[key] = (block, 0)
         self._open_required[key] = (
             (block, self.chip.required_levels_of_block(block).tolist())
             if self.chip.read_disturb_rber == 0 else None)
-
-    def _usable_free_blocks(self) -> np.ndarray:
-        """Ascending usable free blocks, served from the cached index."""
-        return self._free_blocks.array()
 
     def _close_open_block(self, key: str) -> None:
         state = self._open[key]
@@ -951,7 +944,7 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
     def _ensure_free_space(self) -> None:
         """Run GC until host writes have a block outside the reserve."""
         guard = 2 * self.geometry.blocks
-        while (len(self._usable_free_blocks())
+        while (len(self._free_blocks.ordered())
                <= self.config.gc_reserve_blocks):
             if guard == 0:
                 raise OutOfSpaceError(
@@ -1024,7 +1017,6 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         except EraseFaultError:
             self._condemn_block(block)
             return
-        self._erase_counts[block] += 1
         self.stats.erases += 1
         # Wear-transition detection: right after the erase, read disturb
         # is reset and FREE pages carry no retention term, so the chip's

@@ -16,8 +16,6 @@ PageMappedFTL`` keeps working.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["RemountMixin"]
 
 
@@ -97,8 +95,6 @@ class RemountMixin:
                                    self.geometry.fpages_per_block)
         all_retired = (per_block == 2).all(axis=1)
         any_written = (per_block == 1).any(axis=1)
-        self._erase_counts[:] = self.chip.pec_array()[
-            ::self.geometry.fpages_per_block]
         free: list[int] = []
         for block in range(self.geometry.blocks):
             if all_retired[block]:

@@ -99,8 +99,7 @@ def remounted_pair(fpage: int, seed: int, wear: int = 0, **kwargs):
         first = fpage // 2
         chip.program(fpage, [bytes([i]) * 8 for i in range(4)],
                      oob=(tuple(range(first, first + 4)), 1))
-        chip._pec[chip.geometry.fpage_range_of_block(
-            fpage // chip.geometry.fpages_per_block)] += wear
+        chip._block_pec[fpage // chip.geometry.fpages_per_block] += wear
         ftls.append(PageMappedFTL.remount(chip, 64))
     return ftls
 
@@ -249,7 +248,7 @@ class TestProgramTrusted:
         elif rejection == "written":
             chip.program_trusted(0, 0, [1], [b"a"], 1)
         elif rejection == "dead level":
-            chip._level_py[0] = chip.policy.dead_level
+            chip._level[0] = chip.policy.dead_level
         elif rejection == "wrong count":
             payloads = [b"a"] * 3
         elif rejection == "oversize":
@@ -300,10 +299,54 @@ class TestBlockAccounting:
             assert chip.block_fully_retired(block) == bool(
                 retired[block].all())
 
-    def test_level_mirror_consistent_with_array(self, make_chip):
-        chip = make_chip(seed=27)
-        chip.set_level(3, 2)
-        chip.set_level(4, chip.policy.dead_level)
-        levels = chip.level_array()
-        for fpage in range(chip.geometry.total_fpages):
-            assert chip.level(fpage) == int(levels[fpage])
+    @pytest.mark.parametrize("seed", [27, 28, 29])
+    def test_wear_views_equal_a_per_fpage_recount(self, make_chip, seed):
+        """The chip keeps one P/E count per block and one level list;
+        every per-fPage view of them equals a count kept per fPage, the
+        way the chip once kept it, after random erase, ``set_level``,
+        retire and program steps."""
+        chip = make_chip(seed=seed)
+        policy, fpb = chip.policy, chip.geometry.fpages_per_block
+        n = chip.geometry.total_fpages
+        pec, level = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            fpage = int(rng.integers(0, n))
+            block = fpage // fpb
+            action = rng.random()
+            if action < 0.35:
+                if not chip.block_fully_retired(block):
+                    chip.erase(block)
+                    pec[block * fpb:(block + 1) * fpb] += 1
+            elif action < 0.6:
+                if (chip.state(fpage) is not PageState.WRITTEN
+                        and level[fpage] < policy.dead_level):
+                    target = int(rng.integers(level[fpage],
+                                              policy.dead_level + 1))
+                    chip.set_level(fpage, target)
+                    level[fpage] = target
+            elif action < 0.7:
+                chip.retire(fpage)
+            elif chip.state(fpage) is PageState.FREE:
+                chip.program(fpage, [b"w"] * policy.data_opages(
+                    int(level[fpage])))
+            assert chip.pec(fpage) == pec[fpage]
+            assert chip.level(fpage) == level[fpage]
+        assert [chip.pec(f) for f in range(n)] == pec.tolist()
+        assert [chip.level(f) for f in range(n)] == level.tolist()
+        for view, recount in ((chip.pec_array(), pec),
+                              (chip.level_array(), level)):
+            assert view.dtype == np.int64
+            assert np.array_equal(view, recount)
+        retired = int(np.count_nonzero(chip.state_array() == 2))
+        summary = chip.wear_summary()
+        assert summary == {
+            "mean_pec": float(pec.mean()),
+            "max_pec": int(pec.max()),
+            "retired_fpages": retired,
+            "retired_fraction": retired / n,
+            "mean_level": float(level.mean()),
+        }
+        assert [type(v) for v in summary.values()] == [
+            float, int, int, float, float]
+        assert {type(v) for v in chip._block_pec + chip._level} == {int}

@@ -50,10 +50,9 @@ def check_invariants(device: SalamanderSSD) -> None:
     assert len(device._table.draining) <= \
         device.salamander_config.grace_decommissions
     # Valid counts are within block capacity.
-    per_block = device._valid_per_block
     block_slots = (device.geometry.fpages_per_block
                    * device.geometry.opages_per_fpage)
-    assert (per_block >= 0).all() and (per_block <= block_slots).all()
+    assert all(0 <= valid <= block_slots for valid in device._valid_counts)
 
 
 @pytest.mark.parametrize("mode", ["shrink", "regen"])

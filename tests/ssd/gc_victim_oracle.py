@@ -49,7 +49,7 @@ def pick(gc, candidate_blocks: np.ndarray, valid_counts: np.ndarray,
 
 def gc_once(self) -> None:
     """``PageMappedFTL._gc_once`` over arrays; bind it to a device."""
-    candidates = self._closed_blocks.array()
+    candidates = np.array(self._closed_blocks.ordered(), dtype=np.int64)
     valid_arr = np.array(self._valid_counts)  # once per pass
     if candidates.size:
         swept = False
@@ -61,7 +61,8 @@ def gc_once(self) -> None:
                 self._dead_blocks.add(block)
                 swept = True
         if swept:
-            candidates = self._closed_blocks.array()
+            candidates = np.array(self._closed_blocks.ordered(),
+                                  dtype=np.int64)
     if candidates.size == 0:
         raise OutOfSpaceError("no closed blocks to garbage-collect")
     valid = valid_arr[candidates]

@@ -41,7 +41,7 @@ class OracleChip(FlashChip):
                 f"fPage {fpage} out of range [0, {self._total_fpages})")
         if int(self._state[fpage]) != _STATE_WRITTEN:
             raise ProgramError(f"fPage {fpage} is not written")
-        level = self._level_py[fpage]
+        level = self._level[fpage]
         data_slots = self._data_opages_by_level[level]
         if not 0 <= slot < data_slots:
             raise IndexError(
@@ -81,7 +81,7 @@ class OracleChip(FlashChip):
             if flipped > correctable:
                 self.stats.uncorrectable_reads += 1
                 raise UncorrectableError(
-                    f"fPage {fpage} (L{level}, pec={int(self._pec[fpage])}): "
+                    f"fPage {fpage} (L{level}, pec={self.pec(fpage)}): "
                     f"{flipped} bit errors exceed t={correctable}",
                     bit_errors=flipped,
                     correctable=correctable,
@@ -94,7 +94,7 @@ class OracleChip(FlashChip):
                 f"fPage {fpage} out of range [0, {self._total_fpages})")
         if int(self._state[fpage]) != _STATE_WRITTEN:
             raise ProgramError(f"fPage {fpage} is not written")
-        level = self._level_py[fpage]
+        level = self._level[fpage]
         data_slots = self._data_opages_by_level[level]
         rber = self._rber_unchecked(fpage)
         self._record_read_disturb(fpage)
@@ -133,7 +133,7 @@ class OracleChip(FlashChip):
             if flipped > correctable:
                 self.stats.uncorrectable_reads += 1
                 raise UncorrectableError(
-                    f"fPage {fpage} (L{level}, pec={int(self._pec[fpage])}): "
+                    f"fPage {fpage} (L{level}, pec={self.pec(fpage)}): "
                     f"{flipped} bit errors exceed t={correctable}",
                     bit_errors=flipped,
                     correctable=correctable,

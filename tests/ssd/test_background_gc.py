@@ -21,10 +21,10 @@ def loaded_ftl(make_chip, ftl_config):
 
 class TestBackgroundGC:
     def test_ticks_grow_the_free_pool(self, loaded_ftl):
-        before = len(loaded_ftl._usable_free_blocks())
+        before = len(loaded_ftl._free_blocks.ordered())
         performed = loaded_ftl.background_tick(max_collections=3,
                                                watermark_blocks=8)
-        after = len(loaded_ftl._usable_free_blocks())
+        after = len(loaded_ftl._free_blocks.ordered())
         assert performed > 0
         assert after >= before
 

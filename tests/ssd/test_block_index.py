@@ -1,9 +1,9 @@
 """``BlockIndex`` keeps its members in one sorted list as they come and go.
 
-Its two views, ``ordered()`` (a list) and ``array()`` (int64), are
-rebuilt from that kept order, never by a sort, so after any sequence of
-mutations each must equal a fresh sort of the member set (filtered),
-and a view a caller holds must not change under it.
+Its one view, ``ordered()`` (a list), is rebuilt from that kept order,
+never by a sort, so after any sequence of mutations it must equal a
+fresh sort of the member set (filtered), and a view a caller holds must
+not change under it.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def test_views_equal_a_fresh_sort_after_any_mutations(initial, steps,
         expected = sorted(b for b in members
                           if usable is None or usable(b))
         assert index.ordered() == expected
-        assert index.array().tolist() == expected
         assert list(index) == sorted(members)
         assert len(index) == len(members)
         assert [b for b in range(-1, 65) if b in index] == sorted(members)

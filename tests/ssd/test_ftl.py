@@ -142,7 +142,7 @@ class TestGarbageCollection:
         rng = np.random.default_rng(2)
         for i in range(8 * ftl.n_lbas):
             ftl.write(int(rng.integers(0, ftl.n_lbas // 2)), b"")
-        counts = ftl._erase_counts
+        counts = np.array(ftl.chip._block_pec)
         worked = counts[counts > 0]
         assert worked.size > 1
         assert counts.max() - counts.min() <= max(4, 0.5 * counts.mean())

@@ -148,16 +148,16 @@ class TestFreeListIndex:
         device = make_baseline(seed=12)
         rng = np.random.default_rng(12)
         churn(device, rng, ops=500, audit_every=500)
-        usable = device._usable_free_blocks()
-        assert list(usable) == sorted(set(usable))
+        usable = device._free_blocks.ordered()
+        assert usable == sorted(set(usable))
         for block in usable:
-            assert device._block_usable(int(block))
+            assert device._block_usable(block)
 
     def test_ledger_filter_applies_lazily(self, make_baseline):
-        """Marking a block bad removes it from the next array build."""
+        """Marking a block bad removes it from the next view build."""
         device = make_baseline(seed=13)
-        free_before = set(device._usable_free_blocks().tolist())
+        free_before = set(device._free_blocks.ordered())
         victim = next(iter(sorted(free_before)))
         device.ledger.mark_bad(victim)
         device._free_blocks.invalidate()
-        assert victim not in device._usable_free_blocks().tolist()
+        assert victim not in device._free_blocks.ordered()

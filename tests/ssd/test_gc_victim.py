@@ -119,12 +119,11 @@ class Twin:
         return {
             "passes": list(self.passes),
             "closed": device._closed_blocks.ordered(),
-            "closed_array": device._closed_blocks.array().tolist(),
             "free": device._free_blocks.ordered(),
             "dead": sorted(device._dead_blocks),
             "valid": list(device._valid_counts),
             "l2p": list(device._l2p),
-            "erases": device._erase_counts.tolist(),
+            "erases": list(device.chip._block_pec),
             "stats": device.stats.snapshot(),
             "chip": device.chip.stats.snapshot(),
             "chip_rng": device.chip.rng.bit_generator.state,

@@ -143,7 +143,7 @@ def observe(device, injector, active) -> dict:
         # Keyed by written fPage; an injected corruption lands here.
         "chip_data": {fpage: chip._data[fpage] for fpage in _written(chip)},
         "disturb": chip._reads_since_erase.tolist(),
-        "levels": list(chip._level_py),
+        "levels": list(chip._level),
         "states": chip.state_array().tolist(),
         "inject_errors": chip.inject_errors,
         "alive": device.is_alive,
@@ -634,7 +634,7 @@ def test_a_chip_whose_rber_moves_under_data_remembers_nothing(dynamic):
 def test_the_audit_catches_a_stale_and_an_orphaned_cost():
     chip = _programmed_chip()
     chip.read(0)
-    chip._pec[0] += 2           # wear set by hand under the data
+    chip._block_pec[0] += 2     # wear set by hand under the data
     with pytest.raises(AssertionError, match="stale read cost"):
         chip._audit_read_costs()
     chip._forget_read_costs([0])

@@ -127,8 +127,7 @@ class TestRemount:
         ftl.flush()
         recovered = crash_and_remount(ftl)
         assert recovered.live_lbas() == ftl.live_lbas()
-        assert np.array_equal(recovered._valid_per_block,
-                              ftl._valid_per_block)
+        assert recovered._valid_counts == ftl._valid_counts
 
 
 class TestBaselineRemount:

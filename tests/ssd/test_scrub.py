@@ -28,7 +28,7 @@ def _age_written_blocks(chip, pec: int) -> None:
     for block in range(chip.geometry.blocks):
         pages = list(chip.geometry.fpage_range_of_block(block))
         if any(states[p] == 1 for p in pages):  # WRITTEN code
-            chip._pec[pages] = pec
+            chip._block_pec[block] = pec
             chip._forget_read_costs(pages)
 
 

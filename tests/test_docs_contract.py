@@ -51,7 +51,8 @@ RETIRED = frozenset({
     "_regenerate_traced", "_remount_cause", "GCPolicy", "SWEEP_SCHEMA",
     "sweep_document", "write_sweep_artifact", "load_sweep_artifact",
     "validate_sweep_document", "summarize_sweep", "write_engine_artifact",
-    "load_engine_artifact"})
+    "load_engine_artifact", "select_min_wear_block", "BlockIndex.array",
+    "_level_py", "_erase_counts", "_valid_per_block"})
 
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
