@@ -2,6 +2,8 @@
 
     python -m benchmarks.perf.pairs --parent DIR --change DIR \\
         --workload W [--seed N] [--pairs 10] [--seconds 8] [--out FILE]
+    python -m benchmarks.perf.pairs --parent DIR --change DIR \\
+        --workload BENCH [--pairs 10] [--out FILE]
 
 Every perf PR since the end-to-end benchmark landed measured its claim
 with the same hand-rolled shell loop; this is that loop. Each pair runs
@@ -32,6 +34,14 @@ A run that exits non-zero, prints no result object, reports ``correct:
 false`` or fails operations makes the whole comparison ``failed run``;
 a ``sim_digest`` that differs between the sides is reported (a change
 that claims bit-identity must print the parent's).
+
+A ``--workload`` that ``BENCHMARK.json`` does not name is a perf bench
+of ``benchmarks/perf/workloads.py`` (``fleet_step_micro``, ...): a run
+is then one fresh process in the tree that times the bench's rounds as
+``benchmarks.perf.harness.run`` does, records nothing, and reports the
+best round's ``ops_per_s``, judged like ``host_ops_per_s`` (higher is
+better, the same bound). The benches fix their own seeds and sizes, so
+``--seed`` and ``--seconds`` do not apply.
 
 The tool refuses to start if either tree holds ``.pyc`` files for
 sources the other has but has not cached: a cached tree starts ~0.1 s
@@ -79,15 +89,34 @@ def bytecode_mismatch(parent: Path, change: Path) -> list[str]:
 
 # -- one run -----------------------------------------------------------------
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``run.py --trace 0`` of ``tree``, in ``tree``: ``{"ok",
-    "metrics": {name: value}, "digest", "problem"}``."""
-    command = [sys.executable, "benchmarks/e2e/run.py",
-               "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(
-        command, cwd=tree, stdout=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+#: One perf bench's reading in a fresh process, printed as ``run.py``
+#: prints its result object: the best of the harness's rounds.
+BENCH_RUN = """\
+import json, sys
+from benchmarks.perf import harness, workloads
+bench = getattr(workloads, sys.argv[1])
+runs = [bench() for _ in range(harness.rounds())]
+best = max(run["ops"] / run["wall_s"] for run in runs)
+print(json.dumps({"correct": True, "failed": 0, "metrics": {
+    "ops_per_s": {"value": best, "unit": "1/s"}}}))
+"""
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             bench: bool = False) -> dict:
+    """One ``run.py --trace 0`` of ``tree`` — or, with ``bench``, one
+    perf bench — in ``tree``: ``{"ok", "metrics": {name: value},
+    "digest", "problem"}``."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    if bench:
+        command = [sys.executable, "-c", BENCH_RUN, workload]
+        env["PYTHONPATH"] = str(tree / "src")
+    else:
+        command = [sys.executable, "benchmarks/e2e/run.py",
+                   "--workload", workload, "--seed", str(seed),
+                   "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE,
+                          text=True, env=env)
     return parse_run(done.returncode, done.stdout)
 
 
@@ -154,8 +183,9 @@ def judge(parent: list[float], change: list[float], better: str,
             "verdict": verdict}
 
 
-def compare(runs: list[tuple[dict, dict]], manifest: dict) -> dict:
-    """The table: ``runs`` is ``(parent run, change run)`` per pair."""
+def compare(runs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
+    """The table: ``runs`` is ``(parent run, change run)`` per pair,
+    judged on ``metrics`` (``BENCHMARK.json``'s ``end_to_end`` form)."""
     problems = [f"pair {index} {side}: {run['problem']}"
                 for index, pair in enumerate(runs, 1)
                 for side, run in zip(("parent", "change"), pair)
@@ -167,7 +197,7 @@ def compare(runs: list[tuple[dict, dict]], manifest: dict) -> dict:
     if problems:
         table["verdict"] = "failed run"
         return table
-    for metric in manifest["end_to_end"]:
+    for metric in metrics:
         name = metric["name"]
         table["metrics"][name] = judge(
             [parent["metrics"][name] for parent, _ in runs],
@@ -191,7 +221,7 @@ def render(table: dict) -> str:
     if digests["parent"] == digests["change"] and len(digests["parent"]) == 1:
         lines.append(f"sim_digest       identical on every run: "
                      f"{digests['parent'][0]}")
-    else:
+    elif digests["parent"] or digests["change"]:    # a perf bench prints none
         lines.append(f"sim_digest       DIFFERS: parent {digests['parent']}, "
                      f"change {digests['change']}")
     lines.extend(f"FAILED RUN: {problem}" for problem in table["problems"])
@@ -224,6 +254,13 @@ def main(argv: list[str] | None = None) -> int:
     manifest = json.loads((parent / "BENCHMARK.json").read_text())
     seconds = (args.seconds if args.seconds is not None
                else float(manifest["run_seconds"]))
+    metrics = manifest["end_to_end"]
+    bench = args.workload not in {entry["name"]
+                                  for entry in manifest["workloads"]}
+    if bench:
+        seconds = None
+        metrics = [{**metric, "name": "ops_per_s"} for metric in metrics
+                   if metric["name"] == "host_ops_per_s"]
     runs = []
     for index in range(1, args.pairs + 1):
         order = ("parent", "change") if index % 2 else ("change", "parent")
@@ -231,15 +268,16 @@ def main(argv: list[str] | None = None) -> int:
         for side in order:
             tree = parent if side == "parent" else change
             pair[side] = run = run_once(tree, args.workload, args.seed,
-                                        seconds)
+                                        seconds, bench)
             shown = "  ".join(f"{name} {value:.6g}"
                               for name, value in run["metrics"].items())
             print(f"pair {index:>2} {side:<6} {shown}"
                   + (f"  !! {run['problem']}" if run["problem"] else ""),
                   flush=True)
         runs.append((pair["parent"], pair["change"]))
-    table = compare(runs, manifest)
-    table.update(workload=args.workload, seed=args.seed, seconds=seconds,
+    table = compare(runs, metrics)
+    table.update(workload=args.workload,
+                 seed=None if bench else args.seed, seconds=seconds,
                  parent_tree=str(parent), change_tree=str(change))
     print(render(table))
     if args.out:

@@ -26,8 +26,10 @@ matrices with a row per device, drawn once per ``(seed, devices,
 geometry, variation_sigma)`` (:func:`fleet_hardware`) and read by every
 discipline and range. A step
 is a fixed number of array operations over the rows still alive — one
-``model.rber`` call, one batched count per matrix (:class:`_BandedRows`),
-capacity and burn as vectors — so its cost is a constant (tens of
+``model.rber`` call, one batched count per matrix (:class:`_BandedRows`:
+one ``searchsorted`` when the matrix fits in cache; beyond it, none for
+rows whose every page still qualifies and a coarse index first for the
+rest), capacity and burn as vectors — so its cost is a constant (tens of
 microseconds of numpy dispatch) plus a per-device term far below a Python
 loop's. There is no scalar per-device path: a fleet under ~16 devices
 pays the constant for little, which is accepted
@@ -227,17 +229,33 @@ class _BandedRows:
     the factors are not strictly positive and finite, or one row alone
     overflows the range, every row is its own unscaled group and the
     same code is a plain per-row ``searchsorted``.
+
+    A group larger than ``COARSE_ABOVE`` factors is beyond a cache,
+    where every level of a binary search is a miss, so a table with
+    one takes two shortcuts. A threshold at or above its row's largest
+    factor (``top``) is the row's full width — when every threshold is,
+    nothing is searched — and such a group also keeps every
+    ``BLOCK``-th factor (``coarse``, 1/``BLOCK`` of it): the thresholds
+    below their rows' tops are searched there first, then within one
+    ``BLOCK`` of the group. A table that fits in cache has neither
+    (``top`` is None) and is one plain ``searchsorted`` per group.
     """
 
     #: Binades the scaled values may span: 2**-1021 .. 2**1023, all normal.
     SPAN = 2044
+    #: Factors per block of a coarse index, and the group size above
+    #: which a group keeps one (2**20 doubles: 8 MiB).
+    BLOCK = 64
+    COARSE_ABOVE = 1 << 20
 
     def __init__(self, matrix: np.ndarray) -> None:
         """Takes ownership of ``matrix`` (rows ascending) and scales it
         in place."""
         count, width = matrix.shape
+        self.width = width
+        top = matrix[:, -1].copy()
         low = matrix[:, 0].min(initial=np.inf)
-        high = matrix[:, -1].max(initial=-np.inf)
+        high = top.max(initial=-np.inf)
         # 2**floor < every value < 2**ceiling, strictly.
         floor = int(np.frexp(low)[1]) - 2
         ceiling = int(np.frexp(high)[1])
@@ -257,6 +275,13 @@ class _BandedRows:
         self.starts = np.arange(0, count, per_group)
         self.flats = [matrix[start:start + per_group].reshape(-1)
                       for start in self.starts.tolist()]
+        # The last factor of each whole block: contiguous, so a search
+        # over it stays in cache.
+        self.coarse = [flat[self.BLOCK - 1::self.BLOCK].copy()
+                       if flat.size > self.COARSE_ABOVE else None
+                       for flat in self.flats]
+        self.top = (top if any(coarse is not None for coarse in self.coarse)
+                    else None)
 
     def count(self, rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         """Values ``<= thresholds[..., i]`` in row ``rows[i]``, for all i.
@@ -264,16 +289,49 @@ class _BandedRows:
         ``rows`` ascending; equals ``searchsorted(row, t, "right")`` on
         the unscaled row for any non-NaN ``t``.
         """
+        if self.top is not None:
+            below_top = thresholds < self.top[rows]
+            if not below_top.any():
+                return np.full(below_top.shape, self.width, dtype=np.intp)
         low, high = self.clip
         needles = np.ldexp(np.minimum(np.maximum(thresholds, low), high),
                            self.shift[rows])
         found = np.empty(needles.shape, dtype=np.intp)
         cuts = rows.searchsorted(self.starts).tolist() + [rows.size]
-        for flat, first, last in zip(self.flats, cuts, cuts[1:]):
-            if first < last:
+        for flat, coarse, first, last in zip(self.flats, self.coarse, cuts,
+                                             cuts[1:]):
+            if first == last:
+                continue
+            if coarse is None:
                 found[..., first:last] = flat.searchsorted(
                     needles[..., first:last], side="right")
+                continue
+            # A saturated threshold's position is its row's end.
+            part = found[..., first:last]
+            part[...] = self.offset[rows[first:last]] + self.width
+            searched = below_top[..., first:last]
+            part[searched] = self._coarse_search(
+                flat, coarse, needles[..., first:last][searched])
         return found - self.offset[rows]
+
+    def _coarse_search(self, flat: np.ndarray, coarse: np.ndarray,
+                       needles: np.ndarray) -> np.ndarray:
+        """``flat.searchsorted(needles, "right")`` for needles each below
+        some factor of ``flat``, through ``coarse``: the whole blocks at
+        or under a needle, then a branch-free binary search of the
+        ``BLOCK`` factors after them (the group's last ``BLOCK`` when
+        every whole block is under it, which also covers a tail short
+        of a block). The window's last factor is above the needle, so
+        its count is at most ``BLOCK - 1``: one step per bit.
+        """
+        block = self.BLOCK
+        found = coarse.searchsorted(needles, side="right") * block
+        np.minimum(found, flat.size - block, out=found)
+        step = block
+        while step > 1:
+            step //= 2
+            found += (flat.take(found + (step - 1)) <= needles) * step
+        return found
 
 
 class _FleetColumns(NamedTuple):

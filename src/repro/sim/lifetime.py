@@ -134,8 +134,11 @@ def run_write_lifetime(
     # the flat capacity; when the key moves, and on any exit, the
     # generator is rewound to the block's start and redraws the prefix
     # the walk used.
-    msize_hot = (max(1, int(utilization * device.msize_lbas))
-                 if by_minidisk else 0)
+    # Every minidisk is ``msize`` long, so minidisk ``i`` starts at flat
+    # LBA ``i * msize`` (``Minidisk.flat_base``, without a property
+    # call a write).
+    msize = device.msize_lbas if by_minidisk else 0
+    msize_hot = max(1, int(utilization * msize)) if by_minidisk else 0
     # Bound once; the time axis for lifetime trajectories is *host
     # writes* (the quantity the paper's lifetime claims are over), not
     # simulated seconds — documented in docs/OBSERVABILITY.md.
@@ -181,11 +184,11 @@ def run_write_lifetime(
                 used = 0
             try:
                 if by_minidisk:
-                    mdisk = active[values[used]]
+                    mdisk_id = active[values[used]].mdisk_id
                     lba = values[used + 1]
                     used += 2
-                    write(mdisk.mdisk_id, lba,
-                          stamp_payload(mdisk.flat_base + lba, writes))
+                    write(mdisk_id, lba,
+                          stamp_payload(mdisk_id * msize + lba, writes))
                 else:
                     lba = values[used]
                     used += 1

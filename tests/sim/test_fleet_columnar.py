@@ -11,11 +11,17 @@ Two layers, both held to *equality*, not closeness:
   one: a range over the shared table equals a per-device build.
 * ``_BandedRows.count`` — the batched "values <= t per row" kernel —
   against ``np.searchsorted(row, t, side="right")`` row by row, on
-  thresholds chosen to sit on, just under and just over stored values.
+  thresholds chosen to sit on, just under and just over stored values,
+  over tables in cache (one plain search a group) and tables above the
+  size rule (saturated rows and the coarse index), whose coarse step
+  must also fail three seeded off-by-ones.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +33,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.rber import ExponentialRBER
 from repro.flash.tiredness import TirednessPolicy
 from repro.rng import fork_rng, make_rng
+from repro.sim import fleet as fleet_module
 from repro.sim.fleet import (
     MODES,
     FleetConfig,
@@ -161,26 +168,26 @@ def _probe(matrix: np.ndarray, row: int, kind: int, column: int,
 SIGMAS = (0.0, 0.35, 40.0, 200.0, 400.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**16), count=st.integers(1, 40),
-       width=st.integers(1, 9), sigma=st.sampled_from(SIGMAS),
-       data=st.data())
-def test_banded_count_equals_per_row_searchsorted(seed, count, width,
-                                                  sigma, data):
-    matrix = _matrix(seed, count, width, sigma)
+#: Tables above ``_BandedRows.COARSE_ABOVE``, so a group keeps a coarse
+#: index: a width the block divides, one it does not (a group's tail is
+#: short of a block), all-equal factors, and the unscaled per-row
+#: fallback with rows that alone exceed the rule.
+BIG = ((300, 4096, 0.35), (300, 4099, 0.35), (300, 4096, 0.0),
+       (2, (1 << 20) + 37, 400.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _big(shape: tuple[int, int, float]) -> tuple[np.ndarray, _BandedRows]:
+    matrix = _matrix(7, *shape)
     banded = _BandedRows(matrix.copy())
-    rows = np.array(sorted(data.draw(st.lists(
-        st.integers(0, count - 1), unique=True))), dtype=np.intp)
-    probes = data.draw(st.lists(
-        st.tuples(st.integers(0, 12), st.integers(0, width - 1),
-                  st.floats(min_value=0.0, allow_nan=False)),
-        min_size=rows.size, max_size=rows.size))
-    thresholds = np.array([_probe(matrix, row, *probe)
-                           for row, probe in zip(rows.tolist(), probes)],
-                          dtype=float)
+    assert any(coarse is not None for coarse in banded.coarse)
+    return matrix, banded
+
+
+def _assert_counts(matrix, banded, rows, thresholds) -> None:
+    """One threshold row, and three stacked (one per tiredness level)."""
     expected = _reference(matrix, rows, thresholds)
     assert np.array_equal(banded.count(rows, thresholds), expected)
-    # Several threshold rows at once (one per tiredness level).
     with np.errstate(over="ignore"):
         stacked = np.vstack((thresholds, thresholds * 2.0,
                              thresholds[::-1]))
@@ -188,6 +195,109 @@ def test_banded_count_equals_per_row_searchsorted(seed, count, width,
     assert np.array_equal(found[0], expected)
     assert np.array_equal(found[1], _reference(matrix, rows, stacked[1]))
     assert np.array_equal(found[2], _reference(matrix, rows, stacked[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), count=st.integers(1, 40),
+       width=st.integers(1, 9), sigma=st.sampled_from(SIGMAS),
+       big=st.sampled_from((None, *BIG)), data=st.data())
+def test_banded_count_equals_per_row_searchsorted(seed, count, width,
+                                                  sigma, big, data):
+    """Small tables of every layout, and (``big``) the tables above the
+    size rule, searched through their coarse index."""
+    if big is None:
+        matrix = _matrix(seed, count, width, sigma)
+        banded = _BandedRows(matrix.copy())
+    else:
+        matrix, banded = _big(big)
+    count, width = matrix.shape
+    rows = np.array(sorted(data.draw(st.lists(
+        st.integers(0, count - 1), unique=True, max_size=64))),
+        dtype=np.intp)
+    probes = data.draw(st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, width - 1),
+                  st.floats(min_value=0.0, allow_nan=False)),
+        min_size=rows.size, max_size=rows.size))
+    thresholds = np.array([_probe(matrix, row, *probe)
+                           for row, probe in zip(rows.tolist(), probes)],
+                          dtype=float)
+    _assert_counts(matrix, banded, rows, thresholds)
+
+
+def _coarse_probes(matrix: np.ndarray, banded: _BandedRows):
+    """``(rows, thresholds)`` pairs that reach every branch of the
+    coarse search: the stored values of each group's first, middle and
+    last rows, on and a hair either side (every block's last factor, a
+    group's short tail and each row's top among them; every 128th of a
+    fallback row's million, and its last 130); needles below a row's
+    minimum; saturated rows; a mix of every row; and nothing."""
+    count, width = matrix.shape
+    starts = banded.starts.tolist()
+    picked = sorted({row for start, end in zip(starts, starts[1:] + [count])
+                     for row in (start, (start + end) // 2, end - 1)})
+    step = -(-width // 8192)
+    columns = np.unique(np.r_[0:width:step, max(0, width - 130):width])
+    for row in picked:
+        values = matrix[row, columns]
+        rows = np.full(values.size, row, dtype=np.intp)
+        for nudge in (0.0, -np.inf, np.inf):
+            yield rows, (values if nudge == 0.0
+                         else np.nextafter(values, nudge))
+    everyone = np.arange(count)
+    tops, bottoms = matrix[:, -1], matrix[:, 0]
+    yield everyone, tops                                # saturated
+    yield everyone, np.nextafter(bottoms, -np.inf)      # below every value
+    yield everyone, np.where(everyone % 2, tops, np.nextafter(tops, -np.inf))
+    yield everyone, matrix[everyone, everyone * 7 % width]
+    yield everyone[:0], np.empty(0)                     # an empty range
+
+
+def _check_coarse(shape) -> None:
+    """Each probe set of :func:`_coarse_probes`, as one threshold row
+    and stacked with its reverse, against a per-row ``searchsorted``
+    (rows may repeat: the kernel needs them ascending, not distinct)."""
+    matrix, banded = _big(shape)
+    for rows, thresholds in _coarse_probes(matrix, banded):
+        expected = np.empty(rows.size, dtype=np.intp)
+        for row in np.unique(rows).tolist():
+            mine = rows == row
+            expected[mine] = matrix[row].searchsorted(thresholds[mine],
+                                                      side="right")
+        assert np.array_equal(banded.count(rows, thresholds), expected)
+        found = banded.count(rows, np.vstack((thresholds, thresholds)))
+        assert np.array_equal(found[0], expected)
+        assert np.array_equal(found[1], expected)
+
+
+@pytest.mark.parametrize("shape", BIG)
+def test_coarse_index_counts_equal_per_row_searchsorted(shape):
+    _check_coarse(shape)
+
+
+#: Off-by-ones in the coarse step -> source edits of ``_coarse_search``.
+COARSE_MUTATIONS = {
+    "a needle on a block's last factor lands in that block": (
+        'coarse.searchsorted(needles, side="right")',
+        'coarse.searchsorted(needles, side="left")'),
+    "the tail window starts one factor early": (
+        "flat.size - block", "flat.size - block - 1"),
+    "a search step probes one factor late": (
+        "flat.take(found + (step - 1))", "flat.take(found + step)"),
+}
+
+
+@pytest.mark.parametrize("name", COARSE_MUTATIONS)
+def test_coarse_off_by_ones_are_caught(name, monkeypatch):
+    old, new = COARSE_MUTATIONS[name]
+    source = textwrap.dedent(inspect.getsource(_BandedRows._coarse_search))
+    assert old in source, f"mutation target vanished: {old!r}"
+    namespace: dict = {}
+    exec(source.replace(old, new, 1), vars(fleet_module), namespace)
+    monkeypatch.setattr(_BandedRows, "_coarse_search",
+                        namespace["_coarse_search"])
+    with pytest.raises((AssertionError, IndexError)):
+        for shape in BIG:
+            _check_coarse(shape)
 
 
 @pytest.mark.parametrize("sigma, count, groups", [

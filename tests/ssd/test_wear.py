@@ -212,3 +212,37 @@ def test_seeded_mutations_are_caught(name, monkeypatch):
     monkeypatch.setattr(PageMappedFTL, "_open_new_block", _mutant(edits))
     with pytest.raises(AssertionError, match="diverged"):
         walk(flavour, 11, 5)
+
+
+# -- the GC reserve ------------------------------------------------------------
+
+def _open_at_the_reserve(key: str) -> tuple[PageMappedFTL, list[int]]:
+    """A fresh plain FTL cut down to exactly ``gc_reserve_blocks`` free
+    blocks (the rest taken out of the free index by hand: no walk gets
+    there, ``_ensure_free_space`` collects long before), then a block
+    opened for ``key``. Returns the FTL and the free blocks before."""
+    ftl = build("ftl", 11)
+    free = list(ftl._free_blocks.ordered())
+    for block in free[ftl.config.gc_reserve_blocks:]:
+        ftl._free_blocks.discard(block)
+    before = list(ftl._free_blocks.ordered())
+    assert len(before) == ftl.config.gc_reserve_blocks
+    ftl._open_new_block(key)
+    return ftl, before
+
+
+def test_a_host_block_is_refused_inside_the_gc_reserve():
+    with pytest.raises(OutOfSpaceError, match="outside the GC reserve"):
+        _open_at_the_reserve("host0")
+    # GC may dip into the reserve: it takes the least-worn reserved block.
+    ftl, before = _open_at_the_reserve("gc")
+    assert ftl._open["gc"] == (before[0], 0)
+    assert ftl._free_blocks.ordered() == before[1:]
+
+
+def test_a_reserve_counted_one_short_is_caught(monkeypatch):
+    monkeypatch.setattr(PageMappedFTL, "_open_new_block", _mutant(
+        [("len(usable) <= self.config.gc_reserve_blocks",
+          "len(usable) < self.config.gc_reserve_blocks")]))
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_a_host_block_is_refused_inside_the_gc_reserve()

@@ -5,7 +5,8 @@ Two throw-away trees each hold a ``BENCHMARK.json`` and a
 the real one's format (the metric lines, a ``sim_digest`` line, the
 result object last). The tool must run them alternately, in their own
 directories, and say: a win, a loss, an unresolved row, a failed run —
-and refuse trees that are not equally cached.
+and refuse trees that are not equally cached. A perf bench is paired
+the same way, through a stub ``benchmarks/perf`` in each tree.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from benchmarks.perf import pairs
 
 MANIFEST = {
     "run_seconds": 8,
+    "workloads": [{"name": "traffic_scan"}],
     "end_to_end": [
         {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
         {"name": "host_ops_per_s", "unit": "1/s", "better": "higher",
@@ -220,3 +222,61 @@ def test_unequally_cached_trees_are_refused(tmp_path, capsys):
     (parent / "src/repro/__pycache__").mkdir()
     (parent / "src/repro/__pycache__/chip.cpython-312.pyc").write_bytes(b"")
     assert pairs.main(argv) == 0
+
+
+BENCH_STUB = '''\
+import json, sys
+from pathlib import Path
+
+here = Path.cwd()
+assert Path(sys.path[1]) == here / "src", sys.path
+
+
+def fleet_step_micro():
+    cursor = here / "cursor"
+    index = int(cursor.read_text()) if cursor.exists() else 0
+    cursor.write_text(str(index + 1))
+    return {"ops": json.loads((here / "runs.json").read_text())[index],
+            "wall_s": 1.0, "meta": {}}
+'''
+
+
+def bench_tree(root: Path, name: str, runs: list[float]) -> Path:
+    base = tree(root, name, [])
+    (base / "src").mkdir()
+    perf = base / "benchmarks/perf"
+    perf.mkdir()
+    (base / "benchmarks/__init__.py").write_text("")
+    (perf / "__init__.py").write_text("")
+    (perf / "harness.py").write_text("def rounds():\n    return 3\n")
+    (perf / "workloads.py").write_text(BENCH_STUB)
+    (base / "runs.json").write_text(json.dumps(runs))
+    return base
+
+
+def test_a_perf_bench_is_paired_on_its_best_round(tmp_path, capsys):
+    """A name ``BENCHMARK.json`` does not list is a perf bench: each run
+    is a fresh process timing the harness's rounds in its own tree, and
+    the best round is judged like ``host_ops_per_s``."""
+    parent_ops = [run["ops"] for run in PARENT[:9]] + [30000]
+    # Three rounds a process: the middle one is the best.
+    parent = bench_tree(tmp_path, "parent", [
+        ops * scale for ops in parent_ops for scale in (0.5, 1.0, 0.9)])
+    change = bench_tree(tmp_path, "change", [
+        ops * scale * 1.25 for ops in parent_ops for scale in (0.9, 1.0, 0.5)])
+    out = tmp_path / "table.json"
+    code = pairs.main(["--parent", str(parent), "--change", str(change),
+                       "--workload", "fleet_step_micro", "--pairs", "10",
+                       "--out", str(out)])
+    printed = capsys.readouterr().out
+    table = json.loads(out.read_text())
+    assert code == 0 and not table["problems"]
+    assert list(table["metrics"]) == ["ops_per_s"]
+    row = table["metrics"]["ops_per_s"]
+    assert row["parent"]["runs"] == parent_ops
+    assert row["ratio"] == pytest.approx(1.25)
+    assert (row["verdict"], row["won"], row["bound"]) == ("improved", 10,
+                                                          0.25)
+    assert table["seed"] is None and table["seconds"] is None
+    assert "-> improved" in printed and "sim_digest" not in printed
+    assert (parent / "cursor").read_text() == "30"
