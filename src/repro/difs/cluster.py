@@ -33,7 +33,7 @@ from repro.errors import (
 from repro.obs.instruments import difs_instruments
 from repro.difs.chunk import Chunk, Replica
 from repro.difs.node import StorageNode
-from repro.difs.placement import VolumeIndex, place_replicas
+from repro.difs.placement import PLACEMENT_POLICIES, VolumeIndex
 from repro.difs.recovery import RecoveryManager
 from repro.difs.redundancy import make_scheme
 from repro.difs.volume import MinidiskVolume, MonolithicVolume, Volume
@@ -96,6 +96,10 @@ class ClusterConfig:
         if self.opage_bytes <= 0:
             raise ConfigError(
                 f"opage_bytes must be positive, got {self.opage_bytes!r}")
+        if self.placement not in PLACEMENT_POLICIES:
+            raise ConfigError(
+                f"unknown placement policy {self.placement!r}; "
+                f"choose from {sorted(PLACEMENT_POLICIES)}")
         # Validates redundancy/rs_k/rs_m as a side effect.
         self.make_scheme()
 
@@ -484,9 +488,8 @@ class Cluster:
             attempts -= 1
             avoid = self._index.nodes_of(
                 replica.volume_id for replica in replicas)
-            volume = place_replicas(
-                self.config.placement, self._index, 1,
-                self.rng, avoid_nodes=avoid)[0]
+            volume = self._index.place(
+                self.config.placement, 1, self.rng, avoid_nodes=avoid)[0]
             slot = volume.allocate_slot()
             if slot is None:
                 if attempts == 0:

@@ -216,7 +216,7 @@ class VolumeIndex:
             if code is not None:
                 key[self._node_rows[code]] = np.inf
         chosen: list[Volume] = []
-        for _ in range(count):
+        while True:
             best = ties(self, key)
             if not len(best):
                 raise NoPlacementError(
@@ -225,9 +225,10 @@ class VolumeIndex:
             row = int(best[int(rng.integers(0, len(best)))])
             volume = self.volumes[row]
             chosen.append(volume)
+            if len(chosen) == count:    # the last pick masks nothing
+                return chosen
             avoid.add(volume.node_id)
             key[self._node_rows[self._node_codes[volume.node_id]]] = np.inf
-        return chosen
 
     # -- invariant ------------------------------------------------------------
 

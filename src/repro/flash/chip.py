@@ -165,12 +165,13 @@ class FlashChip:
         # The two wear facts, each kept once as a list of Python ints
         # (every touch is a scalar one): the P/E count of each block,
         # which ``erase`` moves a block at a time, and each fPage's
-        # tiredness level. The vector views derive from them per call.
+        # tiredness level; so is each fPage's int-coded state. The
+        # vector views derive from them per call.
         self._block_pec: list[int] = [0] * self.geometry.blocks
         self._level: list[int] = [0] * n
+        self._state: list[int] = [_STATE_FREE] * n
         self._reads_since_erase = np.zeros(n, dtype=np.int64)
         self._programmed_at = np.zeros(n, dtype=float)
-        self._state = np.full(n, _STATE_FREE, dtype=np.int8)
         self._variation = lognormal_page_variation(
             self.rng, n, sigma=variation_sigma)
         # Payloads of written fPages, one tuple of oPage byte strings per
@@ -250,7 +251,7 @@ class FlashChip:
 
     def state(self, fpage: int) -> PageState:
         self.geometry.check_fpage(fpage)
-        return _STATE_TO_ENUM[int(self._state[fpage])]
+        return _STATE_TO_ENUM[self._state[fpage]]
 
     def variation(self, fpage: int) -> float:
         """The page's private RBER scale factor (process variation)."""
@@ -280,7 +281,7 @@ class FlashChip:
             self._reads_since_erase[fpage]) if self.read_disturb_rber else 0.0
         retention = 0.0
         if (self.retention_rber_per_day > 0
-                and int(self._state[fpage]) == _STATE_WRITTEN):
+                and self._state[fpage] == _STATE_WRITTEN):
             age_days = max(0.0, (self.now_fn()
                                  - float(self._programmed_at[fpage]))
                            / 86400.0)
@@ -290,7 +291,7 @@ class FlashChip:
     def data_age_days(self, fpage: int) -> float:
         """Days since this page was programmed (0 without a time source)."""
         self.geometry.check_fpage(fpage)
-        if self.now_fn is None or int(self._state[fpage]) != _STATE_WRITTEN:
+        if self.now_fn is None or self._state[fpage] != _STATE_WRITTEN:
             return 0.0
         return max(0.0, (self.now_fn()
                          - float(self._programmed_at[fpage])) / 86400.0)
@@ -392,21 +393,21 @@ class FlashChip:
 
     def state_array(self) -> np.ndarray:
         """Int-coded states; compare against ``PageState`` via helpers."""
-        return self._state.copy()
+        return np.array(self._state, dtype=np.int8)
 
     def is_free(self, fpage: int) -> bool:
         """Fast FREE-state predicate (no enum materialisation)."""
         if not 0 <= fpage < self._total_fpages:
             raise IndexError(
                 f"fPage {fpage} out of range [0, {self._total_fpages})")
-        return int(self._state[fpage]) == _STATE_FREE
+        return self._state[fpage] == _STATE_FREE
 
     def is_written(self, fpage: int) -> bool:
         """Fast WRITTEN-state predicate (no enum materialisation)."""
         if not 0 <= fpage < self._total_fpages:
             raise IndexError(
                 f"fPage {fpage} out of range [0, {self._total_fpages})")
-        return int(self._state[fpage]) == _STATE_WRITTEN
+        return self._state[fpage] == _STATE_WRITTEN
 
     def block_fully_retired(self, block: int) -> bool:
         """Whether every fPage of ``block`` is out of service (O(1))."""
@@ -429,11 +430,11 @@ class FlashChip:
         return int(self._block_usable_slots.sum())
 
     def retired_count(self) -> int:
-        return int(np.count_nonzero(self._state == _STATE_RETIRED))
+        return self._state.count(_STATE_RETIRED)
 
     def retired_mask(self) -> np.ndarray:
         """Boolean per-fPage retirement mask (True = out of service)."""
-        return self._state == _STATE_RETIRED
+        return np.array(self._state) == _STATE_RETIRED
 
     # -- operations ----------------------------------------------------------
 
@@ -452,7 +453,7 @@ class FlashChip:
         if not 0 <= fpage < self._total_fpages:
             raise IndexError(
                 f"fPage {fpage} out of range [0, {self._total_fpages})")
-        state = int(self._state[fpage])
+        state = self._state[fpage]
         if state == _STATE_RETIRED:
             raise ProgramError(f"fPage {fpage} is retired")
         if state == _STATE_WRITTEN:
@@ -518,7 +519,8 @@ class FlashChip:
         # Together: the read paths ask ``state == WRITTEN`` of ``_data``.
         self._data[fpage] = stored
         self._state[fpage] = _STATE_WRITTEN
-        self.stats.programs += 1
+        stats = self.stats
+        stats.programs += 1
         wear = self._endurance
         if wear is not None:
             # Data oPages actually carried: the LBA-bearing slots (pad
@@ -528,7 +530,8 @@ class FlashChip:
             wear.record_program(len(stored) if lbas is None
                                 else len(lbas) - lbas.count(None))
         latency = self._program_latency_by_level[level]
-        self._charge(block, latency)
+        stats.busy_us += latency    # ``_charge``, inline
+        self.channel_busy_us[block % self._channels] += latency
         return latency
 
     def _read_cost(self, fpage: int) -> tuple:
@@ -699,8 +702,9 @@ class FlashChip:
         stop = start + self._fpages_per_block
         self._block_pec[block] += 1
         self._reads_since_erase[start:stop] = 0
-        seg = self._state[start:stop]
-        seg[seg != _STATE_RETIRED] = _STATE_FREE
+        self._state[start:stop] = [
+            _STATE_RETIRED if state == _STATE_RETIRED else _STATE_FREE
+            for state in self._state[start:stop]]
         nothing = [None] * self._fpages_per_block
         self._data[start:stop] = self._oob_seq[start:stop] = nothing
         spf = self._slots_per_fpage
@@ -726,7 +730,7 @@ class FlashChip:
         """
         self.geometry.check_fpage(fpage)
         self.policy.check_level(level)
-        if int(self._state[fpage]) == _STATE_WRITTEN:
+        if self._state[fpage] == _STATE_WRITTEN:
             raise ProgramError(
                 f"fPage {fpage} is written; relocate its data before "
                 f"changing levels")
@@ -735,7 +739,7 @@ class FlashChip:
             raise ConfigError(
                 f"fPage {fpage}: cannot lower level from "
                 f"{current} to {level}")
-        if int(self._state[fpage]) != _STATE_RETIRED:
+        if self._state[fpage] != _STATE_RETIRED:
             block = fpage // self._fpages_per_block
             self._block_usable_slots[block] -= level - current
             if level == self._dead_level:
@@ -747,7 +751,7 @@ class FlashChip:
     def retire(self, fpage: int) -> None:
         """Permanently remove ``fpage`` from service (any prior state)."""
         self.geometry.check_fpage(fpage)
-        if int(self._state[fpage]) != _STATE_RETIRED:
+        if self._state[fpage] != _STATE_RETIRED:
             block = fpage // self._fpages_per_block
             self._block_usable_slots[block] -= (
                 self._dead_level - self._level[fpage])
@@ -780,7 +784,7 @@ class FlashChip:
         n, spf = self._total_fpages, self._slots_per_fpage
         assert (len(self._data), len(self._oob_seq), len(self._oob_lbas)
                 ) == (n, n, n * spf), "chip store columns resized"
-        written = self._state == _STATE_WRITTEN
+        written = np.array(self._state) == _STATE_WRITTEN
         held = np.array([d is not None for d in self._data], dtype=bool)
         assert (held == written).all(), (
             "a payload is held by an fPage not WRITTEN, or missing")

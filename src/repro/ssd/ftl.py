@@ -40,7 +40,7 @@ from repro.errors import (
     ProgramFaultError,
     UncorrectableError,
 )
-from repro.flash.chip import FlashChip
+from repro.flash.chip import _STATE_FREE, FlashChip
 from repro.obs.instruments import export_ftl_stats, next_device_name
 from repro.ssd.freelist import BlockIndex
 from repro.ssd.gc import GreedyGC
@@ -216,11 +216,13 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._gc_key = "gc" if self.config.stream_separation else "host0"
         self._open: dict[str, tuple[int, int] | None] = dict.fromkeys(
             (*self._host_keys, "gc"))
+        # Stream tags of the buffered LBAs written on a stream other than
+        # 0 (an untagged buffered LBA is on stream 0), so a single-stream
+        # or minidisk device tags nothing. Incremental counters replacing
+        # full rescans: tagged oPages per stream (``[0]`` stays 0; stream
+        # 0's count is ``len(buffer)`` minus the rest) and mapped LBAs
+        # (invariant: the ``_l2p`` cells >= 0).
         self._buffer_stream: dict[int, int] = {}
-        # Incremental counters replacing full rescans: buffered oPages per
-        # stream (invariant: ``_buffer_stream`` holds exactly the buffered
-        # keys and these sum over it) and mapped LBAs (invariant: the
-        # ``_l2p`` cells >= 0).
         self._stream_counts = [0] * self.config.host_streams
         self._mapped_lbas = 0
         self._scrub_cursor = 0
@@ -377,12 +379,15 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
                 if self._wear_epoch != epoch:
                     limit = lba + 1  # admission may have moved: ask again
             entries[lba] = bytes(payload)
-            prev = streams.get(lba)
-            if prev != stream:
-                if prev is not None:
-                    counts[prev] -= 1
-                streams[lba] = stream
-                counts[stream] += 1
+            if stream:
+                prev = streams.get(lba)
+                if prev != stream:
+                    if prev is not None:
+                        counts[prev] -= 1
+                    streams[lba] = stream
+                    counts[stream] += 1
+            elif streams and lba in streams:    # no lookup if none tagged
+                counts[streams.pop(lba)] -= 1
             stats.host_writes += 1
             add_latency(waited)
             lba += 1
@@ -610,7 +615,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
                 (self, "_p2l", self.geometry.total_opage_slots),
                 (self, "_valid_counts", self.geometry.blocks),
                 (self.chip, "_block_pec", self.geometry.blocks),
-                (self.chip, "_level", self.geometry.total_fpages)):
+                (self.chip, "_level", self.geometry.total_fpages),
+                (self.chip, "_state", self.geometry.total_fpages)):
             cells = getattr(owner, name)
             assert (type(cells) is list and len(cells) == size
                     and set(map(type, cells)) == {int}), (
@@ -619,12 +625,16 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         assert self._mapped_lbas == mapped, (
             f"mapped-LBA counter {self._mapped_lbas} != scan {mapped}")
         assert self.live_lbas() == self._live_lbas_scan()
-        buffered = set(self.buffer.keys())
-        assert set(self._buffer_stream) == buffered, (
-            "buffer-stream bookkeeping diverged from buffer contents")
+        # Stream tags: only buffered keys, never stream 0, and the
+        # per-stream counts (``[0]`` unused) recount them.
+        tags = self._buffer_stream
+        assert tags.keys() <= self.buffer._entries.keys(), (
+            "buffer-stream bookkeeping diverged: a tag on an unbuffered key")
+        assert 0 not in tags.values(), (
+            "buffer-stream bookkeeping diverged: a stream-0 tag")
         counts = [0] * self.config.host_streams
-        for lba in buffered:
-            counts[self._buffer_stream.get(lba, 0)] += 1
+        for stream in tags.values():
+            counts[stream] += 1
         assert counts == self._stream_counts, (
             f"stream counts {self._stream_counts} != scan {counts}")
         expected_free = sorted(
@@ -729,9 +739,10 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         key = self._host_keys[stream]
         fpage, level = self._allocate_open_fpage(key)
         streams = self._buffer_stream
+        # With nothing tagged, stream 0's batch is the oldest entries.
         lbas, payloads = self.buffer.peek_batch(
             self._data_opages[level],
-            where=None if self.config.host_streams == 1
+            where=None if not (stream or streams)
             else lambda lba: streams.get(lba, 0) == stream)
         injector = self._faults
         if injector is not None:
@@ -755,20 +766,24 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             injector.crash_if("ftl.drain.post_program", fpage=fpage)
         # ``buffer.discard`` / ``_note_unbuffered`` per key, in place.
         entries = self.buffer._entries
-        counts = self._stream_counts
         for lba in lbas:
             entries.pop(lba, None)
-            buffered_as = streams.pop(lba, None)
-            if buffered_as is not None:
-                counts[buffered_as] -= 1
+        if stream:      # a stream-0 batch carries no tags
+            counts = self._stream_counts
+            for lba in lbas:
+                buffered_as = streams.pop(lba, None)
+                if buffered_as is not None:
+                    counts[buffered_as] -= 1
         self._maybe_autoscrub()
 
     def _busiest_stream(self) -> int:
-        """Stream with the most buffered pages (incremental counts)."""
-        if self.config.host_streams == 1:
+        """Stream with the most buffered pages, lowest first on a tie:
+        the tagged streams' counts, and stream 0's derived from them."""
+        if not self._buffer_stream:
             return 0
         counts = self._stream_counts
-        return int(max(range(len(counts)), key=counts.__getitem__))
+        counts = [len(self.buffer._entries) - sum(counts), *counts[1:]]
+        return max(range(len(counts)), key=counts.__getitem__)
 
     def _program_fpage(self, fpage: int, level: int, lbas: list[int],
                        payloads: list[bytes], relocation: bool) -> None:
@@ -845,6 +860,8 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
     def _allocate_open_fpage(self, key: str) -> tuple[int, int]:
         """Next programmable fPage in open block ``key``, and its level."""
         chip = self.chip
+        # The chip's cells, read in place (``is_free`` / ``level``).
+        states, levels = chip._state, chip._level
         fpages_per_block = self.geometry.fpages_per_block
         while True:
             if self._open[key] is None:
@@ -860,13 +877,13 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
             while cursor < fpages_per_block:
                 fpage = start + cursor
                 cursor += 1
-                if not chip.is_free(fpage):
+                if states[fpage] != _STATE_FREE:
                     continue
                 if not self._page_allocatable(fpage):
                     continue
                 required = (req_arr[fpage - start] if req_arr is not None
                             else chip.required_level(fpage))
-                level = chip.level(fpage)
+                level = levels[fpage]
                 if required > level:
                     # Detected lazily at allocation; hand to policy. The page
                     # may come back usable (promoted, or tolerated by CVSS).
@@ -875,9 +892,9 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
                     self._open[key] = (block, cursor)
                     self._wear_epoch += 1
                     still_usable = self._handle_worn_page(fpage, required)
-                    if not still_usable or not chip.is_free(fpage):
+                    if not still_usable or states[fpage] != _STATE_FREE:
                         continue
-                    level = chip.level(fpage)
+                    level = levels[fpage]
                 self._open[key] = (block, cursor)
                 return fpage, level
             self._open[key] = (block, fpages_per_block)

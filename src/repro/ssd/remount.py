@@ -48,22 +48,10 @@ class RemountMixin:
         run it as ``remount`` work: the OOB replay only reads flash
         today, so remount-cause program/erase counts are ~0."""
         self._rebuild_from_flash()
-        if buffer_entries:
-            self._restore_buffer(buffer_entries)
-
-    def _restore_buffer(self,
-                        entries: list[tuple[int, bytes]]) -> None:
-        """Refill the NVRAM buffer at mount time, keeping stream counts.
-
-        Stream hints are not journaled, so restored entries count as
-        stream 0 — exactly how ``_busiest_stream`` previously classified
-        buffered keys with no recorded stream.
-        """
-        for lba, payload in entries:
+        # Stream hints are not journaled: restored entries are untagged,
+        # that is on stream 0.
+        for lba, payload in buffer_entries or ():
             self.buffer.put(lba, payload)
-            if lba not in self._buffer_stream:
-                self._buffer_stream[lba] = 0
-                self._stream_counts[0] += 1
 
     def _rebuild_from_flash(self) -> None:
         """Mount-time scan: rebuild mapping, counts, and block states."""

@@ -9,15 +9,17 @@ Keys are opaque to the buffer (the FTL uses flat oPage indices; the
 Salamander device uses (mdisk, lba) flattened the same way). A later write
 to a buffered key overwrites in place — the classic buffer-hit fast path.
 
-The FTL's write kernel and drain (``PageMappedFTL._write_members``,
-``_drain_one_fpage``) run once per host oPage, so they work on
-``_entries`` directly; :meth:`put`, :attr:`is_full` and :meth:`discard`
-are the semantics they inline.
+The buffer is a plain ``dict``: it keeps insertion order (the drain
+order), and a rewrite keeps its key's place. The FTL's write kernel and
+drain (``PageMappedFTL._write_members``, ``_drain_one_fpage``) run once
+per host oPage, so they work on ``_entries`` directly; :meth:`put`,
+:attr:`is_full` and :meth:`discard` are the semantics they inline. The
+buffer knows nothing of streams: the FTL tags only the keys written on
+a stream other than 0 (``_buffer_stream``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import islice
 from typing import Callable, Hashable
 
@@ -37,7 +39,7 @@ class WriteBuffer:
             raise ConfigError(
                 f"capacity_opages must be positive, got {capacity_opages!r}")
         self.capacity_opages = capacity_opages
-        self._entries: OrderedDict[Hashable, bytes] = OrderedDict()
+        self._entries: dict[Hashable, bytes] = {}
 
     def __len__(self) -> int:
         return len(self._entries)

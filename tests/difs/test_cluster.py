@@ -38,6 +38,15 @@ class TestTopology:
             cluster.add_device("n42", make_baseline())
 
 
+class TestConfig:
+    def test_mistyped_placement_fails_at_construction(self):
+        """Not at the first chunk write: the config names the choices."""
+        with pytest.raises(ConfigError) as caught:
+            ClusterConfig(placement="spred-nodes")
+        assert str(caught.value) == (
+            "unknown placement policy 'spred-nodes'; choose from "
+            "['random', 'spread-nodes', 'wear-aware']")
+
 class TestChunkLifecycle:
     def test_create_and_read(self, cluster):
         cluster.create_chunk("alpha", b"some-bytes")

@@ -219,7 +219,7 @@ class TestProgramTrusted:
         pages = range(public.geometry.total_fpages)
         assert [*map(public.read_oob, pages)] == [
             *map(trusted.read_oob, pages)]
-        assert (public._state == trusted._state).all()
+        assert public._state == trusted._state
         assert (public._programmed_at == trusted._programmed_at).all()
         assert public.stats.snapshot() == trusted.stats.snapshot()
         assert public.channel_busy_us == trusted.channel_busy_us

@@ -130,17 +130,60 @@ class TestLiveLbasEquivalence:
                            stream_separation=True)
         ftl = PageMappedFTL.for_chip(make_chip(seed=10), config)
         rng = np.random.default_rng(10)
+        written: dict[int, int] = {}    # LBA -> stream of its last write
         for i in range(300):
             lba = int(rng.integers(0, ftl.n_lbas))
             stream = int(rng.integers(0, 4))
             ftl.write(lba, b"s", stream=stream)
+            written[lba] = stream
+            buffered = ftl.buffer.keys()
+            # Only the buffered LBAs written on a stream other than 0
+            # carry a tag.
+            assert ftl._buffer_stream == {
+                key: written[key] for key in buffered if written[key]}
             # Reference recomputation: most-buffered stream, lowest index
-            # winning ties — exactly what the incremental counter reports.
+            # winning ties — what the tag counts and the derived stream-0
+            # count report.
             counts = [0] * 4
-            for key in ftl.buffer.keys():
-                counts[ftl._buffer_stream.get(key, 0)] += 1
+            for key in buffered:
+                counts[written[key]] += 1
             expected = max(range(4), key=counts.__getitem__)
             assert ftl._busiest_stream() == expected
+
+
+class TestAuditCatchesPlantedState:
+    """The audit fails on state the write path must never leave."""
+
+    @pytest.fixture
+    def ftl(self, make_chip):
+        config = FTLConfig(overprovision=0.25, buffer_opages=8,
+                           gc_reserve_blocks=2, host_streams=3)
+        ftl = PageMappedFTL.for_chip(make_chip(seed=14), config)
+        for lba in range(4):
+            ftl.write(lba, b"t", stream=1)
+        ftl.flush()
+        ftl.write(9, b"u")
+        ftl._audit_fastpath()
+        return ftl
+
+    def test_a_stale_tag(self, ftl):
+        # Counted, so only the tag's key gives it away: LBA 2 has drained.
+        ftl._buffer_stream[2] = 1
+        ftl._stream_counts[1] += 1
+        with pytest.raises(AssertionError, match="unbuffered key"):
+            ftl._audit_fastpath()
+
+    def test_a_stream_0_tag(self, ftl):
+        ftl._buffer_stream[9] = 0
+        with pytest.raises(AssertionError, match="stream-0 tag"):
+            ftl._audit_fastpath()
+
+    def test_a_numpy_page_state(self, ftl):
+        # Compares equal cell by cell; only the representation check sees it.
+        ftl.chip._state = np.array(ftl.chip._state, dtype=np.int8)
+        with pytest.raises(AssertionError,
+                           match="_state representation diverged"):
+            ftl._audit_fastpath()
 
 
 class TestFreeListIndex:

@@ -8,25 +8,28 @@ seed, same configuration) take the same calls, one through the kernel
 and one through the oracle, and after *every* call everything a host or
 a later write could observe must be equal: the counters, both latency
 reservoirs down to their decimation cursor, the maps, the buffer in
-drain order with its stream bookkeeping, the chip's counters and RNG
-state, liveness, capacity, the Salamander event log and minidisk table,
-and the exception the call raised (type and message).
+drain order with its stream tags, the per-stream counts and the stream
+the next drain takes (the oracle twin recounts it from the buffer), the
+chip's counters and RNG state, liveness, capacity, the Salamander event
+log and minidisk table, and the exception the call raised (type and
+message).
 
 The geometry is small and wears out in ~1,500 writes, so a walk runs
 its device to death and past it: bricks, read-only trips, CVSS shrinks,
 minidisk decommissions, regenerations and exhaustion all land in the
 middle of ranges. ``test_scripted_walks_reach_every_transition`` pins
 that they really do; ``test_seeded_mutations_are_caught`` breaks the
-kernel (and the wear epoch it relies on) six ways and requires the
-comparison to notice each. A seventh stores a numpy scalar into the map,
-which the comparison sees as equal, so the closing ``_audit_fastpath``
-must catch it.
+kernel (its stream tags, the wear epoch it relies on, and the drain's
+stream choice) eight ways and requires the comparison to notice each.
+A ninth stores a numpy scalar into the map, which the comparison sees
+as equal, so the closing ``_audit_fastpath`` must catch it.
 """
 
 from __future__ import annotations
 
 import inspect
 import textwrap
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -118,6 +121,7 @@ def observe(device) -> dict:
                    for key in device.buffer.keys()],
         "buffer_stream": sorted(device._buffer_stream.items()),
         "stream_counts": list(device._stream_counts),
+        "busiest_stream": device._busiest_stream(),
         "open": dict(device._open),
         "scrub": (device._scrub_cursor, device._writes_since_scrub),
         "chip": device.chip.stats.snapshot(),
@@ -146,6 +150,8 @@ class Twins:
         self.kernel, self.oracle = (
             self._build(plan, flavour, chip_seed, host_streams, autoscrub)
             for _ in range(2))
+        self.oracle._busiest_stream = types.MethodType(
+            oracle.busiest_stream, self.oracle)
         self.salamander = isinstance(self.kernel, SalamanderSSD)
         #: (mdisk_id or None, lba) of the last call.
         self.last = (0 if self.salamander else None, 0)
@@ -491,6 +497,11 @@ MUTATIONS = {
          "limit = self._admit_write(lba)\n    first = lba\n"),
         ("if injector is not None:",
          "if injector is not None and lba == first:")]),
+    "a tag left behind when a buffered LBA is rewritten on stream 0": (
+        ("ftl", None), KERNEL, [("counts[streams.pop(lba)] -= 1", "pass")]),
+    "the stream-0 count read from _stream_counts instead of derived": (
+        ("ftl", None), "_busiest_stream", [
+            ("len(self.buffer._entries) - sum(counts)", "counts[0]")]),
     # Equal to the int it wraps, so only the audit's type check sees it.
     "a numpy scalar stored into the map": (("ftl", None), "_program_fpage", [
         ("l2p[lba] = slot", "l2p[lba] = np.int64(slot)")]),

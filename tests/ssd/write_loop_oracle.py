@@ -11,9 +11,13 @@ sample each. Methods became functions taking the device as ``self``;
 nothing else changed, except that the range forms and the Salamander
 write take the ``stream`` the queue used to pass member by member (the
 old ``DeviceQueue._serve`` looped ``device.write(lba + offset, payload,
-stream=stream)``). ``test_write_kernel.py`` drives the kernel and this
-loop on twin devices and compares everything observable after every
-call.
+stream=stream)``), and that ``_note_buffered`` keeps the stream tags as
+the kernel now does: only a buffered LBA on a stream other than 0 is
+tagged. ``busiest_stream`` is the drain's stream choice recounted from
+the buffer, the count the kernel's ``_busiest_stream`` derives instead;
+the oracle twin drains by it. ``test_write_kernel.py`` drives the
+kernel and this loop on twin devices and compares everything observable
+after every call.
 """
 
 from __future__ import annotations
@@ -25,13 +29,20 @@ from repro.ssd.device import BaselineSSD
 
 
 def _note_buffered(self, lba: int, stream: int) -> None:
-    prev = self._buffer_stream.get(lba)
-    if prev is not None:
-        if prev == stream:
-            return
+    prev = self._buffer_stream.pop(lba, 0)
+    if prev:
         self._stream_counts[prev] -= 1
-    self._buffer_stream[lba] = stream
-    self._stream_counts[stream] += 1
+    if stream:
+        self._buffer_stream[lba] = stream
+        self._stream_counts[stream] += 1
+
+
+def busiest_stream(self) -> int:
+    """Stream with the most buffered pages, lowest first on a tie."""
+    counts = [0] * self.config.host_streams
+    for lba in self.buffer.keys():
+        counts[self._buffer_stream.get(lba, 0)] += 1
+    return max(range(len(counts)), key=counts.__getitem__)
 
 
 def ftl_write(self, lba: int, data: bytes, stream: int = 0) -> None:
