@@ -89,12 +89,16 @@ def bytecode_mismatch(parent: Path, change: Path) -> list[str]:
 
 # -- one run -----------------------------------------------------------------
 
+#: How a run finds a perf bench: the ``benchmarks/perf/workloads.py``
+#: function named like the bench (its key in ``baseline.json``).
+BENCH_LOOKUP = "getattr(workloads, sys.argv[1])"
+
 #: One perf bench's reading in a fresh process, printed as ``run.py``
 #: prints its result object: the best of the harness's rounds.
 BENCH_RUN = """\
 import json, sys
 from benchmarks.perf import harness, workloads
-bench = getattr(workloads, sys.argv[1])
+bench = """ + BENCH_LOOKUP + """
 runs = [bench() for _ in range(harness.rounds())]
 best = max(run["ops"] / run["wall_s"] for run in runs)
 print(json.dumps({"correct": True, "failed": 0, "metrics": {

@@ -22,7 +22,8 @@ from benchmarks.perf import harness, workloads
 
 @pytest.mark.no_obs
 def test_ftl_gc_heavy_macro():
-    entry = harness.run("ftl_gc_heavy_macro", workloads.ftl_gc_heavy)
+    entry = harness.run("ftl_gc_heavy_macro",
+                        workloads.ftl_gc_heavy_macro)
     # The workload is deterministic, so write amplification is a
     # behavioural fingerprint: a WAF shift means the *simulation*
     # changed, not just its speed.

@@ -6,7 +6,7 @@ hot loop with ``time.perf_counter()``, and returns
 Workloads are deterministic (fixed seeds) so run-to-run variance is
 machine noise, not simulation variance.
 
-``ftl_gc_heavy`` is the headline macro-bench: a 90%-full device under
+``ftl_gc_heavy_macro`` is the headline macro-bench: a 90%-full device under
 uniform random overwrites, which keeps the garbage collector
 continuously busy — the workload the FTL fast path (incremental valid
 counts, cached free-block index, list-backed mapping tables, batched
@@ -44,7 +44,7 @@ def _build_macro_ftl() -> PageMappedFTL:
         chip, FTLConfig(overprovision=0.12, buffer_opages=64))
 
 
-def ftl_gc_heavy() -> dict:
+def ftl_gc_heavy_macro() -> dict:
     """Steady-state GC-heavy overwrites on a 90%-full device."""
     ftl = _build_macro_ftl()
     payload = bytes(64)

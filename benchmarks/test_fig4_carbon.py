@@ -2,45 +2,31 @@
 
 Paper §4.1: "Salamander achieves 3-8% CO2e savings in current designs ...
 if one considers the reduction ... when using only renewables, these gains
-increase to 11-20%". The bench evaluates Eq. 3 across the figure's bar set
-plus an f_op sensitivity sweep.
+increase to 11-20%". The bench times ``scenarios/carbon.json``: Eq. 3
+across the figure's bar set plus an f_op sensitivity sweep.
 """
 
-import numpy as np
 import pytest
 
-from repro.models.carbon import (
-    RU_REGENS,
-    RU_SHRINKS,
-    CarbonParams,
-    carbon_savings,
-    fig4_configurations,
-)
+from benchmarks.shipped import rows, run_shipped
 from repro.reporting.tables import format_table, render_bars
-
-
-def compute_fig4():
-    bars = fig4_configurations()
-    sweep = []
-    for f_op in np.linspace(0.2, 0.7, 11):
-        for mode, ru in (("shrinks", RU_SHRINKS), ("regens", RU_REGENS)):
-            sweep.append((float(f_op), mode, carbon_savings(
-                CarbonParams(f_op=float(f_op), upgrade_rate=ru))))
-    return bars, sweep
 
 
 @pytest.mark.benchmark(group="fig4")
 def test_fig4_carbon_savings(benchmark, experiment_output):
-    bars, sweep = benchmark(compute_fig4)
+    document = benchmark(run_shipped, "carbon.json")
+    bars = {row["configuration"]: row["savings"]
+            for row in rows(document, "fig4")}
     experiment_output(
         "FIG4 — CO2e savings per configuration (paper Fig. 4; "
         "3-8 % current, 11-20 % renewable)",
         render_bars({k: v * 100 for k, v in bars.items()}, unit="%"))
-    rows = [[f"{f_op:.2f}", mode, f"{saving:+.1%}"]
-            for f_op, mode, saving in sweep if mode == "regens"]
     experiment_output(
         "FIG4 (sensitivity) — RegenS savings vs operational share f_op",
-        format_table(["f_op", "mode", "savings"], rows))
+        format_table(["f_op", "mode", "savings"],
+                     [[f"{row['f_op']:.2f}", "regens",
+                       f"{row['regens']:+.1%}"]
+                      for row in rows(document, "f_op")]))
 
     assert 0.02 <= bars["shrinks/current"] <= 0.04
     assert 0.07 <= bars["regens/current"] <= 0.09

@@ -4,72 +4,48 @@ The paper's §2.1: operators retire SSDs early "to avoid costly unscheduled
 replacements", wasting device life; the cited failure-prediction studies
 ([28-31]) are the industry's mitigation. This extension reproduces that
 pipeline — SMART trajectories, a trained failure predictor, policy
-comparison — to quantify the trade Salamander dissolves: with gradual
-(minidisk) failures there is nothing "unexpected" left to predict.
+comparison (``scenarios/health.json``) — to quantify the trade Salamander
+dissolves: with gradual (minidisk) failures there is nothing "unexpected"
+left to predict.
 """
 
-import numpy as np
 import pytest
 
-from repro.flash.geometry import FlashGeometry
-from repro.health.policy import (
-    evaluate_fixed_age,
-    evaluate_predictive,
-    evaluate_run_to_failure,
-)
-from repro.health.predictor import FailurePredictor, evaluate_predictor
-from repro.health.telemetry import TelemetryConfig, generate_trajectories
+from benchmarks.shipped import rows, run_shipped
 from repro.reporting.tables import format_table
-
-CONFIG = TelemetryConfig(
-    devices=150, geometry=FlashGeometry(blocks=128, fpages_per_block=32),
-    pec_limit_l0=3000, dwpd=1.5, sample_days=30, max_days=5000)
-
-
-def run_pipeline():
-    train = generate_trajectories(CONFIG, seed=1)
-    test = generate_trajectories(CONFIG, seed=2)
-    predictor = FailurePredictor(horizon_days=90).fit(train)
-    report = evaluate_predictor(predictor, test)
-    median_life = float(np.median(
-        [t.death_day for t in test if np.isfinite(t.death_day)]))
-    outcomes = [
-        evaluate_run_to_failure(test),
-        evaluate_fixed_age(test, median_life * 0.6),
-        evaluate_fixed_age(test, median_life * 0.9),
-        evaluate_predictive(test, predictor, threshold=0.5),
-    ]
-    return report, outcomes
 
 
 @pytest.mark.benchmark(group="ext-health")
 def test_health_policy_tradeoff(benchmark, experiment_output):
-    report, outcomes = benchmark.pedantic(run_pipeline, rounds=1,
-                                          iterations=1)
+    document = benchmark.pedantic(lambda: run_shipped("health.json"),
+                                  rounds=1, iterations=1)
+    [report] = rows(document, "predictor")
+    outcomes = rows(document, "policies")
     experiment_output(
         "EXT-HEALTH (predictor) — held-out precision/recall at 90-day "
         "horizon",
         format_table(["precision", "recall", "base rate", "samples"],
-                     [[f"{report.precision:.2f}", f"{report.recall:.2f}",
-                       f"{report.base_rate:.3f}", report.samples]]))
-    rows = [[o.policy, f"{o.mean_service_days:.0f}",
-             f"{o.unexpected_failure_rate:.0%}",
-             o.preemptive_retirements,
-             f"{o.wasted_life_fraction:.0%}"]
-            for o in outcomes]
+                     [[f"{report['precision']:.2f}",
+                       f"{report['recall']:.2f}",
+                       f"{report['base_rate']:.3f}", report["samples"]]]))
     experiment_output(
         "EXT-HEALTH (policies) — §2.1's trade: unexpected failures vs "
         "wasted device life",
         format_table(["policy", "mean life (d)", "unexpected",
-                      "preempted", "wasted life"], rows))
+                      "preempted", "wasted life"],
+                     [[o["policy"], f"{o['mean_service_days']:.0f}",
+                       f"{o['unexpected_failure_rate']:.0%}",
+                       o["preemptive_retirements"],
+                       f"{o['wasted_life_fraction']:.0%}"]
+                      for o in outcomes]))
 
-    by_name = {o.policy: o for o in outcomes}
+    by_name = {o["policy"]: o for o in outcomes}
     run = by_name["run-to-failure"]
     predictive = by_name["predictive"]
-    assert report.precision > 2 * report.base_rate
+    assert report["precision"] > 2 * report["base_rate"]
     # The §2.1 dilemma: run-to-failure maximises life but every failure is
     # a surprise; prediction recovers most of the life at a fraction of
     # the surprises.
-    assert run.unexpected_failure_rate > 0.9
-    assert predictive.unexpected_failure_rate < 0.3
-    assert predictive.wasted_life_fraction < 0.2
+    assert run["unexpected_failure_rate"] > 0.9
+    assert predictive["unexpected_failure_rate"] < 0.3
+    assert predictive["wasted_life_fraction"] < 0.2

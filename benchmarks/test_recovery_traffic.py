@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro.errors as E
-from benchmarks.fleet_common import fleet_result
+from benchmarks.shipped import SCENARIOS
 from repro.difs.cluster import Cluster, ClusterConfig
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
@@ -23,6 +23,8 @@ from repro.flash.tiredness import TirednessPolicy, calibrate_power_law
 from repro.models.recovery import RecoveryModel, total_failed_capacity_fraction
 from repro.reporting.tables import format_table
 from repro.salamander.device import SalamanderConfig, SalamanderSSD
+from repro.scenarios import load_scenario, validate_scenario
+from repro.sim.fleet import simulate_fleet
 from repro.ssd.ftl import FTLConfig
 
 
@@ -68,11 +70,16 @@ def test_recovery_traffic(benchmark, experiment_output):
                  for mode in ("shrink", "regen")},
         rounds=1, iterations=1)
 
+    # The FIG3A/3B fleet, walked here for the FleetResult the recovery
+    # model reads (no scenario kind writes this table yet).
+    scenario = load_scenario(SCENARIOS / "fleet.json")
+    config = validate_scenario(scenario)
+    fleet = {mode: simulate_fleet(config, mode, seed=scenario["seed"])
+             for mode in scenario["modes"]}
     model = RecoveryModel(utilization=0.5)
     fleet_rows = []
     base_total = None
-    for mode in ("baseline", "cvss", "shrink", "regen"):
-        result = fleet_result(mode)
+    for mode, result in fleet.items():
         total = model.traffic_series(result).sum()
         if base_total is None:
             base_total = total
@@ -99,8 +106,8 @@ def test_recovery_traffic(benchmark, experiment_output):
                       "max single event", "chunks lost"], func_rows))
 
     # §4.3 shape assertions.
-    base = fleet_result("baseline")
-    shrink = fleet_result("shrink")
+    base = fleet["baseline"]
+    shrink = fleet["shrink"]
     base_sum = model.traffic_series(base).sum()
     shrink_sum = model.traffic_series(shrink).sum()
     assert shrink_sum == pytest.approx(base_sum, rel=0.05)

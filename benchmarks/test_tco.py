@@ -2,56 +2,35 @@
 
 Paper: "Salamander achieves 13% and 25% cost savings for ShrinkS and RegenS
 accordingly", and "if we assume half the cost is operational costs,
-Salamander lowers costs by 6-14%". The bench evaluates Eq. 4 with the
-paper's constants and sweeps the operational share.
+Salamander lowers costs by 6-14%". The bench times ``scenarios/tco.json``:
+Eq. 4 with the paper's constants, and a sweep of the operational share.
 """
 
-import numpy as np
 import pytest
 
-from repro.models.tco import (
-    RU_REGENS,
-    RU_SHRINKS,
-    TCOParams,
-    cost_upgrade_rate,
-    opex_sensitivity,
-    tco_savings,
-)
+from benchmarks.shipped import rows, run_shipped
 from repro.reporting.tables import format_table
-
-
-def compute_tco():
-    headline = {}
-    for mode, ru in (("shrinks", RU_SHRINKS), ("regens", RU_REGENS)):
-        params = TCOParams(upgrade_rate=ru)
-        headline[mode] = (cost_upgrade_rate(params), tco_savings(params))
-    sweeps = {mode: opex_sensitivity(ru, np.linspace(0.0, 0.8, 9))
-              for mode, ru in (("shrinks", RU_SHRINKS),
-                               ("regens", RU_REGENS))}
-    return headline, sweeps
 
 
 @pytest.mark.benchmark(group="tab-cost")
 def test_tco_savings(benchmark, experiment_output):
-    headline, sweeps = benchmark(compute_tco)
-    rows = [[mode, f"{cru:.3f}", f"{savings:+.1%}"]
-            for mode, (cru, savings) in headline.items()]
+    document = benchmark(run_shipped, "tco.json")
+    headline = rows(document, "tco", key="mode")
+    sweep = rows(document, "f_opex")
     experiment_output(
         "TAB-COST — Eq. 4 headline (paper: 13 % ShrinkS, 25 % RegenS at "
         "f_opex = 0.14)",
-        format_table(["mode", "CRu", "TCO savings"], rows))
-    sweep_rows = []
-    for f_opex, shrink_savings in sweeps["shrinks"]:
-        regen_savings = dict(sweeps["regens"])[f_opex]
-        sweep_rows.append([f"{f_opex:.2f}", f"{shrink_savings:+.1%}",
-                           f"{regen_savings:+.1%}"])
+        format_table(["mode", "CRu", "TCO savings"],
+                     [[mode, f"{row['cru']:.3f}", f"{row['savings']:+.1%}"]
+                      for mode, row in headline.items()]))
     experiment_output(
         "TAB-COST (sensitivity) — savings vs operational cost share "
         "(paper: 6-14 % at f_opex = 0.5)",
-        format_table(["f_opex", "shrinks", "regens"], sweep_rows))
+        format_table(["f_opex", "shrinks", "regens"],
+                     [[f"{row['f_opex']:.2f}", f"{row['shrinks']:+.1%}",
+                       f"{row['regens']:+.1%}"] for row in sweep]))
 
-    assert headline["shrinks"][1] == pytest.approx(0.13, abs=0.01)
-    assert headline["regens"][1] == pytest.approx(0.25, abs=0.015)
-    shrink_half = dict(sweeps["shrinks"])[0.5]
-    regen_half = dict(sweeps["regens"])[0.5]
-    assert 0.05 <= shrink_half <= regen_half <= 0.16
+    assert headline["shrinks"]["savings"] == pytest.approx(0.13, abs=0.01)
+    assert headline["regens"]["savings"] == pytest.approx(0.25, abs=0.015)
+    half = next(row for row in sweep if row["f_opex"] == 0.5)
+    assert 0.05 <= half["shrinks"] <= half["regens"] <= 0.16

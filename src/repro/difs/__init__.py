@@ -21,7 +21,7 @@ from repro.difs.volume import (
     Volume,
 )
 from repro.difs.node import StorageNode
-from repro.difs.placement import PLACEMENT_POLICIES, place_replicas
+from repro.difs.placement import PLACEMENT_POLICIES
 from repro.difs.cluster import Cluster, ClusterConfig
 from repro.difs.recovery import RecoveryManager, RecoveryStats
 from repro.difs.redundancy import ErasureCoding, RedundancyScheme, Replication
@@ -34,7 +34,6 @@ __all__ = [
     "MonolithicVolume",
     "MinidiskVolume",
     "StorageNode",
-    "place_replicas",
     "PLACEMENT_POLICIES",
     "Cluster",
     "ClusterConfig",

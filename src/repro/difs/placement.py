@@ -42,11 +42,11 @@ RNG draws.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.errors import ConfigError, NoPlacementError
+from repro.errors import NoPlacementError
 from repro.difs.volume import Volume
 
 #: Column -> fill value of the rows a doubling adds.
@@ -306,31 +306,3 @@ PLACEMENT_POLICIES: dict[str, Callable[[VolumeIndex, np.ndarray],
     "wear-aware": _youngest_least_loaded,
 }
 
-
-def place_replicas(policy: str, volumes: Sequence[Volume] | VolumeIndex,
-                   count: int, rng: np.random.Generator,
-                   avoid_nodes: Iterable[str] = ()) -> list[Volume]:
-    """Choose ``count`` volumes on distinct nodes for one chunk.
-
-    Args:
-        policy: a key of :data:`PLACEMENT_POLICIES`.
-        volumes: the volume population — a cluster's live
-            :class:`VolumeIndex`, or any sequence of volumes (indexed
-            once for this call).
-        count: replicas to place.
-        rng: randomness source (ties/uniform choice).
-        avoid_nodes: nodes already holding replicas of this chunk.
-
-    Raises:
-        NoPlacementError: when fewer than ``count`` independent volumes
-            with free slots exist.
-    """
-    if policy not in PLACEMENT_POLICIES:
-        raise ConfigError(
-            f"unknown placement policy {policy!r}; "
-            f"choose from {sorted(PLACEMENT_POLICIES)}")
-    if count <= 0:
-        raise ConfigError(f"count must be positive, got {count!r}")
-    if not isinstance(volumes, VolumeIndex):
-        volumes = VolumeIndex(volumes)
-    return volumes.place(policy, count, rng, avoid_nodes)

@@ -214,6 +214,8 @@ def _engine_config(params: dict):
 
 def _run_fleet(document: dict, config, writer: ExperimentWriter,
                jobs: int) -> None:
+    import numpy as np
+
     from repro.sim.fleet import MODES
     from repro.sim.parallel import derive_seeds, run_fleet_grid
     from repro.sim.shard import simulate_fleet_sharded
@@ -241,8 +243,10 @@ def _run_fleet(document: dict, config, writer: ExperimentWriter,
             x_label="days", y_label="capacity bytes"))
     if not sweep:
         writer.add_table(
-            "summary", ["mode", "mean_lifetime_days", "recovery_bytes"],
-            [[mode, r.mean_lifetime_days(), r.total_recovery_bytes()]
+            "summary", ["mode", "mean_lifetime_days", "recovery_bytes",
+                        "median_death_day", "initial_capacity_bytes"],
+            [[mode, r.mean_lifetime_days(), r.total_recovery_bytes(),
+              float(np.median(r.death_day)), r.initial_capacity_bytes]
              for (mode, _), r in results.items()])
         return
     rows = []
@@ -286,23 +290,56 @@ def _run_tournament(document: dict, params: dict,
 
 def _run_carbon(document: dict, params: dict, writer: ExperimentWriter,
                 jobs: int) -> None:
-    from repro.models.carbon import fig4_configurations
+    """Fig. 4's bars, and both modes' savings over an ``f_op`` grid."""
+    import numpy as np
+
+    from repro.models.carbon import (
+        RU_REGENS,
+        RU_SHRINKS,
+        CarbonParams,
+        carbon_savings,
+        fig4_configurations,
+    )
 
     bars = fig4_configurations(**params)
     writer.add_table("fig4", ["configuration", "savings"],
                      [[k, v] for k, v in bars.items()])
+    rates = (params.get("ru_shrink", RU_SHRINKS),
+             params.get("ru_regen", RU_REGENS))
+    writer.add_table(
+        "f_op", ["f_op", "shrinks", "regens"],
+        [[f_op, *(carbon_savings(CarbonParams(f_op=f_op, upgrade_rate=ru))
+                  for ru in rates)]
+         for f_op in np.linspace(0.2, 0.7, 11).tolist()])
 
 
 def _run_tco(document: dict, params: dict, writer: ExperimentWriter,
              jobs: int) -> None:
-    from repro.models.tco import (RU_REGENS, RU_SHRINKS, TCOParams,
-                                  tco_savings)
+    """Eq. 4 at ``f_opex``, and both modes' savings over an ``f_opex``
+    grid."""
+    import numpy as np
+
+    from repro.models.tco import (
+        RU_REGENS,
+        RU_SHRINKS,
+        TCOParams,
+        cost_upgrade_rate,
+        opex_sensitivity,
+        tco_savings,
+    )
 
     f_opex = params.get("f_opex", 0.14)
-    rows = [[mode, tco_savings(TCOParams(f_opex=f_opex, upgrade_rate=ru))]
-            for mode, ru in (("shrinks", RU_SHRINKS),
-                             ("regens", RU_REGENS))]
-    writer.add_table("tco", ["mode", "savings"], rows)
+    modes = (("shrinks", RU_SHRINKS), ("regens", RU_REGENS))
+    rows = []
+    for mode, ru in modes:
+        tco = TCOParams(f_opex=f_opex, upgrade_rate=ru)
+        rows.append([mode, tco_savings(tco), cost_upgrade_rate(tco)])
+    writer.add_table("tco", ["mode", "savings", "cru"], rows)
+    sweeps = [opex_sensitivity(ru, np.linspace(0.0, 0.8, 9))
+              for _, ru in modes]
+    writer.add_table("f_opex", ["f_opex", "shrinks", "regens"],
+                     [[f, shrinks, regens] for (f, shrinks), (_, regens)
+                      in zip(*sweeps)])
 
 
 def _run_replacement(document: dict, config, writer: ExperimentWriter,
@@ -314,9 +351,10 @@ def _run_replacement(document: dict, config, writer: ExperimentWriter,
     writer.add_table(
         "upgrade_rates",
         ["mode", "purchases", "measured_ru", "mean_service_days",
-         "preempted_fraction"],
+         "preempted_fraction", "mean_capacity_fraction"],
         [[mode, r.purchases, r.purchases / base, r.mean_service_life_days,
-          r.preempted_fraction] for mode, r in results.items()])
+          r.preempted_fraction, r.mean_capacity_fraction]
+         for mode, r in results.items()])
 
 
 def _run_fig2(document: dict, params: dict, writer: ExperimentWriter,
@@ -332,14 +370,14 @@ def _run_fig2(document: dict, params: dict, writer: ExperimentWriter,
     writer.add_table(
         "fig2",
         ["level", "capacity_fraction", "code_rate", "max_rber",
-         "pec_limit", "pec_gain"],
+         "pec_limit", "pec_gain", "marginal_gain"],
         [[p.level, p.capacity_fraction, p.code_rate, p.max_rber,
-          p.pec_limit, p.pec_gain] for p in points])
+          p.pec_limit, p.pec_gain, p.marginal_gain] for p in points])
 
 
 def _run_health(document: dict, params: dict, writer: ExperimentWriter,
                 jobs: int) -> None:
-    """§2.1: a SMART failure predictor and three retirement policies."""
+    """§2.1: a SMART failure predictor and four retirement policies."""
     import numpy as np
 
     from repro.flash.geometry import FlashGeometry
@@ -362,19 +400,23 @@ def _run_health(document: dict, params: dict, writer: ExperimentWriter,
     predictor = FailurePredictor(
         horizon_days=params.get("horizon", 90.0)).fit(train)
     report = evaluate_predictor(predictor, test)
-    writer.add_table("predictor", ["precision", "recall", "base_rate"],
-                     [[report.precision, report.recall, report.base_rate]])
+    writer.add_table("predictor",
+                     ["precision", "recall", "base_rate", "samples"],
+                     [[report.precision, report.recall, report.base_rate,
+                       report.samples]])
     deaths = [t.death_day for t in test if np.isfinite(t.death_day)]
     median_life = float(np.median(deaths)) if deaths else max_days
     outcomes = [evaluate_run_to_failure(test),
                 evaluate_fixed_age(test, median_life * 0.6),
+                evaluate_fixed_age(test, median_life * 0.9),
                 evaluate_predictive(test, predictor)]
     writer.add_table(
         "policies",
         ["policy", "mean_service_days", "unexpected_failure_rate",
-         "wasted_life_fraction"],
+         "wasted_life_fraction", "preemptive_retirements"],
         [[o.policy, o.mean_service_days, o.unexpected_failure_rate,
-          o.wasted_life_fraction] for o in outcomes])
+          o.wasted_life_fraction, o.preemptive_retirements]
+         for o in outcomes])
 
 
 def _run_traffic(document: dict, config, writer: ExperimentWriter,

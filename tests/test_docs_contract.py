@@ -292,6 +292,42 @@ def test_every_ledger_name_is_still_an_attribute():
     assert len(ledger) > 150
 
 
+#: A ledger group's header, and the stated total it sums to.
+_LEDGER_GROUP = re.compile(r"^\*\*(.+?)\*\*(?: \(([\d,]+) lines\))?", re.M)
+_LEDGER_TOTAL = re.compile(r"\*\*([\d,]+) of [\d,]+\*\* function\s+lines")
+
+
+def ledger_problems(text: str) -> list[str]:
+    """A group header of the reach ledger without a count, and a stated
+    total that is not the sum of the groups' counts."""
+    ledger = section(text, "Reached only by tests, and why it stays")
+    groups = _LEDGER_GROUP.findall(ledger)
+    problems = [f"no count: {name}" for name, count in groups if not count]
+    totals = [int(total.replace(",", ""))
+              for total in _LEDGER_TOTAL.findall(ledger)]
+    summed = sum(int(count.replace(",", "")) for _, count in groups if count)
+    if totals != [summed]:
+        problems.append(f"stated total {totals} != groups' sum {summed}")
+    return problems
+
+
+def test_ledger_total_is_the_sum_of_its_groups():
+    design = (ROOT / "DESIGN.md").read_text()
+    assert len(_LEDGER_GROUP.findall(section(
+        design, "Reached only by tests, and why it stays"))) >= 10
+    assert not ledger_problems(design)
+
+
+def test_ledger_check_flags_a_stale_total():
+    """The parent's preamble stated 1,284 over groups that sum to 1,303."""
+    text = ("\n## Reached only by tests, and why it stays\n\nIt reads "
+            "**1,284 of 12,192** function\nlines.\n\n"
+            "**Safety** (1,300 lines). Audits.\n\n**Test references** "
+            "(3 lines).\n\n**Has a doc page**. Promtext.\n")
+    assert ledger_problems(text) == [
+        "no count: Has a doc page", "stated total [1284] != groups' sum 1303"]
+
+
 def test_retired_names_stay_gone(names):
     back = sorted(name for name in RETIRED if names.resolves(name))
     assert not back, f"retired names resolve again: {back}"

@@ -280,3 +280,18 @@ def test_a_perf_bench_is_paired_on_its_best_round(tmp_path, capsys):
     assert table["seed"] is None and table["seconds"] is None
     assert "-> improved" in printed and "sim_digest" not in printed
     assert (parent / "cursor").read_text() == "30"
+
+
+def test_every_floored_bench_resolves_through_the_lookup():
+    """Each bench ``baseline.json`` floors is a name ``--workload`` can
+    pair: the run's own lookup finds a workloads function by it."""
+    from types import SimpleNamespace
+
+    from benchmarks.perf import workloads
+
+    floors = json.loads((Path(pairs.__file__).parent
+                         / "baseline.json").read_text())["benches"]
+    for name in floors:
+        run = {"workloads": workloads,
+               "sys": SimpleNamespace(argv=["-c", name])}
+        assert eval(pairs.BENCH_LOOKUP, run).__name__ == name

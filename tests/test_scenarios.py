@@ -1,5 +1,7 @@
 """Tests for the declarative scenario runner."""
 
+import ast
+import functools
 import json
 from pathlib import Path
 
@@ -14,12 +16,19 @@ from repro.scenarios import (
 )
 
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+
+
+@functools.cache
+def shipped_document(name: str) -> dict:
+    """The artifact document of a shipped scenario file, run once."""
+    return run_scenario(load_scenario(SCENARIOS / name)).document()
 
 
 def shipped(name: str) -> dict:
     """The tables of a shipped scenario file, run."""
-    return run_scenario(load_scenario(SCENARIOS / name)).document()["tables"]
+    return shipped_document(name)["tables"]
 
 
 class TestValidation:
@@ -75,7 +84,7 @@ class TestRunners:
         assert f"{rows['shrinks/renewable']:+.1%}" == "+20.0%"
 
     def test_tco(self):
-        rows = dict(shipped("tco.json")["tco"]["rows"])
+        rows = {row[0]: row[1] for row in shipped("tco.json")["tco"]["rows"]}
         assert f"{rows['shrinks']:+.1%}" == "+12.9%"
         assert f"{rows['regens']:+.1%}" == "+25.8%"
 
@@ -174,17 +183,20 @@ class TestRunners:
             "params": {"devices": 40, "dwpd": 3.0, "max_days": 2500},
         })
         tables = writer.document()["tables"]
-        precision, recall, base_rate = tables["predictor"]["rows"][0]
+        precision, recall, base_rate, samples = tables["predictor"]["rows"][0]
         assert 0.0 <= precision <= 1.0 and 0.0 < recall <= 1.0
-        assert 0.0 < base_rate < 1.0
-        policies = {row[0].split()[0]: row[1:]
+        assert 0.0 < base_rate < 1.0 and samples > 0
+        headers = tables["policies"]["headers"]
+        policies = {row[0].split()[0]: dict(zip(headers, row))
                     for row in tables["policies"]["rows"]}
         assert sorted(policies) == ["fixed-age", "predictive",
                                     "run-to-failure"]
         # Run-to-failure wastes nothing and is always surprised.
-        assert policies["run-to-failure"][1:] == [1.0, 0.0]
-        assert (policies["predictive"][1]
-                < policies["run-to-failure"][1])
+        run = policies["run-to-failure"]
+        assert (run["unexpected_failure_rate"], run["wasted_life_fraction"],
+                run["preemptive_retirements"]) == (1.0, 0.0, 0)
+        assert (policies["predictive"]["unexpected_failure_rate"]
+                < run["unexpected_failure_rate"])
 
     def test_traffic_tables_are_the_engine_document(self):
         # Every leaf of run_traffic's engine/v1 document but its schema
@@ -313,3 +325,102 @@ class TestShippedScenarios:
         bare = run_scenario({"name": "bare", "kind": kind})
         assert bare.document()["tables"] == shipped(self.CANONICAL[kind])
 
+
+
+class TestOneProducerPerTable:
+    """The claim benches read their tables from a shipped scenario run
+    (``benchmarks/shipped.py``) instead of computing them again."""
+
+    #: Shipped file -> table -> the columns its bench formats or asserts
+    #: on (FIG2; FIG3A/3B and TAB-LIFE's fleet column; TAB-LIFE; FIG4;
+    #: TAB-COST; EXT-RU; EXT-HEALTH).
+    BENCH_READS = {
+        "fig2.json": {"fig2": ["level", "capacity_fraction", "code_rate",
+                               "max_rber", "pec_limit", "pec_gain",
+                               "marginal_gain"]},
+        "fleet.json": {"summary": ["mode", "mean_lifetime_days",
+                                   "median_death_day",
+                                   "initial_capacity_bytes"]},
+        "tournament.json": {"lifetimes": ["device", "host_writes",
+                                          "vs_baseline", "mean_pec"]},
+        "carbon.json": {"fig4": ["configuration", "savings"],
+                        "f_op": ["f_op", "shrinks", "regens"]},
+        "tco.json": {"tco": ["mode", "savings", "cru"],
+                     "f_opex": ["f_opex", "shrinks", "regens"]},
+        "measured_upgrade_rates.json": {"upgrade_rates": [
+            "mode", "purchases", "measured_ru", "mean_service_days",
+            "preempted_fraction", "mean_capacity_fraction"]},
+        "health.json": {
+            "predictor": ["precision", "recall", "base_rate", "samples"],
+            "policies": ["policy", "mean_service_days",
+                         "unexpected_failure_rate", "wasted_life_fraction",
+                         "preemptive_retirements"]},
+    }
+
+    #: The benches that read a shipped scenario, and the compute entry
+    #: points of the kinds they read: importing one would compute a
+    #: table a second time.
+    CLAIM_BENCHES = ("test_fig2_tiredness.py", "test_fig3a_fleet_survival.py",
+                     "test_fig3b_fleet_capacity.py",
+                     "test_lifetime_extension.py", "test_fig4_carbon.py",
+                     "test_tco.py", "test_measured_upgrade_rates.py",
+                     "test_health_policies.py")
+    ENTRY_POINTS = {"tiredness_tradeoff", "tournament_devices",
+                    "run_write_lifetime", "simulate_fleet",
+                    "fig4_configurations", "opex_sensitivity",
+                    "cost_upgrade_rate", "measured_upgrade_rates",
+                    "generate_trajectories"}
+
+    @pytest.mark.parametrize("name", sorted(BENCH_READS))
+    def test_shipped_file_writes_what_its_bench_reads(self, name):
+        tables = shipped(name)
+        for table, columns in self.BENCH_READS[name].items():
+            missing = set(columns) - set(tables[table]["headers"])
+            assert not missing, (name, table, missing)
+
+    def test_fleet_writes_both_curves_of_every_mode(self):
+        document = shipped_document("fleet.json")
+        modes = [row[0] for row in document["tables"]["summary"]["rows"]]
+        assert modes == load_scenario(SCENARIOS / "fleet.json")["modes"]
+        assert set(document["series"]) == {
+            f"{mode}/{curve}" for mode in modes
+            for curve in ("functioning", "capacity")}
+
+    def test_health_writes_four_policies(self):
+        # Run to failure, retire at 0.6 and at 0.9 of the median life,
+        # and retire on the predictor's alarm.
+        policies = [row[0] for row in shipped("health.json")["policies"]
+                    ["rows"]]
+        assert [policy.split()[0] for policy in policies] == [
+            "run-to-failure", "fixed-age", "fixed-age", "predictive"]
+        early, late = (float(policy.split()[1].rstrip("d"))
+                       for policy in policies[1:3])
+        assert late / early == pytest.approx(0.9 / 0.6, abs=0.01)
+
+    @staticmethod
+    def names_used(source: str) -> set[str]:
+        """Every name a module imports or reads as an attribute."""
+        names = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rsplit(".", 1)[-1]
+                             for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        return names
+
+    @pytest.mark.parametrize("bench", CLAIM_BENCHES)
+    def test_claim_bench_reads_its_scenario(self, bench):
+        source = (ROOT / "benchmarks" / bench).read_text()
+        assert "from benchmarks.shipped import" in source
+        computed = self.names_used(source) & self.ENTRY_POINTS
+        assert not computed, f"{bench} computes its table again: {computed}"
+
+    def test_guard_flags_a_bench_that_computes(self):
+        source = (ROOT / "benchmarks" / "test_fig2_tiredness.py").read_text()
+        assert not self.names_used(source) & self.ENTRY_POINTS
+        assert self.names_used(source + (
+            "\nfrom repro.models.lifetime import tiredness_tradeoff\n")) \
+            & self.ENTRY_POINTS == {"tiredness_tradeoff"}
