@@ -374,7 +374,7 @@ def unit_write_micro() -> dict:
 
     One diFS chunk replica is one 16-LBA ``write`` request, and every
     layer under it makes one call for it (``docs/PERFORMANCE.md``,
-    "Kernels and their twins"): ``DeviceQueue._serve`` ->
+    "Kernels and their twins"): ``DeviceQueue.dispatch`` ->
     ``SalamanderSSD.write_range`` -> ``PageMappedFTL.write_range``, whose
     kernel is the only per-LBA loop. The 64x32 chip is filled to its
     advertised capacity (75 % of the flash) and overwritten, untimed,

@@ -28,15 +28,16 @@ does two jobs:
    and queueing delay emerges — that is what the M/D/c claim check
    validates against :func:`repro.models.queueing.mdc_latency_us`.
 
-A request is its fields, never an object: :meth:`DeviceQueue.dispatch`
-runs a two-step core on them — ``_serve`` calls the device and
-measures what the call cost the chip, ``_meter`` places that service on
+A request is its fields, never an object, and
+:meth:`DeviceQueue.dispatch` serves it in one frame: it calls the device
+and measures what the call cost the chip, then places that service on
 the virtual clock and does all the accounting (stats, metrics,
-deadlines). Only requests that *stay* in the in-flight window leave
-anything behind: one row tuple each, handed back by
+deadlines, the makespan). Only requests that *stay* in the in-flight
+window leave anything behind: one row each, the handle and the measured
+fields but not the result (the caller already has it), handed back by
 :meth:`DeviceQueue.drain`. Synchronous dispatches allocate nothing but
-their result. With a request tracer scoped, a sampled dispatch runs the
-same core with its trace context active around ``_serve``.
+what they return. With a request tracer scoped, a sampled dispatch runs
+the same code with its trace context active around the device call.
 
 ``depth`` bounds the in-flight window like a real NCQ: submitting into
 a full queue first retires the oldest in-flight completion and clamps
@@ -52,6 +53,7 @@ from operator import sub
 from repro import context
 from repro.errors import ConfigError
 from repro.io.protocols import device_kind_of
+from repro.io.queue_stats import QueueStats
 from repro.io.request import (
     OP_FLUSH,
     OP_NAMES,
@@ -63,13 +65,9 @@ from repro.io.request import (
 )
 from repro.obs.instruments import export_queue_stats, io_instruments
 
-# Re-exported for callers that predate the stats split; QueueStats is
-# part of the queue's public surface.
-from repro.io.queue_stats import QueueStats
-
-#: Where a window row — ``(handle, result, error, submit_us, start_us,
-#: end_us, work_us)`` — keeps its completion time.
-_END = 5
+#: Where a window row — ``(handle, error, submit_us, start_us, end_us,
+#: work_us)`` — keeps its completion time.
+_END = 4
 
 
 class DeviceQueue:
@@ -100,6 +98,9 @@ class DeviceQueue:
         #: arrivals, never by service (servers run ahead of the clock).
         self.clock_us = 0.0
         self._channel_free = [0.0] * self.channels
+        #: When the busiest channel server goes idle (virtual time):
+        #: the largest completion so far, kept by :meth:`dispatch`.
+        self.makespan_us = 0.0
         #: The in-flight window and the rows backpressure retired from
         #: it, both oldest first (see ``_END`` for the row).
         self._inflight: deque[tuple] = deque()
@@ -133,7 +134,8 @@ class DeviceQueue:
         work_us)``; a device error is returned, never raised. With
         ``handle=None`` the request is consumed synchronously. Any
         other ``handle`` makes it occupy a window slot, and
-        :meth:`drain` hands the handle back in the row's first field.
+        :meth:`drain` hands back a row of the handle and the measured
+        fields, without the result.
 
         ``mdisk_id`` must be given on a minidisk device and omitted on
         a flat one (``flush`` carries no address): a request of the
@@ -150,94 +152,56 @@ class DeviceQueue:
                 f"{OP_NAMES[code]} request with mdisk_id={mdisk_id!r} on "
                 f"a {self.device_kind} device, which is addressed by "
                 f"{shape}")
-        self.stats.submitted += 1
+        stats = self.stats
+        stats.submitted += 1
+        chip = self._chip
+        if chip is None:
+            busy_before = 0.0
+        else:
+            busy_before = chip.stats.busy_us
+            chan_before = list(chip.channel_busy_us)
         trace = None
         # The sample decision is a pure function of (tracer seed, device
         # kind, how many dispatches of that kind came before) —
         # independent of wall clock and process layout, which is what
         # keeps artifacts byte-identical across ``--jobs``.
         if self._rt_sampler is not None and self._rt_sampler.sample():
-            chip = self._chip
-            busy_before = chip.stats.busy_us if chip is not None else 0.0
             trace = self._reqtrace.begin()
             trace.activate(busy_before)
             self._reqtrace.active = trace
-        result, error, service, work = self._serve(
-            code, lba, count, mdisk_id, stream, payloads)
-        arrival, start, end = self._meter(
-            code, deadline_us, at_us, service, work, error)
-        measured = (result, error, arrival, start, end, work)
-        if trace is not None:
-            self._reqtrace.finish(
-                trace, measured, busy_before + work, op=OP_NAMES[code],
-                lba=lba, count=len(payloads) if payloads else count,
-                stream=stream, mdisk=mdisk_id,
-                device_kind=self.device_kind,
-                tag=self.stats.submitted - 1, deadline_us=deadline_us)
-        if handle is not None:
-            self._inflight.append((handle,) + measured)
-        return measured
 
-    def drain(self) -> list[tuple]:
-        """Retire the whole window; returns its rows, oldest first.
-
-        A row is ``(handle, result, error, submit_us, start_us, end_us,
-        work_us)`` where ``handle`` is the one given to
-        :meth:`dispatch`.
-        """
-        rows = list(self._done)
-        rows.extend(self._inflight)
-        self._done.clear()
-        self._inflight.clear()
-        return rows
-
-    @property
-    def inflight(self) -> int:
-        return len(self._inflight)
-
-    # -- internals ------------------------------------------------------------
-
-    def _serve(self, code: int, lba: int, count: int, mdisk: int | None,
-               stream: int, payloads: list[bytes] | None) -> tuple:
-        """Call the device for one request, through exactly the methods
-        a direct caller would use, and measure what it cost the chip.
-
-        Returns ``(result, error, service_us, work_us)``: the error is
-        caught, ``work`` is the chip busy time consumed and ``service``
-        the largest per-channel share of it.
-        """
+        # Serve: call the device through exactly the methods a direct
+        # caller would use, and measure what it cost the chip — ``work``
+        # is the chip busy time consumed, ``service`` the largest
+        # per-channel share of it.
         device = self.device
-        chip = self._chip
-        if chip is not None:
-            busy_before = chip.stats.busy_us
-            chan_before = list(chip.channel_busy_us)
         result = error = None
         try:
             if code == OP_READ:
-                result = ([device.read(lba)] if mdisk is None
-                          else [device.read(mdisk, lba)])
+                result = ([device.read(lba)] if mdisk_id is None
+                          else [device.read(mdisk_id, lba)])
             elif code == OP_WRITE:
-                if mdisk is None:
+                if mdisk_id is None:
                     device.write_range(lba, payloads, stream)
                 else:
                     # The lifetime hint has never reached a minidisk
                     # write (all on lane 0); forwarding it moves data
                     # between open blocks — a re-baseline of the
                     # traffic goldens.
-                    device.write_range(mdisk, lba, payloads)
+                    device.write_range(mdisk_id, lba, payloads)
             elif code == OP_READ_RANGE:
-                result = (device.read_range(lba, count) if mdisk is None
-                          else device.read_range(mdisk, lba, count))
+                result = (device.read_range(lba, count) if mdisk_id is None
+                          else device.read_range(mdisk_id, lba, count))
             elif code == OP_TRIM:
-                if mdisk is None:
+                if mdisk_id is None:
                     device.trim(lba)
                 else:
-                    device.trim(mdisk, lba)
+                    device.trim(mdisk_id, lba)
             elif code == OP_TRIM_RANGE:
-                if mdisk is None:
+                if mdisk_id is None:
                     device.trim_range(lba, count)
                 else:
-                    device.trim_range(mdisk, lba, count)
+                    device.trim_range(mdisk_id, lba, count)
             elif code == OP_FLUSH:
                 device.flush()
             else:  # pragma: no cover - request validation rejects these
@@ -245,22 +209,15 @@ class DeviceQueue:
         except Exception as exc:  # noqa: BLE001 - recorded per request
             error = exc
         if chip is None:
-            return result, error, 0.0, 0.0
-        work = chip.stats.busy_us - busy_before
-        service = max(map(sub, chip.channel_busy_us, chan_before),
-                      default=0.0)
-        return result, error, service, work
+            service = work = 0.0
+        else:
+            work = chip.stats.busy_us - busy_before
+            # The channel list is never empty (one server at least).
+            service = max(map(sub, chip.channel_busy_us, chan_before))
 
-    def _meter(self, code: int, deadline: float | None,
-               at_us: float | None, service: float, work: float,
-               error: Exception | None) -> tuple:
-        """Place one served request on the virtual clock and account it.
-
-        The queue's whole timing model, in one place: arrival (with
-        NCQ backpressure), earliest-free channel server, clock advance,
-        ``QueueStats``, metrics and deadline accounting. Returns
-        ``(arrival, start, end)``.
-        """
+        # Meter: the queue's whole timing model — arrival (with NCQ
+        # backpressure), earliest-free channel server, clock advance,
+        # ``QueueStats``, metrics and deadline accounting.
         clock = self.clock_us
         arrival = clock if at_us is None else max(at_us, 0.0)
         inflight = self._inflight
@@ -276,6 +233,10 @@ class DeviceQueue:
         start = arrival if arrival >= earliest else earliest
         end = start + service
         free[free.index(earliest)] = end
+        # A server's free time only ever rises to ``end``, so the
+        # largest ``end`` so far is the busiest server's free time.
+        if end > self.makespan_us:
+            self.makespan_us = end
         # Closed-loop callers block on the completion, so the device
         # clock advances with it (hence their next arrival never finds
         # the server busy: waits are zero by construction). Open-loop
@@ -284,7 +245,6 @@ class DeviceQueue:
         advance = end if at_us is None else arrival
         if advance > clock:
             self.clock_us = advance
-        stats = self.stats
         stats.dispatched += 1
         latency = end - arrival
         wait = start - arrival
@@ -294,13 +254,43 @@ class DeviceQueue:
         stats.total_work_us += work
         if error is not None:
             stats.errors += 1
-        if deadline is not None and end > deadline:
+        if deadline_us is not None and end > deadline_us:
             stats.deadline_misses += 1
         if self._instr is not None:
             children = self._op_children[code] or self._bind_children(code)
             children[0](latency)
             children[1](wait)
-        return arrival, start, end
+
+        if trace is not None:
+            self._reqtrace.finish(
+                trace, (result, error, arrival, start, end, work),
+                busy_before + work, op=OP_NAMES[code], lba=lba,
+                count=len(payloads) if payloads else count,
+                stream=stream, mdisk=mdisk_id, device_kind=self.device_kind,
+                tag=stats.submitted - 1, deadline_us=deadline_us)
+        if handle is not None:
+            inflight.append((handle, error, arrival, start, end, work))
+        return result, error, arrival, start, end, work
+
+    def drain(self) -> list[tuple]:
+        """Retire the whole window; returns its rows, oldest first.
+
+        A row is ``(handle, error, submit_us, start_us, end_us,
+        work_us)``: the ``handle`` given to :meth:`dispatch` and the
+        measured fields it returned, without the result (the caller
+        already has it).
+        """
+        rows = list(self._done)
+        rows.extend(self._inflight)
+        self._done.clear()
+        self._inflight.clear()
+        return rows
+
+    @property
+    def inflight(self) -> int:
+        return len(self._inflight)
+
+    # -- internals ------------------------------------------------------------
 
     def _bind_children(self, code: int) -> tuple:
         labels = {"op": OP_NAMES[code], "device_kind": self.device_kind}
@@ -308,9 +298,3 @@ class DeviceQueue:
                     self._instr.wait.labels(**labels).observe)
         self._op_children[code] = children
         return children
-
-    # -- introspection --------------------------------------------------------
-
-    def makespan_us(self) -> float:
-        """When the busiest channel server goes idle (virtual time)."""
-        return max(self._channel_free)

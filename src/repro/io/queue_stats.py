@@ -1,9 +1,8 @@
 """Plain counters for :class:`repro.io.queue.DeviceQueue`.
 
 Split out of ``queue.py`` so harnesses and claim checks can import the
-stats container without pulling the dispatch machinery; the queue
-re-exports it, so ``from repro.io.queue import QueueStats`` keeps
-working.
+stats container without pulling the dispatch machinery. Import it
+from here or from :mod:`repro.io`.
 """
 
 from __future__ import annotations

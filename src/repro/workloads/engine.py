@@ -632,7 +632,7 @@ def _run_window(state: _Cell) -> None:
     gated, shed = config.admission != "none", config.admission == "shed"
     burst, token_rate = config.bucket_burst, state.token_rate
     watermark, service_est = state.watermark_us, state.service_est
-    makespan_us = state.queue.makespan_us
+    queue = state.queue
     while heap:
         now_us, _seq, tenant = pop(heap)
         if tenant.closed_loop:
@@ -668,7 +668,7 @@ def _run_window(state: _Cell) -> None:
                         else now_us + (wait if wait > 1.0 else 1.0))
             else:
                 # Gate 2: the backlog (the watermark is positive: no clamp).
-                backlog = makespan_us() - now_us
+                backlog = queue.makespan_us - now_us
                 if backlog > watermark:
                     excess = backlog - watermark
                     wake = (math.inf if shed else now_us + (
@@ -735,7 +735,7 @@ def _dispatch(state: _Cell, tenant: _Tenant, op: tuple,
             return now_us + state.service_est
         _account(state, tenant, name, deadline, None, submit, start, end)
         return end + config.think_us
-    backlog = queue.makespan_us() - now_us
+    backlog = queue.makespan_us - now_us
     if backlog > state.max_backlog_us:
         state.max_backlog_us = backlog
     inflight = queue.inflight
@@ -748,7 +748,7 @@ def _dispatch(state: _Cell, tenant: _Tenant, op: tuple,
 
 def _drain(state: _Cell) -> None:
     """Retire the queue's window into the accounts, oldest first."""
-    for ((tenant, name, deadline), _result, error, submit, start, end,
+    for ((tenant, name, deadline), error, submit, start, end,
          _work) in state.queue.drain():
         _account(state, tenant, name, deadline, error, submit, start, end)
 

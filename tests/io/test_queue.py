@@ -8,18 +8,25 @@ latency ``end - submit``.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import context
 from repro.errors import ConfigError, InvalidLBAError
+from repro.flash.chip import FlashChip
+from repro.flash.geometry import FlashGeometry
 from repro.io import OP_CODES, DeviceQueue
 from repro.io.request import (
     OP_FLUSH,
     OP_READ,
+    OP_READ_RANGE,
+    OP_TRIM,
     OP_TRIM_RANGE,
     OP_WRITE,
 )
 from repro.obs import MetricsRegistry
 from repro.obs.reqtrace import ReqTracer
+from repro.ssd.ftl import FTLConfig, PageMappedFTL
 
 from tests.io.conftest import queue_state
 
@@ -62,16 +69,15 @@ class TestDispatch:
         assert latency_us(measured) == service_us(measured)
 
     def test_submit_then_poll(self, device):
-        # A dispatch given a handle stays in the window until drained.
+        # A dispatch given a handle stays in the window until drained;
+        # its result comes back from dispatch, not in the row.
         queue = DeviceQueue(device)
-        for lba in range(4):
-            read(queue, lba, handle=lba)
+        results = [read(queue, lba, handle=lba)[0] for lba in range(4)]
         assert queue.inflight == 4
         rows = queue.drain()
         assert [row[0] for row in rows] == [0, 1, 2, 3]
-        assert all(row[2] is None for row in rows)
-        assert [row[1] for row in rows] == [[device.read(lba)]
-                                            for lba in range(4)]
+        assert all(row[1] is None for row in rows)
+        assert results == [[device.read(lba)] for lba in range(4)]
         assert queue.stats.submitted == 4
         assert queue.drain() == []
 
@@ -197,7 +203,7 @@ class TestErrors:
         assert isinstance(measured[1], InvalidLBAError)
         (row,) = queue.drain()
         assert row[0] == "bad"
-        assert row[1:] == measured
+        assert row[1:] == measured[1:]
 
     def test_inflight_gauge_tracks_error_reraise_paths(self, device):
         # The repro_io_inflight gauge must equal len(_inflight) when a
@@ -226,7 +232,7 @@ class TestErrors:
 
 
 class TestColumnDispatch:
-    """``dispatch`` has two shapes over one serve+meter core: consumed
+    """``dispatch`` has two shapes over one serve-and-meter frame: consumed
     synchronously (``handle=None``) or held in the window (a handle,
     handed back by ``drain``). These pin that the shapes measure alike
     and that request tracing changes nothing it measures."""
@@ -269,9 +275,11 @@ class TestColumnDispatch:
         assert self._state(first) == self._state(second)
         assert isinstance(by_first[4][1], InvalidLBAError)
         drained = first.drain()
-        # A held dispatch's row is exactly what the dispatch returned.
+        # A held dispatch's row is what the dispatch measured; the
+        # result is returned by dispatch alone.
         assert [row[0] for row in drained] == [1, 3, 5, 7]
-        assert [row[1:] for row in drained] == by_first[1::2]
+        assert [row[1:] for row in drained] == [
+            m[1:] for m in by_first[1::2]]
         assert first.inflight == 0
 
     def test_dispatch_is_sampled_and_traced_like_execute(self, device):
@@ -418,4 +426,63 @@ class TestClock:
         total = 0.0
         for lba in range(4):
             total += service_us(read(queue, lba, at_us=0.0))
-        assert queue.makespan_us() == pytest.approx(total)
+        assert queue.makespan_us == pytest.approx(total)
+
+
+#: One drawn request: (op, lba, arrival or None, held). ``"error"`` is a
+#: read past the device's last LBA; ``"drain"`` retires the window.
+_REQUESTS = st.lists(st.tuples(
+    st.sampled_from(["read", "read_range", "write", "trim", "error",
+                     "drain"]),
+    st.integers(0, 60),
+    st.none() | st.floats(0.0, 5_000.0),
+    st.booleans()), max_size=40)
+
+
+class TestWindowRowsAndMakespan:
+    """After every dispatch the kept makespan is the busiest server's
+    free time, and a drained row is the handle plus what its dispatch
+    measured (the result stays with the caller)."""
+
+    @staticmethod
+    def _queue(channels: int, depth: int) -> DeviceQueue:
+        chip = FlashChip(FlashGeometry(blocks=16, fpages_per_block=8,
+                                       channels=channels), seed=7)
+        ftl = PageMappedFTL.for_chip(chip, FTLConfig(
+            overprovision=0.25, buffer_opages=4))
+        for lba in range(0, 64, 3):
+            ftl.write(lba, bytes([lba]) * 8)
+        ftl.flush()
+        return DeviceQueue(ftl, depth=depth)
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.sampled_from([1, 2]), depth=st.integers(1, 4),
+           requests=_REQUESTS)
+    def test_makespan_and_rows(self, channels, depth, requests):
+        queue = self._queue(channels, depth)
+        measured_by_handle = {}
+        drained = []
+        for index, (op, lba, at_us, held) in enumerate(requests):
+            if op == "drain":
+                drained.extend(queue.drain())
+                continue
+            code, count, payloads = {
+                "read": (OP_READ, 1, None),
+                "read_range": (OP_READ_RANGE, 3, None),
+                "write": (OP_WRITE, 1, [bytes([index & 0xFF]) * 8]),
+                "trim": (OP_TRIM, 1, None),
+                "error": (OP_READ, 1, None),
+            }[op]
+            if op == "error":
+                lba += queue.device.n_lbas
+            handle = index if held else None
+            measured = queue.dispatch(code, lba, count, payloads,
+                                      at_us=at_us, handle=handle)
+            assert (measured[1] is not None) == (op == "error")
+            assert queue.makespan_us == max(queue._channel_free)
+            if held:
+                measured_by_handle[index] = measured
+        drained.extend(queue.drain())
+        assert [row[0] for row in drained] == list(measured_by_handle)
+        for row in drained:
+            assert row == (row[0],) + measured_by_handle[row[0]][1:]

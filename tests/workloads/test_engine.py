@@ -369,7 +369,7 @@ class TestStages:
         # Backlog over the watermark (an instant 50 us before the queue
         # drains, watermark 40 us): deferred by the excess or one
         # service time, whichever is longer; no token spent.
-        early = state.queue.makespan_us() - 50.0
+        early = state.queue.makespan_us - 50.0
         tenant.tokens, tenant.last_refill = 3.0, early
         state.watermark_us = 40.0
         assert event(early) == ((0, 0, 1),
