@@ -438,7 +438,9 @@ RANGE_READ_WRITE_EVERY = 20
 
 def range_read_micro() -> dict:
     """4-LBA ranged reads: DeviceQueue.dispatch -> the FTL's range read
-    kernel -> a whole-fPage ``FlashChip.read``.
+    kernel, which senses each touched fPage in its own frame from the
+    chip's kept read cost (the device draws no ECC error and traces
+    nothing, so no ``FlashChip.read`` call is made).
 
     The inner loop of the ``traffic_scan`` end-to-end workload without
     the engine above it (``docs/PERFORMANCE.md``, "Kernels and their

@@ -286,10 +286,6 @@ class DeviceQueue:
         self._inflight.clear()
         return rows
 
-    @property
-    def inflight(self) -> int:
-        return len(self._inflight)
-
     # -- internals ------------------------------------------------------------
 
     def _bind_children(self, code: int) -> tuple:

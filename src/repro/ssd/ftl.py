@@ -427,12 +427,18 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         """Scatter-gather read of ``count`` consecutive LBAs — the read
         kernel (docs/PERFORMANCE.md, "Kernels and their twins").
 
-        Groups the physical locations by fPage and senses each touched
-        fPage once (a whole-fPage :meth:`FlashChip.read`), which is what makes
-        large accesses pay the paper's ``P / (P - L)`` factor: the same
-        logical bytes spread over more fPages once pages run at higher
-        tiredness levels. One host operation: one autoscrub tick, one
-        ``read_latency`` sample (the sum over the fPages sensed).
+        One pass over the sliced map: a buffered member is padded from
+        NVRAM, an unmapped one reads zeros, and a flash-resident one
+        senses its fPage (whole, once) the first time the range touches
+        it, which is what makes large accesses pay the paper's
+        ``P / (P - L)`` factor: the same logical bytes spread over more
+        fPages once pages run at higher tiredness levels. The sense is
+        :meth:`FlashChip.read`'s, read in place (the page's kept cost and
+        stored data, charged as ``read`` charges) when the chip would
+        draw no error, disturb no page, check no fault and trace no
+        sampled request; otherwise it is a ``chip.read`` call. One host
+        operation: one autoscrub tick, one ``read_latency`` sample (the
+        sum over the fPages sensed, in first-touch order).
 
         Raises :class:`UncorrectableError` if any page in the range is
         unreadable (partial large reads are not useful to the diFS): a
@@ -448,37 +454,56 @@ class PageMappedFTL(ScrubMixin, RemountMixin):
         self._maybe_autoscrub()
         slots = self._l2p[lba:lba + count]
         buffered_at = self.buffer._entries.get
+        if LOST in slots:
+            for offset, slot in enumerate(slots):
+                if slot == LOST and buffered_at(lba + offset) is None:
+                    raise UncorrectableError(
+                        f"LBA {lba + offset}: data lost to an earlier "
+                        f"media error", bit_errors=-1, correctable=-1)
+        chip = self.chip
+        rt = chip._reqtrace
+        in_place = not (chip.inject_errors or chip.read_disturb_rber
+                        or chip._faults is not None
+                        or rt is not None and rt.active is not None)
+        costs, stored, chip_stats = chip._read_costs, chip._data, chip.stats
         opage_bytes = self.geometry.opage_bytes
         spf = self._slots_per_fpage_max
-        # Resolve every LBA first; group flash-resident ones by fPage.
-        results: list[bytes] = [b""] * count
-        by_fpage: dict[int, list[int]] = {}
+        results: list[bytes] = []
+        put = results.append
+        sensed: dict[int, tuple] = {}
+        total_latency = 0.0
         for offset, slot in enumerate(slots):
             buffered = buffered_at(lba + offset)
             if buffered is not None:    # newer than any slot, LOST or not
-                results[offset] = buffered.ljust(opage_bytes, b"\0")
-            elif slot >= 0:
-                by_fpage.setdefault(slot // spf, []).append(offset)
-            elif slot == UNMAPPED:
-                results[offset] = bytes(opage_bytes)
-            else:
-                raise UncorrectableError(
-                    f"LBA {lba + offset}: data lost to an earlier media "
-                    f"error", bit_errors=-1, correctable=-1)
-        total_latency = 0.0
-        for fpage, wanted in by_fpage.items():
-            try:
-                payloads, latency = self.chip.read(fpage)
-            except UncorrectableError:
-                for offset in wanted:
-                    self._lose_lba(lba + offset, slots[offset])
-                raise
-            total_latency += latency
-            base = fpage * spf
-            for offset in wanted:
-                results[offset] = payloads[slots[offset] - base].ljust(
-                    opage_bytes, b"\0")
-        if by_fpage:
+                put(buffered.ljust(opage_bytes, b"\0"))
+                continue
+            if slot < 0:                # UNMAPPED (LOST raised above)
+                put(bytes(opage_bytes))
+                continue
+            fpage = slot // spf
+            payloads = sensed.get(fpage)
+            if payloads is None:
+                if in_place:    # ``FlashChip.read``'s charges, in order
+                    (_, _, _, retries, _, latency, channel) = (
+                        costs.get(fpage) or chip._read_cost(fpage))
+                    chip_stats.reads += 1
+                    chip_stats.read_retries += retries
+                    chip_stats.busy_us += latency
+                    chip.channel_busy_us[channel] += latency
+                    payloads = stored[fpage]
+                else:
+                    try:
+                        payloads, latency = chip.read(fpage)
+                    except UncorrectableError:
+                        for member, wanted in enumerate(slots):
+                            if (wanted >= 0 and wanted // spf == fpage
+                                    and buffered_at(lba + member) is None):
+                                self._lose_lba(lba + member, wanted)
+                        raise
+                total_latency += latency
+                sensed[fpage] = payloads
+            put(payloads[slot - fpage * spf].ljust(opage_bytes, b"\0"))
+        if sensed:
             self.stats.read_latency.add(total_latency)
         return results
 

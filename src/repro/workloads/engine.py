@@ -384,7 +384,8 @@ class _Cell:
     """
 
     __slots__ = (
-        "config", "cell", "seed", "kind", "queue", "tenants", "trace",
+        "config", "cell", "seed", "kind", "queue", "window", "tenants",
+        "trace",
         "read_service_us", "write_service_us", "service_est", "cell_rate",
         "tenant_rate", "token_rate", "watermark_us", "deadline_us",
         "horizon", "heap", "push_seq", "offered", "samples",
@@ -465,6 +466,8 @@ def _build(config: EngineConfig, cell: int, seed: int,
                   else f"flat-l{config.level}")
     state.queue = DeviceQueue(device, depth=config.queue_depth,
                               device_kind=state.kind)
+    # The queue's held rows, read in place: ``len`` is the window.
+    state.window = state.queue._inflight
 
     # Tenants partition whichever space is live *after* aging: a CVSS
     # device shrinks and minidisks are decommissioned while it ages.
@@ -738,7 +741,7 @@ def _dispatch(state: _Cell, tenant: _Tenant, op: tuple,
     backlog = queue.makespan_us - now_us
     if backlog > state.max_backlog_us:
         state.max_backlog_us = backlog
-    inflight = queue.inflight
+    inflight = len(state.window)
     if inflight > state.max_inflight:
         state.max_inflight = inflight
     if inflight >= config.queue_depth:

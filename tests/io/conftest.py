@@ -72,7 +72,7 @@ def queue_state(queue, mdisk_id=None, lbas: int = 16):
     """:func:`device_state` plus the queue's clock, servers, window and
     stats (``submitted`` is the next request's tag): twin queues driven
     the same way must agree on all of it."""
-    return (queue.clock_us, list(queue._channel_free), queue.inflight,
+    return (queue.clock_us, list(queue._channel_free), len(queue._inflight),
             dict(vars(queue.stats))) + device_state(queue.device,
                                                     mdisk_id, lbas)
 

@@ -73,7 +73,7 @@ class TestDispatch:
         # its result comes back from dispatch, not in the row.
         queue = DeviceQueue(device)
         results = [read(queue, lba, handle=lba)[0] for lba in range(4)]
-        assert queue.inflight == 4
+        assert len(queue._inflight) == 4
         rows = queue.drain()
         assert [row[0] for row in rows] == [0, 1, 2, 3]
         assert all(row[1] is None for row in rows)
@@ -85,7 +85,7 @@ class TestDispatch:
         # Without a handle the dispatch is consumed synchronously.
         queue = DeviceQueue(device)
         read(queue, 0)
-        assert queue.inflight == 0
+        assert len(queue._inflight) == 0
         assert queue.drain() == []
 
     def test_open_loop_same_arrival_queues_on_one_channel(self, device):
@@ -193,7 +193,7 @@ class TestErrors:
         assert type(error) is InvalidLBAError
         assert str(error) == str(direct.value)
         assert queue.stats.errors == 1
-        assert queue.inflight == 0
+        assert len(queue._inflight) == 0
 
     def test_submit_raises_synchronously(self, device):
         # A held dispatch hands its error back at once, and the errored
@@ -221,13 +221,13 @@ class TestErrors:
             return sample["value"]
 
         assert read(queue, 10 ** 9, handle="bad")[1] is not None
-        assert queue.inflight == 1
+        assert len(queue._inflight) == 1
         assert gauge() == 1.0
         queue.drain()
-        assert queue.inflight == 0
+        assert len(queue._inflight) == 0
         assert gauge() == 0.0
         assert read(queue, 10 ** 9)[1] is not None
-        assert queue.inflight == 0
+        assert len(queue._inflight) == 0
         assert gauge() == 0.0
 
 
@@ -280,7 +280,7 @@ class TestColumnDispatch:
         assert [row[0] for row in drained] == [1, 3, 5, 7]
         assert [row[1:] for row in drained] == [
             m[1:] for m in by_first[1::2]]
-        assert first.inflight == 0
+        assert len(first._inflight) == 0
 
     def test_dispatch_is_sampled_and_traced_like_execute(self, device):
         tracer = ReqTracer(seed=5, every=2)

@@ -13,6 +13,15 @@ sides, so the twins can be compared with autoscrub armed), and it
 zero-pads each flash-resident payload it hands back, because the chip
 now stores an oPage as written and the FTL is where host reads pad.
 
+``OracleChip.read_fpage`` is the twin of two kernel paths: the
+whole-fPage ``FlashChip.read``, and the sense ``read_range`` takes in
+its own frame, from the chip's kept read cost, on a chip that draws no
+ECC error, records no read disturb, has no fault injector and traces no
+sampled request. The oracle's ``read_range`` knows neither and always
+calls ``read_fpage``, so the in-place charges (``reads``,
+``read_retries``, ``busy_us``, ``channel_busy_us``) are compared against
+a per-call derivation.
+
 They are methods of subclasses rather than free functions so that the
 flavours' own gates stay in front of them: ``BaselineSSD.read_range``,
 ``CVSSDevice.read_range`` and ``SalamanderSSD.read_range`` end in

@@ -1,10 +1,12 @@
 """Differential test: the range read kernel against the per-LBA loop.
 
-``PageMappedFTL.read_range`` slices the map once and probes the write
-buffer in place; ``FlashChip.read``, point or whole-fPage, takes a
-written page's cost from ``_read_cost``, which remembers it until the page's
-data goes. ``read_loop_oracle.py`` holds what they replaced: the per-LBA
-resolve loop and the per-call derivation. Twin devices (same chip seed,
+``PageMappedFTL.read_range`` slices the map once, probes the write
+buffer in place and, on a chip that draws, disturbs, checks and traces
+nothing, senses each fPage in place from the chip's kept cost;
+``FlashChip.read``, point or whole-fPage, takes a written page's cost
+from ``_read_cost``, which remembers it until the page's data goes.
+``read_loop_oracle.py`` holds what they replaced: the per-LBA resolve
+loop and the per-call derivation. Twin devices (same chip seed,
 same configuration, a fault injector, clock and reqtrace context each)
 take the same calls, one through the kernel and one through the oracle,
 and after *every* call everything a host or a later call could observe
@@ -21,7 +23,7 @@ remembered costs, LBAs are lost and rewritten, and the device dies and
 is called four more times. ``test_scripted_walks_reach_every_case`` pins
 that the cases the kernel could get wrong really occur;
 ``test_seeded_mutations_are_caught`` breaks the kernel and the chip
-seven ways and requires the comparison (or the audit) to notice each.
+eleven ways and requires the comparison (or the audit) to notice each.
 """
 
 from __future__ import annotations
@@ -172,6 +174,16 @@ class Twins:
         self.oracle = self.sides[1]["device"]
         assert type(self.oracle.chip) is OracleChip
         self.salamander = isinstance(self.kernel, SalamanderSSD)
+        # ``chip.read`` calls on the kernel side: every sense but those
+        # ``read_range`` takes in place.
+        self.chip_reads = 0
+        sense = self.kernel.chip.read
+
+        def counted(fpage, slot=None):
+            self.chip_reads += 1
+            return sense(fpage, slot)
+
+        self.kernel.chip.read = counted
         #: (mdisk_id or None, lba) of the last placed call.
         self.last = (0 if self.salamander else None, 0)
         self._compare("construction")
@@ -275,6 +287,7 @@ class Twins:
         what = f"{method}{address}"
         lost = self.kernel.stats.lost_opages
         senses = self.kernel.chip.stats.reads
+        chip_reads = self.chip_reads
         outcomes = []
         for side in self.sides:
             try:
@@ -291,7 +304,8 @@ class Twins:
                 "result": value if status == "ok" else None,
                 "message": None if status == "ok" else value,
                 "lost": self.kernel.stats.lost_opages - lost,
-                "senses": self.kernel.chip.stats.reads - senses}
+                "senses": self.kernel.chip.stats.reads - senses,
+                "chip_reads": self.chip_reads - chip_reads}
 
 
 def walk(twins: Twins, steps: list[tuple], seed: int,
@@ -441,6 +455,19 @@ def test_scripted_walks_reach_every_case(flavour, dynamic):
         assert device.stats.wear_relocations       # the sweep ran in reads
     if flavour != "ftl":
         assert not device.is_alive
+    # A fault injector (and, when dynamic, read disturb) keeps every
+    # sense on ``chip.read``...
+    assert all(e["chip_reads"] == e["senses"] for e in ranges)
+    if dynamic:
+        return
+    # ...and without one the sense is taken in place while the chip
+    # draws no error and traces no request, through ``chip.read`` once
+    # the toggles turn either on.
+    ranges = [entry for entry in walk(Twins(Rig(flavour, inject=False)),
+                                      SCRIPT, seed=5)
+              if entry["method"] == "read_range" and entry["senses"]]
+    assert any(e["chip_reads"] == 0 for e in ranges)
+    assert any(e["chip_reads"] == e["senses"] for e in ranges)
 
 
 def test_an_fpage_wanted_non_adjacently_is_sensed_once():
@@ -514,6 +541,9 @@ def test_a_scanned_device_is_scrubbed():
 
 RANGE, CHIP = (PageMappedFTL, ftl_module), (FlashChip, chip_module)
 STATIC = Rig("regen", traced=True, plan=SCRIPT_PLAN)
+#: No injector, no disturb, errors and tracing toggled by the script: the
+#: in-place sense and ``chip.read`` both run (the scripted walks pin it).
+IN_PLACE = Rig("regen", inject=False)
 #: What breaks -> (the rig whose scripted walk must notice, the class
 #: and method, source edits). An edit is ``(old, new)`` on the dedented
 #: source of the method; ``old`` must still be there, so a mutation
@@ -527,8 +557,8 @@ MUTATIONS = {
         Rig("ftl", disturb=True), CHIP, "_read_cost", [
             ("if self.read_disturb_rber == 0 and", "if True or")]),
     "buffer probed after the LOST check": (STATIC, RANGE, "read_range", [
-        ("buffered = buffered_at(lba + offset)",
-         "buffered = None if slot == LOST else buffered_at(lba + offset)")]),
+        ("if slot == LOST and buffered_at(lba + offset) is None:",
+         "if slot == LOST:")]),
     "map sliced before the autoscrub tick": (
         Rig("ftl", disturb=True, retention=True, autoscrub=True), RANGE,
         "read_range", [
@@ -539,10 +569,22 @@ MUTATIONS = {
     "one latency sample per fPage": (STATIC, RANGE, "read_range", [
         ("total_latency += latency",
          "self.stats.read_latency.add(latency)"),
-        ("if by_fpage:", "if False:")]),
+        ("if sensed:", "if False:")]),
     "only the first wanted LBA lost": (STATIC, RANGE, "read_range", [
-        # The first such loop is the one under ``except``.
-        ("for offset in wanted:", "for offset in wanted[:1]:")]),
+        # The first touch is the first member wanting the fPage.
+        ("for member, wanted in enumerate(slots):",
+         "for member, wanted in enumerate(slots[:offset + 1]):")]),
+    "in-place sense skips read_retries": (IN_PLACE, RANGE, "read_range", [
+        ("chip_stats.read_retries += retries", "pass")]),
+    "in-place sense charges no channel": (IN_PLACE, RANGE, "read_range", [
+        ("chip.channel_busy_us[channel] += latency", "pass")]),
+    "in-place sense taken with inject_errors on": (
+        IN_PLACE, RANGE, "read_range", [
+            ("chip.inject_errors or chip.read_disturb_rber",
+             "chip.read_disturb_rber")]),
+    "in-place sense taken for a sampled request": (
+        IN_PLACE, RANGE, "read_range", [
+            ("or rt is not None and rt.active is not None", "or False")]),
 }
 
 

@@ -281,7 +281,7 @@ class TestStages:
         spans = sum(tenant.span for tenant in state.tenants)
         # Every span LBA, the flush, the pilot probes — nothing held.
         assert state.queue.stats.dispatched == spans + 1 + 4
-        assert state.queue.inflight == 0
+        assert len(state.queue._inflight) == 0
         assert state.samples == [] and state.offered == 0
         assert state.service_est > 0.0
         # One first event per tenant (a 3 ms window outlasts every
