@@ -22,6 +22,7 @@ experiments use the vectorised models in :mod:`repro.sim.fleet` instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -207,9 +208,8 @@ class FlashChip:
         self._max_rber_by_level = tuple(
             self.policy.max_rber(level)
             for level in self.policy.usable_levels)
-        self._caps_array = np.asarray(self._max_rber_by_level, dtype=float)
-        self._caps_ascending = bool(
-            np.all(self._caps_array[:-1] <= self._caps_array[1:]))
+        caps = self._max_rber_by_level
+        self._caps_ascending = all(a <= b for a, b in zip(caps, caps[1:]))
         self._opage_transfer_us = (self.latency.transfer_us_per_kib
                                    * self.geometry.opage_bytes / 1024)
         self._fpage_transfer_us_by_level = tuple(
@@ -330,52 +330,38 @@ class FlashChip:
         Wear-only qualification sweep over one block, valid exactly when
         the FTL runs wear-transition detection: right after an erase,
         when read disturb has been reset and FREE pages accrue no
-        retention term. PEC is block-uniform, so one memoised model
-        evaluation covers the whole block (states read only for pages
-        whose level falls short)."""
-        self.geometry.check_block(block)
+        retention term (states read only for pages whose level falls
+        short)."""
         start = block * self._fpages_per_block
         stop = start + self._fpages_per_block
         state = self._state
         return [(fpage, need) for fpage, need, level in zip(
-                    range(start, stop),
-                    self._block_wear_required(block).tolist(),
+                    range(start, stop), self.required_levels_of_block(block),
                     self._level[start:stop])
                 if need > level and state[fpage] == _STATE_FREE]
 
-    def _block_wear_required(self, block: int) -> np.ndarray:
-        """Wear-only required level for every fPage of ``block``.
-
-        One memoised model evaluation covers the block (PEC is
-        block-uniform); the per-page variation factor multiplies in.
-        Matches :meth:`required_level` exactly whenever the disturb and
-        retention terms are zero for the pages asked about.
+    def required_levels_of_block(self, block: int) -> list[int]:
+        """Wear-only :meth:`required_level` of every fPage of ``block``,
+        exact for FREE pages while read disturb is unmodelled (they accrue
+        no retention term). One memoised model evaluation covers the block
+        (PEC is block-uniform), times each page's variation in Python
+        floats; ``bisect_left`` over the ascending caps is numpy's
+        ``searchsorted(side="left")``. The allocator caches it per tenure.
         """
+        self.geometry.check_block(block)
         start = block * self._fpages_per_block
-        stop = start + self._fpages_per_block
         pec = self._block_pec[block]
         base = self._base_rber_cache.get(pec)
         if base is None:
             base = float(self.rber_model.rber(pec))
             self._base_rber_cache[pec] = base
-        rber = base * self._variation[start:stop]
+        variation = self._variation[
+            start:start + self._fpages_per_block].tolist()
         if self._caps_ascending:
-            return np.searchsorted(self._caps_array, rber, side="left")
+            caps = self._max_rber_by_level
+            return [bisect_left(caps, base * v) for v in variation]
         # pragma: no cover - non-monotone ECC ladders do not occur
-        return np.array([self._required_level_for(float(r))
-                         for r in rber], dtype=np.int64)
-
-    def required_levels_of_block(self, block: int) -> np.ndarray:
-        """Vectorised :meth:`required_level` for one block's FREE pages.
-
-        Valid while read disturb is unmodelled (``read_disturb_rber ==
-        0``): FREE pages accrue no retention term, so their effective
-        RBER is exactly the wear term this sweep computes. The FTL's
-        allocator caches this per open-block tenure instead of paying a
-        model evaluation per allocated fPage.
-        """
-        self.geometry.check_block(block)
-        return self._block_wear_required(block)
+        return [self._required_level_for(base * v) for v in variation]
 
     # -- bulk views (vectorised; used by FTL policies) -----------------------
 

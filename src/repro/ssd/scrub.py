@@ -71,6 +71,7 @@ class ScrubMixin:
         return len(lbas)
 
     def _maybe_autoscrub(self) -> None:
+        """One tick; the host paths call only if the interval is not 0."""
         interval = self.config.scrub_interval_writes
         if interval == 0:
             return

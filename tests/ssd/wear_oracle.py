@@ -71,5 +71,5 @@ def open_new_block(self, key: str) -> None:
     self._free_blocks.discard(block)
     self._open[key] = (block, 0)
     self._open_required[key] = (
-        (block, self.chip.required_levels_of_block(block).tolist())
+        (block, self.chip.required_levels_of_block(block))
         if self.chip.read_disturb_rber == 0 else None)
