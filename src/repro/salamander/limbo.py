@@ -29,6 +29,8 @@ class LimboLedger:
             raise ConfigError(
                 f"dead_level must be positive, got {dead_level!r}")
         self.dead_level = dead_level
+        # Bound once, never rebound: SalamanderSSD keeps its pages FREE
+        # by testing allocation against this dict in place.
         self._level_of: dict[int, int] = {}
 
     def __len__(self) -> int:

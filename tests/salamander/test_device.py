@@ -171,6 +171,15 @@ class TestHostIO:
         assert device.read(0, 2) == bytes(4096)
         device._audit_fastpath()
 
+    def test_audit_catches_a_rebound_limbo_dict(self, make_salamander):
+        """The allocator tests held pages against the ledger's dict in
+        place; a ledger that rebinds it would leave limbo unguarded."""
+        device = make_salamander()
+        device._audit_fastpath()
+        device.limbo._level_of = {}
+        with pytest.raises(AssertionError, match="rebound"):
+            device._audit_fastpath()
+
     def test_trim_range_is_gated_and_bounded_like_read_range(
             self, make_salamander):
         device = make_salamander()
